@@ -17,7 +17,7 @@ use crate::candidates::CandidateIndex;
 use crate::error::AimError;
 use crate::session::RunCtl;
 use aim_exec::{
-    estimate_statement_cost, estimate_statement_cost_batch, CostModel, ExecError, HypoConfig,
+    estimate_statement_cost, estimate_statement_cost_batch_until, CostModel, ExecError, HypoConfig,
     HypotheticalIndex,
 };
 use aim_monitor::WorkloadQuery;
@@ -123,6 +123,29 @@ fn cost_or(
     }
 }
 
+/// Runs one batched what-if evaluation under `ctl`: the batch consults the
+/// deadline and cancel token before every slot, and an interrupted batch
+/// becomes the abort that interrupted it — so a cancel or deadline lands
+/// within one what-if call however many slots the batch has.
+fn under_ctl<T>(
+    ctl: &RunCtl,
+    batch: impl FnOnce(&dyn Fn() -> bool) -> Option<T>,
+) -> Result<T, AimError> {
+    let abort = std::cell::Cell::new(None);
+    let out = batch(&|| match ctl.check("ranking") {
+        Ok(()) => false,
+        Err(e) => {
+            abort.set(Some(e));
+            true
+        }
+    });
+    out.ok_or_else(|| {
+        abort
+            .take()
+            .expect("only the abort check interrupts a batch")
+    })
+}
+
 /// Evaluates one workload query against all candidates (Eqs. 7–8) using
 /// *batched* what-if costing: the `[empty, relevant]` pair, the marginal
 /// "config minus one index" probes, and the DML maintenance singletons each
@@ -136,6 +159,7 @@ fn cost_or(
 /// With `strict` set, injected (transient) failures propagate instead of
 /// degrading to ∞/0 fallbacks — the resilient session retries them; the
 /// numeric behaviour on the success path is unchanged either way.
+#[allow(clippy::too_many_arguments)]
 fn try_eval_query(
     db: &Database,
     wq: &WorkloadQuery,
@@ -144,6 +168,7 @@ fn try_eval_query(
     empty_cfg: &HypoConfig,
     cm: &CostModel,
     strict: bool,
+    ctl: &RunCtl,
 ) -> Result<QueryContribution, AimError> {
     let cache = aim_exec::whatif::global();
     let mut out = QueryContribution {
@@ -166,9 +191,10 @@ fn try_eval_query(
             // One planner pass for the empty baseline and the full relevant
             // config; slot order matches the sequential evaluation order,
             // which keeps fault-injection sites firing in the same order.
-            let mut pair = cache
-                .eval_select_batch(db, &select, &[empty_cfg, &cfg], cm)
-                .into_iter();
+            let mut pair = under_ctl(ctl, |stop| {
+                cache.eval_select_batch_until(db, &select, &[empty_cfg, &cfg], cm, stop)
+            })?
+            .into_iter();
             let cost_empty = cost_or(
                 pair.next().expect("batch returns one slot per config").map(|e| e.cost),
                 f64::INFINITY,
@@ -213,7 +239,10 @@ fn try_eval_query(
                             .collect();
                         let without_refs: Vec<&HypoConfig> = withouts.iter().collect();
                         let mut marginals: Vec<f64> = Vec::with_capacity(used.len());
-                        for res in cache.eval_select_batch(db, &select, &without_refs, cm) {
+                        let probes = under_ctl(ctl, |stop| {
+                            cache.eval_select_batch_until(db, &select, &without_refs, cm, stop)
+                        })?;
+                        for res in probes {
                             let c_without =
                                 cost_or(res.map(|e| e.cost), cost_empty, strict)?;
                             marginals.push((c_without - cost_with).max(0.0));
@@ -236,6 +265,7 @@ fn try_eval_query(
     // ------------------------------------------------ maintenance (Eq. 8)
     if wq.stats.is_dml() {
         let stmt = &wq.stats.exemplar;
+        ctl.check("ranking")?;
         let base = cost_or(estimate_statement_cost(db, stmt, empty_cfg, cm), 0.0, strict)?;
         if base > 0.0 {
             // Only indexes on the written table can be affected.
@@ -250,7 +280,9 @@ fn try_eval_query(
                     .map(|(_, h)| HypoConfig::shared(vec![Arc::clone(h)]))
                     .collect();
                 let one_refs: Vec<&HypoConfig> = ones.iter().collect();
-                let results = estimate_statement_cost_batch(db, stmt, &one_refs, cm);
+                let results = under_ctl(ctl, |stop| {
+                    estimate_statement_cost_batch_until(db, stmt, &one_refs, cm, stop)
+                })?;
                 for ((i, _), res) in affected.iter().zip(results) {
                     let with = cost_or(res, base, strict)?;
                     let overhead = ((with - base) / base).max(0.0) * wq.stats.total_cpu;
@@ -444,7 +476,9 @@ pub fn rank_candidates_unbatched(
 }
 
 /// [`rank_candidates_with`] under a [`RunCtl`]: workers check the
-/// deadline/cancel token between queries, and injected (transient)
+/// deadline/cancel token before every what-if call (between queries and
+/// between the slots of a batch), so an abort lands within one call per
+/// worker, and injected (transient)
 /// what-if failures propagate as retryable [`AimError::Fault`]s instead of
 /// silently degrading a candidate's economics. On success the output is
 /// bit-identical to the lenient path for any worker count.
@@ -470,7 +504,6 @@ fn rank_core(
     strict: bool,
     batched: bool,
 ) -> Result<Vec<RankedCandidate>, AimError> {
-    let eval = if batched { try_eval_query } else { try_eval_query_sequential };
     // Build hypothetical indexes once, shared; drop unbuildable candidates.
     let mut hypos: Vec<(usize, Arc<HypotheticalIndex>)> = Vec::new();
     for (i, c) in candidates.iter().enumerate() {
@@ -480,19 +513,26 @@ fn rank_core(
         }
     }
     let empty_cfg = HypoConfig::only(Vec::new());
+    // The sequential reference runs only un-deadlined (`RunCtl::none()`).
+    let eval = |wq: &WorkloadQuery| {
+        if batched {
+            try_eval_query(db, wq, candidates, &hypos, &empty_cfg, cm, strict, ctl)
+        } else {
+            try_eval_query_sequential(db, wq, candidates, &hypos, &empty_cfg, cm, strict)
+        }
+    };
 
     let workers = effective_workers(workers, workload.len());
     let contributions: Vec<QueryContribution> = if workers <= 1 {
         let mut out = Vec::with_capacity(workload.len());
         for wq in workload {
             ctl.check("ranking")?;
-            out.push(eval(db, wq, candidates, &hypos, &empty_cfg, cm, strict)?);
+            out.push(eval(wq)?);
         }
         out
     } else {
         let chunk = workload.len().div_ceil(workers);
-        let hypos = &hypos;
-        let empty_cfg = &empty_cfg;
+        let eval = &eval;
         // Workers adopt a trace context so their span subtrees (the
         // per-query `exec.whatif` timings) stitch back into this thread's
         // open `ranking` span instead of dying with the scoped threads.
@@ -506,12 +546,10 @@ fn rank_core(
                         let _adopt = trace_ref.adopt();
                         let mut out = Vec::with_capacity(queries.len());
                         for wq in queries {
-                            // Workers observe aborts between queries, so a
-                            // cancel/deadline lands within one query.
+                            // Workers observe aborts between queries and,
+                            // inside a query, before every what-if call.
                             ctl.check("ranking")?;
-                            out.push(eval(
-                                db, wq, candidates, hypos, empty_cfg, cm, strict,
-                            )?);
+                            out.push(eval(wq)?);
                         }
                         Ok(out)
                     })
@@ -531,6 +569,10 @@ fn rank_core(
         trace.stitch();
         scoped?
     };
+
+    // An abort that arrived during the last what-if call belongs to this
+    // phase, not to whichever phase checks next.
+    ctl.check("ranking")?;
 
     let mut benefit: BTreeMap<usize, f64> = BTreeMap::new();
     let mut maintenance: BTreeMap<usize, f64> = BTreeMap::new();

@@ -1,4 +1,9 @@
 //! Name resolution: query table bindings and column references.
+//!
+//! A [`Binder`] resolves names against the FROM list. Resolution is by
+//! string comparison, so the executor does it once per statement: a
+//! [`Scope`] turns each column reference into the `(table_idx, col_idx)`
+//! slot that [`crate::eval::BoundExpr`] reads per row.
 
 use crate::error::ExecError;
 use aim_sql::ast::{ColumnRef, Select, TableRef};
@@ -125,6 +130,68 @@ impl Binder {
                 })
             }
         }
+    }
+}
+
+/// Where the columns of one table instance sit in that instance's tuple
+/// slot during execution.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SlotLayout {
+    /// The slot holds a full clustered row: column `c` is at position `c`.
+    Row,
+    /// The slot holds a covering secondary-index entry (key columns, then
+    /// primary-key columns): column `c` is at `positions[c]`, `None` when
+    /// the entry does not carry it.
+    IndexEntry(Vec<Option<usize>>),
+}
+
+impl SlotLayout {
+    /// Position of table column `col_idx` within the slot.
+    pub fn position(&self, col_idx: usize) -> Option<usize> {
+        match self {
+            SlotLayout::Row => Some(col_idx),
+            SlotLayout::IndexEntry(positions) => positions[col_idx],
+        }
+    }
+}
+
+/// A binder plus the slot layout of each table instance: resolves column
+/// references to tuple-slot positions.
+#[derive(Debug, Clone, Copy)]
+pub struct Scope<'b> {
+    binder: &'b Binder,
+    /// Aligned with the binder's tables; missing entries are full rows.
+    layouts: &'b [SlotLayout],
+}
+
+impl<'b> Scope<'b> {
+    /// Scope in which every tuple slot holds a full table row.
+    pub fn rows(binder: &'b Binder) -> Self {
+        Self::new(binder, &[])
+    }
+
+    pub fn new(binder: &'b Binder, layouts: &'b [SlotLayout]) -> Self {
+        Self { binder, layouts }
+    }
+
+    pub fn binder(&self) -> &'b Binder {
+        self.binder
+    }
+
+    /// Slot layout of the `table_idx`-th bound table.
+    pub fn layout(&self, table_idx: usize) -> &'b SlotLayout {
+        self.layouts.get(table_idx).unwrap_or(&SlotLayout::Row)
+    }
+
+    /// Resolves `col` to its tuple slot and the position within it;
+    /// `None` when the slot's index entry does not carry the column.
+    pub fn resolve(&self, col: &ColumnRef) -> Result<Option<BoundColumn>, ExecError> {
+        let bc = self.binder.resolve(col)?;
+        let layout = self.layout(bc.table_idx);
+        Ok(layout.position(bc.col_idx).map(|col_idx| BoundColumn {
+            table_idx: bc.table_idx,
+            col_idx,
+        }))
     }
 }
 

@@ -9,25 +9,22 @@
 //! the executor re-applies every predicate that is fully bound at each join
 //! level, so a mis-narrowed path can cost performance but never correctness.
 
-use crate::bind::Binder;
+use crate::bind::{Binder, Scope, SlotLayout};
 use crate::cost::CostModel;
 use crate::error::ExecError;
-use crate::eval::{eval, is_true, literal_value, Env};
+use crate::eval::{literal_value, AggregateSlots, BoundAggregate, BoundExpr};
 use crate::hypothetical::HypoConfig;
 use crate::planner::{
-    AccessPath, EqSource, IndexScan, Plan, Planner, RangeInfo,
+    AccessPath, EqSource, IndexChoice, IndexScan, Plan, Planner, RangeInfo,
 };
 use crate::predicate::SargValue;
 use aim_sql::ast::{
     AggFunc, Delete, Expr, Insert, Literal, Select, SelectItem, Statement, Update,
 };
 use aim_storage::{Database, IoStats, Key, Row, Table, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Bound;
-
-/// One produced output row with its provenance: the projected row, the
-/// joined tuple it came from, and the aggregates computed for its group.
-type OutputRow = (Row, Vec<Option<Row>>, BTreeMap<String, Value>);
 
 /// Result of executing one statement.
 #[derive(Debug, Clone)]
@@ -165,34 +162,10 @@ impl Engine {
         db: &Database,
         select: &Select,
     ) -> Result<ExecOutcome, ExecError> {
-        if let Some(aim_storage::fault::FaultKind::Fail) =
-            aim_storage::fault::hit("exec.execute")
-        {
-            return Err(ExecError::FaultInjected {
-                site: "exec.execute".to_string(),
-            });
-        }
-        // Spanned here (not in `execute`) so parallel validation replays,
-        // which call `execute_select` directly from worker threads, still
-        // time their per-query work for profile stitching.
-        let _span = aim_telemetry::span("exec.select");
-        let config = HypoConfig::none();
-        let planner = Planner::new(db, select, &config, &self.cost_model)?;
-        let plan = planner.plan()?;
-        if aim_telemetry::is_enabled() && !plan.steps.is_empty() {
-            aim_telemetry::event(
-                aim_telemetry::EventKind::PlanChosen,
-                plan.access_summary(),
-                format!("est cost {:.1}", plan.est_cost),
-            );
-        }
-        let mut io = IoStats::new();
-        let mut extra_cost = 0.0f64;
+        let (_span, binder, plan) = self.open_select(db, select)?;
 
         // Table-free SELECT.
         if plan.steps.is_empty() {
-            let env_rows: Vec<Option<&Row>> = Vec::new();
-            let env = Env::new(&env_rows);
             let mut row = Vec::new();
             for item in &select.items {
                 match item {
@@ -200,143 +173,125 @@ impl Engine {
                         return Err(ExecError::Unsupported("SELECT * without FROM".into()))
                     }
                     SelectItem::Expr { expr, .. } => {
-                        row.push(eval(expr, &planner.binder, &env)?)
+                        row.push(BoundExpr::bind(expr, &binder)?.eval(&[], &[])?.into_owned())
                     }
                 }
             }
             return Ok(ExecOutcome {
                 rows: vec![row],
-                io,
+                io: IoStats::new(),
                 cost: self.cost_model.output_row_cost,
                 plan,
                 affected: 0,
             });
         }
 
-        // Precompute, per join level, which WHERE conjuncts become fully
-        // bound at that level.
-        let conjuncts = conjuncts_by_level(select, &planner.binder, &plan)?;
-
+        // Bind once: everything the statement evaluates per row is resolved
+        // here, so name errors surface before any row is read.
+        let layouts = slot_layouts(db, &binder, &plan)?;
+        let scope = Scope::new(&binder, &layouts);
+        let conjuncts = conjuncts_by_level(select, &scope, &plan)?;
         let limit = limit_of(select)?;
+        let query = BoundSelect::bind(select, &scope, db)?;
+
         let streaming_limit = plan.order_via_index
             && select.group_by.is_empty()
             && !select.distinct
             && limit.is_some();
 
-        let mut tuples: Vec<Vec<Option<Row>>> = Vec::new();
-        let mut streamed = false;
-        if streaming_limit {
-            if let Some(k) = limit {
-                if let Some(streamed_tuples) =
-                    self.stream_limited(db, &planner, &plan, &conjuncts, k, &mut io)?
-                {
-                    tuples = streamed_tuples;
-                    streamed = true;
-                }
-            }
-        }
-        if !streamed {
-            let mut current: Vec<Option<Row>> = vec![None; planner.binder.len()];
-            let cap = if streaming_limit { limit } else { None };
-            self.join_level(
-                db,
-                &planner,
-                &plan,
-                &conjuncts,
-                0,
-                &mut current,
-                &mut tuples,
-                cap,
-                &mut io,
-            )?;
-        }
-
-        // Grouping / aggregation.
-        let has_aggregates = select
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
-            || select.having.is_some();
-        let grouped = !select.group_by.is_empty() || has_aggregates;
-
-        let mut out: Vec<OutputRow> = Vec::new();
-        if grouped {
-            let groups = self.group_rows(select, &planner.binder, &tuples)?;
-            if !plan.group_via_index && !tuples.is_empty() {
-                extra_cost += self.cost_model.sort_cost(tuples.len() as f64);
-            }
-            for (_, members) in groups {
-                let aggs = compute_aggregates(select, &planner.binder, &members)?;
-                // The implicit group of an aggregate-only query may be
-                // empty (zero input rows still produce one output row, per
-                // SQL); represent it with an all-unbound tuple.
-                let rep: Vec<Option<Row>> = members
-                    .first()
-                    .cloned()
-                    .unwrap_or_else(|| vec![None; planner.binder.len()]);
-                // HAVING filter.
-                if let Some(h) = &select.having {
-                    let subst = substitute_aggregates(h, &aggs);
-                    let refs: Vec<Option<&Row>> = rep.iter().map(|r| r.as_ref()).collect();
-                    let v = eval(&subst, &planner.binder, &Env::new(&refs))?;
-                    if !is_true(&v) {
-                        continue;
-                    }
-                }
-                let row = project_row(select, &planner.binder, &rep, &aggs, db)?;
-                out.push((row, rep, aggs));
-            }
+        let width = binder.len();
+        let sink = if query.grouped {
+            Sink::Groups(Aggregator::new(&query.group_by, &query.aggregates, width))
         } else {
-            for tuple in tuples {
-                let row = project_row(select, &planner.binder, &tuple, &BTreeMap::new(), db)?;
-                out.push((row, tuple, BTreeMap::new()));
-            }
+            Sink::Tuples(Vec::new())
+        };
+        let mut join = Join::new(db, &binder, &plan, &layouts, &conjuncts, sink)?;
+        let streamed = match limit {
+            Some(k) if streaming_limit => join.stream_limited(k)?,
+            _ => false,
+        };
+        if !streamed {
+            join.cap = if streaming_limit { limit } else { None };
+            join.level(0)?;
         }
+        let Join { sink, io, .. } = join;
 
-        // DISTINCT.
-        if select.distinct {
-            let mut seen = std::collections::BTreeSet::new();
-            out.retain(|(row, _, _)| seen.insert(row.clone()));
-        }
-
-        // ORDER BY.
-        if !select.order_by.is_empty() && !plan.order_via_index {
-            extra_cost += self.cost_model.sort_cost(out.len() as f64);
-            let binder = &planner.binder;
-            let mut keyed: Vec<(Vec<Value>, usize)> = Vec::with_capacity(out.len());
-            for (i, (_, tuple, aggs)) in out.iter().enumerate() {
-                let rep: Vec<Option<&Row>> = tuple.iter().map(|r| r.as_ref()).collect();
-                let env = Env::new(&rep);
-                let mut key = Vec::with_capacity(select.order_by.len());
-                for o in &select.order_by {
-                    let e = substitute_aggregates(&o.expr, aggs);
-                    key.push(eval(&e, binder, &env)?);
+        // One source per candidate output row: a joined tuple, or a
+        // group's representative tuple plus its finished aggregates.
+        let mut extra_cost = 0.0f64;
+        let (tuples, agg_values) = match sink {
+            Sink::Tuples(tuples) => (tuples, Vec::new()),
+            Sink::Groups(groups) => {
+                if !plan.group_via_index && groups.fed > 0 {
+                    extra_cost += self.cost_model.sort_cost(groups.fed as f64);
                 }
-                keyed.push((key, i));
+                groups.finish()
             }
-            keyed.sort_by(|(a, _), (b, _)| {
-                for (i, o) in select.order_by.iter().enumerate() {
+        };
+        let aggs_per_row = query.aggregates.len();
+        let source = |j: usize| {
+            (
+                &tuples[j * width..(j + 1) * width],
+                &agg_values[j * aggs_per_row..(j + 1) * aggs_per_row],
+            )
+        };
+
+        // HAVING and projection.
+        let mut rows: Vec<Row> = Vec::new();
+        let mut source_of: Vec<usize> = Vec::new();
+        for j in 0..tuples.len() / width {
+            let (tuple, aggs) = source(j);
+            if let Some(h) = &query.having {
+                if !h.accepts(tuple, aggs)? {
+                    continue;
+                }
+            }
+            rows.push(query.project(tuple, aggs)?);
+            source_of.push(j);
+        }
+
+        // DISTINCT, ORDER BY and LIMIT select and permute row indices; the
+        // rows themselves move once, into the outcome.
+        let mut order: Vec<usize> = if select.distinct {
+            let mut seen = std::collections::BTreeSet::new();
+            (0..rows.len()).filter(|&i| seen.insert(&rows[i])).collect()
+        } else {
+            (0..rows.len()).collect()
+        };
+
+        if !query.order_by.is_empty() && !plan.order_via_index {
+            extra_cost += self.cost_model.sort_cost(order.len() as f64);
+            let key_len = query.order_by.len();
+            let mut keys: Vec<Cow<'_, Value>> = Vec::with_capacity(order.len() * key_len);
+            for &i in &order {
+                let (tuple, aggs) = source(source_of[i]);
+                for (expr, _) in &query.order_by {
+                    keys.push(expr.eval(tuple, aggs)?);
+                }
+            }
+            let mut ranks: Vec<usize> = (0..order.len()).collect();
+            ranks.sort_by(|&a, &b| {
+                let (a, b) = (&keys[a * key_len..], &keys[b * key_len..]);
+                for (i, (_, desc)) in query.order_by.iter().enumerate() {
                     let ord = a[i].cmp(&b[i]);
-                    let ord = if o.desc { ord.reverse() } else { ord };
+                    let ord = if *desc { ord.reverse() } else { ord };
                     if !ord.is_eq() {
                         return ord;
                     }
                 }
                 std::cmp::Ordering::Equal
             });
-            let mut reordered = Vec::with_capacity(out.len());
-            for (_, i) in keyed {
-                reordered.push(out[i].clone());
-            }
-            out = reordered;
+            order = ranks.into_iter().map(|r| order[r]).collect();
         }
 
-        // LIMIT.
         if let Some(k) = limit {
-            out.truncate(k);
+            order.truncate(k);
         }
 
-        let rows: Vec<Row> = out.into_iter().map(|(r, _, _)| r).collect();
+        let rows: Vec<Row> = order
+            .into_iter()
+            .map(|i| std::mem::take(&mut rows[i]))
+            .collect();
         extra_cost += rows.len() as f64 * self.cost_model.output_row_cost;
         let cost = self.cost_model.io_cost(&io) + extra_cost;
         Ok(ExecOutcome {
@@ -348,328 +303,35 @@ impl Engine {
         })
     }
 
-    /// Early-terminating scan for ORDER BY ... LIMIT served from index
-    /// order (§IV-E of the paper): rows are read lazily in index order,
-    /// filtered, and the scan stops after `limit` matches — charging I/O
-    /// only for entries actually consumed.
-    ///
-    /// Returns `None` when the plan shape does not qualify (multi-table,
-    /// non-constant probes, OR-union), in which case the caller falls back
-    /// to the eager path.
-    fn stream_limited(
+    /// Fault gate, span, planning and the plan-chosen event: the start of
+    /// every SELECT, including the row-locating half of UPDATE and DELETE.
+    fn open_select(
         &self,
         db: &Database,
-        planner: &Planner<'_>,
-        plan: &Plan,
-        conjuncts: &[Vec<Expr>],
-        limit: usize,
-        io: &mut IoStats,
-    ) -> Result<Option<Vec<Vec<Option<Row>>>>, ExecError> {
-        if plan.steps.len() != 1 {
-            return Ok(None);
-        }
-        let step = &plan.steps[0];
-        let AccessPath::IndexScan(ix) = &step.path else {
-            return Ok(None);
-        };
-        // Single constant probe prefix only.
-        let mut prefix: Vec<Value> = Vec::with_capacity(ix.eq.len());
-        for src in &ix.eq {
-            match src {
-                EqSource::Const(v) => prefix.push(v.clone()),
-                _ => return Ok(None),
-            }
-        }
-        let range = match static_range(&ix.range) {
-            Ok(r) => r,
-            Err(_) => return Ok(None),
-        };
-        let (lo, hi, lo_inc, hi_inc) = range;
-        let bounds = bounds_from_parts(&lo, &hi, lo_inc, hi_inc);
-
-        let table = db.table(&planner.binder.tables()[step.table_idx].table)?;
-        let mut out: Vec<Vec<Option<Row>>> = Vec::new();
-        let mut bytes = 0u64;
-        io.charge_seek();
-
-        let mut consider = |row: Row, io: &mut IoStats| -> Result<bool, ExecError> {
-            let tuple = vec![Some(row)];
-            let refs: Vec<Option<&Row>> = tuple.iter().map(|r| r.as_ref()).collect();
-            let env = Env::new(&refs);
-            for c in &conjuncts[0] {
-                if !is_true(&eval(c, &planner.binder, &env)?) {
-                    return Ok(false);
-                }
-            }
-            let _ = io;
-            out.push(tuple);
-            Ok(out.len() >= limit)
-        };
-
-        match &ix.index {
-            crate::planner::IndexChoice::Primary => {
-                for row in table.iter_pk_range(&prefix, bounds) {
-                    io.charge_rows(1);
-                    bytes += row.iter().map(Value::storage_size).sum::<u64>();
-                    if consider(row.clone(), io)? {
-                        break;
-                    }
-                }
-            }
-            crate::planner::IndexChoice::Secondary(name) => {
-                let sec = table.index(name).ok_or_else(|| {
-                    ExecError::Storage(aim_storage::StorageError::UnknownIndex {
-                        table: table.schema().name.clone(),
-                        index: name.clone(),
-                    })
-                })?;
-                let ncols = table.schema().columns.len();
-                for e in sec.iter_prefix_range(&prefix, bounds) {
-                    io.charge_rows(1);
-                    bytes += e.iter().map(Value::storage_size).sum::<u64>();
-                    let row = if ix.covering {
-                        let mut row = vec![Value::Null; ncols];
-                        for (i, &p) in sec.key_positions().iter().enumerate() {
-                            row[p] = e[i].clone();
-                        }
-                        let off = sec.key_positions().len();
-                        for (i, &p) in sec.pk_positions().iter().enumerate() {
-                            row[p] = e[off + i].clone();
-                        }
-                        row
-                    } else {
-                        let pk: Key = sec.pk_of_entry(e).to_vec();
-                        match table.pk_lookup(&pk, io) {
-                            Some(r) => r.clone(),
-                            None => continue,
-                        }
-                    };
-                    if consider(row, io)? {
-                        break;
-                    }
-                }
-            }
-            crate::planner::IndexChoice::Hypothetical(_) => return Ok(None),
-        }
-        if bytes > 0 {
-            io.charge_sequential(bytes);
-        }
-        Ok(Some(out))
-    }
-
-    /// Recursive nested-loop join over the plan steps.
-    #[allow(clippy::too_many_arguments)]
-    fn join_level(
-        &self,
-        db: &Database,
-        planner: &Planner<'_>,
-        plan: &Plan,
-        conjuncts: &[Vec<Expr>],
-        level: usize,
-        current: &mut Vec<Option<Row>>,
-        out: &mut Vec<Vec<Option<Row>>>,
-        cap: Option<usize>,
-        io: &mut IoStats,
-    ) -> Result<(), ExecError> {
-        let step = &plan.steps[level];
-        let table = db.table(&planner.binder.tables()[step.table_idx].table)?;
-        let candidates = self.fetch_rows(db, table, &step.path, current, io)?;
-        for row in candidates {
-            if cap.is_some_and(|k| out.len() >= k) {
-                return Ok(());
-            }
-            current[step.table_idx] = Some(row);
-            // Apply every conjunct that became fully bound at this level.
-            let refs: Vec<Option<&Row>> = current.iter().map(|r| r.as_ref()).collect();
-            let env = Env::new(&refs);
-            let mut pass = true;
-            for c in &conjuncts[level] {
-                if !is_true(&eval(c, &planner.binder, &env)?) {
-                    pass = false;
-                    break;
-                }
-            }
-            if !pass {
-                current[step.table_idx] = None;
-                continue;
-            }
-            if level + 1 == plan.steps.len() {
-                out.push(current.clone());
-            } else {
-                self.join_level(
-                    db, planner, plan, conjuncts, level + 1, current, out, cap, io,
-                )?;
-            }
-            current[step.table_idx] = None;
-        }
-        Ok(())
-    }
-
-    /// Fetches candidate rows for one access path, given the outer context.
-    fn fetch_rows(
-        &self,
-        db: &Database,
-        table: &Table,
-        path: &AccessPath,
-        outer: &[Option<Row>],
-        io: &mut IoStats,
-    ) -> Result<Vec<Row>, ExecError> {
-        match path {
-            AccessPath::FullScan => Ok(table.scan_all(io).cloned().collect()),
-            AccessPath::IndexScan(ix) => self.fetch_index_scan(db, table, ix, outer, io),
-            AccessPath::OrUnion(branches) => {
-                let mut pks: std::collections::BTreeSet<Key> = std::collections::BTreeSet::new();
-                for b in branches {
-                    for row in self.fetch_index_scan(db, table, b, outer, io)? {
-                        pks.insert(table.pk_of(&row));
-                    }
-                }
-                let mut rows = Vec::with_capacity(pks.len());
-                for pk in pks {
-                    if let Some(r) = table.pk_lookup(&pk, io) {
-                        rows.push(r.clone());
-                    }
-                }
-                Ok(rows)
-            }
-        }
-    }
-
-    fn fetch_index_scan(
-        &self,
-        db: &Database,
-        table: &Table,
-        ix: &IndexScan,
-        outer: &[Option<Row>],
-        io: &mut IoStats,
-    ) -> Result<Vec<Row>, ExecError> {
-        // Expand equality sources into concrete probe prefixes.
-        let mut prefixes: Vec<Vec<Value>> = vec![Vec::with_capacity(ix.eq.len())];
-        for src in &ix.eq {
-            match src {
-                EqSource::Const(v) => {
-                    for p in &mut prefixes {
-                        p.push(v.clone());
-                    }
-                }
-                EqSource::InList(vs) => {
-                    let mut next = Vec::with_capacity(prefixes.len() * vs.len());
-                    for p in prefixes {
-                        for v in vs {
-                            let mut q = p.clone();
-                            q.push(v.clone());
-                            next.push(q);
-                        }
-                    }
-                    prefixes = next;
-                }
-                EqSource::Outer(bc) => {
-                    let row = outer
-                        .get(bc.table_idx)
-                        .and_then(|r| r.as_ref())
-                        .ok_or_else(|| {
-                            ExecError::Eval("outer row not bound for index join".into())
-                        })?;
-                    let v = row[bc.col_idx].clone();
-                    for p in &mut prefixes {
-                        p.push(v.clone());
-                    }
-                }
-                EqSource::Unknown => {
-                    return Err(ExecError::Eval(
-                        "cannot execute plan with unknown parameters".into(),
-                    ))
-                }
-            }
-        }
-
-        let (lo, hi, lo_inc, hi_inc) = static_range(&ix.range)?;
-
-        let mut rows = Vec::new();
-        match &ix.index {
-            crate::planner::IndexChoice::Primary => {
-                for prefix in &prefixes {
-                    // Full-PK point lookup fast path.
-                    if prefix.len() == table.schema().primary_key.len() && lo.is_none() && hi.is_none()
-                    {
-                        if let Some(r) = table.pk_lookup(prefix, io) {
-                            rows.push(r.clone());
-                        }
-                    } else {
-                        for r in table.pk_range(prefix, bounds_from_parts(&lo, &hi, lo_inc, hi_inc), io) {
-                            rows.push(r.clone());
-                        }
-                    }
-                }
-            }
-            crate::planner::IndexChoice::Secondary(name) => {
-                let sec = table.index(name).ok_or_else(|| {
-                    ExecError::Storage(aim_storage::StorageError::UnknownIndex {
-                        table: table.schema().name.clone(),
-                        index: name.clone(),
-                    })
-                })?;
-                let ncols = table.schema().columns.len();
-                for prefix in &prefixes {
-                    let entries = sec.scan_prefix_range(prefix, bounds_from_parts(&lo, &hi, lo_inc, hi_inc), io);
-                    if ix.covering {
-                        // Reconstruct partial rows from the entries: every
-                        // referenced column is present by the covering check.
-                        for e in entries {
-                            let mut row = vec![Value::Null; ncols];
-                            for (i, &p) in sec.key_positions().iter().enumerate() {
-                                row[p] = e[i].clone();
-                            }
-                            let off = sec.key_positions().len();
-                            for (i, &p) in sec.pk_positions().iter().enumerate() {
-                                row[p] = e[off + i].clone();
-                            }
-                            rows.push(row);
-                        }
-                    } else {
-                        for e in entries {
-                            let pk: Key = sec.pk_of_entry(e).to_vec();
-                            if let Some(r) = table.pk_lookup(&pk, io) {
-                                rows.push(r.clone());
-                            }
-                        }
-                    }
-                }
-            }
-            crate::planner::IndexChoice::Hypothetical(_) => {
-                return Err(ExecError::Eval(
-                    "hypothetical index in an executable plan".into(),
-                ))
-            }
-        }
-        let _ = db;
-        Ok(rows)
-    }
-
-    /// Groups joined tuples by the GROUP BY key (single group when absent).
-    #[allow(clippy::type_complexity)]
-    fn group_rows(
-        &self,
         select: &Select,
-        binder: &Binder,
-        tuples: &[Vec<Option<Row>>],
-    ) -> Result<Vec<(Vec<Value>, Vec<Vec<Option<Row>>>)>, ExecError> {
-        let mut groups: BTreeMap<Vec<Value>, Vec<Vec<Option<Row>>>> = BTreeMap::new();
-        if select.group_by.is_empty() {
-            // Single implicit group (aggregate query without GROUP BY):
-            // produced even over zero input rows, per SQL semantics.
-            return Ok(vec![(Vec::new(), tuples.to_vec())]);
+    ) -> Result<(aim_telemetry::SpanGuard, Binder, Plan), ExecError> {
+        if let Some(aim_storage::fault::FaultKind::Fail) =
+            aim_storage::fault::hit("exec.execute")
+        {
+            return Err(ExecError::FaultInjected {
+                site: "exec.execute".to_string(),
+            });
         }
-        for tuple in tuples {
-            let refs: Vec<Option<&Row>> = tuple.iter().map(|r| r.as_ref()).collect();
-            let env = Env::new(&refs);
-            let mut key = Vec::with_capacity(select.group_by.len());
-            for g in &select.group_by {
-                key.push(eval(g, binder, &env)?);
-            }
-            groups.entry(key).or_default().push(tuple.clone());
+        // Spanned here (not in `execute`) so parallel validation replays,
+        // which call `execute_select` directly from worker threads, still
+        // time their per-query work for profile stitching.
+        let span = aim_telemetry::span("exec.select");
+        let config = HypoConfig::none();
+        let planner = Planner::new(db, select, &config, &self.cost_model)?;
+        let plan = planner.plan()?;
+        if aim_telemetry::is_enabled() && !plan.steps.is_empty() {
+            aim_telemetry::event(
+                aim_telemetry::EventKind::PlanChosen,
+                plan.access_summary(),
+                format!("est cost {:.1}", plan.est_cost),
+            );
         }
-        Ok(groups.into_iter().collect())
+        Ok((span, planner.binder, plan))
     }
 
     // -------------------------------------------------------------- DML
@@ -716,32 +378,34 @@ impl Engine {
     }
 
     fn execute_update(&self, db: &mut Database, upd: &Update) -> Result<ExecOutcome, ExecError> {
+        // Bind the right-hand sides (`b + 1`) over the single target table
+        // before any row is located or written.
+        let assignments = {
+            let schema = db.table(&upd.table)?.schema();
+            let binder = Binder::for_tables(db, &[aim_sql::ast::TableRef::new(&upd.table)])?;
+            let mut assignments = Vec::with_capacity(upd.assignments.len());
+            for (col, e) in &upd.assignments {
+                let pos = schema
+                    .column_index(col)
+                    .ok_or_else(|| ExecError::Binding(format!("unknown column {col}")))?;
+                assignments.push((pos, BoundExpr::bind(e, &binder)?));
+            }
+            assignments
+        };
         let (pks, mut io, plan) =
             self.locate_rows(db, &upd.table, upd.where_clause.as_ref())?;
-        let schema = db.table(&upd.table)?.schema().clone();
-        let mut assignments = Vec::with_capacity(upd.assignments.len());
-        for (col, e) in &upd.assignments {
-            let pos = schema
-                .column_index(col)
-                .ok_or_else(|| ExecError::Binding(format!("unknown column {col}")))?;
-            assignments.push((pos, e.clone()));
-        }
-        // Binder over the single target table to evaluate RHS expressions
-        // like `b + 1`.
-        let binder = Binder::for_tables(db, &[aim_sql::ast::TableRef::new(&upd.table)])?;
         let mut affected = 0u64;
         for pk in pks {
-            let Some(old) = db.table(&upd.table)?.pk_lookup(&pk, &mut io).cloned() else {
-                continue;
-            };
-            let mut new_row = old.clone();
-            {
-                let refs = [Some(&old)];
-                let env = Env::new(&refs);
+            let new_row = {
+                let Some(old) = db.table(&upd.table)?.pk_lookup(&pk, &mut io) else {
+                    continue;
+                };
+                let mut new_row = old.clone();
                 for (pos, e) in &assignments {
-                    new_row[*pos] = eval(e, &binder, &env)?;
+                    new_row[*pos] = e.eval(&[Some(old)], &[])?.into_owned();
                 }
-            }
+                new_row
+            };
             db.table_mut(&upd.table)?.update(&pk, new_row, &mut io)?;
             affected += 1;
         }
@@ -774,8 +438,9 @@ impl Engine {
         })
     }
 
-    /// Runs the WHERE clause of a DML statement as a SELECT and returns the
-    /// primary keys of matching rows.
+    /// Runs the WHERE clause of a DML statement as `SELECT *` over the
+    /// target table and returns the primary keys of the matching rows,
+    /// read from the borrowed tuples without projecting them.
     fn locate_rows(
         &self,
         db: &Database,
@@ -792,10 +457,29 @@ impl Engine {
             order_by: Vec::new(),
             limit: None,
         };
-        let outcome = self.execute_select(db, &select)?;
+        let (_span, binder, plan) = self.open_select(db, &select)?;
+        let layouts = slot_layouts(db, &binder, &plan)?;
+        let conjuncts = conjuncts_by_level(&select, &Scope::new(&binder, &layouts), &plan)?;
+        let mut join = Join::new(
+            db,
+            &binder,
+            &plan,
+            &layouts,
+            &conjuncts,
+            Sink::Tuples(Vec::new()),
+        )?;
+        join.level(0)?;
+        let Join { sink, io, .. } = join;
+        let Sink::Tuples(tuples) = sink else {
+            unreachable!("locate_rows joins into a tuple sink")
+        };
         let t = db.table(table)?;
-        let pks = outcome.rows.iter().map(|r| t.pk_of(r)).collect();
-        Ok((pks, outcome.io, outcome.plan))
+        let pks = tuples
+            .iter()
+            .flatten()
+            .map(|slot| slot_pk(t, &layouts[0], slot))
+            .collect();
+        Ok((pks, io, plan))
     }
 }
 
@@ -824,217 +508,695 @@ fn limit_of(select: &Select) -> Result<Option<usize>, ExecError> {
     }
 }
 
-/// Assigns each WHERE conjunct to the first join level at which all of its
-/// referenced tables are bound.
-fn conjuncts_by_level(
-    select: &Select,
+/// Where each table instance's columns sit in its tuple slot under `plan`:
+/// a covering secondary-index scan binds the index entry itself, every
+/// other access path a full clustered row.
+fn slot_layouts(
+    db: &Database,
     binder: &Binder,
     plan: &Plan,
-) -> Result<Vec<Vec<Expr>>, ExecError> {
-    let mut by_level: Vec<Vec<Expr>> = vec![Vec::new(); plan.steps.len()];
+) -> Result<Vec<SlotLayout>, ExecError> {
+    let mut layouts = vec![SlotLayout::Row; binder.len()];
+    for step in &plan.steps {
+        if let AccessPath::IndexScan(ix) = &step.path {
+            let table = db.table(&binder.tables()[step.table_idx].table)?;
+            layouts[step.table_idx] = index_scan_layout(table, ix)?;
+        }
+    }
+    Ok(layouts)
+}
+
+/// Layout of the values one index scan yields.
+fn index_scan_layout(table: &Table, ix: &IndexScan) -> Result<SlotLayout, ExecError> {
+    let IndexChoice::Secondary(name) = &ix.index else {
+        return Ok(SlotLayout::Row);
+    };
+    if !ix.covering {
+        return Ok(SlotLayout::Row);
+    }
+    // Every referenced column is in the entry, by the covering check.
+    let sec = secondary_index(table, name)?;
+    let mut positions = vec![None; table.schema().columns.len()];
+    for (i, &p) in sec.key_positions().iter().enumerate() {
+        positions[p] = Some(i);
+    }
+    let off = sec.key_positions().len();
+    for (i, &p) in sec.pk_positions().iter().enumerate() {
+        positions[p] = Some(off + i);
+    }
+    Ok(SlotLayout::IndexEntry(positions))
+}
+
+fn secondary_index<'t>(
+    table: &'t Table,
+    name: &str,
+) -> Result<&'t aim_storage::SecondaryIndex, ExecError> {
+    table.index(name).ok_or_else(|| {
+        ExecError::Storage(aim_storage::StorageError::UnknownIndex {
+            table: table.schema().name.clone(),
+            index: name.to_string(),
+        })
+    })
+}
+
+/// The primary key of the table row a tuple slot stands for.
+fn slot_pk(table: &Table, layout: &SlotLayout, slot: &Row) -> Key {
+    match layout {
+        SlotLayout::Row => table.pk_of(slot),
+        SlotLayout::IndexEntry(positions) => table
+            .schema()
+            .primary_key
+            .iter()
+            .map(|&c| slot[positions[c].expect("index entries carry the primary key")].clone())
+            .collect(),
+    }
+}
+
+/// A select item with its expression bound.
+enum BoundItem {
+    Wildcard,
+    Expr(BoundExpr),
+}
+
+/// Everything a SELECT evaluates after the join, bound once.
+struct BoundSelect {
+    /// GROUP BY keys, or an aggregate or HAVING without them: the output
+    /// is one row per group.
+    grouped: bool,
+    group_by: Vec<BoundExpr>,
+    /// The distinct aggregate calls of the items, HAVING and ORDER BY.
+    aggregates: Vec<BoundAggregate>,
+    having: Option<BoundExpr>,
+    items: Vec<BoundItem>,
+    /// `(key, descending)`.
+    order_by: Vec<(BoundExpr, bool)>,
+    /// For `*`: per table instance, the slot position of each column.
+    wildcard: Vec<Vec<Option<usize>>>,
+}
+
+impl BoundSelect {
+    fn bind(select: &Select, scope: &Scope<'_>, db: &Database) -> Result<Self, ExecError> {
+        let has_aggregates = select
+            .items
+            .iter()
+            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
+            || select.having.is_some();
+        let grouped = !select.group_by.is_empty() || has_aggregates;
+
+        let group_by = select
+            .group_by
+            .iter()
+            .map(|g| BoundExpr::bind_in(g, scope, None))
+            .collect::<Result<_, _>>()?;
+        // Aggregates are legal only in the output of a grouped query.
+        let mut slots = grouped.then(AggregateSlots::default);
+        let mut items = Vec::with_capacity(select.items.len());
+        let mut wildcard = Vec::new();
+        for item in &select.items {
+            items.push(match item {
+                SelectItem::Wildcard => {
+                    if wildcard.is_empty() {
+                        for t in 0..scope.binder().len() {
+                            let ncols = scope.binder().schema(db, t)?.columns.len();
+                            let layout = scope.layout(t);
+                            wildcard.push((0..ncols).map(|c| layout.position(c)).collect());
+                        }
+                    }
+                    BoundItem::Wildcard
+                }
+                SelectItem::Expr { expr, .. } => {
+                    BoundItem::Expr(BoundExpr::bind_in(expr, scope, slots.as_mut())?)
+                }
+            });
+        }
+        let having = match &select.having {
+            Some(h) => Some(BoundExpr::bind_in(h, scope, slots.as_mut())?),
+            None => None,
+        };
+        let mut order_by = Vec::with_capacity(select.order_by.len());
+        for o in &select.order_by {
+            order_by.push((BoundExpr::bind_in(&o.expr, scope, slots.as_mut())?, o.desc));
+        }
+        Ok(Self {
+            grouped,
+            group_by,
+            aggregates: slots.map(|s| s.bound).unwrap_or_default(),
+            having,
+            items,
+            order_by,
+            wildcard,
+        })
+    }
+
+    /// Projects one output row: the only place scanned values are cloned.
+    fn project(&self, tuple: &[Option<&Row>], aggs: &[Value]) -> Result<Row, ExecError> {
+        let mut out = Vec::with_capacity(self.items.len());
+        for item in &self.items {
+            match item {
+                BoundItem::Wildcard => {
+                    for (slot, positions) in tuple.iter().zip(&self.wildcard) {
+                        out.extend(positions.iter().map(|p| match (slot, p) {
+                            (Some(slot), Some(p)) => slot[*p].clone(),
+                            // An unbound slot (the empty implicit group)
+                            // or a column the index entry lacks.
+                            _ => Value::Null,
+                        }));
+                    }
+                }
+                BoundItem::Expr(e) => out.push(e.eval(tuple, aggs)?.into_owned()),
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// Binds each WHERE conjunct and assigns it to the first join level at
+/// which all of its referenced tables are bound.
+fn conjuncts_by_level(
+    select: &Select,
+    scope: &Scope<'_>,
+    plan: &Plan,
+) -> Result<Vec<Vec<BoundExpr>>, ExecError> {
+    let mut by_level: Vec<Vec<BoundExpr>> = vec![Vec::new(); plan.steps.len()];
     let Some(w) = &select.where_clause else {
         return Ok(by_level);
     };
-    let conjuncts: Vec<Expr> = match w {
-        Expr::And(children) => children.clone(),
-        other => vec![other.clone()],
+    let conjuncts = match w {
+        Expr::And(children) => children.as_slice(),
+        other => std::slice::from_ref(other),
     };
     // bound_at[t] = join level at which table instance t becomes bound.
-    let mut bound_at = vec![usize::MAX; binder.len()];
+    let mut bound_at = vec![usize::MAX; scope.binder().len()];
     for (level, step) in plan.steps.iter().enumerate() {
         bound_at[step.table_idx] = level;
     }
     for c in conjuncts {
-        let mut cols = Vec::new();
-        c.referenced_columns(&mut cols);
+        let bound = BoundExpr::bind_in(c, scope, None)?;
         let mut level = 0usize;
-        for col in &cols {
-            let bc = binder.resolve(col)?;
-            level = level.max(bound_at[bc.table_idx]);
-        }
+        bound.for_each_column(&mut |bc| level = level.max(bound_at[bc.table_idx]));
         if level == usize::MAX {
             return Err(ExecError::Binding(
                 "predicate references unplanned table".into(),
             ));
         }
-        by_level[level].push(c);
+        by_level[level].push(bound);
     }
     Ok(by_level)
 }
 
-/// Computes all aggregate expressions appearing in the SELECT items, HAVING
-/// and ORDER BY for one group, keyed by their display text.
-fn compute_aggregates(
-    select: &Select,
-    binder: &Binder,
-    members: &[Vec<Option<Row>>],
-) -> Result<BTreeMap<String, Value>, ExecError> {
-    let mut agg_exprs: Vec<Expr> = Vec::new();
-    let mut collect = |e: &Expr| collect_aggregates(e, &mut agg_exprs);
-    for item in &select.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect(expr);
+/// Where the join sends each tuple that passes every conjunct.
+enum Sink<'r> {
+    /// Kept, `width` slots per tuple in one flat buffer.
+    Tuples(Vec<Option<&'r Row>>),
+    /// Folded into its group's accumulators.
+    Groups(Aggregator<'r>),
+}
+
+impl<'r> Sink<'r> {
+    fn push(&mut self, tuple: &[Option<&'r Row>]) -> Result<(), ExecError> {
+        match self {
+            Sink::Tuples(tuples) => {
+                tuples.extend_from_slice(tuple);
+                Ok(())
+            }
+            Sink::Groups(groups) => groups.push(tuple),
         }
     }
-    if let Some(h) = &select.having {
-        collect(h);
-    }
-    for o in &select.order_by {
-        collect(&o.expr);
+}
+
+/// Nested-loop join over the plan steps. Rows are borrowed from the
+/// database for the whole statement (`'r`); nothing scanned is copied.
+struct Join<'r> {
+    plan: &'r Plan,
+    /// The table of each plan step.
+    tables: Vec<&'r Table>,
+    layouts: &'r [SlotLayout],
+    /// WHERE conjuncts by the join level that binds their last table.
+    conjuncts: &'r [Vec<BoundExpr>],
+    /// The tuple under construction: one slot per table instance.
+    current: Vec<Option<&'r Row>>,
+    sink: Sink<'r>,
+    /// Tuples sent to the sink so far.
+    produced: usize,
+    /// Stop producing at this many tuples (index-ordered LIMIT).
+    cap: Option<usize>,
+    io: IoStats,
+}
+
+impl<'r> Join<'r> {
+    fn new(
+        db: &'r Database,
+        binder: &Binder,
+        plan: &'r Plan,
+        layouts: &'r [SlotLayout],
+        conjuncts: &'r [Vec<BoundExpr>],
+        sink: Sink<'r>,
+    ) -> Result<Self, ExecError> {
+        let tables = plan
+            .steps
+            .iter()
+            .map(|step| db.table(&binder.tables()[step.table_idx].table))
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
+            plan,
+            tables,
+            layouts,
+            conjuncts,
+            current: vec![None; binder.len()],
+            sink,
+            produced: 0,
+            cap: None,
+            io: IoStats::new(),
+        })
     }
 
-    let mut out = BTreeMap::new();
-    for agg in agg_exprs {
-        let Expr::Aggregate {
-            func,
-            arg,
-            distinct,
-        } = &agg
-        else {
-            continue;
+    /// Binds `row` at `level` and applies every conjunct that became fully
+    /// bound there.
+    fn accepts(&mut self, level: usize, row: &'r Row) -> Result<bool, ExecError> {
+        self.current[self.plan.steps[level].table_idx] = Some(row);
+        for c in &self.conjuncts[level] {
+            if !c.accepts(&self.current, &[])? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    fn emit(&mut self) -> Result<(), ExecError> {
+        self.sink.push(&self.current)?;
+        self.produced += 1;
+        Ok(())
+    }
+
+    /// Offers a row of a single-table plan to the sink; true when that
+    /// filled the `limit`.
+    fn offer(&mut self, row: &'r Row, limit: usize) -> Result<bool, ExecError> {
+        if !self.accepts(0, row)? {
+            return Ok(false);
+        }
+        self.emit()?;
+        Ok(self.produced >= limit)
+    }
+
+    /// One level of the recursive nested loop.
+    fn level(&mut self, level: usize) -> Result<(), ExecError> {
+        let plan = self.plan;
+        let step = &plan.steps[level];
+        let candidates = self.fetch_rows(self.tables[level], &step.path)?;
+        for row in candidates {
+            if self.cap.is_some_and(|k| self.produced >= k) {
+                return Ok(());
+            }
+            if self.accepts(level, row)? {
+                if level + 1 == plan.steps.len() {
+                    self.emit()?;
+                } else {
+                    self.level(level + 1)?;
+                }
+            }
+            self.current[step.table_idx] = None;
+        }
+        Ok(())
+    }
+
+    /// Early-terminating scan for ORDER BY ... LIMIT served from index
+    /// order (§IV-E of the paper): rows are read lazily in index order,
+    /// filtered, and the scan stops after `limit` matches — charging I/O
+    /// only for entries actually consumed.
+    ///
+    /// Returns `false`, having read nothing, when the plan shape does not
+    /// qualify (multi-table, non-constant probes, OR-union), in which case
+    /// the caller falls back to the eager path.
+    fn stream_limited(&mut self, limit: usize) -> Result<bool, ExecError> {
+        let plan = self.plan;
+        if plan.steps.len() != 1 {
+            return Ok(false);
+        }
+        let AccessPath::IndexScan(ix) = &plan.steps[0].path else {
+            return Ok(false);
         };
-        let mut values: Vec<Value> = Vec::new();
-        for tuple in members {
-            let refs: Vec<Option<&Row>> = tuple.iter().map(|r| r.as_ref()).collect();
-            let env = Env::new(&refs);
-            match arg {
-                None => values.push(Value::Int(1)), // COUNT(*)
-                Some(a) => {
-                    let v = eval(a, binder, &env)?;
-                    if !v.is_null() {
-                        values.push(v);
+        // Single constant probe prefix only.
+        let mut prefix: Vec<Value> = Vec::with_capacity(ix.eq.len());
+        for src in &ix.eq {
+            match src {
+                EqSource::Const(v) => prefix.push(v.clone()),
+                _ => return Ok(false),
+            }
+        }
+        let Ok((lo, hi, lo_inc, hi_inc)) = static_range(&ix.range) else {
+            return Ok(false);
+        };
+        let bounds = bounds_from_parts(&lo, &hi, lo_inc, hi_inc);
+        let table = self.tables[0];
+        let sec = match &ix.index {
+            IndexChoice::Primary => None,
+            IndexChoice::Secondary(name) => Some(secondary_index(table, name)?),
+            IndexChoice::Hypothetical(_) => return Ok(false),
+        };
+
+        let mut bytes = 0u64;
+        self.io.charge_seek();
+        match sec {
+            None => {
+                for row in table.iter_pk_range(&prefix, bounds) {
+                    self.io.charge_rows(1);
+                    bytes += row.iter().map(Value::storage_size).sum::<u64>();
+                    if self.offer(row, limit)? {
+                        break;
+                    }
+                }
+            }
+            Some(sec) => {
+                let mut pk: Key = Vec::new();
+                for e in sec.iter_prefix_range(&prefix, bounds) {
+                    self.io.charge_rows(1);
+                    bytes += e.iter().map(Value::storage_size).sum::<u64>();
+                    let row = if ix.covering {
+                        e
+                    } else {
+                        pk.clear();
+                        pk.extend_from_slice(sec.pk_of_entry(e));
+                        match table.pk_lookup(&pk, &mut self.io) {
+                            Some(r) => r,
+                            None => continue,
+                        }
+                    };
+                    if self.offer(row, limit)? {
+                        break;
                     }
                 }
             }
         }
-        if *distinct {
-            let mut seen = std::collections::BTreeSet::new();
-            values.retain(|v| seen.insert(v.clone()));
+        if bytes > 0 {
+            self.io.charge_sequential(bytes);
         }
-        let result = match func {
-            AggFunc::Count => Value::Int(values.len() as i64),
-            AggFunc::Sum => fold_numeric(&values, |a, b| a + b),
-            AggFunc::Avg => match fold_numeric(&values, |a, b| a + b) {
-                Value::Null => Value::Null,
-                v => Value::Float(v.as_f64().unwrap_or(0.0) / values.len() as f64),
+        Ok(true)
+    }
+
+    /// Fetches the candidate rows of one access path, given the outer
+    /// slots of the current tuple. All I/O of the access is charged here,
+    /// up front, whether or not the join consumes every candidate.
+    fn fetch_rows(
+        &mut self,
+        table: &'r Table,
+        path: &AccessPath,
+    ) -> Result<Vec<&'r Row>, ExecError> {
+        match path {
+            AccessPath::FullScan => Ok(table.scan_all(&mut self.io).collect()),
+            AccessPath::IndexScan(ix) => self.fetch_index_scan(table, ix),
+            AccessPath::OrUnion(branches) => {
+                let mut pks: std::collections::BTreeSet<Key> = std::collections::BTreeSet::new();
+                for b in branches {
+                    let layout = index_scan_layout(table, b)?;
+                    for slot in self.fetch_index_scan(table, b)? {
+                        pks.insert(slot_pk(table, &layout, slot));
+                    }
+                }
+                let mut rows = Vec::with_capacity(pks.len());
+                for pk in pks {
+                    if let Some(r) = table.pk_lookup(&pk, &mut self.io) {
+                        rows.push(r);
+                    }
+                }
+                Ok(rows)
+            }
+        }
+    }
+
+    /// One index scan: clustered rows, or the index entries themselves
+    /// when the scan is covering.
+    fn fetch_index_scan(
+        &mut self,
+        table: &'r Table,
+        ix: &IndexScan,
+    ) -> Result<Vec<&'r Row>, ExecError> {
+        // Expand equality sources into concrete probe prefixes.
+        let mut prefixes: Vec<Vec<Value>> = vec![Vec::with_capacity(ix.eq.len())];
+        for src in &ix.eq {
+            match src {
+                EqSource::Const(v) => {
+                    for p in &mut prefixes {
+                        p.push(v.clone());
+                    }
+                }
+                EqSource::InList(vs) => {
+                    let mut next = Vec::with_capacity(prefixes.len() * vs.len());
+                    for p in prefixes {
+                        for v in vs {
+                            let mut q = p.clone();
+                            q.push(v.clone());
+                            next.push(q);
+                        }
+                    }
+                    prefixes = next;
+                }
+                EqSource::Outer(bc) => {
+                    let slot = self
+                        .current
+                        .get(bc.table_idx)
+                        .copied()
+                        .flatten()
+                        .ok_or_else(|| {
+                            ExecError::Eval("outer row not bound for index join".into())
+                        })?;
+                    let v = match self.layouts[bc.table_idx].position(bc.col_idx) {
+                        Some(p) => slot[p].clone(),
+                        None => Value::Null,
+                    };
+                    for p in &mut prefixes {
+                        p.push(v.clone());
+                    }
+                }
+                EqSource::Unknown => {
+                    return Err(ExecError::Eval(
+                        "cannot execute plan with unknown parameters".into(),
+                    ))
+                }
+            }
+        }
+
+        let (lo, hi, lo_inc, hi_inc) = static_range(&ix.range)?;
+        let bounds = bounds_from_parts(&lo, &hi, lo_inc, hi_inc);
+
+        let mut rows = Vec::new();
+        match &ix.index {
+            IndexChoice::Primary => {
+                for prefix in &prefixes {
+                    // Full-PK point lookup fast path.
+                    if prefix.len() == table.schema().primary_key.len()
+                        && lo.is_none()
+                        && hi.is_none()
+                    {
+                        rows.extend(table.pk_lookup(prefix, &mut self.io));
+                    } else {
+                        rows.extend(table.pk_range(prefix, bounds, &mut self.io));
+                    }
+                }
+            }
+            IndexChoice::Secondary(name) => {
+                let sec = secondary_index(table, name)?;
+                let mut pk: Key = Vec::new();
+                for prefix in &prefixes {
+                    let entries = sec.scan_prefix_range(prefix, bounds, &mut self.io);
+                    if ix.covering {
+                        rows.extend(entries);
+                    } else {
+                        for e in entries {
+                            pk.clear();
+                            pk.extend_from_slice(sec.pk_of_entry(e));
+                            rows.extend(table.pk_lookup(&pk, &mut self.io));
+                        }
+                    }
+                }
+            }
+            IndexChoice::Hypothetical(_) => {
+                return Err(ExecError::Eval(
+                    "hypothetical index in an executable plan".into(),
+                ))
+            }
+        }
+        Ok(rows)
+    }
+}
+
+/// `COUNT(*)` feeds this once per tuple.
+static ONE: Value = Value::Int(1);
+
+/// Streaming GROUP BY: one accumulator row per group key, fed as the join
+/// produces tuples.
+struct Aggregator<'r> {
+    keys: &'r [BoundExpr],
+    aggregates: &'r [BoundAggregate],
+    /// Slots per tuple.
+    width: usize,
+    /// Ascending key order is the output order of the groups.
+    groups: BTreeMap<Vec<Cow<'r, Value>>, Group<'r>>,
+    /// Scratch for the key of the tuple being pushed.
+    key: Vec<Cow<'r, Value>>,
+    /// Tuples pushed.
+    fed: usize,
+}
+
+struct Group<'r> {
+    /// The group's first tuple: what non-aggregate expressions of the
+    /// output read. All-unbound until a tuple arrives.
+    representative: Vec<Option<&'r Row>>,
+    tuples: usize,
+    accumulators: Vec<Accumulator<'r>>,
+}
+
+impl<'r> Group<'r> {
+    fn new(width: usize, aggregates: &[BoundAggregate]) -> Self {
+        Group {
+            representative: vec![None; width],
+            tuples: 0,
+            accumulators: aggregates.iter().map(|_| Accumulator::default()).collect(),
+        }
+    }
+}
+
+impl<'r> Aggregator<'r> {
+    fn new(keys: &'r [BoundExpr], aggregates: &'r [BoundAggregate], width: usize) -> Self {
+        let mut this = Self {
+            keys,
+            aggregates,
+            width,
+            groups: BTreeMap::new(),
+            key: Vec::with_capacity(keys.len()),
+            fed: 0,
+        };
+        if keys.is_empty() {
+            // Single implicit group (aggregate query without GROUP BY):
+            // produced even over zero input rows, per SQL semantics.
+            this.groups.insert(Vec::new(), Group::new(width, aggregates));
+        }
+        this
+    }
+
+    fn push(&mut self, tuple: &[Option<&'r Row>]) -> Result<(), ExecError> {
+        self.fed += 1;
+        self.key.clear();
+        for k in self.keys {
+            self.key.push(k.eval(tuple, &[])?);
+        }
+        let group = match self.groups.get_mut(self.key.as_slice()) {
+            Some(group) => group,
+            None => {
+                let group = Group::new(self.width, self.aggregates);
+                self.groups.entry(self.key.clone()).or_insert(group)
+            }
+        };
+        if group.tuples == 0 {
+            group.representative.copy_from_slice(tuple);
+        }
+        group.tuples += 1;
+        for (agg, acc) in self.aggregates.iter().zip(&mut group.accumulators) {
+            let v = match &agg.arg {
+                None => Cow::Borrowed(&ONE),
+                Some(arg) => arg.eval(tuple, &[])?,
+            };
+            if !v.is_null() {
+                acc.feed(agg, v)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The groups in ascending key order: their representative tuples in
+    /// one flat buffer, their finished aggregate values in another.
+    fn finish(self) -> (Vec<Option<&'r Row>>, Vec<Value>) {
+        let mut tuples = Vec::with_capacity(self.groups.len() * self.width);
+        let mut values = Vec::with_capacity(self.groups.len() * self.aggregates.len());
+        for group in self.groups.into_values() {
+            tuples.extend(group.representative);
+            values.extend(
+                self.aggregates
+                    .iter()
+                    .zip(group.accumulators)
+                    .map(|(agg, acc)| acc.finish(agg.func)),
+            );
+        }
+        (tuples, values)
+    }
+}
+
+/// Running state of one aggregate over one group. Values arrive in tuple
+/// order with NULLs already dropped.
+#[derive(Default)]
+struct Accumulator<'r> {
+    /// Values folded in (distinct ones under `DISTINCT`).
+    count: u64,
+    sum: Sum,
+    /// Current MIN or MAX.
+    extreme: Option<Cow<'r, Value>>,
+    /// Values seen so far; filled only under `DISTINCT`.
+    seen: std::collections::BTreeSet<Cow<'r, Value>>,
+}
+
+/// Integers sum exactly in `i64`; the first non-integer switches the sum
+/// to `f64`, where every later value is added in arrival order.
+enum Sum {
+    Int(i64),
+    Float(f64),
+}
+
+impl Default for Sum {
+    fn default() -> Self {
+        Sum::Int(0)
+    }
+}
+
+impl<'r> Accumulator<'r> {
+    fn feed(&mut self, agg: &BoundAggregate, v: Cow<'r, Value>) -> Result<(), ExecError> {
+        if agg.distinct && !self.seen.insert(v.clone()) {
+            return Ok(());
+        }
+        self.count += 1;
+        match agg.func {
+            AggFunc::Count => {}
+            AggFunc::Sum | AggFunc::Avg => {
+                self.sum = match (&self.sum, &*v) {
+                    (Sum::Int(a), Value::Int(b)) => Sum::Int(
+                        a.checked_add(*b)
+                            .ok_or_else(|| ExecError::Eval("integer overflow".into()))?,
+                    ),
+                    (Sum::Int(a), other) => Sum::Float(*a as f64 + other.as_f64().unwrap_or(0.0)),
+                    (Sum::Float(a), other) => Sum::Float(a + other.as_f64().unwrap_or(0.0)),
+                };
+            }
+            // Among equal values MIN keeps the first and MAX the last.
+            AggFunc::Min => {
+                if self.extreme.as_ref().is_none_or(|m| *v < **m) {
+                    self.extreme = Some(v);
+                }
+            }
+            AggFunc::Max => {
+                if self.extreme.as_ref().is_none_or(|m| *v >= **m) {
+                    self.extreme = Some(v);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self, func: AggFunc) -> Value {
+        match func {
+            AggFunc::Count => Value::Int(self.count as i64),
+            _ if self.count == 0 => Value::Null,
+            AggFunc::Sum => match self.sum {
+                Sum::Int(v) => Value::Int(v),
+                Sum::Float(v) => Value::Float(v),
             },
-            AggFunc::Min => values.iter().min().cloned().unwrap_or(Value::Null),
-            AggFunc::Max => values.iter().max().cloned().unwrap_or(Value::Null),
-        };
-        out.insert(agg.to_string(), result);
-    }
-    Ok(out)
-}
-
-fn fold_numeric(values: &[Value], f: impl Fn(f64, f64) -> f64) -> Value {
-    if values.is_empty() {
-        return Value::Null;
-    }
-    let all_int = values.iter().all(|v| matches!(v, Value::Int(_)));
-    let mut acc = 0.0f64;
-    for v in values {
-        acc = f(acc, v.as_f64().unwrap_or(0.0));
-    }
-    if all_int {
-        Value::Int(acc as i64)
-    } else {
-        Value::Float(acc)
-    }
-}
-
-fn collect_aggregates(e: &Expr, out: &mut Vec<Expr>) {
-    match e {
-        Expr::Aggregate { .. } => {
-            if !out.contains(e) {
-                out.push(e.clone());
+            AggFunc::Avg => {
+                let total = match self.sum {
+                    Sum::Int(v) => v as f64,
+                    Sum::Float(v) => v,
+                };
+                Value::Float(total / self.count as f64)
             }
-        }
-        Expr::And(cs) | Expr::Or(cs) => cs.iter().for_each(|c| collect_aggregates(c, out)),
-        Expr::Not(i) | Expr::Neg(i) => collect_aggregates(i, out),
-        Expr::Binary { left, right, .. } => {
-            collect_aggregates(left, out);
-            collect_aggregates(right, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_aggregates(expr, out);
-            list.iter().for_each(|c| collect_aggregates(c, out));
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_aggregates(expr, out);
-            collect_aggregates(low, out);
-            collect_aggregates(high, out);
-        }
-        Expr::IsNull { expr, .. } => collect_aggregates(expr, out),
-        Expr::Like { expr, pattern, .. } => {
-            collect_aggregates(expr, out);
-            collect_aggregates(pattern, out);
-        }
-        Expr::Column(_) | Expr::Literal(_) => {}
-    }
-}
-
-/// Replaces aggregate sub-expressions with their computed values.
-fn substitute_aggregates(e: &Expr, computed: &BTreeMap<String, Value>) -> Expr {
-    if let Expr::Aggregate { .. } = e {
-        if let Some(v) = computed.get(&e.to_string()) {
-            return Expr::Literal(value_to_literal(v));
+            AggFunc::Min | AggFunc::Max => self.extreme.map_or(Value::Null, Cow::into_owned),
         }
     }
-    match e {
-        Expr::And(cs) => Expr::And(cs.iter().map(|c| substitute_aggregates(c, computed)).collect()),
-        Expr::Or(cs) => Expr::Or(cs.iter().map(|c| substitute_aggregates(c, computed)).collect()),
-        Expr::Not(i) => Expr::Not(Box::new(substitute_aggregates(i, computed))),
-        Expr::Neg(i) => Expr::Neg(Box::new(substitute_aggregates(i, computed))),
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(substitute_aggregates(left, computed)),
-            op: *op,
-            right: Box::new(substitute_aggregates(right, computed)),
-        },
-        other => other.clone(),
-    }
-}
-
-fn value_to_literal(v: &Value) -> Literal {
-    match v {
-        Value::Null | Value::MaxKey => Literal::Null,
-        Value::Bool(b) => Literal::Bool(*b),
-        Value::Int(i) => Literal::Int(*i),
-        Value::Float(f) => Literal::Float(*f),
-        Value::Str(s) => Literal::Str(s.clone()),
-    }
-}
-
-/// Projects one output row.
-fn project_row(
-    select: &Select,
-    binder: &Binder,
-    tuple: &[Option<Row>],
-    aggs: &BTreeMap<String, Value>,
-    db: &Database,
-) -> Result<Row, ExecError> {
-    let refs: Vec<Option<&Row>> = tuple.iter().map(|r| r.as_ref()).collect();
-    let env = Env::new(&refs);
-    let mut out = Vec::new();
-    for item in &select.items {
-        match item {
-            SelectItem::Wildcard => {
-                for (t, bound) in binder.tables().iter().enumerate() {
-                    let ncols = db.table(&bound.table)?.schema().columns.len();
-                    match &tuple[t] {
-                        Some(row) => out.extend(row.iter().cloned()),
-                        None => out.extend(std::iter::repeat_n(Value::Null, ncols)),
-                    }
-                }
-            }
-            SelectItem::Expr { expr, .. } => {
-                let e = substitute_aggregates(expr, aggs);
-                out.push(eval(&e, binder, &env)?);
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// `(lo, hi, lo_inclusive, hi_inclusive)` with `None` meaning unbounded.

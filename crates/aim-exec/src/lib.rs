@@ -62,7 +62,8 @@ pub use explain::{explain_select, ExplainAlternative, ExplainNode, ExplainPlan};
 pub use hypothetical::{HypoConfig, HypotheticalIndex};
 pub use iocheck::IoAccuracy;
 pub use planner::{
-    estimate_statement_cost, estimate_statement_cost_batch, plan_select, AccessPath, EqSource,
+    estimate_statement_cost, estimate_statement_cost_batch, estimate_statement_cost_batch_until,
+    plan_select, AccessPath, EqSource,
     IndexChoice, IndexScan, Plan, Planner, TableStep,
 };
 pub use predicate::{JoinPred, PredicateAnalysis, Sarg, SargValue};

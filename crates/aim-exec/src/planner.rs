@@ -1484,9 +1484,23 @@ pub fn estimate_statement_cost_batch(
     configs: &[&HypoConfig],
     cm: &CostModel,
 ) -> Vec<Result<f64, ExecError>> {
-    match stmt {
+    estimate_statement_cost_batch_until(db, stmt, configs, cm, &|| false)
+        .expect("a batch nobody interrupts runs to completion")
+}
+
+/// [`estimate_statement_cost_batch`] under an abort signal, with the
+/// contract of [`crate::whatif::WhatIfCache::eval_select_batch_until`]:
+/// `None` once `interrupted` turns true, at most one what-if call later.
+pub fn estimate_statement_cost_batch_until(
+    db: &Database,
+    stmt: &Statement,
+    configs: &[&HypoConfig],
+    cm: &CostModel,
+    interrupted: &dyn Fn() -> bool,
+) -> Option<Vec<Result<f64, ExecError>>> {
+    Some(match stmt {
         Statement::Select(s) => crate::whatif::global()
-            .eval_select_batch(db, s, configs, cm)
+            .eval_select_batch_until(db, s, configs, cm, interrupted)?
             .into_iter()
             .map(|r| r.map(|e| e.cost))
             .collect(),
@@ -1500,7 +1514,14 @@ pub fn estimate_statement_cost_batch(
             })
             .collect(),
         Statement::Update(u) => {
-            let wheres = dml_where_cost_batch(db, &u.table, u.where_clause.as_ref(), configs, cm);
+            let wheres = dml_where_cost_batch(
+                db,
+                &u.table,
+                u.where_clause.as_ref(),
+                configs,
+                cm,
+                interrupted,
+            )?;
             let assigned: BTreeSet<&str> =
                 u.assignments.iter().map(|(c, _)| c.as_str()).collect();
             configs
@@ -1530,7 +1551,14 @@ pub fn estimate_statement_cost_batch(
                 .collect()
         }
         Statement::Delete(d) => {
-            let wheres = dml_where_cost_batch(db, &d.table, d.where_clause.as_ref(), configs, cm);
+            let wheres = dml_where_cost_batch(
+                db,
+                &d.table,
+                d.where_clause.as_ref(),
+                configs,
+                cm,
+                interrupted,
+            )?;
             configs
                 .iter()
                 .zip(wheres)
@@ -1545,7 +1573,7 @@ pub fn estimate_statement_cost_batch(
         Statement::CreateTable(_) | Statement::CreateIndex(_) | Statement::DropIndex { .. } => {
             configs.iter().map(|_| Ok(0.0)).collect()
         }
-    }
+    })
 }
 
 fn index_count(db: &Database, table: &str, config: &HypoConfig) -> Result<f64, ExecError> {
@@ -1589,7 +1617,8 @@ fn dml_where_cost_batch(
     where_clause: Option<&Expr>,
     configs: &[&HypoConfig],
     cm: &CostModel,
-) -> Vec<Result<(f64, f64), ExecError>> {
+    interrupted: &dyn Fn() -> bool,
+) -> Option<Vec<Result<(f64, f64), ExecError>>> {
     let select = Select {
         distinct: false,
         items: vec![SelectItem::Wildcard],
@@ -1600,11 +1629,13 @@ fn dml_where_cost_batch(
         order_by: Vec::new(),
         limit: None,
     };
-    crate::whatif::global()
-        .eval_select_batch(db, &select, configs, cm)
-        .into_iter()
-        .map(|r| r.map(|e| (e.cost, e.rows)))
-        .collect()
+    Some(
+        crate::whatif::global()
+            .eval_select_batch_until(db, &select, configs, cm, interrupted)?
+            .into_iter()
+            .map(|r| r.map(|e| (e.cost, e.rows)))
+            .collect(),
+    )
 }
 
 #[cfg(test)]

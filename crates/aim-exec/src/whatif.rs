@@ -288,12 +288,29 @@ impl WhatIfCache {
         configs: &[&HypoConfig],
         cm: &CostModel,
     ) -> Vec<Result<WhatIfEntry, ExecError>> {
+        self.eval_select_batch_until(db, select, configs, cm, &|| false)
+            .expect("a batch nobody interrupts runs to completion")
+    }
+
+    /// [`Self::eval_select_batch`] under an abort signal: `interrupted` is
+    /// consulted before every slot's fault gate and before every real plan,
+    /// so at most one what-if call starts after it turns true. An
+    /// interrupted batch returns `None` — no partial results; the slots
+    /// already planned stay memoized.
+    pub fn eval_select_batch_until(
+        &self,
+        db: &Database,
+        select: &Select,
+        configs: &[&HypoConfig],
+        cm: &CostModel,
+        interrupted: &dyn Fn() -> bool,
+    ) -> Option<Vec<Result<WhatIfEntry, ExecError>>> {
         use aim_telemetry::metrics::{
             SELECTION_BATCHES, SELECTION_BATCH_BINDING_REUSE, SELECTION_BATCH_PLAN_REUSE,
             WHATIF_CALLS,
         };
         if configs.is_empty() {
-            return Vec::new();
+            return Some(Vec::new());
         }
         SELECTION_BATCHES.incr();
         aim_telemetry::metrics::histogram_record("selection.batch.size", configs.len() as f64);
@@ -307,6 +324,9 @@ impl WhatIfCache {
         let epoch = db.stats_epoch();
 
         for (i, cfg) in configs.iter().enumerate() {
+            if interrupted() {
+                return None;
+            }
             // Same per-config gate as eval_select: an injected what-if
             // failure must neither poison the memo table nor skew counters.
             if let Some(aim_storage::fault::FaultKind::Fail) =
@@ -343,8 +363,7 @@ impl WhatIfCache {
                     for (i, _) in &misses {
                         out[*i] = Some(Err(e.clone()));
                     }
-                    let v: Vec<_> = out.into_iter().map(|r| r.expect("slot filled")).collect();
-                    return v;
+                    return Some(out.into_iter().map(|r| r.expect("slot filled")).collect());
                 }
             };
             let referenced: BTreeSet<String> = planner
@@ -373,6 +392,9 @@ impl WhatIfCache {
                         e.clone()
                     }
                     None => {
+                        if interrupted() {
+                            return None;
+                        }
                         planner.set_config(cfg);
                         if planned > 0 {
                             SELECTION_BATCH_BINDING_REUSE.incr();
@@ -405,7 +427,7 @@ impl WhatIfCache {
             }
         }
 
-        out.into_iter().map(|r| r.expect("slot filled")).collect()
+        Some(out.into_iter().map(|r| r.expect("slot filled")).collect())
     }
 }
 

@@ -1,6 +1,6 @@
 //! End-to-end executor tests: SQL in, rows out, with physical accounting.
 
-use aim_exec::{AccessPath, Engine};
+use aim_exec::{AccessPath, Engine, ExecError};
 use aim_sql::parse_statement;
 use aim_storage::{ColumnDef, ColumnType, Database, IndexDef, IoStats, TableSchema, Value};
 
@@ -714,4 +714,415 @@ fn prepared_statement_execution() {
     assert!(engine
         .execute_prepared(&mut db, &stmt, &[Value::Int(7)])
         .is_err());
+}
+
+// ------------------------------------------------------------------
+// Bind-once error parity: name and shape errors are raised when the
+// statement is bound, before any row is read — so they surface on an
+// empty table too, where a per-row resolver would have nothing to trip on.
+
+fn run_err(db: &mut Database, sql: &str) -> ExecError {
+    let stmt = parse_statement(sql).unwrap();
+    Engine::new()
+        .execute(db, &stmt)
+        .expect_err(&format!("{sql} should fail"))
+}
+
+fn empty_orders_and_customers() -> Database {
+    let mut db = orders_db(0);
+    customers_db(&mut db, 0);
+    db
+}
+
+#[test]
+fn unknown_and_ambiguous_columns_fail_at_bind_time() {
+    let mut db = empty_orders_and_customers();
+    for (sql, message) in [
+        ("SELECT nosuch FROM orders", "unknown column nosuch"),
+        ("SELECT id FROM orders WHERE nosuch = 1", "unknown column nosuch"),
+        ("SELECT region FROM orders GROUP BY nosuch", "unknown column nosuch"),
+        (
+            "SELECT region, COUNT(*) FROM orders GROUP BY region HAVING SUM(nosuch) > 1",
+            "unknown column nosuch",
+        ),
+        ("SELECT id FROM orders ORDER BY nosuch", "unknown column nosuch"),
+        ("SELECT o.nosuch FROM orders o", "unknown column o.nosuch"),
+        ("SELECT x.id FROM orders o", "unknown table binding x"),
+        ("SELECT id FROM orders, customers", "ambiguous column id"),
+        (
+            "SELECT name FROM orders, customers WHERE id = 3",
+            "ambiguous column id",
+        ),
+    ] {
+        assert_eq!(run_err(&mut db, sql), ExecError::Binding(message.into()), "{sql}");
+    }
+}
+
+#[test]
+fn aggregate_in_where_and_unbound_parameter_fail_at_bind_time() {
+    let mut db = empty_orders_and_customers();
+    for sql in [
+        "SELECT id FROM orders WHERE COUNT(*) > 1",
+        "SELECT region FROM orders GROUP BY SUM(amount)",
+        "SELECT id FROM orders ORDER BY COUNT(*)",
+        "SELECT SUM(COUNT(*)) FROM orders",
+    ] {
+        assert_eq!(
+            run_err(&mut db, sql),
+            ExecError::Eval("aggregate evaluated in scalar context".into()),
+            "{sql}"
+        );
+    }
+    for sql in [
+        "SELECT id FROM orders WHERE amount > ?",
+        "SELECT id + ? FROM orders",
+        "SELECT id FROM orders WHERE customer_id = 3 ORDER BY amount * ?",
+    ] {
+        assert_eq!(
+            run_err(&mut db, sql),
+            ExecError::Eval("unbound ? parameter at execution time".into()),
+            "{sql}"
+        );
+    }
+}
+
+#[test]
+fn non_constant_limit_is_unsupported() {
+    let mut db = orders_db(10);
+    for sql in ["SELECT id FROM orders LIMIT 1 + 1", "SELECT id FROM orders LIMIT ?"] {
+        assert!(
+            matches!(run_err(&mut db, sql), ExecError::Unsupported(m) if m.starts_with("non-constant LIMIT")),
+            "{sql}"
+        );
+    }
+}
+
+#[test]
+fn update_with_unbindable_rhs_writes_nothing() {
+    let mut db = orders_db(20);
+    let before = run(&mut db, "SELECT id, amount, region FROM orders ORDER BY id").rows;
+    assert_eq!(
+        run_err(&mut db, "UPDATE orders SET amount = nosuch + 1 WHERE id < 10"),
+        ExecError::Binding("unknown column nosuch".into())
+    );
+    // Raised at bind time even when no row matches.
+    assert_eq!(
+        run_err(&mut db, "UPDATE orders SET amount = nosuch + 1 WHERE id < 0"),
+        ExecError::Binding("unknown column nosuch".into())
+    );
+    assert_eq!(
+        run_err(&mut db, "UPDATE orders SET region = COUNT(*) WHERE id < 10"),
+        ExecError::Eval("aggregate evaluated in scalar context".into())
+    );
+    let after = run(&mut db, "SELECT id, amount, region FROM orders ORDER BY id").rows;
+    assert_eq!(before, after);
+}
+
+/// Type errors depend on the values met, so they stay per-row errors with
+/// their messages — and a table without rows has none to object to.
+#[test]
+fn non_boolean_operands_and_like_on_non_strings_are_value_errors() {
+    let mut db = orders_db(10);
+    for (sql, message) in [
+        ("SELECT id FROM orders WHERE NOT region", "NOT of non-boolean 0"),
+        (
+            "SELECT id FROM orders WHERE NOT (region AND id = 1)",
+            "AND of non-boolean 0",
+        ),
+        (
+            "SELECT id FROM orders WHERE id = 1 OR region",
+            "OR of non-boolean 0",
+        ),
+        (
+            "SELECT id FROM orders WHERE region LIKE 'a%'",
+            "LIKE on non-strings 0, 'a%'",
+        ),
+        (
+            "SELECT id FROM orders WHERE status LIKE 5",
+            "LIKE on non-strings 'open', 5",
+        ),
+    ] {
+        assert_eq!(run_err(&mut db, sql), ExecError::Eval(message.into()), "{sql}");
+    }
+    let mut empty = orders_db(0);
+    assert!(run(&mut empty, "SELECT id FROM orders WHERE NOT region").rows.is_empty());
+}
+
+/// t(id, a, b) with NULLs in `a` and `b`:
+/// id 1: (1, 1), 2: (1, NULL), 3: (NULL, 1), 4: (NULL, NULL), 5: (0, 0), 6: (0, NULL).
+fn nullable_db() -> Database {
+    let mut db = Database::new();
+    db.create_table(
+        TableSchema::new(
+            "t",
+            vec![
+                ColumnDef::new("id", ColumnType::Int),
+                ColumnDef::new("a", ColumnType::Int),
+                ColumnDef::new("b", ColumnType::Int),
+            ],
+            &["id"],
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    let mut io = IoStats::new();
+    let n = Value::Null;
+    for (id, a, b) in [
+        (1, Value::Int(1), Value::Int(1)),
+        (2, Value::Int(1), n.clone()),
+        (3, n.clone(), Value::Int(1)),
+        (4, n.clone(), n.clone()),
+        (5, Value::Int(0), Value::Int(0)),
+        (6, Value::Int(0), n.clone()),
+    ] {
+        db.table_mut("t")
+            .unwrap()
+            .insert(vec![Value::Int(id), a, b], &mut io)
+            .unwrap();
+    }
+    db.analyze_all();
+    db
+}
+
+fn ids(db: &mut Database, predicate: &str) -> Vec<i64> {
+    run(db, &format!("SELECT id FROM t WHERE {predicate} ORDER BY id"))
+        .rows
+        .iter()
+        .map(|r| r[0].as_i64().unwrap())
+        .collect()
+}
+
+#[test]
+fn three_valued_logic_with_nulls() {
+    let mut db = nullable_db();
+    // AND: false dominates NULL, NULL rejects.
+    assert_eq!(ids(&mut db, "a = 1 AND b = 1"), [1]);
+    assert_eq!(ids(&mut db, "NOT (a = 1 AND b = 1)"), [5, 6]);
+    // OR: true dominates NULL.
+    assert_eq!(ids(&mut db, "a = 1 OR b = 1"), [1, 2, 3]);
+    assert_eq!(ids(&mut db, "NOT (a = 1 OR b = 1)"), [5]);
+    // IN: a NULL in the list turns a miss into NULL.
+    assert_eq!(ids(&mut db, "a IN (1, NULL)"), [1, 2]);
+    assert_eq!(ids(&mut db, "a NOT IN (1, NULL)"), Vec::<i64>::new());
+    assert_eq!(ids(&mut db, "a NOT IN (1, 2)"), [5, 6]);
+    // BETWEEN: any NULL operand is NULL.
+    assert_eq!(ids(&mut db, "a BETWEEN 0 AND 1"), [1, 2, 5, 6]);
+    assert_eq!(ids(&mut db, "a BETWEEN 0 AND NULL"), Vec::<i64>::new());
+    assert_eq!(ids(&mut db, "a NOT BETWEEN 1 AND 2"), [5, 6]);
+    // IS NULL and the null-safe comparison see NULLs as values.
+    assert_eq!(ids(&mut db, "a IS NULL AND b IS NOT NULL"), [3]);
+    assert_eq!(ids(&mut db, "a <=> b"), [1, 4, 5]);
+    assert_eq!(ids(&mut db, "a <=> NULL"), [3, 4]);
+}
+
+#[test]
+fn aggregates_skip_nulls_and_count_star_does_not() {
+    let mut db = nullable_db();
+    let out = run(
+        &mut db,
+        "SELECT COUNT(*), COUNT(a), SUM(a), MIN(b), MAX(b), AVG(a), COUNT(DISTINCT a) FROM t",
+    );
+    assert_eq!(
+        out.rows,
+        [vec![
+            Value::Int(6),
+            Value::Int(4),
+            Value::Int(2),
+            Value::Int(0),
+            Value::Int(1),
+            Value::Float(0.5),
+            Value::Int(2),
+        ]]
+    );
+    // NULL is a group key of its own and sorts first.
+    let out = run(&mut db, "SELECT a, COUNT(*), SUM(b) FROM t GROUP BY a");
+    assert_eq!(
+        out.rows,
+        [
+            vec![Value::Null, Value::Int(2), Value::Int(1)],
+            vec![Value::Int(0), Value::Int(2), Value::Int(0)],
+            vec![Value::Int(1), Value::Int(2), Value::Int(1)],
+        ]
+    );
+}
+
+#[test]
+fn aggregate_only_query_over_zero_rows_yields_one_row() {
+    let mut db = orders_db(100);
+    let out = run(
+        &mut db,
+        "SELECT COUNT(*), SUM(amount), MIN(amount), MAX(region), AVG(amount) FROM orders WHERE id < 0",
+    );
+    assert_eq!(
+        out.rows,
+        [vec![Value::Int(0), Value::Null, Value::Null, Value::Null, Value::Null]]
+    );
+    // A grouped query over zero rows has no groups.
+    let out = run(&mut db, "SELECT region, COUNT(*) FROM orders WHERE id < 0 GROUP BY region");
+    assert!(out.rows.is_empty());
+    // A bare column beside the aggregate has no row to read.
+    assert_eq!(
+        run_err(&mut db, "SELECT region, COUNT(*) FROM orders WHERE id < 0"),
+        ExecError::Eval("table instance 0 is not bound in this context".into())
+    );
+}
+
+#[test]
+fn having_without_group_by() {
+    let mut db = orders_db(100);
+    let out = run(&mut db, "SELECT COUNT(*) FROM orders HAVING COUNT(*) > 5");
+    assert_eq!(out.rows, [vec![Value::Int(100)]]);
+    let out = run(&mut db, "SELECT COUNT(*) FROM orders HAVING SUM(region) > 1000000");
+    assert!(out.rows.is_empty());
+    // HAVING alone makes the query an aggregate query.
+    let out = run(&mut db, "SELECT 1 FROM orders HAVING MAX(id) = 99");
+    assert_eq!(out.rows, [vec![Value::Int(1)]]);
+}
+
+#[test]
+fn distinct_order_by_limit() {
+    let mut db = orders_db(100);
+    let out = run(&mut db, "SELECT DISTINCT region FROM orders ORDER BY region DESC LIMIT 3");
+    assert_eq!(
+        out.rows,
+        [vec![Value::Int(6)], vec![Value::Int(5)], vec![Value::Int(4)]]
+    );
+    // DISTINCT keeps each row's first occurrence; the sort is stable.
+    let out = run(
+        &mut db,
+        "SELECT DISTINCT status, region FROM orders WHERE id < 21 ORDER BY status LIMIT 4",
+    );
+    assert_eq!(
+        out.rows,
+        [
+            vec![Value::Str("closed".into()), Value::Int(2)],
+            vec![Value::Str("closed".into()), Value::Int(5)],
+            vec![Value::Str("closed".into()), Value::Int(1)],
+            vec![Value::Str("closed".into()), Value::Int(4)],
+        ]
+    );
+}
+
+#[test]
+fn distinct_aggregates_per_group() {
+    let mut db = orders_db(210);
+    let out = run(
+        &mut db,
+        "SELECT status, COUNT(DISTINCT region), SUM(DISTINCT region), COUNT(region) \
+         FROM orders GROUP BY status",
+    );
+    for row in &out.rows {
+        assert_eq!(row[1..], [Value::Int(7), Value::Int(21), Value::Int(70)]);
+    }
+    assert_eq!(out.rows.len(), 3);
+}
+
+#[test]
+fn covering_index_scan_feeds_a_join() {
+    let sql = "SELECT o.region, c.name FROM orders o, customers c \
+               WHERE o.customer_id = c.id AND o.customer_id = 7 AND c.tier = 3";
+    let mut plain = orders_db(2000);
+    customers_db(&mut plain, 50);
+    let unindexed = run(&mut plain, sql);
+    let mut expected = unindexed.rows;
+    expected.sort();
+    assert_eq!(expected.len(), 40);
+
+    let mut db = orders_db(2000);
+    customers_db(&mut db, 50);
+    let mut io = IoStats::new();
+    db.create_index(
+        IndexDef::new("ix_cust_region", "orders", vec!["customer_id".into(), "region".into()]),
+        &mut io,
+    )
+    .unwrap();
+    db.analyze_all();
+    let out = run(&mut db, sql);
+    assert!(
+        out.plan.steps.iter().any(|s| matches!(
+            &s.path,
+            AccessPath::IndexScan(ix) if ix.covering && s.table == "orders"
+        )),
+        "plan: {}",
+        out.plan.access_summary()
+    );
+    // The join reads 40 index entries of orders, not its 2000 rows.
+    assert!(
+        out.io.rows_read < unindexed.io.rows_read / 3,
+        "rows_read = {} (unindexed {})",
+        out.io.rows_read,
+        unindexed.io.rows_read
+    );
+    let mut rows = out.rows;
+    rows.sort();
+    assert_eq!(rows, expected);
+
+    // `*` over a covering scan still yields full-width rows in table order.
+    let out = run(&mut db, "SELECT customer_id, region, id FROM orders WHERE customer_id = 7 AND region = 0");
+    assert!(matches!(&out.plan.steps[0].path, AccessPath::IndexScan(ix) if ix.covering));
+    assert_eq!(out.rows[0], [Value::Int(7), Value::Int(0), Value::Int(7)]);
+}
+
+// ------------------------------------------------------------------
+// SUM accumulates integers in i64: exact beyond 2^53, checked at i64::MAX.
+
+fn big_ints_db(values: &[Value]) -> Database {
+    let mut db = Database::new();
+    db.create_table(
+        TableSchema::new(
+            "n",
+            vec![
+                ColumnDef::new("id", ColumnType::Int),
+                ColumnDef::new("v", ColumnType::Int),
+            ],
+            &["id"],
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    let mut io = IoStats::new();
+    for (i, v) in values.iter().enumerate() {
+        db.table_mut("n")
+            .unwrap()
+            .insert(vec![Value::Int(i as i64), v.clone()], &mut io)
+            .unwrap();
+    }
+    db.analyze_all();
+    db
+}
+
+#[test]
+fn integer_sum_is_exact_beyond_two_to_the_53() {
+    let two53 = 1i64 << 53;
+    let mut db = big_ints_db(&[Value::Int(two53), Value::Int(1)]);
+    let out = run(&mut db, "SELECT SUM(v), AVG(v) FROM n");
+    // An f64 accumulator rounds 2^53 + 1 back down to 2^53.
+    assert_eq!(out.rows[0][0], Value::Int(two53 + 1));
+    assert!(matches!(out.rows[0][0], Value::Int(_)));
+    assert_eq!(out.rows[0][1], Value::Float((two53 + 1) as f64 / 2.0));
+}
+
+#[test]
+fn integer_sum_overflow_is_an_error() {
+    let mut db = big_ints_db(&[Value::Int(i64::MAX), Value::Int(1)]);
+    assert_eq!(
+        run_err(&mut db, "SELECT SUM(v) FROM n"),
+        ExecError::Eval("integer overflow".into())
+    );
+    // MIN / MAX / COUNT over the same rows are unaffected.
+    let out = run(&mut db, "SELECT MAX(v), COUNT(v) FROM n");
+    assert_eq!(out.rows, [vec![Value::Int(i64::MAX), Value::Int(2)]]);
+}
+
+#[test]
+fn sum_switches_to_float_when_a_float_arrives() {
+    let mut db = orders_db(4);
+    // amount is Float, region Int: region + 0 stays Int, amount is Float.
+    let out = run(&mut db, "SELECT SUM(region), SUM(amount), SUM(region + amount) FROM orders");
+    assert_eq!(
+        out.rows,
+        [vec![Value::Int(6), Value::Float(9.0), Value::Float(15.0)]]
+    );
+    assert!(matches!(out.rows[0][0], Value::Int(_)));
+    assert!(matches!(out.rows[0][1], Value::Float(_)));
 }

@@ -329,6 +329,98 @@ fn cancellation_mid_ranking_aborts_and_rolls_back() {
     assert!(db.check_consistency().is_ok());
 }
 
+/// The stated cancellation bound: once the token is cancelled, a ranking
+/// worker starts at most one more what-if call — inside a batch of slots
+/// (the SELECT workload's pair and marginal probes) as well as around the
+/// per-config calls and the singleton batch of DML maintenance costing (the
+/// UPDATE workload). Counted from the fault log rather than timed: every
+/// what-if call passes the `exec.whatif` site, and the canceller cancels
+/// right after the `k`-th call began, for every `k` the pass reaches.
+#[test]
+fn cancel_to_abort_is_at_most_one_whatif_call() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let _g = FaultGuard::acquire();
+    let workloads: [&[&str]; 2] = [
+        &[
+            "SELECT id FROM orders WHERE customer = 42 AND region = 3",
+            "SELECT id FROM orders WHERE region = 3",
+        ],
+        &[
+            "UPDATE orders SET region = 1 WHERE customer = 42",
+            "UPDATE orders SET customer = 7 WHERE region = 3 AND customer = 9",
+        ],
+    ];
+    for statements in workloads {
+        let mut db = db();
+        let mut monitor = WorkloadMonitor::new();
+        for sql in statements {
+            observe(&mut db, &mut monitor, sql, 10);
+        }
+        let before = db.all_indexes().len();
+        let mut cancelled_runs = 0;
+        for k in 1.. {
+            // A fresh cache per run: every call goes through its slot's
+            // gate either way, but the plans behind it should be real.
+            aim_exec::whatif::global().clear();
+            fault::arm(FaultPlan::new(11).delay_ms("exec.whatif", 2, 0, u64::MAX));
+            let session = AimConfig::builder()
+                .selection(selection())
+                .workers(1)
+                .session();
+            let token = session.cancel_token();
+            let finished = AtomicBool::new(false);
+            let (result, calls_at_cancel) = std::thread::scope(|s| {
+                let canceller = s.spawn(|| {
+                    while fault::injection_count() < k {
+                        if finished.load(Ordering::SeqCst) {
+                            return None;
+                        }
+                        std::thread::yield_now();
+                    }
+                    token.cancel();
+                    // Read after the cancel: a call that slipped in before
+                    // this read is not held against the bound.
+                    Some(fault::injection_count())
+                });
+                let result = session.run(&mut db, &monitor);
+                finished.store(true, Ordering::SeqCst);
+                (result, canceller.join().unwrap())
+            });
+            let calls_at_end = fault::disarm().len();
+            let Some(calls_at_cancel) = calls_at_cancel else {
+                // The pass needs fewer than k calls: every cut is covered.
+                assert!(result.is_ok(), "uncancelled pass failed: {result:?}");
+                break;
+            };
+            if let Err(err) = result {
+                assert!(matches!(err, AimError::Cancelled { .. }), "got {err}");
+                if err.phase() == "ranking" {
+                    cancelled_runs += 1;
+                    assert!(
+                        calls_at_end - calls_at_cancel <= 1,
+                        "{statements:?}, cancel after call {k}: {} more what-if calls began",
+                        calls_at_end - calls_at_cancel
+                    );
+                }
+                assert_eq!(db.all_indexes().len(), before, "cancelled pass must roll back");
+            } else {
+                // The cancel landed after the last check of the pass;
+                // undo what it built so the next cut starts equal.
+                for ix in db.all_indexes() {
+                    if ix.name.starts_with("aim_") {
+                        db.drop_index(&ix.table, &ix.name).unwrap();
+                    }
+                }
+            }
+        }
+        assert!(
+            cancelled_runs >= 4,
+            "{statements:?}: only {cancelled_runs} cuts landed in ranking"
+        );
+    }
+}
+
 /// Satellite: a transient fault during validation (the test-bed clone
 /// fails once) is retried and the pass converges to the exact outcome of
 /// a fault-free run — bit-identical, with the retry recorded.

@@ -205,6 +205,12 @@ pub fn hit(site: &str) -> Option<FaultKind> {
     if !ARMED.load(Ordering::Relaxed) {
         return None;
     }
+    // This crate's unit tests share one process: a plan armed by one test
+    // must not fire in the I/O of a test running beside it.
+    #[cfg(test)]
+    if !tests::lock_held_by_this_thread() {
+        return None;
+    }
     hit_slow(site)
 }
 
@@ -251,15 +257,36 @@ fn hit_slow(site: &str) -> Option<FaultKind> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::sync::{Mutex as TestMutex, MutexGuard, OnceLock};
 
+    thread_local! {
+        static HOLDS_LOCK: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Held by a test while it arms faults; only that test's thread sees
+    /// them fire.
+    pub(crate) struct FaultLock(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+    impl Drop for FaultLock {
+        fn drop(&mut self) {
+            HOLDS_LOCK.with(|h| h.set(false));
+        }
+    }
+
     /// Fault state is process-global; tests touching it serialize here.
-    pub(crate) fn lock() -> MutexGuard<'static, ()> {
+    pub(crate) fn lock() -> FaultLock {
         static GUARD: OnceLock<TestMutex<()>> = OnceLock::new();
-        GUARD
+        let guard = GUARD
             .get_or_init(|| TestMutex::new(()))
             .lock()
-            .unwrap_or_else(|e| e.into_inner())
+            .unwrap_or_else(|e| e.into_inner());
+        HOLDS_LOCK.with(|h| h.set(true));
+        FaultLock(guard)
+    }
+
+    pub(crate) fn lock_held_by_this_thread() -> bool {
+        HOLDS_LOCK.with(Cell::get)
     }
 
     #[test]

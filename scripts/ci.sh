@@ -60,4 +60,16 @@ echo "== fleet smoke (fleet-scale budget-allocation gate)"
 # (validated in-process via aim_telemetry::jsonv).
 ./target/release/bench_fleet smoke
 
+echo "== aim-e2e smoke + verify (end-to-end benchmark gate)"
+# Builds bench/ (its own package, same target directory) and runs the four
+# workloads at a tenth of their size, untraced then traced: exits non-zero
+# when a correctness gate fails (passes repeat, staged pass == session,
+# no template regressed, disk == memory, crash recovery, ingest
+# conservation, no failed operation). `verify` then runs every workload
+# twice per seed and requires the count metrics, the generated inputs and
+# the gates to repeat bit for bit. Timings from a smoke run mean nothing;
+# `bench/run.sh full` and `compare` are for measuring.
+bench/run.sh smoke
+bench/run.sh verify
+
 echo "== ci: all checks passed"
