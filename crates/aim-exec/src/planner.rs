@@ -15,6 +15,7 @@ use crate::hypothetical::HypoConfig;
 use crate::predicate::{PredicateAnalysis, Sarg, SargValue};
 use aim_sql::ast::{Expr, Select, SelectItem, Statement};
 use aim_storage::{ColumnStats, Database, Table, TableStats, Value};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
@@ -35,12 +36,13 @@ pub enum IndexChoice {
 }
 
 impl IndexChoice {
-    /// Human-readable label for EXPLAIN output.
-    pub fn label(&self) -> String {
+    /// Human-readable label for EXPLAIN output and the workload monitor:
+    /// borrowed for every index that exists.
+    pub fn label(&self) -> Cow<'_, str> {
         match self {
-            IndexChoice::Primary => "PRIMARY".to_string(),
-            IndexChoice::Secondary(name) => name.clone(),
-            IndexChoice::Hypothetical(i) => format!("<hypo#{i}>"),
+            IndexChoice::Primary => Cow::Borrowed("PRIMARY"),
+            IndexChoice::Secondary(name) => Cow::Borrowed(name),
+            IndexChoice::Hypothetical(i) => Cow::Owned(format!("<hypo#{i}>")),
         }
     }
 }
@@ -156,7 +158,7 @@ impl Plan {
             .map(|s| {
                 let p = match &s.path {
                     AccessPath::FullScan => "full".to_string(),
-                    AccessPath::IndexScan(ix) => ix.index.label(),
+                    AccessPath::IndexScan(ix) => ix.index.label().into_owned(),
                     AccessPath::OrUnion(b) => format!("or_union[{}]", b.len()),
                 };
                 format!("{}({p})", s.table)
@@ -1206,7 +1208,7 @@ impl<'a> Planner<'a> {
                 },
             ));
             for cand in self.candidate_indexes(t, table) {
-                let label = cand.choice.label();
+                let label = cand.choice.label().into_owned();
                 let hypothetical = matches!(cand.choice, IndexChoice::Hypothetical(_));
                 match self.cost_index_candidate(
                     t, table, stats, &cand, &eq_sources, &ranges, outermost,

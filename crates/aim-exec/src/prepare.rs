@@ -266,4 +266,23 @@ mod tests {
             normalize_statement(&stmt).text
         );
     }
+
+    #[test]
+    fn negative_binding_normalizes_like_its_printed_text() {
+        use aim_sql::normalize::normalize_statement;
+        let stmt = parse_statement("SELECT id FROM t WHERE a = ? AND b BETWEEN ? AND ?").unwrap();
+        let bound = bind_params(
+            &stmt,
+            &[Value::Int(-5), Value::Float(-1.5), Value::Int(3)],
+        )
+        .unwrap();
+        // `-5` prints as a literal and parses back as a negation of one:
+        // all three forms are the prepared template.
+        let reparsed = parse_statement(&bound.to_string()).unwrap();
+        assert_ne!(reparsed, bound);
+        let template = normalize_statement(&stmt);
+        assert_eq!(normalize_statement(&bound).fingerprint, template.fingerprint);
+        assert_eq!(normalize_statement(&reparsed).fingerprint, template.fingerprint);
+        assert_eq!(normalize_statement(&reparsed).text, template.text);
+    }
 }

@@ -29,6 +29,7 @@ use crate::error::ExecError;
 use crate::hypothetical::HypoConfig;
 use crate::planner::{plan_select, IndexChoice, Plan, Planner};
 use aim_sql::ast::{Select, Statement};
+use aim_sql::normalize::Fnv1a;
 use aim_storage::Database;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -41,45 +42,28 @@ const SHARDS: usize = 16;
 /// cheap to recompute and epoch churn retires them anyway).
 const SHARD_CAPACITY: usize = 1 << 16;
 
-/// FNV-1a accumulator usable as a `fmt::Write` sink, so statements hash
-/// straight off their `Display` impl without an intermediate `String`.
-struct FnvWriter(u64);
-
-impl FnvWriter {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl fmt::Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-        Ok(())
-    }
+/// FNV-1a of `value`'s formatted form, hashed as it prints — no
+/// intermediate `String`.
+fn printed_fingerprint(value: fmt::Arguments<'_>) -> u64 {
+    let mut hash = Fnv1a::new();
+    hash.write_fmt(value)
+        .expect("the FNV-1a sink never fails");
+    hash.finish()
 }
 
 /// Fingerprint of a SELECT's printed form (literals included).
 pub fn select_fingerprint(select: &Select) -> u64 {
-    let mut w = FnvWriter::new();
-    let _ = write!(w, "{select}");
-    w.0
+    printed_fingerprint(format_args!("{select}"))
 }
 
 /// Fingerprint of any statement's printed form (literals included).
 pub fn statement_fingerprint(stmt: &Statement) -> u64 {
-    let mut w = FnvWriter::new();
-    let _ = write!(w, "{stmt}");
-    w.0
+    printed_fingerprint(format_args!("{stmt}"))
 }
 
 /// Fingerprint of the cost model's debug form (every constant + switch).
 fn cm_fingerprint(cm: &CostModel) -> u64 {
-    let mut w = FnvWriter::new();
-    let _ = write!(w, "{cm:?}");
-    w.0
+    printed_fingerprint(format_args!("{cm:?}"))
 }
 
 fn context_key(config: &HypoConfig, cm: &CostModel) -> u64 {

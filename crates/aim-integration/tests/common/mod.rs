@@ -1,7 +1,8 @@
-//! Statement corpora shared by the ingest-path tests: the texts the
-//! benchmark's workloads draw from, each executed for real so that
-//! `WorkloadMonitor::record` sees plans, I/O counts and costs an engine
-//! produced.
+//! Helpers shared by the integration tests: golden-file comparison, the
+//! normalizer identity, and the statement corpora of the ingest-path tests
+//! — the texts the benchmark's workloads draw from, each executed for real
+//! so that `WorkloadMonitor::record` sees plans, I/O counts and costs an
+//! engine produced.
 //!
 //! Read-only corpora are executed twice — on the index-free database and
 //! again after a fixed set of indexes is created — so most templates are
@@ -10,10 +11,53 @@
 #![allow(dead_code)]
 
 use aim_exec::{Engine, ExecOutcome};
+use aim_sql::normalize::{fingerprint, fnv1a, normalize_statement, NormalizedQuery};
 use aim_sql::{parse_statement, Statement};
 use aim_storage::{ColumnDef, ColumnType, Database, IndexDef, IoStats, TableSchema};
 use aim_workloads::rng::{Rng, SeedableRng, StdRng};
 use aim_workloads::{job, production, tpch};
+
+/// Normalizes `stmt` and checks that the three routes to its template
+/// agree: the streamed fingerprint `WorkloadMonitor::record` keys on, the
+/// hash of the normalized text, and the printed normalized tree. This is
+/// what ties the masked renderer to `normalize_expr`.
+pub fn checked_normalize(stmt: &Statement) -> NormalizedQuery {
+    let norm = normalize_statement(stmt);
+    assert_eq!(fingerprint(stmt), norm.fingerprint, "{stmt}");
+    assert_eq!(norm.fingerprint.0, fnv1a(norm.text.as_bytes()), "{stmt}");
+    assert_eq!(norm.statement.to_string(), norm.text, "{stmt}");
+    norm
+}
+
+/// Compares `actual` with `tests/golden/<file>`, or rewrites the file when
+/// `BLESS` is set.
+pub fn assert_matches_golden(file: &str, actual: &str) {
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {}: {e} (run with BLESS=1)", path.display()));
+    if actual != expected {
+        let diffs: Vec<String> = expected
+            .lines()
+            .zip(actual.lines())
+            .filter(|(e, a)| e != a)
+            .take(10)
+            .map(|(e, a)| format!("  golden: {e}\n  actual: {a}"))
+            .collect();
+        panic!(
+            "digests drifted from {} ({} golden lines, {} actual); first differences:\n{}",
+            path.display(),
+            expected.lines().count(),
+            actual.lines().count(),
+            diffs.join("\n")
+        );
+    }
+}
 
 /// Distinct statements of one workload and what executing them produced.
 pub struct Corpus {
@@ -102,9 +146,12 @@ pub fn tpch() -> Corpus {
     corpus
 }
 
-/// The 113 JOB-style join queries.
+/// The 30 JOB-style join queries.
 pub fn job() -> Corpus {
-    let texts = job::query_texts(0x10B).into_iter().map(|(_, sql)| sql).collect();
+    let texts = job::query_texts(0x10B)
+        .into_iter()
+        .map(|(_, sql)| sql)
+        .collect();
     let mut corpus = Corpus::new("job", texts);
     let mut db = job::build_database(&job::JobConfig {
         titles: 600,

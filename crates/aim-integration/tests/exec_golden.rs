@@ -12,6 +12,8 @@
 //! The golden file lives in `tests/golden/`; regenerate intentionally with
 //! `BLESS=1 cargo test -p aim-integration --test exec_golden`.
 
+mod common;
+
 use aim_core::{AimConfig, BackendSpec};
 use aim_exec::{Engine, ExecError, ExecOutcome};
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
@@ -20,7 +22,6 @@ use aim_sql::{parse_statement, Statement};
 use aim_storage::{ColumnDef, ColumnType, Database, TableSchema, Value};
 use aim_workloads::{job, production, tpch};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 fn encode_value(v: &Value, buf: &mut Vec<u8>) {
     match v {
@@ -288,27 +289,5 @@ fn executor_digests_match_golden() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/exec_digest.txt");
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(&path, &actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {}: {e} (run with BLESS=1)", path.display()));
-    if actual != expected {
-        let diffs: Vec<String> = expected
-            .lines()
-            .zip(actual.lines())
-            .filter(|(e, a)| e != a)
-            .take(10)
-            .map(|(e, a)| format!("  golden: {e}\n  actual: {a}"))
-            .collect();
-        panic!(
-            "executor digests drifted from {} ({} golden lines, {} actual); first differences:\n{}",
-            path.display(),
-            expected.lines().count(),
-            actual.lines().count(),
-            diffs.join("\n")
-        );
-    }
+    common::assert_matches_golden("exec_digest.txt", &actual);
 }

@@ -17,12 +17,11 @@
 mod common;
 
 use aim_monitor::WorkloadMonitor;
-use aim_sql::normalize::{fnv1a, normalize_statement, QueryFingerprint};
+use aim_sql::normalize::{fnv1a, QueryFingerprint};
 use aim_workloads::rng::{Rng, SeedableRng, StdRng};
 use common::Corpus;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 const DRAWS: usize = 50_000;
 
@@ -30,7 +29,7 @@ fn corpus_section(out: &mut String, corpus: &Corpus) {
     let templates: BTreeSet<QueryFingerprint> = corpus
         .stmts
         .iter()
-        .map(|s| normalize_statement(s).fingerprint)
+        .map(|s| common::checked_normalize(s).fingerprint)
         .collect();
 
     let mut monitor = WorkloadMonitor::new();
@@ -63,7 +62,15 @@ fn corpus_section(out: &mut String, corpus: &Corpus) {
         let indexes: Vec<String> = q
             .indexes_used
             .iter()
-            .map(|u| format!("{}.{}/{}/{}", u.table, u.index, u.eq_prefix_len, u8::from(u.covering)))
+            .map(|u| {
+                format!(
+                    "{}.{}/{}/{}",
+                    u.table,
+                    u.index,
+                    u.eq_prefix_len,
+                    u8::from(u.covering)
+                )
+            })
             .collect();
         writeln!(
             out,
@@ -88,31 +95,9 @@ fn corpus_section(out: &mut String, corpus: &Corpus) {
 #[test]
 fn ingest_digests_match_golden() {
     let mut actual = String::new();
-    for corpus in [common::product_b(), common::tpch(), common::job(), common::oltp()] {
-        corpus_section(&mut actual, &corpus);
+    // One corpus in memory at a time.
+    for build in [common::product_b, common::tpch, common::job, common::oltp] {
+        corpus_section(&mut actual, &build());
     }
-
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/ingest_digest.txt");
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(&path, &actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {}: {e} (run with BLESS=1)", path.display()));
-    if actual != expected {
-        let diffs: Vec<String> = expected
-            .lines()
-            .zip(actual.lines())
-            .filter(|(e, a)| e != a)
-            .take(10)
-            .map(|(e, a)| format!("  golden: {e}\n  actual: {a}"))
-            .collect();
-        panic!(
-            "ingest digests drifted from {} ({} golden lines, {} actual); first differences:\n{}",
-            path.display(),
-            expected.lines().count(),
-            actual.lines().count(),
-            diffs.join("\n")
-        );
-    }
+    common::assert_matches_golden("ingest_digest.txt", &actual);
 }

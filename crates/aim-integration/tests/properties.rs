@@ -4,6 +4,8 @@
 //! PRNG (`aim_workloads::rng`) with a fixed seed, so failures are exactly
 //! reproducible while still sweeping a wide input space.
 
+mod common;
+
 use aim_core::partial_order::{merge_partial_orders, PartialOrder};
 use aim_core::{
     generate_candidates, knapsack_select, rank_candidates, rank_candidates_unbatched,
@@ -11,6 +13,7 @@ use aim_core::{
 };
 use aim_exec::{CostModel, Engine};
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor, WorkloadQuery};
+use aim_sql::lexer::{lex, Token};
 use aim_sql::normalize::normalize_statement;
 use aim_sql::parse_statement;
 use aim_storage::{
@@ -141,7 +144,9 @@ fn fingerprint_invariant_under_literals() {
         let b = rng.gen_range(0..1000i64);
         let s = random_ident(&mut rng);
         let q1 = format!("SELECT id FROM t WHERE x = {a} AND y > {b} AND z = '{s}'");
-        let f1 = normalize_statement(&parse_statement(&q1).expect("valid")).fingerprint;
+        let stmt = parse_statement(&q1).expect("valid");
+        common::checked_normalize(&stmt);
+        let f1 = normalize_statement(&stmt).fingerprint;
         assert_eq!(f1, f2, "literals changed the fingerprint: {q1}");
     }
 }
@@ -157,6 +162,7 @@ fn parse_display_roundtrip_stable() {
              GROUP BY x ORDER BY x ASC LIMIT 5"
         );
         let stmt = parse_statement(&sql).expect("valid");
+        common::checked_normalize(&stmt);
         let reparsed = parse_statement(&stmt.to_string()).expect("display is parseable");
         assert_eq!(stmt, reparsed);
     }
@@ -368,7 +374,9 @@ fn parser_never_panics_on_arbitrary_input() {
                 }
             })
             .collect();
-        let _ = parse_statement(&input);
+        if let Ok(stmt) = parse_statement(&input) {
+            common::checked_normalize(&stmt);
+        }
     }
 }
 
@@ -385,8 +393,71 @@ fn parser_never_panics_on_sql_like_soup() {
             .map(|_| TOKENS[rng.gen_range(0..TOKENS.len())])
             .collect::<Vec<_>>()
             .join(" ");
-        let _ = parse_statement(&sql);
+        if let Ok(stmt) = parse_statement(&sql) {
+            common::checked_normalize(&stmt);
+        }
     }
+}
+
+/// 100 000 strings mixing multi-byte characters with quotes, operators,
+/// comments and truncated literals. The lexer scans bytes and borrows
+/// slices of the input: every token and every error must still land on a
+/// character boundary inside it, and nothing may panic (this runs with
+/// overflow and slice checks on).
+#[test]
+fn lexer_and_parser_hold_on_multibyte_soup() {
+    const PIECES: &[&str] = &[
+        "SELECT", "select", "FROM", "WHERE", "AND", "OR", "NOT", "IN", "BETWEEN", "LIKE", "INSERT",
+        "INTO", "VALUES", "UPDATE", "SET", "t", "x", "col_1", "é", "日本", "ß", "𝄞", "\u{301}", "'",
+        "''", "'é", "'it''s'", "'日本", "`", "`naïve`", "\"", "\"ü\"", "(", ")", ",", ".", ";", "*",
+        "+", "-", "--", "-- é\n", "/", "%", "=", "!", "!=", "<", "<=", "<=>", "<>", ">", ">=",
+        "?", "0", "17", "1.", "1.5", "1e", "1e+", "2.5e-3", "99999999999999999999", " ", "\n", "\t",
+    ];
+    let within = |input: &str, slice: &str| {
+        let start = (slice.as_ptr() as usize).wrapping_sub(input.as_ptr() as usize);
+        start <= input.len()
+            && start + slice.len() <= input.len()
+            && input.is_char_boundary(start)
+            && input.is_char_boundary(start + slice.len())
+    };
+    let mut rng = StdRng::seed_from_u64(0x50F7);
+    let (mut lexed, mut parsed) = (0u32, 0u32);
+    for _ in 0..100_000 {
+        let n = rng.gen_range(0..14usize);
+        let mut input = String::new();
+        for _ in 0..n {
+            input.push_str(PIECES[rng.gen_range(0..PIECES.len())]);
+            if rng.gen_bool(0.4) {
+                input.push(' ');
+            }
+        }
+        match lex(&input) {
+            Ok(tokens) => {
+                lexed += 1;
+                for t in &tokens {
+                    assert!(input.is_char_boundary(t.offset), "{input:?}: {t:?}");
+                    match &t.token {
+                        Token::Ident(s) => assert!(within(&input, s), "{input:?}: {t:?}"),
+                        Token::Str(std::borrow::Cow::Borrowed(s)) => {
+                            assert!(within(&input, s), "{input:?}: {t:?}")
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            Err(e) => assert!(input.is_char_boundary(e.offset), "{input:?}: {e}"),
+        }
+        match parse_statement(&input) {
+            Ok(stmt) => {
+                parsed += 1;
+                common::checked_normalize(&stmt);
+            }
+            Err(e) => assert!(input.is_char_boundary(e.offset), "{input:?}: {e}"),
+        }
+    }
+    // The mix reaches both outcomes of the lexer; few strings are statements.
+    assert!(lexed > 10_000 && lexed < 90_000, "{lexed} of 100000 lexed");
+    assert!(parsed > 0, "no string parsed");
 }
 
 // ------------------------------------------------------ prepared statements
@@ -407,6 +478,7 @@ fn bind_then_normalize_roundtrips() {
         let bound =
             bind_params(&stmt, &[Value::Int(a), Value::Int(b), Value::Str(s)]).expect("binds");
         // Normalizing the bound statement recovers the prepared fingerprint.
+        common::checked_normalize(&bound);
         assert_eq!(
             normalize_statement(&bound).fingerprint,
             normalize_statement(&stmt).fingerprint

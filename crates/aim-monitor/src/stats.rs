@@ -1,9 +1,9 @@
 //! Per-normalized-query execution statistics.
 
-use aim_exec::{ExecOutcome, IndexChoice};
+use aim_exec::{AccessPath, ExecOutcome, IndexScan};
 use aim_sql::ast::Statement;
-use aim_sql::normalize::{normalize_statement, QueryFingerprint};
-use std::collections::BTreeMap;
+use aim_sql::normalize::{fingerprint, normalize_statement, QueryFingerprint};
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// One index observed in use by a query's most recent execution plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,6 +17,16 @@ pub struct IndexUse {
     pub eq_prefix_len: usize,
     /// Whether the scan was covering (no base-table lookups).
     pub covering: bool,
+}
+
+impl IndexUse {
+    /// True if this is what `scan` on `table` would be recorded as.
+    fn describes(&self, table: &str, scan: &IndexScan) -> bool {
+        self.table == table
+            && self.index == scan.index.label()
+            && self.eq_prefix_len == scan.eq.len()
+            && self.covering == scan.covering
+    }
 }
 
 /// Aggregated statistics for one normalized query over the current window.
@@ -63,6 +73,38 @@ impl QueryStats {
             sum_sent_read_ratio: 0.0,
             indexes_used: Vec::new(),
             total_seeks: 0,
+        }
+    }
+
+    /// Adds one execution's counters and keeps the most recent plan's index
+    /// usage, which is rewritten only when that plan differs from the
+    /// stored one.
+    fn observe(&mut self, outcome: &ExecOutcome) {
+        self.executions += 1;
+        self.total_cpu += outcome.cost;
+        self.total_rows_read += outcome.io.rows_read;
+        self.total_rows_sent += outcome.rows_sent();
+        self.total_seeks += outcome.io.seeks;
+        let read = outcome.io.rows_read;
+        let ratio = if read == 0 {
+            1.0
+        } else {
+            (outcome.rows_sent() as f64 / read as f64).min(1.0)
+        };
+        self.sum_sent_read_ratio += ratio;
+        let mut stored = self.indexes_used.iter();
+        let same_plan = plan_scans(outcome)
+            .all(|(table, scan)| stored.next().is_some_and(|u| u.describes(table, scan)))
+            && stored.next().is_none();
+        if !same_plan {
+            self.indexes_used.clear();
+            self.indexes_used
+                .extend(plan_scans(outcome).map(|(table, scan)| IndexUse {
+                    table: table.to_string(),
+                    index: scan.index.label().into_owned(),
+                    eq_prefix_len: scan.eq.len(),
+                    covering: scan.covering,
+                }));
         }
     }
 
@@ -127,40 +169,26 @@ impl WorkloadMonitor {
     }
 
     /// Records one execution of `stmt` with its outcome.
+    ///
+    /// A known template costs its streamed fingerprint, one map lookup, the
+    /// counters, and an in-place overwrite of the exemplar (freshest wins)
+    /// that reuses the stored statement's buffers. Only first sight
+    /// normalizes the statement into a tree and a text.
     pub fn record(&mut self, stmt: &Statement, outcome: &ExecOutcome) {
         aim_telemetry::metrics::MONITOR_RECORDS.incr();
-        let norm = normalize_statement(stmt);
-        let entry = self
-            .queries
-            .entry(norm.fingerprint)
-            .or_insert_with(|| QueryStats {
-                fingerprint: norm.fingerprint,
-                normalized_text: norm.text.clone(),
-                normalized: norm.statement.clone(),
-                exemplar: stmt.clone(),
-                executions: 0,
-                total_cpu: 0.0,
-                total_rows_read: 0,
-                total_rows_sent: 0,
-                sum_sent_read_ratio: 0.0,
-                indexes_used: Vec::new(),
-                total_seeks: 0,
-            });
-        entry.executions += 1;
-        entry.total_cpu += outcome.cost;
-        entry.total_rows_read += outcome.io.rows_read;
-        entry.total_rows_sent += outcome.rows_sent();
-        entry.total_seeks += outcome.io.seeks;
-        let read = outcome.io.rows_read;
-        let ratio = if read == 0 {
-            1.0
-        } else {
-            (outcome.rows_sent() as f64 / read as f64).min(1.0)
+        let stats = match self.queries.entry(fingerprint(stmt)) {
+            Entry::Occupied(known) => {
+                let stats = known.into_mut();
+                stats.exemplar.clone_from(stmt);
+                stats
+            }
+            Entry::Vacant(first_sight) => {
+                let stats = QueryStats::synthetic(stmt, 0, 0.0);
+                debug_assert_eq!(stats.fingerprint, *first_sight.key());
+                first_sight.insert(stats)
+            }
         };
-        entry.sum_sent_read_ratio += ratio;
-        // Keep a fresh exemplar and the most recent plan's index usage.
-        entry.exemplar = stmt.clone();
-        entry.indexes_used = index_uses(outcome);
+        stats.observe(outcome);
     }
 
     /// Clears the window (start of a new observation interval).
@@ -208,8 +236,8 @@ impl WorkloadMonitor {
                     mine.total_rows_sent += stats.total_rows_sent;
                     mine.sum_sent_read_ratio += stats.sum_sent_read_ratio;
                     mine.total_seeks += stats.total_seeks;
-                    mine.exemplar = stats.exemplar.clone();
-                    mine.indexes_used = stats.indexes_used.clone();
+                    mine.exemplar.clone_from(&stats.exemplar);
+                    mine.indexes_used.clone_from(&stats.indexes_used);
                 }
                 None => {
                     self.queries.insert(*fp, stats.clone());
@@ -219,30 +247,17 @@ impl WorkloadMonitor {
     }
 }
 
-/// Extracts index-usage metadata from an executed plan.
-fn index_uses(outcome: &ExecOutcome) -> Vec<IndexUse> {
-    let mut uses = Vec::new();
-    for step in &outcome.plan.steps {
-        let scans: Vec<&aim_exec::IndexScan> = match &step.path {
-            aim_exec::AccessPath::FullScan => Vec::new(),
-            aim_exec::AccessPath::IndexScan(s) => vec![s],
-            aim_exec::AccessPath::OrUnion(branches) => branches.iter().collect(),
+/// Every index scan of an executed plan with the table it reads, in plan
+/// order.
+fn plan_scans(outcome: &ExecOutcome) -> impl Iterator<Item = (&str, &IndexScan)> {
+    outcome.plan.steps.iter().flat_map(|step| {
+        let scans = match &step.path {
+            AccessPath::FullScan => &[],
+            AccessPath::IndexScan(s) => std::slice::from_ref(s),
+            AccessPath::OrUnion(branches) => branches.as_slice(),
         };
-        for s in scans {
-            let index = match &s.index {
-                IndexChoice::Primary => "PRIMARY".to_string(),
-                IndexChoice::Secondary(n) => n.clone(),
-                IndexChoice::Hypothetical(i) => format!("<hypo#{i}>"),
-            };
-            uses.push(IndexUse {
-                table: step.table.clone(),
-                index,
-                eq_prefix_len: s.eq.len(),
-                covering: s.covering,
-            });
-        }
-    }
-    uses
+        scans.iter().map(move |s| (step.table.as_str(), s))
+    })
 }
 
 #[cfg(test)]
@@ -364,6 +379,37 @@ mod tests {
         assert_eq!(q.indexes_used[0].index, "ix_a");
         assert_eq!(q.indexes_used[0].table, "t");
         assert_eq!(q.indexes_used[0].eq_prefix_len, 1);
+    }
+
+    #[test]
+    fn known_template_takes_the_freshest_exemplar_and_plan() {
+        let mut db = db();
+        let mut m = WorkloadMonitor::new();
+        record(&mut m, &mut db, "SELECT id, a FROM t WHERE a IN (1, 2, 3)");
+        assert!(m.queries().next().unwrap().indexes_used.is_empty());
+        // Same template, another shape (a shorter list) and another plan.
+        db.create_index(
+            aim_storage::IndexDef::new("ix_a", "t", vec!["a".into()]),
+            &mut IoStats::new(),
+        )
+        .unwrap();
+        record(&mut m, &mut db, "SELECT id, a FROM t WHERE a IN (4)");
+        assert_eq!(m.len(), 1);
+        let q = m.queries().next().unwrap();
+        assert_eq!(q.executions, 2);
+        assert_eq!(q.exemplar.to_string(), "SELECT id, a FROM t WHERE a IN (4)");
+        assert_eq!(q.indexes_used.len(), 1);
+        assert_eq!(q.indexes_used[0].index, "ix_a");
+        // The same plan again leaves the stored usage as it is.
+        record(&mut m, &mut db, "SELECT id, a FROM t WHERE a IN (5, 6)");
+        let q = m.queries().next().unwrap();
+        assert_eq!(q.exemplar.to_string(), "SELECT id, a FROM t WHERE a IN (5, 6)");
+        assert_eq!(q.indexes_used.len(), 1);
+        assert_eq!(q.indexes_used[0].index, "ix_a");
+        // And the index going away is seen too.
+        db.drop_index("t", "ix_a").unwrap();
+        record(&mut m, &mut db, "SELECT id, a FROM t WHERE a IN (7)");
+        assert!(m.queries().next().unwrap().indexes_used.is_empty());
     }
 
     #[test]

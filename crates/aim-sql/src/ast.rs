@@ -4,11 +4,32 @@
 //! (crate `aim-core`) walks it to extract column-usage metadata (which
 //! operation each column participates in, with which operator) and the join
 //! graph — the "structural metadata" of Table I in the paper.
+//!
+//! Printing lives in [`crate::render`]: every `Display` impl here is that
+//! renderer's exact mode. The types that make up a DML statement implement
+//! `Clone` by hand so that `clone_from` reuses the target's strings, boxes
+//! and vectors — the workload monitor overwrites a stored exemplar with a
+//! statement of the same shape on every record.
 
+use crate::render::Renderer;
 use std::fmt;
 
+/// `Clone` for a struct whose `clone_from` reuses each field's buffers.
+macro_rules! clone_fieldwise {
+    ($ty:ident { $($field:ident),* }) => {
+        impl Clone for $ty {
+            fn clone(&self) -> Self {
+                Self { $($field: self.$field.clone()),* }
+            }
+            fn clone_from(&mut self, source: &Self) {
+                $(self.$field.clone_from(&source.$field);)*
+            }
+        }
+    };
+}
+
 /// A possibly table-qualified column reference (`t.col` or `col`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ColumnRef {
     /// Table name or alias qualifier, if written.
     pub table: Option<String>,
@@ -34,18 +55,17 @@ impl ColumnRef {
     }
 }
 
+clone_fieldwise!(ColumnRef { table, column });
+
 impl fmt::Display for ColumnRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.table {
-            Some(t) => write!(f, "{}.{}", t, self.column),
-            None => write!(f, "{}", self.column),
-        }
+        Renderer::exact(f).column(self)
     }
 }
 
 /// Literal values, including the `?` parameter placeholder produced both by
 /// user input and by query normalization.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum Literal {
     Int(i64),
     Float(f64),
@@ -56,16 +76,29 @@ pub enum Literal {
     Param,
 }
 
+impl Clone for Literal {
+    fn clone(&self) -> Self {
+        match self {
+            Literal::Int(v) => Literal::Int(*v),
+            Literal::Float(v) => Literal::Float(*v),
+            Literal::Str(s) => Literal::Str(s.clone()),
+            Literal::Bool(b) => Literal::Bool(*b),
+            Literal::Null => Literal::Null,
+            Literal::Param => Literal::Param,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Literal::Str(to), Literal::Str(from)) => to.clone_from(from),
+            (to, from) => *to = from.clone(),
+        }
+    }
+}
+
 impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Literal::Int(v) => write!(f, "{v}"),
-            Literal::Float(v) => write!(f, "{v}"),
-            Literal::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
-            Literal::Bool(b) => write!(f, "{}", if *b { "TRUE" } else { "FALSE" }),
-            Literal::Null => write!(f, "NULL"),
-            Literal::Param => write!(f, "?"),
-        }
+        Renderer::exact(f).literal(self)
     }
 }
 
@@ -108,11 +141,10 @@ impl BinOp {
     pub fn is_prefix_compatible(self) -> bool {
         matches!(self, BinOp::Eq | BinOp::NullSafeEq)
     }
-}
 
-impl fmt::Display for BinOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The operator's SQL spelling.
+    pub fn as_str(self) -> &'static str {
+        match self {
             BinOp::Eq => "=",
             BinOp::NullSafeEq => "<=>",
             BinOp::NotEq => "<>",
@@ -125,8 +157,13 @@ impl fmt::Display for BinOp {
             BinOp::Mul => "*",
             BinOp::Div => "/",
             BinOp::Mod => "%",
-        };
-        write!(f, "{s}")
+        }
+    }
+}
+
+impl fmt::Display for BinOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -140,16 +177,22 @@ pub enum AggFunc {
     Max,
 }
 
-impl fmt::Display for AggFunc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl AggFunc {
+    /// The function's SQL name.
+    pub fn as_str(self) -> &'static str {
+        match self {
             AggFunc::Count => "COUNT",
             AggFunc::Sum => "SUM",
             AggFunc::Avg => "AVG",
             AggFunc::Min => "MIN",
             AggFunc::Max => "MAX",
-        };
-        write!(f, "{s}")
+        }
+    }
+}
+
+impl fmt::Display for AggFunc {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -158,7 +201,7 @@ impl fmt::Display for AggFunc {
 /// AND/OR are n-ary so that predicate *chains* keep their grouping — the
 /// factorization step of candidate generation (Algorithm 5) needs the
 /// AND-OR chain structure, not a binary tree of unknown associativity.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum Expr {
     Column(ColumnRef),
     Literal(Literal),
@@ -205,13 +248,19 @@ pub enum Expr {
 impl Expr {
     /// Builds an n-ary AND, flattening nested ANDs and eliding singletons.
     pub fn and(parts: Vec<Expr>) -> Expr {
-        let mut flat = Vec::with_capacity(parts.len());
-        for p in parts {
-            match p {
-                Expr::And(children) => flat.extend(children),
-                other => flat.push(other),
+        // The common chain has nothing to flatten and keeps its vector.
+        let mut flat = if parts.iter().any(|p| matches!(p, Expr::And(_))) {
+            let mut flat = Vec::with_capacity(parts.len());
+            for p in parts {
+                match p {
+                    Expr::And(children) => flat.extend(children),
+                    other => flat.push(other),
+                }
             }
-        }
+            flat
+        } else {
+            parts
+        };
         match flat.len() {
             1 => flat.pop().expect("len checked"),
             _ => Expr::And(flat),
@@ -220,13 +269,18 @@ impl Expr {
 
     /// Builds an n-ary OR, flattening nested ORs and eliding singletons.
     pub fn or(parts: Vec<Expr>) -> Expr {
-        let mut flat = Vec::with_capacity(parts.len());
-        for p in parts {
-            match p {
-                Expr::Or(children) => flat.extend(children),
-                other => flat.push(other),
+        let mut flat = if parts.iter().any(|p| matches!(p, Expr::Or(_))) {
+            let mut flat = Vec::with_capacity(parts.len());
+            for p in parts {
+                match p {
+                    Expr::Or(children) => flat.extend(children),
+                    other => flat.push(other),
+                }
             }
-        }
+            flat
+        } else {
+            parts
+        };
         match flat.len() {
             1 => flat.pop().expect("len checked"),
             _ => Expr::Or(flat),
@@ -309,87 +363,179 @@ impl Expr {
     }
 }
 
-impl fmt::Display for Expr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Clone for Expr {
+    fn clone(&self) -> Self {
         match self {
-            Expr::Column(c) => write!(f, "{c}"),
-            Expr::Literal(l) => write!(f, "{l}"),
-            Expr::And(children) => write_joined(f, children, " AND ", true),
-            Expr::Or(children) => write_joined(f, children, " OR ", true),
-            Expr::Not(e) => write!(f, "NOT ({e})"),
-            Expr::Neg(e) => write!(f, "-({e})"),
-            Expr::Binary { left, op, right } => write!(f, "{left} {op} {right}"),
+            Expr::Column(c) => Expr::Column(c.clone()),
+            Expr::Literal(l) => Expr::Literal(l.clone()),
+            Expr::And(children) => Expr::And(children.clone()),
+            Expr::Or(children) => Expr::Or(children.clone()),
+            Expr::Not(e) => Expr::Not(e.clone()),
+            Expr::Neg(e) => Expr::Neg(e.clone()),
+            Expr::Binary { left, op, right } => Expr::Binary {
+                left: left.clone(),
+                op: *op,
+                right: right.clone(),
+            },
             Expr::InList {
                 expr,
                 list,
                 negated,
-            } => {
-                write!(f, "{expr} {}IN (", if *negated { "NOT " } else { "" })?;
-                write_joined(f, list, ", ", false)?;
-                write!(f, ")")
-            }
+            } => Expr::InList {
+                expr: expr.clone(),
+                list: list.clone(),
+                negated: *negated,
+            },
             Expr::Between {
                 expr,
                 low,
                 high,
                 negated,
-            } => write!(
-                f,
-                "{expr} {}BETWEEN {low} AND {high}",
-                if *negated { "NOT " } else { "" }
-            ),
-            Expr::IsNull { expr, negated } => {
-                write!(f, "{expr} IS {}NULL", if *negated { "NOT " } else { "" })
-            }
+            } => Expr::Between {
+                expr: expr.clone(),
+                low: low.clone(),
+                high: high.clone(),
+                negated: *negated,
+            },
+            Expr::IsNull { expr, negated } => Expr::IsNull {
+                expr: expr.clone(),
+                negated: *negated,
+            },
             Expr::Like {
                 expr,
                 pattern,
                 negated,
-            } => write!(
-                f,
-                "{expr} {}LIKE {pattern}",
-                if *negated { "NOT " } else { "" }
-            ),
+            } => Expr::Like {
+                expr: expr.clone(),
+                pattern: pattern.clone(),
+                negated: *negated,
+            },
             Expr::Aggregate {
                 func,
                 arg,
                 distinct,
-            } => match arg {
-                Some(a) => write!(
-                    f,
-                    "{func}({}{a})",
-                    if *distinct { "DISTINCT " } else { "" }
-                ),
-                None => write!(f, "{func}(*)"),
+            } => Expr::Aggregate {
+                func: *func,
+                arg: arg.clone(),
+                distinct: *distinct,
             },
         }
     }
-}
 
-fn write_joined(
-    f: &mut fmt::Formatter<'_>,
-    items: &[Expr],
-    sep: &str,
-    parens: bool,
-) -> fmt::Result {
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            write!(f, "{sep}")?;
-        }
-        // Parenthesise nested boolean connectives so precedence survives a
-        // print/parse round trip.
-        let needs_parens = parens && matches!(item, Expr::And(_) | Expr::Or(_));
-        if needs_parens {
-            write!(f, "({item})")?;
-        } else {
-            write!(f, "{item}")?;
+    /// Same variant: overwrite field by field, keeping every allocation
+    /// (`Box`, `Vec` and `String` all reuse theirs). Otherwise a fresh clone.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Expr::Column(to), Expr::Column(from)) => to.clone_from(from),
+            (Expr::Literal(to), Expr::Literal(from)) => to.clone_from(from),
+            (Expr::And(to), Expr::And(from)) | (Expr::Or(to), Expr::Or(from)) => {
+                to.clone_from(from)
+            }
+            (Expr::Not(to), Expr::Not(from)) | (Expr::Neg(to), Expr::Neg(from)) => {
+                to.clone_from(from)
+            }
+            (
+                Expr::Binary { left, op, right },
+                Expr::Binary {
+                    left: l,
+                    op: o,
+                    right: r,
+                },
+            ) => {
+                left.clone_from(l);
+                *op = *o;
+                right.clone_from(r);
+            }
+            (
+                Expr::InList {
+                    expr,
+                    list,
+                    negated,
+                },
+                Expr::InList {
+                    expr: e,
+                    list: l,
+                    negated: n,
+                },
+            ) => {
+                expr.clone_from(e);
+                list.clone_from(l);
+                *negated = *n;
+            }
+            (
+                Expr::Between {
+                    expr,
+                    low,
+                    high,
+                    negated,
+                },
+                Expr::Between {
+                    expr: e,
+                    low: l,
+                    high: h,
+                    negated: n,
+                },
+            ) => {
+                expr.clone_from(e);
+                low.clone_from(l);
+                high.clone_from(h);
+                *negated = *n;
+            }
+            (
+                Expr::IsNull { expr, negated },
+                Expr::IsNull {
+                    expr: e,
+                    negated: n,
+                },
+            ) => {
+                expr.clone_from(e);
+                *negated = *n;
+            }
+            (
+                Expr::Like {
+                    expr,
+                    pattern,
+                    negated,
+                },
+                Expr::Like {
+                    expr: e,
+                    pattern: p,
+                    negated: n,
+                },
+            ) => {
+                expr.clone_from(e);
+                pattern.clone_from(p);
+                *negated = *n;
+            }
+            (
+                Expr::Aggregate {
+                    func,
+                    arg,
+                    distinct,
+                },
+                Expr::Aggregate {
+                    func: f,
+                    arg: a,
+                    distinct: d,
+                },
+            ) => {
+                *func = *f;
+                arg.clone_from(a);
+                *distinct = *d;
+            }
+            (to, from) => *to = from.clone(),
         }
     }
-    Ok(())
+}
+
+impl fmt::Display for Expr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        Renderer::exact(f).expr(self)
+    }
 }
 
 /// One item of a SELECT projection list.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum SelectItem {
     /// `*`
     Wildcard,
@@ -397,20 +543,42 @@ pub enum SelectItem {
     Expr { expr: Expr, alias: Option<String> },
 }
 
-impl fmt::Display for SelectItem {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Clone for SelectItem {
+    fn clone(&self) -> Self {
         match self {
-            SelectItem::Wildcard => write!(f, "*"),
-            SelectItem::Expr { expr, alias } => match alias {
-                Some(a) => write!(f, "{expr} AS {a}"),
-                None => write!(f, "{expr}"),
+            SelectItem::Wildcard => SelectItem::Wildcard,
+            SelectItem::Expr { expr, alias } => SelectItem::Expr {
+                expr: expr.clone(),
+                alias: alias.clone(),
             },
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (
+                SelectItem::Expr { expr, alias },
+                SelectItem::Expr {
+                    expr: e,
+                    alias: a,
+                },
+            ) => {
+                expr.clone_from(e);
+                alias.clone_from(a);
+            }
+            (to, from) => *to = from.clone(),
         }
     }
 }
 
+impl fmt::Display for SelectItem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        Renderer::exact(f).select_item(self)
+    }
+}
+
 /// A table reference in the FROM list, with optional alias.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct TableRef {
     pub name: String,
     pub alias: Option<String>,
@@ -431,25 +599,26 @@ impl TableRef {
     }
 }
 
+clone_fieldwise!(TableRef { name, alias });
+
 impl fmt::Display for TableRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.alias {
-            Some(a) => write!(f, "{} AS {}", self.name, a),
-            None => write!(f, "{}", self.name),
-        }
+        Renderer::exact(f).table_ref(self)
     }
 }
 
 /// One ORDER BY key.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct OrderByItem {
     pub expr: Expr,
     pub desc: bool,
 }
 
+clone_fieldwise!(OrderByItem { expr, desc });
+
 impl fmt::Display for OrderByItem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}", self.expr, if self.desc { "DESC" } else { "ASC" })
+        Renderer::exact(f).order_by_item(self)
     }
 }
 
@@ -458,7 +627,7 @@ impl fmt::Display for OrderByItem {
 /// Explicit `JOIN ... ON` syntax is normalised at parse time: joined tables
 /// land in `from` and ON predicates are conjoined into `where_clause`. This
 /// gives candidate generation a single predicate tree to factorize.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Select {
     pub distinct: bool,
     pub items: Vec<SelectItem>,
@@ -470,128 +639,96 @@ pub struct Select {
     pub limit: Option<Expr>,
 }
 
+clone_fieldwise!(Select {
+    distinct,
+    items,
+    from,
+    where_clause,
+    group_by,
+    having,
+    order_by,
+    limit
+});
+
 impl fmt::Display for Select {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SELECT ")?;
-        if self.distinct {
-            write!(f, "DISTINCT ")?;
-        }
-        for (i, item) in self.items.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{item}")?;
-        }
-        if !self.from.is_empty() {
-            write!(f, " FROM ")?;
-            for (i, t) in self.from.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{t}")?;
-            }
-        }
-        if let Some(w) = &self.where_clause {
-            write!(f, " WHERE {w}")?;
-        }
-        if !self.group_by.is_empty() {
-            write!(f, " GROUP BY ")?;
-            for (i, g) in self.group_by.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{g}")?;
-            }
-        }
-        if let Some(h) = &self.having {
-            write!(f, " HAVING {h}")?;
-        }
-        if !self.order_by.is_empty() {
-            write!(f, " ORDER BY ")?;
-            for (i, o) in self.order_by.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{o}")?;
-            }
-        }
-        if let Some(l) = &self.limit {
-            write!(f, " LIMIT {l}")?;
-        }
-        Ok(())
+        Renderer::exact(f).select(self)
     }
 }
 
 /// An INSERT statement (`INSERT INTO t (c1, c2) VALUES (...), (...)`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Insert {
     pub table: String,
     pub columns: Vec<String>,
     pub rows: Vec<Vec<Expr>>,
 }
 
+clone_fieldwise!(Insert {
+    table,
+    columns,
+    rows
+});
+
 impl fmt::Display for Insert {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "INSERT INTO {}", self.table)?;
-        if !self.columns.is_empty() {
-            write!(f, " ({})", self.columns.join(", "))?;
-        }
-        write!(f, " VALUES ")?;
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "(")?;
-            for (j, v) in row.iter().enumerate() {
-                if j > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{v}")?;
-            }
-            write!(f, ")")?;
-        }
-        Ok(())
+        Renderer::exact(f).insert(self)
     }
 }
 
 /// An UPDATE statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Update {
     pub table: String,
     pub assignments: Vec<(String, Expr)>,
     pub where_clause: Option<Expr>,
 }
 
+impl Clone for Update {
+    fn clone(&self) -> Self {
+        Update {
+            table: self.table.clone(),
+            assignments: self.assignments.clone(),
+            where_clause: self.where_clause.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.table.clone_from(&source.table);
+        // A tuple's `clone_from` is the default `*self = source.clone()`,
+        // so the pairs are overwritten by hand.
+        self.assignments.truncate(source.assignments.len());
+        let (overlap, extra) = source.assignments.split_at(self.assignments.len());
+        for ((col, val), (c, v)) in self.assignments.iter_mut().zip(overlap) {
+            col.clone_from(c);
+            val.clone_from(v);
+        }
+        self.assignments.extend_from_slice(extra);
+        self.where_clause.clone_from(&source.where_clause);
+    }
+}
+
 impl fmt::Display for Update {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "UPDATE {} SET ", self.table)?;
-        for (i, (col, val)) in self.assignments.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{col} = {val}")?;
-        }
-        if let Some(w) = &self.where_clause {
-            write!(f, " WHERE {w}")?;
-        }
-        Ok(())
+        Renderer::exact(f).update(self)
     }
 }
 
 /// A DELETE statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Delete {
     pub table: String,
     pub where_clause: Option<Expr>,
 }
 
+clone_fieldwise!(Delete {
+    table,
+    where_clause
+});
+
 impl fmt::Display for Delete {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "DELETE FROM {}", self.table)?;
-        if let Some(w) = &self.where_clause {
-            write!(f, " WHERE {w}")?;
-        }
-        Ok(())
+        Renderer::exact(f).delete(self)
     }
 }
 
@@ -604,15 +741,21 @@ pub enum SqlType {
     Boolean,
 }
 
-impl fmt::Display for SqlType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl SqlType {
+    /// The type's SQL name.
+    pub fn as_str(self) -> &'static str {
+        match self {
             SqlType::BigInt => "BIGINT",
             SqlType::Double => "DOUBLE",
             SqlType::Varchar => "VARCHAR",
             SqlType::Boolean => "BOOLEAN",
-        };
-        write!(f, "{s}")
+        }
+    }
+}
+
+impl fmt::Display for SqlType {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -627,14 +770,7 @@ pub struct CreateTable {
 
 impl fmt::Display for CreateTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "CREATE TABLE {} (", self.name)?;
-        for (i, (col, ty)) in self.columns.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{col} {ty}")?;
-        }
-        write!(f, ", PRIMARY KEY ({}))", self.primary_key.join(", "))
+        Renderer::exact(f).create_table(self)
     }
 }
 
@@ -649,19 +785,12 @@ pub struct CreateIndex {
 
 impl fmt::Display for CreateIndex {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "CREATE {}INDEX {} ON {} ({})",
-            if self.unique { "UNIQUE " } else { "" },
-            self.name,
-            self.table,
-            self.columns.join(", ")
-        )
+        Renderer::exact(f).create_index(self)
     }
 }
 
 /// Top-level SQL statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum Statement {
     Select(Select),
     Insert(Insert),
@@ -683,17 +812,38 @@ impl Statement {
     }
 }
 
+impl Clone for Statement {
+    fn clone(&self) -> Self {
+        match self {
+            Statement::Select(s) => Statement::Select(s.clone()),
+            Statement::Insert(s) => Statement::Insert(s.clone()),
+            Statement::Update(s) => Statement::Update(s.clone()),
+            Statement::Delete(s) => Statement::Delete(s.clone()),
+            Statement::CreateTable(s) => Statement::CreateTable(s.clone()),
+            Statement::CreateIndex(s) => Statement::CreateIndex(s.clone()),
+            Statement::DropIndex { name, table } => Statement::DropIndex {
+                name: name.clone(),
+                table: table.clone(),
+            },
+        }
+    }
+
+    /// Overwrites a DML statement of the same kind in place; DDL, which
+    /// the monitor sees once in a while, takes a fresh clone.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Statement::Select(to), Statement::Select(from)) => to.clone_from(from),
+            (Statement::Insert(to), Statement::Insert(from)) => to.clone_from(from),
+            (Statement::Update(to), Statement::Update(from)) => to.clone_from(from),
+            (Statement::Delete(to), Statement::Delete(from)) => to.clone_from(from),
+            (to, from) => *to = from.clone(),
+        }
+    }
+}
+
 impl fmt::Display for Statement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Statement::Select(s) => write!(f, "{s}"),
-            Statement::Insert(s) => write!(f, "{s}"),
-            Statement::Update(s) => write!(f, "{s}"),
-            Statement::Delete(s) => write!(f, "{s}"),
-            Statement::CreateTable(s) => write!(f, "{s}"),
-            Statement::CreateIndex(s) => write!(f, "{s}"),
-            Statement::DropIndex { name, table } => write!(f, "DROP INDEX {name} ON {table}"),
-        }
+        Renderer::exact(f).statement(self)
     }
 }
 
@@ -740,6 +890,53 @@ mod tests {
     fn display_escapes_string_literals() {
         let l = Literal::Str("it's".into());
         assert_eq!(l.to_string(), "'it''s'");
+    }
+
+    #[test]
+    fn identifiers_print_quoted_exactly_when_they_need_it() {
+        let sql = "SELECT `order`, t.`my col` AS `as` FROM \"select\" AS t WHERE `order` = 1";
+        let stmt = crate::parse_statement(sql).unwrap();
+        let printed = stmt.to_string();
+        assert_eq!(
+            printed,
+            "SELECT `order`, t.`my col` AS `as` FROM `select` AS t WHERE `order` = 1"
+        );
+        assert_eq!(crate::parse_statement(&printed).unwrap(), stmt);
+        // A name holding a backtick can only be delimited by double quotes.
+        assert_eq!(ColumnRef::bare("a`b").to_string(), "\"a`b\"");
+        assert_eq!(ColumnRef::qualified("t1", "c_2").to_string(), "t1.c_2");
+    }
+
+    #[test]
+    fn clone_from_equals_clone_across_shapes() {
+        let texts = [
+            "SELECT a, b AS x FROM t AS u, v WHERE a = 1 AND b IN (1, 2, 3) ORDER BY a DESC LIMIT 5",
+            "SELECT a, b AS y FROM t AS w, v WHERE a = 22 AND b IN (4) ORDER BY a DESC LIMIT 7",
+            "SELECT DISTINCT COUNT(*), SUM(a) FROM t WHERE NOT (a BETWEEN 1 AND 2 OR b LIKE 'x%') \
+             GROUP BY c HAVING COUNT(*) > 1",
+            "SELECT * FROM t WHERE a IS NOT NULL AND -a < 3",
+            "SELECT 1",
+            "INSERT INTO t (a, b) VALUES (1, 'one'), (2, 'two')",
+            "INSERT INTO t (a, b) VALUES (3, 'a much longer string than before')",
+            "UPDATE t SET a = 1, b = b + 1 WHERE id = 7",
+            "UPDATE t SET a = 2 WHERE id = 8",
+            "UPDATE t SET a = 2, b = 3, c = 4",
+            "DELETE FROM t WHERE id = 7",
+            "DELETE FROM t",
+            "CREATE INDEX ix ON t (a, b)",
+            "DROP INDEX ix ON t",
+        ];
+        let stmts: Vec<Statement> = texts
+            .iter()
+            .map(|sql| crate::parse_statement(sql).unwrap())
+            .collect();
+        for target in &stmts {
+            for source in &stmts {
+                let mut overwritten = target.clone();
+                overwritten.clone_from(source);
+                assert_eq!(&overwritten, source, "{target} <- {source}");
+            }
+        }
     }
 
     #[test]

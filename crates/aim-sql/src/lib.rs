@@ -34,6 +34,7 @@ pub mod error;
 pub mod lexer;
 pub mod normalize;
 pub mod parser;
+mod render;
 
 pub use ast::{
     BinOp, ColumnRef, CreateIndex, CreateTable, Delete, Expr, Insert, Literal, OrderByItem,

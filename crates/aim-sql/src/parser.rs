@@ -11,17 +11,18 @@
 
 use crate::ast::*;
 use crate::error::ParseError;
-use crate::lexer::{lex, SpannedToken, Token};
+use crate::lexer::{lex, Keyword, SpannedToken, Token};
 
-/// SQL parser over a pre-lexed token stream.
-pub struct Parser {
-    tokens: Vec<SpannedToken>,
+/// SQL parser over a pre-lexed token stream that borrows from the input;
+/// a name is copied into a `String` only where the AST takes it.
+pub struct Parser<'a> {
+    tokens: Vec<SpannedToken<'a>>,
     pos: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     /// Lexes `sql` and prepares a parser over it.
-    pub fn new(sql: &str) -> Result<Self, ParseError> {
+    pub fn new(sql: &'a str) -> Result<Self, ParseError> {
         Ok(Self {
             tokens: lex(sql)?,
             pos: 0,
@@ -51,13 +52,13 @@ impl Parser {
 
     fn parse_statement(&mut self) -> Result<Statement, ParseError> {
         match self.peek() {
-            Token::Keyword(k) => match k.as_str() {
-                "SELECT" => Ok(Statement::Select(self.parse_select()?)),
-                "INSERT" => self.parse_insert(),
-                "UPDATE" => self.parse_update(),
-                "DELETE" => self.parse_delete(),
-                "CREATE" => self.parse_create(),
-                "DROP" => self.parse_drop(),
+            Token::Keyword(k) => match k {
+                Keyword::Select => Ok(Statement::Select(self.parse_select()?)),
+                Keyword::Insert => self.parse_insert(),
+                Keyword::Update => self.parse_update(),
+                Keyword::Delete => self.parse_delete(),
+                Keyword::Create => self.parse_create(),
+                Keyword::Drop => self.parse_drop(),
                 other => Err(self.error(format!("unexpected keyword {other}"))),
             },
             other => Err(self.error(format!("expected statement, found {other:?}"))),
@@ -67,8 +68,8 @@ impl Parser {
     // ---------------------------------------------------------------- SELECT
 
     fn parse_select(&mut self) -> Result<Select, ParseError> {
-        self.expect_keyword("SELECT")?;
-        let distinct = self.eat_keyword("DISTINCT");
+        self.expect_keyword(Keyword::Select)?;
+        let distinct = self.eat_keyword(Keyword::Distinct);
 
         let mut items = Vec::new();
         loop {
@@ -76,7 +77,7 @@ impl Parser {
                 items.push(SelectItem::Wildcard);
             } else {
                 let expr = self.parse_expr()?;
-                let alias = if self.eat_keyword("AS") {
+                let alias = if self.eat_keyword(Keyword::As) {
                     Some(self.expect_ident()?)
                 } else {
                     None
@@ -90,18 +91,18 @@ impl Parser {
 
         let mut from = Vec::new();
         let mut join_predicates: Vec<Expr> = Vec::new();
-        if self.eat_keyword("FROM") {
+        if self.eat_keyword(Keyword::From) {
             from.push(self.parse_table_ref()?);
             loop {
                 if self.eat(&Token::Comma) {
                     from.push(self.parse_table_ref()?);
                 } else if self.peek_join_keyword() {
                     // [INNER|CROSS] JOIN table [ON predicate]
-                    self.eat_keyword("INNER");
-                    self.eat_keyword("CROSS");
-                    self.expect_keyword("JOIN")?;
+                    self.eat_keyword(Keyword::Inner);
+                    self.eat_keyword(Keyword::Cross);
+                    self.expect_keyword(Keyword::Join)?;
                     from.push(self.parse_table_ref()?);
-                    if self.eat_keyword("ON") {
+                    if self.eat_keyword(Keyword::On) {
                         join_predicates.push(self.parse_expr()?);
                     }
                 } else {
@@ -110,7 +111,7 @@ impl Parser {
             }
         }
 
-        let mut where_clause = if self.eat_keyword("WHERE") {
+        let mut where_clause = if self.eat_keyword(Keyword::Where) {
             Some(self.parse_expr()?)
         } else {
             None
@@ -124,8 +125,8 @@ impl Parser {
         }
 
         let mut group_by = Vec::new();
-        if self.eat_keyword("GROUP") {
-            self.expect_keyword("BY")?;
+        if self.eat_keyword(Keyword::Group) {
+            self.expect_keyword(Keyword::By)?;
             loop {
                 group_by.push(self.parse_expr()?);
                 if !self.eat(&Token::Comma) {
@@ -134,21 +135,21 @@ impl Parser {
             }
         }
 
-        let having = if self.eat_keyword("HAVING") {
+        let having = if self.eat_keyword(Keyword::Having) {
             Some(self.parse_expr()?)
         } else {
             None
         };
 
         let mut order_by = Vec::new();
-        if self.eat_keyword("ORDER") {
-            self.expect_keyword("BY")?;
+        if self.eat_keyword(Keyword::Order) {
+            self.expect_keyword(Keyword::By)?;
             loop {
                 let expr = self.parse_expr()?;
-                let desc = if self.eat_keyword("DESC") {
+                let desc = if self.eat_keyword(Keyword::Desc) {
                     true
                 } else {
-                    self.eat_keyword("ASC");
+                    self.eat_keyword(Keyword::Asc);
                     false
                 };
                 order_by.push(OrderByItem { expr, desc });
@@ -158,7 +159,7 @@ impl Parser {
             }
         }
 
-        let limit = if self.eat_keyword("LIMIT") {
+        let limit = if self.eat_keyword(Keyword::Limit) {
             Some(self.parse_expr()?)
         } else {
             None
@@ -177,18 +178,20 @@ impl Parser {
     }
 
     fn peek_join_keyword(&self) -> bool {
-        matches!(self.peek(), Token::Keyword(k) if k == "JOIN" || k == "INNER" || k == "CROSS")
+        matches!(
+            self.peek(),
+            Token::Keyword(Keyword::Join | Keyword::Inner | Keyword::Cross)
+        )
     }
 
     fn parse_table_ref(&mut self) -> Result<TableRef, ParseError> {
         let name = self.expect_ident()?;
-        let alias = if self.eat_keyword("AS") {
+        let alias = if self.eat_keyword(Keyword::As) {
             Some(self.expect_ident()?)
-        } else if let Token::Ident(a) = self.peek() {
+        } else if let Token::Ident(a) = *self.peek() {
             // Bare alias: `FROM orders o`.
-            let a = a.clone();
             self.pos += 1;
-            Some(a)
+            Some(a.to_string())
         } else {
             None
         };
@@ -198,8 +201,8 @@ impl Parser {
     // ------------------------------------------------------------------- DML
 
     fn parse_insert(&mut self) -> Result<Statement, ParseError> {
-        self.expect_keyword("INSERT")?;
-        self.expect_keyword("INTO")?;
+        self.expect_keyword(Keyword::Insert)?;
+        self.expect_keyword(Keyword::Into)?;
         let table = self.expect_ident()?;
         let mut columns = Vec::new();
         if self.eat(&Token::LParen) {
@@ -211,7 +214,7 @@ impl Parser {
             }
             self.expect(&Token::RParen)?;
         }
-        self.expect_keyword("VALUES")?;
+        self.expect_keyword(Keyword::Values)?;
         let mut rows = Vec::new();
         loop {
             self.expect(&Token::LParen)?;
@@ -236,9 +239,9 @@ impl Parser {
     }
 
     fn parse_update(&mut self) -> Result<Statement, ParseError> {
-        self.expect_keyword("UPDATE")?;
+        self.expect_keyword(Keyword::Update)?;
         let table = self.expect_ident()?;
-        self.expect_keyword("SET")?;
+        self.expect_keyword(Keyword::Set)?;
         let mut assignments = Vec::new();
         loop {
             let col = self.expect_ident()?;
@@ -249,7 +252,7 @@ impl Parser {
                 break;
             }
         }
-        let where_clause = if self.eat_keyword("WHERE") {
+        let where_clause = if self.eat_keyword(Keyword::Where) {
             Some(self.parse_expr()?)
         } else {
             None
@@ -262,10 +265,10 @@ impl Parser {
     }
 
     fn parse_delete(&mut self) -> Result<Statement, ParseError> {
-        self.expect_keyword("DELETE")?;
-        self.expect_keyword("FROM")?;
+        self.expect_keyword(Keyword::Delete)?;
+        self.expect_keyword(Keyword::From)?;
         let table = self.expect_ident()?;
-        let where_clause = if self.eat_keyword("WHERE") {
+        let where_clause = if self.eat_keyword(Keyword::Where) {
             Some(self.parse_expr()?)
         } else {
             None
@@ -279,14 +282,14 @@ impl Parser {
     // ------------------------------------------------------------------- DDL
 
     fn parse_create(&mut self) -> Result<Statement, ParseError> {
-        self.expect_keyword("CREATE")?;
-        if self.eat_keyword("TABLE") {
+        self.expect_keyword(Keyword::Create)?;
+        if self.eat_keyword(Keyword::Table) {
             return self.parse_create_table();
         }
-        let unique = self.eat_keyword("UNIQUE");
-        self.expect_keyword("INDEX")?;
+        let unique = self.eat_keyword(Keyword::Unique);
+        self.expect_keyword(Keyword::Index)?;
         let name = self.expect_ident()?;
-        self.expect_keyword("ON")?;
+        self.expect_keyword(Keyword::On)?;
         let table = self.expect_ident()?;
         self.expect(&Token::LParen)?;
         let mut columns = Vec::new();
@@ -311,8 +314,8 @@ impl Parser {
         let mut columns = Vec::new();
         let mut primary_key = Vec::new();
         loop {
-            if self.eat_keyword("PRIMARY") {
-                self.expect_keyword("KEY")?;
+            if self.eat_keyword(Keyword::Primary) {
+                self.expect_keyword(Keyword::Key)?;
                 self.expect(&Token::LParen)?;
                 loop {
                     primary_key.push(self.expect_ident()?);
@@ -364,10 +367,10 @@ impl Parser {
     }
 
     fn parse_drop(&mut self) -> Result<Statement, ParseError> {
-        self.expect_keyword("DROP")?;
-        self.expect_keyword("INDEX")?;
+        self.expect_keyword(Keyword::Drop)?;
+        self.expect_keyword(Keyword::Index)?;
         let name = self.expect_ident()?;
-        self.expect_keyword("ON")?;
+        self.expect_keyword(Keyword::On)?;
         let table = self.expect_ident()?;
         Ok(Statement::DropIndex { name, table })
     }
@@ -381,11 +384,12 @@ impl Parser {
 
     fn parse_or(&mut self) -> Result<Expr, ParseError> {
         let first = self.parse_and()?;
-        if !self.peek_keyword("OR") {
+        if !self.peek_keyword(Keyword::Or) {
             return Ok(first);
         }
-        let mut parts = vec![first];
-        while self.eat_keyword("OR") {
+        let mut parts = Vec::with_capacity(4);
+        parts.push(first);
+        while self.eat_keyword(Keyword::Or) {
             parts.push(self.parse_and()?);
         }
         Ok(Expr::or(parts))
@@ -393,18 +397,19 @@ impl Parser {
 
     fn parse_and(&mut self) -> Result<Expr, ParseError> {
         let first = self.parse_not()?;
-        if !self.peek_keyword("AND") {
+        if !self.peek_keyword(Keyword::And) {
             return Ok(first);
         }
-        let mut parts = vec![first];
-        while self.eat_keyword("AND") {
+        let mut parts = Vec::with_capacity(4);
+        parts.push(first);
+        while self.eat_keyword(Keyword::And) {
             parts.push(self.parse_not()?);
         }
         Ok(Expr::and(parts))
     }
 
     fn parse_not(&mut self) -> Result<Expr, ParseError> {
-        if self.eat_keyword("NOT") {
+        if self.eat_keyword(Keyword::Not) {
             Ok(Expr::Not(Box::new(self.parse_not()?)))
         } else {
             self.parse_comparison()
@@ -415,8 +420,8 @@ impl Parser {
         let left = self.parse_additive()?;
 
         // Postfix predicate forms, possibly negated: IN, BETWEEN, LIKE, IS.
-        let negated = self.eat_keyword("NOT");
-        if self.eat_keyword("IN") {
+        let negated = self.eat_keyword(Keyword::Not);
+        if self.eat_keyword(Keyword::In) {
             self.expect(&Token::LParen)?;
             let mut list = Vec::new();
             loop {
@@ -432,9 +437,9 @@ impl Parser {
                 negated,
             });
         }
-        if self.eat_keyword("BETWEEN") {
+        if self.eat_keyword(Keyword::Between) {
             let low = self.parse_additive()?;
-            self.expect_keyword("AND")?;
+            self.expect_keyword(Keyword::And)?;
             let high = self.parse_additive()?;
             return Ok(Expr::Between {
                 expr: Box::new(left),
@@ -443,7 +448,7 @@ impl Parser {
                 negated,
             });
         }
-        if self.eat_keyword("LIKE") {
+        if self.eat_keyword(Keyword::Like) {
             let pattern = self.parse_additive()?;
             return Ok(Expr::Like {
                 expr: Box::new(left),
@@ -454,9 +459,9 @@ impl Parser {
         if negated {
             return Err(self.error("expected IN, BETWEEN or LIKE after NOT"));
         }
-        if self.eat_keyword("IS") {
-            let negated = self.eat_keyword("NOT");
-            self.expect_keyword("NULL")?;
+        if self.eat_keyword(Keyword::Is) {
+            let negated = self.eat_keyword(Keyword::Not);
+            self.expect_keyword(Keyword::Null)?;
             return Ok(Expr::IsNull {
                 expr: Box::new(left),
                 negated,
@@ -529,16 +534,17 @@ impl Parser {
     }
 
     fn parse_atom(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
-            Token::Int(v) => {
+        match self.peek() {
+            &Token::Int(v) => {
                 self.pos += 1;
                 Ok(Expr::Literal(Literal::Int(v)))
             }
-            Token::Float(v) => {
+            &Token::Float(v) => {
                 self.pos += 1;
                 Ok(Expr::Literal(Literal::Float(v)))
             }
             Token::Str(s) => {
+                let s = s.as_ref().to_string();
                 self.pos += 1;
                 Ok(Expr::Literal(Literal::Str(s)))
             }
@@ -552,26 +558,29 @@ impl Parser {
                 self.expect(&Token::RParen)?;
                 Ok(inner)
             }
-            Token::Keyword(k) => match k.as_str() {
-                "NULL" => {
-                    self.pos += 1;
-                    Ok(Expr::Literal(Literal::Null))
-                }
-                "TRUE" => {
-                    self.pos += 1;
-                    Ok(Expr::Literal(Literal::Bool(true)))
-                }
-                "FALSE" => {
-                    self.pos += 1;
-                    Ok(Expr::Literal(Literal::Bool(false)))
-                }
-                "COUNT" | "SUM" | "AVG" | "MIN" | "MAX" => self.parse_aggregate(&k),
-                other => Err(self.error(format!("unexpected keyword {other} in expression"))),
-            },
-            Token::Ident(name) => {
+            &Token::Keyword(k) => {
+                let expr = match k {
+                    Keyword::Null => Expr::Literal(Literal::Null),
+                    Keyword::True => Expr::Literal(Literal::Bool(true)),
+                    Keyword::False => Expr::Literal(Literal::Bool(false)),
+                    Keyword::Count => return self.parse_aggregate(AggFunc::Count),
+                    Keyword::Sum => return self.parse_aggregate(AggFunc::Sum),
+                    Keyword::Avg => return self.parse_aggregate(AggFunc::Avg),
+                    Keyword::Min => return self.parse_aggregate(AggFunc::Min),
+                    Keyword::Max => return self.parse_aggregate(AggFunc::Max),
+                    other => {
+                        return Err(
+                            self.error(format!("unexpected keyword {other} in expression"))
+                        )
+                    }
+                };
+                self.pos += 1;
+                Ok(expr)
+            }
+            &Token::Ident(name) => {
                 self.pos += 1;
                 if self.eat(&Token::Dot) {
-                    if let Token::Ident(col) = self.peek().clone() {
+                    if let Token::Ident(col) = *self.peek() {
                         self.pos += 1;
                         Ok(Expr::Column(ColumnRef::qualified(name, col)))
                     } else {
@@ -585,15 +594,8 @@ impl Parser {
         }
     }
 
-    fn parse_aggregate(&mut self, name: &str) -> Result<Expr, ParseError> {
-        let func = match name {
-            "COUNT" => AggFunc::Count,
-            "SUM" => AggFunc::Sum,
-            "AVG" => AggFunc::Avg,
-            "MIN" => AggFunc::Min,
-            "MAX" => AggFunc::Max,
-            other => return Err(self.error(format!("unknown aggregate {other}"))),
-        };
+    /// Parses the call after an aggregate keyword, which is the current token.
+    fn parse_aggregate(&mut self, func: AggFunc) -> Result<Expr, ParseError> {
         self.pos += 1;
         self.expect(&Token::LParen)?;
         if self.eat(&Token::Star) {
@@ -604,7 +606,7 @@ impl Parser {
                 distinct: false,
             });
         }
-        let distinct = self.eat_keyword("DISTINCT");
+        let distinct = self.eat_keyword(Keyword::Distinct);
         let arg = self.parse_expr()?;
         self.expect(&Token::RParen)?;
         Ok(Expr::Aggregate {
@@ -616,15 +618,15 @@ impl Parser {
 
     // --------------------------------------------------------------- helpers
 
-    fn peek(&self) -> &Token {
+    fn peek(&self) -> &Token<'a> {
         &self.tokens[self.pos].token
     }
 
-    fn peek_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek(), Token::Keyword(k) if k == kw)
+    fn peek_keyword(&self, kw: Keyword) -> bool {
+        matches!(self.peek(), Token::Keyword(k) if *k == kw)
     }
 
-    fn eat(&mut self, token: &Token) -> bool {
+    fn eat(&mut self, token: &Token<'_>) -> bool {
         if self.peek() == token {
             self.pos += 1;
             true
@@ -633,7 +635,7 @@ impl Parser {
         }
     }
 
-    fn eat_keyword(&mut self, kw: &str) -> bool {
+    fn eat_keyword(&mut self, kw: Keyword) -> bool {
         if self.peek_keyword(kw) {
             self.pos += 1;
             true
@@ -642,7 +644,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, token: &Token) -> Result<(), ParseError> {
+    fn expect(&mut self, token: &Token<'_>) -> Result<(), ParseError> {
         if self.eat(token) {
             Ok(())
         } else {
@@ -650,7 +652,7 @@ impl Parser {
         }
     }
 
-    fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
+    fn expect_keyword(&mut self, kw: Keyword) -> Result<(), ParseError> {
         if self.eat_keyword(kw) {
             Ok(())
         } else {
@@ -659,10 +661,10 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
-            Token::Ident(name) => {
+        match self.peek() {
+            &Token::Ident(name) => {
                 self.pos += 1;
-                Ok(name)
+                Ok(name.to_string())
             }
             other => Err(self.error(format!("expected identifier, found {other:?}"))),
         }

@@ -72,4 +72,11 @@ echo "== aim-e2e smoke + verify (end-to-end benchmark gate)"
 bench/run.sh smoke
 bench/run.sh verify
 
+echo "== aim-e2e unit tests (BENCHMARK.json and bench/src/metrics.rs in step)"
+# bench/ is outside the workspace, so `cargo test -q` above never reaches
+# its tests; one of them fails when BENCHMARK.json and the metric
+# definitions in bench/src/metrics.rs name different metrics.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
+    cargo test --release --offline --quiet --manifest-path bench/Cargo.toml
+
 echo "== ci: all checks passed"
