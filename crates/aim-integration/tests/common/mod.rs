@@ -169,11 +169,8 @@ pub fn job() -> Corpus {
 }
 
 /// The statement kinds of the benchmark's `disk_oltp` workload — padded
-/// INSERTs, UPDATEs by key, range scans and secondary-key lookups — with
-/// the secondary index appearing halfway through the mix.
-pub fn oltp() -> Corpus {
-    const ROWS: i64 = 300;
-    const MIX: usize = 400;
+/// INSERTs, UPDATEs by key, range scans and secondary-key lookups.
+pub fn oltp_texts() -> Vec<String> {
     let mut rng = StdRng::seed_from_u64(0xd15c);
     let pad = "x".repeat(200);
     let insert = |id: i64, rng: &mut StdRng| {
@@ -185,9 +182,9 @@ pub fn oltp() -> Corpus {
             rng.gen_range(0..1000i64),
         )
     };
-    let mut texts: Vec<String> = (0..ROWS).map(|id| insert(id, &mut rng)).collect();
-    let mut next_id = ROWS;
-    for _ in 0..MIX {
+    let mut texts: Vec<String> = (0..OLTP_ROWS).map(|id| insert(id, &mut rng)).collect();
+    let mut next_id = OLTP_ROWS;
+    for _ in 0..OLTP_MIX {
         texts.push(match rng.gen_range(0..10usize) {
             0 => {
                 next_id += 1;
@@ -196,10 +193,10 @@ pub fn oltp() -> Corpus {
             1 => format!(
                 "UPDATE orders SET customer_id = {} WHERE id = {}",
                 rng.gen_range(0..40i64),
-                rng.gen_range(0..ROWS)
+                rng.gen_range(0..OLTP_ROWS)
             ),
             2..=4 => {
-                let lo = rng.gen_range(0..ROWS - 40);
+                let lo = rng.gen_range(0..OLTP_ROWS - 40);
                 format!(
                     "SELECT id, amount FROM orders WHERE id >= {lo} AND id < {}",
                     lo + 40
@@ -211,7 +208,14 @@ pub fn oltp() -> Corpus {
             ),
         });
     }
-    let mut corpus = Corpus::new("oltp", texts);
+    texts
+}
+
+const OLTP_ROWS: i64 = 300;
+const OLTP_MIX: usize = 400;
+
+/// The empty `orders` table the OLTP mix runs on.
+pub fn oltp_db() -> Database {
     let mut db = Database::new();
     db.create_table(
         TableSchema::new(
@@ -228,7 +232,14 @@ pub fn oltp() -> Corpus {
         .expect("valid schema"),
     )
     .expect("fresh db");
-    let half = ROWS as usize + MIX / 2;
+    db
+}
+
+/// The OLTP mix, with the secondary index appearing halfway through it.
+pub fn oltp() -> Corpus {
+    let mut corpus = Corpus::new("oltp", oltp_texts());
+    let mut db = oltp_db();
+    let half = OLTP_ROWS as usize + OLTP_MIX / 2;
     corpus.execute(&mut db, 0..half);
     db.create_index(
         index("ix_orders_customer", "orders", "customer_id"),
