@@ -11,11 +11,11 @@
 //! configuration achieves, so the time/quality trade-off is visible.
 
 use aim_core::{
-    defs_to_config, generate_candidates, knapsack_select, rank_candidates, workload_cost,
-    CandidateGenConfig, CoveringPolicy, WeightedQuery,
+    defs_to_config, generate_candidates, knapsack_select, rank_candidates, synthetic_workload,
+    workload_cost, CandidateGenConfig, CoveringPolicy, WeightedQuery,
 };
-use aim_exec::{estimate_statement_cost, CostModel, HypoConfig};
-use aim_monitor::{QueryStats, WorkloadQuery};
+use aim_exec::{CostModel, HypoConfig};
+use aim_monitor::WorkloadQuery;
 use aim_storage::{Database, IndexDef};
 use aim_bench::microbench::Criterion;
 use aim_bench::{criterion_group, criterion_main};
@@ -31,19 +31,7 @@ fn fixture() -> (Database, Vec<WeightedQuery>, Vec<WorkloadQuery>) {
     };
     let db = aim_workloads::join_heavy::build_database(&cfg);
     let weighted = aim_workloads::join_heavy::weighted(17);
-    let cm = CostModel::default();
-    let empty = HypoConfig::only(Vec::new());
-    let synthetic: Vec<WorkloadQuery> = weighted
-        .iter()
-        .map(|wq| {
-            let base = estimate_statement_cost(&db, &wq.statement, &empty, &cm).unwrap_or(0.0);
-            WorkloadQuery {
-                stats: QueryStats::synthetic(&wq.statement, 1, wq.weight * base),
-                benefit: 0.0,
-                weight: wq.weight,
-            }
-        })
-        .collect();
+    let synthetic = synthetic_workload(&db, &weighted, &CostModel::default());
     (db, weighted, synthetic)
 }
 
@@ -53,13 +41,7 @@ fn pipeline(db: &Database, synthetic: &[WorkloadQuery], cfg: &CandidateGenConfig
     let ranked = rank_candidates(db, synthetic, &candidates, &cm);
     knapsack_select(&ranked, u64::MAX, 0)
         .into_iter()
-        .map(|r| {
-            IndexDef::new(
-                r.candidate.name(),
-                r.candidate.table.clone(),
-                r.candidate.columns.clone(),
-            )
-        })
+        .map(|r| r.candidate.def())
         .collect()
 }
 

@@ -4,11 +4,10 @@
 
 use aim_baselines::{Dta, Extend};
 use aim_core::{
-    generate_candidates, merge_partial_orders, rank_candidates, AimAdvisor, CandidateGenConfig,
-    CoveringPolicy, IndexAdvisor, PartialOrder, WeightedQuery,
+    generate_candidates, merge_partial_orders, rank_candidates, synthetic_workload, AimAdvisor,
+    CandidateGenConfig, CoveringPolicy, IndexAdvisor, PartialOrder, WeightedQuery,
 };
-use aim_exec::{estimate_statement_cost, CostModel, HypoConfig};
-use aim_monitor::{QueryStats, WorkloadQuery};
+use aim_exec::CostModel;
 use aim_storage::Database;
 use aim_bench::microbench::Criterion;
 use aim_bench::{criterion_group, criterion_main};
@@ -25,25 +24,9 @@ fn tpch_fixture() -> (Database, Vec<WeightedQuery>) {
     )
 }
 
-fn synthetic_workload(db: &Database, workload: &[WeightedQuery]) -> Vec<WorkloadQuery> {
-    let cm = CostModel::default();
-    let empty = HypoConfig::only(Vec::new());
-    workload
-        .iter()
-        .map(|wq| {
-            let base = estimate_statement_cost(db, &wq.statement, &empty, &cm).unwrap_or(0.0);
-            WorkloadQuery {
-                stats: QueryStats::synthetic(&wq.statement, 1, wq.weight * base),
-                benefit: 0.0,
-                weight: wq.weight,
-            }
-        })
-        .collect()
-}
-
 fn bench_candidate_generation(c: &mut Criterion) {
     let (db, workload) = tpch_fixture();
-    let synthetic = synthetic_workload(&db, &workload);
+    let synthetic = synthetic_workload(&db, &workload, &CostModel::default());
     let cfg = CandidateGenConfig {
         join_parameter: 3,
         covering: CoveringPolicy::Both,
@@ -69,7 +52,7 @@ fn bench_partial_order_merge(c: &mut Criterion) {
 
 fn bench_ranking(c: &mut Criterion) {
     let (db, workload) = tpch_fixture();
-    let synthetic = synthetic_workload(&db, &workload);
+    let synthetic = synthetic_workload(&db, &workload, &CostModel::default());
     let cfg = CandidateGenConfig {
         join_parameter: 3,
         covering: CoveringPolicy::Both,

@@ -28,10 +28,9 @@
 
 use aim_core::{
     generate_candidates, knapsack_select, rank_candidates_unbatched, rank_candidates_with,
-    refine_selection, CandidateGenConfig, RankedCandidate,
+    refine_selection, synthetic_workload, CandidateGenConfig, RankedCandidate, WeightedQuery,
 };
 use aim_exec::{CostModel, HypoConfig, HypotheticalIndex};
-use aim_monitor::{QueryStats, WorkloadQuery};
 use aim_sql::parse_statement;
 use aim_storage::{ColumnDef, ColumnType, Database, IndexDef, IoStats, TableSchema, Value};
 use std::sync::Arc;
@@ -217,20 +216,11 @@ fn main() {
         ("UPDATE wide SET c00 = 9 WHERE id = 100", 15.0),
         ("DELETE FROM wide WHERE c31 = 999", 2.0),
     ];
-    let empty = HypoConfig::shared(Vec::new());
-    let workload: Vec<WorkloadQuery> = workload_sqls
+    let weighted: Vec<WeightedQuery> = workload_sqls
         .iter()
-        .map(|(sql, weight)| {
-            let stmt = parse_statement(sql).unwrap();
-            let base =
-                aim_exec::estimate_statement_cost(&db, &stmt, &empty, &cm).unwrap_or(0.0);
-            WorkloadQuery {
-                stats: QueryStats::synthetic(&stmt, *weight as u64, weight * base),
-                benefit: 0.0,
-                weight: *weight,
-            }
-        })
+        .map(|(sql, weight)| WeightedQuery::new(parse_statement(sql).unwrap(), *weight))
         .collect();
+    let workload = synthetic_workload(&db, &weighted, &cm);
     let candidates = generate_candidates(&db, &workload, &CandidateGenConfig::default());
 
     cache.clear();

@@ -21,11 +21,11 @@
 //! gate for the memoization layer.
 
 use aim_core::{
-    generate_candidates, knapsack_select, rank_candidates_with, validate_on_clone,
-    CandidateGenConfig, CoveringPolicy, RankedCandidate, ValidationConfig,
+    generate_candidates, knapsack_select, rank_candidates_with, synthetic_workload,
+    validate_on_clone, CandidateGenConfig, CoveringPolicy, RankedCandidate, ValidationConfig,
 };
-use aim_exec::{estimate_statement_cost, CostModel, Engine, HypoConfig};
-use aim_monitor::{QueryStats, WorkloadQuery};
+use aim_exec::{CostModel, Engine};
+use aim_monitor::WorkloadQuery;
 use aim_storage::Database;
 use std::io::Write as _;
 use std::time::Instant;
@@ -177,23 +177,8 @@ fn main() {
     let db = aim_workloads::tpch::build_database(&cfg);
     let weighted = aim_workloads::tpch::weighted_workload(17);
 
-    // Same synthetic-statistics construction as `AimAdvisor::recommend`:
-    // weight × unindexed estimated cost stands in for observed CPU.
     let cm = CostModel::default();
-    let empty = HypoConfig::only(Vec::new());
-    let workload: Vec<WorkloadQuery> = weighted
-        .iter()
-        .map(|wq| WorkloadQuery {
-            stats: QueryStats::synthetic(
-                &wq.statement,
-                wq.weight.max(1.0) as u64,
-                wq.weight
-                    * estimate_statement_cost(&db, &wq.statement, &empty, &cm).unwrap_or(0.0),
-            ),
-            benefit: 0.0,
-            weight: wq.weight,
-        })
-        .collect();
+    let workload = synthetic_workload(&db, &weighted, &cm);
     let gen = CandidateGenConfig {
         join_parameter: 3,
         max_width: 4,

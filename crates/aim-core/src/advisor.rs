@@ -7,8 +7,11 @@
 //! optimizer-*estimated* workload cost under the returned configuration,
 //! relative to the unindexed cost.
 
-use crate::candidates::{generate_candidates, CandidateGenConfig, CoveringPolicy};
-use crate::ranking::{knapsack_select, rank_candidates};
+use crate::candidates::{CandidateGenConfig, CoveringPolicy};
+use crate::ledger::Decisions;
+use crate::plan::PassPlanner;
+use crate::ranking::knapsack_select;
+use crate::session::{AimOutcome, RetryPolicy, RunCtl};
 use aim_exec::{
     estimate_statement_cost, estimate_statement_cost_batch, CostModel, HypoConfig,
     HypotheticalIndex,
@@ -100,6 +103,34 @@ pub fn config_size(db: &Database, defs: &[IndexDef]) -> u64 {
         .sum()
 }
 
+/// The monitor statistics a weighted workload stands for: weight × the
+/// unindexed estimated cost takes the place of observed CPU, which is what
+/// Eq. 7 scales by. This is how every benchmark-style caller — the
+/// advisor, the paper-figure bins, the micro-benchmarks — turns weighted
+/// statements into the [`WorkloadQuery`]s the pipeline consumes.
+pub fn synthetic_workload(
+    db: &Database,
+    workload: &[WeightedQuery],
+    cm: &CostModel,
+) -> Vec<WorkloadQuery> {
+    let empty = HypoConfig::only(Vec::new());
+    workload
+        .iter()
+        .map(|wq| {
+            let base = estimate_statement_cost(db, &wq.statement, &empty, cm).unwrap_or(0.0);
+            WorkloadQuery {
+                stats: QueryStats::synthetic(
+                    &wq.statement,
+                    wq.weight.max(1.0) as u64,
+                    wq.weight * base,
+                ),
+                benefit: 0.0,
+                weight: wq.weight,
+            }
+        })
+        .collect()
+}
+
 /// AIM operating as a pure advisor: structural candidate generation +
 /// merging + ranking + knapsack, no clone validation (the benchmark
 /// framework has no execution phase).
@@ -142,37 +173,27 @@ impl IndexAdvisor for AimAdvisor {
         budget_bytes: u64,
     ) -> Vec<IndexDef> {
         let _span = aim_telemetry::span("aim.recommend");
-        // Fabricate monitor statistics: weight × unindexed estimated cost
-        // stands in for observed CPU, which is what Eq. 7 scales by.
-        let empty = HypoConfig::only(Vec::new());
-        let synthetic: Vec<WorkloadQuery> = workload
-            .iter()
-            .map(|wq| {
-                let base =
-                    estimate_statement_cost(db, &wq.statement, &empty, &self.cost_model)
-                        .unwrap_or(0.0);
-                WorkloadQuery {
-                    stats: QueryStats::synthetic(
-                        &wq.statement,
-                        wq.weight.max(1.0) as u64,
-                        wq.weight * base,
-                    ),
-                    benefit: 0.0,
-                    weight: wq.weight,
-                }
-            })
-            .collect();
-        let candidates = generate_candidates(db, &synthetic, &self.gen);
-        let ranked = rank_candidates(db, &synthetic, &candidates, &self.cost_model);
+        let synthetic = synthetic_workload(db, workload, &self.cost_model);
+        // The session's planning code under benchmark conditions: no
+        // deadline, no retries, nobody listening to the decisions. A
+        // transient what-if fault therefore recommends nothing rather than
+        // failing — the interface has no error channel.
+        let planner = PassPlanner {
+            candidate_gen: &self.gen,
+            sharding: None,
+            workers: 0,
+            cost_model: &self.cost_model,
+            retry: &RetryPolicy::none(),
+            ctl: &RunCtl::none(),
+            decisions: &Decisions::none(),
+        };
+        let ranked = planner
+            .plan(db, &synthetic, &mut AimOutcome::default())
+            .unwrap_or_default();
+        // Existing indexes do not count against the benchmark's budget.
         knapsack_select(&ranked, budget_bytes, 0)
             .into_iter()
-            .map(|r| {
-                IndexDef::new(
-                    r.candidate.name(),
-                    r.candidate.table.clone(),
-                    r.candidate.columns.clone(),
-                )
-            })
+            .map(|r| r.candidate.def())
             .collect()
     }
 }

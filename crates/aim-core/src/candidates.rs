@@ -18,7 +18,7 @@ use crate::metadata::{analyze_structure, FactorGroup, QueryStructure, TableInfo}
 use crate::partial_order::{merge_partial_orders, PartialOrder};
 use aim_monitor::{QueryStats, WorkloadQuery};
 use aim_sql::normalize::QueryFingerprint;
-use aim_storage::Database;
+use aim_storage::{Database, IndexDef};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Whether a query's candidates are generated in covering mode.
@@ -132,6 +132,18 @@ impl CandidateIndex {
     pub fn name(&self) -> String {
         format!("aim_{}_{}", self.table, self.columns.join("_"))
     }
+
+    /// The definition this candidate is priced and materialized as.
+    pub fn def(&self) -> IndexDef {
+        IndexDef::new(self.name(), self.table.clone(), self.columns.clone())
+    }
+}
+
+/// True when `prefix` is a leading part (or all) of the key `columns`: on
+/// the same table, an index on `columns` then serves every access path an
+/// index on `prefix` offers.
+pub(crate) fn is_key_prefix(prefix: &[String], columns: &[String]) -> bool {
+    columns.len() >= prefix.len() && columns[..prefix.len()] == *prefix
 }
 
 /// `TryCoveringIndex` (Algorithm 2 line 3): covering mode is tried only

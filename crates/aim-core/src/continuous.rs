@@ -8,10 +8,10 @@
 //! prefix-redundant indexes are detected from the workload window and
 //! dropped.
 
-use crate::driver::{Aim, AimOutcome};
+use crate::candidates::is_key_prefix;
 use crate::error::AimError;
-use crate::sentinel::{LatencySentinel, SentinelVerdict};
-use crate::session::TuningSession;
+use crate::sentinel::{drop_index_named, LatencySentinel};
+use crate::session::{AimOutcome, TuningSession};
 use aim_monitor::WorkloadMonitor;
 use aim_sql::normalize::QueryFingerprint;
 use aim_storage::{Database, IndexDef};
@@ -126,7 +126,7 @@ pub fn find_prefix_redundant_indexes(db: &Database) -> Vec<IndexDef> {
                 a.table == b.table
                     && a.name != b.name
                     && b.columns.len() > a.columns.len()
-                    && b.columns[..a.columns.len()] == a.columns[..]
+                    && is_key_prefix(&a.columns, &b.columns)
             })
         })
         .cloned()
@@ -169,12 +169,6 @@ pub struct ContinuousTuner {
 }
 
 impl ContinuousTuner {
-    /// Creates a continuous tuner around an [`Aim`] instance (no deadline,
-    /// default retries).
-    pub fn new(aim: Aim, regression_tolerance: f64) -> Self {
-        Self::with_session(TuningSession::from_aim(aim), regression_tolerance)
-    }
-
     /// Creates a continuous tuner around a configured [`TuningSession`],
     /// inheriting its deadline, retry policy and cancel token per step.
     pub fn with_session(session: TuningSession, regression_tolerance: f64) -> Self {
@@ -224,82 +218,14 @@ impl ContinuousTuner {
         //    A regression verdict rolls back the previous step's
         //    materialization before anything else happens.
         let window = aim_telemetry::timeseries::tick("continuous_window");
-        let mut firing: BTreeSet<String> = BTreeSet::new();
-        if self.sentinel.is_some() && window.is_some() {
-            let watched = self.sentinel.as_ref().map(|s| s.config.histogram);
-            for status in aim_telemetry::slo::evaluate() {
-                if !status.firing {
-                    continue;
-                }
-                let tenant = status.tenant.clone().unwrap_or_default();
-                aim_telemetry::event(
-                    aim_telemetry::EventKind::SloAlert,
-                    &status.rule,
-                    format!(
-                        "tenant \"{tenant}\" {}: current {:.1} over target {:.1}, \
-                         burn rate fast {:.2} / slow {:.2}",
-                        status.metric, status.current, status.target,
-                        status.fast_burn, status.slow_burn
-                    ),
-                );
-                if Some(status.metric.as_str()) == watched {
-                    firing.insert(tenant);
-                }
-            }
-        }
-        let verdicts = match (self.sentinel.as_mut(), window.as_ref()) {
-            (Some(sentinel), Some(window)) => sentinel.observe_window_all(window, &firing),
-            _ => Vec::new(),
-        };
-        for tv in verdicts {
-            let SentinelVerdict::Regressed {
-                current,
-                baseline,
-                suspects,
-            } = tv.verdict
-            else {
-                continue;
-            };
-            let _rollback_span = aim_telemetry::span("regression_rollback");
-            aim_telemetry::metrics::REGRESSIONS_DETECTED.incr();
-            let attribution = if tv.alert {
-                " (SLO alert-attributed)"
-            } else {
-                ""
-            };
-            let series = if tv.tenant.is_empty() {
-                "all-tenant".to_string()
-            } else {
-                format!("tenant \"{}\"", tv.tenant)
-            };
-            for name in suspects {
-                let Some(def) = db.all_indexes().into_iter().find(|d| d.name == name) else {
-                    continue;
-                };
-                if db.drop_index(&def.table, &def.name).is_ok() {
-                    aim_telemetry::metrics::counter_add("sentinel.rollbacks", 1);
-                    aim_telemetry::event(
-                        aim_telemetry::EventKind::RegressionRollback,
-                        &def.name,
-                        format!(
-                            "{series} windowed select-latency regressed \
-                             ({baseline:.1} -> {current:.1}){attribution}; rolling \
-                             back the materialization that armed the sentinel"
-                        ),
-                    );
-                    self.session.ledger_annotate(
-                        &def.name,
-                        &def.table,
-                        "regression_rollback",
-                        format!(
-                            "latency sentinel{attribution}: {series} windowed \
-                             select-latency {current:.1} exceeded the EWMA baseline \
-                             {baseline:.1} within the post-materialization watch"
-                        ),
-                    );
-                    self.recently_created.remove(&def.name);
-                    outcome.rolled_back.push(def.name);
-                }
+        if let (Some(sentinel), Some(window)) = (self.sentinel.as_mut(), window.as_ref()) {
+            let session = &self.session;
+            let rolled = sentinel.close_window(window, db, |def, detail| {
+                session.ledger_annotate(&def.name, &def.table, "regression_rollback", detail)
+            });
+            for (_, name) in rolled {
+                self.recently_created.remove(&name);
+                outcome.rolled_back.push(name);
             }
         }
 
@@ -326,29 +252,23 @@ impl ContinuousTuner {
                 if !self.recently_created.contains(&name) {
                     continue;
                 }
-                if let Some(def) = db
-                    .all_indexes()
-                    .into_iter()
-                    .find(|d| d.name == name)
-                {
-                    if db.drop_index(&def.table, &def.name).is_ok() {
-                        aim_telemetry::event(
-                            aim_telemetry::EventKind::IndexReverted,
-                            &def.name,
-                            "regression implicated a recently-created index",
-                        );
-                        self.session.ledger_annotate(
-                            &def.name,
-                            &def.table,
-                            "reverted",
-                            format!(
-                                "query {query} regressed (avg cpu {baseline:.1} -> \
-                                 {current:.1}) and its plan used this \
-                                 recently-created index"
-                            ),
-                        );
-                        outcome.reverted.push(def.name);
-                    }
+                if let Some(def) = drop_index_named(db, &name) {
+                    aim_telemetry::event(
+                        aim_telemetry::EventKind::IndexReverted,
+                        &def.name,
+                        "regression implicated a recently-created index",
+                    );
+                    self.session.ledger_annotate(
+                        &def.name,
+                        &def.table,
+                        "reverted",
+                        format!(
+                            "query {query} regressed (avg cpu {baseline:.1} -> \
+                             {current:.1}) and its plan used this \
+                             recently-created index"
+                        ),
+                    );
+                    outcome.reverted.push(def.name);
                 }
             }
         }
@@ -391,25 +311,23 @@ impl ContinuousTuner {
                 .map(|(name, _)| name.clone())
                 .collect();
             for name in expired {
-                if let Some(def) = db.all_indexes().into_iter().find(|d| d.name == name) {
-                    if db.drop_index(&def.table, &def.name).is_ok() {
-                        aim_telemetry::event(
-                            aim_telemetry::EventKind::IndexDropped,
-                            &name,
-                            format!("unused for {} windows", self.unused_grace_windows),
-                        );
-                        self.session.ledger_annotate(
-                            &def.name,
-                            &def.table,
-                            "dropped_unused",
-                            format!(
-                                "no query used this index for {} consecutive \
-                                 observation windows",
-                                self.unused_grace_windows
-                            ),
-                        );
-                        outcome.dropped_unused.push(name.clone());
-                    }
+                if let Some(def) = drop_index_named(db, &name) {
+                    aim_telemetry::event(
+                        aim_telemetry::EventKind::IndexDropped,
+                        &name,
+                        format!("unused for {} windows", self.unused_grace_windows),
+                    );
+                    self.session.ledger_annotate(
+                        &def.name,
+                        &def.table,
+                        "dropped_unused",
+                        format!(
+                            "no query used this index for {} consecutive \
+                             observation windows",
+                            self.unused_grace_windows
+                        ),
+                    );
+                    outcome.dropped_unused.push(name.clone());
                 }
                 self.unused_streak.remove(&name);
             }
@@ -424,7 +342,7 @@ impl ContinuousTuner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::AimConfig;
+    use crate::session::AimConfig;
     use aim_exec::Engine;
     use aim_monitor::SelectionConfig;
     use aim_sql::parse_statement;

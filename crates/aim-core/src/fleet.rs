@@ -44,15 +44,15 @@
 //! assert_eq!(outcome.failed(), 0);
 //! ```
 
-use crate::driver::{Aim, AimConfig, AimOutcome};
 use crate::error::AimError;
-use crate::ledger::DecisionLedger;
+use crate::ledger::{DecisionLedger, Decisions};
 use crate::partial_order::PartialOrder;
-use crate::ranking::{effective_workers, try_rank_candidates_with, RankedCandidate};
-use crate::sentinel::{LatencySentinel, SentinelVerdict};
-use crate::session::{CancelToken, RetryPolicy, RunCtl, TuningSession};
+use crate::plan::PassPlanner;
+use crate::ranking::{effective_workers, RankedCandidate};
+use crate::sentinel::{LatencySentinel, TenantDatabases};
+use crate::session::{AimConfig, AimOutcome, CancelToken, RetryPolicy, RunCtl, TuningSession};
 use crate::sharding::ShardingProfile;
-use aim_monitor::{select_workload, WorkloadMonitor};
+use aim_monitor::WorkloadMonitor;
 use aim_storage::Database;
 use aim_telemetry as tel;
 use std::collections::{BTreeSet, VecDeque};
@@ -109,7 +109,7 @@ pub enum BudgetAllocation {
     /// candidates buy the most workload cost per byte. The per-tenant
     /// session then re-selects under its allocation (greedy, or the LP
     /// refinement when the base config picks
-    /// [`SelectionStrategy::Lp`](crate::driver::SelectionStrategy::Lp)).
+    /// [`SelectionStrategy::Lp`](crate::session::SelectionStrategy::Lp)).
     #[default]
     Knapsack,
 }
@@ -380,10 +380,9 @@ impl FleetSession {
         // Phase 1: probe every tenant's candidate economics.
         let probes: Vec<Probe> = {
             let _s = tel::span("fleet.probe");
-            let cfg = &self.cfg;
             run_pool(workers, &mut *tenants, |t| {
                 let _scope = tel::scope_phase(&t.id, "probe");
-                probe_tenant(cfg, t, &ctl)
+                self.probe_tenant(t, &ctl)
             })
         };
         tel::timeseries::tick("fleet.probe");
@@ -412,15 +411,10 @@ impl FleetSession {
             run_pool(workers, tenants.iter_mut().enumerate(), |(i, t)| {
                 if let Some(err) = &probes[i].error {
                     // The probe already failed this tenant; don't spend
-                    // budgeted tune time re-failing it.
-                    return TenantOutcome {
-                        id: t.id.clone(),
-                        budget: budgets[i],
-                        seeded_orders: 0,
-                        result: Err(err.clone()),
-                        ledger_json: None,
-                        elapsed: Duration::ZERO,
-                    };
+                    // budgeted tune time re-failing it — account for it.
+                    let _scope = tel::scope_phase(&t.id, "tune");
+                    let failed = Err(err.clone());
+                    return self.tenant_outcome(t, budgets[i], 0, failed, None, Instant::now());
                 }
                 let tenant_seeds: &[(String, PartialOrder)] =
                     if hot.contains(&i) { &[] } else { &seeds };
@@ -491,13 +485,29 @@ impl FleetSession {
             cfg.workers = 1;
             cfg.validation.workers = 1;
         }
-        let mut session = TuningSession::from_aim(Aim::new(cfg));
-        session.set_retry(self.retry.clone());
-        session.set_deadline(
+        let session = TuningSession::new(
+            cfg,
             fleet_deadline.map(|d| d.saturating_duration_since(Instant::now())),
+            self.retry.clone(),
+            self.cancel.clone(),
         );
-        session.share_cancel(self.cancel.clone());
         let result = session.run(&mut tenant.db, &tenant.monitor);
+        let ledger_json = session.config().record_ledger.then(|| session.ledger_json());
+        self.tenant_outcome(tenant, budget, seeded_orders, result, ledger_json, slot_started)
+    }
+
+    /// The one place a tenant's slot is accounted for, whichever phase
+    /// ended it: tuned/failed counters, the isolation event, the per-tenant
+    /// rollups behind `/fleet`. Runs under the tenant's telemetry scope.
+    fn tenant_outcome(
+        &self,
+        tenant: &Tenant,
+        budget: u64,
+        seeded_orders: usize,
+        result: Result<AimOutcome, AimError>,
+        ledger_json: Option<String>,
+        slot_started: Instant,
+    ) -> TenantOutcome {
         match &result {
             Ok(_) => tel::metrics::FLEET_SHARDS_TUNED.incr(),
             Err(e) => {
@@ -511,15 +521,9 @@ impl FleetSession {
                 }
             }
         }
-        let ledger_json = if session.config().record_ledger {
-            Some(session.ledger_json())
-        } else {
-            None
-        };
         let elapsed = slot_started.elapsed();
-        // Per-tenant rollups behind the `/fleet` endpoint: wall time as a
-        // labeled histogram (straggler skew), granted vs used budget as
-        // labeled gauges. All recorded under the tenant scope above.
+        // Wall time as a labeled histogram (straggler skew), granted vs
+        // used budget as labeled gauges.
         tel::metrics::histogram_record("fleet.tenant_duration", elapsed.as_secs_f64() * 1e3);
         tel::metrics::gauge_set(
             "fleet.budget_granted_bytes",
@@ -560,147 +564,53 @@ impl FleetSession {
         let Some(window) = tel::timeseries::tick("fleet.window") else {
             return Vec::new();
         };
-        let watched = sentinel.config.histogram;
-        let mut firing: BTreeSet<String> = BTreeSet::new();
-        for status in tel::slo::evaluate() {
-            if !status.firing {
-                continue;
+        sentinel.close_window(&window, tenants, |def, detail| {
+            if let Some(l) = ledger.as_deref_mut() {
+                l.annotate_latest(&def.name, &def.table, "regression_rollback", detail);
             }
-            let tenant = status.tenant.clone().unwrap_or_default();
-            tel::event(
-                tel::EventKind::SloAlert,
-                &status.rule,
-                format!(
-                    "tenant \"{tenant}\" {}: current {:.1} over target {:.1}, \
-                     burn rate fast {:.2} / slow {:.2}",
-                    status.metric, status.current, status.target,
-                    status.fast_burn, status.slow_burn
-                ),
-            );
-            if status.metric == watched {
-                firing.insert(tenant);
-            }
+        })
+    }
+
+    /// Probes one tenant: the session's read-only half (selection →
+    /// candidates → ranking → sharding re-price) with one ranking worker,
+    /// under the fleet's retry policy. Materializes nothing, reports to no
+    /// ledger.
+    fn probe_tenant(&self, tenant: &mut Tenant, ctl: &RunCtl) -> Probe {
+        let base = &self.cfg.base;
+        let profile = tenant.profile.as_ref().or(base.sharding.as_ref());
+        let shard_mult = profile.map_or(1, |p| p.shard_count);
+        let planner = PassPlanner {
+            candidate_gen: &base.candidate_gen,
+            sharding: profile,
+            workers: 1,
+            cost_model: &aim_exec::CostModel::default(),
+            retry: &self.retry,
+            ctl,
+            decisions: &Decisions::none(),
+        };
+        let planned = planner.plan_observed(
+            &mut tenant.db,
+            &tenant.monitor,
+            &base.selection,
+            &mut AimOutcome::default(),
+        );
+        let (ranked, error) = match planned {
+            Ok((_, ranked)) => (ranked, None),
+            Err(e) => (Vec::new(), Some(e)),
+        };
+        Probe {
+            ranked,
+            used: tenant.db.total_secondary_index_bytes().saturating_mul(shard_mult),
+            hotness: tenant.monitor.total_cpu(),
+            error,
         }
-        let mut rolled = Vec::new();
-        for tv in sentinel.observe_window_all(&window, &firing) {
-            let SentinelVerdict::Regressed {
-                current,
-                baseline,
-                suspects,
-            } = tv.verdict
-            else {
-                continue;
-            };
-            let Some(tenant) = tenants.iter_mut().find(|t| t.id == tv.tenant) else {
-                continue;
-            };
-            tel::metrics::REGRESSIONS_DETECTED.incr();
-            let attribution = if tv.alert {
-                " (SLO alert-attributed)"
-            } else {
-                ""
-            };
-            for name in suspects {
-                let Some(def) = tenant.db.all_indexes().into_iter().find(|d| d.name == name)
-                else {
-                    continue;
-                };
-                if tenant.db.drop_index(&def.table, &def.name).is_ok() {
-                    tel::metrics::counter_add("sentinel.rollbacks", 1);
-                    tel::event(
-                        tel::EventKind::RegressionRollback,
-                        &def.name,
-                        format!(
-                            "tenant \"{}\" windowed select-latency regressed \
-                             ({baseline:.1} -> {current:.1}){attribution}; rolling \
-                             back the materialization that armed the sentinel",
-                            tv.tenant
-                        ),
-                    );
-                    if let Some(l) = ledger.as_deref_mut() {
-                        l.annotate_latest(
-                            &def.name,
-                            &def.table,
-                            "regression_rollback",
-                            format!(
-                                "latency sentinel{attribution}: tenant \"{}\" \
-                                 windowed select-latency {current:.1} exceeded the \
-                                 EWMA baseline {baseline:.1} within the \
-                                 post-materialization watch",
-                                tv.tenant
-                            ),
-                        );
-                    }
-                    rolled.push((tv.tenant.clone(), def.name));
-                }
-            }
-        }
-        rolled
     }
 }
 
-/// Probes one tenant: selection → candidate generation → sequential
-/// ranking → sharding re-price. Mirrors the session pipeline's read-only
-/// prefix; materializes nothing.
-fn probe_tenant(cfg: &FleetConfig, tenant: &mut Tenant, ctl: &RunCtl) -> Probe {
-    let engine = aim_exec::Engine::new();
-    let hotness = tenant.monitor.total_cpu();
-    let profile = tenant.profile.as_ref().or(cfg.base.sharding.as_ref());
-    let shard_mult = profile.map_or(1, |p| p.shard_count);
-    let used = tenant
-        .db
-        .total_secondary_index_bytes()
-        .saturating_mul(shard_mult);
-    let mut probe = Probe {
-        ranked: Vec::new(),
-        used,
-        hotness,
-        error: None,
-    };
-    let res = (|| -> Result<Vec<RankedCandidate>, AimError> {
-        ctl.check("fleet.probe")?;
-        let workload = select_workload(&tenant.monitor, &cfg.base.selection);
-        if workload.is_empty() {
-            return Ok(Vec::new());
-        }
-        if tenant.db.stats_dirty() {
-            tenant.db.analyze_all();
-        }
-        let mut candidates = crate::candidates::try_generate_candidates(
-            &tenant.db,
-            &workload,
-            &cfg.base.candidate_gen,
-            ctl,
-        )?;
-        // Same already-served filter as the session: don't price what an
-        // existing index's key prefix already covers.
-        candidates.retain(|c| {
-            let Ok(table) = tenant.db.table(&c.table) else {
-                return false;
-            };
-            !table.indexes().any(|ix| {
-                ix.def().columns.len() >= c.columns.len()
-                    && ix.def().columns[..c.columns.len()] == c.columns[..]
-            })
-        });
-        let mut ranked = try_rank_candidates_with(
-            &tenant.db,
-            &workload,
-            &candidates,
-            &engine.cost_model,
-            1,
-            ctl,
-        )?;
-        if let Some(p) = profile {
-            p.apply(&mut ranked);
-        }
-        Ok(ranked)
-    })();
-    match res {
-        Ok(ranked) => probe.ranked = ranked,
-        Err(e) => probe.error = Some(e),
+impl TenantDatabases for [Tenant] {
+    fn database(&mut self, tenant: &str) -> Option<&mut Database> {
+        self.iter_mut().find(|t| t.id == tenant).map(|t| &mut t.db)
     }
-    probe
 }
 
 /// Splits the fleet budget per [`BudgetAllocation`]. Returns per-tenant

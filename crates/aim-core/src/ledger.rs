@@ -27,9 +27,11 @@
 //! serializable as the `results/decision_ledger.json` artifact
 //! ([`DecisionLedger::to_json`] / [`DecisionLedger::write_json`]).
 
+use crate::candidates::CandidateIndex;
 use aim_telemetry::report::json_escape;
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::Mutex;
 
 /// One step in a candidate's lifecycle. The `stage` doubles as the
 /// verdict (`knapsack_rejected`, `materialized`, ...); `detail` carries
@@ -318,6 +320,51 @@ impl DecisionLedger {
             std::fs::create_dir_all(parent)?;
         }
         std::fs::write(path, self.to_json())
+    }
+}
+
+/// Where a pass reports what it decided about each candidate: one pass of
+/// a shared [`DecisionLedger`], or nowhere. Stages report unconditionally;
+/// with nobody listening a report costs one branch and its detail text is
+/// never built, which keeps the ledger-off pipeline allocation-free.
+pub(crate) struct Decisions<'a> {
+    sink: Option<(&'a Mutex<DecisionLedger>, u64)>,
+}
+
+impl<'a> Decisions<'a> {
+    /// A sink that drops everything: the fleet probe, the advisor, and
+    /// sessions built without [`ledger`](crate::session::AimConfigBuilder::ledger).
+    pub(crate) fn none() -> Self {
+        Self { sink: None }
+    }
+
+    /// Opens the next pass of `ledger`.
+    pub(crate) fn begin(ledger: &'a Mutex<DecisionLedger>) -> Self {
+        let pass = ledger.lock().unwrap_or_else(|e| e.into_inner()).begin_pass();
+        Self { sink: Some((ledger, pass)) }
+    }
+
+    pub(crate) fn recording(&self) -> bool {
+        self.sink.is_some()
+    }
+
+    /// Hands the ledger and the pass number to `f` when someone listens.
+    pub(crate) fn record(&self, f: impl FnOnce(&mut DecisionLedger, u64)) {
+        if let Some((ledger, pass)) = self.sink {
+            f(&mut ledger.lock().unwrap_or_else(|e| e.into_inner()), pass);
+        }
+    }
+
+    /// Appends `stage` to `candidate`'s record of this pass.
+    pub(crate) fn note(
+        &self,
+        candidate: &CandidateIndex,
+        stage: &str,
+        detail: impl FnOnce() -> String,
+    ) {
+        self.record(|l, pass| {
+            l.note(pass, &candidate.name(), &candidate.table, &candidate.columns, stage, detail())
+        });
     }
 }
 

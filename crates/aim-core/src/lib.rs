@@ -19,7 +19,7 @@
 //! 6. **Continuous tuning** ([`continuous`], §VI-D/VII-C): periodic passes,
 //!    regression-driven reverts, unused-index garbage collection.
 //!
-//! [`session::TuningSession`] (built via [`driver::AimConfig::builder`]) is
+//! [`session::TuningSession`] (built via [`session::AimConfig::builder`]) is
 //! the per-database entry point: it runs the pipeline under an optional
 //! deadline and cancel token, retries transient faults with backoff, and
 //! rolls back anything an aborted pass materialized ([`error::AimError`]
@@ -27,9 +27,10 @@
 //! N tenants on a bounded worker pool, cross-shard candidate seeding, and
 //! fleet-level storage-budget allocation — and its 1-tenant form is
 //! bit-identical to a bare session, making `FleetSession → TuningSession`
-//! the single entry path. [`advisor::AimAdvisor`] runs the same algorithm
-//! as a pure advisor over weighted analytical workloads for benchmark
-//! comparisons against baselines.
+//! the single entry path. [`advisor::AimAdvisor`] runs the same planning
+//! code (`plan.rs`: selection → candidates → ranking, written once for the
+//! session, the fleet probe and the advisor) over weighted analytical
+//! workloads for benchmark comparisons against baselines.
 //!
 //! # Example
 //!
@@ -74,12 +75,12 @@ pub mod advisor;
 pub mod backend;
 pub mod candidates;
 pub mod continuous;
-pub mod driver;
 pub mod error;
 pub mod fleet;
 pub mod ledger;
 pub mod metadata;
 pub mod partial_order;
+mod plan;
 pub mod ranking;
 pub mod selection_lp;
 pub mod sentinel;
@@ -88,8 +89,8 @@ pub mod sharding;
 pub mod validate;
 
 pub use advisor::{
-    config_size, defs_to_config, workload_cost, workload_cost_batch, AimAdvisor, IndexAdvisor,
-    WeightedQuery,
+    config_size, defs_to_config, synthetic_workload, workload_cost, workload_cost_batch,
+    AimAdvisor, IndexAdvisor, WeightedQuery,
 };
 pub use candidates::{
     generate_candidates, try_generate_candidates, CandidateGenConfig, CandidateIndex,
@@ -100,7 +101,6 @@ pub use continuous::{
     RegressionDetector, AIM_INDEX_PREFIX,
 };
 pub use backend::BackendSpec;
-pub use driver::{Aim, AimConfig, AimOutcome, CreatedIndex, SelectionStrategy};
 pub use error::AimError;
 pub use fleet::{
     BudgetAllocation, FleetConfig, FleetConfigBuilder, FleetOutcome, FleetSession, Tenant,
@@ -115,8 +115,18 @@ pub use ranking::{
 };
 pub use selection_lp::{refine_selection, LpDecision, LpOutcome};
 pub use sentinel::{LatencySentinel, SentinelConfig, SentinelStat, SentinelVerdict};
-pub use session::{AimConfigBuilder, CancelToken, RetryPolicy, RunCtl, TuningSession};
+pub use session::{
+    AimConfig, AimConfigBuilder, AimOutcome, CancelToken, CreatedIndex, RetryPolicy, RunCtl,
+    SelectionStrategy, TuningSession,
+};
 pub use sharding::ShardingProfile;
 pub use validate::{
     try_validate_on_clone, validate_on_clone, RejectReason, ValidationConfig, ValidationOutcome,
 };
+
+/// The session's end-to-end unit tests, under the module path the suite
+/// has always listed them by.
+#[cfg(test)]
+mod driver {
+    mod tests;
+}

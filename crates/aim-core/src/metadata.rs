@@ -102,7 +102,7 @@ pub fn analyze_structure(db: &Database, stmt: &Statement) -> Result<QueryStructu
     match stmt {
         Statement::Select(s) => analyze_select(db, s),
         Statement::Update(u) => {
-            let select = where_only_select(&u.table, u.where_clause.as_ref());
+            let select = Select::star_where(&u.table, u.where_clause.as_ref());
             let mut st = analyze_select(db, &select)?;
             if let Some(t) = st.tables.first_mut() {
                 t.write_columns = u.assignments.iter().map(|(c, _)| c.clone()).collect();
@@ -113,7 +113,7 @@ pub fn analyze_structure(db: &Database, stmt: &Statement) -> Result<QueryStructu
             Ok(st)
         }
         Statement::Delete(d) => {
-            let select = where_only_select(&d.table, d.where_clause.as_ref());
+            let select = Select::star_where(&d.table, d.where_clause.as_ref());
             let mut st = analyze_select(db, &select)?;
             st.is_dml = true;
             Ok(st)
@@ -150,19 +150,6 @@ pub fn analyze_structure(db: &Database, stmt: &Statement) -> Result<QueryStructu
                 is_dml: false,
             })
         }
-    }
-}
-
-fn where_only_select(table: &str, where_clause: Option<&Expr>) -> Select {
-    Select {
-        distinct: false,
-        items: vec![SelectItem::Wildcard],
-        from: vec![aim_sql::ast::TableRef::new(table)],
-        where_clause: where_clause.cloned(),
-        group_by: Vec::new(),
-        having: None,
-        order_by: Vec::new(),
-        limit: None,
     }
 }
 

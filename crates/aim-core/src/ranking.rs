@@ -13,17 +13,18 @@
 //! Selection is a knapsack: candidates are taken in order of net utility
 //! per byte of storage until the budget is exhausted.
 
-use crate::candidates::CandidateIndex;
+use crate::candidates::{is_key_prefix, CandidateIndex};
 use crate::error::AimError;
 use crate::session::RunCtl;
+use aim_exec::whatif::WhatIfEntry;
 use aim_exec::{
     estimate_statement_cost, estimate_statement_cost_batch_until, CostModel, ExecError, HypoConfig,
     HypotheticalIndex,
 };
 use aim_monitor::WorkloadQuery;
-use aim_sql::ast::{Select, SelectItem, Statement};
+use aim_sql::ast::{Select, Statement};
 use aim_sql::normalize::QueryFingerprint;
-use aim_storage::{Database, IndexDef};
+use aim_storage::Database;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -75,22 +76,7 @@ impl RankedCandidate {
 fn benefit_select(stmt: &Statement) -> Option<Select> {
     match stmt {
         Statement::Select(s) => Some(s.clone()),
-        Statement::Update(u) => Some(where_select(&u.table, u.where_clause.as_ref())),
-        Statement::Delete(d) => Some(where_select(&d.table, d.where_clause.as_ref())),
-        _ => None,
-    }
-}
-
-fn where_select(table: &str, where_clause: Option<&aim_sql::ast::Expr>) -> Select {
-    Select {
-        distinct: false,
-        items: vec![SelectItem::Wildcard],
-        from: vec![aim_sql::ast::TableRef::new(table)],
-        where_clause: where_clause.cloned(),
-        group_by: Vec::new(),
-        having: None,
-        order_by: Vec::new(),
-        limit: None,
+        dml => dml.row_location(),
     }
 }
 
@@ -146,21 +132,73 @@ fn under_ctl<T>(
     })
 }
 
-/// Evaluates one workload query against all candidates (Eqs. 7–8) using
-/// *batched* what-if costing: the `[empty, relevant]` pair, the marginal
-/// "config minus one index" probes, and the DML maintenance singletons each
-/// go through one [`aim_exec::whatif::WhatIfCache::eval_select_batch`] /
-/// [`aim_exec::estimate_statement_cost_batch`] call, so parsing, binding
-/// enumeration and selectivity derivation are shared across the configs
-/// instead of redone per config. Costs are consumed in exactly the order
-/// the sequential reference ([`try_eval_query_sequential`]) produced them,
-/// so the output is bit-identical (a property test enforces this).
+/// How [`eval_query`] prices one statement under several configurations.
+/// Both variants make the same what-if calls in the same order and return
+/// their results in `configs` order, so they rank bit-identically (unit
+/// and property tests enforce this) and fault-injection sites fire in the
+/// same order.
+#[derive(Clone, Copy)]
+enum Costing {
+    /// One [`aim_exec::whatif::WhatIfCache::eval_select_batch_until`] /
+    /// [`estimate_statement_cost_batch_until`] call for all of them, so
+    /// parsing, binding enumeration and selectivity derivation are shared
+    /// across the configs: the hot path.
+    Batched,
+    /// One `eval_select` / [`estimate_statement_cost`] call per config: the
+    /// pre-batching reference behind [`rank_candidates_unbatched`]. Runs
+    /// only un-deadlined.
+    PerConfig,
+}
+
+impl Costing {
+    fn selects(
+        self,
+        db: &Database,
+        select: &Select,
+        configs: &[&HypoConfig],
+        cm: &CostModel,
+        ctl: &RunCtl,
+    ) -> Result<Vec<Result<WhatIfEntry, ExecError>>, AimError> {
+        let cache = aim_exec::whatif::global();
+        match self {
+            Costing::Batched => under_ctl(ctl, |stop| {
+                cache.eval_select_batch_until(db, select, configs, cm, stop)
+            }),
+            Costing::PerConfig => {
+                Ok(configs.iter().map(|c| cache.eval_select(db, select, c, cm)).collect())
+            }
+        }
+    }
+
+    fn statements(
+        self,
+        db: &Database,
+        stmt: &Statement,
+        configs: &[&HypoConfig],
+        cm: &CostModel,
+        ctl: &RunCtl,
+    ) -> Result<Vec<Result<f64, ExecError>>, AimError> {
+        match self {
+            Costing::Batched => under_ctl(ctl, |stop| {
+                estimate_statement_cost_batch_until(db, stmt, configs, cm, stop)
+            }),
+            Costing::PerConfig => {
+                Ok(configs.iter().map(|c| estimate_statement_cost(db, stmt, c, cm)).collect())
+            }
+        }
+    }
+}
+
+/// Evaluates one workload query against all candidates (Eqs. 7–8): the
+/// `[empty, relevant]` pair, the marginal "config minus one index" probes,
+/// and the DML maintenance singletons each go through one [`Costing`]
+/// request.
 ///
 /// With `strict` set, injected (transient) failures propagate instead of
 /// degrading to ∞/0 fallbacks — the resilient session retries them; the
 /// numeric behaviour on the success path is unchanged either way.
 #[allow(clippy::too_many_arguments)]
-fn try_eval_query(
+fn eval_query(
     db: &Database,
     wq: &WorkloadQuery,
     candidates: &[CandidateIndex],
@@ -168,9 +206,9 @@ fn try_eval_query(
     empty_cfg: &HypoConfig,
     cm: &CostModel,
     strict: bool,
+    costing: Costing,
     ctl: &RunCtl,
 ) -> Result<QueryContribution, AimError> {
-    let cache = aim_exec::whatif::global();
     let mut out = QueryContribution {
         fingerprint: wq.stats.fingerprint,
         benefit: Vec::new(),
@@ -188,19 +226,14 @@ fn try_eval_query(
         if !relevant.is_empty() {
             let cfg =
                 HypoConfig::shared(relevant.iter().map(|(_, h)| Arc::clone(h)).collect());
-            // One planner pass for the empty baseline and the full relevant
-            // config; slot order matches the sequential evaluation order,
-            // which keeps fault-injection sites firing in the same order.
-            let mut pair = under_ctl(ctl, |stop| {
-                cache.eval_select_batch_until(db, &select, &[empty_cfg, &cfg], cm, stop)
-            })?
-            .into_iter();
+            // The empty baseline, then the full relevant config.
+            let mut pair = costing.selects(db, &select, &[empty_cfg, &cfg], cm, ctl)?.into_iter();
             let cost_empty = cost_or(
-                pair.next().expect("batch returns one slot per config").map(|e| e.cost),
+                pair.next().expect("one result per config").map(|e| e.cost),
                 f64::INFINITY,
                 strict,
             )?;
-            let entry = match pair.next().expect("batch returns one slot per config") {
+            let entry = match pair.next().expect("one result per config") {
                 Ok(e) => Some(e),
                 Err(e) if strict && e.is_injected() => {
                     return Err(AimError::from_exec("ranking", e));
@@ -211,6 +244,9 @@ fn try_eval_query(
                 let cost_with = entry.cost;
                 if cost_empty.is_finite() && cost_empty > 0.0 && cost_with < cost_empty {
                     let u_plus = (cost_empty - cost_with) / cost_empty * wq.stats.total_cpu;
+                    // Which relevant hypos did the plan use? The cache
+                    // remembers them by definition identity, which is
+                    // stable across config orderings (unlike positions).
                     let used: Vec<usize> = entry
                         .used_hypos
                         .iter()
@@ -222,9 +258,12 @@ fn try_eval_query(
                         })
                         .collect();
                     if !used.is_empty() {
-                        // Shares proportional to marginal contribution: all
-                        // "config minus one index" probes priced in one
-                        // batch (they differ only in access-path pricing).
+                        // Shares proportional to marginal contribution:
+                        // every "config minus one index" probe. They share
+                        // the already-built Arcs and their costs are
+                        // memoized, so overlapping subsets across used
+                        // indexes (and across queries with the same
+                        // relevant set) are planned once.
                         let withouts: Vec<HypoConfig> = used
                             .iter()
                             .map(|&uix| {
@@ -239,10 +278,7 @@ fn try_eval_query(
                             .collect();
                         let without_refs: Vec<&HypoConfig> = withouts.iter().collect();
                         let mut marginals: Vec<f64> = Vec::with_capacity(used.len());
-                        let probes = under_ctl(ctl, |stop| {
-                            cache.eval_select_batch_until(db, &select, &without_refs, cm, stop)
-                        })?;
-                        for res in probes {
+                        for res in costing.selects(db, &select, &without_refs, cm, ctl)? {
                             let c_without =
                                 cost_or(res.map(|e| e.cost), cost_empty, strict)?;
                             marginals.push((c_without - cost_with).max(0.0));
@@ -271,7 +307,7 @@ fn try_eval_query(
             // Only indexes on the written table can be affected.
             let affected: Vec<(usize, Arc<HypotheticalIndex>)> = hypos
                 .iter()
-                .filter(|(_, h)| written_table(stmt) == Some(h.def.table.as_str()))
+                .filter(|(_, h)| stmt.written_table() == Some(h.def.table.as_str()))
                 .map(|(i, h)| (*i, Arc::clone(h)))
                 .collect();
             if !affected.is_empty() {
@@ -280,134 +316,12 @@ fn try_eval_query(
                     .map(|(_, h)| HypoConfig::shared(vec![Arc::clone(h)]))
                     .collect();
                 let one_refs: Vec<&HypoConfig> = ones.iter().collect();
-                let results = under_ctl(ctl, |stop| {
-                    estimate_statement_cost_batch_until(db, stmt, &one_refs, cm, stop)
-                })?;
+                let results = costing.statements(db, stmt, &one_refs, cm, ctl)?;
                 for ((i, _), res) in affected.iter().zip(results) {
                     let with = cost_or(res, base, strict)?;
                     let overhead = ((with - base) / base).max(0.0) * wq.stats.total_cpu;
                     out.maintenance.push((*i, overhead));
                 }
-            }
-        }
-    }
-
-    Ok(out)
-}
-
-/// The original one-config-at-a-time evaluation of a workload query — the
-/// bit-identity *reference* for the batched [`try_eval_query`]. Kept public
-/// (via [`rank_candidates_unbatched`]) so property tests and the selection
-/// benchmark can compare the two paths; not used on the hot path.
-fn try_eval_query_sequential(
-    db: &Database,
-    wq: &WorkloadQuery,
-    candidates: &[CandidateIndex],
-    hypos: &[(usize, Arc<HypotheticalIndex>)],
-    empty_cfg: &HypoConfig,
-    cm: &CostModel,
-    strict: bool,
-) -> Result<QueryContribution, AimError> {
-    let cache = aim_exec::whatif::global();
-    let mut out = QueryContribution {
-        fingerprint: wq.stats.fingerprint,
-        benefit: Vec::new(),
-        maintenance: Vec::new(),
-    };
-
-    // ---------------------------------------------------- benefit (Eq. 7)
-    if let Some(select) = benefit_select(&wq.stats.exemplar) {
-        // Candidates generated for this query.
-        let relevant: Vec<(usize, Arc<HypotheticalIndex>)> = hypos
-            .iter()
-            .filter(|(i, _)| candidates[*i].sources.contains(&wq.stats.fingerprint))
-            .map(|(i, h)| (*i, Arc::clone(h)))
-            .collect();
-        if !relevant.is_empty() {
-            let cost_empty = cost_or(
-                cache.eval_select(db, &select, empty_cfg, cm).map(|e| e.cost),
-                f64::INFINITY,
-                strict,
-            )?;
-            let cfg =
-                HypoConfig::shared(relevant.iter().map(|(_, h)| Arc::clone(h)).collect());
-            let entry = match cache.eval_select(db, &select, &cfg, cm) {
-                Ok(e) => Some(e),
-                Err(e) if strict && e.is_injected() => {
-                    return Err(AimError::from_exec("ranking", e));
-                }
-                Err(_) => None,
-            };
-            if let Some(entry) = entry {
-                let cost_with = entry.cost;
-                if cost_empty.is_finite() && cost_empty > 0.0 && cost_with < cost_empty {
-                    let u_plus = (cost_empty - cost_with) / cost_empty * wq.stats.total_cpu;
-                    // Which relevant hypos did the plan use? The cache
-                    // remembers them by definition identity, which is
-                    // stable across config orderings (unlike positions).
-                    let used: Vec<usize> = entry
-                        .used_hypos
-                        .iter()
-                        .filter_map(|dk| {
-                            relevant
-                                .iter()
-                                .find(|(_, h)| h.def_key() == *dk)
-                                .map(|(i, _)| *i)
-                        })
-                        .collect();
-                    if !used.is_empty() {
-                        // Shares proportional to marginal contribution.
-                        // "Config minus one index" subsets share the
-                        // already-built Arcs and their costs are memoized,
-                        // so overlapping subsets across used indexes (and
-                        // across queries with the same relevant set) are
-                        // planned once.
-                        let mut marginals: Vec<f64> = Vec::with_capacity(used.len());
-                        for &uix in &used {
-                            let without = HypoConfig::shared(
-                                relevant
-                                    .iter()
-                                    .filter(|(i, _)| *i != uix)
-                                    .map(|(_, h)| Arc::clone(h))
-                                    .collect(),
-                            );
-                            let c_without = cost_or(
-                                cache.eval_select(db, &select, &without, cm).map(|e| e.cost),
-                                cost_empty,
-                                strict,
-                            )?;
-                            marginals.push((c_without - cost_with).max(0.0));
-                        }
-                        let total: f64 = marginals.iter().sum();
-                        for (&uix, &m) in used.iter().zip(&marginals) {
-                            let share = if total > 0.0 {
-                                m / total
-                            } else {
-                                1.0 / used.len() as f64
-                            };
-                            out.benefit.push((uix, share * u_plus));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------ maintenance (Eq. 8)
-    if wq.stats.is_dml() {
-        let stmt = &wq.stats.exemplar;
-        let base = cost_or(estimate_statement_cost(db, stmt, empty_cfg, cm), 0.0, strict)?;
-        if base > 0.0 {
-            for (i, h) in hypos {
-                // Only indexes on the written table can be affected.
-                if written_table(stmt) != Some(h.def.table.as_str()) {
-                    continue;
-                }
-                let one = HypoConfig::shared(vec![Arc::clone(h)]);
-                let with =
-                    cost_or(estimate_statement_cost(db, stmt, &one, cm), base, strict)?;
-                let overhead = ((with - base) / base).max(0.0) * wq.stats.total_cpu;
-                out.maintenance.push((*i, overhead));
             }
         }
     }
@@ -425,6 +339,59 @@ pub(crate) fn effective_workers(requested: usize, items: usize) -> usize {
         requested
     };
     w.clamp(1, items.max(1))
+}
+
+/// Maps `f` over `items` on `workers` (already resolved by
+/// [`effective_workers`]) scoped threads, one contiguous chunk each, and
+/// returns the results in input order: chunks are joined in spawn order,
+/// so the output — and, when several items fail, which error wins — are
+/// those of the sequential loop one worker runs. Every worker checks `ctl`
+/// before each item, attributing an abort to `phase`, and the whole call
+/// fails on the first error (never a partial result).
+///
+/// Workers adopt a trace context so their span subtrees (per-item
+/// `exec.whatif` / `exec.select` timings) stitch back into the caller's
+/// open span instead of dying with the scoped threads.
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    ctl: &RunCtl,
+    phase: &'static str,
+    f: impl Fn(&T) -> Result<R, AimError> + Sync,
+) -> Result<Vec<R>, AimError> {
+    let run = |chunk: &[T]| -> Result<Vec<R>, AimError> {
+        let mut out = Vec::with_capacity(chunk.len());
+        for item in chunk {
+            ctl.check(phase)?;
+            out.push(f(item)?);
+        }
+        Ok(out)
+    };
+    if workers <= 1 {
+        return run(items);
+    }
+    let trace = aim_telemetry::trace::fork();
+    let (run, trace_ref) = (&run, &trace);
+    let scoped = std::thread::scope(|s| {
+        let handles: Vec<_> = items
+            .chunks(items.len().div_ceil(workers))
+            .map(|chunk| {
+                s.spawn(move || {
+                    let _adopt = trace_ref.adopt();
+                    run(chunk)
+                })
+            })
+            .collect();
+        let mut all = Vec::with_capacity(items.len());
+        for h in handles {
+            all.extend(h.join().expect("fan-out worker panicked")?);
+        }
+        Ok(all)
+    });
+    // Stitch even when the phase aborts: partial worker profiles are real
+    // time spent and must not leak into the pending buffer.
+    trace.stitch();
+    scoped
 }
 
 /// Ranks candidates against the workload. Returns candidates with their
@@ -445,10 +412,10 @@ pub fn rank_candidates(
 /// [`rank_candidates`] with an explicit worker count (`0` = auto).
 ///
 /// Workload queries are evaluated independently — each produces a
-/// [`QueryContribution`] — on `workers` scoped threads over contiguous
-/// chunks, then merged on the calling thread *in workload order*. Since
-/// f64 accumulation happens in the same order as the sequential loop, the
-/// output is bit-identical for any worker count.
+/// [`QueryContribution`] — through `fan_out`, then merged on the calling
+/// thread *in workload order*. Since f64 accumulation happens in the same
+/// order as the sequential loop, the output is bit-identical for any
+/// worker count.
 pub fn rank_candidates_with(
     db: &Database,
     workload: &[WorkloadQuery],
@@ -456,14 +423,14 @@ pub fn rank_candidates_with(
     cm: &CostModel,
     workers: usize,
 ) -> Vec<RankedCandidate> {
-    rank_core(db, workload, candidates, cm, workers, &RunCtl::none(), false, true)
+    rank_core(db, workload, candidates, cm, workers, &RunCtl::none(), false, Costing::Batched)
         .expect("lenient ranking without deadline or cancel cannot fail")
 }
 
-/// [`rank_candidates_with`] evaluated one config at a time — the pre-batching
-/// reference implementation. The batched hot path must produce bit-identical
-/// output (property tests and the selection benchmark compare the two); this
-/// also serves as the sequential baseline for speedup measurements.
+/// [`rank_candidates_with`] costed one config at a time — the pre-batching
+/// reference. The batched hot path must produce bit-identical output
+/// (property tests and the selection benchmark compare the two); this also
+/// serves as the sequential baseline for speedup measurements.
 pub fn rank_candidates_unbatched(
     db: &Database,
     workload: &[WorkloadQuery],
@@ -471,7 +438,7 @@ pub fn rank_candidates_unbatched(
     cm: &CostModel,
     workers: usize,
 ) -> Vec<RankedCandidate> {
-    rank_core(db, workload, candidates, cm, workers, &RunCtl::none(), false, false)
+    rank_core(db, workload, candidates, cm, workers, &RunCtl::none(), false, Costing::PerConfig)
         .expect("lenient ranking without deadline or cancel cannot fail")
 }
 
@@ -490,7 +457,7 @@ pub fn try_rank_candidates_with(
     workers: usize,
     ctl: &RunCtl,
 ) -> Result<Vec<RankedCandidate>, AimError> {
-    rank_core(db, workload, candidates, cm, workers, ctl, true, true)
+    rank_core(db, workload, candidates, cm, workers, ctl, true, Costing::Batched)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -502,73 +469,22 @@ fn rank_core(
     workers: usize,
     ctl: &RunCtl,
     strict: bool,
-    batched: bool,
+    costing: Costing,
 ) -> Result<Vec<RankedCandidate>, AimError> {
     // Build hypothetical indexes once, shared; drop unbuildable candidates.
     let mut hypos: Vec<(usize, Arc<HypotheticalIndex>)> = Vec::new();
     for (i, c) in candidates.iter().enumerate() {
-        let def = IndexDef::new(c.name(), c.table.clone(), c.columns.clone());
-        if let Some(h) = HypotheticalIndex::build(db, def) {
+        if let Some(h) = HypotheticalIndex::build(db, c.def()) {
             hypos.push((i, Arc::new(h)));
         }
     }
     let empty_cfg = HypoConfig::only(Vec::new());
-    // The sequential reference runs only un-deadlined (`RunCtl::none()`).
-    let eval = |wq: &WorkloadQuery| {
-        if batched {
-            try_eval_query(db, wq, candidates, &hypos, &empty_cfg, cm, strict, ctl)
-        } else {
-            try_eval_query_sequential(db, wq, candidates, &hypos, &empty_cfg, cm, strict)
-        }
-    };
-
+    // Workers observe aborts between queries and, inside a query, before
+    // every what-if call.
     let workers = effective_workers(workers, workload.len());
-    let contributions: Vec<QueryContribution> = if workers <= 1 {
-        let mut out = Vec::with_capacity(workload.len());
-        for wq in workload {
-            ctl.check("ranking")?;
-            out.push(eval(wq)?);
-        }
-        out
-    } else {
-        let chunk = workload.len().div_ceil(workers);
-        let eval = &eval;
-        // Workers adopt a trace context so their span subtrees (the
-        // per-query `exec.whatif` timings) stitch back into this thread's
-        // open `ranking` span instead of dying with the scoped threads.
-        let trace = aim_telemetry::trace::fork();
-        let trace_ref = &trace;
-        let scoped = std::thread::scope(|s| {
-            let handles: Vec<_> = workload
-                .chunks(chunk)
-                .map(|queries| {
-                    s.spawn(move || -> Result<Vec<QueryContribution>, AimError> {
-                        let _adopt = trace_ref.adopt();
-                        let mut out = Vec::with_capacity(queries.len());
-                        for wq in queries {
-                            // Workers observe aborts between queries and,
-                            // inside a query, before every what-if call.
-                            ctl.check("ranking")?;
-                            out.push(eval(wq)?);
-                        }
-                        Ok(out)
-                    })
-                })
-                .collect();
-            // Joining in spawn order restores workload order exactly; the
-            // first error in workload order wins, and the whole phase
-            // aborts (never a partial merge), preserving bit-identity.
-            let mut all = Vec::with_capacity(workload.len());
-            for h in handles {
-                all.extend(h.join().expect("ranking worker panicked")?);
-            }
-            Ok::<_, AimError>(all)
-        });
-        // Stitch even when the phase aborts: partial worker profiles are
-        // real time spent and must not leak into the pending buffer.
-        trace.stitch();
-        scoped?
-    };
+    let contributions = fan_out(workload, workers, ctl, "ranking", |wq| {
+        eval_query(db, wq, candidates, &hypos, &empty_cfg, cm, strict, costing, ctl)
+    })?;
 
     // An abort that arrived during the last what-if call belongs to this
     // phase, not to whichever phase checks next.
@@ -601,23 +517,6 @@ fn rank_core(
     Ok(ranked)
 }
 
-fn written_table(stmt: &Statement) -> Option<&str> {
-    match stmt {
-        Statement::Insert(i) => Some(&i.table),
-        Statement::Update(u) => Some(&u.table),
-        Statement::Delete(d) => Some(&d.table),
-        _ => None,
-    }
-}
-
-/// True when `narrow`'s key columns are a strict prefix of `wide`'s on the
-/// same table (the wide index serves every access path the narrow one can).
-fn is_prefix_of(narrow: &CandidateIndex, wide: &CandidateIndex) -> bool {
-    narrow.table == wide.table
-        && wide.columns.len() > narrow.columns.len()
-        && wide.columns[..narrow.columns.len()] == narrow.columns[..]
-}
-
 /// One knapsack verdict with its budget arithmetic — the decision-ledger
 /// view of [`knapsack_select`].
 #[derive(Debug, Clone)]
@@ -637,108 +536,16 @@ pub struct KnapsackDecision {
 }
 
 /// [`knapsack_select`] plus a [`KnapsackDecision`] for *every* ranked
-/// candidate, in consideration order. The selection is bit-identical to
-/// [`knapsack_select`] (a test enforces this); the decisions exist for the
-/// decision ledger and cost one allocation per candidate, so the plain
+/// candidate, in consideration order — the same loop with its verdicts
+/// recorded, at one allocation-heavy `format!` per candidate, so the plain
 /// entry point remains the hot-path choice.
 pub fn knapsack_select_explained(
     ranked: &[RankedCandidate],
     budget_bytes: u64,
     used_bytes: u64,
 ) -> (Vec<RankedCandidate>, Vec<KnapsackDecision>) {
-    let mut remaining = budget_bytes.saturating_sub(used_bytes);
-    let mut chosen: Vec<RankedCandidate> = Vec::new();
-    let mut decisions: Vec<KnapsackDecision> = Vec::with_capacity(ranked.len());
-    for r in ranked {
-        let name = r.candidate.name();
-        let before = remaining;
-        if r.utility() <= 0.0 {
-            decisions.push(KnapsackDecision {
-                name,
-                accepted: false,
-                remaining_before: before,
-                reclaimed: 0,
-                remaining_after: before,
-                reason: format!(
-                    "net utility {:.1} <= 0 (benefit {:.1} - maintenance {:.1}): \
-                     not worth any budget",
-                    r.utility(),
-                    r.benefit,
-                    r.maintenance
-                ),
-            });
-            continue;
-        }
-        let prefix_of = chosen.iter().find(|c| {
-            c.candidate.table == r.candidate.table
-                && c.candidate.columns.len() >= r.candidate.columns.len()
-                && c.candidate.columns[..r.candidate.columns.len()] == r.candidate.columns[..]
-        });
-        if let Some(wide) = prefix_of {
-            decisions.push(KnapsackDecision {
-                name,
-                accepted: false,
-                remaining_before: before,
-                reclaimed: 0,
-                remaining_after: before,
-                reason: format!(
-                    "key columns are a prefix of already-chosen {}: adds no access path",
-                    wide.candidate.name()
-                ),
-            });
-            continue;
-        }
-        let reclaimable: u64 = chosen
-            .iter()
-            .filter(|c| is_prefix_of(&c.candidate, &r.candidate))
-            .map(|c| c.size_bytes)
-            .sum();
-        if r.size_bytes <= remaining + reclaimable {
-            let absorbed: Vec<String> = chosen
-                .iter()
-                .filter(|c| is_prefix_of(&c.candidate, &r.candidate))
-                .map(|c| c.candidate.name())
-                .collect();
-            chosen.retain(|c| !is_prefix_of(&c.candidate, &r.candidate));
-            remaining = remaining + reclaimable - r.size_bytes;
-            chosen.push(r.clone());
-            let absorbed_note = if absorbed.is_empty() {
-                String::new()
-            } else {
-                format!(", absorbing {} ({} bytes reclaimed)", absorbed.join(", "), reclaimable)
-            };
-            decisions.push(KnapsackDecision {
-                name,
-                accepted: true,
-                remaining_before: before,
-                reclaimed: reclaimable,
-                remaining_after: remaining,
-                reason: format!(
-                    "fits: {} bytes <= {} remaining{absorbed_note}; {} bytes left",
-                    r.size_bytes,
-                    before + reclaimable,
-                    remaining
-                ),
-            });
-        } else {
-            decisions.push(KnapsackDecision {
-                name,
-                accepted: false,
-                remaining_before: before,
-                reclaimed: reclaimable,
-                remaining_after: before,
-                reason: format!(
-                    "does not fit: needs {} bytes, only {} remaining (budget {}, \
-                     pre-used {}, reclaimable {})",
-                    r.size_bytes,
-                    before + reclaimable,
-                    budget_bytes,
-                    used_bytes,
-                    reclaimable
-                ),
-            });
-        }
-    }
+    let mut decisions = Vec::with_capacity(ranked.len());
+    let chosen = knapsack(ranked, budget_bytes, used_bytes, Some(&mut decisions));
     (chosen, decisions)
 }
 
@@ -751,10 +558,43 @@ pub fn knapsack_select(
     budget_bytes: u64,
     used_bytes: u64,
 ) -> Vec<RankedCandidate> {
+    knapsack(ranked, budget_bytes, used_bytes, None)
+}
+
+/// The knapsack loop. With `explain` present every candidate's verdict is
+/// pushed onto it; its reason is formatted only then.
+pub(crate) fn knapsack(
+    ranked: &[RankedCandidate],
+    budget_bytes: u64,
+    used_bytes: u64,
+    mut explain: Option<&mut Vec<KnapsackDecision>>,
+) -> Vec<RankedCandidate> {
     let mut remaining = budget_bytes.saturating_sub(used_bytes);
     let mut chosen: Vec<RankedCandidate> = Vec::new();
     for r in ranked {
+        let before = remaining;
+        let mut verdict = |accepted: bool, reclaimed: u64, after: u64, reason: &dyn Fn() -> String| {
+            if let Some(decisions) = explain.as_deref_mut() {
+                decisions.push(KnapsackDecision {
+                    name: r.candidate.name(),
+                    accepted,
+                    remaining_before: before,
+                    reclaimed,
+                    remaining_after: after,
+                    reason: reason(),
+                });
+            }
+        };
         if r.utility() <= 0.0 {
+            verdict(false, 0, before, &|| {
+                format!(
+                    "net utility {:.1} <= 0 (benefit {:.1} - maintenance {:.1}): \
+                     not worth any budget",
+                    r.utility(),
+                    r.benefit,
+                    r.maintenance
+                )
+            });
             continue;
         }
         // A candidate whose key columns are a prefix of an already chosen
@@ -762,26 +602,62 @@ pub fn knapsack_select(
         // keeping it would only burn budget (the paper's limited
         // index-interaction accounting handles exactly this case through
         // merging; the selection must not undo it).
-        let is_prefix_of_chosen = chosen.iter().any(|c| {
+        let serving = chosen.iter().find(|c| {
             c.candidate.table == r.candidate.table
-                && c.candidate.columns.len() >= r.candidate.columns.len()
-                && c.candidate.columns[..r.candidate.columns.len()] == r.candidate.columns[..]
+                && is_key_prefix(&r.candidate.columns, &c.candidate.columns)
         });
-        if is_prefix_of_chosen {
+        if let Some(wide) = serving {
+            verdict(false, 0, before, &|| {
+                format!(
+                    "key columns are a prefix of already-chosen {}: adds no access path",
+                    wide.candidate.name()
+                )
+            });
             continue;
         }
-        // A wider candidate absorbs any previously chosen prefix of
+        // A wider candidate absorbs any previously chosen strict prefix of
         // itself, reclaiming that budget — so fit is checked against
         // remaining *plus* what absorption would free.
-        let reclaimable: u64 = chosen
-            .iter()
-            .filter(|c| is_prefix_of(&c.candidate, &r.candidate))
-            .map(|c| c.size_bytes)
-            .sum();
+        let absorbs = |c: &RankedCandidate| {
+            c.candidate.table == r.candidate.table
+                && c.candidate.columns.len() < r.candidate.columns.len()
+                && is_key_prefix(&c.candidate.columns, &r.candidate.columns)
+        };
+        let reclaimable: u64 = chosen.iter().filter(|c| absorbs(c)).map(|c| c.size_bytes).sum();
         if r.size_bytes <= remaining + reclaimable {
-            chosen.retain(|c| !is_prefix_of(&c.candidate, &r.candidate));
             remaining = remaining + reclaimable - r.size_bytes;
+            verdict(true, reclaimable, remaining, &|| {
+                let absorbed: Vec<String> = chosen
+                    .iter()
+                    .filter(|c| absorbs(c))
+                    .map(|c| c.candidate.name())
+                    .collect();
+                let absorbed_note = if absorbed.is_empty() {
+                    String::new()
+                } else {
+                    format!(", absorbing {} ({} bytes reclaimed)", absorbed.join(", "), reclaimable)
+                };
+                format!(
+                    "fits: {} bytes <= {} remaining{absorbed_note}; {} bytes left",
+                    r.size_bytes,
+                    before + reclaimable,
+                    remaining
+                )
+            });
+            chosen.retain(|c| !absorbs(c));
             chosen.push(r.clone());
+        } else {
+            verdict(false, reclaimable, before, &|| {
+                format!(
+                    "does not fit: needs {} bytes, only {} remaining (budget {}, \
+                     pre-used {}, reclaimable {})",
+                    r.size_bytes,
+                    before + reclaimable,
+                    budget_bytes,
+                    used_bytes,
+                    reclaimable
+                )
+            });
         }
     }
     chosen
@@ -976,7 +852,7 @@ mod tests {
     }
 
     #[test]
-    fn knapsack_explained_matches_plain_and_explains_everything() {
+    fn knapsack_explains_every_candidate_and_its_budget_arithmetic_balances() {
         let mut db = db();
         let ranked = rank_for(
             &mut db,
@@ -990,14 +866,13 @@ mod tests {
         assert!(!ranked.is_empty());
         let all_sizes: u64 = ranked.iter().map(|r| r.size_bytes).sum();
         for budget in [u64::MAX, all_sizes / 3, 1] {
-            let plain = knapsack_select(&ranked, budget, 0);
-            let (explained, decisions) = knapsack_select_explained(&ranked, budget, 0);
-            assert_bit_identical(&plain, &explained);
+            let (chosen, decisions) = knapsack_select_explained(&ranked, budget, 0);
             // Every ranked candidate gets a verdict, and verdicts agree
             // with the selection.
             assert_eq!(decisions.len(), ranked.len());
-            for d in &decisions {
-                let selected = explained.iter().any(|c| c.candidate.name() == d.name);
+            for (d, r) in decisions.iter().zip(&ranked) {
+                assert_eq!(d.name, r.candidate.name(), "verdicts come in ranked order");
+                let selected = chosen.iter().any(|c| c.candidate.name() == d.name);
                 assert!(!d.reason.is_empty());
                 if d.accepted {
                     // An accepted candidate is in the final selection
@@ -1006,14 +881,9 @@ mod tests {
                         .iter()
                         .any(|o| o.accepted && o.reason.contains(&d.name));
                     assert!(selected || absorbed, "{}: {}", d.name, d.reason);
-                    let size = ranked
-                        .iter()
-                        .find(|c| c.candidate.name() == d.name)
-                        .unwrap()
-                        .size_bytes;
                     assert_eq!(
                         d.remaining_after,
-                        (d.remaining_before + d.reclaimed).saturating_sub(size),
+                        (d.remaining_before + d.reclaimed).saturating_sub(r.size_bytes),
                         "budget math must balance: {}",
                         d.reason
                     );

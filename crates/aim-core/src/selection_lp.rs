@@ -29,7 +29,7 @@
 use crate::ranking::RankedCandidate;
 use aim_exec::{estimate_statement_cost_batch, CostModel, HypoConfig, HypotheticalIndex};
 use aim_monitor::WorkloadQuery;
-use aim_storage::{Database, IndexDef};
+use aim_storage::Database;
 use aim_telemetry as tel;
 use std::sync::Arc;
 
@@ -91,14 +91,7 @@ pub fn refine_selection(
     let shortlist: Vec<(&RankedCandidate, Arc<HypotheticalIndex>)> = ranked
         .iter()
         .filter(|r| r.utility() > 0.0 && r.size_bytes <= remaining)
-        .filter_map(|r| {
-            let def = IndexDef::new(
-                r.candidate.name(),
-                r.candidate.table.clone(),
-                r.candidate.columns.clone(),
-            );
-            HypotheticalIndex::build(db, def).map(|h| (r, Arc::new(h)))
-        })
+        .filter_map(|r| HypotheticalIndex::build(db, r.candidate.def()).map(|h| (r, Arc::new(h))))
         .take(MAX_LP_CANDIDATES)
         .collect();
     if shortlist.is_empty() || workload.is_empty() {
@@ -274,14 +267,7 @@ pub fn refine_selection(
 fn selection_config(db: &Database, selection: &[RankedCandidate]) -> HypoConfig {
     let hypos = selection
         .iter()
-        .filter_map(|r| {
-            let def = IndexDef::new(
-                r.candidate.name(),
-                r.candidate.table.clone(),
-                r.candidate.columns.clone(),
-            );
-            HypotheticalIndex::build(db, def).map(Arc::new)
-        })
+        .filter_map(|r| HypotheticalIndex::build(db, r.candidate.def()).map(Arc::new))
         .collect();
     HypoConfig::shared(hypos)
 }

@@ -28,6 +28,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use aim_storage::{Database, IndexDef};
 use aim_telemetry as tel;
 use aim_telemetry::timeseries::{Window, WindowHistogram};
 
@@ -310,6 +311,114 @@ impl LatencySentinel {
         }
         out
     }
+
+    /// Closes one observation window: journals every firing SLO alert
+    /// (see [`aim_telemetry::slo`]), judges every tenant series with
+    /// [`Self::observe_window_all`] — a firing alert on the watched
+    /// histogram regresses an armed tenant even if this window's statistic
+    /// alone would pass — and rolls each regressed tenant's suspect indexes
+    /// back on that tenant's database only. Every rollback is journaled
+    /// and handed to `annotate` with its decision-ledger text. Returns
+    /// `(tenant, index name)` per rolled-back index.
+    pub(crate) fn close_window(
+        &mut self,
+        window: &Window,
+        dbs: &mut (impl TenantDatabases + ?Sized),
+        mut annotate: impl FnMut(&IndexDef, String),
+    ) -> Vec<(String, String)> {
+        let mut firing: BTreeSet<String> = BTreeSet::new();
+        for status in tel::slo::evaluate() {
+            if !status.firing {
+                continue;
+            }
+            let tenant = status.tenant.clone().unwrap_or_default();
+            tel::event(
+                tel::EventKind::SloAlert,
+                &status.rule,
+                format!(
+                    "tenant \"{tenant}\" {}: current {:.1} over target {:.1}, \
+                     burn rate fast {:.2} / slow {:.2}",
+                    status.metric, status.current, status.target,
+                    status.fast_burn, status.slow_burn
+                ),
+            );
+            if status.metric == self.config.histogram {
+                firing.insert(tenant);
+            }
+        }
+        let mut rolled = Vec::new();
+        for tv in self.observe_window_all(window, &firing) {
+            let SentinelVerdict::Regressed {
+                current,
+                baseline,
+                suspects,
+            } = tv.verdict
+            else {
+                continue;
+            };
+            let Some(db) = dbs.database(&tv.tenant) else {
+                continue;
+            };
+            let _rollback_span = tel::span("regression_rollback");
+            tel::metrics::REGRESSIONS_DETECTED.incr();
+            let attribution = if tv.alert {
+                " (SLO alert-attributed)"
+            } else {
+                ""
+            };
+            let series = if tv.tenant.is_empty() {
+                "all-tenant".to_string()
+            } else {
+                format!("tenant \"{}\"", tv.tenant)
+            };
+            for name in suspects {
+                let Some(def) = drop_index_named(db, &name) else {
+                    continue;
+                };
+                tel::metrics::counter_add("sentinel.rollbacks", 1);
+                tel::event(
+                    tel::EventKind::RegressionRollback,
+                    &def.name,
+                    format!(
+                        "{series} windowed select-latency regressed \
+                         ({baseline:.1} -> {current:.1}){attribution}; rolling \
+                         back the materialization that armed the sentinel"
+                    ),
+                );
+                annotate(
+                    &def,
+                    format!(
+                        "latency sentinel{attribution}: {series} windowed \
+                         select-latency {current:.1} exceeded the EWMA baseline \
+                         {baseline:.1} within the post-materialization watch"
+                    ),
+                );
+                rolled.push((tv.tenant.clone(), def.name));
+            }
+        }
+        rolled
+    }
+}
+
+/// The databases a window's verdicts apply to: the one database every
+/// tenant label lives on (a continuous tuner's), or a fleet's, each tenant
+/// on its own.
+pub(crate) trait TenantDatabases {
+    fn database(&mut self, tenant: &str) -> Option<&mut Database>;
+}
+
+impl TenantDatabases for Database {
+    fn database(&mut self, _tenant: &str) -> Option<&mut Database> {
+        Some(self)
+    }
+}
+
+/// Drops the index called `name`, whichever table holds it. `None` when
+/// there is no such index or the drop failed.
+pub(crate) fn drop_index_named(db: &mut Database, name: &str) -> Option<IndexDef> {
+    let def = db.all_indexes().into_iter().find(|d| d.name == name)?;
+    db.drop_index(&def.table, &def.name).ok()?;
+    Some(def)
 }
 
 #[cfg(test)]

@@ -6,8 +6,10 @@
 //!
 //! * **Deadline & cancellation.** A [`RunCtl`] (per-pass deadline plus a
 //!   shareable [`CancelToken`]) is threaded through candidate generation,
-//!   ranking and validation; workers check it between queries, so an abort
-//!   lands within one query's worth of work.
+//!   ranking and validation; ranking workers check it before every what-if
+//!   call (also between the slots of a batch), validation workers between
+//!   replayed queries, so an abort lands within one what-if call or one
+//!   replayed query.
 //! * **Retry with backoff.** Transient failures — the class produced by
 //!   the fault-injection layer ([`aim_storage::fault`]) — are retried per
 //!   phase under a [`RetryPolicy`], with exponentially growing sleeps that
@@ -21,7 +23,8 @@
 //!   rolled back before the error is returned: an aborted pass never
 //!   leaves a half-materialized configuration behind.
 //!
-//! Sessions are built with [`AimConfig::builder`]:
+//! The pass's configuration ([`AimConfig`]) and result ([`AimOutcome`])
+//! live here too. Sessions are built with [`AimConfig::builder`]:
 //!
 //! ```ignore
 //! let session = AimConfig::builder()
@@ -31,16 +34,16 @@
 //! let outcome = session.run(&mut db, &monitor)?;
 //! ```
 
-use crate::candidates::try_generate_candidates;
-use crate::driver::{Aim, AimConfig, AimOutcome, CreatedIndex};
+use crate::backend::BackendSpec;
+use crate::candidates::CandidateGenConfig;
 use crate::error::AimError;
-use crate::ledger::DecisionLedger;
-use crate::ranking::{
-    knapsack_select, knapsack_select_explained, try_rank_candidates_with, RankedCandidate,
-};
+use crate::ledger::{DecisionLedger, Decisions};
+use crate::plan::PassPlanner;
+use crate::ranking::{knapsack, RankedCandidate};
+use crate::sharding::ShardingProfile;
 use crate::validate::{try_validate_on_clone, RejectReason, ValidationConfig};
-use aim_exec::ExecError;
-use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor};
+use aim_exec::{Engine, ExecError};
+use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_storage::{Database, IndexDef, IoStats};
 use aim_telemetry as tel;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -153,6 +156,144 @@ impl RetryPolicy {
     }
 }
 
+/// How the final index set is chosen from the ranked candidates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SelectionStrategy {
+    /// Greedy knapsack in utility-density order with prefix absorption —
+    /// the paper's selection and the fast path.
+    #[default]
+    Greedy,
+    /// CoPhy-style LP relaxation ([`crate::selection_lp`]): per-(statement,
+    /// config) cost variables under the storage-budget constraint, solved
+    /// with an in-tree simplex and rounded. Falls back to the greedy
+    /// selection — bit-identically — whenever the rounded LP solution does
+    /// not beat greedy on actual batched workload cost.
+    Lp,
+}
+
+/// Full configuration of a tuning pass.
+///
+/// `#[non_exhaustive]`: construct via [`AimConfig::builder`] (or start
+/// from [`AimConfig::default`]) — new tuning knobs may appear in any
+/// release without breaking callers.
+#[non_exhaustive]
+#[derive(Debug, Clone)]
+pub struct AimConfig {
+    /// Representative workload selection thresholds (§III-C).
+    pub selection: SelectionConfig,
+    /// Candidate generation parameters (join parameter `j`, covering
+    /// policy, width cap).
+    pub candidate_gen: CandidateGenConfig,
+    /// Clone-validation thresholds (§VII-B).
+    pub validation: ValidationConfig,
+    /// Storage budget `B` in bytes for *all* secondary indexes. With a
+    /// sharding profile set, this is the *fleet-wide* budget.
+    pub storage_budget: u64,
+    /// Skip clone validation (pure estimate mode; not recommended for
+    /// production, required for like-for-like advisor benchmarks).
+    pub skip_validation: bool,
+    /// Sharding economics (§VIII-b): when set, candidate utilities are
+    /// re-priced for a fleet of shards sharing the physical design before
+    /// knapsack selection.
+    pub sharding: Option<ShardingProfile>,
+    /// Worker threads for ranking and validation replay (`0` = one per
+    /// available core). Any worker count produces bit-identical output —
+    /// contributions merge in workload order — so this knob trades wall
+    /// clock only, never results. [`ValidationConfig::workers`] overrides
+    /// it for the validation phase when non-zero.
+    pub workers: usize,
+    /// Record a [`crate::ledger::DecisionLedger`] entry for every
+    /// candidate's lifecycle (generation → ranking → knapsack →
+    /// validation → materialization, plus continuous-tuning reverts and
+    /// GC). Off by default: when false the pipeline performs one bool
+    /// check per phase and allocates nothing.
+    pub record_ledger: bool,
+    /// Storage backend the production database is provisioned on (see
+    /// [`TuningSession::provision_database`]). The advisor pipeline itself
+    /// is backend-agnostic: validation clones are always in-memory.
+    pub backend: BackendSpec,
+    /// How the final index set is chosen from the ranked candidates
+    /// (greedy knapsack by default; LP relaxation opt-in).
+    pub selection_strategy: SelectionStrategy,
+    /// Tenant label for dimensional telemetry: when set, the whole pass
+    /// runs under a [`aim_telemetry::scope`] so every instrument the
+    /// pipeline touches also records a `tenant="…"` labeled twin (fleet
+    /// sessions set this to the tenant id). `None` (the default) records
+    /// flat series only.
+    pub tenant_label: Option<String>,
+}
+
+impl Default for AimConfig {
+    fn default() -> Self {
+        Self {
+            selection: SelectionConfig::default(),
+            candidate_gen: CandidateGenConfig::default(),
+            validation: ValidationConfig::default(),
+            storage_budget: u64::MAX,
+            skip_validation: false,
+            sharding: None,
+            workers: 0,
+            record_ledger: false,
+            backend: BackendSpec::Memory,
+            selection_strategy: SelectionStrategy::default(),
+            tenant_label: None,
+        }
+    }
+}
+
+impl AimConfig {
+    /// Starts a builder — the construction path for configs and
+    /// [`TuningSession`]s.
+    pub fn builder() -> AimConfigBuilder {
+        AimConfigBuilder::default()
+    }
+}
+
+/// One index created by a tuning pass, with its explanation.
+#[derive(Debug, Clone)]
+pub struct CreatedIndex {
+    pub def: IndexDef,
+    /// Metrics-driven explanation (benefiting queries, benefit,
+    /// maintenance, size) accompanying every recommendation.
+    pub explanation: String,
+    pub benefit: f64,
+    pub maintenance: f64,
+    pub size_bytes: u64,
+}
+
+/// Outcome of one tuning pass.
+///
+/// `#[non_exhaustive]`: read-only for callers; new observability fields
+/// may appear in any release.
+#[non_exhaustive]
+#[derive(Debug, Clone, Default)]
+pub struct AimOutcome {
+    pub created: Vec<CreatedIndex>,
+    /// (index name, human-readable reject reason).
+    pub rejected: Vec<(String, String)>,
+    /// Number of queries in the representative workload.
+    pub workload_size: usize,
+    /// Number of candidate indexes generated before ranking.
+    pub candidates_generated: usize,
+    /// Wall-clock time of the pass (the paper's "algorithm runtime").
+    pub elapsed: Duration,
+    /// Phase retries performed after transient failures.
+    pub retries: u64,
+    /// True when the pass only succeeded in a degraded mode (sequential
+    /// fallback and/or a shrunken validation sample).
+    pub degraded: bool,
+}
+
+impl AimOutcome {
+    /// Marks the pass degraded and journals why.
+    pub(crate) fn note_degraded(&mut self, phase: &'static str, how: &str) {
+        self.degraded = true;
+        if tel::is_enabled() {
+            tel::event(tel::EventKind::PassDegraded, phase, how);
+        }
+    }
+}
+
 /// Builder for [`AimConfig`] (which is `#[non_exhaustive]` and cannot be
 /// literal-constructed outside `aim-core`) and for the [`TuningSession`]
 /// that runs it. Obtain via [`AimConfig::builder`].
@@ -171,7 +312,7 @@ impl AimConfigBuilder {
     }
 
     /// Candidate generation parameters.
-    pub fn candidate_gen(mut self, gen: crate::candidates::CandidateGenConfig) -> Self {
+    pub fn candidate_gen(mut self, gen: CandidateGenConfig) -> Self {
         self.cfg.candidate_gen = gen;
         self
     }
@@ -196,9 +337,9 @@ impl AimConfigBuilder {
 
     /// Sharding economics (§VIII-b): re-price candidates for a sharded
     /// deployment. The profile is a first-class config input — build it
-    /// with the chainable [`ShardingProfile`](crate::sharding::ShardingProfile)
-    /// setters and pass it here; omit the call for an unsharded database.
-    pub fn sharding(mut self, profile: crate::sharding::ShardingProfile) -> Self {
+    /// with the chainable [`ShardingProfile`] setters and pass it here; omit
+    /// the call for an unsharded database.
+    pub fn sharding(mut self, profile: ShardingProfile) -> Self {
         self.cfg.sharding = Some(profile);
         self
     }
@@ -233,7 +374,7 @@ impl AimConfigBuilder {
     /// Storage backend the production database is provisioned on
     /// ([`BackendSpec::Memory`] by default). See
     /// [`TuningSession::provision_database`].
-    pub fn backend(mut self, backend: crate::backend::BackendSpec) -> Self {
+    pub fn backend(mut self, backend: BackendSpec) -> Self {
         self.cfg.backend = backend;
         self
     }
@@ -243,7 +384,7 @@ impl AimConfigBuilder {
     /// ([`crate::selection_lp`]). Named `selection_strategy` because
     /// [`AimConfigBuilder::selection`] already configures *workload*
     /// selection.
-    pub fn selection_strategy(mut self, strategy: crate::driver::SelectionStrategy) -> Self {
+    pub fn selection_strategy(mut self, strategy: SelectionStrategy) -> Self {
         self.cfg.selection_strategy = strategy;
         self
     }
@@ -257,20 +398,14 @@ impl AimConfigBuilder {
         self
     }
 
-    /// Finishes the configuration (for [`Aim::new`] or the advisor).
+    /// Finishes the configuration (e.g. as a fleet's per-tenant base).
     pub fn build(self) -> AimConfig {
         self.cfg
     }
 
     /// Finishes into a ready-to-run [`TuningSession`].
     pub fn session(self) -> TuningSession {
-        TuningSession {
-            aim: Aim::new(self.cfg),
-            deadline: self.deadline,
-            retry: self.retry,
-            cancel: CancelToken::new(),
-            ledger: Arc::new(Mutex::new(DecisionLedger::default())),
-        }
+        TuningSession::new(self.cfg, self.deadline, self.retry, CancelToken::new())
     }
 }
 
@@ -280,7 +415,10 @@ impl AimConfigBuilder {
 /// step).
 #[derive(Debug, Clone)]
 pub struct TuningSession {
-    aim: Aim,
+    config: AimConfig,
+    /// The execution engine validation replays on; its cost model prices
+    /// the what-if calls.
+    engine: Engine,
     deadline: Option<Duration>,
     retry: RetryPolicy,
     cancel: CancelToken,
@@ -291,42 +429,50 @@ pub struct TuningSession {
 }
 
 impl TuningSession {
-    /// Wraps an existing [`Aim`] (no deadline, default retries) — the
-    /// migration path for code still holding an `Aim`.
-    pub fn from_aim(aim: Aim) -> Self {
+    pub(crate) fn new(
+        config: AimConfig,
+        deadline: Option<Duration>,
+        retry: RetryPolicy,
+        cancel: CancelToken,
+    ) -> Self {
         Self {
-            aim,
-            deadline: None,
-            retry: RetryPolicy::default(),
-            cancel: CancelToken::new(),
+            config,
+            engine: Engine::new(),
+            deadline,
+            retry,
+            cancel,
             ledger: Arc::new(Mutex::new(DecisionLedger::default())),
         }
     }
 
     /// The pass configuration.
     pub fn config(&self) -> &AimConfig {
-        &self.aim.config
+        &self.config
     }
 
     /// Provisions the production database on the configured
-    /// [`BackendSpec`](crate::backend::BackendSpec): a fresh in-memory
-    /// instance, or a recovered disk-backed one (WAL replay, working-set
-    /// load, re-ANALYZE). Injected storage faults surface as the
-    /// retryable [`AimError::Fault`].
+    /// [`BackendSpec`]: a fresh in-memory instance, or a recovered
+    /// disk-backed one (WAL replay, working-set load, re-ANALYZE).
+    /// Injected storage faults surface as the retryable
+    /// [`AimError::Fault`].
     pub fn provision_database(&self) -> Result<Database, AimError> {
-        self.aim.config.backend.provision().map_err(|e| {
+        self.config.backend.provision().map_err(|e| {
             AimError::from_exec("provision", ExecError::Storage(e))
         })
     }
 
     /// The execution engine used for validation replay.
-    pub fn engine(&self) -> &aim_exec::Engine {
-        &self.aim.engine
+    pub fn engine(&self) -> &Engine {
+        &self.engine
     }
 
     /// A handle that cancels any in-flight (or future) [`TuningSession::run`]
-    /// on this session. Note: cloning the *session* clones the flag state
-    /// at that point but shares nothing; cloning the *token* shares it.
+    /// on this session *and on every clone of it*: the token is an
+    /// `Arc`'d flag, and cloning the session — or a
+    /// [`ContinuousTuner`](crate::continuous::ContinuousTuner) holding
+    /// one — clones the handle, not the flag. A clone that must not be
+    /// cancelled together with its original takes a fresh token through
+    /// [`TuningSession::share_cancel`].
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
     }
@@ -371,22 +517,12 @@ impl TuningSession {
         self.ledger.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn recording(&self) -> bool {
-        self.aim.config.record_ledger
-    }
-
-    /// Applies `f` to the ledger iff recording is on — the single gate
-    /// that keeps the disarmed pipeline allocation-free.
-    fn with_ledger(&self, f: impl FnOnce(&mut DecisionLedger)) {
-        if self.recording() {
-            f(&mut self.lock_ledger());
-        }
-    }
-
-    /// Appends a post-pass event (revert, GC drop) to `name`'s most
-    /// recent ledger record. Used by the continuous tuner.
+    /// Appends a post-pass event (rollback, revert, GC drop) to `name`'s
+    /// most recent ledger record, when the session records one.
     pub(crate) fn ledger_annotate(&self, name: &str, table: &str, stage: &str, detail: String) {
-        self.with_ledger(|l| l.annotate_latest(name, table, stage, detail));
+        if self.config.record_ledger {
+            self.lock_ledger().annotate_latest(name, table, stage, detail);
+        }
     }
 
     /// Runs one resilient tuning pass against `db`, consuming the
@@ -431,17 +567,13 @@ impl TuningSession {
                 // before failing is dropped again, so an aborted pass never
                 // leaves a partial configuration.
                 let rolled_back = created_defs.len();
-                self.with_ledger(|l| {
-                    for def in created_defs.iter() {
-                        l.annotate_latest(
-                            &def.name,
-                            &def.table,
-                            "rolled_back",
-                            format!("pass aborted during {}: {e}", e.phase()),
-                        );
-                    }
-                });
                 for def in created_defs.drain(..) {
+                    self.ledger_annotate(
+                        &def.name,
+                        &def.table,
+                        "rolled_back",
+                        format!("pass aborted during {}: {e}", e.phase()),
+                    );
                     let _ = db.drop_index(&def.table, &def.name);
                 }
                 tel::metrics::PASSES_ABORTED.incr();
@@ -467,153 +599,53 @@ impl TuningSession {
         outcome: &mut AimOutcome,
         created_defs: &mut Vec<IndexDef>,
     ) -> Result<(), AimError> {
-        let cfg = &self.aim.config;
-        let pass = if self.recording() {
-            self.lock_ledger().begin_pass()
+        let cfg = &self.config;
+        let decisions = if cfg.record_ledger {
+            Decisions::begin(&self.ledger)
         } else {
-            0
+            Decisions::none()
         };
 
-        // 1. Representative workload selection.
-        ctl.check("select_workload")?;
-        let workload = {
-            let _s = tel::span("select_workload");
-            select_workload(monitor, &cfg.selection)
+        // 1–3. Representative workload selection, structural candidate
+        //      generation and ranking: the shared read-only half.
+        let planner = PassPlanner {
+            candidate_gen: &cfg.candidate_gen,
+            sharding: cfg.sharding.as_ref(),
+            workers: cfg.workers,
+            cost_model: &self.engine.cost_model,
+            retry: &self.retry,
+            ctl,
+            decisions: &decisions,
         };
-        outcome.workload_size = workload.len();
+        let (workload, ranked) = planner.plan_observed(db, monitor, &cfg.selection, outcome)?;
         if workload.is_empty() {
             return Ok(());
         }
 
-        // 2. Structural candidate generation. Statistics are refreshed
-        //    only when data or schema actually drifted since the last
-        //    ANALYZE — a clean pass skips the work (and the what-if cache
-        //    churn a spurious re-ANALYZE can cause).
-        let mut candidates = {
-            let _s = tel::span("candidate_generation");
-            if db.stats_dirty() {
-                db.analyze_all();
-            }
-            try_generate_candidates(db, &workload, &cfg.candidate_gen, ctl)?
-        };
-        self.with_ledger(|l| {
-            for c in &candidates {
-                let sources: Vec<String> = c.sources.iter().map(|f| f.to_string()).collect();
-                let detail = format!(
-                    "partial orders merged from {} quer{}",
-                    sources.len(),
-                    if sources.len() == 1 { "y" } else { "ies" }
-                );
-                l.observe(pass, &c.name(), &c.table, &c.columns, sources, detail);
-            }
-        });
-        // Drop candidates that an existing index already serves: identical
-        // column lists, and any candidate that is a key-prefix of an
-        // existing index on the same table.
-        candidates.retain(|c| {
-            let Ok(table) = db.table(&c.table) else {
-                return false;
-            };
-            let serving = table.indexes().find(|ix| {
-                ix.def().columns.len() >= c.columns.len()
-                    && ix.def().columns[..c.columns.len()] == c.columns[..]
-            });
-            match serving {
-                Some(ix) => {
-                    let served_by = ix.def().name.clone();
-                    self.with_ledger(|l| {
-                        l.note(
-                            pass,
-                            &c.name(),
-                            &c.table,
-                            &c.columns,
-                            "already_served",
-                            format!("existing index {served_by} covers this key prefix"),
-                        );
-                    });
-                    false
-                }
-                None => true,
-            }
-        });
-        outcome.candidates_generated = candidates.len();
-
-        // 3. Ranking + knapsack under the remaining budget. Retried on
-        //    transient failure; after the first failed attempt the phase
-        //    degrades to the sequential path (workers = 1), which both
-        //    narrows the retry surface and keeps the output bit-identical
-        //    (any worker count ranks identically).
-        let mut ranked = {
-            let _s = tel::span("ranking");
-            let (ranked, attempts) =
-                self.with_retry(ctl, "ranking", &mut outcome.retries, |attempt| {
-                    let workers = if attempt == 0 { cfg.workers } else { 1 };
-                    try_rank_candidates_with(
-                        db,
-                        &workload,
-                        &candidates,
-                        &self.aim.engine.cost_model,
-                        workers,
-                        ctl,
-                    )
-                })?;
-            if attempts > 0 {
-                self.note_degraded(outcome, "ranking", "fell back to sequential ranking");
-            }
-            ranked
-        };
-        if let Some(profile) = &cfg.sharding {
-            profile.apply(&mut ranked);
-        }
-        self.with_ledger(|l| {
-            for r in &ranked {
-                l.note_ranked(
-                    pass,
-                    &r.candidate.name(),
-                    &r.candidate.table,
-                    &r.candidate.columns,
-                    (r.benefit, r.maintenance, r.size_bytes),
-                );
-            }
-        });
+        // 3a. Knapsack under the remaining budget.
         let shard_mult = cfg.sharding.as_ref().map_or(1, |p| p.shard_count);
         let used = db.total_secondary_index_bytes().saturating_mul(shard_mult);
         ctl.check("knapsack")?;
         let chosen = {
             let _s = tel::span("knapsack");
-            if self.recording() {
-                let (chosen, decisions) =
-                    knapsack_select_explained(&ranked, cfg.storage_budget, used);
-                self.with_ledger(|l| {
-                    for (d, r) in decisions.iter().zip(&ranked) {
-                        debug_assert_eq!(d.name, r.candidate.name());
-                        let stage = if d.accepted {
-                            "knapsack_accepted"
-                        } else {
-                            "knapsack_rejected"
-                        };
-                        l.note(
-                            pass,
-                            &d.name,
-                            &r.candidate.table,
-                            &r.candidate.columns,
-                            stage,
-                            d.reason.clone(),
-                        );
-                    }
-                });
-                chosen
-            } else {
-                knapsack_select(&ranked, cfg.storage_budget, used)
+            let mut verdicts = decisions.recording().then(Vec::new);
+            let chosen = knapsack(&ranked, cfg.storage_budget, used, verdicts.as_mut());
+            for (d, r) in verdicts.iter().flatten().zip(&ranked) {
+                debug_assert_eq!(d.name, r.candidate.name());
+                let stage = if d.accepted {
+                    "knapsack_accepted"
+                } else {
+                    "knapsack_rejected"
+                };
+                decisions.note(&r.candidate, stage, || d.reason.clone());
             }
+            chosen
         };
         // 3b. Optional LP-relaxation refinement (CoPhy-style): solve the
         //     fractional selection, round, and keep whichever of
         //     {LP-rounded, greedy} has the lower actual batched workload
         //     cost — so this can only match or beat the greedy pick.
-        let chosen = if cfg.selection_strategy == crate::driver::SelectionStrategy::Lp
-            && !ranked.is_empty()
-        {
+        let chosen = if cfg.selection_strategy == SelectionStrategy::Lp && !ranked.is_empty() {
             ctl.check("selection_lp")?;
             let _s = tel::span("selection_lp");
             let lp = crate::selection_lp::refine_selection(
@@ -623,9 +655,9 @@ impl TuningSession {
                 chosen,
                 cfg.storage_budget,
                 used,
-                &self.aim.engine.cost_model,
+                &self.engine.cost_model,
             );
-            self.with_ledger(|l| {
+            decisions.record(|l, pass| {
                 for d in &lp.decisions {
                     l.note(pass, &d.name, &d.table, &d.columns, d.stage, d.detail.clone());
                 }
@@ -643,18 +675,11 @@ impl TuningSession {
         //    additionally shrinks the sampled test bed — a smaller clone
         //    stresses the failing infrastructure less.
         let accepted: Vec<RankedCandidate> = if cfg.skip_validation {
-            self.with_ledger(|l| {
-                for r in &chosen {
-                    l.note(
-                        pass,
-                        &r.candidate.name(),
-                        &r.candidate.table,
-                        &r.candidate.columns,
-                        "validation_skipped",
-                        "skip_validation set: estimate-only mode".to_string(),
-                    );
-                }
-            });
+            for r in &chosen {
+                decisions.note(&r.candidate, "validation_skipped", || {
+                    "skip_validation set: estimate-only mode".to_string()
+                });
+            }
             chosen
         } else {
             let _s = tel::span("validation");
@@ -663,7 +688,7 @@ impl TuningSession {
                 base_vcfg.workers = cfg.workers;
             }
             let (result, attempts) =
-                self.with_retry(ctl, "validation", &mut outcome.retries, |attempt| {
+                with_retry(&self.retry, ctl, "validation", &mut outcome.retries, |attempt| {
                     let mut vcfg = base_vcfg.clone();
                     if attempt >= 1 {
                         vcfg.workers = 1;
@@ -672,11 +697,10 @@ impl TuningSession {
                         let shrunk = vcfg.sample_fraction.unwrap_or(1.0) * 0.5;
                         vcfg.sample_fraction = Some(shrunk.max(0.1));
                     }
-                    try_validate_on_clone(db, &workload, &chosen, &self.aim.engine, &vcfg, ctl)
+                    try_validate_on_clone(db, &workload, &chosen, &self.engine, &vcfg, ctl)
                 })?;
             if attempts > 0 {
-                self.note_degraded(
-                    outcome,
+                outcome.note_degraded(
                     "validation",
                     "fell back to sequential replay / shrunken sample",
                 );
@@ -685,30 +709,14 @@ impl TuningSession {
                 let reason = reject_text(&reason);
                 tel::metrics::INDEXES_REJECTED.incr();
                 tel::event(tel::EventKind::IndexRejected, r.candidate.name(), reason.clone());
-                self.with_ledger(|l| {
-                    l.note(
-                        pass,
-                        &r.candidate.name(),
-                        &r.candidate.table,
-                        &r.candidate.columns,
-                        "validation_rejected",
-                        reason.clone(),
-                    );
-                });
+                decisions.note(&r.candidate, "validation_rejected", || reason.clone());
                 outcome.rejected.push((r.candidate.name(), reason));
             }
-            self.with_ledger(|l| {
-                for r in &result.accepted {
-                    l.note(
-                        pass,
-                        &r.candidate.name(),
-                        &r.candidate.table,
-                        &r.candidate.columns,
-                        "validation_accepted",
-                        "clone replay confirmed improvement with no regression".to_string(),
-                    );
-                }
-            });
+            for r in &result.accepted {
+                decisions.note(&r.candidate, "validation_accepted", || {
+                    "clone replay confirmed improvement with no regression".to_string()
+                });
+            }
             result.accepted
         };
 
@@ -720,13 +728,9 @@ impl TuningSession {
         let mut io = IoStats::new();
         for r in accepted {
             ctl.check("materialize")?;
-            let def = IndexDef::new(
-                r.candidate.name(),
-                r.candidate.table.clone(),
-                r.candidate.columns.clone(),
-            );
+            let def = r.candidate.def();
             let (build, _) =
-                self.with_retry(ctl, "materialize", &mut outcome.retries, |_| {
+                with_retry(&self.retry, ctl, "materialize", &mut outcome.retries, |_| {
                     match db.create_index(def.clone(), &mut io) {
                         Ok(()) => Ok(Ok(())),
                         Err(e) if e.is_injected() => {
@@ -740,19 +744,11 @@ impl TuningSession {
             match build {
                 Ok(()) => {
                     created_defs.push(def.clone());
-                    self.with_ledger(|l| {
-                        l.note(
-                            pass,
-                            &def.name,
-                            &def.table,
-                            &def.columns,
-                            "materialized",
-                            format!(
-                                "built on production: benefit {:.1}, maintenance {:.1}, \
-                                 {} bytes",
-                                r.benefit, r.maintenance, r.size_bytes
-                            ),
-                        );
+                    decisions.note(&r.candidate, "materialized", || {
+                        format!(
+                            "built on production: benefit {:.1}, maintenance {:.1}, {} bytes",
+                            r.benefit, r.maintenance, r.size_bytes
+                        )
                     });
                     tel::metrics::INDEXES_CREATED.incr();
                     tel::event(
@@ -774,15 +770,8 @@ impl TuningSession {
                 Err(e) => {
                     tel::metrics::INDEXES_REJECTED.incr();
                     tel::event(tel::EventKind::IndexRejected, &def.name, e.to_string());
-                    self.with_ledger(|l| {
-                        l.note(
-                            pass,
-                            &def.name,
-                            &def.table,
-                            &def.columns,
-                            "build_rejected",
-                            format!("index build failed deterministically: {e}"),
-                        );
+                    decisions.note(&r.candidate, "build_rejected", || {
+                        format!("index build failed deterministically: {e}")
                     });
                     outcome.rejected.push((def.name, e.to_string()));
                 }
@@ -792,48 +781,6 @@ impl TuningSession {
             db.analyze_all();
         }
         Ok(())
-    }
-
-    /// Runs `f` under the session's retry policy: transient errors retry
-    /// with deadline-capped exponential backoff, everything else (and
-    /// exhaustion) propagates. Returns the value plus the number of
-    /// retries that were needed.
-    fn with_retry<T>(
-        &self,
-        ctl: &RunCtl,
-        phase: &'static str,
-        retries: &mut u64,
-        mut f: impl FnMut(usize) -> Result<T, AimError>,
-    ) -> Result<(T, usize), AimError> {
-        let max_attempts = self.retry.max_attempts.max(1);
-        let mut attempt = 0;
-        loop {
-            ctl.check(phase)?;
-            match f(attempt) {
-                Ok(v) => return Ok((v, attempt)),
-                Err(e) if e.is_retryable() && attempt + 1 < max_attempts => {
-                    *retries += 1;
-                    tel::metrics::TUNING_RETRIES.incr();
-                    if tel::is_enabled() {
-                        tel::event(tel::EventKind::PhaseRetried, phase, e.to_string());
-                    }
-                    let backoff = ctl.cap_sleep(self.retry.backoff_for(attempt));
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Marks the pass degraded (once) and journals why.
-    fn note_degraded(&self, outcome: &mut AimOutcome, phase: &'static str, how: &str) {
-        outcome.degraded = true;
-        if tel::is_enabled() {
-            tel::event(tel::EventKind::PassDegraded, phase, how);
-        }
     }
 
     /// Common pass epilogue: record wall time, the pass-summary event, and
@@ -860,6 +807,40 @@ impl TuningSession {
                     outcome.elapsed.as_secs_f64() * 1e3
                 ),
             );
+        }
+    }
+}
+
+/// Runs `f` under `retry`: transient errors retry with deadline-capped
+/// exponential backoff, everything else (and exhaustion) propagates.
+/// Returns the value plus the number of retries that were needed; `f` is
+/// told which attempt it is (0-based) so a phase can degrade as it retries.
+pub(crate) fn with_retry<T>(
+    retry: &RetryPolicy,
+    ctl: &RunCtl,
+    phase: &'static str,
+    retries: &mut u64,
+    mut f: impl FnMut(usize) -> Result<T, AimError>,
+) -> Result<(T, usize), AimError> {
+    let max_attempts = retry.max_attempts.max(1);
+    let mut attempt = 0;
+    loop {
+        ctl.check(phase)?;
+        match f(attempt) {
+            Ok(v) => return Ok((v, attempt)),
+            Err(e) if e.is_retryable() && attempt + 1 < max_attempts => {
+                *retries += 1;
+                tel::metrics::TUNING_RETRIES.incr();
+                if tel::is_enabled() {
+                    tel::event(tel::EventKind::PhaseRetried, phase, e.to_string());
+                }
+                let backoff = ctl.cap_sleep(retry.backoff_for(attempt));
+                if !backoff.is_zero() {
+                    std::thread::sleep(backoff);
+                }
+                attempt += 1;
+            }
+            Err(e) => return Err(e),
         }
     }
 }
@@ -897,6 +878,22 @@ mod tests {
         assert!(!u.is_cancelled());
         t.cancel();
         assert!(u.is_cancelled());
+    }
+
+    #[test]
+    fn cancelling_a_session_cancels_its_clones() {
+        let session = AimConfig::builder().session();
+        let clone = session.clone();
+        session.cancel_token().cancel();
+        let err = clone
+            .run(&mut Database::new(), &WorkloadMonitor::new())
+            .unwrap_err();
+        assert!(matches!(err, AimError::Cancelled { .. }), "{err}");
+
+        // `share_cancel` is how a clone gets a flag of its own.
+        let mut independent = session.clone();
+        independent.share_cancel(CancelToken::new());
+        assert!(independent.run(&mut Database::new(), &WorkloadMonitor::new()).is_ok());
     }
 
     #[test]
@@ -953,19 +950,17 @@ mod tests {
 
     #[test]
     fn with_retry_retries_transient_and_fails_fast_on_deterministic() {
-        let session = AimConfig::builder()
-            .retry(RetryPolicy {
-                max_attempts: 3,
-                initial_backoff: Duration::ZERO,
-            })
-            .session();
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            initial_backoff: Duration::ZERO,
+        };
         let ctl = RunCtl::none();
         let mut retries = 0u64;
 
         // Transient failures retry until they succeed.
         let mut calls = 0;
-        let (v, attempts) = session
-            .with_retry(&ctl, "t", &mut retries, |_| {
+        let (v, attempts) =
+            with_retry(&policy, &ctl, "t", &mut retries, |_| {
                 calls += 1;
                 if calls < 3 {
                     Err(AimError::Fault { phase: "t", site: "s".into() })
@@ -978,8 +973,8 @@ mod tests {
 
         // Deterministic failures do not retry.
         let mut calls = 0;
-        let err = session
-            .with_retry(&ctl, "t", &mut retries, |_| -> Result<(), AimError> {
+        let err =
+            with_retry(&policy, &ctl, "t", &mut retries, |_| -> Result<(), AimError> {
                 calls += 1;
                 Err(AimError::Exec {
                     phase: "t",
@@ -992,8 +987,8 @@ mod tests {
 
         // Exhaustion propagates the transient error.
         let mut calls = 0;
-        let err = session
-            .with_retry(&ctl, "t", &mut retries, |_| -> Result<(), AimError> {
+        let err =
+            with_retry(&policy, &ctl, "t", &mut retries, |_| -> Result<(), AimError> {
                 calls += 1;
                 Err(AimError::Fault { phase: "t", site: "s".into() })
             })

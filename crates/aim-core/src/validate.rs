@@ -18,7 +18,7 @@ use aim_exec::{Engine, ExecError, ExecOutcome};
 use aim_monitor::WorkloadQuery;
 use aim_sql::ast::Statement;
 use aim_sql::normalize::QueryFingerprint;
-use aim_storage::{Database, IndexDef, IoStats};
+use aim_storage::{Database, IoStats};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Validation thresholds.
@@ -123,47 +123,13 @@ fn replay_workload(
         }
         return Ok(out);
     }
-    let chunk = workload.len().div_ceil(workers);
     let db = &*db;
-    // Workers adopt a trace context so their span subtrees (per-query
-    // `exec.select` timings) stitch back into the replay's open span
-    // instead of dying with the scoped threads.
-    let trace = aim_telemetry::trace::fork();
-    let trace_ref = &trace;
-    let scoped = std::thread::scope(|s| {
-        let handles: Vec<_> = workload
-            .chunks(chunk)
-            .map(|queries| {
-                s.spawn(move || -> Result<Vec<_>, AimError> {
-                    let _adopt = trace_ref.adopt();
-                    let mut out = Vec::with_capacity(queries.len());
-                    for wq in queries {
-                        // Workers observe aborts between queries.
-                        ctl.check("validation")?;
-                        let Statement::Select(sel) = &wq.stats.exemplar else {
-                            out.push(None);
-                            continue;
-                        };
-                        out.push(observe_result(
-                            engine.execute_select(db, sel),
-                            names,
-                            strict,
-                        )?);
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        // Joining in spawn order restores workload order exactly; the first
-        // error aborts the whole replay (never a partial merge).
-        let mut all = Vec::with_capacity(workload.len());
-        for h in handles {
-            all.extend(h.join().expect("validation worker panicked")?);
-        }
-        Ok(all)
-    });
-    trace.stitch();
-    scoped
+    crate::ranking::fan_out(workload, workers, ctl, "validation", |wq| {
+        let Statement::Select(sel) = &wq.stats.exemplar else {
+            return Ok(None);
+        };
+        observe_result(engine.execute_select(db, sel), names, strict)
+    })
 }
 
 /// One replayed statement's observation under the strict-mode contract:
@@ -313,11 +279,7 @@ fn validate_core(
         let mut io = IoStats::new();
         let mut buildable: Vec<RankedCandidate> = Vec::new();
         for r in accepted.drain(..) {
-            let def = IndexDef::new(
-                r.candidate.name(),
-                r.candidate.table.clone(),
-                r.candidate.columns.clone(),
-            );
+            let def = r.candidate.def();
             let exists = clone
                 .table(&r.candidate.table)
                 .is_ok_and(|t| t.has_index_on(&r.candidate.columns));
@@ -370,7 +332,7 @@ fn validate_core(
                     // written table; for SELECTs, the plan's new indexes.
                     let mut implicated = used_here;
                     if implicated.is_empty() {
-                        if let Some(t) = written_table(&wq.stats.exemplar) {
+                        if let Some(t) = wq.stats.exemplar.written_table() {
                             implicated = accepted
                                 .iter()
                                 .filter(|r| r.candidate.table == t)
@@ -482,15 +444,6 @@ fn validate_core(
     Ok(ValidationOutcome { accepted, rejected })
 }
 
-fn written_table(stmt: &aim_sql::ast::Statement) -> Option<&str> {
-    match stmt {
-        aim_sql::ast::Statement::Insert(i) => Some(&i.table),
-        aim_sql::ast::Statement::Update(u) => Some(&u.table),
-        aim_sql::ast::Statement::Delete(d) => Some(&d.table),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,7 +452,7 @@ mod tests {
     use aim_exec::CostModel;
     use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor};
     use aim_sql::parse_statement;
-    use aim_storage::{ColumnDef, ColumnType, TableSchema, Value};
+    use aim_storage::{ColumnDef, ColumnType, IndexDef, TableSchema, Value};
 
     fn db() -> Database {
         let mut db = Database::new();

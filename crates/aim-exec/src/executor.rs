@@ -447,16 +447,7 @@ impl Engine {
         table: &str,
         where_clause: Option<&Expr>,
     ) -> Result<(Vec<Key>, IoStats, Plan), ExecError> {
-        let select = Select {
-            distinct: false,
-            items: vec![SelectItem::Wildcard],
-            from: vec![aim_sql::ast::TableRef::new(table)],
-            where_clause: where_clause.cloned(),
-            group_by: Vec::new(),
-            having: None,
-            order_by: Vec::new(),
-            limit: None,
-        };
+        let select = Select::star_where(table, where_clause);
         let (_span, binder, plan) = self.open_select(db, &select)?;
         let layouts = slot_layouts(db, &binder, &plan)?;
         let conjuncts = conjuncts_by_level(&select, &Scope::new(&binder, &layouts), &plan)?;

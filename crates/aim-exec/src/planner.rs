@@ -1427,50 +1427,14 @@ pub fn estimate_statement_cost(
     config: &HypoConfig,
     cm: &CostModel,
 ) -> Result<f64, ExecError> {
-    match stmt {
-        Statement::Select(s) => Ok(crate::whatif::global().eval_select(db, s, config, cm)?.cost),
-        Statement::Insert(i) => {
-            // Arithmetic costing, but still one what-if question answered —
-            // count it so advisor accounting matches the Select/DML paths
-            // (which go through `plan_select`).
-            aim_telemetry::metrics::WHATIF_CALLS.incr();
-            let nindexes = index_count(db, &i.table, config)?;
-            let rows = i.rows.len().max(1) as f64;
-            Ok(rows * (1.0 + nindexes) * (cm.write_row_cost + cm.rand_page_cost))
+    let cache = crate::whatif::global();
+    match (stmt, stmt.row_location()) {
+        (Statement::Select(s), _) => Ok(cache.eval_select(db, s, config, cm)?.cost),
+        (_, Some(select)) => {
+            let located = cache.eval_select(db, &select, config, cm)?;
+            write_cost(db, stmt, config, cm, (located.cost, located.rows))
         }
-        Statement::Update(u) => {
-            let (sel_cost, affected) =
-                dml_where_cost(db, &u.table, u.where_clause.as_ref(), config, cm)?;
-            // Only indexes containing an assigned column are rewritten.
-            let assigned: BTreeSet<&str> =
-                u.assignments.iter().map(|(c, _)| c.as_str()).collect();
-            let mut touched = 0.0;
-            let table = db.table(&u.table)?;
-            if config.include_materialized {
-                for ix in table.indexes() {
-                    if ix.def().columns.iter().any(|c| assigned.contains(c.as_str())) {
-                        touched += 1.0;
-                    }
-                }
-            }
-            for (_, h) in config.for_table(&u.table) {
-                if h.def.columns.iter().any(|c| assigned.contains(c.as_str())) {
-                    touched += 1.0;
-                }
-            }
-            Ok(sel_cost
-                + affected * (1.0 + 2.0 * touched) * (cm.write_row_cost + cm.rand_page_cost))
-        }
-        Statement::Delete(d) => {
-            let (sel_cost, affected) =
-                dml_where_cost(db, &d.table, d.where_clause.as_ref(), config, cm)?;
-            let nindexes = index_count(db, &d.table, config)?;
-            Ok(sel_cost
-                + affected * (1.0 + nindexes) * (cm.write_row_cost + cm.rand_page_cost))
-        }
-        Statement::CreateTable(_) | Statement::CreateIndex(_) | Statement::DropIndex { .. } => {
-            Ok(0.0)
-        }
+        _ => write_cost(db, stmt, config, cm, (0.0, 0.0)),
     }
 }
 
@@ -1478,7 +1442,7 @@ pub fn estimate_statement_cost(
 /// configuration in `configs`, sharing parsing, binding, predicate and
 /// selectivity derivation across the whole batch (SELECTs and DML WHERE
 /// clauses go through [`crate::whatif::WhatIfCache::eval_select_batch`];
-/// INSERT maintenance stays per-config arithmetic). Results are returned
+/// the maintenance arithmetic stays per config). Results are returned
 /// in `configs` order and are bit-identical to sequential calls.
 pub fn estimate_statement_cost_batch(
     db: &Database,
@@ -1500,82 +1464,67 @@ pub fn estimate_statement_cost_batch_until(
     cm: &CostModel,
     interrupted: &dyn Fn() -> bool,
 ) -> Option<Vec<Result<f64, ExecError>>> {
-    Some(match stmt {
-        Statement::Select(s) => crate::whatif::global()
+    let cache = crate::whatif::global();
+    Some(match (stmt, stmt.row_location()) {
+        (Statement::Select(s), _) => cache
             .eval_select_batch_until(db, s, configs, cm, interrupted)?
             .into_iter()
             .map(|r| r.map(|e| e.cost))
             .collect(),
-        Statement::Insert(i) => configs
+        (_, Some(select)) => configs
             .iter()
-            .map(|config| {
-                aim_telemetry::metrics::WHATIF_CALLS.incr();
-                let nindexes = index_count(db, &i.table, config)?;
-                let rows = i.rows.len().max(1) as f64;
-                Ok(rows * (1.0 + nindexes) * (cm.write_row_cost + cm.rand_page_cost))
+            .zip(cache.eval_select_batch_until(db, &select, configs, cm, interrupted)?)
+            .map(|(config, located)| {
+                let located = located?;
+                write_cost(db, stmt, config, cm, (located.cost, located.rows))
             })
             .collect(),
+        _ => configs
+            .iter()
+            .map(|config| write_cost(db, stmt, config, cm, (0.0, 0.0)))
+            .collect(),
+    })
+}
+
+/// The write half of Eq. 8 for one configuration: `located` is the
+/// (cost, rows) of planning the statement's [`Statement::row_location`],
+/// zero for an INSERT.
+/// Every written row costs one row write plus one per index it touches —
+/// all indexes of the table for INSERT and DELETE, twice (remove, insert)
+/// those containing an assigned column for UPDATE.
+fn write_cost(
+    db: &Database,
+    stmt: &Statement,
+    config: &HypoConfig,
+    cm: &CostModel,
+    (located_cost, located_rows): (f64, f64),
+) -> Result<f64, ExecError> {
+    let (rows, index_writes) = match stmt {
+        Statement::Insert(i) => {
+            // Arithmetic costing, but still one what-if question answered —
+            // count it so advisor accounting matches the Select/DML paths
+            // (which go through `plan_select`).
+            aim_telemetry::metrics::WHATIF_CALLS.incr();
+            (i.rows.len().max(1) as f64, index_count(db, &i.table, config)?)
+        }
         Statement::Update(u) => {
-            let wheres = dml_where_cost_batch(
-                db,
-                &u.table,
-                u.where_clause.as_ref(),
-                configs,
-                cm,
-                interrupted,
-            )?;
             let assigned: BTreeSet<&str> =
                 u.assignments.iter().map(|(c, _)| c.as_str()).collect();
-            configs
-                .iter()
-                .zip(wheres)
-                .map(|(config, w)| {
-                    let (sel_cost, affected) = w?;
-                    let mut touched = 0.0;
-                    let table = db.table(&u.table)?;
-                    if config.include_materialized {
-                        for ix in table.indexes() {
-                            if ix.def().columns.iter().any(|c| assigned.contains(c.as_str())) {
-                                touched += 1.0;
-                            }
-                        }
-                    }
-                    for (_, h) in config.for_table(&u.table) {
-                        if h.def.columns.iter().any(|c| assigned.contains(c.as_str())) {
-                            touched += 1.0;
-                        }
-                    }
-                    Ok(sel_cost
-                        + affected
-                            * (1.0 + 2.0 * touched)
-                            * (cm.write_row_cost + cm.rand_page_cost))
-                })
-                .collect()
+            let rewritten = |columns: &[String]| columns.iter().any(|c| assigned.contains(c.as_str()));
+            let table = db.table(&u.table)?;
+            let materialized = if config.include_materialized {
+                table.indexes().filter(|ix| rewritten(&ix.def().columns)).count()
+            } else {
+                0
+            };
+            let hypothetical =
+                config.for_table(&u.table).filter(|(_, h)| rewritten(&h.def.columns)).count();
+            (located_rows, 2.0 * (materialized + hypothetical) as f64)
         }
-        Statement::Delete(d) => {
-            let wheres = dml_where_cost_batch(
-                db,
-                &d.table,
-                d.where_clause.as_ref(),
-                configs,
-                cm,
-                interrupted,
-            )?;
-            configs
-                .iter()
-                .zip(wheres)
-                .map(|(config, w)| {
-                    let (sel_cost, affected) = w?;
-                    let nindexes = index_count(db, &d.table, config)?;
-                    Ok(sel_cost
-                        + affected * (1.0 + nindexes) * (cm.write_row_cost + cm.rand_page_cost))
-                })
-                .collect()
-        }
-        Statement::CreateTable(_) | Statement::CreateIndex(_) | Statement::DropIndex { .. } => {
-            configs.iter().map(|_| Ok(0.0)).collect()
-        }
-    })
+        Statement::Delete(d) => (located_rows, index_count(db, &d.table, config)?),
+        _ => return Ok(0.0),
+    };
+    Ok(located_cost + rows * (1.0 + index_writes) * (cm.write_row_cost + cm.rand_page_cost))
 }
 
 fn index_count(db: &Database, table: &str, config: &HypoConfig) -> Result<f64, ExecError> {
@@ -1586,58 +1535,6 @@ fn index_count(db: &Database, table: &str, config: &HypoConfig) -> Result<f64, E
         0
     };
     Ok((mat + config.for_table(table).count()) as f64)
-}
-
-/// Plans the WHERE part of an UPDATE/DELETE as a `SELECT *` and returns
-/// (cost, affected row estimate).
-fn dml_where_cost(
-    db: &Database,
-    table: &str,
-    where_clause: Option<&Expr>,
-    config: &HypoConfig,
-    cm: &CostModel,
-) -> Result<(f64, f64), ExecError> {
-    let select = Select {
-        distinct: false,
-        items: vec![SelectItem::Wildcard],
-        from: vec![aim_sql::ast::TableRef::new(table)],
-        where_clause: where_clause.cloned(),
-        group_by: Vec::new(),
-        having: None,
-        order_by: Vec::new(),
-        limit: None,
-    };
-    let entry = crate::whatif::global().eval_select(db, &select, config, cm)?;
-    Ok((entry.cost, entry.rows))
-}
-
-/// Batched [`dml_where_cost`]: one shared `SELECT *` planning context for
-/// every configuration.
-fn dml_where_cost_batch(
-    db: &Database,
-    table: &str,
-    where_clause: Option<&Expr>,
-    configs: &[&HypoConfig],
-    cm: &CostModel,
-    interrupted: &dyn Fn() -> bool,
-) -> Option<Vec<Result<(f64, f64), ExecError>>> {
-    let select = Select {
-        distinct: false,
-        items: vec![SelectItem::Wildcard],
-        from: vec![aim_sql::ast::TableRef::new(table)],
-        where_clause: where_clause.cloned(),
-        group_by: Vec::new(),
-        having: None,
-        order_by: Vec::new(),
-        limit: None,
-    };
-    Some(
-        crate::whatif::global()
-            .eval_select_batch_until(db, &select, configs, cm, interrupted)?
-            .into_iter()
-            .map(|r| r.map(|e| (e.cost, e.rows)))
-            .collect(),
-    )
 }
 
 #[cfg(test)]

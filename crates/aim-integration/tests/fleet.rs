@@ -134,7 +134,8 @@ fn single_tenant_fleet_bit_identical_to_tuning_session() {
     let mut bare_db = orders_db(6000);
     let mut bare_monitor = WorkloadMonitor::new();
     populate(&mut bare_db, &mut bare_monitor);
-    let bare_session = TuningSession::from_aim(aim_core::Aim::new(base()));
+    let bare_session: TuningSession =
+        AimConfig::builder().selection(selection()).ledger(true).session();
     let bare = bare_session
         .run(&mut bare_db, &bare_monitor)
         .expect("bare pass converges");
@@ -229,6 +230,79 @@ fn one_tenant_faulting_does_not_abort_the_fleet() {
         .db
         .check_consistency()
         .expect("consistent after rollback");
+}
+
+/// One transient what-if failure during the probe of a 4-tenant fleet —
+/// the fleet's first what-if call, so tenant-0's — under `retry`, with
+/// telemetry on. Returns the outcome, the tenants and the journal.
+fn fleet_with_one_probe_fault(
+    retry: RetryPolicy,
+) -> (FleetOutcome, Vec<Tenant>, Vec<aim_telemetry::Event>) {
+    let mut tenants: Vec<Tenant> = (0..4)
+        .map(|i| {
+            let mut t = Tenant::new(format!("tenant-{i}"), orders_db(3000 + 500 * i));
+            observe(&mut t.db, &mut t.monitor, "SELECT id FROM orders WHERE customer = 42", 6);
+            t
+        })
+        .collect();
+    aim_exec::whatif::global().clear();
+    aim_telemetry::enable();
+    aim_telemetry::reset();
+    fault::arm(FaultPlan::new(7).fail("exec.whatif", 0, 1));
+    let outcome = FleetConfig::builder()
+        .base(AimConfig::builder().selection(selection()).build())
+        .fleet_workers(1)
+        .retry(retry)
+        .session()
+        .run(&mut tenants);
+    let log = fault::disarm();
+    let events = aim_telemetry::events();
+    aim_telemetry::disable();
+    assert_eq!(log.len(), 1, "exactly the planned fault fires: {log:?}");
+    (outcome, tenants, events)
+}
+
+/// The retry policy `FleetConfigBuilder::retry` promises "inside every
+/// tenant session" also covers the probe: a transient what-if failure
+/// there is retried, not charged to the tenant.
+#[test]
+fn probe_fault_is_retried_under_the_fleet_retry_policy() {
+    let _g = FaultGuard::acquire();
+    let (outcome, tenants, _) = fleet_with_one_probe_fault(RetryPolicy::default());
+    assert_eq!(outcome.failed(), 0, "{:?}", outcome.tenants);
+    for (t, out) in tenants.iter().zip(&outcome.tenants) {
+        let o = out.result.as_ref().expect("every tenant converges");
+        assert!(!o.created.is_empty(), "{} tunes normally", out.id);
+        assert!(!t.db.all_indexes().is_empty());
+    }
+    let retries = aim_telemetry::snapshot().counter("aim.retries").unwrap_or(0);
+    assert!(retries >= 1, "the probe's retry is counted: {retries}");
+}
+
+/// With no retry budget the probe failure fails that tenant — and is
+/// accounted for like any other tenant failure: counted, journaled with
+/// the tenant's name, isolated from the rest of the fleet.
+#[test]
+fn probe_failure_is_counted_and_journaled_like_a_tune_failure() {
+    let _g = FaultGuard::acquire();
+    let (outcome, tenants, events) = fleet_with_one_probe_fault(RetryPolicy::none());
+    assert_eq!(outcome.failed(), 1);
+    assert!(outcome.tenants[0].result.is_err(), "the first what-if call is tenant-0's");
+    for (t, out) in tenants.iter().zip(&outcome.tenants).skip(1) {
+        let o = out.result.as_ref().expect("unfaulted tenant converges");
+        assert!(!o.created.is_empty(), "{} tunes normally", out.id);
+        assert!(!t.db.all_indexes().is_empty());
+    }
+    assert_eq!(
+        aim_telemetry::snapshot().counter("fleet.tenant_failures"),
+        Some(1)
+    );
+    let aborted: Vec<_> = events
+        .iter()
+        .filter(|e| e.kind == aim_telemetry::EventKind::PassAborted && e.target == "tenant-0")
+        .collect();
+    assert_eq!(aborted.len(), 1, "{events:?}");
+    assert!(aborted[0].detail.contains("exec.whatif"), "{}", aborted[0].detail);
 }
 
 /// Cross-shard seeding: hot tenants' wide partial orders reach the cold

@@ -6,11 +6,11 @@
 use aim_core::continuous::ContinuousTuner;
 use aim_core::fleet::{FleetConfig, Tenant};
 use aim_core::{
-    generate_candidates, rank_candidates_with, AimConfig, CandidateGenConfig, DecisionLedger,
-    LatencySentinel, SentinelConfig,
+    generate_candidates, rank_candidates_with, synthetic_workload, AimConfig, CandidateGenConfig,
+    DecisionLedger, LatencySentinel, SentinelConfig, WeightedQuery,
 };
-use aim_exec::{estimate_statement_cost, CostModel, Engine, HypoConfig};
-use aim_monitor::{QueryStats, SelectionConfig, WorkloadMonitor, WorkloadQuery};
+use aim_exec::{CostModel, Engine};
+use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_sql::parse_statement;
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema, Value};
 use aim_telemetry::{EventKind, MemorySink};
@@ -476,25 +476,17 @@ fn parallel_ranking_profile_matches_sequential_shape() {
 
     let db = build_db(4000);
     let cm = CostModel::default();
-    let empty = HypoConfig::only(Vec::new());
     let sqls = [
         "SELECT id FROM t WHERE a = 7",
         "SELECT id FROM t WHERE b = 3",
         "SELECT id FROM t WHERE a = 9 AND b = 1",
         "SELECT a FROM t WHERE b = 2",
     ];
-    let workload: Vec<WorkloadQuery> = sqls
+    let weighted: Vec<WeightedQuery> = sqls
         .iter()
-        .map(|sql| {
-            let stmt = parse_statement(sql).unwrap();
-            let cost = estimate_statement_cost(&db, &stmt, &empty, &cm).unwrap_or(0.0);
-            WorkloadQuery {
-                stats: QueryStats::synthetic(&stmt, 10, 10.0 * cost),
-                benefit: 0.0,
-                weight: 10.0,
-            }
-        })
+        .map(|sql| WeightedQuery::new(parse_statement(sql).unwrap(), 10.0))
         .collect();
+    let workload = synthetic_workload(&db, &weighted, &cm);
     let candidates = generate_candidates(&db, &workload, &CandidateGenConfig::default());
     assert!(candidates.len() >= 2, "need enough candidates to parallelize");
 

@@ -20,8 +20,8 @@ mod common;
 use aim_core::fleet::{BudgetAllocation, FleetConfig, FleetOutcome, Tenant};
 use aim_core::{
     config_size, generate_candidates, knapsack_select, knapsack_select_explained,
-    rank_candidates_with, AimAdvisor, AimConfig, AimConfigBuilder, AimOutcome, CandidateGenConfig,
-    IndexAdvisor, RankedCandidate, SelectionStrategy, WeightedQuery,
+    rank_candidates_with, refine_selection, AimAdvisor, AimConfig, AimConfigBuilder, AimOutcome,
+    CandidateGenConfig, IndexAdvisor, RankedCandidate, SelectionStrategy, WeightedQuery,
 };
 use aim_exec::{CostModel, Engine};
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor};
@@ -342,4 +342,56 @@ fn pass_decisions_match_golden() {
     lp_section(&mut actual, &tpch);
 
     common::assert_matches_golden("pass_digest.txt", &actual);
+}
+
+/// The LP selector's accept branch, on the instance of [`lp_section`]:
+/// the rounded LP selection replaces greedy because it is cheaper on
+/// actual batched workload cost, stays within the budget, and is exactly
+/// what the `Lp` session builds and explains.
+#[test]
+fn lp_selection_replaces_greedy_where_greedy_strands_the_budget() {
+    let tpch = tpch_case();
+    let gen = CandidateGenConfig { join_parameter: 3, ..Default::default() };
+    let (_, ranked, full) = rank(&tpch.db, &tpch.monitor, &gen);
+    let budget = full * 2 / 5;
+    let workload = select_workload(&tpch.monitor, &selection());
+    let greedy = knapsack_select(&ranked, budget, 0);
+    let lp = refine_selection(
+        &tpch.db,
+        &workload,
+        &ranked,
+        greedy.clone(),
+        budget,
+        0,
+        &CostModel::default(),
+    );
+    assert!(lp.used_lp, "greedy kept: lp {} vs greedy {}", lp.lp_cost, lp.greedy_cost);
+    assert!(lp.lp_cost < lp.greedy_cost);
+    assert!(lp.chosen.iter().map(|r| r.size_bytes).sum::<u64>() <= budget);
+    assert_ne!(names(&lp.chosen), names(&greedy));
+
+    let session = |strategy| {
+        let session = tpch
+            .builder()
+            .candidate_gen(gen.clone())
+            .storage_budget(budget)
+            .skip_validation(true)
+            .selection_strategy(strategy)
+            .ledger(true)
+            .session();
+        let outcome = session.run(&mut tpch.db.clone(), &tpch.monitor).expect("pass");
+        let built: Vec<String> = outcome.created.iter().map(|c| c.def.name.clone()).collect();
+        (built, session.ledger())
+    };
+    let (built, ledger) = session(SelectionStrategy::Lp);
+    assert_eq!(built, names(&lp.chosen), "the session materializes the LP's choice");
+    for d in &lp.decisions {
+        let stages = ledger.find(&d.name).expect("shortlisted candidate has a record").stages();
+        assert!(stages.contains(&d.stage), "{}: {stages:?}", d.name);
+    }
+    assert!(lp.decisions.len() > lp.chosen.len(), "the shortlist holds rejected candidates too");
+
+    let (built, ledger) = session(SelectionStrategy::Greedy);
+    assert_eq!(built, names(&greedy), "greedy sessions never see the LP");
+    assert!(ledger.records().iter().all(|r| !r.stages().iter().any(|s| s.starts_with("lp_"))));
 }

@@ -650,6 +650,24 @@ clone_fieldwise!(Select {
     limit
 });
 
+impl Select {
+    /// `SELECT * FROM table [WHERE ...]`: the shape of the row-location
+    /// step of an UPDATE or DELETE ([`Statement::row_location`]), as the
+    /// executor runs it and the planner and the advisor price it.
+    pub fn star_where(table: &str, where_clause: Option<&Expr>) -> Self {
+        Select {
+            distinct: false,
+            items: vec![SelectItem::Wildcard],
+            from: vec![TableRef::new(table)],
+            where_clause: where_clause.cloned(),
+            group_by: Vec::new(),
+            having: None,
+            order_by: Vec::new(),
+            limit: None,
+        }
+    }
+}
+
 impl fmt::Display for Select {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         Renderer::exact(f).select(self)
@@ -809,6 +827,26 @@ impl Statement {
             self,
             Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_)
         )
+    }
+
+    /// The step that finds the rows an UPDATE or DELETE writes, as a
+    /// statement of its own: `SELECT *` over its table under its WHERE.
+    pub fn row_location(&self) -> Option<Select> {
+        match self {
+            Statement::Update(u) => Some(Select::star_where(&u.table, u.where_clause.as_ref())),
+            Statement::Delete(d) => Some(Select::star_where(&d.table, d.where_clause.as_ref())),
+            _ => None,
+        }
+    }
+
+    /// The table a DML statement writes; `None` for everything else.
+    pub fn written_table(&self) -> Option<&str> {
+        match self {
+            Statement::Insert(i) => Some(&i.table),
+            Statement::Update(u) => Some(&u.table),
+            Statement::Delete(d) => Some(&d.table),
+            _ => None,
+        }
     }
 }
 

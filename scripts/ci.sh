@@ -6,11 +6,15 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release"
 cargo build --release
 
-echo "== cargo test -q"
-cargo test -q
+echo "== cargo test -q --no-fail-fast"
+# --no-fail-fast: one red test binary must not hide the ones after it.
+cargo test -q --no-fail-fast
 
-echo "== cargo clippy --workspace -- -D warnings"
+echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== code lines per crate (report, not a gate)"
+scripts/loc.sh
 
 echo "== bench_whatif smoke (what-if cache regression gate)"
 # Exits non-zero if a repeated tuning pass over an unchanged database shows a
