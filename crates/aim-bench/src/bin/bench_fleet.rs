@@ -19,14 +19,14 @@
 //! `smoke` (12 tenants) is the CI gate: every tenant must converge, the
 //! knapsack split must not lose to uniform, and the emitted artifact must
 //! be well-formed JSON (checked in-process via `aim_telemetry::jsonv`).
-//! The default mode runs 256 tenants and writes `results/BENCH_fleet.json`.
+//! The default mode runs 256 tenants and writes `results/BENCH_fleet.json`
+//! (`smoke`: under `target/smoke/`).
 
 use aim_core::fleet::{BudgetAllocation, FleetConfig, FleetOutcome, Tenant};
 use aim_core::{workload_cost, AimConfig, SelectionStrategy};
 use aim_exec::{CostModel, HypoConfig};
 use aim_monitor::SelectionConfig;
 use aim_workloads::fleet::{generate_fleet, FleetSpec, TenantWorkload};
-use std::io::Write as _;
 
 /// Total post-tuning workload cost: each tenant's weighted SELECT shapes
 /// priced against its (now tuned) database, summed across the fleet.
@@ -307,16 +307,9 @@ fn main() {
     if let Err(e) = aim_telemetry::jsonv::parse(&json) {
         failures.push(format!("artifact is not well-formed JSON: {e}"));
     }
-    let path = if mode == "full" {
-        "results/BENCH_fleet.json".to_string()
-    } else {
-        format!("results/BENCH_fleet_{mode}.json")
-    };
-    match std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::File::create(&path))
-        .and_then(|mut f| f.write_all(json.as_bytes()))
-    {
-        Ok(()) => eprintln!("# artifact: {path}"),
+    let name = if quick { "BENCH_fleet_quick.json" } else { "BENCH_fleet.json" };
+    match aim_bench::write_artifact(name, smoke, &json) {
+        Ok(path) => eprintln!("# artifact: {path}"),
         Err(e) => failures.push(format!("artifact write failed: {e}")),
     }
 

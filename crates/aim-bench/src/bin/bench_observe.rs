@@ -24,7 +24,8 @@
 //! Configs are interleaved round-robin and the per-config minimum across
 //! rounds is compared, which suppresses scheduler noise the way overhead
 //! microbenches conventionally do. The run writes
-//! `results/BENCH_observability.json` and **exits non-zero when the
+//! `results/BENCH_observability.json` (`smoke`: under `target/smoke/`) and
+//! **exits non-zero when the
 //! disarmed overhead exceeds the bound** (2% full, 5% smoke — the smoke
 //! instance is small enough that timer noise needs headroom) **or the
 //! labeled-over-armed overhead exceeds 5%**.
@@ -36,7 +37,6 @@ use aim_exec::Engine;
 use aim_sql::parse_statement;
 use aim_sql::Statement;
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema, Value};
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 const ROWS: i64 = 512;
@@ -259,18 +259,8 @@ fn main() {
             malformed = true;
         }
     }
-    // The recorded artifact is the full run; smoke runs (CI) write
-    // alongside it so they never clobber the recorded numbers.
-    let path = if smoke {
-        "results/BENCH_observability_smoke.json".to_string()
-    } else {
-        "results/BENCH_observability.json".to_string()
-    };
-    match std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::File::create(&path))
-        .and_then(|mut f| f.write_all(json.as_bytes()))
-    {
-        Ok(()) => eprintln!("# artifact: {path}"),
+    match aim_bench::write_artifact("BENCH_observability.json", smoke, &json) {
+        Ok(path) => eprintln!("# artifact: {path}"),
         Err(e) => eprintln!("# artifact write failed: {e}"),
     }
 

@@ -12,9 +12,9 @@
 //! * a checkpoint + reopen cycle verifying durability.
 //!
 //! Results land in `results/bench_storage.json`. `smoke` mode shrinks the
-//! data set and exits non-zero when any invariant fails (memory/disk
-//! divergence, zero buffer-pool traffic, lost rows after reopen) — the
-//! `storage_smoke` CI gate.
+//! data set, writes under `target/smoke/` instead, and exits non-zero when
+//! any invariant fails (memory/disk divergence, zero buffer-pool traffic,
+//! lost rows after reopen) — the `storage_smoke` CI gate.
 //!
 //! Usage: `cargo run -p aim-bench --bin bench_storage --release -- [quick|smoke]`
 
@@ -23,7 +23,6 @@ use aim_exec::{Engine, IoAccuracy};
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_sql::parse_statement;
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema, Value};
-use std::io::Write as _;
 
 fn populate(db: &mut Database, rows: i64) {
     db.create_table(
@@ -191,13 +190,9 @@ fn main() {
         mem_acc.mean_relative_error(),
         mem_acc.bias(),
     );
-    let path = "results/bench_storage.json";
-    let written = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::File::create(path))
-        .and_then(|mut f| writeln!(f, "{json}"));
-    match written {
-        Ok(()) => eprintln!("# wrote {path}"),
-        Err(e) => eprintln!("# failed to write {path}: {e}"),
+    match aim_bench::write_artifact("bench_storage.json", smoke, &format!("{json}\n")) {
+        Ok(path) => eprintln!("# wrote {path}"),
+        Err(e) => eprintln!("# failed to write bench_storage.json: {e}"),
     }
     println!("{json}");
     eprintln!(

@@ -117,6 +117,17 @@ pub fn csv_row(fields: &[String]) {
     println!("{}", fields.join(","));
 }
 
+/// Writes a `bench_*` artifact and returns its path: a recorded run goes
+/// to the tracked `results/<name>`, a smoke run (CI) to the ignored
+/// `target/smoke/<name>`, so a gate never touches a tracked file.
+pub fn write_artifact(name: &str, smoke: bool, json: &str) -> std::io::Result<String> {
+    let dir = if smoke { "target/smoke" } else { "results" };
+    std::fs::create_dir_all(dir)?;
+    let path = format!("{dir}/{name}");
+    std::fs::write(&path, json)?;
+    Ok(path)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

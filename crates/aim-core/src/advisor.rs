@@ -58,27 +58,22 @@ pub fn defs_to_config(db: &Database, defs: &[IndexDef]) -> HypoConfig {
 }
 
 /// Total estimated workload cost `Σ w_q · cost(q, X)` under a what-if
-/// configuration — the y-axis of Figure 4a/4c.
+/// configuration — the y-axis of Figure 4a/4c. The one-config
+/// [`workload_cost_batch`].
 pub fn workload_cost(
     db: &Database,
     workload: &[WeightedQuery],
     config: &HypoConfig,
     cm: &CostModel,
 ) -> f64 {
-    workload
-        .iter()
-        .map(|wq| {
-            wq.weight
-                * estimate_statement_cost(db, &wq.statement, config, cm).unwrap_or(f64::INFINITY)
-        })
-        .sum()
+    workload_cost_batch(db, workload, &[config], cm)[0]
 }
 
-/// [`workload_cost`] against several configurations at once: every
-/// statement is costed for all configs in a single batched planner pass
+/// Workload cost under several configurations at once: every statement is
+/// costed for all configs in a single batched planner pass
 /// ([`estimate_statement_cost_batch`]), so parsing/binding/selectivity work
 /// is shared. Returns one total per config, in config order; each total is
-/// bit-identical to calling [`workload_cost`] with that config alone.
+/// bit-identical to costing that config alone.
 pub fn workload_cost_batch(
     db: &Database,
     workload: &[WeightedQuery],

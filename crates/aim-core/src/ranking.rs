@@ -111,14 +111,16 @@ fn cost_or(
 
 /// Runs one batched what-if evaluation under `ctl`: the batch consults the
 /// deadline and cancel token before every slot, and an interrupted batch
-/// becomes the abort that interrupted it — so a cancel or deadline lands
-/// within one what-if call however many slots the batch has.
-fn under_ctl<T>(
+/// becomes the abort that interrupted it, attributed to `phase` — so a
+/// cancel or deadline lands within one what-if call however many slots the
+/// batch has.
+pub(crate) fn under_ctl<T>(
     ctl: &RunCtl,
+    phase: &'static str,
     batch: impl FnOnce(&dyn Fn() -> bool) -> Option<T>,
 ) -> Result<T, AimError> {
     let abort = std::cell::Cell::new(None);
-    let out = batch(&|| match ctl.check("ranking") {
+    let out = batch(&|| match ctl.check(phase) {
         Ok(()) => false,
         Err(e) => {
             abort.set(Some(e));
@@ -132,25 +134,41 @@ fn under_ctl<T>(
     })
 }
 
-/// How [`eval_query`] prices one statement under several configurations.
-/// Both variants make the same what-if calls in the same order and return
-/// their results in `configs` order, so they rank bit-identically (unit
-/// and property tests enforce this) and fault-injection sites fire in the
-/// same order.
+/// How [`eval_query`] prices one statement under N configurations: through
+/// the one what-if entry point either way, so both variants make the same
+/// what-if calls in the same order, return their results in `configs`
+/// order, rank bit-identically (unit and property tests enforce this) and
+/// fire fault-injection sites in the same order.
 #[derive(Clone, Copy)]
 enum Costing {
-    /// One [`aim_exec::whatif::WhatIfCache::eval_select_batch_until`] /
-    /// [`estimate_statement_cost_batch_until`] call for all of them, so
-    /// parsing, binding enumeration and selectivity derivation are shared
-    /// across the configs: the hot path.
+    /// One N-slot call, so parsing, binding, probe contexts and index
+    /// prices are shared across the configs: the hot path.
     Batched,
-    /// One `eval_select` / [`estimate_statement_cost`] call per config: the
-    /// pre-batching reference behind [`rank_candidates_unbatched`]. Runs
-    /// only un-deadlined.
+    /// N one-slot calls: the reference behind
+    /// [`rank_candidates_unbatched`].
     PerConfig,
 }
 
 impl Costing {
+    /// Prices `configs` through `call`, one what-if call per slice this
+    /// costing cuts them into, each under `ctl`.
+    fn price<T>(
+        self,
+        configs: &[&HypoConfig],
+        ctl: &RunCtl,
+        call: impl Fn(&[&HypoConfig], &dyn Fn() -> bool) -> Option<Vec<T>>,
+    ) -> Result<Vec<T>, AimError> {
+        let slots = match self {
+            Costing::Batched => configs.len().max(1),
+            Costing::PerConfig => 1,
+        };
+        let mut out = Vec::with_capacity(configs.len());
+        for slice in configs.chunks(slots) {
+            out.extend(under_ctl(ctl, "ranking", |stop| call(slice, stop))?);
+        }
+        Ok(out)
+    }
+
     fn selects(
         self,
         db: &Database,
@@ -160,14 +178,9 @@ impl Costing {
         ctl: &RunCtl,
     ) -> Result<Vec<Result<WhatIfEntry, ExecError>>, AimError> {
         let cache = aim_exec::whatif::global();
-        match self {
-            Costing::Batched => under_ctl(ctl, |stop| {
-                cache.eval_select_batch_until(db, select, configs, cm, stop)
-            }),
-            Costing::PerConfig => {
-                Ok(configs.iter().map(|c| cache.eval_select(db, select, c, cm)).collect())
-            }
-        }
+        self.price(configs, ctl, |slice, stop| {
+            cache.eval_select_batch_until(db, select, slice, cm, stop)
+        })
     }
 
     fn statements(
@@ -178,14 +191,9 @@ impl Costing {
         cm: &CostModel,
         ctl: &RunCtl,
     ) -> Result<Vec<Result<f64, ExecError>>, AimError> {
-        match self {
-            Costing::Batched => under_ctl(ctl, |stop| {
-                estimate_statement_cost_batch_until(db, stmt, configs, cm, stop)
-            }),
-            Costing::PerConfig => {
-                Ok(configs.iter().map(|c| estimate_statement_cost(db, stmt, c, cm)).collect())
-            }
-        }
+        self.price(configs, ctl, |slice, stop| {
+            estimate_statement_cost_batch_until(db, stmt, slice, cm, stop)
+        })
     }
 }
 
@@ -427,10 +435,9 @@ pub fn rank_candidates_with(
         .expect("lenient ranking without deadline or cancel cannot fail")
 }
 
-/// [`rank_candidates_with`] costed one config at a time — the pre-batching
-/// reference. The batched hot path must produce bit-identical output
-/// (property tests and the selection benchmark compare the two); this also
-/// serves as the sequential baseline for speedup measurements.
+/// [`rank_candidates_with`] costed one config per what-if call — the
+/// reference the batched hot path must match bit for bit (unit and
+/// property tests compare the two).
 pub fn rank_candidates_unbatched(
     db: &Database,
     workload: &[WorkloadQuery],
@@ -972,11 +979,12 @@ mod tests {
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
         let cm = CostModel::default();
         let cache = aim_exec::whatif::global();
-        // Cache off so both paths genuinely plan (no cross-path leakage).
-        cache.set_enabled(false);
+        // A cold cache each so both paths genuinely plan (no cross-path
+        // leakage).
+        cache.clear();
         let batched = rank_candidates_with(&db, &w, &cands, &cm, 1);
+        cache.clear();
         let sequential = rank_candidates_unbatched(&db, &w, &cands, &cm, 1);
-        cache.set_enabled(true);
         assert!(!batched.is_empty());
         assert_bit_identical(&sequential, &batched);
     }
@@ -987,12 +995,10 @@ mod tests {
         let w = mixed_workload(&mut db);
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
         let cm = CostModel::default();
-        let cache = aim_exec::whatif::global();
-        cache.set_enabled(false);
+        aim_exec::whatif::global().clear();
         let cold = rank_candidates_with(&db, &w, &cands, &cm, 1);
-        cache.set_enabled(true);
-        // Twice with the cache on: the second pass runs almost entirely
-        // off memoized entries and must still match the uncached pass.
+        // Twice more: the last pass runs almost entirely off memoized
+        // entries and must still match the cold one.
         let warm = rank_candidates_with(&db, &w, &cands, &cm, 1);
         let hot = rank_candidates_with(&db, &w, &cands, &cm, 1);
         assert_bit_identical(&cold, &warm);

@@ -23,12 +23,20 @@
 //! top [`MAX_LP_QUERIES`] statements by weight, and per statement the
 //! [`MAX_ATOMS_PER_QUERY`] candidates with the largest benefit. All
 //! per-(statement, candidate) benefits come from *batched* what-if costing
-//! ([`aim_exec::estimate_statement_cost_batch`]) — one planner pass per
-//! statement covers the empty baseline and every singleton configuration.
+//! ([`aim_exec::estimate_statement_cost_batch_until`]) — one planner pass
+//! per statement covers the empty baseline and every singleton
+//! configuration — under the pass's [`RunCtl`]: a cancel or deadline lands
+//! within one what-if call, and an injected (transient) what-if failure
+//! surfaces as a retryable [`AimError::Fault`] instead of thinning the LP.
 
-use crate::ranking::RankedCandidate;
-use aim_exec::{estimate_statement_cost_batch, CostModel, HypoConfig, HypotheticalIndex};
+use crate::error::AimError;
+use crate::ranking::{under_ctl, RankedCandidate};
+use crate::session::RunCtl;
+use aim_exec::{
+    estimate_statement_cost_batch_until, CostModel, ExecError, HypoConfig, HypotheticalIndex,
+};
 use aim_monitor::WorkloadQuery;
+use aim_sql::ast::Statement;
 use aim_storage::Database;
 use aim_telemetry as tel;
 use std::sync::Arc;
@@ -70,22 +78,40 @@ pub struct LpOutcome {
     pub decisions: Vec<LpDecision>,
 }
 
+/// Prices `stmt` under `configs` through the interruptible what-if entry
+/// point. An injected failure in any slot aborts the refinement so the
+/// session can retry it; a deterministic error stays in its slot.
+fn price(
+    db: &Database,
+    stmt: &Statement,
+    configs: &[&HypoConfig],
+    cm: &CostModel,
+    ctl: &RunCtl,
+) -> Result<Vec<Result<f64, ExecError>>, AimError> {
+    let costs = under_ctl(ctl, "selection_lp", |stop| {
+        estimate_statement_cost_batch_until(db, stmt, configs, cm, stop)
+    })?;
+    match costs.iter().find_map(|c| c.as_ref().err().filter(|e| e.is_injected())) {
+        Some(e) => Err(AimError::from_exec("selection_lp", e.clone())),
+        None => Ok(costs),
+    }
+}
+
 /// Solves the reduced LP relaxation, rounds it, and returns whichever of
-/// {LP-rounded, `greedy`} has the lower actual workload cost under the
-/// remaining budget. `ranked` must be in utility-density order (the output
-/// of [`crate::ranking::rank_candidates`]); `greedy` is the knapsack
-/// selection to fall back on.
+/// {LP-rounded, `greedy`} has the lower actual workload cost within the
+/// `remaining` bytes of budget. `ranked` must be in utility-density order
+/// (the output of [`crate::ranking::rank_candidates`]); `greedy` is the
+/// knapsack selection to fall back on. Fails only by abort (`ctl`) or with
+/// a retryable injected fault.
 pub fn refine_selection(
     db: &Database,
     workload: &[WorkloadQuery],
     ranked: &[RankedCandidate],
-    greedy: Vec<RankedCandidate>,
-    budget_bytes: u64,
-    used_bytes: u64,
+    greedy: &[RankedCandidate],
+    remaining: u64,
     cm: &CostModel,
-) -> LpOutcome {
-    let remaining = budget_bytes.saturating_sub(used_bytes);
-
+    ctl: &RunCtl,
+) -> Result<LpOutcome, AimError> {
     // ------------------------------------------------- reduced instance
     // Shortlist: positive-utility candidates in ranked (density) order.
     let shortlist: Vec<(&RankedCandidate, Arc<HypotheticalIndex>)> = ranked
@@ -95,7 +121,7 @@ pub fn refine_selection(
         .take(MAX_LP_CANDIDATES)
         .collect();
     if shortlist.is_empty() || workload.is_empty() {
-        return fallback(greedy, "empty reduced instance");
+        return Ok(fallback(greedy, "empty reduced instance"));
     }
 
     // Statements by descending weight (stable: ties keep workload order).
@@ -123,7 +149,7 @@ pub fn refine_selection(
     let mut atoms: Vec<(usize, Vec<(usize, f64)>)> = Vec::with_capacity(q_order.len());
     for &qi in &q_order {
         let wq = &workload[qi];
-        let costs = estimate_statement_cost_batch(db, &wq.stats.exemplar, &batch_cfgs, cm);
+        let costs = price(db, &wq.stats.exemplar, &batch_cfgs, cm, ctl)?;
         let Some(Ok(base)) = costs.first().cloned() else {
             continue;
         };
@@ -147,7 +173,7 @@ pub fn refine_selection(
         }
     }
     if atoms.is_empty() {
-        return fallback(greedy, "no statement benefits from any shortlisted candidate");
+        return Ok(fallback(greedy, "no statement benefits from any shortlisted candidate"));
     }
 
     // -------------------------------------------------------- LP set-up
@@ -194,7 +220,7 @@ pub fn refine_selection(
         simplex_max(&objective, &rows, &rhs, MAX_SIMPLEX_ITERATIONS);
     tel::metrics::SELECTION_LP_ITERATIONS.add(iterations);
     if !converged {
-        return fallback(greedy, "simplex iteration budget exhausted");
+        return Ok(fallback(greedy, "simplex iteration budget exhausted"));
     }
 
     // ------------------------------------------------- rounding + guard
@@ -218,19 +244,21 @@ pub fn refine_selection(
     // The guard: actual batched workload cost decides, so the LP path can
     // only match or beat greedy. Both selections are costed in one batch
     // per statement (they differ only in access-path pricing).
-    let greedy_cfg = selection_config(db, &greedy);
+    let greedy_cfg = selection_config(db, greedy);
     let lp_cfg = selection_config(db, &lp_chosen);
     let mut totals = [0.0f64; 2];
     for wq in workload {
-        let costs =
-            estimate_statement_cost_batch(db, &wq.stats.exemplar, &[&greedy_cfg, &lp_cfg], cm);
+        let costs = price(db, &wq.stats.exemplar, &[&greedy_cfg, &lp_cfg], cm, ctl)?;
         for (t, res) in totals.iter_mut().zip(costs) {
             *t += wq.weight * res.unwrap_or(f64::INFINITY);
         }
     }
+    // An abort that arrived during the last what-if call belongs to this
+    // phase, not to whichever phase checks next.
+    ctl.check("selection_lp")?;
     let [greedy_cost, lp_cost] = totals;
     let used_lp = lp_cost < greedy_cost;
-    let chosen = if used_lp { lp_chosen.clone() } else { greedy };
+    let chosen = if used_lp { lp_chosen } else { greedy.to_vec() };
 
     let verdict = if used_lp {
         format!("LP-rounded selection kept ({lp_cost:.1} < greedy {greedy_cost:.1})")
@@ -252,14 +280,14 @@ pub fn refine_selection(
             }
         })
         .collect();
-    LpOutcome {
+    Ok(LpOutcome {
         chosen,
         used_lp,
         lp_cost,
         greedy_cost,
         iterations,
         decisions,
-    }
+    })
 }
 
 /// What-if configuration of a selection (same construction ranking uses,
@@ -272,7 +300,7 @@ fn selection_config(db: &Database, selection: &[RankedCandidate]) -> HypoConfig 
     HypoConfig::shared(hypos)
 }
 
-fn fallback(greedy: Vec<RankedCandidate>, why: &str) -> LpOutcome {
+fn fallback(greedy: &[RankedCandidate], why: &str) -> LpOutcome {
     let decisions = greedy
         .iter()
         .map(|r| LpDecision {
@@ -284,7 +312,7 @@ fn fallback(greedy: Vec<RankedCandidate>, why: &str) -> LpOutcome {
         })
         .collect();
     LpOutcome {
-        chosen: greedy,
+        chosen: greedy.to_vec(),
         used_lp: false,
         lp_cost: f64::INFINITY,
         greedy_cost: f64::INFINITY,
@@ -487,7 +515,8 @@ mod tests {
         let all: u64 = ranked.iter().map(|r| r.size_bytes).sum();
         for budget in [u64::MAX, all, all / 2, all / 4, 1] {
             let greedy = knapsack_select(&ranked, budget, 0);
-            let out = refine_selection(&db, &w, &ranked, greedy.clone(), budget, 0, &cm);
+            let out =
+                refine_selection(&db, &w, &ranked, &greedy, budget, &cm, &RunCtl::none()).unwrap();
             // The guard guarantees matches-or-beats on actual cost.
             if out.used_lp {
                 assert!(out.lp_cost < out.greedy_cost);
@@ -516,7 +545,8 @@ mod tests {
         let cm = CostModel::default();
         let ranked = rank_candidates(&db, &w, &cands, &cm);
         let greedy = knapsack_select(&ranked, u64::MAX, 0);
-        let out = refine_selection(&db, &w, &ranked, greedy.clone(), u64::MAX, 0, &cm);
+        let out =
+            refine_selection(&db, &w, &ranked, &greedy, u64::MAX, &cm, &RunCtl::none()).unwrap();
         assert_eq!(
             out.chosen.iter().map(|r| r.candidate.name()).collect::<Vec<_>>(),
             greedy.iter().map(|r| r.candidate.name()).collect::<Vec<_>>(),

@@ -646,17 +646,20 @@ impl TuningSession {
         //     {LP-rounded, greedy} has the lower actual batched workload
         //     cost — so this can only match or beat the greedy pick.
         let chosen = if cfg.selection_strategy == SelectionStrategy::Lp && !ranked.is_empty() {
-            ctl.check("selection_lp")?;
             let _s = tel::span("selection_lp");
-            let lp = crate::selection_lp::refine_selection(
-                db,
-                &workload,
-                &ranked,
-                chosen,
-                cfg.storage_budget,
-                used,
-                &self.engine.cost_model,
-            );
+            let remaining = cfg.storage_budget.saturating_sub(used);
+            let (lp, _) =
+                with_retry(&self.retry, ctl, "selection_lp", &mut outcome.retries, |_| {
+                    crate::selection_lp::refine_selection(
+                        db,
+                        &workload,
+                        &ranked,
+                        &chosen,
+                        remaining,
+                        &self.engine.cost_model,
+                        ctl,
+                    )
+                })?;
             decisions.record(|l, pass| {
                 for d in &lp.decisions {
                     l.note(pass, &d.name, &d.table, &d.columns, d.stage, d.detail.clone());

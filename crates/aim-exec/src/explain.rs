@@ -13,10 +13,10 @@
 //! cardinalities come from the cost model; actual cardinalities can be
 //! attached after executing the query via [`ExplainPlan::with_actuals`].
 //!
-//! The advisory hot path ([`crate::plan_select`], driven millions of times
-//! through the what-if cache) does **not** pay for any of this: alternative
-//! collection re-derives candidate costs only when an explanation is
-//! explicitly requested.
+//! An explanation is the search read back, not a second derivation: per
+//! join step it lists the candidates the planner folded over, answered from
+//! the prices the search memoized, with the same fold marking the pick. The
+//! advisory hot path pays only for the strings — when asked.
 
 use crate::cost::CostModel;
 use crate::error::ExecError;

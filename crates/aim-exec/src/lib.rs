@@ -68,4 +68,4 @@ pub use planner::{
 };
 pub use predicate::{JoinPred, PredicateAnalysis, Sarg, SargValue};
 pub use prepare::{bind_params, param_count};
-pub use whatif::{whatif_cost, WhatIfCache, WhatIfCacheStats, WhatIfEntry};
+pub use whatif::{WhatIfCache, WhatIfCacheStats, WhatIfEntry};

@@ -7,17 +7,26 @@
 //! with the [`CostModel`] and table statistics, and treats *hypothetical*
 //! indexes identically to materialized ones — the what-if facility every
 //! index advisor in this workspace is built on.
+//!
+//! Access paths are enumerated once and priced once (DESIGN.md §17): per
+//! table instance and set of bound tables (or OR branch) the planner builds
+//! a probe context by column position, walks the table's indexes in one
+//! fixed order, and remembers each index's price under (index identity,
+//! context). The search, the OR-union and EXPLAIN all read that one
+//! enumeration.
 
 use crate::bind::{Binder, BoundColumn};
 use crate::cost::CostModel;
 use crate::error::ExecError;
-use crate::hypothetical::HypoConfig;
+use crate::hypothetical::{HypoConfig, HypotheticalIndex};
 use crate::predicate::{PredicateAnalysis, Sarg, SargValue};
 use aim_sql::ast::{Expr, Select, SelectItem, Statement};
-use aim_storage::{ColumnStats, Database, Table, TableStats, Value};
+use aim_storage::{
+    ColumnStats, Database, IndexDef, SecondaryIndex, Table, TableSchema, TableStats, Value,
+};
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
 use std::rc::Rc;
 
@@ -199,65 +208,175 @@ impl Plan {
     }
 }
 
-/// Candidate index metadata the planner enumerates (unifies PK,
-/// materialized secondaries and hypotheticals).
-struct CandidateIndex {
-    choice: IndexChoice,
-    columns: Vec<String>,
+/// Identity of an index within one planner — what a price is remembered
+/// under. A hypothetical is its definition
+/// ([`HypotheticalIndex::def_key`]), not its position, so the N configs of
+/// a batch that share it share its price.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum IndexId<'a> {
+    Primary,
+    Secondary(&'a str),
+    Hypothetical(u64),
+}
+
+/// One index of a table as the enumeration yields it.
+#[derive(Clone, Copy)]
+enum IndexRef<'a> {
+    Primary,
+    Secondary(&'a SecondaryIndex),
+    /// Position in the current [`HypoConfig`], and the index there.
+    Hypothetical(usize, &'a HypotheticalIndex),
+}
+
+impl<'a> IndexRef<'a> {
+    fn id(self) -> IndexId<'a> {
+        match self {
+            IndexRef::Primary => IndexId::Primary,
+            IndexRef::Secondary(ix) => IndexId::Secondary(&ix.def().name),
+            IndexRef::Hypothetical(_, h) => IndexId::Hypothetical(h.def_key()),
+        }
+    }
+
+    fn choice(self) -> IndexChoice {
+        match self {
+            IndexRef::Primary => IndexChoice::Primary,
+            IndexRef::Secondary(ix) => IndexChoice::Secondary(ix.def().name.clone()),
+            IndexRef::Hypothetical(i, _) => IndexChoice::Hypothetical(i),
+        }
+    }
+
+    /// The secondary definition; `None` for the primary key.
+    fn def(self) -> Option<&'a IndexDef> {
+        match self {
+            IndexRef::Primary => None,
+            IndexRef::Secondary(ix) => Some(ix.def()),
+            IndexRef::Hypothetical(_, h) => Some(&h.def),
+        }
+    }
+
+    fn key_columns(self, schema: &TableSchema) -> Vec<String> {
+        match self.def() {
+            Some(def) => def.columns.clone(),
+            None => schema.primary_key_names().iter().map(|s| s.to_string()).collect(),
+        }
+    }
+}
+
+/// What pricing reads of an index, resolved once per planner and table
+/// instance.
+struct IndexMeta<'a> {
+    /// Key column positions in index order (`usize::MAX` for a name the
+    /// table does not have: it matches no predicate).
+    key: Cow<'a, [usize]>,
     entry_width: f64,
-    /// Clustered: entries are full rows, so it always "covers".
+    /// Clustered: entries are full rows, so it always covers.
     clustered: bool,
+    /// Key columns + PK columns ⊇ the instance's referenced columns.
+    covering: bool,
 }
 
-/// Equality / range probe sources derived for one (table, bound-set).
-type SourceMaps = (BTreeMap<String, EqSource>, BTreeMap<String, RangeInfo>);
-
-/// Probe-source memo keyed by (table instance, bound-column bitmask).
-type SourceCache = RefCell<HashMap<(usize, u64), Rc<SourceMaps>>>;
-
-/// OR-branch base memo keyed by (table instance, materialized visibility).
-type OrBaseCache = RefCell<HashMap<(usize, bool), Rc<Vec<OrBranchBase>>>>;
-
-/// Best config-independent access path, keyed by (table instance,
-/// bound-column bitmask, outermost flag, materialized visibility).
-type BaseBestCache = RefCell<HashMap<(usize, u64, bool, bool), (AccessPath, f64)>>;
-
-/// Per-OR-branch context: probe-source maps plus the best *usable*
-/// config-independent (PK / materialized) branch index, if any.
-struct OrBranchBase {
-    eq_sources: BTreeMap<String, EqSource>,
-    ranges: BTreeMap<String, RangeInfo>,
-    base_best: Option<(IndexScan, f64)>,
+/// What one table instance can be probed with, by column position: the
+/// predicates of the statement (or of one OR branch) plus the join edges
+/// to the tables bound before it.
+struct ProbeContext {
+    /// Distinguishes contexts in the pricing memo.
+    id: usize,
+    /// Equality source per column; the first predicate on a column wins.
+    eq: Vec<Option<EqSource>>,
+    /// Range constraint per column.
+    ranges: Vec<Option<RangeInfo>>,
+    /// Product selectivity of everything the context was built from.
+    selectivity: f64,
+    /// Enables the ORDER BY + LIMIT early-termination credit.
+    outermost: bool,
 }
 
-/// Memoized config-independent planning state (interior mutability:
-/// planning takes `&self`). When one `Planner` is reused for many
-/// hypothetical configs via [`Planner::set_config`], everything here —
-/// probe-source derivation, predicate selectivity, and the best
-/// full-scan/PK/materialized access path — is computed once and shared;
-/// only per-hypo access-path pricing reruns per config. Keys carry the
-/// bound-table bitmask; base-path entries also key on the
-/// materialized-index visibility flag, the only non-hypo part of a
-/// `HypoConfig` that affects pricing.
+/// Which [`ProbeContext`] of a table instance: under a set of bound tables
+/// (bitmask, outermost flag) or for one branch of the top-level OR.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum ContextKey {
+    Bound(u64, bool),
+    OrBranch(usize),
+}
+
+/// The outcome of pricing one usable index in one context; the scan it
+/// stands for is only materialised when it wins.
+#[derive(Clone, Copy)]
+struct Priced {
+    /// Leading key columns matched by equality sources.
+    eq_len: usize,
+    /// A range narrows key column `eq_len`.
+    range: bool,
+    covering: bool,
+    cost: f64,
+}
+
+/// One access path considered for a table instance, with its price.
+enum Candidate<'a> {
+    FullScan(f64),
+    /// `None`: unusable here — no predicate narrows the index, and it is
+    /// the table itself or does not cover the query.
+    Index(IndexRef<'a>, Option<Priced>),
+    /// The index picked for each OR branch, and the union's cost.
+    OrUnion(Vec<(IndexRef<'a>, Priced)>, f64),
+}
+
+impl Candidate<'_> {
+    fn cost(&self) -> Option<f64> {
+        match self {
+            Candidate::FullScan(cost) | Candidate::OrUnion(_, cost) => Some(*cost),
+            Candidate::Index(_, priced) => priced.map(|p| p.cost),
+        }
+    }
+}
+
+/// The search's choice among `candidates` (position and cost): a strict-`<`
+/// fold in enumeration order, so the earliest of equally cheap paths wins.
+fn cheapest(candidates: &[Candidate<'_>]) -> (usize, f64) {
+    let full_scan = candidates[0].cost().expect("the full scan comes first and is always usable");
+    let mut best = (0, full_scan);
+    for (i, candidate) in candidates.iter().enumerate().skip(1) {
+        if let Some(cost) = candidate.cost().filter(|c| *c < best.1) {
+            best = (i, cost);
+        }
+    }
+    best
+}
+
+/// Everything planning derives that does not depend on the configuration
+/// (interior mutability: planning takes `&self`). A price is a pure
+/// function of index × context × statement — never of what else the
+/// configuration holds — so one `Planner` reused across the configs of a
+/// batch via [`Planner::set_config`] builds each context once and prices
+/// each index once per context, whichever configs it appears in.
 #[derive(Default)]
-struct PlanScratch {
-    sources: SourceCache,
-    selectivity: RefCell<HashMap<(usize, u64), f64>>,
-    base_best: BaseBestCache,
-    or_bases: OrBaseCache,
+struct Memo<'a> {
+    contexts: HashMap<(usize, ContextKey), Rc<ProbeContext>>,
+    /// Contexts handed out so far; the next [`ProbeContext::id`].
+    issued: usize,
+    /// Per (table instance, index).
+    indexes: HashMap<(usize, IndexId<'a>), IndexEntry<'a>>,
+}
+
+/// An index's resolved metadata and its price in every context asked
+/// about, by [`ProbeContext::id`].
+struct IndexEntry<'a> {
+    meta: IndexMeta<'a>,
+    prices: HashMap<usize, Option<Priced>>,
 }
 
 /// Planner context for one SELECT.
 pub struct Planner<'a> {
-    db: &'a Database,
     config: &'a HypoConfig,
     cm: &'a CostModel,
     pub binder: Binder,
     pub analysis: PredicateAnalysis,
     select: &'a Select,
-    /// Referenced column names per table instance.
-    referenced: Vec<BTreeSet<String>>,
-    scratch: PlanScratch,
+    /// The bound tables and their statistics, per table instance.
+    tables: Vec<(&'a Table, Option<&'a TableStats>)>,
+    /// Referenced column positions per table instance.
+    referenced: Vec<BTreeSet<usize>>,
+    memo: RefCell<Memo<'a>>,
 }
 
 impl<'a> Planner<'a> {
@@ -270,27 +389,46 @@ impl<'a> Planner<'a> {
     ) -> Result<Self, ExecError> {
         let binder = Binder::for_select(db, select)?;
         let analysis = PredicateAnalysis::analyze(select.where_clause.as_ref(), &binder)?;
-        let referenced = collect_referenced(select, &binder, db)?;
+        let tables = binder
+            .tables()
+            .iter()
+            .map(|b| Ok((db.table(&b.table)?, db.stats(&b.table))))
+            .collect::<Result<Vec<_>, ExecError>>()?;
+        let referenced = collect_referenced(select, &binder, &tables);
         Ok(Self {
-            db,
             config,
             cm,
             binder,
             analysis,
             select,
+            tables,
             referenced,
-            scratch: PlanScratch::default(),
+            memo: RefCell::default(),
         })
     }
 
-    /// Swaps the hypothetical configuration while keeping every
-    /// config-independent piece of planning state — binding, predicate
-    /// analysis, referenced-column sets, and the memoized probe-source /
-    /// selectivity / base-access-path caches. This is the batched what-if
-    /// entry point: prepare once, then `set_config` + [`Planner::plan`]
-    /// per config, paying only per-hypothetical access-path pricing.
+    /// Swaps the hypothetical configuration while keeping everything that
+    /// does not depend on it — binding, predicate analysis, probe contexts
+    /// and index prices. This is how a batch is costed: prepare once, then
+    /// `set_config` + [`Planner::plan`] per config.
     pub fn set_config(&mut self, config: &'a HypoConfig) {
         self.config = config;
+    }
+
+    /// What of `config` a plan of this statement can depend on: whether
+    /// materialized indexes are visible, and which hypothetical definitions
+    /// sit on a table the statement binds (sorted, distinct). Configs with
+    /// equal projections plan identically and use the same definitions.
+    pub fn projection(&self, config: &HypoConfig) -> (bool, Vec<u64>) {
+        let mut defs: Vec<u64> = config
+            .indexes
+            .iter()
+            .filter(|h| self.tables.iter().any(|(t, _)| t.schema().name == h.def.table))
+            .map(|h| h.def_key())
+            .collect();
+        defs.sort_unstable();
+        defs.dedup();
+        (config.include_materialized, defs)
     }
 
     /// Plans the SELECT and returns the cheapest plan found.
@@ -499,64 +637,71 @@ impl<'a> Planner<'a> {
 
     /// Best access path for table instance `t`, given the set of already
     /// bound table instances (join columns to them become probe sources).
-    /// `outermost` enables ORDER BY + LIMIT early-termination credit and
-    /// OR-union paths.
+    /// `outermost` — the first table of the join order, so nothing is bound
+    /// — enables ORDER BY + LIMIT early-termination credit and OR-union
+    /// paths.
     pub fn best_access(
         &self,
         t: usize,
         bound: &[usize],
         outermost: bool,
     ) -> Result<TableStep, ExecError> {
-        let table = self.db.table(&self.binder.tables()[t].table)?;
-        let stats = self.db.stats(&self.binder.tables()[t].table);
-        let table_rows = table.row_count() as f64;
-
-        // Equality sources per column name and range constraints
-        // (config-independent, memoized across set_config reuse).
-        let sources = self.sources_cached(t, bound, table);
-        let (eq_sources, ranges) = (&sources.0, &sources.1);
-
-        // Overall selectivity of every predicate on t (independent of path).
-        let full_sel = self.selectivity_cached(t, bound, table, stats);
-        let rows_out = (table_rows * full_sel).min(table_rows);
-
-        // Config-independent base: full scan vs PK vs materialized indexes.
-        // The fold order (full scan, PK, materialized, then hypotheticals,
-        // strict `<`) matches the historical single-list enumeration, so
-        // splitting the fold here is bit-identical.
-        let (mut best_path, mut best_cost) =
-            self.base_best(t, bound, outermost, table, stats, eq_sources, ranges);
-
-        // Per-config divergence: price this config's hypothetical indexes.
-        for cand in self.hypo_candidates(table) {
-            let Some((scan, cost)) =
-                self.cost_index_candidate(t, table, stats, &cand, eq_sources, ranges, outermost)
-            else {
-                continue;
-            };
-            if cost < best_cost {
-                best_cost = cost;
-                best_path = AccessPath::IndexScan(scan);
+        debug_assert!(!outermost || bound.is_empty());
+        let ctx = self.table_context(t, bound, outermost);
+        let candidates = self.candidates(t, &ctx);
+        let (chosen, cost_each) = cheapest(&candidates);
+        let path = match &candidates[chosen] {
+            Candidate::FullScan(_) => AccessPath::FullScan,
+            Candidate::Index(ix, priced) => {
+                let priced = priced.expect("only a usable index is chosen");
+                AccessPath::IndexScan(self.scan(t, *ix, priced, &ctx))
             }
-        }
-
-        // OR-union on the outermost single table.
-        if outermost && self.binder.len() == 1 {
-            if let Some((path, cost)) = self.cost_or_union(t, table, stats) {
-                if cost < best_cost {
-                    best_cost = cost;
-                    best_path = path;
-                }
-            }
-        }
-
+            Candidate::OrUnion(picks, _) => AccessPath::OrUnion(
+                picks
+                    .iter()
+                    .enumerate()
+                    .map(|(b, (ix, priced))| self.scan(t, *ix, *priced, &self.or_context(t, b)))
+                    .collect(),
+            ),
+        };
+        let table_rows = self.table(t).row_count() as f64;
         Ok(TableStep {
             table_idx: t,
             table: self.binder.tables()[t].table.clone(),
-            path: best_path,
-            rows_each: rows_out.max(0.0),
-            cost_each: best_cost,
+            path,
+            rows_each: (table_rows * ctx.selectivity).min(table_rows).max(0.0),
+            cost_each,
         })
+    }
+
+    /// Every access path of table instance `t` in `ctx`, priced, in the
+    /// order the search folds them: full scan, primary key, materialized
+    /// indexes when the configuration shows them, its hypotheticals in
+    /// config order, then the OR-union on an outermost single table.
+    /// [`Planner::best_access`] takes the [`cheapest`]; EXPLAIN lists all.
+    fn candidates(&self, t: usize, ctx: &ProbeContext) -> Vec<Candidate<'a>> {
+        let table = self.table(t);
+        let mut out = vec![Candidate::FullScan(
+            self.cm.full_scan_cost(table.data_bytes(), table.row_count() as f64),
+        )];
+        out.extend(self.indexes(table).map(|ix| Candidate::Index(ix, self.price(t, ix, ctx))));
+        if ctx.outermost && self.binder.len() == 1 {
+            out.extend(self.or_union(t));
+        }
+        out
+    }
+
+    /// The indexes of `table` visible under the current configuration.
+    fn indexes(&self, table: &'a Table) -> impl Iterator<Item = IndexRef<'a>> {
+        let config = self.config;
+        let materialized = config.include_materialized.then(|| table.indexes());
+        std::iter::once(IndexRef::Primary)
+            .chain(materialized.into_iter().flatten().map(IndexRef::Secondary))
+            .chain(
+                config
+                    .for_table(&table.schema().name)
+                    .map(|(i, h)| IndexRef::Hypothetical(i, h)),
+            )
     }
 
     /// Bound-table set as a bitmask cache key; `None` disables memoization
@@ -568,120 +713,61 @@ impl<'a> Planner<'a> {
         Some(bound.iter().fold(0u64, |m, &i| m | (1u64 << i)))
     }
 
-    /// Memoized [`Planner::sources_for`].
-    fn sources_cached(&self, t: usize, bound: &[usize], table: &Table) -> Rc<SourceMaps> {
-        let Some(mask) = self.bound_mask(bound) else {
-            return Rc::new(self.sources_for(t, bound, table));
-        };
-        if let Some(hit) = self.scratch.sources.borrow().get(&(t, mask)) {
-            return Rc::clone(hit);
-        }
-        let v = Rc::new(self.sources_for(t, bound, table));
-        self.scratch
-            .sources
-            .borrow_mut()
-            .insert((t, mask), Rc::clone(&v));
-        v
+    /// Context of table instance `t` after the tables in `bound`.
+    fn table_context(&self, t: usize, bound: &[usize], outermost: bool) -> Rc<ProbeContext> {
+        let key = self.bound_mask(bound).map(|mask| ContextKey::Bound(mask, outermost));
+        self.context(t, key, &self.analysis.sargs[t], bound, outermost)
     }
 
-    /// Memoized [`Planner::table_selectivity`].
-    fn selectivity_cached(
-        &self,
-        t: usize,
-        bound: &[usize],
-        table: &Table,
-        stats: Option<&TableStats>,
-    ) -> f64 {
-        let Some(mask) = self.bound_mask(bound) else {
-            return self.table_selectivity(t, bound, table, stats);
-        };
-        if let Some(hit) = self.scratch.selectivity.borrow().get(&(t, mask)) {
-            return *hit;
-        }
-        let v = self.table_selectivity(t, bound, table, stats);
-        self.scratch.selectivity.borrow_mut().insert((t, mask), v);
-        v
+    /// Context of OR branch `branch` on table instance `t`: the branch's
+    /// predicates alone, and no early-termination credit.
+    fn or_context(&self, t: usize, branch: usize) -> Rc<ProbeContext> {
+        let branches = self.analysis.or_branches.as_ref().expect("an OR branch was asked for");
+        self.context(t, Some(ContextKey::OrBranch(branch)), &branches[branch], &[], false)
     }
 
-    /// Best config-independent access path (full scan, PK, materialized
-    /// indexes), memoized per (table, bound-set, outermost, materialized
-    /// visibility) so batched configs pay for it once.
-    #[allow(clippy::too_many_arguments)]
-    fn base_best(
+    /// The memoized context under `key` (`None`: built afresh), derived
+    /// from `sargs` and the join edges of `t` into `bound`. This is the one
+    /// place a predicate becomes a probe source.
+    fn context(
         &self,
         t: usize,
+        key: Option<ContextKey>,
+        sargs: &[Sarg],
         bound: &[usize],
         outermost: bool,
-        table: &Table,
-        stats: Option<&TableStats>,
-        eq_sources: &BTreeMap<String, EqSource>,
-        ranges: &BTreeMap<String, RangeInfo>,
-    ) -> (AccessPath, f64) {
-        let key = self
-            .bound_mask(bound)
-            .map(|m| (t, m, outermost, self.config.include_materialized));
-        if let Some(k) = &key {
-            if let Some(hit) = self.scratch.base_best.borrow().get(k) {
-                return hit.clone();
-            }
+    ) -> Rc<ProbeContext> {
+        let key = key.map(|k| (t, k));
+        if let Some(hit) = key.and_then(|k| self.memo.borrow().contexts.get(&k).cloned()) {
+            return hit;
         }
-        let table_rows = table.row_count() as f64;
-        let mut best_path = AccessPath::FullScan;
-        let mut best_cost = self.cm.full_scan_cost(table.data_bytes(), table_rows);
-        for cand in self.base_candidates(table) {
-            let Some((scan, cost)) =
-                self.cost_index_candidate(t, table, stats, &cand, eq_sources, ranges, outermost)
-            else {
-                continue;
-            };
-            if cost < best_cost {
-                best_cost = cost;
-                best_path = AccessPath::IndexScan(scan);
-            }
-        }
-        if let Some(k) = key {
-            self.scratch
-                .base_best
-                .borrow_mut()
-                .insert(k, (best_path.clone(), best_cost));
-        }
-        (best_path, best_cost)
-    }
-
-    /// Collects equality probe sources and range constraints for table `t`.
-    #[allow(clippy::type_complexity)]
-    fn sources_for(
-        &self,
-        t: usize,
-        bound: &[usize],
-        table: &Table,
-    ) -> (BTreeMap<String, EqSource>, BTreeMap<String, RangeInfo>) {
-        let schema = table.schema();
-        let mut eq_sources: BTreeMap<String, EqSource> = BTreeMap::new();
-        let mut ranges: BTreeMap<String, RangeInfo> = BTreeMap::new();
-        for sarg in &self.analysis.sargs[t] {
-            let col_name = schema.columns[sarg.column().col_idx].name.clone();
+        let table = self.table(t);
+        let columns = table.schema().columns.len();
+        let mut eq: Vec<Option<EqSource>> = vec![None; columns];
+        let mut ranges: Vec<Option<RangeInfo>> = vec![None; columns];
+        let mut sel = 1.0f64;
+        for sarg in sargs {
+            let col = sarg.column().col_idx;
+            sel *= sarg_selectivity(sarg, self.column_stats(sarg.column()));
             match sarg {
                 Sarg::Eq { value, .. } => {
-                    let src = match value {
+                    eq[col].get_or_insert_with(|| match value {
                         SargValue::Const(v) => EqSource::Const(v.clone()),
                         SargValue::Unknown => EqSource::Unknown,
-                    };
-                    eq_sources.entry(col_name).or_insert(src);
+                    });
                 }
                 Sarg::InList { values, .. } => {
-                    let consts: Option<Vec<Value>> = values
-                        .iter()
-                        .map(|v| v.value().cloned())
-                        .collect();
-                    let src = match consts {
-                        Some(vs) if !vs.is_empty() => EqSource::InList(vs),
-                        _ => EqSource::Unknown,
-                    };
-                    eq_sources.entry(col_name).or_insert(src);
+                    eq[col].get_or_insert_with(|| {
+                        let consts: Option<Vec<Value>> =
+                            values.iter().map(|v| v.value().cloned()).collect();
+                        match consts {
+                            Some(vs) if !vs.is_empty() => EqSource::InList(vs),
+                            _ => EqSource::Unknown,
+                        }
+                    });
                 }
                 Sarg::Range { lo, hi, .. } => {
-                    ranges.entry(col_name).or_insert(RangeInfo {
+                    ranges[col].get_or_insert_with(|| RangeInfo {
                         lo: lo.clone(),
                         hi: hi.clone(),
                     });
@@ -692,171 +778,102 @@ impl<'a> Planner<'a> {
         for j in &self.analysis.joins {
             if let Some((mine, other)) = j.side_for(t) {
                 if bound.contains(&other.table_idx) {
-                    let col_name = schema.columns[mine.col_idx].name.clone();
-                    eq_sources.entry(col_name).or_insert(EqSource::Outer(other));
-                }
-            }
-        }
-        (eq_sources, ranges)
-    }
-
-    /// Product selectivity of all predicates on `t` visible given `bound`.
-    fn table_selectivity(
-        &self,
-        t: usize,
-        bound: &[usize],
-        table: &Table,
-        stats: Option<&TableStats>,
-    ) -> f64 {
-        let schema = table.schema();
-        let mut sel = 1.0f64;
-        for sarg in &self.analysis.sargs[t] {
-            let col_name = &schema.columns[sarg.column().col_idx].name;
-            sel *= self.sarg_selectivity(sarg, col_name, stats);
-        }
-        for j in &self.analysis.joins {
-            if let Some((mine, other)) = j.side_for(t) {
-                if bound.contains(&other.table_idx) {
-                    let my_name = &schema.columns[mine.col_idx].name;
-                    let my_ndv = stats
-                        .and_then(|s| s.column(my_name))
+                    eq[mine.col_idx].get_or_insert(EqSource::Outer(other));
+                    let my_ndv = self
+                        .column_stats(mine)
                         .map_or(table.row_count() as f64, |c| c.ndv.max(1) as f64);
                     let other_ndv = self.column_stats(other).map_or(1.0, |c| c.ndv.max(1) as f64);
                     sel *= 1.0 / my_ndv.max(other_ndv).max(1.0);
                 }
             }
         }
-        sel.clamp(0.0, 1.0)
-    }
-
-    fn sarg_selectivity(&self, sarg: &Sarg, col_name: &str, stats: Option<&TableStats>) -> f64 {
-        let Some(cs) = stats.and_then(|s| s.column(col_name)) else {
-            return match sarg {
-                Sarg::Eq { .. } => 0.1,
-                Sarg::InList { values, .. } => (0.1 * values.len() as f64).min(1.0),
-                Sarg::Range { .. } => 1.0 / 3.0,
-            };
-        };
-        match sarg {
-            Sarg::Eq { value, .. } => match value {
-                SargValue::Const(v) => cs.eq_selectivity(v),
-                SargValue::Unknown => cs.eq_selectivity_unknown(),
-            },
-            Sarg::InList { values, .. } => values
-                .iter()
-                .map(|v| match v {
-                    SargValue::Const(v) => cs.eq_selectivity(v),
-                    SargValue::Unknown => cs.eq_selectivity_unknown(),
-                })
-                .sum::<f64>()
-                .min(1.0),
-            Sarg::Range { lo, hi, .. } => {
-                fn known(b: &Bound<SargValue>) -> Option<Bound<&Value>> {
-                    match b {
-                        Bound::Unbounded => Some(Bound::Unbounded),
-                        Bound::Included(SargValue::Const(v)) => Some(Bound::Included(v)),
-                        Bound::Excluded(SargValue::Const(v)) => Some(Bound::Excluded(v)),
-                        _ => None,
-                    }
-                }
-                match (known(lo), known(hi)) {
-                    (Some(l), Some(h)) => cs.range_selectivity(l, h),
-                    _ => cs.range_selectivity_unknown(),
-                }
-            }
-        }
-    }
-
-    fn column_stats(&self, col: BoundColumn) -> Option<&ColumnStats> {
-        let t = &self.binder.tables()[col.table_idx];
-        let table = self.db.table(&t.table).ok()?;
-        let name = &table.schema().columns[col.col_idx].name;
-        self.db.stats(&t.table)?.column(name)
-    }
-
-    /// Enumerates candidate indexes for table instance `t` (base paths
-    /// followed by hypotheticals — the enumeration order every costing
-    /// fold in this module relies on).
-    fn candidate_indexes(&self, _t: usize, table: &Table) -> Vec<CandidateIndex> {
-        let mut out = self.base_candidates(table);
-        out.extend(self.hypo_candidates(table));
-        out
-    }
-
-    /// Config-independent candidates: the PK plus (when the configuration
-    /// exposes them) materialized secondary indexes.
-    fn base_candidates(&self, table: &Table) -> Vec<CandidateIndex> {
-        let schema = table.schema();
-        let mut out = Vec::new();
-        // PK as an "index": clustered, entries are whole rows.
-        out.push(CandidateIndex {
-            choice: IndexChoice::Primary,
-            columns: schema
-                .primary_key_names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            entry_width: schema.avg_row_width() as f64,
-            clustered: true,
+        let mut memo = self.memo.borrow_mut();
+        let ctx = Rc::new(ProbeContext {
+            id: memo.issued,
+            eq,
+            ranges,
+            selectivity: sel.clamp(0.0, 1.0),
+            outermost,
         });
-        if self.config.include_materialized {
-            for ix in table.indexes() {
-                let width = if !ix.is_empty() {
-                    ix.size_bytes() as f64 / ix.len() as f64
-                } else {
-                    32.0
-                };
-                out.push(CandidateIndex {
-                    choice: IndexChoice::Secondary(ix.def().name.clone()),
-                    columns: ix.def().columns.clone(),
-                    entry_width: width,
-                    clustered: false,
-                });
-            }
+        memo.issued += 1;
+        if let Some(k) = key {
+            memo.contexts.insert(k, Rc::clone(&ctx));
         }
-        out
+        ctx
     }
 
-    /// This config's hypothetical candidates on `table`.
-    fn hypo_candidates(&self, table: &Table) -> Vec<CandidateIndex> {
-        let schema = table.schema();
-        self.config
-            .for_table(&schema.name)
-            .map(|(i, h)| CandidateIndex {
-                choice: IndexChoice::Hypothetical(i),
-                columns: h.def.columns.clone(),
-                entry_width: h.entry_width,
-                clustered: false,
-            })
-            .collect()
+    fn table(&self, t: usize) -> &'a Table {
+        self.tables[t].0
     }
 
-    /// Costs one candidate index for table `t`; returns the scan descriptor
-    /// and its estimated cost, or `None` if the index is useless here.
-    #[allow(clippy::too_many_arguments)]
-    fn cost_index_candidate(
+    fn column_stats(&self, col: BoundColumn) -> Option<&'a ColumnStats> {
+        let (table, stats) = self.tables[col.table_idx];
+        stats?.column(&table.schema().columns[col.col_idx].name)
+    }
+
+    /// The price of index `ix` of table instance `t` in `ctx`, worked out
+    /// on first request and remembered under (index identity, context).
+    fn price(&self, t: usize, ix: IndexRef<'a>, ctx: &ProbeContext) -> Option<Priced> {
+        let mut memo = self.memo.borrow_mut();
+        let IndexEntry { meta, prices } = memo
+            .indexes
+            .entry((t, ix.id()))
+            .or_insert_with(|| IndexEntry { meta: self.resolve(t, ix), prices: HashMap::new() });
+        *prices
+            .entry(ctx.id)
+            .or_insert_with(|| self.price_index(t, ix, meta, ctx))
+    }
+
+    fn resolve(&self, t: usize, ix: IndexRef<'a>) -> IndexMeta<'a> {
+        let schema = self.table(t).schema();
+        let (key, entry_width) = match ix {
+            // PK as an "index": clustered, entries are whole rows.
+            IndexRef::Primary => (
+                Cow::Borrowed(&schema.primary_key[..]),
+                schema.avg_row_width() as f64,
+            ),
+            IndexRef::Secondary(ix) => (
+                Cow::Borrowed(ix.key_positions()),
+                if ix.is_empty() { 32.0 } else { ix.size_bytes() as f64 / ix.len() as f64 },
+            ),
+            IndexRef::Hypothetical(_, h) => (
+                h.def
+                    .columns
+                    .iter()
+                    .map(|c| schema.column_index(c).unwrap_or(usize::MAX))
+                    .collect(),
+                h.entry_width,
+            ),
+        };
+        let clustered = matches!(ix, IndexRef::Primary);
+        let covering = clustered
+            || self.referenced[t]
+                .iter()
+                .all(|c| key.contains(c) || schema.primary_key.contains(c));
+        IndexMeta { key, entry_width, clustered, covering }
+    }
+
+    /// Costs one index of table instance `t` in `ctx`; `None` if the index
+    /// is useless there.
+    fn price_index(
         &self,
         t: usize,
-        table: &Table,
-        stats: Option<&TableStats>,
-        cand: &CandidateIndex,
-        eq_sources: &BTreeMap<String, EqSource>,
-        ranges: &BTreeMap<String, RangeInfo>,
-        outermost: bool,
-    ) -> Option<(IndexScan, f64)> {
-        let table_rows = table.row_count() as f64;
-        let schema = table.schema();
+        ix: IndexRef<'a>,
+        meta: &IndexMeta<'a>,
+        ctx: &ProbeContext,
+    ) -> Option<Priced> {
+        let table_rows = self.table(t).row_count() as f64;
+        let stats_of = |col_idx| self.column_stats(BoundColumn { table_idx: t, col_idx });
 
         // Match the equality prefix.
-        let mut eq: Vec<EqSource> = Vec::new();
+        let mut eq_len = 0;
         let mut sel = 1.0f64;
         let mut probes = 1.0f64;
-        for col in &cand.columns {
-            let Some(src) = eq_sources.get(col) else {
+        for &col in meta.key.iter() {
+            let Some(src) = ctx.eq.get(col).and_then(Option::as_ref) else {
                 break;
             };
-            let cs = stats.and_then(|s| s.column(col));
-            let s = match (src, cs) {
+            sel *= match (src, stats_of(col)) {
                 (EqSource::Const(v), Some(cs)) => cs.eq_selectivity(v),
                 (EqSource::InList(vs), Some(cs)) => {
                     probes *= vs.len() as f64;
@@ -866,215 +883,107 @@ impl<'a> Planner<'a> {
                     probes *= vs.len() as f64;
                     (0.1 * vs.len() as f64).min(1.0)
                 }
-                (EqSource::Outer(_), _) => {
-                    cs.map_or(0.1, ColumnStats::eq_selectivity_unknown)
-                }
+                (EqSource::Outer(_), cs) => cs.map_or(0.1, ColumnStats::eq_selectivity_unknown),
                 (EqSource::Unknown, Some(cs)) => cs.eq_selectivity_unknown(),
                 (EqSource::Const(_), None) | (EqSource::Unknown, None) => 0.1,
             };
-            sel *= s;
-            eq.push(src.clone());
+            eq_len += 1;
         }
 
         // Range on the next column.
-        let mut range = None;
-        if eq.len() < cand.columns.len() {
-            let next = &cand.columns[eq.len()];
-            if let Some(r) = ranges.get(next) {
-                let cs = stats.and_then(|s| s.column(next));
-                let rsel = match cs {
-                    Some(_cs) => self.sarg_selectivity(
-                        &Sarg::Range {
-                            col: BoundColumn {
-                                table_idx: t,
-                                col_idx: schema.column_index(next)?,
-                            },
-                            lo: r.lo.clone(),
-                            hi: r.hi.clone(),
-                        },
-                        next,
-                        stats,
-                    ),
-                    None => 1.0 / 3.0,
-                };
-                sel *= rsel;
-                range = Some(r.clone());
-            }
+        let range = meta
+            .key
+            .get(eq_len)
+            .and_then(|&next| Some((next, ctx.ranges.get(next)?.as_ref()?)));
+        if let Some((next, r)) = range {
+            sel *= range_selectivity(stats_of(next), &r.lo, &r.hi);
         }
-
-        // Covering check: key columns + PK columns ⊇ referenced columns.
-        let covering = if cand.clustered {
-            true
-        } else {
-            let mut avail: BTreeSet<&str> = cand.columns.iter().map(String::as_str).collect();
-            for pk in schema.primary_key_names() {
-                avail.insert(pk);
-            }
-            self.referenced[t].iter().all(|c| avail.contains(c.as_str()))
+        let priced = |cost| Priced {
+            eq_len,
+            range: range.is_some(),
+            covering: meta.covering,
+            cost,
         };
 
-        let narrowed = eq.len() as f64 + f64::from(range.is_some() as u8);
-        if narrowed == 0.0 {
+        if eq_len == 0 && range.is_none() {
             // No predicate narrows this index. An index-only full scan can
             // still win when covering and narrower than the table, or when
             // it provides ORDER BY order with a LIMIT.
-            if !covering || cand.clustered {
+            if !meta.covering || meta.clustered {
                 return None;
             }
-            let scan = IndexScan {
-                index: cand.choice.clone(),
-                key_columns: cand.columns.clone(),
-                eq: Vec::new(),
-                range: None,
-                covering,
-            };
             let mut entries = table_rows;
             // Early termination: index provides order and query has LIMIT.
-            if outermost && self.index_provides_order(&scan) {
+            // An outermost context has no bound table, so its selectivity
+            // is that of the table's own predicates.
+            if ctx.outermost
+                && ix.def().is_some_and(|def| self.key_provides_order(&def.columns, &[]))
+            {
                 if let Some(limit) = self.limit_value() {
-                    let keep = self
-                        .selectivity_cached(t, &[], table, stats)
-                        .max(1e-9);
-                    entries = (limit as f64 / keep).min(table_rows);
+                    entries = (limit as f64 / ctx.selectivity.max(1e-9)).min(table_rows);
                 }
             }
-            let cost = self.cm.index_scan_cost(entries, cand.entry_width, 0.0);
-            return Some((scan, cost));
+            return Some(priced(self.cm.index_scan_cost(entries, meta.entry_width, 0.0)));
         }
 
         let matched = (table_rows * sel).clamp(0.0, table_rows);
-        let scan = IndexScan {
-            index: cand.choice.clone(),
-            key_columns: cand.columns.clone(),
-            eq,
-            range,
-            covering,
-        };
-        let lookups = if covering { 0.0 } else { matched };
+        let lookups = if meta.covering { 0.0 } else { matched };
         let mut cost = self
             .cm
-            .index_scan_cost(matched.max(1.0), cand.entry_width, lookups);
+            .index_scan_cost(matched.max(1.0), meta.entry_width, lookups);
         // Extra probes for IN lists: one tree descent per probe value.
         if probes > 1.0 {
             cost += (probes - 1.0) * self.cm.rand_page_cost;
         }
-        Some((scan, cost))
+        Some(priced(cost))
+    }
+
+    /// Materialises the scan `priced` stands for — done for a winner only.
+    fn scan(&self, t: usize, ix: IndexRef<'a>, priced: Priced, ctx: &ProbeContext) -> IndexScan {
+        let memo = self.memo.borrow();
+        let key = &memo.indexes[&(t, ix.id())].meta.key;
+        IndexScan {
+            index: ix.choice(),
+            key_columns: ix.key_columns(self.table(t).schema()),
+            eq: key[..priced.eq_len]
+                .iter()
+                .map(|&col| ctx.eq[col].clone().expect("a matched prefix column has a source"))
+                .collect(),
+            range: priced.range.then(|| ctx.ranges[key[priced.eq_len]].clone()).flatten(),
+            covering: priced.covering,
+        }
     }
 
     /// Index-merge union over single-table OR branches: every branch must
-    /// have a usable index on its own. Per-branch probe-source maps and the
-    /// best config-independent branch index are memoized; per config only
-    /// hypothetical candidates are (re)priced per branch.
-    fn cost_or_union(
-        &self,
-        t: usize,
-        table: &Table,
-        stats: Option<&TableStats>,
-    ) -> Option<(AccessPath, f64)> {
+    /// have an index of its own that a predicate of the branch narrows.
+    fn or_union(&self, t: usize) -> Option<Candidate<'a>> {
         if !self.cm.switches.or_index_merge {
             return None;
         }
-        let branches = self.analysis.or_branches.as_ref()?;
-        let bases = self.or_branch_bases(t, table, stats, branches);
-        let table_rows = table.row_count() as f64;
-        let mut scans = Vec::with_capacity(bases.len());
+        let table = self.table(t);
+        let branches = self.analysis.or_branches.as_ref()?.len();
+        let mut picks = Vec::with_capacity(branches);
         let mut total_cost = 0.0f64;
-        let hypos = self.hypo_candidates(table);
-
-        for base in bases.iter() {
-            // Best index for this branch; a branch without one sinks the
-            // whole union. Fold order (base candidates, then hypotheticals,
-            // strict `<`) matches the historical single-list enumeration.
-            let mut best = base.base_best.clone();
-            for cand in &hypos {
-                if let Some((scan, cost)) = self.cost_index_candidate(
-                    t, table, stats, cand, &base.eq_sources, &base.ranges, false,
-                ) {
-                    if (!scan.eq.is_empty() || scan.range.is_some())
-                        && best.as_ref().is_none_or(|(_, c)| cost < *c) {
-                            best = Some((scan, cost));
-                        }
+        for branch in 0..branches {
+            let ctx = self.or_context(t, branch);
+            // Best index for this branch, by the same strict-`<` fold in
+            // enumeration order; a branch without one sinks the whole union.
+            let mut best: Option<(IndexRef<'a>, Priced)> = None;
+            for ix in self.indexes(table) {
+                if let Some(p) = self.price(t, ix, &ctx) {
+                    if (p.eq_len > 0 || p.range) && best.is_none_or(|(_, b)| p.cost < b.cost) {
+                        best = Some((ix, p));
+                    }
                 }
             }
-            let (scan, cost) = best?;
             // Union always needs base-table lookups for non-covering
             // branches; approximate via the branch cost already computed.
-            total_cost += cost;
-            scans.push(scan);
+            total_cost += best?.1.cost;
+            picks.extend(best);
         }
         // Dedup + union overhead.
-        total_cost += table_rows * 0.001 + self.cm.row_cost * scans.len() as f64;
-        Some((AccessPath::OrUnion(scans), total_cost))
-    }
-
-    /// Per-OR-branch probe-source maps plus the best usable
-    /// config-independent branch index, memoized per (table, materialized
-    /// visibility).
-    fn or_branch_bases(
-        &self,
-        t: usize,
-        table: &Table,
-        stats: Option<&TableStats>,
-        branches: &[Vec<Sarg>],
-    ) -> Rc<Vec<OrBranchBase>> {
-        let key = (t, self.config.include_materialized);
-        if let Some(hit) = self.scratch.or_bases.borrow().get(&key) {
-            return Rc::clone(hit);
-        }
-        let schema = table.schema();
-        let mut bases = Vec::with_capacity(branches.len());
-        for branch in branches {
-            // Build per-branch eq/range source maps.
-            let mut eq_sources: BTreeMap<String, EqSource> = BTreeMap::new();
-            let mut ranges: BTreeMap<String, RangeInfo> = BTreeMap::new();
-            for sarg in branch {
-                let col_name = schema.columns[sarg.column().col_idx].name.clone();
-                match sarg {
-                    Sarg::Eq { value, .. } => {
-                        let src = match value {
-                            SargValue::Const(v) => EqSource::Const(v.clone()),
-                            SargValue::Unknown => EqSource::Unknown,
-                        };
-                        eq_sources.entry(col_name).or_insert(src);
-                    }
-                    Sarg::InList { values, .. } => {
-                        let consts: Option<Vec<Value>> =
-                            values.iter().map(|v| v.value().cloned()).collect();
-                        if let Some(vs) = consts {
-                            eq_sources.entry(col_name).or_insert(EqSource::InList(vs));
-                        }
-                    }
-                    Sarg::Range { lo, hi, .. } => {
-                        ranges.entry(col_name).or_insert(RangeInfo {
-                            lo: lo.clone(),
-                            hi: hi.clone(),
-                        });
-                    }
-                }
-            }
-            let mut base_best: Option<(IndexScan, f64)> = None;
-            for cand in self.base_candidates(table) {
-                if let Some((scan, cost)) = self.cost_index_candidate(
-                    t, table, stats, &cand, &eq_sources, &ranges, false,
-                ) {
-                    if (!scan.eq.is_empty() || scan.range.is_some())
-                        && base_best.as_ref().is_none_or(|(_, c)| cost < *c) {
-                            base_best = Some((scan, cost));
-                        }
-                }
-            }
-            bases.push(OrBranchBase {
-                eq_sources,
-                ranges,
-                base_best,
-            });
-        }
-        let bases = Rc::new(bases);
-        self.scratch
-            .or_bases
-            .borrow_mut()
-            .insert(key, Rc::clone(&bases));
-        bases
+        total_cost += table.row_count() as f64 * 0.001 + self.cm.row_cost * picks.len() as f64;
+        Some(Candidate::OrUnion(picks, total_cost))
     }
 
     // ------------------------------------------------------- order / groups
@@ -1084,6 +993,12 @@ impl<'a> Planner<'a> {
     /// after the equality prefix, with uniform direction, and the range (if
     /// any) must be on the first ORDER BY column.
     pub fn index_provides_order(&self, ix: &IndexScan) -> bool {
+        self.key_provides_order(&ix.key_columns, &ix.eq)
+    }
+
+    /// [`Planner::index_provides_order`] for an index with key columns
+    /// `key` probed with the equality prefix `eq`.
+    fn key_provides_order(&self, key: &[String], eq: &[EqSource]) -> bool {
         if !self.cm.switches.index_order_scan {
             return false;
         }
@@ -1096,10 +1011,10 @@ impl<'a> Planner<'a> {
             return false;
         }
         // IN-list probes break global ordering.
-        if ix.eq.iter().any(|e| matches!(e, EqSource::InList(_))) {
+        if eq.iter().any(|e| matches!(e, EqSource::InList(_))) {
             return false;
         }
-        for (pos, item) in (ix.eq.len()..).zip(self.select.order_by.iter()) {
+        for (pos, item) in (eq.len()..).zip(self.select.order_by.iter()) {
             let Expr::Column(c) = &item.expr else {
                 return false;
             };
@@ -1109,14 +1024,11 @@ impl<'a> Planner<'a> {
             if bc.table_idx != 0 && self.binder.len() > 1 {
                 return false;
             }
-            if pos >= ix.key_columns.len() {
+            if pos >= key.len() {
                 return false;
             }
-            let table = match self.db.table(&self.binder.tables()[bc.table_idx].table) {
-                Ok(t) => t,
-                Err(_) => return false,
-            };
-            if table.schema().columns[bc.col_idx].name != ix.key_columns[pos] {
+            let schema = self.table(bc.table_idx).schema();
+            if schema.columns[bc.col_idx].name != key[pos] {
                 return false;
             }
         }
@@ -1145,10 +1057,8 @@ impl<'a> Planner<'a> {
             let Ok(bc) = self.binder.resolve(c) else {
                 return false;
             };
-            let Ok(table) = self.db.table(&self.binder.tables()[bc.table_idx].table) else {
-                return false;
-            };
-            group_cols.insert(table.schema().columns[bc.col_idx].name.clone());
+            let schema = self.table(bc.table_idx).schema();
+            group_cols.insert(schema.columns[bc.col_idx].name.clone());
         }
         let start = ix.eq.len();
         let end = start + group_cols.len();
@@ -1167,15 +1077,10 @@ impl<'a> Planner<'a> {
         self.explain_plan(&plan)
     }
 
-    /// Explains an already-computed plan of this query: for each join step,
-    /// re-enumerates every candidate access path with the same bound-table
-    /// context the join-order search used, and records each one's cost (or
-    /// why it was unusable) next to the chosen path.
-    ///
-    /// This is deliberately separate from [`Planner::plan`]: the advisory
-    /// hot path stays lean, and explanation pays the re-derivation cost
-    /// only on demand. Re-deriving is exact — the costing code is
-    /// deterministic, so alternatives are priced identically to the search.
+    /// Explains a plan this planner produced: for each join step, the
+    /// candidates the search folded over in that step's context — the same
+    /// enumeration, answered from the same memoized prices — each with its
+    /// cost (or why it was unusable), the search's pick marked.
     pub fn explain_plan(&self, plan: &Plan) -> Result<crate::explain::ExplainPlan, ExecError> {
         use crate::explain::{ExplainAlternative, ExplainNode, ExplainPlan};
 
@@ -1183,142 +1088,23 @@ impl<'a> Planner<'a> {
         let mut bound: Vec<usize> = Vec::new();
         for (i, step) in plan.steps.iter().enumerate() {
             let t = step.table_idx;
-            let outermost = bound.is_empty();
-            let binding = &self.binder.tables()[t];
-            let table = self.db.table(&binding.table)?;
-            let stats = self.db.stats(&binding.table);
-            let (eq_sources, ranges) = self.sources_for(t, &bound, table);
-
-            let mut alternatives = Vec::new();
-            let full_cost = self
-                .cm
-                .full_scan_cost(table.data_bytes(), table.row_count() as f64);
-            alternatives.push((
-                AccessPath::FullScan,
-                ExplainAlternative {
-                    access: "full scan".to_string(),
-                    index: None,
-                    hypothetical: false,
-                    eq_prefix: 0,
-                    range: false,
-                    covering: true,
-                    est_cost: Some(full_cost),
-                    chosen: false,
-                    reason: String::new(),
-                },
-            ));
-            for cand in self.candidate_indexes(t, table) {
-                let label = cand.choice.label().into_owned();
-                let hypothetical = matches!(cand.choice, IndexChoice::Hypothetical(_));
-                match self.cost_index_candidate(
-                    t, table, stats, &cand, &eq_sources, &ranges, outermost,
-                ) {
-                    Some((scan, cost)) => {
-                        let mut traits = vec![format!("eq {}", scan.eq.len())];
-                        if scan.range.is_some() {
-                            traits.push("range".to_string());
-                        }
-                        if scan.covering {
-                            traits.push("covering".to_string());
-                        }
-                        alternatives.push((
-                            AccessPath::IndexScan(scan.clone()),
-                            ExplainAlternative {
-                                access: format!("index {label} ({})", traits.join(", ")),
-                                index: Some(label),
-                                hypothetical,
-                                eq_prefix: scan.eq.len(),
-                                range: scan.range.is_some(),
-                                covering: scan.covering,
-                                est_cost: Some(cost),
-                                chosen: false,
-                                reason: String::new(),
-                            },
-                        ));
-                    }
-                    None => {
-                        alternatives.push((
-                            AccessPath::FullScan, // placeholder, never matches
-                            ExplainAlternative {
-                                access: format!(
-                                    "index {label} ({})",
-                                    cand.columns.join(", ")
-                                ),
-                                index: Some(label),
-                                hypothetical,
-                                eq_prefix: 0,
-                                range: false,
-                                covering: false,
-                                est_cost: None,
-                                chosen: false,
-                                reason: "not usable: no predicate matches the key prefix"
-                                    .to_string(),
-                            },
-                        ));
-                    }
-                }
-            }
-            if outermost && self.binder.len() == 1 {
-                if let Some((path, cost)) = self.cost_or_union(t, table, stats) {
-                    let n = match &path {
-                        AccessPath::OrUnion(b) => b.len(),
-                        _ => 0,
+            let ctx = self.table_context(t, &bound, bound.is_empty());
+            let candidates = self.candidates(t, &ctx);
+            let (chosen, chosen_cost) = cheapest(&candidates);
+            let mut alternatives: Vec<ExplainAlternative> = candidates
+                .iter()
+                .enumerate()
+                .map(|(k, candidate)| {
+                    let mut alt = self.describe(t, candidate);
+                    alt.chosen = k == chosen;
+                    alt.reason = match alt.est_cost {
+                        _ if alt.chosen => "chosen".to_string(),
+                        Some(cost) => format!("+{:.1} vs chosen", cost - chosen_cost),
+                        None => "not usable: no predicate matches the key prefix".to_string(),
                     };
-                    alternatives.push((
-                        path,
-                        ExplainAlternative {
-                            access: format!("index-merge union over {n} OR branches"),
-                            index: None,
-                            hypothetical: false,
-                            eq_prefix: 0,
-                            range: false,
-                            covering: false,
-                            est_cost: Some(cost),
-                            chosen: false,
-                            reason: String::new(),
-                        },
-                    ));
-                }
-            }
-
-            // Mark the path the search actually chose. An unusable-index
-            // placeholder can never win: chosen full scans match the first
-            // entry (the true full-scan alternative) before placeholders.
-            let chosen_cost = step.cost_each;
-            match alternatives
-                .iter_mut()
-                .find(|(path, alt)| alt.est_cost.is_some() && *path == step.path)
-            {
-                Some((_, alt)) => {
-                    alt.chosen = true;
-                    alt.reason = "chosen".to_string();
-                }
-                None => {
-                    // Defensive: re-derivation should always reproduce the
-                    // search's pick; fall back to the cheapest usable path.
-                    if let Some((_, alt)) = alternatives
-                        .iter_mut()
-                        .filter(|(_, a)| a.est_cost.is_some())
-                        .min_by(|(_, a), (_, b)| {
-                            a.est_cost
-                                .partial_cmp(&b.est_cost)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                        })
-                    {
-                        alt.chosen = true;
-                        alt.reason = "chosen".to_string();
-                    }
-                }
-            }
-            let mut alternatives: Vec<ExplainAlternative> =
-                alternatives.into_iter().map(|(_, alt)| alt).collect();
-            for alt in &mut alternatives {
-                if !alt.chosen {
-                    if let Some(cost) = alt.est_cost {
-                        alt.reason = format!("+{:.1} vs chosen", cost - chosen_cost);
-                    }
-                }
-            }
+                    alt
+                })
+                .collect();
             // Chosen first, usable alternatives by cost, unusable last.
             alternatives.sort_by(|a, b| {
                 let key = |x: &ExplainAlternative| {
@@ -1327,6 +1113,7 @@ impl<'a> Planner<'a> {
                 key(a).partial_cmp(&key(b)).unwrap_or(std::cmp::Ordering::Equal)
             });
 
+            let binding = &self.binder.tables()[t];
             nodes.push(ExplainNode {
                 step: i,
                 binding: binding.binding.clone(),
@@ -1349,15 +1136,100 @@ impl<'a> Planner<'a> {
             actual: None,
         })
     }
+
+    /// One candidate of table instance `t` as EXPLAIN shows it, not yet
+    /// marked chosen or rejected.
+    fn describe(&self, t: usize, candidate: &Candidate<'a>) -> crate::explain::ExplainAlternative {
+        let (access, index, eq_prefix, range, covering) = match candidate {
+            Candidate::FullScan(_) => ("full scan".to_string(), None, 0, false, true),
+            Candidate::Index(ix, Some(p)) => {
+                let mut traits = vec![format!("eq {}", p.eq_len)];
+                if p.range {
+                    traits.push("range".to_string());
+                }
+                if p.covering {
+                    traits.push("covering".to_string());
+                }
+                (traits.join(", "), Some(*ix), p.eq_len, p.range, p.covering)
+            }
+            Candidate::Index(ix, None) => {
+                let key = ix.key_columns(self.table(t).schema());
+                (key.join(", "), Some(*ix), 0, false, false)
+            }
+            Candidate::OrUnion(picks, _) => (
+                format!("index-merge union over {} OR branches", picks.len()),
+                None,
+                0,
+                false,
+                false,
+            ),
+        };
+        let label = index.map(|ix| ix.choice().label().into_owned());
+        crate::explain::ExplainAlternative {
+            access: match &label {
+                Some(label) => format!("index {label} ({access})"),
+                None => access,
+            },
+            index: label,
+            hypothetical: matches!(index, Some(IndexRef::Hypothetical(..))),
+            eq_prefix,
+            range,
+            covering,
+            est_cost: candidate.cost(),
+            chosen: false,
+            reason: String::new(),
+        }
+    }
 }
 
-/// Collects the set of referenced column names per bound table.
+/// Selectivity of one sargable predicate given its column's statistics.
+fn sarg_selectivity(sarg: &Sarg, cs: Option<&ColumnStats>) -> f64 {
+    let Some(cs) = cs else {
+        return match sarg {
+            Sarg::Eq { .. } => 0.1,
+            Sarg::InList { values, .. } => (0.1 * values.len() as f64).min(1.0),
+            Sarg::Range { .. } => 1.0 / 3.0,
+        };
+    };
+    let eq = |v: &SargValue| match v {
+        SargValue::Const(v) => cs.eq_selectivity(v),
+        SargValue::Unknown => cs.eq_selectivity_unknown(),
+    };
+    match sarg {
+        Sarg::Eq { value, .. } => eq(value),
+        Sarg::InList { values, .. } => values.iter().map(eq).sum::<f64>().min(1.0),
+        Sarg::Range { lo, hi, .. } => range_selectivity(Some(cs), lo, hi),
+    }
+}
+
+/// Selectivity of a range on a column: from the histogram when both bounds
+/// are known, the traditional fixed guess otherwise.
+fn range_selectivity(
+    cs: Option<&ColumnStats>,
+    lo: &Bound<SargValue>,
+    hi: &Bound<SargValue>,
+) -> f64 {
+    fn known(b: &Bound<SargValue>) -> Option<Bound<&Value>> {
+        match b {
+            Bound::Unbounded => Some(Bound::Unbounded),
+            Bound::Included(SargValue::Const(v)) => Some(Bound::Included(v)),
+            Bound::Excluded(SargValue::Const(v)) => Some(Bound::Excluded(v)),
+            _ => None,
+        }
+    }
+    match (cs, known(lo), known(hi)) {
+        (None, ..) => 1.0 / 3.0,
+        (Some(cs), Some(l), Some(h)) => cs.range_selectivity(l, h),
+        (Some(cs), ..) => cs.range_selectivity_unknown(),
+    }
+}
+
+/// Collects the referenced column positions per bound table.
 fn collect_referenced(
     select: &Select,
     binder: &Binder,
-    db: &Database,
-) -> Result<Vec<BTreeSet<String>>, ExecError> {
-    let mut referenced: Vec<BTreeSet<String>> = vec![BTreeSet::new(); binder.len()];
+    tables: &[(&Table, Option<&TableStats>)],
+) -> Vec<BTreeSet<usize>> {
     let mut cols: Vec<aim_sql::ast::ColumnRef> = Vec::new();
     let mut wildcard = false;
     for item in &select.items {
@@ -1365,6 +1237,12 @@ fn collect_referenced(
             SelectItem::Wildcard => wildcard = true,
             SelectItem::Expr { expr, .. } => expr.referenced_columns(&mut cols),
         }
+    }
+    if wildcard {
+        return tables
+            .iter()
+            .map(|(table, _)| (0..table.schema().columns.len()).collect())
+            .collect();
     }
     if let Some(w) = &select.where_clause {
         w.referenced_columns(&mut cols);
@@ -1378,44 +1256,27 @@ fn collect_referenced(
     for o in &select.order_by {
         o.expr.referenced_columns(&mut cols);
     }
-    for c in cols {
-        if let Ok(bc) = binder.resolve(&c) {
-            let table = db.table(&binder.tables()[bc.table_idx].table)?;
-            referenced[bc.table_idx]
-                .insert(table.schema().columns[bc.col_idx].name.clone());
-        }
+    let mut referenced = vec![BTreeSet::new(); tables.len()];
+    for bc in cols.iter().filter_map(|c| binder.resolve(c).ok()) {
+        referenced[bc.table_idx].insert(bc.col_idx);
     }
-    if wildcard {
-        for (t, set) in referenced.iter_mut().enumerate() {
-            let table = db.table(&binder.tables()[t].table)?;
-            for c in &table.schema().columns {
-                set.insert(c.name.clone());
-            }
-        }
-    }
-    Ok(referenced)
+    referenced
 }
 
-/// Convenience: plans a SELECT statement.
-///
-/// This is the advisory ("what-if") entry point — the executor drives
-/// [`Planner`] directly — so every call is counted as a what-if optimizer
-/// invocation and its estimated cost lands in the `exec.whatif_cost`
-/// histogram.
+/// Convenience: plans a SELECT statement under `config`, uncached and
+/// uncounted. What-if costing goes through
+/// [`crate::whatif::WhatIfCache::eval_select_batch_until`].
 pub fn plan_select(
     db: &Database,
     select: &Select,
     config: &HypoConfig,
     cm: &CostModel,
 ) -> Result<Plan, ExecError> {
-    let _span = aim_telemetry::span("exec.whatif");
-    aim_telemetry::metrics::WHATIF_CALLS.incr();
-    let plan = Planner::new(db, select, config, cm)?.plan()?;
-    aim_telemetry::metrics::histogram_record("exec.whatif_cost", plan.est_cost);
-    Ok(plan)
+    Planner::new(db, select, config, cm)?.plan()
 }
 
-/// Estimated cost of any statement under a what-if configuration.
+/// Estimated cost of any statement under a what-if configuration: the
+/// one-slot [`estimate_statement_cost_batch`].
 ///
 /// DML statements are priced as their embedded SELECT (row location) plus
 /// index-maintenance writes against every index — materialized *and*
@@ -1427,23 +1288,17 @@ pub fn estimate_statement_cost(
     config: &HypoConfig,
     cm: &CostModel,
 ) -> Result<f64, ExecError> {
-    let cache = crate::whatif::global();
-    match (stmt, stmt.row_location()) {
-        (Statement::Select(s), _) => Ok(cache.eval_select(db, s, config, cm)?.cost),
-        (_, Some(select)) => {
-            let located = cache.eval_select(db, &select, config, cm)?;
-            write_cost(db, stmt, config, cm, (located.cost, located.rows))
-        }
-        _ => write_cost(db, stmt, config, cm, (0.0, 0.0)),
-    }
+    estimate_statement_cost_batch(db, stmt, &[config], cm)
+        .pop()
+        .expect("one result per config")
 }
 
-/// Batched [`estimate_statement_cost`]: prices one statement under every
-/// configuration in `configs`, sharing parsing, binding, predicate and
-/// selectivity derivation across the whole batch (SELECTs and DML WHERE
-/// clauses go through [`crate::whatif::WhatIfCache::eval_select_batch`];
-/// the maintenance arithmetic stays per config). Results are returned
-/// in `configs` order and are bit-identical to sequential calls.
+/// Prices one statement under every configuration in `configs`, sharing
+/// parsing, binding, predicate and selectivity derivation across the whole
+/// batch (SELECTs and DML WHERE clauses go through
+/// [`crate::whatif::WhatIfCache::eval_select_batch_until`]; the maintenance
+/// arithmetic stays per config). Results are returned in `configs` order
+/// and are bit-identical to one call per config.
 pub fn estimate_statement_cost_batch(
     db: &Database,
     stmt: &Statement,
@@ -1794,6 +1649,47 @@ mod tests {
             AccessPath::OrUnion(branches) => assert_eq!(branches.len(), 2),
             other => panic!("expected OR union, got {other:?}"),
         }
+    }
+
+    /// An OR branch reads an IN list as the top level does: a `?` among
+    /// its members makes the probe unknown, it does not drop the predicate.
+    #[test]
+    fn or_branch_in_list_with_parameters_plans_like_equality() {
+        let mut db = db();
+        let mut io = IoStats::new();
+        for col in ["a", "c"] {
+            db.create_index(IndexDef::new(format!("ix_{col}"), "t", vec![col.into()]), &mut io)
+                .unwrap();
+        }
+        let none = HypoConfig::none();
+        let eq = plan_sql(&db, "SELECT id FROM t WHERE a = ? OR c = ?", &none);
+        let in_list = plan_sql(&db, "SELECT id FROM t WHERE a IN (?, ?) OR c = ?", &none);
+        assert_eq!(eq.access_summary(), "t(or_union[2])");
+        assert_eq!(in_list.access_summary(), eq.access_summary());
+        match &in_list.steps[0].path {
+            AccessPath::OrUnion(branches) => assert_eq!(branches[0].eq, vec![EqSource::Unknown]),
+            other => panic!("expected OR union, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn or_branch_in_list_with_parameters_benefits_from_hypotheticals() {
+        let mut db = db();
+        let cm = CostModel::default();
+        let stmt = parse_statement("SELECT id FROM t WHERE a IN (?, ?) OR c = ?").unwrap();
+        let hypos = ["a", "c"]
+            .map(|col| {
+                HypotheticalIndex::build(&db, IndexDef::new(format!("h_{col}"), "t", vec![col.into()]))
+                    .unwrap()
+            })
+            .to_vec();
+        let bare = estimate_statement_cost(&db, &stmt, &HypoConfig::only(Vec::new()), &cm).unwrap();
+        let indexed = estimate_statement_cost(&db, &stmt, &HypoConfig::only(hypos), &cm).unwrap();
+        assert!(indexed < bare, "indexed {indexed} vs index-free {bare}");
+
+        // Costing tolerates the parameters; executing them does not.
+        let err = crate::Engine::default().execute(&mut db, &stmt).unwrap_err();
+        assert!(matches!(&err, ExecError::Eval(m) if m.contains("unbound ?")), "{err}");
     }
 
     #[test]

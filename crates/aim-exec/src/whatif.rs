@@ -27,14 +27,14 @@
 use crate::cost::CostModel;
 use crate::error::ExecError;
 use crate::hypothetical::HypoConfig;
-use crate::planner::{plan_select, IndexChoice, Plan, Planner};
+use crate::planner::{IndexChoice, Plan, Planner};
 use aim_sql::ast::{Select, Statement};
 use aim_sql::normalize::Fnv1a;
 use aim_storage::Database;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 const SHARDS: usize = 16;
@@ -64,10 +64,6 @@ pub fn statement_fingerprint(stmt: &Statement) -> u64 {
 /// Fingerprint of the cost model's debug form (every constant + switch).
 fn cm_fingerprint(cm: &CostModel) -> u64 {
     printed_fingerprint(format_args!("{cm:?}"))
-}
-
-fn context_key(config: &HypoConfig, cm: &CostModel) -> u64 {
-    cm_fingerprint(cm) ^ config.canonical_key().rotate_left(17)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,7 +121,6 @@ pub struct WhatIfCache {
     shards: Vec<Mutex<HashMap<Key, WhatIfEntry>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    enabled: AtomicBool,
 }
 
 impl Default for WhatIfCache {
@@ -135,26 +130,13 @@ impl Default for WhatIfCache {
 }
 
 impl WhatIfCache {
-    /// Creates an empty, enabled cache.
+    /// Creates an empty cache.
     pub fn new() -> Self {
         Self {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
         }
-    }
-
-    /// Turns memoization on/off. Disabled, [`WhatIfCache::eval_select`]
-    /// plans every call — the pre-cache sequential behaviour, kept for
-    /// benchmarking and bisection.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// True when memoization is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Drops every entry and zeroes the hit/miss counters.
@@ -208,8 +190,8 @@ impl WhatIfCache {
         shard.insert(key, entry);
     }
 
-    /// Memoized what-if evaluation of a SELECT under `config`: returns the
-    /// cached entry, or plans via [`plan_select`] and remembers the result.
+    /// What-if evaluation of a SELECT under one configuration: the one-slot
+    /// [`Self::eval_select_batch`].
     pub fn eval_select(
         &self,
         db: &Database,
@@ -217,54 +199,12 @@ impl WhatIfCache {
         config: &HypoConfig,
         cm: &CostModel,
     ) -> Result<WhatIfEntry, ExecError> {
-        // Gate before any cache interaction: an injected what-if failure
-        // must neither poison the memo table nor skew hit/miss counters.
-        if let Some(aim_storage::fault::FaultKind::Fail) =
-            aim_storage::fault::hit("exec.whatif")
-        {
-            return Err(ExecError::FaultInjected {
-                site: "exec.whatif".to_string(),
-            });
-        }
-        if !self.is_enabled() {
-            return plan_to_entry(db, select, config, cm);
-        }
-        let key = Key {
-            db: db.instance_id(),
-            epoch: db.stats_epoch(),
-            stmt: select_fingerprint(select),
-            ctx: context_key(config, cm),
-        };
-        if let Some(hit) = self.lookup(&key) {
-            return Ok(hit);
-        }
-        let entry = plan_to_entry(db, select, config, cm)?;
-        self.insert(key, entry.clone());
-        Ok(entry)
+        self.eval_select_batch(db, select, &[config], cm)
+            .pop()
+            .expect("one result per config")
     }
 
-    /// Batched what-if evaluation: prices `select` under every config in
-    /// `configs` in one shared planning pass, returning per-config results
-    /// in input order, bit-identical to sequential [`Self::eval_select`]
-    /// calls.
-    ///
-    /// Semantics preserved per config: the `exec.whatif` fault site fires
-    /// once per config (so chaos schedules see the same hit sequence),
-    /// cache hits/misses are accounted per config, and each miss is
-    /// memoized under its own key. One accounting nuance: lookups run
-    /// against the cache state at batch entry, so duplicate canonical keys
-    /// *within* one batch count as misses (they still share a plan, not a
-    /// planner pass). What is shared across the batch:
-    ///
-    /// * statement + cost-model fingerprints are computed once,
-    /// * one [`Planner`] carries binding, predicate analysis and the
-    ///   memoized probe-source / selectivity / base-access-path state
-    ///   across configs ([`Planner::set_config`]),
-    /// * configs whose hypothetical indexes project identically onto the
-    ///   statement's referenced tables share a single plan — their costs
-    ///   and used-hypo sets are provably identical, since planning only
-    ///   ever consults per-referenced-table hypotheticals and reports
-    ///   position-independent definition keys.
+    /// [`Self::eval_select_batch_until`] with nobody to interrupt it.
     pub fn eval_select_batch(
         &self,
         db: &Database,
@@ -276,11 +216,29 @@ impl WhatIfCache {
             .expect("a batch nobody interrupts runs to completion")
     }
 
-    /// [`Self::eval_select_batch`] under an abort signal: `interrupted` is
-    /// consulted before every slot's fault gate and before every real plan,
-    /// so at most one what-if call starts after it turns true. An
-    /// interrupted batch returns `None` — no partial results; the slots
-    /// already planned stay memoized.
+    /// The what-if question: prices `select` under every config in
+    /// `configs`, returning per-config results in input order. Every other
+    /// costing entry point of the crate is a spelling of this one, so N
+    /// one-slot calls and one N-slot call answer bit-identically.
+    ///
+    /// Per config: the `exec.whatif` fault site fires once, before any
+    /// cache interaction (an injected failure neither poisons the memo
+    /// table nor skews the counters), hits/misses are accounted, and each
+    /// miss is memoized under its own key. Lookups run against the cache
+    /// state at batch entry, so duplicate canonical keys *within* one batch
+    /// count as misses (they still share a plan, not a planner pass). What
+    /// a batch shares:
+    ///
+    /// * statement + cost-model fingerprints are computed once,
+    /// * one [`Planner`] carries binding, predicate analysis, probe
+    ///   contexts and index prices across configs
+    ///   ([`Planner::set_config`]),
+    /// * configs with the same [`Planner::projection`] share a single plan.
+    ///
+    /// `interrupted` is consulted before every slot's fault gate and before
+    /// every real plan, so at most one what-if call starts after it turns
+    /// true. An interrupted batch returns `None` — no partial results; the
+    /// slots already planned stay memoized.
     pub fn eval_select_batch_until(
         &self,
         db: &Database,
@@ -299,9 +257,8 @@ impl WhatIfCache {
         SELECTION_BATCHES.incr();
         aim_telemetry::metrics::histogram_record("selection.batch.size", configs.len() as f64);
 
-        let enabled = self.is_enabled();
         let mut out: Vec<Option<Result<WhatIfEntry, ExecError>>> = vec![None; configs.len()];
-        let mut misses: Vec<(usize, Option<Key>)> = Vec::new();
+        let mut misses: Vec<(usize, Key)> = Vec::new();
         let stmt_fp = select_fingerprint(select);
         let cm_fp = cm_fingerprint(cm);
         let db_id = db.instance_id();
@@ -311,8 +268,6 @@ impl WhatIfCache {
             if interrupted() {
                 return None;
             }
-            // Same per-config gate as eval_select: an injected what-if
-            // failure must neither poison the memo table nor skew counters.
             if let Some(aim_storage::fault::FaultKind::Fail) =
                 aim_storage::fault::hit("exec.whatif")
             {
@@ -321,20 +276,15 @@ impl WhatIfCache {
                 }));
                 continue;
             }
-            if enabled {
-                let key = Key {
-                    db: db_id,
-                    epoch,
-                    stmt: stmt_fp,
-                    ctx: cm_fp ^ cfg.canonical_key().rotate_left(17),
-                };
-                if let Some(hit) = self.lookup(&key) {
-                    out[i] = Some(Ok(hit));
-                    continue;
-                }
-                misses.push((i, Some(key)));
-            } else {
-                misses.push((i, None));
+            let key = Key {
+                db: db_id,
+                epoch,
+                stmt: stmt_fp,
+                ctx: cm_fp ^ cfg.canonical_key().rotate_left(17),
+            };
+            match self.lookup(&key) {
+                Some(hit) => out[i] = Some(Ok(hit)),
+                None => misses.push((i, key)),
             }
         }
 
@@ -343,34 +293,19 @@ impl WhatIfCache {
                 Ok(p) => p,
                 Err(e) => {
                     // Binding/analysis errors are config-independent: every
-                    // sequential call would fail identically.
+                    // slot fails identically.
                     for (i, _) in &misses {
                         out[*i] = Some(Err(e.clone()));
                     }
                     return Some(out.into_iter().map(|r| r.expect("slot filled")).collect());
                 }
             };
-            let referenced: BTreeSet<String> = planner
-                .binder
-                .tables()
-                .iter()
-                .map(|t| t.table.clone())
-                .collect();
-            // Plans shared across configs with the same relevant projection.
-            let mut groups: HashMap<(bool, Vec<u64>), WhatIfEntry> = HashMap::new();
+            let mut shared: HashMap<(bool, Vec<u64>), WhatIfEntry> = HashMap::new();
             let mut planned = 0usize;
             for (i, key) in misses {
                 let cfg = configs[i];
-                let mut proj: Vec<u64> = cfg
-                    .indexes
-                    .iter()
-                    .filter(|h| referenced.contains(&h.def.table))
-                    .map(|h| h.def_key())
-                    .collect();
-                proj.sort_unstable();
-                proj.dedup();
-                let gkey = (cfg.include_materialized, proj);
-                let entry = match groups.get(&gkey) {
+                let projection = planner.projection(cfg);
+                let entry = match shared.get(&projection) {
                     Some(e) => {
                         SELECTION_BATCH_PLAN_REUSE.incr();
                         e.clone()
@@ -400,29 +335,17 @@ impl WhatIfCache {
                             plan.est_cost,
                         );
                         let entry = entry_from_plan(&plan, cfg);
-                        groups.insert(gkey, entry.clone());
+                        shared.insert(projection, entry.clone());
                         entry
                     }
                 };
-                if let Some(key) = key {
-                    self.insert(key, entry.clone());
-                }
+                self.insert(key, entry.clone());
                 out[i] = Some(Ok(entry));
             }
         }
 
         Some(out.into_iter().map(|r| r.expect("slot filled")).collect())
     }
-}
-
-fn plan_to_entry(
-    db: &Database,
-    select: &Select,
-    config: &HypoConfig,
-    cm: &CostModel,
-) -> Result<WhatIfEntry, ExecError> {
-    let plan = plan_select(db, select, config, cm)?;
-    Ok(entry_from_plan(&plan, config))
 }
 
 /// Everything the advisor pipeline reads off a plan, with used
@@ -444,22 +367,11 @@ fn entry_from_plan(plan: &Plan, config: &HypoConfig) -> WhatIfEntry {
 }
 
 /// The process-global cache every advisor path shares by default. Epoch +
-/// instance-id keying makes sharing safe; [`WhatIfCache::set_enabled`] and
-/// [`WhatIfCache::clear`] give benchmarks a controlled baseline.
+/// instance-id keying makes sharing safe; [`WhatIfCache::clear`] gives a
+/// measurement or a test a cold start.
 pub fn global() -> &'static WhatIfCache {
     static GLOBAL: OnceLock<WhatIfCache> = OnceLock::new();
     GLOBAL.get_or_init(WhatIfCache::new)
-}
-
-/// Memoized estimated cost of a SELECT under a what-if configuration,
-/// through the [`global`] cache.
-pub fn whatif_cost(
-    db: &Database,
-    select: &Select,
-    config: &HypoConfig,
-    cm: &CostModel,
-) -> Result<f64, ExecError> {
-    Ok(global().eval_select(db, select, config, cm)?.cost)
 }
 
 #[cfg(test)]
@@ -668,17 +580,17 @@ mod tests {
         ];
         let refs: Vec<&HypoConfig> = cfgs.iter().collect();
 
-        // Uncached planning: batched results must be bit-identical to
-        // per-config sequential evaluation.
+        // Batched results must be bit-identical to planning each config on
+        // its own, from a cold cache.
         let seq_cache = WhatIfCache::new();
-        seq_cache.set_enabled(false);
         let seq: Vec<WhatIfEntry> = refs
             .iter()
-            .map(|c| seq_cache.eval_select(&db, &s, c, &cm).unwrap())
+            .map(|c| {
+                seq_cache.clear();
+                seq_cache.eval_select(&db, &s, c, &cm).unwrap()
+            })
             .collect();
-        let batch_cache = WhatIfCache::new();
-        batch_cache.set_enabled(false);
-        let got = batch_cache.eval_select_batch(&db, &s, &refs, &cm);
+        let got = WhatIfCache::new().eval_select_batch(&db, &s, &refs, &cm);
         assert_eq!(got.len(), seq.len());
         for (g, e) in got.iter().zip(&seq) {
             let g = g.as_ref().unwrap();
@@ -686,8 +598,6 @@ mod tests {
             assert_eq!(g.rows.to_bits(), e.rows.to_bits());
             assert_eq!(g.used_hypos, e.used_hypos);
         }
-        let stats = batch_cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
 
         // Cached: every config misses against the batch-entry snapshot,
         // then a repeat batch hits for all of them with equal entries.
@@ -720,19 +630,5 @@ mod tests {
         assert_eq!(log.len(), 1, "fault fired once: {log:?}");
         assert!(got[0].is_ok() && got[1].is_ok() && got[3].is_ok());
         assert!(got[2].as_ref().unwrap_err().is_injected());
-    }
-
-    #[test]
-    fn disabled_cache_stores_nothing() {
-        let db = db();
-        let cache = WhatIfCache::new();
-        cache.set_enabled(false);
-        let cm = CostModel::default();
-        let s = select("SELECT id FROM t WHERE a = 7");
-        let cfg = HypoConfig::only(Vec::new());
-        cache.eval_select(&db, &s, &cfg, &cm).unwrap();
-        cache.eval_select(&db, &s, &cfg, &cm).unwrap();
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
     }
 }

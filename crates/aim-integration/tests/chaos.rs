@@ -12,13 +12,18 @@
 //!
 //! Fault state is process-global, so tests in this binary take turns.
 
+mod common;
+
 use aim_core::continuous::ContinuousTuner;
-use aim_core::{AimConfig, AimError, RetryPolicy, TuningSession};
+use aim_core::{
+    AimConfig, AimError, CandidateGenConfig, RetryPolicy, SelectionStrategy, TuningSession,
+};
 use aim_exec::Engine;
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_sql::parse_statement;
 use aim_storage::fault::{self, FaultPlan};
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema, Value};
+use aim_workloads::tpch;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -329,6 +334,38 @@ fn cancellation_mid_ranking_aborts_and_rolls_back() {
     assert!(db.check_consistency().is_ok());
 }
 
+/// Runs a pass of `session` while another thread cancels it right after
+/// the armed plan's `k`-th injection. Returns the pass's result and the
+/// injection count read after the cancel (a call that slipped in before
+/// that read is not held against the bound) — `None` when the pass
+/// finished with fewer than `k` injections.
+fn run_cancelling_at(
+    session: &TuningSession,
+    db: &mut Database,
+    monitor: &WorkloadMonitor,
+    k: usize,
+) -> (Result<aim_core::AimOutcome, AimError>, Option<usize>) {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let token = session.cancel_token();
+    let finished = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let canceller = s.spawn(|| {
+            while fault::injection_count() < k {
+                if finished.load(Ordering::SeqCst) {
+                    return None;
+                }
+                std::thread::yield_now();
+            }
+            token.cancel();
+            Some(fault::injection_count())
+        });
+        let result = session.run(db, monitor);
+        finished.store(true, Ordering::SeqCst);
+        (result, canceller.join().unwrap())
+    })
+}
+
 /// The stated cancellation bound: once the token is cancelled, a ranking
 /// worker starts at most one more what-if call — inside a batch of slots
 /// (the SELECT workload's pair and marginal probes) as well as around the
@@ -338,8 +375,6 @@ fn cancellation_mid_ranking_aborts_and_rolls_back() {
 /// right after the `k`-th call began, for every `k` the pass reaches.
 #[test]
 fn cancel_to_abort_is_at_most_one_whatif_call() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
     let _g = FaultGuard::acquire();
     let workloads: [&[&str]; 2] = [
         &[
@@ -368,25 +403,7 @@ fn cancel_to_abort_is_at_most_one_whatif_call() {
                 .selection(selection())
                 .workers(1)
                 .session();
-            let token = session.cancel_token();
-            let finished = AtomicBool::new(false);
-            let (result, calls_at_cancel) = std::thread::scope(|s| {
-                let canceller = s.spawn(|| {
-                    while fault::injection_count() < k {
-                        if finished.load(Ordering::SeqCst) {
-                            return None;
-                        }
-                        std::thread::yield_now();
-                    }
-                    token.cancel();
-                    // Read after the cancel: a call that slipped in before
-                    // this read is not held against the bound.
-                    Some(fault::injection_count())
-                });
-                let result = session.run(&mut db, &monitor);
-                finished.store(true, Ordering::SeqCst);
-                (result, canceller.join().unwrap())
-            });
+            let (result, calls_at_cancel) = run_cancelling_at(&session, &mut db, &monitor, k);
             let calls_at_end = fault::disarm().len();
             let Some(calls_at_cancel) = calls_at_cancel else {
                 // The pass needs fewer than k calls: every cut is covered.
@@ -419,6 +436,119 @@ fn cancel_to_abort_is_at_most_one_whatif_call() {
             "{statements:?}: only {cancelled_runs} cuts landed in ranking"
         );
     }
+}
+
+/// The instance of `pass_golden.rs::lp_selection_replaces_greedy_where_
+/// greedy_strands_the_budget`: TPC-H, `j = 3`, 40 % of the full
+/// configuration, estimate-only. Built once; a pass gets its own clone.
+struct LpInstance {
+    db: Database,
+    monitor: WorkloadMonitor,
+    budget: u64,
+    /// `exec.whatif` hits of a pass before the LP selector starts.
+    hits_before_lp: u64,
+    /// Hits of the undisturbed LP pass, and what it created.
+    hits: u64,
+    created: Vec<(String, u64, u64, u64)>,
+}
+
+impl LpInstance {
+    fn session(&self, strategy: SelectionStrategy) -> TuningSession {
+        AimConfig::builder()
+            .selection(SelectionConfig { max_queries: usize::MAX, ..selection() })
+            .candidate_gen(CandidateGenConfig { join_parameter: 3, ..Default::default() })
+            .storage_budget(self.budget)
+            .skip_validation(true)
+            .selection_strategy(strategy)
+            .workers(1)
+            .session()
+    }
+
+    /// One undisturbed pass on a clone, every what-if hit logged.
+    fn pass(&self, strategy: SelectionStrategy) -> (u64, Vec<(String, u64, u64, u64)>) {
+        fault::arm(FaultPlan::new(1).delay_ms("exec.whatif", 0, 0, u64::MAX));
+        let outcome = self.session(strategy).run(&mut self.db.clone(), &self.monitor);
+        let hits = fault::disarm().len() as u64;
+        (hits, shape(&outcome.expect("undisturbed pass")))
+    }
+
+    /// Call under the [`FaultGuard`].
+    fn get() -> &'static LpInstance {
+        static INSTANCE: std::sync::OnceLock<LpInstance> = std::sync::OnceLock::new();
+        INSTANCE.get_or_init(|| {
+            let mut db = tpch::build_database(&tpch::TpchConfig::default());
+            let texts = [0xA1, 0xA2].into_iter().flat_map(tpch::query_texts).map(|(_, sql)| sql);
+            let monitor = common::observe(&mut db, texts);
+            let mut instance =
+                LpInstance { db, monitor, budget: u64::MAX, hits_before_lp: 0, hits: 0, created: Vec::new() };
+            // Greedy under an unbounded budget builds the full configuration;
+            // under the real one it makes every what-if call of the LP pass
+            // up to the selector.
+            let full: u64 =
+                instance.pass(SelectionStrategy::Greedy).1.iter().map(|c| c.3).sum();
+            instance.budget = full * 2 / 5;
+            instance.hits_before_lp = instance.pass(SelectionStrategy::Greedy).0;
+            (instance.hits, instance.created) = instance.pass(SelectionStrategy::Lp);
+            assert!(instance.hits > instance.hits_before_lp + 100, "the LP prices nothing");
+            instance
+        })
+    }
+}
+
+/// The LP selector observes the pass's cancel token: raised from the k-th
+/// what-if call *inside* `selection_lp` — first, early, middle, last — the
+/// pass aborts in that phase after at most one further call, and nothing
+/// was built.
+#[test]
+fn cancel_inside_lp_selection_aborts_within_one_whatif_call() {
+    let _g = FaultGuard::acquire();
+    let lp = LpInstance::get();
+    let lp_hits = (lp.hits - lp.hits_before_lp) as usize;
+    let mut db = lp.db.clone();
+    for k in [1, 2, lp_hits / 2, lp_hits] {
+        // Only the selector's calls stall and are logged, so the log's
+        // k-th entry is its k-th call.
+        fault::arm(FaultPlan::new(11).delay_ms("exec.whatif", 1, lp.hits_before_lp, u64::MAX));
+        let session = lp.session(SelectionStrategy::Lp);
+        let (result, calls_at_cancel) = run_cancelling_at(&session, &mut db, &lp.monitor, k);
+        let calls_at_end = fault::disarm().len();
+        let calls_at_cancel = calls_at_cancel.expect("the selector makes k calls");
+        let err = result.expect_err("cancelled pass must not complete");
+        assert!(
+            matches!(err, AimError::Cancelled { phase: "selection_lp" }),
+            "cancel after call {k} of {lp_hits}: {err}"
+        );
+        assert!(
+            calls_at_end - calls_at_cancel <= 1,
+            "cancel after call {k}: {} more what-if calls began",
+            calls_at_end - calls_at_cancel
+        );
+        assert!(db.all_indexes().is_empty(), "cancelled pass must leave the database untouched");
+    }
+}
+
+/// One transient what-if failure inside the LP selector is retried by the
+/// session (default [`RetryPolicy`]) instead of silently dropping the
+/// statement from the LP: the pass builds what the undisturbed pass builds,
+/// and the retry is counted.
+#[test]
+fn transient_fault_inside_lp_selection_is_retried() {
+    let _g = FaultGuard::acquire();
+    let lp = LpInstance::get();
+    let mut db = lp.db.clone();
+    aim_telemetry::enable();
+    aim_telemetry::reset();
+    fault::arm(FaultPlan::new(7).fail("exec.whatif", lp.hits_before_lp + 40, 1));
+    let outcome = lp.session(SelectionStrategy::Lp).run(&mut db, &lp.monitor);
+    let log = fault::disarm();
+    let retries_metric = aim_telemetry::metrics::TUNING_RETRIES.get();
+    aim_telemetry::disable();
+    aim_telemetry::reset();
+
+    let outcome = outcome.expect("a retry absorbs one transient fault");
+    assert_eq!(log.len(), 1, "exactly the planned fault fires: {log:?}");
+    assert!(outcome.retries >= 1 && retries_metric >= 1, "the fault must cost a retry");
+    assert_eq!(shape(&outcome), lp.created, "post-retry pass must build the undisturbed set");
 }
 
 /// Satellite: a transient fault during validation (the test-bed clone

@@ -11,6 +11,7 @@
 #![allow(dead_code)]
 
 use aim_exec::{Engine, ExecOutcome};
+use aim_monitor::WorkloadMonitor;
 use aim_sql::normalize::{fingerprint, fnv1a, normalize_statement, NormalizedQuery};
 use aim_sql::{parse_statement, Statement};
 use aim_storage::{ColumnDef, ColumnType, Database, IndexDef, IoStats, TableSchema};
@@ -57,6 +58,19 @@ pub fn assert_matches_golden(file: &str, actual: &str) {
             diffs.join("\n")
         );
     }
+}
+
+/// Executes `texts` in order on `db` and records what succeeds.
+pub fn observe(db: &mut Database, texts: impl IntoIterator<Item = String>) -> WorkloadMonitor {
+    let engine = Engine::new();
+    let mut monitor = WorkloadMonitor::new();
+    for sql in texts {
+        let stmt = parse_statement(&sql).unwrap_or_else(|e| panic!("{e}\n{sql}"));
+        if let Ok(outcome) = engine.execute(db, &stmt) {
+            monitor.record(&stmt, &outcome);
+        }
+    }
+    monitor
 }
 
 /// Distinct statements of one workload and what executing them produced.
@@ -108,64 +122,88 @@ fn index(name: &str, table: &str, column: &str) -> IndexDef {
     IndexDef::new(name, table, vec![column.to_string()])
 }
 
+/// What a read-only corpus is made from: its statement texts, the
+/// index-free database they run on, and the fixed index set created
+/// between the two executions.
+pub struct Fixture {
+    pub name: &'static str,
+    pub texts: Vec<String>,
+    pub db: Database,
+    pub indexes: Vec<IndexDef>,
+}
+
+impl Fixture {
+    /// Executes every statement before and after the indexes exist.
+    fn observe(mut self) -> Corpus {
+        let mut corpus = Corpus::new(self.name, self.texts);
+        corpus.execute_before_and_after(&mut self.db, &self.indexes);
+        corpus
+    }
+}
+
 /// Every variant of every Product B query spec (9 544 statements over 184
 /// tables), before and after the DBA oracle's indexes.
-pub fn product_b() -> Corpus {
+pub fn product_b_fixture() -> Fixture {
     let w = production::build(&production::profiles()[1]);
     let texts = w
         .specs
         .iter()
         .flat_map(|s| s.variants.iter().map(|v| v.to_string()))
         .collect();
-    let mut corpus = Corpus::new("prodb", texts);
-    let mut db = w.db;
-    corpus.execute_before_and_after(&mut db, &w.dba_indexes);
-    corpus
+    Fixture { name: "prodb", texts, db: w.db, indexes: w.dba_indexes }
+}
+
+pub fn product_b() -> Corpus {
+    product_b_fixture().observe()
 }
 
 /// The 22 TPC-H templates with two parameter seeds.
-pub fn tpch() -> Corpus {
+pub fn tpch_fixture() -> Fixture {
     let texts = [0xA1, 0xA2]
         .into_iter()
         .flat_map(tpch::query_texts)
         .map(|(_, sql)| sql)
         .collect();
-    let mut corpus = Corpus::new("tpch", texts);
-    let mut db = tpch::build_database(&tpch::TpchConfig {
+    let db = tpch::build_database(&tpch::TpchConfig {
         scale: 0.001,
         ..Default::default()
     });
-    let indexes = [
+    let indexes = vec![
         index("ix_o_custkey", "orders", "o_custkey"),
         index("ix_l_partkey", "lineitem", "l_partkey"),
         index("ix_l_suppkey", "lineitem", "l_suppkey"),
         index("ix_l_shipdate", "lineitem", "l_shipdate"),
         index("ix_c_nationkey", "customer", "c_nationkey"),
     ];
-    corpus.execute_before_and_after(&mut db, &indexes);
-    corpus
+    Fixture { name: "tpch", texts, db, indexes }
+}
+
+pub fn tpch() -> Corpus {
+    tpch_fixture().observe()
 }
 
 /// The 30 JOB-style join queries.
-pub fn job() -> Corpus {
+pub fn job_fixture() -> Fixture {
     let texts = job::query_texts(0x10B)
         .into_iter()
         .map(|(_, sql)| sql)
         .collect();
-    let mut corpus = Corpus::new("job", texts);
-    let mut db = job::build_database(&job::JobConfig {
+    let db = job::build_database(&job::JobConfig {
         titles: 600,
         ..Default::default()
     });
-    let indexes = [
+    let indexes = vec![
         index("ix_mc_movie", "movie_companies", "movie_id"),
         index("ix_ci_movie", "cast_info", "movie_id"),
         index("ix_mi_movie", "movie_info", "movie_id"),
         index("ix_mk_movie", "movie_keyword", "movie_id"),
         index("ix_t_year", "title", "production_year"),
     ];
-    corpus.execute_before_and_after(&mut db, &indexes);
-    corpus
+    Fixture { name: "job", texts, db, indexes }
+}
+
+pub fn job() -> Corpus {
+    job_fixture().observe()
 }
 
 /// The statement kinds of the benchmark's `disk_oltp` workload — padded

@@ -6,14 +6,17 @@
 //! Golden files live in `tests/golden/`; regenerate intentionally with
 //! `BLESS=1 cargo test -p aim-integration --test explain`.
 
+mod common;
+
 use aim_core::AimConfig;
-use aim_exec::{explain_select, Engine, HypoConfig};
+use aim_exec::{explain_select, AccessPath, Engine, HypoConfig, HypotheticalIndex};
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_sql::{parse_statement, Statement};
 use aim_storage::{
     ColumnDef, ColumnType, Database, IndexDef, IoStats, TableSchema, Value,
 };
 use aim_telemetry::jsonv::{self, Json};
+use aim_workloads::rng::{Rng, SeedableRng, StdRng};
 use std::path::PathBuf;
 
 /// Orders/customers fixture with one composite secondary index — enough
@@ -138,6 +141,75 @@ fn golden_two_table_join() {
     assert!(text.contains("0: "), "{text}");
     assert!(text.contains("1: "), "{text}");
     assert_golden("explain_two_table_join.txt", &text);
+}
+
+/// What EXPLAIN of `sql` says under `config` is what the search did: per
+/// join step one chosen alternative, the plan's path at the plan's cost to
+/// the bit, nothing usable strictly cheaper, and every index of the table
+/// that `config` shows listed exactly once.
+fn assert_explain_is_the_search(db: &Database, sql: &str, config: &HypoConfig) {
+    let Statement::Select(select) = parse_statement(sql).unwrap() else {
+        return;
+    };
+    let (plan, explain) = explain_select(db, &select, config, &Engine::new().cost_model).unwrap();
+    assert_eq!(explain.nodes.len(), plan.steps.len(), "{sql}");
+    for (node, step) in explain.nodes.iter().zip(&plan.steps) {
+        let chosen: Vec<_> = node.alternatives.iter().filter(|a| a.chosen).collect();
+        assert_eq!(chosen.len(), 1, "{sql}: {node:?}");
+        let chosen = chosen[0];
+        let cost = chosen.est_cost.expect("the chosen path is priced");
+        assert_eq!(cost.to_bits(), step.cost_each.to_bits(), "{sql}: {node:?}");
+        assert_eq!(node.est_cost.to_bits(), step.cost_each.to_bits(), "{sql}");
+        match &step.path {
+            AccessPath::FullScan => assert_eq!(chosen.access, "full scan", "{sql}"),
+            AccessPath::IndexScan(ix) => {
+                assert_eq!(chosen.index.as_deref(), Some(&*ix.index.label()), "{sql}");
+                assert_eq!((chosen.eq_prefix, chosen.range), (ix.eq.len(), ix.range.is_some()));
+            }
+            AccessPath::OrUnion(_) => assert!(chosen.access.starts_with("index-merge"), "{sql}"),
+        }
+        for alt in node.rejected() {
+            assert!(alt.est_cost.unwrap() >= cost, "{sql}: cheaper than chosen: {alt:?}");
+        }
+
+        let table = db.table(&node.table).unwrap();
+        let mut visible = vec!["PRIMARY".to_string()];
+        if config.include_materialized {
+            visible.extend(table.indexes().map(|ix| ix.def().name.clone()));
+        }
+        visible.extend(config.for_table(&node.table).map(|(i, _)| format!("<hypo#{i}>")));
+        visible.sort();
+        let mut listed: Vec<String> =
+            node.alternatives.iter().filter_map(|a| a.index.clone()).collect();
+        listed.sort();
+        assert_eq!(listed, visible, "{sql}");
+    }
+}
+
+/// EXPLAIN is the search: over TPC-H, JOB and a seeded 500-statement sample
+/// of Product B — on the index-free database, with the corpus's index set
+/// overlaid as hypotheticals, and with it built.
+#[test]
+fn explain_is_the_search() {
+    for fixture in [common::tpch_fixture(), common::job_fixture(), common::product_b_fixture()] {
+        let common::Fixture { mut texts, mut db, indexes, .. } = fixture;
+        if texts.len() > 500 {
+            let mut rng = StdRng::seed_from_u64(0xe5a1);
+            texts = (0..500).map(|_| texts[rng.gen_range(0..texts.len())].clone()).collect();
+        }
+        let overlay = HypoConfig::overlay(
+            indexes.iter().filter_map(|def| HypotheticalIndex::build(&db, def.clone())).collect(),
+        );
+        assert!(!overlay.indexes.is_empty());
+        for sql in &texts {
+            assert_explain_is_the_search(&db, sql, &HypoConfig::none());
+            assert_explain_is_the_search(&db, sql, &overlay);
+        }
+        aim_workloads::production::apply_indexes(&mut db, &indexes);
+        for sql in &texts {
+            assert_explain_is_the_search(&db, sql, &HypoConfig::none());
+        }
+    }
 }
 
 /// The ledger artifact round trip: a full tuning pass with recording on,

@@ -491,12 +491,9 @@ fn parallel_ranking_profile_matches_sequential_shape() {
     assert!(candidates.len() >= 2, "need enough candidates to parallelize");
 
     // The what-if cache would let the second run skip costing (and its
-    // spans) entirely; disable it so both runs do identical work.
-    let cache = aim_exec::whatif::global();
-    cache.clear();
-    cache.set_enabled(false);
-
+    // spans) entirely; each run starts cold so both do identical work.
     let whatif_count = |workers: usize| -> u64 {
+        aim_exec::whatif::global().clear();
         aim_telemetry::enable();
         aim_telemetry::reset();
         let count = {
@@ -528,9 +525,6 @@ fn parallel_ranking_profile_matches_sequential_shape() {
         0,
         "stitch left orphaned worker profiles pending"
     );
-
-    cache.clear();
-    cache.set_enabled(true);
 }
 
 /// The hand-rolled artifact emitter and the strict `jsonv` reader agree:

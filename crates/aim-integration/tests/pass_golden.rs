@@ -21,7 +21,7 @@ use aim_core::fleet::{BudgetAllocation, FleetConfig, FleetOutcome, Tenant};
 use aim_core::{
     config_size, generate_candidates, knapsack_select, knapsack_select_explained,
     rank_candidates_with, refine_selection, AimAdvisor, AimConfig, AimConfigBuilder, AimOutcome,
-    CandidateGenConfig, IndexAdvisor, RankedCandidate, SelectionStrategy, WeightedQuery,
+    CandidateGenConfig, IndexAdvisor, RankedCandidate, RunCtl, SelectionStrategy, WeightedQuery,
 };
 use aim_exec::{CostModel, Engine};
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor};
@@ -360,11 +360,12 @@ fn lp_selection_replaces_greedy_where_greedy_strands_the_budget() {
         &tpch.db,
         &workload,
         &ranked,
-        greedy.clone(),
+        &greedy,
         budget,
-        0,
         &CostModel::default(),
-    );
+        &RunCtl::none(),
+    )
+    .expect("nothing interrupts or fails the refinement");
     assert!(lp.used_lp, "greedy kept: lp {} vs greedy {}", lp.lp_cost, lp.greedy_cost);
     assert!(lp.lp_cost < lp.greedy_cost);
     assert!(lp.chosen.iter().map(|r| r.size_bytes).sum::<u64>() <= budget);

@@ -9,7 +9,7 @@ mod common;
 use aim_core::partial_order::{merge_partial_orders, PartialOrder};
 use aim_core::{
     generate_candidates, knapsack_select, rank_candidates, rank_candidates_unbatched,
-    rank_candidates_with, refine_selection, CandidateGenConfig, RankedCandidate,
+    rank_candidates_with, refine_selection, CandidateGenConfig, RankedCandidate, RunCtl,
 };
 use aim_exec::{CostModel, Engine};
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor, WorkloadQuery};
@@ -782,13 +782,13 @@ fn batched_ranking_matches_per_config_on_random_workloads() {
         if cands.is_empty() {
             continue;
         }
-        // Cache off so both paths genuinely plan every config; equality
-        // must come from the costing itself, not shared memoization.
+        // A cold cache each so both paths genuinely plan; equality must
+        // come from the costing itself, not shared memoization.
         let cache = aim_exec::whatif::global();
-        cache.set_enabled(false);
+        cache.clear();
         let batched = rank_candidates_with(&db, &w, &cands, &cm, 1);
+        cache.clear();
         let sequential = rank_candidates_unbatched(&db, &w, &cands, &cm, 1);
-        cache.set_enabled(true);
         assert_ranked_bit_identical(&sequential, &batched);
         // Same property under the parallel ranking path.
         let parallel = rank_candidates_with(&db, &w, &cands, &cm, 4);
@@ -847,7 +847,8 @@ fn lp_selection_agrees_with_greedy_on_optimal_instances() {
         // Unlimited budget: the single useful index is provably optimal,
         // so LP refinement must return exactly the greedy selection.
         let greedy = knapsack_select(&ranked, u64::MAX, 0);
-        let out = refine_selection(&db, &w, &ranked, greedy.clone(), u64::MAX, 0, &cm);
+        let out =
+            refine_selection(&db, &w, &ranked, &greedy, u64::MAX, &cm, &RunCtl::none()).unwrap();
         assert_eq!(
             out.chosen
                 .iter()
@@ -869,7 +870,8 @@ fn lp_selection_agrees_with_greedy_on_optimal_instances() {
         let total: u64 = ranked.iter().map(|r| r.size_bytes).sum();
         let budget = rng.gen_range(1..=total.max(2));
         let greedy = knapsack_select(&ranked, budget, 0);
-        let out = refine_selection(&db, &w, &ranked, greedy.clone(), budget, 0, &cm);
+        let out =
+            refine_selection(&db, &w, &ranked, &greedy, budget, &cm, &RunCtl::none()).unwrap();
         if out.used_lp {
             assert!(out.lp_cost < out.greedy_cost, "LP kept without improvement");
         } else {

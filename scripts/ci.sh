@@ -3,6 +3,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# What git sees before the run: the gates below write only to ignored
+# places (target/, bench/out/), and the last check holds them to it.
+tree_before=$(git status --porcelain)
+
 echo "== cargo build --release"
 cargo build --release
 
@@ -15,11 +19,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== code lines per crate (report, not a gate)"
 scripts/loc.sh
-
-echo "== bench_whatif smoke (what-if cache regression gate)"
-# Exits non-zero if a repeated tuning pass over an unchanged database shows a
-# 0% cache hit rate — i.e. epoch keying or statement fingerprinting broke.
-./target/release/bench_whatif smoke
 
 echo "== chaos smoke (fault-injection resilience gate)"
 # Seeded fault schedule through the continuous tuning loop; exits non-zero on
@@ -39,13 +38,6 @@ echo "== storage smoke (disk-engine durability & costing gate)"
 # directory: memory-vs-disk result equality, crash/reopen durability with
 # index survival, buffer-pool + WAL traffic, and est-vs-actual page error.
 ./target/release/bench_storage smoke
-
-echo "== selection smoke (batched costing & LP-selection gate)"
-# Runs bench_selection in smoke mode: asserts batched what-if costs are
-# bit-identical to sequential costing (per-slot to_bits equality), that the
-# LP selector never loses to greedy, and exits non-zero when the batched
-# path shows no speedup or a repeated batch never hits the what-if cache.
-./target/release/bench_selection smoke
 
 echo "== observe smoke (telemetry overhead gate)"
 # Times the same point-select loop with telemetry absent vs disarmed (every
@@ -82,5 +74,13 @@ echo "== aim-e2e unit tests (BENCHMARK.json and bench/src/metrics.rs in step)"
 # definitions in bench/src/metrics.rs name different metrics.
 CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
     cargo test --release --offline --quiet --manifest-path bench/Cargo.toml
+
+echo "== clean tree (the run changed nothing git tracks or would add)"
+tree_after=$(git status --porcelain)
+if [ "$tree_after" != "$tree_before" ]; then
+    echo "FAIL: the CI run changed the working tree:"
+    diff <(echo "$tree_before") <(echo "$tree_after") | sed -n 's/^[<>] /  /p'
+    exit 1
+fi
 
 echo "== ci: all checks passed"
