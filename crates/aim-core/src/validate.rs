@@ -14,7 +14,7 @@
 use crate::error::AimError;
 use crate::ranking::RankedCandidate;
 use crate::session::RunCtl;
-use aim_exec::{Engine, ExecError, ExecOutcome};
+use aim_exec::{Engine, ExecError, IndexChoice, Plan};
 use aim_monitor::WorkloadQuery;
 use aim_sql::ast::Statement;
 use aim_sql::normalize::QueryFingerprint;
@@ -46,10 +46,10 @@ pub struct ValidationConfig {
     /// Seed for the deterministic sample.
     pub sample_seed: u64,
     /// Replay worker threads (`0` = one per available core). Parallel
-    /// replay engages only for pure-SELECT workloads, where it is
-    /// bit-identical to the sequential pass; workloads containing DML
+    /// replay engages only for pure-SELECT workloads, where the verdict is
+    /// bit-identical for any worker count; workloads containing DML
     /// always replay sequentially so statements observe each other's
-    /// mutations in workload order, exactly as before.
+    /// mutations in workload order.
     pub workers: usize,
 }
 
@@ -73,78 +73,129 @@ impl Default for ValidationConfig {
 /// (`None` where execution failed).
 type Observation = Option<(f64, BTreeSet<String>)>;
 
-fn observe(out: &ExecOutcome, names: &[String]) -> (f64, BTreeSet<String>) {
+/// A plan an exemplar was executed with on the test bed, and what it cost.
+type Measured = (Plan, f64);
+
+fn observe(plan: &Plan, cost: f64, names: &[String]) -> Observation {
     let mut used_here: BTreeSet<String> = BTreeSet::new();
-    for (_, choice) in out.plan.used_indexes() {
-        if let aim_exec::IndexChoice::Secondary(name) = choice {
+    for (_, choice) in plan.used_indexes() {
+        if let IndexChoice::Secondary(name) = choice {
             if names.contains(&name) {
                 used_here.insert(name);
             }
         }
     }
-    (out.cost, used_here)
+    Some((cost, used_here))
 }
 
-/// Replays the workload's exemplars against `db`, returning one
-/// observation per workload query (None where execution failed).
-///
-/// Pure-SELECT workloads fan out over `workers` scoped threads sharing the
-/// database read-only ([`Engine::execute_select`] takes `&Database`), so
-/// no per-worker clones are needed and — execution cost being a
-/// deterministic function of data + plan — the observations are identical
-/// to a sequential replay. Any DML in the workload forces one worker: DML
-/// must see prior statements' mutations in workload order.
-fn replay_workload(
-    db: &mut Database,
-    workload: &[WorkloadQuery],
-    engine: &Engine,
-    names: &[String],
-    workers: usize,
-    ctl: &RunCtl,
-    strict: bool,
-) -> Result<Vec<Observation>, AimError> {
-    let read_only = workload
-        .iter()
-        .all(|wq| matches!(wq.stats.exemplar, Statement::Select(_)));
-    let workers = if read_only {
-        crate::ranking::effective_workers(workers, workload.len())
-    } else {
-        1
-    };
-    if workers <= 1 {
-        let mut out = Vec::with_capacity(workload.len());
-        for wq in workload {
-            ctl.check("validation")?;
-            out.push(observe_result(
-                engine.execute(db, &wq.stats.exemplar),
-                names,
-                strict,
-            )?);
-        }
-        return Ok(out);
-    }
-    let db = &*db;
-    crate::ranking::fan_out(workload, workers, ctl, "validation", |wq| {
-        let Statement::Select(sel) = &wq.stats.exemplar else {
-            return Ok(None);
-        };
-        observe_result(engine.execute_select(db, sel), names, strict)
-    })
-}
-
-/// One replayed statement's observation under the strict-mode contract:
-/// injected (transient) failures propagate so the session loop can retry,
-/// while deterministic failures degrade to `None` exactly as the legacy
-/// lenient path always did.
-fn observe_result(
-    res: Result<ExecOutcome, ExecError>,
-    names: &[String],
-    strict: bool,
-) -> Result<Observation, AimError> {
+/// One replayed statement under the strict-mode contract: injected
+/// (transient) failures propagate so the session loop can retry, while
+/// deterministic failures degrade to `None` exactly as the lenient path
+/// always did.
+fn tolerate<T>(res: Result<T, ExecError>, strict: bool) -> Result<Option<T>, AimError> {
     match res {
-        Ok(out) => Ok(Some(observe(&out, names))),
+        Ok(v) => Ok(Some(v)),
         Err(e) if strict && e.is_injected() => Err(AimError::from_exec("validation", e)),
         Err(_) => Ok(None),
+    }
+}
+
+/// What every replay of one validation is given.
+struct Replay<'a> {
+    workload: &'a [WorkloadQuery],
+    engine: &'a Engine,
+    workers: usize,
+    ctl: &'a RunCtl,
+    strict: bool,
+}
+
+impl Replay<'_> {
+    /// Replays a pure-SELECT workload against `db`, one observation per
+    /// query, executing only what has not been measured yet.
+    ///
+    /// Every exemplar is opened — fault gate, planning — on `workers`
+    /// scoped threads sharing the database read-only. Execution cost is a
+    /// deterministic function of data + plan and nothing here changes the
+    /// data, so a statement whose plan is execution-identical
+    /// ([`Plan::same_execution`]) to one in `measured[i]` costs what was
+    /// measured then and is not run again; any other plan is executed and
+    /// joins `measured[i]`. Observations are therefore those of a full
+    /// replay, for any worker count.
+    fn read_only(
+        &self,
+        db: &Database,
+        measured: &mut [Vec<Measured>],
+        names: &[String],
+    ) -> Result<Vec<Observation>, AimError> {
+        enum Replayed {
+            Known(usize),
+            Executed(Measured),
+        }
+        let items: Vec<(&WorkloadQuery, &[Measured])> = self
+            .workload
+            .iter()
+            .zip(measured.iter().map(Vec::as_slice))
+            .collect();
+        let workers = crate::ranking::effective_workers(self.workers, items.len());
+        let replayed =
+            crate::ranking::fan_out(&items, workers, self.ctl, "validation", |(wq, known)| {
+                let Statement::Select(sel) = &wq.stats.exemplar else {
+                    return Ok(None);
+                };
+                let res = self.engine.open_select(db, sel).and_then(|open| {
+                    match known.iter().position(|(plan, _)| plan.same_execution(open.plan())) {
+                        Some(k) => Ok(Replayed::Known(k)),
+                        None => open.run().map(|out| Replayed::Executed((out.plan, out.cost))),
+                    }
+                });
+                tolerate(res, self.strict)
+            })?;
+        let mut executed = 0u64;
+        let mut reused = 0u64;
+        let observations = replayed
+            .into_iter()
+            .zip(measured)
+            .map(|(r, known)| {
+                let (plan, cost) = match r? {
+                    Replayed::Known(k) => {
+                        reused += 1;
+                        &known[k]
+                    }
+                    Replayed::Executed(m) => {
+                        executed += 1;
+                        known.push(m);
+                        known.last().expect("just pushed")
+                    }
+                };
+                observe(plan, *cost, names)
+            })
+            .collect();
+        aim_telemetry::metrics::VALIDATION_EXECUTED.add(executed);
+        aim_telemetry::metrics::VALIDATION_REUSED.add(reused);
+        Ok(observations)
+    }
+
+    /// Replays a workload containing DML against `db`, in workload order
+    /// on the calling thread: DML must see prior statements' mutations. The
+    /// replay changes the data, so every statement is executed and nothing
+    /// measured on another copy applies. SELECTs take the direct path,
+    /// which leaves the live-traffic signal (`exec.select_cost`) alone.
+    fn sequential(
+        &self,
+        db: &mut Database,
+        names: &[String],
+    ) -> Result<Vec<Observation>, AimError> {
+        let mut out = Vec::with_capacity(self.workload.len());
+        for wq in self.workload {
+            self.ctl.check("validation")?;
+            let res = match &wq.stats.exemplar {
+                Statement::Select(sel) => self.engine.execute_select(db, sel),
+                stmt => self.engine.execute(db, stmt),
+            };
+            out.push(tolerate(res, self.strict)?.and_then(|o| observe(&o.plan, o.cost, names)));
+        }
+        aim_telemetry::metrics::VALIDATION_EXECUTED.add(out.len() as u64);
+        Ok(out)
     }
 }
 
@@ -188,6 +239,43 @@ pub enum RejectReason {
 pub struct ValidationOutcome {
     pub accepted: Vec<RankedCandidate>,
     pub rejected: Vec<(RankedCandidate, RejectReason)>,
+}
+
+/// Builds the `accepted` candidates on the test database `db`; those that
+/// cannot be built move to `rejected`.
+fn materialize(
+    db: &mut Database,
+    accepted: &mut Vec<RankedCandidate>,
+    rejected: &mut Vec<(RankedCandidate, RejectReason)>,
+    strict: bool,
+) -> Result<(), AimError> {
+    let mut io = IoStats::new();
+    let mut buildable: Vec<RankedCandidate> = Vec::new();
+    for r in accepted.drain(..) {
+        let def = r.candidate.def();
+        let exists = db
+            .table(&r.candidate.table)
+            .is_ok_and(|t| t.has_index_on(&r.candidate.columns));
+        if exists {
+            rejected.push((
+                r,
+                RejectReason::Unbuildable("identical index already exists".into()),
+            ));
+            continue;
+        }
+        match db.create_index(def, &mut io) {
+            Ok(()) => buildable.push(r),
+            Err(e) if strict && e.is_injected() => {
+                // Transient build failure on the test bed: let the session
+                // loop retry the validation rather than mislabelling the
+                // candidate Unbuildable.
+                return Err(AimError::from_exec("validation", ExecError::Storage(e)));
+            }
+            Err(e) => rejected.push((r, RejectReason::Unbuildable(e.to_string()))),
+        }
+    }
+    *accepted = buildable;
+    Ok(())
 }
 
 /// Validates `chosen` on a clone of `db` by replaying the workload's
@@ -240,19 +328,38 @@ fn validate_core(
         }
     };
 
-    // Baseline measured costs, before any index is materialized. A
-    // pure-SELECT replay cannot mutate the bed, so it runs directly on it;
-    // only a workload containing DML still needs a protective copy (its
-    // mutations would otherwise leak into every round's clone).
-    let _baseline_span = aim_telemetry::span("baseline_replay");
+    // A pure-SELECT replay cannot mutate the database it runs on, so the
+    // baseline and every round share the bed: candidates are built on it
+    // once, a round drops what the round before rejected, and an exemplar
+    // is executed only under a plan not yet measured in this validation
+    // (`measured` never outlives this call — another pass has other data).
+    // A workload containing DML changes what it replays on, so its baseline
+    // and each of its rounds get a fresh copy of the bed and a full replay.
     let read_only = workload
         .iter()
         .all(|wq| matches!(wq.stats.exemplar, Statement::Select(_)));
+    let mut measured: Vec<Vec<Measured>> = vec![Vec::new(); workload.len()];
+    let replayer = Replay {
+        workload,
+        engine,
+        workers: cfg.workers,
+        ctl,
+        strict,
+    };
+    let mut replay = |db: &mut Database, names: &[String]| {
+        if read_only {
+            replayer.read_only(db, &mut measured, names)
+        } else {
+            replayer.sequential(db, names)
+        }
+    };
+
+    // Baseline measured costs, before any index is materialized.
+    let _baseline_span = aim_telemetry::span("baseline_replay");
     let baseline_obs = if read_only {
-        replay_workload(&mut bed, workload, engine, &[], cfg.workers, ctl, strict)?
+        replay(&mut bed, &[])?
     } else {
-        let mut baseline_db = clone_db(&bed, strict)?;
-        replay_workload(&mut baseline_db, workload, engine, &[], cfg.workers, ctl, strict)?
+        replay(&mut clone_db(&bed, strict)?, &[])?
     };
     let mut baseline: BTreeMap<QueryFingerprint, f64> = BTreeMap::new();
     for (wq, ob) in workload.iter().zip(&baseline_obs) {
@@ -261,12 +368,14 @@ fn validate_core(
         }
     }
     drop(_baseline_span);
-    let db = &bed;
 
     // Set only when a full round completes with nothing rejected — i.e.
     // the surviving set was actually re-validated as a whole.
     let mut clean_round = false;
-    for _round in 0..cfg.max_rounds {
+    // `rejected[shed_from..]` is what the last round rejected: candidates
+    // still built on the bed.
+    let mut shed_from = 0;
+    for round in 0..cfg.max_rounds {
         if accepted.is_empty() {
             clean_round = true;
             break;
@@ -274,35 +383,26 @@ fn validate_core(
         ctl.check("validation")?;
         let _round_span = aim_telemetry::span("validation_round");
         aim_telemetry::metrics::VALIDATION_ROUNDS.incr();
-        // Fresh clone with the accepted candidates materialized.
-        let mut clone = clone_db(db, strict)?;
-        let mut io = IoStats::new();
-        let mut buildable: Vec<RankedCandidate> = Vec::new();
-        for r in accepted.drain(..) {
-            let def = r.candidate.def();
-            let exists = clone
-                .table(&r.candidate.table)
-                .is_ok_and(|t| t.has_index_on(&r.candidate.columns));
-            if exists {
-                rejected.push((
-                    r,
-                    RejectReason::Unbuildable("identical index already exists".into()),
-                ));
-                continue;
+        let mut round_clone;
+        let db = if read_only {
+            &mut bed
+        } else {
+            round_clone = clone_db(&bed, strict)?;
+            &mut round_clone
+        };
+        if read_only && round > 0 {
+            // The survivors are built already.
+            for (r, _) in &rejected[shed_from..] {
+                db.drop_index(&r.candidate.table, &r.candidate.name())
+                    .map_err(|e| AimError::from_exec("validation", ExecError::Storage(e)))?;
             }
-            match clone.create_index(def, &mut io) {
-                Ok(()) => buildable.push(r),
-                Err(e) if strict && e.is_injected() => {
-                    // Transient build failure on the clone: let the session
-                    // loop retry the whole round rather than mislabelling
-                    // the candidate Unbuildable.
-                    return Err(AimError::from_exec("validation", ExecError::Storage(e)));
-                }
-                Err(e) => rejected.push((r, RejectReason::Unbuildable(e.to_string()))),
-            }
+        } else {
+            materialize(db, &mut accepted, &mut rejected, strict)?;
+            // Nothing to do unless the source came with stale statistics:
+            // an index build leaves them current.
+            db.analyze_all();
         }
-        accepted = buildable;
-        clone.analyze_all();
+        shed_from = rejected.len();
 
         // Replay and observe usage + per-query costs.
         let names: Vec<String> = accepted.iter().map(|r| r.candidate.name()).collect();
@@ -311,8 +411,7 @@ fn validate_core(
         let mut improved = false;
         let mut total_before = 0.0f64;
         let mut total_after = 0.0f64;
-        let observations =
-            replay_workload(&mut clone, workload, engine, &names, cfg.workers, ctl, strict)?;
+        let observations = replay(db, &names)?;
         for (wq, ob) in workload.iter().zip(observations) {
             let Some((after, used_here)) = ob else {
                 continue;
@@ -511,6 +610,22 @@ mod tests {
         (w, chosen)
     }
 
+    /// A candidate on `t(b)` that ranking did not propose.
+    fn on_b(benefit: f64, maintenance: f64) -> RankedCandidate {
+        RankedCandidate {
+            candidate: crate::candidates::CandidateIndex {
+                table: "t".into(),
+                columns: vec!["b".into()],
+                po: crate::partial_order::PartialOrder::chain(["b"]).unwrap(),
+                sources: BTreeSet::new(),
+            },
+            size_bytes: 1,
+            benefit,
+            maintenance,
+            benefiting_queries: Vec::new(),
+        }
+    }
+
     #[test]
     fn useful_index_is_accepted() {
         let mut db = db();
@@ -542,19 +657,7 @@ mod tests {
         let (w, mut chosen) = pipeline(&mut db, &[("SELECT id FROM t WHERE a = 5", 10)]);
         // Inject a candidate the optimizer will never use: index on b for a
         // workload that only filters a.
-        let bogus = RankedCandidate {
-            candidate: crate::candidates::CandidateIndex {
-                table: "t".into(),
-                columns: vec!["b".into()],
-                po: crate::partial_order::PartialOrder::chain(["b"]).unwrap(),
-                sources: BTreeSet::new(),
-            },
-            size_bytes: 1,
-            benefit: 1.0,
-            maintenance: 0.0,
-            benefiting_queries: Vec::new(),
-        };
-        chosen.push(bogus);
+        chosen.push(on_b(1.0, 0.0));
         let outcome =
             validate_on_clone(&db, &w, &chosen, &Engine::new(), &ValidationConfig::default())
                 .unwrap();
@@ -625,29 +728,49 @@ mod tests {
         assert!(!outcome.accepted.is_empty());
     }
 
+    /// Execution-weighted cost of the workload replayed in order on a copy
+    /// of `db` with exactly `built` materialized.
+    fn replayed_total(db: &Database, w: &[WorkloadQuery], built: &[RankedCandidate]) -> f64 {
+        let mut copy = db.clone();
+        let mut io = IoStats::new();
+        for r in built {
+            copy.create_index(r.candidate.def(), &mut io).unwrap();
+        }
+        let engine = Engine::new();
+        w.iter()
+            .map(|wq| {
+                let cost = engine.execute(&mut copy, &wq.stats.exemplar).unwrap().cost;
+                cost * wq.stats.executions.max(1) as f64
+            })
+            .sum()
+    }
+
     #[test]
     fn total_cost_guard_sheds_candidates() {
         let mut db = db();
-        // Pure write workload plus one rare read: indexes mostly add write
-        // amplification. With a strict λ₁ the total-cost guard must not
-        // admit a configuration that grows overall cost.
-        let (w, chosen) = pipeline(
+        // A write-heavy workload plus one rare read. The read earns its
+        // index on `a`; an index on `b`, which every write must maintain
+        // and no statement reads through, only adds write amplification.
+        // With a strict λ₁ the total-cost guard must not admit a
+        // configuration that grows overall cost.
+        let (w, mut chosen) = pipeline(
             &mut db,
             &[
-                ("UPDATE t SET a = 1 WHERE id = 2", 40),
-                ("SELECT id FROM t WHERE a = 5", 2),
+                ("UPDATE t SET b = b + 1 WHERE id = 2", 400),
+                ("SELECT id FROM t WHERE a = 5", 1),
             ],
         );
-        if chosen.is_empty() {
-            return; // ranking already rejected everything: guard not needed
-        }
+        db.analyze_all();
+        assert!(!chosen.is_empty(), "ranking must propose the index on a");
+        chosen.push(on_b(0.0, 1.0));
+        let lambda1 = 0.0;
         let outcome = validate_on_clone(
             &db,
             &w,
             &chosen,
             &Engine::new(),
             &ValidationConfig {
-                total_cost_tolerance: Some(0.0),
+                total_cost_tolerance: Some(lambda1),
                 min_improvement: None,
                 ..Default::default()
             },
@@ -655,7 +778,24 @@ mod tests {
         .unwrap();
         // Every accepted candidate survived the λ₁ = 0 guard: replaying
         // the workload with them must not cost more than before.
-        let _ = outcome;
+        let before = replayed_total(&db, &w, &[]);
+        let after = replayed_total(&db, &w, &outcome.accepted);
+        assert!(!outcome.accepted.is_empty());
+        assert!(
+            after <= before * (1.0 + lambda1),
+            "accepted configuration costs {after}, index-free {before}"
+        );
+        // The whole change set would have grown it, so the guard had to
+        // shed something.
+        assert!(replayed_total(&db, &w, &chosen) > before * (1.0 + lambda1));
+        assert!(
+            outcome
+                .rejected
+                .iter()
+                .any(|(_, why)| matches!(why, RejectReason::TotalCostRegression { .. })),
+            "rejected: {:?}",
+            outcome.rejected.iter().map(|(r, why)| (r.candidate.name(), why.clone())).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -753,19 +893,7 @@ mod tests {
     fn usage_check_can_be_disabled() {
         let mut db = db();
         let (w, mut chosen) = pipeline(&mut db, &[("SELECT id FROM t WHERE a = 5", 10)]);
-        let bogus = RankedCandidate {
-            candidate: crate::candidates::CandidateIndex {
-                table: "t".into(),
-                columns: vec!["b".into()],
-                po: crate::partial_order::PartialOrder::chain(["b"]).unwrap(),
-                sources: BTreeSet::new(),
-            },
-            size_bytes: 1,
-            benefit: 1.0,
-            maintenance: 0.0,
-            benefiting_queries: Vec::new(),
-        };
-        chosen.push(bogus);
+        chosen.push(on_b(1.0, 0.0));
         let outcome = validate_on_clone(
             &db,
             &w,

@@ -162,8 +162,17 @@ impl Engine {
         db: &Database,
         select: &Select,
     ) -> Result<ExecOutcome, ExecError> {
-        let (_span, binder, plan) = self.open_select(db, select)?;
+        self.open_select(db, select)?.run()
+    }
 
+    /// Executes `plan`, the plan of `select` over `binder`.
+    fn run_select(
+        &self,
+        db: &Database,
+        select: &Select,
+        binder: &Binder,
+        plan: Plan,
+    ) -> Result<ExecOutcome, ExecError> {
         // Table-free SELECT.
         if plan.steps.is_empty() {
             let mut row = Vec::new();
@@ -173,7 +182,7 @@ impl Engine {
                         return Err(ExecError::Unsupported("SELECT * without FROM".into()))
                     }
                     SelectItem::Expr { expr, .. } => {
-                        row.push(BoundExpr::bind(expr, &binder)?.eval(&[], &[])?.into_owned())
+                        row.push(BoundExpr::bind(expr, binder)?.eval(&[], &[])?.into_owned())
                     }
                 }
             }
@@ -188,8 +197,8 @@ impl Engine {
 
         // Bind once: everything the statement evaluates per row is resolved
         // here, so name errors surface before any row is read.
-        let layouts = slot_layouts(db, &binder, &plan)?;
-        let scope = Scope::new(&binder, &layouts);
+        let layouts = slot_layouts(db, binder, &plan)?;
+        let scope = Scope::new(binder, &layouts);
         let conjuncts = conjuncts_by_level(select, &scope, &plan)?;
         let limit = limit_of(select)?;
         let query = BoundSelect::bind(select, &scope, db)?;
@@ -205,7 +214,7 @@ impl Engine {
         } else {
             Sink::Tuples(Vec::new())
         };
-        let mut join = Join::new(db, &binder, &plan, &layouts, &conjuncts, sink)?;
+        let mut join = Join::new(db, binder, &plan, &layouts, &conjuncts, sink)?;
         let streamed = match limit {
             Some(k) if streaming_limit => join.stream_limited(k)?,
             _ => false,
@@ -305,11 +314,13 @@ impl Engine {
 
     /// Fault gate, span, planning and the plan-chosen event: the start of
     /// every SELECT, including the row-locating half of UPDATE and DELETE.
-    fn open_select(
-        &self,
-        db: &Database,
-        select: &Select,
-    ) -> Result<(aim_telemetry::SpanGuard, Binder, Plan), ExecError> {
+    /// The caller can look at the plan before paying for execution, then
+    /// [`OpenSelect::run`] it (nothing is planned twice) or drop it.
+    pub fn open_select<'a>(
+        &'a self,
+        db: &'a Database,
+        select: &'a Select,
+    ) -> Result<OpenSelect<'a>, ExecError> {
         if let Some(aim_storage::fault::FaultKind::Fail) =
             aim_storage::fault::hit("exec.execute")
         {
@@ -318,8 +329,8 @@ impl Engine {
             });
         }
         // Spanned here (not in `execute`) so parallel validation replays,
-        // which call `execute_select` directly from worker threads, still
-        // time their per-query work for profile stitching.
+        // which open SELECTs directly from worker threads, still time
+        // their per-query work for profile stitching.
         let span = aim_telemetry::span("exec.select");
         let config = HypoConfig::none();
         let planner = Planner::new(db, select, &config, &self.cost_model)?;
@@ -331,7 +342,14 @@ impl Engine {
                 format!("est cost {:.1}", plan.est_cost),
             );
         }
-        Ok((span, planner.binder, plan))
+        Ok(OpenSelect {
+            engine: self,
+            db,
+            select,
+            _span: span,
+            binder: planner.binder,
+            plan,
+        })
     }
 
     // -------------------------------------------------------------- DML
@@ -448,7 +466,12 @@ impl Engine {
         where_clause: Option<&Expr>,
     ) -> Result<(Vec<Key>, IoStats, Plan), ExecError> {
         let select = Select::star_where(table, where_clause);
-        let (_span, binder, plan) = self.open_select(db, &select)?;
+        let OpenSelect {
+            _span,
+            binder,
+            plan,
+            ..
+        } = self.open_select(db, &select)?;
         let layouts = slot_layouts(db, &binder, &plan)?;
         let conjuncts = conjuncts_by_level(&select, &Scope::new(&binder, &layouts), &plan)?;
         let mut join = Join::new(
@@ -471,6 +494,31 @@ impl Engine {
             .map(|slot| slot_pk(t, &layouts[0], slot))
             .collect();
         Ok((pks, io, plan))
+    }
+}
+
+/// A SELECT planned for execution and not yet run ([`Engine::open_select`]).
+pub struct OpenSelect<'a> {
+    engine: &'a Engine,
+    db: &'a Database,
+    select: &'a Select,
+    /// `exec.select`: open from planning until the statement has run or
+    /// is dropped.
+    _span: aim_telemetry::SpanGuard,
+    binder: Binder,
+    plan: Plan,
+}
+
+impl OpenSelect<'_> {
+    /// The plan [`OpenSelect::run`] would execute.
+    pub fn plan(&self) -> &Plan {
+        &self.plan
+    }
+
+    /// Executes the plan.
+    pub fn run(self) -> Result<ExecOutcome, ExecError> {
+        self.engine
+            .run_select(self.db, self.select, &self.binder, self.plan)
     }
 }
 

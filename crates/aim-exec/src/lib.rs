@@ -57,7 +57,7 @@ pub mod whatif;
 pub use bind::{Binder, BoundColumn, BoundTable};
 pub use cost::{CostModel, OptimizerSwitches};
 pub use error::ExecError;
-pub use executor::{Engine, ExecOutcome};
+pub use executor::{Engine, ExecOutcome, OpenSelect};
 pub use explain::{explain_select, ExplainAlternative, ExplainNode, ExplainPlan};
 pub use hypothetical::{HypoConfig, HypotheticalIndex};
 pub use iocheck::IoAccuracy;

@@ -159,6 +159,22 @@ impl Plan {
         out
     }
 
+    /// True when executing `self` and `other` is the same work: the same
+    /// table instances in the same order through the same access paths,
+    /// ORDER BY and GROUP BY served from index order or not alike. That is
+    /// all the executor reads of a plan, so over the same data two such
+    /// plans of one statement read the same rows and cost the same. The
+    /// estimates are left out: they move with statistics and the index set
+    /// while the work does not.
+    pub fn same_execution(&self, other: &Plan) -> bool {
+        self.order_via_index == other.order_via_index
+            && self.group_via_index == other.group_via_index
+            && self.steps.len() == other.steps.len()
+            && self.steps.iter().zip(&other.steps).all(|(a, b)| {
+                a.table_idx == b.table_idx && a.table == b.table && a.path == b.path
+            })
+    }
+
     /// Compact one-line access-path summary, e.g.
     /// `orders(ix_cust) -> lineitem(PRIMARY)` (for telemetry events).
     pub fn access_summary(&self) -> String {

@@ -1126,3 +1126,43 @@ fn sum_switches_to_float_when_a_float_arrives() {
     assert!(matches!(out.rows[0][0], Value::Int(_)));
     assert!(matches!(out.rows[0][1], Value::Float(_)));
 }
+
+/// `open_select` shows the plan before any row is read, `run` executes
+/// that plan, and plan identity follows the work, not the estimates: an
+/// index the statement cannot use leaves it the same execution at the same
+/// cost, an index it reads through makes it another.
+#[test]
+fn an_open_select_runs_the_plan_it_shows_and_identity_ignores_estimates() {
+    let mut db = orders_db(2000);
+    let engine = Engine::new();
+    let aim_sql::Statement::Select(sel) =
+        parse_statement("SELECT id FROM orders WHERE customer_id = 7").unwrap()
+    else {
+        unreachable!()
+    };
+    let open = engine.open_select(&db, &sel).unwrap();
+    let shown = open.plan().clone();
+    let scanned = open.run().unwrap();
+    assert!(shown.same_execution(&scanned.plan));
+    let direct = engine.execute_select(&db, &sel).unwrap();
+    assert_eq!((direct.rows, direct.cost.to_bits()), (scanned.rows.clone(), scanned.cost.to_bits()));
+
+    let mut io = IoStats::new();
+    db.create_index(IndexDef::new("ix_status", "orders", vec!["status".into()]), &mut io)
+        .unwrap();
+    let unaffected = engine.execute_select(&db, &sel).unwrap();
+    assert!(unaffected.plan.same_execution(&scanned.plan));
+    assert_eq!(unaffected.cost.to_bits(), scanned.cost.to_bits());
+    let mut cheaper_on_paper = scanned.plan.clone();
+    cheaper_on_paper.est_cost /= 2.0;
+    cheaper_on_paper.steps[0].rows_each += 1.0;
+    assert!(cheaper_on_paper.same_execution(&scanned.plan));
+
+    db.create_index(IndexDef::new("ix_cust", "orders", vec!["customer_id".into()]), &mut io)
+        .unwrap();
+    let seeking = engine.execute_select(&db, &sel).unwrap();
+    assert!(matches!(seeking.plan.steps[0].path, AccessPath::IndexScan(_)));
+    assert!(!seeking.plan.same_execution(&scanned.plan));
+    assert!(seeking.cost < scanned.cost);
+    assert_eq!(seeking.rows.len(), scanned.rows.len());
+}

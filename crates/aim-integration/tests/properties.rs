@@ -9,7 +9,8 @@ mod common;
 use aim_core::partial_order::{merge_partial_orders, PartialOrder};
 use aim_core::{
     generate_candidates, knapsack_select, rank_candidates, rank_candidates_unbatched,
-    rank_candidates_with, refine_selection, CandidateGenConfig, RankedCandidate, RunCtl,
+    rank_candidates_with, refine_selection, validate_on_clone, CandidateGenConfig, CandidateIndex,
+    RankedCandidate, RejectReason, RunCtl, ValidationConfig, ValidationOutcome,
 };
 use aim_exec::{CostModel, Engine};
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor, WorkloadQuery};
@@ -795,6 +796,145 @@ fn batched_ranking_matches_per_config_on_random_workloads() {
         assert_ranked_bit_identical(&sequential, &parallel);
         assert!(!batched.is_empty() || case > 0, "degenerate sweep");
     }
+}
+
+/// A candidate ranking did not propose, on `t(columns)`.
+fn injected_candidate(columns: &[&str], benefit: f64) -> RankedCandidate {
+    RankedCandidate {
+        candidate: CandidateIndex {
+            table: "t".into(),
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+            po: PartialOrder::chain(columns.iter().copied()).expect("distinct columns"),
+            sources: BTreeSet::new(),
+        },
+        size_bytes: 1,
+        benefit,
+        maintenance: 0.0,
+        benefiting_queries: Vec::new(),
+    }
+}
+
+/// One line per accepted candidate, then one per rejected candidate with
+/// its reason down to the bit.
+fn verdict(outcome: &ValidationOutcome) -> Vec<String> {
+    let accepted = outcome.accepted.iter().map(|r| format!("+ {}", r.candidate.name()));
+    let rejected = outcome.rejected.iter().map(|(r, why)| {
+        let bits = match why {
+            RejectReason::Regression { before, after, .. }
+            | RejectReason::TotalCostRegression { before, after } => {
+                format!(" {:016x} {:016x}", before.to_bits(), after.to_bits())
+            }
+            _ => String::new(),
+        };
+        format!("- {} {why:?}{bits}", r.candidate.name())
+    });
+    accepted.chain(rejected).collect()
+}
+
+/// The "no regression" guarantee, checked by an oracle that shares none of
+/// validation's shortcuts: whatever `validate_on_clone` accepts is built on
+/// a fresh copy of the source and every exemplar is executed in full there
+/// and on an index-free copy. No exemplar may cost more than `(1 + λ₃)` ×
+/// its index-free cost, every accepted index must be used by some executed
+/// plan, accepted and rejected must partition the chosen set — and the
+/// verdict must not depend on the worker count.
+#[test]
+fn validation_verdicts_hold_under_a_full_replay() {
+    let cols = ["a", "b", "c", "d"];
+    let ops = ["=", ">", "<", ">="];
+    let mut rng = StdRng::seed_from_u64(0x0AC1E);
+    let engine = Engine::new();
+    let (mut accepted_somewhere, mut unused_somewhere) = (false, false);
+    for case in 0..12 {
+        let mut db = int_table(&mut rng, &cols, 600, 30);
+        // Queries read a, b and c only: nothing can use an index on d.
+        let pred = |rng: &mut StdRng| {
+            format!("{} {} {}", cols[rng.gen_range(0..3usize)], ops[rng.gen_range(0..4usize)], rng.gen_range(0..30i64))
+        };
+        // With (a) and (a, b) both built, this one reads through (a, b)
+        // and leaves (a) to whoever else wants it.
+        let mut runs = vec![(
+            format!("SELECT id FROM t WHERE a = {} AND b = {}", rng.gen_range(0..30i64), rng.gen_range(0..30i64)),
+            3,
+        )];
+        for _ in 0..rng.gen_range(2..=5usize) {
+            let p = pred(&mut rng);
+            let sql = match rng.gen_range(0..5usize) {
+                0 => format!("SELECT id FROM t WHERE {p} AND {}", pred(&mut rng)),
+                1 => format!("SELECT id FROM t WHERE {p} OR {}", pred(&mut rng)),
+                2 => format!("SELECT id, a FROM t WHERE {p} ORDER BY b LIMIT 5"),
+                3 => format!("SELECT a, COUNT(*) FROM t WHERE {p} GROUP BY a"),
+                _ => format!("SELECT id FROM t WHERE {p}"),
+            };
+            runs.push((sql, rng.gen_range(1..=4usize)));
+        }
+        let w = observe_workload(&mut db, &runs);
+        let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
+        let ranked = rank_candidates(&db, &w, &cands, &CostModel::default());
+        let mut chosen = knapsack_select(&ranked, u64::MAX, 0);
+        for extra in [
+            injected_candidate(&["d"], 1.0),
+            injected_candidate(&["a"], 2.0),
+            injected_candidate(&["a", "b"], 3.0),
+        ] {
+            if chosen.iter().all(|r| r.candidate.name() != extra.candidate.name()) {
+                chosen.push(extra);
+            }
+        }
+
+        let cfg = ValidationConfig {
+            workers: 1,
+            // Half the cases without λ₂, so that marginal sets survive too.
+            min_improvement: if case % 2 == 0 { None } else { Some(0.05) },
+            ..Default::default()
+        };
+        let outcome = validate_on_clone(&db, &w, &chosen, &engine, &cfg).expect("validates");
+        let parallel =
+            validate_on_clone(&db, &w, &chosen, &engine, &ValidationConfig { workers: 4, ..cfg.clone() })
+                .expect("validates");
+        assert_eq!(verdict(&outcome), verdict(&parallel), "case {case}: workers 1 vs 4");
+
+        let accepted: Vec<String> = outcome.accepted.iter().map(|r| r.candidate.name()).collect();
+        let mut judged = accepted.clone();
+        judged.extend(outcome.rejected.iter().map(|(r, _)| r.candidate.name()));
+        judged.sort();
+        let mut proposed: Vec<String> = chosen.iter().map(|r| r.candidate.name()).collect();
+        proposed.sort();
+        assert_eq!(judged, proposed, "case {case}: accepted ∪ rejected = chosen");
+        assert!(!accepted.contains(&"aim_t_d".to_string()), "case {case}: an index nothing reads");
+
+        let bare = db.clone();
+        let mut tuned = db.clone();
+        let mut io = IoStats::new();
+        for r in &outcome.accepted {
+            tuned.create_index(r.candidate.def(), &mut io).expect("builds");
+        }
+        let mut used: BTreeSet<String> = BTreeSet::new();
+        for wq in &w {
+            let aim_sql::Statement::Select(sel) = &wq.stats.exemplar else {
+                unreachable!("read-only workload");
+            };
+            let before = engine.execute_select(&bare, sel).expect("executes").cost;
+            let after = engine.execute_select(&tuned, sel).expect("executes");
+            assert!(
+                after.cost <= before * (1.0 + cfg.regression_tolerance),
+                "case {case}: {} regressed {before} -> {} under {accepted:?}",
+                wq.stats.exemplar,
+                after.cost
+            );
+            used.extend(after.plan.used_indexes().into_iter().map(|(_, ix)| ix.label().into_owned()));
+        }
+        for name in &accepted {
+            assert!(used.contains(name), "case {case}: accepted {name} is read by no plan");
+        }
+        accepted_somewhere |= !accepted.is_empty();
+        unused_somewhere |= outcome
+            .rejected
+            .iter()
+            .any(|(r, why)| r.candidate.name() == "aim_t_a" && *why == RejectReason::Unused);
+    }
+    assert!(accepted_somewhere, "degenerate sweep: nothing was ever accepted");
+    assert!(unused_somewhere, "degenerate sweep: (a, b) never made (a) unused");
 }
 
 /// On small instances whose optimum is obvious — one hot equality query,

@@ -38,10 +38,9 @@ pub struct Database {
     /// Version of (data, schema, index set, statistics): bumped by any
     /// mutable access and by re-analysis that changed statistics. What-if
     /// cost caches key on this to invalidate on data or stats drift.
+    /// Whether statistics are due is tracked per table
+    /// ([`Database::stats_dirty`]).
     epoch: u64,
-    /// True when data/schema may have changed since the last full
-    /// [`Database::analyze_all`] — the ANALYZE-worth-running signal.
-    dirty: bool,
     /// Durability backend shared by every table. [`memory_backend`] for
     /// pure in-memory instances; a [`DiskBackend`] for pager-backed ones.
     backend: Arc<dyn StorageBackend>,
@@ -54,7 +53,6 @@ impl Default for Database {
             stats: BTreeMap::new(),
             id: next_db_id(),
             epoch: 0,
-            dirty: false,
             backend: memory_backend(),
         }
     }
@@ -75,7 +73,6 @@ impl Clone for Database {
             stats: self.stats.clone(),
             id: next_db_id(),
             epoch: self.epoch,
-            dirty: self.dirty,
             backend: memory_backend(),
         }
     }
@@ -108,7 +105,6 @@ impl Database {
             stats: BTreeMap::new(),
             id: next_db_id(),
             epoch: 0,
-            dirty: true,
             backend,
         };
         db.analyze_all();
@@ -152,12 +148,14 @@ impl Database {
         self.epoch
     }
 
-    /// True when data or schema may have drifted from the installed
-    /// statistics — i.e. a mutable table handle was taken since the last
-    /// [`Database::analyze_all`]. Tuning passes use this to skip redundant
-    /// ANALYZE work (and the what-if cache churn it can cause).
+    /// True when some table's rows or schema may have drifted from its
+    /// installed statistics — i.e. a mutable handle to it was taken since
+    /// it was last analyzed. Tuning passes use this to skip redundant
+    /// ANALYZE work (and the what-if cache churn it can cause). Index DDL
+    /// never sets it: statistics are a function of rows and schema alone
+    /// ([`analyze`] does not look at a table's indexes).
     pub fn stats_dirty(&self) -> bool {
-        self.dirty
+        self.tables.values().any(|t| t.stats_stale)
     }
 
     /// Creates a table from a schema.
@@ -167,7 +165,6 @@ impl Database {
         }
         self.backend.persist_create_table(&schema)?;
         self.epoch += 1;
-        self.dirty = true;
         self.tables.insert(
             schema.name.clone(),
             Table::new(schema).with_backend(self.backend.clone()),
@@ -185,16 +182,25 @@ impl Database {
     /// Mutable table lookup. Invalidate statistics after bulk changes via
     /// [`Database::analyze_table`].
     ///
-    /// Handing out `&mut Table` conservatively bumps the stats epoch: every
-    /// data mutation flows through here, and a spurious bump only costs a
-    /// cache miss, never a stale cost.
+    /// Handing out `&mut Table` conservatively bumps the stats epoch and
+    /// marks the table's statistics stale: every data mutation flows
+    /// through here, and a spurious bump only costs a cache miss and one
+    /// table's re-ANALYZE, never a stale cost.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, StorageError> {
+        let table = self.index_set_mut(name)?;
+        table.stats_stale = true;
+        Ok(table)
+    }
+
+    /// The handle index DDL works through: bumps the stats epoch (plans may
+    /// change) but leaves the table's statistics current, since they do
+    /// not depend on its index set.
+    fn index_set_mut(&mut self, name: &str) -> Result<&mut Table, StorageError> {
         let table = self
             .tables
             .get_mut(name)
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))?;
         self.epoch += 1;
-        self.dirty = true;
         Ok(table)
     }
 
@@ -218,8 +224,7 @@ impl Database {
                 site: "storage.create_index".to_string(),
             });
         }
-        let table = self.table_mut(&def.table.clone())?;
-        table.create_index(def, io)
+        self.index_set_mut(&def.table)?.create_index(def, io)
     }
 
     /// Clones the database, modelling the paper's MyShadow test-environment
@@ -237,7 +242,7 @@ impl Database {
 
     /// Drops a secondary index by name.
     pub fn drop_index(&mut self, table: &str, index: &str) -> Result<IndexDef, StorageError> {
-        self.table_mut(table)?.drop_index(index)
+        self.index_set_mut(table)?.drop_index(index)
     }
 
     /// All secondary index definitions across all tables.
@@ -257,44 +262,56 @@ impl Database {
     /// Applies an armed `storage.analyze` stats-corruption fault: every
     /// column collapses to NDV 1 over a wildly inflated row count — the
     /// shape of a catastrophically stale or mangled ANALYZE result.
-    fn maybe_corrupt(stats: &mut TableStats) {
+    /// Returns whether it fired.
+    fn maybe_corrupt(stats: &mut TableStats) -> bool {
         if crate::fault::hit("storage.analyze") != Some(crate::fault::FaultKind::CorruptStats) {
-            return;
+            return false;
         }
         stats.row_count = stats.row_count.saturating_mul(1000).max(1_000_000);
         for col in stats.columns.values_mut() {
             col.ndv = 1;
             col.row_count = stats.row_count;
         }
+        true
     }
 
-    /// Recomputes statistics for one table. Bumps the stats epoch only when
-    /// the recomputed statistics actually differ, so re-analysis of
-    /// unchanged data keeps what-if cost caches warm.
-    pub fn analyze_table(&mut self, name: &str) -> Result<(), StorageError> {
-        let mut stats = analyze(self.table(name)?, DEFAULT_BUCKETS);
-        Self::maybe_corrupt(&mut stats);
-        if self.stats.get(name) != Some(&stats) {
-            self.epoch += 1;
-            self.stats.insert(name.to_string(), stats);
+    /// ANALYZE of one table: installs its recomputed statistics and clears
+    /// its stale mark — unless the install was corrupted by an injected
+    /// fault, which leaves the table stale so the next clean ANALYZE heals
+    /// it. Bumps the stats epoch only when the statistics actually differ,
+    /// so re-analysis of unchanged data keeps what-if cost caches warm.
+    fn refresh(
+        table: &mut Table,
+        installed: &mut BTreeMap<String, TableStats>,
+        epoch: &mut u64,
+    ) {
+        let mut stats = analyze(table, DEFAULT_BUCKETS);
+        table.stats_stale = Self::maybe_corrupt(&mut stats);
+        let name = &table.schema().name;
+        if installed.get(name) != Some(&stats) {
+            *epoch += 1;
+            installed.insert(name.clone(), stats);
         }
+    }
+
+    /// Recomputes statistics for one table, stale or not.
+    pub fn analyze_table(&mut self, name: &str) -> Result<(), StorageError> {
+        let table = self
+            .tables
+            .get_mut(name)
+            .ok_or_else(|| StorageError::UnknownTable(name.to_string()))?;
+        Self::refresh(table, &mut self.stats, &mut self.epoch);
         Ok(())
     }
 
-    /// Recomputes statistics for every table (same epoch discipline as
-    /// [`Database::analyze_table`]) and clears the dirty flag: statistics
-    /// are now in sync with the data.
+    /// Brings statistics in sync with the data: recomputes them for every
+    /// table whose rows or schema may have changed since it was last
+    /// analyzed, and for no other — an index build or drop leaves nothing
+    /// to do. [`Database::analyze_table`] forces one table.
     pub fn analyze_all(&mut self) {
-        let names: Vec<String> = self.tables.keys().cloned().collect();
-        for name in names {
-            let mut stats = analyze(&self.tables[&name], DEFAULT_BUCKETS);
-            Self::maybe_corrupt(&mut stats);
-            if self.stats.get(&name) != Some(&stats) {
-                self.epoch += 1;
-                self.stats.insert(name, stats);
-            }
+        for table in self.tables.values_mut().filter(|t| t.stats_stale) {
+            Self::refresh(table, &mut self.stats, &mut self.epoch);
         }
-        self.dirty = false;
     }
 
     /// Structural consistency audit, used by chaos tests after fault-laden
@@ -593,13 +610,64 @@ mod tests {
         assert!(db.stats_dirty(), "DML marks stats dirty");
         db.analyze_all();
         assert!(!db.stats_dirty());
-        // Index DDL flows through table_mut and re-dirties.
+        // Clones inherit the mark, set or clear.
+        assert!(!db.clone().stats_dirty());
+        db.table_mut("t").unwrap();
+        assert!(db.clone().stats_dirty());
+        assert!(db.try_clone().unwrap().stats_dirty());
+    }
+
+    #[test]
+    fn index_ddl_bumps_the_epoch_and_leaves_statistics_current() {
+        let mut db = db();
+        let mut io = IoStats::new();
+        for i in 0..50 {
+            db.table_mut("t")
+                .unwrap()
+                .insert(vec![Value::Int(i), Value::Int(i % 5)], &mut io)
+                .unwrap();
+        }
+        db.analyze_all();
+        let stats = db.stats("t").unwrap().clone();
+        let e0 = db.stats_epoch();
         db.create_index(IndexDef::new("ix_a", "t", vec!["a".into()]), &mut io)
             .unwrap();
-        assert!(db.stats_dirty());
-        // Clones inherit the flag.
+        assert!(db.stats_epoch() > e0);
+        assert!(!db.stats_dirty(), "an index build changes no row");
+        let e1 = db.stats_epoch();
+        db.drop_index("t", "ix_a").unwrap();
+        assert!(db.stats_epoch() > e1);
+        assert!(!db.stats_dirty());
+        assert_eq!(db.stats("t"), Some(&stats));
+        // What a full recomputation would install is what is installed.
+        db.analyze_table("t").unwrap();
+        assert_eq!(db.stats("t"), Some(&stats));
+    }
+
+    #[test]
+    fn analyze_all_recomputes_only_stale_tables() {
+        let _g = crate::fault::tests::lock();
+        crate::fault::disarm();
+        let mut db = db();
+        db.create_table(
+            TableSchema::new("u", vec![ColumnDef::new("id", ColumnType::Int)], &["id"]).unwrap(),
+        )
+        .unwrap();
         db.analyze_all();
-        assert!(!db.clone().stats_dirty());
+        let mut io = IoStats::new();
+        db.table_mut("u")
+            .unwrap()
+            .insert(vec![Value::Int(1)], &mut io)
+            .unwrap();
+        // A rule that only observes: every consultation of the site is
+        // logged and nothing is changed.
+        crate::fault::arm(crate::fault::FaultPlan::new(1).delay_ms("storage.analyze", 0, 0, u64::MAX));
+        db.analyze_all();
+        db.analyze_all();
+        let log = crate::fault::disarm();
+        assert_eq!(log.len(), 1, "one stale table, one ANALYZE: {log:?}");
+        assert_eq!(db.stats("u").unwrap().row_count, 1);
+        assert!(!db.stats_dirty());
     }
 
     #[test]
@@ -657,9 +725,12 @@ mod tests {
         let corrupted = db.stats("t").unwrap();
         assert_eq!(corrupted.column("a").unwrap().ndv, 1);
         assert!(corrupted.row_count >= 1_000_000);
-        // Data itself is untouched; a clean ANALYZE restores truth.
+        // Data itself is untouched; the corrupted install left the table
+        // stale, so a clean ANALYZE restores truth.
         db.check_consistency().expect("corruption affects stats only");
+        assert!(db.stats_dirty());
         db.analyze_all();
+        assert!(!db.stats_dirty());
         assert_eq!(db.stats("t").unwrap().row_count, 100);
         assert_eq!(db.stats("t").unwrap().column("a").unwrap().ndv, 10);
     }

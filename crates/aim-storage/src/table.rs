@@ -30,6 +30,9 @@ pub struct Table {
     indexes: BTreeMap<String, SecondaryIndex>,
     /// Running total of row bytes, for page-count estimation.
     total_row_bytes: u64,
+    /// Rows or schema may have changed since the owning database last
+    /// installed statistics for this table; kept by [`crate::Database`].
+    pub(crate) stats_stale: bool,
     backend: Arc<dyn StorageBackend>,
 }
 
@@ -42,6 +45,7 @@ impl Table {
             rows: BTreeMap::new(),
             indexes: BTreeMap::new(),
             total_row_bytes: 0,
+            stats_stale: true,
             backend: memory_backend(),
         }
     }

@@ -110,6 +110,11 @@ pub static CANDIDATES_GENERATED: Counter = Counter::new("aim.candidates_generate
 pub static PO_MERGES: Counter = Counter::new("aim.partial_order_merges");
 /// Clone-validation rounds executed.
 pub static VALIDATION_ROUNDS: Counter = Counter::new("aim.validation_rounds");
+/// Statements clone validation executed on its test bed.
+pub static VALIDATION_EXECUTED: Counter = Counter::new("aim.validation_executed");
+/// Replayed statements clone validation did not execute: their plan had
+/// already been measured on the same test bed.
+pub static VALIDATION_REUSED: Counter = Counter::new("aim.validation_reused");
 /// Indexes materialized on production by tuning passes.
 pub static INDEXES_CREATED: Counter = Counter::new("aim.indexes_created");
 /// Candidates rejected (validation or materialization).
@@ -172,6 +177,8 @@ static BUILTIN: &[&Counter] = &[
     &CANDIDATES_GENERATED,
     &PO_MERGES,
     &VALIDATION_ROUNDS,
+    &VALIDATION_EXECUTED,
+    &VALIDATION_REUSED,
     &INDEXES_CREATED,
     &INDEXES_REJECTED,
     &REGRESSIONS_DETECTED,
@@ -223,6 +230,8 @@ pub fn help_for(name: &str) -> &'static str {
         "aim.candidates_generated" => "Candidate indexes produced by structural generation.",
         "aim.partial_order_merges" => "Pairwise partial-order merges that succeeded.",
         "aim.validation_rounds" => "Clone-validation rounds executed.",
+        "aim.validation_executed" => "Statements clone validation executed on its test bed.",
+        "aim.validation_reused" => "Replayed statements answered from an already-measured plan.",
         "aim.indexes_created" => "Indexes materialized on production by tuning passes.",
         "aim.indexes_rejected" => "Candidates rejected during validation or materialization.",
         "aim.regressions_detected" => "Regressions flagged by the continuous detector.",
