@@ -424,6 +424,7 @@ pub(crate) fn drop_index_named(db: &mut Database, name: &str) -> Option<IndexDef
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aim_telemetry::metrics::Series;
     use aim_telemetry::timeseries::WindowHistogram;
 
     fn window(count: u64, p99: f64) -> Window {
@@ -454,13 +455,13 @@ mod tests {
             histograms: series
                 .iter()
                 .map(|(tenant, count, p99)| {
-                    let name = if tenant.is_empty() {
-                        "exec.select_cost".to_string()
+                    let series = if tenant.is_empty() {
+                        Series::from("exec.select_cost")
                     } else {
-                        format!("exec.select_cost{{tenant=\"{tenant}\"}}")
+                        Series::new("exec.select_cost", &[("tenant", tenant)])
                     };
                     (
-                        name,
+                        series,
                         WindowHistogram {
                             count: *count,
                             sum: p99 * *count as f64,

@@ -5,52 +5,19 @@
 //! as a number, and the numbers before the borrowed-token lexer, the
 //! streamed fingerprint and in-place exemplars are kept beside each bound.
 //!
-//! This is its own test binary because of the `#[global_allocator]`; the
-//! counter is thread-local, so the harness's other threads do not disturb
-//! it.
+//! This is its own test binary because of the `#[global_allocator]` in
+//! `common/counting.rs`; the counter is thread-local, so the harness's
+//! other threads do not disturb it.
 
 mod common;
+#[path = "common/counting.rs"]
+mod counting;
 
 use aim_monitor::WorkloadMonitor;
 use aim_sql::lexer::lex;
 use aim_sql::normalize::{fingerprint, normalize_statement};
 use aim_sql::parse_statement;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::hint::black_box;
-
-struct Counting;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the only addition
-// is a thread-local counter with a const initializer and no destructor,
-// which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations (and reallocations) `f` makes on this thread.
-fn count<T>(f: impl FnOnce() -> T) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    black_box(f());
-    ALLOCATIONS.with(Cell::get) - before
-}
+use counting::count;
 
 #[test]
 fn ingest_path_stays_within_its_allocation_budget() {

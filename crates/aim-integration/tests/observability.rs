@@ -342,15 +342,15 @@ fn every_served_metric_has_curated_help() {
     let _ = fleet.observe_window(&mut tenants, &mut sentinel, None);
 
     let snap = aim_telemetry::snapshot();
-    let names: Vec<&String> = snap
+    let names: Vec<&str> = snap
         .counters
         .iter()
-        .map(|(n, _)| n)
-        .chain(snap.gauges.iter().map(|(n, _)| n))
-        .chain(snap.histograms.iter().map(|(n, _)| n))
+        .map(|(n, _)| n.name())
+        .chain(snap.gauges.iter().map(|(n, _)| n.name()))
+        .chain(snap.histograms.iter().map(|(n, _)| n.name()))
         .collect();
     assert!(names.len() >= 20, "fixture too thin: {names:?}");
-    let missing: Vec<&&String> = names
+    let missing: Vec<&&str> = names
         .iter()
         .filter(|n| !aim_telemetry::metrics::has_help(n))
         .collect();
@@ -411,7 +411,8 @@ fn cardinality_cap_folds_deterministically_and_conserves_totals() {
             let mut labeled: Vec<(String, u64)> = snap
                 .counters
                 .into_iter()
-                .filter(|(name, _)| name.starts_with("prop.fold_hits{"))
+                .filter(|(s, _)| s.name() == "prop.fold_hits" && !s.labels().is_empty())
+                .map(|(s, v)| (s.to_string(), v))
                 .collect();
             labeled.sort();
             (labeled, flat, dropped)
@@ -460,6 +461,26 @@ fn cardinality_cap_folds_deterministically_and_conserves_totals() {
 
         // Determinism: the identical stream reproduces the identical state.
         assert_eq!(replay(&events), (labeled, flat, dropped), "case {case}");
+
+        // The same stream through a taxonomy counter: its atomic is never
+        // touched under a scope, and both reads of the all-tenant total
+        // are the sum over its series, fold bucket included.
+        aim_telemetry::reset();
+        aim_telemetry::metrics::set_series_cap(cap);
+        for (i, n) in &events {
+            let _s = aim_telemetry::scope(&tenants[*i]);
+            aim_telemetry::metrics::MONITOR_RECORDS.add(*n);
+        }
+        let snap = aim_telemetry::snapshot();
+        let series: u64 = snap
+            .counters
+            .iter()
+            .filter(|(s, _)| s.name() == "monitor.records" && !s.labels().is_empty())
+            .map(|(_, v)| v)
+            .sum();
+        assert_eq!(series, total, "case {case}");
+        assert_eq!(snap.counter("monitor.records"), Some(total), "case {case}");
+        assert_eq!(aim_telemetry::metrics::MONITOR_RECORDS.get(), total, "case {case}");
     }
 
     aim_telemetry::reset();

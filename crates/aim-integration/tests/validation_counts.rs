@@ -148,7 +148,7 @@ fn validation_replays_do_not_feed_the_live_traffic_signal() {
         let select_cost = snap
             .histograms
             .iter()
-            .find(|(name, _)| name == "exec.select_cost")
+            .find(|(series, _)| series.is_bare("exec.select_cost"))
             .map(|(_, h)| h.count);
         (select_cost, snap.counter("exec.statements"))
     };

@@ -8,10 +8,12 @@
 //! * **Spans** ([`span`]) — RAII timers forming a phase tree. Nested spans
 //!   aggregate by name into a per-thread [`ProfileNode`] tree, the single
 //!   timing source of truth for "algorithm runtime" reporting.
-//! * **Counters / gauges / histograms** ([`metrics`]) — a fixed taxonomy of
-//!   atomic counters (what-if calls, plans evaluated, rows read, ...) plus a
-//!   `Mutex`-guarded registry for ad-hoc counters, gauges and log₂-bucket
-//!   histograms.
+//! * **Counters / gauges / histograms** ([`metrics`]) — one lock-sharded
+//!   store of series (instrument name + a small label set such as
+//!   `tenant`): a fixed taxonomy of atomic counters (what-if calls, plans
+//!   evaluated, rows read, ...), ad-hoc counters, gauges and log₂-bucket
+//!   histograms, each observation landing in exactly one series and
+//!   all-tenant totals summed when read.
 //! * **Event journal** ([`journal`]) — a bounded ring buffer of structured
 //!   events (plan chosen, candidate merged, index accepted/rejected,
 //!   regression detected, validation verdict) fanned out to pluggable
@@ -61,7 +63,7 @@ pub mod trace;
 
 pub use journal::{event, events, Event, EventKind};
 pub use metrics::{
-    scope, scope_phase, snapshot, Counter, HistogramSnapshot, Snapshot, TelemetryScope,
+    scope, scope_phase, snapshot, Counter, HistogramSnapshot, Series, Snapshot, TelemetryScope,
 };
 pub use slo::{SloRule, SloStat, SloStatus};
 pub use report::{render_counters, render_profile, write_artifact};

@@ -1,43 +1,57 @@
-//! Counters, gauges and histograms — flat and dimensional.
+//! Counters, gauges and histograms in one dimensional series store.
 //!
-//! The well-known instruments of the advisor pipeline are static atomic
-//! [`Counter`]s (zero contention, no allocation). Ad-hoc counters, gauges
-//! and log₂-bucket histograms live in a `Mutex`-guarded registry keyed by
-//! name. Everything is a no-op while telemetry is disabled, and
-//! [`snapshot`] captures the whole lot for reports and JSON artifacts.
+//! A *series* is an instrument name plus a small bounded label set
+//! (`tenant`, `phase`, `backend`); the flat series of a name is its empty
+//! label set. Every series owns one *cell* in a lock-sharded map keyed by
+//! the name and the interned label values, and an observation writes
+//! exactly one cell: the one for the calling thread's current label set —
+//! empty outside a [`TelemetryScope`], the scope's tenant (and phase)
+//! inside one, or whatever an explicit `*_labeled` call names. That costs
+//! one shard lock and one map probe, and allocates nothing once the series
+//! exists. The well-known [`Counter`]s of the advisor pipeline keep an
+//! atomic as their empty-label cell, so an unscoped `add` is one relaxed
+//! add and no lock.
 //!
-//! On top of the flat registry sits a *dimensional* one: every instrument
-//! can carry a small bounded label set (`tenant`, `phase`, `backend`, …).
-//! Labeled series live in a lock-sharded registry keyed by the instrument
-//! name plus interned label values, so the per-observation cost is one
-//! shard lock and one map probe. A hard cardinality cap bounds memory:
-//! once [`series_cap`] distinct series exist, new series deterministically
-//! fold their `tenant` label into `"__other__"` and bump
-//! `telemetry.series_dropped`. A thread-local [`TelemetryScope`]
-//! (tenant + phase) makes the labeling implicit: while a scope is active,
-//! every flat instrument call on that thread also records a labeled twin,
-//! so call sites never change. Snapshots render labeled series as
-//! `name{k="v",…}` strings (stable key order, escaped values), which lets
-//! the timeseries ring, artifacts and diffing work on them unchanged.
+//! Nothing is stored twice. The all-tenant total of a counter or histogram
+//! is *derived when read* ([`snapshot`], [`Counter::get`]): the name's
+//! empty-label cell plus every labeled cell of that name, fold bucket
+//! included, served under the bare name. A gauge has no sum; its bare name
+//! holds unscoped writes only.
+//!
+//! A hard cardinality cap bounds memory: once [`series_cap`] labeled series
+//! exist, new ones deterministically fold their `tenant` label into
+//! `"__other__"` and bump `telemetry.series_dropped`. Everything is a no-op
+//! while telemetry is disabled.
+//!
+//! Readers get series as values ([`Series`]: name + label pairs). The
+//! `name{k="v",…}` text is written by `write_labels` at the output edges
+//! — artifact keys, `/timeseries` keys, the Prometheus exposition — and
+//! never read back.
 
 use std::cell::Cell;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-/// A monotonically increasing atomic counter.
+/// A monotonically increasing counter of the fixed taxonomy. Its atomic is
+/// the lock-free cell of the empty label set.
 #[derive(Debug)]
 pub struct Counter {
     name: &'static str,
+    help: &'static str,
     value: AtomicU64,
 }
 
 impl Counter {
-    /// Const-constructible so counters can be statics.
-    pub const fn new(name: &'static str) -> Self {
+    /// Const-constructible so counters can be statics. `help` is the
+    /// one-line `# HELP` text of the exposition.
+    pub const fn new(name: &'static str, help: &'static str) -> Self {
         Self {
             name,
+            help,
             value: AtomicU64::new(0),
         }
     }
@@ -46,14 +60,18 @@ impl Counter {
         self.name
     }
 
-    /// Adds `n` (no-op while telemetry is disabled). Under an active
-    /// [`TelemetryScope`] the observation also lands in the scope-labeled
-    /// twin series, so the flat value stays the all-tenant total.
+    /// Adds `n` (no-op while telemetry is disabled) to the cell of the
+    /// calling thread's label set: the atomic outside a [`TelemetryScope`],
+    /// the scope's series inside one.
     pub fn add(&self, n: u64) {
         if crate::is_enabled() {
-            self.value.fetch_add(n, Ordering::Relaxed);
-            if let Some(sc) = current_scope() {
-                scoped_counter_add(self.name, sc, n);
+            match current_scope() {
+                None => {
+                    self.value.fetch_add(n, Ordering::Relaxed);
+                }
+                Some(sc) => {
+                    write(counters, sc.key(self.name), |c| *c += n);
+                }
             }
         }
     }
@@ -63,147 +81,108 @@ impl Counter {
         self.add(1);
     }
 
-    /// Adds `n` to the flat value only, ignoring any active scope. Used
-    /// by the labeled registry's own health accounting so a fold can
-    /// never recurse into another fold.
-    fn add_unscoped(&self, n: u64) {
-        if crate::is_enabled() {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value.
+    /// The all-tenant total, as [`snapshot`] derives it: the atomic plus
+    /// every series of this name.
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    fn clear(&self) {
-        self.value.store(0, Ordering::Relaxed);
+        snapshot().counter(self.name).unwrap_or(0)
     }
 }
 
 // ------------------------------------------------------------ taxonomy
-// The fixed instrument set wired through the workspace. Names are
+// The fixed instrument set wired through the workspace, one line each:
+// the static, its served name and its `# HELP` text. Names are
 // `layer.instrument`; layers mirror the crates.
 
-/// Optimizer what-if invocations (advisory plans + DML maintenance costing).
-pub static WHATIF_CALLS: Counter = Counter::new("exec.whatif_calls");
-/// What-if evaluations answered from the memo cache (optimizer calls saved).
-pub static WHATIF_CACHE_HITS: Counter = Counter::new("exec.whatif_cache_hits");
-/// What-if evaluations that missed the memo cache and were planned.
-pub static WHATIF_CACHE_MISSES: Counter = Counter::new("exec.whatif_cache_misses");
-/// All planner invocations, advisory and execution-bound.
-pub static PLANS_EVALUATED: Counter = Counter::new("exec.plans_evaluated");
-/// Statements run by the executor.
-pub static STATEMENTS_EXECUTED: Counter = Counter::new("exec.statements");
-/// Rows examined by the executor.
-pub static ROWS_READ: Counter = Counter::new("exec.rows_read");
-/// Pages read by the executor.
-pub static PAGES_READ: Counter = Counter::new("exec.pages_read");
-/// B+-tree descents performed by the executor.
-pub static INDEX_SEEKS: Counter = Counter::new("exec.seeks");
-/// Executions ingested by the workload monitor.
-pub static MONITOR_RECORDS: Counter = Counter::new("monitor.records");
-/// Candidate indexes produced by structural generation.
-pub static CANDIDATES_GENERATED: Counter = Counter::new("aim.candidates_generated");
-/// Pairwise partial-order merges that succeeded.
-pub static PO_MERGES: Counter = Counter::new("aim.partial_order_merges");
-/// Clone-validation rounds executed.
-pub static VALIDATION_ROUNDS: Counter = Counter::new("aim.validation_rounds");
-/// Statements clone validation executed on its test bed.
-pub static VALIDATION_EXECUTED: Counter = Counter::new("aim.validation_executed");
-/// Replayed statements clone validation did not execute: their plan had
-/// already been measured on the same test bed.
-pub static VALIDATION_REUSED: Counter = Counter::new("aim.validation_reused");
-/// Indexes materialized on production by tuning passes.
-pub static INDEXES_CREATED: Counter = Counter::new("aim.indexes_created");
-/// Candidates rejected (validation or materialization).
-pub static INDEXES_REJECTED: Counter = Counter::new("aim.indexes_rejected");
-/// Regressions flagged by the continuous detector.
-pub static REGRESSIONS_DETECTED: Counter = Counter::new("aim.regressions_detected");
-/// Phase retries after a transient (injected) failure.
-pub static TUNING_RETRIES: Counter = Counter::new("aim.retries");
-/// Passes that finished in a degraded mode (sequential fallback or a
-/// shrunken validation sample) after repeated transient failures.
-pub static DEGRADED_PASSES: Counter = Counter::new("aim.degraded_passes");
-/// Passes aborted (deadline, cancellation, or retries exhausted) and
-/// rolled back.
-pub static PASSES_ABORTED: Counter = Counter::new("aim.passes_aborted");
-/// Batched what-if evaluations (one per `eval_select_batch` call).
-pub static SELECTION_BATCHES: Counter = Counter::new("selection.batch.count");
-/// Batch members that reused the batch's shared binding / predicate /
-/// selectivity derivation instead of re-deriving it from scratch
-/// (planner passes beyond a batch's first).
-pub static SELECTION_BATCH_BINDING_REUSE: Counter =
-    Counter::new("selection.batch.binding_reuse");
-/// Batch members served by an identical-projection plan from the same
-/// batch without any planner pass at all.
-pub static SELECTION_BATCH_PLAN_REUSE: Counter = Counter::new("selection.batch.plan_reuse");
-/// Simplex iterations performed by the LP selection strategy.
-pub static SELECTION_LP_ITERATIONS: Counter = Counter::new("selection.lp.iterations");
-/// Events evicted from the journal ring buffer before anyone read them.
-pub static JOURNAL_DROPPED: Counter = Counter::new("telemetry.journal_dropped");
-/// Event-sink write failures (the event is lost; each failure counts).
-pub static SINK_ERRORS: Counter = Counter::new("telemetry.sink_errors");
-/// Time-series windows closed by [`crate::timeseries::tick`].
-pub static TIMESERIES_WINDOWS: Counter = Counter::new("timeseries.windows");
-/// Worker span roots stitched into a parent profile by
-/// [`crate::trace::TraceContext::stitch`].
-pub static TRACE_SPANS_STITCHED: Counter = Counter::new("trace.spans_stitched");
-/// Tenants whose tuning pass completed inside a fleet run.
-pub static FLEET_SHARDS_TUNED: Counter = Counter::new("fleet.shards_tuned");
-/// Tenants granted more than the uniform per-shard budget share by the
-/// fleet-level knapsack allocation.
-pub static FLEET_BUDGET_TRANSFERS: Counter = Counter::new("fleet.budget_transfers");
-/// Cross-shard seed partial orders handed from hot to cold tenants.
-pub static FLEET_SEEDED_ORDERS: Counter = Counter::new("fleet.seeded_orders");
-/// Tenant tuning passes that failed inside a fleet run (the fleet
-/// continues; the failure is isolated to the tenant).
-pub static FLEET_TENANT_FAILURES: Counter = Counter::new("fleet.tenant_failures");
-/// Labeled observations whose new series would exceed the cardinality cap
-/// and were folded into the `tenant="__other__"` bucket instead.
-pub static SERIES_DROPPED: Counter = Counter::new("telemetry.series_dropped");
+macro_rules! builtin_counters {
+    ($($(#[$doc:meta])* $ident:ident = $name:literal, $help:literal;)*) => {
+        $($(#[$doc])* pub static $ident: Counter = Counter::new($name, $help);)*
+        static BUILTIN: &[&Counter] = &[$(&$ident),*];
+    };
+}
 
-static BUILTIN: &[&Counter] = &[
-    &WHATIF_CALLS,
-    &WHATIF_CACHE_HITS,
-    &WHATIF_CACHE_MISSES,
-    &PLANS_EVALUATED,
-    &STATEMENTS_EXECUTED,
-    &ROWS_READ,
-    &PAGES_READ,
-    &INDEX_SEEKS,
-    &MONITOR_RECORDS,
-    &CANDIDATES_GENERATED,
-    &PO_MERGES,
-    &VALIDATION_ROUNDS,
-    &VALIDATION_EXECUTED,
-    &VALIDATION_REUSED,
-    &INDEXES_CREATED,
-    &INDEXES_REJECTED,
-    &REGRESSIONS_DETECTED,
-    &TUNING_RETRIES,
-    &DEGRADED_PASSES,
-    &PASSES_ABORTED,
-    &SELECTION_BATCHES,
-    &SELECTION_BATCH_BINDING_REUSE,
-    &SELECTION_BATCH_PLAN_REUSE,
-    &SELECTION_LP_ITERATIONS,
-    &JOURNAL_DROPPED,
-    &SINK_ERRORS,
-    &TIMESERIES_WINDOWS,
-    &TRACE_SPANS_STITCHED,
-    &FLEET_SHARDS_TUNED,
-    &FLEET_BUDGET_TRANSFERS,
-    &FLEET_SEEDED_ORDERS,
-    &FLEET_TENANT_FAILURES,
-    &SERIES_DROPPED,
-];
+builtin_counters! {
+    /// Optimizer what-if invocations (advisory plans + DML maintenance costing).
+    WHATIF_CALLS = "exec.whatif_calls",
+        "Optimizer what-if invocations (advisory plans + DML costing).";
+    /// What-if evaluations answered from the memo cache (optimizer calls saved).
+    WHATIF_CACHE_HITS = "exec.whatif_cache_hits",
+        "What-if evaluations answered from the memo cache.";
+    WHATIF_CACHE_MISSES = "exec.whatif_cache_misses",
+        "What-if evaluations that missed the memo cache.";
+    PLANS_EVALUATED = "exec.plans_evaluated", "Planner invocations, advisory and execution-bound.";
+    STATEMENTS_EXECUTED = "exec.statements", "Statements run by the executor.";
+    ROWS_READ = "exec.rows_read", "Rows examined by the executor.";
+    PAGES_READ = "exec.pages_read", "Pages read by the executor.";
+    INDEX_SEEKS = "exec.seeks", "B+-tree descents performed by the executor.";
+    MONITOR_RECORDS = "monitor.records", "Executions ingested by the workload monitor.";
+    CANDIDATES_GENERATED = "aim.candidates_generated",
+        "Candidate indexes produced by structural generation.";
+    PO_MERGES = "aim.partial_order_merges", "Pairwise partial-order merges that succeeded.";
+    VALIDATION_ROUNDS = "aim.validation_rounds", "Clone-validation rounds executed.";
+    VALIDATION_EXECUTED = "aim.validation_executed",
+        "Statements clone validation executed on its test bed.";
+    /// Replayed statements clone validation did not execute: their plan had
+    /// already been measured on the same test bed.
+    VALIDATION_REUSED = "aim.validation_reused",
+        "Replayed statements answered from an already-measured plan.";
+    INDEXES_CREATED = "aim.indexes_created", "Indexes materialized on production by tuning passes.";
+    /// Candidates rejected (validation or materialization).
+    INDEXES_REJECTED = "aim.indexes_rejected",
+        "Candidates rejected during validation or materialization.";
+    REGRESSIONS_DETECTED = "aim.regressions_detected",
+        "Regressions flagged by the continuous detector.";
+    /// Phase retries after a transient (injected) failure.
+    TUNING_RETRIES = "aim.retries", "Phase retries after a transient failure.";
+    /// Passes that finished in a degraded mode (sequential fallback or a
+    /// shrunken validation sample) after repeated transient failures.
+    DEGRADED_PASSES = "aim.degraded_passes", "Passes that finished in a degraded mode.";
+    /// Passes aborted (deadline, cancellation, or retries exhausted) and
+    /// rolled back.
+    PASSES_ABORTED = "aim.passes_aborted", "Passes aborted and rolled back.";
+    /// Batched what-if evaluations (one per `eval_select_batch` call).
+    SELECTION_BATCHES = "selection.batch.count", "Batched what-if evaluations.";
+    /// Batch members that reused the batch's shared binding / predicate /
+    /// selectivity derivation instead of re-deriving it from scratch
+    /// (planner passes beyond a batch's first).
+    SELECTION_BATCH_BINDING_REUSE = "selection.batch.binding_reuse",
+        "Batch members reusing the shared binding derivation.";
+    /// Batch members served by an identical-projection plan from the same
+    /// batch without any planner pass at all.
+    SELECTION_BATCH_PLAN_REUSE = "selection.batch.plan_reuse",
+        "Batch members served by an identical-projection plan.";
+    SELECTION_LP_ITERATIONS = "selection.lp.iterations",
+        "Simplex iterations performed by the LP selector.";
+    JOURNAL_DROPPED = "telemetry.journal_dropped",
+        "Events evicted from the journal ring before being read.";
+    /// Event-sink write failures (the event is lost; each failure counts).
+    SINK_ERRORS = "telemetry.sink_errors", "Event-sink write failures (events lost).";
+    /// Time-series windows closed by [`crate::timeseries::tick`].
+    TIMESERIES_WINDOWS = "timeseries.windows", "Time-series windows closed by timeseries ticks.";
+    /// Worker span roots stitched into a parent profile by
+    /// [`crate::trace::TraceContext::stitch`].
+    TRACE_SPANS_STITCHED = "trace.spans_stitched",
+        "Worker span roots stitched into a parent profile.";
+    FLEET_SHARDS_TUNED = "fleet.shards_tuned", "Tenant tuning passes completed inside fleet runs.";
+    /// Tenants granted more than the uniform per-shard budget share by the
+    /// fleet-level knapsack allocation.
+    FLEET_BUDGET_TRANSFERS = "fleet.budget_transfers",
+        "Tenants granted more than the uniform budget share.";
+    FLEET_SEEDED_ORDERS = "fleet.seeded_orders",
+        "Cross-shard seed partial orders handed to cold tenants.";
+    /// Tenant tuning passes that failed inside a fleet run (the fleet
+    /// continues; the failure is isolated to the tenant).
+    FLEET_TENANT_FAILURES = "fleet.tenant_failures",
+        "Tenant tuning passes that failed inside fleet runs.";
+    /// Labeled observations whose new series would exceed the cardinality cap
+    /// and were folded into the `tenant="__other__"` bucket instead.
+    SERIES_DROPPED = "telemetry.series_dropped",
+        "Labeled observations folded into tenant=__other__ by the cardinality cap.";
+}
 
 /// The fallback HELP line for names nobody registered a description for.
 const HELP_FALLBACK: &str = "AIM telemetry instrument (no description registered).";
 
-/// Whether `name` (labels stripped) has a registered, non-generic HELP
+/// Whether the instrument `name` has a registered, non-generic HELP
 /// description. The exposition well-formedness test uses this to catch
 /// new instruments that ship without documentation.
 pub fn has_help(name: &str) -> bool {
@@ -211,51 +190,18 @@ pub fn has_help(name: &str) -> bool {
 }
 
 /// One-line description of an instrument, for the Prometheus `# HELP`
-/// exposition. Covers the fixed taxonomy and the well-known registry
-/// names; anything else gets a generic line (the exposition format
-/// requires *some* HELP text, not a registry). Labeled series names
-/// (`name{k="v"}`) resolve through their base name.
+/// exposition: the fixed taxonomy describes itself, the well-known ad-hoc
+/// names are listed here, and anything else gets a generic line (the
+/// exposition format requires *some* HELP text, not a registry).
 pub fn help_for(name: &str) -> &'static str {
-    match series_base(name) {
-        "exec.whatif_calls" => "Optimizer what-if invocations (advisory plans + DML costing).",
-        "exec.whatif_cache_hits" => "What-if evaluations answered from the memo cache.",
-        "exec.whatif_cache_misses" => "What-if evaluations that missed the memo cache.",
-        "exec.plans_evaluated" => "Planner invocations, advisory and execution-bound.",
-        "exec.statements" => "Statements run by the executor.",
-        "exec.rows_read" => "Rows examined by the executor.",
-        "exec.pages_read" => "Pages read by the executor.",
-        "exec.seeks" => "B+-tree descents performed by the executor.",
+    if let Some(c) = BUILTIN.iter().find(|c| c.name == name) {
+        return c.help;
+    }
+    match name {
         "exec.select_cost" => "Estimated cost of executed SELECT statements (latency proxy).",
-        "monitor.records" => "Executions ingested by the workload monitor.",
-        "aim.candidates_generated" => "Candidate indexes produced by structural generation.",
-        "aim.partial_order_merges" => "Pairwise partial-order merges that succeeded.",
-        "aim.validation_rounds" => "Clone-validation rounds executed.",
-        "aim.validation_executed" => "Statements clone validation executed on its test bed.",
-        "aim.validation_reused" => "Replayed statements answered from an already-measured plan.",
-        "aim.indexes_created" => "Indexes materialized on production by tuning passes.",
-        "aim.indexes_rejected" => "Candidates rejected during validation or materialization.",
-        "aim.regressions_detected" => "Regressions flagged by the continuous detector.",
-        "aim.retries" => "Phase retries after a transient failure.",
-        "aim.degraded_passes" => "Passes that finished in a degraded mode.",
-        "aim.passes_aborted" => "Passes aborted and rolled back.",
-        "selection.batch.count" => "Batched what-if evaluations.",
-        "selection.batch.binding_reuse" => "Batch members reusing the shared binding derivation.",
-        "selection.batch.plan_reuse" => "Batch members served by an identical-projection plan.",
-        "selection.lp.iterations" => "Simplex iterations performed by the LP selector.",
-        "telemetry.journal_dropped" => "Events evicted from the journal ring before being read.",
-        "telemetry.sink_errors" => "Event-sink write failures (events lost).",
-        "timeseries.windows" => "Time-series windows closed by timeseries ticks.",
-        "trace.spans_stitched" => "Worker span roots stitched into a parent profile.",
-        "fleet.shards_tuned" => "Tenant tuning passes completed inside fleet runs.",
-        "fleet.budget_transfers" => "Tenants granted more than the uniform budget share.",
-        "fleet.seeded_orders" => "Cross-shard seed partial orders handed to cold tenants.",
-        "fleet.tenant_failures" => "Tenant tuning passes that failed inside fleet runs.",
         "fleet.tenant_duration" => "Per-tenant tuning wall clock inside fleet runs (ms).",
         "fleet.budget_granted_bytes" => "Storage budget granted to a tenant by fleet allocation.",
         "fleet.budget_used_bytes" => "Secondary-index bytes actually built for a tenant.",
-        "telemetry.series_dropped" => {
-            "Labeled observations folded into tenant=__other__ by the cardinality cap."
-        }
         "telemetry.series_active" => "Distinct labeled series currently tracked.",
         "sentinel.state" => "Latency sentinel state (0=idle, 1=armed, 2=regressed).",
         "sentinel.rollbacks" => "Index rollbacks ordered by the latency sentinel.",
@@ -281,7 +227,7 @@ pub fn help_for(name: &str) -> &'static str {
     }
 }
 
-// ------------------------------------------------------------ registry
+// ----------------------------------------------------------- histograms
 
 const HISTOGRAM_BUCKETS: usize = 40;
 
@@ -325,6 +271,25 @@ impl Histogram {
         };
         self.buckets[idx] += 1;
     }
+
+    /// Adds `other`'s observations to this histogram.
+    fn merge(&mut self, other: &Histogram) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            self.min = other.min;
+            self.max = other.max;
+        } else {
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+    }
 }
 
 /// Point-in-time view of one histogram.
@@ -367,94 +332,41 @@ impl HistogramSnapshot {
         }
         self.max
     }
-
-    fn fill_quantiles(mut self) -> Self {
-        self.p50 = self.quantile(0.50);
-        self.p90 = self.quantile(0.90);
-        self.p99 = self.quantile(0.99);
-        self
-    }
 }
 
-#[derive(Default)]
-struct Registry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, i64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-}
-
-static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
-
-fn with_registry<R>(f: impl FnOnce(&mut Registry) -> R) -> R {
-    let mut guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    f(guard.get_or_insert_with(Registry::default))
-}
-
-/// Adds to an ad-hoc named counter in the registry. Under an active
-/// [`TelemetryScope`] the observation also lands in the scope-labeled
-/// twin series.
-pub fn counter_add(name: &'static str, n: u64) {
-    if crate::is_enabled() {
-        with_registry(|r| *r.counters.entry(name).or_insert(0) += n);
-        if let Some(sc) = current_scope() {
-            scoped_counter_add(name, sc, n);
-        }
-    }
-}
-
-/// Sets a gauge to an instantaneous value (scope-labeled twin included).
-pub fn gauge_set(name: &'static str, v: i64) {
-    if crate::is_enabled() {
-        with_registry(|r| {
-            r.gauges.insert(name, v);
-        });
-        if let Some(sc) = current_scope() {
-            scoped_gauge_set(name, sc, v);
-        }
-    }
-}
-
-/// Records one observation into a log₂-bucket histogram (scope-labeled
-/// twin included).
-pub fn histogram_record(name: &'static str, v: f64) {
-    if crate::is_enabled() {
-        with_registry(|r| r.histograms.entry(name).or_default().record(v));
-        if let Some(sc) = current_scope() {
-            scoped_histogram_record(name, sc, v);
-        }
-    }
-}
-
-// ------------------------------------------------- dimensional registry
+// ---------------------------------------------------------- series store
 
 /// Interned label-value handle. Values are interned once (at scope
-/// creation or on an explicit labeled call) so hot-path series keys
-/// compare as integers, never strings.
+/// creation or on an explicit labeled call) so series keys compare as
+/// integers on the hot path, never strings.
 type Sym = u32;
 
-#[derive(Default)]
+/// Label values by symbol. Append-only for the life of the process —
+/// [`reset`] leaves it alone — so a symbol never changes its meaning and a
+/// scope that outlives a reset keeps labeling with its own tenant.
 struct Interner {
     map: BTreeMap<String, Sym>,
     values: Vec<String>,
 }
 
-static INTERNER: Mutex<Option<Interner>> = Mutex::new(None);
+static INTERNER: Mutex<Interner> = Mutex::new(Interner {
+    map: BTreeMap::new(),
+    values: Vec::new(),
+});
 
-fn with_interner<R>(f: impl FnOnce(&mut Interner) -> R) -> R {
-    let mut guard = INTERNER.lock().unwrap_or_else(|e| e.into_inner());
-    f(guard.get_or_insert_with(Interner::default))
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn intern(value: &str) -> Sym {
-    with_interner(|int| match int.map.get(value) {
-        Some(&s) => s,
-        None => {
-            let s = int.values.len() as Sym;
-            int.values.push(value.to_string());
-            int.map.insert(value.to_string(), s);
-            s
-        }
-    })
+    let mut int = lock(&INTERNER);
+    if let Some(&s) = int.map.get(value) {
+        return s;
+    }
+    let s = int.values.len() as Sym;
+    int.values.push(value.to_string());
+    int.map.insert(value.to_string(), s);
+    s
 }
 
 /// The tenant bucket that over-cap series fold into.
@@ -462,6 +374,15 @@ pub const OTHER_TENANT: &str = "__other__";
 
 /// Default hard cap on distinct labeled series across all shards.
 pub const DEFAULT_SERIES_CAP: usize = 512;
+
+/// Labels one series can carry (DESIGN §13 names three: `tenant`, `phase`,
+/// `backend`); an explicit `*_labeled` call's labels beyond this many, in
+/// key order, are ignored.
+const MAX_LABELS: usize = 3;
+
+/// Inline room per key: [`MAX_LABELS`] plus the `tenant` a fold adds to a
+/// label set that had none.
+const LABEL_SLOTS: usize = MAX_LABELS + 1;
 
 static SERIES_CAP: AtomicUsize = AtomicUsize::new(DEFAULT_SERIES_CAP);
 static SERIES_COUNT: AtomicUsize = AtomicUsize::new(0);
@@ -478,65 +399,101 @@ pub fn set_series_cap(cap: usize) {
 }
 
 /// Distinct labeled series currently tracked (including fold buckets).
+/// Empty-label cells are not counted and not capped: their number is
+/// bounded by the instrument names in the code.
 pub fn series_count() -> usize {
     SERIES_COUNT.load(Ordering::Relaxed)
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// Where a cell lives: the instrument name and up to [`LABEL_SLOTS`]
+/// `(label key, interned value)` pairs sorted by label key, held inline so
+/// building a key allocates nothing. Unused slots hold `("", 0)`, which
+/// makes the bare key the smallest of its name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct SeriesKey {
     name: &'static str,
-    /// `(label key, interned value)`, sorted by label key.
-    labels: Vec<(&'static str, Sym)>,
+    len: usize,
+    labels: [(&'static str, Sym); LABEL_SLOTS],
 }
 
-#[derive(Default)]
-struct LabelShard {
-    counters: BTreeMap<SeriesKey, u64>,
-    gauges: BTreeMap<SeriesKey, i64>,
-    histograms: BTreeMap<SeriesKey, Histogram>,
-}
-
-const LABEL_SHARDS: usize = 8;
-
-static LSHARDS: [Mutex<Option<LabelShard>>; LABEL_SHARDS] =
-    [const { Mutex::new(None) }; LABEL_SHARDS];
-
-fn shard_of(name: &str, labels: &[(&'static str, Sym)]) -> usize {
-    // FNV-1a over the name bytes, label keys and value symbols.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    };
-    for b in name.bytes() {
-        eat(b);
-    }
-    for (k, v) in labels {
-        for b in k.bytes() {
-            eat(b);
-        }
-        for b in v.to_le_bytes() {
-            eat(b);
+impl SeriesKey {
+    fn bare(name: &'static str) -> Self {
+        Self {
+            name,
+            len: 0,
+            labels: [("", 0); LABEL_SLOTS],
         }
     }
-    (h as usize) % LABEL_SHARDS
+
+    fn push(&mut self, key: &'static str, value: Sym) {
+        self.labels[self.len] = (key, value);
+        self.len += 1;
+        self.labels[..self.len].sort_unstable_by_key(|&(k, _)| k);
+    }
+
+    fn labels(&self) -> &[(&'static str, Sym)] {
+        &self.labels[..self.len]
+    }
+
+    /// This key with its `tenant` label replaced by (or set to) `tenant`.
+    fn with_tenant(mut self, tenant: Sym) -> Self {
+        match self.labels[..self.len]
+            .iter_mut()
+            .find(|(k, _)| *k == "tenant")
+        {
+            Some(slot) => slot.1 = tenant,
+            None => self.push("tenant", tenant),
+        }
+        self
+    }
+
+    fn shard(&self) -> usize {
+        // FNV-1a over the name bytes, label keys and value symbols.
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |b: u8| {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        };
+        self.name.bytes().for_each(&mut eat);
+        for (k, v) in self.labels() {
+            k.bytes().for_each(&mut eat);
+            v.to_le_bytes().into_iter().for_each(&mut eat);
+        }
+        (h as usize) % SHARDS.len()
+    }
 }
 
-#[derive(Clone, Copy)]
-enum SeriesKind {
-    Counter,
-    Gauge,
-    Histogram,
+/// The one map type of the store: a series' cell by its key.
+type SeriesMap<T> = BTreeMap<SeriesKey, T>;
+
+struct Shard {
+    counters: SeriesMap<u64>,
+    gauges: SeriesMap<i64>,
+    histograms: SeriesMap<Histogram>,
 }
 
-impl LabelShard {
-    fn has(&self, kind: SeriesKind, key: &SeriesKey) -> bool {
-        match kind {
-            SeriesKind::Counter => self.counters.contains_key(key),
-            SeriesKind::Gauge => self.gauges.contains_key(key),
-            SeriesKind::Histogram => self.histograms.contains_key(key),
+impl Shard {
+    const fn new() -> Self {
+        Self {
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            histograms: BTreeMap::new(),
         }
     }
+}
+
+static SHARDS: [Mutex<Shard>; 8] = [const { Mutex::new(Shard::new()) }; 8];
+
+fn counters(s: &mut Shard) -> &mut SeriesMap<u64> {
+    &mut s.counters
+}
+
+fn gauges(s: &mut Shard) -> &mut SeriesMap<i64> {
+    &mut s.gauges
+}
+
+fn histograms(s: &mut Shard) -> &mut SeriesMap<Histogram> {
+    &mut s.histograms
 }
 
 /// Claims one cap slot for a new series; `false` means the cap is full
@@ -552,100 +509,121 @@ fn try_claim_series_slot() -> bool {
     }
 }
 
-/// Core labeled write: update-in-place when the series exists, admit it
-/// when the cap allows, otherwise fold the `tenant` label into
-/// [`OTHER_TENANT`] and apply there. At most one shard lock is held at a
-/// time (the fold re-probes under its own lock), so shard order can never
-/// deadlock. Fold buckets are always admitted — their cardinality is
-/// bounded by the non-tenant label space — and each folded observation
-/// bumps `telemetry.series_dropped`.
-fn labeled_update(
-    name: &'static str,
-    labels: &[(&'static str, Sym)],
-    kind: SeriesKind,
-    apply: impl FnOnce(&mut LabelShard, SeriesKey),
-) {
-    debug_assert!(labels.windows(2).all(|w| w[0].0 <= w[1].0), "labels sorted");
-    let key = SeriesKey {
-        name,
-        labels: labels.to_vec(),
-    };
+/// The one write of the store; every entry point ends here. Applies the
+/// observation to the cell of `key`: in place when the series exists,
+/// after admitting it when the cap allows (the empty label set is always
+/// admitted), otherwise to the series with the `tenant` label folded into
+/// [`OTHER_TENANT`]. Returns whether the observation created its series.
+///
+/// At most one shard lock is held at a time (the fold re-probes under its
+/// own lock), so shard order can never deadlock. Fold buckets are always
+/// admitted — their cardinality is bounded by the non-tenant label space —
+/// and each folded observation bumps `telemetry.series_dropped`, on its
+/// atomic, so a fold can never recurse into another fold.
+fn write<T: Default>(
+    cells: fn(&mut Shard) -> &mut SeriesMap<T>,
+    key: SeriesKey,
+    apply: impl FnOnce(&mut T),
+) -> bool {
     {
-        let idx = shard_of(name, labels);
-        let mut guard = LSHARDS[idx].lock().unwrap_or_else(|e| e.into_inner());
-        let shard = guard.get_or_insert_with(LabelShard::default);
-        if shard.has(kind, &key) || try_claim_series_slot() {
-            apply(shard, key);
-            return;
+        let mut shard = lock(&SHARDS[key.shard()]);
+        let cells = cells(&mut shard);
+        if let Some(cell) = cells.get_mut(&key) {
+            apply(cell);
+            return false;
+        }
+        if key.len == 0 || try_claim_series_slot() {
+            apply(cells.entry(key).or_default());
+            return true;
         }
     }
     // Over the cap: fold deterministically into tenant="__other__".
-    SERIES_DROPPED.add_unscoped(1);
-    let other = intern(OTHER_TENANT);
-    let mut folded = key.labels;
-    match folded.iter_mut().find(|(k, _)| *k == "tenant") {
-        Some(slot) => slot.1 = other,
-        None => {
-            folded.push(("tenant", other));
-            folded.sort_by_key(|&(k, _)| k);
+    SERIES_DROPPED.value.fetch_add(1, Ordering::Relaxed);
+    let folded = key.with_tenant(intern(OTHER_TENANT));
+    let mut shard = lock(&SHARDS[folded.shard()]);
+    match cells(&mut shard).entry(folded) {
+        Entry::Occupied(cell) => {
+            apply(cell.into_mut());
+            false
+        }
+        Entry::Vacant(slot) => {
+            SERIES_COUNT.fetch_add(1, Ordering::Relaxed);
+            apply(slot.insert(T::default()));
+            true
         }
     }
-    let idx = shard_of(name, &folded);
-    let fkey = SeriesKey {
-        name,
-        labels: folded,
-    };
-    let mut guard = LSHARDS[idx].lock().unwrap_or_else(|e| e.into_inner());
-    let shard = guard.get_or_insert_with(LabelShard::default);
-    if !shard.has(kind, &fkey) {
-        SERIES_COUNT.fetch_add(1, Ordering::Relaxed);
+}
+
+/// An observation of an ad-hoc counter or histogram on the calling
+/// thread's label set. A scoped observation that creates its series also
+/// registers the name's empty-label cell, at zero: that cell is what makes
+/// [`snapshot`] serve the name's all-tenant total under the bare name.
+/// Explicit `*_labeled` calls name their own series and register nothing.
+fn observe<T: Default>(
+    cells: fn(&mut Shard) -> &mut SeriesMap<T>,
+    name: &'static str,
+    apply: impl FnOnce(&mut T),
+) {
+    let key = scope_key(name);
+    if write(cells, key, apply) && key.len > 0 {
+        write(cells, SeriesKey::bare(name), |_| {});
     }
-    apply(shard, fkey);
 }
 
-fn series_counter_add(name: &'static str, labels: &[(&'static str, Sym)], n: u64) {
-    labeled_update(name, labels, SeriesKind::Counter, |shard, key| {
-        *shard.counters.entry(key).or_insert(0) += n;
-    });
+/// Adds to an ad-hoc named counter, on the calling thread's label set.
+pub fn counter_add(name: &'static str, n: u64) {
+    if crate::is_enabled() {
+        observe(counters, name, |c| *c += n);
+    }
 }
 
-fn series_gauge_set(name: &'static str, labels: &[(&'static str, Sym)], v: i64) {
-    labeled_update(name, labels, SeriesKind::Gauge, |shard, key| {
-        shard.gauges.insert(key, v);
-    });
+/// Sets a gauge to an instantaneous value, on the calling thread's label
+/// set. A gauge has no all-tenant sum: the bare name holds what was set
+/// outside any scope.
+pub fn gauge_set(name: &'static str, v: i64) {
+    if crate::is_enabled() {
+        write(gauges, scope_key(name), |g| *g = v);
+    }
 }
 
-fn series_histogram_record(name: &'static str, labels: &[(&'static str, Sym)], v: f64) {
-    labeled_update(name, labels, SeriesKind::Histogram, |shard, key| {
-        shard.histograms.entry(key).or_default().record(v);
-    });
+/// Records one observation into a log₂-bucket histogram, on the calling
+/// thread's label set.
+pub fn histogram_record(name: &'static str, v: f64) {
+    if crate::is_enabled() {
+        observe(histograms, name, |h| h.record(v));
+    }
 }
 
-fn intern_labels(labels: &[(&'static str, &str)]) -> Vec<(&'static str, Sym)> {
-    let mut out: Vec<(&'static str, Sym)> =
-        labels.iter().map(|&(k, v)| (k, intern(v))).collect();
-    out.sort_by_key(|&(k, _)| k);
-    out
+fn labeled_key(name: &'static str, labels: &[(&'static str, &str)]) -> SeriesKey {
+    debug_assert!(
+        labels.len() <= MAX_LABELS,
+        "{name}: more than {MAX_LABELS} labels"
+    );
+    let mut key = SeriesKey::bare(name);
+    for &(k, v) in labels.iter().take(MAX_LABELS) {
+        key.push(k, intern(v));
+    }
+    key
 }
 
 /// Adds to a labeled counter series (no-op while telemetry is disabled).
 pub fn counter_add_labeled(name: &'static str, labels: &[(&'static str, &str)], n: u64) {
     if crate::is_enabled() {
-        series_counter_add(name, &intern_labels(labels), n);
+        write(counters, labeled_key(name, labels), |c| *c += n);
     }
 }
 
 /// Sets a labeled gauge series to an instantaneous value.
 pub fn gauge_set_labeled(name: &'static str, labels: &[(&'static str, &str)], v: i64) {
     if crate::is_enabled() {
-        series_gauge_set(name, &intern_labels(labels), v);
+        write(gauges, labeled_key(name, labels), |g| *g = v);
     }
 }
 
 /// Records one observation into a labeled histogram series.
 pub fn histogram_record_labeled(name: &'static str, labels: &[(&'static str, &str)], v: f64) {
     if crate::is_enabled() {
-        series_histogram_record(name, &intern_labels(labels), v);
+        write(histograms, labeled_key(name, labels), |h| h.record(v));
     }
 }
 
@@ -659,12 +637,14 @@ struct ScopeData {
 }
 
 impl ScopeData {
-    /// Implicit label set, sorted by label key (`"phase" < "tenant"`).
-    fn label_array(self) -> ([(&'static str, Sym); 2], usize) {
-        match self.phase {
-            Some(p) => ([("phase", p), ("tenant", self.tenant)], 2),
-            None => ([("tenant", self.tenant), ("tenant", self.tenant)], 1),
+    /// The scope's series of `name`.
+    fn key(self, name: &'static str) -> SeriesKey {
+        let mut key = SeriesKey::bare(name);
+        if let Some(phase) = self.phase {
+            key.push("phase", phase);
         }
+        key.push("tenant", self.tenant);
+        key
     }
 }
 
@@ -677,26 +657,19 @@ fn current_scope() -> Option<ScopeData> {
     SCOPE.with(|s| s.get())
 }
 
-fn scoped_counter_add(name: &'static str, sc: ScopeData, n: u64) {
-    let (arr, len) = sc.label_array();
-    series_counter_add(name, &arr[..len], n);
+/// The calling thread's series of `name`: bare outside a scope.
+fn scope_key(name: &'static str) -> SeriesKey {
+    match current_scope() {
+        Some(sc) => sc.key(name),
+        None => SeriesKey::bare(name),
+    }
 }
 
-fn scoped_gauge_set(name: &'static str, sc: ScopeData, v: i64) {
-    let (arr, len) = sc.label_array();
-    series_gauge_set(name, &arr[..len], v);
-}
-
-fn scoped_histogram_record(name: &'static str, sc: ScopeData, v: f64) {
-    let (arr, len) = sc.label_array();
-    series_histogram_record(name, &arr[..len], v);
-}
-
-/// RAII guard that scopes every flat instrument call on this thread to a
-/// tenant (and optionally a phase): each observation also lands in a
-/// `name{tenant="…"}` labeled twin. Scopes nest; dropping restores the
-/// previous scope. Creating a scope while telemetry is disabled is free
-/// (no interning, no TLS write).
+/// RAII guard that scopes every instrument call on this thread to a tenant
+/// (and optionally a phase): each observation lands in the
+/// `name{tenant="…"}` series instead of the bare one. Scopes nest;
+/// dropping restores the previous scope. Creating a scope while telemetry
+/// is disabled is free (no interning, no TLS write).
 #[derive(Debug)]
 pub struct TelemetryScope {
     prev: Option<ScopeData>,
@@ -706,32 +679,20 @@ pub struct TelemetryScope {
 }
 
 impl TelemetryScope {
-    /// Enters a tenant scope.
-    pub fn enter(tenant: &str) -> Self {
-        Self::enter_inner(tenant, None)
-    }
-
-    /// Enters a tenant scope with a phase label (`probe`, `tune`, …).
-    pub fn enter_phase(tenant: &str, phase: &str) -> Self {
-        Self::enter_inner(tenant, Some(phase))
-    }
-
-    fn enter_inner(tenant: &str, phase: Option<&str>) -> Self {
-        if !crate::is_enabled() {
-            return Self {
-                prev: None,
-                active: false,
-                _not_send: PhantomData,
+    fn enter(tenant: &str, phase: Option<&str>) -> Self {
+        let active = crate::is_enabled();
+        let prev = if active {
+            let data = ScopeData {
+                tenant: intern(tenant),
+                phase: phase.map(intern),
             };
-        }
-        let data = ScopeData {
-            tenant: intern(tenant),
-            phase: phase.map(intern),
+            SCOPE.with(|s| s.replace(Some(data)))
+        } else {
+            None
         };
-        let prev = SCOPE.with(|s| s.replace(Some(data)));
         Self {
             prev,
-            active: true,
+            active,
             _not_send: PhantomData,
         }
     }
@@ -747,252 +708,229 @@ impl Drop for TelemetryScope {
 
 /// Enters a tenant scope (see [`TelemetryScope`]).
 pub fn scope(tenant: &str) -> TelemetryScope {
-    TelemetryScope::enter(tenant)
+    TelemetryScope::enter(tenant, None)
 }
 
-/// Enters a tenant+phase scope (see [`TelemetryScope`]).
+/// Enters a tenant scope with a phase label (`probe`, `tune`, …).
 pub fn scope_phase(tenant: &str, phase: &str) -> TelemetryScope {
-    TelemetryScope::enter_phase(tenant, phase)
+    TelemetryScope::enter(tenant, Some(phase))
 }
 
 /// The tenant of the active scope on this thread, if any.
 pub fn current_tenant() -> Option<String> {
     let sc = current_scope()?;
-    with_interner(|int| int.values.get(sc.tenant as usize).cloned())
+    lock(&INTERNER).values.get(sc.tenant as usize).cloned()
 }
 
-// ------------------------------------------------------ series encoding
+// ------------------------------------------------------- series identity
 
-/// Escapes a label value per Prometheus exposition format 0.0.4:
-/// `\` → `\\`, `"` → `\"`, newline → `\n`.
-pub fn escape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
+/// Identity of one served series: the instrument name and its label pairs
+/// sorted by label key. The empty label set is the name's bare series.
+/// `Display` renders `name{k="v",…}`, the text the output edges print.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Series {
+    name: &'static str,
+    labels: Vec<(&'static str, String)>,
 }
 
-/// Encodes a labeled series name as `name{k="v",…}` with label keys in
-/// sorted order and values escaped. No labels → the bare name.
-pub fn encode_series(name: &str, labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return name.to_string();
+impl Series {
+    pub fn new(name: &'static str, labels: &[(&'static str, &str)]) -> Self {
+        let mut labels: Vec<_> = labels.iter().map(|&(k, v)| (k, v.to_string())).collect();
+        labels.sort_by_key(|&(k, _)| k);
+        Self { name, labels }
     }
-    let mut sorted: Vec<(&str, &str)> = labels.to_vec();
-    sorted.sort_by_key(|&(k, _)| k);
-    let mut out = String::with_capacity(name.len() + 16 * sorted.len());
-    out.push_str(name);
-    out.push('{');
-    for (i, (k, v)) in sorted.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(k);
-        out.push_str("=\"");
-        out.push_str(&escape_label_value(v));
-        out.push('"');
-    }
-    out.push('}');
-    out
-}
 
-/// The base instrument name of a (possibly labeled) series name.
-pub fn series_base(name: &str) -> &str {
-    match name.find('{') {
-        Some(i) => &name[..i],
-        None => name,
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    pub fn labels(&self) -> &[(&'static str, String)] {
+        &self.labels
+    }
+
+    /// True for the bare (empty label set) series of `name`.
+    pub fn is_bare(&self, name: &str) -> bool {
+        self.name == name && self.labels.is_empty()
+    }
+
+    /// Value of the label `key`, if the series carries it.
+    pub fn label(&self, key: &str) -> Option<&str> {
+        self.labels
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.as_str())
     }
 }
 
-/// Parses an encoded series name back into `(base, labels)`, un-escaping
-/// label values. Malformed label blobs yield the whole string as the base
-/// with no labels.
-pub fn parse_series(encoded: &str) -> (String, Vec<(String, String)>) {
-    let Some(brace) = encoded.find('{') else {
-        return (encoded.to_string(), Vec::new());
-    };
-    let base = encoded[..brace].to_string();
-    let blob = &encoded[brace + 1..];
-    let mut labels = Vec::new();
-    let mut chars = blob.chars().peekable();
-    loop {
-        match chars.peek() {
-            Some('}') | None => break,
-            Some(',') => {
-                chars.next();
-                continue;
-            }
-            _ => {}
-        }
-        let mut key = String::new();
-        for c in chars.by_ref() {
-            if c == '=' {
-                break;
-            }
-            key.push(c);
-        }
-        if chars.next() != Some('"') {
-            return (encoded.to_string(), Vec::new());
-        }
-        let mut value = String::new();
-        let mut closed = false;
-        while let Some(c) = chars.next() {
+impl From<&'static str> for Series {
+    fn from(name: &'static str) -> Self {
+        Self::new(name, &[])
+    }
+}
+
+impl fmt::Display for Series {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name)?;
+        write_labels(f, self.labels.iter().map(|(k, v)| (*k, v.as_str())))
+    }
+}
+
+/// Writes a label set as `{k="v",…}` in the order given — nothing when it
+/// is empty — with values escaped per Prometheus exposition format 0.0.4:
+/// `\` → `\\`, `"` → `\"`, newline → `\n`. The only place label syntax is
+/// produced.
+pub(crate) fn write_labels<K: AsRef<str>>(
+    out: &mut impl fmt::Write,
+    labels: impl IntoIterator<Item = (K, impl AsRef<str>)>,
+) -> fmt::Result {
+    let mut open = false;
+    for (k, v) in labels {
+        out.write_char(if open { ',' } else { '{' })?;
+        open = true;
+        out.write_str(k.as_ref())?;
+        out.write_str("=\"")?;
+        for c in v.as_ref().chars() {
             match c {
-                '\\' => match chars.next() {
-                    Some('n') => value.push('\n'),
-                    Some(esc) => value.push(esc),
-                    None => return (encoded.to_string(), Vec::new()),
-                },
-                '"' => {
-                    closed = true;
-                    break;
-                }
-                _ => value.push(c),
+                '\\' => out.write_str("\\\\")?,
+                '"' => out.write_str("\\\"")?,
+                '\n' => out.write_str("\\n")?,
+                _ => out.write_char(c)?,
             }
         }
-        if !closed {
-            return (encoded.to_string(), Vec::new());
-        }
-        labels.push((key, value));
+        out.write_char('"')?;
     }
-    (base, labels)
+    if open {
+        out.write_char('}')?;
+    }
+    Ok(())
 }
 
-/// The `tenant` label of an encoded series name, if present.
-pub fn series_tenant(encoded: &str) -> Option<String> {
-    let (_, labels) = parse_series(encoded);
-    labels.into_iter().find(|(k, _)| k == "tenant").map(|(_, v)| v)
-}
-
-/// Point-in-time view of every instrument.
+/// Point-in-time view of every instrument. Each list holds the fixed
+/// taxonomy first (counters only), then the other bare names in name
+/// order, then the labeled series in the order of their rendered text.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
-    /// Counter name → value; builtin counters first, registry after.
-    pub counters: Vec<(String, u64)>,
-    pub gauges: Vec<(String, i64)>,
-    pub histograms: Vec<(String, HistogramSnapshot)>,
+    pub counters: Vec<(Series, u64)>,
+    pub gauges: Vec<(Series, i64)>,
+    pub histograms: Vec<(Series, HistogramSnapshot)>,
 }
 
 impl Snapshot {
-    /// Value of a counter by name.
+    /// Value of a counter's bare series: its all-tenant total.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+        self.counter_labeled(name, &[])
+    }
+
+    /// Value of one counter series; `labels` in key order.
+    pub fn counter_labeled(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
+        let is = |s: &Series| {
+            let have = s.labels.iter().map(|(k, v)| (*k, v.as_str()));
+            s.name == name && have.eq(labels.iter().copied())
+        };
+        self.counters.iter().find(|(s, _)| is(s)).map(|(_, v)| *v)
     }
 }
 
-/// Captures all counters, gauges and histograms.
-pub fn snapshot() -> Snapshot {
-    let mut out = Snapshot::default();
-    for c in BUILTIN {
-        out.counters.push((c.name().to_string(), c.get()));
+/// Orders one instrument kind's cells for serving: the bare names (those
+/// with an empty-label cell) — the taxonomy's in its own order, the others
+/// by name — then the labeled series in the order of their rendered text.
+/// `total` folds each labeled cell into its name's bare entry — the
+/// derived all-tenant total, added in served order — and is a no-op for
+/// gauges, which have no sum.
+fn serve<T>(int: &Interner, cells: Vec<(SeriesKey, T)>, total: fn(&mut T, &T)) -> Vec<(Series, T)> {
+    let rank = |name: &'static str| {
+        let taxonomy = BUILTIN.iter().position(|c| c.name == name);
+        (taxonomy.unwrap_or(BUILTIN.len()), name)
+    };
+    let mut bare: BTreeMap<(usize, &'static str), T> = BTreeMap::new();
+    let mut labeled: Vec<(Series, T)> = Vec::new();
+    for (key, cell) in cells {
+        if key.len == 0 {
+            match bare.entry(rank(key.name)) {
+                Entry::Occupied(mut e) => total(e.get_mut(), &cell),
+                Entry::Vacant(e) => {
+                    e.insert(cell);
+                }
+            }
+            continue;
+        }
+        let labels = key.labels().iter();
+        let labels = labels.map(|&(k, v)| (k, int.values[v as usize].clone()));
+        let name = key.name;
+        labeled.push((
+            Series {
+                name,
+                labels: labels.collect(),
+            },
+            cell,
+        ));
     }
-    with_registry(|r| {
-        for (name, v) in &r.counters {
-            out.counters.push((name.to_string(), *v));
+    labeled.sort_by_cached_key(|(s, _)| s.to_string());
+    for (series, cell) in &labeled {
+        if let Some(t) = bare.get_mut(&rank(series.name)) {
+            total(t, cell);
         }
-        for (name, v) in &r.gauges {
-            out.gauges.push((name.to_string(), *v));
-        }
-        for (name, h) in &r.histograms {
-            out.histograms.push((name.to_string(), histogram_to_snapshot(h)));
-        }
-    });
-    append_labeled(&mut out);
-    out
+    }
+    let bare = bare
+        .into_iter()
+        .map(|((_, name), cell)| (Series::from(name), cell));
+    bare.chain(labeled).collect()
+}
+
+/// Captures all counters, gauges and histograms. Shard locks are taken one
+/// at a time and released before the interner's.
+pub fn snapshot() -> Snapshot {
+    // The atomics of the taxonomy are its empty-label cells.
+    let mut counters: Vec<(SeriesKey, u64)> = BUILTIN
+        .iter()
+        .map(|c| (SeriesKey::bare(c.name), c.value.load(Ordering::Relaxed)))
+        .collect();
+    let mut gauges = Vec::new();
+    let mut histograms = Vec::new();
+    for shard in &SHARDS {
+        let shard = lock(shard);
+        counters.extend(shard.counters.iter().map(|(k, v)| (*k, *v)));
+        gauges.extend(shard.gauges.iter().map(|(k, v)| (*k, *v)));
+        histograms.extend(shard.histograms.iter().map(|(k, h)| (*k, h.clone())));
+    }
+    let int = lock(&INTERNER);
+    let histograms = serve(&int, histograms, Histogram::merge);
+    Snapshot {
+        counters: serve(&int, counters, |t, v| *t += v),
+        gauges: serve(&int, gauges, |_, _| {}),
+        histograms: histograms
+            .into_iter()
+            .map(|(s, h)| (s, histogram_to_snapshot(&h)))
+            .collect(),
+    }
 }
 
 fn histogram_to_snapshot(h: &Histogram) -> HistogramSnapshot {
-    let buckets = h
-        .buckets
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| **c > 0)
-        .map(|(i, c)| ((1u64 << i) as f64, *c))
-        .collect();
-    HistogramSnapshot {
+    let occupied = h.buckets.iter().enumerate().filter(|(_, c)| **c > 0);
+    let mut snap = HistogramSnapshot {
         count: h.count,
         sum: h.sum,
         min: h.min,
         max: h.max,
-        buckets,
-        p50: 0.0,
-        p90: 0.0,
-        p99: 0.0,
-    }
-    .fill_quantiles()
-}
-
-/// Drains every label shard into encoded `name{k="v"}` entries, appended
-/// after the flat entries in sorted-name order. Shard locks and the
-/// interner lock are never held together.
-fn append_labeled(out: &mut Snapshot) {
-    let mut counters: Vec<(SeriesKey, u64)> = Vec::new();
-    let mut gauges: Vec<(SeriesKey, i64)> = Vec::new();
-    let mut histograms: Vec<(SeriesKey, HistogramSnapshot)> = Vec::new();
-    for shard in &LSHARDS {
-        let guard = shard.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(shard) = guard.as_ref() else { continue };
-        counters.extend(shard.counters.iter().map(|(k, v)| (k.clone(), *v)));
-        gauges.extend(shard.gauges.iter().map(|(k, v)| (k.clone(), *v)));
-        histograms.extend(
-            shard
-                .histograms
-                .iter()
-                .map(|(k, h)| (k.clone(), histogram_to_snapshot(h))),
-        );
-    }
-    if counters.is_empty() && gauges.is_empty() && histograms.is_empty() {
-        return;
-    }
-    let encode = |int: &mut Interner, key: &SeriesKey| -> String {
-        let resolved: Vec<(&str, &str)> = key
-            .labels
-            .iter()
-            .map(|&(k, v)| {
-                let val = int.values.get(v as usize).map(String::as_str).unwrap_or("");
-                (k, val)
-            })
-            .collect();
-        encode_series(key.name, &resolved)
+        buckets: occupied.map(|(i, c)| ((1u64 << i) as f64, *c)).collect(),
+        ..HistogramSnapshot::default()
     };
-    with_interner(|int| {
-        let mut enc_counters: Vec<(String, u64)> = counters
-            .iter()
-            .map(|(k, v)| (encode(int, k), *v))
-            .collect();
-        let mut enc_gauges: Vec<(String, i64)> =
-            gauges.iter().map(|(k, v)| (encode(int, k), *v)).collect();
-        let mut enc_histograms: Vec<(String, HistogramSnapshot)> = histograms
-            .iter()
-            .map(|(k, h)| (encode(int, k), h.clone()))
-            .collect();
-        enc_counters.sort_by(|a, b| a.0.cmp(&b.0));
-        enc_gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        enc_histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        out.counters.extend(enc_counters);
-        out.gauges.extend(enc_gauges);
-        out.histograms.extend(enc_histograms);
-    });
+    snap.p50 = snap.quantile(0.50);
+    snap.p90 = snap.quantile(0.90);
+    snap.p99 = snap.quantile(0.99);
+    snap
 }
 
-/// Zeroes all instruments, drops every labeled series, clears the label
-/// interner and restores the default cardinality cap.
+/// Zeroes the taxonomy, drops every series and restores the default
+/// cardinality cap. Interned label values stay (see [`Interner`]): a
+/// [`TelemetryScope`] alive across the reset keeps its own tenant.
 pub fn reset() {
     for c in BUILTIN {
-        c.clear();
+        c.value.store(0, Ordering::Relaxed);
     }
-    with_registry(|r| *r = Registry::default());
-    for shard in &LSHARDS {
-        let mut guard = shard.lock().unwrap_or_else(|e| e.into_inner());
-        *guard = None;
+    for shard in &SHARDS {
+        *lock(shard) = Shard::new();
     }
-    with_interner(|int| *int = Interner::default());
     SERIES_COUNT.store(0, Ordering::Relaxed);
     SERIES_CAP.store(DEFAULT_SERIES_CAP, Ordering::Relaxed);
 }
@@ -1017,9 +955,9 @@ mod tests {
         let s = snapshot();
         assert_eq!(s.counter("exec.whatif_calls"), Some(5));
         assert_eq!(s.counter("custom.hits"), Some(2));
-        assert_eq!(s.gauges, vec![("custom.depth".to_string(), -3)]);
+        assert_eq!(s.gauges, vec![(Series::from("custom.depth"), -3)]);
         let (name, h) = &s.histograms[0];
-        assert_eq!(name, "custom.cost");
+        assert_eq!(*name, Series::from("custom.cost"));
         assert_eq!(h.count, 3);
         assert_eq!(h.min, 0.5);
         assert_eq!(h.max, 3000.0);
@@ -1080,24 +1018,28 @@ mod tests {
         crate::disable();
 
         let s = snapshot();
-        // Flat values are the all-tenant totals.
+        // Bare values are the all-tenant totals.
         assert_eq!(s.counter("exec.whatif_calls"), Some(3));
+        assert_eq!(WHATIF_CALLS.get(), 3);
         assert_eq!(s.counter("custom.hits"), Some(8));
-        // Labeled twins carry the scoped share.
-        assert_eq!(s.counter("exec.whatif_calls{tenant=\"acme\"}"), Some(3));
-        assert_eq!(s.counter("custom.hits{tenant=\"acme\"}"), Some(2));
+        // Labeled series carry the scoped share.
+        let acme = [("tenant", "acme")];
+        assert_eq!(s.counter_labeled("exec.whatif_calls", &acme), Some(3));
+        assert_eq!(s.counter_labeled("custom.hits", &acme), Some(2));
         assert_eq!(
-            s.counter("custom.hits{phase=\"probe\",tenant=\"acme\"}"),
+            s.counter_labeled("custom.hits", &[("phase", "probe"), ("tenant", "acme")]),
             Some(1)
         );
-        assert!(s
-            .gauges
-            .iter()
-            .any(|(n, v)| n == "custom.depth{tenant=\"acme\"}" && *v == 7));
+        // A gauge has no total: nothing was set outside the scope.
+        assert_eq!(s.gauges, vec![(Series::new("custom.depth", &acme), 7)]);
         assert!(s
             .histograms
             .iter()
-            .any(|(n, h)| n == "custom.cost{tenant=\"acme\"}" && h.count == 1));
+            .any(|(n, h)| *n == Series::new("custom.cost", &acme) && h.count == 1));
+        assert!(s
+            .histograms
+            .iter()
+            .any(|(n, h)| *n == Series::from("custom.cost") && h.count == 1 && h.sum == 8.0));
         assert_eq!(s.counter("telemetry.series_dropped"), Some(0));
         crate::reset();
     }
@@ -1117,16 +1059,19 @@ mod tests {
         crate::disable();
 
         let s = snapshot();
-        assert_eq!(s.counter("cap.hits{tenant=\"a\"}"), Some(17));
-        assert_eq!(s.counter("cap.hits{tenant=\"b\"}"), Some(2));
-        assert_eq!(s.counter("cap.hits{tenant=\"c\"}"), None);
-        assert_eq!(s.counter("cap.hits{tenant=\"__other__\"}"), Some(12));
+        assert_eq!(s.counter_labeled("cap.hits", &[("tenant", "a")]), Some(17));
+        assert_eq!(s.counter_labeled("cap.hits", &[("tenant", "b")]), Some(2));
+        assert_eq!(s.counter_labeled("cap.hits", &[("tenant", "c")]), None);
+        assert_eq!(
+            s.counter_labeled("cap.hits", &[("tenant", OTHER_TENANT)]),
+            Some(12)
+        );
         assert_eq!(s.counter("telemetry.series_dropped"), Some(2));
         // Totals are conserved across the fold.
         let total: u64 = s
             .counters
             .iter()
-            .filter(|(n, _)| series_base(n) == "cap.hits")
+            .filter(|(n, _)| n.name() == "cap.hits")
             .map(|(_, v)| v)
             .sum();
         assert_eq!(total, 31);
@@ -1138,22 +1083,90 @@ mod tests {
     #[test]
     fn series_encoding_roundtrips_hostile_values() {
         let hostile = "a\\b\"c\nd";
-        let enc = encode_series("m.x", &[("tenant", hostile), ("phase", "p")]);
-        assert_eq!(enc, "m.x{phase=\"p\",tenant=\"a\\\\b\\\"c\\nd\"}");
-        let (base, labels) = parse_series(&enc);
-        assert_eq!(base, "m.x");
+        let series = Series::new("m.x", &[("tenant", hostile), ("phase", "p")]);
         assert_eq!(
-            labels,
-            vec![
-                ("phase".to_string(), "p".to_string()),
-                ("tenant".to_string(), hostile.to_string())
-            ]
+            series.to_string(),
+            "m.x{phase=\"p\",tenant=\"a\\\\b\\\"c\\nd\"}"
         );
-        assert_eq!(series_base(&enc), "m.x");
-        assert_eq!(series_tenant(&enc).as_deref(), Some(hostile));
-        assert_eq!(parse_series("plain.name"), ("plain.name".to_string(), vec![]));
-        // help_for resolves through the base name.
-        assert!(has_help("exec.whatif_calls{tenant=\"a\"}"));
+        // The value itself is carried, not its escaped text.
+        assert_eq!(series.name(), "m.x");
+        assert_eq!(
+            series.labels(),
+            [("phase", "p".to_string()), ("tenant", hostile.to_string())]
+        );
+        assert_eq!(series.label("tenant"), Some(hostile));
+        assert_eq!(Series::from("plain.name").to_string(), "plain.name");
+        // Through the store and back out.
+        let _g = crate::tests::lock();
+        crate::reset();
+        crate::enable();
+        counter_add_labeled("m.x", &[("tenant", hostile), ("phase", "p")], 1);
+        crate::disable();
+        assert!(snapshot().counters.contains(&(series, 1)));
+        crate::reset();
+        // HELP is looked up by instrument name.
+        assert!(has_help(
+            Series::new("exec.whatif_calls", &[("tenant", "a")]).name()
+        ));
         assert!(!has_help("no.such.metric"));
+    }
+
+    /// Interned symbols never change their meaning, so a scope alive
+    /// across a `reset()` keeps labeling with its own tenant, whatever is
+    /// interned after it.
+    #[test]
+    fn scope_alive_across_reset_keeps_its_tenant() {
+        let _g = crate::tests::lock();
+        crate::reset();
+        crate::enable();
+        let _a = scope("a");
+        crate::reset();
+        crate::enable();
+        counter_add_labeled("x", &[("tenant", "b")], 1);
+        counter_add("y", 1);
+        crate::disable();
+        let s = snapshot();
+        assert_eq!(s.counter_labeled("x", &[("tenant", "b")]), Some(1));
+        assert_eq!(s.counter_labeled("y", &[("tenant", "a")]), Some(1));
+        assert_eq!(s.counter_labeled("y", &[("tenant", "b")]), None);
+        assert_eq!(current_tenant().as_deref(), Some("a"));
+        drop(_a);
+        crate::reset();
+    }
+
+    /// The bare name of a counter or histogram is read, not written: the
+    /// empty-label cell plus every labeled cell of the name, an explicitly
+    /// labeled one included once the name has a bare cell.
+    #[test]
+    fn totals_are_derived_from_every_series_of_the_name() {
+        let _g = crate::tests::lock();
+        crate::reset();
+        crate::enable();
+        histogram_record("d.cost", 1.0);
+        WHATIF_CALLS.add(1);
+        {
+            let _t = scope_phase("t", "tune");
+            histogram_record("d.cost", 4.0);
+            WHATIF_CALLS.add(2);
+        }
+        histogram_record_labeled("d.cost", &[("backend", "disk")], 64.0);
+        counter_add_labeled("exec.whatif_calls", &[("backend", "disk")], 4);
+        // A labeled-only name is served without a bare entry.
+        counter_add_labeled("d.only", &[("tenant", "t")], 1);
+        crate::disable();
+
+        let s = snapshot();
+        assert_eq!(s.counter("exec.whatif_calls"), Some(7));
+        assert_eq!(WHATIF_CALLS.get(), 7);
+        assert_eq!(s.counter("d.only"), None);
+        let (_, total) = &s.histograms[0];
+        assert_eq!(s.histograms[0].0, Series::from("d.cost"));
+        assert_eq!(
+            (total.count, total.sum, total.min, total.max),
+            (3, 69.0, 1.0, 64.0)
+        );
+        assert_eq!(total.buckets, vec![(1.0, 1), (4.0, 1), (64.0, 1)]);
+        assert_eq!(s.histograms.len(), 3);
+        crate::reset();
     }
 }

@@ -68,14 +68,14 @@ fn snapshot_json(s: &Snapshot, out: &mut String) {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":{}", json_escape(name), v);
+        let _ = write!(out, "\"{}\":{}", json_escape(&name.to_string()), v);
     }
     out.push_str("},\"gauges\":{");
     for (i, (name, v)) in s.gauges.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":{}", json_escape(name), v);
+        let _ = write!(out, "\"{}\":{}", json_escape(&name.to_string()), v);
     }
     out.push_str("},\"histograms\":{");
     for (i, (name, h)) in s.histograms.iter().enumerate() {
@@ -86,7 +86,7 @@ fn snapshot_json(s: &Snapshot, out: &mut String) {
             out,
             "\"{}\":{{\"count\":{},\"sum\":{:.3},\"min\":{:.3},\"max\":{:.3},\
              \"p50\":{:.3},\"p90\":{:.3},\"p99\":{:.3},\"buckets\":[",
-            json_escape(name),
+            json_escape(&name.to_string()),
             h.count,
             h.sum,
             h.min,
@@ -204,19 +204,20 @@ pub fn render_counters(s: &Snapshot) -> String {
         "trace.spans_stitched",
     ];
     let mut out = String::new();
-    for (name, v) in &s.counters {
-        if *v > 0 || ALWAYS.contains(&name.as_str()) {
-            let _ = writeln!(out, "{name:<36} {v:>14}");
+    for (series, v) in &s.counters {
+        if *v > 0 || ALWAYS.iter().any(|name| series.is_bare(name)) {
+            let _ = writeln!(out, "{:<36} {v:>14}", series.to_string());
         }
     }
-    for (name, v) in &s.gauges {
-        let _ = writeln!(out, "{name:<36} {v:>14}  (gauge)");
+    for (series, v) in &s.gauges {
+        let _ = writeln!(out, "{:<36} {v:>14}  (gauge)", series.to_string());
     }
-    for (name, h) in &s.histograms {
+    for (series, h) in &s.histograms {
         let _ = writeln!(
             out,
-            "{name:<36} {:>14}  (histogram: mean {:.1}, p50 {:.1}, p90 {:.1}, \
+            "{:<36} {:>14}  (histogram: mean {:.1}, p50 {:.1}, p90 {:.1}, \
              p99 {:.1}, min {:.1}, max {:.1})",
+            series.to_string(),
             h.count,
             if h.count > 0 { h.sum / h.count as f64 } else { 0.0 },
             h.p50,

@@ -5,7 +5,7 @@
 //! Security posture: **off by default** — nothing listens unless the host
 //! process calls [`IntrospectionServer::start`] — and the listener binds
 //! `127.0.0.1` only, so the endpoint is never reachable off-box. It serves
-//! read-only GETs, holds no state of its own, and supports exactly six
+//! read-only GETs, holds no state of its own, and supports exactly eight
 //! routes:
 //!
 //! * `/metrics` — counters, gauges and histograms in Prometheus text
@@ -18,8 +18,14 @@
 //!   [`crate::timeseries`] as JSON (`?n=K` limits to the last K windows),
 //! * `/trace` — the Chrome trace-event buffer from [`crate::trace`],
 //! * `/ledger` — whatever JSON document the host registered via
-//!   [`set_ledger_source`] (404 until a session registers one).
+//!   [`set_ledger_source`] (404 until a session registers one),
+//! * `/fleet` — per-tenant rollups of the tenant-labeled series
+//!   (`?sort=tenant|shards|granted|used|duration|p99`, `?top=N`),
+//! * `/alerts` — every SLO rule and its live burn state from
+//!   [`crate::slo`].
 
+use crate::metrics::Series;
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -247,44 +253,43 @@ struct FleetRow {
 /// orders rows (`tenant`, `shards`, `granted`, `used`, `duration`, `p99`;
 /// non-tenant keys sort descending) and `top` truncates.
 fn fleet_json(sort: &str, top: usize) -> String {
-    use std::collections::BTreeMap;
-
     let snap = crate::metrics::snapshot();
     let mut rows: BTreeMap<String, FleetRow> = BTreeMap::new();
-    for (name, v) in &snap.counters {
-        let (base, labels) = crate::metrics::parse_series(name);
-        let Some((_, tenant)) = labels.iter().find(|(k, _)| k == "tenant") else {
-            continue;
-        };
-        if base == "fleet.shards_tuned" {
-            rows.entry(tenant.clone()).or_default().shards_tuned += v;
+    fn row_of<'a>(
+        rows: &'a mut BTreeMap<String, FleetRow>,
+        series: &Series,
+    ) -> Option<&'a mut FleetRow> {
+        let tenant = series.label("tenant")?;
+        Some(rows.entry(tenant.to_string()).or_default())
+    }
+    for (series, v) in &snap.counters {
+        if series.name() == "fleet.shards_tuned" {
+            if let Some(row) = row_of(&mut rows, series) {
+                row.shards_tuned += v;
+            }
         }
     }
-    for (name, v) in &snap.gauges {
-        let (base, labels) = crate::metrics::parse_series(name);
-        let Some((_, tenant)) = labels.iter().find(|(k, _)| k == "tenant") else {
+    for (series, v) in &snap.gauges {
+        let Some(row) = row_of(&mut rows, series) else {
             continue;
         };
-        let row = rows.entry(tenant.clone()).or_default();
-        match base.as_str() {
+        match series.name() {
             "fleet.budget_granted_bytes" => row.budget_granted = *v,
             "fleet.budget_used_bytes" => row.budget_used = *v,
             "sentinel.state" => row.sentinel_state = *v,
             _ => {}
         }
     }
-    for (name, h) in &snap.histograms {
-        let (base, labels) = crate::metrics::parse_series(name);
-        let Some((_, tenant)) = labels.iter().find(|(k, _)| k == "tenant") else {
+    for (series, h) in &snap.histograms {
+        let Some(row) = row_of(&mut rows, series) else {
             continue;
         };
-        let row = rows.entry(tenant.clone()).or_default();
-        match base.as_str() {
+        match series.name() {
             "fleet.tenant_duration" => row.duration_ms += h.sum,
             // Prefer the pure per-tenant live series; fall back to a
             // phase-scoped one (tuning replay) when no live traffic exists.
             "exec.select_cost" => {
-                let pure = labels.len() == 1;
+                let pure = series.labels().len() == 1;
                 if pure || row.cost_count == 0 {
                     row.cost_p50 = h.p50;
                     row.cost_p99 = h.p99;
@@ -336,7 +341,7 @@ fn fleet_json(sort: &str, top: usize) -> String {
     out.push_str(&format!(
         "],\"series_active\":{},\"series_dropped\":{}}}",
         crate::metrics::series_count(),
-        crate::metrics::SERIES_DROPPED.get(),
+        snap.counter("telemetry.series_dropped").unwrap_or(0),
     ));
     out
 }
@@ -412,61 +417,35 @@ fn escape_help(help: &str) -> String {
     out
 }
 
-/// Renders a label blob (`{k="v",…}`) with keys in stable (sorted) order
-/// and values escaped per 0.0.4; `extra` is appended last (used for the
-/// `quantile` label on summary samples). Empty label sets render as
-/// nothing.
-fn prom_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
-    if labels.is_empty() && extra.is_none() {
-        return String::new();
-    }
-    let mut parts: Vec<String> = labels
+/// Renders a series' label blob through [`crate::metrics::write_labels`],
+/// keys sanitized and in the series' (sorted) order; `extra` is appended
+/// last (used for the `quantile` label on summary samples).
+fn prom_labels(series: &Series, extra: Option<(&str, &str)>) -> String {
+    let labels = series
+        .labels()
         .iter()
-        .map(|(k, v)| {
-            format!(
-                "{}=\"{}\"",
-                prom_label_key(k),
-                crate::metrics::escape_label_value(v)
-            )
-        })
-        .collect();
-    if let Some((k, v)) = extra {
-        parts.push(format!("{k}=\"{v}\""));
-    }
-    format!("{{{}}}", parts.join(","))
+        .map(|(k, v)| (prom_label_key(k), v.as_str()));
+    let extra = extra.map(|(k, v)| (k.to_string(), v));
+    let mut out = String::new();
+    let _ = crate::metrics::write_labels(&mut out, labels.chain(extra));
+    out
 }
 
-/// Formats an f64 the Prometheus way (no exponent games needed for our
-/// magnitudes; NaN/inf never occur in snapshots).
-fn prom_f64(v: f64) -> String {
-    format!("{v:.6}")
-}
-
-/// One sample within a Prometheus family: its label pairs and value.
-type LabeledSample<T> = (Vec<(String, String)>, T);
-
-/// Groups (possibly labeled) snapshot entries into Prometheus families:
-/// all samples of one family rendered together under a single
-/// `# HELP`/`# TYPE` pair, flat series first, labeled series after in
-/// snapshot (sorted) order.
-fn family_groups<T: Clone>(entries: &[(String, T)]) -> Vec<(String, Vec<LabeledSample<T>>)> {
-    let mut order: Vec<String> = Vec::new();
-    let mut groups: std::collections::BTreeMap<String, Vec<LabeledSample<T>>> =
-        std::collections::BTreeMap::new();
-    for (name, v) in entries {
-        let (base, labels) = crate::metrics::parse_series(name);
-        if !groups.contains_key(&base) {
-            order.push(base.clone());
+/// Groups snapshot entries into Prometheus families: all samples of one
+/// instrument rendered together under a single `# HELP`/`# TYPE` pair, in
+/// order of first appearance — the bare series first, labeled series after
+/// in snapshot order.
+fn family_groups<T>(entries: &[(Series, T)]) -> Vec<Vec<&(Series, T)>> {
+    let mut index: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut groups: Vec<Vec<&(Series, T)>> = Vec::new();
+    for entry in entries {
+        let at = *index.entry(entry.0.name()).or_insert(groups.len());
+        if at == groups.len() {
+            groups.push(Vec::new());
         }
-        groups.entry(base).or_default().push((labels, v.clone()));
+        groups[at].push(entry);
     }
-    order
-        .into_iter()
-        .map(|base| {
-            let samples = groups.remove(&base).unwrap_or_default();
-            (base, samples)
-        })
-        .collect()
+    groups
 }
 
 /// Renders a metrics snapshot in Prometheus text exposition format
@@ -478,44 +457,32 @@ fn family_groups<T: Clone>(entries: &[(String, T)]) -> Vec<(String, Vec<LabeledS
 /// quantile estimates from the log₂ buckets.
 pub fn render_prometheus(s: &crate::metrics::Snapshot) -> String {
     let mut out = String::new();
-    for (base, samples) in family_groups(&s.counters) {
-        let n = prom_name(&base);
-        let help = escape_help(crate::metrics::help_for(&base));
-        out.push_str(&format!("# HELP {n} {help}\n# TYPE {n} counter\n"));
-        for (labels, v) in samples {
-            out.push_str(&format!("{n}{} {v}\n", prom_labels(&labels, None)));
-        }
+    fn header(out: &mut String, name: &str, kind: &str) -> String {
+        let n = prom_name(name);
+        let help = escape_help(crate::metrics::help_for(name));
+        out.push_str(&format!("# HELP {n} {help}\n# TYPE {n} {kind}\n"));
+        n
     }
-    for (base, samples) in family_groups(&s.gauges) {
-        let n = prom_name(&base);
-        let help = escape_help(crate::metrics::help_for(&base));
-        out.push_str(&format!("# HELP {n} {help}\n# TYPE {n} gauge\n"));
-        for (labels, v) in samples {
-            out.push_str(&format!("{n}{} {v}\n", prom_labels(&labels, None)));
-        }
-    }
-    for (base, samples) in family_groups(&s.histograms) {
-        let n = prom_name(&base);
-        let help = escape_help(crate::metrics::help_for(&base));
-        out.push_str(&format!("# HELP {n} {help}\n# TYPE {n} summary\n"));
-        for (labels, h) in samples {
-            for (q, v) in [("0.5", h.p50), ("0.9", h.p90), ("0.99", h.p99)] {
-                out.push_str(&format!(
-                    "{n}{} {}\n",
-                    prom_labels(&labels, Some(("quantile", q))),
-                    prom_f64(v)
-                ));
+    fn scalars<T: std::fmt::Display>(out: &mut String, entries: &[(Series, T)], kind: &str) {
+        for samples in family_groups(entries) {
+            let n = header(out, samples[0].0.name(), kind);
+            for (series, v) in samples {
+                out.push_str(&format!("{n}{} {v}\n", prom_labels(series, None)));
             }
-            out.push_str(&format!(
-                "{n}_sum{} {}\n",
-                prom_labels(&labels, None),
-                prom_f64(h.sum)
-            ));
-            out.push_str(&format!(
-                "{n}_count{} {}\n",
-                prom_labels(&labels, None),
-                h.count
-            ));
+        }
+    }
+    scalars(&mut out, &s.counters, "counter");
+    scalars(&mut out, &s.gauges, "gauge");
+    for samples in family_groups(&s.histograms) {
+        let n = header(&mut out, samples[0].0.name(), "summary");
+        for (series, h) in samples {
+            for (q, v) in [("0.5", h.p50), ("0.9", h.p90), ("0.99", h.p99)] {
+                let labels = prom_labels(series, Some(("quantile", q)));
+                out.push_str(&format!("{n}{labels} {v:.6}\n"));
+            }
+            let labels = prom_labels(series, None);
+            out.push_str(&format!("{n}_sum{labels} {:.6}\n", h.sum));
+            out.push_str(&format!("{n}_count{labels} {}\n", h.count));
         }
     }
     out

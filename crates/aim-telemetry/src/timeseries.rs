@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::metrics::{self, HistogramSnapshot};
+use crate::metrics::{self, HistogramSnapshot, Series};
 use crate::report::json_escape;
 
 /// Default ring capacity: enough for a few hours of minute-grained windows.
@@ -61,51 +61,43 @@ pub struct Window {
     /// Wall-clock span of the window. The first window after a reset has no
     /// predecessor tick and reports [`Duration::ZERO`] (its rates are 0).
     pub duration: Duration,
-    /// `(name, delta, rate per second)` for counters that moved.
-    pub counters: Vec<(String, u64, f64)>,
+    /// `(series, delta, rate per second)` for counters that moved.
+    pub counters: Vec<(Series, u64, f64)>,
     /// Windowed stats for histograms that received observations.
-    pub histograms: Vec<(String, WindowHistogram)>,
+    pub histograms: Vec<(Series, WindowHistogram)>,
 }
 
 impl Window {
-    /// Delta of a counter over this window, `None` if it did not move.
+    /// Delta of a counter's bare (all-tenant) series over this window,
+    /// `None` if it did not move.
     pub fn counter_delta(&self, name: &str) -> Option<u64> {
         self.counters
             .iter()
-            .find(|(n, _, _)| n == name)
+            .find(|(s, _, _)| s.is_bare(name))
             .map(|(_, d, _)| *d)
     }
 
-    /// Windowed stats for a histogram, `None` if it saw no observations.
+    /// Windowed stats of a histogram's bare (all-tenant) series, `None` if
+    /// it saw no observations.
     pub fn histogram(&self, name: &str) -> Option<&WindowHistogram> {
         self.histograms
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(s, _)| s.is_bare(name))
             .map(|(_, h)| h)
     }
 
-    /// Every labeled variant of histogram `base` that saw observations in
-    /// this window, as `(labels, stats)`; the unlabeled series appears
-    /// with an empty label list.
-    pub fn histogram_series(&self, base: &str) -> Vec<(Vec<(String, String)>, &WindowHistogram)> {
+    /// Per-tenant views of histogram `name`: the bare (all-tenant) series
+    /// as `None` and each purely tenant-labeled series as `Some(tenant)`.
+    /// Series carrying extra labels (e.g. a `phase` from a tuning worker)
+    /// are deliberately excluded so live-traffic judgments (sentinel,
+    /// SLOs) are not polluted by tuning-internal replays.
+    pub fn tenant_histograms(&self, name: &str) -> Vec<(Option<String>, &WindowHistogram)> {
         self.histograms
             .iter()
-            .filter(|(n, _)| metrics::series_base(n) == base)
-            .map(|(n, h)| (metrics::parse_series(n).1, h))
-            .collect()
-    }
-
-    /// Per-tenant views of histogram `base`: the unlabeled (all-tenant)
-    /// series as `None` and each purely tenant-labeled series as
-    /// `Some(tenant)`. Series carrying extra labels (e.g. a `phase` from a
-    /// tuning worker) are deliberately excluded so live-traffic judgments
-    /// (sentinel, SLOs) are not polluted by tuning-internal replays.
-    pub fn tenant_histograms(&self, base: &str) -> Vec<(Option<String>, &WindowHistogram)> {
-        self.histogram_series(base)
-            .into_iter()
-            .filter_map(|(labels, h)| match labels.as_slice() {
+            .filter(|(s, _)| s.name() == name)
+            .filter_map(|(s, h)| match s.labels() {
                 [] => Some((None, h)),
-                [(k, v)] if k == "tenant" => Some((Some(v.clone()), h)),
+                [("tenant", v)] => Some((Some(v.clone()), h)),
                 _ => None,
             })
             .collect()
@@ -124,7 +116,7 @@ impl Window {
             }
             out.push_str(&format!(
                 "\"{}\":{{\"delta\":{},\"rate\":{:.3}}}",
-                json_escape(name),
+                json_escape(&name.to_string()),
                 delta,
                 rate
             ));
@@ -136,7 +128,7 @@ impl Window {
             }
             out.push_str(&format!(
                 "\"{}\":{{\"count\":{},\"sum\":{:.3},\"p50\":{:.3},\"p90\":{:.3},\"p99\":{:.3}}}",
-                json_escape(name),
+                json_escape(&name.to_string()),
                 h.count,
                 h.sum,
                 h.p50,
@@ -148,14 +140,11 @@ impl Window {
     }
 }
 
-/// Cumulative histogram state at a tick: count, sum, non-empty buckets.
-type HistBaseline = (u64, f64, Vec<(f64, u64)>);
-
 /// Cumulative baseline captured at the previous tick.
 struct Baseline {
     at: Instant,
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, HistBaseline>,
+    counters: BTreeMap<Series, u64>,
+    histograms: BTreeMap<Series, HistogramSnapshot>,
 }
 
 struct State {
@@ -211,9 +200,7 @@ fn window_histogram(count: u64, sum: f64, deltas: Vec<(f64, u64)>) -> WindowHist
         min,
         max,
         buckets: deltas,
-        p50: 0.0,
-        p90: 0.0,
-        p99: 0.0,
+        ..HistogramSnapshot::default()
     };
     WindowHistogram {
         count,
@@ -256,18 +243,16 @@ pub fn tick(label: &str) -> Option<Window> {
         }
 
         let mut histograms = Vec::new();
+        let empty = HistogramSnapshot::default();
         for (name, h) in &snap.histograms {
-            let (pc, ps, pb) = baseline
-                .as_ref()
-                .and_then(|b| b.histograms.get(name))
-                .cloned()
-                .unwrap_or((0, 0.0, Vec::new()));
-            let count = h.count.saturating_sub(pc);
+            let before = baseline.as_ref().and_then(|b| b.histograms.get(name));
+            let before = before.unwrap_or(&empty);
+            let count = h.count.saturating_sub(before.count);
             if count == 0 {
                 continue;
             }
-            let sum = (h.sum - ps).max(0.0);
-            let deltas = bucket_deltas(&h.buckets, &pb);
+            let sum = (h.sum - before.sum).max(0.0);
+            let deltas = bucket_deltas(&h.buckets, &before.buckets);
             histograms.push((name.clone(), window_histogram(count, sum, deltas)));
         }
 
@@ -286,11 +271,7 @@ pub fn tick(label: &str) -> Option<Window> {
         s.last = Some(Baseline {
             at: now,
             counters: snap.counters.iter().cloned().collect(),
-            histograms: snap
-                .histograms
-                .iter()
-                .map(|(n, h)| (n.clone(), (h.count, h.sum, h.buckets.clone())))
-                .collect(),
+            histograms: snap.histograms.iter().cloned().collect(),
         });
         window
     });

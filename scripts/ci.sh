@@ -39,15 +39,6 @@ echo "== storage smoke (disk-engine durability & costing gate)"
 # index survival, buffer-pool + WAL traffic, and est-vs-actual page error.
 ./target/release/bench_storage smoke
 
-echo "== observe smoke (telemetry overhead gate)"
-# Times the same point-select loop with telemetry absent vs disarmed (every
-# hook invoked, all no-ops) vs armed+recording vs labeled (armed plus a
-# rotating 64-tenant scope so every instrument records a dimensional twin),
-# interleaved with rotating order. Exits non-zero when the disarmed overhead
-# or the labeled-over-armed overhead exceeds its smoke bound, or when the
-# artifact fails jsonv validation (labeled_overhead_pct must be numeric).
-./target/release/bench_observe smoke
-
 echo "== fleet smoke (fleet-scale budget-allocation gate)"
 # Tunes a 12-tenant Zipf-skewed fleet through the FleetSession driver:
 # every tenant must converge, the fleet-level knapsack split must not lose
