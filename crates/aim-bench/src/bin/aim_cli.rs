@@ -121,17 +121,15 @@ fn main() {
             min_benefit: 0.5,
             ..Default::default()
         })
-        .backend(backend)
         .selection_strategy(strategy)
         .session();
-    let mut db = session.provision_database().unwrap_or_else(|e| {
+    let mut db = backend.provision().unwrap_or_else(|e| {
         eprintln!("failed to open database: {e}");
         std::process::exit(1);
     });
 
     println!(
-        "AIM shell ({} backend) — type SQL, or \\help for commands.",
-        session.config().backend
+        "AIM shell ({backend} backend) — type SQL, or \\help for commands."
     );
     let stdin = std::io::stdin();
     let mut out = std::io::stdout();

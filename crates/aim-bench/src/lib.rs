@@ -1,8 +1,6 @@
 //! Shared helpers for the experiment harnesses (one binary per table /
 //! figure of the paper — see `src/bin/`).
 
-pub mod microbench;
-
 use aim_core::AimConfig;
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_storage::{Database, IndexDef};
@@ -110,22 +108,6 @@ pub fn measure_avg_cost(
     } else {
         cost / n as f64
     }
-}
-
-/// Prints one CSV row to stdout.
-pub fn csv_row(fields: &[String]) {
-    println!("{}", fields.join(","));
-}
-
-/// Writes a `bench_*` artifact and returns its path: a recorded run goes
-/// to the tracked `results/<name>`, a smoke run (CI) to the ignored
-/// `target/smoke/<name>`, so a gate never touches a tracked file.
-pub fn write_artifact(name: &str, smoke: bool, json: &str) -> std::io::Result<String> {
-    let dir = if smoke { "target/smoke" } else { "results" };
-    std::fs::create_dir_all(dir)?;
-    let path = format!("{dir}/{name}");
-    std::fs::write(&path, json)?;
-    Ok(path)
 }
 
 #[cfg(test)]

@@ -1,0 +1,82 @@
+//! `aim_cli explain`, run as a process: the JSON form keeps the
+//! `ExplainPlan` contract its consumers parse, the text form names the
+//! access path the planner chose.
+
+use aim_telemetry::jsonv::{self, Json};
+use std::process::Command;
+
+const SQL: &str = "SELECT id FROM orders WHERE customer_id = 7";
+
+/// Runs `aim_cli explain ARGS demo SQL` and returns its stdout.
+fn explain(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_aim_cli"))
+        .arg("explain")
+        .args(args)
+        .args(["demo", SQL])
+        .output()
+        .expect("aim_cli starts");
+    assert!(
+        out.status.success(),
+        "aim_cli explain {args:?} exited with {}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("explain output is UTF-8")
+}
+
+#[test]
+fn explain_json_keeps_the_explain_plan_contract() {
+    let text = explain(&["--json"]);
+    let doc = jsonv::parse(text.trim()).unwrap_or_else(|e| panic!("{e}:\n{text}"));
+    let nodes = doc
+        .path("nodes")
+        .and_then(Json::as_arr)
+        .expect("nodes array");
+    assert!(!nodes.is_empty(), "explain has no plan nodes");
+    for node in nodes {
+        for key in ["step", "binding", "table", "est_rows", "est_cost"] {
+            assert!(node.path(key).is_some(), "node missing {key}: {text}");
+        }
+        let alts = node
+            .path("alternatives")
+            .and_then(Json::as_arr)
+            .expect("node has an alternatives array");
+        assert!(!alts.is_empty(), "node has no alternatives");
+        let chosen: Vec<&Json> = alts
+            .iter()
+            .filter(|a| a.path("chosen").and_then(Json::as_bool) == Some(true))
+            .collect();
+        assert_eq!(
+            chosen.len(),
+            1,
+            "exactly one chosen alternative per node: {text}"
+        );
+        assert!(
+            chosen[0].path("est_cost").and_then(Json::as_f64).is_some(),
+            "the chosen alternative must be priced: {text}"
+        );
+        for a in alts {
+            assert!(
+                a.path("access").and_then(Json::as_str).is_some(),
+                "alternative missing access"
+            );
+            assert!(
+                a.path("reason").and_then(Json::as_str).is_some(),
+                "alternative missing reason"
+            );
+        }
+    }
+    for key in ["est_cost", "est_rows", "order_via_index", "group_via_index"] {
+        assert!(doc.path(key).is_some(), "plan missing {key}: {text}");
+    }
+}
+
+#[test]
+fn explain_text_names_the_chosen_access() {
+    let text = explain(&[]);
+    assert!(
+        text.lines()
+            .any(|l| l.trim_start().starts_with("chosen") && l.contains("full scan")),
+        "an untuned demo database scans orders in full:\n{text}"
+    );
+}

@@ -5,9 +5,8 @@
 //! per deployment is how the production instance is provisioned: purely
 //! in-memory (benchmarks, unit tests, MyShadow clones) or on the
 //! disk-backed pager engine (WAL, buffer pool, crash recovery). A
-//! [`BackendSpec`] captures that choice declaratively so it can sit in an
-//! [`AimConfig`](crate::AimConfig), be parsed off a CLI flag, and be
-//! provisioned at the single place a session first touches the database.
+//! [`BackendSpec`] captures that choice declaratively so it can be parsed
+//! off a CLI flag and provisioned where a deployment opens its database.
 
 use aim_storage::{Database, PagerOptions, StorageError};
 use std::fmt;

@@ -318,12 +318,12 @@ impl FleetOutcome {
 
 /// What the probe phase learned about one tenant.
 struct Probe {
-    ranked: Vec<RankedCandidate>,
+    /// The ranked candidates, or why the tenant could not be probed.
+    ranked: Result<Vec<RankedCandidate>, AimError>,
     /// Existing secondary-index footprint (shard-multiplied).
     used: u64,
     /// Window CPU — the hot/cold signal.
     hotness: f64,
-    error: Option<AimError>,
 }
 
 /// The fleet driver. Built via [`FleetConfig::builder`]; one
@@ -409,7 +409,7 @@ impl FleetSession {
         let tuned: Vec<TenantOutcome> = {
             let _s = tel::span("fleet.tune");
             run_pool(workers, tenants.iter_mut().enumerate(), |(i, t)| {
-                if let Some(err) = &probes[i].error {
+                if let Err(err) = &probes[i].ranked {
                     // The probe already failed this tenant; don't spend
                     // budgeted tune time re-failing it — account for it.
                     let _scope = tel::scope_phase(&t.id, "tune");
@@ -594,15 +594,10 @@ impl FleetSession {
             &base.selection,
             &mut AimOutcome::default(),
         );
-        let (ranked, error) = match planned {
-            Ok((_, ranked)) => (ranked, None),
-            Err(e) => (Vec::new(), Some(e)),
-        };
         Probe {
-            ranked,
+            ranked: planned.map(|(_, ranked)| ranked),
             used: tenant.db.total_secondary_index_bytes().saturating_mul(shard_mult),
             hotness: tenant.monitor.total_cpu(),
-            error,
         }
     }
 }
@@ -635,7 +630,7 @@ fn allocate_budgets(cfg: &FleetConfig, probes: &[Probe]) -> (Vec<u64>, u64, u64)
     let mut remaining = cfg.fleet_budget.saturating_sub(total_used);
     let mut items: Vec<(f64, usize, usize, u64)> = Vec::new();
     for (ti, p) in probes.iter().enumerate() {
-        for (ci, r) in p.ranked.iter().enumerate() {
+        for (ci, r) in p.ranked.iter().flatten().enumerate() {
             if r.utility() > 0.0 {
                 items.push((r.density(), ti, ci, r.size_bytes));
             }
@@ -690,7 +685,7 @@ fn collect_seeds(probes: &[Probe], max_per_tenant: usize) -> Vec<(String, Partia
     let hot = hot_tenants(probes);
     let mut seen: BTreeSet<(String, PartialOrder)> = BTreeSet::new();
     for i in &hot {
-        for r in probes[*i].ranked.iter().take(max_per_tenant) {
+        for r in probes[*i].ranked.iter().flatten().take(max_per_tenant) {
             seen.insert((r.candidate.table.clone(), r.candidate.po.clone()));
         }
     }
@@ -840,8 +835,8 @@ mod tests {
     #[test]
     fn uniform_allocation_splits_evenly() {
         let probes = vec![
-            Probe { ranked: Vec::new(), used: 0, hotness: 1.0, error: None },
-            Probe { ranked: Vec::new(), used: 0, hotness: 2.0, error: None },
+            Probe { ranked: Ok(Vec::new()), used: 0, hotness: 1.0 },
+            Probe { ranked: Ok(Vec::new()), used: 0, hotness: 2.0 },
         ];
         let cfg = FleetConfig::builder()
             .base(quick_base())
@@ -874,8 +869,8 @@ mod tests {
         }
         // Tenant 0's candidate is 10× denser; budget only fits one.
         let probes = vec![
-            Probe { ranked: vec![cand(1000.0, 400)], used: 0, hotness: 5.0, error: None },
-            Probe { ranked: vec![cand(100.0, 400)], used: 0, hotness: 1.0, error: None },
+            Probe { ranked: Ok(vec![cand(1000.0, 400)]), used: 0, hotness: 5.0 },
+            Probe { ranked: Ok(vec![cand(100.0, 400)]), used: 0, hotness: 1.0 },
         ];
         let cfg = FleetConfig::builder()
             .base(quick_base())
@@ -891,7 +886,7 @@ mod tests {
 
     #[test]
     fn hot_tenants_are_top_quartile_with_traffic() {
-        let mk = |h: f64| Probe { ranked: Vec::new(), used: 0, hotness: h, error: None };
+        let mk = |h: f64| Probe { ranked: Ok(Vec::new()), used: 0, hotness: h };
         let probes = vec![mk(1.0), mk(9.0), mk(0.0), mk(3.0), mk(2.0), mk(0.5), mk(4.0), mk(0.1)];
         let hot = hot_tenants(&probes);
         assert_eq!(hot, BTreeSet::from([1, 6])); // 8/4 = 2 hottest (9.0, 4.0)

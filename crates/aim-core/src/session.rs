@@ -34,7 +34,6 @@
 //! let outcome = session.run(&mut db, &monitor)?;
 //! ```
 
-use crate::backend::BackendSpec;
 use crate::candidates::CandidateGenConfig;
 use crate::error::AimError;
 use crate::ledger::{DecisionLedger, Decisions};
@@ -208,10 +207,6 @@ pub struct AimConfig {
     /// GC). Off by default: when false the pipeline performs one bool
     /// check per phase and allocates nothing.
     pub record_ledger: bool,
-    /// Storage backend the production database is provisioned on (see
-    /// [`TuningSession::provision_database`]). The advisor pipeline itself
-    /// is backend-agnostic: validation clones are always in-memory.
-    pub backend: BackendSpec,
     /// How the final index set is chosen from the ranked candidates
     /// (greedy knapsack by default; LP relaxation opt-in).
     pub selection_strategy: SelectionStrategy,
@@ -234,7 +229,6 @@ impl Default for AimConfig {
             sharding: None,
             workers: 0,
             record_ledger: false,
-            backend: BackendSpec::Memory,
             selection_strategy: SelectionStrategy::default(),
             tenant_label: None,
         }
@@ -371,14 +365,6 @@ impl AimConfigBuilder {
         self
     }
 
-    /// Storage backend the production database is provisioned on
-    /// ([`BackendSpec::Memory`] by default). See
-    /// [`TuningSession::provision_database`].
-    pub fn backend(mut self, backend: BackendSpec) -> Self {
-        self.cfg.backend = backend;
-        self
-    }
-
     /// How the final index set is chosen from the ranked candidates:
     /// greedy knapsack (default) or the CoPhy-style LP relaxation
     /// ([`crate::selection_lp`]). Named `selection_strategy` because
@@ -448,17 +434,6 @@ impl TuningSession {
     /// The pass configuration.
     pub fn config(&self) -> &AimConfig {
         &self.config
-    }
-
-    /// Provisions the production database on the configured
-    /// [`BackendSpec`]: a fresh in-memory instance, or a recovered
-    /// disk-backed one (WAL replay, working-set load, re-ANALYZE).
-    /// Injected storage faults surface as the retryable
-    /// [`AimError::Fault`].
-    pub fn provision_database(&self) -> Result<Database, AimError> {
-        self.config.backend.provision().map_err(|e| {
-            AimError::from_exec("provision", ExecError::Storage(e))
-        })
     }
 
     /// The execution engine used for validation replay.

@@ -1,7 +1,8 @@
 //! Structured EXPLAIN: the planner's decision, with the paths it rejected.
 //!
-//! [`Plan::explain`](crate::planner::Plan::explain) prints what the planner
-//! chose; an [`ExplainPlan`] additionally records what it *didn't* choose —
+//! A [`Plan`] holds what the planner chose
+//! ([`Plan::access_summary`] prints it in one line); an [`ExplainPlan`]
+//! additionally records what it *didn't* choose —
 //! every candidate access path per join step (full scan, PK, each
 //! materialized secondary, each hypothetical index, OR-union) with its
 //! estimated cost, or the reason it was unusable. That makes "why didn't

@@ -191,37 +191,6 @@ impl Plan {
             .collect::<Vec<_>>()
             .join(" -> ")
     }
-
-    /// One-line-per-step EXPLAIN text.
-    pub fn explain(&self, binder: &Binder) -> String {
-        let mut s = String::new();
-        for (i, step) in self.steps.iter().enumerate() {
-            let t = &binder.tables()[step.table_idx];
-            let path = match &step.path {
-                AccessPath::FullScan => "full scan".to_string(),
-                AccessPath::IndexScan(ix) => format!(
-                    "index {} (eq prefix {}, range {}, covering {})",
-                    ix.index.label(),
-                    ix.eq.len(),
-                    ix.range.is_some(),
-                    ix.covering
-                ),
-                AccessPath::OrUnion(branches) => format!(
-                    "index-merge union over {} branches",
-                    branches.len()
-                ),
-            };
-            s.push_str(&format!(
-                "{i}: {} ({}) via {path}, ~{:.0} rows each, cost {:.1}\n",
-                t.binding, t.table, step.rows_each, step.cost_each
-            ));
-        }
-        s.push_str(&format!(
-            "=> ~{:.0} rows, est cost {:.1}, order_via_index={}, group_via_index={}\n",
-            self.result_rows, self.est_cost, self.order_via_index, self.group_via_index
-        ));
-        s
-    }
 }
 
 /// Identity of an index within one planner — what a price is remembered
@@ -381,6 +350,16 @@ struct IndexEntry<'a> {
     prices: HashMap<usize, Option<Priced>>,
 }
 
+/// A partial join order the search keeps: the tables it binds, what
+/// joining them costs and yields, and the step that completed it from the
+/// order kept under key `last.0` (`None`: the empty order).
+struct Partial {
+    bound: Vec<usize>,
+    cost: f64,
+    rows: f64,
+    last: Option<(usize, TableStep)>,
+}
+
 /// Planner context for one SELECT.
 pub struct Planner<'a> {
     config: &'a HypoConfig,
@@ -461,17 +440,14 @@ impl<'a> Planner<'a> {
                 group_via_index: false,
             });
         }
+        // One table has one order; most statements planned are this case.
         let (steps, join_rows, scan_cost) = if n == 1 {
             let step = self.best_access(0, &[], true)?;
-            let rows = step.rows_each;
-            let cost = step.cost_each;
+            let (rows, cost) = (step.rows_each, step.cost_each);
             (vec![step], rows, cost)
-        } else if n <= DP_TABLE_LIMIT {
-            self.join_order_dp()?
         } else {
-            self.join_order_greedy()?
+            self.join_order()?
         };
-
         self.finish_plan(steps, join_rows, scan_cost)
     }
 
@@ -543,110 +519,70 @@ impl<'a> Planner<'a> {
 
     // ------------------------------------------------------------ join order
 
-    /// Selinger-style DP over table subsets.
-    fn join_order_dp(&self) -> Result<(Vec<TableStep>, f64, f64), ExecError> {
+    /// Join order search: a partial order grows by the cheapest access
+    /// path of each table that may come next. Up to [`DP_TABLE_LIMIT`]
+    /// tables the cheapest order of every table subset is kept, under the
+    /// subset's bitmask (Selinger-style DP); a wider FROM list keeps the
+    /// one cheapest order of each size, under that size (greedy). Either
+    /// way a key's orders all extend orders under smaller keys, so one
+    /// ascending sweep settles each before it is extended. Returns the
+    /// steps, the joined rows and the scan cost.
+    fn join_order(&self) -> Result<(Vec<TableStep>, f64, f64), ExecError> {
         let n = self.binder.len();
-        let full: u32 = (1u32 << n) - 1;
-        // best[mask] = (cost, rows, steps)
-        let mut best: Vec<Option<(f64, f64, Vec<TableStep>)>> = vec![None; 1 << n];
-        best[0] = Some((0.0, 1.0, Vec::new()));
-
-        for mask in 0u32..=full {
-            let Some((base_cost, base_rows, base_steps)) = best[mask as usize].clone() else {
-                continue;
-            };
-            // Prefer connected extensions; fall back to all remaining.
-            let mut extensions: Vec<usize> = Vec::new();
-            for t in 0..n {
-                if mask & (1 << t) != 0 {
-                    continue;
-                }
-                let connected = mask == 0
-                    || self.analysis.joins.iter().any(|j| {
-                        j.side_for(t).is_some_and(|(_, other)| {
-                            mask & (1 << other.table_idx) != 0
-                        })
-                    });
-                if connected {
-                    extensions.push(t);
-                }
-            }
-            if extensions.is_empty() {
-                extensions = (0..n).filter(|t| mask & (1 << t) == 0).collect();
-            }
-            for t in extensions {
-                let bound: Vec<usize> = (0..n).filter(|i| mask & (1 << i) != 0).collect();
-                let step = self.best_access(t, &bound, mask == 0)?;
-                let outer_rows = if mask == 0 { 1.0 } else { base_rows.max(1.0) };
-                let cost = base_cost + outer_rows * step.cost_each;
-                let rows = if mask == 0 {
-                    step.rows_each
-                } else {
-                    base_rows * step.rows_each
-                };
-                let next = mask | (1 << t);
-                let replace = match &best[next as usize] {
-                    None => true,
-                    Some((c, _, _)) => cost < *c,
-                };
-                if replace {
-                    let mut steps = base_steps.clone();
-                    steps.push(step);
-                    best[next as usize] = Some((cost, rows, steps));
+        let exhaustive = n <= DP_TABLE_LIMIT;
+        let full = if exhaustive { (1usize << n) - 1 } else { n };
+        let mut best: Vec<Option<Partial>> = (0..=full).map(|_| None).collect();
+        best[0] = Some(Partial { bound: Vec::new(), cost: 0.0, rows: 1.0, last: None });
+        for from in 0..full {
+            let (settled, open) = best.split_at_mut(from + 1);
+            let Some(base) = &settled[from] else { continue };
+            for t in self.extensions(&base.bound) {
+                let step = self.best_access(t, &base.bound, from == 0)?;
+                let cost = base.cost + base.rows.max(1.0) * step.cost_each;
+                let rows = base.rows * step.rows_each;
+                let key = if exhaustive { from | 1 << t } else { from + 1 };
+                let kept = &mut open[key - from - 1];
+                if kept.as_ref().is_none_or(|k| cost < k.cost) {
+                    let bound = base.bound.iter().copied().chain([t]).collect();
+                    *kept = Some(Partial { bound, cost, rows, last: Some((from, step)) });
                 }
             }
         }
-        let (cost, rows, steps) = best[full as usize]
-            .clone()
-            .ok_or_else(|| ExecError::Unsupported("join order search failed".into()))?;
+        let (rows, cost) = best[full]
+            .as_ref()
+            .map(|p| (p.rows, p.cost))
+            .expect("a partial order has an extension until it binds every table");
+        let mut steps = Vec::with_capacity(n);
+        let mut at = full;
+        while let Some((prev, step)) = best[at].take().and_then(|p| p.last) {
+            steps.push(step);
+            at = prev;
+        }
+        steps.reverse();
         Ok((steps, rows, cost))
     }
 
-    /// Greedy join order for very wide FROM lists.
-    fn join_order_greedy(&self) -> Result<(Vec<TableStep>, f64, f64), ExecError> {
-        let n = self.binder.len();
-        let mut remaining: BTreeSet<usize> = (0..n).collect();
-        let mut bound: Vec<usize> = Vec::new();
-        let mut steps = Vec::new();
-        let mut cost = 0.0f64;
-        let mut rows = 1.0f64;
-        while !remaining.is_empty() {
-            let mut candidates: Vec<usize> = remaining
-                .iter()
-                .copied()
-                .filter(|&t| {
-                    bound.is_empty()
-                        || self.analysis.joins.iter().any(|j| {
-                            j.side_for(t)
-                                .is_some_and(|(_, o)| bound.contains(&o.table_idx))
-                        })
-                })
-                .collect();
-            if candidates.is_empty() {
-                candidates = remaining.iter().copied().collect();
-            }
-            let mut best: Option<(f64, f64, TableStep)> = None;
-            for t in candidates {
-                let step = self.best_access(t, &bound, bound.is_empty())?;
-                let outer = if bound.is_empty() { 1.0 } else { rows.max(1.0) };
-                let c = outer * step.cost_each;
-                let r = if bound.is_empty() {
-                    step.rows_each
-                } else {
-                    rows * step.rows_each
-                };
-                if best.as_ref().is_none_or(|(bc, _, _)| c < *bc) {
-                    best = Some((c, r, step));
-                }
-            }
-            let (c, r, step) = best.expect("candidates non-empty");
-            cost += c;
-            rows = r;
-            remaining.remove(&step.table_idx);
-            bound.push(step.table_idx);
-            steps.push(step);
+    /// The tables that may follow `bound` in a join order, in table order:
+    /// those joined to a bound table, or every unbound table when no join
+    /// reaches out of `bound` (nothing is bound yet, or a cross product).
+    fn extensions(&self, bound: &[usize]) -> Vec<usize> {
+        let mut is_bound = vec![false; self.binder.len()];
+        for &t in bound {
+            is_bound[t] = true;
         }
-        Ok((steps, rows, cost))
+        let unbound = || (0..is_bound.len()).filter(|&t| !is_bound[t]);
+        let connected: Vec<usize> = unbound()
+            .filter(|&t| {
+                self.analysis.joins.iter().any(|j| {
+                    j.side_for(t).is_some_and(|(_, other)| is_bound[other.table_idx])
+                })
+            })
+            .collect();
+        if connected.is_empty() {
+            unbound().collect()
+        } else {
+            connected
+        }
     }
 
     // ------------------------------------------------------------ access path
@@ -1583,7 +1519,7 @@ mod tests {
         );
         assert_eq!(p.steps.len(), 2);
         // s (100 rows) should drive; t accessed via PK probes.
-        assert_eq!(p.steps[0].table_idx, 1, "{}", p.explain(&Binder::for_tables(&db, &[aim_sql::ast::TableRef::new("t"), aim_sql::ast::TableRef::new("s")]).unwrap()));
+        assert_eq!(p.steps[0].table_idx, 1, "{}", p.access_summary());
         match &p.steps[1].path {
             AccessPath::IndexScan(ix) => {
                 assert_eq!(ix.index, IndexChoice::Primary);
@@ -1826,8 +1762,7 @@ mod tests {
         let cfg = HypoConfig::none();
         let cm = CostModel::default();
         let planner = Planner::new(&db, &s, &cfg, &cm).unwrap();
-        let plan = planner.plan().unwrap();
-        let text = plan.explain(&planner.binder);
+        let text = planner.explain().unwrap().render_text();
         assert!(text.contains("ix_a"), "{text}");
     }
 }

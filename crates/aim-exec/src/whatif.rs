@@ -518,48 +518,6 @@ mod tests {
         );
     }
 
-    // One test covers both exec-layer fault sites: fault state is
-    // process-global, so sequencing them here avoids cross-test races
-    // without a shared lock.
-    #[test]
-    fn injected_faults_propagate_and_never_touch_the_cache() {
-        use aim_storage::fault::{self, FaultPlan};
-
-        let mut db = db();
-        let cache = WhatIfCache::new();
-        let cm = CostModel::default();
-        let s = select("SELECT id FROM t WHERE a = 7");
-        let cfg = HypoConfig::only(Vec::new());
-
-        // exec.whatif: fails before any cache interaction.
-        fault::arm(FaultPlan::new(1).fail("exec.whatif", 0, 1));
-        let err = cache.eval_select(&db, &s, &cfg, &cm).unwrap_err();
-        assert!(err.is_injected(), "unexpected error class: {err}");
-        let stats = cache.stats();
-        assert_eq!(
-            (stats.hits, stats.misses, stats.entries),
-            (0, 0, 0),
-            "injected fault must not touch counters or entries"
-        );
-        // Limit exhausted: the next call plans normally and memoizes.
-        cache.eval_select(&db, &s, &cfg, &cm).unwrap();
-        assert_eq!(cache.stats().entries, 1);
-        fault::disarm();
-
-        // exec.execute: both the statement path and the direct SELECT
-        // path consult the same site exactly once per call.
-        let engine = crate::executor::Engine::default();
-        fault::arm(FaultPlan::new(1).fail("exec.execute", 0, 2));
-        let stmt = parse_statement("SELECT id FROM t WHERE a = 7").unwrap();
-        let err = engine.execute(&mut db, &stmt).unwrap_err();
-        assert!(err.is_injected());
-        let err = engine.execute_select(&db, &s).unwrap_err();
-        assert!(err.is_injected());
-        engine.execute(&mut db, &stmt).unwrap();
-        let log = fault::disarm();
-        assert_eq!(log.len(), 2, "execute fired twice: {log:?}");
-    }
-
     #[test]
     fn batched_evaluation_is_bit_identical_to_sequential() {
         let db = db();
@@ -610,25 +568,5 @@ mod tests {
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
         }
-    }
-
-    #[test]
-    fn batched_evaluation_hits_fault_site_per_config() {
-        use aim_storage::fault::{self, FaultPlan};
-        let db = db();
-        let cm = CostModel::default();
-        let s = select("SELECT id FROM t WHERE a = 7");
-        let cfgs: Vec<HypoConfig> = (0..4).map(|_| HypoConfig::only(Vec::new())).collect();
-        let refs: Vec<&HypoConfig> = cfgs.iter().collect();
-        let cache = WhatIfCache::new();
-
-        // Skip 2 hits, fail 1: exactly the third config must error, and
-        // the injected failure must not be cached for it.
-        fault::arm(FaultPlan::new(1).fail("exec.whatif", 2, 1));
-        let got = cache.eval_select_batch(&db, &s, &refs, &cm);
-        let log = fault::disarm();
-        assert_eq!(log.len(), 1, "fault fired once: {log:?}");
-        assert!(got[0].is_ok() && got[1].is_ok() && got[3].is_ok());
-        assert!(got[2].as_ref().unwrap_err().is_injected());
     }
 }

@@ -13,7 +13,7 @@ use aim_exec::{CostModel, Engine};
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_sql::parse_statement;
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema, Value};
-use aim_telemetry::{EventKind, MemorySink};
+use aim_telemetry::EventKind;
 use aim_workloads::rng::{Rng, SeedableRng, StdRng};
 use std::sync::Mutex;
 
@@ -74,10 +74,6 @@ fn sentinel_rolls_back_a_seeded_regression_within_two_windows() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     aim_telemetry::enable();
     aim_telemetry::reset();
-    aim_telemetry::clear_sinks();
-    let sink = MemorySink::new();
-    let handle = sink.handle();
-    aim_telemetry::add_sink(Box::new(sink));
 
     let mut db = build_db(4000);
     let session = AimConfig::builder()
@@ -129,8 +125,8 @@ fn sentinel_rolls_back_a_seeded_regression_within_two_windows() {
     );
 
     // The rollback is journaled ...
-    let rollback_events: Vec<_> = handle
-        .events()
+    assert_eq!(aim_telemetry::journal::dropped(), 0, "journal evicted events");
+    let rollback_events: Vec<_> = aim_telemetry::journal::events()
         .into_iter()
         .filter(|e| e.kind == EventKind::RegressionRollback)
         .collect();
@@ -150,7 +146,6 @@ fn sentinel_rolls_back_a_seeded_regression_within_two_windows() {
         record.stages()
     );
 
-    aim_telemetry::clear_sinks();
     aim_telemetry::disable();
 }
 
@@ -165,10 +160,6 @@ fn per_tenant_slo_alert_rolls_back_only_the_regressed_tenant() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     aim_telemetry::enable();
     aim_telemetry::reset();
-    aim_telemetry::clear_sinks();
-    let sink = MemorySink::new();
-    let handle = sink.handle();
-    aim_telemetry::add_sink(Box::new(sink));
 
     let ids = ["alpha", "beta", "gamma"];
     let mut tenants: Vec<Tenant> = ids.iter().map(|id| Tenant::new(*id, build_db(4000))).collect();
@@ -254,8 +245,8 @@ fn per_tenant_slo_alert_rolls_back_only_the_regressed_tenant() {
     }
 
     // The SLO alert named alpha — and nobody else — ...
-    let slo_events: Vec<_> = handle
-        .events()
+    assert_eq!(aim_telemetry::journal::dropped(), 0, "journal evicted events");
+    let slo_events: Vec<_> = aim_telemetry::journal::events()
         .into_iter()
         .filter(|e| e.kind == EventKind::SloAlert)
         .collect();
@@ -269,8 +260,7 @@ fn per_tenant_slo_alert_rolls_back_only_the_regressed_tenant() {
     );
 
     // ... the journaled rollback is alpha's, alert-attributed ...
-    let rollbacks: Vec<_> = handle
-        .events()
+    let rollbacks: Vec<_> = aim_telemetry::journal::events()
         .into_iter()
         .filter(|e| e.kind == EventKind::RegressionRollback)
         .collect();
@@ -294,7 +284,6 @@ fn per_tenant_slo_alert_rolls_back_only_the_regressed_tenant() {
         last.detail
     );
 
-    aim_telemetry::clear_sinks();
     aim_telemetry::disable();
 }
 

@@ -49,7 +49,7 @@ pub enum BackendKind {
 }
 
 /// Aggregated buffer-pool / WAL / pager counters, exported through
-/// `aim-telemetry` and the `bench_storage` report.
+/// `aim-telemetry`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageCounters {
     pub bp_hits: u64,

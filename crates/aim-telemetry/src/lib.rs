@@ -16,8 +16,8 @@
 //!   all-tenant totals summed when read.
 //! * **Event journal** ([`journal`]) — a bounded ring buffer of structured
 //!   events (plan chosen, candidate merged, index accepted/rejected,
-//!   regression detected, validation verdict) fanned out to pluggable
-//!   [`sink::EventSink`]s: in-memory for tests, JSON-lines for `results/`.
+//!   regression detected, validation verdict), read back with
+//!   [`journal::events`] and served at `/journal`.
 //!
 //! Telemetry is **off by default**. When disabled, spans skip all
 //! bookkeeping (one atomic load + one `Instant::now`), counters are no-ops,
@@ -55,7 +55,6 @@ pub mod jsonv;
 pub mod metrics;
 pub mod report;
 pub mod serve;
-pub mod sink;
 pub mod slo;
 pub mod span;
 pub mod timeseries;
@@ -70,7 +69,6 @@ pub use report::{render_counters, render_profile, write_artifact};
 pub use serve::{
     clear_ledger_source, render_prometheus, set_ledger_source, IntrospectionServer,
 };
-pub use sink::{add_sink, clear_sinks, EventSink, JsonLinesSink, MemorySink};
 pub use span::{
     profile_snapshot, publish_profile, published_profile, span, take_profile, ProfileNode,
     SpanGuard,
@@ -101,7 +99,6 @@ pub fn is_enabled() -> bool {
 /// Clears all collected state: counters, gauges, histograms, labeled
 /// series, the event journal, the calling thread's span profile, the
 /// time-series ring, the trace recorder and registered SLO rules.
-/// Registered sinks are kept (use [`clear_sinks`] to drop them).
 pub fn reset() {
     metrics::reset();
     journal::reset();

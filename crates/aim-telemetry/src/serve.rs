@@ -529,6 +529,7 @@ mod tests {
 
         let (head, body) = get(addr, "/metrics");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert!(head.contains("text/plain; version=0.0.4"), "{head}");
         assert!(body.contains("# TYPE aim_exec_whatif_calls counter"));
         assert!(body.contains("aim_exec_whatif_calls 3"));
         assert!(body.contains("# TYPE aim_db_index_bytes gauge"));

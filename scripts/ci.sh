@@ -20,33 +20,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== code lines per crate (report, not a gate)"
 scripts/loc.sh
 
-echo "== chaos smoke (fault-injection resilience gate)"
-# Seeded fault schedule through the continuous tuning loop; exits non-zero on
-# a consistency violation, a leaked partial pass, or disarmed-run divergence.
-./target/release/chaos_smoke
-
-echo "== explain smoke (explainability & introspection gate)"
-# Validates the ExplainPlan JSON contract from a live `aim_cli explain` run,
-# then exercises the introspection endpoint lifecycle (/metrics quantiles,
-# /ledger chain, /profile, 404, shutdown port release).
-./target/release/aim_cli explain --json demo \
-    "SELECT id FROM orders WHERE customer_id = 7" \
-    | ./target/release/explain_smoke
-
-echo "== storage smoke (disk-engine durability & costing gate)"
-# Runs the full bench_storage harness in smoke mode against a scratch
-# directory: memory-vs-disk result equality, crash/reopen durability with
-# index survival, buffer-pool + WAL traffic, and est-vs-actual page error.
-./target/release/bench_storage smoke
-
-echo "== fleet smoke (fleet-scale budget-allocation gate)"
-# Tunes a 12-tenant Zipf-skewed fleet through the FleetSession driver:
-# every tenant must converge, the fleet-level knapsack split must not lose
-# to the uniform per-shard split, budget must actually move beyond the
-# uniform share, and the emitted artifact must be well-formed JSON
-# (validated in-process via aim_telemetry::jsonv).
-./target/release/bench_fleet smoke
-
 echo "== aim-e2e smoke + verify (end-to-end benchmark gate)"
 # Builds bench/ (its own package, same target directory) and runs the four
 # workloads at a tenth of their size, untraced then traced: exits non-zero
