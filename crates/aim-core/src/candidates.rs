@@ -15,10 +15,14 @@
 //! what-if optimizer during ranking).
 
 use crate::metadata::{analyze_structure, FactorGroup, QueryStructure, TableInfo};
-use crate::partial_order::{merge_partial_orders, PartialOrder};
+use crate::partial_order::{
+    close, is_subset, merge_into, ones, widen_with_seeds, ColumnIds, CompactOrder, PartialOrder,
+};
 use aim_monitor::{QueryStats, WorkloadQuery};
 use aim_sql::normalize::QueryFingerprint;
 use aim_storage::{Database, IndexDef};
+use std::cmp::Reverse;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Whether a query's candidates are generated in covering mode.
@@ -99,14 +103,6 @@ impl Default for CandidateGenConfig {
             seed_orders: Vec::new(),
         }
     }
-}
-
-/// A candidate partial order on one table, with query provenance.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CandidatePO {
-    pub table: String,
-    pub po: PartialOrder,
-    pub sources: BTreeSet<QueryFingerprint>,
 }
 
 /// A concrete candidate index: one total order satisfying a merged partial
@@ -371,12 +367,10 @@ fn candidates_for_selection_cfg(
 
 /// `GenerateCandidatesForGroupBy` (Algorithm 6).
 pub fn candidates_for_group_by(
-    db: &Database,
     structure: &QueryStructure,
     j: usize,
     mode: CoveringMode,
 ) -> Vec<(String, PartialOrder)> {
-    let _ = db;
     let mut out = Vec::new();
     for info in &structure.tables {
         if info.group_by.is_empty() {
@@ -418,12 +412,10 @@ pub fn candidates_for_group_by(
 /// `GenerateCandidatesForOrderBy` (Algorithm 7). Only uniform-ascending
 /// ORDER BY clauses produce candidates: the engine scans indexes forward.
 pub fn candidates_for_order_by(
-    db: &Database,
     structure: &QueryStructure,
     j: usize,
     mode: CoveringMode,
 ) -> Vec<(String, PartialOrder)> {
-    let _ = db;
     let mut out = Vec::new();
     for info in &structure.tables {
         if info.order_by.is_empty() || info.order_by.iter().any(|(_, desc)| *desc) {
@@ -495,17 +487,17 @@ pub fn generate_candidates(
 
 /// [`generate_candidates`] under a [`RunCtl`](crate::session::RunCtl):
 /// the deadline / cancel token is checked between workload queries and
-/// before the merge phase, so a session abort lands within one query's
-/// worth of work.
+/// between the tables of the merge phase, so a session abort lands within
+/// one query's or one table's worth of work.
 pub fn try_generate_candidates(
     db: &Database,
     workload: &[WorkloadQuery],
     cfg: &CandidateGenConfig,
     ctl: &crate::session::RunCtl,
 ) -> Result<Vec<CandidateIndex>, crate::error::AimError> {
-    // 1. Per-query partial orders with provenance.
+    // 1. Per-query partial orders with provenance, by table.
     let derive_span = aim_telemetry::span("derive_partial_orders");
-    let mut pos: Vec<CandidatePO> = Vec::new();
+    let mut by_table: BTreeMap<String, Vec<(PartialOrder, QueryFingerprint)>> = BTreeMap::new();
     for wq in workload {
         ctl.check("candidate_generation")?;
         let Ok(structure) = analyze_structure(db, &wq.stats.normalized) else {
@@ -558,179 +550,178 @@ pub fn try_generate_candidates(
                 cfg.ipp_relaxation_rows,
             ));
             if cfg.switches.index_order_scan {
-                query_pos.extend(candidates_for_group_by(
-                    db,
-                    &structure,
-                    cfg.join_parameter,
-                    mode,
-                ));
-                query_pos.extend(candidates_for_order_by(
-                    db,
-                    &structure,
-                    cfg.join_parameter,
-                    mode,
-                ));
+                query_pos.extend(candidates_for_group_by(&structure, cfg.join_parameter, mode));
+                query_pos.extend(candidates_for_order_by(&structure, cfg.join_parameter, mode));
             }
         }
         for (table, po) in query_pos {
             if po.is_empty() {
                 continue;
             }
-            pos.push(CandidatePO {
-                table,
-                po,
-                sources: [wq.stats.fingerprint].into(),
-            });
+            by_table.entry(table).or_default().push((po, wq.stats.fingerprint));
         }
     }
 
     drop(derive_span);
 
     // 2. Merge partial orders per table (§III-E).
-    ctl.check("candidate_generation")?;
     let _merge_span = aim_telemetry::span("partial_order_merge");
-    let mut by_table: BTreeMap<String, Vec<CandidatePO>> = BTreeMap::new();
-    for c in pos {
-        by_table.entry(c.table.clone()).or_default().push(c);
+    let mut candidates: Vec<CandidateIndex> = Vec::new();
+    for (table, derived) in &by_table {
+        ctl.check("candidate_generation")?;
+        candidates.extend(table_candidates(db, table, derived, cfg));
     }
-
-    // Cross-shard seeding (fleet tuning): seed orders from hotter tenants
-    // widen this shard's locally derived orders. The derived orders carry
-    // no sources of their own — provenance attaches below only when a
-    // local order is served by the widened one, so a seed with no local
-    // evidence cannot produce a candidate.
-    if !cfg.seed_orders.is_empty() {
-        for (table, cands) in by_table.iter_mut() {
-            let seeds: Vec<PartialOrder> = cfg
-                .seed_orders
-                .iter()
-                .filter(|(t, _)| t == table)
-                .map(|(_, po)| po.clone())
-                .collect();
-            if seeds.is_empty() {
-                continue;
-            }
-            let local: Vec<PartialOrder> = cands.iter().map(|c| c.po.clone()).collect();
-            let derived = crate::partial_order::merge_cross_shard(&local, &seeds);
-            if !derived.is_empty() && aim_telemetry::is_enabled() {
-                aim_telemetry::event(
-                    aim_telemetry::EventKind::CandidateMerged,
-                    table.clone(),
-                    format!(
-                        "cross-shard seeding: {} seed orders widened {} local orders into {}",
-                        seeds.len(),
-                        local.len(),
-                        derived.len()
-                    ),
-                );
-            }
-            for po in derived {
-                cands.push(CandidatePO {
-                    table: table.clone(),
-                    po,
-                    sources: BTreeSet::new(),
-                });
-            }
-        }
-    }
-
-    let mut out: BTreeMap<(String, Vec<String>), CandidateIndex> = BTreeMap::new();
-    for (table, cands) in by_table {
-        let orders: Vec<PartialOrder> = cands.iter().map(|c| c.po.clone()).collect();
-        let merged = if cfg.merge {
-            let before = orders.len();
-            let merged = merge_partial_orders(&orders, true);
-            if aim_telemetry::is_enabled() && merged.len() != before {
-                aim_telemetry::event(
-                    aim_telemetry::EventKind::CandidateMerged,
-                    &table,
-                    format!("{before} partial orders -> {} after closure", merged.len()),
-                );
-            }
-            merged
-        } else {
-            let mut unique = orders;
-            unique.sort();
-            unique.dedup();
-            unique
-        };
-        for po in merged {
-            // 3. One concrete index per partial order
-            //    (`GenerateCandidateIndexPerPO`): more selective columns
-            //    first within each partition, via dataless statistics.
-            let total = po.total_order_by(|c| {
-                let ndv = if cfg.use_stats {
-                    db.stats(&table)
-                        .and_then(|s| s.column(c))
-                        .map_or(0, |cs| cs.ndv)
-                } else {
-                    0
-                };
-                (std::cmp::Reverse(ndv), c.to_string())
-            });
-            let mut columns = total;
-            if cfg.max_width > 0 && columns.len() > cfg.max_width {
-                columns.truncate(cfg.max_width);
-            }
-            if columns.is_empty() {
-                continue;
-            }
-            // Skip candidates that duplicate the table's primary key prefix.
-            if let Ok(t) = db.table(&table) {
-                let pk: Vec<String> = t
-                    .schema()
-                    .primary_key_names()
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect();
-                if pk.starts_with(&columns[..]) || columns[..].starts_with(&pk) && columns.len() == pk.len() {
-                    continue;
-                }
-            }
-            // Provenance: every input partial order this index serves.
-            let mut sources = BTreeSet::new();
-            for c in &cands {
-                if c.po.columns().is_subset(&po.columns())
-                    && c
-                        .po
-                        .merge_pairwise(&po)
-                        .is_some_and(|m| m.is_satisfied_by(&columns))
-                {
-                    sources.extend(c.sources.iter().copied());
-                }
-            }
-            if sources.is_empty() {
-                // Width truncation may have broken exact satisfaction; a
-                // truncated index is a usable prefix of what the query
-                // wanted, so attribute sources in either subset direction.
-                let col_set: BTreeSet<String> = columns.iter().cloned().collect();
-                for c in &cands {
-                    let qc = c.po.columns();
-                    if qc.is_subset(&col_set) || col_set.is_subset(&qc) {
-                        sources.extend(c.sources.iter().copied());
-                    }
-                }
-            }
-            if sources.is_empty() {
-                continue;
-            }
-            let key = (table.clone(), columns.clone());
-            out.entry(key)
-                .and_modify(|e| e.sources.extend(sources.iter().copied()))
-                .or_insert(CandidateIndex {
-                    table: table.clone(),
-                    columns,
-                    po: po.clone(),
-                    sources,
-                });
-        }
-    }
-    let candidates: Vec<CandidateIndex> = out.into_values().collect();
     aim_telemetry::metrics::CANDIDATES_GENERATED.add(candidates.len() as u64);
     for c in &candidates {
         aim_telemetry::metrics::histogram_record("aim.candidate_width", c.width() as f64);
     }
     Ok(candidates)
+}
+
+/// One table's candidates from the partial orders its queries derived, in
+/// the compact form of [`crate::partial_order`]: distinct orders with their
+/// sources unioned, widened by the fleet's seeds, closed under merging,
+/// then one concrete index per merged order carrying the sources of every
+/// input order it serves. Ascending by key columns.
+fn table_candidates(
+    db: &Database,
+    table: &str,
+    derived: &[(PartialOrder, QueryFingerprint)],
+    cfg: &CandidateGenConfig,
+) -> Vec<CandidateIndex> {
+    let seeds: Vec<&PartialOrder> = cfg
+        .seed_orders
+        .iter()
+        .filter(|(t, _)| t == table)
+        .map(|(_, po)| po)
+        .collect();
+    let ids = ColumnIds::of(derived.iter().map(|(po, _)| po).chain(seeds.iter().copied()));
+    let mut scratch = ids.scratch();
+    let mut inputs: BTreeMap<CompactOrder, BTreeSet<QueryFingerprint>> = BTreeMap::new();
+    for (po, source) in derived {
+        ids.compact_into(po, &mut scratch);
+        match inputs.get_mut(&scratch) {
+            Some(sources) => {
+                sources.insert(*source);
+            }
+            None => {
+                inputs.insert(CompactOrder::new(scratch.clone(), ids.len()), [*source].into());
+            }
+        }
+    }
+
+    // Cross-shard seeding (fleet tuning): seed orders from hotter tenants
+    // widen this shard's locally derived orders. The widened orders carry
+    // no sources of their own — provenance attaches below only when a
+    // local order is served by the widened one, so a seed with no local
+    // evidence cannot produce a candidate.
+    let mut orders_in = derived.len();
+    if !seeds.is_empty() {
+        let seeds: Vec<CompactOrder> = seeds.iter().map(|po| ids.compact(po)).collect();
+        let widened = widen_with_seeds(&ids, &inputs, &seeds);
+        if !widened.is_empty() && aim_telemetry::is_enabled() {
+            aim_telemetry::event(
+                aim_telemetry::EventKind::CandidateMerged,
+                table,
+                format!(
+                    "cross-shard seeding: {} seed orders widened {} local orders into {}",
+                    seeds.len(),
+                    derived.len(),
+                    widened.len()
+                ),
+            );
+        }
+        orders_in += widened.len();
+        inputs.extend(widened.into_iter().map(|po| (po, BTreeSet::new())));
+    }
+
+    let merged: Vec<CompactOrder> = if cfg.merge {
+        let merged = close(&ids, inputs.keys().cloned());
+        if aim_telemetry::is_enabled() && merged.len() != orders_in {
+            aim_telemetry::event(
+                aim_telemetry::EventKind::CandidateMerged,
+                table,
+                format!("{orders_in} partial orders -> {} after closure", merged.len()),
+            );
+        }
+        merged
+    } else {
+        inputs.keys().cloned().collect()
+    };
+
+    let pk: Option<Vec<String>> = db.table(table).ok().map(|t| {
+        t.schema()
+            .primary_key_names()
+            .iter()
+            .map(|s| s.to_string())
+            .collect()
+    });
+    let stats = if cfg.use_stats { db.stats(table) } else { None };
+    let ndv: Vec<u64> = (0..ids.len())
+        .map(|id| stats.and_then(|s| s.column(ids.name(id))).map_or(0, |cs| cs.ndv))
+        .collect();
+    let mut out: BTreeMap<Vec<String>, CandidateIndex> = BTreeMap::new();
+    let mut order: Vec<usize> = Vec::new();
+    for po in &merged {
+        // 3. One concrete index per partial order
+        //    (`GenerateCandidateIndexPerPO`): more selective columns
+        //    first within each partition, via dataless statistics, names
+        //    (ascending ids) breaking ties.
+        order.clear();
+        for part in po.parts().iter() {
+            let at = order.len();
+            order.extend(ones(part));
+            order[at..].sort_unstable_by_key(|&id| (Reverse(ndv[id]), id));
+        }
+        if cfg.max_width > 0 {
+            order.truncate(cfg.max_width);
+        }
+        if order.is_empty() {
+            continue;
+        }
+        let columns: Vec<String> = order.iter().map(|&id| ids.name(id).to_string()).collect();
+        // Skip candidates that duplicate the table's primary key prefix.
+        if pk.as_ref().is_some_and(|pk| is_key_prefix(&columns, pk)) {
+            continue;
+        }
+        // Provenance: every input partial order this index serves.
+        let mut sources = BTreeSet::new();
+        for (input, from) in &inputs {
+            if merge_into(input, po, &mut scratch) && scratch.is_satisfied_by(&order) {
+                sources.extend(from);
+            }
+        }
+        if sources.is_empty() {
+            // Width truncation may have broken exact satisfaction; a
+            // truncated index is a usable prefix of what the query
+            // wanted, so attribute sources in either subset direction.
+            let mut key = vec![0u64; po.mask().len()];
+            for &id in &order {
+                key[id / 64] |= 1 << (id % 64);
+            }
+            for (input, from) in &inputs {
+                if is_subset(input.mask(), &key) || is_subset(&key, input.mask()) {
+                    sources.extend(from);
+                }
+            }
+        }
+        if sources.is_empty() {
+            continue;
+        }
+        match out.entry(columns) {
+            Entry::Occupied(mut same_key) => same_key.get_mut().sources.extend(sources),
+            Entry::Vacant(slot) => {
+                let columns = slot.key().clone();
+                slot.insert(CandidateIndex {
+                    table: table.to_string(),
+                    columns,
+                    po: ids.expand(po.parts()),
+                    sources,
+                });
+            }
+        }
+    }
+    out.into_values().collect()
 }
 
 #[cfg(test)]

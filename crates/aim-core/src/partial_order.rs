@@ -26,8 +26,25 @@
 //! merged index could be useless for Q's query, which defeats the stated
 //! purpose ("either candidate ... can individually be beneficial to queries
 //! for which the base partial orders were merged").
+//!
+//! ## One rule, over column bitsets
+//!
+//! The rule is written once, in [`merge_into`], over a compact per-table
+//! form: [`ColumnIds`] interns a table's column names to small ids **in
+//! name order**, and a [`CompactOrder`] holds each partition as a bitset
+//! over those ids with the order's column mask and each column's partition
+//! rank beside it, so the subset test is an AND and the conflict tests walk
+//! each order once. Because ids ascend with names, a bitset iterates as the
+//! `BTreeSet<String>` it stands for and [`CompactOrder`]'s `Ord` is
+//! [`PartialOrder`]'s — which of two orders a candidate key keeps, and so
+//! what a fleet exports as seeds, does not depend on the form. The
+//! name-typed entry points ([`PartialOrder::merge_pairwise`],
+//! [`merge_partial_orders`], [`merge_cross_shard`]) intern, call the rule
+//! and translate back; candidate generation stays in the compact form.
 
-use std::collections::BTreeSet;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A strict partial order of index columns on one table, as a sequence of
@@ -132,64 +149,10 @@ impl PartialOrder {
     /// internal order, followed by `other`'s leftover columns in `other`'s
     /// order.
     pub fn merge_pairwise(&self, other: &PartialOrder) -> Option<PartialOrder> {
-        let p_cols = self.columns();
-        let q_cols = other.columns();
-        if !p_cols.is_subset(&q_cols) {
-            return None;
-        }
-        // Conflict within P×P: a ≺_P b but b ≺_Q a.
-        for a in &p_cols {
-            for b in &p_cols {
-                if self.precedes(a, b) && other.precedes(b, a) {
-                    return None;
-                }
-            }
-        }
-        // Strengthened check: Q must not order a leftover column before any
-        // column of P (the merged order puts all of P first).
-        for b in q_cols.difference(&p_cols) {
-            for a in &p_cols {
-                if other.precedes(b, a) {
-                    return None;
-                }
-            }
-        }
-
-        // Refine each P-partition by Q's relative order among its members.
-        let mut partitions: Vec<BTreeSet<String>> = Vec::new();
-        for part in &self.partitions {
-            // Group members by their partition index in Q (columns missing
-            // an order in Q share a group keyed by usize::MAX ordering
-            // after? They are in Q by subset check, so always present).
-            let mut keyed: Vec<(usize, &String)> = part
-                .iter()
-                .map(|c| (other.partition_of(c).unwrap_or(usize::MAX), c))
-                .collect();
-            keyed.sort();
-            let mut current_key = None;
-            for (k, c) in keyed {
-                if current_key != Some(k) {
-                    partitions.push(BTreeSet::new());
-                    current_key = Some(k);
-                }
-                partitions
-                    .last_mut()
-                    .expect("pushed above")
-                    .insert(c.clone());
-            }
-        }
-        // Append Q's leftover columns, preserving Q's partition structure.
-        for part in &other.partitions {
-            let leftover: BTreeSet<String> = part
-                .iter()
-                .filter(|c| !p_cols.contains(*c))
-                .cloned()
-                .collect();
-            if !leftover.is_empty() {
-                partitions.push(leftover);
-            }
-        }
-        Some(PartialOrder { partitions })
+        let ids = ColumnIds::of([self, other]);
+        let mut merged = ids.scratch();
+        merge_into(&ids.compact(self), &ids.compact(other), &mut merged)
+            .then(|| ids.expand(&merged))
     }
 
     /// True if the concrete column sequence `order` satisfies this partial
@@ -270,45 +233,13 @@ impl fmt::Display for PartialOrder {
 }
 
 /// `MergePartialOrders` (§III-E): closes a set of partial orders under
-/// pairwise merging, returning the fixed point. Input orders that merged
-/// into wider ones are retained as well — ranking decides which to keep —
-/// unless `keep_absorbed` is false, in which case any order that is a
-/// subset-compatible component of a produced merge is dropped.
-pub fn merge_partial_orders(orders: &[PartialOrder], keep_absorbed: bool) -> Vec<PartialOrder> {
-    let mut set: BTreeSet<PartialOrder> = orders.iter().cloned().collect();
-    loop {
-        let snapshot: Vec<PartialOrder> = set.iter().cloned().collect();
-        let mut grew = false;
-        for a in &snapshot {
-            for b in &snapshot {
-                if a == b {
-                    continue;
-                }
-                if let Some(m) = a.merge_pairwise(b) {
-                    if set.insert(m) {
-                        aim_telemetry::metrics::PO_MERGES.incr();
-                        grew = true;
-                    }
-                }
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-    if keep_absorbed {
-        return set.into_iter().collect();
-    }
-    // Drop orders absorbed into a strictly wider merge result.
-    let all: Vec<PartialOrder> = set.iter().cloned().collect();
-    all.iter()
-        .filter(|p| {
-            !all.iter().any(|q| {
-                q.width() > p.width() && p.merge_pairwise(q).is_some_and(|m| m == *q)
-            })
-        })
-        .cloned()
-        .collect()
+/// pairwise merging, returning the fixed point in ascending order. Input
+/// orders that merged into wider ones are retained as well — ranking
+/// decides which to keep.
+pub fn merge_partial_orders(orders: &[PartialOrder]) -> Vec<PartialOrder> {
+    let ids = ColumnIds::of(orders);
+    let closed = close(&ids, orders.iter().map(|o| ids.compact(o)));
+    closed.iter().map(|c| ids.expand(c.parts())).collect()
 }
 
 /// Cross-shard merge (fleet tuning): combines a *cold* tenant's locally
@@ -323,18 +254,345 @@ pub fn merge_partial_orders(orders: &[PartialOrder], keep_absorbed: bool) -> Vec
 /// observations to derive on its own. Orders already present locally are
 /// not re-emitted, so callers can append the result to their local pool.
 pub fn merge_cross_shard(local: &[PartialOrder], seeds: &[PartialOrder]) -> Vec<PartialOrder> {
-    let local_set: BTreeSet<&PartialOrder> = local.iter().collect();
-    let mut out: BTreeSet<PartialOrder> = BTreeSet::new();
-    for l in local {
-        for s in seeds {
-            for m in [l.merge_pairwise(s), s.merge_pairwise(l)].into_iter().flatten() {
-                if !local_set.contains(&m) && out.insert(m) {
-                    aim_telemetry::metrics::PO_MERGES.incr();
-                }
+    let ids = ColumnIds::of(local.iter().chain(seeds));
+    let local: BTreeMap<CompactOrder, ()> = local.iter().map(|o| (ids.compact(o), ())).collect();
+    let seeds: Vec<CompactOrder> = seeds.iter().map(|o| ids.compact(o)).collect();
+    let widened = widen_with_seeds(&ids, &local, &seeds);
+    widened.iter().map(|c| ids.expand(c.parts())).collect()
+}
+
+// ---------------------------------------------------------- compact form
+
+/// One table's column names interned to ids in name order: id `i` is the
+/// `i`-th smallest name, so ascending ids are ascending names.
+pub(crate) struct ColumnIds<'a> {
+    names: Vec<&'a str>,
+}
+
+impl<'a> ColumnIds<'a> {
+    /// Interns every column the given orders mention.
+    pub(crate) fn of(orders: impl IntoIterator<Item = &'a PartialOrder>) -> Self {
+        let mut names: Vec<&str> = orders
+            .into_iter()
+            .flat_map(|o| o.partitions.iter().flatten())
+            .map(String::as_str)
+            .collect();
+        names.sort_unstable();
+        names.dedup();
+        Self { names }
+    }
+
+    /// Number of interned columns.
+    pub(crate) fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// The name behind an id.
+    pub(crate) fn name(&self, id: usize) -> &'a str {
+        self.names[id]
+    }
+
+    /// `u64` words per bitset: one up to 64 columns, more beyond.
+    fn words(&self) -> usize {
+        self.names.len().div_ceil(64).max(1)
+    }
+
+    /// An empty partition list to [`ColumnIds::compact_into`] or
+    /// [`merge_into`] into.
+    pub(crate) fn scratch(&self) -> Partitions {
+        Partitions { words: self.words(), bits: Vec::new() }
+    }
+
+    /// Writes `po`'s partitions into `out`. Every column must be interned.
+    pub(crate) fn compact_into(&self, po: &PartialOrder, out: &mut Partitions) {
+        out.bits.clear();
+        for part in &po.partitions {
+            let at = out.bits.len();
+            out.bits.resize(at + out.words, 0);
+            for c in part {
+                let id = self.names.binary_search(&c.as_str()).expect("column interned by `of`");
+                out.bits[at + id / 64] |= 1 << (id % 64);
             }
         }
     }
-    out.into_iter().collect()
+
+    pub(crate) fn compact(&self, po: &PartialOrder) -> CompactOrder {
+        let mut parts = self.scratch();
+        self.compact_into(po, &mut parts);
+        CompactOrder::new(parts, self.len())
+    }
+
+    /// The name-typed order `parts` stands for.
+    pub(crate) fn expand(&self, parts: &Partitions) -> PartialOrder {
+        let partitions = parts
+            .iter()
+            .map(|p| ones(p).map(|id| self.names[id].to_string()).collect())
+            .collect();
+        PartialOrder { partitions }
+    }
+}
+
+/// Ids of the set bits of a bitset, ascending.
+pub(crate) fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors((word != 0).then_some(word), |x| {
+            let rest = x & (x - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |x| w * 64 + x.trailing_zeros() as usize)
+    })
+}
+
+/// True if every bit of `a` is set in `b`.
+pub(crate) fn is_subset(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x & !y == 0)
+}
+
+/// Compares two bitsets as the ascending id sequences they hold — the
+/// order of the `BTreeSet<String>`s they stand for.
+fn cmp_sets(a: &[u64], b: &[u64]) -> Ordering {
+    let Some(w) = (0..a.len()).find(|&w| a[w] != b[w]) else {
+        return Ordering::Equal;
+    };
+    // The lowest id only one side holds: that side continues with it, the
+    // other with something larger, or not at all (a proper prefix).
+    let id = (a[w] ^ b[w]).trailing_zeros();
+    let (holder_is_a, other) = if a[w] >> id & 1 == 1 { (true, b) } else { (false, a) };
+    let other_continues = other[w] >> id > 1 || other[w + 1..].iter().any(|&x| x != 0);
+    if holder_is_a == other_continues {
+        Ordering::Less
+    } else {
+        Ordering::Greater
+    }
+}
+
+/// Ordered partitions as bitsets over one table's [`ColumnIds`], `words`
+/// `u64`s each, back to back. Equality and order are [`PartialOrder`]'s.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Partitions {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl Partitions {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u64]> {
+        self.bits.chunks_exact(self.words)
+    }
+
+    /// True if the sequence of distinct ids `order` satisfies these
+    /// partitions: the same columns, partition boundaries respected
+    /// ([`PartialOrder::is_satisfied_by`]).
+    pub(crate) fn is_satisfied_by(&self, order: &[usize]) -> bool {
+        let mut rest = order;
+        for part in self.iter() {
+            let n: usize = part.iter().map(|w| w.count_ones() as usize).sum();
+            if rest.len() < n {
+                return false;
+            }
+            let (head, tail) = rest.split_at(n);
+            if !head.iter().all(|&id| part[id / 64] >> (id % 64) & 1 == 1) {
+                return false;
+            }
+            rest = tail;
+        }
+        rest.is_empty()
+    }
+}
+
+impl Ord for Partitions {
+    fn cmp(&self, other: &Self) -> Ordering {
+        for (a, b) in self.iter().zip(other.iter()) {
+            match cmp_sets(a, b) {
+                Ordering::Equal => {}
+                unequal => return unequal,
+            }
+        }
+        self.bits.len().cmp(&other.bits.len())
+    }
+}
+
+impl PartialOrd for Partitions {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// A partial order in the compact form, with what the merge rule reads of
+/// it computed once: the mask of all its columns and each column's
+/// partition index.
+#[derive(Debug, Clone)]
+pub(crate) struct CompactOrder {
+    parts: Partitions,
+    mask: Vec<u64>,
+    /// Partition index by column id; unspecified for columns not in `mask`.
+    rank: Vec<usize>,
+}
+
+impl CompactOrder {
+    /// `columns` is the table's [`ColumnIds::len`].
+    pub(crate) fn new(parts: Partitions, columns: usize) -> Self {
+        let mut mask = vec![0; parts.words];
+        let mut rank = vec![0; columns];
+        for (k, part) in parts.iter().enumerate() {
+            for (m, p) in mask.iter_mut().zip(part) {
+                *m |= p;
+            }
+            for id in ones(part) {
+                rank[id] = k;
+            }
+        }
+        Self { parts, mask, rank }
+    }
+
+    pub(crate) fn parts(&self) -> &Partitions {
+        &self.parts
+    }
+
+    /// Bitset of every column of the order.
+    pub(crate) fn mask(&self) -> &[u64] {
+        &self.mask
+    }
+}
+
+// Identity and order are the partitions'; `mask` and `rank` follow from
+// them. `Borrow` lets a set of orders be probed with a scratch
+// `Partitions` before anything is allocated for a new member.
+impl PartialEq for CompactOrder {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts == other.parts
+    }
+}
+
+impl Eq for CompactOrder {}
+
+impl Ord for CompactOrder {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.parts.cmp(&other.parts)
+    }
+}
+
+impl PartialOrd for CompactOrder {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Borrow<Partitions> for CompactOrder {
+    fn borrow(&self) -> &Partitions {
+        &self.parts
+    }
+}
+
+/// `MergeCandidatesPairwise(p, q)` — the one implementation of the rule in
+/// the module docs. Returns false when `p ⊄ q` or the orders conflict;
+/// otherwise `out` holds p's partitions, each refined by q's order among
+/// its members, then q's leftover columns in q's order. Allocates nothing
+/// once `out` has grown to a table's widest order.
+pub(crate) fn merge_into(p: &CompactOrder, q: &CompactOrder, out: &mut Partitions) -> bool {
+    if !is_subset(&p.mask, &q.mask) {
+        return false;
+    }
+    let w = out.words;
+    out.bits.clear();
+    // Conflict within P×P (a ≺_P b but b ≺_Q a): walking p's partitions in
+    // order, q's ranks must never step back below an earlier partition's.
+    let mut floor = 0;
+    for part in p.parts.iter() {
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for id in ones(part) {
+            lo = lo.min(q.rank[id]);
+            hi = hi.max(q.rank[id]);
+        }
+        if lo < floor {
+            return false;
+        }
+        floor = hi;
+        // Refinement: the members of `part`, grouped by q's partitions.
+        for q_part in q.parts.bits[lo * w..(hi + 1) * w].chunks_exact(w) {
+            let at = out.bits.len();
+            out.bits.extend(part.iter().zip(q_part).map(|(x, y)| x & y));
+            if out.bits[at..].iter().all(|&x| x == 0) {
+                out.bits.truncate(at);
+            }
+        }
+    }
+    // q's leftover columns follow, in q's partition structure. Strengthened
+    // check: none of them may precede a column of p in q, i.e. sit in a
+    // partition before `floor`, the last q-partition that holds one.
+    for (k, q_part) in q.parts.iter().enumerate() {
+        let at = out.bits.len();
+        out.bits.extend(q_part.iter().zip(&p.mask).map(|(y, m)| y & !m));
+        if out.bits[at..].iter().all(|&x| x == 0) {
+            out.bits.truncate(at);
+        } else if k < floor {
+            return false;
+        }
+    }
+    true
+}
+
+/// Merges `p` into `q` and, when the result is in neither `known` nor
+/// `fresh`, adds it to `fresh`.
+fn merge_new<V>(
+    p: &CompactOrder,
+    q: &CompactOrder,
+    known: &BTreeMap<CompactOrder, V>,
+    fresh: &mut BTreeSet<CompactOrder>,
+    scratch: &mut Partitions,
+) {
+    if merge_into(p, q, scratch) && !known.contains_key(scratch) && !fresh.contains(scratch) {
+        fresh.insert(CompactOrder::new(scratch.clone(), q.rank.len()));
+        aim_telemetry::metrics::PO_MERGES.incr();
+    }
+}
+
+/// The fixed point of `orders` under [`merge_into`], ascending. Semi-naive:
+/// a round only tries pairs with a member the previous round added, since
+/// every other pair was tried before.
+pub(crate) fn close(
+    ids: &ColumnIds,
+    orders: impl IntoIterator<Item = CompactOrder>,
+) -> Vec<CompactOrder> {
+    // Every known order with the round that added it.
+    let mut known: BTreeMap<CompactOrder, usize> = orders.into_iter().map(|o| (o, 0)).collect();
+    let mut scratch = ids.scratch();
+    for round in 0.. {
+        let mut fresh = BTreeSet::new();
+        let (new, old): (Vec<_>, Vec<_>) = known.iter().partition(|(_, added)| **added == round);
+        for (i, (a, _)) in new.iter().enumerate() {
+            for (b, _) in &new[i + 1..] {
+                merge_new(a, b, &known, &mut fresh, &mut scratch);
+                merge_new(b, a, &known, &mut fresh, &mut scratch);
+            }
+            for (b, _) in &old {
+                merge_new(a, b, &known, &mut fresh, &mut scratch);
+                merge_new(b, a, &known, &mut fresh, &mut scratch);
+            }
+        }
+        if fresh.is_empty() {
+            break;
+        }
+        known.extend(fresh.into_iter().map(|o| (o, round + 1)));
+    }
+    known.into_keys().collect()
+}
+
+/// [`merge_cross_shard`] in the compact form: the orders that merging a
+/// key of `local` with a seed, in either direction, adds to `local`.
+pub(crate) fn widen_with_seeds<V>(
+    ids: &ColumnIds,
+    local: &BTreeMap<CompactOrder, V>,
+    seeds: &[CompactOrder],
+) -> BTreeSet<CompactOrder> {
+    let mut fresh = BTreeSet::new();
+    let mut scratch = ids.scratch();
+    for l in local.keys() {
+        for s in seeds {
+            merge_new(l, s, local, &mut fresh, &mut scratch);
+            merge_new(s, l, local, &mut fresh, &mut scratch);
+        }
+    }
+    fresh
 }
 
 #[cfg(test)]
@@ -450,20 +708,10 @@ mod tests {
         let a = po(&[&["col1", "col2", "col3"]]);
         let b = po(&[&["col2", "col3"]]);
         let c = po(&[&["col2"]]);
-        let merged = merge_partial_orders(&[a, b, c], true);
+        let merged = merge_partial_orders(&[a, b, c]);
         // Closure must contain <{col2}, {col3}, {col1}> obtained by
         // merging c into (b into a).
         assert!(merged.contains(&po(&[&["col2"], &["col3"], &["col1"]])));
-    }
-
-    #[test]
-    fn merge_closure_drop_absorbed() {
-        let a = po(&[&["col1", "col2", "col3"]]);
-        let b = po(&[&["col2", "col3"]]);
-        let merged = merge_partial_orders(&[a.clone(), b.clone()], false);
-        // The merged wide order is present; exact subset components that
-        // the merge fully absorbs can be dropped.
-        assert!(merged.contains(&po(&[&["col2", "col3"], &["col1"]])));
     }
 
     #[test]

@@ -25,6 +25,7 @@ use aim_monitor::WorkloadQuery;
 use aim_sql::ast::{Select, Statement};
 use aim_sql::normalize::QueryFingerprint;
 use aim_storage::Database;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -73,10 +74,54 @@ impl RankedCandidate {
 
 /// The SELECT whose cost stands in for `cost_r(q, X)`: SELECTs cost
 /// themselves; UPDATE/DELETE cost their row-location step.
-fn benefit_select(stmt: &Statement) -> Option<Select> {
+fn benefit_select(stmt: &Statement) -> Option<Cow<'_, Select>> {
     match stmt {
-        Statement::Select(s) => Some(s.clone()),
-        dml => dml.row_location(),
+        Statement::Select(s) => Some(Cow::Borrowed(s)),
+        dml => dml.row_location().map(Cow::Owned),
+    }
+}
+
+/// A buildable candidate: its position in the candidate list and its
+/// hypothetical index.
+type Hypo = (usize, Arc<HypotheticalIndex>);
+
+/// The buildable candidates, in candidate order, and the two lookups every
+/// query evaluation makes — built once per ranking, so a query reads its
+/// lists instead of scanning all candidates for them. Each list keeps
+/// candidate order.
+struct Hypos<'a> {
+    all: Vec<Hypo>,
+    /// Positions in `all` of the candidates generated for a query.
+    by_source: BTreeMap<QueryFingerprint, Vec<usize>>,
+    /// Positions in `all` of the candidates on a table.
+    by_table: BTreeMap<&'a str, Vec<usize>>,
+}
+
+impl<'a> Hypos<'a> {
+    /// Builds the hypothetical indexes, dropping unbuildable candidates.
+    fn build(db: &Database, candidates: &'a [CandidateIndex]) -> Self {
+        let mut hypos = Hypos {
+            all: Vec::new(),
+            by_source: BTreeMap::new(),
+            by_table: BTreeMap::new(),
+        };
+        for (i, c) in candidates.iter().enumerate() {
+            let Some(h) = HypotheticalIndex::build(db, c.def()) else {
+                continue;
+            };
+            let at = hypos.all.len();
+            for source in &c.sources {
+                hypos.by_source.entry(*source).or_default().push(at);
+            }
+            hypos.by_table.entry(&c.table).or_default().push(at);
+            hypos.all.push((i, Arc::new(h)));
+        }
+        hypos
+    }
+
+    fn listed(&self, positions: Option<&Vec<usize>>) -> Vec<Hypo> {
+        let positions = positions.map_or(&[][..], Vec::as_slice);
+        positions.iter().map(|&at| self.all[at].clone()).collect()
     }
 }
 
@@ -209,8 +254,7 @@ impl Costing {
 fn eval_query(
     db: &Database,
     wq: &WorkloadQuery,
-    candidates: &[CandidateIndex],
-    hypos: &[(usize, Arc<HypotheticalIndex>)],
+    hypos: &Hypos,
     empty_cfg: &HypoConfig,
     cm: &CostModel,
     strict: bool,
@@ -226,11 +270,7 @@ fn eval_query(
     // ---------------------------------------------------- benefit (Eq. 7)
     if let Some(select) = benefit_select(&wq.stats.exemplar) {
         // Candidates generated for this query.
-        let relevant: Vec<(usize, Arc<HypotheticalIndex>)> = hypos
-            .iter()
-            .filter(|(i, _)| candidates[*i].sources.contains(&wq.stats.fingerprint))
-            .map(|(i, h)| (*i, Arc::clone(h)))
-            .collect();
+        let relevant = hypos.listed(hypos.by_source.get(&wq.stats.fingerprint));
         if !relevant.is_empty() {
             let cfg =
                 HypoConfig::shared(relevant.iter().map(|(_, h)| Arc::clone(h)).collect());
@@ -313,11 +353,7 @@ fn eval_query(
         let base = cost_or(estimate_statement_cost(db, stmt, empty_cfg, cm), 0.0, strict)?;
         if base > 0.0 {
             // Only indexes on the written table can be affected.
-            let affected: Vec<(usize, Arc<HypotheticalIndex>)> = hypos
-                .iter()
-                .filter(|(_, h)| stmt.written_table() == Some(h.def.table.as_str()))
-                .map(|(i, h)| (*i, Arc::clone(h)))
-                .collect();
+            let affected = hypos.listed(stmt.written_table().and_then(|t| hypos.by_table.get(t)));
             if !affected.is_empty() {
                 let ones: Vec<HypoConfig> = affected
                     .iter()
@@ -478,19 +514,13 @@ fn rank_core(
     strict: bool,
     costing: Costing,
 ) -> Result<Vec<RankedCandidate>, AimError> {
-    // Build hypothetical indexes once, shared; drop unbuildable candidates.
-    let mut hypos: Vec<(usize, Arc<HypotheticalIndex>)> = Vec::new();
-    for (i, c) in candidates.iter().enumerate() {
-        if let Some(h) = HypotheticalIndex::build(db, c.def()) {
-            hypos.push((i, Arc::new(h)));
-        }
-    }
+    let hypos = Hypos::build(db, candidates);
     let empty_cfg = HypoConfig::only(Vec::new());
     // Workers observe aborts between queries and, inside a query, before
     // every what-if call.
     let workers = effective_workers(workers, workload.len());
     let contributions = fan_out(workload, workers, ctl, "ranking", |wq| {
-        eval_query(db, wq, candidates, &hypos, &empty_cfg, cm, strict, costing, ctl)
+        eval_query(db, wq, &hypos, &empty_cfg, cm, strict, costing, ctl)
     })?;
 
     // An abort that arrived during the last what-if call belongs to this
@@ -511,6 +541,7 @@ fn rank_core(
     }
 
     let mut ranked: Vec<RankedCandidate> = hypos
+        .all
         .into_iter()
         .map(|(i, h)| RankedCandidate {
             candidate: candidates[i].clone(),

@@ -16,16 +16,17 @@ mod common;
 
 use aim_core::continuous::ContinuousTuner;
 use aim_core::{
-    AimConfig, AimError, CandidateGenConfig, RetryPolicy, SelectionStrategy, TuningSession,
+    generate_candidates, try_generate_candidates, AimConfig, AimError, CandidateGenConfig,
+    RetryPolicy, RunCtl, SelectionStrategy, TuningSession,
 };
 use aim_exec::Engine;
-use aim_monitor::{SelectionConfig, WorkloadMonitor};
+use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor};
 use aim_sql::parse_statement;
 use aim_storage::fault::{self, FaultPlan};
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema, Value};
 use aim_workloads::tpch;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -436,6 +437,78 @@ fn cancel_to_abort_is_at_most_one_whatif_call() {
             "{statements:?}: only {cancelled_runs} cuts landed in ranking"
         );
     }
+}
+
+/// The merge phase's abort bound: candidate generation consults its control
+/// between tables as well as between queries, so a deadline that expires
+/// once the partial orders are derived aborts the phase instead of letting
+/// it merge every table. Counted, not timed: with telemetry on,
+/// `aim.partial_order_merges` says how far the merge phase got, and a run
+/// that aborts holding some but not all of the merges stopped between two
+/// tables. Deadlines sweep the phase's own undisturbed duration until one
+/// lands there; wherever a deadline falls, the run either aborts
+/// attributed to the phase or returns the full list.
+#[test]
+fn deadline_after_derivation_aborts_candidate_generation_between_tables() {
+    let _g = FaultGuard::acquire();
+    // 32 empty tables, and on each a family of predicates whose partial
+    // orders merge into one another.
+    const COLUMNS: [&str; 4] = ["a", "b", "c", "d"];
+    let mut db = Database::new();
+    let mut monitor = WorkloadMonitor::new();
+    for t in 0..32 {
+        let columns = ["id"].iter().chain(&COLUMNS).map(|c| ColumnDef::new(*c, ColumnType::Int));
+        db.create_table(TableSchema::new(format!("t{t}"), columns.collect(), &["id"]).unwrap())
+            .unwrap();
+        for from in 0..COLUMNS.len() {
+            for to in from + 1..=COLUMNS.len() {
+                let filter: Vec<String> =
+                    COLUMNS[from..to].iter().map(|c| format!("{c} = {t}")).collect();
+                let sql = format!("SELECT id FROM t{t} WHERE {}", filter.join(" AND "));
+                observe(&mut db, &mut monitor, &sql, 1);
+            }
+        }
+    }
+    db.analyze_all();
+    let workload =
+        select_workload(&monitor, &SelectionConfig { max_queries: usize::MAX, ..selection() });
+    let cfg = CandidateGenConfig::default();
+
+    aim_telemetry::enable();
+    aim_telemetry::reset();
+    let started = Instant::now();
+    let full = generate_candidates(&db, &workload, &cfg);
+    let undisturbed = started.elapsed();
+    let all_merges = aim_telemetry::metrics::PO_MERGES.get();
+    assert!(all_merges >= 32, "every table should merge something: {all_merges}");
+
+    const CUTS: u32 = 200;
+    let mut stopped_between_tables = None;
+    for cut in 0..CUTS {
+        aim_telemetry::reset();
+        let deadline = Instant::now() + undisturbed * 3 / 2 * cut / CUTS;
+        let result = try_generate_candidates(&db, &workload, &cfg, &RunCtl::new(None, Some(deadline)));
+        let merges = aim_telemetry::metrics::PO_MERGES.get();
+        match result {
+            Ok(candidates) => assert_eq!(candidates, full, "cut {cut}: a partial list escaped"),
+            Err(err) => {
+                assert!(matches!(err, AimError::DeadlineExceeded { .. }), "cut {cut}: {err}");
+                assert_eq!(err.phase(), "candidate_generation");
+                assert!(merges < all_merges, "cut {cut}: aborted after the last table");
+                if merges > 0 {
+                    stopped_between_tables = Some((cut, merges));
+                    break;
+                }
+            }
+        }
+    }
+    aim_telemetry::disable();
+    aim_telemetry::reset();
+    eprintln!("undisturbed {undisturbed:?}, {all_merges} merges; stopped at {stopped_between_tables:?}");
+    assert!(
+        stopped_between_tables.is_some(),
+        "no deadline of {CUTS} across {undisturbed:?} stopped the merge phase between tables"
+    );
 }
 
 /// The instance of `pass_golden.rs::lp_selection_replaces_greedy_where_

@@ -29,6 +29,11 @@ use std::ops::Bound;
 /// A random partial order over a subset of col0..col5: 1–3 disjoint
 /// unordered partitions of 1–3 columns each.
 fn random_partial_order(rng: &mut StdRng) -> PartialOrder {
+    random_partial_order_over(rng, &[0, 1, 2, 3, 4, 5])
+}
+
+/// [`random_partial_order`] over the given column numbers.
+fn random_partial_order_over(rng: &mut StdRng, columns: &[usize]) -> PartialOrder {
     let n_parts = rng.gen_range(1..=3usize);
     let mut seen: BTreeSet<usize> = BTreeSet::new();
     let mut parts: Vec<Vec<String>> = Vec::new();
@@ -36,9 +41,9 @@ fn random_partial_order(rng: &mut StdRng) -> PartialOrder {
         let part_size = rng.gen_range(1..=3usize);
         let mut fresh = Vec::new();
         for _ in 0..part_size {
-            let c = rng.gen_range(0..6usize);
+            let c = columns[rng.gen_range(0..columns.len())];
             if seen.insert(c) {
-                fresh.push(format!("col{c}"));
+                fresh.push(format!("col{c:03}"));
             }
         }
         if !fresh.is_empty() {
@@ -46,9 +51,164 @@ fn random_partial_order(rng: &mut StdRng) -> PartialOrder {
         }
     }
     if parts.is_empty() {
-        parts.push(vec![format!("col{}", rng.gen_range(0..6usize))]);
+        parts.push(vec![format!("col{:03}", columns[rng.gen_range(0..columns.len())])]);
     }
     PartialOrder::new(parts).expect("disjoint by construction")
+}
+
+/// Order sets for the differential tests: `orders` random partial orders
+/// over seven columns of a `width`-column table — the first, the last and
+/// those either side of a 64-column boundary among them — and the table's
+/// other columns in unordered runs of sixteen, which merge with nothing but
+/// make the table's bitsets `width` bits wide: one word up to 64 columns,
+/// two or three beyond.
+fn random_order_set(rng: &mut StdRng, width: usize, orders: usize) -> Vec<PartialOrder> {
+    let mut pool: BTreeSet<usize> = [0, width - 1].into();
+    pool.extend([63, 64, 127, 128].into_iter().filter(|c| *c < width));
+    while pool.len() < 7.min(width) {
+        pool.insert(rng.gen_range(0..width));
+    }
+    let rest: Vec<String> =
+        (0..width).filter(|c| !pool.contains(c)).map(|c| format!("col{c:03}")).collect();
+    let pool: Vec<usize> = pool.into_iter().collect();
+    let mut set: Vec<PartialOrder> =
+        (0..orders).map(|_| random_partial_order_over(rng, &pool)).collect();
+    set.extend(rest.chunks(16).map(|run| PartialOrder::unordered(run.iter().cloned()).expect("distinct")));
+    set
+}
+
+/// `MergeCandidatesPairwise` over string sets, as it was written before the
+/// rule moved to column bitsets: the reference the compact rule is held to.
+fn reference_merge_pairwise(p: &PartialOrder, q: &PartialOrder) -> Option<PartialOrder> {
+    let (p_cols, q_cols) = (p.columns(), q.columns());
+    if !p_cols.is_subset(&q_cols) {
+        return None;
+    }
+    // Conflict within P×P: a ≺_P b but b ≺_Q a.
+    for a in &p_cols {
+        for b in &p_cols {
+            if p.precedes(a, b) && q.precedes(b, a) {
+                return None;
+            }
+        }
+    }
+    // Strengthened check: Q must not order a leftover column before any
+    // column of P.
+    for b in q_cols.difference(&p_cols) {
+        if p_cols.iter().any(|a| q.precedes(b, a)) {
+            return None;
+        }
+    }
+    let q_rank = |c: &String| q.partitions().iter().position(|part| part.contains(c));
+    let mut partitions: Vec<BTreeSet<String>> = Vec::new();
+    for part in p.partitions() {
+        let mut keyed: Vec<(Option<usize>, &String)> = part.iter().map(|c| (q_rank(c), c)).collect();
+        keyed.sort();
+        let mut current = None;
+        for (rank, c) in keyed {
+            if current != Some(rank) {
+                partitions.push(BTreeSet::new());
+                current = Some(rank);
+            }
+            partitions.last_mut().expect("pushed above").insert(c.clone());
+        }
+    }
+    for part in q.partitions() {
+        let leftover: BTreeSet<String> = part.difference(&p_cols).cloned().collect();
+        if !leftover.is_empty() {
+            partitions.push(leftover);
+        }
+    }
+    PartialOrder::new(partitions)
+}
+
+/// `MergePartialOrders` as it was written before the closure became
+/// semi-naive: every pair of a snapshot, round after round, ascending.
+fn reference_closure(orders: &[PartialOrder]) -> Vec<PartialOrder> {
+    let mut set: BTreeSet<PartialOrder> = orders.iter().cloned().collect();
+    loop {
+        let snapshot: Vec<PartialOrder> = set.iter().cloned().collect();
+        let mut grew = false;
+        for a in &snapshot {
+            for b in &snapshot {
+                if a != b {
+                    if let Some(m) = reference_merge_pairwise(a, b) {
+                        grew |= set.insert(m);
+                    }
+                }
+            }
+        }
+        if !grew {
+            return set.into_iter().collect();
+        }
+    }
+}
+
+fn po(parts: &[&[&str]]) -> PartialOrder {
+    PartialOrder::new(parts.iter().map(|p| p.iter().copied())).expect("disjoint")
+}
+
+/// The merge rule over column bitsets agrees with the string-set reference
+/// on the paper's worked example, the conflict cases, and random pairs on
+/// tables of one, two and three bitset words.
+#[test]
+fn compact_merge_rule_equals_the_string_set_reference() {
+    let cases = [
+        // §III-E: <{col2, col3}> into <{col1, col2, col3}>, and back.
+        (po(&[&["col2", "col3"]]), po(&[&["col1", "col2", "col3"]])),
+        (po(&[&["col1", "col2", "col3"]]), po(&[&["col2", "col3"]])),
+        // P says a before b; Q says b before a.
+        (po(&[&["a"], &["b"]]), po(&[&["b"], &["a"], &["c"]])),
+        // Q orders a leftover column before a column of P, and after.
+        (po(&[&["a", "b"]]), po(&[&["c"], &["a", "b"]])),
+        (po(&[&["a", "b"]]), po(&[&["a", "b"], &["c"]])),
+        // Q's order refines an unordered partition of P.
+        (po(&[&["a", "b"]]), po(&[&["a"], &["b"], &["c"]])),
+        (po(&[]), po(&[&["a"], &["b"]])),
+    ];
+    assert_eq!(
+        cases[0].0.merge_pairwise(&cases[0].1),
+        Some(po(&[&["col2", "col3"], &["col1"]])),
+        "the paper's example"
+    );
+    for (p, q) in &cases {
+        assert_eq!(p.merge_pairwise(q), reference_merge_pairwise(p, q), "{p} into {q}");
+    }
+
+    let mut rng = StdRng::seed_from_u64(0xB175);
+    let mut merged = 0;
+    for case in 0..120 {
+        let width = [6, 70, 130][case % 3];
+        let set = random_order_set(&mut rng, width, 8);
+        for p in &set {
+            for q in &set {
+                let m = p.merge_pairwise(q);
+                assert_eq!(m, reference_merge_pairwise(p, q), "{p} into {q}");
+                merged += usize::from(m.is_some() && p != q);
+            }
+        }
+    }
+    assert!(merged > 200, "degenerate sweep: {merged} merges of distinct orders");
+}
+
+/// The semi-naive closure over column bitsets reaches the reference's fixed
+/// point, in the reference's order — so `CompactOrder`'s `Ord` is
+/// `PartialOrder`'s — however many words a bitset takes.
+#[test]
+fn compact_closure_equals_the_naive_reference() {
+    let mut rng = StdRng::seed_from_u64(0xC105E);
+    let mut grown = 0;
+    for case in 0..60 {
+        let width = [6, 65, 97, 130][case % 4];
+        let n = rng.gen_range(3..=10usize);
+        let orders = random_order_set(&mut rng, width, n);
+        let closed = merge_partial_orders(&orders);
+        assert_eq!(closed, reference_closure(&orders), "width {width}: {orders:?}");
+        assert!(closed.windows(2).all(|w| w[0] < w[1]), "ascending and distinct");
+        let distinct: BTreeSet<&PartialOrder> = orders.iter().collect();
+        grown += closed.len() - distinct.len();
+    }
+    assert!(grown > 40, "degenerate sweep: {grown} merged orders");
 }
 
 #[test]
@@ -104,12 +264,12 @@ fn merge_closure_terminates_and_contains_inputs() {
         let orders: Vec<PartialOrder> = (0..rng.gen_range(1..=4usize))
             .map(|_| random_partial_order(&mut rng))
             .collect();
-        let merged = merge_partial_orders(&orders, true);
+        let merged = merge_partial_orders(&orders);
         for o in &orders {
             assert!(merged.contains(o), "closure lost an input order");
         }
         // Fixed point: merging again adds nothing.
-        let again = merge_partial_orders(&merged, true);
+        let again = merge_partial_orders(&merged);
         assert_eq!(again.len(), merged.len());
     }
 }
@@ -709,6 +869,10 @@ fn assert_ranked_bit_identical(a: &[RankedCandidate], b: &[RankedCandidate]) {
             "maintenance drifted for {}",
             x.candidate.name()
         );
+        let attribution = |r: &RankedCandidate| -> Vec<_> {
+            r.benefiting_queries.iter().map(|(q, b)| (*q, b.to_bits())).collect()
+        };
+        assert_eq!(attribution(x), attribution(y), "attribution drifted for {}", x.candidate.name());
     }
 }
 
@@ -792,10 +956,68 @@ fn batched_ranking_matches_per_config_on_random_workloads() {
         let sequential = rank_candidates_unbatched(&db, &w, &cands, &cm, 1);
         assert_ranked_bit_identical(&sequential, &batched);
         // Same property under the parallel ranking path.
-        let parallel = rank_candidates_with(&db, &w, &cands, &cm, 4);
-        assert_ranked_bit_identical(&sequential, &parallel);
+        for workers in [2, 4] {
+            cache.clear();
+            let parallel = rank_candidates_with(&db, &w, &cands, &cm, workers);
+            assert_ranked_bit_identical(&sequential, &parallel);
+        }
         assert!(!batched.is_empty() || case > 0, "degenerate sweep");
     }
+}
+
+/// Candidate generation deduplicates each table's partial orders and unions
+/// their sources before merging, so the candidates — columns, kept partial
+/// order and provenance — must not depend on the order queries arrive in.
+#[test]
+fn candidate_generation_is_invariant_under_workload_order() {
+    let cols = ["a", "b", "c", "d", "e"];
+    let mut rng = StdRng::seed_from_u64(0x5AFF1E);
+    let mut inputs: Vec<(Database, Vec<WorkloadQuery>)> = Vec::new();
+    for _ in 0..6 {
+        let mut db = int_table(&mut rng, &cols, 150, 25);
+        let runs: Vec<(String, usize)> = (0..rng.gen_range(6..=12usize))
+            .map(|_| {
+                let mut picked: Vec<&str> = cols.iter().copied().filter(|_| rng.gen_bool(0.4)).collect();
+                if picked.is_empty() {
+                    picked.push(cols[rng.gen_range(0..cols.len())]);
+                }
+                let (last, firsts) = picked.split_last().expect("non-empty");
+                let mut filter: Vec<String> = firsts.iter().map(|c| format!("{c} = 3")).collect();
+                filter.push(format!("{last} {} 7", if rng.gen_bool(0.5) { "=" } else { ">" }));
+                let tail = match rng.gen_range(0..4usize) {
+                    0 => format!(" ORDER BY {}", cols[rng.gen_range(0..cols.len())]),
+                    _ => String::new(),
+                };
+                (format!("SELECT id FROM t WHERE {}{tail}", filter.join(" AND ")), 1)
+            })
+            .collect();
+        let workload = observe_workload(&mut db, &runs);
+        inputs.push((db, workload));
+    }
+    // Joins, GROUP BY and several tables.
+    let tpch = common::tpch_fixture();
+    let mut db = tpch.db;
+    let monitor = common::observe(&mut db, tpch.texts);
+    let all = SelectionConfig { min_executions: 1, min_benefit: 0.0, max_queries: usize::MAX, include_dml: true };
+    inputs.push((db, select_workload(&monitor, &all)));
+
+    let mut merged = 0;
+    for (db, workload) in &mut inputs {
+        for cfg in [
+            CandidateGenConfig::default(),
+            CandidateGenConfig { covering: aim_core::CoveringPolicy::Both, ..Default::default() },
+        ] {
+            let expected = generate_candidates(db, workload, &cfg);
+            merged += expected.iter().filter(|c| c.sources.len() > 1).count();
+            for _ in 0..3 {
+                for i in (1..workload.len()).rev() {
+                    workload.swap(i, rng.gen_range(0..=i));
+                }
+                assert_eq!(generate_candidates(db, workload, &cfg), expected);
+            }
+        }
+    }
+    assert!(merged > 20, "degenerate sweep: {merged} candidates serve several queries");
 }
 
 /// A candidate ranking did not propose, on `t(columns)`.

@@ -50,18 +50,12 @@ impl SecondaryIndex {
         self.backend = backend;
     }
 
-    /// Inserts a pre-built entry (backend recovery path — the entry comes
-    /// from the on-disk tree, not from a row).
-    pub(crate) fn insert_entry(&mut self, entry: Key) {
-        let bytes: u64 = entry.iter().map(Value::storage_size).sum();
-        if self.entries.insert(entry) {
-            self.total_bytes += bytes;
-        }
-    }
-
-    /// All entries in key order (backend persistence path).
-    pub(crate) fn entries(&self) -> impl Iterator<Item = &Key> {
-        self.entries.iter()
+    /// Replaces the entries with pre-built ones — a build's, or the
+    /// on-disk tree's on recovery. Ascending input is bulk-loaded without
+    /// a descent per entry.
+    pub(crate) fn load(&mut self, entries: Vec<Key>) {
+        self.entries = entries.into_iter().collect();
+        self.total_bytes = self.entries.iter().flatten().map(Value::storage_size).sum();
     }
 
     /// The index definition (name, table, key columns).

@@ -103,9 +103,7 @@ impl Table {
             let mut ix =
                 SecondaryIndex::new(def, key_positions, t.schema.primary_key.clone());
             ix.set_backend(backend.clone());
-            for entry in entries {
-                ix.insert_entry(entry);
-            }
+            ix.load(entries);
             t.indexes.insert(ix.def().name.clone(), ix);
         }
         Ok(t)
@@ -277,11 +275,11 @@ impl Table {
         let key_positions = self.resolve_key_positions(&def)?;
         let mut ix = SecondaryIndex::new(def, key_positions, self.schema.primary_key.clone());
         ix.set_backend(self.backend.clone());
-        for row in self.rows.values() {
-            ix.insert_row(row);
-        }
-        let entries: Vec<Key> = ix.entries().cloned().collect();
+        let mut entries: Vec<Key> = self.rows.values().map(|row| ix.entry_for_row(row)).collect();
+        entries.sort_unstable();
+        entries.dedup();
         self.backend.persist_create_index(ix.def(), &entries)?;
+        ix.load(entries);
         // Building an index reads the whole table and writes the new tree.
         io.charge_sequential(self.total_row_bytes);
         io.charge_writes(self.rows.len() as u64, ix.size_bytes());
