@@ -44,12 +44,6 @@ impl Dta {
     }
 }
 
-impl Default for Dta {
-    fn default() -> Self {
-        Self::new(0)
-    }
-}
-
 impl Dta {
     fn over_budget(&self, eval: &CostEvaluator<'_>) -> bool {
         self.max_whatif_calls > 0 && eval.whatif_calls() >= self.max_whatif_calls
@@ -178,7 +172,7 @@ mod tests {
             wq("SELECT id FROM t WHERE a = 5", 100.0),
             wq("SELECT id FROM t WHERE b = 2 AND c = 10", 50.0),
         ];
-        let mut dta = Dta::default();
+        let mut dta = Dta::new(0);
         let defs = dta.recommend(&db, &workload, u64::MAX);
         assert!(!defs.is_empty());
         let cm = CostModel::default();
@@ -195,13 +189,13 @@ mod tests {
             wq("SELECT id FROM t WHERE b = 2 AND c = 10", 50.0),
             wq("SELECT id FROM t WHERE c = 3 AND a > 5", 25.0),
         ];
-        let mut unlimited = Dta::default();
+        let mut unlimited = Dta::new(0);
         unlimited.recommend(&db, &workload, u64::MAX);
         let full_calls = unlimited.last_whatif_calls;
 
         let mut capped = Dta {
             max_whatif_calls: full_calls / 4,
-            ..Dta::default()
+            ..Dta::new(0)
         };
         capped.recommend(&db, &workload, u64::MAX);
         assert!(capped.last_whatif_calls <= full_calls / 4 + workload.len() as u64);
@@ -214,11 +208,11 @@ mod tests {
             wq("SELECT id FROM t WHERE a = 5", 100.0),
             wq("SELECT id FROM t WHERE c = 7", 100.0),
         ];
-        let mut dta = Dta::default();
+        let mut dta = Dta::new(0);
         let all = dta.recommend(&db, &workload, u64::MAX);
         let eval = CostEvaluator::new(&db, &workload);
         let size = eval.config_size(&all);
-        let mut dta2 = Dta::default();
+        let mut dta2 = Dta::new(0);
         let constrained = dta2.recommend(&db, &workload, size / 2);
         assert!(eval.config_size(&constrained) <= size / 2);
     }
@@ -230,7 +224,7 @@ mod tests {
             wq("SELECT id FROM t WHERE a = 5 AND b = 1", 100.0),
             wq("SELECT id FROM t WHERE b = 2 AND c = 10 AND a > 3", 50.0),
         ];
-        let mut dta = Dta::default();
+        let mut dta = Dta::new(0);
         dta.recommend(&db, &workload, u64::MAX);
         // AIM's ranking makes a handful of calls per query; DTA's greedy
         // enumeration sweeps the pool per step.

@@ -233,7 +233,7 @@ mod tests {
         let defs = ext.recommend(&db, &workload, u64::MAX);
         assert!(defs.is_empty(), "greedy should stall here: {defs:?}");
         // AIM's structural candidate generation finds it directly.
-        let mut aim = aim_core::AimAdvisor::default();
+        let mut aim = aim_core::AimAdvisor::new(2, 0);
         let aim_defs = aim.recommend(&db, &workload, u64::MAX);
         assert!(
             aim_defs.iter().any(|d| d.columns.len() >= 2),

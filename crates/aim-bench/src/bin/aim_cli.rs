@@ -32,9 +32,10 @@
 //!
 //! # continuous tuning over N observation windows, with the live
 //! # introspection endpoint (/metrics, /journal, /profile, /timeseries,
-//! # /trace, /ledger) and a Chrome trace written on exit
+//! # /trace, /ledger); artifacts are written only where a path is given
 //! cargo run -p aim-bench --bin aim_cli --release -- \
-//!     continuous tpch --windows 3 --serve 7800 --trace-out results/trace_tpch.json
+//!     continuous tpch --windows 3 --serve 7800 --trace-out /tmp/trace_tpch.json \
+//!     --ledger-out /tmp/decision_ledger.json --telemetry-out /tmp/telemetry.json
 //!
 //! # tune a Zipf-skewed tenant fleet through one FleetSession run
 //! # (fleet-level knapsack budget allocation; --uniform for the fixed
@@ -43,6 +44,7 @@
 //!     fleet --tenants 32 --skew 1.2 --selection lp --serve 7800
 //! ```
 
+use aim_bench::continuous::{tune_window, window_line};
 use aim_core::{AimConfig, BackendSpec, SelectionStrategy, TuningSession};
 use aim_exec::{Engine, HypoConfig};
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
@@ -74,17 +76,7 @@ fn main() {
     // (`--profile`, `continuous`): record every span close as a Chrome
     // trace event and write the trace to PATH on exit (load it in
     // chrome://tracing or Perfetto).
-    let mut trace_out: Option<String> = None;
-    if let Some(i) = args.iter().position(|a| a == "--trace-out") {
-        match args.get(i + 1) {
-            Some(path) => trace_out = Some(path.clone()),
-            None => {
-                eprintln!("--trace-out needs a file path (e.g. results/trace_run.json)");
-                std::process::exit(2);
-            }
-        }
-        args.drain(i..(i + 2).min(args.len()));
-    }
+    let trace_out = take_path_flag(&mut args, "--trace-out");
     if let Some(i) = args.iter().position(|a| a == "--profile") {
         let workload = args.get(i + 1).map(String::as_str).unwrap_or("demo");
         run_profile(workload, strategy, trace_out.as_deref());
@@ -115,14 +107,7 @@ fn main() {
     }
     let engine = Engine::new();
     let mut monitor = WorkloadMonitor::new();
-    let session = AimConfig::builder()
-        .selection(SelectionConfig {
-            min_executions: 1,
-            min_benefit: 0.5,
-            ..Default::default()
-        })
-        .selection_strategy(strategy)
-        .session();
+    let session = shell_config(strategy).session();
     let mut db = backend.provision().unwrap_or_else(|e| {
         eprintln!("failed to open database: {e}");
         std::process::exit(1);
@@ -157,6 +142,65 @@ fn main() {
         }
         run_sql(line.trim_end_matches(';'), &mut db, &engine, &mut monitor);
     }
+}
+
+/// Removes `FLAG PATH` from `args` and returns the path. Every artifact the
+/// shell can write goes to a path given this way; there is no default.
+fn take_path_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == flag)?;
+    if i + 1 >= args.len() {
+        eprintln!("{flag} needs a file path");
+        std::process::exit(2);
+    }
+    let path = args.remove(i + 1);
+    args.remove(i);
+    Some(path)
+}
+
+/// The value after the flag at `args[*i]`, parsed; exits 2 when it is
+/// missing or malformed.
+fn flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize, what: &str) -> T {
+    *i += 1;
+    args.get(*i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        eprintln!("{} needs {what}", args[*i - 1]);
+        std::process::exit(2);
+    })
+}
+
+/// The configuration every mode of the shell tunes with: any query seen
+/// once is in, with the selector `--selection` names.
+fn shell_config(strategy: SelectionStrategy) -> aim_core::AimConfigBuilder {
+    AimConfig::builder()
+        .selection(SelectionConfig {
+            min_executions: 1,
+            min_benefit: 0.5,
+            ..Default::default()
+        })
+        .selection_strategy(strategy)
+}
+
+/// Starts the loopback introspection endpoint and says what it serves.
+fn serve(port: u16, routes: &str) -> aim_telemetry::IntrospectionServer {
+    match aim_telemetry::IntrospectionServer::start(port) {
+        Ok(s) => {
+            println!("introspection endpoint: http://{} ({routes})", s.addr());
+            s
+        }
+        Err(e) => {
+            eprintln!("--serve {port}: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Keeps a finished run's endpoint up until stdin closes.
+fn hold(server: aim_telemetry::IntrospectionServer) {
+    println!(
+        "endpoint still serving on http://{}; press Enter (or close stdin) to exit",
+        server.addr()
+    );
+    let _ = std::io::stdin().lock().read_line(&mut String::new());
+    server.shutdown();
 }
 
 /// Handles a `\command`; returns false to exit.
@@ -406,20 +450,13 @@ fn run_explain(args: &[String], strategy: SelectionStrategy) {
         }
     }
     if tune {
-        let session = AimConfig::builder()
-            .selection(SelectionConfig {
-                min_executions: 1,
-                min_benefit: 0.5,
-                ..Default::default()
-            })
-            .selection_strategy(strategy)
-            .session();
+        let session = shell_config(strategy).session();
         match session.run(&mut db, &monitor) {
             Ok(o) => eprintln!("tuned: {} indexes created, {} rejected", o.created.len(), o.rejected.len()),
             Err(e) => eprintln!("tuning failed: {e}"),
         }
     }
-    let mut cfg = HypoConfig::none();
+    let mut hypos = Vec::new();
     if hypo {
         let wl = aim_monitor::select_workload(
             &monitor,
@@ -432,11 +469,10 @@ fn run_explain(args: &[String], strategy: SelectionStrategy) {
         let cands = aim_core::generate_candidates(&db, &wl, &Default::default());
         for c in cands.iter().take(8) {
             let def = aim_storage::IndexDef::new(c.name(), c.table.clone(), c.columns.clone());
-            if let Some(h) = aim_exec::HypotheticalIndex::build(&db, def) {
-                cfg.indexes.push(std::sync::Arc::new(h));
-            }
+            hypos.extend(aim_exec::HypotheticalIndex::build(&db, def));
         }
     }
+    let cfg = HypoConfig::overlay(hypos);
 
     match aim_exec::explain_select(&db, &select, &cfg, &engine.cost_model) {
         Ok((_plan, mut ex)) => {
@@ -461,35 +497,23 @@ fn run_explain(args: &[String], strategy: SelectionStrategy) {
     }
 }
 
-/// `continuous [workload] [--windows N] [--serve PORT]`: run N
-/// observation-window steps of the continuous tuner with the decision
-/// ledger recording, optionally exposing the live introspection endpoint.
-/// Writes `results/decision_ledger.json` and a telemetry artifact on
-/// completion.
+/// `continuous [workload] [--windows N] [--serve PORT] [--ledger-out PATH]
+/// [--telemetry-out PATH]`: run N observation-window steps of the continuous
+/// tuner with the decision ledger recording, optionally exposing the live
+/// introspection endpoint. The ledger and the telemetry artifact are
+/// written on completion to the paths given, and nowhere otherwise.
 fn run_continuous(args: &[String], strategy: SelectionStrategy, trace_out: Option<&str>) {
+    let mut args = args.to_vec();
+    let ledger_out = take_path_flag(&mut args, "--ledger-out");
+    let telemetry_out = take_path_flag(&mut args, "--telemetry-out");
     let mut workload = "demo".to_string();
     let mut windows = 3usize;
-    let mut serve: Option<u16> = None;
+    let mut serve_on: Option<u16> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--windows" => {
-                i += 1;
-                windows = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--windows needs a number");
-                        std::process::exit(2);
-                    });
-            }
-            "--serve" => {
-                i += 1;
-                serve = Some(args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--serve needs a port");
-                    std::process::exit(2);
-                }));
-            }
+            "--windows" => windows = flag_value(&args, &mut i, "a number"),
+            "--serve" => serve_on = Some(flag_value(&args, &mut i, "a port")),
             other if other.starts_with("--") => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
@@ -508,33 +532,13 @@ fn run_continuous(args: &[String], strategy: SelectionStrategy, trace_out: Optio
     if trace_out.is_some() {
         aim_telemetry::trace::start_recording();
     }
-    let session = AimConfig::builder()
-        .selection(SelectionConfig {
-            min_executions: 1,
-            min_benefit: 0.5,
-            ..Default::default()
-        })
-        .ledger(true)
-        .selection_strategy(strategy)
-        .session();
+    let session = shell_config(strategy).ledger(true).session();
     // The /ledger endpoint reads through a clone: TuningSession clones
     // share one ledger.
     let ledger_handle = session.clone();
     aim_telemetry::set_ledger_source(Box::new(move || ledger_handle.ledger_json()));
-    let server = serve.map(|port| match aim_telemetry::IntrospectionServer::start(port) {
-        Ok(s) => {
-            println!(
-                "introspection endpoint: http://{} \
-                 (/metrics /journal /profile /timeseries /trace /ledger)",
-                s.addr()
-            );
-            s
-        }
-        Err(e) => {
-            eprintln!("--serve {port}: {e}");
-            std::process::exit(1);
-        }
-    });
+    let server = serve_on
+        .map(|port| serve(port, "/metrics /journal /profile /timeseries /trace /ledger"));
 
     // The latency sentinel watches windowed select-latency and rolls back
     // a materialization that regresses it (ledger stage
@@ -542,22 +546,15 @@ fn run_continuous(args: &[String], strategy: SelectionStrategy, trace_out: Optio
     let mut tuner = aim_core::ContinuousTuner::with_session(session.clone(), 0.5)
         .with_sentinel(aim_core::LatencySentinel::new(Default::default()));
     for w in 1..=windows {
-        let mut monitor = WorkloadMonitor::new();
-        for wq in &weighted {
-            if let Ok(out) = engine.execute(&mut db, &wq.statement) {
-                monitor.record(&wq.statement, &out);
+        let (_, stepped) = tune_window(&mut tuner, &mut db, |db, monitor| {
+            for wq in &weighted {
+                if let Ok(out) = engine.execute(db, &wq.statement) {
+                    monitor.record(&wq.statement, &out);
+                }
             }
-        }
-        match tuner.step(&mut db, &monitor) {
-            Ok(out) => println!(
-                "window {w}: created {}, rejected {}, reverted {}, dropped {}, \
-                 rolled back {}",
-                out.tuning.created.len(),
-                out.tuning.rejected.len(),
-                out.reverted.len(),
-                out.dropped_unused.len(),
-                out.rolled_back.len()
-            ),
+        });
+        match stepped {
+            Ok(out) => println!("window {w}: {}", window_line(&out)),
             Err(e) => println!("window {w}: step failed: {e}"),
         }
         // Make this thread's span tree visible to the /profile endpoint.
@@ -565,18 +562,18 @@ fn run_continuous(args: &[String], strategy: SelectionStrategy, trace_out: Optio
     }
 
     let ledger = session.ledger();
-    if let Err(e) = ledger.write_json("results/decision_ledger.json") {
-        eprintln!("failed to write results/decision_ledger.json: {e}");
-    } else {
-        println!(
-            "decision ledger: {} records over {} passes -> results/decision_ledger.json",
-            ledger.len(),
-            ledger.passes
-        );
+    println!("decision ledger: {} records over {} passes", ledger.len(), ledger.passes);
+    if let Some(path) = &ledger_out {
+        match ledger.write_json(path) {
+            Ok(()) => println!("decision ledger -> {path}"),
+            Err(e) => eprintln!("failed to write {path}: {e}"),
+        }
     }
-    let label = format!("continuous:{workload}");
-    if let Err(e) = aim_telemetry::write_artifact("results/continuous_telemetry.json", &label) {
-        eprintln!("failed to write telemetry artifact: {e}");
+    if let Some(path) = &telemetry_out {
+        match aim_telemetry::write_artifact(path, &format!("continuous:{workload}")) {
+            Ok(()) => println!("telemetry artifact -> {path}"),
+            Err(e) => eprintln!("failed to write {path}: {e}"),
+        }
     }
     if let Some(path) = trace_out {
         let n = aim_telemetry::trace::stop_recording();
@@ -587,10 +584,7 @@ fn run_continuous(args: &[String], strategy: SelectionStrategy, trace_out: Optio
     }
 
     if let Some(server) = server {
-        println!("endpoint still serving on http://{}; press Enter (or close stdin) to exit", server.addr());
-        let mut line = String::new();
-        let _ = std::io::stdin().lock().read_line(&mut line);
-        server.shutdown();
+        hold(server);
     }
     aim_telemetry::clear_ledger_source();
     aim_telemetry::disable();
@@ -611,39 +605,15 @@ fn run_fleet(args: &[String], strategy: SelectionStrategy) {
     let mut skew = 1.0f64;
     let mut workers = 0usize;
     let mut allocation = aim_core::fleet::BudgetAllocation::Knapsack;
-    let mut serve: Option<u16> = None;
+    let mut serve_on: Option<u16> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--tenants" => {
-                i += 1;
-                tenants = args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--tenants needs a number");
-                    std::process::exit(2);
-                });
-            }
-            "--skew" => {
-                i += 1;
-                skew = args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--skew needs a Zipf exponent (e.g. 1.0)");
-                    std::process::exit(2);
-                });
-            }
-            "--workers" => {
-                i += 1;
-                workers = args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--workers needs a number (0 = one per core)");
-                    std::process::exit(2);
-                });
-            }
+            "--tenants" => tenants = flag_value(args, &mut i, "a number"),
+            "--skew" => skew = flag_value(args, &mut i, "a Zipf exponent (e.g. 1.0)"),
+            "--workers" => workers = flag_value(args, &mut i, "a number (0 = one per core)"),
             "--uniform" => allocation = aim_core::fleet::BudgetAllocation::Uniform,
-            "--serve" => {
-                i += 1;
-                serve = Some(args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--serve needs a port");
-                    std::process::exit(2);
-                }));
-            }
+            "--serve" => serve_on = Some(flag_value(args, &mut i, "a port")),
             other => {
                 eprintln!("unknown flag {other} (try --tenants/--skew/--workers/--uniform/--serve)");
                 std::process::exit(2);
@@ -654,23 +624,13 @@ fn run_fleet(args: &[String], strategy: SelectionStrategy) {
 
     aim_telemetry::reset();
     aim_telemetry::enable();
-    let server = serve.map(|port| match aim_telemetry::IntrospectionServer::start(port) {
-        Ok(s) => {
-            // Give /alerts something real to evaluate: a per-tenant p99
-            // SLO on windowed select cost.
-            aim_telemetry::slo::register(
-                aim_telemetry::SloRule::new("fleet-select-p99", "exec.select_cost", 1000.0),
-            );
-            println!(
-                "introspection endpoint: http://{} (/metrics /timeseries /fleet /alerts)",
-                s.addr()
-            );
-            s
-        }
-        Err(e) => {
-            eprintln!("--serve {port}: {e}");
-            std::process::exit(1);
-        }
+    let server = serve_on.map(|port| {
+        // Give /alerts something real to evaluate: a per-tenant p99 SLO on
+        // windowed select cost.
+        aim_telemetry::slo::register(
+            aim_telemetry::SloRule::new("fleet-select-p99", "exec.select_cost", 1000.0),
+        );
+        serve(port, "/metrics /timeseries /fleet /alerts")
     });
 
     println!("generating fleet: {tenants} tenants, Zipf s = {skew}");
@@ -734,13 +694,7 @@ fn run_fleet(args: &[String], strategy: SelectionStrategy) {
     );
 
     if let Some(server) = server {
-        println!(
-            "endpoint still serving on http://{}; press Enter (or close stdin) to exit",
-            server.addr()
-        );
-        let mut line = String::new();
-        let _ = std::io::stdin().lock().read_line(&mut line);
-        server.shutdown();
+        hold(server);
     }
     aim_telemetry::disable();
 }
@@ -764,14 +718,7 @@ fn run_profile(workload: &str, strategy: SelectionStrategy, trace_out: Option<&s
             monitor.record(&wq.statement, &outcome);
         }
     }
-    let session = AimConfig::builder()
-        .selection(SelectionConfig {
-            min_executions: 1,
-            min_benefit: 0.5,
-            ..Default::default()
-        })
-        .selection_strategy(strategy)
-        .session();
+    let session = shell_config(strategy).session();
     let result = session.run(&mut db, &monitor);
     let wall = wall.elapsed();
 

@@ -1,134 +1,25 @@
-//! §VI-D: continuous index tuning under a workload shift.
-//!
-//! The paper's scenario: "most of the times, expensive queries result from
-//! new code pushes where developers forget to create supporting secondary
-//! indexes beforehand." The harness bootstraps a database, tunes it for its
-//! initial workload, then introduces a batch of new query shapes with no
-//! supporting indexes. The continuous tuner runs at every window boundary;
-//! the report shows the CPU saved by the post-shift pass and the fraction
-//! of improved queries that got at least an order of magnitude faster —
-//! the paper reports ~2% fleet CPU savings with ~31% of improved queries
-//! gaining ≥10×.
+//! Prints the §VI-D workload-shift experiment (`aim_bench::continuous`):
+//! the window log as `#` comment lines, then `key,value` rows.
 //!
 //! Usage: `cargo run -p aim-bench --bin continuous --release [-- quick]`
 
-use aim_core::continuous::ContinuousTuner;
-use aim_core::AimConfig;
-use aim_exec::Engine;
-use aim_monitor::{SelectionConfig, WorkloadMonitor};
-use aim_sql::normalize::{normalize_statement, QueryFingerprint};
-use aim_workloads::production::{build, profiles};
-use aim_workloads::replay::{QuerySpec, Replayer};
-use std::collections::BTreeMap;
+use aim_bench::continuous::{self, window_line};
+use aim_bench::Scale;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "quick");
-    aim_telemetry::enable();
-    let mut profile = profiles()[if quick { 5 } else { 2 }].clone(); // F / C
-    profile.rows_per_table = (1_500, 4_000);
-    let w = build(&profile);
-    let mut db = w.db.clone();
-
-    // Split the workload: the last third of read specs is the "new code
-    // push" — unseen during initial tuning.
-    let (dml, reads): (Vec<QuerySpec>, Vec<QuerySpec>) = w
-        .specs
-        .iter()
-        .cloned()
-        .partition(|s| s.label.starts_with("dml"));
-    let split = reads.len() * 2 / 3;
-    let mut phase1: Vec<QuerySpec> = reads[..split].to_vec();
-    phase1.extend(dml.clone());
-    let mut phase2: Vec<QuerySpec> = reads.to_vec();
-    phase2.extend(dml);
-
-    let mut tuner = ContinuousTuner::with_session(
-        AimConfig::builder()
-            .selection(SelectionConfig {
-                min_executions: 2,
-                min_benefit: 0.5,
-                max_queries: usize::MAX,
-                include_dml: true,
-            })
-            .session(),
-        0.5,
-    );
-
-    let per_window = phase1.len() * 4;
-    // Phase 1: bootstrap on the initial workload (3 windows).
-    let mut replayer = Replayer::new(phase1.clone(), 7);
-    for _ in 0..3 {
-        let mut monitor = WorkloadMonitor::new();
-        replayer.run_tick(&mut db, Some(&mut monitor), per_window, f64::INFINITY);
-        let out = tuner.step(&mut db, &monitor).expect("tuning step");
-        eprintln!(
-            "# bootstrap window: +{} indexes, {} reverted, {} dropped",
-            out.tuning.created.len(),
-            out.reverted.len(),
-            out.dropped_unused.len()
-        );
+    let shift = continuous::run(Scale::from_args());
+    for w in &shift.bootstrap {
+        println!("# bootstrap window: {}", window_line(w));
     }
-
-    // Workload shift: phase 2 adds the new queries.
-    let mut replayer = Replayer::new(phase2.clone(), 8);
-    let mut monitor = WorkloadMonitor::new();
-    replayer.run_tick(&mut db, Some(&mut monitor), per_window, f64::INFINITY);
-
-    // Per-query average CPU before the continuous pass.
-    let before: BTreeMap<QueryFingerprint, f64> = monitor
-        .queries()
-        .map(|q| (q.fingerprint, q.cpu_avg()))
-        .collect();
-    let total_before = monitor.total_cpu();
-
-    let out = tuner.step(&mut db, &monitor).expect("tuning step");
-    eprintln!(
-        "# post-shift window: +{} indexes, {} reverted, {} dropped",
-        out.tuning.created.len(),
-        out.reverted.len(),
-        out.dropped_unused.len()
-    );
-
-    // Re-measure the same window's queries after tuning.
-    let engine = Engine::new();
-    let mut total_after = 0.0;
-    let mut improved = 0usize;
-    let mut improved_10x = 0usize;
-    let mut measured = 0usize;
-    for q in monitor.queries() {
-        let out = engine
-            .execute(&mut db, &q.exemplar)
-            .expect("replayable exemplar");
-        let after = out.cost;
-        total_after += after * q.executions as f64;
-        let fp = normalize_statement(&q.exemplar).fingerprint;
-        if let Some(&b) = before.get(&fp) {
-            measured += 1;
-            if after < b * 0.9 {
-                improved += 1;
-                if after <= b / 10.0 {
-                    improved_10x += 1;
-                }
-            }
-        }
-    }
-
-    println!("queries_measured,{measured}");
-    println!("queries_improved,{improved}");
-    println!("improved_at_least_10x,{improved_10x}");
-    println!(
-        "cpu_saving_pct,{:.1}",
-        (1.0 - total_after / total_before.max(1e-9)) * 100.0
-    );
-    if improved > 0 {
+    println!("# post-shift window: {}", window_line(&shift.post_shift));
+    println!("queries_measured,{}", shift.queries_measured);
+    println!("queries_improved,{}", shift.queries_improved);
+    println!("improved_at_least_10x,{}", shift.improved_10x);
+    println!("cpu_saving_pct,{:.1}", shift.cpu_saving_pct());
+    if shift.queries_improved > 0 {
         println!(
             "share_of_improved_10x_pct,{:.1}",
-            improved_10x as f64 / improved as f64 * 100.0
+            shift.improved_10x as f64 / shift.queries_improved as f64 * 100.0
         );
-    }
-
-    match aim_telemetry::write_artifact("results/continuous_telemetry.json", "continuous") {
-        Ok(()) => eprintln!("# telemetry: results/continuous_telemetry.json"),
-        Err(e) => eprintln!("# telemetry artifact failed: {e}"),
     }
 }

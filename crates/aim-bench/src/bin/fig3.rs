@@ -1,115 +1,20 @@
-//! Figure 3: CPU utilisation & throughput profiles before and after AIM
-//! execution, for Products A, B and C.
-//!
-//! Two identical machines replay the same workload: the *control* keeps its
-//! DBA-created indexes throughout; on the *test* machine all secondary
-//! indexes are dropped mid-run, AIM is then initiated, and the indexes it
-//! recommends are created incrementally (one per tick, matching the paper's
-//! "indexes were created incrementally with sleeps in between"). The
-//! expected shape: the test machine's CPU spikes and throughput collapses
-//! at the drop, then both staircase back to the control's level as AIM's
-//! indexes land.
-//!
-//! Output: CSV `product,tick,machine,cpu_pct,throughput`.
+//! Prints Figure 3 (`aim_bench::fig3`) as CSV.
 //!
 //! Usage: `cargo run -p aim-bench --bin fig3 --release [-- quick]`
 
-use aim_core::AimConfig;
-use aim_monitor::{SelectionConfig, WorkloadMonitor};
-use aim_storage::IoStats;
-use aim_workloads::production::{apply_indexes, build, profiles};
-use aim_workloads::replay::Replayer;
+use aim_bench::{fig3, Scale};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "quick");
-    // Products A, B, C = profiles()[0..3]; quick mode uses C, D, F.
-    let selected: Vec<usize> = if quick { vec![2, 3, 5] } else { vec![0, 1, 2] };
-
     println!("product,tick,machine,cpu_pct,throughput");
-    for pi in selected {
-        // Larger tables than the Table II runs: Figure 3 is about the
-        // visible gap between indexed and unindexed execution, which needs
-        // scans that dwarf indexed lookups.
-        let mut profile = profiles()[pi].clone();
-        profile.rows_per_table = if quick { (1_000, 3_000) } else { (2_000, 6_000) };
-        let profile = &profile;
-        let w = build(profile);
-        let per_tick = (w.specs.len() * 4).clamp(200, 2000);
-
-        // Control machine: DBA indexes, untouched.
-        let mut control_db = w.db.clone();
-        apply_indexes(&mut control_db, &w.dba_indexes);
-        // Test machine starts identical to control.
-        let mut test_db = control_db.clone();
-
-        // Calibrate capacity so the control machine runs at ~35% CPU.
-        let mut calib = Replayer::new(w.specs.clone(), 99);
-        let sample = calib.run_tick(&mut control_db.clone(), None, per_tick, f64::INFINITY);
-        let capacity = sample.total_cost / 0.35;
-
-        // Same seed: both machines see the identical statement stream, so
-        // tick-to-tick sampling noise cancels in the comparison.
-        let mut control = Replayer::new(w.specs.clone(), 1);
-        let mut test = Replayer::new(w.specs.clone(), 1);
-
-        let drop_tick = 6usize;
-        let aim_tick = 10usize;
-        let total_ticks = 40usize;
-
-        let mut pending: Vec<aim_storage::IndexDef> = Vec::new();
-        let mut monitor = WorkloadMonitor::new();
-        let session = AimConfig::builder()
-            .selection(SelectionConfig {
-                min_executions: 2,
-                min_benefit: 0.5,
-                max_queries: usize::MAX,
-                include_dml: true,
-            })
-            .session();
-
-        for tick in 0..total_ticks {
-            if tick == drop_tick {
-                // Drop every secondary index on the test machine.
-                for def in test_db.all_indexes() {
-                    let _ = test_db.drop_index(&def.table, &def.name);
-                }
-                test_db.analyze_all();
-            }
-            if tick == aim_tick {
-                // AIM analyses the observed (post-drop) workload on a
-                // clone, then its indexes are created one per tick.
-                let mut clone = test_db.clone();
-                let outcome = session.run(&mut clone, &monitor).expect("tuning pass");
-                pending = outcome.created.into_iter().map(|c| c.def).collect();
-                // `created` is in descending utility order and `pop` takes
-                // from the back: reverse so the most beneficial indexes
-                // land first (fast initial recovery, as in the paper).
-                pending.reverse();
-            }
-            if tick > aim_tick && !pending.is_empty() {
-                // A few index builds land per tick ("created incrementally
-                // with sleeps in between"); the rate scales with the size
-                // of the recommendation so every profile finishes in time.
-                let rate = (pending.len() / 15).max(4);
-                for _ in 0..rate {
-                    if let Some(def) = pending.pop() {
-                        let mut io = IoStats::new();
-                        let _ = test_db.create_index(def, &mut io);
-                    }
-                }
-                test_db.analyze_all();
-            }
-
-            let c = control.run_tick(&mut control_db, None, per_tick, capacity);
-            let monitor_ref = if tick >= drop_tick && tick < aim_tick {
-                Some(&mut monitor)
-            } else {
-                None
-            };
-            let t = test.run_tick(&mut test_db, monitor_ref, per_tick, capacity);
-            let product = profile.name.replace("Product ", "");
-            println!("{product},{tick},control,{:.1},{:.1}", c.cpu_pct, c.throughput);
-            println!("{product},{tick},test,{:.1},{:.1}", t.cpu_pct, t.throughput);
-        }
+    for r in fig3::run(Scale::from_args()) {
+        let (product, tick) = (&r.product, r.tick);
+        println!(
+            "{product},{tick},control,{:.1},{:.1}",
+            r.control_cpu_pct, r.control_throughput
+        );
+        println!(
+            "{product},{tick},test,{:.1},{:.1}",
+            r.test_cpu_pct, r.test_throughput
+        );
     }
 }

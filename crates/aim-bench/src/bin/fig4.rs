@@ -1,112 +1,28 @@
-//! Figure 4: estimated workload processing cost and advisor runtime vs.
-//! storage budget, for AIM / DTA / Extend on the TPC-H-like and JOB-like
-//! benchmarks.
-//!
-//! Matches §VI-B's setup: purely analytical comparison on what-if
-//! (dataless) costing, maximum index width 4 for TPC-H and 3 for JOB, cost
-//! reported *relative to the unindexed workload cost* (Figure 4a/4c),
-//! runtime in seconds plus what-if-call counts (Figure 4b/4d).
+//! Prints Figure 4 (`aim_bench::fig4`) as CSV.
 //!
 //! Usage: `cargo run -p aim-bench --bin fig4 --release -- [tpch|job|tpcds] [quick]`
 
-use aim_baselines::{Dta, Extend};
-use aim_core::{config_size, defs_to_config, workload_cost, AimAdvisor, IndexAdvisor};
-use aim_exec::{CostModel, HypoConfig};
-use std::time::Instant;
+use aim_bench::fig4::{self, Benchmark};
+use aim_bench::Scale;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let which = args.get(1).map(String::as_str).unwrap_or("tpch");
-    let quick = args.iter().any(|a| a == "quick");
-    aim_telemetry::enable();
-
-    let (db, workload, max_width, label) = match which {
-        "tpcds" => {
-            let cfg = aim_workloads::tpcds::TpcdsConfig {
-                sales_rows: if quick { 2_000 } else { 8_000 },
-                seed: 0xD5,
-            };
-            (
-                aim_workloads::tpcds::build_database(&cfg),
-                aim_workloads::tpcds::weighted_workload(17),
-                3,
-                "TPC-DS",
-            )
-        }
-        "job" => {
-            let cfg = aim_workloads::job::JobConfig {
-                titles: if quick { 800 } else { 2500 },
-                seed: 0x10B,
-            };
-            (
-                aim_workloads::job::build_database(&cfg),
-                aim_workloads::job::weighted_workload(17),
-                3,
-                "JOB",
-            )
-        }
-        _ => {
-            let cfg = aim_workloads::tpch::TpchConfig {
-                scale: if quick { 0.0005 } else { 0.002 },
-                seed: 0xAA17,
-            };
-            (
-                aim_workloads::tpch::build_database(&cfg),
-                aim_workloads::tpch::weighted_workload(17),
-                4,
-                "TPC-H",
-            )
-        }
+    let name = std::env::args().skip(1).find(|a| a != "quick");
+    let name = name.as_deref().unwrap_or("tpch");
+    let Some(benchmark) = Benchmark::parse(name) else {
+        eprintln!("unknown benchmark '{name}' (tpch, job, tpcds)");
+        std::process::exit(2);
     };
-
-    let cm = CostModel::default();
-    let base_cost = workload_cost(&db, &workload, &HypoConfig::only(Vec::new()), &cm);
-
-    // Budget grid: fractions of the size of AIM's unlimited configuration.
-    let mut probe = AimAdvisor::new(3, max_width);
-    let full = probe.recommend(&db, &workload, u64::MAX);
-    let full_size = config_size(&db, &full).max(1);
-    let fractions: &[f64] = if quick {
-        &[0.25, 0.5, 1.0]
-    } else {
-        &[0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.25]
-    };
-
-    println!("# {label}: base estimated cost = {base_cost:.0} cost units");
+    let sweep = fig4::run(benchmark, Scale::from_args());
+    let label = benchmark.label();
+    println!(
+        "# {label}: base estimated cost = {:.0} cost units",
+        sweep.base_cost
+    );
     println!("benchmark,advisor,budget_bytes,relative_cost,runtime_s,whatif_calls,indexes");
-    let emit = |advisor: &str, budget: u64, defs: &[aim_storage::IndexDef], runtime: f64, calls: u64| {
-        let cost = workload_cost(&db, &workload, &defs_to_config(&db, defs), &cm);
+    for r in &sweep.rows {
         println!(
-            "{label},{advisor},{budget},{:.4},{:.4},{calls},{}",
-            cost / base_cost,
-            runtime,
-            defs.len()
+            "{label},{},{},{:.4},{:.4},{},{}",
+            r.advisor, r.budget_bytes, r.relative_cost, r.runtime_s, r.whatif_calls, r.indexes
         );
-    };
-
-    for &frac in fractions {
-        let budget = (full_size as f64 * frac) as u64;
-
-        let mut aim = AimAdvisor::new(3, max_width);
-        let t = Instant::now();
-        let calls_before = aim_telemetry::metrics::WHATIF_CALLS.get();
-        let defs = aim.recommend(&db, &workload, budget);
-        let aim_calls = aim_telemetry::metrics::WHATIF_CALLS.get() - calls_before;
-        emit("AIM", budget, &defs, t.elapsed().as_secs_f64(), aim_calls);
-
-        let mut dta = Dta::new(max_width);
-        let t = Instant::now();
-        let defs = dta.recommend(&db, &workload, budget);
-        emit("DTA", budget, &defs, t.elapsed().as_secs_f64(), dta.last_whatif_calls);
-
-        let mut ext = Extend::new(max_width);
-        let t = Instant::now();
-        let defs = ext.recommend(&db, &workload, budget);
-        emit("Extend", budget, &defs, t.elapsed().as_secs_f64(), ext.last_whatif_calls);
-    }
-
-    match aim_telemetry::write_artifact("results/fig4_telemetry.json", &format!("fig4:{which}")) {
-        Ok(()) => eprintln!("# telemetry: results/fig4_telemetry.json"),
-        Err(e) => eprintln!("# telemetry artifact failed: {e}"),
     }
 }

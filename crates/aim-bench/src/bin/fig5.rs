@@ -1,79 +1,17 @@
-//! Figure 5: per-query processing costs for TPC-H under a fixed storage
-//! budget, comparing the configurations chosen by AIM, DTA and Extend.
-//!
-//! The paper fixes a 15 GB budget at SF 10 (~40% of the full configuration
-//! size); we use the same *fraction* at our scale. Both optimizer-estimated
-//! and measured (executed) costs are reported per query — §VI-B notes that
-//! for Q21 the optimizer over-estimated AIM's covering-index plan while
-//! actual execution costs were similar, which only a measured column can
-//! show.
+//! Prints Figure 5 (`aim_bench::fig5`) as CSV.
 //!
 //! Usage: `cargo run -p aim-bench --bin fig5 --release [-- quick]`
 
-use aim_baselines::{Dta, Extend};
-use aim_core::{config_size, defs_to_config, AimAdvisor, IndexAdvisor};
-use aim_exec::{estimate_statement_cost, CostModel, Engine};
-use aim_storage::{Database, IndexDef, IoStats};
+use aim_bench::{fig5, Scale};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "quick");
-    let cfg = aim_workloads::tpch::TpchConfig {
-        scale: if quick { 0.0005 } else { 0.002 },
-        seed: 0xAA17,
-    };
-    let db = aim_workloads::tpch::build_database(&cfg);
-    let workload = aim_workloads::tpch::weighted_workload(17);
-    let labels: Vec<String> = aim_workloads::tpch::query_texts(17)
-        .into_iter()
-        .map(|(l, _)| l)
-        .collect();
-    let cm = CostModel::default();
-    let max_width = 4;
-
-    // Budget: 40% of AIM's unlimited configuration (the paper's 15 GB /
-    // SF10 ratio).
-    let mut probe = AimAdvisor::new(3, max_width);
-    let full = probe.recommend(&db, &workload, u64::MAX);
-    let budget = (config_size(&db, &full) as f64 * 0.4) as u64;
-    println!("# budget = {budget} bytes");
-
-    let mut aim = AimAdvisor::new(3, max_width);
-    let aim_defs = aim.recommend(&db, &workload, budget);
-    let mut dta = Dta::new(max_width);
-    let dta_defs = dta.recommend(&db, &workload, budget);
-    let mut ext = Extend::new(max_width);
-    let ext_defs = ext.recommend(&db, &workload, budget);
-
+    let per_query = fig5::run(Scale::from_args());
+    println!("# budget = {} bytes", per_query.budget_bytes);
     println!("query,advisor,estimated_cost,measured_cost");
-    for (name, defs) in [
-        ("none", Vec::new()),
-        ("AIM", aim_defs),
-        ("DTA", dta_defs),
-        ("Extend", ext_defs),
-    ] {
-        let hypo = defs_to_config(&db, &defs);
-        let measured_db = materialize(&db, &defs);
-        let engine = Engine::new();
-        let mut mdb = measured_db;
-        for (label, wq) in labels.iter().zip(&workload) {
-            let est = estimate_statement_cost(&db, &wq.statement, &hypo, &cm)
-                .unwrap_or(f64::NAN);
-            let measured = engine
-                .execute(&mut mdb, &wq.statement)
-                .map(|o| o.cost)
-                .unwrap_or(f64::NAN);
-            println!("{label},{name},{est:.1},{measured:.1}");
-        }
+    for r in &per_query.rows {
+        println!(
+            "{},{},{:.1},{:.1}",
+            r.query, r.advisor, r.estimated_cost, r.measured_cost
+        );
     }
-}
-
-/// Clone the database and materialize the configuration for real execution.
-fn materialize(db: &Database, defs: &[IndexDef]) -> Database {
-    let mut clone = db.clone();
-    let mut io = IoStats::new();
-    for d in defs {
-        let _ = clone.create_index(d.clone(), &mut io);
-    }
-    clone.analyze_all();
-    clone
 }

@@ -1,162 +1,48 @@
-//! Figure 6: effect of the join parameter `j`.
-//!
-//! Two identical machines start with *no* secondary indexes and replay the
-//! join-heavy transactional workload of `aim_workloads::join_heavy` (the
-//! paper's §VI-C scenario: jointly-selective sub-predicates and multi-table
-//! join neighbourhoods). On one machine AIM progressively tunes with
-//! j = 1, 2, 3 (two observation→tune rounds per phase, so the covering
-//! phase can engage); on the other the greedy incremental algorithm
-//! (GIA = Extend, as in the paper) builds its configuration once.
-//!
-//! Expected shape (paper): j=2 materially better than j=1, j=3 marginal,
-//! AIM ahead of GIA on both throughput and CPU.
+//! Prints Figure 6 (`aim_bench::fig6`): the tick series as CSV, then the
+//! per-phase summary as `#` comment lines.
 //!
 //! Usage: `cargo run -p aim-bench --bin fig6 --release [-- quick]`
 
-use aim_baselines::Extend;
-use aim_core::AimConfig;
-use aim_core::{CandidateGenConfig, IndexAdvisor};
-use aim_monitor::{SelectionConfig, WorkloadMonitor};
-use aim_storage::IoStats;
-use aim_workloads::join_heavy::{build_database, specs, weighted, JoinHeavyConfig};
-use aim_workloads::replay::Replayer;
+use aim_bench::{fig6, Scale};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "quick");
-    aim_telemetry::enable();
-    let cfg = if quick {
-        JoinHeavyConfig {
-            child_rows: 4_000,
-            parent_rows: 600,
-            grand_rows: 100,
-            dim_rows: 120,
-            ..Default::default()
-        }
-    } else {
-        JoinHeavyConfig::default()
-    };
-    let base_db = build_database(&cfg);
-    let workload_specs = specs(17);
-    let weighted_workload = weighted(17);
-    let per_tick = if quick { 120 } else { 200 };
-
-    // Capacity: 20% of the unindexed per-tick cost — machines start deeply
-    // saturated and stay near saturation through j=1, so both the
-    // throughput climb (j=1→j=2) and the CPU gap (AIM vs GIA) are visible.
-    let mut calib = Replayer::new(workload_specs.clone(), 99);
-    let sample = calib.run_tick(&mut base_db.clone(), None, per_tick, f64::INFINITY);
-    let capacity = sample.total_cost * 0.2;
-
-    let aim_for = |j: usize| {
-        AimConfig::builder()
-            .selection(SelectionConfig {
-                min_executions: 1,
-                min_benefit: 0.5,
-                max_queries: usize::MAX,
-                include_dml: true,
-            })
-            .candidate_gen(CandidateGenConfig {
-                join_parameter: j,
-                ..Default::default()
-            })
-            .session()
-    };
-
-    let phase_len = if quick { 5 } else { 8 };
-    let phases: [(usize, &str); 4] = [(0, "unindexed"), (1, "j=1"), (2, "j=2"), (3, "j=3")];
-
-    // ------------------------------------------------------- AIM machine
-    let mut aim_db = base_db.clone();
-    let mut aim_replayer = Replayer::new(workload_specs.clone(), 1);
-    let mut aim_phase_stats: Vec<(String, f64, f64)> = Vec::new();
+    let fig = fig6::run(Scale::from_args());
     println!("machine,phase,tick,cpu_pct,throughput");
-    for (j, label) in phases {
-        if j > 0 {
-            // Two observation → tune rounds: the second lets the covering
-            // phase (TryCoveringIndex) react to the narrow indexes.
-            for _ in 0..2 {
-                let mut monitor = WorkloadMonitor::new();
-                aim_replayer.run_tick(&mut aim_db, Some(&mut monitor), per_tick, capacity);
-                let outcome = aim_for(j).run(&mut aim_db, &monitor).expect("tuning pass");
-                if !outcome.created.is_empty() {
-                    eprintln!(
-                        "# AIM {label}: +{} indexes ({})",
-                        outcome.created.len(),
-                        outcome
-                            .created
-                            .iter()
-                            .map(|c| format!("{}", c.def))
-                            .collect::<Vec<_>>()
-                            .join("; ")
-                    );
-                }
-            }
+    for t in &fig.ticks {
+        println!(
+            "{},{},{},{:.1},{:.1}",
+            t.machine, t.phase, t.tick, t.cpu_pct, t.throughput
+        );
+    }
+    println!("# phase summary (indexes added; avg cpu%, avg throughput, cost per statement)");
+    for p in &fig.phases {
+        println!(
+            "# {} {}: +{} indexes; cpu {:.1}%, throughput {:.1}, cost/stmt {:.1}",
+            p.machine,
+            p.phase,
+            p.created.len(),
+            p.cpu_pct,
+            p.throughput,
+            p.cost_per_statement
+        );
+        for index in &p.created {
+            println!("#   {index}");
         }
-        let (mut cpu, mut tp) = (0.0, 0.0);
-        for tick in 0..phase_len {
-            let s = aim_replayer.run_tick(&mut aim_db, None, per_tick, capacity);
-            println!("AIM,{label},{tick},{:.1},{:.1}", s.cpu_pct, s.throughput);
-            cpu += s.cpu_pct;
-            tp += s.throughput;
-        }
-        aim_phase_stats.push((
-            label.to_string(),
-            cpu / phase_len as f64,
-            tp / phase_len as f64,
-        ));
     }
-
-    // ------------------------------------------------------- GIA machine
-    let mut gia_db = base_db.clone();
-    let mut gia_replayer = Replayer::new(workload_specs.clone(), 1);
-    for tick in 0..phase_len {
-        let s = gia_replayer.run_tick(&mut gia_db, None, per_tick, capacity);
-        println!("GIA,unindexed,{tick},{:.1},{:.1}", s.cpu_pct, s.throughput);
-    }
-    let mut gia = Extend::default();
-    let defs = gia.recommend(&gia_db, &weighted_workload, u64::MAX);
-    eprintln!(
-        "# GIA: {} indexes ({})",
-        defs.len(),
-        defs.iter()
-            .map(|d| format!("{}({})", d.table, d.columns.join(",")))
-            .collect::<Vec<_>>()
-            .join("; ")
+    let aim = |phase| fig.phase("AIM", phase);
+    let gia = fig.phase("GIA", "tuned");
+    let pct = |new: f64, old: f64| (new / old - 1.0) * 100.0;
+    println!(
+        "# throughput: j=1 vs unindexed {:+.1}%, j=2 vs j=1 {:+.1}%, j=3 vs j=2 {:+.1}%, AIM(j=3) vs GIA {:+.1}%",
+        pct(aim("j=1").throughput, aim("unindexed").throughput),
+        pct(aim("j=2").throughput, aim("j=1").throughput),
+        pct(aim("j=3").throughput, aim("j=2").throughput),
+        pct(aim("j=3").throughput, gia.throughput),
     );
-    let mut io = IoStats::new();
-    for d in defs {
-        let _ = gia_db.create_index(d, &mut io);
-    }
-    gia_db.analyze_all();
-    let (mut gcpu, mut gtp) = (0.0, 0.0);
-    let gia_ticks = phase_len * 3;
-    for tick in 0..gia_ticks {
-        let s = gia_replayer.run_tick(&mut gia_db, None, per_tick, capacity);
-        println!("GIA,tuned,{tick},{:.1},{:.1}", s.cpu_pct, s.throughput);
-        gcpu += s.cpu_pct;
-        gtp += s.throughput;
-    }
-    gcpu /= gia_ticks as f64;
-    gtp /= gia_ticks as f64;
-
-    // ---------------------------------------------------------- summary
-    eprintln!("\n# phase summary (avg cpu%, avg throughput)");
-    for (label, cpu, tp) in &aim_phase_stats {
-        eprintln!("# AIM {label}: cpu {cpu:.1}%, throughput {tp:.1}");
-    }
-    eprintln!("# GIA tuned: cpu {gcpu:.1}%, throughput {gtp:.1}");
-    let t = |i: usize| aim_phase_stats[i].2;
-    eprintln!(
-        "# j=1 vs unindexed: {:+.1}%   j=2 vs j=1: {:+.1}%   j=3 vs j=2: {:+.1}%   AIM(j=3) vs GIA: {:+.1}% throughput ({:+.1}% cpu)",
-        (t(1) / t(0) - 1.0) * 100.0,
-        (t(2) / t(1) - 1.0) * 100.0,
-        (t(3) / t(2) - 1.0) * 100.0,
-        (t(3) / gtp - 1.0) * 100.0,
-        (aim_phase_stats[3].1 / gcpu - 1.0) * 100.0,
+    println!(
+        "# cost per statement: j=2 vs j=1 {:+.1}%, j=3 vs j=2 {:+.1}%, AIM(j=3) vs GIA {:+.1}%",
+        pct(aim("j=2").cost_per_statement, aim("j=1").cost_per_statement),
+        pct(aim("j=3").cost_per_statement, aim("j=2").cost_per_statement),
+        pct(aim("j=3").cost_per_statement, gia.cost_per_statement),
     );
-
-    match aim_telemetry::write_artifact("results/fig6_telemetry.json", "fig6") {
-        Ok(()) => eprintln!("# telemetry: results/fig6_telemetry.json"),
-        Err(e) => eprintln!("# telemetry artifact failed: {e}"),
-    }
 }

@@ -1,63 +1,35 @@
-//! Table II: performance comparison between DBAs and AIM on production
-//! workloads.
-//!
-//! For every profile A–G: apply the DBA-oracle index set to one clone,
-//! bootstrap AIM from zero indexes on another, then report index counts,
-//! total index sizes, the Jaccard similarity of the two sets, and the
-//! relative per-query cost of AIM's configuration vs. the DBA's (the
-//! paper's "performance at par" claim).
+//! Prints Table II (`aim_bench::table2`).
 //!
 //! Usage: `cargo run -p aim-bench --bin table2 --release [-- quick]`
-//! (`quick` restricts to the three smallest profiles).
 
-use aim_bench::{bootstrap_aim, jaccard, jaccard_sets, measure_avg_cost};
-use aim_workloads::production::{apply_indexes, build, profiles};
+use aim_bench::{table2, Scale};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "quick");
     println!(
         "{:<10} {:>7} {:>6} {:>9} {:>12} {:>12} {:>8} {:>8} {:>10}",
-        "Product", "Tables", "Joins", "DBA#/AIM#", "DBA bytes", "AIM bytes", "Jaccard", "J(sets)", "cost A/D"
+        "Product",
+        "Tables",
+        "Joins",
+        "DBA#/AIM#",
+        "DBA bytes",
+        "AIM bytes",
+        "Jaccard",
+        "J(sets)",
+        "cost A/D"
     );
-    for profile in profiles() {
-        if quick && profile.tables > 60 {
-            continue;
-        }
-        let w = build(&profile);
-
-        // DBA-tuned clone.
-        let mut dba_db = w.db.clone();
-        apply_indexes(&mut dba_db, &w.dba_indexes);
-        let dba_bytes = dba_db.total_secondary_index_bytes();
-        let dba_cost = measure_avg_cost(&mut dba_db, &w.specs, 2, w.specs.len() * 2, 42);
-
-        // AIM bootstrap from scratch.
-        let mut aim_db = w.db.clone();
-        let result = bootstrap_aim(
-            &mut aim_db,
-            &w.specs,
-            u64::MAX,
-            4,
-            w.specs.len() * 3,
-            42,
-        );
-        let aim_bytes = aim_db.total_secondary_index_bytes();
-        let aim_cost = measure_avg_cost(&mut aim_db, &w.specs, 2, w.specs.len() * 2, 42);
-
-        let sim = jaccard(&w.dba_indexes, &result.created);
-        let sim_sets = jaccard_sets(&w.dba_indexes, &result.created);
+    for r in table2::run(Scale::from_args()) {
         println!(
             "{:<10} {:>7} {:>6} {:>4}/{:<4} {:>12} {:>12} {:>8.2} {:>8.2} {:>10.2}",
-            profile.name.replace("Product ", "P-"),
-            profile.tables,
-            profile.join_queries,
-            w.dba_indexes.len(),
-            result.created.len(),
-            dba_bytes,
-            aim_bytes,
-            sim,
-            sim_sets,
-            aim_cost / dba_cost.max(1e-9),
+            format!("P-{}", r.product),
+            r.tables,
+            r.join_queries,
+            r.dba_indexes,
+            r.aim_indexes,
+            r.dba_bytes,
+            r.aim_bytes,
+            r.jaccard,
+            r.jaccard_sets,
+            r.cost_ratio,
         );
     }
 }

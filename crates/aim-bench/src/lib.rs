@@ -1,11 +1,62 @@
-//! Shared helpers for the experiment harnesses (one binary per table /
-//! figure of the paper — see `src/bin/`).
+//! The paper's evaluation as functions: one module per table / figure of
+//! §VI, each with a `run` that computes the experiment at a [`Scale`] and
+//! returns typed rows. `tests/paper_claims.rs` calls them at
+//! [`Scale::Quick`] and asserts the paper's claims on the rows; the
+//! binaries of the same names (`src/bin/`) parse arguments, call `run` and
+//! print the rows to stdout. Nothing here writes a file.
 
-use aim_core::AimConfig;
-use aim_monitor::{SelectionConfig, WorkloadMonitor};
-use aim_storage::{Database, IndexDef};
-use aim_workloads::replay::{QuerySpec, Replayer, TickSample};
+pub mod continuous;
+pub mod fig3;
+pub mod fig4;
+pub mod fig5;
+pub mod fig6;
+pub mod table2;
+
+use aim_core::{AimConfig, AimConfigBuilder};
+use aim_monitor::SelectionConfig;
+use aim_storage::IndexDef;
 use std::collections::BTreeSet;
+
+/// The size an experiment runs at. `Quick` is the reduced scale the claim
+/// tests run in the default test profile (every printer takes `quick` as
+/// an argument to print exactly what they assert on); `Full` is what
+/// `scripts/figures.sh` records under `results/`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    Quick,
+    Full,
+}
+
+impl Scale {
+    /// `Quick` when `quick` is among the command-line arguments.
+    pub fn from_args() -> Self {
+        if std::env::args().any(|a| a == "quick") {
+            Scale::Quick
+        } else {
+            Scale::Full
+        }
+    }
+
+    /// `quick` at the reduced scale, `full` at the recorded one.
+    pub fn pick<T>(self, quick: T, full: T) -> T {
+        match self {
+            Scale::Quick => quick,
+            Scale::Full => full,
+        }
+    }
+}
+
+/// The session configuration every replayed experiment tunes with: all
+/// observed statements (DML included) seen at least `min_executions`
+/// times, unlimited storage unless the experiment sets a budget.
+pub(crate) fn tuning_config(min_executions: u64) -> AimConfigBuilder {
+    AimConfig::builder().selection(SelectionConfig {
+        min_executions,
+        min_benefit: 0.5,
+        max_queries: usize::MAX,
+        include_dml: true,
+    })
+}
 
 /// Jaccard similarity between two index sets, comparing `(table, columns)`
 /// identity — the measure of Table II.
@@ -33,80 +84,6 @@ fn jaccard_by<K: Ord>(a: &[IndexDef], b: &[IndexDef], key: impl Fn(&IndexDef) ->
         1.0
     } else {
         inter / union
-    }
-}
-
-/// Result of bootstrapping AIM on a database.
-pub struct BootstrapResult {
-    pub rounds: usize,
-    pub created: Vec<IndexDef>,
-    pub total_tuning_seconds: f64,
-}
-
-/// Runs AIM from scratch: repeated observation windows + tuning passes
-/// until a pass creates nothing new (or `max_rounds` is hit). This is how
-/// the paper's §VI-A bootstrap experiments run ("all secondary indexes were
-/// removed and AIM was allowed to add them from scratch").
-pub fn bootstrap_aim(
-    db: &mut Database,
-    specs: &[QuerySpec],
-    budget_bytes: u64,
-    max_rounds: usize,
-    executions_per_round: usize,
-    seed: u64,
-) -> BootstrapResult {
-    let session = AimConfig::builder()
-        .selection(SelectionConfig {
-            min_executions: 2,
-            min_benefit: 0.5,
-            max_queries: usize::MAX,
-            include_dml: true,
-        })
-        .storage_budget(budget_bytes)
-        .session();
-    let mut replayer = Replayer::new(specs.to_vec(), seed);
-    let mut created = Vec::new();
-    let mut total_tuning_seconds = 0.0;
-    let mut rounds = 0;
-    for round in 0..max_rounds {
-        rounds = round + 1;
-        let mut monitor = WorkloadMonitor::new();
-        replayer.run_tick(db, Some(&mut monitor), executions_per_round, f64::INFINITY);
-        let outcome = session.run(db, &monitor).expect("tuning pass");
-        total_tuning_seconds += outcome.elapsed.as_secs_f64();
-        let n_new = outcome.created.len();
-        created.extend(outcome.created.into_iter().map(|c| c.def));
-        if n_new == 0 {
-            break;
-        }
-    }
-    BootstrapResult {
-        rounds,
-        created,
-        total_tuning_seconds,
-    }
-}
-
-/// Average cost per executed query over `ticks` replay ticks.
-pub fn measure_avg_cost(
-    db: &mut Database,
-    specs: &[QuerySpec],
-    ticks: usize,
-    per_tick: usize,
-    seed: u64,
-) -> f64 {
-    let mut replayer = Replayer::new(specs.to_vec(), seed);
-    let mut cost = 0.0;
-    let mut n = 0usize;
-    for _ in 0..ticks {
-        let s: TickSample = replayer.run_tick(db, None, per_tick, f64::INFINITY);
-        cost += s.total_cost;
-        n += s.executed;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        cost / n as f64
     }
 }
 

@@ -1,6 +1,6 @@
-//! `aim_cli explain`, run as a process: the JSON form keeps the
+//! `aim_cli`, run as a process. `explain`: the JSON form keeps the
 //! `ExplainPlan` contract its consumers parse, the text form names the
-//! access path the planner chose.
+//! access path the planner chose. `continuous`: no file without a path.
 
 use aim_telemetry::jsonv::{self, Json};
 use std::process::Command;
@@ -79,4 +79,34 @@ fn explain_text_names_the_chosen_access() {
             .any(|l| l.trim_start().starts_with("chosen") && l.contains("full scan")),
         "an untuned demo database scans orders in full:\n{text}"
     );
+}
+
+/// `aim_cli continuous` writes an artifact where a path is passed and
+/// nothing otherwise: run in an empty directory, it leaves it empty.
+#[test]
+fn continuous_writes_artifacts_only_where_a_path_is_given() {
+    let dir = std::env::temp_dir().join(format!("aim_cli_continuous_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let run = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_aim_cli"))
+            .current_dir(&dir)
+            .args(["continuous", "demo", "--windows", "2"])
+            .args(extra)
+            .output()
+            .expect("aim_cli starts");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).expect("UTF-8")
+    };
+    let files = || std::fs::read_dir(&dir).expect("readable").count();
+
+    let text = run(&[]);
+    assert!(text.contains("window 1: created 1,"), "{text}");
+    assert!(text.contains("decision ledger: 1 records over 2 passes"), "{text}");
+    assert_eq!(files(), 0, "a run without a path wrote a file");
+
+    run(&["--ledger-out", "ledger.json", "--telemetry-out", "telemetry.json"]);
+    assert_eq!(files(), 2);
+    let ledger = std::fs::read_to_string(dir.join("ledger.json")).expect("ledger written");
+    jsonv::parse(&ledger).unwrap_or_else(|e| panic!("{e}:\n{ledger}"));
+    std::fs::remove_dir_all(&dir).expect("scratch directory removed");
 }

@@ -150,12 +150,6 @@ impl AimAdvisor {
     }
 }
 
-impl Default for AimAdvisor {
-    fn default() -> Self {
-        Self::new(2, 0)
-    }
-}
-
 impl IndexAdvisor for AimAdvisor {
     fn name(&self) -> &str {
         "AIM"
@@ -239,7 +233,7 @@ mod tests {
             wq("SELECT id FROM t WHERE a = 17", 100.0),
             wq("SELECT id FROM t WHERE a = 4 AND b = 2", 50.0),
         ];
-        let mut advisor = AimAdvisor::default();
+        let mut advisor = AimAdvisor::new(2, 0);
         let defs = advisor.recommend(&db, &workload, u64::MAX);
         assert!(!defs.is_empty());
         let cm = CostModel::default();
@@ -255,7 +249,7 @@ mod tests {
     fn budget_zero_recommends_nothing() {
         let db = db();
         let workload = vec![wq("SELECT id FROM t WHERE a = 17", 100.0)];
-        let mut advisor = AimAdvisor::default();
+        let mut advisor = AimAdvisor::new(2, 0);
         assert!(advisor.recommend(&db, &workload, 0).is_empty());
     }
 
@@ -270,7 +264,7 @@ mod tests {
         let base = workload_cost(&db, &workload, &HypoConfig::only(Vec::new()), &cm);
         let mut costs = Vec::new();
         for budget in [64 * 1024, 1 << 20, u64::MAX] {
-            let mut advisor = AimAdvisor::default();
+            let mut advisor = AimAdvisor::new(2, 0);
             let defs = advisor.recommend(&db, &workload, budget);
             assert!(config_size(&db, &defs) <= budget);
             costs.push(workload_cost(&db, &workload, &defs_to_config(&db, &defs), &cm));

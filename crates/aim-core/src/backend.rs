@@ -52,11 +52,6 @@ impl BackendSpec {
         }
     }
 
-    /// True for the disk-backed engine.
-    pub fn is_disk(&self) -> bool {
-        matches!(self, BackendSpec::Disk { .. })
-    }
-
     /// Opens (or creates) a database on this backend. For
     /// [`BackendSpec::Disk`] this runs WAL recovery and loads the working
     /// set; see [`Database::open_disk`].
@@ -106,7 +101,6 @@ mod tests {
         assert_eq!(BackendSpec::parse("memory").unwrap(), BackendSpec::Memory);
         let disk = BackendSpec::parse("disk:/tmp/x").unwrap();
         assert_eq!(disk, BackendSpec::disk("/tmp/x"));
-        assert!(disk.is_disk());
         assert_eq!(disk.to_string(), "disk:/tmp/x");
     }
 
@@ -120,7 +114,7 @@ mod tests {
     fn memory_provision_is_empty_database() {
         let db = BackendSpec::Memory.provision().unwrap();
         assert_eq!(db.backend_kind(), aim_storage::BackendKind::Memory);
-        assert!(db.table_names().is_empty());
+        assert_eq!(db.tables().count(), 0);
     }
 
     #[test]

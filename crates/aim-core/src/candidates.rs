@@ -315,29 +315,10 @@ fn groups_or_empty(info: &TableInfo) -> Vec<FactorGroup> {
     }
 }
 
-/// `GenerateCandidatesForSelection` (Algorithm 4).
-pub fn candidates_for_selection(
-    db: &Database,
-    structure: &QueryStructure,
-    j: usize,
-    mode: CoveringMode,
-) -> Vec<(String, PartialOrder)> {
-    candidates_for_selection_opt(db, structure, j, mode, true)
-}
-
-/// [`candidates_for_selection`] with the dataless-statistics switch exposed
-/// (ablation support).
-pub fn candidates_for_selection_opt(
-    db: &Database,
-    structure: &QueryStructure,
-    j: usize,
-    mode: CoveringMode,
-    use_stats: bool,
-) -> Vec<(String, PartialOrder)> {
-    candidates_for_selection_cfg(db, structure, j, mode, use_stats, 0.0)
-}
-
-fn candidates_for_selection_cfg(
+/// `GenerateCandidatesForSelection` (Algorithm 4). `use_stats` is the
+/// dataless-statistics switch; `relax_rows` the row threshold of the
+/// relaxed-prefix variants.
+fn candidates_for_selection(
     db: &Database,
     structure: &QueryStructure,
     j: usize,
@@ -541,7 +522,7 @@ pub fn try_generate_candidates(
         };
         let mut query_pos: Vec<(String, PartialOrder)> = Vec::new();
         for mode in modes {
-            query_pos.extend(candidates_for_selection_cfg(
+            query_pos.extend(candidates_for_selection(
                 db,
                 &structure,
                 cfg.join_parameter,
@@ -881,7 +862,7 @@ mod tests {
                 // A seed with no local evidence at all must not surface.
                 (
                     "t1".to_string(),
-                    PartialOrder::unordered(["col3", "col4"]).unwrap(),
+                    PartialOrder::new([["col3", "col4"]]).unwrap(),
                 ),
             ],
             ..Default::default()
@@ -1025,7 +1006,7 @@ mod tests {
         let db = db();
         let stmt = parse_statement("SELECT col2, col3 FROM t1 WHERE col5 = 2").unwrap();
         let st = analyze_structure(&db, &stmt).unwrap();
-        let cands = candidates_for_selection(&db, &st, 2, CoveringMode::Covering);
+        let cands = candidates_for_selection(&db, &st, 2, CoveringMode::Covering, true, 0.0);
         // §IV-A: <{col5}, {col2, col3}> (with id implicit as PK).
         assert!(cands.iter().any(|(t, po)| {
             t == "t1"

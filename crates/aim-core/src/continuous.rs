@@ -4,11 +4,11 @@
 //! AIM achieves continuous tuning by re-running the (cheap) tuning pass
 //! periodically. Between passes, an off-host regression detector watches
 //! the average CPU of every normalized query; a regression attributed to an
-//! automation-created index flags that index for removal. Unused and
-//! prefix-redundant indexes are detected from the workload window and
-//! dropped.
+//! index the previous step created reverts that index. Automation-created
+//! indexes no query of the window used are dropped after a grace period of
+//! consecutive unused windows. Nothing else leaves: an index made
+//! redundant by a wider one stays until it goes unused (ROADMAP item 12).
 
-use crate::candidates::is_key_prefix;
 use crate::error::AimError;
 use crate::sentinel::{drop_index_named, LatencySentinel};
 use crate::session::{AimOutcome, TuningSession};
@@ -94,11 +94,6 @@ impl RegressionDetector {
         }
         out
     }
-
-    /// Number of queries with a recorded baseline.
-    pub fn baseline_count(&self) -> usize {
-        self.baselines.len()
-    }
 }
 
 /// AIM-created secondary indexes that no query in the window used.
@@ -112,24 +107,6 @@ pub fn find_unused_indexes(db: &Database, monitor: &WorkloadMonitor) -> Vec<Inde
     db.all_indexes()
         .into_iter()
         .filter(|d| d.name.starts_with(AIM_INDEX_PREFIX) && !used.contains(d.name.as_str()))
-        .collect()
-}
-
-/// Indexes whose key columns are a strict prefix of another index on the
-/// same table — the "(parts of) unused indexes" the paper drops: the wider
-/// index serves every query the narrower one can.
-pub fn find_prefix_redundant_indexes(db: &Database) -> Vec<IndexDef> {
-    let all = db.all_indexes();
-    all.iter()
-        .filter(|a| {
-            all.iter().any(|b| {
-                a.table == b.table
-                    && a.name != b.name
-                    && b.columns.len() > a.columns.len()
-                    && is_key_prefix(&a.columns, &b.columns)
-            })
-        })
-        .cloned()
         .collect()
 }
 
@@ -411,7 +388,6 @@ mod tests {
         // Fast baseline: point lookups.
         observe(&mut db, &mut w1, "SELECT id FROM t WHERE id = 5", 5);
         detector.absorb(&w1);
-        assert_eq!(detector.baseline_count(), 1);
 
         // Manufacture a slow window for the same fingerprint by growing
         // the table 4x (same shape, higher cost).
@@ -464,24 +440,6 @@ mod tests {
         // Only automation-owned unused indexes are reported.
         assert_eq!(unused.len(), 1);
         assert_eq!(unused[0].name, "aim_t_b");
-    }
-
-    #[test]
-    fn prefix_redundancy_detected() {
-        let mut db = db();
-        let mut io = IoStats::new();
-        db.create_index(IndexDef::new("ix_a", "t", vec!["a".into()]), &mut io)
-            .unwrap();
-        db.create_index(
-            IndexDef::new("ix_ab", "t", vec!["a".into(), "b".into()]),
-            &mut io,
-        )
-        .unwrap();
-        db.create_index(IndexDef::new("ix_b", "t", vec!["b".into()]), &mut io)
-            .unwrap();
-        let redundant = find_prefix_redundant_indexes(&db);
-        assert_eq!(redundant.len(), 1);
-        assert_eq!(redundant[0].name, "ix_a");
     }
 
     #[test]

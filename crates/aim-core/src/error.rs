@@ -64,15 +64,6 @@ impl AimError {
         matches!(self, AimError::Fault { .. })
     }
 
-    /// True when the pass stopped because of its deadline or cancel token
-    /// (as opposed to failing on an error).
-    pub fn is_abort(&self) -> bool {
-        matches!(
-            self,
-            AimError::DeadlineExceeded { .. } | AimError::Cancelled { .. }
-        )
-    }
-
     /// Lossy mapping back to the execution-layer error, for code paths
     /// (e.g. validation replay) that report through [`ExecError`].
     /// Deadline/cancel aborts degrade to [`ExecError::Eval`].
@@ -138,7 +129,6 @@ mod tests {
     fn deterministic_errors_are_terminal() {
         let e = AimError::from_exec("ranking", ExecError::Binding("no such column".into()));
         assert!(!e.is_retryable());
-        assert!(!e.is_abort());
         assert!(std::error::Error::source(&e).is_some());
         assert!(matches!(e.into_exec(), ExecError::Binding(_)));
     }
@@ -147,7 +137,6 @@ mod tests {
     fn aborts_are_not_retryable() {
         let d = AimError::DeadlineExceeded { phase: "ranking" };
         let c = AimError::Cancelled { phase: "materialize" };
-        assert!(d.is_abort() && c.is_abort());
         assert!(!d.is_retryable() && !c.is_retryable());
         assert!(d.to_string().contains("deadline"));
         assert!(matches!(c.into_exec(), ExecError::Eval(_)));

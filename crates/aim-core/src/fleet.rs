@@ -89,13 +89,6 @@ impl Tenant {
         self.profile = Some(profile);
         self
     }
-
-    /// Merges a collector's observation window into this tenant's stream
-    /// (see [`WorkloadMonitor::absorb`]): fleet tenants often receive
-    /// traffic through several collectors per window.
-    pub fn absorb_stream(&mut self, window: &WorkloadMonitor) {
-        self.monitor.absorb(window);
-    }
 }
 
 /// How the fleet-wide storage budget is split across tenants.

@@ -97,8 +97,7 @@ pub use candidates::{
     CoveringMode, CoveringPolicy,
 };
 pub use continuous::{
-    find_prefix_redundant_indexes, find_unused_indexes, ContinuousOutcome, ContinuousTuner,
-    RegressionDetector, AIM_INDEX_PREFIX,
+    find_unused_indexes, ContinuousOutcome, ContinuousTuner, RegressionDetector, AIM_INDEX_PREFIX,
 };
 pub use backend::BackendSpec;
 pub use error::AimError;
@@ -110,7 +109,7 @@ pub use ledger::{CandidateRecord, DecisionLedger, LedgerEvent};
 pub use metadata::{analyze_structure, FactorGroup, OpClass, QueryStructure, TableInfo};
 pub use partial_order::{merge_cross_shard, merge_partial_orders, PartialOrder};
 pub use ranking::{
-    knapsack_select, knapsack_select_explained, rank_candidates, rank_candidates_unbatched,
+    knapsack, knapsack_select, rank_candidates_unbatched,
     rank_candidates_with, try_rank_candidates_with, KnapsackDecision, RankedCandidate,
 };
 pub use selection_lp::{refine_selection, LpDecision, LpOutcome};

@@ -441,15 +441,6 @@ fn column_atom(expr: &Expr, binder: &Binder, class: OpClass) -> Vec<Atom> {
     Vec::new()
 }
 
-// `factorize` above produces atoms as expressions; this adapter pairs the
-// DNF machinery with classification.
-impl QueryStructure {
-    /// Helper used by tests: total number of filter factors across tables.
-    pub fn total_factor_count(&self) -> usize {
-        self.tables.iter().map(|t| t.filter_groups.len()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

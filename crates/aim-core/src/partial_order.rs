@@ -81,11 +81,6 @@ impl PartialOrder {
         Some(Self { partitions: parts })
     }
 
-    /// A single unordered partition (`<{cols}>`).
-    pub fn unordered<S: Into<String>>(cols: impl IntoIterator<Item = S>) -> Option<Self> {
-        Self::new(std::iter::once(cols.into_iter().collect::<Vec<S>>()))
-    }
-
     /// A fully ordered chain (`<{a}, {b}, {c}>`).
     pub fn chain<S: Into<String>>(cols: impl IntoIterator<Item = S>) -> Option<Self> {
         Self::new(cols.into_iter().map(|c| vec![c]))
@@ -190,25 +185,6 @@ impl PartialOrder {
             out.extend(cols.into_iter().cloned());
         }
         out
-    }
-
-    /// Deterministic total order using lexicographic tie-breaking.
-    pub fn total_order(&self) -> Vec<String> {
-        self.total_order_by(|c| c.to_string())
-    }
-
-    /// Number of distinct total orders satisfying this partial order
-    /// (product of partition factorials), saturating.
-    pub fn satisfying_order_count(&self) -> u128 {
-        let mut n: u128 = 1;
-        for part in &self.partitions {
-            let mut f: u128 = 1;
-            for k in 2..=(part.len() as u128) {
-                f = f.saturating_mul(k);
-            }
-            n = n.saturating_mul(f);
-        }
-        n
     }
 }
 
@@ -620,14 +596,13 @@ mod tests {
         let q = po(&[&["col1", "col2", "col3"]]);
         let p = po(&[&["col2", "col3"]]);
         let merged = p.merge_pairwise(&q).unwrap();
-        let total = merged.total_order();
+        let total = merged.total_order_by(|c| c.to_string());
         // Any satisfying order serves P (prefix {col2,col3}) and Q (all 3).
         assert_eq!(
             total[..2].iter().cloned().collect::<BTreeSet<_>>(),
             ["col2".to_string(), "col3".to_string()].into()
         );
         assert_eq!(total[2], "col1");
-        assert_eq!(merged.satisfying_order_count(), 2);
     }
 
     #[test]

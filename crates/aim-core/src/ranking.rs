@@ -438,22 +438,9 @@ pub(crate) fn fan_out<T: Sync, R: Send>(
     scoped
 }
 
-/// Ranks candidates against the workload. Returns candidates with their
+/// Ranks candidates against the workload: returns them with their
 /// benefit/maintenance economics, sorted by descending utility density.
-///
-/// Uses one worker per available core (see [`rank_candidates_with`] for an
-/// explicit worker count); the result is bit-identical regardless of
-/// worker count.
-pub fn rank_candidates(
-    db: &Database,
-    workload: &[WorkloadQuery],
-    candidates: &[CandidateIndex],
-    cm: &CostModel,
-) -> Vec<RankedCandidate> {
-    rank_candidates_with(db, workload, candidates, cm, 0)
-}
-
-/// [`rank_candidates`] with an explicit worker count (`0` = auto).
+/// `workers` is the worker count (`0` = one per available core).
 ///
 /// Workload queries are evaluated independently — each produces a
 /// [`QueryContribution`] — through `fan_out`, then merged on the calling
@@ -573,20 +560,6 @@ pub struct KnapsackDecision {
     pub reason: String,
 }
 
-/// [`knapsack_select`] plus a [`KnapsackDecision`] for *every* ranked
-/// candidate, in consideration order — the same loop with its verdicts
-/// recorded, at one allocation-heavy `format!` per candidate, so the plain
-/// entry point remains the hot-path choice.
-pub fn knapsack_select_explained(
-    ranked: &[RankedCandidate],
-    budget_bytes: u64,
-    used_bytes: u64,
-) -> (Vec<RankedCandidate>, Vec<KnapsackDecision>) {
-    let mut decisions = Vec::with_capacity(ranked.len());
-    let chosen = knapsack(ranked, budget_bytes, used_bytes, Some(&mut decisions));
-    (chosen, decisions)
-}
-
 /// Knapsack selection: greedily takes candidates in density order while the
 /// storage budget holds and net utility stays positive. `used_bytes` is
 /// storage already consumed by pre-existing indexes that count against the
@@ -599,9 +572,11 @@ pub fn knapsack_select(
     knapsack(ranked, budget_bytes, used_bytes, None)
 }
 
-/// The knapsack loop. With `explain` present every candidate's verdict is
-/// pushed onto it; its reason is formatted only then.
-pub(crate) fn knapsack(
+/// The knapsack loop behind [`knapsack_select`]. With `explain` present a
+/// [`KnapsackDecision`] for *every* ranked candidate is pushed onto it, in
+/// consideration order; its reason is formatted only then, so the plain
+/// selection pays for none of it.
+pub fn knapsack(
     ranked: &[RankedCandidate],
     budget_bytes: u64,
     used_bytes: u64,
@@ -769,7 +744,7 @@ mod tests {
     fn rank_for(db: &mut Database, sqls: &[(&str, usize)]) -> Vec<RankedCandidate> {
         let w = workload(db, sqls);
         let cands = generate_candidates(db, &w, &CandidateGenConfig::default());
-        rank_candidates(db, &w, &cands, &CostModel::default())
+        rank_candidates_with(db, &w, &cands, &CostModel::default(), 0)
     }
 
     #[test]
@@ -904,7 +879,8 @@ mod tests {
         assert!(!ranked.is_empty());
         let all_sizes: u64 = ranked.iter().map(|r| r.size_bytes).sum();
         for budget in [u64::MAX, all_sizes / 3, 1] {
-            let (chosen, decisions) = knapsack_select_explained(&ranked, budget, 0);
+            let mut decisions = Vec::new();
+            let chosen = knapsack(&ranked, budget, 0, Some(&mut decisions));
             // Every ranked candidate gets a verdict, and verdicts agree
             // with the selection.
             assert_eq!(decisions.len(), ranked.len());
@@ -951,7 +927,8 @@ mod tests {
             benefiting_queries: Vec::new(),
         };
         let ranked = vec![mk(vec!["a"], 100.0, 100), mk(vec!["a", "b"], 150.0, 160)];
-        let (chosen, decisions) = knapsack_select_explained(&ranked, 200, 0);
+        let mut decisions = Vec::new();
+        let chosen = knapsack(&ranked, 200, 0, Some(&mut decisions));
         assert_eq!(chosen.len(), 1);
         assert_eq!(decisions.len(), 2);
         assert!(decisions[0].accepted);

@@ -100,7 +100,7 @@ fn price(
 /// Solves the reduced LP relaxation, rounds it, and returns whichever of
 /// {LP-rounded, `greedy`} has the lower actual workload cost within the
 /// `remaining` bytes of budget. `ranked` must be in utility-density order
-/// (the output of [`crate::ranking::rank_candidates`]); `greedy` is the
+/// (the output of [`crate::ranking::rank_candidates_with`]); `greedy` is the
 /// knapsack selection to fall back on. Fails only by abort (`ctl`) or with
 /// a retryable injected fault.
 pub fn refine_selection(
@@ -409,7 +409,7 @@ fn simplex_max(c: &[f64], a: &[Vec<f64>], b: &[f64], max_iter: usize) -> (Vec<f6
 mod tests {
     use super::*;
     use crate::candidates::{generate_candidates, CandidateGenConfig};
-    use crate::ranking::{knapsack_select, rank_candidates};
+    use crate::ranking::{knapsack_select, rank_candidates_with};
     use aim_exec::Engine;
     use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor};
     use aim_sql::parse_statement;
@@ -510,7 +510,7 @@ mod tests {
         );
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
         let cm = CostModel::default();
-        let ranked = rank_candidates(&db, &w, &cands, &cm);
+        let ranked = rank_candidates_with(&db, &w, &cands, &cm, 0);
         assert!(!ranked.is_empty());
         let all: u64 = ranked.iter().map(|r| r.size_bytes).sum();
         for budget in [u64::MAX, all, all / 2, all / 4, 1] {
@@ -543,7 +543,7 @@ mod tests {
         let w = workload(&mut db, &[("SELECT id FROM t WHERE a = 5", 30)]);
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
         let cm = CostModel::default();
-        let ranked = rank_candidates(&db, &w, &cands, &cm);
+        let ranked = rank_candidates_with(&db, &w, &cands, &cm, 0);
         let greedy = knapsack_select(&ranked, u64::MAX, 0);
         let out =
             refine_selection(&db, &w, &ranked, &greedy, u64::MAX, &cm, &RunCtl::none()).unwrap();

@@ -269,8 +269,8 @@ impl LatencySentinel {
     /// the unlabeled series as tenant `""` plus each purely
     /// tenant-labeled variant — and returns one verdict per tenant that
     /// holds data or an armed watch. `firing` names the tenants whose
-    /// latency SLO alert is burning (see
-    /// [`aim_telemetry::slo::firing_tenants`]); a firing tenant that is
+    /// latency SLO alert is burning (see [`aim_telemetry::slo::evaluate`]);
+    /// a firing tenant that is
     /// armed regresses outright, attribution recorded in
     /// [`TenantVerdict::alert`]. Publishes a per-tenant `sentinel.state`
     /// gauge as a side effect.

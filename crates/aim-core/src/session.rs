@@ -461,31 +461,16 @@ impl TuningSession {
         self.cancel = token;
     }
 
-    /// Replaces the per-pass deadline.
-    pub fn set_deadline(&mut self, deadline: Option<Duration>) {
-        self.deadline = deadline;
-    }
-
-    /// Replaces the retry policy.
-    pub fn set_retry(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
     /// A snapshot of the decision ledger (empty unless the session was
     /// built with [`AimConfigBuilder::ledger`]`(true)`).
     pub fn ledger(&self) -> DecisionLedger {
         self.lock_ledger().clone()
     }
 
-    /// The ledger serialized as JSON — the `results/decision_ledger.json`
-    /// artifact and the `/ledger` introspection payload.
+    /// The ledger serialized as JSON — the `/ledger` introspection payload
+    /// and what `aim_cli continuous --ledger-out` writes.
     pub fn ledger_json(&self) -> String {
         self.lock_ledger().to_json()
-    }
-
-    /// Discards all recorded ledger state.
-    pub fn clear_ledger(&self) {
-        self.lock_ledger().clear();
     }
 
     fn lock_ledger(&self) -> std::sync::MutexGuard<'_, DecisionLedger> {

@@ -50,24 +50,17 @@ impl ShardingProfile {
         }
     }
 
-    /// Chainable form of [`ShardingProfile::set_hit_fraction`], for
-    /// building a profile as a first-class
+    /// Chainable setter for the hit fraction assumed for unprofiled
+    /// queries (clamped to `0.0..=1.0`), for building a profile as a
+    /// first-class
     /// [`AimConfig::builder().sharding(...)`](crate::AimConfig::builder)
     /// input:
     ///
     /// ```ignore
-    /// let profile = ShardingProfile::new(1000)
-    ///     .with_hit_fraction(fp, 0.001)
-    ///     .with_default_hit_fraction(0.5);
+    /// let mut profile = ShardingProfile::new(1000).with_default_hit_fraction(0.5);
+    /// profile.set_hit_fraction(fp, 0.001);
     /// let session = AimConfig::builder().sharding(profile).session();
     /// ```
-    pub fn with_hit_fraction(mut self, query: QueryFingerprint, fraction: f64) -> Self {
-        self.set_hit_fraction(query, fraction);
-        self
-    }
-
-    /// Chainable setter for the hit fraction assumed for unprofiled
-    /// queries (clamped to `0.0..=1.0`).
     pub fn with_default_hit_fraction(mut self, fraction: f64) -> Self {
         self.default_hit_fraction = fraction.clamp(0.0, 1.0);
         self

@@ -547,7 +547,7 @@ fn validate_core(
 mod tests {
     use super::*;
     use crate::candidates::{generate_candidates, CandidateGenConfig};
-    use crate::ranking::{knapsack_select, rank_candidates};
+    use crate::ranking::{knapsack_select, rank_candidates_with};
     use aim_exec::CostModel;
     use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor};
     use aim_sql::parse_statement;
@@ -605,7 +605,7 @@ mod tests {
             },
         );
         let cands = generate_candidates(db, &w, &CandidateGenConfig::default());
-        let ranked = rank_candidates(db, &w, &cands, &CostModel::default());
+        let ranked = rank_candidates_with(db, &w, &cands, &CostModel::default(), 0);
         let chosen = knapsack_select(&ranked, u64::MAX, 0);
         (w, chosen)
     }

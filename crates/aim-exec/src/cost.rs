@@ -107,11 +107,6 @@ impl CostModel {
         }
         self.sort_row_cost * rows * rows.log2()
     }
-
-    /// Converts cost units to simulated CPU seconds (1 unit ≈ 1 µs).
-    pub fn cost_to_cpu_seconds(&self, cost: f64) -> f64 {
-        cost / 1.0e6
-    }
 }
 
 #[cfg(test)]
@@ -151,11 +146,5 @@ mod tests {
         assert_eq!(m.sort_cost(0.0), 0.0);
         assert_eq!(m.sort_cost(1.0), 0.0);
         assert!(m.sort_cost(2000.0) > 2.0 * m.sort_cost(1000.0));
-    }
-
-    #[test]
-    fn cpu_seconds_conversion() {
-        let m = CostModel::default();
-        assert!((m.cost_to_cpu_seconds(2_000_000.0) - 2.0).abs() < 1e-12);
     }
 }

@@ -462,11 +462,6 @@ pub fn eval_binary(l: &Value, op: BinOp, r: &Value) -> Result<Value, ExecError> 
     }
 }
 
-/// True if a filter predicate accepts the row (NULL counts as rejection).
-pub fn is_true(v: &Value) -> bool {
-    matches!(v, Value::Bool(true))
-}
-
 /// SQL LIKE matching with `%` (any run) and `_` (any single char).
 pub fn like_match(s: &str, pattern: &str) -> bool {
     let mut s = s.chars();
@@ -679,12 +674,5 @@ mod tests {
             BoundExpr::bind(&pred, &binder),
             Err(ExecError::Eval(_))
         ));
-    }
-
-    #[test]
-    fn is_true_rejects_null() {
-        assert!(is_true(&Value::Bool(true)));
-        assert!(!is_true(&Value::Bool(false)));
-        assert!(!is_true(&Value::Null));
     }
 }

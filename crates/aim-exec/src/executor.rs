@@ -144,18 +144,6 @@ impl Engine {
         Ok(outcome)
     }
 
-    /// Executes a prepared statement: binds `params` to the statement's
-    /// `?` placeholders (left to right), then executes.
-    pub fn execute_prepared(
-        &self,
-        db: &mut Database,
-        stmt: &Statement,
-        params: &[Value],
-    ) -> Result<ExecOutcome, ExecError> {
-        let bound = crate::prepare::bind_params(stmt, params)?;
-        self.execute(db, &bound)
-    }
-
     /// Executes a SELECT.
     pub fn execute_select(
         &self,

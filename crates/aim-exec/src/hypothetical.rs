@@ -153,11 +153,6 @@ impl HypoConfig {
         }
     }
 
-    /// Total estimated size of the hypothetical indexes.
-    pub fn total_size_bytes(&self) -> u64 {
-        self.indexes.iter().map(|h| h.size_bytes).sum()
-    }
-
     /// Hypothetical indexes on a given table.
     pub fn for_table<'a>(&'a self, table: &'a str) -> impl Iterator<Item = (usize, &'a HypotheticalIndex)> {
         self.indexes
@@ -291,10 +286,8 @@ mod tests {
     fn config_helpers() {
         let db = db_with_rows(100);
         let h = HypotheticalIndex::build(&db, IndexDef::new("h", "t", vec!["a".into()])).unwrap();
-        let size = h.size_bytes;
         let cfg = HypoConfig::only(vec![h]);
         assert!(!cfg.include_materialized);
-        assert_eq!(cfg.total_size_bytes(), size);
         assert_eq!(cfg.for_table("t").count(), 1);
         assert_eq!(cfg.for_table("other").count(), 0);
     }

@@ -50,7 +50,6 @@ pub mod explain;
 pub mod hypothetical;
 pub mod iocheck;
 pub mod planner;
-pub mod prepare;
 pub mod predicate;
 pub mod whatif;
 
@@ -63,9 +62,8 @@ pub use hypothetical::{HypoConfig, HypotheticalIndex};
 pub use iocheck::IoAccuracy;
 pub use planner::{
     estimate_statement_cost, estimate_statement_cost_batch, estimate_statement_cost_batch_until,
-    plan_select, AccessPath, EqSource,
+    AccessPath, EqSource,
     IndexChoice, IndexScan, Plan, Planner, TableStep,
 };
 pub use predicate::{JoinPred, PredicateAnalysis, Sarg, SargValue};
-pub use prepare::{bind_params, param_count};
 pub use whatif::{WhatIfCache, WhatIfCacheStats, WhatIfEntry};

@@ -1215,18 +1215,6 @@ fn collect_referenced(
     referenced
 }
 
-/// Convenience: plans a SELECT statement under `config`, uncached and
-/// uncounted. What-if costing goes through
-/// [`crate::whatif::WhatIfCache::eval_select_batch_until`].
-pub fn plan_select(
-    db: &Database,
-    select: &Select,
-    config: &HypoConfig,
-    cm: &CostModel,
-) -> Result<Plan, ExecError> {
-    Planner::new(db, select, config, cm)?.plan()
-}
-
 /// Estimated cost of any statement under a what-if configuration: the
 /// one-slot [`estimate_statement_cost_batch`].
 ///
@@ -1310,7 +1298,7 @@ fn write_cost(
         Statement::Insert(i) => {
             // Arithmetic costing, but still one what-if question answered —
             // count it so advisor accounting matches the Select/DML paths
-            // (which go through `plan_select`).
+            // (which go through `Planner::plan`).
             aim_telemetry::metrics::WHATIF_CALLS.incr();
             (i.rows.len().max(1) as f64, index_count(db, &i.table, config)?)
         }
@@ -1391,7 +1379,7 @@ mod tests {
     fn plan_sql(db: &Database, sql: &str, config: &HypoConfig) -> Plan {
         let stmt = parse_statement(sql).unwrap();
         let Statement::Select(s) = stmt else { panic!() };
-        plan_select(db, &s, config, &CostModel::default()).unwrap()
+        Planner::new(db, &s, config, &CostModel::default()).unwrap().plan().unwrap()
     }
 
     #[test]
@@ -1659,7 +1647,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let p = plan_select(&db, &s, &HypoConfig::none(), &cm).unwrap();
+        let p = Planner::new(&db, &s, &HypoConfig::none(), &cm).unwrap().plan().unwrap();
         assert!(matches!(p.steps[0].path, AccessPath::FullScan));
     }
 
@@ -1678,7 +1666,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let p = plan_select(&db, &s, &HypoConfig::none(), &cm).unwrap();
+        let p = Planner::new(&db, &s, &HypoConfig::none(), &cm).unwrap().plan().unwrap();
         assert!(!p.order_via_index);
     }
 

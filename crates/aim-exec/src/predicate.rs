@@ -62,12 +62,6 @@ impl Sarg {
             Sarg::Eq { col, .. } | Sarg::InList { col, .. } | Sarg::Range { col, .. } => *col,
         }
     }
-
-    /// True for predicates whose matching index entries share a constant
-    /// prefix (equality and IN-list), per the paper's IPP definition.
-    pub fn is_prefix_compatible(&self) -> bool {
-        matches!(self, Sarg::Eq { .. } | Sarg::InList { .. })
-    }
 }
 
 /// An equality join edge between two table instances.
@@ -183,22 +177,6 @@ impl PredicateAnalysis {
             self.sargs[sarg.column().table_idx].push(sarg);
         }
         // Non-sargable conjuncts are handled by the residual filter.
-    }
-
-    /// All equality/IN sargs on a table, in analysis order.
-    pub fn prefix_sargs(&self, table_idx: usize) -> Vec<&Sarg> {
-        self.sargs[table_idx]
-            .iter()
-            .filter(|s| s.is_prefix_compatible())
-            .collect()
-    }
-
-    /// All range sargs on a table.
-    pub fn range_sargs(&self, table_idx: usize) -> Vec<&Sarg> {
-        self.sargs[table_idx]
-            .iter()
-            .filter(|s| !s.is_prefix_compatible())
-            .collect()
     }
 }
 
@@ -337,14 +315,12 @@ mod tests {
     fn equality_and_range_classified() {
         let (a, _) = analyze("SELECT a FROM t1 WHERE a = 5 AND b > 3 AND c BETWEEN 1 AND 9");
         assert_eq!(a.sargs[0].len(), 3);
-        assert_eq!(a.prefix_sargs(0).len(), 1);
-        assert_eq!(a.range_sargs(0).len(), 2);
+        assert_eq!(a.sargs[0].iter().filter(|s| matches!(s, Sarg::Range { .. })).count(), 2);
     }
 
     #[test]
     fn in_list_is_prefix_compatible() {
         let (a, _) = analyze("SELECT a FROM t1 WHERE a IN (1, 2, 3)");
-        assert_eq!(a.prefix_sargs(0).len(), 1);
         match &a.sargs[0][0] {
             Sarg::InList { values, .. } => assert_eq!(values.len(), 3),
             other => panic!("{other:?}"),

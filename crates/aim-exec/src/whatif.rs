@@ -28,7 +28,7 @@ use crate::cost::CostModel;
 use crate::error::ExecError;
 use crate::hypothetical::HypoConfig;
 use crate::planner::{IndexChoice, Plan, Planner};
-use aim_sql::ast::{Select, Statement};
+use aim_sql::ast::Select;
 use aim_sql::normalize::Fnv1a;
 use aim_storage::Database;
 use std::collections::HashMap;
@@ -54,11 +54,6 @@ fn printed_fingerprint(value: fmt::Arguments<'_>) -> u64 {
 /// Fingerprint of a SELECT's printed form (literals included).
 pub fn select_fingerprint(select: &Select) -> u64 {
     printed_fingerprint(format_args!("{select}"))
-}
-
-/// Fingerprint of any statement's printed form (literals included).
-pub fn statement_fingerprint(stmt: &Statement) -> u64 {
-    printed_fingerprint(format_args!("{stmt}"))
 }
 
 /// Fingerprint of the cost model's debug form (every constant + switch).
@@ -408,7 +403,7 @@ mod tests {
 
     fn select(sql: &str) -> Select {
         match parse_statement(sql).unwrap() {
-            Statement::Select(s) => s,
+            aim_sql::Statement::Select(s) => s,
             other => panic!("expected SELECT, got {other:?}"),
         }
     }

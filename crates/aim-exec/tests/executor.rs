@@ -699,23 +699,6 @@ fn nine_table_join_uses_greedy_order() {
     assert_eq!(out.plan.steps.len(), 9);
 }
 
-#[test]
-fn prepared_statement_execution() {
-    let mut db = orders_db(500);
-    let engine = Engine::new();
-    let stmt = parse_statement("SELECT id FROM orders WHERE customer_id = ? AND region = ?")
-        .unwrap();
-    let out = engine
-        .execute_prepared(&mut db, &stmt, &[Value::Int(7), Value::Int(0)])
-        .unwrap();
-    let expected = (0..500).filter(|i| i % 50 == 7 && i % 7 == 0).count();
-    assert_eq!(out.rows.len(), expected);
-    // Wrong arity errors.
-    assert!(engine
-        .execute_prepared(&mut db, &stmt, &[Value::Int(7)])
-        .is_err());
-}
-
 // ------------------------------------------------------------------
 // Bind-once error parity: name and shape errors are raised when the
 // statement is bound, before any row is read — so they surface on an
@@ -888,7 +871,10 @@ fn ids(db: &mut Database, predicate: &str) -> Vec<i64> {
     run(db, &format!("SELECT id FROM t WHERE {predicate} ORDER BY id"))
         .rows
         .iter()
-        .map(|r| r[0].as_i64().unwrap())
+        .map(|r| match r[0] {
+            Value::Int(id) => id,
+            ref other => panic!("id column holds {other:?}"),
+        })
         .collect()
 }
 

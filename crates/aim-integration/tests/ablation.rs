@@ -5,7 +5,7 @@
 //! of the variants is the claim.
 
 use aim_core::{
-    defs_to_config, generate_candidates, knapsack_select, rank_candidates, synthetic_workload,
+    defs_to_config, generate_candidates, knapsack_select, rank_candidates_with, synthetic_workload,
     workload_cost, CandidateGenConfig, CoveringPolicy,
 };
 use aim_exec::{CostModel, HypoConfig};
@@ -28,7 +28,7 @@ fn every_candidate_generation_mechanism_lowers_estimated_cost() {
 
     let rel_cost = |name: &str, cfg: CandidateGenConfig| -> f64 {
         let candidates = generate_candidates(&db, &synthetic, &cfg);
-        let ranked = rank_candidates(&db, &synthetic, &candidates, &cm);
+        let ranked = rank_candidates_with(&db, &synthetic, &candidates, &cm, 0);
         let defs: Vec<IndexDef> = knapsack_select(&ranked, u64::MAX, 0)
             .into_iter()
             .map(|r| r.candidate.def())

@@ -235,7 +235,7 @@ fn advisor_and_driver_agree_on_candidates() {
     db.analyze_all();
 
     let stmt = parse_statement("SELECT id FROM t WHERE a = 7").expect("valid");
-    let mut advisor = AimAdvisor::default();
+    let mut advisor = AimAdvisor::new(2, 0);
     let defs = advisor.recommend(
         &db,
         &[aim_core::WeightedQuery::new(stmt.clone(), 10.0)],

@@ -19,7 +19,7 @@ mod common;
 
 use aim_core::fleet::{BudgetAllocation, FleetConfig, FleetOutcome, Tenant};
 use aim_core::{
-    config_size, generate_candidates, knapsack_select, knapsack_select_explained,
+    config_size, generate_candidates, knapsack, knapsack_select,
     rank_candidates_with, refine_selection, AimAdvisor, AimConfig, AimConfigBuilder, AimOutcome,
     CandidateGenConfig, IndexAdvisor, RankedCandidate, RunCtl, SelectionStrategy, WeightedQuery,
 };
@@ -163,7 +163,8 @@ fn pass_case(out: &mut String, case: &Case) {
     writeln!(out, "[{name}] generated={generated} full_configuration={full}").unwrap();
     section(out, &format!("[{name}] ranked"), ranked.iter().map(ranked_line).collect());
     for (label, budget) in [("inf", u64::MAX), ("40%", full * 2 / 5), ("10%", full / 10)] {
-        let (chosen, decisions) = knapsack_select_explained(&ranked, budget, 0);
+        let mut decisions = Vec::new();
+        let chosen = knapsack(&ranked, budget, 0, Some(&mut decisions));
         section(out, &format!("[{name}] knapsack {label} chosen"), names(&chosen));
         section(
             out,

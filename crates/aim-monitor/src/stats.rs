@@ -220,31 +220,6 @@ impl WorkloadMonitor {
     pub fn total_cpu(&self) -> f64 {
         self.queries.values().map(|q| q.total_cpu).sum()
     }
-
-    /// Merges another monitor's window into this one — the ingestion-stream
-    /// fan-in for fleet tenants whose traffic arrives on several collectors.
-    /// Counters and cost sums add; the exemplar and plan-usage metadata of
-    /// an already-tracked query are taken from `other` (the fresher
-    /// stream), matching [`WorkloadMonitor::record`]'s freshest-wins rule.
-    pub fn absorb(&mut self, other: &WorkloadMonitor) {
-        for (fp, stats) in &other.queries {
-            match self.queries.get_mut(fp) {
-                Some(mine) => {
-                    mine.executions += stats.executions;
-                    mine.total_cpu += stats.total_cpu;
-                    mine.total_rows_read += stats.total_rows_read;
-                    mine.total_rows_sent += stats.total_rows_sent;
-                    mine.sum_sent_read_ratio += stats.sum_sent_read_ratio;
-                    mine.total_seeks += stats.total_seeks;
-                    mine.exemplar.clone_from(&stats.exemplar);
-                    mine.indexes_used.clone_from(&stats.indexes_used);
-                }
-                None => {
-                    self.queries.insert(*fp, stats.clone());
-                }
-            }
-        }
-    }
 }
 
 /// Every index scan of an executed plan with the table it reads, in plan
@@ -421,31 +396,6 @@ mod tests {
         m.reset();
         assert!(m.is_empty());
         assert_eq!(m.total_cpu(), 0.0);
-    }
-
-    #[test]
-    fn absorb_merges_streams_and_keeps_fresh_exemplar() {
-        let mut db = db();
-        let mut a = WorkloadMonitor::new();
-        let mut b = WorkloadMonitor::new();
-        record(&mut a, &mut db, "SELECT id FROM t WHERE a = 1");
-        record(&mut b, &mut db, "SELECT id FROM t WHERE a = 9");
-        record(&mut b, &mut db, "SELECT id, a FROM t");
-        let a_cpu = a.total_cpu();
-        let b_cpu = b.total_cpu();
-
-        a.absorb(&b);
-        assert_eq!(a.len(), 2, "shared fingerprint merged, new one added");
-        assert!((a.total_cpu() - (a_cpu + b_cpu)).abs() < 1e-9);
-        let merged = a
-            .queries()
-            .find(|q| q.normalized_text.contains("WHERE"))
-            .unwrap();
-        assert_eq!(merged.executions, 2);
-        // Freshest-wins: the exemplar comes from the absorbed stream.
-        assert!(merged.exemplar.to_string().contains("= 9"));
-        // ddr stays a valid per-execution average after the merge.
-        assert!((0.0..=1.0).contains(&merged.ddr_avg()));
     }
 
     #[test]

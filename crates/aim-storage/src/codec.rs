@@ -295,12 +295,6 @@ pub fn decode_catalog(bytes: &[u8]) -> Result<Vec<CatTable>, StorageError> {
     Ok(tables)
 }
 
-/// Compares two encoded key tuples by decoding and using the engine's
-/// total [`Value`] order (the encoding itself is not order-preserving).
-pub fn compare_encoded_keys(a: &[u8], b: &[u8]) -> Result<std::cmp::Ordering, StorageError> {
-    Ok(decode_tuple(a)?.cmp(&decode_tuple(b)?))
-}
-
 /// Encodes a row id `(page, slot)` as the 8-byte payload stored in primary
 /// key B+-tree leaves.
 pub fn encode_rowid(page: u32, slot: u16) -> [u8; 8] {
@@ -379,7 +373,8 @@ mod tests {
         for (a, b) in pairs {
             let ea = encode_tuple(&a);
             let eb = encode_tuple(&b);
-            assert_eq!(compare_encoded_keys(&ea, &eb).unwrap(), a.cmp(&b));
+            // The encoding is not order-preserving: keys compare decoded.
+            assert_eq!(decode_tuple(&ea).unwrap().cmp(&decode_tuple(&eb).unwrap()), a.cmp(&b));
         }
     }
 
@@ -389,7 +384,7 @@ mod tests {
             "orders",
             vec![
                 ColumnDef::new("id", ColumnType::Int),
-                ColumnDef::new("who", ColumnType::Str).with_width(40),
+                ColumnDef { avg_width: 40, ..ColumnDef::new("who", ColumnType::Str) },
                 ColumnDef::new("paid", ColumnType::Bool),
                 ColumnDef::new("amt", ColumnType::Float),
             ],

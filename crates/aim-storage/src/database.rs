@@ -179,8 +179,8 @@ impl Database {
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
     }
 
-    /// Mutable table lookup. Invalidate statistics after bulk changes via
-    /// [`Database::analyze_table`].
+    /// Mutable table lookup. Refresh statistics after bulk changes via
+    /// [`Database::analyze_all`].
     ///
     /// Handing out `&mut Table` conservatively bumps the stats epoch and
     /// marks the table's statistics stale: every data mutation flows
@@ -202,11 +202,6 @@ impl Database {
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))?;
         self.epoch += 1;
         Ok(table)
-    }
-
-    /// Names of all tables.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
     }
 
     /// All tables.
@@ -294,20 +289,10 @@ impl Database {
         }
     }
 
-    /// Recomputes statistics for one table, stale or not.
-    pub fn analyze_table(&mut self, name: &str) -> Result<(), StorageError> {
-        let table = self
-            .tables
-            .get_mut(name)
-            .ok_or_else(|| StorageError::UnknownTable(name.to_string()))?;
-        Self::refresh(table, &mut self.stats, &mut self.epoch);
-        Ok(())
-    }
-
     /// Brings statistics in sync with the data: recomputes them for every
     /// table whose rows or schema may have changed since it was last
     /// analyzed, and for no other — an index build or drop leaves nothing
-    /// to do. [`Database::analyze_table`] forces one table.
+    /// to do. Taking a [`Database::table_mut`] handle first forces a table.
     pub fn analyze_all(&mut self) {
         for table in self.tables.values_mut().filter(|t| t.stats_stale) {
             Self::refresh(table, &mut self.stats, &mut self.epoch);
@@ -640,7 +625,8 @@ mod tests {
         assert!(!db.stats_dirty());
         assert_eq!(db.stats("t"), Some(&stats));
         // What a full recomputation would install is what is installed.
-        db.analyze_table("t").unwrap();
+        db.table_mut("t").unwrap();
+        db.analyze_all();
         assert_eq!(db.stats("t"), Some(&stats));
     }
 

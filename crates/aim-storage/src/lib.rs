@@ -67,6 +67,6 @@ pub use fault::{FaultKind, FaultPlan, FaultRule, Injection};
 pub use index::SecondaryIndex;
 pub use io::{pages_for, IoStats, PAGE_SIZE};
 pub use schema::{ColumnDef, ColumnType, IndexDef, TableSchema};
-pub use stats::{analyze, distinct_prefix_count, ColumnStats, Histogram, TableStats};
+pub use stats::{analyze, ColumnStats, Histogram, TableStats};
 pub use table::Table;
 pub use value::{prefix_upper_bound, Key, Row, Value};

@@ -33,8 +33,6 @@ pub const DISK_PAGE_SIZE: usize = 16 * 1024;
 pub const PAGE_HEADER: usize = 32;
 /// Bytes per slot directory entry.
 pub const SLOT_SIZE: usize = 4;
-/// Largest cell a page can hold (one slot, empty directory).
-pub const MAX_CELL: usize = DISK_PAGE_SIZE - PAGE_HEADER - SLOT_SIZE;
 
 /// What a page stores; byte 4 of the header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,10 +139,6 @@ impl Page {
 
     pub fn page_type(&self) -> Result<PageType, StorageError> {
         PageType::from_u8(self.data[4])
-    }
-
-    pub fn set_page_type(&mut self, ty: PageType) {
-        self.data[4] = ty as u8;
     }
 
     pub fn nslots(&self) -> usize {

@@ -48,12 +48,6 @@ impl ColumnDef {
             avg_width,
         }
     }
-
-    /// Overrides the average width (for wide VARCHAR columns etc.).
-    pub fn with_width(mut self, avg_width: u32) -> Self {
-        self.avg_width = avg_width;
-        self
-    }
 }
 
 /// A table schema: ordered columns plus the clustered primary key.

@@ -288,25 +288,6 @@ fn fnv_str(s: &str) -> u64 {
     h
 }
 
-/// Exact number of distinct tuples of `columns` in `table` — the composite
-/// NDV a dataless index needs for estimating prefix selectivity.
-pub fn distinct_prefix_count(table: &Table, columns: &[String]) -> u64 {
-    let schema = table.schema();
-    let positions: Vec<usize> = columns
-        .iter()
-        .filter_map(|c| schema.column_index(c))
-        .collect();
-    if positions.len() != columns.len() {
-        return 0;
-    }
-    let mut seen: std::collections::BTreeSet<Vec<Value>> = std::collections::BTreeSet::new();
-    let mut io = crate::io::IoStats::new();
-    for row in table.scan_all(&mut io) {
-        seen.insert(positions.iter().map(|&p| row[p].clone()).collect());
-    }
-    seen.len() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,32 +401,6 @@ mod tests {
         assert_eq!(c.null_count, 1);
         assert_eq!(c.ndv, 1);
         assert!((c.eq_selectivity(&Value::Null) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn distinct_prefix_count_composite() {
-        let schema = TableSchema::new(
-            "t",
-            vec![
-                ColumnDef::new("id", ColumnType::Int),
-                ColumnDef::new("a", ColumnType::Int),
-                ColumnDef::new("b", ColumnType::Int),
-            ],
-            &["id"],
-        )
-        .unwrap();
-        let mut t = Table::new(schema);
-        let mut io = IoStats::new();
-        for (i, (a, b)) in [(1, 1), (1, 2), (1, 1), (2, 1)].iter().enumerate() {
-            t.insert(
-                vec![Value::Int(i as i64), Value::Int(*a), Value::Int(*b)],
-                &mut io,
-            )
-            .unwrap();
-        }
-        assert_eq!(distinct_prefix_count(&t, &["a".into()]), 2);
-        assert_eq!(distinct_prefix_count(&t, &["a".into(), "b".into()]), 3);
-        assert_eq!(distinct_prefix_count(&t, &["missing".into()]), 0);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! included, served under the bare name. A gauge has no sum; its bare name
 //! holds unscoped writes only.
 //!
-//! A hard cardinality cap bounds memory: once [`series_cap`] labeled series
-//! exist, new ones deterministically fold their `tenant` label into
+//! A hard cardinality cap bounds memory: once [`DEFAULT_SERIES_CAP`] labeled
+//! series exist, new ones deterministically fold their `tenant` label into
 //! `"__other__"` and bump `telemetry.series_dropped`. Everything is a no-op
 //! while telemetry is disabled.
 //!
@@ -154,8 +154,6 @@ builtin_counters! {
         "Simplex iterations performed by the LP selector.";
     JOURNAL_DROPPED = "telemetry.journal_dropped",
         "Events evicted from the journal ring before being read.";
-    /// Event-sink write failures (the event is lost; each failure counts).
-    SINK_ERRORS = "telemetry.sink_errors", "Event-sink write failures (events lost).";
     /// Time-series windows closed by [`crate::timeseries::tick`].
     TIMESERIES_WINDOWS = "timeseries.windows", "Time-series windows closed by timeseries ticks.";
     /// Worker span roots stitched into a parent profile by
@@ -386,11 +384,6 @@ const LABEL_SLOTS: usize = MAX_LABELS + 1;
 
 static SERIES_CAP: AtomicUsize = AtomicUsize::new(DEFAULT_SERIES_CAP);
 static SERIES_COUNT: AtomicUsize = AtomicUsize::new(0);
-
-/// Current hard cap on distinct labeled series.
-pub fn series_cap() -> usize {
-    SERIES_CAP.load(Ordering::Relaxed)
-}
 
 /// Sets the cardinality cap. Existing series are never evicted; only the
 /// admission of *new* series consults the cap.
@@ -1077,7 +1070,6 @@ mod tests {
         assert_eq!(total, 31);
         crate::reset();
         assert_eq!(series_count(), 0);
-        assert_eq!(series_cap(), DEFAULT_SERIES_CAP);
     }
 
     #[test]

@@ -251,16 +251,6 @@ pub fn evaluate() -> Vec<SloStatus> {
     out
 }
 
-/// Tenants whose per-tenant SLO on `metric` is firing. The unlabeled
-/// all-tenant series contributes an empty string.
-pub fn firing_tenants(metric: &str) -> BTreeSet<String> {
-    evaluate()
-        .into_iter()
-        .filter(|s| s.firing && s.metric == metric)
-        .map(|s| s.tenant.unwrap_or_default())
-        .collect()
-}
-
 /// JSON document for the `/alerts` endpoint: every registered rule and
 /// every evaluated status, firing or not.
 pub fn alerts_json() -> String {
@@ -358,7 +348,6 @@ mod tests {
         // The all-tenant series also exists (flat twin) and is regressed,
         // since the blended p99 tracks the bad tenant.
         assert!(statuses.iter().any(|s| s.tenant.is_none()));
-        assert!(firing_tenants("slo.test_cost").contains("bad"));
 
         // Recovery: enough clean windows dilute the fast burn below 1.
         for _ in 0..6 {

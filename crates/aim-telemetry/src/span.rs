@@ -2,7 +2,7 @@
 //!
 //! A [`span`] opened while another span is live becomes its child. Closing
 //! a span folds its subtree into the parent, merging siblings by name —
-//! `rank_candidates` called 40 times under `tune` shows up as one node with
+//! `rank_candidates_with` called 40 times under `tune` shows up as one node with
 //! `count = 40` and the summed wall time. When the outermost span closes,
 //! the finished tree lands in the thread's profile, retrieved with
 //! [`take_profile`] (drains) or [`profile_snapshot`] (clones).

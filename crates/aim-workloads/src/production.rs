@@ -359,7 +359,7 @@ mod tests {
     fn small_profile_builds() {
         let profile = &profiles()[5]; // Product F: 5 tables, 10 joins.
         let w = build(profile);
-        assert_eq!(w.db.table_names().len(), 5);
+        assert_eq!(w.db.tables().count(), 5);
         assert!(!w.specs.is_empty());
         assert!(!w.dba_indexes.is_empty());
         // DBA set applies cleanly.

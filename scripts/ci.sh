@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
-# Workspace CI gate: release build, full test suite, lint-clean clippy.
+# Workspace CI gate: release build, full test suite, lint-clean clippy, the
+# end-to-end benchmark's correctness gates, and a tree no gate wrote into.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # What git sees before the run: the gates below write only to ignored
-# places (target/, bench/out/), and the last check holds them to it.
+# places (target/, bench/out/), and the last check holds them to it — the
+# test suite included, which runs every experiment of the paper
+# (`paper_claims`) and `aim_cli` itself (`cli`). results/ has one writer,
+# scripts/figures.sh, and it is not part of this gate.
 tree_before=$(git status --porcelain)
 
 echo "== cargo build --release"
@@ -19,6 +23,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== code lines per crate (report, not a gate)"
 scripts/loc.sh
+
+echo "== pub fns only tests reach (report, not a gate)"
+# Anything listed is new dead surface: delete it, or add it to
+# scripts/unrun.allow with the rule that keeps it.
+scripts/unrun.sh || true
 
 echo "== aim-e2e smoke + verify (end-to-end benchmark gate)"
 # Builds bench/ (its own package, same target directory) and runs the four
