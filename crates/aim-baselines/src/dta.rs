@@ -1,4 +1,4 @@
-//! DTA-style anytime tuning (Chaudhuri & Narasayya — the Database Tuning
+//! DTA-style tuning (Chaudhuri & Narasayya — the Database Tuning
 //! Advisor of Microsoft SQL Server), the industrial state of the art the
 //! paper compares against.
 //!
@@ -15,9 +15,6 @@
 //!    wide candidates and complex workloads (the behaviour Figure 4b/4d
 //!    shows and §VIII-a discusses: the paper had to set "a really high
 //!    timeout for DTA").
-//!
-//! An iteration budget (`max_whatif_calls`) provides the *anytime*
-//! property: the search stops early with its best-so-far configuration.
 
 use crate::common::{def_key, syntactic_candidates, CostEvaluator, DefKey};
 use aim_core::{IndexAdvisor, WeightedQuery};
@@ -28,8 +25,6 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone)]
 pub struct Dta {
     pub max_width: usize,
-    /// Anytime budget on optimizer calls (0 = unlimited).
-    pub max_whatif_calls: u64,
     /// What-if calls consumed by the last run.
     pub last_whatif_calls: u64,
 }
@@ -38,15 +33,8 @@ impl Dta {
     pub fn new(max_width: usize) -> Self {
         Self {
             max_width,
-            max_whatif_calls: 0,
             last_whatif_calls: 0,
         }
-    }
-}
-
-impl Dta {
-    fn over_budget(&self, eval: &CostEvaluator<'_>) -> bool {
-        self.max_whatif_calls > 0 && eval.whatif_calls() >= self.max_whatif_calls
     }
 }
 
@@ -68,12 +56,9 @@ impl IndexAdvisor for Dta {
         // 1. Per-query candidate selection.
         let mut kept: Vec<IndexDef> = Vec::new();
         let mut kept_keys: BTreeSet<DefKey> = BTreeSet::new();
-        'outer: for qi in 0..workload.len() {
+        for qi in 0..workload.len() {
             let base = eval.query_cost(qi, &[]);
             for cand in &pool {
-                if self.over_budget(&eval) {
-                    break 'outer;
-                }
                 let with = eval.query_cost(qi, std::slice::from_ref(cand));
                 if with < base * 0.999 && kept_keys.insert(def_key(cand)) {
                     kept.push(cand.clone());
@@ -116,9 +101,6 @@ impl IndexAdvisor for Dta {
         let mut chosen: Vec<IndexDef> = Vec::new();
         let mut current_cost = eval.workload_cost(&chosen);
         loop {
-            if self.over_budget(&eval) {
-                break;
-            }
             let used = eval.config_size(&chosen);
             let remaining = budget_bytes.saturating_sub(used);
             let mut best: Option<(f64, usize, f64)> = None;
@@ -129,9 +111,6 @@ impl IndexAdvisor for Dta {
                 let size = eval.index_size(cand);
                 if size > remaining {
                     continue;
-                }
-                if self.over_budget(&eval) {
-                    break;
                 }
                 let mut trial = chosen.clone();
                 trial.push(cand.clone());
@@ -179,26 +158,6 @@ mod tests {
         let base = workload_cost(&db, &workload, &HypoConfig::only(Vec::new()), &cm);
         let with = workload_cost(&db, &workload, &defs_to_config(&db, &defs), &cm);
         assert!(with < base);
-    }
-
-    #[test]
-    fn anytime_budget_limits_calls() {
-        let db = test_db();
-        let workload = vec![
-            wq("SELECT id FROM t WHERE a = 5 AND b = 1", 100.0),
-            wq("SELECT id FROM t WHERE b = 2 AND c = 10", 50.0),
-            wq("SELECT id FROM t WHERE c = 3 AND a > 5", 25.0),
-        ];
-        let mut unlimited = Dta::new(0);
-        unlimited.recommend(&db, &workload, u64::MAX);
-        let full_calls = unlimited.last_whatif_calls;
-
-        let mut capped = Dta {
-            max_whatif_calls: full_calls / 4,
-            ..Dta::new(0)
-        };
-        capped.recommend(&db, &workload, u64::MAX);
-        assert!(capped.last_whatif_calls <= full_calls / 4 + workload.len() as u64);
     }
 
     #[test]

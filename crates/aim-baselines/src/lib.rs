@@ -5,7 +5,7 @@
 //! | Advisor | Class | Search |
 //! |---|---|---|
 //! | [`Extend`] / [`Gia`] | academic SOTA | add-or-extend one column per step, best benefit per byte |
-//! | [`Dta`] | industrial SOTA | per-query candidates → merging → greedy anytime enumeration |
+//! | [`Dta`] | industrial SOTA | per-query candidates → merging → greedy enumeration |
 //!
 //! All advisors implement [`aim_core::IndexAdvisor`] and report the number
 //! of optimizer (what-if) calls of their last run — the quantity that

@@ -540,11 +540,7 @@ fn run_continuous(args: &[String], strategy: SelectionStrategy, trace_out: Optio
     let server = serve_on
         .map(|port| serve(port, "/metrics /journal /profile /timeseries /trace /ledger"));
 
-    // The latency sentinel watches windowed select-latency and rolls back
-    // a materialization that regresses it (ledger stage
-    // `regression_rollback`).
-    let mut tuner = aim_core::ContinuousTuner::with_session(session.clone(), 0.5)
-        .with_sentinel(aim_core::LatencySentinel::new(Default::default()));
+    let mut tuner = aim_core::ContinuousTuner::with_session(session.clone(), 0.5);
     for w in 1..=windows {
         let (_, stepped) = tune_window(&mut tuner, &mut db, |db, monitor| {
             for wq in &weighted {

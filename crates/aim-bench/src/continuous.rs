@@ -38,12 +38,11 @@ pub fn tune_window(
 /// What one step did, as the counts both printers show per window.
 pub fn window_line(out: &ContinuousOutcome) -> String {
     format!(
-        "created {}, rejected {}, reverted {}, dropped {}, rolled back {}",
+        "created {}, rejected {}, reverted {}, dropped {}",
         out.tuning.created.len(),
         out.tuning.rejected.len(),
         out.reverted.len(),
-        out.dropped_unused.len(),
-        out.rolled_back.len()
+        out.dropped_unused.len()
     )
 }
 

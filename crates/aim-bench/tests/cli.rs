@@ -1,9 +1,11 @@
 //! `aim_cli`, run as a process. `explain`: the JSON form keeps the
 //! `ExplainPlan` contract its consumers parse, the text form names the
 //! access path the planner chose. `continuous`: no file without a path.
+//! `fleet --serve`: `/alerts` evaluates the rule the run registered.
 
 use aim_telemetry::jsonv::{self, Json};
-use std::process::Command;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::process::{Command, Stdio};
 
 const SQL: &str = "SELECT id FROM orders WHERE customer_id = 7";
 
@@ -100,7 +102,7 @@ fn continuous_writes_artifacts_only_where_a_path_is_given() {
     let files = || std::fs::read_dir(&dir).expect("readable").count();
 
     let text = run(&[]);
-    assert!(text.contains("window 1: created 1,"), "{text}");
+    assert!(text.contains("window 1: created 1, rejected 0, reverted 0, dropped 0\n"), "{text}");
     assert!(text.contains("decision ledger: 1 records over 2 passes"), "{text}");
     assert_eq!(files(), 0, "a run without a path wrote a file");
 
@@ -109,4 +111,48 @@ fn continuous_writes_artifacts_only_where_a_path_is_given() {
     let ledger = std::fs::read_to_string(dir.join("ledger.json")).expect("ledger written");
     jsonv::parse(&ledger).unwrap_or_else(|e| panic!("{e}:\n{ledger}"));
     std::fs::remove_dir_all(&dir).expect("scratch directory removed");
+}
+
+/// `aim_cli fleet --serve` registers its per-tenant select-cost SLO and
+/// serves its evaluation at `/alerts` until stdin closes.
+#[test]
+fn fleet_serves_alerts_for_the_rule_it_registers() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_aim_cli"))
+        .args(["fleet", "--tenants", "2", "--workers", "1", "--serve", "0"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("aim_cli starts");
+    let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
+    let mut seen = String::new();
+    let addr = lines
+        .by_ref()
+        .map(|l| l.expect("UTF-8"))
+        .inspect(|l| seen.push_str(&format!("{l}\n")))
+        .find_map(|l| {
+            let rest = l.strip_prefix("endpoint still serving on http://")?;
+            Some(rest.split(';').next()?.to_string())
+        })
+        .unwrap_or_else(|| panic!("the run never held its endpoint open:\n{seen}"));
+    assert!(seen.contains("fleet: 2/2 tuned"), "{seen}");
+
+    let mut conn = std::net::TcpStream::connect(&addr).expect("endpoint accepts");
+    conn.write_all(b"GET /alerts HTTP/1.1\r\nHost: localhost\r\n\r\n")
+        .expect("request sent");
+    let mut response = String::new();
+    conn.read_to_string(&mut response).expect("response read");
+    let (head, body) = response.split_once("\r\n\r\n").expect("HTTP response");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let doc = jsonv::parse(body).unwrap_or_else(|e| panic!("{e}:\n{body}"));
+    let rules = doc.path("rules").and_then(Json::as_arr).expect("rules array");
+    assert!(
+        rules
+            .iter()
+            .any(|r| r.path("name").and_then(Json::as_str) == Some("fleet-select-p99")),
+        "{body}"
+    );
+    assert!(doc.path("alerts").and_then(Json::as_arr).is_some(), "{body}");
+
+    drop(child.stdin.take());
+    assert!(child.wait().expect("aim_cli exits").success());
 }

@@ -294,7 +294,7 @@ fn continuous_the_post_shift_pass_creates_indexes_and_lowers_window_cost() {
     assert!(created[0] > 0);
     assert_eq!(created.last(), Some(&0), "the bootstrap has not converged");
     assert!(!post.tuning.created.is_empty(), "the new queries got no index");
-    assert!(post.reverted.is_empty() && post.rolled_back.is_empty());
+    assert!(post.reverted.is_empty());
     assert!(shift.window_cost_after < 0.9 * shift.window_cost_before);
     assert!(shift.queries_improved > 0 && shift.improved_10x <= shift.queries_improved);
 }

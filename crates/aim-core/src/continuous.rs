@@ -8,9 +8,38 @@
 //! indexes no query of the window used are dropped after a grace period of
 //! consecutive unused windows. Nothing else leaves: an index made
 //! redundant by a wider one stays until it goes unused (ROADMAP item 12).
+//!
+//! # The one regression judge
+//!
+//! [`RegressionDetector`] over the [`WorkloadMonitor`] is the only code
+//! that drops an index on a regression signal, and it decides from the
+//! monitor alone: a step runs the same with telemetry on or off
+//! (`aim-integration/tests/regression_scenarios.rs` holds it to that).
+//!
+//! * **Baseline.** Per template, the best (lowest) window average ever
+//!   observed, folded in at the end of every step.
+//! * **Verdict.** A template regressed when this window's average exceeds
+//!   its baseline by more than the tolerance.
+//! * **Attribution.** An index is reverted only if the regressed
+//!   template's plan used it in this window *and* the previous step
+//!   created it; an index no regressed query used is never a suspect,
+//!   however the rest of the workload moved.
+//! * **What it does not catch.** A slowdown that stays under the tolerance
+//!   on every template (the table growing by a third, scenario D), and a
+//!   regression no recent index explains: DML paying for the maintenance
+//!   of a new index (scenario C — the trade-off ranking already priced,
+//!   Eq. 8) or a query slower because its data grew. Those are counted and
+//!   journaled on the window they first appear, and nothing is dropped.
+//!
+//! Clone validation compares before and after too (Eqs. 2–4,
+//! `validate.rs`), and its rule is deliberately not reused here: it
+//! attributes a DML regression to the candidates on the written table,
+//! which is right before deployment, when rejecting one costs nothing.
+//! Applied after deployment it would revert the new index in scenario C,
+//! the next pass would build it again for the reads ranking chose it for,
+//! and the configuration would flap with period two.
 
 use crate::error::AimError;
-use crate::sentinel::{drop_index_named, LatencySentinel};
 use crate::session::{AimOutcome, TuningSession};
 use aim_monitor::WorkloadMonitor;
 use aim_sql::normalize::QueryFingerprint;
@@ -110,6 +139,14 @@ pub fn find_unused_indexes(db: &Database, monitor: &WorkloadMonitor) -> Vec<Inde
         .collect()
 }
 
+/// Drops the index called `name`, whichever table holds it. `None` when
+/// there is no such index or the drop failed.
+fn drop_index_named(db: &mut Database, name: &str) -> Option<IndexDef> {
+    let def = db.all_indexes().into_iter().find(|d| d.name == name)?;
+    db.drop_index(&def.table, &def.name).ok()?;
+    Some(def)
+}
+
 /// Outcome of one continuous-tuning step.
 #[derive(Debug, Clone, Default)]
 pub struct ContinuousOutcome {
@@ -119,9 +156,6 @@ pub struct ContinuousOutcome {
     pub reverted: Vec<String>,
     /// Indexes dropped as unused over the window.
     pub dropped_unused: Vec<String>,
-    /// Indexes rolled back by the latency sentinel: the previous step's
-    /// materialization regressed the windowed select-latency statistic.
-    pub rolled_back: Vec<String>,
 }
 
 /// Periodic tuner: regression-revert, tune, optionally garbage-collect
@@ -140,9 +174,11 @@ pub struct ContinuousTuner {
     /// §VII-C flags "a regression ... due to an index added by automation",
     /// i.e. a *recent* change, not any index the plan happens to use.
     recently_created: BTreeSet<String>,
-    /// Optional aggregate-latency watchdog over the windowed telemetry
-    /// (see [`crate::sentinel`]); armed after every materializing pass.
-    sentinel: Option<LatencySentinel>,
+    /// Templates whose regression was counted and journaled with nothing
+    /// to revert. Such a regression is reported on the window it first
+    /// appears and not again while it lasts; a template leaves the set when
+    /// it stops regressing.
+    unattributed: BTreeSet<QueryFingerprint>,
 }
 
 impl ContinuousTuner {
@@ -155,23 +191,8 @@ impl ContinuousTuner {
             unused_grace_windows: 2,
             unused_streak: BTreeMap::new(),
             recently_created: BTreeSet::new(),
-            sentinel: None,
+            unattributed: BTreeSet::new(),
         }
-    }
-
-    /// Attaches a latency sentinel: each step then ticks the telemetry
-    /// time-series, judges the closed window, and rolls back the previous
-    /// step's materialization when the sentinel flags a regression. The
-    /// sentinel needs telemetry enabled to see any data; with telemetry
-    /// off it simply never fires.
-    pub fn with_sentinel(mut self, sentinel: LatencySentinel) -> Self {
-        self.sentinel = Some(sentinel);
-        self
-    }
-
-    /// The attached sentinel, if any.
-    pub fn sentinel(&self) -> Option<&LatencySentinel> {
-        self.sentinel.as_ref()
     }
 
     /// Runs one step at the end of an observation window.
@@ -188,30 +209,28 @@ impl ContinuousTuner {
         let _step_span = aim_telemetry::span("aim.continuous_step");
         let mut outcome = ContinuousOutcome::default();
 
-        // 0. A step is a window boundary: close the telemetry time-series
-        //    window and, when a sentinel is attached, let it judge the
-        //    closed window — every tenant series independently, with any
-        //    firing per-tenant latency SLO feeding the rollback decision.
-        //    A regression verdict rolls back the previous step's
-        //    materialization before anything else happens.
-        let window = aim_telemetry::timeseries::tick("continuous_window");
-        if let (Some(sentinel), Some(window)) = (self.sentinel.as_mut(), window.as_ref()) {
-            let session = &self.session;
-            let rolled = sentinel.close_window(window, db, |def, detail| {
-                session.ledger_annotate(&def.name, &def.table, "regression_rollback", detail)
-            });
-            for (_, name) in rolled {
-                self.recently_created.remove(&name);
-                outcome.rolled_back.push(name);
-            }
-        }
+        // A step is a window boundary for whoever reads the telemetry
+        // time-series; the step itself reads nothing back.
+        aim_telemetry::timeseries::tick("continuous_window");
 
         // 1. Revert recently-added automation indexes implicated in
         //    regressions (pre-existing indexes are never auto-dropped on a
         //    regression signal: the regression cannot be "due to an index
         //    added by automation" if automation added nothing lately).
         let scan_span = aim_telemetry::span("regression_scan");
+        let mut unattributed = BTreeSet::new();
         for regression in self.detector.detect(monitor) {
+            let implicated: Vec<&String> = regression
+                .suspect_indexes
+                .iter()
+                .filter(|name| self.recently_created.contains(*name))
+                .collect();
+            if implicated.is_empty() {
+                unattributed.insert(regression.query);
+                if self.unattributed.contains(&regression.query) {
+                    continue;
+                }
+            }
             aim_telemetry::metrics::REGRESSIONS_DETECTED.incr();
             if aim_telemetry::is_enabled() {
                 aim_telemetry::event(
@@ -223,13 +242,8 @@ impl ContinuousTuner {
                     ),
                 );
             }
-            let (query, baseline, current) =
-                (regression.query, regression.baseline, regression.current);
-            for name in regression.suspect_indexes {
-                if !self.recently_created.contains(&name) {
-                    continue;
-                }
-                if let Some(def) = drop_index_named(db, &name) {
+            for name in implicated {
+                if let Some(def) = drop_index_named(db, name) {
                     aim_telemetry::event(
                         aim_telemetry::EventKind::IndexReverted,
                         &def.name,
@@ -240,15 +254,16 @@ impl ContinuousTuner {
                         &def.table,
                         "reverted",
                         format!(
-                            "query {query} regressed (avg cpu {baseline:.1} -> \
-                             {current:.1}) and its plan used this \
-                             recently-created index"
+                            "query {} regressed (avg cpu {:.1} -> {:.1}) and its \
+                             plan used this recently-created index",
+                            regression.query, regression.baseline, regression.current
                         ),
                     );
                     outcome.reverted.push(def.name);
                 }
             }
         }
+        self.unattributed = unattributed;
         drop(scan_span);
 
         // 2. Tune.
@@ -259,14 +274,6 @@ impl ContinuousTuner {
             .iter()
             .map(|c| c.def.name.clone())
             .collect();
-        // A materializing pass puts the sentinel on alert for the next
-        // windows; a pass that created nothing leaves it as-is. Under a
-        // tenant scope (fleet workers) the watch is armed on that tenant's
-        // latency series so rollbacks stay tenant-local.
-        if let Some(sentinel) = self.sentinel.as_mut() {
-            let tenant = aim_telemetry::metrics::current_tenant().unwrap_or_default();
-            sentinel.arm_tenant(&tenant, self.recently_created.iter().cloned().collect());
-        }
 
         // 3. Unused-index GC with a grace period.
         let _gc_span = aim_telemetry::span("unused_gc");

@@ -45,11 +45,10 @@
 //! ```
 
 use crate::error::AimError;
-use crate::ledger::{DecisionLedger, Decisions};
+use crate::ledger::Decisions;
 use crate::partial_order::PartialOrder;
 use crate::plan::PassPlanner;
 use crate::ranking::{effective_workers, RankedCandidate};
-use crate::sentinel::{LatencySentinel, TenantDatabases};
 use crate::session::{AimConfig, AimOutcome, CancelToken, RetryPolicy, RunCtl, TuningSession};
 use crate::sharding::ShardingProfile;
 use aim_monitor::WorkloadMonitor;
@@ -292,21 +291,6 @@ impl FleetOutcome {
     pub fn failed(&self) -> usize {
         self.tenants.len() - self.tuned()
     }
-
-    /// Arms `sentinel` per tenant with the indexes this pass created:
-    /// each tenant's labeled latency series is then watched independently,
-    /// so one tenant's regression rolls back only its own indexes. Tenants
-    /// whose pass failed or created nothing are left as-is.
-    pub fn arm_sentinel(&self, sentinel: &mut LatencySentinel) {
-        for t in &self.tenants {
-            if let Ok(out) = &t.result {
-                sentinel.arm_tenant(
-                    &t.id,
-                    out.created.iter().map(|c| c.def.name.clone()).collect(),
-                );
-            }
-        }
-    }
 }
 
 /// What the probe phase learned about one tenant.
@@ -539,31 +523,6 @@ impl FleetSession {
         }
     }
 
-    /// Closes one fleet observation window and lets `sentinel` judge every
-    /// tenant's labeled latency series against its own EWMA baseline. Any
-    /// firing per-tenant SLO on the watched histogram (see
-    /// [`aim_telemetry::slo`]) feeds the verdict: an armed tenant under a
-    /// firing alert is regressed even if this window's stat alone would
-    /// tolerate it. Regressed tenants have their suspect indexes rolled
-    /// back **on that tenant only**; the rollback is journaled and, when a
-    /// ledger is passed, annotated with the alert attribution. Returns
-    /// `(tenant id, index name)` per rolled-back index.
-    pub fn observe_window(
-        &self,
-        tenants: &mut [Tenant],
-        sentinel: &mut LatencySentinel,
-        mut ledger: Option<&mut DecisionLedger>,
-    ) -> Vec<(String, String)> {
-        let Some(window) = tel::timeseries::tick("fleet.window") else {
-            return Vec::new();
-        };
-        sentinel.close_window(&window, tenants, |def, detail| {
-            if let Some(l) = ledger.as_deref_mut() {
-                l.annotate_latest(&def.name, &def.table, "regression_rollback", detail);
-            }
-        })
-    }
-
     /// Probes one tenant: the session's read-only half (selection →
     /// candidates → ranking → sharding re-price) with one ranking worker,
     /// under the fleet's retry policy. Materializes nothing, reports to no
@@ -592,12 +551,6 @@ impl FleetSession {
             used: tenant.db.total_secondary_index_bytes().saturating_mul(shard_mult),
             hotness: tenant.monitor.total_cpu(),
         }
-    }
-}
-
-impl TenantDatabases for [Tenant] {
-    fn database(&mut self, tenant: &str) -> Option<&mut Database> {
-        self.iter_mut().find(|t| t.id == tenant).map(|t| &mut t.db)
     }
 }
 

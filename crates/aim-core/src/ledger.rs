@@ -184,12 +184,6 @@ impl DecisionLedger {
         self.records.is_empty()
     }
 
-    /// Drops all records and resets the pass counter.
-    pub fn clear(&mut self) {
-        self.passes = 0;
-        self.records.clear();
-    }
-
     fn entry(
         &mut self,
         pass: u64,
@@ -446,15 +440,5 @@ mod tests {
         let r = &doc.path("records").and_then(|v| v.as_arr()).unwrap()[0];
         assert!(matches!(r.path("utility"), Some(aim_telemetry::jsonv::Json::Null)));
         assert!(matches!(r.path("size_bytes"), Some(aim_telemetry::jsonv::Json::Null)));
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut l = DecisionLedger::default();
-        let p = l.begin_pass();
-        l.note(p, "x", "t", &[], "generated", String::new());
-        l.clear();
-        assert!(l.is_empty());
-        assert_eq!(l.passes, 0);
     }
 }

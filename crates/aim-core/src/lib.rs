@@ -83,7 +83,6 @@ pub mod partial_order;
 mod plan;
 pub mod ranking;
 pub mod selection_lp;
-pub mod sentinel;
 pub mod session;
 pub mod sharding;
 pub mod validate;
@@ -113,7 +112,6 @@ pub use ranking::{
     rank_candidates_with, try_rank_candidates_with, KnapsackDecision, RankedCandidate,
 };
 pub use selection_lp::{refine_selection, LpDecision, LpOutcome};
-pub use sentinel::{LatencySentinel, SentinelConfig, SentinelStat, SentinelVerdict};
 pub use session::{
     AimConfig, AimConfigBuilder, AimOutcome, CancelToken, CreatedIndex, RetryPolicy, RunCtl,
     SelectionStrategy, TuningSession,

@@ -502,7 +502,7 @@ impl TuningSession {
         // instrument below also records a labeled twin. The scope carries
         // a `phase="tune"` label besides the tenant so the pass's own
         // validation replays never pollute the tenant's *pure* latency
-        // series — the one the sentinel and SLO rules judge.
+        // series — the one the SLO rules judge.
         let _tenant_scope = self
             .config()
             .tenant_label

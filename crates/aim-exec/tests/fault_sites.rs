@@ -6,29 +6,8 @@
 
 use aim_exec::{CostModel, Engine, HypoConfig, WhatIfCache};
 use aim_sql::{parse_statement, Select, Statement};
-use aim_storage::fault::{self, FaultPlan};
+use aim_storage::fault::{self, FaultGuard, FaultPlan};
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema, Value};
-use std::sync::Mutex;
-
-static LOCK: Mutex<()> = Mutex::new(());
-
-/// Serializes a test against the process-global fault registry and
-/// guarantees a clean slate on entry and (via drop) exit.
-struct FaultGuard<'a>(#[allow(dead_code)] std::sync::MutexGuard<'a, ()>);
-
-impl FaultGuard<'_> {
-    fn acquire() -> Self {
-        let g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        fault::disarm();
-        Self(g)
-    }
-}
-
-impl Drop for FaultGuard<'_> {
-    fn drop(&mut self) {
-        fault::disarm();
-    }
-}
 
 fn db() -> Database {
     let mut db = Database::new();

@@ -22,31 +22,10 @@ use aim_core::{
 use aim_exec::Engine;
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor};
 use aim_sql::parse_statement;
-use aim_storage::fault::{self, FaultPlan};
+use aim_storage::fault::{self, FaultGuard, FaultPlan};
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema, Value};
 use aim_workloads::tpch;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-static LOCK: Mutex<()> = Mutex::new(());
-
-/// Serializes the test and guarantees a clean fault slate on entry and
-/// (via drop) on exit, even when the test panics.
-struct FaultGuard<'a>(#[allow(dead_code)] std::sync::MutexGuard<'a, ()>);
-
-impl<'a> FaultGuard<'a> {
-    fn acquire() -> Self {
-        let g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        fault::disarm();
-        Self(g)
-    }
-}
-
-impl Drop for FaultGuard<'_> {
-    fn drop(&mut self) {
-        fault::disarm();
-    }
-}
 
 fn db() -> Database {
     let mut db = Database::new();

@@ -19,30 +19,9 @@ use aim_core::{workload_cost, AimConfig, RetryPolicy, TuningSession};
 use aim_exec::{CostModel, Engine, HypoConfig};
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_sql::parse_statement;
-use aim_storage::fault::{self, FaultPlan};
+use aim_storage::fault::{self, FaultGuard, FaultPlan};
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema, Value};
 use aim_workloads::fleet::{generate_fleet, FleetSpec, TenantWorkload};
-use std::sync::Mutex;
-
-static LOCK: Mutex<()> = Mutex::new(());
-
-/// Serializes a test against the process-global fault registry and
-/// guarantees a clean slate on entry and (via drop) exit.
-struct FaultGuard<'a>(#[allow(dead_code)] std::sync::MutexGuard<'a, ()>);
-
-impl<'a> FaultGuard<'a> {
-    fn acquire() -> Self {
-        let g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        fault::disarm();
-        Self(g)
-    }
-}
-
-impl Drop for FaultGuard<'_> {
-    fn drop(&mut self) {
-        fault::disarm();
-    }
-}
 
 fn selection() -> SelectionConfig {
     SelectionConfig {

@@ -1,13 +1,12 @@
-//! The windowed-telemetry observability loop end to end: a seeded latency
-//! regression that the sentinel must catch and roll back within its armed
-//! watch, and the cross-thread trace stitching that keeps worker-side
-//! span subtrees in the session profile.
+//! What the telemetry serves, end to end: curated HELP text for every
+//! instrument a fleet pass records, the label-cardinality cap, the
+//! cross-thread trace stitching that keeps worker-side span subtrees in
+//! the session profile, and the artifact's JSON.
 
-use aim_core::continuous::ContinuousTuner;
 use aim_core::fleet::{FleetConfig, Tenant};
 use aim_core::{
     generate_candidates, rank_candidates_with, synthetic_workload, AimConfig, CandidateGenConfig,
-    DecisionLedger, LatencySentinel, SentinelConfig, WeightedQuery,
+    WeightedQuery,
 };
 use aim_exec::{CostModel, Engine};
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
@@ -64,229 +63,6 @@ fn run_queries(db: &mut Database, monitor: &mut WorkloadMonitor, sql: &str, n: u
     }
 }
 
-/// A materialization that turns out to coincide with a genuine latency
-/// regression must be rolled back by the sentinel within its armed watch
-/// (two windows by default — here it fires on the very first one), and the
-/// rollback must be auditable in both the event journal and the decision
-/// ledger.
-#[test]
-fn sentinel_rolls_back_a_seeded_regression_within_two_windows() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    aim_telemetry::enable();
-    aim_telemetry::reset();
-
-    let mut db = build_db(4000);
-    let session = AimConfig::builder()
-        .selection(SelectionConfig {
-            min_executions: 1,
-            min_benefit: 0.0,
-            max_queries: 50,
-            include_dml: true,
-        })
-        .ledger(true)
-        .session();
-    let mut tuner = ContinuousTuner::with_session(session.clone(), 0.5)
-        .with_sentinel(LatencySentinel::new(SentinelConfig::default()));
-
-    // Window 1: steady point-select traffic on `a`. The closing tick
-    // baselines the sentinel's EWMA, and the pass materializes an index
-    // on `a`, arming the sentinel with it.
-    let mut monitor = WorkloadMonitor::new();
-    run_queries(&mut db, &mut monitor, "SELECT id FROM t WHERE a = 5", 10);
-    let out1 = tuner.step(&mut db, &monitor).unwrap();
-    assert!(
-        !out1.tuning.created.is_empty(),
-        "fixture must materialize an index; rejected: {:?}",
-        out1.tuning.rejected
-    );
-    assert!(out1.rolled_back.is_empty());
-    let sentinel = tuner.sentinel().unwrap();
-    assert!(sentinel.is_armed(), "materialization must arm the sentinel");
-    assert!(sentinel.baseline().is_some(), "window 1 must set the EWMA");
-    let suspect = out1.tuning.created[0].def.name.clone();
-
-    // Window 2: the table balloons 16x and traffic shifts to unindexed
-    // scans on `b` — windowed select p99 blows far past baseline * 1.5.
-    insert_rows(&mut db, 4000, 64_000);
-    db.analyze_all();
-    let mut monitor = WorkloadMonitor::new();
-    run_queries(&mut db, &mut monitor, "SELECT id FROM t WHERE b = 3", 10);
-    let out2 = tuner.step(&mut db, &monitor).unwrap();
-
-    // Detection within the armed watch: one window after materialization.
-    assert_eq!(
-        out2.rolled_back,
-        vec![suspect.clone()],
-        "sentinel must roll back the armed pass's index"
-    );
-    assert!(
-        !db.all_indexes().iter().any(|d| d.name == suspect),
-        "rolled-back index still present in the database"
-    );
-
-    // The rollback is journaled ...
-    assert_eq!(aim_telemetry::journal::dropped(), 0, "journal evicted events");
-    let rollback_events: Vec<_> = aim_telemetry::journal::events()
-        .into_iter()
-        .filter(|e| e.kind == EventKind::RegressionRollback)
-        .collect();
-    assert_eq!(rollback_events.len(), 1);
-    assert_eq!(rollback_events[0].target, suspect);
-
-    // ... and the decision ledger's record for the index terminates on the
-    // regression_rollback stage.
-    let ledger = session.ledger();
-    let record = ledger
-        .find(&suspect)
-        .unwrap_or_else(|| panic!("{suspect} missing from the decision ledger"));
-    assert_eq!(record.outcome(), "regression_rollback");
-    assert!(
-        record.stages().contains(&"materialized"),
-        "rollback must chain onto the materialization record: {:?}",
-        record.stages()
-    );
-
-    aim_telemetry::disable();
-}
-
-/// The fleet-scale observability loop: three tenants tune and arm the
-/// sentinel per tenant; one tenant then regresses hard enough to burn its
-/// per-tenant latency SLO. Only that tenant's indexes may roll back, the
-/// rollback must carry the alert attribution through the journal and the
-/// decision ledger, and the other tenants' series (and indexes) must stay
-/// clean.
-#[test]
-fn per_tenant_slo_alert_rolls_back_only_the_regressed_tenant() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    aim_telemetry::enable();
-    aim_telemetry::reset();
-
-    let ids = ["alpha", "beta", "gamma"];
-    let mut tenants: Vec<Tenant> = ids.iter().map(|id| Tenant::new(*id, build_db(4000))).collect();
-    // Pre-tuning observation (unscoped: only the pure per-tenant series
-    // recorded below may feed the sentinel and SLO baselines).
-    for t in tenants.iter_mut() {
-        run_queries(&mut t.db, &mut t.monitor, "SELECT id FROM t WHERE a = 5", 10);
-    }
-
-    let fleet = FleetConfig::builder()
-        .base(
-            AimConfig::builder()
-                .selection(SelectionConfig {
-                    min_executions: 1,
-                    min_benefit: 0.0,
-                    max_queries: 50,
-                    include_dml: true,
-                })
-                .build(),
-        )
-        .session();
-    let out = fleet.run(&mut tenants);
-    assert_eq!(out.tuned(), 3, "{:?}", out.tenants);
-    let suspects: Vec<String> = out
-        .tenants
-        .iter()
-        .map(|t| t.result.as_ref().unwrap().created[0].def.name.clone())
-        .collect();
-
-    let mut sentinel = LatencySentinel::new(SentinelConfig::default());
-    out.arm_sentinel(&mut sentinel);
-    for id in ids {
-        assert!(sentinel.is_armed_for(id), "{id} must be under armed watch");
-    }
-
-    // A per-tenant p99 SLO on windowed select cost, sized between the
-    // tenants' indexed steady state (p99 ≈ 8 cost units) and an unindexed
-    // 64k-row scan (p99 ≈ 4000).
-    aim_telemetry::slo::register(aim_telemetry::SloRule::new(
-        "select-p99",
-        "exec.select_cost",
-        1_000.0,
-    ));
-
-    // Window 1: steady post-tuning traffic on every tenant, scoped so each
-    // tenant's exec.select_cost series baselines independently.
-    for t in tenants.iter_mut() {
-        let _scope = aim_telemetry::scope(&t.id);
-        run_queries(&mut t.db, &mut t.monitor, "SELECT id FROM t WHERE a = 5", 10);
-    }
-    let mut ledger = DecisionLedger::default();
-    let rolled = fleet.observe_window(&mut tenants, &mut sentinel, Some(&mut ledger));
-    assert!(rolled.is_empty(), "baseline window must not roll back: {rolled:?}");
-
-    // Window 2: alpha balloons 16x and its traffic shifts to unindexed
-    // scans on `b`; beta and gamma keep their indexed traffic.
-    insert_rows(&mut tenants[0].db, 4000, 64_000);
-    tenants[0].db.analyze_all();
-    {
-        let _scope = aim_telemetry::scope("alpha");
-        let t = &mut tenants[0];
-        run_queries(&mut t.db, &mut t.monitor, "SELECT id FROM t WHERE b = 3", 10);
-    }
-    for t in tenants.iter_mut().skip(1) {
-        let _scope = aim_telemetry::scope(&t.id);
-        run_queries(&mut t.db, &mut t.monitor, "SELECT id FROM t WHERE a = 5", 10);
-    }
-    let rolled = fleet.observe_window(&mut tenants, &mut sentinel, Some(&mut ledger));
-
-    // Only alpha rolls back; beta and gamma keep their indexes.
-    assert_eq!(
-        rolled,
-        vec![("alpha".to_string(), suspects[0].clone())],
-        "exactly alpha's index must roll back"
-    );
-    assert!(!tenants[0].db.all_indexes().iter().any(|d| d.name == suspects[0]));
-    for (t, suspect) in tenants.iter().zip(&suspects).skip(1) {
-        assert!(
-            t.db.all_indexes().iter().any(|d| &d.name == suspect),
-            "{}'s index must survive alpha's regression",
-            t.id
-        );
-    }
-
-    // The SLO alert named alpha — and nobody else — ...
-    assert_eq!(aim_telemetry::journal::dropped(), 0, "journal evicted events");
-    let slo_events: Vec<_> = aim_telemetry::journal::events()
-        .into_iter()
-        .filter(|e| e.kind == EventKind::SloAlert)
-        .collect();
-    assert!(
-        slo_events.iter().any(|e| e.detail.contains("\"alpha\"")),
-        "a firing SLO alert must name alpha: {slo_events:?}"
-    );
-    assert!(
-        !slo_events.iter().any(|e| e.detail.contains("beta") || e.detail.contains("gamma")),
-        "no alert may fire for the clean tenants: {slo_events:?}"
-    );
-
-    // ... the journaled rollback is alpha's, alert-attributed ...
-    let rollbacks: Vec<_> = aim_telemetry::journal::events()
-        .into_iter()
-        .filter(|e| e.kind == EventKind::RegressionRollback)
-        .collect();
-    assert_eq!(rollbacks.len(), 1);
-    assert_eq!(rollbacks[0].target, suspects[0]);
-    assert!(
-        rollbacks[0].detail.contains("SLO alert-attributed"),
-        "journal must carry the alert attribution: {}",
-        rollbacks[0].detail
-    );
-
-    // ... and so is the decision-ledger record.
-    let record = ledger
-        .find(&suspects[0])
-        .expect("rolled-back index missing from the ledger");
-    assert_eq!(record.outcome(), "regression_rollback");
-    let last = record.events.last().unwrap();
-    assert!(
-        last.detail.contains("SLO alert-attributed") && last.detail.contains("\"alpha\""),
-        "ledger must record the alert-attributed tenant rollback: {}",
-        last.detail
-    );
-
-    aim_telemetry::disable();
-}
-
 /// Every series the introspection endpoint serves must carry curated
 /// HELP/TYPE metadata — a scrape of a representative run may not fall
 /// back to the generic help text for any instrument the pipeline records.
@@ -321,14 +97,13 @@ fn every_served_metric_has_curated_help() {
         .session();
     let out = fleet.run(&mut tenants);
     assert_eq!(out.tuned(), 2);
-    let mut sentinel = LatencySentinel::new(SentinelConfig::default());
-    out.arm_sentinel(&mut sentinel);
     aim_telemetry::slo::register(aim_telemetry::SloRule::new(
         "help-cov",
         "exec.select_cost",
         1e9,
     ));
-    let _ = fleet.observe_window(&mut tenants, &mut sentinel, None);
+    aim_telemetry::timeseries::tick("fleet.window");
+    aim_telemetry::slo::evaluate();
 
     let snap = aim_telemetry::snapshot();
     let names: Vec<&str> = snap

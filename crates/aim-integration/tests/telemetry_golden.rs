@@ -21,7 +21,7 @@ mod common;
 use aim_telemetry as tel;
 use std::io::{Read, Write};
 use tel::metrics::{
-    counter_add, counter_add_labeled, gauge_set, gauge_set_labeled, histogram_record,
+    counter_add, counter_add_labeled, gauge_set, histogram_record,
     histogram_record_labeled, set_series_cap, FLEET_SHARDS_TUNED, WHATIF_CALLS,
 };
 
@@ -126,7 +126,6 @@ fn served_telemetry_matches_golden() {
     tel::timeseries::tick("first");
 
     counter_add_labeled("gold.explicit", &[("tenant", "acme"), ("backend", "disk")], 6);
-    gauge_set_labeled("sentinel.state", &[("tenant", "acme")], 2);
     histogram_record_labeled("gold.latency", &[("tenant", "globex")], 256.0);
     counter_add_labeled("gold.hostile", &[("tenant", "a\\b\"c\nd")], 7);
 

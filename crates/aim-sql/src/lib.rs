@@ -51,11 +51,6 @@ pub fn parse_statement(sql: &str) -> Result<Statement, ParseError> {
     parser::Parser::new(sql)?.parse_single_statement()
 }
 
-/// Parses a semicolon-separated script into a list of statements.
-pub fn parse_script(sql: &str) -> Result<Vec<Statement>, ParseError> {
-    parser::Parser::new(sql)?.parse_script()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,11 +63,5 @@ mod tests {
         // Re-parsing the printed form must produce the same AST.
         let reparsed = parse_statement(&printed).unwrap();
         assert_eq!(stmt, reparsed);
-    }
-
-    #[test]
-    fn script_parsing_splits_statements() {
-        let stmts = parse_script("SELECT 1; SELECT 2;").unwrap();
-        assert_eq!(stmts.len(), 2);
     }
 }

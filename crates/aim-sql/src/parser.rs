@@ -37,19 +37,6 @@ impl<'a> Parser<'a> {
         Ok(stmt)
     }
 
-    /// Parses a semicolon-separated script.
-    pub fn parse_script(&mut self) -> Result<Vec<Statement>, ParseError> {
-        let mut stmts = Vec::new();
-        loop {
-            while self.eat(&Token::Semicolon) {}
-            if self.peek() == &Token::Eof {
-                break;
-            }
-            stmts.push(self.parse_statement()?);
-        }
-        Ok(stmts)
-    }
-
     fn parse_statement(&mut self) -> Result<Statement, ParseError> {
         match self.peek() {
             Token::Keyword(k) => match k {

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// What an injected fault does at its operation site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,6 +179,26 @@ pub fn injection_count() -> usize {
     guard.as_ref().map(|a| a.log.len()).unwrap_or(0)
 }
 
+/// Test support: takes a test's turn at the process-global fault registry
+/// and guarantees a clean slate on entry and (via drop) on exit, even when
+/// the test panics.
+pub struct FaultGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+impl FaultGuard {
+    pub fn acquire() -> Self {
+        static TURN: Mutex<()> = Mutex::new(());
+        let turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+        disarm();
+        Self(turn)
+    }
+}
+
+impl Drop for FaultGuard {
+    fn drop(&mut self) {
+        disarm();
+    }
+}
+
 /// splitmix64: the deterministic coin for probabilistic rules.
 fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -258,7 +278,7 @@ fn hit_slow(site: &str) -> Option<FaultKind> {
 pub(crate) mod tests {
     use super::*;
     use std::cell::Cell;
-    use std::sync::{Mutex as TestMutex, MutexGuard, OnceLock};
+    use std::sync::{Mutex as TestMutex, OnceLock};
 
     thread_local! {
         static HOLDS_LOCK: Cell<bool> = const { Cell::new(false) };

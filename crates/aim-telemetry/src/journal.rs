@@ -39,12 +39,6 @@ pub enum EventKind {
     /// A pass was aborted (deadline, cancellation, retries exhausted) and
     /// its partially materialized indexes were rolled back.
     PassAborted,
-    /// The latency sentinel flagged a windowed latency regression after a
-    /// materialization and rolled the suspect indexes back.
-    RegressionRollback,
-    /// An SLO rule's multi-window burn rate crossed its threshold (the
-    /// target names the rule, the detail names the tenant and burns).
-    SloAlert,
 }
 
 impl EventKind {
@@ -63,8 +57,6 @@ impl EventKind {
             EventKind::PhaseRetried => "phase_retried",
             EventKind::PassDegraded => "pass_degraded",
             EventKind::PassAborted => "pass_aborted",
-            EventKind::RegressionRollback => "regression_rollback",
-            EventKind::SloAlert => "slo_alert",
         }
     }
 }

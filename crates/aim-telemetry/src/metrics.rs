@@ -201,8 +201,6 @@ pub fn help_for(name: &str) -> &'static str {
         "fleet.budget_granted_bytes" => "Storage budget granted to a tenant by fleet allocation.",
         "fleet.budget_used_bytes" => "Secondary-index bytes actually built for a tenant.",
         "telemetry.series_active" => "Distinct labeled series currently tracked.",
-        "sentinel.state" => "Latency sentinel state (0=idle, 1=armed, 2=regressed).",
-        "sentinel.rollbacks" => "Index rollbacks ordered by the latency sentinel.",
         "slo.rules" => "Declarative SLO rules currently registered.",
         "slo.firing" => "SLO rules currently firing on multi-window burn rate.",
         "slo.evaluations" => "SLO evaluation sweeps over the timeseries ring.",
@@ -606,13 +604,6 @@ pub fn counter_add_labeled(name: &'static str, labels: &[(&'static str, &str)], 
     }
 }
 
-/// Sets a labeled gauge series to an instantaneous value.
-pub fn gauge_set_labeled(name: &'static str, labels: &[(&'static str, &str)], v: i64) {
-    if crate::is_enabled() {
-        write(gauges, labeled_key(name, labels), |g| *g = v);
-    }
-}
-
 /// Records one observation into a labeled histogram series.
 pub fn histogram_record_labeled(name: &'static str, labels: &[(&'static str, &str)], v: f64) {
     if crate::is_enabled() {
@@ -707,12 +698,6 @@ pub fn scope(tenant: &str) -> TelemetryScope {
 /// Enters a tenant scope with a phase label (`probe`, `tune`, …).
 pub fn scope_phase(tenant: &str, phase: &str) -> TelemetryScope {
     TelemetryScope::enter(tenant, Some(phase))
-}
-
-/// The tenant of the active scope on this thread, if any.
-pub fn current_tenant() -> Option<String> {
-    let sc = current_scope()?;
-    lock(&INTERNER).values.get(sc.tenant as usize).cloned()
 }
 
 // ------------------------------------------------------- series identity
@@ -1000,13 +985,11 @@ mod tests {
             gauge_set("custom.depth", 7);
             {
                 let _p = scope_phase("acme", "probe");
-                assert_eq!(current_tenant().as_deref(), Some("acme"));
                 counter_add("custom.hits", 1);
             }
             // Inner scope restored to the outer one, not cleared.
-            assert_eq!(current_tenant().as_deref(), Some("acme"));
+            counter_add("custom.restored", 1);
         }
-        assert_eq!(current_tenant(), None);
         counter_add("custom.hits", 5); // unscoped
         crate::disable();
 
@@ -1019,6 +1002,7 @@ mod tests {
         let acme = [("tenant", "acme")];
         assert_eq!(s.counter_labeled("exec.whatif_calls", &acme), Some(3));
         assert_eq!(s.counter_labeled("custom.hits", &acme), Some(2));
+        assert_eq!(s.counter_labeled("custom.restored", &acme), Some(1));
         assert_eq!(
             s.counter_labeled("custom.hits", &[("phase", "probe"), ("tenant", "acme")]),
             Some(1)
@@ -1121,7 +1105,6 @@ mod tests {
         assert_eq!(s.counter_labeled("x", &[("tenant", "b")]), Some(1));
         assert_eq!(s.counter_labeled("y", &[("tenant", "a")]), Some(1));
         assert_eq!(s.counter_labeled("y", &[("tenant", "b")]), None);
-        assert_eq!(current_tenant().as_deref(), Some("a"));
         drop(_a);
         crate::reset();
     }

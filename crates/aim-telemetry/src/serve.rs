@@ -244,12 +244,11 @@ struct FleetRow {
     cost_p50: f64,
     cost_p99: f64,
     cost_count: u64,
-    sentinel_state: i64,
 }
 
 /// Per-tenant rollup document behind `/fleet`: for every tenant seen in
 /// any labeled series, the shards tuned, budget bytes granted vs. used,
-/// tuning wall clock, select-cost p50/p99 and sentinel state. `sort`
+/// tuning wall clock and select-cost p50/p99. `sort`
 /// orders rows (`tenant`, `shards`, `granted`, `used`, `duration`, `p99`;
 /// non-tenant keys sort descending) and `top` truncates.
 fn fleet_json(sort: &str, top: usize) -> String {
@@ -276,7 +275,6 @@ fn fleet_json(sort: &str, top: usize) -> String {
         match series.name() {
             "fleet.budget_granted_bytes" => row.budget_granted = *v,
             "fleet.budget_used_bytes" => row.budget_used = *v,
-            "sentinel.state" => row.sentinel_state = *v,
             _ => {}
         }
     }
@@ -327,7 +325,7 @@ fn fleet_json(sort: &str, top: usize) -> String {
         out.push_str(&format!(
             "{{\"tenant\":\"{}\",\"shards_tuned\":{},\"budget_granted_bytes\":{},\
              \"budget_used_bytes\":{},\"duration_ms\":{:.3},\"cost_p50\":{:.3},\
-             \"cost_p99\":{:.3},\"sentinel_state\":{}}}",
+             \"cost_p99\":{:.3}}}",
             crate::report::json_escape(tenant),
             row.shards_tuned,
             row.budget_granted,
@@ -335,7 +333,6 @@ fn fleet_json(sort: &str, top: usize) -> String {
             row.duration_ms,
             row.cost_p50,
             row.cost_p99,
-            row.sentinel_state,
         ));
     }
     out.push_str(&format!(

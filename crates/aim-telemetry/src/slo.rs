@@ -15,9 +15,9 @@
 //! single rule covers a whole fleet and a firing status names the tenant
 //! that burned its budget. Series carrying extra labels (a tuning-phase
 //! scope, say) are excluded — SLOs judge live traffic, not tuning
-//! replays. The `/alerts` endpoint renders [`alerts_json`]; the fleet and
-//! continuous drivers feed firing tenants into the latency sentinel's
-//! rollback decision.
+//! replays. The `/alerts` endpoint renders [`alerts_json`], and that is
+//! all an alert does: the evaluator is read-only over the time-series ring
+//! and nothing in the advisor decides from it.
 
 use std::collections::BTreeSet;
 use std::sync::Mutex;

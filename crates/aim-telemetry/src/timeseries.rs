@@ -6,8 +6,9 @@
 //! current metrics snapshot against the previous one and stores counters as
 //! (delta, rate/sec) pairs and histograms as windowed p50/p90/p99 computed
 //! from the log₂ bucket deltas. The `ContinuousTuner` ticks once per tuning
-//! window, the regression sentinel consumes the resulting [`Window`]s, and
-//! the introspection server exposes the ring at `/timeseries`.
+//! window, the SLO evaluator ([`crate::slo`]) reads the resulting
+//! [`Window`]s, and the introspection server exposes the ring at
+//! `/timeseries`.
 //!
 //! Like everything else in this crate the module is a no-op while telemetry
 //! is disabled: [`tick`] returns `None` without taking any lock.
@@ -89,8 +90,8 @@ impl Window {
     /// Per-tenant views of histogram `name`: the bare (all-tenant) series
     /// as `None` and each purely tenant-labeled series as `Some(tenant)`.
     /// Series carrying extra labels (e.g. a `phase` from a tuning worker)
-    /// are deliberately excluded so live-traffic judgments (sentinel,
-    /// SLOs) are not polluted by tuning-internal replays.
+    /// are deliberately excluded so live-traffic judgments (SLOs) are not
+    /// polluted by tuning-internal replays.
     pub fn tenant_histograms(&self, name: &str) -> Vec<(Option<String>, &WindowHistogram)> {
         self.histograms
             .iter()
