@@ -30,7 +30,7 @@ use crate::codec::{self, CatIndex, CatTable};
 use crate::error::StorageError;
 use crate::heap;
 use crate::io::IoStats;
-use crate::pager::page::{Page, PageType};
+use crate::pager::page::PageType;
 use crate::pager::{Pager, PagerOptions};
 use crate::schema::{IndexDef, TableSchema};
 use crate::value::{Key, Row};
@@ -223,6 +223,9 @@ struct DiskInner {
     account_fallbacks: u64,
     /// Counter values already pushed to telemetry (delta tracking).
     tel_flushed: StorageCounters,
+    /// The heap pages of the range being accounted; kept so that a range
+    /// allocates nothing.
+    heap_pages: Vec<u32>,
 }
 
 /// One table's recovered state, returned by [`DiskBackend::open`] for the
@@ -258,14 +261,17 @@ impl DiskBackend {
         let mut loaded = Vec::new();
         for cat in cats {
             let mut io = IoStats::new();
-            let mut raw_rows: Vec<Vec<u8>> = Vec::new();
+            // Rows and entries are decoded where they lie in their pages;
+            // the first one that does not decode fails the open.
+            let mut undecodable = None;
+            let mut decoded = |bytes: &[u8], into: &mut Vec<Row>| match codec::decode_tuple(bytes) {
+                Ok(tuple) => into.push(tuple),
+                Err(e) => undecodable = undecodable.take().or(Some(e)),
+            };
+            let mut rows: Vec<Row> = Vec::new();
             heap::scan(&mut pager, cat.heap_first, &mut io, |_, bytes| {
-                raw_rows.push(bytes.to_vec())
+                decoded(bytes, &mut rows)
             })?;
-            let rows = raw_rows
-                .iter()
-                .map(|b| codec::decode_tuple(b))
-                .collect::<Result<Vec<Row>, _>>()?;
             // Recovery invariant: the PK tree and the heap must agree on
             // cardinality; a mismatch means a torn mutation survived.
             let pk_count = btree_page::count(&mut pager, cat.pk_root)?;
@@ -289,10 +295,13 @@ impl DiskBackend {
                     Bound::Unbounded,
                     Bound::Unbounded,
                     &mut io,
-                    |k, _| entries.push(k),
+                    |k, _| decoded(k, &mut entries),
                 )?;
                 indexes.push((ci.def.clone(), entries));
                 index_meta.insert(ci.def.name.clone(), (ci.def.clone(), ci.root));
+            }
+            if let Some(e) = undecodable {
+                return Err(e);
             }
             tables.insert(
                 cat.schema.name.clone(),
@@ -317,6 +326,7 @@ impl DiskBackend {
                 crashed: false,
                 account_fallbacks: 0,
                 tel_flushed: StorageCounters::default(),
+                heap_pages: Vec::new(),
             }),
         });
         Ok((backend, loaded))
@@ -365,19 +375,14 @@ impl DiskBackend {
             .ok_or_else(|| StorageError::UnknownTable(table.to_string()))
     }
 
-    /// Stores the (possibly changed) meta back and rewrites the on-disk
-    /// catalog if any physical root moved.
-    fn store_meta(
-        inner: &mut DiskInner,
-        before: &TableMeta,
-        after: TableMeta,
-    ) -> Result<(), StorageError> {
-        let changed = *before != after;
-        inner.tables.insert(after.schema.name.clone(), after);
-        if changed {
-            write_catalog(&mut inner.pager, &inner.tables)?;
+    /// Stores the meta an operation worked on back and, if any physical
+    /// root moved or an index came or went, rewrites the on-disk catalog.
+    fn store_meta(inner: &mut DiskInner, after: TableMeta) -> Result<(), StorageError> {
+        if inner.tables.get(&after.schema.name) == Some(&after) {
+            return Ok(());
         }
-        Ok(())
+        inner.tables.insert(after.schema.name.clone(), after);
+        write_catalog(&mut inner.pager, &inner.tables)
     }
 
     /// Resolves a PK to its heap location via the PK tree.
@@ -387,11 +392,10 @@ impl DiskBackend {
         pk: &Key,
     ) -> Result<heap::RowLoc, StorageError> {
         let mut scratch = IoStats::new();
-        let rid = btree_page::lookup(&mut inner.pager, pk_root, pk, &mut scratch)?
+        btree_page::lookup(&mut inner.pager, pk_root, pk, &mut scratch, codec::decode_rowid)?
             .ok_or_else(|| StorageError::Corrupt {
                 detail: format!("primary key {pk:?} missing from PK tree"),
-            })?;
-        codec::decode_rowid(&rid)
+            })?
     }
 }
 
@@ -429,8 +433,7 @@ impl StorageBackend for DiskBackend {
         entries: &[TaggedEntry],
     ) -> Result<(), StorageError> {
         self.with_tx(|inner| {
-            let before = Self::table_meta(inner, table)?;
-            let mut tm = before.clone();
+            let mut tm = Self::table_meta(inner, table)?;
             let row_bytes = codec::encode_tuple(row);
             let ((pg, slot), last) = heap::insert(&mut inner.pager, tm.heap_last, &row_bytes)?;
             tm.heap_last = last;
@@ -445,7 +448,7 @@ impl StorageBackend for DiskBackend {
                 })?;
                 *root = btree_page::insert(&mut inner.pager, *root, entry, &[])?;
             }
-            Self::store_meta(inner, &before, tm)
+            Self::store_meta(inner, tm)
         })
     }
 
@@ -456,8 +459,7 @@ impl StorageBackend for DiskBackend {
         entries: &[TaggedEntry],
     ) -> Result<(), StorageError> {
         self.with_tx(|inner| {
-            let before = Self::table_meta(inner, table)?;
-            let mut tm = before.clone();
+            let mut tm = Self::table_meta(inner, table)?;
             let loc = Self::locate(inner, tm.pk_root, pk)?;
             heap::delete(&mut inner.pager, loc)?;
             let (root, removed) = btree_page::remove(&mut inner.pager, tm.pk_root, pk)?;
@@ -473,7 +475,7 @@ impl StorageBackend for DiskBackend {
                 let (r, _) = btree_page::remove(&mut inner.pager, *root, entry)?;
                 *root = r;
             }
-            Self::store_meta(inner, &before, tm)
+            Self::store_meta(inner, tm)
         })
     }
 
@@ -486,8 +488,7 @@ impl StorageBackend for DiskBackend {
         added: &[TaggedEntry],
     ) -> Result<(), StorageError> {
         self.with_tx(|inner| {
-            let before = Self::table_meta(inner, table)?;
-            let mut tm = before.clone();
+            let mut tm = Self::table_meta(inner, table)?;
             let loc = Self::locate(inner, tm.pk_root, pk)?;
             let row_bytes = codec::encode_tuple(new_row);
             let (new_loc, last) =
@@ -516,7 +517,7 @@ impl StorageBackend for DiskBackend {
                 })?;
                 *root = btree_page::insert(&mut inner.pager, *root, entry, &[])?;
             }
-            Self::store_meta(inner, &before, tm)
+            Self::store_meta(inner, tm)
         })
     }
 
@@ -526,28 +527,24 @@ impl StorageBackend for DiskBackend {
         entries: &[Key],
     ) -> Result<(), StorageError> {
         self.with_tx(|inner| {
-            let before = Self::table_meta(inner, &def.table)?;
-            let mut tm = before.clone();
+            let mut tm = Self::table_meta(inner, &def.table)?;
             if tm.indexes.contains_key(&def.name) {
                 return Err(StorageError::DuplicateIndex {
                     table: def.table.clone(),
                     index: def.name.clone(),
                 });
             }
-            let mut root = btree_page::create(&mut inner.pager)?;
-            for entry in entries {
-                root = btree_page::insert(&mut inner.pager, root, entry, &[])?;
-            }
+            let keyed = entries.iter().map(|entry| (entry.as_slice(), &[][..]));
+            let root = btree_page::build(&mut inner.pager, keyed)?;
             tm.indexes
                 .insert(def.name.clone(), (def.clone(), root));
-            Self::store_meta(inner, &before, tm)
+            Self::store_meta(inner, tm)
         })
     }
 
     fn persist_drop_index(&self, table: &str, index: &str) -> Result<(), StorageError> {
         self.with_tx(|inner| {
-            let before = Self::table_meta(inner, table)?;
-            let mut tm = before.clone();
+            let mut tm = Self::table_meta(inner, table)?;
             let (_, root) = tm.indexes.remove(index).ok_or_else(|| {
                 StorageError::UnknownIndex {
                     table: table.to_string(),
@@ -555,7 +552,7 @@ impl StorageBackend for DiskBackend {
                 }
             })?;
             btree_page::free(&mut inner.pager, root)?;
-            Self::store_meta(inner, &before, tm)
+            Self::store_meta(inner, tm)
         })
     }
 
@@ -587,17 +584,15 @@ impl StorageBackend for DiskBackend {
         };
         let pk_root = tm.pk_root;
         io.seeks += 1;
-        let fetched = btree_page::lookup(&mut inner.pager, pk_root, pk, io).and_then(
-            |hit| match hit {
-                Some(rid) => {
-                    let loc = codec::decode_rowid(&rid)?;
-                    heap::get(&mut inner.pager, loc, io)?;
+        let fetched = btree_page::lookup(&mut inner.pager, pk_root, pk, io, codec::decode_rowid)
+            .and_then(|hit| match hit {
+                Some(loc) => {
+                    heap::get(&mut inner.pager, loc?, io)?;
                     io.rows_read += 1;
                     Ok(())
                 }
                 None => Ok(()),
-            },
-        );
+            });
         match fetched {
             Ok(()) => true,
             Err(_) => {
@@ -624,10 +619,13 @@ impl StorageBackend for DiskBackend {
         // Collect the matching rowids' heap pages during the tree walk,
         // then fetch them (consecutive duplicates collapsed — rows land in
         // insertion order, so locality is high, as in a real heap scan).
-        let mut heap_pages: Vec<u32> = Vec::new();
+        let heap_pages = &mut inner.heap_pages;
+        heap_pages.clear();
         let walk = btree_page::range(&mut inner.pager, pk_root, lower, upper, io, |_, rid| {
             if let Ok((pg, _)) = codec::decode_rowid(rid) {
-                heap_pages.push(pg);
+                if heap_pages.last() != Some(&pg) {
+                    heap_pages.push(pg);
+                }
             }
         });
         let rows = match walk {
@@ -638,8 +636,7 @@ impl StorageBackend for DiskBackend {
             }
         };
         io.rows_read += rows;
-        heap_pages.dedup();
-        for pg in heap_pages {
+        for &pg in heap_pages.iter() {
             if inner.pager.read_page(pg, io).is_err() {
                 inner.account_fallbacks += 1;
                 return false;
@@ -765,8 +762,8 @@ fn read_catalog(pager: &mut Pager) -> Result<Vec<CatTable>, StorageError> {
                 detail: format!("catalog chain reached a {:?} page", page.page_type()?),
             });
         }
-        for cell in page.cells() {
-            blob.extend_from_slice(&cell);
+        for slot in 0..page.nslots() {
+            blob.extend_from_slice(page.cell(slot));
         }
         no = page.next_page();
     }
@@ -809,7 +806,7 @@ fn write_catalog(
     let mut next = 0u32;
     for chunk in blob.chunks(CHUNK).rev() {
         let page_no = pager.allocate_page()?;
-        let mut page = Page::new(PageType::Catalog);
+        let mut page = pager.blank(PageType::Catalog);
         page.add_cell(chunk).expect("catalog chunk fits a page");
         page.set_next_page(next);
         pager.write_page(page_no, page)?;

@@ -3,13 +3,14 @@
 //! Everything the pager stores inside a page cell — row tuples, index key
 //! tuples, the catalog blob — goes through this module. The encoding is a
 //! simple tagged format, *not* an order-preserving one: the paged B+-tree
-//! compares keys by decoding them back to [`Value`] tuples and using the
-//! engine's total order, so `Int(3)` and `Float(3.0)` collate identically
-//! on disk and in memory.
+//! compares keys with [`compare_keys`], which reads the encoded values
+//! where they lie and orders them exactly as [`Value`] does, so `Int(3)`
+//! and `Float(3.0)` collate identically on disk and in memory.
 
 use crate::error::StorageError;
 use crate::schema::{ColumnDef, ColumnType, IndexDef, TableSchema};
 use crate::value::{Row, Value};
+use std::cmp::Ordering;
 
 const TAG_NULL: u8 = 0;
 const TAG_BOOL: u8 = 1;
@@ -51,17 +52,92 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
-/// Encodes a key/row tuple: `u16` value count followed by tagged values.
-pub fn encode_tuple(vals: &[Value]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + vals.len() * 9);
+/// Appends a key/row tuple to `out`: `u16` value count followed by tagged
+/// values.
+pub fn encode_tuple_into(vals: &[Value], out: &mut Vec<u8>) {
     out.extend_from_slice(&(vals.len() as u16).to_le_bytes());
     for v in vals {
-        encode_value(v, &mut out);
+        encode_value(v, out);
     }
+}
+
+/// Encodes a key/row tuple into a fresh buffer.
+pub fn encode_tuple(vals: &[Value]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + vals.len() * 9);
+    encode_tuple_into(vals, &mut out);
     out
 }
 
 // ------------------------------------------------------------------ reader
+
+/// A value as its encoding holds it: what [`Value`] holds, with a string
+/// still the bytes in the buffer. Ordered as `Value` is.
+#[derive(Debug, Clone, Copy)]
+enum Encoded<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    /// UTF-8 when written by [`encode_value`]; only [`Cursor::value`]
+    /// checks. `str` orders by its bytes, so comparing does not need to.
+    Str(&'a [u8]),
+    MaxKey,
+}
+
+impl<'a> Encoded<'a> {
+    /// The borrowed view of a `Value`.
+    fn of(v: &'a Value) -> Self {
+        match v {
+            Value::Null => Encoded::Null,
+            Value::Bool(b) => Encoded::Bool(*b),
+            Value::Int(i) => Encoded::Int(*i),
+            Value::Float(f) => Encoded::Float(*f),
+            Value::Str(s) => Encoded::Str(s.as_bytes()),
+            Value::MaxKey => Encoded::MaxKey,
+        }
+    }
+
+    /// Same ranks as `Value::type_rank`.
+    fn type_rank(&self) -> u8 {
+        match self {
+            Encoded::Null => 0,
+            Encoded::Bool(_) => 1,
+            Encoded::Int(_) | Encoded::Float(_) => 2,
+            Encoded::Str(_) => 3,
+            Encoded::MaxKey => u8::MAX,
+        }
+    }
+
+    /// `Value`'s total order (`Value::cmp`, arm for arm).
+    fn collate(&self, other: &Encoded<'_>) -> Ordering {
+        use Encoded::*;
+        match (self, other) {
+            (Null, Null) | (MaxKey, MaxKey) => Ordering::Equal,
+            (Bool(a), Bool(b)) => a.cmp(b),
+            (Int(a), Int(b)) => a.cmp(b),
+            (Float(a), Float(b)) => a.total_cmp(b),
+            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
+            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Str(a), Str(b)) => a.cmp(b),
+            _ => self.type_rank().cmp(&other.type_rank()),
+        }
+    }
+}
+
+/// Orders an encoded key tuple against a key, as `decode_tuple(enc)?.cmp(key)`
+/// would, without building a value: lexicographic over the values, the
+/// shorter tuple first when one is a prefix of the other.
+pub fn compare_keys(enc: &[u8], key: &[Value]) -> Result<Ordering, StorageError> {
+    let mut c = Cursor::new(enc);
+    let n = c.u16()? as usize;
+    for v in key.iter().take(n) {
+        match c.encoded()?.collate(&Encoded::of(v)) {
+            Ordering::Equal => {}
+            unequal => return Ok(unequal),
+        }
+    }
+    Ok(n.cmp(&key.len()))
+}
 
 /// A bounds-checked little-endian reader over a byte slice.
 pub struct Cursor<'a> {
@@ -106,24 +182,35 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub fn value(&mut self) -> Result<Value, StorageError> {
+    /// The next value, read where it lies.
+    fn encoded(&mut self) -> Result<Encoded<'a>, StorageError> {
         match self.u8()? {
-            TAG_NULL => Ok(Value::Null),
-            TAG_BOOL => Ok(Value::Bool(self.u8()? != 0)),
-            TAG_INT => Ok(Value::Int(i64::from_le_bytes(
-                self.take(8)?.try_into().unwrap(),
-            ))),
-            TAG_FLOAT => Ok(Value::Float(f64::from_bits(self.u64()?))),
+            TAG_NULL => Ok(Encoded::Null),
+            TAG_BOOL => Ok(Encoded::Bool(self.u8()? != 0)),
+            TAG_INT => Ok(Encoded::Int(self.u64()? as i64)),
+            TAG_FLOAT => Ok(Encoded::Float(f64::from_bits(self.u64()?))),
             TAG_STR => {
                 let len = self.u32()? as usize;
-                let bytes = self.take(len)?;
-                let s = std::str::from_utf8(bytes)
-                    .map_err(|e| corrupt(format!("non-UTF-8 string value: {e}")))?;
-                Ok(Value::Str(s.to_string()))
+                Ok(Encoded::Str(self.take(len)?))
             }
-            TAG_MAXKEY => Ok(Value::MaxKey),
+            TAG_MAXKEY => Ok(Encoded::MaxKey),
             t => Err(corrupt(format!("unknown value tag {t}"))),
         }
+    }
+
+    pub fn value(&mut self) -> Result<Value, StorageError> {
+        Ok(match self.encoded()? {
+            Encoded::Null => Value::Null,
+            Encoded::Bool(b) => Value::Bool(b),
+            Encoded::Int(i) => Value::Int(i),
+            Encoded::Float(f) => Value::Float(f),
+            Encoded::Str(bytes) => {
+                let s = std::str::from_utf8(bytes)
+                    .map_err(|e| corrupt(format!("non-UTF-8 string value: {e}")))?;
+                Value::Str(s.to_string())
+            }
+            Encoded::MaxKey => Value::MaxKey,
+        })
     }
 
     pub fn string(&mut self) -> Result<String, StorageError> {
@@ -361,21 +448,51 @@ mod tests {
 
     #[test]
     fn encoded_compare_matches_value_order() {
-        let pairs = [
-            (vec![Value::Int(3)], vec![Value::Float(3.0)]),
-            (vec![Value::Int(1)], vec![Value::Int(2)]),
-            (vec![Value::Null], vec![Value::Bool(false)]),
-            (
-                vec![Value::Int(1), Value::Str("b".into())],
-                vec![Value::Int(1), Value::MaxKey],
-            ),
+        // Every variant against every variant, the numeric edge cases, and
+        // tuples that are prefixes of one another.
+        let values = [
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(i64::MIN),
+            Value::Int(-1),
+            Value::Int(3),
+            Value::Int(i64::MAX),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(3.0),
+            Value::Float(3.5),
+            Value::Float(9.3e18),
+            Value::Float(f64::NAN),
+            Value::Str(String::new()),
+            Value::Str("b".into()),
+            Value::Str("ba".into()),
+            Value::Str("héllo".into()),
+            Value::MaxKey,
         ];
-        for (a, b) in pairs {
-            let ea = encode_tuple(&a);
-            let eb = encode_tuple(&b);
-            // The encoding is not order-preserving: keys compare decoded.
-            assert_eq!(decode_tuple(&ea).unwrap().cmp(&decode_tuple(&eb).unwrap()), a.cmp(&b));
+        let mut tuples: Vec<Vec<Value>> = vec![vec![]];
+        for a in &values {
+            tuples.push(vec![a.clone()]);
+            for b in &values {
+                tuples.push(vec![a.clone(), b.clone()]);
+            }
         }
+        tuples.push(vec![Value::Int(1), Value::Str("b".into()), Value::MaxKey]);
+        for a in &tuples {
+            let enc = encode_tuple(a);
+            assert_eq!(decode_tuple(&enc).unwrap().cmp(a), Ordering::Equal);
+            for b in &tuples {
+                assert_eq!(compare_keys(&enc, b).unwrap(), a.cmp(b), "{a:?} against {b:?}");
+            }
+        }
+        assert_eq!(
+            compare_keys(&encode_tuple(&[Value::Int(3)]), &[Value::Float(3.0)]).unwrap(),
+            Ordering::Equal
+        );
+        // A truncated key is corrupt, not a panic and not an order.
+        let enc = encode_tuple(&[Value::Str("hello".into())]);
+        assert!(compare_keys(&enc[..enc.len() - 1], &[Value::Str("hello".into())]).is_err());
     }
 
     #[test]

@@ -29,43 +29,34 @@ fn expect_heap(page: &Page) -> Result<(), StorageError> {
 /// Creates an empty one-page chain; returns its (first, last) page.
 pub fn create(p: &mut Pager) -> Result<(u32, u32), StorageError> {
     let no = p.allocate_page()?;
-    p.write_page(no, Page::new(PageType::Heap))?;
+    let page = p.blank(PageType::Heap);
+    p.write_page(no, page)?;
     Ok((no, no))
 }
 
 /// Appends a row to the chain ending at `last`. Returns the row's location
 /// and the possibly-new last page.
-pub fn insert(
-    p: &mut Pager,
-    last: u32,
-    row: &[u8],
-) -> Result<(RowLoc, u32), StorageError> {
-    let mut io = IoStats::new();
-    let mut page = p.read_page(last, &mut io)?;
-    expect_heap(&page)?;
-    if let Some(slot) = page.add_cell(row) {
-        p.write_page(last, page)?;
+pub fn insert(p: &mut Pager, last: u32, row: &[u8]) -> Result<(RowLoc, u32), StorageError> {
+    expect_heap(p.read_page(last, &mut IoStats::new())?)?;
+    if let Some(slot) = p.page_mut(last)?.add_cell(row) {
         return Ok(((last, slot as u16), last));
     }
     let fresh = p.allocate_page()?;
-    let mut fresh_page = Page::new(PageType::Heap);
+    let mut fresh_page = p.blank(PageType::Heap);
     let slot = fresh_page.add_cell(row).ok_or_else(|| {
         StorageError::Io(format!("row of {} bytes exceeds page capacity", row.len()))
     })?;
     p.write_page(fresh, fresh_page)?;
-    page.set_next_page(fresh);
-    p.write_page(last, page)?;
+    p.page_mut(last)?.set_next_page(fresh);
     Ok(((fresh, slot as u16), fresh))
 }
 
 /// Tombstones a row. The slot number is never reused, so every other
 /// rowid in the page stays valid.
 pub fn delete(p: &mut Pager, loc: RowLoc) -> Result<(), StorageError> {
-    let mut io = IoStats::new();
-    let mut page = p.read_page(loc.0, &mut io)?;
-    expect_heap(&page)?;
-    page.tombstone(loc.1 as usize);
-    p.write_page(loc.0, page)
+    expect_heap(p.read_page(loc.0, &mut IoStats::new())?)?;
+    p.page_mut(loc.0)?.tombstone(loc.1 as usize);
+    Ok(())
 }
 
 /// Rewrites a row. In place when the new image fits in its page; otherwise
@@ -77,33 +68,26 @@ pub fn update(
     last: u32,
     row: &[u8],
 ) -> Result<(RowLoc, u32), StorageError> {
-    let mut io = IoStats::new();
-    let mut page = p.read_page(loc.0, &mut io)?;
-    expect_heap(&page)?;
+    expect_heap(p.read_page(loc.0, &mut IoStats::new())?)?;
+    let page = p.page_mut(loc.0)?;
     if page.replace_cell(loc.1 as usize, row) {
-        p.write_page(loc.0, page)?;
         return Ok((loc, last));
     }
     page.tombstone(loc.1 as usize);
-    p.write_page(loc.0, page)?;
     insert(p, last, row)
 }
 
-/// Reads a single row by location.
-pub fn get(
-    p: &mut Pager,
-    loc: RowLoc,
-    io: &mut IoStats,
-) -> Result<Vec<u8>, StorageError> {
+/// Reads a single row by location, where it lies in its page.
+pub fn get<'a>(p: &'a mut Pager, loc: RowLoc, io: &mut IoStats) -> Result<&'a [u8], StorageError> {
     let page = p.read_page(loc.0, io)?;
-    expect_heap(&page)?;
+    expect_heap(page)?;
     let slot = loc.1 as usize;
     if slot >= page.nslots() || page.is_tombstone(slot) {
         return Err(StorageError::Corrupt {
             detail: format!("rowid ({}, {}) points at a dead slot", loc.0, loc.1),
         });
     }
-    Ok(page.cell(slot).to_vec())
+    Ok(page.cell(slot))
 }
 
 /// Walks the whole chain in physical order, visiting every live row.
@@ -118,7 +102,7 @@ pub fn scan<F: FnMut(RowLoc, &[u8])>(
     let mut rows = 0u64;
     while no != 0 {
         let page = p.read_page(no, io)?;
-        expect_heap(&page)?;
+        expect_heap(page)?;
         for slot in 0..page.nslots() {
             if !page.is_tombstone(slot) {
                 visit((no, slot as u16), page.cell(slot));
@@ -202,7 +186,11 @@ mod tests {
         let mut io = IoStats::new();
         let n = scan(&mut p, first, &mut io, |_, _| {}).unwrap();
         assert_eq!(n, 100);
-        assert!(io.pages_read >= 7, "chain length charged: {}", io.pages_read);
+        assert!(
+            io.pages_read >= 7,
+            "chain length charged: {}",
+            io.pages_read
+        );
     }
 
     #[test]

@@ -1,22 +1,25 @@
 //! Fixed-capacity buffer pool with clock (second-chance) eviction.
 //!
-//! The pool caches page images between the pager and the database file and
-//! accounts every hit, miss and eviction — the counters surface through
-//! `aim-telemetry` as `storage.bp.*`. Eviction policy is *no-steal until
-//! committed*: a frame dirtied by the in-flight transaction can never be
-//! chosen as a victim (its image exists nowhere durable yet), so the pool
-//! temporarily grows past capacity if a transaction's working set exceeds
-//! it. Committed dirty victims are returned to the pager, which writes
-//! them to the database file before reusing the frame — safe at any time,
-//! because the WAL already holds their committed image and redo is
-//! idempotent.
+//! The pool holds the page frames between the pager and the database file
+//! and lends them out: a reader gets `&Page`, a writer `&mut Page`, and
+//! nothing is copied on either path. It accounts every hit, miss and
+//! eviction — the counters surface through `aim-telemetry` as
+//! `storage.bp.*`. Eviction policy is *no-steal until committed*: a frame
+//! dirtied by the in-flight transaction can never be chosen as a victim
+//! (its image exists nowhere durable yet), so the pool temporarily grows
+//! past capacity if a transaction's working set exceeds it. A victim is
+//! handed to the pager with its buffer: a committed dirty one is written to
+//! the database file first — safe at any time, because the WAL already
+//! holds its committed image and redo is idempotent — and the buffer is
+//! then reused for the next page faulted in.
 
+use super::page::Page;
 use std::collections::HashMap;
 
 #[derive(Debug)]
 struct Frame {
     page_no: u32,
-    data: Vec<u8>,
+    page: Page,
     /// Modified since last flushed to the database file.
     dirty: bool,
     /// Written by the in-flight transaction: not evictable.
@@ -31,6 +34,15 @@ pub struct PoolCounters {
     pub hits: u64,
     pub misses: u64,
     pub evictions: u64,
+}
+
+/// A frame the clock chose: the caller writes `page` to the database file
+/// if `dirty`, then owns the buffer.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Evicted {
+    pub page_no: u32,
+    pub page: Page,
+    pub dirty: bool,
 }
 
 /// The buffer pool.
@@ -70,14 +82,24 @@ impl BufferPool {
         self.map.is_empty()
     }
 
+    fn frame(&self, page_no: u32) -> Option<&Frame> {
+        let idx = *self.map.get(&page_no)?;
+        Some(self.frames[idx].as_ref().expect("mapped frame"))
+    }
+
+    fn frame_mut(&mut self, page_no: u32) -> Option<&mut Frame> {
+        let idx = *self.map.get(&page_no)?;
+        Some(self.frames[idx].as_mut().expect("mapped frame"))
+    }
+
     /// Looks a page up, counting a hit or a miss.
-    pub fn get(&mut self, page_no: u32) -> Option<&[u8]> {
+    pub fn get(&mut self, page_no: u32) -> Option<&Page> {
         match self.map.get(&page_no) {
             Some(&idx) => {
                 self.counters.hits += 1;
                 let f = self.frames[idx].as_mut().expect("mapped frame");
                 f.referenced = true;
-                Some(&f.data)
+                Some(&f.page)
             }
             None => {
                 self.counters.misses += 1;
@@ -88,54 +110,59 @@ impl BufferPool {
 
     /// Looks a page up without touching the counters or the clock (pager
     /// internals: transaction bookkeeping, not query traffic).
-    pub fn peek(&self, page_no: u32) -> Option<&[u8]> {
-        self.map
-            .get(&page_no)
-            .map(|&idx| self.frames[idx].as_ref().expect("mapped frame").data.as_slice())
+    pub fn peek(&self, page_no: u32) -> Option<&Page> {
+        self.frame(page_no).map(|f| &f.page)
     }
 
     /// True if the frame is resident and dirty.
     pub fn is_dirty(&self, page_no: u32) -> bool {
-        self.map
-            .get(&page_no)
-            .is_some_and(|&idx| self.frames[idx].as_ref().expect("mapped frame").dirty)
+        self.frame(page_no).is_some_and(|f| f.dirty)
     }
 
-    /// Inserts or overwrites a page image. Returns an evicted *committed
-    /// dirty* page `(page_no, sealed image)` that the caller must write to
-    /// the database file before the eviction is durable-safe.
-    pub fn put(
+    /// True if the frame is resident and written by the open transaction.
+    pub fn is_uncommitted(&self, page_no: u32) -> bool {
+        self.frame(page_no).is_some_and(|f| f.uncommitted)
+    }
+
+    /// Lends a resident frame to the open transaction for editing: from
+    /// here to commit or rollback it is dirty and cannot be evicted.
+    pub fn stage(&mut self, page_no: u32) -> Option<&mut Page> {
+        let f = self.frame_mut(page_no)?;
+        f.dirty = true;
+        f.uncommitted = true;
+        f.referenced = true;
+        Some(&mut f.page)
+    }
+
+    /// The transaction that wrote this frame committed: its image is now
+    /// redo-protected by the WAL and the frame evictable.
+    pub fn committed(&mut self, page_no: u32) {
+        if let Some(f) = self.frame_mut(page_no) {
+            f.uncommitted = false;
+        }
+    }
+
+    /// Installs a frame with exactly this state, growing the pool if
+    /// needed — never evicts (staging, rollback restoration and
+    /// failed-write-back reinstatement must not trigger an eviction; a
+    /// fault-in calls [`BufferPool::make_room`] first). Returns the buffer
+    /// of the frame it replaced.
+    pub fn install(
         &mut self,
         page_no: u32,
-        data: Vec<u8>,
+        page: Page,
         dirty: bool,
         uncommitted: bool,
-    ) -> Option<(u32, Vec<u8>)> {
-        if let Some(&idx) = self.map.get(&page_no) {
-            let f = self.frames[idx].as_mut().expect("mapped frame");
-            f.data = data;
-            f.dirty = f.dirty || dirty;
-            f.uncommitted = f.uncommitted || uncommitted;
+    ) -> Option<Page> {
+        if let Some(f) = self.frame_mut(page_no) {
+            f.dirty = dirty;
+            f.uncommitted = uncommitted;
             f.referenced = true;
-            return None;
-        }
-        let mut writeback = None;
-        if self.map.len() >= self.capacity {
-            if let Some(victim) = self.pick_victim() {
-                let f = self.frames[victim].take().expect("victim frame");
-                self.map.remove(&f.page_no);
-                self.free_slots.push(victim);
-                self.counters.evictions += 1;
-                if f.dirty {
-                    writeback = Some((f.page_no, f.data));
-                }
-            }
-            // No victim: every frame belongs to the in-flight transaction;
-            // grow past capacity rather than steal an unlogged page.
+            return Some(std::mem::replace(&mut f.page, page));
         }
         let frame = Frame {
             page_no,
-            data,
+            page,
             dirty,
             uncommitted,
             referenced: true,
@@ -151,7 +178,37 @@ impl BufferPool {
             }
         };
         self.map.insert(page_no, idx);
-        writeback
+        None
+    }
+
+    /// Evicts one frame if the pool has no room for another.
+    pub fn make_room(&mut self) -> Option<Evicted> {
+        self.evict_above(self.capacity - 1)
+    }
+
+    /// Evicts one frame if the pool is over capacity — called in a loop
+    /// after commit, when a transaction whose working set exceeded the pool
+    /// has just made its frames evictable.
+    pub fn shed_excess(&mut self) -> Option<Evicted> {
+        self.evict_above(self.capacity)
+    }
+
+    /// No victim means every frame belongs to the in-flight transaction:
+    /// the pool grows past capacity rather than steal an unlogged page.
+    fn evict_above(&mut self, len: usize) -> Option<Evicted> {
+        if self.map.len() <= len {
+            return None;
+        }
+        let victim = self.pick_victim()?;
+        let f = self.frames[victim].take().expect("victim frame");
+        self.map.remove(&f.page_no);
+        self.free_slots.push(victim);
+        self.counters.evictions += 1;
+        Some(Evicted {
+            page_no: f.page_no,
+            page: f.page,
+            dirty: f.dirty,
+        })
     }
 
     /// Clock sweep: skip uncommitted frames, give referenced frames a
@@ -181,96 +238,33 @@ impl BufferPool {
         None
     }
 
-    /// Marks every uncommitted frame committed (transaction committed; its
-    /// pages are now redo-protected by the WAL and therefore evictable).
-    pub fn commit_all(&mut self) {
-        for f in self.frames.iter_mut().flatten() {
-            f.uncommitted = false;
-        }
+    /// Drops a page from the pool (rollback of a page the transaction
+    /// brought in); returns its buffer.
+    pub fn remove(&mut self, page_no: u32) -> Option<Page> {
+        let idx = self.map.remove(&page_no)?;
+        self.free_slots.push(idx);
+        self.frames[idx].take().map(|f| f.page)
     }
 
-    /// Forcibly installs a frame with exactly this state (clearing any
-    /// uncommitted mark), growing the pool if needed — never evicts. Used
-    /// for rollback restoration and failed-write-back reinstatement, where
-    /// triggering another eviction would be unsound or could recurse.
-    pub fn restore(&mut self, page_no: u32, data: Vec<u8>, dirty: bool) {
-        if let Some(&idx) = self.map.get(&page_no) {
-            let f = self.frames[idx].as_mut().expect("mapped frame");
-            f.data = data;
-            f.dirty = dirty;
-            f.uncommitted = false;
-            return;
-        }
-        let frame = Frame {
-            page_no,
-            data,
-            dirty,
-            uncommitted: false,
-            referenced: true,
-        };
-        let idx = match self.free_slots.pop() {
-            Some(i) => {
-                self.frames[i] = Some(frame);
-                i
-            }
-            None => {
-                self.frames.push(Some(frame));
-                self.frames.len() - 1
-            }
-        };
-        self.map.insert(page_no, idx);
-    }
-
-    /// Evicts frames until the pool is back within capacity — called after
-    /// commit, when a transaction whose working set exceeded the pool has
-    /// just made its frames evictable. Returns dirty evictees for
-    /// write-back.
-    pub fn shrink_to_capacity(&mut self) -> Vec<(u32, Vec<u8>)> {
-        let mut writebacks = Vec::new();
-        while self.map.len() > self.capacity {
-            let Some(victim) = self.pick_victim() else {
-                break;
-            };
-            let f = self.frames[victim].take().expect("victim frame");
-            self.map.remove(&f.page_no);
-            self.free_slots.push(victim);
-            self.counters.evictions += 1;
-            if f.dirty {
-                writebacks.push((f.page_no, f.data));
-            }
-        }
-        writebacks
-    }
-
-    /// Drops a page from the pool (rollback of a freshly allocated page).
-    pub fn remove(&mut self, page_no: u32) {
-        if let Some(idx) = self.map.remove(&page_no) {
-            self.frames[idx] = None;
-            self.free_slots.push(idx);
-        }
-    }
-
-    /// Returns copies of all dirty committed frames and marks them clean;
-    /// the checkpoint writes them to the database file. On checkpoint
-    /// failure the caller re-dirties them via [`BufferPool::redirty`].
-    pub fn take_dirty_committed(&mut self) -> Vec<(u32, Vec<u8>)> {
-        let mut out = Vec::new();
-        for f in self.frames.iter_mut().flatten() {
-            if f.dirty && !f.uncommitted {
-                f.dirty = false;
-                out.push((f.page_no, f.data.clone()));
-            }
-        }
-        out.sort_by_key(|(no, _)| *no);
+    /// The dirty committed pages, ascending: what a checkpoint writes to
+    /// the database file, each straight from its frame, before it calls
+    /// [`BufferPool::mark_clean`] on them.
+    pub fn dirty_committed(&self) -> Vec<u32> {
+        let mut out: Vec<u32> = self
+            .frames
+            .iter()
+            .flatten()
+            .filter(|f| f.dirty && !f.uncommitted)
+            .map(|f| f.page_no)
+            .collect();
+        out.sort_unstable();
         out
     }
 
-    /// Re-marks pages dirty after a failed checkpoint flush.
-    pub fn redirty(&mut self, pages: &[(u32, Vec<u8>)]) {
-        for (no, _) in pages {
-            if let Some(&idx) = self.map.get(no) {
-                self.frames[idx].as_mut().expect("mapped frame").dirty = true;
-            }
+    /// The frame's image is in the database file.
+    pub fn mark_clean(&mut self, page_no: u32) {
+        if let Some(f) = self.frame_mut(page_no) {
+            f.dirty = false;
         }
     }
 
@@ -287,17 +281,20 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pager::page::PageType;
 
-    fn img(b: u8) -> Vec<u8> {
-        vec![b; 8]
+    fn img(b: u8) -> Page {
+        let mut p = Page::new(PageType::Heap);
+        p.add_cell(&[b; 8]).unwrap();
+        p
     }
 
     #[test]
     fn hit_miss_accounting() {
         let mut bp = BufferPool::new(4);
         assert!(bp.get(1).is_none());
-        bp.put(1, img(1), false, false);
-        assert_eq!(bp.get(1).unwrap(), img(1).as_slice());
+        bp.install(1, img(1), false, false);
+        assert_eq!(bp.get(1).unwrap(), &img(1));
         let c = bp.counters();
         assert_eq!((c.hits, c.misses), (1, 1));
     }
@@ -305,11 +302,12 @@ mod tests {
     #[test]
     fn eviction_at_capacity_prefers_unreferenced() {
         let mut bp = BufferPool::new(2);
-        bp.put(1, img(1), false, false);
-        bp.put(2, img(2), false, false);
+        bp.install(1, img(1), false, false);
+        bp.install(2, img(2), false, false);
         // Touch page 1 so its reference bit survives the first sweep.
         bp.get(1);
-        bp.put(3, img(3), false, false);
+        assert!(bp.make_room().is_some());
+        bp.install(3, img(3), false, false);
         assert_eq!(bp.len(), 2);
         assert_eq!(bp.counters().evictions, 1);
         assert!(bp.peek(3).is_some());
@@ -318,42 +316,64 @@ mod tests {
     #[test]
     fn dirty_committed_eviction_returns_writeback() {
         let mut bp = BufferPool::new(1);
-        bp.put(1, img(1), true, false);
-        let wb = bp.put(2, img(2), false, false);
-        assert_eq!(wb, Some((1, img(1))));
+        bp.install(1, img(1), true, false);
+        let ev = bp.make_room().unwrap();
+        assert_eq!(
+            ev,
+            Evicted {
+                page_no: 1,
+                page: img(1),
+                dirty: true
+            }
+        );
+        assert!(bp.make_room().is_none(), "an empty pool has room");
     }
 
     #[test]
     fn uncommitted_frames_are_not_stolen() {
         let mut bp = BufferPool::new(2);
-        bp.put(1, img(1), true, true);
-        bp.put(2, img(2), true, true);
-        assert!(bp.put(3, img(3), true, true).is_none());
+        bp.install(1, img(1), true, true);
+        bp.install(2, img(2), false, false);
+        assert!(bp.stage(2).is_some());
+        assert!(bp.is_uncommitted(2) && bp.is_dirty(2));
+        assert!(bp.make_room().is_none());
+        bp.install(3, img(3), true, true);
         assert_eq!(bp.len(), 3, "pool grows rather than steal uncommitted");
         assert_eq!(bp.counters().evictions, 0);
-        bp.commit_all();
-        bp.put(4, img(4), false, false);
+        for no in 1..=3 {
+            bp.committed(no);
+        }
+        assert!(bp.shed_excess().is_some());
+        assert!(bp.shed_excess().is_none(), "back at capacity");
         assert_eq!(bp.counters().evictions, 1, "evictable after commit");
     }
 
     #[test]
-    fn take_dirty_committed_clears_and_redirty_restores() {
+    fn install_over_a_resident_frame_returns_its_buffer() {
+        let mut bp = BufferPool::new(2);
+        bp.install(1, img(1), true, true);
+        assert_eq!(bp.install(1, img(9), false, false), Some(img(1)));
+        assert!(!bp.is_dirty(1) && !bp.is_uncommitted(1));
+        assert_eq!(bp.remove(1), Some(img(9)));
+        assert!(bp.is_empty());
+    }
+
+    #[test]
+    fn checkpoint_set_is_dirty_committed_ascending() {
         let mut bp = BufferPool::new(4);
-        bp.put(1, img(1), true, false);
-        bp.put(2, img(2), false, false);
-        bp.put(3, img(3), true, true);
-        let dirty = bp.take_dirty_committed();
-        assert_eq!(dirty.len(), 1);
-        assert_eq!(dirty[0].0, 1);
-        assert!(bp.take_dirty_committed().is_empty());
-        bp.redirty(&dirty);
-        assert_eq!(bp.take_dirty_committed().len(), 1);
+        bp.install(7, img(7), true, false);
+        bp.install(2, img(2), false, false);
+        bp.install(3, img(3), true, true);
+        bp.install(1, img(1), true, false);
+        assert_eq!(bp.dirty_committed(), vec![1, 7]);
+        bp.mark_clean(1);
+        assert_eq!(bp.dirty_committed(), vec![7]);
     }
 
     #[test]
     fn clear_drops_everything() {
         let mut bp = BufferPool::new(4);
-        bp.put(1, img(1), true, false);
+        bp.install(1, img(1), true, false);
         bp.clear();
         assert!(bp.is_empty());
         assert!(bp.peek(1).is_none());

@@ -3,15 +3,22 @@
 //! Every page is [`DISK_PAGE_SIZE`] bytes. A 32-byte header is followed by a
 //! slot directory growing downward (4 bytes per slot: cell offset + length)
 //! while cell payloads grow upward from the page end. The first four header
-//! bytes hold an FNV-1a checksum over the rest of the page, written when a
-//! page is *sealed* before hitting the WAL or the database file and
+//! bytes hold a checksum over the rest of the page ([`checksum32`]), written
+//! when a page is *sealed* before hitting the WAL or the database file and
 //! verified on every read — a torn write is detected as a checksum
 //! mismatch, never silently served.
+//!
+//! A page is edited in place: a cell is added, replaced or removed by
+//! moving slot-directory entries and writing that one cell; removed cells
+//! leave *fragmented* bytes behind that [`Page::compact`] reclaims when an
+//! insert needs them. The image is therefore a function of the page's
+//! history of edits, not of its logical content alone — identical
+//! histories give identical bytes, which is what recovery asserts.
 //!
 //! Layout of the header:
 //!
 //! ```text
-//! [0..4)   checksum (fnv1a-32 of bytes 4..)
+//! [0..4)   checksum (checksum32 of bytes 4..)
 //! [4]      page type
 //! [5]      flags (reserved)
 //! [6..8)   slot count
@@ -69,20 +76,44 @@ impl PageType {
     }
 }
 
-/// FNV-1a over a byte slice; the page and WAL checksum.
-pub fn checksum32(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
+const LANE_PRIME: u32 = 0x0100_0193;
+
+/// One checksum step of one lane. For a fixed `word` it is a bijection of
+/// the lane, and for a fixed lane a bijection of `word`: two inputs that
+/// differ in one word leave the lane different whatever follows.
+fn lane_step(lane: u32, word: u32) -> u32 {
+    (lane ^ word).wrapping_mul(LANE_PRIME).rotate_left(13)
 }
 
-/// One slotted page, held in memory as its full byte image.
+/// The page and WAL checksum: eight bytes a step, as two 32-bit FNV-1a
+/// style lanes over the low and the high half of each little-endian word
+/// (a tail shorter than eight bytes is zero-padded, and the length closes
+/// the first lane). Each lane multiplies by the FNV prime and rotates, so
+/// a flipped high bit reaches the low bits on the next step. Any change
+/// confined to one four-byte half-word — every single-bit flip among them
+/// — changes exactly one lane and therefore the sum; anything wider is
+/// caught with the odds of any 32-bit sum.
+pub fn checksum32(bytes: &[u8]) -> u32 {
+    let (mut a, mut b) = (0x811c_9dc5_u32, 0x9e37_79b9_u32);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        a = lane_step(a, u32::from_le_bytes([w[0], w[1], w[2], w[3]]));
+        b = lane_step(b, u32::from_le_bytes([w[4], w[5], w[6], w[7]]));
+    }
+    let mut tail = [0u8; 8];
+    let rest = words.remainder();
+    tail[..rest.len()].copy_from_slice(rest);
+    a = lane_step(a, u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]));
+    b = lane_step(b, u32::from_le_bytes([tail[4], tail[5], tail[6], tail[7]]));
+    a = lane_step(a, bytes.len() as u32);
+    a ^ b.rotate_left(16)
+}
+
+/// One slotted page, held in memory as its full byte image. The buffer
+/// pool's frames are `Page`s; readers borrow them, writers edit them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Page {
-    pub data: Vec<u8>,
+    data: Box<[u8; DISK_PAGE_SIZE]>,
 }
 
 fn rd16(d: &[u8], at: usize) -> u16 {
@@ -104,21 +135,53 @@ fn wr32(d: &mut [u8], at: usize, v: u32) {
 impl Page {
     /// A fresh, empty page of the given type.
     pub fn new(ty: PageType) -> Self {
-        let mut data = vec![0u8; DISK_PAGE_SIZE];
-        data[4] = ty as u8;
-        wr16(&mut data, 8, DISK_PAGE_SIZE as u16);
-        Self { data }
+        let data = vec![0u8; DISK_PAGE_SIZE]
+            .into_boxed_slice()
+            .try_into()
+            .expect("a page-sized vector");
+        let mut page = Self { data };
+        page.set_empty(ty);
+        page
+    }
+
+    /// The header of an empty page, over zeros.
+    fn set_empty(&mut self, ty: PageType) {
+        self.data[4] = ty as u8;
+        wr16(&mut *self.data, 8, DISK_PAGE_SIZE as u16);
+    }
+
+    /// Makes this buffer the fresh, empty page [`Page::new`] returns —
+    /// every byte, so that what a recycled buffer held before never
+    /// reaches the file.
+    pub fn reset(&mut self, ty: PageType) {
+        self.data.fill(0);
+        self.set_empty(ty);
+    }
+
+    /// Makes this buffer a copy of `other`.
+    pub(crate) fn copy_from(&mut self, other: &Page) {
+        self.data.copy_from_slice(&other.data[..]);
     }
 
     /// Wraps a page image read from disk, verifying its checksum.
     pub fn from_bytes(data: Vec<u8>, page_no: u32) -> Result<Self, StorageError> {
-        if data.len() != DISK_PAGE_SIZE {
-            return Err(StorageError::Corrupt {
-                detail: format!("page {page_no}: short read of {} bytes", data.len()),
-            });
-        }
-        let stored = rd32(&data, 0);
-        let actual = checksum32(&data[4..]);
+        let len = data.len();
+        let data = data
+            .into_boxed_slice()
+            .try_into()
+            .map_err(|_| StorageError::Corrupt {
+                detail: format!("page {page_no}: short read of {len} bytes"),
+            })?;
+        let page = Self { data };
+        page.verify(page_no)?;
+        Ok(page)
+    }
+
+    /// Checks the stored checksum and the page type of an image that was
+    /// read into this buffer through [`Page::bytes_mut`].
+    pub(crate) fn verify(&self, page_no: u32) -> Result<(), StorageError> {
+        let stored = rd32(&*self.data, 0);
+        let actual = checksum32(&self.data[4..]);
         if stored != actual {
             return Err(StorageError::Corrupt {
                 detail: format!(
@@ -126,15 +189,26 @@ impl Page {
                 ),
             });
         }
-        PageType::from_u8(data[4])?;
-        Ok(Self { data })
+        PageType::from_u8(self.data[4])?;
+        Ok(())
     }
 
     /// Recomputes and stores the checksum. Must be called before the image
     /// is written to the WAL or the database file.
     pub fn seal(&mut self) {
         let sum = checksum32(&self.data[4..]);
-        wr32(&mut self.data, 0, sum);
+        wr32(&mut *self.data, 0, sum);
+    }
+
+    /// The full image.
+    pub fn bytes(&self) -> &[u8] {
+        &self.data[..]
+    }
+
+    /// The full image, to read a file page into; the caller then calls
+    /// [`Page::verify`].
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
+        &mut self.data[..]
     }
 
     pub fn page_type(&self) -> Result<PageType, StorageError> {
@@ -142,15 +216,15 @@ impl Page {
     }
 
     pub fn nslots(&self) -> usize {
-        rd16(&self.data, 6) as usize
+        rd16(&*self.data, 6) as usize
     }
 
     fn cell_start(&self) -> usize {
-        rd16(&self.data, 8) as usize
+        rd16(&*self.data, 8) as usize
     }
 
     fn frag(&self) -> usize {
-        rd16(&self.data, 10) as usize
+        rd16(&*self.data, 10) as usize
     }
 
     pub fn lsn(&self) -> u64 {
@@ -164,31 +238,34 @@ impl Page {
     /// Next page in this page's chain (0 = end of chain; page 0 is always
     /// the meta page, so 0 is unambiguous as a sentinel).
     pub fn next_page(&self) -> u32 {
-        rd32(&self.data, 20)
+        rd32(&*self.data, 20)
     }
 
     pub fn set_next_page(&mut self, no: u32) {
-        wr32(&mut self.data, 20, no);
+        wr32(&mut *self.data, 20, no);
     }
 
     /// Auxiliary pointer: the rightmost child of a B+-tree internal node.
     pub fn aux(&self) -> u32 {
-        rd32(&self.data, 24)
+        rd32(&*self.data, 24)
     }
 
     pub fn set_aux(&mut self, no: u32) {
-        wr32(&mut self.data, 24, no);
+        wr32(&mut *self.data, 24, no);
     }
 
     fn slot(&self, i: usize) -> (usize, usize) {
         let at = PAGE_HEADER + i * SLOT_SIZE;
-        (rd16(&self.data, at) as usize, rd16(&self.data, at + 2) as usize)
+        (
+            rd16(&*self.data, at) as usize,
+            rd16(&*self.data, at + 2) as usize,
+        )
     }
 
     fn set_slot(&mut self, i: usize, offset: usize, len: usize) {
         let at = PAGE_HEADER + i * SLOT_SIZE;
-        wr16(&mut self.data, at, offset as u16);
-        wr16(&mut self.data, at + 2, len as u16);
+        wr16(&mut *self.data, at, offset as u16);
+        wr16(&mut *self.data, at + 2, len as u16);
     }
 
     /// True if slot `i` holds no cell (tombstoned heap slot).
@@ -206,8 +283,14 @@ impl Page {
         }
     }
 
+    /// The cell at slot `i`, to patch bytes of it where it lies.
+    pub fn cell_mut(&mut self, i: usize) -> &mut [u8] {
+        let (off, len) = self.slot(i);
+        &mut self.data[off..off + len]
+    }
+
     /// Contiguous free bytes between the slot directory and the cell area.
-    pub fn contiguous_free(&self) -> usize {
+    fn contiguous_free(&self) -> usize {
         self.cell_start() - (PAGE_HEADER + self.nslots() * SLOT_SIZE)
     }
 
@@ -223,32 +306,51 @@ impl Page {
         self.free_space() >= need
     }
 
-    /// Rewrites the cell area tightly packed, preserving slot numbering.
-    pub fn compact(&mut self) {
-        let n = self.nslots();
-        let cells: Vec<(usize, Vec<u8>)> = (0..n)
-            .filter(|&i| !self.is_tombstone(i))
-            .map(|i| (i, self.cell(i).to_vec()))
-            .collect();
-        let mut top = DISK_PAGE_SIZE;
-        for (i, bytes) in cells {
-            top -= bytes.len();
-            self.data[top..top + bytes.len()].copy_from_slice(&bytes);
-            self.set_slot(i, top, bytes.len());
-        }
-        wr16(&mut self.data, 8, top as u16);
-        wr16(&mut self.data, 10, 0);
+    /// Bytes of live cells, without their slots.
+    pub fn payload_bytes(&self) -> usize {
+        DISK_PAGE_SIZE - self.cell_start() - self.frag()
     }
 
-    fn place_cell(&mut self, bytes: &[u8]) -> usize {
+    /// Rewrites the cell area tightly packed, preserving slot numbering.
+    pub fn compact(&mut self) {
+        let old: [u8; DISK_PAGE_SIZE] = *self.data;
+        let mut top = DISK_PAGE_SIZE;
+        for i in 0..self.nslots() {
+            let (off, len) = self.slot(i);
+            if off != 0 {
+                top -= len;
+                self.data[top..top + len].copy_from_slice(&old[off..off + len]);
+                self.set_slot(i, top, len);
+            }
+        }
+        wr16(&mut *self.data, 8, top as u16);
+        wr16(&mut *self.data, 10, 0);
+    }
+
+    /// Copies `bytes` below the cell area, compacting first when the room
+    /// is there but fragmented. The caller has checked [`Page::fits`] and
+    /// counted the slot entry it is about to add into `need`.
+    fn place_cell(&mut self, bytes: &[u8], need: usize) -> usize {
+        if self.contiguous_free() < need {
+            self.compact();
+        }
         let top = self.cell_start() - bytes.len();
         self.data[top..top + bytes.len()].copy_from_slice(bytes);
-        wr16(&mut self.data, 8, top as u16);
+        wr16(&mut *self.data, 8, top as u16);
         top
     }
 
-    /// Appends a cell into a fresh slot at the end of the directory,
-    /// preferring to reuse a tombstoned slot (heap pages: row ids are slot
+    fn set_nslots(&mut self, n: usize) {
+        wr16(&mut *self.data, 6, n as u16);
+    }
+
+    fn add_frag(&mut self, bytes: usize) {
+        let frag = self.frag() + bytes;
+        wr16(&mut *self.data, 10, frag as u16);
+    }
+
+    /// Adds a cell, preferring to reuse a tombstoned slot and otherwise
+    /// appending one to the directory (heap pages: row ids are slot
     /// numbers and must stay stable). Returns the slot index, or `None` if
     /// the cell does not fit.
     pub fn add_cell(&mut self, bytes: &[u8]) -> Option<usize> {
@@ -257,15 +359,12 @@ impl Page {
             return None;
         }
         let need = bytes.len() + if reuse.is_some() { 0 } else { SLOT_SIZE };
-        if self.contiguous_free() < need {
-            self.compact();
-        }
-        let off = self.place_cell(bytes);
+        let off = self.place_cell(bytes, need);
         let i = match reuse {
             Some(i) => i,
             None => {
                 let i = self.nslots();
-                wr16(&mut self.data, 6, (i + 1) as u16);
+                self.set_nslots(i + 1);
                 i
             }
         };
@@ -273,12 +372,47 @@ impl Page {
         Some(i)
     }
 
+    /// Inserts a cell at slot `i`, moving the slots from `i` on up by one
+    /// (B+-tree nodes: slot order is key order). Returns false (page
+    /// unchanged) if the cell does not fit.
+    pub fn insert_cell(&mut self, i: usize, bytes: &[u8]) -> bool {
+        if !self.fits(bytes.len(), false) {
+            return false;
+        }
+        let off = self.place_cell(bytes, bytes.len() + SLOT_SIZE);
+        let n = self.nslots();
+        let at = PAGE_HEADER + i * SLOT_SIZE;
+        self.data
+            .copy_within(at..PAGE_HEADER + n * SLOT_SIZE, at + SLOT_SIZE);
+        self.set_nslots(n + 1);
+        self.set_slot(i, off, bytes.len());
+        true
+    }
+
+    /// Removes slot `i`, moving the slots above it down by one; the cell's
+    /// bytes become fragmented space.
+    pub fn remove_cell(&mut self, i: usize) {
+        let (_, len) = self.slot(i);
+        self.add_frag(len);
+        let n = self.nslots();
+        let at = PAGE_HEADER + i * SLOT_SIZE;
+        self.data
+            .copy_within(at + SLOT_SIZE..PAGE_HEADER + n * SLOT_SIZE, at);
+        self.set_nslots(n - 1);
+    }
+
+    /// Drops every slot from `n` on (the upper half of a node that
+    /// splits), then packs what stays.
+    pub fn truncate_cells(&mut self, n: usize) {
+        self.set_nslots(n);
+        self.compact();
+    }
+
     /// Tombstones slot `i`, keeping the directory entry (stable row ids).
     pub fn tombstone(&mut self, i: usize) {
         let (off, len) = self.slot(i);
         if off != 0 {
-            let frag = self.frag() + len;
-            wr16(&mut self.data, 10, frag as u16);
+            self.add_frag(len);
             self.set_slot(i, 0, 0);
         }
     }
@@ -289,8 +423,7 @@ impl Page {
         let (off, len) = self.slot(i);
         if off != 0 && bytes.len() <= len {
             self.data[off..off + bytes.len()].copy_from_slice(bytes);
-            let frag = self.frag() + (len - bytes.len());
-            wr16(&mut self.data, 10, frag as u16);
+            self.add_frag(len - bytes.len());
             self.set_slot(i, off, bytes.len());
             return true;
         }
@@ -300,61 +433,18 @@ impl Page {
         if !self.fits(bytes.len(), true) {
             // Roll the tombstone back.
             let frag = self.frag() - old.1;
-            wr16(&mut self.data, 10, frag as u16);
+            wr16(&mut *self.data, 10, frag as u16);
             self.set_slot(i, old.0, old.1);
             return false;
         }
-        if self.contiguous_free() < bytes.len() {
-            self.compact();
-        }
-        let at = self.place_cell(bytes);
+        let at = self.place_cell(bytes, bytes.len());
         self.set_slot(i, at, bytes.len());
         true
     }
-
-    /// Replaces the entire slot directory and cell area with `cells`, in
-    /// order. Used by the B+-tree, which rewrites nodes wholesale. Panics
-    /// if the cells cannot fit (callers must check [`cells_fit`]).
-    pub fn set_cells(&mut self, cells: &[Vec<u8>]) {
-        assert!(cells_fit(cells), "cells overflow page");
-        wr16(&mut self.data, 6, cells.len() as u16);
-        wr16(&mut self.data, 10, 0);
-        let mut top = DISK_PAGE_SIZE;
-        // Clear the old cell area so identical logical content produces an
-        // identical byte image (bit-identical recovery assertions).
-        for b in &mut self.data[PAGE_HEADER..] {
-            *b = 0;
-        }
-        for (i, bytes) in cells.iter().enumerate() {
-            top -= bytes.len();
-            self.data[top..top + bytes.len()].copy_from_slice(bytes);
-            self.set_slot(i, top, bytes.len());
-        }
-        wr16(&mut self.data, 8, top as u16);
-    }
-
-    /// All non-tombstoned cells in slot order.
-    pub fn cells(&self) -> Vec<Vec<u8>> {
-        (0..self.nslots())
-            .filter(|&i| !self.is_tombstone(i))
-            .map(|i| self.cell(i).to_vec())
-            .collect()
-    }
-
-    /// Bytes used by live cells plus their slots.
-    pub fn used_bytes(&self) -> usize {
-        (0..self.nslots())
-            .filter(|&i| !self.is_tombstone(i))
-            .map(|i| self.slot(i).1 + SLOT_SIZE)
-            .sum()
-    }
 }
 
-/// True if `cells` fit in a single (empty) page.
-pub fn cells_fit(cells: &[Vec<u8>]) -> bool {
-    let bytes: usize = cells.iter().map(|c| c.len() + SLOT_SIZE).sum();
-    bytes <= DISK_PAGE_SIZE - PAGE_HEADER
-}
+/// The largest cell an empty page takes.
+pub const MAX_CELL: usize = DISK_PAGE_SIZE - PAGE_HEADER - SLOT_SIZE;
 
 #[cfg(test)]
 mod tests {
@@ -399,7 +489,10 @@ mod tests {
         while p.add_cell(&cell).is_some() {
             n += 1;
         }
-        assert!(n >= 15, "16 KiB page should hold >= 15 KB of cells, got {n}");
+        assert!(
+            n >= 15,
+            "16 KiB page should hold >= 15 KB of cells, got {n}"
+        );
         assert!(p.add_cell(&cell).is_none());
         // Small cells still fit in the remainder.
         assert!(p.add_cell(&[1, 2, 3]).is_some());
@@ -437,7 +530,11 @@ mod tests {
         assert_eq!(p.cell(s), b"much larger replacement cell");
         let too_big = vec![0u8; DISK_PAGE_SIZE];
         assert!(!p.replace_cell(s, &too_big));
-        assert_eq!(p.cell(s), b"much larger replacement cell", "failed replace leaves cell");
+        assert_eq!(
+            p.cell(s),
+            b"much larger replacement cell",
+            "failed replace leaves cell"
+        );
     }
 
     #[test]
@@ -447,7 +544,7 @@ mod tests {
         p.set_lsn(42);
         p.set_next_page(7);
         p.seal();
-        let q = Page::from_bytes(p.data.clone(), 3).unwrap();
+        let q = Page::from_bytes(p.bytes().to_vec(), 3).unwrap();
         assert_eq!(q.lsn(), 42);
         assert_eq!(q.next_page(), 7);
         assert_eq!(q.cell(0), b"payload");
@@ -458,7 +555,7 @@ mod tests {
         let mut p = Page::new(PageType::Leaf);
         p.add_cell(b"payload").unwrap();
         p.seal();
-        let mut bytes = p.data.clone();
+        let mut bytes = p.bytes().to_vec();
         // Simulate a torn write: second half of the page is stale zeros.
         for b in &mut bytes[DISK_PAGE_SIZE / 2..] {
             *b = 0;
@@ -473,16 +570,191 @@ mod tests {
     }
 
     #[test]
-    fn set_cells_is_deterministic() {
-        let cells = vec![b"aa".to_vec(), b"bbb".to_vec(), b"c".to_vec()];
+    fn ordered_cells_shift_the_directory_only() {
         let mut p = Page::new(PageType::Leaf);
-        p.add_cell(b"garbage-from-before").unwrap();
-        p.set_cells(&cells);
-        let mut q = Page::new(PageType::Leaf);
-        q.set_cells(&cells);
+        assert!(p.insert_cell(0, b"delta"));
+        assert!(p.insert_cell(0, b"alpha"));
+        assert!(p.insert_cell(1, b"charlie"));
+        assert!(p.insert_cell(1, b"bravo"));
+        assert!(p.insert_cell(4, b"echo"));
+        let cells = |p: &Page| {
+            (0..p.nslots())
+                .map(|i| p.cell(i).to_vec())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            cells(&p),
+            [&b"alpha"[..], b"bravo", b"charlie", b"delta", b"echo"]
+        );
+        assert_eq!(p.payload_bytes(), 26);
+        p.cell_mut(2)[0] = b'C';
+        p.remove_cell(1);
+        p.remove_cell(0);
+        assert_eq!(cells(&p), [&b"Charlie"[..], b"delta", b"echo"]);
+        assert_eq!(p.payload_bytes(), 16, "removed cells are fragmented space");
+        assert_eq!(
+            p.free_space(),
+            DISK_PAGE_SIZE - PAGE_HEADER - 16 - 3 * SLOT_SIZE
+        );
+        p.truncate_cells(1);
+        assert_eq!(cells(&p), [&b"Charlie"[..]]);
+        assert_eq!(p.free_space(), DISK_PAGE_SIZE - PAGE_HEADER - 7 - SLOT_SIZE);
+        // A full page refuses and stays as it was.
+        let big = vec![7u8; MAX_CELL - 7 - SLOT_SIZE];
+        assert!(p.insert_cell(1, &big));
+        assert!(!p.insert_cell(0, b"x"));
+        assert_eq!(p.nslots(), 2);
+        assert_eq!(p.cell(1), big.as_slice());
+    }
+
+    #[test]
+    fn fragmented_room_is_found_by_compaction() {
+        let mut p = Page::new(PageType::Leaf);
+        let cell = vec![3u8; 1000];
+        while p.insert_cell(p.nslots(), &cell) {}
+        let n = p.nslots();
+        for _ in 0..n / 2 {
+            p.remove_cell(0);
+        }
+        let wide = vec![4u8; 5000];
+        assert!(p.insert_cell(0, &wide), "the room is there, in pieces");
+        assert_eq!(p.cell(0), wide.as_slice());
+        assert!((1..p.nslots()).all(|i| p.cell(i) == cell.as_slice()));
+    }
+
+    #[test]
+    fn same_edits_same_bytes_and_a_reset_buffer_is_fresh() {
+        let edit = |p: &mut Page| {
+            p.insert_cell(0, b"bbb");
+            p.insert_cell(0, b"aa");
+            p.remove_cell(1);
+            p.insert_cell(1, b"c");
+            p.seal();
+        };
+        let mut p = Page::new(PageType::Leaf);
+        edit(&mut p);
+        // A buffer that held something else, recycled.
+        let mut q = Page::new(PageType::Heap);
+        q.add_cell(b"garbage-from-before").unwrap();
+        q.set_next_page(9);
+        q.reset(PageType::Leaf);
+        assert_eq!(q, Page::new(PageType::Leaf));
+        edit(&mut q);
+        assert_eq!(p, q, "same edits, same bytes, whatever the buffer held");
+    }
+
+    /// xorshift64, seeded.
+    fn rng(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// A sealed page of type `ty` with seeded content over most of it.
+    fn sealed(ty: PageType, seed: u64) -> Page {
+        let mut rand = rng(seed);
+        let mut p = Page::new(ty);
+        if ty != PageType::Free {
+            loop {
+                let cell: Vec<u8> = (0..40 + rand() % 400).map(|_| rand() as u8).collect();
+                if p.free_space() < 600 || p.add_cell(&cell).is_none() {
+                    break;
+                }
+            }
+        }
+        p.set_lsn(rand());
+        p.set_next_page(rand() as u32);
+        p.set_aux(rand() as u32);
         p.seal();
-        q.seal();
-        assert_eq!(p.data, q.data, "same cells, same bytes regardless of history");
-        assert_eq!(p.cells(), cells);
+        p
+    }
+
+    const ALL_TYPES: [PageType; 6] = [
+        PageType::Free,
+        PageType::Meta,
+        PageType::Heap,
+        PageType::Leaf,
+        PageType::Internal,
+        PageType::Catalog,
+    ];
+
+    /// Exhaustive — all 131 072 bits of each page — when built optimized
+    /// (`cargo test --release`). The default test profile sums a page some
+    /// twenty times slower, so there it flips every bit of the header and
+    /// every 61st bit after a seeded start: each bit of a byte and each
+    /// byte of a word come up, in every part of the page.
+    #[test]
+    fn every_bit_flip_of_a_sealed_page_is_rejected() {
+        let stride = if cfg!(debug_assertions) { 61 } else { 1 };
+        for (i, ty) in ALL_TYPES.into_iter().enumerate() {
+            let good = sealed(ty, 0x5eed_0001 + i as u64);
+            assert!(Page::from_bytes(good.bytes().to_vec(), 1).is_ok());
+            let header = 0..PAGE_HEADER * 8;
+            let rest = (PAGE_HEADER * 8 + i % stride..DISK_PAGE_SIZE * 8).step_by(stride);
+            for bit in header.chain(rest) {
+                let mut bytes = good.bytes().to_vec();
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    Page::from_bytes(bytes, 1).is_err(),
+                    "{ty:?}: bit {bit} flipped and the page still verifies"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_torn_write_of_a_sealed_page_is_rejected() {
+        for (i, ty) in ALL_TYPES.into_iter().enumerate() {
+            // The page before and after a rewrite; the write stops at a
+            // sector boundary, or only its tail arrives.
+            let old = sealed(ty, 0x5eed_0100 + i as u64);
+            let new = sealed(ty, 0x5eed_0200 + i as u64);
+            for cut in (512..DISK_PAGE_SIZE).step_by(512) {
+                for (head, tail) in [(&new, &old), (&old, &new)] {
+                    let mut bytes = head.bytes()[..cut].to_vec();
+                    bytes.extend_from_slice(&tail.bytes()[cut..]);
+                    // A free page is zeros below its header: a write torn
+                    // there has written all there was to write.
+                    if bytes == head.bytes() || bytes == tail.bytes() {
+                        assert_eq!(ty, PageType::Free);
+                        continue;
+                    }
+                    assert!(
+                        Page::from_bytes(bytes, 1).is_err(),
+                        "{ty:?}: torn at byte {cut} and the page still verifies"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_sees_length_tail_and_order() {
+        let bytes: Vec<u8> = (0..=40u8).collect();
+        let sum = checksum32(&bytes);
+        assert_ne!(sum, checksum32(&bytes[..40]), "a shorter input");
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert_ne!(sum, checksum32(&padded), "zero padding is not free");
+        let mut swapped = bytes.clone();
+        swapped.swap(3, 11);
+        assert_ne!(
+            sum,
+            checksum32(&swapped),
+            "two bytes exchanged across words"
+        );
+        let mut high = bytes.clone();
+        high[3] ^= 0x80;
+        high[11] ^= 0x80;
+        assert_ne!(
+            sum,
+            checksum32(&high),
+            "the same high bit in two words of a lane"
+        );
+        assert_eq!(sum, checksum32(&bytes));
     }
 }

@@ -10,8 +10,8 @@
 //!
 //! Record framing: `[len u32][checksum u32][kind u8][lsn u64][payload]`
 //! where `len` covers everything after the checksum and the checksum is
-//! FNV-1a over those same bytes. A record that fails either check ends
-//! replay (torn tail).
+//! [`checksum32`] over those same bytes. A record that fails either check
+//! ends replay (torn tail).
 
 use super::page::{checksum32, DISK_PAGE_SIZE};
 use crate::error::StorageError;
@@ -50,17 +50,28 @@ pub struct Wal {
     file: File,
     path: PathBuf,
     size: u64,
+    /// The batch being framed; kept between commits of ordinary size so
+    /// that a commit allocates nothing.
+    batch: Vec<u8>,
     pub counters: WalCounters,
 }
 
-fn frame_record(kind: u8, lsn: u64, payload: &[u8], out: &mut Vec<u8>) {
-    let body_len = 1 + 8 + payload.len();
+/// A batch buffer larger than this many page images is given back after
+/// the commit that needed it.
+const BATCH_IMAGES_KEPT: usize = 8;
+
+/// Frames one record into `out`; the payload arrives in parts so that a
+/// page image is copied once, from its frame into the batch.
+fn frame_record(kind: u8, lsn: u64, payload: &[&[u8]], out: &mut Vec<u8>) {
+    let body_len = 1 + 8 + payload.iter().map(|p| p.len()).sum::<usize>();
     let start = out.len();
     out.extend_from_slice(&(body_len as u32).to_le_bytes());
     out.extend_from_slice(&[0u8; 4]); // checksum backpatched below
     out.push(kind);
     out.extend_from_slice(&lsn.to_le_bytes());
-    out.extend_from_slice(payload);
+    for part in payload {
+        out.extend_from_slice(part);
+    }
     let sum = checksum32(&out[start + 8..]);
     out[start + 4..start + 8].copy_from_slice(&sum.to_le_bytes());
 }
@@ -83,6 +94,7 @@ impl Wal {
             file,
             path: path.to_path_buf(),
             size,
+            batch: Vec::new(),
             counters: WalCounters::default(),
         })
     }
@@ -103,23 +115,29 @@ impl Wal {
     /// batch may be partially or fully buffered but is not durable, exactly
     /// the state a crashed commit leaves behind. Callers roll the
     /// transaction back; recovery discards the unsynced tail.
-    pub fn append_commit(
+    pub fn append_commit<'a>(
         &mut self,
         lsn: u64,
-        images: &[(u32, &[u8])],
+        images: impl IntoIterator<Item = (u32, &'a [u8])>,
     ) -> Result<(), StorageError> {
-        let mut buf = Vec::with_capacity(images.len() * (DISK_PAGE_SIZE + 32) + 32);
+        let images = images.into_iter();
+        let mut buf = std::mem::take(&mut self.batch);
+        buf.clear();
+        buf.reserve(images.size_hint().0 * (DISK_PAGE_SIZE + 32) + 32);
         for (page_no, data) in images {
             debug_assert_eq!(data.len(), DISK_PAGE_SIZE);
-            let mut payload = Vec::with_capacity(4 + data.len());
-            payload.extend_from_slice(&page_no.to_le_bytes());
-            payload.extend_from_slice(data);
-            frame_record(KIND_PAGE_IMAGE, lsn, &payload, &mut buf);
+            frame_record(KIND_PAGE_IMAGE, lsn, &[&page_no.to_le_bytes(), data], &mut buf);
         }
         frame_record(KIND_COMMIT, lsn, &[], &mut buf);
-        self.file
-            .write_all(&buf)
-            .map_err(|e| io_err("append", e))?;
+        let appended = self.append(&buf);
+        if buf.capacity() <= BATCH_IMAGES_KEPT * (DISK_PAGE_SIZE + 32) {
+            self.batch = buf;
+        }
+        appended
+    }
+
+    fn append(&mut self, buf: &[u8]) -> Result<(), StorageError> {
+        self.file.write_all(buf).map_err(|e| io_err("append", e))?;
         if let Some(FaultKind::Fail) = fault::hit(SITE_WAL_FSYNC) {
             // A failed fsync leaves the batch non-durable; model the
             // post-crash outcome by cutting the log back to its synced
@@ -264,8 +282,8 @@ mod tests {
         let mut wal = Wal::open(&path).unwrap();
         let a = page_img(1);
         let b = page_img(2);
-        wal.append_commit(1, &[(3, &a), (7, &b)]).unwrap();
-        wal.append_commit(2, &[(3, &b)]).unwrap();
+        wal.append_commit(1, [(3, &a[..]), (7, &b[..])]).unwrap();
+        wal.append_commit(2, [(3, &b[..])]).unwrap();
         assert_eq!(wal.counters.fsyncs, 2);
 
         let r = replay(&path).unwrap();
@@ -290,8 +308,8 @@ mod tests {
     fn torn_tail_is_discarded() {
         let path = tmp("torn");
         let mut wal = Wal::open(&path).unwrap();
-        wal.append_commit(1, &[(3, &page_img(1))]).unwrap();
-        wal.append_commit(2, &[(4, &page_img(2))]).unwrap();
+        wal.append_commit(1, [(3, &page_img(1)[..])]).unwrap();
+        wal.append_commit(2, [(4, &page_img(2)[..])]).unwrap();
         drop(wal);
         // Chop bytes off the end: the second batch loses its commit.
         let len = std::fs::metadata(&path).unwrap().len();
@@ -307,9 +325,9 @@ mod tests {
     fn corrupt_record_ends_replay() {
         let path = tmp("corrupt");
         let mut wal = Wal::open(&path).unwrap();
-        wal.append_commit(1, &[(3, &page_img(1))]).unwrap();
+        wal.append_commit(1, [(3, &page_img(1)[..])]).unwrap();
         let first_batch = std::fs::metadata(&path).unwrap().len();
-        wal.append_commit(2, &[(4, &page_img(2))]).unwrap();
+        wal.append_commit(2, [(4, &page_img(2)[..])]).unwrap();
         drop(wal);
         // Flip a byte inside the second batch's page image.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -321,11 +339,57 @@ mod tests {
         assert_eq!(r.batches.len(), 1);
     }
 
+    /// One framed page-image record over seeded bytes.
+    fn framed(seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        let img: Vec<u8> = (0..DISK_PAGE_SIZE)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        let mut out = Vec::new();
+        frame_record(KIND_PAGE_IMAGE, 7, &[&9u32.to_le_bytes(), &img], &mut out);
+        out
+    }
+
+    /// Every bit when built optimized; in the default test profile every
+    /// bit of the header and every 61st after it (see the page's twin).
+    #[test]
+    fn every_bit_flip_of_a_record_is_rejected() {
+        let good = framed(0x5eed_0300);
+        let (kind, lsn, payload, next) = read_record(&good, 0).expect("a whole record");
+        assert_eq!((kind, lsn, payload.len(), next), (KIND_PAGE_IMAGE, 7, 4 + DISK_PAGE_SIZE, good.len()));
+        let stride = if cfg!(debug_assertions) { 61 } else { 1 };
+        let header = 17 * 8;
+        for bit in (0..header).chain((header..good.len() * 8).step_by(stride)) {
+            let mut bytes = good.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            assert!(read_record(&bytes, 0).is_none(), "bit {bit} flipped and the record still reads");
+        }
+    }
+
+    #[test]
+    fn every_torn_write_of_a_record_is_rejected() {
+        let new = framed(0x5eed_0400);
+        let stale = framed(0x5eed_0500);
+        for cut in (512..new.len()).step_by(512) {
+            // The append stopped at a sector boundary: the log ends there,
+            // or goes on with what an earlier, longer log left behind.
+            assert!(read_record(&new[..cut], 0).is_none(), "cut at byte {cut}");
+            let mut bytes = new[..cut].to_vec();
+            bytes.extend_from_slice(&stale[cut..]);
+            assert!(read_record(&bytes, 0).is_none(), "torn at byte {cut}");
+        }
+    }
+
     #[test]
     fn truncate_resets_log() {
         let path = tmp("truncate");
         let mut wal = Wal::open(&path).unwrap();
-        wal.append_commit(1, &[(3, &page_img(1))]).unwrap();
+        wal.append_commit(1, [(3, &page_img(1)[..])]).unwrap();
         assert!(wal.size() > 0);
         wal.truncate().unwrap();
         assert_eq!(wal.size(), 0);
@@ -340,17 +404,17 @@ mod tests {
         crate::fault::disarm();
         let path = tmp("fsync-fault");
         let mut wal = Wal::open(&path).unwrap();
-        wal.append_commit(1, &[(3, &page_img(1))]).unwrap();
+        wal.append_commit(1, [(3, &page_img(1)[..])]).unwrap();
         crate::fault::arm(crate::fault::FaultPlan::new(5).fail(SITE_WAL_FSYNC, 0, 1));
         let err = wal
-            .append_commit(2, &[(4, &page_img(2))])
+            .append_commit(2, [(4, &page_img(2)[..])])
             .unwrap_err();
         crate::fault::disarm();
         assert!(err.is_injected(), "{err}");
         let r = replay(&path).unwrap();
         assert_eq!(r.batches.len(), 1, "unsynced batch gone");
         // The log is still usable afterwards.
-        wal.append_commit(3, &[(5, &page_img(3))]).unwrap();
+        wal.append_commit(3, [(5, &page_img(3)[..])]).unwrap();
         assert_eq!(replay(&path).unwrap().batches.len(), 2);
     }
 }
