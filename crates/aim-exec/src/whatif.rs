@@ -278,7 +278,11 @@ impl WhatIfCache {
                 ctx: cm_fp ^ cfg.canonical_key().rotate_left(17),
             };
             match self.lookup(&key) {
-                Some(hit) => out[i] = Some(Ok(hit)),
+                Some(hit) => {
+                    #[cfg(debug_assertions)]
+                    audit_hit(db, select, cfg, cm, &hit);
+                    out[i] = Some(Ok(hit))
+                }
                 None => misses.push((i, key)),
             }
         }
@@ -359,6 +363,25 @@ fn entry_from_plan(plan: &Plan, config: &HypoConfig) -> WhatIfEntry {
         rows: plan.result_rows,
         used_hypos,
     }
+}
+
+/// Builds with debug assertions — the test profile — plan every hit again
+/// on a fresh [`Planner`], outside the fault gate, the span, the call count
+/// and the cache, and hold the entry to that plan's bits: a key missing
+/// something the plan depends on answers another question, and this is
+/// where it shows (DESIGN.md §6).
+#[cfg(debug_assertions)]
+fn audit_hit(db: &Database, select: &Select, config: &HypoConfig, cm: &CostModel, hit: &WhatIfEntry) {
+    let plan = Planner::new(db, select, config, cm)
+        .and_then(|planner| planner.plan())
+        .expect("a cached statement plans");
+    let fresh = entry_from_plan(&plan, config);
+    assert!(
+        fresh.cost.to_bits() == hit.cost.to_bits()
+            && fresh.rows.to_bits() == hit.rows.to_bits()
+            && fresh.used_hypos == hit.used_hypos,
+        "{select}: the cache answered {hit:?}, a fresh plan {fresh:?}"
+    );
 }
 
 /// The process-global cache every advisor path shares by default. Epoch +
