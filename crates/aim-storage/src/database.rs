@@ -318,8 +318,26 @@ impl Database {
     /// analyzed, and for no other — an index build or drop leaves nothing
     /// to do. Taking a [`Database::table_mut`] handle first forces a table.
     pub fn analyze_all(&mut self) {
+        #[cfg(debug_assertions)]
+        self.audit_skipped_statistics();
         for table in self.tables.values_mut().filter(|t| t.stats_stale) {
             Self::refresh(table, &mut self.stats, &mut self.version);
+        }
+    }
+
+    /// Builds with debug assertions — the test profile — recompute the
+    /// statistics of every table [`Database::analyze_all`] is about to skip
+    /// and hold the installed ones to them: skipping is sound only while
+    /// statistics are a function of rows and schema alone and every change
+    /// of those marks the table (DESIGN.md §18).
+    #[cfg(debug_assertions)]
+    fn audit_skipped_statistics(&self) {
+        for table in self.tables.values().filter(|t| !t.stats_stale) {
+            let name = &table.schema().name;
+            assert!(
+                self.stats.get(name) == Some(&analyze(table, DEFAULT_BUCKETS)),
+                "{name}: ANALYZE skips the table, but its rows give other statistics"
+            );
         }
     }
 
