@@ -14,7 +14,7 @@
 use crate::error::AimError;
 use crate::ranking::RankedCandidate;
 use crate::session::RunCtl;
-use aim_exec::{Engine, ExecError, IndexChoice, OpenSelect, Plan};
+use aim_exec::{CostStamp, Engine, ExecError, IndexChoice, OpenSelect, Plan};
 use aim_monitor::WorkloadQuery;
 use aim_sql::ast::{Select, Statement};
 use aim_sql::normalize::QueryFingerprint;
@@ -77,8 +77,9 @@ type Observation = Option<(f64, BTreeSet<String>)>;
 type Measured = (Plan, f64);
 
 /// What the monitor measured `open`'s exemplar at, taken as its cost on a
-/// bed with the same content version and cost model: same contents, same
-/// plan, same cost bits (DESIGN.md §18). Builds with debug assertions — the
+/// bed where the exemplar's stamp is the one it was measured under — its
+/// tables' newest version and the cost model: same contents, same plan,
+/// same cost bits (DESIGN.md §18). Builds with debug assertions — the
 /// test profile — execute the plan anyway and hold it to those bits, so
 /// every validating test audits the rule.
 fn recorded(open: OpenSelect<'_>, sel: &Select, cost: f64) -> Result<Measured, ExecError> {
@@ -139,9 +140,9 @@ impl Replay<'_> {
     /// data, so a statement whose plan is execution-identical
     /// ([`Plan::same_execution`]) to one in `measured[i]` costs what was
     /// measured then and is not run again. Nor is one the monitor measured
-    /// under `db`'s stamp — the baseline on a bed still in the state
-    /// production was observed in — which costs what the monitor recorded
-    /// ([`recorded`]). Any other plan is executed; either way it joins
+    /// under the stamp it has on `db` — none of its tables has changed
+    /// since production was observed — which costs what the monitor
+    /// recorded ([`recorded`]). Any other plan is executed; either way it joins
     /// `measured[i]`. Observations are therefore those of a full replay,
     /// for any worker count.
     fn read_only(
@@ -153,10 +154,9 @@ impl Replay<'_> {
         enum Replayed {
             Known(usize),
             Executed(Measured),
-            /// Measured by the monitor under `db`'s stamp.
+            /// Measured by the monitor under the stamp it has on `db`.
             Recorded(Measured),
         }
-        let stamp = self.engine.stamp(db);
         let items: Vec<(&WorkloadQuery, &[Measured])> = self
             .workload
             .iter()
@@ -175,8 +175,11 @@ impl Replay<'_> {
                     {
                         return Ok(Replayed::Known(k));
                     }
+                    let tables = sel.from.iter().map(|t| t.name.as_str());
                     match wq.stats.exemplar_cost {
-                        Some((cost, seen)) if seen == stamp => {
+                        Some((cost, seen))
+                            if seen == CostStamp::of(db, tables, &self.engine.cost_model) =>
+                        {
                             recorded(open, sel, cost).map(Replayed::Recorded)
                         }
                         _ => open

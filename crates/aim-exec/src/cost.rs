@@ -15,7 +15,7 @@ use aim_storage::{pages_for, IoStats};
 /// AIM's candidate generation must honour the switch values — generating
 /// candidates only a disabled feature could use wastes budget and fails
 /// clone validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OptimizerSwitches {
     /// OR index-merge union access paths (MySQL `index_merge`).
     pub or_index_merge: bool,

@@ -10,7 +10,7 @@
 //! level, so a mis-narrowed path can cost performance but never correctness.
 
 use crate::bind::{Binder, Scope, SlotLayout};
-use crate::cost::CostModel;
+use crate::cost::{CostModel, OptimizerSwitches};
 use crate::error::ExecError;
 use crate::eval::{literal_value, AggregateSlots, BoundAggregate, BoundExpr};
 use crate::hypothetical::HypoConfig;
@@ -24,6 +24,7 @@ use aim_sql::ast::{
 use aim_storage::{Database, IoStats, Key, Row, Table, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 
 /// Result of executing one statement.
@@ -43,15 +44,77 @@ pub struct ExecOutcome {
     pub stamp: CostStamp,
 }
 
-/// What a measured cost is a function of (DESIGN.md §18): the content
-/// version of the database the statement read and the cost model that
-/// priced it. A statement executed twice under equal stamps runs the same
-/// plan and costs the same bits.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What a cost is a function of (DESIGN.md §18): the newest content
+/// version among the tables the statement binds, and the cost model that
+/// priced it. A statement executed or estimated twice under equal stamps
+/// runs the same plan and costs the same bits. Equality and hashing go by
+/// the bits of every field, so equal stamps mean equal prices.
+#[derive(Debug, Clone, Copy)]
 pub struct CostStamp {
-    /// [`Database::stats_epoch`] as the statement started.
+    /// The largest [`Table::version`] among the statement's tables as it
+    /// started; 0 when it binds none.
     pub version: u64,
     pub cost_model: CostModel,
+}
+
+impl CostStamp {
+    /// The stamp of a statement binding `tables` on `db` under
+    /// `cost_model` — the one place a stamp is made: the executor's
+    /// outcomes, validation's reuse test and the what-if key all call it.
+    /// A name `db` does not hold adds nothing: creating it later draws a
+    /// version newer than every one already drawn.
+    pub fn of<'t>(
+        db: &Database,
+        tables: impl IntoIterator<Item = &'t str>,
+        cost_model: &CostModel,
+    ) -> Self {
+        let version = tables
+            .into_iter()
+            .filter_map(|name| db.table(name).ok().map(Table::version))
+            .max()
+            .unwrap_or(0);
+        Self {
+            version,
+            cost_model: *cost_model,
+        }
+    }
+
+    fn bits(&self) -> (u64, [u64; 7], OptimizerSwitches) {
+        let CostModel {
+            seq_page_cost,
+            rand_page_cost,
+            row_cost,
+            write_row_cost,
+            write_page_cost,
+            sort_row_cost,
+            output_row_cost,
+            switches,
+        } = self.cost_model;
+        let prices = [
+            seq_page_cost,
+            rand_page_cost,
+            row_cost,
+            write_row_cost,
+            write_page_cost,
+            sort_row_cost,
+            output_row_cost,
+        ];
+        (self.version, prices.map(f64::to_bits), switches)
+    }
+}
+
+impl PartialEq for CostStamp {
+    fn eq(&self, other: &Self) -> bool {
+        self.bits() == other.bits()
+    }
+}
+
+impl Eq for CostStamp {}
+
+impl Hash for CostStamp {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.bits().hash(state);
+    }
 }
 
 impl ExecOutcome {
@@ -78,14 +141,6 @@ impl Engine {
         Self::default()
     }
 
-    /// The stamp a statement this engine executes on `db` now carries.
-    pub fn stamp(&self, db: &Database) -> CostStamp {
-        CostStamp {
-            version: db.stats_epoch(),
-            cost_model: self.cost_model,
-        }
-    }
-
     /// Executes any statement.
     pub fn execute(
         &self,
@@ -104,13 +159,14 @@ impl Engine {
                 });
             }
         }
-        let stamp = self.stamp(db);
+        let stamp = |db: &Database, table: &str| CostStamp::of(db, [table], &self.cost_model);
         let outcome = match stmt {
             Statement::Select(s) => self.execute_select(db, s),
             Statement::Insert(i) => self.execute_insert(db, i),
             Statement::Update(u) => self.execute_update(db, u),
             Statement::Delete(d) => self.execute_delete(db, d),
             Statement::CreateTable(c) => {
+                let stamp = stamp(db, &c.name);
                 let mut columns = Vec::with_capacity(c.columns.len());
                 for (name, ty) in &c.columns {
                     let ct = match ty {
@@ -125,9 +181,10 @@ impl Engine {
                 let schema = aim_storage::TableSchema::new(c.name.clone(), columns, &pk)
                     .map_err(ExecError::Storage)?;
                 db.create_table(schema)?;
-                Ok(trivial_outcome(stamp))
+                Ok(self.written(IoStats::new(), empty_plan(), 0, stamp))
             }
             Statement::CreateIndex(c) => {
+                let stamp = stamp(db, &c.table);
                 let mut io = IoStats::new();
                 db.create_index(
                     aim_storage::IndexDef {
@@ -138,19 +195,12 @@ impl Engine {
                     },
                     &mut io,
                 )?;
-                let cost = self.cost_model.io_cost(&io);
-                Ok(ExecOutcome {
-                    rows: Vec::new(),
-                    io,
-                    cost,
-                    plan: empty_plan(),
-                    affected: 0,
-                    stamp,
-                })
+                Ok(self.written(io, empty_plan(), 0, stamp))
             }
             Statement::DropIndex { name, table } => {
+                let stamp = stamp(db, table);
                 db.drop_index(table, name)?;
-                Ok(trivial_outcome(stamp))
+                Ok(self.written(IoStats::new(), empty_plan(), 0, stamp))
             }
         }?;
         aim_telemetry::metrics::STATEMENTS_EXECUTED.incr();
@@ -184,6 +234,11 @@ impl Engine {
         binder: &Binder,
         plan: Plan,
     ) -> Result<ExecOutcome, ExecError> {
+        let stamp = CostStamp::of(
+            db,
+            binder.tables().iter().map(|t| t.table.as_str()),
+            &self.cost_model,
+        );
         // Table-free SELECT.
         if plan.steps.is_empty() {
             let mut row = Vec::new();
@@ -203,7 +258,7 @@ impl Engine {
                 cost: self.cost_model.output_row_cost,
                 plan,
                 affected: 0,
-                stamp: self.stamp(db),
+                stamp,
             });
         }
 
@@ -321,7 +376,7 @@ impl Engine {
             cost,
             plan,
             affected: 0,
-            stamp: self.stamp(db),
+            stamp,
         })
     }
 
@@ -368,7 +423,7 @@ impl Engine {
     // -------------------------------------------------------------- DML
 
     fn execute_insert(&self, db: &mut Database, ins: &Insert) -> Result<ExecOutcome, ExecError> {
-        let stamp = self.stamp(db);
+        let stamp = CostStamp::of(db, [ins.table.as_str()], &self.cost_model);
         let mut io = IoStats::new();
         let schema = db.table(&ins.table)?.schema().clone();
         let mut affected = 0u64;
@@ -399,19 +454,11 @@ impl Engine {
             db.table_mut(&ins.table)?.insert(row, &mut io)?;
             affected += 1;
         }
-        let cost = self.cost_model.io_cost(&io);
-        Ok(ExecOutcome {
-            rows: Vec::new(),
-            io,
-            cost,
-            plan: empty_plan(),
-            affected,
-            stamp,
-        })
+        Ok(self.written(io, empty_plan(), affected, stamp))
     }
 
     fn execute_update(&self, db: &mut Database, upd: &Update) -> Result<ExecOutcome, ExecError> {
-        let stamp = self.stamp(db);
+        let stamp = CostStamp::of(db, [upd.table.as_str()], &self.cost_model);
         // Bind the right-hand sides (`b + 1`) over the single target table
         // before any row is located or written.
         let assignments = {
@@ -443,19 +490,11 @@ impl Engine {
             db.table_mut(&upd.table)?.update(&pk, new_row, &mut io)?;
             affected += 1;
         }
-        let cost = self.cost_model.io_cost(&io);
-        Ok(ExecOutcome {
-            rows: Vec::new(),
-            io,
-            cost,
-            plan,
-            affected,
-            stamp,
-        })
+        Ok(self.written(io, plan, affected, stamp))
     }
 
     fn execute_delete(&self, db: &mut Database, del: &Delete) -> Result<ExecOutcome, ExecError> {
-        let stamp = self.stamp(db);
+        let stamp = CostStamp::of(db, [del.table.as_str()], &self.cost_model);
         let (pks, mut io, plan) =
             self.locate_rows(db, &del.table, del.where_clause.as_ref())?;
         let mut affected = 0u64;
@@ -464,15 +503,20 @@ impl Engine {
                 affected += 1;
             }
         }
-        let cost = self.cost_model.io_cost(&io);
-        Ok(ExecOutcome {
+        Ok(self.written(io, plan, affected, stamp))
+    }
+
+    /// The outcome of a statement that returns no rows: DML and DDL cost
+    /// the I/O they did.
+    fn written(&self, io: IoStats, plan: Plan, affected: u64, stamp: CostStamp) -> ExecOutcome {
+        ExecOutcome {
             rows: Vec::new(),
+            cost: self.cost_model.io_cost(&io),
             io,
-            cost,
             plan,
             affected,
             stamp,
-        })
+        }
     }
 
     /// Runs the WHERE clause of a DML statement as `SELECT *` over the
@@ -1324,16 +1368,5 @@ fn empty_plan() -> Plan {
         est_cost: 0.0,
         order_via_index: false,
         group_via_index: false,
-    }
-}
-
-fn trivial_outcome(stamp: CostStamp) -> ExecOutcome {
-    ExecOutcome {
-        rows: Vec::new(),
-        io: IoStats::new(),
-        cost: 0.0,
-        plan: empty_plan(),
-        affected: 0,
-        stamp,
     }
 }

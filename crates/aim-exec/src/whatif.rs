@@ -8,71 +8,61 @@
 //! consumes — estimated cost, estimated result rows, and *which*
 //! hypothetical indexes the plan used — keyed by:
 //!
-//! * the database [`instance id`](aim_storage::Database::instance_id) and
-//!   [`stats epoch`](aim_storage::Database::stats_epoch), so any data
-//!   mutation, index change or statistics drift invalidates entries without
-//!   any explicit flush protocol,
+//! * the statement's [`CostStamp`]: the newest content version among the
+//!   tables it binds, and the [`CostModel`]. A data mutation, index change
+//!   or statistics drift on one of those tables draws a newer version and
+//!   retires the entry without any flush protocol; a change to any other
+//!   table leaves it warm,
 //! * a fingerprint of the statement's printed form (literals included —
 //!   unlike the monitor's normalized fingerprint, two constants with
 //!   different selectivities must not share a cost), and
-//! * the [`HypoConfig::canonical_key`] (order-insensitive) combined with a
-//!   fingerprint of the [`CostModel`].
+//! * the [`HypoConfig::canonical_key`] (order-insensitive).
 //!
 //! The cache is sharded (`Mutex<HashMap>` per shard) so parallel ranking
 //! workers contend only on colliding shards, and it is safe to share one
-//! process-global instance ([`global`]) across advisors: epoch keying makes
-//! stale hits impossible, clones get fresh instance ids, and a capacity
-//! bound keeps long-lived processes from accumulating dead epochs.
+//! process-global instance ([`global`]) across advisors and databases:
+//! versions are process-unique, so a stale or foreign hit is impossible
+//! (a memory clone shares its source's entries because it shares its
+//! contents), and a capacity bound keeps long-lived processes from
+//! accumulating dead versions.
 
 use crate::cost::CostModel;
 use crate::error::ExecError;
+use crate::executor::CostStamp;
 use crate::hypothetical::HypoConfig;
 use crate::planner::{IndexChoice, Plan, Planner};
 use aim_sql::ast::Select;
 use aim_sql::normalize::Fnv1a;
 use aim_storage::Database;
 use std::collections::HashMap;
-use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 const SHARDS: usize = 16;
 /// Per-shard entry bound; a full shard is cleared wholesale (entries are
-/// cheap to recompute and epoch churn retires them anyway).
+/// cheap to recompute and version churn retires them anyway).
 const SHARD_CAPACITY: usize = 1 << 16;
 
-/// FNV-1a of `value`'s formatted form, hashed as it prints — no
-/// intermediate `String`.
-fn printed_fingerprint(value: fmt::Arguments<'_>) -> u64 {
-    let mut hash = Fnv1a::new();
-    hash.write_fmt(value)
-        .expect("the FNV-1a sink never fails");
-    hash.finish()
-}
-
-/// Fingerprint of a SELECT's printed form (literals included).
+/// Fingerprint of a SELECT's printed form (literals included), hashed as
+/// it prints — no intermediate `String`.
 pub fn select_fingerprint(select: &Select) -> u64 {
-    printed_fingerprint(format_args!("{select}"))
-}
-
-/// Fingerprint of the cost model's debug form (every constant + switch).
-fn cm_fingerprint(cm: &CostModel) -> u64 {
-    printed_fingerprint(format_args!("{cm:?}"))
+    let mut hash = Fnv1a::new();
+    write!(hash, "{select}").expect("the FNV-1a sink never fails");
+    hash.finish()
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
-    db: u64,
-    epoch: u64,
+    stamp: CostStamp,
     stmt: u64,
-    ctx: u64,
+    config: u64,
 }
 
 impl Key {
     fn shard(&self) -> usize {
         // Mix so sequential statement hashes spread across shards.
-        let mut x = self.stmt ^ self.ctx.rotate_left(32) ^ self.db ^ self.epoch;
+        let mut x = self.stmt ^ self.config.rotate_left(32) ^ self.stamp.version;
         x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         (x >> 59) as usize % SHARDS
     }
@@ -224,7 +214,7 @@ impl WhatIfCache {
     /// count as misses (they still share a plan, not a planner pass). What
     /// a batch shares:
     ///
-    /// * statement + cost-model fingerprints are computed once,
+    /// * the statement's stamp and fingerprint are computed once,
     /// * one [`Planner`] carries binding, predicate analysis, probe
     ///   contexts and index prices across configs
     ///   ([`Planner::set_config`]),
@@ -254,10 +244,8 @@ impl WhatIfCache {
 
         let mut out: Vec<Option<Result<WhatIfEntry, ExecError>>> = vec![None; configs.len()];
         let mut misses: Vec<(usize, Key)> = Vec::new();
-        let stmt_fp = select_fingerprint(select);
-        let cm_fp = cm_fingerprint(cm);
-        let db_id = db.instance_id();
-        let epoch = db.stats_epoch();
+        let stamp = CostStamp::of(db, select.from.iter().map(|t| t.name.as_str()), cm);
+        let stmt = select_fingerprint(select);
 
         for (i, cfg) in configs.iter().enumerate() {
             if interrupted() {
@@ -272,10 +260,9 @@ impl WhatIfCache {
                 continue;
             }
             let key = Key {
-                db: db_id,
-                epoch,
-                stmt: stmt_fp,
-                ctx: cm_fp ^ cfg.canonical_key().rotate_left(17),
+                stamp,
+                stmt,
+                config: cfg.canonical_key(),
             };
             match self.lookup(&key) {
                 Some(hit) => {
@@ -371,7 +358,13 @@ fn entry_from_plan(plan: &Plan, config: &HypoConfig) -> WhatIfEntry {
 /// something the plan depends on answers another question, and this is
 /// where it shows (DESIGN.md §6).
 #[cfg(debug_assertions)]
-fn audit_hit(db: &Database, select: &Select, config: &HypoConfig, cm: &CostModel, hit: &WhatIfEntry) {
+fn audit_hit(
+    db: &Database,
+    select: &Select,
+    config: &HypoConfig,
+    cm: &CostModel,
+    hit: &WhatIfEntry,
+) {
     let plan = Planner::new(db, select, config, cm)
         .and_then(|planner| planner.plan())
         .expect("a cached statement plans");
@@ -384,9 +377,9 @@ fn audit_hit(db: &Database, select: &Select, config: &HypoConfig, cm: &CostModel
     );
 }
 
-/// The process-global cache every advisor path shares by default. Epoch +
-/// instance-id keying makes sharing safe; [`WhatIfCache::clear`] gives a
-/// measurement or a test a cold start.
+/// The process-global cache every advisor path shares by default. Stamp
+/// keying makes sharing safe; [`WhatIfCache::clear`] gives a measurement or
+/// a test a cold start.
 pub fn global() -> &'static WhatIfCache {
     static GLOBAL: OnceLock<WhatIfCache> = OnceLock::new();
     GLOBAL.get_or_init(WhatIfCache::new)
@@ -504,18 +497,29 @@ mod tests {
     }
 
     #[test]
-    fn stats_epoch_bump_invalidates_entries() {
+    fn a_new_table_version_invalidates_entries() {
         let mut db = db();
+        db.create_table(
+            TableSchema::new("u", vec![ColumnDef::new("id", ColumnType::Int)], &["id"]).unwrap(),
+        )
+        .unwrap();
         let cache = WhatIfCache::new();
         let cm = CostModel::default();
         let s = select("SELECT id FROM t WHERE a = 7");
         let cfg = HypoConfig::only(Vec::new());
         let before = cache.eval_select(&db, &s, &cfg, &cm).unwrap();
 
-        // DML growth + re-ANALYZE: the epoch moves, the cached cost must
-        // not be reused, and the fresh cost reflects the bigger table.
+        // A write to a table the statement does not bind keeps the entry.
         let mut io = IoStats::new();
-        let e0 = db.stats_epoch();
+        db.table_mut("u").unwrap().insert(vec![Value::Int(1)], &mut io).unwrap();
+        db.analyze_all();
+        assert_eq!(cache.eval_select(&db, &s, &cfg, &cm).unwrap(), before);
+        assert_eq!(cache.stats().hits, 1);
+
+        // DML growth + re-ANALYZE of `t`: its version moves, the cached
+        // cost must not be reused, and the fresh cost reflects the bigger
+        // table.
+        let v0 = db.table("t").unwrap().version();
         for i in 3000..9000i64 {
             db.table_mut("t")
                 .unwrap()
@@ -523,11 +527,10 @@ mod tests {
                 .unwrap();
         }
         db.analyze_all();
-        assert!(db.stats_epoch() > e0);
+        assert!(db.table("t").unwrap().version() > v0);
 
-        let hits_before = cache.stats().hits;
         let after = cache.eval_select(&db, &s, &cfg, &cm).unwrap();
-        assert_eq!(cache.stats().hits, hits_before, "stale entry must miss");
+        assert_eq!(cache.stats().hits, 1, "stale entry must miss");
         assert!(
             after.cost > before.cost,
             "tripled table must cost more: {} vs {}",

@@ -1,25 +1,38 @@
-//! The content version as a differential oracle (DESIGN.md §18). Clone
-//! validation takes the cost the monitor recorded for an exemplar wherever
-//! the test bed's version and cost model equal the recording's stamp, so a
-//! version must name contents exactly:
+//! The content version as a differential oracle (DESIGN.md §18). A cost's
+//! stamp is the newest version among the tables its statement binds, plus
+//! the cost model; clone validation takes the cost the monitor recorded
+//! for an exemplar wherever the exemplar's stamp on the test bed equals the
+//! recording's, and the what-if cache is keyed by it. So a version must
+//! name one table's contents exactly, and the newest of a set must name the
+//! whole set:
 //!
 //! - over the TPC-H and Product B corpora, before and after their index
 //!   sets, every SELECT executed on a database and on its memory clone
 //!   carries the same stamp, runs an execution-identical plan, costs the
 //!   same bits and returns the same rows;
-//! - every kind of change draws a version never seen before, two clones
-//!   changed apart never share one, and a clone of a disk-backed database
-//!   does not share its source's.
+//! - every kind of change to a table draws it a version never seen before
+//!   and leaves every other table's alone; two clones changed apart never
+//!   share one, and a clone of a disk-backed database does not share its
+//!   source's;
+//! - over seeded runs of changes and clones, two states with equal stamps
+//!   over a set of tables have equal versions over that set and execute
+//!   every SELECT over it alike.
 
 mod common;
 
-use aim_exec::{Engine, ExecOutcome};
-use aim_sql::{parse_statement, Statement};
+use aim_exec::{CostModel, CostStamp, Engine, ExecOutcome, Plan};
+use aim_sql::{parse_statement, Select, Statement};
 use aim_storage::{
-    ColumnDef, ColumnType, Database, IndexDef, IoStats, PagerOptions, TableSchema, Value,
+    ColumnDef, ColumnType, Database, IndexDef, IoStats, PagerOptions, Row, TableSchema, Value,
 };
 use aim_workloads::production;
-use std::collections::BTreeSet;
+use aim_workloads::rng::{Rng, SeedableRng, StdRng};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// Every table's version, by name.
+fn versions(db: &Database) -> BTreeMap<String, u64> {
+    db.tables().map(|t| (t.schema().name.clone(), t.version())).collect()
+}
 
 /// Executes every SELECT of `fixture` on its database and on a memory
 /// clone, before and after the fixture's indexes; returns how many were
@@ -43,8 +56,8 @@ fn clone_executes_alike(fixture: common::Fixture) -> usize {
             production::apply_indexes(&mut db, &indexes);
         }
         let mut clone = db.clone();
-        let stamp = engine.stamp(&db);
-        assert_eq!(engine.stamp(&clone), stamp, "{name}");
+        let before = versions(&db);
+        assert_eq!(versions(&clone), before, "{name}");
         for stmt in &selects {
             let on_db = engine.execute(&mut db, stmt);
             let on_clone = engine.execute(&mut clone, stmt);
@@ -58,10 +71,10 @@ fn clone_executes_alike(fixture: common::Fixture) -> usize {
                     && a.cost.to_bits() == b.cost.to_bits()
                     && a.rows == b.rows
             };
-            assert_eq!(a.stamp, stamp, "{name}: a SELECT moved the version: {stmt}");
             assert!(same(a, b), "{name}: {stmt}\n  source {a:?}\n  clone {b:?}");
             compared += 1;
         }
+        assert_eq!(versions(&db), before, "{name}: a SELECT moved a version");
     }
     compared
 }
@@ -78,6 +91,7 @@ fn table(name: &str) -> TableSchema {
         vec![
             ColumnDef::new("id", ColumnType::Int),
             ColumnDef::new("a", ColumnType::Int),
+            ColumnDef::new("b", ColumnType::Int),
         ],
         &["id"],
     )
@@ -91,79 +105,230 @@ fn run(db: &mut Database, sql: &str) {
         .unwrap();
 }
 
+/// Every version observed so far.
+#[derive(Default)]
+struct Seen(BTreeSet<u64>);
+
+impl Seen {
+    /// Asserts that every table of `db` holds a version never seen before.
+    fn all_fresh(&mut self, db: &Database, what: &str) {
+        for (name, version) in versions(db) {
+            assert!(self.0.insert(version), "{what}: version {version} of {name} seen before");
+        }
+    }
+
+    /// Applies `change` to `db` and asserts that it drew `table` a version
+    /// never seen before (`fresh`) or left it alone, and left every other
+    /// table's alone.
+    fn change(
+        &mut self,
+        db: &mut Database,
+        table: &str,
+        fresh: bool,
+        what: &str,
+        change: impl FnOnce(&mut Database),
+    ) {
+        let mut before = versions(db);
+        change(db);
+        let mut after = versions(db);
+        let version = after.remove(table).unwrap();
+        let was = before.remove(table);
+        if fresh {
+            assert!(self.0.insert(version), "{what}: version {version} of {table} seen before");
+        } else {
+            assert_eq!(Some(version), was, "{what}: {table} drew a version");
+        }
+        assert_eq!(after, before, "{what}: another table's version moved");
+    }
+}
+
 #[test]
 fn every_change_draws_a_version_never_seen() {
-    let mut seen = BTreeSet::new();
-    let mut fresh = |db: &Database, what: &str| {
-        assert!(
-            seen.insert(db.stats_epoch()),
-            "{what}: version {} seen before",
-            db.stats_epoch()
-        );
-    };
+    let mut seen = Seen::default();
     let mut db = Database::new();
-    fresh(&db, "a new database");
-    fresh(&Database::new(), "another new database");
-    db.create_table(table("t")).unwrap();
-    fresh(&db, "create_table");
-    run(
-        &mut db,
-        "INSERT INTO t (id, a) VALUES (1, 10), (2, 20), (3, 30)",
-    );
-    fresh(&db, "INSERT");
-    run(&mut db, "UPDATE t SET a = 11 WHERE id = 1");
-    fresh(&db, "UPDATE");
-    run(&mut db, "DELETE FROM t WHERE id = 3");
-    fresh(&db, "DELETE");
-    db.table_mut("t").unwrap();
-    fresh(&db, "table_mut");
+    seen.change(&mut db, "t", true, "create_table", |db| db.create_table(table("t")).unwrap());
+    seen.change(&mut db, "u", true, "create_table", |db| db.create_table(table("u")).unwrap());
+    run(&mut db, "INSERT INTO u (id, a, b) VALUES (1, 1, 1)");
     db.analyze_all();
-    fresh(&db, "ANALYZE that changed statistics");
-    let analysed = db.stats_epoch();
-    db.analyze_all();
-    assert_eq!(db.stats_epoch(), analysed, "ANALYZE that changed nothing");
-    db.create_index(
-        IndexDef::new("ix_a", "t", vec!["a".into()]),
-        &mut IoStats::new(),
-    )
-    .unwrap();
-    fresh(&db, "create_index");
-    db.drop_index("t", "ix_a").unwrap();
-    fresh(&db, "drop_index");
-    fresh(&db.sample(0.5, 1), "sample");
+    seen.all_fresh(&db, "ANALYZE of both");
 
-    // A memory clone shares the version until either side changes; two
+    for (what, sql) in [
+        ("INSERT", "INSERT INTO t (id, a, b) VALUES (1, 10, 0), (2, 20, 0), (3, 30, 0)"),
+        ("UPDATE", "UPDATE t SET a = 11 WHERE id = 1"),
+        ("DELETE", "DELETE FROM t WHERE id = 3"),
+    ] {
+        seen.change(&mut db, "t", true, what, |db| run(db, sql));
+    }
+    seen.change(&mut db, "t", true, "table_mut", |db| {
+        db.table_mut("t").unwrap();
+    });
+    seen.change(&mut db, "t", true, "ANALYZE that changed statistics", Database::analyze_all);
+    seen.change(&mut db, "u", true, "DELETE", |db| run(db, "DELETE FROM u WHERE id = 1"));
+    db.analyze_all();
+    seen.change(&mut db, "t", false, "ANALYZE that changed nothing", Database::analyze_all);
+    let ix_a = IndexDef::new("ix_a", "t", vec!["a".into()]);
+    seen.change(&mut db, "t", true, "create_index", |db| {
+        db.create_index(ix_a, &mut IoStats::new()).unwrap()
+    });
+    seen.change(&mut db, "t", true, "drop_index", |db| {
+        db.drop_index("t", "ix_a").unwrap();
+    });
+    seen.all_fresh(&db.sample(0.5, 1), "sample");
+
+    // A memory clone shares the versions until either side changes; two
     // clones changed alike still never share one.
     let mut a = db.clone();
     let mut b = db.try_clone().unwrap();
-    assert_eq!(
-        (a.stats_epoch(), b.stats_epoch()),
-        (db.stats_epoch(), db.stats_epoch())
-    );
-    run(&mut a, "INSERT INTO t (id, a) VALUES (9, 90)");
-    run(&mut b, "INSERT INTO t (id, a) VALUES (9, 90)");
-    fresh(&a, "INSERT into one clone");
-    fresh(&b, "the same INSERT into another");
-    assert_ne!(db.stats_epoch(), a.stats_epoch());
+    assert_eq!((versions(&a), versions(&b)), (versions(&db), versions(&db)));
+    let insert = |db: &mut Database| run(db, "INSERT INTO t (id, a, b) VALUES (9, 90, 0)");
+    seen.change(&mut a, "t", true, "INSERT into one clone", insert);
+    seen.change(&mut b, "t", true, "the same INSERT into another", insert);
+    assert_ne!(versions(&db), versions(&a));
 
-    // On disk: opening draws a version, and so does cloning.
+    // On disk: loading draws versions, and so does cloning.
     let dir = std::env::temp_dir().join(format!("aim-content-version-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut disk = Database::open_disk(&dir, PagerOptions::default()).unwrap();
-    fresh(&disk, "open_disk");
-    disk.create_table(table("t")).unwrap();
-    fresh(&disk, "create_table on disk");
-    disk.table_mut("t")
-        .unwrap()
-        .insert(vec![Value::Int(1), Value::Int(10)], &mut IoStats::new())
-        .unwrap();
-    fresh(&disk, "insert on disk");
-    fresh(&disk.clone(), "a clone of a disk-backed database");
-    fresh(&disk.try_clone().unwrap(), "another");
+    seen.change(&mut disk, "t", true, "create_table on disk", |db| {
+        db.create_table(table("t")).unwrap()
+    });
+    seen.change(&mut disk, "u", true, "create_table on disk", |db| {
+        db.create_table(table("u")).unwrap()
+    });
+    seen.change(&mut disk, "t", true, "insert on disk", |db| {
+        let row = vec![Value::Int(1), Value::Int(10), Value::Int(0)];
+        db.table_mut("t").unwrap().insert(row, &mut IoStats::new()).unwrap()
+    });
+    seen.all_fresh(&disk.clone(), "a clone of a disk-backed database");
+    seen.all_fresh(&disk.try_clone().unwrap(), "another");
     drop(disk);
-    fresh(
-        &Database::open_disk(&dir, PagerOptions::default()).unwrap(),
-        "reopening",
+    seen.all_fresh(&Database::open_disk(&dir, PagerOptions::default()).unwrap(), "reopening");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+const TABLES: [&str; 3] = ["t0", "t1", "t2"];
+
+/// One SELECT over the tables of `set` (a bitmask over [`TABLES`]): an
+/// equi-join chain on `a` with a filter on the first table's `b`.
+fn select_over(set: usize) -> Select {
+    let names: Vec<&str> =
+        (0..TABLES.len()).filter(|i| set & (1 << i) != 0).map(|i| TABLES[i]).collect();
+    let joins: String = names.windows(2).map(|w| format!(" AND {}.a = {}.a", w[0], w[1])).collect();
+    let sql = format!(
+        "SELECT {first}.id, {last}.b FROM {from} WHERE {first}.b < 6{joins} ORDER BY {first}.id",
+        first = names[0],
+        last = names[names.len() - 1],
+        from = names.join(", "),
     );
+    match parse_statement(&sql).unwrap() {
+        Statement::Select(select) => select,
+        other => panic!("{other}"),
+    }
+}
+
+/// What a state shows of a set of tables: their versions, and each SELECT
+/// over them executed.
+type Sight = (Vec<u64>, Plan, u64, Vec<Row>);
+
+/// Looks at every set of tables of `db`: the first state seen under a
+/// stamp is recorded, every later one must look the same.
+fn observe(
+    db: &Database,
+    selects: &[(usize, Select)],
+    sights: &mut HashMap<(usize, CostStamp), Sight>,
+) -> usize {
+    let engine = Engine::new();
+    let cm = CostModel::default();
+    let mut compared = 0;
+    for (set, select) in selects {
+        let names = select.from.iter().map(|t| t.name.as_str());
+        let stamp = CostStamp::of(db, names.clone(), &cm);
+        let versions = names.map(|name| db.table(name).unwrap().version()).collect();
+        let out = engine.execute_select(db, select).unwrap();
+        assert_eq!(out.stamp, stamp, "{select}");
+        let sight = (versions, out.plan, out.cost.to_bits(), out.rows);
+        match sights.get(&(*set, stamp)) {
+            None => {
+                sights.insert((*set, stamp), sight);
+            }
+            Some(first) => {
+                assert_eq!(first.0, sight.0, "{select}: equal stamps, other versions");
+                assert!(
+                    first.1.same_execution(&sight.1) && (first.2, &first.3) == (sight.2, &sight.3),
+                    "{select}: equal stamps, other executions\n  {first:?}\n  {sight:?}"
+                );
+                compared += 1;
+            }
+        }
+    }
+    compared
+}
+
+/// Seeded changes — DML, index DDL, ANALYZE, memory clones and clones of a
+/// disk-backed database — over three tables on up to five instances; after
+/// each, the changed or new instance is observed ([`observe`]).
+#[test]
+fn equal_stamps_over_a_set_of_tables_mean_equal_tables_and_equal_executions() {
+    let dir = std::env::temp_dir().join(format!("aim-content-stamps-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let selects: Vec<(usize, Select)> =
+        (1..1 << TABLES.len()).map(|set| (set, select_over(set))).collect();
+    let mut rng = StdRng::seed_from_u64(0x57a3);
+    let disk = Database::open_disk(&dir, PagerOptions::default()).unwrap();
+    let mut instances = vec![Database::new(), disk];
+    let mut next_id = 0i64;
+    for db in &mut instances {
+        for name in TABLES {
+            db.create_table(table(name)).unwrap();
+            for _ in 0..12 {
+                next_id += 1;
+                let (a, b) = (next_id % 5, next_id % 11);
+                run(db, &format!("INSERT INTO {name} (id, a, b) VALUES ({next_id}, {a}, {b})"));
+            }
+        }
+        db.analyze_all();
+    }
+    let mut sights = HashMap::new();
+    let mut compared = 0;
+    for _ in 0..160 {
+        let mut at = rng.gen_range(0..instances.len());
+        let name = TABLES[rng.gen_range(0..TABLES.len())];
+        let (a, b) = (rng.gen_range(0..5i64), rng.gen_range(0..11i64));
+        let db = &mut instances[at];
+        match rng.gen_range(0..8usize) {
+            0 | 1 => {
+                next_id += 1;
+                run(db, &format!("INSERT INTO {name} (id, a, b) VALUES ({next_id}, {a}, {b})"));
+            }
+            2 => run(db, &format!("UPDATE {name} SET b = {b} WHERE a = {a}")),
+            3 => run(db, &format!("DELETE FROM {name} WHERE a = {a} AND b = {b}")),
+            4 => {
+                let column = if a % 2 == 0 { "a" } else { "b" };
+                let ix = format!("ix_{name}_{column}");
+                if db.table(name).unwrap().index(&ix).is_some() {
+                    db.drop_index(name, &ix).unwrap();
+                } else {
+                    let def = IndexDef::new(ix, name, vec![column.into()]);
+                    db.create_index(def, &mut IoStats::new()).unwrap();
+                }
+            }
+            5 => db.analyze_all(),
+            // A clone of this instance, or of the disk-backed one.
+            op => {
+                let source = if op == 6 { at } else { 1 };
+                let clone = instances[source].clone();
+                if instances.len() < 5 {
+                    instances.push(clone);
+                    at = instances.len() - 1;
+                } else {
+                    at = rng.gen_range(2..instances.len());
+                    instances[at] = clone;
+                }
+            }
+        }
+        compared += observe(&instances[at], &selects, &mut sights);
+    }
+    assert!(compared > 400, "only {compared} equal stamps compared");
+    drop(instances);
     let _ = std::fs::remove_dir_all(&dir);
 }

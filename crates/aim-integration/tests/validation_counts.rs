@@ -9,10 +9,10 @@
 //! their own binary and take turns.
 //!
 //! The baseline replay is pinned on its own (validation cut off before its
-//! first round): on the source the monitor observed it executes nothing,
-//! and it executes every exemplar on the two sources where the version
-//! rule must stop reuse — one written to after it was observed, and one on
-//! disk.
+//! first round): on the source the monitor observed it executes nothing.
+//! After a write it executes exactly the exemplars that bind the written
+//! table — none for a table no exemplar reads — and on a disk-backed
+//! source it executes every exemplar.
 
 mod common;
 
@@ -22,7 +22,7 @@ use aim_core::{
 };
 use aim_exec::{CostModel, Engine};
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor, WorkloadQuery};
-use aim_sql::parse_statement;
+use aim_sql::{parse_statement, Statement};
 use aim_storage::fault::{self, FaultPlan};
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, PagerOptions, TableSchema};
 use aim_telemetry as tel;
@@ -156,10 +156,11 @@ fn a_validated_pass_pays_for_what_its_candidates_change() {
     assert_eq!((executed_in_all, reused_in_all), (executed, reused));
 }
 
-/// Every exemplar of the baseline runs when the source was written to after
-/// the monitor observed it — even a table no exemplar reads.
+/// A write after the monitor observed the source moves only the written
+/// table's version: the baseline still takes every exemplar from the
+/// monitor when no exemplar reads that table.
 #[test]
-fn a_write_after_observing_runs_the_whole_baseline() {
+fn a_write_to_a_table_no_exemplar_reads_leaves_the_baseline_reusable() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut db = tpch::build_database(&tpch::TpchConfig::default());
     let audit = TableSchema::new("audit", vec![ColumnDef::new("id", ColumnType::Int)], &["id"]);
@@ -168,7 +169,26 @@ fn a_write_after_observing_runs_the_whole_baseline() {
     let (workload, picked) = chosen(&db, &monitor);
     let insert = parse_statement("INSERT INTO audit (id) VALUES (1)").unwrap();
     Engine::new().execute(&mut db, &insert).unwrap();
-    assert_eq!(validated(&db, &workload, &picked, 0), (0, 22, 0));
+    // Was (0, 22, 0) while the version covered the whole database.
+    assert_eq!(validated(&db, &workload, &picked, 0), (0, 0, 22));
+}
+
+/// A write to `nation` executes the nine exemplars that bind it — Q2, Q5,
+/// Q7, Q8, Q9, Q10, Q11, Q20 and Q21 — and reuses the other thirteen.
+#[test]
+fn a_write_to_nation_executes_the_exemplars_that_bind_it() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut db, monitor) = tpch_case();
+    let (workload, picked) = chosen(&db, &monitor);
+    let binds_nation = |wq: &&WorkloadQuery| match &wq.stats.exemplar {
+        Statement::Select(sel) => sel.from.iter().any(|t| t.name == "nation"),
+        _ => false,
+    };
+    assert_eq!(workload.iter().filter(binds_nation).count(), 9);
+    let insert = "INSERT INTO nation (n_nationkey, n_name, n_regionkey) VALUES (99, 'NATION99', 0)";
+    Engine::new().execute(&mut db, &parse_statement(insert).unwrap()).unwrap();
+    // The parent, with one version for the whole database: (0, 22, 0).
+    assert_eq!(validated(&db, &workload, &picked, 0), (0, 9, 13));
 }
 
 /// Every exemplar of the baseline runs when the source is disk-backed: the

@@ -18,12 +18,13 @@ use std::sync::{Arc, Mutex};
 static LOCK: Mutex<()> = Mutex::new(());
 
 /// A second ranking over an unchanged database answers every slot from the
-/// cache; a stats-epoch bump makes every slot miss again.
+/// cache; a new version of one table makes exactly the slots of the
+/// statements that bind it miss again.
 #[test]
 fn repeated_ranking_is_answered_from_the_cache_until_the_epoch_moves() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut db = common::oltp_db();
-    let monitor = common::observe(&mut db, common::oltp_texts());
+    let common::Fixture { mut db, texts, .. } = common::tpch_fixture();
+    let monitor = common::observe(&mut db, texts);
     db.analyze_all();
     let workload = select_workload(
         &monitor,
@@ -55,12 +56,30 @@ fn repeated_ranking_is_answered_from_the_cache_until_the_epoch_moves() {
     assert_eq!(warm.misses, cold.misses, "an unchanged database must not be planned again");
     assert_eq!(warm.hits - cold.hits, cold.hits + cold.misses, "every slot is a hit");
 
-    // Handing out `&mut Table` bumps the stats epoch: same data, new keys.
+    // Handing out `&mut Table` draws `orders` a new version: same data, new
+    // keys for the statements that bind it, and only for those.
     db.table_mut("orders").unwrap();
     let third = bits(&db);
     let moved = cache.stats();
     assert_eq!(third, first);
-    assert_eq!(moved.misses - warm.misses, cold.misses, "a new epoch misses as a cold cache does");
+    // The parent keyed entries by one version of the whole database: 60
+    // misses, a cold cache's.
+    assert_eq!((cold.misses, moved.misses - warm.misses), (60, 29));
+
+    // 29 is what ranking the 10 of 22 statements that bind `orders` costs
+    // alone.
+    let binds_orders: Vec<_> = workload
+        .iter()
+        .filter(|wq| match &wq.stats.exemplar {
+            Statement::Select(sel) => sel.from.iter().any(|t| t.name == "orders"),
+            _ => false,
+        })
+        .cloned()
+        .collect();
+    cache.clear();
+    rank_candidates_with(&db, &binds_orders, &candidates, &cm, 1);
+    assert_eq!((binds_orders.len(), workload.len()), (10, 22));
+    assert_eq!(cache.stats().misses, moved.misses - warm.misses);
 }
 
 fn table(name: &str, columns: &[&str]) -> TableSchema {

@@ -8,26 +8,10 @@ use crate::io::IoStats;
 use crate::pager::PagerOptions;
 use crate::schema::{IndexDef, TableSchema};
 use crate::stats::{analyze, TableStats, DEFAULT_BUCKETS};
-use crate::table::Table;
+use crate::table::{next_version, Table};
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Source of process-unique database instance identifiers (cache keying).
-static NEXT_DB_ID: AtomicU64 = AtomicU64::new(1);
-
-fn next_db_id() -> u64 {
-    NEXT_DB_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Source of content versions: one counter for the whole process, so a
-/// version is never drawn twice.
-static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
-
-fn next_version() -> u64 {
-    NEXT_VERSION.fetch_add(1, Ordering::Relaxed)
-}
 
 /// An in-memory database instance.
 ///
@@ -36,27 +20,17 @@ fn next_version() -> u64 {
 /// indexes are materialized and traffic replayed without touching
 /// "production".
 ///
-/// Two numbers name an instance's state, for two different questions.
-/// [`Database::instance_id`] is *which instance*: fresh for every database
-/// and every clone, so what-if cost caches keyed by `(instance_id,
-/// stats_epoch)` never confuse a clone with its source. The **content
-/// version** ([`Database::stats_epoch`]) is *which contents*: data, schema,
-/// index set and statistics, as the executor prices them. Every change of
-/// those draws a new value from one process-wide counter, and only a
-/// memory-backed clone shares its source's. So two states with the same
-/// version, in any two instances, execute a statement with the same plan
-/// and the same cost bits under one cost model (DESIGN.md §18).
+/// What a state is, as the executor prices it, is kept per table: every
+/// [`Table::version`] names that table's rows, schema, index set and
+/// statistics. Every change of those draws a new value from one
+/// process-wide counter, and only a memory-backed clone shares its
+/// source's. So a statement over tables whose newest version is the same
+/// in two states, in any two instances, runs with the same plan and the
+/// same cost bits under one cost model (DESIGN.md §18).
 #[derive(Debug)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
     stats: BTreeMap<String, TableStats>,
-    /// Process-unique identity of this instance (fresh on clone).
-    id: u64,
-    /// Content version of (data, schema, index set, statistics): a fresh
-    /// value on creation, on any mutable access and on re-analysis that
-    /// changed statistics. Whether statistics are due is tracked per table
-    /// ([`Database::stats_dirty`]).
-    version: u64,
     /// Durability backend shared by every table. [`memory_backend`] for
     /// pure in-memory instances; a [`DiskBackend`] for pager-backed ones.
     backend: Arc<dyn StorageBackend>,
@@ -67,8 +41,6 @@ impl Default for Database {
         Self {
             tables: BTreeMap::new(),
             stats: BTreeMap::new(),
-            id: next_db_id(),
-            version: next_version(),
             backend: memory_backend(),
         }
     }
@@ -79,22 +51,21 @@ impl Clone for Database {
     /// runs on: a clone is the paper's MyShadow *test* instance — candidate
     /// indexes are materialized and traffic replayed on it, and none of
     /// that experimentation may reach the production WAL or data files.
-    /// A clone of a memory-backed source keeps its content version; a
-    /// clone of a disk-backed one draws a new one, since its costs come
+    /// A clone of a memory-backed source keeps its tables' versions; a
+    /// clone of a disk-backed one draws new ones, since its costs come
     /// from the model where the source's came from page walks.
     fn clone(&self) -> Self {
+        let disk = self.backend_kind() == BackendKind::Disk;
         let mut tables = self.tables.clone();
         for table in tables.values_mut() {
             table.detach_to_memory();
+            if disk {
+                table.version = next_version();
+            }
         }
         Self {
             tables,
             stats: self.stats.clone(),
-            id: next_db_id(),
-            version: match self.backend_kind() {
-                BackendKind::Memory => self.version,
-                BackendKind::Disk => next_version(),
-            },
             backend: memory_backend(),
         }
     }
@@ -125,8 +96,6 @@ impl Database {
         let mut db = Database {
             tables,
             stats: BTreeMap::new(),
-            id: next_db_id(),
-            version: next_version(),
             backend,
         };
         db.analyze_all();
@@ -158,19 +127,6 @@ impl Database {
         self.backend.counters()
     }
 
-    /// Process-unique identity of this instance. Clones get a fresh id.
-    pub fn instance_id(&self) -> u64 {
-        self.id
-    }
-
-    /// The content version: changes whenever data, schema, the index set or
-    /// the statistics may have changed, and is never the version of another
-    /// state (see [`Database`]). Cached what-if costs computed under an
-    /// older version are stale.
-    pub fn stats_epoch(&self) -> u64 {
-        self.version
-    }
-
     /// True when some table's rows or schema may have drifted from its
     /// installed statistics — i.e. a mutable handle to it was taken since
     /// it was last analyzed. Tuning passes use this to skip redundant
@@ -187,7 +143,6 @@ impl Database {
             return Err(StorageError::DuplicateTable(schema.name));
         }
         self.backend.persist_create_table(&schema)?;
-        self.version = next_version();
         self.tables.insert(
             schema.name.clone(),
             Table::new(schema).with_backend(self.backend.clone()),
@@ -205,25 +160,25 @@ impl Database {
     /// Mutable table lookup. Refresh statistics after bulk changes via
     /// [`Database::analyze_all`].
     ///
-    /// Handing out `&mut Table` conservatively bumps the content version and
-    /// marks the table's statistics stale: every data mutation flows
-    /// through here, and a spurious bump only costs a cache miss and one
-    /// table's re-ANALYZE, never a stale cost.
+    /// Handing out `&mut Table` conservatively draws the table a new
+    /// version and marks its statistics stale: every data mutation flows
+    /// through here, and a spurious draw only costs cache misses on this
+    /// table and its re-ANALYZE, never a stale cost.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, StorageError> {
         let table = self.index_set_mut(name)?;
         table.stats_stale = true;
         Ok(table)
     }
 
-    /// The handle index DDL works through: bumps the content version (plans may
-    /// change) but leaves the table's statistics current, since they do
+    /// The handle index DDL works through: draws the table a new version
+    /// (plans may change) but leaves its statistics current, since they do
     /// not depend on its index set.
     fn index_set_mut(&mut self, name: &str) -> Result<&mut Table, StorageError> {
         let table = self
             .tables
             .get_mut(name)
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))?;
-        self.version = next_version();
+        table.version = next_version();
         Ok(table)
     }
 
@@ -296,20 +251,16 @@ impl Database {
     /// ANALYZE of one table: installs its recomputed statistics and clears
     /// its stale mark — unless the install was corrupted by an injected
     /// fault, which leaves the table stale so the next clean ANALYZE heals
-    /// it. Bumps the content version only when the statistics actually
+    /// it. Draws the table a new version only when the statistics actually
     /// differ, so re-analysis of unchanged data keeps what-if cost caches
     /// warm.
-    fn refresh(
-        table: &mut Table,
-        installed: &mut BTreeMap<String, TableStats>,
-        version: &mut u64,
-    ) {
+    fn refresh(table: &mut Table, installed: &mut BTreeMap<String, TableStats>) {
         let mut stats = analyze(table, DEFAULT_BUCKETS);
         table.stats_stale = Self::maybe_corrupt(&mut stats);
         let name = &table.schema().name;
         if installed.get(name) != Some(&stats) {
-            *version = next_version();
             installed.insert(name.clone(), stats);
+            table.version = next_version();
         }
     }
 
@@ -321,7 +272,7 @@ impl Database {
         #[cfg(debug_assertions)]
         self.audit_skipped_statistics();
         for table in self.tables.values_mut().filter(|t| t.stats_stale) {
-            Self::refresh(table, &mut self.stats, &mut self.version);
+            Self::refresh(table, &mut self.stats);
         }
     }
 
@@ -568,31 +519,33 @@ mod tests {
         assert_send_sync::<TableStats>();
     }
 
+    fn version(db: &Database) -> u64 {
+        db.table("t").unwrap().version()
+    }
+
     #[test]
-    fn clone_gets_fresh_instance_id() {
+    fn a_memory_clone_keeps_its_tables_versions() {
         let db = db();
-        let clone = db.clone();
-        assert_ne!(db.instance_id(), clone.instance_id());
-        assert_eq!(db.stats_epoch(), clone.stats_epoch());
+        assert_eq!(version(&db.clone()), version(&db));
     }
 
     #[test]
     fn epoch_bumps_on_mutation_and_index_changes() {
         let mut db = db();
-        let e0 = db.stats_epoch();
+        let e0 = version(&db);
         let mut io = IoStats::new();
         db.table_mut("t")
             .unwrap()
             .insert(vec![Value::Int(1), Value::Int(10)], &mut io)
             .unwrap();
-        let e1 = db.stats_epoch();
-        assert!(e1 > e0, "data mutation must bump the epoch");
+        let e1 = version(&db);
+        assert!(e1 > e0, "data mutation must draw a version");
         db.create_index(IndexDef::new("ix_a", "t", vec!["a".into()]), &mut io)
             .unwrap();
-        let e2 = db.stats_epoch();
-        assert!(e2 > e1, "index creation must bump the epoch");
+        let e2 = version(&db);
+        assert!(e2 > e1, "index creation must draw a version");
         db.drop_index("t", "ix_a").unwrap();
-        assert!(db.stats_epoch() > e2, "index drop must bump the epoch");
+        assert!(version(&db) > e2, "index drop must draw a version");
     }
 
     #[test]
@@ -606,21 +559,21 @@ mod tests {
                 .unwrap();
         }
         db.analyze_all();
-        let e = db.stats_epoch();
+        let e = version(&db);
         db.analyze_all();
         assert_eq!(
-            db.stats_epoch(),
+            version(&db),
             e,
             "ANALYZE over unchanged data must not invalidate caches"
         );
-        // A data change followed by re-analysis bumps twice (mutation +
+        // A data change followed by re-analysis draws twice (mutation +
         // changed stats).
         db.table_mut("t")
             .unwrap()
             .insert(vec![Value::Int(1000), Value::Int(3)], &mut io)
             .unwrap();
         db.analyze_all();
-        assert!(db.stats_epoch() >= e + 2);
+        assert!(version(&db) >= e + 2);
     }
 
     #[test]
@@ -656,14 +609,14 @@ mod tests {
         }
         db.analyze_all();
         let stats = db.stats("t").unwrap().clone();
-        let e0 = db.stats_epoch();
+        let e0 = version(&db);
         db.create_index(IndexDef::new("ix_a", "t", vec!["a".into()]), &mut io)
             .unwrap();
-        assert!(db.stats_epoch() > e0);
+        assert!(version(&db) > e0);
         assert!(!db.stats_dirty(), "an index build changes no row");
-        let e1 = db.stats_epoch();
+        let e1 = version(&db);
         db.drop_index("t", "ix_a").unwrap();
-        assert!(db.stats_epoch() > e1);
+        assert!(version(&db) > e1);
         assert!(!db.stats_dirty());
         assert_eq!(db.stats("t"), Some(&stats));
         // What a full recomputation would install is what is installed.

@@ -14,7 +14,17 @@ use crate::schema::{IndexDef, TableSchema};
 use crate::value::{Key, Row, Value};
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Source of content versions: one counter for the whole process, so a
+/// version is never drawn twice and every draw is larger than the ones
+/// before it.
+static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
+
+pub(crate) fn next_version() -> u64 {
+    NEXT_VERSION.fetch_add(1, Ordering::Relaxed)
+}
 
 /// A table: clustered rows plus secondary indexes.
 ///
@@ -30,6 +40,9 @@ pub struct Table {
     indexes: BTreeMap<String, SecondaryIndex>,
     /// Running total of row bytes, for page-count estimation.
     total_row_bytes: u64,
+    /// Content version of (rows, schema, index set, installed statistics);
+    /// kept by [`crate::Database`], see [`Table::version`].
+    pub(crate) version: u64,
     /// Rows or schema may have changed since the owning database last
     /// installed statistics for this table; kept by [`crate::Database`].
     pub(crate) stats_stale: bool,
@@ -45,9 +58,20 @@ impl Table {
             rows: BTreeMap::new(),
             indexes: BTreeMap::new(),
             total_row_bytes: 0,
+            version: next_version(),
             stats_stale: true,
             backend: memory_backend(),
         }
+    }
+
+    /// The content version: which rows, schema, index set and installed
+    /// statistics this table has, as the executor prices them. A database
+    /// draws a fresh value from one process-wide counter at every change
+    /// of those, and only a memory-backed clone shares its source's, so
+    /// two tables with the same version hold the same contents (DESIGN.md
+    /// §18).
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// Attaches a backend (builder style; used at table creation, before
