@@ -15,8 +15,9 @@
 //!   share one, and a clone of a disk-backed database does not share its
 //!   source's;
 //! - over seeded runs of changes and clones, two states with equal stamps
-//!   over a set of tables have equal versions over that set and execute
-//!   every SELECT over it alike.
+//!   over a set of tables have equal versions over that set, and every
+//!   SELECT over it runs the same plan at the same executed and estimated
+//!   cost bits and returns the same rows.
 
 mod common;
 
@@ -226,9 +227,10 @@ fn select_over(set: usize) -> Select {
     }
 }
 
-/// What a state shows of a set of tables: their versions, and each SELECT
-/// over them executed.
-type Sight = (Vec<u64>, Plan, u64, Vec<Row>);
+/// What a state shows of a set of tables: their versions, and a SELECT
+/// over them executed — its plan, the bits of its executed cost and of its
+/// estimated cost and rows, and its result.
+type Sight = (Vec<u64>, Plan, [u64; 3], Vec<Row>);
 
 /// Looks at every set of tables of `db`: the first state seen under a
 /// stamp is recorded, every later one must look the same.
@@ -246,7 +248,8 @@ fn observe(
         let versions = names.map(|name| db.table(name).unwrap().version()).collect();
         let out = engine.execute_select(db, select).unwrap();
         assert_eq!(out.stamp, stamp, "{select}");
-        let sight = (versions, out.plan, out.cost.to_bits(), out.rows);
+        let costs = [out.cost, out.plan.est_cost, out.plan.result_rows].map(f64::to_bits);
+        let sight = (versions, out.plan, costs, out.rows);
         match sights.get(&(*set, stamp)) {
             None => {
                 sights.insert((*set, stamp), sight);
@@ -255,7 +258,7 @@ fn observe(
                 assert_eq!(first.0, sight.0, "{select}: equal stamps, other versions");
                 assert!(
                     first.1.same_execution(&sight.1) && (first.2, &first.3) == (sight.2, &sight.3),
-                    "{select}: equal stamps, other executions\n  {first:?}\n  {sight:?}"
+                    "{select}: equal stamps, other costs\n  {first:?}\n  {sight:?}"
                 );
                 compared += 1;
             }
