@@ -157,37 +157,31 @@ fn a_validated_pass_pays_for_what_its_candidates_change() {
 }
 
 /// A write after the monitor observed the source moves only the written
-/// table's version: the baseline still takes every exemplar from the
-/// monitor when no exemplar reads that table.
+/// table's version, so the baseline executes exactly the exemplars that
+/// bind that table: none for a table no exemplar reads, and for `nation`
+/// the nine of Q2, Q5, Q7, Q8, Q9, Q10, Q11, Q20 and Q21.
 #[test]
-fn a_write_to_a_table_no_exemplar_reads_leaves_the_baseline_reusable() {
+fn a_write_after_observing_executes_the_exemplars_that_bind_the_table() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut db = tpch::build_database(&tpch::TpchConfig::default());
     let audit = TableSchema::new("audit", vec![ColumnDef::new("id", ColumnType::Int)], &["id"]);
     db.create_table(audit.unwrap()).unwrap();
     let (mut db, monitor) = observed(db);
     let (workload, picked) = chosen(&db, &monitor);
-    let insert = parse_statement("INSERT INTO audit (id) VALUES (1)").unwrap();
-    Engine::new().execute(&mut db, &insert).unwrap();
-    // Was (0, 22, 0) while the version covered the whole database.
+    let write = |db: &mut Database, sql: &str| {
+        Engine::new().execute(db, &parse_statement(sql).unwrap()).unwrap();
+    };
+    write(&mut db, "INSERT INTO audit (id) VALUES (1)");
+    // Both were (0, 22, 0) while the version covered the whole database.
     assert_eq!(validated(&db, &workload, &picked, 0), (0, 0, 22));
-}
 
-/// A write to `nation` executes the nine exemplars that bind it — Q2, Q5,
-/// Q7, Q8, Q9, Q10, Q11, Q20 and Q21 — and reuses the other thirteen.
-#[test]
-fn a_write_to_nation_executes_the_exemplars_that_bind_it() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (mut db, monitor) = tpch_case();
-    let (workload, picked) = chosen(&db, &monitor);
     let binds_nation = |wq: &&WorkloadQuery| match &wq.stats.exemplar {
         Statement::Select(sel) => sel.from.iter().any(|t| t.name == "nation"),
         _ => false,
     };
     assert_eq!(workload.iter().filter(binds_nation).count(), 9);
-    let insert = "INSERT INTO nation (n_nationkey, n_name, n_regionkey) VALUES (99, 'NATION99', 0)";
-    Engine::new().execute(&mut db, &parse_statement(insert).unwrap()).unwrap();
-    // The parent, with one version for the whole database: (0, 22, 0).
+    let nation = "INSERT INTO nation (n_nationkey, n_name, n_regionkey) VALUES (99, 'NATION99', 0)";
+    write(&mut db, nation);
     assert_eq!(validated(&db, &workload, &picked, 0), (0, 9, 13));
 }
 

@@ -262,6 +262,10 @@ impl Database {
             installed.insert(name.clone(), stats);
             table.version = next_version();
         }
+        #[cfg(debug_assertions)]
+        {
+            table.audited = table.version;
+        }
     }
 
     /// Brings statistics in sync with the data: recomputes them for every
@@ -280,15 +284,22 @@ impl Database {
     /// statistics of every table [`Database::analyze_all`] is about to skip
     /// and hold the installed ones to them: skipping is sound only while
     /// statistics are a function of rows and schema alone and every change
-    /// of those marks the table (DESIGN.md §18).
+    /// of those marks the table (DESIGN.md §18). A table whose version has
+    /// not moved since its statistics were last computed or audited holds
+    /// the same rows by the version rule, which has audits of its own, and
+    /// is not recomputed again.
     #[cfg(debug_assertions)]
-    fn audit_skipped_statistics(&self) {
-        for table in self.tables.values().filter(|t| !t.stats_stale) {
+    fn audit_skipped_statistics(&mut self) {
+        for table in self.tables.values_mut() {
+            if table.stats_stale || table.audited == table.version {
+                continue;
+            }
             let name = &table.schema().name;
             assert!(
                 self.stats.get(name) == Some(&analyze(table, DEFAULT_BUCKETS)),
                 "{name}: ANALYZE skips the table, but its rows give other statistics"
             );
+            table.audited = table.version;
         }
     }
 

@@ -46,6 +46,10 @@ pub struct Table {
     /// Rows or schema may have changed since the owning database last
     /// installed statistics for this table; kept by [`crate::Database`].
     pub(crate) stats_stale: bool,
+    /// Debug builds: the version at which the installed statistics were
+    /// last computed or audited ([`crate::Database::analyze_all`]).
+    #[cfg(debug_assertions)]
+    pub(crate) audited: u64,
     backend: Arc<dyn StorageBackend>,
 }
 
@@ -60,6 +64,8 @@ impl Table {
             total_row_bytes: 0,
             version: next_version(),
             stats_stale: true,
+            #[cfg(debug_assertions)]
+            audited: 0,
             backend: memory_backend(),
         }
     }
