@@ -382,3 +382,138 @@ fn knapsack_allocation_beats_uniform_split_on_workload_cost() {
         "knapsack split must beat uniform: {knapsack_cost:.1} vs {uniform_cost:.1}"
     );
 }
+
+/// One fleet run of the seeding verdict: per window, each tenant's index
+/// names and the bits of its post-pass workload cost, the candidates the
+/// fleet's tune phase generated, and the seed orders it handed out.
+type Windows = Vec<(Vec<(Vec<String>, u64)>, usize, u64)>;
+
+/// Runs `windows` fleet passes over a copy of `workloads` with seeding on
+/// or off. `shift` starts a fresh observation window before every pass but
+/// the first, in which every tenant repeats its SELECTs and, from the
+/// second window on, the cold tail also runs the hot head's composite.
+fn seeding_run(
+    workloads: &[TenantWorkload],
+    budget: u64,
+    seeding: bool,
+    windows: usize,
+    shift: bool,
+) -> Windows {
+    let cm = CostModel::default();
+    let engine = Engine::new();
+    let hot = (workloads.len() / 4).max(1);
+    let mut tenants: Vec<Tenant> = workloads.iter().map(|w| w.tenant.clone()).collect();
+    let mut weighted: Vec<Vec<aim_core::WeightedQuery>> =
+        workloads.iter().map(|w| w.weighted.clone()).collect();
+    let fleet = FleetConfig::builder()
+        .base(AimConfig::builder().selection(selection()).build())
+        .fleet_budget(budget)
+        .cross_shard_seeding(seeding)
+        .session();
+    let mut out = Vec::new();
+    for window in 0..windows {
+        if shift && window > 0 {
+            for (rank, (t, w)) in tenants.iter_mut().zip(&mut weighted).enumerate() {
+                let executions = w[0].weight;
+                if window == 1 && rank >= hot {
+                    let sql = "SELECT id, amount FROM events WHERE user_id = 1 AND kind = 1";
+                    let stmt = parse_statement(sql).unwrap();
+                    w.push(aim_core::WeightedQuery::new(stmt, executions));
+                }
+                t.monitor = WorkloadMonitor::new();
+                for q in w.iter() {
+                    for _ in 0..q.weight as usize {
+                        let res = engine.execute(&mut t.db, &q.statement).unwrap();
+                        t.monitor.record(&q.statement, &res);
+                    }
+                }
+            }
+        }
+        let outcome = fleet.run(&mut tenants);
+        assert_eq!(outcome.failed(), 0, "{:?}", outcome.tenants);
+        let generated = outcome
+            .tenants
+            .iter()
+            .map(|t| t.result.as_ref().unwrap().candidates_generated)
+            .sum();
+        let state = tenants
+            .iter()
+            .zip(&weighted)
+            .map(|(t, w)| {
+                let names = t.db.all_indexes().iter().map(|d| d.name.clone()).collect();
+                (names, workload_cost(&t.db, w, &HypoConfig::none(), &cm).to_bits())
+            })
+            .collect();
+        out.push((state, generated, outcome.seeded_orders));
+    }
+    out
+}
+
+/// ROADMAP item 18's verdict on cross-shard seeding, at the behaviour it
+/// judges: over generated fleets of 8 and 16 tenants and three fleet
+/// seeds, unconstrained and at 35 % of the unconstrained build, for two
+/// passes, and over three windows in which the cold tail starts running
+/// the head's composite, seeding on and off leave every tenant the same
+/// index set and the same workload cost to the bit. Seeding only adds
+/// candidates.
+#[test]
+fn cross_shard_seeding_changes_no_decision() {
+    let _g = FaultGuard::acquire();
+    let (mut compared, mut on_total, mut off_total, mut seeds) = (0, 0, 0, 0);
+    for n in [8, 16] {
+        for seed in [42, 1, 2] {
+            let workloads = generate_fleet(&FleetSpec {
+                tenants: n,
+                seed,
+                base_rows: 1200,
+                ..FleetSpec::default()
+            });
+            let full_build: u64 = {
+                let mut tenants: Vec<Tenant> =
+                    workloads.iter().map(|w| w.tenant.clone()).collect();
+                FleetConfig::builder()
+                    .base(AimConfig::builder().selection(selection()).build())
+                    .fleet_budget(u64::MAX)
+                    .session()
+                    .run(&mut tenants)
+                    .tenants
+                    .iter()
+                    .flat_map(|t| t.result.as_ref().unwrap().created.iter())
+                    .map(|c| c.size_bytes)
+                    .sum()
+            };
+            let runs = [
+                (u64::MAX, 2, false),
+                (full_build * 35 / 100, 2, false),
+                (u64::MAX, 3, true),
+            ];
+            for (budget, windows, shift) in runs {
+                let on = seeding_run(&workloads, budget, true, windows, shift);
+                let off = seeding_run(&workloads, budget, false, windows, shift);
+                let gen = |r: &Windows| r.iter().map(|w| w.1.to_string()).collect::<Vec<_>>();
+                println!(
+                    "n={n} seed={seed} budget={budget} shift={shift}: candidates {:?} on, {:?} off",
+                    gen(&on),
+                    gen(&off)
+                );
+                for (w, ((on_state, on_gen, on_seeds), (off_state, off_gen, off_seeds))) in
+                    on.iter().zip(&off).enumerate()
+                {
+                    let at = format!("n={n} seed={seed} budget={budget} shift={shift} window={w}");
+                    assert_eq!(on_state, off_state, "{at}");
+                    assert!(on_gen >= off_gen, "{at}: {on_gen} < {off_gen}");
+                    assert_eq!(*off_seeds, 0, "{at}");
+                    assert!(w > 0 || *on_seeds > 0, "{at}: the first pass hands out seeds");
+                    seeds += on_seeds;
+                    compared += 1;
+                    on_total += on_gen;
+                    off_total += off_gen;
+                }
+            }
+        }
+    }
+    println!(
+        "seeding verdict: {compared} fleet windows identical; {seeds} seed orders; \
+         candidates generated {on_total} on, {off_total} off"
+    );
+}
