@@ -38,8 +38,8 @@
 //!     --ledger-out /tmp/decision_ledger.json --telemetry-out /tmp/telemetry.json
 //!
 //! # tune a Zipf-skewed tenant fleet through one FleetSession run
-//! # (fleet-level knapsack budget allocation; --uniform for the fixed
-//! # per-shard split), optionally serving /metrics and /timeseries live
+//! # (fleet-level knapsack budget allocation), optionally serving
+//! # /metrics and /timeseries live
 //! cargo run -p aim-bench --bin aim_cli --release -- \
 //!     fleet --tenants 32 --skew 1.2 --selection lp --serve 7800
 //! ```
@@ -586,11 +586,10 @@ fn run_continuous(args: &[String], strategy: SelectionStrategy, trace_out: Optio
     aim_telemetry::disable();
 }
 
-/// `fleet [--tenants N] [--skew S] [--workers W] [--uniform] [--serve PORT]`:
+/// `fleet [--tenants N] [--skew S] [--workers W] [--serve PORT]`:
 /// generate a Zipf-skewed tenant fleet, tune it through a single
-/// [`aim_core::FleetSession`] run (fleet-level knapsack budget allocation
-/// unless `--uniform`), and print per-tenant outcomes plus the fleet
-/// counters. `--serve` exposes the live introspection endpoint
+/// [`aim_core::FleetSession`] run (fleet-level knapsack budget
+/// allocation), and print per-tenant outcomes plus the fleet counters. `--serve` exposes the live introspection endpoint
 /// (/metrics with per-tenant labels, /timeseries, /fleet per-tenant
 /// rollups — `?sort=`/`?top=N` — and /alerts SLO burn rates; a default
 /// per-tenant p99 select-latency SLO is registered so /alerts has a rule
@@ -600,7 +599,6 @@ fn run_fleet(args: &[String], strategy: SelectionStrategy) {
     let mut tenants = 16usize;
     let mut skew = 1.0f64;
     let mut workers = 0usize;
-    let mut allocation = aim_core::fleet::BudgetAllocation::Knapsack;
     let mut serve_on: Option<u16> = None;
     let mut i = 0;
     while i < args.len() {
@@ -608,10 +606,9 @@ fn run_fleet(args: &[String], strategy: SelectionStrategy) {
             "--tenants" => tenants = flag_value(args, &mut i, "a number"),
             "--skew" => skew = flag_value(args, &mut i, "a Zipf exponent (e.g. 1.0)"),
             "--workers" => workers = flag_value(args, &mut i, "a number (0 = one per core)"),
-            "--uniform" => allocation = aim_core::fleet::BudgetAllocation::Uniform,
             "--serve" => serve_on = Some(flag_value(args, &mut i, "a port")),
             other => {
-                eprintln!("unknown flag {other} (try --tenants/--skew/--workers/--uniform/--serve)");
+                eprintln!("unknown flag {other} (try --tenants/--skew/--workers/--serve)");
                 std::process::exit(2);
             }
         }
@@ -650,32 +647,29 @@ fn run_fleet(args: &[String], strategy: SelectionStrategy) {
     let session = aim_core::fleet::FleetConfig::builder()
         .base(base)
         .fleet_workers(workers)
-        .allocation(allocation)
         .session();
     let outcome = session.run(&mut fleet);
 
     for t in &outcome.tenants {
         match &t.result {
             Ok(o) => println!(
-                "  {}: budget {:>10} | {} created, {} rejected | {} seeded orders | {:.1} ms",
+                "  {}: budget {:>10} | {} created, {} rejected | {:.1} ms",
                 t.id,
                 t.budget,
                 o.created.len(),
                 o.rejected.len(),
-                t.seeded_orders,
                 o.elapsed.as_secs_f64() * 1e3
             ),
             Err(e) => println!("  {}: FAILED: {e}", t.id),
         }
     }
     println!(
-        "fleet: {}/{} tuned in {:.1} ms | {} budget transfers ({} bytes) | {} seed orders",
+        "fleet: {}/{} tuned in {:.1} ms | {} budget transfers ({} bytes)",
         outcome.tuned(),
         outcome.tenants.len(),
         outcome.elapsed.as_secs_f64() * 1e3,
         outcome.budget_transfers,
         outcome.transferred_bytes,
-        outcome.seeded_orders,
     );
     if let Some((slow_id, slow)) = &outcome.slowest_tenant {
         println!(

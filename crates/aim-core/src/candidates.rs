@@ -16,7 +16,7 @@
 
 use crate::metadata::{analyze_structure, FactorGroup, QueryStructure, TableInfo};
 use crate::partial_order::{
-    close, is_subset, merge_into, ones, widen_with_seeds, ColumnIds, CompactOrder, PartialOrder,
+    close, is_subset, merge_into, ones, ColumnIds, CompactOrder, PartialOrder,
 };
 use aim_monitor::{QueryStats, WorkloadQuery};
 use aim_sql::normalize::QueryFingerprint;
@@ -80,13 +80,6 @@ pub struct CandidateGenConfig {
     /// threshold") — ranking then prefers the narrower index when the wide
     /// one buys nothing. `0.0` disables relaxation.
     pub ipp_relaxation_rows: f64,
-    /// Cross-shard seed orders `(table, partial order)` exported by hotter
-    /// tenants of the same fleet (see
-    /// [`crate::partial_order::merge_cross_shard`]). Seeds only ever
-    /// *widen* locally derived orders — a seed that merges with no local
-    /// order produces no candidate, so a shard never builds an index it
-    /// has zero local evidence for. Empty (no seeding) by default.
-    pub seed_orders: Vec<(String, PartialOrder)>,
 }
 
 impl Default for CandidateGenConfig {
@@ -100,7 +93,6 @@ impl Default for CandidateGenConfig {
             use_stats: true,
             switches: aim_exec::OptimizerSwitches::default(),
             ipp_relaxation_rows: 2.0,
-            seed_orders: Vec::new(),
         }
     }
 }
@@ -561,8 +553,7 @@ pub fn try_generate_candidates(
 
 /// One table's candidates from the partial orders its queries derived, in
 /// the compact form of [`crate::partial_order`]: distinct orders with their
-/// sources unioned, widened by the fleet's seeds, closed under merging,
-/// then one concrete index per merged order carrying the sources of every
+/// sources unioned, closed under merging, then one concrete index per merged order carrying the sources of every
 /// input order it serves. Ascending by key columns.
 fn table_candidates(
     db: &Database,
@@ -570,13 +561,7 @@ fn table_candidates(
     derived: &[(PartialOrder, QueryFingerprint)],
     cfg: &CandidateGenConfig,
 ) -> Vec<CandidateIndex> {
-    let seeds: Vec<&PartialOrder> = cfg
-        .seed_orders
-        .iter()
-        .filter(|(t, _)| t == table)
-        .map(|(_, po)| po)
-        .collect();
-    let ids = ColumnIds::of(derived.iter().map(|(po, _)| po).chain(seeds.iter().copied()));
+    let ids = ColumnIds::of(derived.iter().map(|(po, _)| po));
     let mut scratch = ids.scratch();
     let mut inputs: BTreeMap<CompactOrder, BTreeSet<QueryFingerprint>> = BTreeMap::new();
     for (po, source) in derived {
@@ -591,38 +576,13 @@ fn table_candidates(
         }
     }
 
-    // Cross-shard seeding (fleet tuning): seed orders from hotter tenants
-    // widen this shard's locally derived orders. The widened orders carry
-    // no sources of their own — provenance attaches below only when a
-    // local order is served by the widened one, so a seed with no local
-    // evidence cannot produce a candidate.
-    let mut orders_in = derived.len();
-    if !seeds.is_empty() {
-        let seeds: Vec<CompactOrder> = seeds.iter().map(|po| ids.compact(po)).collect();
-        let widened = widen_with_seeds(&ids, &inputs, &seeds);
-        if !widened.is_empty() && aim_telemetry::is_enabled() {
-            aim_telemetry::event(
-                aim_telemetry::EventKind::CandidateMerged,
-                table,
-                format!(
-                    "cross-shard seeding: {} seed orders widened {} local orders into {}",
-                    seeds.len(),
-                    derived.len(),
-                    widened.len()
-                ),
-            );
-        }
-        orders_in += widened.len();
-        inputs.extend(widened.into_iter().map(|po| (po, BTreeSet::new())));
-    }
-
     let merged: Vec<CompactOrder> = if cfg.merge {
         let merged = close(&ids, inputs.keys().cloned());
-        if aim_telemetry::is_enabled() && merged.len() != orders_in {
+        if aim_telemetry::is_enabled() && merged.len() != derived.len() {
             aim_telemetry::event(
                 aim_telemetry::EventKind::CandidateMerged,
                 table,
-                format!("{orders_in} partial orders -> {} after closure", merged.len()),
+                format!("{} partial orders -> {} after closure", derived.len(), merged.len()),
             );
         }
         merged
@@ -844,46 +804,6 @@ mod tests {
             merged.columns[..2].iter().map(String::as_str).collect();
         assert_eq!(first_two, ["col2", "col3"].into());
         assert_eq!(merged.columns[2], "col1");
-    }
-
-    #[test]
-    fn seed_orders_widen_local_candidates_without_standalone_seeds() {
-        let mut db = db();
-        // Local evidence: equality on col1 only -> narrow <{col1}>.
-        let w = workload(&mut db, &[("SELECT id FROM t1 WHERE col1 = 1", 3)]);
-        let seeded_cfg = CandidateGenConfig {
-            seed_orders: vec![
-                // A hot shard's wide composite over {col1, col2}: merges
-                // with the local <{col1}> into (col1, col2).
-                (
-                    "t1".to_string(),
-                    PartialOrder::new([vec!["col1"], vec!["col2"]]).unwrap(),
-                ),
-                // A seed with no local evidence at all must not surface.
-                (
-                    "t1".to_string(),
-                    PartialOrder::new([["col3", "col4"]]).unwrap(),
-                ),
-            ],
-            ..Default::default()
-        };
-        let cands = generate_candidates(&db, &w, &seeded_cfg);
-        let wide = cands
-            .iter()
-            .find(|c| c.columns == vec!["col1".to_string(), "col2".to_string()])
-            .expect("seeded wide candidate generated");
-        // Provenance comes from the local query that the widened order serves.
-        assert_eq!(wide.sources.len(), 1);
-        assert!(
-            !cands.iter().any(|c| c.columns.contains(&"col3".to_string())
-                || c.columns.contains(&"col4".to_string())),
-            "evidence-free seed must not become a candidate: {cands:?}"
-        );
-        // Without seeding the wide candidate does not exist.
-        let unseeded = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        assert!(!unseeded
-            .iter()
-            .any(|c| c.columns == vec!["col1".to_string(), "col2".to_string()]));
     }
 
     #[test]

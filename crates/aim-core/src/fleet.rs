@@ -4,30 +4,28 @@
 //! of MySQL shards, not one database. [`FleetSession`] is the driver for
 //! that setting. It owns N [`Tenant`]s (each a [`Database`], a
 //! [`WorkloadMonitor`] ingestion stream and an optional
-//! [`ShardingProfile`]) and runs one fleet pass in three phases:
+//! [`ShardingProfile`]) and runs one fleet pass in three phases. The
+//! paper's sharding economics (§VIII-b: benefit scaled by the shard hit
+//! fraction, maintenance and storage by the shard count) are the
+//! profile's; the probe and the tenant session both price with it.
 //!
 //! 1. **Probe.** Every tenant's representative workload is selected,
 //!    candidates are generated and ranked (sequentially per tenant; the
 //!    fleet-level worker pool provides the parallelism). The probe yields
-//!    each tenant's ranked candidate economics, its current index
-//!    footprint, and a hotness signal (window CPU).
+//!    each tenant's ranked candidate economics and its current index
+//!    footprint.
 //! 2. **Allocate.** The storage budget is split *across* tenants by a
 //!    fleet-level greedy knapsack over all probed candidates in global
-//!    utility-density order ([`BudgetAllocation::Knapsack`]), instead of a
-//!    fixed per-shard split ([`BudgetAllocation::Uniform`]). Hot tenants
-//!    with dense candidates draw budget away from tenants that cannot use
-//!    it; each transfer beyond the uniform share is counted in
-//!    [`FleetOutcome::budget_transfers`].
+//!    utility-density order, instead of a fixed `budget / n` per-shard
+//!    split. Tenants with dense candidates draw budget away from tenants
+//!    that cannot use it; each transfer beyond the uniform share is
+//!    counted in [`FleetOutcome::budget_transfers`].
 //! 3. **Tune.** A per-tenant [`TuningSession`] runs under the allocated
 //!    budget on a bounded worker pool, reusing the session's
 //!    `RunCtl`/retry/rollback plumbing: the fleet deadline and a shared
 //!    [`CancelToken`] are threaded into every tenant session. A tenant
 //!    that faults is recorded in its [`TenantOutcome`] and does **not**
-//!    abort the fleet. Hot tenants additionally *seed* cold ones: their
-//!    top-ranked partial orders are handed to cold tenants'
-//!    candidate generation, where
-//!    [`merge_cross_shard`](crate::partial_order::merge_cross_shard)
-//!    widens locally evidenced orders (evidence-free seeds are inert).
+//!    abort the fleet.
 //!
 //! A 1-tenant fleet skips the probe/allocate phases entirely and runs the
 //! tenant's [`TuningSession`] directly — it is bit-identical to a bare
@@ -46,7 +44,6 @@
 
 use crate::error::AimError;
 use crate::ledger::Decisions;
-use crate::partial_order::PartialOrder;
 use crate::plan::PassPlanner;
 use crate::ranking::{effective_workers, RankedCandidate};
 use crate::session::{AimConfig, AimOutcome, CancelToken, RetryPolicy, RunCtl, TuningSession};
@@ -54,7 +51,7 @@ use crate::sharding::ShardingProfile;
 use aim_monitor::WorkloadMonitor;
 use aim_storage::Database;
 use aim_telemetry as tel;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -90,22 +87,6 @@ impl Tenant {
     }
 }
 
-/// How the fleet-wide storage budget is split across tenants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BudgetAllocation {
-    /// Every tenant gets `fleet_budget / n` — the fixed per-shard split
-    /// the paper's fleet deployment starts from.
-    Uniform,
-    /// Fleet-level greedy knapsack over all tenants' probed candidates in
-    /// global utility-density order: budget flows to the tenants whose
-    /// candidates buy the most workload cost per byte. The per-tenant
-    /// session then re-selects under its allocation (greedy, or the LP
-    /// refinement when the base config picks
-    /// [`SelectionStrategy::Lp`](crate::session::SelectionStrategy::Lp)).
-    #[default]
-    Knapsack,
-}
-
 /// Fleet pass configuration.
 ///
 /// `#[non_exhaustive]`: construct via [`FleetConfig::builder`] — fleet
@@ -124,13 +105,6 @@ pub struct FleetConfig {
     /// Worker threads tuning tenants concurrently (`0` = one per
     /// available core, clamped to the tenant count).
     pub fleet_workers: usize,
-    /// Budget split policy.
-    pub allocation: BudgetAllocation,
-    /// Hand hot tenants' top partial orders to cold tenants' candidate
-    /// generation (on by default; evidence-free seeds are inert there).
-    pub cross_shard_seeding: bool,
-    /// At most this many seed orders are taken from each hot tenant.
-    pub max_seed_orders: usize,
 }
 
 impl Default for FleetConfig {
@@ -140,9 +114,6 @@ impl Default for FleetConfig {
             fleet_budget: base.storage_budget,
             base,
             fleet_workers: 0,
-            allocation: BudgetAllocation::default(),
-            cross_shard_seeding: true,
-            max_seed_orders: 8,
         }
     }
 }
@@ -182,24 +153,6 @@ impl FleetConfigBuilder {
     /// Worker threads tuning tenants concurrently (`0` = auto).
     pub fn fleet_workers(mut self, workers: usize) -> Self {
         self.cfg.fleet_workers = workers;
-        self
-    }
-
-    /// Budget split policy.
-    pub fn allocation(mut self, allocation: BudgetAllocation) -> Self {
-        self.cfg.allocation = allocation;
-        self
-    }
-
-    /// Enables/disables hot→cold candidate seeding.
-    pub fn cross_shard_seeding(mut self, on: bool) -> Self {
-        self.cfg.cross_shard_seeding = on;
-        self
-    }
-
-    /// Cap on seed orders taken from each hot tenant.
-    pub fn max_seed_orders(mut self, n: usize) -> Self {
-        self.cfg.max_seed_orders = n;
         self
     }
 
@@ -245,9 +198,6 @@ pub struct TenantOutcome {
     pub id: String,
     /// Storage budget (bytes) this tenant was allocated.
     pub budget: u64,
-    /// Cross-shard seed orders injected into this tenant's candidate
-    /// generation (0 for hot tenants and with seeding disabled).
-    pub seeded_orders: usize,
     /// The tenant session's outcome; an `Err` is isolated to this tenant.
     pub result: Result<AimOutcome, AimError>,
     /// The tenant session's decision ledger, when the base config records
@@ -271,8 +221,6 @@ pub struct FleetOutcome {
     /// Bytes of budget moved beyond the uniform split, summed over the
     /// transferring tenants.
     pub transferred_bytes: u64,
-    /// Total cross-shard seed orders injected across cold tenants.
-    pub seeded_orders: u64,
     /// Wall-clock time of the fleet pass.
     pub elapsed: Duration,
     /// The straggler: the tenant whose tune slot took longest, with its
@@ -299,8 +247,6 @@ struct Probe {
     ranked: Result<Vec<RankedCandidate>, AimError>,
     /// Existing secondary-index footprint (shard-multiplied).
     used: u64,
-    /// Window CPU — the hot/cold signal.
-    hotness: f64,
 }
 
 /// The fleet driver. Built via [`FleetConfig::builder`]; one
@@ -344,7 +290,7 @@ impl FleetSession {
             // tenant session *is* the pass, bit-identical to a bare
             // `TuningSession` on the same inputs.
             let t = &mut tenants[0];
-            let out = self.tune_tenant(t, self.cfg.fleet_budget, &[], fleet_deadline, false);
+            let out = self.tune_tenant(t, self.cfg.fleet_budget, fleet_deadline, false);
             outcome.slowest_tenant = Some((out.id.clone(), out.elapsed));
             outcome.tenants.push(out);
             outcome.elapsed = root.elapsed();
@@ -367,20 +313,11 @@ impl FleetSession {
         // Phase 2: split the budget across tenants.
         let (budgets, transfers, transferred) = {
             let _s = tel::span("fleet.allocate");
-            allocate_budgets(&self.cfg, &probes)
+            allocate_budgets(self.cfg.fleet_budget, &probes)
         };
         outcome.budget_transfers = transfers;
         outcome.transferred_bytes = transferred;
         tel::metrics::FLEET_BUDGET_TRANSFERS.add(transfers);
-
-        // Hot tenants (top quartile by window CPU) offer their top-ranked
-        // partial orders as seeds to everyone else.
-        let seeds = if self.cfg.cross_shard_seeding {
-            collect_seeds(&probes, self.cfg.max_seed_orders)
-        } else {
-            Vec::new()
-        };
-        let hot = hot_tenants(&probes);
 
         // Phase 3: tune every tenant under its allocation, on the pool.
         let tuned: Vec<TenantOutcome> = {
@@ -391,17 +328,11 @@ impl FleetSession {
                     // budgeted tune time re-failing it — account for it.
                     let _scope = tel::scope_phase(&t.id, "tune");
                     let failed = Err(err.clone());
-                    return self.tenant_outcome(t, budgets[i], 0, failed, None, Instant::now());
+                    return self.tenant_outcome(t, budgets[i], failed, None, Instant::now());
                 }
-                let tenant_seeds: &[(String, PartialOrder)] =
-                    if hot.contains(&i) { &[] } else { &seeds };
-                self.tune_tenant(t, budgets[i], tenant_seeds, fleet_deadline, true)
+                self.tune_tenant(t, budgets[i], fleet_deadline, true)
             })
         };
-        for t in &tuned {
-            outcome.seeded_orders += t.seeded_orders as u64;
-        }
-        tel::metrics::FLEET_SEEDED_ORDERS.add(outcome.seeded_orders);
         outcome.slowest_tenant = tuned
             .iter()
             .max_by_key(|t| t.elapsed)
@@ -414,12 +345,11 @@ impl FleetSession {
                 tel::EventKind::TuningPass,
                 "fleet",
                 format!(
-                    "{} tenants tuned, {} failed, {} budget transfers ({} bytes), {} seed orders",
+                    "{} tenants tuned, {} failed, {} budget transfers ({} bytes)",
                     outcome.tuned(),
                     outcome.failed(),
                     outcome.budget_transfers,
                     outcome.transferred_bytes,
-                    outcome.seeded_orders,
                 ),
             );
         }
@@ -437,7 +367,6 @@ impl FleetSession {
         &self,
         tenant: &mut Tenant,
         budget: u64,
-        seeds: &[(String, PartialOrder)],
         fleet_deadline: Option<Instant>,
         multi: bool,
     ) -> TenantOutcome {
@@ -451,10 +380,6 @@ impl FleetSession {
         cfg.tenant_label = Some(tenant.id.clone());
         if tenant.profile.is_some() {
             cfg.sharding = tenant.profile.clone();
-        }
-        let seeded_orders = seeds.len();
-        if !seeds.is_empty() {
-            cfg.candidate_gen.seed_orders = seeds.to_vec();
         }
         if multi {
             // The fleet pool is the parallelism; nested per-session worker
@@ -470,7 +395,7 @@ impl FleetSession {
         );
         let result = session.run(&mut tenant.db, &tenant.monitor);
         let ledger_json = session.config().record_ledger.then(|| session.ledger_json());
-        self.tenant_outcome(tenant, budget, seeded_orders, result, ledger_json, slot_started)
+        self.tenant_outcome(tenant, budget, result, ledger_json, slot_started)
     }
 
     /// The one place a tenant's slot is accounted for, whichever phase
@@ -480,7 +405,6 @@ impl FleetSession {
         &self,
         tenant: &Tenant,
         budget: u64,
-        seeded_orders: usize,
         result: Result<AimOutcome, AimError>,
         ledger_json: Option<String>,
         slot_started: Instant,
@@ -516,7 +440,6 @@ impl FleetSession {
         TenantOutcome {
             id: tenant.id.clone(),
             budget,
-            seeded_orders,
             result,
             ledger_json,
             elapsed,
@@ -549,31 +472,29 @@ impl FleetSession {
         Probe {
             ranked: planned.map(|(_, ranked)| ranked),
             used: tenant.db.total_secondary_index_bytes().saturating_mul(shard_mult),
-            hotness: tenant.monitor.total_cpu(),
         }
     }
 }
 
-/// Splits the fleet budget per [`BudgetAllocation`]. Returns per-tenant
-/// absolute budgets (existing footprint + allocation), the number of
-/// tenants lifted above the uniform share, and the bytes moved to them.
-fn allocate_budgets(cfg: &FleetConfig, probes: &[Probe]) -> (Vec<u64>, u64, u64) {
-    let n = probes.len() as u64;
+/// Splits `fleet_budget` across tenants by a fleet-level knapsack: budget
+/// flows to the tenants whose candidates buy the most workload cost per
+/// byte, and each tenant session then re-selects under its allocation.
+/// Returns per-tenant absolute budgets (existing footprint + allocation),
+/// the number of tenants lifted above the uniform share `fleet_budget / n`,
+/// and the bytes moved to them.
+fn allocate_budgets(fleet_budget: u64, probes: &[Probe]) -> (Vec<u64>, u64, u64) {
     // Unconstrained fleet: everyone is unconstrained; nothing to split.
-    if cfg.fleet_budget == u64::MAX {
+    if fleet_budget == u64::MAX {
         return (vec![u64::MAX; probes.len()], 0, 0);
     }
-    let uniform_share = cfg.fleet_budget / n.max(1);
-    if cfg.allocation == BudgetAllocation::Uniform {
-        return (vec![uniform_share; probes.len()], 0, 0);
-    }
+    let uniform_share = fleet_budget / (probes.len() as u64).max(1);
 
     // Global greedy knapsack in utility-density order over every probed
     // candidate, spending only the budget not already occupied by existing
     // indexes. Ties break on (tenant, candidate) input order so the split
     // is deterministic.
     let total_used: u64 = probes.iter().map(|p| p.used).sum();
-    let mut remaining = cfg.fleet_budget.saturating_sub(total_used);
+    let mut remaining = fleet_budget.saturating_sub(total_used);
     let mut items: Vec<(f64, usize, usize, u64)> = Vec::new();
     for (ti, p) in probes.iter().enumerate() {
         for (ci, r) in p.ranked.iter().flatten().enumerate() {
@@ -608,34 +529,6 @@ fn allocate_budgets(cfg: &FleetConfig, probes: &[Probe]) -> (Vec<u64>, u64, u64)
         }
     }
     (budgets, transfers, transferred)
-}
-
-/// Indices of the hot tenants: the top quartile (at least one) by window
-/// CPU, excluding tenants with no traffic at all.
-fn hot_tenants(probes: &[Probe]) -> BTreeSet<usize> {
-    let mut by_heat: Vec<(usize, f64)> = probes
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.hotness > 0.0)
-        .map(|(i, p)| (i, p.hotness))
-        .collect();
-    by_heat.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    let take = (probes.len() / 4).max(1);
-    by_heat.into_iter().take(take).map(|(i, _)| i).collect()
-}
-
-/// The seed pool: each hot tenant's top-ranked candidate partial orders
-/// (post sharding re-price, so the order reflects fleet economics),
-/// deduplicated across tenants.
-fn collect_seeds(probes: &[Probe], max_per_tenant: usize) -> Vec<(String, PartialOrder)> {
-    let hot = hot_tenants(probes);
-    let mut seen: BTreeSet<(String, PartialOrder)> = BTreeSet::new();
-    for i in &hot {
-        for r in probes[*i].ranked.iter().flatten().take(max_per_tenant) {
-            seen.insert((r.candidate.table.clone(), r.candidate.po.clone()));
-        }
-    }
-    seen.into_iter().collect()
 }
 
 /// Runs `f` over `items` on `workers` scoped threads, preserving input
@@ -779,26 +672,11 @@ mod tests {
     }
 
     #[test]
-    fn uniform_allocation_splits_evenly() {
-        let probes = vec![
-            Probe { ranked: Ok(Vec::new()), used: 0, hotness: 1.0 },
-            Probe { ranked: Ok(Vec::new()), used: 0, hotness: 2.0 },
-        ];
-        let cfg = FleetConfig::builder()
-            .base(quick_base())
-            .fleet_budget(1000)
-            .allocation(BudgetAllocation::Uniform)
-            .build();
-        let (budgets, transfers, moved) = allocate_budgets(&cfg, &probes);
-        assert_eq!(budgets, vec![500, 500]);
-        assert_eq!(transfers, 0);
-        assert_eq!(moved, 0);
-    }
-
-    #[test]
     fn knapsack_allocation_follows_density() {
         use crate::candidates::CandidateIndex;
+        use crate::partial_order::PartialOrder;
         use aim_sql::normalize::QueryFingerprint;
+        use std::collections::BTreeSet;
         fn cand(benefit: f64, size: u64) -> RankedCandidate {
             RankedCandidate {
                 candidate: CandidateIndex {
@@ -815,30 +693,14 @@ mod tests {
         }
         // Tenant 0's candidate is 10× denser; budget only fits one.
         let probes = vec![
-            Probe { ranked: Ok(vec![cand(1000.0, 400)]), used: 0, hotness: 5.0 },
-            Probe { ranked: Ok(vec![cand(100.0, 400)]), used: 0, hotness: 1.0 },
+            Probe { ranked: Ok(vec![cand(1000.0, 400)]), used: 0 },
+            Probe { ranked: Ok(vec![cand(100.0, 400)]), used: 0 },
         ];
-        let cfg = FleetConfig::builder()
-            .base(quick_base())
-            .fleet_budget(600)
-            .allocation(BudgetAllocation::Knapsack)
-            .build();
-        let (budgets, transfers, moved) = allocate_budgets(&cfg, &probes);
+        let (budgets, transfers, moved) = allocate_budgets(600, &probes);
         assert_eq!(budgets[0], 400, "dense tenant funded past its 300-byte share");
         assert_eq!(budgets[1], 0);
         assert_eq!(transfers, 1);
         assert_eq!(moved, 100);
-    }
-
-    #[test]
-    fn hot_tenants_are_top_quartile_with_traffic() {
-        let mk = |h: f64| Probe { ranked: Ok(Vec::new()), used: 0, hotness: h };
-        let probes = vec![mk(1.0), mk(9.0), mk(0.0), mk(3.0), mk(2.0), mk(0.5), mk(4.0), mk(0.1)];
-        let hot = hot_tenants(&probes);
-        assert_eq!(hot, BTreeSet::from([1, 6])); // 8/4 = 2 hottest (9.0, 4.0)
-        // All-idle fleet: nobody is hot.
-        let idle = vec![mk(0.0), mk(0.0)];
-        assert!(hot_tenants(&idle).is_empty());
     }
 
     #[test]

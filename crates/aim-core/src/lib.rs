@@ -24,10 +24,10 @@
 //! deadline and cancel token, retries transient faults with backoff, and
 //! rolls back anything an aborted pass materialized ([`error::AimError`]
 //! describes the failure). [`fleet::FleetSession`] scales it horizontally —
-//! N tenants on a bounded worker pool, cross-shard candidate seeding, and
-//! fleet-level storage-budget allocation — and its 1-tenant form is
-//! bit-identical to a bare session, making `FleetSession → TuningSession`
-//! the single entry path. [`advisor::AimAdvisor`] runs the same planning
+//! N tenants on a bounded worker pool and a fleet-level storage-budget
+//! knapsack, with §VIII-b's sharding economics in [`sharding`] — and its
+//! 1-tenant form is bit-identical to a bare session, making
+//! `FleetSession → TuningSession` the single entry path. [`advisor::AimAdvisor`] runs the same planning
 //! code (`plan.rs`: selection → candidates → ranking, written once for the
 //! session, the fleet probe and the advisor) over weighted analytical
 //! workloads for benchmark comparisons against baselines.
@@ -101,12 +101,11 @@ pub use continuous::{
 pub use backend::BackendSpec;
 pub use error::AimError;
 pub use fleet::{
-    BudgetAllocation, FleetConfig, FleetConfigBuilder, FleetOutcome, FleetSession, Tenant,
-    TenantOutcome,
+    FleetConfig, FleetConfigBuilder, FleetOutcome, FleetSession, Tenant, TenantOutcome,
 };
 pub use ledger::{CandidateRecord, DecisionLedger, LedgerEvent};
 pub use metadata::{analyze_structure, FactorGroup, OpClass, QueryStructure, TableInfo};
-pub use partial_order::{merge_cross_shard, merge_partial_orders, PartialOrder};
+pub use partial_order::{merge_partial_orders, PartialOrder};
 pub use ranking::{
     knapsack, knapsack_select, rank_candidates_unbatched,
     rank_candidates_with, try_rank_candidates_with, KnapsackDecision, RankedCandidate,

@@ -36,11 +36,11 @@
 //! rank beside it, so the subset test is an AND and the conflict tests walk
 //! each order once. Because ids ascend with names, a bitset iterates as the
 //! `BTreeSet<String>` it stands for and [`CompactOrder`]'s `Ord` is
-//! [`PartialOrder`]'s — which of two orders a candidate key keeps, and so
-//! what a fleet exports as seeds, does not depend on the form. The
-//! name-typed entry points ([`PartialOrder::merge_pairwise`],
-//! [`merge_partial_orders`], [`merge_cross_shard`]) intern, call the rule
-//! and translate back; candidate generation stays in the compact form.
+//! [`PartialOrder`]'s — which of two orders a candidate key keeps does not
+//! depend on the form. The name-typed entry points
+//! ([`PartialOrder::merge_pairwise`], [`merge_partial_orders`]) intern,
+//! call the rule and translate back; candidate generation stays in the
+//! compact form.
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -216,25 +216,6 @@ pub fn merge_partial_orders(orders: &[PartialOrder]) -> Vec<PartialOrder> {
     let ids = ColumnIds::of(orders);
     let closed = close(&ids, orders.iter().map(|o| ids.compact(o)));
     closed.iter().map(|c| ids.expand(c.parts())).collect()
-}
-
-/// Cross-shard merge (fleet tuning): combines a *cold* tenant's locally
-/// derived partial orders with seed orders exported by hotter tenants of
-/// the same fleet, returning only the **new** orders such merges produce.
-///
-/// Seeds never become candidates on their own — a cold shard must not
-/// build an index it has zero local evidence for. What a seed does is
-/// widen local orders: a cold shard that only observed `WHERE a = ?` has
-/// the narrow order `<{a}>`; a hot shard's seed `<{a}, {b}>` merges with
-/// it into the wide composite the cold shard would have needed many more
-/// observations to derive on its own. Orders already present locally are
-/// not re-emitted, so callers can append the result to their local pool.
-pub fn merge_cross_shard(local: &[PartialOrder], seeds: &[PartialOrder]) -> Vec<PartialOrder> {
-    let ids = ColumnIds::of(local.iter().chain(seeds));
-    let local: BTreeMap<CompactOrder, ()> = local.iter().map(|o| (ids.compact(o), ())).collect();
-    let seeds: Vec<CompactOrder> = seeds.iter().map(|o| ids.compact(o)).collect();
-    let widened = widen_with_seeds(&ids, &local, &seeds);
-    widened.iter().map(|c| ids.expand(c.parts())).collect()
 }
 
 // ---------------------------------------------------------- compact form
@@ -509,10 +490,10 @@ pub(crate) fn merge_into(p: &CompactOrder, q: &CompactOrder, out: &mut Partition
 
 /// Merges `p` into `q` and, when the result is in neither `known` nor
 /// `fresh`, adds it to `fresh`.
-fn merge_new<V>(
+fn merge_new(
     p: &CompactOrder,
     q: &CompactOrder,
-    known: &BTreeMap<CompactOrder, V>,
+    known: &BTreeMap<CompactOrder, usize>,
     fresh: &mut BTreeSet<CompactOrder>,
     scratch: &mut Partitions,
 ) {
@@ -551,24 +532,6 @@ pub(crate) fn close(
         known.extend(fresh.into_iter().map(|o| (o, round + 1)));
     }
     known.into_keys().collect()
-}
-
-/// [`merge_cross_shard`] in the compact form: the orders that merging a
-/// key of `local` with a seed, in either direction, adds to `local`.
-pub(crate) fn widen_with_seeds<V>(
-    ids: &ColumnIds,
-    local: &BTreeMap<CompactOrder, V>,
-    seeds: &[CompactOrder],
-) -> BTreeSet<CompactOrder> {
-    let mut fresh = BTreeSet::new();
-    let mut scratch = ids.scratch();
-    for l in local.keys() {
-        for s in seeds {
-            merge_new(l, s, local, &mut fresh, &mut scratch);
-            merge_new(s, l, local, &mut fresh, &mut scratch);
-        }
-    }
-    fresh
 }
 
 #[cfg(test)]
@@ -687,43 +650,6 @@ mod tests {
         // Closure must contain <{col2}, {col3}, {col1}> obtained by
         // merging c into (b into a).
         assert!(merged.contains(&po(&[&["col2"], &["col3"], &["col1"]])));
-    }
-
-    #[test]
-    fn cross_shard_merge_widens_local_orders_only() {
-        // Local cold-shard evidence: <{a}>. Hot-shard seed: <{a}, {b}>.
-        let local = vec![po(&[&["a"]])];
-        let seeds = vec![po(&[&["a"], &["b"]])];
-        let merged = merge_cross_shard(&local, &seeds);
-        assert_eq!(merged, vec![po(&[&["a"], &["b"]])]);
-    }
-
-    #[test]
-    fn cross_shard_merge_emits_nothing_without_local_evidence() {
-        // No local orders: seeds alone must not produce candidates.
-        let merged = merge_cross_shard(&[], &[po(&[&["x", "y"]])]);
-        assert!(merged.is_empty());
-        // A seed on disjoint columns cannot merge with local evidence.
-        let merged = merge_cross_shard(&[po(&[&["a"]])], &[po(&[&["x", "y"]])]);
-        assert!(merged.is_empty());
-    }
-
-    #[test]
-    fn cross_shard_merge_skips_orders_already_local() {
-        let wide = po(&[&["a", "b"]]);
-        let merged =
-            merge_cross_shard(std::slice::from_ref(&wide), std::slice::from_ref(&wide));
-        // Merging an order with itself yields itself — already local, so
-        // nothing new is emitted.
-        assert!(merged.is_empty());
-    }
-
-    #[test]
-    fn cross_shard_merge_respects_order_conflicts() {
-        // Local wants a before b; the seed wants b before a: no merge.
-        let local = vec![po(&[&["a"], &["b"]])];
-        let seeds = vec![po(&[&["b"], &["a"], &["c"]])];
-        assert!(merge_cross_shard(&local, &seeds).is_empty());
     }
 
     #[test]

@@ -10,6 +10,8 @@
 
 #![allow(dead_code)]
 
+use aim_core::fleet::{FleetConfig, FleetOutcome, Tenant};
+use aim_core::AimConfig;
 use aim_exec::{Engine, ExecOutcome};
 use aim_monitor::WorkloadMonitor;
 use aim_sql::normalize::{fingerprint, fnv1a, normalize_statement, NormalizedQuery};
@@ -286,4 +288,17 @@ pub fn oltp() -> Corpus {
     .expect("index on an existing column");
     corpus.execute(&mut db, half..corpus.stmts.len());
     corpus
+}
+
+/// The fixed per-shard split the fleet's knapsack allocation is measured
+/// against: every tenant tuned alone, as a fleet of one, under
+/// `fleet_budget / n`. The tenants' outcomes are gathered in input order.
+pub fn uniform_split(base: &AimConfig, fleet_budget: u64, tenants: &mut [Tenant]) -> FleetOutcome {
+    let share = fleet_budget / (tenants.len() as u64).max(1);
+    let mut outcome = FleetOutcome::default();
+    for t in tenants {
+        let session = FleetConfig::builder().base(base.clone()).fleet_budget(share).session();
+        outcome.tenants.extend(session.run(std::slice::from_mut(t)).tenants);
+    }
+    outcome
 }

@@ -7,14 +7,15 @@
 //!   [`TuningSession`] on the same inputs;
 //! * one tenant faulting is isolated into its [`TenantOutcome`] and must
 //!   not abort the fleet (chaos coverage);
-//! * cross-shard seeding hands hot tenants' partial orders to the cold
-//!   tail, and can be switched off;
-//! * the fleet-level knapsack allocation never loses to the fixed uniform
-//!   per-shard split on total post-tuning workload cost.
+//! * the fleet-level knapsack allocation beats the fixed uniform per-shard
+//!   split — every tenant tuned alone under `budget / n` — on total
+//!   post-tuning workload cost.
 //!
 //! Fault state and telemetry are process-global, so tests take turns.
 
-use aim_core::fleet::{BudgetAllocation, FleetConfig, FleetOutcome, Tenant};
+mod common;
+
+use aim_core::fleet::{FleetConfig, FleetOutcome, Tenant};
 use aim_core::{workload_cost, AimConfig, RetryPolicy, TuningSession};
 use aim_exec::{CostModel, Engine, HypoConfig};
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
@@ -133,7 +134,6 @@ fn single_tenant_fleet_bit_identical_to_tuning_session() {
 
     assert_eq!(fleet.tenants.len(), 1);
     assert_eq!(fleet.budget_transfers, 0, "no allocation phase for one tenant");
-    assert_eq!(fleet.seeded_orders, 0, "no seeding phase for one tenant");
     let t = &fleet.tenants[0];
     let fleet_outcome = t.result.as_ref().expect("degenerate pass converges");
 
@@ -284,43 +284,6 @@ fn probe_failure_is_counted_and_journaled_like_a_tune_failure() {
     assert!(aborted[0].detail.contains("exec.whatif"), "{}", aborted[0].detail);
 }
 
-/// Cross-shard seeding: hot tenants' wide partial orders reach the cold
-/// tail (seeded orders observed and widened), and the switch turns the
-/// mechanism off completely.
-#[test]
-fn cross_shard_seeding_reaches_the_cold_tail_and_can_be_disabled() {
-    let _g = FaultGuard::acquire();
-    let spec = FleetSpec {
-        tenants: 8,
-        base_rows: 1000,
-        ..FleetSpec::default()
-    };
-    let run = |seeding: bool| -> (FleetOutcome, Vec<Tenant>) {
-        let mut tenants: Vec<Tenant> = generate_fleet(&spec)
-            .into_iter()
-            .map(|w| w.tenant)
-            .collect();
-        let outcome = FleetConfig::builder()
-            .base(AimConfig::builder().selection(selection()).build())
-            .cross_shard_seeding(seeding)
-            .session()
-            .run(&mut tenants);
-        (outcome, tenants)
-    };
-
-    let (seeded, _) = run(true);
-    assert_eq!(seeded.failed(), 0);
-    assert!(seeded.seeded_orders > 0, "cold tenants must receive seeds");
-    // Hot tenants (the head) receive none; at least one cold tenant does.
-    assert_eq!(seeded.tenants[0].seeded_orders, 0);
-    assert!(seeded.tenants.iter().skip(2).any(|t| t.seeded_orders > 0));
-
-    let (unseeded, _) = run(false);
-    assert_eq!(unseeded.failed(), 0);
-    assert_eq!(unseeded.seeded_orders, 0, "the switch disables seeding");
-    assert!(unseeded.tenants.iter().all(|t| t.seeded_orders == 0));
-}
-
 /// Total post-tuning workload cost of a fleet (materialized indexes
 /// visible to the planner).
 fn fleet_cost(tenants: &[Tenant], workloads: &[TenantWorkload], cm: &CostModel) -> f64 {
@@ -332,9 +295,9 @@ fn fleet_cost(tenants: &[Tenant], workloads: &[TenantWorkload], cm: &CostModel) 
         .sum()
 }
 
-/// Tentpole acceptance: under a contested budget, the fleet-level
-/// knapsack allocation beats the fixed uniform per-shard split on total
-/// workload cost, and actually moves budget beyond the uniform share.
+/// Under a contested budget, the fleet-level knapsack allocation beats the
+/// fixed uniform per-shard split on total workload cost, and actually moves
+/// budget beyond the uniform share.
 #[test]
 fn knapsack_allocation_beats_uniform_split_on_workload_cost() {
     let _g = FaultGuard::acquire();
@@ -345,21 +308,25 @@ fn knapsack_allocation_beats_uniform_split_on_workload_cost() {
     };
     let workloads = generate_fleet(&spec);
     let cm = CostModel::default();
-    let run = |budget: u64, allocation: BudgetAllocation| -> (f64, FleetOutcome) {
+    let base = AimConfig::builder().selection(selection()).build();
+    let run = |budget: u64, uniform: bool| -> (f64, FleetOutcome) {
         let mut tenants: Vec<Tenant> =
             workloads.iter().map(|w| w.tenant.clone()).collect();
-        let outcome = FleetConfig::builder()
-            .base(AimConfig::builder().selection(selection()).build())
-            .fleet_budget(budget)
-            .allocation(allocation)
-            .session()
-            .run(&mut tenants);
+        let outcome = if uniform {
+            common::uniform_split(&base, budget, &mut tenants)
+        } else {
+            FleetConfig::builder()
+                .base(base.clone())
+                .fleet_budget(budget)
+                .session()
+                .run(&mut tenants)
+        };
         assert_eq!(outcome.failed(), 0);
         (fleet_cost(&tenants, &workloads, &cm), outcome)
     };
 
     // Size a budget that genuinely bites: 35% of the unconstrained build.
-    let (_, unconstrained) = run(u64::MAX, BudgetAllocation::Knapsack);
+    let (_, unconstrained) = run(u64::MAX, false);
     let full_build: u64 = unconstrained
         .tenants
         .iter()
@@ -370,8 +337,8 @@ fn knapsack_allocation_beats_uniform_split_on_workload_cost() {
     assert!(full_build > 0, "the fleet must build something unconstrained");
     let budget = (full_build as f64 * 0.35) as u64;
 
-    let (uniform_cost, _) = run(budget, BudgetAllocation::Uniform);
-    let (knapsack_cost, knapsack) = run(budget, BudgetAllocation::Knapsack);
+    let (uniform_cost, _) = run(budget, true);
+    let (knapsack_cost, knapsack) = run(budget, false);
 
     assert!(
         knapsack.budget_transfers > 0,
@@ -380,140 +347,5 @@ fn knapsack_allocation_beats_uniform_split_on_workload_cost() {
     assert!(
         knapsack_cost < uniform_cost,
         "knapsack split must beat uniform: {knapsack_cost:.1} vs {uniform_cost:.1}"
-    );
-}
-
-/// One fleet run of the seeding verdict: per window, each tenant's index
-/// names and the bits of its post-pass workload cost, the candidates the
-/// fleet's tune phase generated, and the seed orders it handed out.
-type Windows = Vec<(Vec<(Vec<String>, u64)>, usize, u64)>;
-
-/// Runs `windows` fleet passes over a copy of `workloads` with seeding on
-/// or off. `shift` starts a fresh observation window before every pass but
-/// the first, in which every tenant repeats its SELECTs and, from the
-/// second window on, the cold tail also runs the hot head's composite.
-fn seeding_run(
-    workloads: &[TenantWorkload],
-    budget: u64,
-    seeding: bool,
-    windows: usize,
-    shift: bool,
-) -> Windows {
-    let cm = CostModel::default();
-    let engine = Engine::new();
-    let hot = (workloads.len() / 4).max(1);
-    let mut tenants: Vec<Tenant> = workloads.iter().map(|w| w.tenant.clone()).collect();
-    let mut weighted: Vec<Vec<aim_core::WeightedQuery>> =
-        workloads.iter().map(|w| w.weighted.clone()).collect();
-    let fleet = FleetConfig::builder()
-        .base(AimConfig::builder().selection(selection()).build())
-        .fleet_budget(budget)
-        .cross_shard_seeding(seeding)
-        .session();
-    let mut out = Vec::new();
-    for window in 0..windows {
-        if shift && window > 0 {
-            for (rank, (t, w)) in tenants.iter_mut().zip(&mut weighted).enumerate() {
-                let executions = w[0].weight;
-                if window == 1 && rank >= hot {
-                    let sql = "SELECT id, amount FROM events WHERE user_id = 1 AND kind = 1";
-                    let stmt = parse_statement(sql).unwrap();
-                    w.push(aim_core::WeightedQuery::new(stmt, executions));
-                }
-                t.monitor = WorkloadMonitor::new();
-                for q in w.iter() {
-                    for _ in 0..q.weight as usize {
-                        let res = engine.execute(&mut t.db, &q.statement).unwrap();
-                        t.monitor.record(&q.statement, &res);
-                    }
-                }
-            }
-        }
-        let outcome = fleet.run(&mut tenants);
-        assert_eq!(outcome.failed(), 0, "{:?}", outcome.tenants);
-        let generated = outcome
-            .tenants
-            .iter()
-            .map(|t| t.result.as_ref().unwrap().candidates_generated)
-            .sum();
-        let state = tenants
-            .iter()
-            .zip(&weighted)
-            .map(|(t, w)| {
-                let names = t.db.all_indexes().iter().map(|d| d.name.clone()).collect();
-                (names, workload_cost(&t.db, w, &HypoConfig::none(), &cm).to_bits())
-            })
-            .collect();
-        out.push((state, generated, outcome.seeded_orders));
-    }
-    out
-}
-
-/// ROADMAP item 18's verdict on cross-shard seeding, at the behaviour it
-/// judges: over generated fleets of 8 and 16 tenants and three fleet
-/// seeds, unconstrained and at 35 % of the unconstrained build, for two
-/// passes, and over three windows in which the cold tail starts running
-/// the head's composite, seeding on and off leave every tenant the same
-/// index set and the same workload cost to the bit. Seeding only adds
-/// candidates.
-#[test]
-fn cross_shard_seeding_changes_no_decision() {
-    let _g = FaultGuard::acquire();
-    let (mut compared, mut on_total, mut off_total, mut seeds) = (0, 0, 0, 0);
-    for n in [8, 16] {
-        for seed in [42, 1, 2] {
-            let workloads = generate_fleet(&FleetSpec {
-                tenants: n,
-                seed,
-                base_rows: 1200,
-                ..FleetSpec::default()
-            });
-            let full_build: u64 = {
-                let mut tenants: Vec<Tenant> =
-                    workloads.iter().map(|w| w.tenant.clone()).collect();
-                FleetConfig::builder()
-                    .base(AimConfig::builder().selection(selection()).build())
-                    .fleet_budget(u64::MAX)
-                    .session()
-                    .run(&mut tenants)
-                    .tenants
-                    .iter()
-                    .flat_map(|t| t.result.as_ref().unwrap().created.iter())
-                    .map(|c| c.size_bytes)
-                    .sum()
-            };
-            let runs = [
-                (u64::MAX, 2, false),
-                (full_build * 35 / 100, 2, false),
-                (u64::MAX, 3, true),
-            ];
-            for (budget, windows, shift) in runs {
-                let on = seeding_run(&workloads, budget, true, windows, shift);
-                let off = seeding_run(&workloads, budget, false, windows, shift);
-                let gen = |r: &Windows| r.iter().map(|w| w.1.to_string()).collect::<Vec<_>>();
-                println!(
-                    "n={n} seed={seed} budget={budget} shift={shift}: candidates {:?} on, {:?} off",
-                    gen(&on),
-                    gen(&off)
-                );
-                for (w, ((on_state, on_gen, on_seeds), (off_state, off_gen, off_seeds))) in
-                    on.iter().zip(&off).enumerate()
-                {
-                    let at = format!("n={n} seed={seed} budget={budget} shift={shift} window={w}");
-                    assert_eq!(on_state, off_state, "{at}");
-                    assert!(on_gen >= off_gen, "{at}: {on_gen} < {off_gen}");
-                    assert_eq!(*off_seeds, 0, "{at}");
-                    assert!(w > 0 || *on_seeds > 0, "{at}: the first pass hands out seeds");
-                    seeds += on_seeds;
-                    compared += 1;
-                    on_total += on_gen;
-                    off_total += off_gen;
-                }
-            }
-        }
-    }
-    println!(
-        "seeding verdict: {compared} fleet windows identical; {seeds} seed orders; \
-         candidates generated {on_total} on, {off_total} off"
     );
 }

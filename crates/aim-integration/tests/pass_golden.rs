@@ -17,7 +17,7 @@
 
 mod common;
 
-use aim_core::fleet::{BudgetAllocation, FleetConfig, FleetOutcome, Tenant};
+use aim_core::fleet::{FleetConfig, FleetOutcome, Tenant};
 use aim_core::{
     config_size, generate_candidates, knapsack, knapsack_select,
     rank_candidates_with, refine_selection, AimAdvisor, AimConfig, AimConfigBuilder, AimOutcome,
@@ -232,17 +232,21 @@ fn oltp_case() -> Case {
 
 fn fleet_section(out: &mut String) {
     let workloads = generate_fleet(&FleetSpec { tenants: 6, base_rows: 1200, ..FleetSpec::default() });
-    let run = |budget: u64, allocation: BudgetAllocation| -> FleetOutcome {
+    let base = AimConfig::builder().selection(selection()).ledger(true).build();
+    // The uniform split is every tenant tuned alone under `budget / n`.
+    let run = |budget: u64, uniform: bool| -> FleetOutcome {
         let mut tenants: Vec<Tenant> = workloads.iter().map(|w| w.tenant.clone()).collect();
+        if uniform {
+            return common::uniform_split(&base, budget, &mut tenants);
+        }
         FleetConfig::builder()
-            .base(AimConfig::builder().selection(selection()).ledger(true).build())
+            .base(base.clone())
             .fleet_budget(budget)
             .fleet_workers(2)
-            .allocation(allocation)
             .session()
             .run(&mut tenants)
     };
-    let full: u64 = run(u64::MAX, BudgetAllocation::Knapsack)
+    let full: u64 = run(u64::MAX, false)
         .tenants
         .iter()
         .filter_map(|t| t.result.as_ref().ok())
@@ -250,17 +254,14 @@ fn fleet_section(out: &mut String) {
         .map(|c| c.size_bytes)
         .sum();
     let budget = full * 35 / 100;
-    for (label, allocation) in
-        [("knapsack", BudgetAllocation::Knapsack), ("uniform", BudgetAllocation::Uniform)]
-    {
-        let outcome = run(budget, allocation);
+    for (label, uniform) in [("knapsack", false), ("uniform", true)] {
+        let outcome = run(budget, uniform);
         writeln!(
             out,
-            "[fleet {label}] budget={budget} failed={} transfers={} transferred={} seeded={}",
+            "[fleet {label}] budget={budget} failed={} transfers={} transferred={}",
             outcome.failed(),
             outcome.budget_transfers,
-            outcome.transferred_bytes,
-            outcome.seeded_orders
+            outcome.transferred_bytes
         )
         .unwrap();
         for t in &outcome.tenants {
@@ -271,8 +272,8 @@ fn fleet_section(out: &mut String) {
             let ledger = t.ledger_json.as_deref().map_or(0, |j| fnv1a(j.as_bytes()));
             writeln!(
                 out,
-                "[fleet {label}] {} budget={} seeded={} ledger={ledger:016x} created={result}",
-                t.id, t.budget, t.seeded_orders
+                "[fleet {label}] {} budget={} ledger={ledger:016x} created={result}",
+                t.id, t.budget
             )
             .unwrap();
         }

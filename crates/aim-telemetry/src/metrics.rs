@@ -165,8 +165,6 @@ builtin_counters! {
     /// fleet-level knapsack allocation.
     FLEET_BUDGET_TRANSFERS = "fleet.budget_transfers",
         "Tenants granted more than the uniform budget share.";
-    FLEET_SEEDED_ORDERS = "fleet.seeded_orders",
-        "Cross-shard seed partial orders handed to cold tenants.";
     /// Tenant tuning passes that failed inside a fleet run (the fleet
     /// continues; the failure is isolated to the tenant).
     FLEET_TENANT_FAILURES = "fleet.tenant_failures",

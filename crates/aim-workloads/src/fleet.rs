@@ -10,10 +10,9 @@
 //! uniform share buys).
 //!
 //! Hot tenants (the leading ranks) additionally run a wider composite
-//! query, so their tuning passes discover wide partial orders that
-//! cross-shard seeding can hand to the tail. Every 7th tenant carries a
-//! [`ShardingProfile`] to exercise per-tenant sharding economics inside a
-//! fleet run.
+//! query, so the head and the tail want different indexes. Every 7th
+//! tenant carries a [`ShardingProfile`] to exercise per-tenant sharding
+//! economics (§VIII-b) inside a fleet run.
 
 use crate::rng::{Rng, SeedableRng, StdRng};
 use aim_core::fleet::Tenant;
@@ -94,8 +93,7 @@ pub fn generate_fleet(spec: &FleetSpec) -> Vec<TenantWorkload> {
             format!("SELECT id FROM events WHERE kind = {kind} AND region = {region}"),
         ];
         if hot {
-            // The head of the fleet also runs the wide composite shape —
-            // the source of the partial orders seeded into the tail.
+            // The head of the fleet also runs the wide composite shape.
             shapes.push(format!(
                 "SELECT id, amount FROM events WHERE user_id = {user} AND kind = {kind}"
             ));
