@@ -432,10 +432,7 @@ impl FleetSession {
         );
         tel::metrics::gauge_set(
             "fleet.budget_used_bytes",
-            tenant
-                .db
-                .total_secondary_index_bytes()
-                .min(i64::MAX as u64) as i64,
+            self.used_bytes(tenant).min(i64::MAX as u64) as i64,
         );
         TenantOutcome {
             id: tenant.id.clone(),
@@ -453,7 +450,6 @@ impl FleetSession {
     fn probe_tenant(&self, tenant: &mut Tenant, ctl: &RunCtl) -> Probe {
         let base = &self.cfg.base;
         let profile = tenant.profile.as_ref().or(base.sharding.as_ref());
-        let shard_mult = profile.map_or(1, |p| p.shard_count);
         let planner = PassPlanner {
             candidate_gen: &base.candidate_gen,
             sharding: profile,
@@ -471,8 +467,16 @@ impl FleetSession {
         );
         Probe {
             ranked: planned.map(|(_, ranked)| ranked),
-            used: tenant.db.total_secondary_index_bytes().saturating_mul(shard_mult),
+            used: self.used_bytes(tenant),
         }
+    }
+
+    /// `tenant`'s secondary-index bytes over all its shards — what its
+    /// budget is charged for, as the session's knapsack charges it.
+    fn used_bytes(&self, tenant: &Tenant) -> u64 {
+        let profile = tenant.profile.as_ref().or(self.cfg.base.sharding.as_ref());
+        let shards = profile.map_or(1, |p| p.shard_count);
+        tenant.db.total_secondary_index_bytes().saturating_mul(shards)
     }
 }
 

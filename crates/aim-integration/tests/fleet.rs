@@ -284,6 +284,40 @@ fn probe_failure_is_counted_and_journaled_like_a_tune_failure() {
     assert!(aborted[0].detail.contains("exec.whatif"), "{}", aborted[0].detail);
 }
 
+/// The `fleet.budget_used_bytes` gauge counts what a tenant's budget is
+/// charged for: its secondary-index bytes over all its shards, which on an
+/// unconstrained fleet is the sum of the sizes its pass created.
+#[test]
+fn budget_used_gauge_counts_every_shard() {
+    let _g = FaultGuard::acquire();
+    let mut tenants: Vec<Tenant> = generate_fleet(&FleetSpec { tenants: 8, ..FleetSpec::default() })
+        .into_iter()
+        .map(|w| w.tenant)
+        .collect();
+    assert!(tenants.iter().any(|t| t.profile.is_some()), "the fleet has a sharded tenant");
+    aim_telemetry::enable();
+    aim_telemetry::reset();
+    let outcome = FleetConfig::builder()
+        .base(AimConfig::builder().selection(selection()).build())
+        .session()
+        .run(&mut tenants);
+    let snap = aim_telemetry::snapshot();
+    aim_telemetry::disable();
+    assert_eq!(outcome.failed(), 0);
+    for t in &outcome.tenants {
+        let created: u64 = t.result.as_ref().unwrap().created.iter().map(|c| c.size_bytes).sum();
+        let used: Vec<i64> = snap
+            .gauges
+            .iter()
+            .filter(|(s, _)| {
+                s.name() == "fleet.budget_used_bytes" && s.label("tenant") == Some(t.id.as_str())
+            })
+            .map(|(_, v)| *v)
+            .collect();
+        assert_eq!(used, [created as i64], "{}", t.id);
+    }
+}
+
 /// Total post-tuning workload cost of a fleet (materialized indexes
 /// visible to the planner).
 fn fleet_cost(tenants: &[Tenant], workloads: &[TenantWorkload], cm: &CostModel) -> f64 {
