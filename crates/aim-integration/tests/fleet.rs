@@ -331,55 +331,62 @@ fn fleet_cost(tenants: &[Tenant], workloads: &[TenantWorkload], cm: &CostModel) 
 
 /// Under a contested budget, the fleet-level knapsack allocation beats the
 /// fixed uniform per-shard split on total workload cost, and actually moves
-/// budget beyond the uniform share.
+/// budget beyond the uniform share — on fleets of 6, 10 and 16 tenants from
+/// three fleet seeds, at 35 % of each fleet's unconstrained build.
 #[test]
 fn knapsack_allocation_beats_uniform_split_on_workload_cost() {
     let _g = FaultGuard::acquire();
-    let spec = FleetSpec {
-        tenants: 10,
-        base_rows: 1200,
-        ..FleetSpec::default()
-    };
-    let workloads = generate_fleet(&spec);
     let cm = CostModel::default();
     let base = AimConfig::builder().selection(selection()).build();
-    let run = |budget: u64, uniform: bool| -> (f64, FleetOutcome) {
-        let mut tenants: Vec<Tenant> =
-            workloads.iter().map(|w| w.tenant.clone()).collect();
-        let outcome = if uniform {
-            common::uniform_split(&base, budget, &mut tenants)
-        } else {
-            FleetConfig::builder()
-                .base(base.clone())
-                .fleet_budget(budget)
-                .session()
-                .run(&mut tenants)
-        };
-        assert_eq!(outcome.failed(), 0);
-        (fleet_cost(&tenants, &workloads, &cm), outcome)
-    };
+    let mut ratios = Vec::new();
+    for tenants in [6, 10, 16] {
+        for seed in [42, 1, 2] {
+            let spec = FleetSpec { tenants, seed, base_rows: 1200, ..FleetSpec::default() };
+            let workloads = generate_fleet(&spec);
+            let run = |budget: u64, uniform: bool| -> (f64, FleetOutcome) {
+                let mut tenants: Vec<Tenant> =
+                    workloads.iter().map(|w| w.tenant.clone()).collect();
+                let outcome = if uniform {
+                    common::uniform_split(&base, budget, &mut tenants)
+                } else {
+                    FleetConfig::builder()
+                        .base(base.clone())
+                        .fleet_budget(budget)
+                        .session()
+                        .run(&mut tenants)
+                };
+                assert_eq!(outcome.failed(), 0);
+                (fleet_cost(&tenants, &workloads, &cm), outcome)
+            };
 
-    // Size a budget that genuinely bites: 35% of the unconstrained build.
-    let (_, unconstrained) = run(u64::MAX, false);
-    let full_build: u64 = unconstrained
-        .tenants
-        .iter()
-        .filter_map(|t| t.result.as_ref().ok())
-        .flat_map(|o| o.created.iter())
-        .map(|c| c.size_bytes)
-        .sum();
-    assert!(full_build > 0, "the fleet must build something unconstrained");
-    let budget = (full_build as f64 * 0.35) as u64;
+            // Size a budget that genuinely bites: 35% of the unconstrained build.
+            let (_, unconstrained) = run(u64::MAX, false);
+            let full_build: u64 = unconstrained
+                .tenants
+                .iter()
+                .filter_map(|t| t.result.as_ref().ok())
+                .flat_map(|o| o.created.iter())
+                .map(|c| c.size_bytes)
+                .sum();
+            assert!(full_build > 0, "the fleet must build something unconstrained");
+            let budget = (full_build as f64 * 0.35) as u64;
 
-    let (uniform_cost, _) = run(budget, true);
-    let (knapsack_cost, knapsack) = run(budget, false);
-
-    assert!(
-        knapsack.budget_transfers > 0,
-        "the knapsack must move budget beyond the uniform share"
-    );
-    assert!(
-        knapsack_cost < uniform_cost,
-        "knapsack split must beat uniform: {knapsack_cost:.1} vs {uniform_cost:.1}"
-    );
+            let (uniform_cost, _) = run(budget, true);
+            let (knapsack_cost, knapsack) = run(budget, false);
+            let at = format!("{tenants} tenants, seed {seed}");
+            assert!(
+                knapsack.budget_transfers > 0,
+                "{at}: the knapsack must move budget beyond the uniform share"
+            );
+            assert!(
+                knapsack_cost < uniform_cost,
+                "{at}: knapsack split must beat uniform: {knapsack_cost:.1} vs {uniform_cost:.1}"
+            );
+            println!("{at}: knapsack / uniform = {:.3}", knapsack_cost / uniform_cost);
+            ratios.push(knapsack_cost / uniform_cost);
+        }
+    }
+    let min = ratios.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = ratios.iter().copied().fold(0.0, f64::max);
+    println!("knapsack / uniform at 35 %: {min:.3}..{max:.3} over {} fleets", ratios.len());
 }
