@@ -76,24 +76,24 @@ type Observation = Option<(f64, BTreeSet<String>)>;
 /// A plan an exemplar was executed with on the test bed, and what it cost.
 type Measured = (Plan, f64);
 
-/// What the monitor measured `open`'s exemplar at, taken as its cost on a
-/// bed where the exemplar's stamp is the one it was measured under — its
-/// tables' newest version and the cost model: same contents, same plan,
-/// same cost bits (DESIGN.md §18). Builds with debug assertions — the
-/// test profile — execute the plan anyway and hold it to those bits, so
-/// every validating test audits the rule.
-fn recorded(open: OpenSelect<'_>, sel: &Select, cost: f64) -> Result<Measured, ExecError> {
+/// `cost`, taken as what `open` costs on the bed without executing it: the
+/// monitor's measurement of an exemplar whose stamp is the one it was
+/// measured under, or this bed's measurement of an execution-identical
+/// plan — same contents, same plan, same cost bits (DESIGN.md §18). Builds
+/// with debug assertions — the test profile — execute the plan anyway and
+/// hold it to those bits, so every validating test audits both rules.
+fn audited(open: OpenSelect<'_>, sel: &Select, cost: f64, taken: &str) -> Result<Plan, ExecError> {
     if cfg!(debug_assertions) {
         let out = open.run()?;
         assert_eq!(
             out.cost.to_bits(),
             cost.to_bits(),
-            "{sel}: costs {} on the bed, {cost} where the monitor saw it under the same stamp",
+            "{sel}: costs {} on the bed, {cost} {taken}",
             out.cost
         );
-        Ok((out.plan, cost))
+        Ok(out.plan)
     } else {
-        Ok((open.into_plan(), cost))
+        Ok(open.into_plan())
     }
 }
 
@@ -142,7 +142,7 @@ impl Replay<'_> {
     /// measured then and is not run again. Nor is one the monitor measured
     /// under the stamp it has on `db` — none of its tables has changed
     /// since production was observed — which costs what the monitor
-    /// recorded ([`recorded`]). Any other plan is executed; either way it
+    /// recorded. Debug builds audit both ([`audited`]). Any other plan is executed; either way it
     /// joins `measured[i]`. Observations are therefore those of a full
     /// replay, for any worker count.
     fn read_only(
@@ -173,14 +173,17 @@ impl Replay<'_> {
                         .iter()
                         .position(|(plan, _)| plan.same_execution(open.plan()))
                     {
-                        return Ok(Replayed::Known(k));
+                        let taken = "where an execution-identical plan was measured";
+                        return audited(open, sel, known[k].1, taken).map(|_| Replayed::Known(k));
                     }
                     let tables = sel.from.iter().map(|t| t.name.as_str());
                     match wq.stats.exemplar_cost {
                         Some((cost, seen))
                             if seen == CostStamp::of(db, tables, &self.engine.cost_model) =>
                         {
-                            recorded(open, sel, cost).map(Replayed::Recorded)
+                            let taken = "where the monitor saw it under the same stamp";
+                            let plan = audited(open, sel, cost, taken)?;
+                            Ok(Replayed::Recorded((plan, cost)))
                         }
                         _ => open
                             .run()
