@@ -589,12 +589,12 @@ fn run_continuous(args: &[String], strategy: SelectionStrategy, trace_out: Optio
 /// `fleet [--tenants N] [--skew S] [--workers W] [--serve PORT]`:
 /// generate a Zipf-skewed tenant fleet, tune it through a single
 /// [`aim_core::FleetSession`] run (fleet-level knapsack budget
-/// allocation), and print per-tenant outcomes plus the fleet counters. `--serve` exposes the live introspection endpoint
-/// (/metrics with per-tenant labels, /timeseries, /fleet per-tenant
-/// rollups — `?sort=`/`?top=N` — and /alerts SLO burn rates; a default
-/// per-tenant p99 select-latency SLO is registered so /alerts has a rule
-/// to evaluate) for the duration of the run and holds it open until stdin
-/// closes.
+/// allocation), and print per-tenant outcomes plus the fleet counters.
+/// `--serve` exposes the live introspection endpoint (/metrics with
+/// per-tenant labels, /timeseries, /fleet per-tenant rollups —
+/// `?sort=`/`?top=N` — and /alerts SLO burn rates; a default per-tenant
+/// p99 select-latency SLO is registered so /alerts has a rule to evaluate)
+/// for the duration of the run and holds it open until stdin closes.
 fn run_fleet(args: &[String], strategy: SelectionStrategy) {
     let mut tenants = 16usize;
     let mut skew = 1.0f64;

@@ -553,8 +553,9 @@ pub fn try_generate_candidates(
 
 /// One table's candidates from the partial orders its queries derived, in
 /// the compact form of [`crate::partial_order`]: distinct orders with their
-/// sources unioned, closed under merging, then one concrete index per merged order carrying the sources of every
-/// input order it serves. Ascending by key columns.
+/// sources unioned, closed under merging, then one concrete index per
+/// merged order carrying the sources of every input order it serves.
+/// Ascending by key columns.
 fn table_candidates(
     db: &Database,
     table: &str,

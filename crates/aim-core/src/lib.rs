@@ -27,10 +27,11 @@
 //! N tenants on a bounded worker pool and a fleet-level storage-budget
 //! knapsack, with §VIII-b's sharding economics in [`sharding`] — and its
 //! 1-tenant form is bit-identical to a bare session, making
-//! `FleetSession → TuningSession` the single entry path. [`advisor::AimAdvisor`] runs the same planning
-//! code (`plan.rs`: selection → candidates → ranking, written once for the
-//! session, the fleet probe and the advisor) over weighted analytical
-//! workloads for benchmark comparisons against baselines.
+//! `FleetSession → TuningSession` the single entry path.
+//! [`advisor::AimAdvisor`] runs the same planning code (`plan.rs`:
+//! selection → candidates → ranking, written once for the session, the
+//! fleet probe and the advisor) over weighted analytical workloads for
+//! benchmark comparisons against baselines.
 //!
 //! # Example
 //!

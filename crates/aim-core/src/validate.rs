@@ -142,9 +142,9 @@ impl Replay<'_> {
     /// measured then and is not run again. Nor is one the monitor measured
     /// under the stamp it has on `db` — none of its tables has changed
     /// since production was observed — which costs what the monitor
-    /// recorded. Debug builds audit both ([`audited`]). Any other plan is executed; either way it
-    /// joins `measured[i]`. Observations are therefore those of a full
-    /// replay, for any worker count.
+    /// recorded. Debug builds audit both ([`audited`]). Any other plan is
+    /// executed; either way it joins `measured[i]`. Observations are
+    /// therefore those of a full replay, for any worker count.
     fn read_only(
         &self,
         db: &Database,
