@@ -31,15 +31,15 @@
 //!     explain demo "SELECT id FROM orders WHERE customer_id = 7"
 //!
 //! # continuous tuning over N observation windows, with the live
-//! # introspection endpoint (/metrics, /journal, /profile, /timeseries,
-//! # /trace, /ledger); artifacts are written only where a path is given
+//! # introspection endpoint (/metrics, /journal, /profile, /trace,
+//! # /ledger); artifacts are written only where a path is given
 //! cargo run -p aim-bench --bin aim_cli --release -- \
 //!     continuous tpch --windows 3 --serve 7800 --trace-out /tmp/trace_tpch.json \
 //!     --ledger-out /tmp/decision_ledger.json --telemetry-out /tmp/telemetry.json
 //!
 //! # tune a Zipf-skewed tenant fleet through one FleetSession run
 //! # (fleet-level knapsack budget allocation), optionally serving
-//! # /metrics and /timeseries live
+//! # /metrics and /fleet live
 //! cargo run -p aim-bench --bin aim_cli --release -- \
 //!     fleet --tenants 32 --skew 1.2 --selection lp --serve 7800
 //! ```
@@ -538,7 +538,7 @@ fn run_continuous(args: &[String], strategy: SelectionStrategy, trace_out: Optio
     let ledger_handle = session.clone();
     aim_telemetry::set_ledger_source(Box::new(move || ledger_handle.ledger_json()));
     let server = serve_on
-        .map(|port| serve(port, "/metrics /journal /profile /timeseries /trace /ledger"));
+        .map(|port| serve(port, "/metrics /journal /profile /trace /ledger"));
 
     let mut tuner = aim_core::ContinuousTuner::with_session(session.clone(), 0.5);
     for w in 1..=windows {
@@ -591,9 +591,7 @@ fn run_continuous(args: &[String], strategy: SelectionStrategy, trace_out: Optio
 /// [`aim_core::FleetSession`] run (fleet-level knapsack budget
 /// allocation), and print per-tenant outcomes plus the fleet counters.
 /// `--serve` exposes the live introspection endpoint (/metrics with
-/// per-tenant labels, /timeseries, /fleet per-tenant rollups —
-/// `?sort=`/`?top=N` — and /alerts SLO burn rates; a default per-tenant
-/// p99 select-latency SLO is registered so /alerts has a rule to evaluate)
+/// per-tenant labels, /fleet per-tenant rollups — `?sort=`/`?top=N`)
 /// for the duration of the run and holds it open until stdin closes.
 fn run_fleet(args: &[String], strategy: SelectionStrategy) {
     let mut tenants = 16usize;
@@ -617,14 +615,7 @@ fn run_fleet(args: &[String], strategy: SelectionStrategy) {
 
     aim_telemetry::reset();
     aim_telemetry::enable();
-    let server = serve_on.map(|port| {
-        // Give /alerts something real to evaluate: a per-tenant p99 SLO on
-        // windowed select cost.
-        aim_telemetry::slo::register(
-            aim_telemetry::SloRule::new("fleet-select-p99", "exec.select_cost", 1000.0),
-        );
-        serve(port, "/metrics /timeseries /fleet /alerts")
-    });
+    let server = serve_on.map(|port| serve(port, "/metrics /fleet"));
 
     println!("generating fleet: {tenants} tenants, Zipf s = {skew}");
     let spec = aim_workloads::fleet::FleetSpec {

@@ -1,7 +1,7 @@
 //! `aim_cli`, run as a process. `explain`: the JSON form keeps the
 //! `ExplainPlan` contract its consumers parse, the text form names the
 //! access path the planner chose. `continuous`: no file without a path.
-//! `fleet --serve`: `/alerts` evaluates the rule the run registered.
+//! `fleet --serve`: `/fleet` rolls up every tenant the run tuned.
 
 use aim_telemetry::jsonv::{self, Json};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -113,10 +113,10 @@ fn continuous_writes_artifacts_only_where_a_path_is_given() {
     std::fs::remove_dir_all(&dir).expect("scratch directory removed");
 }
 
-/// `aim_cli fleet --serve` registers its per-tenant select-cost SLO and
-/// serves its evaluation at `/alerts` until stdin closes.
+/// `aim_cli fleet --serve` holds its endpoint open until stdin closes, and
+/// `/fleet` there has a row for every tenant it generated and tuned.
 #[test]
-fn fleet_serves_alerts_for_the_rule_it_registers() {
+fn fleet_serves_a_rollup_of_every_tenant_it_tuned() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_aim_cli"))
         .args(["fleet", "--tenants", "2", "--workers", "1", "--serve", "0"])
         .stdin(Stdio::piped())
@@ -135,23 +135,30 @@ fn fleet_serves_alerts_for_the_rule_it_registers() {
         })
         .unwrap_or_else(|| panic!("the run never held its endpoint open:\n{seen}"));
     assert!(seen.contains("fleet: 2/2 tuned"), "{seen}");
+    // Each tenant's outcome line: `  ID: budget …`.
+    let generated: Vec<&str> = seen
+        .lines()
+        .filter_map(|l| l.strip_prefix("  ")?.split_once(": budget").map(|(id, _)| id))
+        .collect();
+    assert_eq!(generated.len(), 2, "{seen}");
 
     let mut conn = std::net::TcpStream::connect(&addr).expect("endpoint accepts");
-    conn.write_all(b"GET /alerts HTTP/1.1\r\nHost: localhost\r\n\r\n")
+    conn.write_all(b"GET /fleet HTTP/1.1\r\nHost: localhost\r\n\r\n")
         .expect("request sent");
     let mut response = String::new();
     conn.read_to_string(&mut response).expect("response read");
     let (head, body) = response.split_once("\r\n\r\n").expect("HTTP response");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
     let doc = jsonv::parse(body).unwrap_or_else(|e| panic!("{e}:\n{body}"));
-    let rules = doc.path("rules").and_then(Json::as_arr).expect("rules array");
-    assert!(
-        rules
+    let rows = doc.path("tenants").and_then(Json::as_arr).expect("tenants array");
+    for id in generated {
+        let row = rows
             .iter()
-            .any(|r| r.path("name").and_then(Json::as_str) == Some("fleet-select-p99")),
-        "{body}"
-    );
-    assert!(doc.path("alerts").and_then(Json::as_arr).is_some(), "{body}");
+            .find(|r| r.path("tenant").and_then(Json::as_str) == Some(id))
+            .unwrap_or_else(|| panic!("no /fleet row for {id}:\n{body}"));
+        let shards = row.path("shards_tuned").and_then(Json::as_f64);
+        assert!(shards >= Some(1.0), "{id} tuned no shard:\n{body}");
+    }
 
     drop(child.stdin.take());
     assert!(child.wait().expect("aim_cli exits").success());

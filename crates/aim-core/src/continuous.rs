@@ -209,10 +209,6 @@ impl ContinuousTuner {
         let _step_span = aim_telemetry::span("aim.continuous_step");
         let mut outcome = ContinuousOutcome::default();
 
-        // A step is a window boundary for whoever reads the telemetry
-        // time-series; the step itself reads nothing back.
-        aim_telemetry::timeseries::tick("continuous_window");
-
         // 1. Revert recently-added automation indexes implicated in
         //    regressions (pre-existing indexes are never auto-dropped on a
         //    regression signal: the regression cannot be "due to an index

@@ -308,7 +308,6 @@ impl FleetSession {
                 self.probe_tenant(t, &ctl)
             })
         };
-        tel::timeseries::tick("fleet.probe");
 
         // Phase 2: split the budget across tenants.
         let (budgets, transfers, transferred) = {
@@ -338,7 +337,6 @@ impl FleetSession {
             .max_by_key(|t| t.elapsed)
             .map(|t| (t.id.clone(), t.elapsed));
         outcome.tenants = tuned;
-        tel::timeseries::tick("fleet.tune");
 
         if tel::is_enabled() {
             tel::event(

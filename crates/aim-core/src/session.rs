@@ -500,9 +500,10 @@ impl TuningSession {
         );
         // A configured tenant label scopes the entire pass: every
         // instrument below also records a labeled twin. The scope carries
-        // a `phase="tune"` label besides the tenant so the pass's own
-        // validation replays never pollute the tenant's *pure* latency
-        // series — the one the SLO rules judge.
+        // a `phase="tune"` label besides the tenant so a tenant's tune work
+        // stays apart from its probe work
+        // (`exec.whatif_calls{phase="probe",tenant=…}`), the split ROADMAP
+        // item 2(j) measures.
         let _tenant_scope = self
             .config()
             .tenant_label

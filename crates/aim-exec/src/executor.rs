@@ -207,8 +207,8 @@ impl Engine {
         aim_telemetry::metrics::ROWS_READ.add(outcome.io.rows_read);
         aim_telemetry::metrics::PAGES_READ.add(outcome.io.pages_read);
         aim_telemetry::metrics::INDEX_SEEKS.add(outcome.io.seeks);
-        // Select latency proxy for the windowed time-series and the SLO
-        // rules. Only production executes feed it — advisory
+        // Select latency proxy for `/metrics` and `/fleet`'s p50/p99.
+        // Only production executes feed it — advisory
         // what-ifs and validation replays call `execute_select` directly
         // and must not pollute the live-traffic signal.
         if matches!(stmt, Statement::Select(_)) {

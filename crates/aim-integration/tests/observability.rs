@@ -73,8 +73,7 @@ fn every_served_metric_has_curated_help() {
     aim_telemetry::reset();
 
     // Drive a representative slice of the pipeline so the snapshot holds
-    // real series: a fleet pass (scoped, so labeled twins exist too), an
-    // SLO evaluation, and a window tick.
+    // real series: a fleet pass (scoped, so labeled twins exist too).
     let mut tenants = vec![
         Tenant::new("ha", build_db(2000)),
         Tenant::new("hb", build_db(2000)),
@@ -97,13 +96,6 @@ fn every_served_metric_has_curated_help() {
         .session();
     let out = fleet.run(&mut tenants);
     assert_eq!(out.tuned(), 2);
-    aim_telemetry::slo::register(aim_telemetry::SloRule::new(
-        "help-cov",
-        "exec.select_cost",
-        1e9,
-    ));
-    aim_telemetry::timeseries::tick("fleet.window");
-    aim_telemetry::slo::evaluate();
 
     let snap = aim_telemetry::snapshot();
     let names: Vec<&str> = snap
@@ -327,7 +319,6 @@ fn artifact_json_roundtrips_through_jsonv() {
         let _outer = aim_telemetry::span("outer");
         let _inner = aim_telemetry::span("inner");
     }
-    let _ = aim_telemetry::timeseries::tick("roundtrip");
 
     let doc = aim_telemetry::report::artifact_json("label \\ with \"specials\"\n");
     let parsed = aim_telemetry::jsonv::parse(&doc)
@@ -347,7 +338,6 @@ fn artifact_json_roundtrips_through_jsonv() {
     assert_eq!(event.get("detail").and_then(Json::as_str), Some(nasty));
     // The structural sections all materialized through the parser too.
     assert!(parsed.get("profile").and_then(Json::as_arr).is_some());
-    assert!(parsed.path("timeseries/windows").and_then(Json::as_arr).is_some());
 
     aim_telemetry::disable();
 }

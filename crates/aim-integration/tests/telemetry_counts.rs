@@ -27,7 +27,7 @@ fn disabled_hooks_allocate_nothing_and_record_nothing() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     tel::reset();
     tel::disable();
-    let hooks: [(&str, u64); 10] = [
+    let hooks: [(&str, u64); 9] = [
         ("span", count(|| drop(tel::span("off.span")))),
         ("Counter::add", count(|| STATEMENTS_EXECUTED.add(1))),
         ("counter_add", count(|| counter_add("off.hits", 1))),
@@ -40,10 +40,6 @@ fn disabled_hooks_allocate_nothing_and_record_nothing() {
         (
             "scope_phase enter + drop",
             count(|| drop(tel::scope_phase("acme", "probe"))),
-        ),
-        (
-            "timeseries::tick",
-            count(|| tel::timeseries::tick("off.window")),
         ),
         (
             "trace fork/adopt/stitch",
@@ -68,7 +64,6 @@ fn disabled_hooks_allocate_nothing_and_record_nothing() {
         .iter()
         .all(|(s, v)| *v == 0 && s.labels().is_empty()));
     assert!(snap.gauges.is_empty() && snap.histograms.is_empty());
-    assert_eq!(tel::timeseries::len(), 0);
     assert!(tel::events().is_empty());
 }
 

@@ -6,10 +6,9 @@
 //! histogram, each written unscoped, under `scope("acme")`, under the
 //! nested `scope_phase("acme", "probe")` and under a second tenant; the
 //! three explicit `*_labeled` calls, on names of their own; a hostile label
-//! value; a series cap with two tenants past it; and two
-//! `timeseries::tick`s with observations between them. The file holds the
-//! Prometheus exposition, the metrics section of the artifact JSON, the
-//! `/timeseries` document (wall-clock fields masked) and the `/fleet` body.
+//! value; and a series cap with two tenants past it. The file holds the
+//! Prometheus exposition, the metrics section of the artifact JSON and the
+//! `/fleet` body.
 //! Histogram observations are dyadic, so every `sum` is exact whatever the
 //! order of addition.
 //!
@@ -73,24 +72,6 @@ fn reflow(json: &str, depth: usize) -> String {
     out
 }
 
-/// Replaces the number after every `"key":` with `_`.
-fn mask(json: &str, key: &str) -> String {
-    let needle = format!("\"{key}\":");
-    let mut out = String::new();
-    let mut rest = json;
-    while let Some(at) = rest.find(&needle) {
-        let value = at + needle.len();
-        out.push_str(&rest[..value]);
-        out.push('_');
-        let end = rest[value..]
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .map_or(rest.len(), |n| value + n);
-        rest = &rest[end..];
-    }
-    out.push_str(rest);
-    out
-}
-
 fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     let mut stream = std::net::TcpStream::connect(addr).expect("connect");
     write!(stream, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
@@ -123,7 +104,6 @@ fn served_telemetry_matches_golden() {
         observe(5);
         fleet_observe(3);
     }
-    tel::timeseries::tick("first");
 
     counter_add_labeled("gold.explicit", &[("tenant", "acme"), ("backend", "disk")], 6);
     histogram_record_labeled("gold.latency", &[("tenant", "globex")], 256.0);
@@ -143,7 +123,6 @@ fn served_telemetry_matches_golden() {
         let _acme = tel::scope("acme");
         observe(11);
     }
-    tel::timeseries::tick("second");
 
     let mut out = String::new();
     out.push_str("== prometheus\n");
@@ -155,9 +134,6 @@ fn served_telemetry_matches_golden() {
         .expect("artifact has a profile section")
         .0;
     out.push_str(&reflow(metrics, 2));
-    out.push_str("\n== timeseries\n");
-    let series = mask(&mask(&tel::timeseries::to_json(usize::MAX), "duration_ms"), "rate");
-    out.push_str(&reflow(&series, 4));
     out.push_str("\n== fleet\n");
     let server = tel::IntrospectionServer::start(0).expect("bind loopback");
     for query in ["/fleet", "/fleet?sort=shards&top=2"] {

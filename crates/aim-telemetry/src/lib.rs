@@ -55,16 +55,13 @@ pub mod jsonv;
 pub mod metrics;
 pub mod report;
 pub mod serve;
-pub mod slo;
 pub mod span;
-pub mod timeseries;
 pub mod trace;
 
 pub use journal::{event, events, Event, EventKind};
 pub use metrics::{
     scope, scope_phase, snapshot, Counter, HistogramSnapshot, Series, Snapshot, TelemetryScope,
 };
-pub use slo::{SloRule, SloStat, SloStatus};
 pub use report::{render_counters, render_profile, write_artifact};
 pub use serve::{
     clear_ledger_source, render_prometheus, set_ledger_source, IntrospectionServer,
@@ -73,7 +70,6 @@ pub use span::{
     profile_snapshot, publish_profile, published_profile, span, take_profile, ProfileNode,
     SpanGuard,
 };
-pub use timeseries::{Window, WindowHistogram};
 pub use trace::{fork, AdoptGuard, TraceContext};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -97,15 +93,13 @@ pub fn is_enabled() -> bool {
 }
 
 /// Clears all collected state: counters, gauges, histograms, labeled
-/// series, the event journal, the calling thread's span profile, the
-/// time-series ring, the trace recorder and registered SLO rules.
+/// series, the event journal, the calling thread's span profile and the
+/// trace recorder.
 pub fn reset() {
     metrics::reset();
     journal::reset();
     span::reset();
-    timeseries::reset();
     trace::reset();
-    slo::clear();
 }
 
 #[cfg(test)]

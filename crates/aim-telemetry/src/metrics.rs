@@ -25,7 +25,7 @@
 //!
 //! Readers get series as values ([`Series`]: name + label pairs). The
 //! `name{k="v",…}` text is written by `write_labels` at the output edges
-//! — artifact keys, `/timeseries` keys, the Prometheus exposition — and
+//! — artifact keys, `render_counters`, the Prometheus exposition — and
 //! never read back.
 
 use std::cell::Cell;
@@ -154,8 +154,6 @@ builtin_counters! {
         "Simplex iterations performed by the LP selector.";
     JOURNAL_DROPPED = "telemetry.journal_dropped",
         "Events evicted from the journal ring before being read.";
-    /// Time-series windows closed by [`crate::timeseries::tick`].
-    TIMESERIES_WINDOWS = "timeseries.windows", "Time-series windows closed by timeseries ticks.";
     /// Worker span roots stitched into a parent profile by
     /// [`crate::trace::TraceContext::stitch`].
     TRACE_SPANS_STITCHED = "trace.spans_stitched",
@@ -199,9 +197,6 @@ pub fn help_for(name: &str) -> &'static str {
         "fleet.budget_granted_bytes" => "Storage budget granted to a tenant by fleet allocation.",
         "fleet.budget_used_bytes" => "Secondary-index bytes actually built for a tenant.",
         "telemetry.series_active" => "Distinct labeled series currently tracked.",
-        "slo.rules" => "Declarative SLO rules currently registered.",
-        "slo.firing" => "SLO rules currently firing on multi-window burn rate.",
-        "slo.evaluations" => "SLO evaluation sweeps over the timeseries ring.",
         "aim.candidate_width" => "Column width of generated candidate indexes.",
         "selection.batch.size" => {
             "Hypothetical index configurations costed per batched what-if call."

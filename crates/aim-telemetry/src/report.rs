@@ -126,10 +126,7 @@ pub fn artifact_json(label: &str) -> String {
         }
         out.push_str(&event_json(e));
     }
-    let _ = write!(out, "],\"events_dropped\":{},", crate::journal::dropped());
-    out.push_str("\"timeseries\":");
-    out.push_str(&crate::timeseries::to_json(usize::MAX));
-    out.push('}');
+    let _ = write!(out, "],\"events_dropped\":{}}}", crate::journal::dropped());
     out
 }
 
@@ -194,13 +191,11 @@ pub fn render_profile(profile: &ProfileNode) -> String {
 
 /// Tabulates the non-zero instruments of a snapshot. Telemetry health
 /// meters are rendered even at zero: a report must show that the journal
-/// lost nothing and how much windowing/stitching happened, not silently
-/// omit them.
+/// lost nothing and how much stitching happened, not silently omit them.
 pub fn render_counters(s: &Snapshot) -> String {
     const ALWAYS: &[&str] = &[
         "telemetry.journal_dropped",
         "telemetry.series_dropped",
-        "timeseries.windows",
         "trace.spans_stitched",
     ];
     let mut out = String::new();

@@ -5,24 +5,22 @@
 //! Security posture: **off by default** — nothing listens unless the host
 //! process calls [`IntrospectionServer::start`] — and the listener binds
 //! `127.0.0.1` only, so the endpoint is never reachable off-box. It serves
-//! read-only GETs, holds no state of its own, and supports exactly eight
+//! read-only GETs, holds no state of its own, and supports exactly six
 //! routes:
 //!
 //! * `/metrics` — counters, gauges and histograms in Prometheus text
 //!   exposition format (histograms as summaries with `p50/p90/p99`
-//!   quantile lines),
+//!   quantile lines); the one live view of "how much lately": two
+//!   scrapes diffed give every rate, and every windowed mean from
+//!   `_sum`/`_count`,
 //! * `/journal` — the event ring buffer as a JSON array,
 //! * `/profile` — the published span tree (see
 //!   [`crate::publish_profile`]) as JSON,
-//! * `/timeseries` — the windowed metric ring from
-//!   [`crate::timeseries`] as JSON (`?n=K` limits to the last K windows),
 //! * `/trace` — the Chrome trace-event buffer from [`crate::trace`],
 //! * `/ledger` — whatever JSON document the host registered via
 //!   [`set_ledger_source`] (404 until a session registers one),
 //! * `/fleet` — per-tenant rollups of the tenant-labeled series
-//!   (`?sort=tenant|shards|granted|used|duration|p99`, `?top=N`),
-//! * `/alerts` — every SLO rule and its live burn state from
-//!   [`crate::slo`].
+//!   (`?sort=tenant|shards|granted|used|duration|p99`, `?top=N`).
 
 use crate::metrics::Series;
 use std::collections::BTreeMap;
@@ -161,8 +159,7 @@ fn serve_one(mut stream: TcpStream) -> std::io::Result<()> {
                 "200 OK",
                 "text/plain; charset=utf-8",
                 "aim introspection endpoint\n\
-                 routes: /metrics /journal /profile /timeseries /trace /ledger \
-                 /fleet /alerts\n"
+                 routes: /metrics /journal /profile /trace /ledger /fleet\n"
                     .to_string(),
             ),
             "/metrics" => (
@@ -172,10 +169,6 @@ fn serve_one(mut stream: TcpStream) -> std::io::Result<()> {
             ),
             "/journal" => ("200 OK", "application/json", journal_body()),
             "/profile" => ("200 OK", "application/json", profile_body()),
-            "/timeseries" => {
-                let n = query_param(query, "n").unwrap_or(usize::MAX);
-                ("200 OK", "application/json", crate::timeseries::to_json(n))
-            }
             "/trace" => (
                 "200 OK",
                 "application/json",
@@ -197,12 +190,10 @@ fn serve_one(mut stream: TcpStream) -> std::io::Result<()> {
                     query_param(query, "top").unwrap_or(usize::MAX),
                 ),
             ),
-            "/alerts" => ("200 OK", "application/json", crate::slo::alerts_json()),
             _ => (
                 "404 Not Found",
                 "text/plain; charset=utf-8",
-                "unknown route (try /metrics, /journal, /profile, /timeseries, \
-                 /trace, /ledger, /fleet, /alerts)\n"
+                "unknown route (try /metrics, /journal, /profile, /trace, /ledger, /fleet)\n"
                     .to_string(),
             ),
         }
@@ -515,9 +506,6 @@ mod tests {
         }
         crate::trace::stop_recording();
         crate::publish_profile();
-        crate::timeseries::tick("w1");
-        crate::metrics::ROWS_READ.add(5);
-        crate::timeseries::tick("w2");
         crate::disable();
 
         let server = IntrospectionServer::start(0).expect("bind loopback");
@@ -550,23 +538,6 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 200"));
         assert!(crate::jsonv::parse(&body).is_ok());
         assert!(body.contains("\"pass\""));
-
-        let (head, body) = get(addr, "/timeseries");
-        assert!(head.starts_with("HTTP/1.1 200"));
-        let parsed = crate::jsonv::parse(&body).expect("timeseries is JSON");
-        assert_eq!(parsed.get("windows").unwrap().as_arr().unwrap().len(), 2);
-        // ?n= limits to the most recent windows.
-        let (_, body) = get(addr, "/timeseries?n=1");
-        let parsed = crate::jsonv::parse(&body).expect("limited timeseries is JSON");
-        let windows = parsed.get("windows").unwrap().as_arr().unwrap();
-        assert_eq!(windows.len(), 1);
-        assert_eq!(windows[0].get("label").unwrap().as_str(), Some("w2"));
-        assert_eq!(
-            windows[0]
-                .path("counters/exec.rows_read/delta")
-                .and_then(crate::jsonv::Json::as_f64),
-            Some(5.0)
-        );
 
         let (head, body) = get(addr, "/trace");
         assert!(head.starts_with("HTTP/1.1 200"));
@@ -682,7 +653,6 @@ mod tests {
         );
         // The new counters are part of the fixed taxonomy and always appear.
         for family in [
-            "aim_timeseries_windows",
             "aim_trace_spans_stitched",
             "aim_telemetry_journal_dropped",
             "aim_telemetry_series_dropped",
@@ -723,7 +693,7 @@ mod tests {
     }
 
     #[test]
-    fn fleet_and_alerts_routes_serve_live_rollups() {
+    fn fleet_route_serves_live_rollups() {
         let _g = crate::tests::lock();
         crate::reset();
         crate::enable();
@@ -738,8 +708,6 @@ mod tests {
             crate::metrics::histogram_record("fleet.tenant_duration", 5.0);
             crate::metrics::histogram_record("exec.select_cost", cost);
         }
-        crate::slo::register(crate::SloRule::new("lat", "exec.select_cost", 100.0).windows(1, 2));
-        crate::timeseries::tick("fleet_test");
 
         let server = IntrospectionServer::start(0).expect("bind loopback");
         let addr = server.addr();
@@ -755,19 +723,6 @@ mod tests {
             Some(1024.0)
         );
         assert_eq!(tenants[0].get("shards_tuned").unwrap().as_f64(), Some(1.0));
-
-        let (head, body) = get(addr, "/alerts");
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        let doc = crate::jsonv::parse(&body).expect("alerts json parses");
-        let alerts = doc.get("alerts").unwrap().as_arr().unwrap();
-        assert!(alerts
-            .iter()
-            .any(|a| a.get("tenant").unwrap().as_str() == Some("t1")
-                && a.get("firing").unwrap().as_bool() == Some(true)));
-        assert!(alerts
-            .iter()
-            .any(|a| a.get("tenant").unwrap().as_str() == Some("t0")
-                && a.get("firing").unwrap().as_bool() == Some(false)));
 
         server.shutdown();
         crate::disable();
