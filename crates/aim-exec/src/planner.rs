@@ -825,19 +825,14 @@ impl<'a> Planner<'a> {
             let Some(src) = ctx.eq.get(col).and_then(Option::as_ref) else {
                 break;
             };
-            sel *= match (src, stats_of(col)) {
-                (EqSource::Const(v), Some(cs)) => cs.eq_selectivity(v),
-                (EqSource::InList(vs), Some(cs)) => {
+            let cs = stats_of(col);
+            sel *= match src {
+                EqSource::Const(v) => eq_selectivity(cs, Some(v)),
+                EqSource::InList(vs) => {
                     probes *= vs.len() as f64;
-                    (vs.iter().map(|v| cs.eq_selectivity(v)).sum::<f64>()).min(1.0)
+                    in_list_selectivity(cs, vs.iter().map(Some))
                 }
-                (EqSource::InList(vs), None) => {
-                    probes *= vs.len() as f64;
-                    (0.1 * vs.len() as f64).min(1.0)
-                }
-                (EqSource::Outer(_), cs) => cs.map_or(0.1, ColumnStats::eq_selectivity_unknown),
-                (EqSource::Unknown, Some(cs)) => cs.eq_selectivity_unknown(),
-                (EqSource::Const(_), None) | (EqSource::Unknown, None) => 0.1,
+                EqSource::Outer(_) | EqSource::Unknown => eq_selectivity(cs, None),
             };
             eq_len += 1;
         }
@@ -1136,21 +1131,34 @@ impl<'a> Planner<'a> {
 
 /// Selectivity of one sargable predicate given its column's statistics.
 fn sarg_selectivity(sarg: &Sarg, cs: Option<&ColumnStats>) -> f64 {
-    let Some(cs) = cs else {
-        return match sarg {
-            Sarg::Eq { .. } => 0.1,
-            Sarg::InList { values, .. } => (0.1 * values.len() as f64).min(1.0),
-            Sarg::Range { .. } => 1.0 / 3.0,
-        };
-    };
-    let eq = |v: &SargValue| match v {
-        SargValue::Const(v) => cs.eq_selectivity(v),
-        SargValue::Unknown => cs.eq_selectivity_unknown(),
-    };
     match sarg {
-        Sarg::Eq { value, .. } => eq(value),
-        Sarg::InList { values, .. } => values.iter().map(eq).sum::<f64>().min(1.0),
-        Sarg::Range { lo, hi, .. } => range_selectivity(Some(cs), lo, hi),
+        Sarg::Eq { value, .. } => eq_selectivity(cs, value.value()),
+        Sarg::InList { values, .. } => in_list_selectivity(cs, values.iter().map(SargValue::value)),
+        Sarg::Range { lo, hi, .. } => range_selectivity(cs, lo, hi),
+    }
+}
+
+/// The fixed guess for an equality on a column without statistics.
+const EQ_SELECTIVITY_WITHOUT_STATS: f64 = 0.1;
+
+/// Selectivity of `col = v` for a value known when planning, or not known
+/// until execution (`None`: a `?` parameter or an outer table's column).
+fn eq_selectivity(cs: Option<&ColumnStats>, v: Option<&Value>) -> f64 {
+    match (cs, v) {
+        (None, _) => EQ_SELECTIVITY_WITHOUT_STATS,
+        (Some(cs), Some(v)) => cs.eq_selectivity(v),
+        (Some(cs), None) => cs.eq_selectivity_unknown(),
+    }
+}
+
+/// Selectivity of `col IN (v1, …, vn)`: its equalities summed, capped at 1.
+fn in_list_selectivity<'v>(
+    cs: Option<&ColumnStats>,
+    values: impl ExactSizeIterator<Item = Option<&'v Value>>,
+) -> f64 {
+    match cs {
+        None => (EQ_SELECTIVITY_WITHOUT_STATS * values.len() as f64).min(1.0),
+        Some(_) => values.map(|v| eq_selectivity(cs, v)).sum::<f64>().min(1.0),
     }
 }
 
