@@ -288,12 +288,21 @@ impl WhatIfCache {
             };
             let mut shared: HashMap<(bool, Vec<u64>), WhatIfEntry> = HashMap::new();
             let mut planned = 0usize;
+            // The last slot planned on the memo's contexts and prices, and
+            // the last answered by another slot's plan: debug builds audit
+            // both against a fresh planner once the batch is done.
+            #[cfg(debug_assertions)]
+            let (mut last_memo, mut last_shared) = (None, None);
             for (i, key) in misses {
                 let cfg = configs[i];
                 let projection = planner.projection(cfg);
                 let entry = match shared.get(&projection) {
                     Some(e) => {
                         SELECTION_BATCH_PLAN_REUSE.incr();
+                        #[cfg(debug_assertions)]
+                        {
+                            last_shared = Some(i);
+                        }
                         e.clone()
                     }
                     None => {
@@ -303,6 +312,10 @@ impl WhatIfCache {
                         planner.set_config(cfg);
                         if planned > 0 {
                             SELECTION_BATCH_BINDING_REUSE.incr();
+                            #[cfg(debug_assertions)]
+                            {
+                                last_memo = Some(i);
+                            }
                         }
                         planned += 1;
                         let plan = {
@@ -327,6 +340,12 @@ impl WhatIfCache {
                 };
                 self.insert(key, entry.clone());
                 out[i] = Some(Ok(entry));
+            }
+            #[cfg(debug_assertions)]
+            for i in [last_memo, last_shared].into_iter().flatten() {
+                if let Some(Ok(entry)) = &out[i] {
+                    audit_hit(db, select, configs[i], cm, entry);
+                }
             }
         }
 
@@ -356,7 +375,12 @@ fn entry_from_plan(plan: &Plan, config: &HypoConfig) -> WhatIfEntry {
 /// on a fresh [`Planner`], outside the fault gate, the span, the call count
 /// and the cache, and hold the entry to that plan's bits: a key missing
 /// something the plan depends on answers another question, and this is
-/// where it shows (DESIGN.md §6).
+/// where it shows (DESIGN.md §6). A batch's last slot planned on the
+/// memo's contexts and prices, and its last slot served by an equal
+/// [`Planner::projection`], are held to the same bits (DESIGN.md §17).
+/// The fresh plan runs on a thread of its own, so that what it allocates
+/// stays off the caller's thread-local allocation counts
+/// (`planning_counts.rs` bounds the path it audits, not the audit).
 #[cfg(debug_assertions)]
 fn audit_hit(
     db: &Database,
@@ -365,16 +389,21 @@ fn audit_hit(
     cm: &CostModel,
     hit: &WhatIfEntry,
 ) {
-    let plan = Planner::new(db, select, config, cm)
-        .and_then(|planner| planner.plan())
-        .expect("a cached statement plans");
-    let fresh = entry_from_plan(&plan, config);
-    assert!(
-        fresh.cost.to_bits() == hit.cost.to_bits()
-            && fresh.rows.to_bits() == hit.rows.to_bits()
-            && fresh.used_hypos == hit.used_hypos,
-        "{select}: the cache answered {hit:?}, a fresh plan {fresh:?}"
-    );
+    let audit = || {
+        let plan = Planner::new(db, select, config, cm)
+            .and_then(|planner| planner.plan())
+            .expect("a cached statement plans");
+        let fresh = entry_from_plan(&plan, config);
+        assert!(
+            fresh.cost.to_bits() == hit.cost.to_bits()
+                && fresh.rows.to_bits() == hit.rows.to_bits()
+                && fresh.used_hypos == hit.used_hypos,
+            "{select}: the cache answered {hit:?}, a fresh plan {fresh:?}"
+        );
+    };
+    if let Err(panic) = std::thread::scope(|s| s.spawn(audit).join()) {
+        std::panic::resume_unwind(panic);
+    }
 }
 
 /// The process-global cache every advisor path shares by default. Stamp
