@@ -11,7 +11,7 @@ use crate::candidates::{CandidateGenConfig, CoveringPolicy};
 use crate::ledger::Decisions;
 use crate::plan::PassPlanner;
 use crate::ranking::knapsack_select;
-use crate::session::{AimOutcome, RetryPolicy, RunCtl};
+use crate::session::{AimOutcome, RunCtl};
 use aim_exec::{
     estimate_statement_cost, estimate_statement_cost_batch, CostModel, HypoConfig,
     HypotheticalIndex,
@@ -164,15 +164,14 @@ impl IndexAdvisor for AimAdvisor {
         let _span = aim_telemetry::span("aim.recommend");
         let synthetic = synthetic_workload(db, workload, &self.cost_model);
         // The session's planning code under benchmark conditions: no
-        // deadline, no retries, nobody listening to the decisions. A
-        // transient what-if fault therefore recommends nothing rather than
-        // failing — the interface has no error channel.
+        // deadline, nobody listening to the decisions. An injected what-if
+        // fault therefore recommends nothing rather than failing — the
+        // interface has no error channel.
         let planner = PassPlanner {
             candidate_gen: &self.gen,
             sharding: None,
             workers: 0,
             cost_model: &self.cost_model,
-            retry: &RetryPolicy::none(),
             ctl: &RunCtl::none(),
             decisions: &Decisions::none(),
         };

@@ -162,8 +162,9 @@ pub struct ContinuousOutcome {
 /// unused automation indexes, then refresh regression baselines.
 #[derive(Debug, Clone)]
 pub struct ContinuousTuner {
-    /// The resilient session driving each pass; its deadline, retry policy
-    /// and cancel token apply to every [`ContinuousTuner::step`].
+    /// The resilient session driving each pass; its deadline and cancel
+    /// token apply to every [`ContinuousTuner::step`]. A step whose pass
+    /// faults returns the error, and the next step is the retry.
     pub session: TuningSession,
     pub detector: RegressionDetector,
     /// Drop AIM indexes unused for `unused_grace_windows` consecutive
@@ -183,7 +184,7 @@ pub struct ContinuousTuner {
 
 impl ContinuousTuner {
     /// Creates a continuous tuner around a configured [`TuningSession`],
-    /// inheriting its deadline, retry policy and cancel token per step.
+    /// inheriting its deadline and cancel token per step.
     pub fn with_session(session: TuningSession, regression_tolerance: f64) -> Self {
         Self {
             session,

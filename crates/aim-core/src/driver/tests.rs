@@ -80,8 +80,6 @@ fn session_creates_useful_index_and_improves_query() {
     let outcome = quick_session().run(&mut db, &monitor).unwrap();
     assert!(!outcome.created.is_empty(), "rejected: {:?}", outcome.rejected);
     assert!(outcome.created[0].explanation.contains("orders"));
-    assert_eq!(outcome.retries, 0);
-    assert!(!outcome.degraded);
 
     let after = engine.execute(&mut db, &stmt).unwrap();
     assert!(

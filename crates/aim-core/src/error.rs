@@ -2,10 +2,11 @@
 //!
 //! Everything a tuning pass can fail with is an [`AimError`], tagged with
 //! the pipeline phase that failed. The variants split along the one
-//! distinction the resilient session loop cares about: *transient*
-//! failures ([`AimError::Fault`] — produced by the fault-injection layer,
-//! modelling infrastructure hiccups) are retryable with backoff, while
-//! everything else is deterministic and retrying it is futile.
+//! distinction the session cares about: an injected fault
+//! ([`AimError::Fault`] — produced by the fault-injection layer, modelling
+//! infrastructure hiccups) aborts the pass, which the caller's next pass
+//! retries, while a deterministic error inside a phase keeps its fallback
+//! there (one candidate rejected, one observation dropped).
 
 use aim_exec::ExecError;
 use aim_storage::StorageError;
@@ -21,7 +22,8 @@ pub enum AimError {
         phase: &'static str,
         source: ExecError,
     },
-    /// A transient injected fault exhausted its retry budget.
+    /// An injected fault aborted the pass; any indexes materialized by the
+    /// aborted pass have been rolled back.
     Fault {
         phase: &'static str,
         /// Operation site that failed, e.g. `"storage.clone"`.
@@ -37,8 +39,8 @@ pub enum AimError {
 
 impl AimError {
     /// Classifies an execution-layer error surfaced by `phase`: injected
-    /// faults become the retryable [`AimError::Fault`], everything else is
-    /// a terminal [`AimError::Exec`].
+    /// faults become [`AimError::Fault`], everything else is an
+    /// [`AimError::Exec`].
     pub fn from_exec(phase: &'static str, e: ExecError) -> Self {
         match e {
             ExecError::FaultInjected { site } => AimError::Fault { phase, site },
@@ -59,11 +61,6 @@ impl AimError {
         }
     }
 
-    /// True for transient failures worth retrying with backoff.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, AimError::Fault { .. })
-    }
-
     /// Lossy mapping back to the execution-layer error, for code paths
     /// (e.g. validation replay) that report through [`ExecError`].
     /// Deadline/cancel aborts degrade to [`ExecError::Eval`].
@@ -81,7 +78,7 @@ impl fmt::Display for AimError {
         match self {
             AimError::Exec { phase, source } => write!(f, "{phase} failed: {source}"),
             AimError::Fault { phase, site } => {
-                write!(f, "{phase} failed: injected fault at {site} (retries exhausted)")
+                write!(f, "{phase} failed: injected fault at {site}")
             }
             AimError::DeadlineExceeded { phase } => {
                 write!(f, "deadline exceeded during {phase}")
@@ -116,7 +113,7 @@ mod tests {
             "ranking",
             ExecError::FaultInjected { site: "exec.whatif".into() },
         );
-        assert!(e.is_retryable());
+        assert!(matches!(e, AimError::Fault { .. }));
         assert_eq!(e.phase(), "ranking");
         let e = AimError::from_exec(
             "validation",
@@ -128,7 +125,7 @@ mod tests {
     #[test]
     fn deterministic_errors_are_terminal() {
         let e = AimError::from_exec("ranking", ExecError::Binding("no such column".into()));
-        assert!(!e.is_retryable());
+        assert!(matches!(e, AimError::Exec { .. }));
         assert!(std::error::Error::source(&e).is_some());
         assert!(matches!(e.into_exec(), ExecError::Binding(_)));
     }
@@ -137,7 +134,7 @@ mod tests {
     fn aborts_are_not_retryable() {
         let d = AimError::DeadlineExceeded { phase: "ranking" };
         let c = AimError::Cancelled { phase: "materialize" };
-        assert!(!d.is_retryable() && !c.is_retryable());
+        assert!(!matches!(d, AimError::Fault { .. }) && !matches!(c, AimError::Fault { .. }));
         assert!(d.to_string().contains("deadline"));
         assert!(matches!(c.into_exec(), ExecError::Eval(_)));
     }

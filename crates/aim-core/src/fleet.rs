@@ -22,10 +22,11 @@
 //!    counted in [`FleetOutcome::budget_transfers`].
 //! 3. **Tune.** A per-tenant [`TuningSession`] runs under the allocated
 //!    budget on a bounded worker pool, reusing the session's
-//!    `RunCtl`/retry/rollback plumbing: the fleet deadline and a shared
+//!    `RunCtl`/rollback plumbing: the fleet deadline and a shared
 //!    [`CancelToken`] are threaded into every tenant session. A tenant
-//!    that faults is recorded in its [`TenantOutcome`] and does **not**
-//!    abort the fleet.
+//!    that faults — in its probe or its tune slot — is recorded in its
+//!    [`TenantOutcome`] and does **not** abort the fleet; the next fleet
+//!    pass tunes it again.
 //!
 //! A 1-tenant fleet skips the probe/allocate phases entirely and runs the
 //! tenant's [`TuningSession`] directly — it is bit-identical to a bare
@@ -46,7 +47,7 @@ use crate::error::AimError;
 use crate::ledger::Decisions;
 use crate::plan::PassPlanner;
 use crate::ranking::{effective_workers, RankedCandidate};
-use crate::session::{AimConfig, AimOutcome, CancelToken, RetryPolicy, RunCtl, TuningSession};
+use crate::session::{AimConfig, AimOutcome, CancelToken, RunCtl, TuningSession};
 use crate::sharding::ShardingProfile;
 use aim_monitor::WorkloadMonitor;
 use aim_storage::Database;
@@ -132,7 +133,6 @@ pub struct FleetConfigBuilder {
     cfg: FleetConfig,
     fleet_budget: Option<u64>,
     deadline: Option<Duration>,
-    retry: RetryPolicy,
 }
 
 impl FleetConfigBuilder {
@@ -163,12 +163,6 @@ impl FleetConfigBuilder {
         self
     }
 
-    /// Retry policy applied inside every tenant session.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Finishes the configuration.
     pub fn build(self) -> FleetConfig {
         let mut cfg = self.cfg;
@@ -179,11 +173,9 @@ impl FleetConfigBuilder {
     /// Finishes into a ready-to-run [`FleetSession`].
     pub fn session(self) -> FleetSession {
         let deadline = self.deadline;
-        let retry = self.retry.clone();
         FleetSession {
             cfg: self.build(),
             deadline,
-            retry,
             cancel: CancelToken::new(),
         }
     }
@@ -256,7 +248,6 @@ struct Probe {
 pub struct FleetSession {
     cfg: FleetConfig,
     deadline: Option<Duration>,
-    retry: RetryPolicy,
     cancel: CancelToken,
 }
 
@@ -355,8 +346,8 @@ impl FleetSession {
         outcome
     }
 
-    /// Runs one tenant's session under `budget`, with the fleet deadline,
-    /// retry policy and shared cancel token threaded in. `multi` marks a
+    /// Runs one tenant's session under `budget`, with the fleet deadline
+    /// and shared cancel token threaded in. `multi` marks a
     /// multi-tenant pass (per-session worker fan-out is disabled so the
     /// fleet pool is the only parallelism); the degenerate fleet of one
     /// passes `false` and leaves the base worker settings untouched — a
@@ -388,7 +379,6 @@ impl FleetSession {
         let session = TuningSession::new(
             cfg,
             fleet_deadline.map(|d| d.saturating_duration_since(Instant::now())),
-            self.retry.clone(),
             self.cancel.clone(),
         );
         let result = session.run(&mut tenant.db, &tenant.monitor);
@@ -442,9 +432,9 @@ impl FleetSession {
     }
 
     /// Probes one tenant: the session's read-only half (selection →
-    /// candidates → ranking → sharding re-price) with one ranking worker,
-    /// under the fleet's retry policy. Materializes nothing, reports to no
-    /// ledger.
+    /// candidates → ranking → sharding re-price) with one ranking worker.
+    /// Materializes nothing, reports to no ledger; a fault fails this
+    /// tenant alone.
     fn probe_tenant(&self, tenant: &mut Tenant, ctl: &RunCtl) -> Probe {
         let base = &self.cfg.base;
         let profile = tenant.profile.as_ref().or(base.sharding.as_ref());
@@ -453,7 +443,6 @@ impl FleetSession {
             sharding: profile,
             workers: 1,
             cost_model: &aim_exec::CostModel::default(),
-            retry: &self.retry,
             ctl,
             decisions: &Decisions::none(),
         };

@@ -21,13 +21,13 @@
 //!
 //! [`session::TuningSession`] (built via [`session::AimConfig::builder`]) is
 //! the per-database entry point: it runs the pipeline under an optional
-//! deadline and cancel token, retries transient faults with backoff, and
-//! rolls back anything an aborted pass materialized ([`error::AimError`]
-//! describes the failure). [`fleet::FleetSession`] scales it horizontally —
-//! N tenants on a bounded worker pool and a fleet-level storage-budget
-//! knapsack, with §VIII-b's sharding economics in [`sharding`] — and its
-//! 1-tenant form is bit-identical to a bare session, making
-//! `FleetSession → TuningSession` the single entry path.
+//! deadline and cancel token, aborts on an injected fault, and rolls back
+//! anything an aborted pass materialized ([`error::AimError`] describes the
+//! failure); the next pass is the retry. [`fleet::FleetSession`] scales it
+//! horizontally — N tenants on a bounded worker pool and a fleet-level
+//! storage-budget knapsack, with §VIII-b's sharding economics in
+//! [`sharding`] — and its 1-tenant form is bit-identical to a bare session,
+//! making `FleetSession → TuningSession` the single entry path.
 //! [`advisor::AimAdvisor`] runs the same planning code (`plan.rs`:
 //! selection → candidates → ranking, written once for the session, the
 //! fleet probe and the advisor) over weighted analytical workloads for
@@ -113,8 +113,8 @@ pub use ranking::{
 };
 pub use selection_lp::{refine_selection, LpDecision, LpOutcome};
 pub use session::{
-    AimConfig, AimConfigBuilder, AimOutcome, CancelToken, CreatedIndex, RetryPolicy, RunCtl,
-    SelectionStrategy, TuningSession,
+    AimConfig, AimConfigBuilder, AimOutcome, CancelToken, CreatedIndex, RunCtl, SelectionStrategy,
+    TuningSession,
 };
 pub use sharding::ShardingProfile;
 pub use validate::{

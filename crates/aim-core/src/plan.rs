@@ -13,14 +13,14 @@
 //! [`AimAdvisor`](crate::advisor::AimAdvisor) (which brings a synthetic
 //! workload and holds the database read-only, hence the two entry points).
 //! What differs between them is data — the [`PassPlanner`] fields — not code:
-//! retry and degradation, the already-served filter, sharding re-pricing
-//! and the decision reports are the same for all three.
+//! the abort on a fault, the already-served filter, sharding re-pricing and
+//! the decision reports are the same for all three.
 
 use crate::candidates::{is_key_prefix, try_generate_candidates, CandidateGenConfig};
 use crate::error::AimError;
 use crate::ledger::Decisions;
 use crate::ranking::{try_rank_candidates_with, RankedCandidate};
-use crate::session::{with_retry, AimOutcome, RetryPolicy, RunCtl};
+use crate::session::{AimOutcome, RunCtl};
 use crate::sharding::ShardingProfile;
 use aim_exec::CostModel;
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor, WorkloadQuery};
@@ -32,10 +32,9 @@ pub(crate) struct PassPlanner<'a> {
     pub candidate_gen: &'a CandidateGenConfig,
     /// Sharding economics (§VIII-b) applied to the ranked list.
     pub sharding: Option<&'a ShardingProfile>,
-    /// Ranking workers on the first attempt (`0` = auto).
+    /// Ranking workers (`0` = auto).
     pub workers: usize,
     pub cost_model: &'a CostModel,
-    pub retry: &'a RetryPolicy,
     pub ctl: &'a RunCtl,
     pub decisions: &'a Decisions<'a>,
 }
@@ -44,7 +43,7 @@ impl PassPlanner<'_> {
     /// Plans from an observation window: selects the representative
     /// workload, refreshes drifted statistics and ranks. Returns the
     /// workload with its ranked candidates — both empty when no query
-    /// qualified. Counts, retries and degradation land in `outcome`.
+    /// qualified. The workload size and candidate count land in `outcome`.
     pub(crate) fn plan_observed(
         &self,
         db: &mut Database,
@@ -72,7 +71,7 @@ impl PassPlanner<'_> {
     }
 
     /// Structural candidate generation → the already-served filter →
-    /// ranking under the retry ladder → sharding re-pricing.
+    /// ranking → sharding re-pricing.
     pub(crate) fn plan(
         &self,
         db: &Database,
@@ -113,28 +112,16 @@ impl PassPlanner<'_> {
         });
         outcome.candidates_generated = candidates.len();
 
-        // Ranking is retried on transient failure; after the first failed
-        // attempt the phase degrades to the sequential path (workers = 1),
-        // which both narrows the retry surface and keeps the output
-        // bit-identical (any worker count ranks identically).
         let mut ranked = {
             let _s = tel::span("ranking");
-            let (ranked, attempts) =
-                with_retry(self.retry, self.ctl, "ranking", &mut outcome.retries, |attempt| {
-                    let workers = if attempt == 0 { self.workers } else { 1 };
-                    try_rank_candidates_with(
-                        db,
-                        workload,
-                        &candidates,
-                        self.cost_model,
-                        workers,
-                        self.ctl,
-                    )
-                })?;
-            if attempts > 0 {
-                outcome.note_degraded("ranking", "fell back to sequential ranking");
-            }
-            ranked
+            try_rank_candidates_with(
+                db,
+                workload,
+                &candidates,
+                self.cost_model,
+                self.workers,
+                self.ctl,
+            )?
         };
         if let Some(profile) = self.sharding {
             profile.apply(&mut ranked);

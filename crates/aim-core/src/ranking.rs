@@ -138,18 +138,13 @@ struct QueryContribution {
     maintenance: Vec<(usize, f64)>,
 }
 
-/// Classifies an error from a what-if / estimate call: in strict mode an
-/// *injected* (transient) failure aborts the evaluation so the session can
-/// retry it; deterministic errors always fall back to `fallback`, exactly
-/// as the original sequential pass did.
-fn cost_or(
-    res: Result<f64, ExecError>,
-    fallback: f64,
-    strict: bool,
-) -> Result<f64, AimError> {
+/// Classifies an error from a what-if / estimate call: an *injected*
+/// failure aborts the evaluation, and with it the pass; a deterministic
+/// error falls back to `fallback`.
+fn cost_or(res: Result<f64, ExecError>, fallback: f64) -> Result<f64, AimError> {
     match res {
         Ok(c) => Ok(c),
-        Err(e) if strict && e.is_injected() => Err(AimError::from_exec("ranking", e)),
+        Err(e) if e.is_injected() => Err(AimError::from_exec("ranking", e)),
         Err(_) => Ok(fallback),
     }
 }
@@ -247,17 +242,13 @@ impl Costing {
 /// and the DML maintenance singletons each go through one [`Costing`]
 /// request.
 ///
-/// With `strict` set, injected (transient) failures propagate instead of
-/// degrading to ∞/0 fallbacks — the resilient session retries them; the
-/// numeric behaviour on the success path is unchanged either way.
-#[allow(clippy::too_many_arguments)]
+/// Injected failures propagate; deterministic ones fall back to ∞/0.
 fn eval_query(
     db: &Database,
     wq: &WorkloadQuery,
     hypos: &Hypos,
     empty_cfg: &HypoConfig,
     cm: &CostModel,
-    strict: bool,
     costing: Costing,
     ctl: &RunCtl,
 ) -> Result<QueryContribution, AimError> {
@@ -279,11 +270,10 @@ fn eval_query(
             let cost_empty = cost_or(
                 pair.next().expect("one result per config").map(|e| e.cost),
                 f64::INFINITY,
-                strict,
             )?;
             let entry = match pair.next().expect("one result per config") {
                 Ok(e) => Some(e),
-                Err(e) if strict && e.is_injected() => {
+                Err(e) if e.is_injected() => {
                     return Err(AimError::from_exec("ranking", e));
                 }
                 Err(_) => None,
@@ -327,8 +317,7 @@ fn eval_query(
                         let without_refs: Vec<&HypoConfig> = withouts.iter().collect();
                         let mut marginals: Vec<f64> = Vec::with_capacity(used.len());
                         for res in costing.selects(db, &select, &without_refs, cm, ctl)? {
-                            let c_without =
-                                cost_or(res.map(|e| e.cost), cost_empty, strict)?;
+                            let c_without = cost_or(res.map(|e| e.cost), cost_empty)?;
                             marginals.push((c_without - cost_with).max(0.0));
                         }
                         let total: f64 = marginals.iter().sum();
@@ -350,7 +339,7 @@ fn eval_query(
     if wq.stats.is_dml() {
         let stmt = &wq.stats.exemplar;
         ctl.check("ranking")?;
-        let base = cost_or(estimate_statement_cost(db, stmt, empty_cfg, cm), 0.0, strict)?;
+        let base = cost_or(estimate_statement_cost(db, stmt, empty_cfg, cm), 0.0)?;
         if base > 0.0 {
             // Only indexes on the written table can be affected.
             let affected = hypos.listed(stmt.written_table().and_then(|t| hypos.by_table.get(t)));
@@ -362,7 +351,7 @@ fn eval_query(
                 let one_refs: Vec<&HypoConfig> = ones.iter().collect();
                 let results = costing.statements(db, stmt, &one_refs, cm, ctl)?;
                 for ((i, _), res) in affected.iter().zip(results) {
-                    let with = cost_or(res, base, strict)?;
+                    let with = cost_or(res, base)?;
                     let overhead = ((with - base) / base).max(0.0) * wq.stats.total_cpu;
                     out.maintenance.push((*i, overhead));
                 }
@@ -454,8 +443,8 @@ pub fn rank_candidates_with(
     cm: &CostModel,
     workers: usize,
 ) -> Vec<RankedCandidate> {
-    rank_core(db, workload, candidates, cm, workers, &RunCtl::none(), false, Costing::Batched)
-        .expect("lenient ranking without deadline or cancel cannot fail")
+    rank_core(db, workload, candidates, cm, workers, &RunCtl::none(), Costing::Batched)
+        .expect("ranking without deadline or cancel fails only under an armed fault plan")
 }
 
 /// [`rank_candidates_with`] costed one config per what-if call — the
@@ -468,17 +457,16 @@ pub fn rank_candidates_unbatched(
     cm: &CostModel,
     workers: usize,
 ) -> Vec<RankedCandidate> {
-    rank_core(db, workload, candidates, cm, workers, &RunCtl::none(), false, Costing::PerConfig)
-        .expect("lenient ranking without deadline or cancel cannot fail")
+    rank_core(db, workload, candidates, cm, workers, &RunCtl::none(), Costing::PerConfig)
+        .expect("ranking without deadline or cancel fails only under an armed fault plan")
 }
 
 /// [`rank_candidates_with`] under a [`RunCtl`]: workers check the
 /// deadline/cancel token before every what-if call (between queries and
 /// between the slots of a batch), so an abort lands within one call per
-/// worker, and injected (transient)
-/// what-if failures propagate as retryable [`AimError::Fault`]s instead of
-/// silently degrading a candidate's economics. On success the output is
-/// bit-identical to the lenient path for any worker count.
+/// worker. Either spelling propagates an injected what-if failure as an
+/// [`AimError::Fault`] instead of silently degrading a candidate's
+/// economics, and ranks bit-identically for any worker count.
 pub fn try_rank_candidates_with(
     db: &Database,
     workload: &[WorkloadQuery],
@@ -487,10 +475,9 @@ pub fn try_rank_candidates_with(
     workers: usize,
     ctl: &RunCtl,
 ) -> Result<Vec<RankedCandidate>, AimError> {
-    rank_core(db, workload, candidates, cm, workers, ctl, true, Costing::Batched)
+    rank_core(db, workload, candidates, cm, workers, ctl, Costing::Batched)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn rank_core(
     db: &Database,
     workload: &[WorkloadQuery],
@@ -498,7 +485,6 @@ fn rank_core(
     cm: &CostModel,
     workers: usize,
     ctl: &RunCtl,
-    strict: bool,
     costing: Costing,
 ) -> Result<Vec<RankedCandidate>, AimError> {
     let hypos = Hypos::build(db, candidates);
@@ -507,7 +493,7 @@ fn rank_core(
     // every what-if call.
     let workers = effective_workers(workers, workload.len());
     let contributions = fan_out(workload, workers, ctl, "ranking", |wq| {
-        eval_query(db, wq, &hypos, &empty_cfg, cm, strict, costing, ctl)
+        eval_query(db, wq, &hypos, &empty_cfg, cm, costing, ctl)
     })?;
 
     // An abort that arrived during the last what-if call belongs to this

@@ -26,8 +26,8 @@
 //! ([`aim_exec::estimate_statement_cost_batch_until`]) — one planner pass
 //! per statement covers the empty baseline and every singleton
 //! configuration — under the pass's [`RunCtl`]: a cancel or deadline lands
-//! within one what-if call, and an injected (transient) what-if failure
-//! surfaces as a retryable [`AimError::Fault`] instead of thinning the LP.
+//! within one what-if call, and an injected what-if failure aborts the pass
+//! as an [`AimError::Fault`] instead of thinning the LP.
 
 use crate::error::AimError;
 use crate::ranking::{under_ctl, RankedCandidate};
@@ -79,8 +79,8 @@ pub struct LpOutcome {
 }
 
 /// Prices `stmt` under `configs` through the interruptible what-if entry
-/// point. An injected failure in any slot aborts the refinement so the
-/// session can retry it; a deterministic error stays in its slot.
+/// point. An injected failure in any slot aborts the refinement, and with
+/// it the pass; a deterministic error stays in its slot.
 fn price(
     db: &Database,
     stmt: &Statement,
@@ -102,7 +102,7 @@ fn price(
 /// `remaining` bytes of budget. `ranked` must be in utility-density order
 /// (the output of [`crate::ranking::rank_candidates_with`]); `greedy` is the
 /// knapsack selection to fall back on. Fails only by abort (`ctl`) or with
-/// a retryable injected fault.
+/// an injected fault.
 pub fn refine_selection(
     db: &Database,
     workload: &[WorkloadQuery],

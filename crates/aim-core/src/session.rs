@@ -10,18 +10,16 @@
 //!   call (also between the slots of a batch), validation workers between
 //!   replayed queries, so an abort lands within one what-if call or one
 //!   replayed query.
-//! * **Retry with backoff.** Transient failures — the class produced by
-//!   the fault-injection layer ([`aim_storage::fault`]) — are retried per
-//!   phase under a [`RetryPolicy`], with exponentially growing sleeps that
-//!   never overshoot the deadline. Deterministic errors fail fast.
-//! * **Graceful degradation.** When a parallel phase keeps failing, the
-//!   retry ladder falls back to the sequential path, and validation
-//!   additionally shrinks its sample bed; a degraded pass is recorded in
-//!   [`AimOutcome::degraded`] and the telemetry journal.
+//! * **A fault aborts the pass.** An injected fault ([`aim_storage::fault`])
+//!   in any phase propagates as [`AimError::Fault`]; the pass does not
+//!   retry it. The caller's next pass — the next observation window of a
+//!   [`ContinuousTuner`](crate::continuous::ContinuousTuner), the next
+//!   fleet run — is the retry. A deterministic error keeps its fallback
+//!   instead: it rejects one candidate or drops one observation.
 //! * **Transactional materialization.** Indexes created by a pass that
-//!   subsequently aborts (deadline, cancellation, retries exhausted) are
-//!   rolled back before the error is returned: an aborted pass never
-//!   leaves a half-materialized configuration behind.
+//!   subsequently aborts (deadline, cancellation, fault) are rolled back
+//!   before the error is returned: an aborted pass never leaves a
+//!   half-materialized configuration behind.
 //!
 //! The pass's configuration ([`AimConfig`]) and result ([`AimOutcome`])
 //! live here too. Sessions are built with [`AimConfig::builder`]:
@@ -103,55 +101,6 @@ impl RunCtl {
             return Err(AimError::DeadlineExceeded { phase });
         }
         Ok(())
-    }
-
-    /// Time left until the deadline (`None` = unbounded).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
-    }
-
-    /// Caps a backoff sleep so it cannot overshoot the deadline.
-    fn cap_sleep(&self, want: Duration) -> Duration {
-        match self.remaining() {
-            Some(left) => want.min(left),
-            None => want,
-        }
-    }
-}
-
-/// How transient (injected/infrastructure) failures are retried.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per phase, including the first (`1` = no retries).
-    pub max_attempts: usize,
-    /// Backoff before the first retry; doubles per subsequent retry.
-    pub initial_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            initial_backoff: Duration::from_millis(2),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// No retries: every transient failure is terminal.
-    pub fn none() -> Self {
-        Self {
-            max_attempts: 1,
-            initial_backoff: Duration::ZERO,
-        }
-    }
-
-    /// Exponential backoff before retry number `retry` (0-based), capped
-    /// at 100× the initial backoff.
-    fn backoff_for(&self, retry: usize) -> Duration {
-        let factor = 1u32 << retry.min(16) as u32;
-        (self.initial_backoff * factor).min(self.initial_backoff * 100)
     }
 }
 
@@ -271,21 +220,6 @@ pub struct AimOutcome {
     pub candidates_generated: usize,
     /// Wall-clock time of the pass (the paper's "algorithm runtime").
     pub elapsed: Duration,
-    /// Phase retries performed after transient failures.
-    pub retries: u64,
-    /// True when the pass only succeeded in a degraded mode (sequential
-    /// fallback and/or a shrunken validation sample).
-    pub degraded: bool,
-}
-
-impl AimOutcome {
-    /// Marks the pass degraded and journals why.
-    pub(crate) fn note_degraded(&mut self, phase: &'static str, how: &str) {
-        self.degraded = true;
-        if tel::is_enabled() {
-            tel::event(tel::EventKind::PassDegraded, phase, how);
-        }
-    }
 }
 
 /// Builder for [`AimConfig`] (which is `#[non_exhaustive]` and cannot be
@@ -295,7 +229,6 @@ impl AimOutcome {
 pub struct AimConfigBuilder {
     cfg: AimConfig,
     deadline: Option<Duration>,
-    retry: RetryPolicy,
 }
 
 impl AimConfigBuilder {
@@ -352,12 +285,6 @@ impl AimConfigBuilder {
         self
     }
 
-    /// Retry policy for transient failures.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Record a per-candidate decision ledger (see
     /// [`crate::ledger::DecisionLedger`]). Off by default.
     pub fn ledger(mut self, record: bool) -> Self {
@@ -391,7 +318,7 @@ impl AimConfigBuilder {
 
     /// Finishes into a ready-to-run [`TuningSession`].
     pub fn session(self) -> TuningSession {
-        TuningSession::new(self.cfg, self.deadline, self.retry, CancelToken::new())
+        TuningSession::new(self.cfg, self.deadline, CancelToken::new())
     }
 }
 
@@ -406,7 +333,6 @@ pub struct TuningSession {
     /// the what-if calls.
     engine: Engine,
     deadline: Option<Duration>,
-    retry: RetryPolicy,
     cancel: CancelToken,
     /// Decision audit trail, shared across clones of this session (a
     /// continuous tuner and an introspection endpoint see one ledger).
@@ -415,17 +341,11 @@ pub struct TuningSession {
 }
 
 impl TuningSession {
-    pub(crate) fn new(
-        config: AimConfig,
-        deadline: Option<Duration>,
-        retry: RetryPolicy,
-        cancel: CancelToken,
-    ) -> Self {
+    pub(crate) fn new(config: AimConfig, deadline: Option<Duration>, cancel: CancelToken) -> Self {
         Self {
             config,
             engine: Engine::new(),
             deadline,
-            retry,
             cancel,
             ledger: Arc::new(Mutex::new(DecisionLedger::default())),
         }
@@ -517,9 +437,6 @@ impl TuningSession {
 
         match self.run_pass(db, monitor, &ctl, &mut outcome, &mut created_defs) {
             Ok(()) => {
-                if outcome.degraded {
-                    tel::metrics::DEGRADED_PASSES.incr();
-                }
                 self.finish_pass(db, &mut outcome, &root);
                 Ok(outcome)
             }
@@ -574,7 +491,6 @@ impl TuningSession {
             sharding: cfg.sharding.as_ref(),
             workers: cfg.workers,
             cost_model: &self.engine.cost_model,
-            retry: &self.retry,
             ctl,
             decisions: &decisions,
         };
@@ -609,18 +525,15 @@ impl TuningSession {
         let chosen = if cfg.selection_strategy == SelectionStrategy::Lp && !ranked.is_empty() {
             let _s = tel::span("selection_lp");
             let remaining = cfg.storage_budget.saturating_sub(used);
-            let (lp, _) =
-                with_retry(&self.retry, ctl, "selection_lp", &mut outcome.retries, |_| {
-                    crate::selection_lp::refine_selection(
-                        db,
-                        &workload,
-                        &ranked,
-                        &chosen,
-                        remaining,
-                        &self.engine.cost_model,
-                        ctl,
-                    )
-                })?;
+            let lp = crate::selection_lp::refine_selection(
+                db,
+                &workload,
+                &ranked,
+                &chosen,
+                remaining,
+                &self.engine.cost_model,
+                ctl,
+            )?;
             decisions.record(|l, pass| {
                 for d in &lp.decisions {
                     l.note(pass, &d.name, &d.table, &d.columns, d.stage, d.detail.clone());
@@ -634,10 +547,7 @@ impl TuningSession {
             return Ok(());
         }
 
-        // 4. Clone validation ("no regression" guarantee). The degradation
-        //    ladder: attempt 1 falls back to sequential replay, attempt 2+
-        //    additionally shrinks the sampled test bed — a smaller clone
-        //    stresses the failing infrastructure less.
+        // 4. Clone validation ("no regression" guarantee).
         let accepted: Vec<RankedCandidate> = if cfg.skip_validation {
             for r in &chosen {
                 decisions.note(&r.candidate, "validation_skipped", || {
@@ -647,28 +557,11 @@ impl TuningSession {
             chosen
         } else {
             let _s = tel::span("validation");
-            let mut base_vcfg = cfg.validation.clone();
-            if base_vcfg.workers == 0 {
-                base_vcfg.workers = cfg.workers;
+            let mut vcfg = cfg.validation.clone();
+            if vcfg.workers == 0 {
+                vcfg.workers = cfg.workers;
             }
-            let (result, attempts) =
-                with_retry(&self.retry, ctl, "validation", &mut outcome.retries, |attempt| {
-                    let mut vcfg = base_vcfg.clone();
-                    if attempt >= 1 {
-                        vcfg.workers = 1;
-                    }
-                    if attempt >= 2 {
-                        let shrunk = vcfg.sample_fraction.unwrap_or(1.0) * 0.5;
-                        vcfg.sample_fraction = Some(shrunk.max(0.1));
-                    }
-                    try_validate_on_clone(db, &workload, &chosen, &self.engine, &vcfg, ctl)
-                })?;
-            if attempts > 0 {
-                outcome.note_degraded(
-                    "validation",
-                    "fell back to sequential replay / shrunken sample",
-                );
-            }
+            let result = try_validate_on_clone(db, &workload, &chosen, &self.engine, &vcfg, ctl)?;
             for (r, reason) in result.rejected {
                 let reason = reject_text(&reason);
                 tel::metrics::INDEXES_REJECTED.incr();
@@ -684,28 +577,18 @@ impl TuningSession {
             result.accepted
         };
 
-        // 5. Materialize on production. Each build is retried on transient
-        //    failure; a build that stays down aborts the pass (and the
-        //    caller rolls back `created_defs`) rather than shipping a
-        //    partial change set.
+        // 5. Materialize on production. An injected build fault aborts the
+        //    pass (and the caller rolls back `created_defs`) rather than
+        //    shipping a partial change set.
         let _s = tel::span("materialize");
         let mut io = IoStats::new();
         for r in accepted {
             ctl.check("materialize")?;
             let def = r.candidate.def();
-            let (build, _) =
-                with_retry(&self.retry, ctl, "materialize", &mut outcome.retries, |_| {
-                    match db.create_index(def.clone(), &mut io) {
-                        Ok(()) => Ok(Ok(())),
-                        Err(e) if e.is_injected() => {
-                            Err(AimError::from_exec("materialize", ExecError::Storage(e)))
-                        }
-                        // Deterministic build failures (duplicate columns
-                        // etc.) reject the candidate, not the pass.
-                        Err(e) => Ok(Err(e)),
-                    }
-                })?;
-            match build {
+            match db.create_index(def.clone(), &mut io) {
+                Err(e) if e.is_injected() => {
+                    return Err(AimError::from_exec("materialize", ExecError::Storage(e)));
+                }
                 Ok(()) => {
                     created_defs.push(def.clone());
                     decisions.note(&r.candidate, "materialized", || {
@@ -731,6 +614,8 @@ impl TuningSession {
                         def,
                     });
                 }
+                // Deterministic build failures (duplicate columns etc.)
+                // reject the candidate, not the pass.
                 Err(e) => {
                     tel::metrics::INDEXES_REJECTED.incr();
                     tel::event(tel::EventKind::IndexRejected, &def.name, e.to_string());
@@ -760,51 +645,14 @@ impl TuningSession {
                 tel::EventKind::TuningPass,
                 "aim.tune",
                 format!(
-                    "workload {}, candidates {}, created {}, rejected {}, \
-                     retries {}, degraded {}, {:.1} ms",
+                    "workload {}, candidates {}, created {}, rejected {}, {:.1} ms",
                     outcome.workload_size,
                     outcome.candidates_generated,
                     outcome.created.len(),
                     outcome.rejected.len(),
-                    outcome.retries,
-                    outcome.degraded,
                     outcome.elapsed.as_secs_f64() * 1e3
                 ),
             );
-        }
-    }
-}
-
-/// Runs `f` under `retry`: transient errors retry with deadline-capped
-/// exponential backoff, everything else (and exhaustion) propagates.
-/// Returns the value plus the number of retries that were needed; `f` is
-/// told which attempt it is (0-based) so a phase can degrade as it retries.
-pub(crate) fn with_retry<T>(
-    retry: &RetryPolicy,
-    ctl: &RunCtl,
-    phase: &'static str,
-    retries: &mut u64,
-    mut f: impl FnMut(usize) -> Result<T, AimError>,
-) -> Result<(T, usize), AimError> {
-    let max_attempts = retry.max_attempts.max(1);
-    let mut attempt = 0;
-    loop {
-        ctl.check(phase)?;
-        match f(attempt) {
-            Ok(v) => return Ok((v, attempt)),
-            Err(e) if e.is_retryable() && attempt + 1 < max_attempts => {
-                *retries += 1;
-                tel::metrics::TUNING_RETRIES.incr();
-                if tel::is_enabled() {
-                    tel::event(tel::EventKind::PhaseRetried, phase, e.to_string());
-                }
-                let backoff = ctl.cap_sleep(retry.backoff_for(attempt));
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
         }
     }
 }
@@ -864,33 +712,18 @@ mod tests {
     fn ctl_checks_deadline_and_cancel() {
         let ok = RunCtl::none();
         assert!(ok.check("x").is_ok());
-        assert_eq!(ok.remaining(), None);
 
         let expired = RunCtl::new(None, Some(Instant::now() - Duration::from_millis(1)));
         assert!(matches!(
             expired.check("ranking"),
             Err(AimError::DeadlineExceeded { phase: "ranking" })
         ));
-        assert_eq!(expired.remaining(), Some(Duration::ZERO));
 
         let token = CancelToken::new();
         let ctl = RunCtl::new(Some(token.clone()), None);
         assert!(ctl.check("x").is_ok());
         token.cancel();
         assert!(matches!(ctl.check("v"), Err(AimError::Cancelled { phase: "v" })));
-    }
-
-    #[test]
-    fn backoff_grows_and_is_deadline_capped() {
-        let p = RetryPolicy {
-            max_attempts: 5,
-            initial_backoff: Duration::from_millis(4),
-        };
-        assert_eq!(p.backoff_for(0), Duration::from_millis(4));
-        assert_eq!(p.backoff_for(1), Duration::from_millis(8));
-        assert_eq!(p.backoff_for(2), Duration::from_millis(16));
-        let ctl = RunCtl::new(None, Some(Instant::now() + Duration::from_millis(2)));
-        assert!(ctl.cap_sleep(Duration::from_secs(1)) <= Duration::from_millis(2));
     }
 
     #[test]
@@ -906,58 +739,7 @@ mod tests {
 
         let session = AimConfig::builder()
             .deadline(Duration::from_secs(5))
-            .retry(RetryPolicy::none())
             .session();
-        assert_eq!(session.retry.max_attempts, 1);
         assert_eq!(session.deadline, Some(Duration::from_secs(5)));
-    }
-
-    #[test]
-    fn with_retry_retries_transient_and_fails_fast_on_deterministic() {
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            initial_backoff: Duration::ZERO,
-        };
-        let ctl = RunCtl::none();
-        let mut retries = 0u64;
-
-        // Transient failures retry until they succeed.
-        let mut calls = 0;
-        let (v, attempts) =
-            with_retry(&policy, &ctl, "t", &mut retries, |_| {
-                calls += 1;
-                if calls < 3 {
-                    Err(AimError::Fault { phase: "t", site: "s".into() })
-                } else {
-                    Ok(42)
-                }
-            })
-            .unwrap();
-        assert_eq!((v, attempts, retries), (42, 2, 2));
-
-        // Deterministic failures do not retry.
-        let mut calls = 0;
-        let err =
-            with_retry(&policy, &ctl, "t", &mut retries, |_| -> Result<(), AimError> {
-                calls += 1;
-                Err(AimError::Exec {
-                    phase: "t",
-                    source: ExecError::Binding("nope".into()),
-                })
-            })
-            .unwrap_err();
-        assert_eq!(calls, 1);
-        assert!(!err.is_retryable());
-
-        // Exhaustion propagates the transient error.
-        let mut calls = 0;
-        let err =
-            with_retry(&policy, &ctl, "t", &mut retries, |_| -> Result<(), AimError> {
-                calls += 1;
-                Err(AimError::Fault { phase: "t", site: "s".into() })
-            })
-            .unwrap_err();
-        assert_eq!(calls, 3);
-        assert!(err.is_retryable());
     }
 }

@@ -109,14 +109,13 @@ fn observe(plan: &Plan, cost: f64, names: &[String]) -> Observation {
     Some((cost, used_here))
 }
 
-/// One replayed statement under the strict-mode contract: injected
-/// (transient) failures propagate so the session loop can retry, while
-/// deterministic failures degrade to `None` exactly as the lenient path
-/// always did.
-fn tolerate<T>(res: Result<T, ExecError>, strict: bool) -> Result<Option<T>, AimError> {
+/// One replayed statement: an injected failure aborts the validation, and
+/// with it the pass, while a deterministic failure drops the observation
+/// (`None`).
+fn tolerate<T>(res: Result<T, ExecError>) -> Result<Option<T>, AimError> {
     match res {
         Ok(v) => Ok(Some(v)),
-        Err(e) if strict && e.is_injected() => Err(AimError::from_exec("validation", e)),
+        Err(e) if e.is_injected() => Err(AimError::from_exec("validation", e)),
         Err(_) => Ok(None),
     }
 }
@@ -127,7 +126,6 @@ struct Replay<'a> {
     engine: &'a Engine,
     workers: usize,
     ctl: &'a RunCtl,
-    strict: bool,
 }
 
 impl Replay<'_> {
@@ -190,7 +188,7 @@ impl Replay<'_> {
                             .map(|out| Replayed::Executed((out.plan, out.cost))),
                     }
                 });
-                tolerate(res, self.strict)
+                tolerate(res)
             })?;
         let mut executed = 0u64;
         let mut reused = 0u64;
@@ -239,23 +237,19 @@ impl Replay<'_> {
                 Statement::Select(sel) => self.engine.execute_select(db, sel),
                 stmt => self.engine.execute(db, stmt),
             };
-            out.push(tolerate(res, self.strict)?.and_then(|o| observe(&o.plan, o.cost, names)));
+            out.push(tolerate(res)?.and_then(|o| observe(&o.plan, o.cost, names)));
         }
         aim_telemetry::metrics::VALIDATION_EXECUTED.add(out.len() as u64);
         Ok(out)
     }
 }
 
-/// Clones the test bed: fault-gated (`storage.clone`) in strict mode so an
-/// injected clone failure surfaces as a retryable fault; plain `Clone`
-/// otherwise.
-fn clone_db(db: &Database, strict: bool) -> Result<Database, AimError> {
-    if strict {
-        db.try_clone()
-            .map_err(|e| AimError::from_exec("validation", ExecError::Storage(e)))
-    } else {
-        Ok(db.clone())
-    }
+/// Clones the test bed through the fault gate (`storage.clone`): an
+/// injected clone failure aborts the validation. Without an armed fault
+/// plan this is `db.clone()`.
+fn clone_db(db: &Database) -> Result<Database, AimError> {
+    db.try_clone()
+        .map_err(|e| AimError::from_exec("validation", ExecError::Storage(e)))
 }
 
 /// Why a candidate was rejected during validation.
@@ -294,7 +288,6 @@ fn materialize(
     db: &mut Database,
     accepted: &mut Vec<RankedCandidate>,
     rejected: &mut Vec<(RankedCandidate, RejectReason)>,
-    strict: bool,
 ) -> Result<(), AimError> {
     let mut io = IoStats::new();
     let mut buildable: Vec<RankedCandidate> = Vec::new();
@@ -312,10 +305,10 @@ fn materialize(
         }
         match db.create_index(def, &mut io) {
             Ok(()) => buildable.push(r),
-            Err(e) if strict && e.is_injected() => {
-                // Transient build failure on the test bed: let the session
-                // loop retry the validation rather than mislabelling the
-                // candidate Unbuildable.
+            Err(e) if e.is_injected() => {
+                // An injected build failure on the test bed aborts the
+                // validation rather than mislabelling the candidate
+                // Unbuildable.
                 return Err(AimError::from_exec("validation", ExecError::Storage(e)));
             }
             Err(e) => rejected.push((r, RejectReason::Unbuildable(e.to_string()))),
@@ -326,7 +319,8 @@ fn materialize(
 }
 
 /// Validates `chosen` on a clone of `db` by replaying the workload's
-/// exemplar statements.
+/// exemplar statements: [`try_validate_on_clone`] without a deadline or
+/// cancel token, its error mapped back to an [`ExecError`].
 pub fn validate_on_clone(
     db: &Database,
     workload: &[WorkloadQuery],
@@ -334,15 +328,14 @@ pub fn validate_on_clone(
     engine: &Engine,
     cfg: &ValidationConfig,
 ) -> Result<ValidationOutcome, ExecError> {
-    validate_core(db, workload, chosen, engine, cfg, &RunCtl::none(), false)
+    try_validate_on_clone(db, workload, chosen, engine, cfg, &RunCtl::none())
         .map_err(AimError::into_exec)
 }
 
 /// [`validate_on_clone`] under a [`RunCtl`]: replay workers observe the
-/// deadline/cancel token between queries, clone operations are fault-gated
-/// (`storage.clone`), and injected failures propagate as retryable
-/// [`AimError::Fault`]s instead of silently dropping observations. On
-/// success the verdict is bit-identical to the lenient path.
+/// deadline/cancel token between queries. Clone operations are fault-gated
+/// (`storage.clone`), and injected failures propagate as
+/// [`AimError::Fault`]s instead of silently dropping observations.
 pub fn try_validate_on_clone(
     db: &Database,
     workload: &[WorkloadQuery],
@@ -350,18 +343,6 @@ pub fn try_validate_on_clone(
     engine: &Engine,
     cfg: &ValidationConfig,
     ctl: &RunCtl,
-) -> Result<ValidationOutcome, AimError> {
-    validate_core(db, workload, chosen, engine, cfg, ctl, true)
-}
-
-fn validate_core(
-    db: &Database,
-    workload: &[WorkloadQuery],
-    chosen: &[RankedCandidate],
-    engine: &Engine,
-    cfg: &ValidationConfig,
-    ctl: &RunCtl,
-    strict: bool,
 ) -> Result<ValidationOutcome, AimError> {
     let mut accepted: Vec<RankedCandidate> = chosen.to_vec();
     let mut rejected: Vec<(RankedCandidate, RejectReason)> = Vec::new();
@@ -371,7 +352,7 @@ fn validate_core(
         let _s = aim_telemetry::span("clone_test_bed");
         match cfg.sample_fraction {
             Some(f) if f < 1.0 => db.sample(f, cfg.sample_seed),
-            _ => clone_db(db, strict)?,
+            _ => clone_db(db)?,
         }
     };
 
@@ -391,7 +372,6 @@ fn validate_core(
         engine,
         workers: cfg.workers,
         ctl,
-        strict,
     };
     let mut replay = |db: &mut Database, names: &[String]| {
         if read_only {
@@ -406,7 +386,7 @@ fn validate_core(
     let baseline_obs = if read_only {
         replay(&mut bed, &[])?
     } else {
-        replay(&mut clone_db(&bed, strict)?, &[])?
+        replay(&mut clone_db(&bed)?, &[])?
     };
     let mut baseline: BTreeMap<QueryFingerprint, f64> = BTreeMap::new();
     for (wq, ob) in workload.iter().zip(&baseline_obs) {
@@ -434,7 +414,7 @@ fn validate_core(
         let db = if read_only {
             &mut bed
         } else {
-            round_clone = clone_db(&bed, strict)?;
+            round_clone = clone_db(&bed)?;
             &mut round_clone
         };
         if read_only && round > 0 {
@@ -444,7 +424,7 @@ fn validate_core(
                     .map_err(|e| AimError::from_exec("validation", ExecError::Storage(e)))?;
             }
         } else {
-            materialize(db, &mut accepted, &mut rejected, strict)?;
+            materialize(db, &mut accepted, &mut rejected)?;
             // Nothing to do unless the source came with stale statistics:
             // an index build leaves them current.
             db.analyze_all();

@@ -22,8 +22,9 @@ pub enum ExecError {
 impl ExecError {
     /// True for errors produced by the fault-injection layer, at either
     /// the storage or the execution layer. Injected faults model transient
-    /// infrastructure failures: they are the retryable class, while every
-    /// other `ExecError` is deterministic and retrying it is futile.
+    /// infrastructure failures: a tuning pass aborts on one and the next
+    /// pass tries again, while every other `ExecError` is deterministic and
+    /// trying again is futile.
     pub fn is_injected(&self) -> bool {
         match self {
             ExecError::FaultInjected { .. } => true,

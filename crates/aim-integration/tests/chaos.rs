@@ -4,8 +4,9 @@
 //! Every test asserts some combination of the resilience contract:
 //!
 //! * the database passes `check_consistency` after every step, whether the
-//!   pass succeeded, degraded, retried, or aborted;
-//! * an aborted pass rolls back everything it materialized;
+//!   pass succeeded or aborted;
+//! * an injected fault aborts the pass, which rolls back everything it
+//!   materialized, and the next pass (the next window) is the retry;
 //! * deadlines and cancellation are respected mid-pass;
 //! * with faults disarmed (or never matching), outcomes are bit-identical
 //!   to a fault-free run — the injection layer is zero-cost when quiet.
@@ -16,8 +17,8 @@ mod common;
 
 use aim_core::continuous::ContinuousTuner;
 use aim_core::{
-    generate_candidates, try_generate_candidates, AimConfig, AimError, CandidateGenConfig,
-    RetryPolicy, RunCtl, SelectionStrategy, TuningSession,
+    generate_candidates, try_generate_candidates, AimConfig, AimError, CandidateGenConfig, RunCtl,
+    SelectionStrategy, TuningSession,
 };
 use aim_exec::Engine;
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor};
@@ -101,8 +102,8 @@ fn shape(outcome: &aim_core::AimOutcome) -> Vec<(String, u64, u64, u64)> {
 
 /// (a) of the chaos contract: five seeded fault schedules, each pushed
 /// through three continuous-tuning windows. Whatever the schedule does —
-/// transient failures absorbed by retries, or a pass aborted outright —
-/// the database must pass its consistency check after every step.
+/// a window whose faults miss the pass, or a pass aborted by one — the
+/// database must pass its consistency check after every step.
 #[test]
 fn seeded_fault_schedules_leave_database_consistent() {
     let _g = FaultGuard::acquire();
@@ -136,16 +137,7 @@ fn seeded_fault_schedules_leave_database_consistent() {
     for (label, plan) in schedules {
         let mut db = db();
         let baseline_indexes = db.all_indexes().len();
-        let mut tuner = ContinuousTuner::with_session(
-            AimConfig::builder()
-                .selection(selection())
-                .retry(RetryPolicy {
-                    max_attempts: 3,
-                    initial_backoff: Duration::ZERO,
-                })
-                .session(),
-            0.5,
-        );
+        let mut tuner = ContinuousTuner::with_session(session(), 0.5);
         fault::arm(plan);
         let mut aborted = 0;
         for window in 0..3 {
@@ -196,14 +188,7 @@ fn identical_schedules_replay_identically() {
                 .fail_with_probability("exec.whatif", 0.3, 10)
                 .fail("storage.clone", 0, 1),
         );
-        let result = AimConfig::builder()
-            .selection(selection())
-            .retry(RetryPolicy {
-                max_attempts: 4,
-                initial_backoff: Duration::ZERO,
-            })
-            .session()
-            .run(&mut db, &monitor);
+        let result = session().run(&mut db, &monitor);
         let log: Vec<(String, u64)> = fault::disarm()
             .into_iter()
             .map(|i| (i.site, i.call))
@@ -233,14 +218,12 @@ fn disarmed_and_nonmatching_runs_are_bit_identical_to_baseline() {
         let outcome = session().run(&mut db, &monitor).expect("no faults fire");
         let log = fault::disarm();
         assert!(log.is_empty(), "nothing may fire: {log:?}");
-        (shape(&outcome), outcome.retries, outcome.degraded)
+        shape(&outcome)
     };
     let baseline = run(None);
-    assert!(!baseline.0.is_empty(), "fixture must create an index");
+    assert!(!baseline.is_empty(), "fixture must create an index");
     let armed_nonmatching = run(Some(FaultPlan::new(1).fail("no.such.site", 0, 99)));
     assert_eq!(baseline, armed_nonmatching);
-    assert_eq!(baseline.1, 0, "no retries without faults");
-    assert!(!baseline.2, "not degraded without faults");
 }
 
 /// (c) of the chaos contract: a pass under a deadline it cannot meet (every
@@ -281,9 +264,10 @@ fn deadline_is_respected_and_aborted_pass_rolls_back() {
     assert!(db.check_consistency().is_ok());
 }
 
-/// Satellite: cancellation from another thread lands mid-ranking (latency
-/// faults keep the phase busy long enough), aborts the pass, and leaves
-/// no trace behind.
+/// Satellite: cancellation from another thread lands mid-ranking, aborts
+/// the pass, and leaves no trace behind. The cancel is raised once the
+/// first what-if call began — ranking's first — and that call's latency
+/// fault keeps the phase busy until the cancel lands.
 #[test]
 fn cancellation_mid_ranking_aborts_and_rolls_back() {
     let _g = FaultGuard::acquire();
@@ -294,17 +278,9 @@ fn cancellation_mid_ranking_aborts_and_rolls_back() {
     let before = db.all_indexes().len();
 
     fault::arm(FaultPlan::new(11).delay_ms("exec.whatif", 10, 0, u64::MAX));
-    let session = session();
-    let token = session.cancel_token();
-    let canceller = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(25));
-        token.cancel();
-    });
-    let err = session
-        .run(&mut db, &monitor)
-        .expect_err("cancelled pass must not complete");
-    canceller.join().unwrap();
+    let (result, _) = run_cancelling_at(&session(), &mut db, &monitor, 1);
     fault::disarm();
+    let err = result.expect_err("cancelled pass must not complete");
 
     assert!(matches!(err, AimError::Cancelled { .. }), "got {err}");
     // The slow phase the cancel landed in is ranking (every what-if call
@@ -579,10 +555,10 @@ fn cancel_inside_lp_selection_aborts_within_one_whatif_call() {
     }
 }
 
-/// One transient what-if failure inside the LP selector is retried by the
-/// session (default [`RetryPolicy`]) instead of silently dropping the
-/// statement from the LP: the pass builds what the undisturbed pass builds,
-/// and the retry is counted.
+/// One injected what-if failure inside the LP selector aborts the pass
+/// with a fault in `selection_lp` instead of silently dropping the
+/// statement from the LP: nothing is built, the abort is counted, and the
+/// next pass — the retry — builds what the undisturbed pass builds.
 #[test]
 fn transient_fault_inside_lp_selection_is_retried() {
     let _g = FaultGuard::acquire();
@@ -591,84 +567,108 @@ fn transient_fault_inside_lp_selection_is_retried() {
     aim_telemetry::enable();
     aim_telemetry::reset();
     fault::arm(FaultPlan::new(7).fail("exec.whatif", lp.hits_before_lp + 40, 1));
-    let outcome = lp.session(SelectionStrategy::Lp).run(&mut db, &lp.monitor);
+    let faulted = lp.session(SelectionStrategy::Lp).run(&mut db, &lp.monitor);
     let log = fault::disarm();
-    let retries_metric = aim_telemetry::metrics::TUNING_RETRIES.get();
+    let aborted = aim_telemetry::metrics::PASSES_ABORTED.get();
     aim_telemetry::disable();
     aim_telemetry::reset();
 
-    let outcome = outcome.expect("a retry absorbs one transient fault");
+    let err = faulted.expect_err("an injected fault aborts the pass");
     assert_eq!(log.len(), 1, "exactly the planned fault fires: {log:?}");
-    assert!(outcome.retries >= 1 && retries_metric >= 1, "the fault must cost a retry");
-    assert_eq!(shape(&outcome), lp.created, "post-retry pass must build the undisturbed set");
+    assert!(matches!(err, AimError::Fault { phase: "selection_lp", .. }), "{err}");
+    assert_eq!(aborted, 1, "the abort is counted");
+    assert!(db.all_indexes().is_empty(), "the aborted pass built nothing");
+
+    let retried = lp.session(SelectionStrategy::Lp).run(&mut db, &lp.monitor);
+    let retried = retried.expect("the next pass runs undisturbed");
+    assert_eq!(shape(&retried), lp.created, "the next pass builds the undisturbed set");
 }
 
-/// Satellite: a transient fault during validation (the test-bed clone
-/// fails once) is retried and the pass converges to the exact outcome of
-/// a fault-free run — bit-identical, with the retry recorded.
+/// Satellite: a fault during validation (the test-bed clone fails once)
+/// aborts the pass with a fault attributed to validation and rolls it
+/// back; the next pass converges to the exact outcome of a fault-free run —
+/// bit-identical.
 #[test]
 fn fault_during_validation_retries_to_bit_identical_outcome() {
     let _g = FaultGuard::acquire();
-    let run = |plan: Option<FaultPlan>| {
+    let setup = || {
         let mut db = db();
         let mut monitor = WorkloadMonitor::new();
         observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 10);
-        if let Some(p) = plan {
-            fault::arm(p);
-        }
-        let outcome = AimConfig::builder()
-            .selection(selection())
-            .retry(RetryPolicy {
-                max_attempts: 3,
-                initial_backoff: Duration::ZERO,
-            })
-            .session()
-            .run(&mut db, &monitor)
-            .expect("retries must absorb a single transient fault");
-        let log = fault::disarm();
-        (shape(&outcome), outcome.retries, log)
+        (db, monitor)
     };
 
-    let (clean_shape, clean_retries, _) = run(None);
-    assert!(!clean_shape.is_empty(), "fixture must create an index");
-    assert_eq!(clean_retries, 0);
+    let (mut db, monitor) = setup();
+    let clean = shape(&session().run(&mut db, &monitor).expect("fault-free pass"));
+    assert!(!clean.is_empty(), "fixture must create an index");
 
-    let (faulted_shape, faulted_retries, log) =
-        run(Some(FaultPlan::new(33).fail("storage.clone", 0, 1)));
+    let (mut db, monitor) = setup();
+    let before = db.all_indexes().len();
+    fault::arm(FaultPlan::new(33).fail("storage.clone", 0, 1));
+    let faulted = session().run(&mut db, &monitor);
+    let log = fault::disarm();
     assert_eq!(log.len(), 1, "exactly the planned fault fires: {log:?}");
-    assert!(faulted_retries > 0, "the transient fault must cost a retry");
+    let err = faulted.expect_err("a clone fault must abort validation");
+    assert!(matches!(err, AimError::Fault { .. }), "{err}");
+    assert_eq!(err.phase(), "validation");
+    assert_eq!(db.all_indexes().len(), before, "aborted pass must roll back");
+    assert!(db.check_consistency().is_ok());
+
+    let retried = session().run(&mut db, &monitor).expect("the next pass runs");
     assert_eq!(
-        clean_shape, faulted_shape,
-        "post-retry outcome must be bit-identical to the fault-free run"
+        clean,
+        shape(&retried),
+        "the next pass must be bit-identical to the fault-free run"
     );
 }
 
-/// A fault that outlives the retry budget aborts the pass with the
-/// retryable error classified correctly — and still rolls back.
+/// The next window is the retry: a one-shot fault at the test-bed clone,
+/// at the first index build, or at the first what-if call fails window 1
+/// of a continuous tuner in the fault's phase and leaves the database as
+/// it was; window 2, over the same statements, creates exactly what a
+/// fault-free tuner creates in its window 1.
 #[test]
-fn exhausted_retries_abort_with_fault_error() {
+fn next_window_retries_a_faulted_pass() {
     let _g = FaultGuard::acquire();
-    let mut db = db();
-    let mut monitor = WorkloadMonitor::new();
-    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 10);
-    let before = db.all_indexes().len();
+    let window = |db: &mut Database| {
+        let mut monitor = WorkloadMonitor::new();
+        observe(db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 10);
+        observe(db, &mut monitor, "SELECT id FROM orders WHERE region = 3", 10);
+        monitor
+    };
+    let tuner = || ContinuousTuner::with_session(session(), 0.5);
 
-    fault::arm(FaultPlan::new(55).fail("storage.clone", 0, u64::MAX));
-    let err = AimConfig::builder()
-        .selection(selection())
-        .retry(RetryPolicy {
-            max_attempts: 2,
-            initial_backoff: Duration::ZERO,
-        })
-        .session()
-        .run(&mut db, &monitor)
-        .expect_err("a permanent clone failure must abort validation");
-    fault::disarm();
+    let mut clean_db = db();
+    let monitor = window(&mut clean_db);
+    let clean = tuner().step(&mut clean_db, &monitor).expect("fault-free window");
+    let clean = shape(&clean.tuning);
+    assert!(!clean.is_empty(), "fixture must create an index");
 
-    assert!(err.is_retryable(), "exhaustion surfaces the transient error: {err}");
-    assert_eq!(err.phase(), "validation");
-    assert_eq!(db.all_indexes().len(), before);
-    assert!(db.check_consistency().is_ok());
+    for (site, phase) in [
+        ("storage.clone", "validation"),
+        ("storage.create_index", "validation"),
+        ("exec.whatif", "ranking"),
+    ] {
+        let mut db = db();
+        let mut tuner = tuner();
+        let before = db.all_indexes();
+        let monitor = window(&mut db);
+        fault::arm(FaultPlan::new(5).fail(site, 0, 1));
+        let result = tuner.step(&mut db, &monitor);
+        let log = fault::disarm();
+        let err = result.expect_err("window 1 must fail");
+        assert_eq!(log.len(), 1, "[{site}] exactly the planned fault fires: {log:?}");
+        assert!(
+            matches!(&err, AimError::Fault { phase: p, site: s } if *p == phase && s == site),
+            "[{site}] {err}"
+        );
+        assert_eq!(db.all_indexes(), before, "[{site}] window 1 must leave the indexes as they were");
+        db.check_consistency().unwrap();
+
+        let monitor = window(&mut db);
+        let retried = tuner.step(&mut db, &monitor).expect("window 2 tunes");
+        assert_eq!(shape(&retried.tuning), clean, "[{site}] window 2 must build what window 1 would have");
+    }
 }
 
 /// Corrupted statistics must never corrupt *data*: a schedule that poisons
@@ -794,10 +794,10 @@ fn crash_recovery_replays_wal_to_bit_identical_data_file() {
 }
 
 /// An fsync failure in the WAL surfaces through the whole advisor stack
-/// as the retryable [`AimError::Fault`] — and a session with retry
-/// budget absorbs it and completes the pass.
+/// as [`AimError::Fault`]: the pass aborts and rolls back, and the next
+/// pass — the retry — completes.
 #[test]
-fn wal_fsync_fault_is_retryable_through_tuning_session() {
+fn wal_fsync_fault_aborts_the_pass_and_the_next_pass_completes() {
     let _g = FaultGuard::acquire();
     let dir = disk_dir("fsync");
     let mut db = disk_db(&dir, 3_000);
@@ -805,26 +805,16 @@ fn wal_fsync_fault_is_retryable_through_tuning_session() {
     observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 10);
     let before = db.all_indexes().len();
 
-    // Permanent fsync failure: no retry budget can absorb it.
-    fault::arm(FaultPlan::new(21).fail("storage.wal.fsync", 0, u64::MAX));
-    let err = AimConfig::builder()
-        .selection(selection())
-        .retry(RetryPolicy {
-            max_attempts: 2,
-            initial_backoff: Duration::ZERO,
-        })
-        .session()
-        .run(&mut db, &monitor)
-        .expect_err("persistent fsync failure must abort the pass");
-    fault::disarm();
-    assert!(err.is_retryable(), "fsync fault must classify as transient: {err}");
+    fault::arm(FaultPlan::new(21).fail("storage.wal.fsync", 0, 1));
+    let faulted = session().run(&mut db, &monitor);
+    let log = fault::disarm();
+    assert_eq!(log.len(), 1, "exactly the planned fault fires: {log:?}");
+    let err = faulted.expect_err("an fsync fault must abort the pass");
+    assert!(matches!(err, AimError::Fault { .. }), "fsync fault must classify as a fault: {err}");
     assert_eq!(db.all_indexes().len(), before, "aborted pass must roll back");
     db.check_consistency().unwrap();
 
-    // One-shot fsync failure: the session's retry ladder absorbs it.
-    fault::arm(FaultPlan::new(21).fail("storage.wal.fsync", 0, 1));
     let outcome = session().run(&mut db, &monitor).unwrap();
-    fault::disarm();
     assert!(!outcome.created.is_empty(), "rejected: {:?}", outcome.rejected);
     db.check_consistency().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
@@ -832,12 +822,12 @@ fn wal_fsync_fault_is_retryable_through_tuning_session() {
 
 /// A torn page write (power loss mid-write: only half the page reaches
 /// the platter) fires on the physical write path — checkpoint — and
-/// classifies as the same retryable fault class. The half-written page
-/// is harmless: the WAL still holds the full image, so a crash-reopen
-/// recovers every committed row with checksums intact, and a retried
-/// checkpoint succeeds.
+/// classifies as the same fault class, which aborts a pass. The
+/// half-written page is harmless: the WAL still holds the full image, so a
+/// crash-reopen recovers every committed row with checksums intact, and a
+/// retried checkpoint succeeds.
 #[test]
-fn torn_page_write_fault_is_retryable_and_recoverable() {
+fn torn_page_write_fault_classifies_as_fault_and_recovers() {
     let _g = FaultGuard::acquire();
     let dir = disk_dir("torn");
     let mut db = disk_db(&dir, 3_000);
@@ -848,8 +838,8 @@ fn torn_page_write_fault_is_retryable_and_recoverable() {
     assert!(err.is_injected(), "{err}");
     let classified = AimError::from_exec("checkpoint", aim_exec::ExecError::Storage(err));
     assert!(
-        classified.is_retryable(),
-        "torn write must classify as transient: {classified}"
+        matches!(classified, AimError::Fault { .. }),
+        "torn write must classify as a fault: {classified}"
     );
 
     // Retry with the fault gone: the redirtied pages flush cleanly.

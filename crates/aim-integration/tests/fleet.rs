@@ -16,7 +16,7 @@
 mod common;
 
 use aim_core::fleet::{FleetConfig, FleetOutcome, Tenant};
-use aim_core::{workload_cost, AimConfig, RetryPolicy, TuningSession};
+use aim_core::{workload_cost, AimConfig, TuningSession};
 use aim_exec::{CostModel, Engine, HypoConfig};
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_sql::parse_statement;
@@ -141,8 +141,6 @@ fn single_tenant_fleet_bit_identical_to_tuning_session() {
     assert_eq!(bare.rejected, fleet_outcome.rejected);
     assert_eq!(bare.workload_size, fleet_outcome.workload_size);
     assert_eq!(bare.candidates_generated, fleet_outcome.candidates_generated);
-    assert_eq!(bare.retries, fleet_outcome.retries);
-    assert_eq!(bare.degraded, fleet_outcome.degraded);
     assert_eq!(
         Some(bare_session.ledger_json()),
         t.ledger_json,
@@ -156,8 +154,8 @@ fn single_tenant_fleet_bit_identical_to_tuning_session() {
 }
 
 /// Chaos satellite: one tenant hitting a fault (its validation clone
-/// fails, no retry budget) is isolated — the fleet completes, the other
-/// tenants converge, and the faulted tenant's database is rolled back.
+/// fails) is isolated — the fleet completes, the other tenants converge,
+/// and the faulted tenant's database is rolled back.
 #[test]
 fn one_tenant_faulting_does_not_abort_the_fleet() {
     let _g = FaultGuard::acquire();
@@ -183,7 +181,6 @@ fn one_tenant_faulting_does_not_abort_the_fleet() {
     let outcome = FleetConfig::builder()
         .base(AimConfig::builder().selection(selection()).build())
         .fleet_workers(1)
-        .retry(RetryPolicy::none())
         .session()
         .run(&mut tenants);
     let log = fault::disarm();
@@ -211,12 +208,10 @@ fn one_tenant_faulting_does_not_abort_the_fleet() {
         .expect("consistent after rollback");
 }
 
-/// One transient what-if failure during the probe of a 4-tenant fleet —
-/// the fleet's first what-if call, so tenant-0's — under `retry`, with
-/// telemetry on. Returns the outcome, the tenants and the journal.
-fn fleet_with_one_probe_fault(
-    retry: RetryPolicy,
-) -> (FleetOutcome, Vec<Tenant>, Vec<aim_telemetry::Event>) {
+/// One injected what-if failure during the probe of a 4-tenant fleet —
+/// the fleet's first what-if call, so tenant-0's — with telemetry on.
+/// Returns the outcome, the tenants and the journal.
+fn fleet_with_one_probe_fault() -> (FleetOutcome, Vec<Tenant>, Vec<aim_telemetry::Event>) {
     let mut tenants: Vec<Tenant> = (0..4)
         .map(|i| {
             let mut t = Tenant::new(format!("tenant-{i}"), orders_db(3000 + 500 * i));
@@ -231,7 +226,6 @@ fn fleet_with_one_probe_fault(
     let outcome = FleetConfig::builder()
         .base(AimConfig::builder().selection(selection()).build())
         .fleet_workers(1)
-        .retry(retry)
         .session()
         .run(&mut tenants);
     let log = fault::disarm();
@@ -241,30 +235,13 @@ fn fleet_with_one_probe_fault(
     (outcome, tenants, events)
 }
 
-/// The retry policy `FleetConfigBuilder::retry` promises "inside every
-/// tenant session" also covers the probe: a transient what-if failure
-/// there is retried, not charged to the tenant.
-#[test]
-fn probe_fault_is_retried_under_the_fleet_retry_policy() {
-    let _g = FaultGuard::acquire();
-    let (outcome, tenants, _) = fleet_with_one_probe_fault(RetryPolicy::default());
-    assert_eq!(outcome.failed(), 0, "{:?}", outcome.tenants);
-    for (t, out) in tenants.iter().zip(&outcome.tenants) {
-        let o = out.result.as_ref().expect("every tenant converges");
-        assert!(!o.created.is_empty(), "{} tunes normally", out.id);
-        assert!(!t.db.all_indexes().is_empty());
-    }
-    let retries = aim_telemetry::snapshot().counter("aim.retries").unwrap_or(0);
-    assert!(retries >= 1, "the probe's retry is counted: {retries}");
-}
-
-/// With no retry budget the probe failure fails that tenant — and is
-/// accounted for like any other tenant failure: counted, journaled with
-/// the tenant's name, isolated from the rest of the fleet.
+/// A probe fault fails that tenant — and is accounted for like any other
+/// tenant failure: counted, journaled with the tenant's name, isolated
+/// from the rest of the fleet.
 #[test]
 fn probe_failure_is_counted_and_journaled_like_a_tune_failure() {
     let _g = FaultGuard::acquire();
-    let (outcome, tenants, events) = fleet_with_one_probe_fault(RetryPolicy::none());
+    let (outcome, tenants, events) = fleet_with_one_probe_fault();
     assert_eq!(outcome.failed(), 1);
     assert!(outcome.tenants[0].result.is_err(), "the first what-if call is tenant-0's");
     for (t, out) in tenants.iter().zip(&outcome.tenants).skip(1) {

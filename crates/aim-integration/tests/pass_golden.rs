@@ -113,8 +113,8 @@ fn created(outcome: &AimOutcome) -> Vec<String> {
 fn outcome_lines(out: &mut String, title: &str, outcome: &AimOutcome) {
     writeln!(
         out,
-        "{title} workload={} candidates={} retries={} degraded={}",
-        outcome.workload_size, outcome.candidates_generated, outcome.retries, outcome.degraded
+        "{title} workload={} candidates={}",
+        outcome.workload_size, outcome.candidates_generated
     )
     .unwrap();
     section(out, &format!("{title} created"), created(outcome));

@@ -31,12 +31,7 @@ pub enum EventKind {
     ValidationVerdict,
     /// A tuning pass completed (summary).
     TuningPass,
-    /// A phase was retried after a transient failure.
-    PhaseRetried,
-    /// A pass fell back to a degraded mode (sequential path, shrunken
-    /// validation sample) after repeated transient failures.
-    PassDegraded,
-    /// A pass was aborted (deadline, cancellation, retries exhausted) and
+    /// A pass was aborted (deadline, cancellation, an injected fault) and
     /// its partially materialized indexes were rolled back.
     PassAborted,
 }
@@ -54,8 +49,6 @@ impl EventKind {
             EventKind::IndexDropped => "index_dropped",
             EventKind::ValidationVerdict => "validation_verdict",
             EventKind::TuningPass => "tuning_pass",
-            EventKind::PhaseRetried => "phase_retried",
-            EventKind::PassDegraded => "pass_degraded",
             EventKind::PassAborted => "pass_aborted",
         }
     }

@@ -131,12 +131,7 @@ builtin_counters! {
         "Candidates rejected during validation or materialization.";
     REGRESSIONS_DETECTED = "aim.regressions_detected",
         "Regressions flagged by the continuous detector.";
-    /// Phase retries after a transient (injected) failure.
-    TUNING_RETRIES = "aim.retries", "Phase retries after a transient failure.";
-    /// Passes that finished in a degraded mode (sequential fallback or a
-    /// shrunken validation sample) after repeated transient failures.
-    DEGRADED_PASSES = "aim.degraded_passes", "Passes that finished in a degraded mode.";
-    /// Passes aborted (deadline, cancellation, or retries exhausted) and
+    /// Passes aborted (deadline, cancellation, or an injected fault) and
     /// rolled back.
     PASSES_ABORTED = "aim.passes_aborted", "Passes aborted and rolled back.";
     /// Batched what-if evaluations (one per `eval_select_batch` call).

@@ -8,7 +8,9 @@
 //! [`take_profile`] (drains) or [`profile_snapshot`] (clones).
 //!
 //! The tree is thread-local: concurrent profiled regions never interleave,
-//! and the advisor (single-threaded today) pays no locking on this path.
+//! and no span pays for a lock. Ranking and validation fan out over worker
+//! threads; [`crate::trace`] stitches their subtrees back into the
+//! caller's open span.
 
 use std::cell::RefCell;
 use std::time::{Duration, Instant};

@@ -24,10 +24,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== code lines per crate (report, not a gate)"
 scripts/loc.sh
 
-echo "== pub fns only tests reach (report, not a gate)"
-# Anything listed is new dead surface: delete it, or add it to
-# scripts/unrun.allow with the rule that keeps it.
-scripts/unrun.sh || true
+echo "== pub fns only tests reach (gate: nothing ships unrun)"
+# Fails on any `pub fn` only tests reach that scripts/unrun.allow does not
+# name, and on a stale allow entry: delete the function, or add it there
+# with the rule that keeps it.
+scripts/unrun.sh
 
 echo "== aim-e2e smoke + verify (end-to-end benchmark gate)"
 # Builds bench/ (its own package, same target directory) and runs the four
