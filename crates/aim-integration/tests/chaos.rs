@@ -622,6 +622,38 @@ fn fault_during_validation_retries_to_bit_identical_outcome() {
     );
 }
 
+/// A fault that never clears exhausts every retry: each pass — the first
+/// and every next pass that retries it — aborts with the fault classified
+/// correctly, attributed to validation, and still rolls back.
+#[test]
+fn exhausted_retries_abort_with_fault_error() {
+    let _g = FaultGuard::acquire();
+    let mut db = db();
+    let mut monitor = WorkloadMonitor::new();
+    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 10);
+    let before = db.all_indexes().len();
+
+    fault::arm(FaultPlan::new(55).fail("storage.clone", 0, u64::MAX));
+    let errs: Vec<AimError> = (0..3)
+        .map(|_| {
+            session()
+                .run(&mut db, &monitor)
+                .expect_err("a permanent clone failure must abort validation")
+        })
+        .collect();
+    fault::disarm();
+
+    for err in &errs {
+        assert!(
+            matches!(err, AimError::Fault { site, .. } if site == "storage.clone"),
+            "exhaustion surfaces the injected fault: {err}"
+        );
+        assert_eq!(err.phase(), "validation");
+    }
+    assert_eq!(db.all_indexes().len(), before);
+    assert!(db.check_consistency().is_ok());
+}
+
 /// The next window is the retry: a one-shot fault at the test-bed clone,
 /// at the first index build, or at the first what-if call fails window 1
 /// of a continuous tuner in the fault's phase and leaves the database as
