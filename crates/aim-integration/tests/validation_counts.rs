@@ -26,7 +26,7 @@ use aim_sql::{parse_statement, Statement};
 use aim_storage::fault::{self, FaultPlan};
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, PagerOptions, TableSchema};
 use aim_telemetry as tel;
-use aim_workloads::tpch;
+use aim_workloads::{job, tpch};
 use std::sync::Mutex;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -211,6 +211,94 @@ fn a_disk_backed_source_runs_the_whole_baseline() {
     assert_eq!(validated(&disk, &workload, &picked, 0), (0, 22, 0));
     drop(disk);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a second pass decides on the database the first pass tuned, as
+/// counts.
+#[derive(Debug, PartialEq)]
+struct SecondPass {
+    /// Candidates ranked with a benefit above zero.
+    benefiting: usize,
+    /// Candidates the knapsack handed to validation.
+    chosen: usize,
+    /// Consultations of `storage.create_index`: bed builds and production
+    /// builds together.
+    create_index: usize,
+    /// Validation refutations by reason.
+    refuted: Vec<(&'static str, usize)>,
+    created: usize,
+}
+
+/// The short name of a reject reason's text (`session::reject_text`).
+fn refutation(text: &str) -> &'static str {
+    [
+        ("total workload cost regressed", "total regressed"),
+        ("regressed", "regressed"),
+        ("never used", "never used"),
+        ("no query improved", "no improvement"),
+        ("not materializable", "unbuildable"),
+        ("rounds exhausted", "rounds exhausted"),
+    ]
+    .into_iter()
+    .find(|(needle, _)| text.contains(needle))
+    .map_or_else(|| panic!("unknown reject reason: {text}"), |(_, short)| short)
+}
+
+/// Runs the same window twice on `db` and counts what the second pass does.
+fn second_pass(mut db: Database, monitor: &WorkloadMonitor) -> SecondPass {
+    let session = AimConfig::builder().selection(selection()).ledger(true).session();
+    session.run(&mut db, monitor).unwrap();
+    fault::arm(FaultPlan::new(1).delay_ms("storage.create_index", 0, 0, u64::MAX));
+    let outcome = session.run(&mut db, monitor);
+    let log = fault::disarm();
+    let outcome = outcome.unwrap();
+    let ledger = session.ledger();
+    let pass2 = || ledger.records().iter().filter(|r| r.pass == 2);
+    let mut refuted = std::collections::BTreeMap::new();
+    for (_, why) in &outcome.rejected {
+        *refuted.entry(refutation(why)).or_default() += 1;
+    }
+    SecondPass {
+        benefiting: pass2().filter(|r| r.benefit.is_some_and(|b| b > 0.0)).count(),
+        chosen: pass2().filter(|r| r.stages().iter().any(|s| s.starts_with("validation_"))).count(),
+        create_index: log.iter().filter(|i| i.site == "storage.create_index").count(),
+        refuted: refuted.into_iter().collect(),
+        created: outcome.created.len(),
+    }
+}
+
+/// Pass 2 over the TPC-H fixture and `pass_golden.rs`'s JOB fixture, each on
+/// the database its pass 1 tuned.
+#[test]
+fn a_second_pass_on_the_tuned_database() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (db, monitor) = tpch_case();
+    assert_eq!(
+        second_pass(db, &monitor),
+        SecondPass {
+            benefiting: 7,
+            chosen: 5,
+            create_index: 7,
+            refuted: vec![("never used", 1), ("regressed", 2)],
+            created: 2,
+        },
+        "tpch"
+    );
+
+    let mut db = job::build_database(&job::JobConfig { titles: 1500, ..Default::default() });
+    let texts = job::query_texts(0x10B).into_iter().map(|(_, sql)| sql);
+    let monitor = common::observe(&mut db, texts);
+    assert_eq!(
+        second_pass(db, &monitor),
+        SecondPass {
+            benefiting: 4,
+            chosen: 4,
+            create_index: 4,
+            refuted: vec![("no improvement", 4)],
+            created: 0,
+        },
+        "job"
+    );
 }
 
 /// `executor.rs`: "validation replays ... must not pollute the live-traffic
