@@ -106,7 +106,7 @@ impl<'a> CostEvaluator<'a> {
                 ))
             })
             .collect();
-        let cfg = HypoConfig::only(hypos);
+        let cfg = HypoConfig::overlay(hypos);
         let wq = &self.workload[query_idx];
         let cost = wq.weight
             * estimate_statement_cost(self.db, &wq.statement, &cfg, &self.cm)

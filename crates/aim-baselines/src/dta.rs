@@ -155,7 +155,7 @@ mod tests {
         let defs = dta.recommend(&db, &workload, u64::MAX);
         assert!(!defs.is_empty());
         let cm = CostModel::default();
-        let base = workload_cost(&db, &workload, &HypoConfig::only(Vec::new()), &cm);
+        let base = workload_cost(&db, &workload, &HypoConfig::none(), &cm);
         let with = workload_cost(&db, &workload, &defs_to_config(&db, &defs), &cm);
         assert!(with < base);
     }

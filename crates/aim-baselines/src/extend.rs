@@ -190,7 +190,7 @@ mod tests {
         assert!(!defs.is_empty());
         assert!(ext.last_whatif_calls > 0);
         let cm = CostModel::default();
-        let base = workload_cost(&db, &workload, &HypoConfig::only(Vec::new()), &cm);
+        let base = workload_cost(&db, &workload, &HypoConfig::none(), &cm);
         let with = workload_cost(&db, &workload, &defs_to_config(&db, &defs), &cm);
         assert!(with < base, "base {base}, with {with}");
     }

@@ -137,7 +137,7 @@ pub fn run(benchmark: Benchmark, scale: Scale) -> Sweep {
     let bed = Bed::build(benchmark, scale);
     let (db, workload) = (&bed.db, &bed.workload);
     let cm = CostModel::default();
-    let base_cost = workload_cost(db, workload, &HypoConfig::only(Vec::new()), &cm);
+    let base_cost = workload_cost(db, workload, &HypoConfig::none(), &cm);
     let full_size = bed.full_configuration_bytes();
 
     let mut rows = Vec::new();

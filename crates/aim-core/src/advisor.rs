@@ -54,7 +54,7 @@ pub fn defs_to_config(db: &Database, defs: &[IndexDef]) -> HypoConfig {
         .iter()
         .filter_map(|d| HypotheticalIndex::build(db, d.clone()))
         .collect();
-    HypoConfig::only(indexes)
+    HypoConfig::overlay(indexes)
 }
 
 /// Total estimated workload cost `Σ w_q · cost(q, X)` under a what-if
@@ -99,16 +99,17 @@ pub fn config_size(db: &Database, defs: &[IndexDef]) -> u64 {
 }
 
 /// The monitor statistics a weighted workload stands for: weight × the
-/// unindexed estimated cost takes the place of observed CPU, which is what
-/// Eq. 7 scales by. This is how every benchmark-style caller — the
-/// advisor, the paper-figure bins, the micro-benchmarks — turns weighted
-/// statements into the [`WorkloadQuery`]s the pipeline consumes.
+/// estimated cost on the database as it stands takes the place of observed
+/// CPU, which is what Eq. 7 scales by. This is how every benchmark-style
+/// caller — the advisor, the paper-figure bins, the micro-benchmarks —
+/// turns weighted statements into the [`WorkloadQuery`]s the pipeline
+/// consumes.
 pub fn synthetic_workload(
     db: &Database,
     workload: &[WeightedQuery],
     cm: &CostModel,
 ) -> Vec<WorkloadQuery> {
-    let empty = HypoConfig::only(Vec::new());
+    let empty = HypoConfig::none();
     workload
         .iter()
         .map(|wq| {
@@ -236,7 +237,7 @@ mod tests {
         let defs = advisor.recommend(&db, &workload, u64::MAX);
         assert!(!defs.is_empty());
         let cm = CostModel::default();
-        let base = workload_cost(&db, &workload, &HypoConfig::only(Vec::new()), &cm);
+        let base = workload_cost(&db, &workload, &HypoConfig::none(), &cm);
         let with = workload_cost(&db, &workload, &defs_to_config(&db, &defs), &cm);
         assert!(
             with < base / 2.0,
@@ -260,7 +261,7 @@ mod tests {
             wq("SELECT id FROM t WHERE b = 2 AND a > 5", 100.0),
         ];
         let cm = CostModel::default();
-        let base = workload_cost(&db, &workload, &HypoConfig::only(Vec::new()), &cm);
+        let base = workload_cost(&db, &workload, &HypoConfig::none(), &cm);
         let mut costs = Vec::new();
         for budget in [64 * 1024, 1 << 20, u64::MAX] {
             let mut advisor = AimAdvisor::new(2, 0);

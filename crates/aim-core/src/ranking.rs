@@ -488,7 +488,7 @@ fn rank_core(
     costing: Costing,
 ) -> Result<Vec<RankedCandidate>, AimError> {
     let hypos = Hypos::build(db, candidates);
-    let empty_cfg = HypoConfig::only(Vec::new());
+    let empty_cfg = HypoConfig::none();
     // Workers observe aborts between queries and, inside a query, before
     // every what-if call.
     let workers = effective_workers(workers, workload.len());
@@ -997,6 +997,59 @@ mod tests {
         let hot = rank_candidates_with(&db, &w, &cands, &cm, 1);
         assert_bit_identical(&cold, &warm);
         assert_bit_identical(&cold, &hot);
+    }
+
+    /// Ranking prices against the indexes the database has. A permutation
+    /// of a materialized index serves its query no better, so it ranks at
+    /// benefit 0: `cheapest` folds materialized indexes before
+    /// hypotheticals, and of two equally cheap paths the first wins. A
+    /// write's maintenance is priced over a base that counts the
+    /// materialized indexes it already keeps up to date.
+    #[test]
+    fn ranking_prices_against_the_materialized_indexes() {
+        use crate::partial_order::PartialOrder;
+        use aim_storage::IndexDef;
+        use std::collections::BTreeSet;
+        let mut db = db();
+        for (name, columns) in [("ab", vec!["a", "b"]), ("c", vec!["c"])] {
+            let def = IndexDef::new(name, "t", columns.into_iter().map(String::from).collect());
+            db.create_index(def, &mut IoStats::new()).unwrap();
+        }
+        let w = workload(
+            &mut db,
+            &[
+                ("SELECT id FROM t WHERE a = 5 AND b = 5", 20),
+                ("INSERT INTO t (id, a, b, c) VALUES (5000, 1, 2, 3)", 1),
+            ],
+        );
+        let rank_one = |wq: &WorkloadQuery, columns: &[&str]| {
+            let candidate = CandidateIndex {
+                table: "t".into(),
+                columns: columns.iter().map(|c| c.to_string()).collect(),
+                po: PartialOrder::chain(columns.iter().map(|c| c.to_string())).expect("valid"),
+                sources: BTreeSet::from([wq.stats.fingerprint]),
+            };
+            let ranked = rank_candidates_with(
+                &db,
+                std::slice::from_ref(wq),
+                &[candidate],
+                &CostModel::default(),
+                1,
+            );
+            assert_eq!(ranked.len(), 1);
+            ranked.into_iter().next().unwrap()
+        };
+        let select = w.iter().find(|wq| !wq.stats.is_dml()).unwrap();
+        let ba = rank_one(select, &["b", "a"]);
+        assert_eq!(ba.benefit, 0.0, "{}", ba.explanation());
+        assert!(ba.benefiting_queries.is_empty());
+
+        // Each inserted row writes the heap and two indexes as it stands,
+        // and one more index with the hypothetical: a third more.
+        let insert = w.iter().find(|wq| wq.stats.is_dml()).unwrap();
+        let b = rank_one(insert, &["b"]);
+        let relative = b.maintenance / insert.stats.total_cpu;
+        assert!((relative - 1.0 / 3.0).abs() < 1e-12, "{}", b.explanation());
     }
 
     #[test]

@@ -274,7 +274,7 @@ pub fn explain_select(
 /// Legend lines mapping `<hypo#i>` labels to their index definitions.
 pub fn hypo_legend(config: &HypoConfig) -> Vec<String> {
     config
-        .indexes
+        .indexes()
         .iter()
         .enumerate()
         .map(|(i, h)| {

@@ -90,19 +90,14 @@ impl HypotheticalIndex {
 /// Indexes are held behind [`Arc`] so that building per-query / per-subset
 /// configurations (the ranking marginal-attribution loop, baseline
 /// enumeration) shares one allocation per hypothetical index instead of
-/// deep-cloning key-column vectors for every what-if call.
+/// deep-cloning key-column vectors for every what-if call. They are fixed
+/// at construction, which is what lets [`Self::canonical_key`] be memoized.
 #[derive(Debug, Clone, Default)]
 pub struct HypoConfig {
-    pub indexes: Vec<Arc<HypotheticalIndex>>,
-    /// If false, the planner ignores materialized secondary indexes and
-    /// sees *only* the hypothetical ones (used when advisors evaluate
-    /// configurations from scratch on an unindexed database).
-    pub include_materialized: bool,
+    indexes: Vec<Arc<HypotheticalIndex>>,
     /// Lazily memoized [`Self::canonical_key`]. Ranking and batched costing
     /// hash the same configuration once per statement (or once per batch
     /// member); without the memo the sort-and-FNV walk reruns every time.
-    /// Invariant: the public fields must not be mutated after the first
-    /// `canonical_key()` call — build the config fully, then cost with it.
     key_memo: OnceLock<u64>,
 }
 
@@ -110,47 +105,34 @@ impl PartialEq for HypoConfig {
     fn eq(&self, other: &Self) -> bool {
         // The memo is derived state and must not affect equality (a config
         // that has been hashed still equals a fresh identical one).
-        self.indexes == other.indexes && self.include_materialized == other.include_materialized
+        self.indexes == other.indexes
     }
 }
 
 impl HypoConfig {
-    /// Empty configuration that still sees materialized indexes.
+    /// The database as it stands: no hypothetical index.
     pub fn none() -> Self {
-        Self {
-            indexes: Vec::new(),
-            include_materialized: true,
-            key_memo: OnceLock::new(),
-        }
+        Self::default()
     }
 
-    /// Configuration of only the given hypothetical indexes.
-    pub fn only(indexes: Vec<HypotheticalIndex>) -> Self {
-        Self {
-            indexes: indexes.into_iter().map(Arc::new).collect(),
-            include_materialized: false,
-            key_memo: OnceLock::new(),
-        }
-    }
-
-    /// Configuration of only the given shared hypothetical indexes (no
+    /// The given shared hypothetical indexes over the materialized ones (no
     /// per-index allocation — the cheap path for subset enumeration).
     pub fn shared(indexes: Vec<Arc<HypotheticalIndex>>) -> Self {
         Self {
             indexes,
-            include_materialized: false,
             key_memo: OnceLock::new(),
         }
     }
 
-    /// Configuration overlaying the given hypothetical indexes on top of
-    /// whatever is already materialized (the HypoPG-style usage).
+    /// The given hypothetical indexes over the materialized ones (the
+    /// HypoPG-style usage).
     pub fn overlay(indexes: Vec<HypotheticalIndex>) -> Self {
-        Self {
-            indexes: indexes.into_iter().map(Arc::new).collect(),
-            include_materialized: true,
-            key_memo: OnceLock::new(),
-        }
+        Self::shared(indexes.into_iter().map(Arc::new).collect())
+    }
+
+    /// The hypothetical indexes, in configuration order.
+    pub fn indexes(&self) -> &[Arc<HypotheticalIndex>] {
+        &self.indexes
     }
 
     /// Hypothetical indexes on a given table.
@@ -162,15 +144,14 @@ impl HypoConfig {
             .map(|(i, h)| (i, h.as_ref()))
     }
 
-    /// Order-insensitive canonical key of this configuration (sorted index
-    /// identities + the materialized-index visibility flag). Two configs
-    /// with the same key cost every statement identically, so this is the
-    /// config component of the what-if cache key.
+    /// Order-insensitive canonical key of this configuration (its sorted,
+    /// distinct index identities). Two configs with the same key cost
+    /// every statement identically, so this is the config component of the
+    /// what-if cache key.
     ///
     /// The key is memoized on first call: ranking asks for it once per
     /// statement it costs a config against, and batched evaluation asks
-    /// once per batch member. Do not mutate `indexes` /
-    /// `include_materialized` after calling this.
+    /// once per batch member.
     pub fn canonical_key(&self) -> u64 {
         *self.key_memo.get_or_init(|| {
             let mut keys: Vec<u64> = self.indexes.iter().map(|h| h.def_key()).collect();
@@ -183,7 +164,6 @@ impl HypoConfig {
                     h = h.wrapping_mul(0x100_0000_01b3);
                 }
             }
-            h ^= u64::from(self.include_materialized);
             h
         })
     }
@@ -265,8 +245,8 @@ mod tests {
     fn canonical_key_is_memoized_and_ignored_by_equality() {
         let db = db_with_rows(100);
         let h = HypotheticalIndex::build(&db, IndexDef::new("h", "t", vec!["a".into()])).unwrap();
-        let a = HypoConfig::only(vec![h.clone()]);
-        let b = HypoConfig::only(vec![h.clone()]);
+        let a = HypoConfig::overlay(vec![h.clone()]);
+        let b = HypoConfig::overlay(vec![h]);
         // Hashing one side must not break equality with a fresh config.
         let k1 = a.canonical_key();
         assert_eq!(a, b);
@@ -276,18 +256,13 @@ mod tests {
         let c = a.clone();
         assert_eq!(c, a);
         assert_eq!(c.canonical_key(), k1);
-        // The overlay constructor differs only in materialized visibility.
-        let o = HypoConfig::overlay(vec![h]);
-        assert!(o.include_materialized);
-        assert_ne!(o.canonical_key(), k1);
     }
 
     #[test]
     fn config_helpers() {
         let db = db_with_rows(100);
         let h = HypotheticalIndex::build(&db, IndexDef::new("h", "t", vec!["a".into()])).unwrap();
-        let cfg = HypoConfig::only(vec![h]);
-        assert!(!cfg.include_materialized);
+        let cfg = HypoConfig::overlay(vec![h]);
         assert_eq!(cfg.for_table("t").count(), 1);
         assert_eq!(cfg.for_table("other").count(), 0);
     }

@@ -410,20 +410,20 @@ impl<'a> Planner<'a> {
         self.config = config;
     }
 
-    /// What of `config` a plan of this statement can depend on: whether
-    /// materialized indexes are visible, and which hypothetical definitions
-    /// sit on a table the statement binds (sorted, distinct). Configs with
-    /// equal projections plan identically and use the same definitions.
-    pub fn projection(&self, config: &HypoConfig) -> (bool, Vec<u64>) {
+    /// What of `config` a plan of this statement can depend on: the
+    /// hypothetical definitions on a table the statement binds (sorted,
+    /// distinct). Configs with equal projections plan identically and use
+    /// the same definitions.
+    pub fn projection(&self, config: &HypoConfig) -> Vec<u64> {
         let mut defs: Vec<u64> = config
-            .indexes
+            .indexes()
             .iter()
             .filter(|h| self.tables.iter().any(|(t, _)| t.schema().name == h.def.table))
             .map(|h| h.def_key())
             .collect();
         defs.sort_unstable();
         defs.dedup();
-        (config.include_materialized, defs)
+        defs
     }
 
     /// Plans the SELECT and returns the cheapest plan found.
@@ -628,8 +628,8 @@ impl<'a> Planner<'a> {
 
     /// Every access path of table instance `t` in `ctx`, priced, in the
     /// order the search folds them: full scan, primary key, materialized
-    /// indexes when the configuration shows them, its hypotheticals in
-    /// config order, then the OR-union on an outermost single table.
+    /// indexes, the configuration's hypotheticals in config order, then the
+    /// OR-union on an outermost single table.
     /// [`Planner::best_access`] takes the [`cheapest`]; EXPLAIN lists all.
     fn candidates(&self, t: usize, ctx: &ProbeContext) -> Vec<Candidate<'a>> {
         let table = self.table(t);
@@ -643,14 +643,13 @@ impl<'a> Planner<'a> {
         out
     }
 
-    /// The indexes of `table` visible under the current configuration.
+    /// The indexes of `table` under the current configuration: its own and
+    /// the configuration's hypotheticals on it.
     fn indexes(&self, table: &'a Table) -> impl Iterator<Item = IndexRef<'a>> {
-        let config = self.config;
-        let materialized = config.include_materialized.then(|| table.indexes());
         std::iter::once(IndexRef::Primary)
-            .chain(materialized.into_iter().flatten().map(IndexRef::Secondary))
+            .chain(table.indexes().map(IndexRef::Secondary))
             .chain(
-                config
+                self.config
                     .for_table(&table.schema().name)
                     .map(|(i, h)| IndexRef::Hypothetical(i, h)),
             )
@@ -1315,11 +1314,7 @@ fn write_cost(
                 u.assignments.iter().map(|(c, _)| c.as_str()).collect();
             let rewritten = |columns: &[String]| columns.iter().any(|c| assigned.contains(c.as_str()));
             let table = db.table(&u.table)?;
-            let materialized = if config.include_materialized {
-                table.indexes().filter(|ix| rewritten(&ix.def().columns)).count()
-            } else {
-                0
-            };
+            let materialized = table.indexes().filter(|ix| rewritten(&ix.def().columns)).count();
             let hypothetical =
                 config.for_table(&u.table).filter(|(_, h)| rewritten(&h.def.columns)).count();
             (located_rows, 2.0 * (materialized + hypothetical) as f64)
@@ -1331,13 +1326,8 @@ fn write_cost(
 }
 
 fn index_count(db: &Database, table: &str, config: &HypoConfig) -> Result<f64, ExecError> {
-    let t = db.table(table)?;
-    let mat = if config.include_materialized {
-        t.indexes().count()
-    } else {
-        0
-    };
-    Ok((mat + config.for_table(table).count()) as f64)
+    let materialized = db.table(table)?.indexes().count();
+    Ok((materialized + config.for_table(table).count()) as f64)
 }
 
 #[cfg(test)]
@@ -1631,8 +1621,8 @@ mod tests {
                     .unwrap()
             })
             .to_vec();
-        let bare = estimate_statement_cost(&db, &stmt, &HypoConfig::only(Vec::new()), &cm).unwrap();
-        let indexed = estimate_statement_cost(&db, &stmt, &HypoConfig::only(hypos), &cm).unwrap();
+        let bare = estimate_statement_cost(&db, &stmt, &HypoConfig::none(), &cm).unwrap();
+        let indexed = estimate_statement_cost(&db, &stmt, &HypoConfig::overlay(hypos), &cm).unwrap();
         assert!(indexed < bare, "indexed {indexed} vs index-free {bare}");
 
         // Costing tolerates the parameters; executing them does not.
@@ -1686,17 +1676,6 @@ mod tests {
             "SELECT id FROM t WHERE a = 5 OR c = 77",
             &HypoConfig::none(),
         );
-        assert!(matches!(p.steps[0].path, AccessPath::FullScan));
-    }
-
-    #[test]
-    fn include_materialized_false_hides_real_indexes() {
-        let mut db = db();
-        let mut io = IoStats::new();
-        db.create_index(IndexDef::new("ix_a", "t", vec!["a".into()]), &mut io)
-            .unwrap();
-        let cfg = HypoConfig::only(vec![]);
-        let p = plan_sql(&db, "SELECT a, id FROM t WHERE a = 5", &cfg);
         assert!(matches!(p.steps[0].path, AccessPath::FullScan));
     }
 

@@ -286,7 +286,7 @@ impl WhatIfCache {
                     return Some(out.into_iter().map(|r| r.expect("slot filled")).collect());
                 }
             };
-            let mut shared: HashMap<(bool, Vec<u64>), WhatIfEntry> = HashMap::new();
+            let mut shared: HashMap<Vec<u64>, WhatIfEntry> = HashMap::new();
             let mut planned = 0usize;
             // The last slot planned on the memo's contexts and prices, and
             // the last answered by another slot's plan: debug builds audit
@@ -360,7 +360,7 @@ fn entry_from_plan(plan: &Plan, config: &HypoConfig) -> WhatIfEntry {
         .used_indexes()
         .iter()
         .filter_map(|(_, choice)| match choice {
-            IndexChoice::Hypothetical(k) => Some(config.indexes[*k].def_key()),
+            IndexChoice::Hypothetical(k) => Some(config.indexes()[*k].def_key()),
             _ => None,
         })
         .collect();
@@ -459,7 +459,7 @@ mod tests {
         let cache = WhatIfCache::new();
         let cm = CostModel::default();
         let s = select("SELECT id FROM t WHERE a = 7");
-        let cfg = HypoConfig::only(Vec::new());
+        let cfg = HypoConfig::none();
         let first = cache.eval_select(&db, &s, &cfg, &cm).unwrap();
         let second = cache.eval_select(&db, &s, &cfg, &cm).unwrap();
         assert_eq!(first, second);
@@ -475,7 +475,7 @@ mod tests {
         let db = db();
         let cache = WhatIfCache::new();
         let cm = CostModel::default();
-        let cfg = HypoConfig::only(Vec::new());
+        let cfg = HypoConfig::none();
         cache
             .eval_select(&db, &select("SELECT id FROM t WHERE a = 7"), &cfg, &cm)
             .unwrap();
@@ -493,8 +493,8 @@ mod tests {
             .unwrap();
         let hid = HypotheticalIndex::build(&db, IndexDef::new("hid", "t", vec!["id".into()]))
             .unwrap();
-        let fwd = HypoConfig::only(vec![ha.clone(), hid.clone()]);
-        let rev = HypoConfig::only(vec![hid, ha]);
+        let fwd = HypoConfig::overlay(vec![ha.clone(), hid.clone()]);
+        let rev = HypoConfig::overlay(vec![hid, ha]);
         assert_eq!(fwd.canonical_key(), rev.canonical_key());
 
         let cache = WhatIfCache::new();
@@ -512,7 +512,7 @@ mod tests {
         let h = HypotheticalIndex::build(&db, IndexDef::new("h", "t", vec!["a".into()]))
             .unwrap();
         let def_key = h.def_key();
-        let cfg = HypoConfig::only(vec![h]);
+        let cfg = HypoConfig::overlay(vec![h]);
         let cache = WhatIfCache::new();
         let entry = cache
             .eval_select(
@@ -535,7 +535,7 @@ mod tests {
         let cache = WhatIfCache::new();
         let cm = CostModel::default();
         let s = select("SELECT id FROM t WHERE a = 7");
-        let cfg = HypoConfig::only(Vec::new());
+        let cfg = HypoConfig::none();
         let before = cache.eval_select(&db, &s, &cfg, &cm).unwrap();
 
         // A write to a table the statement does not bind keeps the entry.
@@ -578,13 +578,13 @@ mod tests {
         let hid = HypotheticalIndex::build(&db, IndexDef::new("hid", "t", vec!["id".into()]))
             .unwrap();
         let cfgs = [
-            HypoConfig::only(Vec::new()),
-            HypoConfig::only(vec![ha.clone()]),
-            HypoConfig::only(vec![hid.clone()]),
-            HypoConfig::only(vec![ha.clone(), hid.clone()]),
+            HypoConfig::none(),
             HypoConfig::overlay(vec![ha.clone()]),
-            // Same canonical key as the pair above: shares its plan.
-            HypoConfig::only(vec![hid, ha]),
+            HypoConfig::overlay(vec![hid.clone()]),
+            HypoConfig::overlay(vec![ha.clone(), hid.clone()]),
+            // Same canonical keys as slots 1 and 3: each shares its plan.
+            HypoConfig::overlay(vec![ha.clone()]),
+            HypoConfig::overlay(vec![hid, ha]),
         ];
         let refs: Vec<&HypoConfig> = cfgs.iter().collect();
 

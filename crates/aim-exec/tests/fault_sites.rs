@@ -48,7 +48,7 @@ fn injected_faults_propagate_and_never_touch_the_cache() {
     let cache = WhatIfCache::new();
     let cm = CostModel::default();
     let s = select("SELECT id FROM t WHERE a = 7");
-    let cfg = HypoConfig::only(Vec::new());
+    let cfg = HypoConfig::none();
 
     // exec.whatif: fails before any cache interaction.
     fault::arm(FaultPlan::new(1).fail("exec.whatif", 0, 1));
@@ -85,7 +85,7 @@ fn batched_evaluation_hits_fault_site_per_config() {
     let db = db();
     let cm = CostModel::default();
     let s = select("SELECT id FROM t WHERE a = 7");
-    let cfgs: Vec<HypoConfig> = (0..4).map(|_| HypoConfig::only(Vec::new())).collect();
+    let cfgs: Vec<HypoConfig> = (0..4).map(|_| HypoConfig::none()).collect();
     let refs: Vec<&HypoConfig> = cfgs.iter().collect();
     let cache = WhatIfCache::new();
 

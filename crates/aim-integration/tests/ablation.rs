@@ -24,7 +24,7 @@ fn every_candidate_generation_mechanism_lowers_estimated_cost() {
     let weighted = join_heavy::weighted(17);
     let cm = CostModel::default();
     let synthetic = synthetic_workload(&db, &weighted, &cm);
-    let base_cost = workload_cost(&db, &weighted, &HypoConfig::only(Vec::new()), &cm);
+    let base_cost = workload_cost(&db, &weighted, &HypoConfig::none(), &cm);
 
     let rel_cost = |name: &str, cfg: CandidateGenConfig| -> f64 {
         let candidates = generate_candidates(&db, &synthetic, &cfg);

@@ -174,9 +174,7 @@ fn assert_explain_is_the_search(db: &Database, sql: &str, config: &HypoConfig) {
 
         let table = db.table(&node.table).unwrap();
         let mut visible = vec!["PRIMARY".to_string()];
-        if config.include_materialized {
-            visible.extend(table.indexes().map(|ix| ix.def().name.clone()));
-        }
+        visible.extend(table.indexes().map(|ix| ix.def().name.clone()));
         visible.extend(config.for_table(&node.table).map(|(i, _)| format!("<hypo#{i}>")));
         visible.sort();
         let mut listed: Vec<String> =
@@ -200,7 +198,7 @@ fn explain_is_the_search() {
         let overlay = HypoConfig::overlay(
             indexes.iter().filter_map(|def| HypotheticalIndex::build(&db, def.clone())).collect(),
         );
-        assert!(!overlay.indexes.is_empty());
+        assert!(!overlay.indexes().is_empty());
         for sql in &texts {
             assert_explain_is_the_search(&db, sql, &HypoConfig::none());
             assert_explain_is_the_search(&db, sql, &overlay);

@@ -273,13 +273,15 @@ fn second_pass(mut db: Database, monitor: &WorkloadMonitor) -> SecondPass {
 fn a_second_pass_on_the_tuned_database() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (db, monitor) = tpch_case();
+    // Was 7, 5, 7, [never used 1, regressed 2], 2 while ranking priced
+    // against no index: `aim_partsupp_ps_availqty` is no longer chosen.
     assert_eq!(
         second_pass(db, &monitor),
         SecondPass {
-            benefiting: 7,
-            chosen: 5,
-            create_index: 7,
-            refuted: vec![("never used", 1), ("regressed", 2)],
+            benefiting: 5,
+            chosen: 4,
+            create_index: 6,
+            refuted: vec![("regressed", 2)],
             created: 2,
         },
         "tpch"
@@ -288,14 +290,16 @@ fn a_second_pass_on_the_tuned_database() {
     let mut db = job::build_database(&job::JobConfig { titles: 1500, ..Default::default() });
     let texts = job::query_texts(0x10B).into_iter().map(|(_, sql)| sql);
     let monitor = common::observe(&mut db, texts);
+    // Was 4, 4, 4, [no improvement 4], 0: four column permutations of pass
+    // 1's indexes, each refuted.
     assert_eq!(
         second_pass(db, &monitor),
         SecondPass {
-            benefiting: 4,
-            chosen: 4,
-            create_index: 4,
-            refuted: vec![("no improvement", 4)],
-            created: 0,
+            benefiting: 1,
+            chosen: 1,
+            create_index: 2,
+            refuted: vec![],
+            created: 1,
         },
         "job"
     );

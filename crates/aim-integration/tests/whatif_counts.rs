@@ -133,7 +133,7 @@ fn a_batch_plans_once_per_distinct_projection() {
     let projections: BTreeSet<Vec<(&str, &[String])>> = configs
         .iter()
         .map(|cfg| {
-            let on_statement = cfg.indexes.iter().filter(|h| h.def.table != "v");
+            let on_statement = cfg.indexes().iter().filter(|h| h.def.table != "v");
             let mut defs: Vec<_> =
                 on_statement.map(|h| (h.def.table.as_str(), &h.def.columns[..])).collect();
             defs.sort_unstable();

@@ -330,7 +330,7 @@ mod tests {
         use aim_exec::{CostModel, HypoConfig};
         use aim_storage::IndexDef;
         let cm = CostModel::default();
-        let base = workload_cost(&db, &w, &HypoConfig::only(vec![]), &cm);
+        let base = workload_cost(&db, &w, &HypoConfig::none(), &cm);
         let single = workload_cost(
             &db,
             &w,

@@ -341,7 +341,7 @@ mod tests {
         let db = build_database(&cfg);
         let w = weighted_workload(9);
         let cm = CostModel::default();
-        let base = workload_cost(&db, &w, &HypoConfig::only(Vec::new()), &cm);
+        let base = workload_cost(&db, &w, &HypoConfig::none(), &cm);
         let mut advisor = AimAdvisor::new(3, 3);
         let defs = advisor.recommend(&db, &w, u64::MAX);
         assert!(!defs.is_empty());
