@@ -265,7 +265,7 @@ fn eval_query(
         if !relevant.is_empty() {
             let cfg =
                 HypoConfig::shared(relevant.iter().map(|(_, h)| Arc::clone(h)).collect());
-            // The empty baseline, then the full relevant config.
+            // The database as it stands, then the full relevant config.
             let mut pair = costing.selects(db, &select, &[empty_cfg, &cfg], cm, ctl)?.into_iter();
             let cost_empty = cost_or(
                 pair.next().expect("one result per config").map(|e| e.cost),

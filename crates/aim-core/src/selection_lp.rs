@@ -136,7 +136,7 @@ pub fn refine_selection(
 
     // Per-statement benefits b_{q,j} from ONE batched what-if pass per
     // statement: [empty, singleton_0, .., singleton_{n-1}].
-    let empty_cfg = HypoConfig::shared(Vec::new());
+    let empty_cfg = HypoConfig::none();
     let singleton_cfgs: Vec<HypoConfig> = shortlist
         .iter()
         .map(|(_, h)| HypoConfig::shared(vec![Arc::clone(h)]))
