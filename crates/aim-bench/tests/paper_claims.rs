@@ -204,11 +204,7 @@ fn fig3_the_test_machine_spikes_at_the_drop_and_recovers() {
 /// The paper's "j=3 marginal" holds in throughput (j=2 and j=3 both serve
 /// the offered load) but not in cost, and is pinned as measured: the j=3
 /// pass builds `child(fk_d, fk_e, fk_p)` for the 4-way star, −31 % here
-/// and −45 % at full scale. It was −11 % and +7 % while ranking priced
-/// against no index: the j=2 pass then built `child(fk_d, b, fk_p)`, a
-/// permutation of its own `child(b, fk_d, fk_p)`, ranked on the 3-way star
-/// against a baseline without that index; of the workload's statements
-/// only the 4-way star (`fk_d` without `b`) can use it better.
+/// and −45 % at full scale (EXPERIMENTS.md, Figure 6).
 #[test]
 fn fig6_j2_is_where_the_join_parameter_pays_and_aim_beats_gia() {
     let _turn = shared();

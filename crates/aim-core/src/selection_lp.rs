@@ -24,7 +24,7 @@
 //! [`MAX_ATOMS_PER_QUERY`] candidates with the largest benefit. All
 //! per-(statement, candidate) benefits come from *batched* what-if costing
 //! ([`aim_exec::estimate_statement_cost_batch_until`]) — one planner pass
-//! per statement covers the empty baseline and every singleton
+//! per statement covers the database as it stands and every singleton
 //! configuration — under the pass's [`RunCtl`]: a cancel or deadline lands
 //! within one what-if call, and an injected what-if failure aborts the pass
 //! as an [`AimError::Fault`] instead of thinning the LP.
