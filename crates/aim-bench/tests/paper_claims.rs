@@ -198,13 +198,15 @@ fn fig3_the_test_machine_spikes_at_the_drop_and_recovers() {
 }
 
 /// Fig. 6, in executed cost per statement (the capacity-free reading):
-/// j=2 materially better than j=1, j=3 gaining less than j=2 did, AIM ahead
-/// of GIA.
+/// j=2 materially better than j=1, AIM ahead of GIA.
 ///
-/// The paper's "j=3 marginal" holds in throughput (j=2 and j=3 both serve
-/// the offered load) but not in cost, and is pinned as measured: the j=3
-/// pass builds `child(fk_d, fk_e, fk_p)` for the 4-way star, −31 % here
-/// and −45 % at full scale (EXPERIMENTS.md, Figure 6).
+/// The paper's "j=3 marginal" is *not* reproduced in cost and is pinned as
+/// measured: j=3 takes 31 % off j=2 here (j3/j2 = 0.69; 45 % at full scale)
+/// and serves the same throughput, the offered load. The step is the 4-way
+/// star, the one query where `child` joins three tables: Algorithm 3
+/// generates its `child` candidates only at j=3, and Eq. 7 prices a
+/// candidate only on the queries it was generated for, so no j=2 pass
+/// prices an index on it (EXPERIMENTS.md, Figure 6).
 #[test]
 fn fig6_j2_is_where_the_join_parameter_pays_and_aim_beats_gia() {
     let _turn = shared();
@@ -216,9 +218,19 @@ fn fig6_j2_is_where_the_join_parameter_pays_and_aim_beats_gia() {
         "fig6 cost per statement: unindexed {j0:.1} j=1 {j1:.1} j=2 {j2:.1} j=3 {j3:.1} GIA {:.1}",
         gia.cost_per_statement
     );
+    println!(
+        "fig6 throughput j=2 {:.1} j=3 {:.1}; created j=2 {:?} j=3 {:?}",
+        aim("j=2").throughput,
+        aim("j=3").throughput,
+        aim("j=2").created,
+        aim("j=3").created
+    );
     assert!(j1 < 0.5 * j0, "j=1 does not help");
     assert!(j2 <= 0.7 * j1, "j=2 is not materially better than j=1");
-    assert!(j3 <= j2 && j2 / j1 < j3 / j2, "j=3 gains nothing, or more than j=2 did");
+    assert!((0.6..=0.8).contains(&(j3 / j2)), "j=3 moved off its measured step: {}", j3 / j2);
+    assert!(aim("j=3").throughput >= aim("j=2").throughput);
+    let fk_d_first = |p: &fig6::Phase| p.created.iter().any(|c| c.starts_with("child(fk_d"));
+    assert!(!fk_d_first(aim("j=2")) && fk_d_first(aim("j=3")), "the 4-way star's index moved");
     assert!(j3 <= 0.9 * gia.cost_per_statement, "AIM does not beat GIA");
     assert!(aim("j=3").cpu_pct < gia.cpu_pct && aim("j=3").throughput >= gia.throughput);
     assert!(aim("j=2").throughput >= aim("j=1").throughput);
