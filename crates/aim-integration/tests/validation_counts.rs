@@ -227,6 +227,9 @@ struct SecondPass {
     /// Validation refutations by reason.
     refuted: Vec<(&'static str, usize)>,
     created: usize,
+    /// The smallest ranked benefit among the created indexes, in cost units
+    /// to one decimal: how little an index may be worth and still be added.
+    least_created_benefit: Option<f64>,
 }
 
 /// The short name of a reject reason's text (`session::reject_text`).
@@ -264,6 +267,11 @@ fn second_pass(mut db: Database, monitor: &WorkloadMonitor) -> SecondPass {
         create_index: log.iter().filter(|i| i.site == "storage.create_index").count(),
         refuted: refuted.into_iter().collect(),
         created: outcome.created.len(),
+        least_created_benefit: outcome
+            .created
+            .iter()
+            .map(|c| (c.benefit * 10.0).round() / 10.0)
+            .reduce(f64::min),
     }
 }
 
@@ -273,8 +281,12 @@ fn second_pass(mut db: Database, monitor: &WorkloadMonitor) -> SecondPass {
 fn a_second_pass_on_the_tuned_database() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (db, monitor) = tpch_case();
-    // Was 7, 5, 7, [never used 1, regressed 2], 2 while ranking priced
-    // against no index: `aim_partsupp_ps_availqty` is no longer chosen.
+    // Was 7, 5, 7, [never used 1, regressed 2], 2, 6.8 while ranking priced
+    // against no index: `aim_partsupp_ps_availqty` is no longer chosen. The
+    // least created is `aim_part_p_size_p_type` (0.9) beside pass 1's
+    // `aim_part_p_size_p_brand_p_type`; it was the permutation
+    // `aim_part_p_size_p_type_p_brand` (6.8). Only a keep/drop selection
+    // (ROADMAP item 12) stops such an accretion.
     assert_eq!(
         second_pass(db, &monitor),
         SecondPass {
@@ -283,6 +295,7 @@ fn a_second_pass_on_the_tuned_database() {
             create_index: 6,
             refuted: vec![("regressed", 2)],
             created: 2,
+            least_created_benefit: Some(0.9),
         },
         "tpch"
     );
@@ -290,8 +303,8 @@ fn a_second_pass_on_the_tuned_database() {
     let mut db = job::build_database(&job::JobConfig { titles: 1500, ..Default::default() });
     let texts = job::query_texts(0x10B).into_iter().map(|(_, sql)| sql);
     let monitor = common::observe(&mut db, texts);
-    // Was 4, 4, 4, [no improvement 4], 0: four column permutations of pass
-    // 1's indexes, each refuted.
+    // Was 4, 4, 4, [no improvement 4], 0, none: four column permutations of
+    // pass 1's indexes, each refuted.
     assert_eq!(
         second_pass(db, &monitor),
         SecondPass {
@@ -300,6 +313,7 @@ fn a_second_pass_on_the_tuned_database() {
             create_index: 2,
             refuted: vec![],
             created: 1,
+            least_created_benefit: Some(15150.4),
         },
         "job"
     );
