@@ -826,6 +826,58 @@ mod tests {
     }
 
     #[test]
+    fn total_cost_growth_rejects_only_the_index_that_caused_it() {
+        let mut db = db();
+        db.create_table(
+            TableSchema::new(
+                "u",
+                vec![
+                    ColumnDef::new("id", ColumnType::Int),
+                    ColumnDef::new("x", ColumnType::Int),
+                ],
+                &["id"],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let mut io = IoStats::new();
+        for i in 0..5000i64 {
+            db.table_mut("u")
+                .unwrap()
+                .insert(vec![Value::Int(i), Value::Int(i % 100)], &mut io)
+                .unwrap();
+        }
+        db.analyze_all();
+        // 400 writes to `t` and one read of `u`. The read earns `u(x)`; an
+        // index on `t(b)` only makes every write maintain it, so the total
+        // grows past λ₁ and one write regresses past λ₃.
+        let (w, mut chosen) = pipeline(
+            &mut db,
+            &[
+                ("UPDATE t SET b = b + 1 WHERE id = 2", 400),
+                ("SELECT id FROM u WHERE x = 5", 1),
+            ],
+        );
+        let names: Vec<String> = chosen.iter().map(|r| r.candidate.name()).collect();
+        assert_eq!(names, ["aim_u_x"]);
+        // Ranked far above `u(x)`, so a rule that sheds the least useful
+        // index rather than the one the regressed write maintains would
+        // shed `u(x)`, which no regressed statement touches.
+        chosen.push(on_b(1.0e9, 0.0));
+        let outcome =
+            validate_on_clone(&db, &w, &chosen, &Engine::new(), &ValidationConfig::default())
+                .unwrap();
+        let accepted: Vec<String> = outcome.accepted.iter().map(|r| r.candidate.name()).collect();
+        let rejected: Vec<(String, RejectReason)> = outcome
+            .rejected
+            .iter()
+            .map(|(r, why)| (r.candidate.name(), why.clone()))
+            .collect();
+        assert_eq!(accepted, ["aim_u_x"], "rejected: {rejected:?}");
+        assert_eq!(rejected, [("aim_t_b".to_string(), RejectReason::Unused)]);
+    }
+
+    #[test]
     fn rounds_exhaustion_rejects_rather_than_ships() {
         let mut db = db();
         let (w, chosen) = pipeline(&mut db, &[("SELECT id FROM t WHERE a = 5", 10)]);
