@@ -52,9 +52,6 @@ pub struct CandidateGenConfig {
     /// The join parameter `j`: tables joined with more than `j` other
     /// tables are not exhaustively explored (Algorithm 3).
     pub join_parameter: usize,
-    /// Minimum average seeks per execution before a covering index is
-    /// tried (§III-D: "this threshold is high for fast storage media").
-    pub covering_seek_threshold: f64,
     /// Maximum index width; wider candidates are truncated at the end.
     /// `0` means unlimited.
     pub max_width: usize,
@@ -69,30 +66,27 @@ pub struct CandidateGenConfig {
     /// lexicographic choices — the ablation for "reduced optimizer
     /// reliance still needs statistics".
     pub use_stats: bool,
-    /// Optimizer feature switches (§VIII-a): candidates only a disabled
-    /// feature could exploit are not generated — OR-factor candidates need
-    /// index-merge, ORDER BY / GROUP BY candidates need index-order scans.
-    pub switches: aim_exec::OptimizerSwitches,
-    /// IPP relaxation (§V-A): when the most selective equality columns of
-    /// a factor group already isolate at most this many expected rows, an
-    /// additional *reduced* candidate dropping the remaining prefix
-    /// columns is emitted ("the additive selectivity falls below a certain
-    /// threshold") — ranking then prefers the narrower index when the wide
-    /// one buys nothing. `0.0` disables relaxation.
-    pub ipp_relaxation_rows: f64,
 }
+
+/// Minimum average seeks per execution before a covering index is tried
+/// (§III-D: "this threshold is high for fast storage media").
+const COVERING_SEEK_THRESHOLD: f64 = 16.0;
+
+/// IPP relaxation (§V-A): when the most selective equality columns of a
+/// factor group already isolate at most this many expected rows, an
+/// additional *reduced* candidate dropping the remaining prefix columns is
+/// emitted ("the additive selectivity falls below a certain threshold") —
+/// ranking then prefers the narrower index when the wide one buys nothing.
+const IPP_RELAXATION_ROWS: f64 = 2.0;
 
 impl Default for CandidateGenConfig {
     fn default() -> Self {
         Self {
             join_parameter: 2,
-            covering_seek_threshold: 16.0,
             max_width: 0,
             covering: CoveringPolicy::Adaptive,
             merge: true,
             use_stats: true,
-            switches: aim_exec::OptimizerSwitches::default(),
-            ipp_relaxation_rows: 2.0,
         }
     }
 }
@@ -148,7 +142,7 @@ pub fn try_covering_index(
         CoveringPolicy::Both => return CoveringMode::Covering,
         CoveringPolicy::Adaptive => {}
     }
-    if stats.seeks_avg() < cfg.covering_seek_threshold {
+    if stats.seeks_avg() < COVERING_SEEK_THRESHOLD {
         return CoveringMode::NonCovering;
     }
     // Selectivity cannot improve further when, for some table the query
@@ -227,15 +221,14 @@ fn most_selective_range_column(
 /// `GenerateCandidateIndexPredicates` (Algorithm 5) for one factor group
 /// plus the join columns of the current powerset element: produces
 /// `<{C_IPP ∪ C_J}, {most selective range column}>`, optionally also
-/// emitting the §V-A relaxed variant when `relax_rows > 0` and the full
-/// IPP prefix is overkill. The full-precision candidate is always first.
+/// emitting the §V-A relaxed variant when the full IPP prefix is overkill
+/// ([`IPP_RELAXATION_ROWS`]). The full-precision candidate is always first.
 fn candidates_for_group_relaxed(
     db: &Database,
     table: &str,
     group: &FactorGroup,
     join_cols: &BTreeSet<String>,
     use_stats: bool,
-    relax_rows: f64,
 ) -> Vec<PartialOrder> {
     let mut ipp: BTreeSet<String> = group.ipp.clone();
     ipp.extend(join_cols.iter().cloned());
@@ -267,8 +260,9 @@ fn candidates_for_group_relaxed(
         out.push(po);
     }
     // Relaxation: walk IPP columns most-selective first; once the expected
-    // match count drops to `relax_rows`, further columns add nothing.
-    if relax_rows > 0.0 && use_stats && ipp.len() > 1 {
+    // match count drops to `IPP_RELAXATION_ROWS`, further columns add
+    // nothing.
+    if use_stats && ipp.len() > 1 {
         if let (Ok(t), Some(stats)) = (db.table(table), db.stats(table)) {
             let rows = t.row_count() as f64;
             let mut cols: Vec<(&String, u64)> = ipp
@@ -279,7 +273,7 @@ fn candidates_for_group_relaxed(
             let mut expected = rows;
             let mut kept: BTreeSet<String> = BTreeSet::new();
             for (c, ndv) in &cols {
-                if expected <= relax_rows {
+                if expected <= IPP_RELAXATION_ROWS {
                     break;
                 }
                 kept.insert((*c).clone());
@@ -308,24 +302,20 @@ fn groups_or_empty(info: &TableInfo) -> Vec<FactorGroup> {
 }
 
 /// `GenerateCandidatesForSelection` (Algorithm 4). `use_stats` is the
-/// dataless-statistics switch; `relax_rows` the row threshold of the
-/// relaxed-prefix variants.
+/// dataless-statistics switch.
 fn candidates_for_selection(
     db: &Database,
     structure: &QueryStructure,
     j: usize,
     mode: CoveringMode,
     use_stats: bool,
-    relax_rows: f64,
 ) -> Vec<(String, PartialOrder)> {
     let mut out = Vec::new();
     for info in &structure.tables {
         for subset in joined_tables_powerset(info, j) {
             let cj = join_columns(info, &subset);
             for group in groups_or_empty(info) {
-                for mut po in candidates_for_group_relaxed(
-                    db, &info.table, &group, &cj, use_stats, relax_rows,
-                ) {
+                for mut po in candidates_for_group_relaxed(db, &info.table, &group, &cj, use_stats) {
                     if mode == CoveringMode::Covering {
                         // Append every referenced column not already present.
                         po = po.append(info.referenced.iter().cloned());
@@ -427,25 +417,6 @@ pub fn candidates_for_order_by(
     out
 }
 
-/// Collapses every table's OR factors into one conjunctive group (used
-/// when the engine's index-merge feature is switched off).
-fn collapse_or_factors(mut structure: QueryStructure) -> QueryStructure {
-    for t in &mut structure.tables {
-        if t.filter_groups.len() > 1 {
-            let mut combined = FactorGroup::default();
-            for g in &t.filter_groups {
-                combined.ipp.extend(g.ipp.iter().cloned());
-                combined
-                    .range
-                    .extend(g.range.iter().filter(|c| !combined.ipp.contains(*c)).cloned());
-            }
-            combined.range.retain(|c| !combined.ipp.contains(c));
-            t.filter_groups = vec![combined];
-        }
-    }
-    structure
-}
-
 /// `GenerateCandidates` (Algorithm 2) over a whole workload: per-query
 /// partial orders from selection / group-by / order-by, merged across
 /// queries per table, one concrete index per merged order.
@@ -505,13 +476,6 @@ pub fn try_generate_candidates(
                 vec![mode]
             }
         };
-        // §VIII-a: with index-merge disabled, per-OR-factor candidates are
-        // unusable; collapse each table's factors to their conjunction.
-        let structure = if cfg.switches.or_index_merge {
-            structure
-        } else {
-            collapse_or_factors(structure)
-        };
         let mut query_pos: Vec<(String, PartialOrder)> = Vec::new();
         for mode in modes {
             query_pos.extend(candidates_for_selection(
@@ -520,12 +484,9 @@ pub fn try_generate_candidates(
                 cfg.join_parameter,
                 mode,
                 cfg.use_stats,
-                cfg.ipp_relaxation_rows,
             ));
-            if cfg.switches.index_order_scan {
-                query_pos.extend(candidates_for_group_by(&structure, cfg.join_parameter, mode));
-                query_pos.extend(candidates_for_order_by(&structure, cfg.join_parameter, mode));
-            }
+            query_pos.extend(candidates_for_group_by(&structure, cfg.join_parameter, mode));
+            query_pos.extend(candidates_for_order_by(&structure, cfg.join_parameter, mode));
         }
         for (table, po) in query_pos {
             if po.is_empty() {
@@ -674,11 +635,11 @@ mod tests {
     use aim_sql::parse_statement;
     use aim_storage::{ColumnDef, ColumnType, IoStats, TableSchema, Value};
 
-    /// t1(id, col1..col5) with varying NDVs; t2, t3 for joins.
+    /// t1(id, col1..col6) with varying NDVs; t2, t3 for joins.
     fn db() -> Database {
         let mut db = Database::new();
         for (name, cols) in [
-            ("t1", vec!["id", "col1", "col2", "col3", "col4", "col5"]),
+            ("t1", vec!["id", "col1", "col2", "col3", "col4", "col5", "col6"]),
             ("t2", vec!["id", "col4", "col7"]),
             ("t3", vec!["id", "col2", "col7"]),
         ] {
@@ -706,6 +667,7 @@ mod tests {
                         Value::Int(i % 500), // col3: high NDV
                         Value::Int(i % 5),   // col4: low NDV
                         Value::Int(i % 50),
+                        Value::Int(i % 1000), // col6: two rows a value
                     ],
                     &mut io,
                 )
@@ -927,7 +889,7 @@ mod tests {
         let db = db();
         let stmt = parse_statement("SELECT col2, col3 FROM t1 WHERE col5 = 2").unwrap();
         let st = analyze_structure(&db, &stmt).unwrap();
-        let cands = candidates_for_selection(&db, &st, 2, CoveringMode::Covering, true, 0.0);
+        let cands = candidates_for_selection(&db, &st, 2, CoveringMode::Covering, true);
         // §IV-A: <{col5}, {col2, col3}> (with id implicit as PK).
         assert!(cands.iter().any(|(t, po)| {
             t == "t1"
@@ -955,39 +917,27 @@ mod tests {
     #[test]
     fn ipp_relaxation_emits_reduced_candidate() {
         let mut db = db();
-        // col3 (ndv 500) alone isolates ~4 of 2000 rows; with relaxation at
-        // 8 expected rows, the low-NDV columns col4 (ndv 5) and col1
+        // col6 (ndv 1000) alone isolates 2 of 2000 rows, which is
+        // IPP_RELAXATION_ROWS: the low-NDV columns col4 (ndv 5) and col1
         // (ndv 10) are dropped from a reduced variant.
         let w = workload(
             &mut db,
-            &[(
-                "SELECT id FROM t1 WHERE col3 = 7 AND col4 = 1 AND col1 = 2",
-                3,
-            )],
+            &[("SELECT id FROM t1 WHERE col6 = 7 AND col4 = 1 AND col1 = 2", 3)],
         );
-        let relaxed = generate_candidates(
-            &db,
-            &w,
-            &CandidateGenConfig {
-                ipp_relaxation_rows: 8.0,
-                ..Default::default()
-            },
-        );
+        let relaxed = generate_candidates(&db, &w, &CandidateGenConfig::default());
         assert!(
             relaxed
                 .iter()
-                .any(|c| c.table == "t1" && c.columns == vec!["col3".to_string()]),
+                .any(|c| c.table == "t1" && c.columns == vec!["col6".to_string()]),
             "expected a reduced single-column candidate: {relaxed:?}"
         );
-        // Relaxation off: only full-prefix candidates.
-        let strict = generate_candidates(
-            &db,
-            &w,
-            &CandidateGenConfig {
-                ipp_relaxation_rows: 0.0,
-                ..Default::default()
-            },
+        // col3 (ndv 500) alone leaves ~4 expected rows, above the
+        // threshold: its reduced variant keeps col1 as well.
+        let w = workload(
+            &mut db,
+            &[("SELECT id FROM t1 WHERE col3 = 7 AND col4 = 1 AND col1 = 2", 3)],
         );
+        let strict = generate_candidates(&db, &w, &CandidateGenConfig::default());
         assert!(!strict
             .iter()
             .any(|c| c.table == "t1" && c.columns == vec!["col3".to_string()]));
@@ -996,73 +946,12 @@ mod tests {
     #[test]
     fn relaxation_keeps_full_candidate_too() {
         let mut db = db();
-        let w = workload(
-            &mut db,
-            &[(
-                "SELECT id FROM t1 WHERE col3 = 7 AND col4 = 1",
-                3,
-            )],
-        );
-        let cands = generate_candidates(
-            &db,
-            &w,
-            &CandidateGenConfig {
-                ipp_relaxation_rows: 8.0,
-                ..Default::default()
-            },
-        );
+        let w = workload(&mut db, &[("SELECT id FROM t1 WHERE col6 = 7 AND col4 = 1", 3)]);
+        let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
+        assert!(cands.iter().any(|c| c.columns == vec!["col6".to_string()]));
         assert!(cands.iter().any(|c| c.columns.len() == 2
-            && c.columns.contains(&"col3".to_string())
+            && c.columns.contains(&"col6".to_string())
             && c.columns.contains(&"col4".to_string())));
-    }
-
-    #[test]
-    fn disabled_index_merge_collapses_or_factors() {
-        let mut db = db();
-        let sql = "SELECT id FROM t1 WHERE (col1 = 1 AND col2 = 2) OR col3 = 3";
-        let w = workload(&mut db, &[(sql, 3)]);
-        let on = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        // With index-merge on: separate factor candidates exist, including
-        // one *without* col3.
-        assert!(on
-            .iter()
-            .any(|c| c.table == "t1" && !c.columns.contains(&"col3".to_string())));
-        let off = generate_candidates(
-            &db,
-            &w,
-            &CandidateGenConfig {
-                switches: aim_exec::OptimizerSwitches {
-                    or_index_merge: false,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
-        // Collapsed: every candidate covers the conjunction (contains col3).
-        assert!(!off.is_empty());
-        assert!(off
-            .iter()
-            .all(|c| c.table != "t1" || c.columns.contains(&"col3".to_string())
-                || c.columns.len() == 3));
-        assert!(off.len() <= on.len());
-    }
-
-    #[test]
-    fn disabled_order_scan_skips_order_by_candidates() {
-        let mut db = db();
-        let w = workload(&mut db, &[("SELECT id FROM t1 ORDER BY col5 LIMIT 10", 3)]);
-        let off = generate_candidates(
-            &db,
-            &w,
-            &CandidateGenConfig {
-                switches: aim_exec::OptimizerSwitches {
-                    index_order_scan: false,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
-        assert!(off.is_empty(), "{off:?}");
     }
 
     #[test]

@@ -122,8 +122,8 @@ pub enum SelectionStrategy {
 /// Full configuration of a tuning pass.
 ///
 /// `#[non_exhaustive]`: construct via [`AimConfig::builder`] (or start
-/// from [`AimConfig::default`]) — new tuning knobs may appear in any
-/// release without breaking callers.
+/// from [`AimConfig::default`]) — new fields may appear in any release
+/// without breaking callers.
 #[non_exhaustive]
 #[derive(Debug, Clone)]
 pub struct AimConfig {
@@ -670,9 +670,6 @@ pub(crate) fn reject_text(reason: &RejectReason) -> String {
         RejectReason::NoImprovement => {
             "no query improved measurably during replay (Eq. 3)".to_string()
         }
-        RejectReason::TotalCostRegression { before, after } => format!(
-            "total workload cost regressed: {before:.1} -> {after:.1} (Eq. 2)"
-        ),
         RejectReason::RoundsExhausted => {
             "validation rounds exhausted before a clean pass".to_string()
         }

@@ -2,14 +2,19 @@
 //!
 //! Candidate indexes are materialized on a *clone* of the database (the
 //! paper's MyShadow logical copy) and the workload's exemplar queries are
-//! replayed. Two checks gate promotion to production:
+//! replayed. Three checks gate promotion to production:
 //!
-//! 1. **Usage** — the optimizer must actually pick each candidate for at
+//! 1. **Improvement** — at least one query must get cheaper by λ₂ (Eq. 3),
+//!    or the whole change set is rejected.
+//! 2. **Usage** — the optimizer must actually pick each candidate for at
 //!    least one workload query (Algorithm 1 line 3); what-if estimates can
 //!    be wrong, and an unused index is pure overhead.
-//! 2. **Per-query regression** — no query's measured cost may grow beyond
+//! 3. **Per-query regression** — no query's measured cost may grow beyond
 //!    `(1 + λ₃)` of its pre-change cost (Eq. 4). Offending indexes are
 //!    rejected and validation repeats until stable.
+//!
+//! The total-cost guard (Eq. 2) is not a fourth check: with λ₁ = λ₃ it
+//! holds in every round that passes Eq. 4, and debug builds assert it.
 
 use crate::error::AimError;
 use crate::ranking::RankedCandidate;
@@ -21,30 +26,21 @@ use aim_sql::normalize::QueryFingerprint;
 use aim_storage::{Database, IoStats};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// λ₂ of Eq. 3: the whole change set is rejected unless at least one query
+/// improves by this relative margin — there is no point paying storage and
+/// validation churn for a configuration that helps nothing measurably.
+const MIN_IMPROVEMENT: f64 = 0.05;
+
 /// Validation thresholds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValidationConfig {
-    /// λ₃ of Eq. 4: tolerated relative per-query cost growth.
+    /// λ₃ of Eq. 4: tolerated relative per-query cost growth. It is λ₁ of
+    /// Eq. 2 as well: a round in which no query grows beyond `(1 + λ₃)`
+    /// has a workload total within `(1 + λ₃)` of its baseline (DESIGN.md
+    /// §2, "Eq. 2 holds by Eq. 4").
     pub regression_tolerance: f64,
-    /// λ₂ of Eq. 3: when set, the whole change set is rejected unless at
-    /// least one query improves by this relative margin — there is no
-    /// point paying storage and validation churn for a configuration that
-    /// helps nothing measurably.
-    pub min_improvement: Option<f64>,
-    /// λ₁ of Eq. 2: when set, the post-change *total* workload cost must
-    /// stay within `(1 + λ₁)` of the pre-change total (guards against
-    /// configurations that trade one query's win for diffuse losses that
-    /// each stay under λ₃).
-    pub total_cost_tolerance: Option<f64>,
-    /// Reject candidates no replayed plan uses.
-    pub require_usage: bool,
     /// Maximum reject-and-revalidate rounds.
     pub max_rounds: usize,
-    /// Validate on a sampled clone instead of a full copy (MyShadow's
-    /// economical-test-bed sampling, §VII-B). `None` = full clone.
-    pub sample_fraction: Option<f64>,
-    /// Seed for the deterministic sample.
-    pub sample_seed: u64,
     /// Replay worker threads (`0` = one per available core). Parallel
     /// replay engages only for pure-SELECT workloads, where the verdict is
     /// bit-identical for any worker count; workloads containing DML
@@ -57,12 +53,7 @@ impl Default for ValidationConfig {
     fn default() -> Self {
         Self {
             regression_tolerance: 0.1,
-            min_improvement: Some(0.05),
-            total_cost_tolerance: Some(0.1),
-            require_usage: true,
             max_rounds: 3,
-            sample_fraction: None,
-            sample_seed: 0x5A11,
             workers: 0,
         }
     }
@@ -267,8 +258,6 @@ pub enum RejectReason {
     Unbuildable(String),
     /// Eq. 3 failed: no query improved by at least λ₂.
     NoImprovement,
-    /// Eq. 2 failed: total workload cost grew beyond λ₁.
-    TotalCostRegression { before: f64, after: f64 },
     /// The reject-and-revalidate budget ran out before a round passed
     /// cleanly; unvalidated candidates are rejected rather than shipped
     /// (the guarantee is "no regression", not "best effort").
@@ -347,13 +336,10 @@ pub fn try_validate_on_clone(
     let mut accepted: Vec<RankedCandidate> = chosen.to_vec();
     let mut rejected: Vec<(RankedCandidate, RejectReason)> = Vec::new();
 
-    // The test bed: a full logical copy, or MyShadow's sampled one.
+    // The test bed: a full logical copy.
     let mut bed: Database = {
         let _s = aim_telemetry::span("clone_test_bed");
-        match cfg.sample_fraction {
-            Some(f) if f < 1.0 => db.sample(f, cfg.sample_seed),
-            _ => clone_db(db)?,
-        }
+        clone_db(db)?
     };
 
     // A pure-SELECT replay cannot mutate the database it runs on, so the
@@ -436,8 +422,10 @@ pub fn try_validate_on_clone(
         let mut used: BTreeSet<String> = BTreeSet::new();
         let mut regressions: Vec<(QueryFingerprint, f64, f64, BTreeSet<String>)> = Vec::new();
         let mut improved = false;
-        let mut total_before = 0.0f64;
+        // Eq. 2 with λ₁ = λ₃, its right-hand side summed query by query so
+        // that Eq. 4 implies it in floating point too (DESIGN.md §2).
         let mut total_after = 0.0f64;
+        let mut total_bound = 0.0f64;
         let observations = replay(db, &names)?;
         for (wq, ob) in workload.iter().zip(observations) {
             let Some((after, used_here)) = ob else {
@@ -446,14 +434,14 @@ pub fn try_validate_on_clone(
             used.extend(used_here.iter().cloned());
             if let Some(&before) = baseline.get(&wq.stats.fingerprint) {
                 let weight = wq.stats.executions.max(1) as f64;
-                total_before += before * weight;
+                let bound = before * (1.0 + cfg.regression_tolerance);
                 total_after += after * weight;
-                if let Some(lambda2) = cfg.min_improvement {
-                    if after < before * (1.0 - lambda2) {
-                        improved = true;
-                    }
+                total_bound += bound * weight;
+                if after < before * (1.0 - MIN_IMPROVEMENT) {
+                    improved = true;
                 }
-                if after > before * (1.0 + cfg.regression_tolerance) && before > 0.0 {
+                // A zero baseline bounds at zero: any cost at all regresses.
+                if after > bound {
                     // For DML the implicated indexes are those on the
                     // written table; for SELECTs, the plan's new indexes.
                     let mut implicated = used_here;
@@ -473,42 +461,18 @@ pub fn try_validate_on_clone(
 
         // Eq. 3 (λ₂): at least one query must improve measurably; if not,
         // the whole change set is pointless — reject everything and stop.
-        if cfg.min_improvement.is_some() && !improved && !accepted.is_empty() {
+        if !improved && !accepted.is_empty() {
             for r in accepted.drain(..) {
                 rejected.push((r, RejectReason::NoImprovement));
             }
             break;
         }
-        // Eq. 2 (λ₁): total workload cost must not grow materially; shed
-        // the least-useful candidate and revalidate.
-        if let Some(lambda1) = cfg.total_cost_tolerance {
-            if total_before > 0.0 && total_after > total_before * (1.0 + lambda1) {
-                if let Some(worst) = accepted
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| a.utility().total_cmp(&b.utility()))
-                    .map(|(i, _)| i)
-                {
-                    let r = accepted.remove(worst);
-                    rejected.push((
-                        r,
-                        RejectReason::TotalCostRegression {
-                            before: total_before,
-                            after: total_after,
-                        },
-                    ));
-                    continue;
-                }
-            }
-        }
 
         let mut to_reject: BTreeMap<String, RejectReason> = BTreeMap::new();
-        if cfg.require_usage {
-            for r in &accepted {
-                let name = r.candidate.name();
-                if !used.contains(&name) {
-                    to_reject.insert(name, RejectReason::Unused);
-                }
+        for r in &accepted {
+            let name = r.candidate.name();
+            if !used.contains(&name) {
+                to_reject.insert(name, RejectReason::Unused);
             }
         }
         for (fp, before, after, implicated) in regressions {
@@ -530,6 +494,11 @@ pub fn try_validate_on_clone(
         }
 
         if to_reject.is_empty() {
+            // Eq. 2 is not checked: in a round Eq. 4 passes it holds.
+            debug_assert!(
+                total_after <= total_bound,
+                "Eq. 2 fails in a clean round: {total_after} > {total_bound}"
+            );
             clean_round = true;
             break;
         }
@@ -637,13 +606,13 @@ mod tests {
         (w, chosen)
     }
 
-    /// A candidate on `t(b)` that ranking did not propose.
-    fn on_b(benefit: f64, maintenance: f64) -> RankedCandidate {
+    /// A candidate on `t(columns)` that ranking did not propose.
+    fn on_t(columns: &[&str], benefit: f64, maintenance: f64) -> RankedCandidate {
         RankedCandidate {
             candidate: crate::candidates::CandidateIndex {
                 table: "t".into(),
-                columns: vec!["b".into()],
-                po: crate::partial_order::PartialOrder::chain(["b"]).unwrap(),
+                columns: columns.iter().map(|c| c.to_string()).collect(),
+                po: crate::partial_order::PartialOrder::chain(columns.iter().copied()).unwrap(),
                 sources: BTreeSet::new(),
             },
             size_bytes: 1,
@@ -684,7 +653,7 @@ mod tests {
         let (w, mut chosen) = pipeline(&mut db, &[("SELECT id FROM t WHERE a = 5", 10)]);
         // Inject a candidate the optimizer will never use: index on b for a
         // workload that only filters a.
-        chosen.push(on_b(1.0, 0.0));
+        chosen.push(on_t(&["b"], 1.0, 0.0));
         let outcome =
             validate_on_clone(&db, &w, &chosen, &Engine::new(), &ValidationConfig::default())
                 .unwrap();
@@ -715,44 +684,24 @@ mod tests {
     #[test]
     fn no_improvement_rejects_whole_change_set() {
         let mut db = db();
-        let (w, chosen) = pipeline(&mut db, &[("SELECT id FROM t WHERE a = 5", 10)]);
-        assert!(!chosen.is_empty());
-        // An absurd λ₂ (99.9% improvement required) cannot be met: the
-        // whole change set must be rejected with NoImprovement.
-        let outcome = validate_on_clone(
-            &db,
-            &w,
-            &chosen,
-            &Engine::new(),
-            &ValidationConfig {
-                min_improvement: Some(0.999),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        // Production already serves the workload's one query through an
+        // index on `a`; neither candidate can make it cheaper by λ₂.
+        let mut io = IoStats::new();
+        db.create_index(IndexDef::new("existing_a", "t", vec!["a".into()]), &mut io)
+            .unwrap();
+        let (w, _) = pipeline(&mut db, &[("SELECT id FROM t WHERE a = 5", 10)]);
+        let chosen = [on_t(&["b"], 1.0, 0.0), on_t(&["b", "a"], 2.0, 0.0)];
+        let outcome =
+            validate_on_clone(&db, &w, &chosen, &Engine::new(), &ValidationConfig::default())
+                .unwrap();
+        // Neither is used either, but Eq. 3 judges first and rejects the
+        // whole change set.
         assert!(outcome.accepted.is_empty());
+        assert_eq!(outcome.rejected.len(), 2);
         assert!(outcome
             .rejected
             .iter()
             .all(|(_, reason)| *reason == RejectReason::NoImprovement));
-    }
-
-    #[test]
-    fn lambda2_disabled_keeps_acceptance() {
-        let mut db = db();
-        let (w, chosen) = pipeline(&mut db, &[("SELECT id FROM t WHERE a = 5", 10)]);
-        let outcome = validate_on_clone(
-            &db,
-            &w,
-            &chosen,
-            &Engine::new(),
-            &ValidationConfig {
-                min_improvement: None,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(!outcome.accepted.is_empty());
     }
 
     /// Execution-weighted cost of the workload replayed in order on a copy
@@ -778,8 +727,8 @@ mod tests {
         // A write-heavy workload plus one rare read. The read earns its
         // index on `a`; an index on `b`, which every write must maintain
         // and no statement reads through, only adds write amplification.
-        // With a strict λ₁ the total-cost guard must not admit a
-        // configuration that grows overall cost.
+        // The whole change set grows the total beyond λ₁ = λ₃; what
+        // validation accepts must not.
         let (w, mut chosen) = pipeline(
             &mut db,
             &[
@@ -789,37 +738,20 @@ mod tests {
         );
         db.analyze_all();
         assert!(!chosen.is_empty(), "ranking must propose the index on a");
-        chosen.push(on_b(0.0, 1.0));
-        let lambda1 = 0.0;
-        let outcome = validate_on_clone(
-            &db,
-            &w,
-            &chosen,
-            &Engine::new(),
-            &ValidationConfig {
-                total_cost_tolerance: Some(lambda1),
-                min_improvement: None,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Every accepted candidate survived the λ₁ = 0 guard: replaying
-        // the workload with them must not cost more than before.
+        chosen.push(on_t(&["b"], 0.0, 1.0));
+        let cfg = ValidationConfig::default();
+        let outcome = validate_on_clone(&db, &w, &chosen, &Engine::new(), &cfg).unwrap();
+        let lambda = cfg.regression_tolerance;
         let before = replayed_total(&db, &w, &[]);
         let after = replayed_total(&db, &w, &outcome.accepted);
         assert!(!outcome.accepted.is_empty());
         assert!(
-            after <= before * (1.0 + lambda1),
+            after <= before * (1.0 + lambda),
             "accepted configuration costs {after}, index-free {before}"
         );
-        // The whole change set would have grown it, so the guard had to
-        // shed something.
-        assert!(replayed_total(&db, &w, &chosen) > before * (1.0 + lambda1));
+        assert!(replayed_total(&db, &w, &chosen) > before * (1.0 + lambda));
         assert!(
-            outcome
-                .rejected
-                .iter()
-                .any(|(_, why)| matches!(why, RejectReason::TotalCostRegression { .. })),
+            outcome.rejected.iter().any(|(r, _)| r.candidate.name() == "aim_t_b"),
             "rejected: {:?}",
             outcome.rejected.iter().map(|(r, why)| (r.candidate.name(), why.clone())).collect::<Vec<_>>()
         );
@@ -863,7 +795,7 @@ mod tests {
         // Ranked far above `u(x)`, so a rule that sheds the least useful
         // index rather than the one the regressed write maintains would
         // shed `u(x)`, which no regressed statement touches.
-        chosen.push(on_b(1.0e9, 0.0));
+        chosen.push(on_t(&["b"], 1.0e9, 0.0));
         let outcome =
             validate_on_clone(&db, &w, &chosen, &Engine::new(), &ValidationConfig::default())
                 .unwrap();
@@ -899,34 +831,6 @@ mod tests {
             .rejected
             .iter()
             .all(|(_, reason)| *reason == RejectReason::RoundsExhausted));
-    }
-
-    #[test]
-    fn sampled_validation_still_accepts_useful_index() {
-        let mut db = db();
-        let (w, chosen) = pipeline(&mut db, &[("SELECT id FROM t WHERE a = 5", 10)]);
-        assert!(!chosen.is_empty());
-        let outcome = validate_on_clone(
-            &db,
-            &w,
-            &chosen,
-            &Engine::new(),
-            &ValidationConfig {
-                sample_fraction: Some(0.3),
-                // Costs shrink with the sample; relax λ₂ so the signal
-                // remains detectable on 30% of the data.
-                min_improvement: Some(0.01),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(
-            !outcome.accepted.is_empty(),
-            "rejected: {:?}",
-            outcome.rejected.iter().map(|(r, why)| (r.candidate.name(), why.clone())).collect::<Vec<_>>()
-        );
-        // Production untouched either way.
-        assert!(db.all_indexes().is_empty());
     }
 
     #[test]
@@ -966,27 +870,5 @@ mod tests {
             )
         };
         assert_eq!(names(&seq), names(&par));
-    }
-
-    #[test]
-    fn usage_check_can_be_disabled() {
-        let mut db = db();
-        let (w, mut chosen) = pipeline(&mut db, &[("SELECT id FROM t WHERE a = 5", 10)]);
-        chosen.push(on_b(1.0, 0.0));
-        let outcome = validate_on_clone(
-            &db,
-            &w,
-            &chosen,
-            &Engine::new(),
-            &ValidationConfig {
-                require_usage: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(outcome
-            .accepted
-            .iter()
-            .any(|r| r.candidate.columns == vec!["b".to_string()]));
     }
 }

@@ -9,30 +9,6 @@
 
 use aim_storage::{pages_for, IoStats};
 
-/// Optimizer feature switches (§VIII-a of the paper): production fleets
-/// disable features with known correctness/performance bugs (the paper
-/// cites MySQL's skip-scan and index-merge bugs), and both the planner and
-/// AIM's candidate generation must honour the switch values — generating
-/// candidates only a disabled feature could use wastes budget and fails
-/// clone validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct OptimizerSwitches {
-    /// OR index-merge union access paths (MySQL `index_merge`).
-    pub or_index_merge: bool,
-    /// Serving ORDER BY / GROUP BY from index order (including the
-    /// ORDER BY + LIMIT early-termination scan).
-    pub index_order_scan: bool,
-}
-
-impl Default for OptimizerSwitches {
-    fn default() -> Self {
-        Self {
-            or_index_merge: true,
-            index_order_scan: true,
-        }
-    }
-}
-
 /// Tunable cost constants of the simulated engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
@@ -50,8 +26,6 @@ pub struct CostModel {
     pub sort_row_cost: f64,
     /// Producing one output row (projection + network).
     pub output_row_cost: f64,
-    /// Optimizer feature switches honoured by the planner.
-    pub switches: OptimizerSwitches,
 }
 
 impl Default for CostModel {
@@ -66,7 +40,6 @@ impl Default for CostModel {
             write_page_cost: 2.0,
             sort_row_cost: 0.02,
             output_row_cost: 0.02,
-            switches: OptimizerSwitches::default(),
         }
     }
 }

@@ -10,7 +10,7 @@
 //! level, so a mis-narrowed path can cost performance but never correctness.
 
 use crate::bind::{Binder, Scope, SlotLayout};
-use crate::cost::{CostModel, OptimizerSwitches};
+use crate::cost::CostModel;
 use crate::error::ExecError;
 use crate::eval::{literal_value, AggregateSlots, BoundAggregate, BoundExpr};
 use crate::hypothetical::HypoConfig;
@@ -79,7 +79,7 @@ impl CostStamp {
         }
     }
 
-    fn bits(&self) -> (u64, [u64; 7], OptimizerSwitches) {
+    fn bits(&self) -> (u64, [u64; 7]) {
         let CostModel {
             seq_page_cost,
             rand_page_cost,
@@ -88,7 +88,6 @@ impl CostStamp {
             write_page_cost,
             sort_row_cost,
             output_row_cost,
-            switches,
         } = self.cost_model;
         let prices = [
             seq_page_cost,
@@ -99,7 +98,7 @@ impl CostStamp {
             sort_row_cost,
             output_row_cost,
         ];
-        (self.version, prices.map(f64::to_bits), switches)
+        (self.version, prices.map(f64::to_bits))
     }
 }
 

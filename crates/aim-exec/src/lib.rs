@@ -54,7 +54,7 @@ pub mod predicate;
 pub mod whatif;
 
 pub use bind::{Binder, BoundColumn, BoundTable};
-pub use cost::{CostModel, OptimizerSwitches};
+pub use cost::CostModel;
 pub use error::ExecError;
 pub use executor::{CostStamp, Engine, ExecOutcome, OpenSelect};
 pub use explain::{explain_select, ExplainAlternative, ExplainNode, ExplainPlan};

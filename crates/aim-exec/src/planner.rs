@@ -903,9 +903,6 @@ impl<'a> Planner<'a> {
     /// Index-merge union over single-table OR branches: every branch must
     /// have an index of its own that a predicate of the branch narrows.
     fn or_union(&self, t: usize) -> Option<Candidate<'a>> {
-        if !self.cm.switches.or_index_merge {
-            return None;
-        }
         let table = self.table(t);
         let branches = self.analysis.or_branches.as_ref()?.len();
         let mut picks = Vec::with_capacity(branches);
@@ -945,9 +942,6 @@ impl<'a> Planner<'a> {
     /// [`Planner::index_provides_order`] for an index with key columns
     /// `key` probed with the equality prefix `eq`.
     fn key_provides_order(&self, key: &[String], eq: &[EqSource]) -> bool {
-        if !self.cm.switches.index_order_scan {
-            return false;
-        }
         if self.select.order_by.is_empty() {
             return false;
         }
@@ -985,9 +979,6 @@ impl<'a> Planner<'a> {
     /// the group columns must be exactly the index key columns following
     /// the equality prefix (as a set, in any order).
     pub fn index_provides_grouping(&self, ix: &IndexScan) -> bool {
-        if !self.cm.switches.index_order_scan {
-            return false;
-        }
         if self.select.group_by.is_empty() {
             return false;
         }
@@ -1628,44 +1619,6 @@ mod tests {
         // Costing tolerates the parameters; executing them does not.
         let err = crate::Engine::default().execute(&mut db, &stmt).unwrap_err();
         assert!(matches!(&err, ExecError::Eval(m) if m.contains("unbound ?")), "{err}");
-    }
-
-    #[test]
-    fn or_union_disabled_by_switch() {
-        let mut db = db();
-        let mut io = IoStats::new();
-        db.create_index(IndexDef::new("ix_c", "t", vec!["c".into()]), &mut io)
-            .unwrap();
-        let stmt = parse_statement("SELECT id FROM t WHERE c = 77 OR c = 4242").unwrap();
-        let Statement::Select(s) = stmt else { panic!() };
-        let cm = CostModel {
-            switches: crate::cost::OptimizerSwitches {
-                or_index_merge: false,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let p = Planner::new(&db, &s, &HypoConfig::none(), &cm).unwrap().plan().unwrap();
-        assert!(matches!(p.steps[0].path, AccessPath::FullScan));
-    }
-
-    #[test]
-    fn order_scan_disabled_by_switch() {
-        let mut db = db();
-        let mut io = IoStats::new();
-        db.create_index(IndexDef::new("ix_c", "t", vec!["c".into()]), &mut io)
-            .unwrap();
-        let stmt = parse_statement("SELECT c, id FROM t ORDER BY c LIMIT 10").unwrap();
-        let Statement::Select(s) = stmt else { panic!() };
-        let cm = CostModel {
-            switches: crate::cost::OptimizerSwitches {
-                index_order_scan: false,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let p = Planner::new(&db, &s, &HypoConfig::none(), &cm).unwrap().plan().unwrap();
-        assert!(!p.order_via_index);
     }
 
     #[test]

@@ -334,58 +334,6 @@ impl Database {
     pub fn stats(&self, table: &str) -> Option<&TableStats> {
         self.stats.get(table)
     }
-
-    /// Builds an economical test bed: a clone holding a deterministic
-    /// `fraction` sample of every table's rows (secondary indexes are
-    /// rebuilt over the sample; statistics re-analyzed). This is the
-    /// sampling ability of the paper's MyShadow framework (§VII-B).
-    ///
-    /// Sampling is per-row and independent, so foreign-key joins thin out
-    /// quadratically — callers validating join plans should keep the
-    /// fraction moderate.
-    pub fn sample(&self, fraction: f64, seed: u64) -> Database {
-        let fraction = fraction.clamp(0.0, 1.0);
-        let mut out = Database::new();
-        for table in self.tables.values() {
-            out.create_table(table.schema().clone())
-                .expect("fresh database");
-            let mut io = crate::io::IoStats::new();
-            // Deterministic per-row selection: hash of (seed, table, pk).
-            let mut scan_io = crate::io::IoStats::new();
-            for row in table.scan_all(&mut scan_io) {
-                let pk = table.pk_of(row);
-                let mut h: u64 = seed ^ 0x9e37_79b9_7f4a_7c15;
-                for b in table.schema().name.bytes() {
-                    h = h.wrapping_mul(0x100_0000_01b3) ^ u64::from(b);
-                }
-                for v in &pk {
-                    h = h.wrapping_mul(0x100_0000_01b3)
-                        ^ crate::stats::value_sample_hash(v);
-                }
-                // Finalize (splitmix64): the last XOR above would
-                // otherwise leave near-constant float-exponent bits in the
-                // high positions.
-                h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                h ^= h >> 31;
-                // Map to [0, 1).
-                let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-                if u < fraction {
-                    out.table_mut(&table.schema().name)
-                        .expect("just created")
-                        .insert(row.clone(), &mut io)
-                        .expect("pk unique in source");
-                }
-            }
-            for ix in table.indexes() {
-                out.create_index(ix.def().clone(), &mut io)
-                    .expect("index valid on same schema");
-            }
-        }
-        out.analyze_all();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -471,51 +419,6 @@ mod tests {
         assert_eq!(db.all_indexes().len(), 1);
         db.drop_index("t", "ix_a").unwrap();
         assert_eq!(db.total_secondary_index_bytes(), 0);
-    }
-
-    #[test]
-    fn sample_is_deterministic_and_proportional() {
-        let mut db = db();
-        let mut io = IoStats::new();
-        for i in 0..4000 {
-            db.table_mut("t")
-                .unwrap()
-                .insert(vec![Value::Int(i), Value::Int(i % 7)], &mut io)
-                .unwrap();
-        }
-        db.create_index(IndexDef::new("ix_a", "t", vec!["a".into()]), &mut io)
-            .unwrap();
-        let s1 = db.sample(0.25, 99);
-        let s2 = db.sample(0.25, 99);
-        let n = s1.table("t").unwrap().row_count();
-        assert_eq!(n, s2.table("t").unwrap().row_count());
-        assert!((700..1300).contains(&n), "sampled {n} of 4000 at 25%");
-        // Indexes rebuilt over the sample.
-        assert_eq!(s1.table("t").unwrap().index("ix_a").unwrap().len(), n);
-        // Statistics re-analyzed.
-        assert_eq!(s1.stats("t").unwrap().row_count, n as u64);
-        // Different seed, different subset (almost surely).
-        let s3 = db.sample(0.25, 7);
-        assert_ne!(
-            s1.table("t").unwrap().data_bytes(),
-            0,
-            "sample not empty"
-        );
-        let _ = s3;
-    }
-
-    #[test]
-    fn sample_extremes() {
-        let mut db = db();
-        let mut io = IoStats::new();
-        for i in 0..100 {
-            db.table_mut("t")
-                .unwrap()
-                .insert(vec![Value::Int(i), Value::Int(i)], &mut io)
-                .unwrap();
-        }
-        assert_eq!(db.sample(0.0, 1).table("t").unwrap().row_count(), 0);
-        assert_eq!(db.sample(1.0, 1).table("t").unwrap().row_count(), 100);
     }
 
     /// Compile-time guard: the advisor fans what-if evaluation out over

@@ -265,29 +265,6 @@ pub fn analyze(table: &Table, bucket_count: usize) -> TableStats {
     TableStats { row_count, columns }
 }
 
-/// Stable hash of a value for deterministic sampling (independent of the
-/// process-seeded `DefaultHasher`).
-pub fn value_sample_hash(v: &Value) -> u64 {
-    use crate::value::Value as V;
-    match v {
-        V::Null => 0,
-        V::Bool(b) => 1 + u64::from(*b),
-        V::Int(i) => (*i as f64).to_bits() ^ 0x5bd1_e995,
-        V::Float(f) => f.to_bits() ^ 0x5bd1_e995,
-        V::Str(s) => crate::stats::fnv_str(s),
-        V::MaxKey => u64::MAX,
-    }
-}
-
-fn fnv_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,6 +24,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== code lines per crate (report, not a gate)"
 scripts/loc.sh
 
+echo "== knob census (report, not a gate)"
+# Every pub field of the pass's configuration structs, its default and the
+# non-test lines that write it: a knob nothing sets is a constant.
+scripts/knobs.sh
+
 echo "== pub fns only tests reach (gate: nothing ships unrun)"
 # Fails on any `pub fn` only tests reach that scripts/unrun.allow does not
 # name, and on a stale allow entry: delete the function, or add it there
