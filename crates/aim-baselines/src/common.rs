@@ -8,7 +8,7 @@
 //! the counter exposes.
 
 use aim_core::WeightedQuery;
-use aim_exec::{estimate_statement_cost, CostModel, HypoConfig, HypotheticalIndex};
+use aim_exec::{estimate_statement_cost, HypoConfig, HypotheticalIndex};
 use aim_sql::ast::Statement;
 use aim_storage::{Database, IndexDef};
 use std::cell::{Cell, RefCell};
@@ -26,7 +26,6 @@ pub fn def_key(def: &IndexDef) -> DefKey {
 pub struct CostEvaluator<'a> {
     pub db: &'a Database,
     pub workload: &'a [WeightedQuery],
-    pub cm: CostModel,
     /// Total number of optimizer (what-if) invocations performed.
     calls: Cell<u64>,
     /// Per-(query, config) cost cache.
@@ -36,12 +35,11 @@ pub struct CostEvaluator<'a> {
 }
 
 impl<'a> CostEvaluator<'a> {
-    /// New evaluator with the default cost model.
+    /// New evaluator with an empty cache.
     pub fn new(db: &'a Database, workload: &'a [WeightedQuery]) -> Self {
         Self {
             db,
             workload,
-            cm: CostModel::default(),
             calls: Cell::new(0),
             cache: RefCell::new(BTreeMap::new()),
             hypo_cache: RefCell::new(BTreeMap::new()),
@@ -109,7 +107,7 @@ impl<'a> CostEvaluator<'a> {
         let cfg = HypoConfig::overlay(hypos);
         let wq = &self.workload[query_idx];
         let cost = wq.weight
-            * estimate_statement_cost(self.db, &wq.statement, &cfg, &self.cm)
+            * estimate_statement_cost(self.db, &wq.statement, &cfg)
                 .unwrap_or(f64::INFINITY);
         self.cache
             .borrow_mut()

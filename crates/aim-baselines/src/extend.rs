@@ -176,7 +176,7 @@ mod tests {
     use super::*;
     use crate::common::tests_support::{test_db, wq};
     use aim_core::{defs_to_config, workload_cost};
-    use aim_exec::{CostModel, HypoConfig};
+    use aim_exec::HypoConfig;
 
     #[test]
     fn extend_builds_useful_indexes() {
@@ -189,9 +189,8 @@ mod tests {
         let defs = ext.recommend(&db, &workload, u64::MAX);
         assert!(!defs.is_empty());
         assert!(ext.last_whatif_calls > 0);
-        let cm = CostModel::default();
-        let base = workload_cost(&db, &workload, &HypoConfig::none(), &cm);
-        let with = workload_cost(&db, &workload, &defs_to_config(&db, &defs), &cm);
+        let base = workload_cost(&db, &workload, &HypoConfig::none());
+        let with = workload_cost(&db, &workload, &defs_to_config(&db, &defs));
         assert!(with < base, "base {base}, with {with}");
     }
 

@@ -229,7 +229,7 @@ fn run_command(
         "explain" => match parse_statement(rest) {
             Ok(aim_sql::Statement::Select(s)) => {
                 let cfg = HypoConfig::none();
-                match aim_exec::explain_select(db, &s, &cfg, &engine.cost_model) {
+                match aim_exec::explain_select(db, &s, &cfg) {
                     Ok((_plan, ex)) => print!("{}", ex.render_text()),
                     Err(e) => println!("explain error: {e}"),
                 }
@@ -474,7 +474,7 @@ fn run_explain(args: &[String], strategy: SelectionStrategy) {
     }
     let cfg = HypoConfig::overlay(hypos);
 
-    match aim_exec::explain_select(&db, &select, &cfg, &engine.cost_model) {
+    match aim_exec::explain_select(&db, &select, &cfg) {
         Ok((_plan, mut ex)) => {
             if execute {
                 match engine.execute(&mut db, &stmt) {

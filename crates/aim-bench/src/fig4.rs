@@ -12,7 +12,7 @@ use aim_baselines::{Dta, Extend};
 use aim_core::{
     config_size, defs_to_config, workload_cost, AimAdvisor, IndexAdvisor, WeightedQuery,
 };
-use aim_exec::{whatif, CostModel, HypoConfig};
+use aim_exec::{whatif, HypoConfig};
 use aim_storage::{Database, IndexDef};
 use std::time::Instant;
 
@@ -136,8 +136,7 @@ const FULL_FRACTIONS: &[f64] = &[0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.25];
 pub fn run(benchmark: Benchmark, scale: Scale) -> Sweep {
     let bed = Bed::build(benchmark, scale);
     let (db, workload) = (&bed.db, &bed.workload);
-    let cm = CostModel::default();
-    let base_cost = workload_cost(db, workload, &HypoConfig::none(), &cm);
+    let base_cost = workload_cost(db, workload, &HypoConfig::none());
     let full_size = bed.full_configuration_bytes();
 
     let mut rows = Vec::new();
@@ -145,7 +144,7 @@ pub fn run(benchmark: Benchmark, scale: Scale) -> Sweep {
         let budget = (full_size as f64 * frac) as u64;
         let mut row = |advisor, defs: Vec<IndexDef>, started: Instant, whatif_calls| {
             let runtime_s = started.elapsed().as_secs_f64();
-            let cost = workload_cost(db, workload, &defs_to_config(db, &defs), &cm);
+            let cost = workload_cost(db, workload, &defs_to_config(db, &defs));
             rows.push(Row {
                 advisor,
                 budget_bytes: budget,

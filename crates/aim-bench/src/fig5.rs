@@ -12,7 +12,7 @@ use crate::fig4::{Bed, Benchmark};
 use crate::Scale;
 use aim_baselines::{Dta, Extend};
 use aim_core::{defs_to_config, IndexAdvisor};
-use aim_exec::{estimate_statement_cost, CostModel, Engine};
+use aim_exec::{estimate_statement_cost, Engine};
 use aim_storage::IoStats;
 
 /// The advisors compared, `none` being the unindexed database.
@@ -59,7 +59,6 @@ pub fn run(scale: Scale) -> PerQuery {
         .into_iter()
         .map(|(l, _)| l)
         .collect();
-    let cm = CostModel::default();
     let budget_bytes = (bed.full_configuration_bytes() as f64 * 0.4) as u64;
 
     let configurations = [
@@ -82,7 +81,7 @@ pub fn run(scale: Scale) -> PerQuery {
             rows.push(Row {
                 query,
                 advisor,
-                estimated_cost: estimate_statement_cost(db, &wq.statement, &hypo, &cm)
+                estimated_cost: estimate_statement_cost(db, &wq.statement, &hypo)
                     .unwrap_or(f64::NAN),
                 measured_cost: engine
                     .execute(&mut materialized, &wq.statement)

@@ -13,8 +13,7 @@ use crate::plan::PassPlanner;
 use crate::ranking::knapsack_select;
 use crate::session::{AimOutcome, RunCtl};
 use aim_exec::{
-    estimate_statement_cost, estimate_statement_cost_batch, CostModel, HypoConfig,
-    HypotheticalIndex,
+    estimate_statement_cost, estimate_statement_cost_batch, HypoConfig, HypotheticalIndex,
 };
 use aim_monitor::{QueryStats, WorkloadQuery};
 use aim_sql::ast::Statement;
@@ -60,13 +59,8 @@ pub fn defs_to_config(db: &Database, defs: &[IndexDef]) -> HypoConfig {
 /// Total estimated workload cost `Σ w_q · cost(q, X)` under a what-if
 /// configuration — the y-axis of Figure 4a/4c. The one-config
 /// [`workload_cost_batch`].
-pub fn workload_cost(
-    db: &Database,
-    workload: &[WeightedQuery],
-    config: &HypoConfig,
-    cm: &CostModel,
-) -> f64 {
-    workload_cost_batch(db, workload, &[config], cm)[0]
+pub fn workload_cost(db: &Database, workload: &[WeightedQuery], config: &HypoConfig) -> f64 {
+    workload_cost_batch(db, workload, &[config])[0]
 }
 
 /// Workload cost under several configurations at once: every statement is
@@ -78,11 +72,10 @@ pub fn workload_cost_batch(
     db: &Database,
     workload: &[WeightedQuery],
     configs: &[&HypoConfig],
-    cm: &CostModel,
 ) -> Vec<f64> {
     let mut totals = vec![0.0; configs.len()];
     for wq in workload {
-        let results = estimate_statement_cost_batch(db, &wq.statement, configs, cm);
+        let results = estimate_statement_cost_batch(db, &wq.statement, configs);
         for (t, res) in totals.iter_mut().zip(results) {
             *t += wq.weight * res.unwrap_or(f64::INFINITY);
         }
@@ -104,16 +97,12 @@ pub fn config_size(db: &Database, defs: &[IndexDef]) -> u64 {
 /// caller — the advisor, the paper-figure bins, the micro-benchmarks —
 /// turns weighted statements into the [`WorkloadQuery`]s the pipeline
 /// consumes.
-pub fn synthetic_workload(
-    db: &Database,
-    workload: &[WeightedQuery],
-    cm: &CostModel,
-) -> Vec<WorkloadQuery> {
+pub fn synthetic_workload(db: &Database, workload: &[WeightedQuery]) -> Vec<WorkloadQuery> {
     let empty = HypoConfig::none();
     workload
         .iter()
         .map(|wq| {
-            let base = estimate_statement_cost(db, &wq.statement, &empty, cm).unwrap_or(0.0);
+            let base = estimate_statement_cost(db, &wq.statement, &empty).unwrap_or(0.0);
             WorkloadQuery {
                 stats: QueryStats::synthetic(
                     &wq.statement,
@@ -133,7 +122,6 @@ pub fn synthetic_workload(
 #[derive(Debug, Clone)]
 pub struct AimAdvisor {
     pub gen: CandidateGenConfig,
-    pub cost_model: CostModel,
 }
 
 impl AimAdvisor {
@@ -146,7 +134,6 @@ impl AimAdvisor {
                 covering: CoveringPolicy::Both,
                 ..Default::default()
             },
-            cost_model: CostModel::default(),
         }
     }
 }
@@ -163,7 +150,7 @@ impl IndexAdvisor for AimAdvisor {
         budget_bytes: u64,
     ) -> Vec<IndexDef> {
         let _span = aim_telemetry::span("aim.recommend");
-        let synthetic = synthetic_workload(db, workload, &self.cost_model);
+        let synthetic = synthetic_workload(db, workload);
         // The session's planning code under benchmark conditions: no
         // deadline, nobody listening to the decisions. An injected what-if
         // fault therefore recommends nothing rather than failing — the
@@ -172,7 +159,6 @@ impl IndexAdvisor for AimAdvisor {
             candidate_gen: &self.gen,
             sharding: None,
             workers: 0,
-            cost_model: &self.cost_model,
             ctl: &RunCtl::none(),
             decisions: &Decisions::none(),
         };
@@ -236,9 +222,8 @@ mod tests {
         let mut advisor = AimAdvisor::new(2, 0);
         let defs = advisor.recommend(&db, &workload, u64::MAX);
         assert!(!defs.is_empty());
-        let cm = CostModel::default();
-        let base = workload_cost(&db, &workload, &HypoConfig::none(), &cm);
-        let with = workload_cost(&db, &workload, &defs_to_config(&db, &defs), &cm);
+        let base = workload_cost(&db, &workload, &HypoConfig::none());
+        let with = workload_cost(&db, &workload, &defs_to_config(&db, &defs));
         assert!(
             with < base / 2.0,
             "expected large improvement: base {base}, with {with}"
@@ -260,14 +245,13 @@ mod tests {
             wq("SELECT id FROM t WHERE a = 17", 100.0),
             wq("SELECT id FROM t WHERE b = 2 AND a > 5", 100.0),
         ];
-        let cm = CostModel::default();
-        let base = workload_cost(&db, &workload, &HypoConfig::none(), &cm);
+        let base = workload_cost(&db, &workload, &HypoConfig::none());
         let mut costs = Vec::new();
         for budget in [64 * 1024, 1 << 20, u64::MAX] {
             let mut advisor = AimAdvisor::new(2, 0);
             let defs = advisor.recommend(&db, &workload, budget);
             assert!(config_size(&db, &defs) <= budget);
-            costs.push(workload_cost(&db, &workload, &defs_to_config(&db, &defs), &cm));
+            costs.push(workload_cost(&db, &workload, &defs_to_config(&db, &defs)));
         }
         // Larger budgets never hurt.
         assert!(costs[0] >= costs[1] - 1e-9);

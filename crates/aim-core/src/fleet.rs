@@ -36,8 +36,7 @@
 //! ```ignore
 //! let mut tenants = vec![Tenant::new("shard-0", db0), Tenant::new("shard-1", db1)];
 //! let fleet = FleetConfig::builder()
-//!     .base(AimConfig::builder().build())
-//!     .fleet_budget(256 << 20)
+//!     .base(AimConfig::builder().storage_budget(256 << 20).build())
 //!     .session();
 //! let outcome = fleet.run(&mut tenants);
 //! assert_eq!(outcome.failed(), 0);
@@ -93,30 +92,18 @@ impl Tenant {
 /// `#[non_exhaustive]`: construct via [`FleetConfig::builder`] — fleet
 /// knobs may appear in any release.
 #[non_exhaustive]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetConfig {
     /// Per-tenant tuning configuration (selection, candidate generation,
-    /// validation, ledger, selection strategy…). Each tenant session runs
-    /// a copy with its allocated `storage_budget` and, in a multi-tenant
-    /// fleet, `workers = 1` (the fleet pool provides the parallelism).
+    /// validation, ledger, selection strategy…). Its `storage_budget` is
+    /// the fleet's: the total in bytes across *all* tenants. Each tenant
+    /// session runs a copy with its allocated share as `storage_budget`
+    /// and, in a multi-tenant fleet, `workers = 1` (the fleet pool
+    /// provides the parallelism).
     pub base: AimConfig,
-    /// Total storage budget in bytes across *all* tenants. Defaults to
-    /// the base config's budget.
-    pub fleet_budget: u64,
     /// Worker threads tuning tenants concurrently (`0` = one per
     /// available core, clamped to the tenant count).
     pub fleet_workers: usize,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        let base = AimConfig::default();
-        Self {
-            fleet_budget: base.storage_budget,
-            base,
-            fleet_workers: 0,
-        }
-    }
 }
 
 impl FleetConfig {
@@ -131,22 +118,14 @@ impl FleetConfig {
 #[derive(Debug, Clone, Default)]
 pub struct FleetConfigBuilder {
     cfg: FleetConfig,
-    fleet_budget: Option<u64>,
     deadline: Option<Duration>,
 }
 
 impl FleetConfigBuilder {
-    /// Per-tenant tuning configuration. Unless
-    /// [`FleetConfigBuilder::fleet_budget`] is called, the base config's
-    /// `storage_budget` becomes the fleet-wide budget.
+    /// Per-tenant tuning configuration; its `storage_budget` is the
+    /// fleet-wide budget.
     pub fn base(mut self, base: AimConfig) -> Self {
         self.cfg.base = base;
-        self
-    }
-
-    /// Total storage budget in bytes across all tenants.
-    pub fn fleet_budget(mut self, bytes: u64) -> Self {
-        self.fleet_budget = Some(bytes);
         self
     }
 
@@ -165,9 +144,7 @@ impl FleetConfigBuilder {
 
     /// Finishes the configuration.
     pub fn build(self) -> FleetConfig {
-        let mut cfg = self.cfg;
-        cfg.fleet_budget = self.fleet_budget.unwrap_or(cfg.base.storage_budget);
-        cfg
+        self.cfg
     }
 
     /// Finishes into a ready-to-run [`FleetSession`].
@@ -281,7 +258,7 @@ impl FleetSession {
             // tenant session *is* the pass, bit-identical to a bare
             // `TuningSession` on the same inputs.
             let t = &mut tenants[0];
-            let out = self.tune_tenant(t, self.cfg.fleet_budget, fleet_deadline, false);
+            let out = self.tune_tenant(t, self.cfg.base.storage_budget, fleet_deadline, false);
             outcome.slowest_tenant = Some((out.id.clone(), out.elapsed));
             outcome.tenants.push(out);
             outcome.elapsed = root.elapsed();
@@ -303,7 +280,7 @@ impl FleetSession {
         // Phase 2: split the budget across tenants.
         let (budgets, transfers, transferred) = {
             let _s = tel::span("fleet.allocate");
-            allocate_budgets(self.cfg.fleet_budget, &probes)
+            allocate_budgets(self.cfg.base.storage_budget, &probes)
         };
         outcome.budget_transfers = transfers;
         outcome.transferred_bytes = transferred;
@@ -442,7 +419,6 @@ impl FleetSession {
             candidate_gen: &base.candidate_gen,
             sharding: profile,
             workers: 1,
-            cost_model: &aim_exec::CostModel::default(),
             ctl,
             decisions: &Decisions::none(),
         };
@@ -611,19 +587,6 @@ mod tests {
                 include_dml: true,
             })
             .build()
-    }
-
-    #[test]
-    fn fleet_budget_defaults_to_base_budget() {
-        let cfg = FleetConfig::builder()
-            .base(AimConfig::builder().storage_budget(1234).build())
-            .build();
-        assert_eq!(cfg.fleet_budget, 1234);
-        let cfg = FleetConfig::builder()
-            .base(AimConfig::builder().storage_budget(1234).build())
-            .fleet_budget(99)
-            .build();
-        assert_eq!(cfg.fleet_budget, 99);
     }
 
     #[test]

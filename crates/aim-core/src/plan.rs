@@ -22,7 +22,6 @@ use crate::ledger::Decisions;
 use crate::ranking::{try_rank_candidates_with, RankedCandidate};
 use crate::session::{AimOutcome, RunCtl};
 use crate::sharding::ShardingProfile;
-use aim_exec::CostModel;
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor, WorkloadQuery};
 use aim_storage::Database;
 use aim_telemetry as tel;
@@ -34,7 +33,6 @@ pub(crate) struct PassPlanner<'a> {
     pub sharding: Option<&'a ShardingProfile>,
     /// Ranking workers (`0` = auto).
     pub workers: usize,
-    pub cost_model: &'a CostModel,
     pub ctl: &'a RunCtl,
     pub decisions: &'a Decisions<'a>,
 }
@@ -114,14 +112,7 @@ impl PassPlanner<'_> {
 
         let mut ranked = {
             let _s = tel::span("ranking");
-            try_rank_candidates_with(
-                db,
-                workload,
-                &candidates,
-                self.cost_model,
-                self.workers,
-                self.ctl,
-            )?
+            try_rank_candidates_with(db, workload, &candidates, self.workers, self.ctl)?
         };
         if let Some(profile) = self.sharding {
             profile.apply(&mut ranked);

@@ -214,12 +214,11 @@ impl Costing {
         db: &Database,
         select: &Select,
         configs: &[&HypoConfig],
-        cm: &CostModel,
         ctl: &RunCtl,
     ) -> Result<Vec<Result<WhatIfEntry, ExecError>>, AimError> {
         let cache = aim_exec::whatif::global();
         self.price(configs, ctl, |slice, stop| {
-            cache.eval_select_batch_until(db, select, slice, cm, stop)
+            cache.eval_select_batch_until(db, select, slice, stop)
         })
     }
 
@@ -228,11 +227,10 @@ impl Costing {
         db: &Database,
         stmt: &Statement,
         configs: &[&HypoConfig],
-        cm: &CostModel,
         ctl: &RunCtl,
     ) -> Result<Vec<Result<f64, ExecError>>, AimError> {
         self.price(configs, ctl, |slice, stop| {
-            estimate_statement_cost_batch_until(db, stmt, slice, cm, stop)
+            estimate_statement_cost_batch_until(db, stmt, slice, stop)
         })
     }
 }
@@ -248,7 +246,6 @@ fn eval_query(
     wq: &WorkloadQuery,
     hypos: &Hypos,
     empty_cfg: &HypoConfig,
-    cm: &CostModel,
     costing: Costing,
     ctl: &RunCtl,
 ) -> Result<QueryContribution, AimError> {
@@ -266,7 +263,7 @@ fn eval_query(
             let cfg =
                 HypoConfig::shared(relevant.iter().map(|(_, h)| Arc::clone(h)).collect());
             // The database as it stands, then the full relevant config.
-            let mut pair = costing.selects(db, &select, &[empty_cfg, &cfg], cm, ctl)?.into_iter();
+            let mut pair = costing.selects(db, &select, &[empty_cfg, &cfg], ctl)?.into_iter();
             let cost_empty = cost_or(
                 pair.next().expect("one result per config").map(|e| e.cost),
                 f64::INFINITY,
@@ -316,7 +313,7 @@ fn eval_query(
                             .collect();
                         let without_refs: Vec<&HypoConfig> = withouts.iter().collect();
                         let mut marginals: Vec<f64> = Vec::with_capacity(used.len());
-                        for res in costing.selects(db, &select, &without_refs, cm, ctl)? {
+                        for res in costing.selects(db, &select, &without_refs, ctl)? {
                             let c_without = cost_or(res.map(|e| e.cost), cost_empty)?;
                             marginals.push((c_without - cost_with).max(0.0));
                         }
@@ -339,7 +336,7 @@ fn eval_query(
     if wq.stats.is_dml() {
         let stmt = &wq.stats.exemplar;
         ctl.check("ranking")?;
-        let base = cost_or(estimate_statement_cost(db, stmt, empty_cfg, cm), 0.0)?;
+        let base = cost_or(estimate_statement_cost(db, stmt, empty_cfg), 0.0)?;
         if base > 0.0 {
             // Only indexes on the written table can be affected.
             let affected = hypos.listed(stmt.written_table().and_then(|t| hypos.by_table.get(t)));
@@ -349,7 +346,7 @@ fn eval_query(
                     .map(|(_, h)| HypoConfig::shared(vec![Arc::clone(h)]))
                     .collect();
                 let one_refs: Vec<&HypoConfig> = ones.iter().collect();
-                let results = costing.statements(db, stmt, &one_refs, cm, ctl)?;
+                let results = costing.statements(db, stmt, &one_refs, ctl)?;
                 for ((i, _), res) in affected.iter().zip(results) {
                     let with = cost_or(res, base)?;
                     let overhead = ((with - base) / base).max(0.0) * wq.stats.total_cpu;
@@ -430,6 +427,8 @@ pub(crate) fn fan_out<T: Sync, R: Send>(
 /// Ranks candidates against the workload: returns them with their
 /// benefit/maintenance economics, sorted by descending utility density.
 /// `workers` is the worker count (`0` = one per available core).
+/// `_cm` is ignored, kept only because `bench/` passes it; the next
+/// `benchmark` change deletes it.
 ///
 /// Workload queries are evaluated independently — each produces a
 /// [`QueryContribution`] — through `fan_out`, then merged on the calling
@@ -440,10 +439,10 @@ pub fn rank_candidates_with(
     db: &Database,
     workload: &[WorkloadQuery],
     candidates: &[CandidateIndex],
-    cm: &CostModel,
+    _cm: &CostModel,
     workers: usize,
 ) -> Vec<RankedCandidate> {
-    rank_core(db, workload, candidates, cm, workers, &RunCtl::none(), Costing::Batched)
+    rank_core(db, workload, candidates, workers, &RunCtl::none(), Costing::Batched)
         .expect("ranking without deadline or cancel fails only under an armed fault plan")
 }
 
@@ -454,10 +453,9 @@ pub fn rank_candidates_unbatched(
     db: &Database,
     workload: &[WorkloadQuery],
     candidates: &[CandidateIndex],
-    cm: &CostModel,
     workers: usize,
 ) -> Vec<RankedCandidate> {
-    rank_core(db, workload, candidates, cm, workers, &RunCtl::none(), Costing::PerConfig)
+    rank_core(db, workload, candidates, workers, &RunCtl::none(), Costing::PerConfig)
         .expect("ranking without deadline or cancel fails only under an armed fault plan")
 }
 
@@ -471,18 +469,16 @@ pub fn try_rank_candidates_with(
     db: &Database,
     workload: &[WorkloadQuery],
     candidates: &[CandidateIndex],
-    cm: &CostModel,
     workers: usize,
     ctl: &RunCtl,
 ) -> Result<Vec<RankedCandidate>, AimError> {
-    rank_core(db, workload, candidates, cm, workers, ctl, Costing::Batched)
+    rank_core(db, workload, candidates, workers, ctl, Costing::Batched)
 }
 
 fn rank_core(
     db: &Database,
     workload: &[WorkloadQuery],
     candidates: &[CandidateIndex],
-    cm: &CostModel,
     workers: usize,
     ctl: &RunCtl,
     costing: Costing,
@@ -493,7 +489,7 @@ fn rank_core(
     // every what-if call.
     let workers = effective_workers(workers, workload.len());
     let contributions = fan_out(workload, workers, ctl, "ranking", |wq| {
-        eval_query(db, wq, &hypos, &empty_cfg, cm, costing, ctl)
+        eval_query(db, wq, &hypos, &empty_cfg, costing, ctl)
     })?;
 
     // An abort that arrived during the last what-if call belongs to this
@@ -730,7 +726,7 @@ mod tests {
     fn rank_for(db: &mut Database, sqls: &[(&str, usize)]) -> Vec<RankedCandidate> {
         let w = workload(db, sqls);
         let cands = generate_candidates(db, &w, &CandidateGenConfig::default());
-        rank_candidates_with(db, &w, &cands, &CostModel::default(), 0)
+        rank_candidates_with(db, &w, &cands, &CostModel, 0)
     }
 
     #[test]
@@ -959,9 +955,8 @@ mod tests {
         let mut db = db();
         let w = mixed_workload(&mut db);
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        let cm = CostModel::default();
-        let sequential = rank_candidates_with(&db, &w, &cands, &cm, 1);
-        let parallel = rank_candidates_with(&db, &w, &cands, &cm, 4);
+        let sequential = rank_candidates_with(&db, &w, &cands, &CostModel, 1);
+        let parallel = rank_candidates_with(&db, &w, &cands, &CostModel, 4);
         assert!(!sequential.is_empty());
         assert_bit_identical(&sequential, &parallel);
     }
@@ -971,14 +966,13 @@ mod tests {
         let mut db = db();
         let w = mixed_workload(&mut db);
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        let cm = CostModel::default();
         let cache = aim_exec::whatif::global();
         // A cold cache each so both paths genuinely plan (no cross-path
         // leakage).
         cache.clear();
-        let batched = rank_candidates_with(&db, &w, &cands, &cm, 1);
+        let batched = rank_candidates_with(&db, &w, &cands, &CostModel, 1);
         cache.clear();
-        let sequential = rank_candidates_unbatched(&db, &w, &cands, &cm, 1);
+        let sequential = rank_candidates_unbatched(&db, &w, &cands, 1);
         assert!(!batched.is_empty());
         assert_bit_identical(&sequential, &batched);
     }
@@ -988,13 +982,12 @@ mod tests {
         let mut db = db();
         let w = mixed_workload(&mut db);
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        let cm = CostModel::default();
         aim_exec::whatif::global().clear();
-        let cold = rank_candidates_with(&db, &w, &cands, &cm, 1);
+        let cold = rank_candidates_with(&db, &w, &cands, &CostModel, 1);
         // Twice more: the last pass runs almost entirely off memoized
         // entries and must still match the cold one.
-        let warm = rank_candidates_with(&db, &w, &cands, &cm, 1);
-        let hot = rank_candidates_with(&db, &w, &cands, &cm, 1);
+        let warm = rank_candidates_with(&db, &w, &cands, &CostModel, 1);
+        let hot = rank_candidates_with(&db, &w, &cands, &CostModel, 1);
         assert_bit_identical(&cold, &warm);
         assert_bit_identical(&cold, &hot);
     }
@@ -1033,7 +1026,7 @@ mod tests {
                 &db,
                 std::slice::from_ref(wq),
                 &[candidate],
-                &CostModel::default(),
+                &CostModel,
                 1,
             );
             assert_eq!(ranked.len(), 1);

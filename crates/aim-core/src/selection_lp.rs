@@ -32,9 +32,7 @@
 use crate::error::AimError;
 use crate::ranking::{under_ctl, RankedCandidate};
 use crate::session::RunCtl;
-use aim_exec::{
-    estimate_statement_cost_batch_until, CostModel, ExecError, HypoConfig, HypotheticalIndex,
-};
+use aim_exec::{estimate_statement_cost_batch_until, ExecError, HypoConfig, HypotheticalIndex};
 use aim_monitor::WorkloadQuery;
 use aim_sql::ast::Statement;
 use aim_storage::Database;
@@ -85,11 +83,10 @@ fn price(
     db: &Database,
     stmt: &Statement,
     configs: &[&HypoConfig],
-    cm: &CostModel,
     ctl: &RunCtl,
 ) -> Result<Vec<Result<f64, ExecError>>, AimError> {
     let costs = under_ctl(ctl, "selection_lp", |stop| {
-        estimate_statement_cost_batch_until(db, stmt, configs, cm, stop)
+        estimate_statement_cost_batch_until(db, stmt, configs, stop)
     })?;
     match costs.iter().find_map(|c| c.as_ref().err().filter(|e| e.is_injected())) {
         Some(e) => Err(AimError::from_exec("selection_lp", e.clone())),
@@ -109,7 +106,6 @@ pub fn refine_selection(
     ranked: &[RankedCandidate],
     greedy: &[RankedCandidate],
     remaining: u64,
-    cm: &CostModel,
     ctl: &RunCtl,
 ) -> Result<LpOutcome, AimError> {
     // ------------------------------------------------- reduced instance
@@ -149,7 +145,7 @@ pub fn refine_selection(
     let mut atoms: Vec<(usize, Vec<(usize, f64)>)> = Vec::with_capacity(q_order.len());
     for &qi in &q_order {
         let wq = &workload[qi];
-        let costs = price(db, &wq.stats.exemplar, &batch_cfgs, cm, ctl)?;
+        let costs = price(db, &wq.stats.exemplar, &batch_cfgs, ctl)?;
         let Some(Ok(base)) = costs.first().cloned() else {
             continue;
         };
@@ -248,7 +244,7 @@ pub fn refine_selection(
     let lp_cfg = selection_config(db, &lp_chosen);
     let mut totals = [0.0f64; 2];
     for wq in workload {
-        let costs = price(db, &wq.stats.exemplar, &[&greedy_cfg, &lp_cfg], cm, ctl)?;
+        let costs = price(db, &wq.stats.exemplar, &[&greedy_cfg, &lp_cfg], ctl)?;
         for (t, res) in totals.iter_mut().zip(costs) {
             *t += wq.weight * res.unwrap_or(f64::INFINITY);
         }
@@ -410,7 +406,7 @@ mod tests {
     use super::*;
     use crate::candidates::{generate_candidates, CandidateGenConfig};
     use crate::ranking::{knapsack_select, rank_candidates_with};
-    use aim_exec::Engine;
+    use aim_exec::{CostModel, Engine};
     use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor};
     use aim_sql::parse_statement;
     use aim_storage::{ColumnDef, ColumnType, IoStats, TableSchema, Value};
@@ -509,14 +505,13 @@ mod tests {
             ],
         );
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        let cm = CostModel::default();
-        let ranked = rank_candidates_with(&db, &w, &cands, &cm, 0);
+        let ranked = rank_candidates_with(&db, &w, &cands, &CostModel, 0);
         assert!(!ranked.is_empty());
         let all: u64 = ranked.iter().map(|r| r.size_bytes).sum();
         for budget in [u64::MAX, all, all / 2, all / 4, 1] {
             let greedy = knapsack_select(&ranked, budget, 0);
             let out =
-                refine_selection(&db, &w, &ranked, &greedy, budget, &cm, &RunCtl::none()).unwrap();
+                refine_selection(&db, &w, &ranked, &greedy, budget, &RunCtl::none()).unwrap();
             // The guard guarantees matches-or-beats on actual cost.
             if out.used_lp {
                 assert!(out.lp_cost < out.greedy_cost);
@@ -542,11 +537,10 @@ mod tests {
         let mut db = db();
         let w = workload(&mut db, &[("SELECT id FROM t WHERE a = 5", 30)]);
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        let cm = CostModel::default();
-        let ranked = rank_candidates_with(&db, &w, &cands, &cm, 0);
+        let ranked = rank_candidates_with(&db, &w, &cands, &CostModel, 0);
         let greedy = knapsack_select(&ranked, u64::MAX, 0);
         let out =
-            refine_selection(&db, &w, &ranked, &greedy, u64::MAX, &cm, &RunCtl::none()).unwrap();
+            refine_selection(&db, &w, &ranked, &greedy, u64::MAX, &RunCtl::none()).unwrap();
         assert_eq!(
             out.chosen.iter().map(|r| r.candidate.name()).collect::<Vec<_>>(),
             greedy.iter().map(|r| r.candidate.name()).collect::<Vec<_>>(),

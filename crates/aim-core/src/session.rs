@@ -329,8 +329,7 @@ impl AimConfigBuilder {
 #[derive(Debug, Clone)]
 pub struct TuningSession {
     config: AimConfig,
-    /// The execution engine validation replays on; its cost model prices
-    /// the what-if calls.
+    /// The execution engine validation replays on.
     engine: Engine,
     deadline: Option<Duration>,
     cancel: CancelToken,
@@ -490,7 +489,6 @@ impl TuningSession {
             candidate_gen: &cfg.candidate_gen,
             sharding: cfg.sharding.as_ref(),
             workers: cfg.workers,
-            cost_model: &self.engine.cost_model,
             ctl,
             decisions: &decisions,
         };
@@ -531,7 +529,6 @@ impl TuningSession {
                 &ranked,
                 &chosen,
                 remaining,
-                &self.engine.cost_model,
                 ctl,
             )?;
             decisions.record(|l, pass| {

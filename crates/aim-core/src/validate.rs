@@ -168,7 +168,7 @@ impl Replay<'_> {
                     let tables = sel.from.iter().map(|t| t.name.as_str());
                     match wq.stats.exemplar_cost {
                         Some((cost, seen))
-                            if seen == CostStamp::of(db, tables, &self.engine.cost_model) =>
+                            if seen == CostStamp::of(db, tables) =>
                         {
                             let taken = "where the monitor saw it under the same stamp";
                             let plan = audited(open, sel, cost, taken)?;
@@ -601,7 +601,7 @@ mod tests {
             },
         );
         let cands = generate_candidates(db, &w, &CandidateGenConfig::default());
-        let ranked = rank_candidates_with(db, &w, &cands, &CostModel::default(), 0);
+        let ranked = rank_candidates_with(db, &w, &cands, &CostModel, 0);
         let chosen = knapsack_select(&ranked, u64::MAX, 0);
         (w, chosen)
     }

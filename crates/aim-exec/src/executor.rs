@@ -10,7 +10,7 @@
 //! level, so a mis-narrowed path can cost performance but never correctness.
 
 use crate::bind::{Binder, Scope, SlotLayout};
-use crate::cost::CostModel;
+use crate::cost::{io_cost, sort_cost, CostModel, OUTPUT_ROW_COST};
 use crate::error::ExecError;
 use crate::eval::{literal_value, AggregateSlots, BoundAggregate, BoundExpr};
 use crate::hypothetical::HypoConfig;
@@ -24,7 +24,6 @@ use aim_sql::ast::{
 use aim_storage::{Database, IoStats, Key, Row, Table, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 
 /// Result of executing one statement.
@@ -45,74 +44,33 @@ pub struct ExecOutcome {
 }
 
 /// What a cost is a function of (DESIGN.md §18): the newest content
-/// version among the tables the statement binds, and the cost model that
-/// priced it. A statement executed or estimated twice under equal stamps
-/// runs the same plan and costs the same bits. Equality and hashing go by
-/// the bits of every field, so equal stamps mean equal prices.
-#[derive(Debug, Clone, Copy)]
+/// version among the tables the statement binds. The prices are constants
+/// ([`crate::cost`]), so a statement executed or estimated twice under
+/// equal stamps runs the same plan and costs the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CostStamp {
     /// The largest [`Table::version`] among the statement's tables as it
     /// started; 0 when it binds none.
     pub version: u64,
-    pub cost_model: CostModel,
 }
 
+// A stamp holds no prices because the model has none to hold: a price
+// made configurable must enter the stamp, and this fails first.
+const _: () = assert!(std::mem::size_of::<CostModel>() == 0);
+
 impl CostStamp {
-    /// The stamp of a statement binding `tables` on `db` under
-    /// `cost_model` — the one place a stamp is made: the executor's
-    /// outcomes, validation's reuse test and the what-if key all call it.
-    /// A name `db` does not hold adds nothing: creating it later draws a
-    /// version newer than every one already drawn.
-    pub fn of<'t>(
-        db: &Database,
-        tables: impl IntoIterator<Item = &'t str>,
-        cost_model: &CostModel,
-    ) -> Self {
+    /// The stamp of a statement binding `tables` on `db` — the one place a
+    /// stamp is made: the executor's outcomes, validation's reuse test and
+    /// the what-if key all call it. A name `db` does not hold adds
+    /// nothing: creating it later draws a version newer than every one
+    /// already drawn.
+    pub fn of<'t>(db: &Database, tables: impl IntoIterator<Item = &'t str>) -> Self {
         let version = tables
             .into_iter()
             .filter_map(|name| db.table(name).ok().map(Table::version))
             .max()
             .unwrap_or(0);
-        Self {
-            version,
-            cost_model: *cost_model,
-        }
-    }
-
-    fn bits(&self) -> (u64, [u64; 7]) {
-        let CostModel {
-            seq_page_cost,
-            rand_page_cost,
-            row_cost,
-            write_row_cost,
-            write_page_cost,
-            sort_row_cost,
-            output_row_cost,
-        } = self.cost_model;
-        let prices = [
-            seq_page_cost,
-            rand_page_cost,
-            row_cost,
-            write_row_cost,
-            write_page_cost,
-            sort_row_cost,
-            output_row_cost,
-        ];
-        (self.version, prices.map(f64::to_bits))
-    }
-}
-
-impl PartialEq for CostStamp {
-    fn eq(&self, other: &Self) -> bool {
-        self.bits() == other.bits()
-    }
-}
-
-impl Eq for CostStamp {}
-
-impl Hash for CostStamp {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.bits().hash(state);
+        Self { version }
     }
 }
 
@@ -128,14 +86,17 @@ impl ExecOutcome {
     }
 }
 
-/// The execution engine: a cost model plus statement dispatch.
+/// The execution engine: statement dispatch under the constant prices of
+/// [`crate::cost`].
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
+    /// Zero-sized, kept only because `bench/` reads it; the next
+    /// `benchmark` change deletes it.
     pub cost_model: CostModel,
 }
 
 impl Engine {
-    /// Creates an engine with the default cost model.
+    /// Creates an engine.
     pub fn new() -> Self {
         Self::default()
     }
@@ -158,14 +119,13 @@ impl Engine {
                 });
             }
         }
-        let stamp = |db: &Database, table: &str| CostStamp::of(db, [table], &self.cost_model);
         let outcome = match stmt {
             Statement::Select(s) => self.execute_select(db, s),
             Statement::Insert(i) => self.execute_insert(db, i),
             Statement::Update(u) => self.execute_update(db, u),
             Statement::Delete(d) => self.execute_delete(db, d),
             Statement::CreateTable(c) => {
-                let stamp = stamp(db, &c.name);
+                let stamp = CostStamp::of(db, [c.name.as_str()]);
                 let mut columns = Vec::with_capacity(c.columns.len());
                 for (name, ty) in &c.columns {
                     let ct = match ty {
@@ -183,7 +143,7 @@ impl Engine {
                 Ok(self.written(IoStats::new(), empty_plan(), 0, stamp))
             }
             Statement::CreateIndex(c) => {
-                let stamp = stamp(db, &c.table);
+                let stamp = CostStamp::of(db, [c.table.as_str()]);
                 let mut io = IoStats::new();
                 db.create_index(
                     aim_storage::IndexDef {
@@ -197,7 +157,7 @@ impl Engine {
                 Ok(self.written(io, empty_plan(), 0, stamp))
             }
             Statement::DropIndex { name, table } => {
-                let stamp = stamp(db, table);
+                let stamp = CostStamp::of(db, [table.as_str()]);
                 db.drop_index(table, name)?;
                 Ok(self.written(IoStats::new(), empty_plan(), 0, stamp))
             }
@@ -233,11 +193,7 @@ impl Engine {
         binder: &Binder,
         plan: Plan,
     ) -> Result<ExecOutcome, ExecError> {
-        let stamp = CostStamp::of(
-            db,
-            binder.tables().iter().map(|t| t.table.as_str()),
-            &self.cost_model,
-        );
+        let stamp = CostStamp::of(db, binder.tables().iter().map(|t| t.table.as_str()));
         // Table-free SELECT.
         if plan.steps.is_empty() {
             let mut row = Vec::new();
@@ -254,7 +210,7 @@ impl Engine {
             return Ok(ExecOutcome {
                 rows: vec![row],
                 io: IoStats::new(),
-                cost: self.cost_model.output_row_cost,
+                cost: OUTPUT_ROW_COST,
                 plan,
                 affected: 0,
                 stamp,
@@ -298,7 +254,7 @@ impl Engine {
             Sink::Tuples(tuples) => (tuples, Vec::new()),
             Sink::Groups(groups) => {
                 if !plan.group_via_index && groups.fed > 0 {
-                    extra_cost += self.cost_model.sort_cost(groups.fed as f64);
+                    extra_cost += sort_cost(groups.fed as f64);
                 }
                 groups.finish()
             }
@@ -335,7 +291,7 @@ impl Engine {
         };
 
         if !query.order_by.is_empty() && !plan.order_via_index {
-            extra_cost += self.cost_model.sort_cost(order.len() as f64);
+            extra_cost += sort_cost(order.len() as f64);
             let key_len = query.order_by.len();
             let mut keys: Vec<Cow<'_, Value>> = Vec::with_capacity(order.len() * key_len);
             for &i in &order {
@@ -367,8 +323,8 @@ impl Engine {
             .into_iter()
             .map(|i| std::mem::take(&mut rows[i]))
             .collect();
-        extra_cost += rows.len() as f64 * self.cost_model.output_row_cost;
-        let cost = self.cost_model.io_cost(&io) + extra_cost;
+        extra_cost += rows.len() as f64 * OUTPUT_ROW_COST;
+        let cost = io_cost(&io) + extra_cost;
         Ok(ExecOutcome {
             rows,
             io,
@@ -400,7 +356,7 @@ impl Engine {
         // their per-query work for profile stitching.
         let span = aim_telemetry::span("exec.select");
         let config = HypoConfig::none();
-        let planner = Planner::new(db, select, &config, &self.cost_model)?;
+        let planner = Planner::new(db, select, &config)?;
         let plan = planner.plan()?;
         if aim_telemetry::is_enabled() && !plan.steps.is_empty() {
             aim_telemetry::event(
@@ -422,7 +378,7 @@ impl Engine {
     // -------------------------------------------------------------- DML
 
     fn execute_insert(&self, db: &mut Database, ins: &Insert) -> Result<ExecOutcome, ExecError> {
-        let stamp = CostStamp::of(db, [ins.table.as_str()], &self.cost_model);
+        let stamp = CostStamp::of(db, [ins.table.as_str()]);
         let mut io = IoStats::new();
         let schema = db.table(&ins.table)?.schema().clone();
         let mut affected = 0u64;
@@ -457,7 +413,7 @@ impl Engine {
     }
 
     fn execute_update(&self, db: &mut Database, upd: &Update) -> Result<ExecOutcome, ExecError> {
-        let stamp = CostStamp::of(db, [upd.table.as_str()], &self.cost_model);
+        let stamp = CostStamp::of(db, [upd.table.as_str()]);
         // Bind the right-hand sides (`b + 1`) over the single target table
         // before any row is located or written.
         let assignments = {
@@ -493,7 +449,7 @@ impl Engine {
     }
 
     fn execute_delete(&self, db: &mut Database, del: &Delete) -> Result<ExecOutcome, ExecError> {
-        let stamp = CostStamp::of(db, [del.table.as_str()], &self.cost_model);
+        let stamp = CostStamp::of(db, [del.table.as_str()]);
         let (pks, mut io, plan) =
             self.locate_rows(db, &del.table, del.where_clause.as_ref())?;
         let mut affected = 0u64;
@@ -510,7 +466,7 @@ impl Engine {
     fn written(&self, io: IoStats, plan: Plan, affected: u64, stamp: CostStamp) -> ExecOutcome {
         ExecOutcome {
             rows: Vec::new(),
-            cost: self.cost_model.io_cost(&io),
+            cost: io_cost(&io),
             io,
             plan,
             affected,
@@ -1367,5 +1323,19 @@ fn empty_plan() -> Plan {
         est_cost: 0.0,
         order_via_index: false,
         group_via_index: false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The stamp is the version alone, and every outcome carries one.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_stamp_is_one_version() {
+        // With the seven prices in the stamp: 64 B and 208 B.
+        assert_eq!(std::mem::size_of::<CostStamp>(), 8);
+        assert_eq!(std::mem::size_of::<ExecOutcome>(), 152);
     }
 }

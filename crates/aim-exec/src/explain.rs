@@ -19,7 +19,6 @@
 //! the prices the search memoized, with the same fold marking the pick. The
 //! advisory hot path pays only for the strings — when asked.
 
-use crate::cost::CostModel;
 use crate::error::ExecError;
 use crate::hypothetical::HypoConfig;
 use crate::planner::{Plan, Planner};
@@ -263,9 +262,8 @@ pub fn explain_select(
     db: &Database,
     select: &Select,
     config: &HypoConfig,
-    cm: &CostModel,
 ) -> Result<(Plan, ExplainPlan), ExecError> {
-    let planner = Planner::new(db, select, config, cm)?;
+    let planner = Planner::new(db, select, config)?;
     let plan = planner.plan()?;
     let explain = planner.explain_plan(&plan)?;
     Ok((plan, explain))
@@ -322,7 +320,7 @@ mod tests {
     fn explain_sql(db: &Database, sql: &str, config: &HypoConfig) -> ExplainPlan {
         let stmt = parse_statement(sql).unwrap();
         let Statement::Select(s) = stmt else { panic!() };
-        explain_select(db, &s, config, &CostModel::default())
+        explain_select(db, &s, config)
             .unwrap()
             .1
     }

@@ -12,7 +12,7 @@
 //! * [`hypothetical`] ("dataless", §III-A4) indexes and a what-if costing
 //!   API ([`planner::estimate_statement_cost`]) used by AIM and by every
 //!   baseline advisor, and
-//! * the shared [`cost::CostModel`] that keeps estimates and measurements
+//! * the constant prices of [`cost`] that keep estimates and measurements
 //!   in the same unit system.
 //!
 //! # Example

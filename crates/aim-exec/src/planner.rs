@@ -4,9 +4,9 @@
 //! PK range, secondary/hypothetical index range, covering index-only scan,
 //! OR-union of index scans) and a join order (dynamic programming over
 //! subsets up to [`DP_TABLE_LIMIT`] tables, greedy beyond). It prices plans
-//! with the [`CostModel`] and table statistics, and treats *hypothetical*
-//! indexes identically to materialized ones — the what-if facility every
-//! index advisor in this workspace is built on.
+//! with the constants of [`crate::cost`] and table statistics, and treats
+//! *hypothetical* indexes identically to materialized ones — the what-if
+//! facility every index advisor in this workspace is built on.
 //!
 //! Access paths are enumerated once and priced once (DESIGN.md §17): per
 //! table instance and set of bound tables (or OR branch) the planner builds
@@ -16,7 +16,10 @@
 //! enumeration.
 
 use crate::bind::{Binder, BoundColumn};
-use crate::cost::CostModel;
+use crate::cost::{
+    full_scan_cost, index_scan_cost, sort_cost, OUTPUT_ROW_COST, RAND_PAGE_COST, ROW_COST,
+    WRITE_ROW_COST,
+};
 use crate::error::ExecError;
 use crate::hypothetical::{HypoConfig, HypotheticalIndex};
 use crate::predicate::{PredicateAnalysis, Sarg, SargValue};
@@ -363,7 +366,6 @@ struct Partial {
 /// Planner context for one SELECT.
 pub struct Planner<'a> {
     config: &'a HypoConfig,
-    cm: &'a CostModel,
     pub binder: Binder,
     pub analysis: PredicateAnalysis,
     select: &'a Select,
@@ -380,7 +382,6 @@ impl<'a> Planner<'a> {
         db: &'a Database,
         select: &'a Select,
         config: &'a HypoConfig,
-        cm: &'a CostModel,
     ) -> Result<Self, ExecError> {
         let binder = Binder::for_select(db, select)?;
         let analysis = PredicateAnalysis::analyze(select.where_clause.as_ref(), &binder)?;
@@ -392,7 +393,6 @@ impl<'a> Planner<'a> {
         let referenced = collect_referenced(select, &binder, &tables);
         Ok(Self {
             config,
-            cm,
             binder,
             analysis,
             select,
@@ -435,7 +435,7 @@ impl<'a> Planner<'a> {
                 steps: Vec::new(),
                 join_rows: 1.0,
                 result_rows: 1.0,
-                est_cost: self.cm.output_row_cost,
+                est_cost: OUTPUT_ROW_COST,
                 order_via_index: false,
                 group_via_index: false,
             });
@@ -489,16 +489,16 @@ impl<'a> Planner<'a> {
             }
             result_rows = result_rows.min(groups.max(1.0));
             if !group_via_index {
-                cost += self.cm.sort_cost(join_rows);
+                cost += sort_cost(join_rows);
             }
         }
         if !self.select.order_by.is_empty() && !order_via_index {
-            cost += self.cm.sort_cost(result_rows);
+            cost += sort_cost(result_rows);
         }
         if let Some(limit) = self.limit_value() {
             result_rows = result_rows.min(limit as f64);
         }
-        cost += result_rows * self.cm.output_row_cost;
+        cost += result_rows * OUTPUT_ROW_COST;
 
         Ok(Plan {
             steps,
@@ -634,7 +634,7 @@ impl<'a> Planner<'a> {
     fn candidates(&self, t: usize, ctx: &ProbeContext) -> Vec<Candidate<'a>> {
         let table = self.table(t);
         let mut out = vec![Candidate::FullScan(
-            self.cm.full_scan_cost(table.data_bytes(), table.row_count() as f64),
+            full_scan_cost(table.data_bytes(), table.row_count() as f64),
         )];
         out.extend(self.indexes(table).map(|ix| Candidate::Index(ix, self.price(t, ix, ctx))));
         if ctx.outermost && self.binder.len() == 1 {
@@ -869,17 +869,15 @@ impl<'a> Planner<'a> {
                     entries = (limit as f64 / ctx.selectivity.max(1e-9)).min(table_rows);
                 }
             }
-            return Some(priced(self.cm.index_scan_cost(entries, meta.entry_width, 0.0)));
+            return Some(priced(index_scan_cost(entries, meta.entry_width, 0.0)));
         }
 
         let matched = (table_rows * sel).clamp(0.0, table_rows);
         let lookups = if meta.covering { 0.0 } else { matched };
-        let mut cost = self
-            .cm
-            .index_scan_cost(matched.max(1.0), meta.entry_width, lookups);
+        let mut cost = index_scan_cost(matched.max(1.0), meta.entry_width, lookups);
         // Extra probes for IN lists: one tree descent per probe value.
         if probes > 1.0 {
-            cost += (probes - 1.0) * self.cm.rand_page_cost;
+            cost += (probes - 1.0) * RAND_PAGE_COST;
         }
         Some(priced(cost))
     }
@@ -925,7 +923,7 @@ impl<'a> Planner<'a> {
             picks.extend(best);
         }
         // Dedup + union overhead.
-        total_cost += table.row_count() as f64 * 0.001 + self.cm.row_cost * picks.len() as f64;
+        total_cost += table.row_count() as f64 * 0.001 + ROW_COST * picks.len() as f64;
         Some(Candidate::OrUnion(picks, total_cost))
     }
 
@@ -1224,9 +1222,8 @@ pub fn estimate_statement_cost(
     db: &Database,
     stmt: &Statement,
     config: &HypoConfig,
-    cm: &CostModel,
 ) -> Result<f64, ExecError> {
-    estimate_statement_cost_batch(db, stmt, &[config], cm)
+    estimate_statement_cost_batch(db, stmt, &[config])
         .pop()
         .expect("one result per config")
 }
@@ -1241,9 +1238,8 @@ pub fn estimate_statement_cost_batch(
     db: &Database,
     stmt: &Statement,
     configs: &[&HypoConfig],
-    cm: &CostModel,
 ) -> Vec<Result<f64, ExecError>> {
-    estimate_statement_cost_batch_until(db, stmt, configs, cm, &|| false)
+    estimate_statement_cost_batch_until(db, stmt, configs, &|| false)
         .expect("a batch nobody interrupts runs to completion")
 }
 
@@ -1254,27 +1250,26 @@ pub fn estimate_statement_cost_batch_until(
     db: &Database,
     stmt: &Statement,
     configs: &[&HypoConfig],
-    cm: &CostModel,
     interrupted: &dyn Fn() -> bool,
 ) -> Option<Vec<Result<f64, ExecError>>> {
     let cache = crate::whatif::global();
     Some(match (stmt, stmt.row_location()) {
         (Statement::Select(s), _) => cache
-            .eval_select_batch_until(db, s, configs, cm, interrupted)?
+            .eval_select_batch_until(db, s, configs, interrupted)?
             .into_iter()
             .map(|r| r.map(|e| e.cost))
             .collect(),
         (_, Some(select)) => configs
             .iter()
-            .zip(cache.eval_select_batch_until(db, &select, configs, cm, interrupted)?)
+            .zip(cache.eval_select_batch_until(db, &select, configs, interrupted)?)
             .map(|(config, located)| {
                 let located = located?;
-                write_cost(db, stmt, config, cm, (located.cost, located.rows))
+                write_cost(db, stmt, config, (located.cost, located.rows))
             })
             .collect(),
         _ => configs
             .iter()
-            .map(|config| write_cost(db, stmt, config, cm, (0.0, 0.0)))
+            .map(|config| write_cost(db, stmt, config, (0.0, 0.0)))
             .collect(),
     })
 }
@@ -1289,7 +1284,6 @@ fn write_cost(
     db: &Database,
     stmt: &Statement,
     config: &HypoConfig,
-    cm: &CostModel,
     (located_cost, located_rows): (f64, f64),
 ) -> Result<f64, ExecError> {
     let (rows, index_writes) = match stmt {
@@ -1313,7 +1307,7 @@ fn write_cost(
         Statement::Delete(d) => (located_rows, index_count(db, &d.table, config)?),
         _ => return Ok(0.0),
     };
-    Ok(located_cost + rows * (1.0 + index_writes) * (cm.write_row_cost + cm.rand_page_cost))
+    Ok(located_cost + rows * (1.0 + index_writes) * (WRITE_ROW_COST + RAND_PAGE_COST))
 }
 
 fn index_count(db: &Database, table: &str, config: &HypoConfig) -> Result<f64, ExecError> {
@@ -1368,7 +1362,7 @@ mod tests {
     fn plan_sql(db: &Database, sql: &str, config: &HypoConfig) -> Plan {
         let stmt = parse_statement(sql).unwrap();
         let Statement::Select(s) = stmt else { panic!() };
-        Planner::new(db, &s, config, &CostModel::default()).unwrap().plan().unwrap()
+        Planner::new(db, &s, config).unwrap().plan().unwrap()
     }
 
     #[test]
@@ -1549,8 +1543,7 @@ mod tests {
         let stmt = parse_statement("SELECT b, COUNT(*) FROM t GROUP BY b").unwrap();
         let Statement::Select(s) = stmt else { panic!() };
         let cfg = HypoConfig::none();
-        let cm = CostModel::default();
-        let planner = Planner::new(&db, &s, &cfg, &cm).unwrap();
+        let planner = Planner::new(&db, &s, &cfg).unwrap();
         let ix = IndexScan {
             index: IndexChoice::Secondary("ix_ba".into()),
             key_columns: vec!["b".into(), "a".into()],
@@ -1604,7 +1597,6 @@ mod tests {
     #[test]
     fn or_branch_in_list_with_parameters_benefits_from_hypotheticals() {
         let mut db = db();
-        let cm = CostModel::default();
         let stmt = parse_statement("SELECT id FROM t WHERE a IN (?, ?) OR c = ?").unwrap();
         let hypos = ["a", "c"]
             .map(|col| {
@@ -1612,8 +1604,8 @@ mod tests {
                     .unwrap()
             })
             .to_vec();
-        let bare = estimate_statement_cost(&db, &stmt, &HypoConfig::none(), &cm).unwrap();
-        let indexed = estimate_statement_cost(&db, &stmt, &HypoConfig::overlay(hypos), &cm).unwrap();
+        let bare = estimate_statement_cost(&db, &stmt, &HypoConfig::none()).unwrap();
+        let indexed = estimate_statement_cost(&db, &stmt, &HypoConfig::overlay(hypos)).unwrap();
         assert!(indexed < bare, "indexed {indexed} vs index-free {bare}");
 
         // Costing tolerates the parameters; executing them does not.
@@ -1635,20 +1627,18 @@ mod tests {
     #[test]
     fn dml_cost_includes_index_maintenance() {
         let db = db();
-        let cm = CostModel::default();
         let ins = parse_statement("INSERT INTO t (id, a, b, c) VALUES (99999, 1, 2, 3)").unwrap();
-        let bare = estimate_statement_cost(&db, &ins, &HypoConfig::none(), &cm).unwrap();
+        let bare = estimate_statement_cost(&db, &ins, &HypoConfig::none()).unwrap();
         let h = HypotheticalIndex::build(&db, IndexDef::new("h", "t", vec!["a".into()]))
             .unwrap();
         let cfg = HypoConfig::overlay(vec![h]);
-        let with_ix = estimate_statement_cost(&db, &ins, &cfg, &cm).unwrap();
+        let with_ix = estimate_statement_cost(&db, &ins, &cfg).unwrap();
         assert!(with_ix > bare);
     }
 
     #[test]
     fn update_only_charges_touched_indexes() {
         let db = db();
-        let cm = CostModel::default();
         let upd = parse_statement("UPDATE t SET b = 1 WHERE id = 5").unwrap();
         let h_b = HypotheticalIndex::build(&db, IndexDef::new("hb", "t", vec!["b".into()]))
             .unwrap();
@@ -1658,14 +1648,12 @@ mod tests {
             &db,
             &upd,
             &HypoConfig::overlay(vec![h_b]),
-            &cm,
         )
         .unwrap();
         let cost_untouched = estimate_statement_cost(
             &db,
             &upd,
             &HypoConfig::overlay(vec![h_a]),
-            &cm,
         )
         .unwrap();
         assert!(cost_touching > cost_untouched);
@@ -1688,8 +1676,7 @@ mod tests {
         let stmt = parse_statement("SELECT a, id FROM t WHERE a = 5").unwrap();
         let Statement::Select(s) = stmt else { panic!() };
         let cfg = HypoConfig::none();
-        let cm = CostModel::default();
-        let planner = Planner::new(&db, &s, &cfg, &cm).unwrap();
+        let planner = Planner::new(&db, &s, &cfg).unwrap();
         let text = planner.explain().unwrap().render_text();
         assert!(text.contains("ix_a"), "{text}");
     }

@@ -9,7 +9,8 @@
 //! hypothetical indexes the plan used — keyed by:
 //!
 //! * the statement's [`CostStamp`]: the newest content version among the
-//!   tables it binds, and the [`CostModel`]. A data mutation, index change
+//!   tables it binds (the prices are constants, so no model enters the
+//!   key; DESIGN.md §6). A data mutation, index change
 //!   or statistics drift on one of those tables draws a newer version and
 //!   retires the entry without any flush protocol; a change to any other
 //!   table leaves it warm,
@@ -26,7 +27,6 @@
 //! contents), and a capacity bound keeps long-lived processes from
 //! accumulating dead versions.
 
-use crate::cost::CostModel;
 use crate::error::ExecError;
 use crate::executor::CostStamp;
 use crate::hypothetical::HypoConfig;
@@ -182,9 +182,8 @@ impl WhatIfCache {
         db: &Database,
         select: &Select,
         config: &HypoConfig,
-        cm: &CostModel,
     ) -> Result<WhatIfEntry, ExecError> {
-        self.eval_select_batch(db, select, &[config], cm)
+        self.eval_select_batch(db, select, &[config])
             .pop()
             .expect("one result per config")
     }
@@ -195,9 +194,8 @@ impl WhatIfCache {
         db: &Database,
         select: &Select,
         configs: &[&HypoConfig],
-        cm: &CostModel,
     ) -> Vec<Result<WhatIfEntry, ExecError>> {
-        self.eval_select_batch_until(db, select, configs, cm, &|| false)
+        self.eval_select_batch_until(db, select, configs, &|| false)
             .expect("a batch nobody interrupts runs to completion")
     }
 
@@ -229,7 +227,6 @@ impl WhatIfCache {
         db: &Database,
         select: &Select,
         configs: &[&HypoConfig],
-        cm: &CostModel,
         interrupted: &dyn Fn() -> bool,
     ) -> Option<Vec<Result<WhatIfEntry, ExecError>>> {
         use aim_telemetry::metrics::{
@@ -244,7 +241,7 @@ impl WhatIfCache {
 
         let mut out: Vec<Option<Result<WhatIfEntry, ExecError>>> = vec![None; configs.len()];
         let mut misses: Vec<(usize, Key)> = Vec::new();
-        let stamp = CostStamp::of(db, select.from.iter().map(|t| t.name.as_str()), cm);
+        let stamp = CostStamp::of(db, select.from.iter().map(|t| t.name.as_str()));
         let stmt = select_fingerprint(select);
 
         for (i, cfg) in configs.iter().enumerate() {
@@ -267,7 +264,7 @@ impl WhatIfCache {
             match self.lookup(&key) {
                 Some(hit) => {
                     #[cfg(debug_assertions)]
-                    audit_hit(db, select, cfg, cm, &hit);
+                    audit_hit(db, select, cfg, &hit);
                     out[i] = Some(Ok(hit))
                 }
                 None => misses.push((i, key)),
@@ -275,7 +272,7 @@ impl WhatIfCache {
         }
 
         if !misses.is_empty() {
-            let mut planner = match Planner::new(db, select, configs[misses[0].0], cm) {
+            let mut planner = match Planner::new(db, select, configs[misses[0].0]) {
                 Ok(p) => p,
                 Err(e) => {
                     // Binding/analysis errors are config-independent: every
@@ -344,7 +341,7 @@ impl WhatIfCache {
             #[cfg(debug_assertions)]
             for i in [last_memo, last_shared].into_iter().flatten() {
                 if let Some(Ok(entry)) = &out[i] {
-                    audit_hit(db, select, configs[i], cm, entry);
+                    audit_hit(db, select, configs[i], entry);
                 }
             }
         }
@@ -386,11 +383,10 @@ fn audit_hit(
     db: &Database,
     select: &Select,
     config: &HypoConfig,
-    cm: &CostModel,
     hit: &WhatIfEntry,
 ) {
     let audit = || {
-        let plan = Planner::new(db, select, config, cm)
+        let plan = Planner::new(db, select, config)
             .and_then(|planner| planner.plan())
             .expect("a cached statement plans");
         let fresh = entry_from_plan(&plan, config);
@@ -457,11 +453,10 @@ mod tests {
     fn repeated_evaluation_hits_and_matches() {
         let db = db();
         let cache = WhatIfCache::new();
-        let cm = CostModel::default();
         let s = select("SELECT id FROM t WHERE a = 7");
         let cfg = HypoConfig::none();
-        let first = cache.eval_select(&db, &s, &cfg, &cm).unwrap();
-        let second = cache.eval_select(&db, &s, &cfg, &cm).unwrap();
+        let first = cache.eval_select(&db, &s, &cfg).unwrap();
+        let second = cache.eval_select(&db, &s, &cfg).unwrap();
         assert_eq!(first, second);
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
@@ -474,13 +469,12 @@ mod tests {
     fn different_literals_do_not_share_entries() {
         let db = db();
         let cache = WhatIfCache::new();
-        let cm = CostModel::default();
         let cfg = HypoConfig::none();
         cache
-            .eval_select(&db, &select("SELECT id FROM t WHERE a = 7"), &cfg, &cm)
+            .eval_select(&db, &select("SELECT id FROM t WHERE a = 7"), &cfg)
             .unwrap();
         cache
-            .eval_select(&db, &select("SELECT id FROM t WHERE a = 8"), &cfg, &cm)
+            .eval_select(&db, &select("SELECT id FROM t WHERE a = 8"), &cfg)
             .unwrap();
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().hits, 0);
@@ -498,10 +492,9 @@ mod tests {
         assert_eq!(fwd.canonical_key(), rev.canonical_key());
 
         let cache = WhatIfCache::new();
-        let cm = CostModel::default();
         let s = select("SELECT id FROM t WHERE a = 7");
-        let a = cache.eval_select(&db, &s, &fwd, &cm).unwrap();
-        let b = cache.eval_select(&db, &s, &rev, &cm).unwrap();
+        let a = cache.eval_select(&db, &s, &fwd).unwrap();
+        let b = cache.eval_select(&db, &s, &rev).unwrap();
         assert_eq!(a.cost, b.cost);
         assert_eq!(cache.stats().hits, 1, "reordered config must hit");
     }
@@ -519,7 +512,6 @@ mod tests {
                 &db,
                 &select("SELECT id FROM t WHERE a = 7"),
                 &cfg,
-                &CostModel::default(),
             )
             .unwrap();
         assert_eq!(entry.used_hypos, vec![def_key]);
@@ -533,16 +525,15 @@ mod tests {
         )
         .unwrap();
         let cache = WhatIfCache::new();
-        let cm = CostModel::default();
         let s = select("SELECT id FROM t WHERE a = 7");
         let cfg = HypoConfig::none();
-        let before = cache.eval_select(&db, &s, &cfg, &cm).unwrap();
+        let before = cache.eval_select(&db, &s, &cfg).unwrap();
 
         // A write to a table the statement does not bind keeps the entry.
         let mut io = IoStats::new();
         db.table_mut("u").unwrap().insert(vec![Value::Int(1)], &mut io).unwrap();
         db.analyze_all();
-        assert_eq!(cache.eval_select(&db, &s, &cfg, &cm).unwrap(), before);
+        assert_eq!(cache.eval_select(&db, &s, &cfg).unwrap(), before);
         assert_eq!(cache.stats().hits, 1);
 
         // DML growth + re-ANALYZE of `t`: its version moves, the cached
@@ -558,7 +549,7 @@ mod tests {
         db.analyze_all();
         assert!(db.table("t").unwrap().version() > v0);
 
-        let after = cache.eval_select(&db, &s, &cfg, &cm).unwrap();
+        let after = cache.eval_select(&db, &s, &cfg).unwrap();
         assert_eq!(cache.stats().hits, 1, "stale entry must miss");
         assert!(
             after.cost > before.cost,
@@ -571,7 +562,6 @@ mod tests {
     #[test]
     fn batched_evaluation_is_bit_identical_to_sequential() {
         let db = db();
-        let cm = CostModel::default();
         let s = select("SELECT id FROM t WHERE a = 7");
         let ha = HypotheticalIndex::build(&db, IndexDef::new("ha", "t", vec!["a".into()]))
             .unwrap();
@@ -595,10 +585,10 @@ mod tests {
             .iter()
             .map(|c| {
                 seq_cache.clear();
-                seq_cache.eval_select(&db, &s, c, &cm).unwrap()
+                seq_cache.eval_select(&db, &s, c).unwrap()
             })
             .collect();
-        let got = WhatIfCache::new().eval_select_batch(&db, &s, &refs, &cm);
+        let got = WhatIfCache::new().eval_select_batch(&db, &s, &refs);
         assert_eq!(got.len(), seq.len());
         for (g, e) in got.iter().zip(&seq) {
             let g = g.as_ref().unwrap();
@@ -610,10 +600,10 @@ mod tests {
         // Cached: every config misses against the batch-entry snapshot,
         // then a repeat batch hits for all of them with equal entries.
         let cache = WhatIfCache::new();
-        let first = cache.eval_select_batch(&db, &s, &refs, &cm);
+        let first = cache.eval_select_batch(&db, &s, &refs);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (0, 6));
-        let second = cache.eval_select_batch(&db, &s, &refs, &cm);
+        let second = cache.eval_select_batch(&db, &s, &refs);
         assert_eq!(cache.stats().hits, 6);
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());

@@ -4,7 +4,7 @@
 //! binary — every other test of the crate passes through both sites and
 //! would eat an armed plan's skips and failures — and take turns.
 
-use aim_exec::{CostModel, Engine, HypoConfig, WhatIfCache};
+use aim_exec::{Engine, HypoConfig, WhatIfCache};
 use aim_sql::{parse_statement, Select, Statement};
 use aim_storage::fault::{self, FaultGuard, FaultPlan};
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema, Value};
@@ -46,13 +46,12 @@ fn injected_faults_propagate_and_never_touch_the_cache() {
     let _g = FaultGuard::acquire();
     let mut db = db();
     let cache = WhatIfCache::new();
-    let cm = CostModel::default();
     let s = select("SELECT id FROM t WHERE a = 7");
     let cfg = HypoConfig::none();
 
     // exec.whatif: fails before any cache interaction.
     fault::arm(FaultPlan::new(1).fail("exec.whatif", 0, 1));
-    let err = cache.eval_select(&db, &s, &cfg, &cm).unwrap_err();
+    let err = cache.eval_select(&db, &s, &cfg).unwrap_err();
     assert!(err.is_injected(), "unexpected error class: {err}");
     let stats = cache.stats();
     assert_eq!(
@@ -61,7 +60,7 @@ fn injected_faults_propagate_and_never_touch_the_cache() {
         "injected fault must not touch counters or entries"
     );
     // Limit exhausted: the next call plans normally and memoizes.
-    cache.eval_select(&db, &s, &cfg, &cm).unwrap();
+    cache.eval_select(&db, &s, &cfg).unwrap();
     assert_eq!(cache.stats().entries, 1);
     fault::disarm();
 
@@ -83,7 +82,6 @@ fn injected_faults_propagate_and_never_touch_the_cache() {
 fn batched_evaluation_hits_fault_site_per_config() {
     let _g = FaultGuard::acquire();
     let db = db();
-    let cm = CostModel::default();
     let s = select("SELECT id FROM t WHERE a = 7");
     let cfgs: Vec<HypoConfig> = (0..4).map(|_| HypoConfig::none()).collect();
     let refs: Vec<&HypoConfig> = cfgs.iter().collect();
@@ -92,7 +90,7 @@ fn batched_evaluation_hits_fault_site_per_config() {
     // Skip 2 hits, fail 1: exactly the third config must error, and
     // the injected failure must not be cached for it.
     fault::arm(FaultPlan::new(1).fail("exec.whatif", 2, 1));
-    let got = cache.eval_select_batch(&db, &s, &refs, &cm);
+    let got = cache.eval_select_batch(&db, &s, &refs);
     let log = fault::disarm();
     assert_eq!(log.len(), 1, "fault fired once: {log:?}");
     assert!(got[0].is_ok() && got[1].is_ok() && got[3].is_ok());

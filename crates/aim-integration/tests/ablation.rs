@@ -22,18 +22,17 @@ fn every_candidate_generation_mechanism_lowers_estimated_cost() {
         seed: 0xF16,
     });
     let weighted = join_heavy::weighted(17);
-    let cm = CostModel::default();
-    let synthetic = synthetic_workload(&db, &weighted, &cm);
-    let base_cost = workload_cost(&db, &weighted, &HypoConfig::none(), &cm);
+    let synthetic = synthetic_workload(&db, &weighted);
+    let base_cost = workload_cost(&db, &weighted, &HypoConfig::none());
 
     let rel_cost = |name: &str, cfg: CandidateGenConfig| -> f64 {
         let candidates = generate_candidates(&db, &synthetic, &cfg);
-        let ranked = rank_candidates_with(&db, &synthetic, &candidates, &cm, 0);
+        let ranked = rank_candidates_with(&db, &synthetic, &candidates, &CostModel, 0);
         let defs: Vec<IndexDef> = knapsack_select(&ranked, u64::MAX, 0)
             .into_iter()
             .map(|r| r.candidate.def())
             .collect();
-        let rel = workload_cost(&db, &weighted, &defs_to_config(&db, &defs), &cm) / base_cost;
+        let rel = workload_cost(&db, &weighted, &defs_to_config(&db, &defs)) / base_cost;
         eprintln!("{name:<12} rel_cost {rel:.3}  ({} indexes)", defs.len());
         rel
     };

@@ -290,6 +290,14 @@ pub fn oltp() -> Corpus {
     corpus
 }
 
+/// `base` with `bytes` as its storage budget — for a fleet, the budget
+/// across all tenants.
+pub fn with_budget(base: &AimConfig, bytes: u64) -> AimConfig {
+    let mut cfg = base.clone();
+    cfg.storage_budget = bytes;
+    cfg
+}
+
 /// The fixed per-shard split the fleet's knapsack allocation is measured
 /// against: every tenant tuned alone, as a fleet of one, under
 /// `fleet_budget / n`. The tenants' outcomes are gathered in input order.
@@ -297,7 +305,7 @@ pub fn uniform_split(base: &AimConfig, fleet_budget: u64, tenants: &mut [Tenant]
     let share = fleet_budget / (tenants.len() as u64).max(1);
     let mut outcome = FleetOutcome::default();
     for t in tenants {
-        let session = FleetConfig::builder().base(base.clone()).fleet_budget(share).session();
+        let session = FleetConfig::builder().base(with_budget(base, share)).session();
         outcome.tenants.extend(session.run(std::slice::from_mut(t)).tenants);
     }
     outcome

@@ -1,6 +1,6 @@
 //! The content version as a differential oracle (DESIGN.md §18). A cost's
-//! stamp is the newest version among the tables its statement binds, plus
-//! the cost model; clone validation takes the cost the monitor recorded
+//! stamp is the newest version among the tables its statement binds (the
+//! prices are constants); clone validation takes the cost the monitor recorded
 //! for an exemplar wherever the exemplar's stamp on the test bed equals the
 //! recording's, and the what-if cache is keyed by it. So a version must
 //! name one table's contents exactly, and the newest of a set must name the
@@ -21,7 +21,7 @@
 
 mod common;
 
-use aim_exec::{CostModel, CostStamp, Engine, ExecOutcome, Plan};
+use aim_exec::{CostStamp, Engine, ExecOutcome, Plan};
 use aim_sql::{parse_statement, Select, Statement};
 use aim_storage::{
     ColumnDef, ColumnType, Database, IndexDef, IoStats, PagerOptions, Row, TableSchema, Value,
@@ -239,11 +239,10 @@ fn observe(
     sights: &mut HashMap<(usize, CostStamp), Sight>,
 ) -> usize {
     let engine = Engine::new();
-    let cm = CostModel::default();
     let mut compared = 0;
     for (set, select) in selects {
         let names = select.from.iter().map(|t| t.name.as_str());
-        let stamp = CostStamp::of(db, names.clone(), &cm);
+        let stamp = CostStamp::of(db, names.clone());
         let versions = names.map(|name| db.table(name).unwrap().version()).collect();
         let out = engine.execute_select(db, select).unwrap();
         assert_eq!(out.stamp, stamp, "{select}");

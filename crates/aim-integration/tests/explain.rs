@@ -86,7 +86,7 @@ fn explain_text(db: &Database, sql: &str) -> String {
     let Statement::Select(s) = parse_statement(sql).unwrap() else {
         panic!("fixture queries are SELECTs")
     };
-    explain_select(db, &s, &HypoConfig::none(), &Engine::new().cost_model)
+    explain_select(db, &s, &HypoConfig::none())
         .unwrap()
         .1
         .render_text()
@@ -151,7 +151,7 @@ fn assert_explain_is_the_search(db: &Database, sql: &str, config: &HypoConfig) {
     let Statement::Select(select) = parse_statement(sql).unwrap() else {
         return;
     };
-    let (plan, explain) = explain_select(db, &select, config, &Engine::new().cost_model).unwrap();
+    let (plan, explain) = explain_select(db, &select, config).unwrap();
     assert_eq!(explain.nodes.len(), plan.steps.len(), "{sql}");
     for (node, step) in explain.nodes.iter().zip(&plan.steps) {
         let chosen: Vec<_> = node.alternatives.iter().filter(|a| a.chosen).collect();

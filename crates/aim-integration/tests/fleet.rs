@@ -17,7 +17,7 @@ mod common;
 
 use aim_core::fleet::{FleetConfig, FleetOutcome, Tenant};
 use aim_core::{workload_cost, AimConfig, TuningSession};
-use aim_exec::{CostModel, Engine, HypoConfig};
+use aim_exec::{Engine, HypoConfig};
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_sql::parse_statement;
 use aim_storage::fault::{self, FaultGuard, FaultPlan};
@@ -297,12 +297,12 @@ fn budget_used_gauge_counts_every_shard() {
 
 /// Total post-tuning workload cost of a fleet (materialized indexes
 /// visible to the planner).
-fn fleet_cost(tenants: &[Tenant], workloads: &[TenantWorkload], cm: &CostModel) -> f64 {
+fn fleet_cost(tenants: &[Tenant], workloads: &[TenantWorkload]) -> f64 {
     let none = HypoConfig::none();
     tenants
         .iter()
         .zip(workloads)
-        .map(|(t, w)| workload_cost(&t.db, &w.weighted, &none, cm))
+        .map(|(t, w)| workload_cost(&t.db, &w.weighted, &none))
         .sum()
 }
 
@@ -313,7 +313,6 @@ fn fleet_cost(tenants: &[Tenant], workloads: &[TenantWorkload], cm: &CostModel) 
 #[test]
 fn knapsack_allocation_beats_uniform_split_on_workload_cost() {
     let _g = FaultGuard::acquire();
-    let cm = CostModel::default();
     let base = AimConfig::builder().selection(selection()).build();
     let mut ratios = Vec::new();
     for tenants in [6, 10, 16] {
@@ -327,13 +326,12 @@ fn knapsack_allocation_beats_uniform_split_on_workload_cost() {
                     common::uniform_split(&base, budget, &mut tenants)
                 } else {
                     FleetConfig::builder()
-                        .base(base.clone())
-                        .fleet_budget(budget)
+                        .base(common::with_budget(&base, budget))
                         .session()
                         .run(&mut tenants)
                 };
                 assert_eq!(outcome.failed(), 0);
-                (fleet_cost(&tenants, &workloads, &cm), outcome)
+                (fleet_cost(&tenants, &workloads), outcome)
             };
 
             // Size a budget that genuinely bites: 35% of the unconstrained build.

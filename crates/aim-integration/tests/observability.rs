@@ -252,7 +252,6 @@ fn parallel_ranking_profile_matches_sequential_shape() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
 
     let db = build_db(4000);
-    let cm = CostModel::default();
     let sqls = [
         "SELECT id FROM t WHERE a = 7",
         "SELECT id FROM t WHERE b = 3",
@@ -263,7 +262,7 @@ fn parallel_ranking_profile_matches_sequential_shape() {
         .iter()
         .map(|sql| WeightedQuery::new(parse_statement(sql).unwrap(), 10.0))
         .collect();
-    let workload = synthetic_workload(&db, &weighted, &cm);
+    let workload = synthetic_workload(&db, &weighted);
     let candidates = generate_candidates(&db, &workload, &CandidateGenConfig::default());
     assert!(candidates.len() >= 2, "need enough candidates to parallelize");
 
@@ -275,7 +274,7 @@ fn parallel_ranking_profile_matches_sequential_shape() {
         aim_telemetry::reset();
         let count = {
             let _s = aim_telemetry::span("ranking");
-            let _ = rank_candidates_with(&db, &workload, &candidates, &cm, workers);
+            let _ = rank_candidates_with(&db, &workload, &candidates, &CostModel, workers);
             drop(_s);
             let profile = aim_telemetry::take_profile();
             let ranking = profile.child("ranking").expect("ranking span recorded");

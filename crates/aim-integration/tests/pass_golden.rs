@@ -135,7 +135,7 @@ fn rank(
 ) -> (usize, Vec<RankedCandidate>, u64) {
     let workload = select_workload(monitor, &selection());
     let candidates = generate_candidates(db, &workload, gen);
-    let ranked = rank_candidates_with(db, &workload, &candidates, &CostModel::default(), 0);
+    let ranked = rank_candidates_with(db, &workload, &candidates, &CostModel, 0);
     let full = knapsack_select(&ranked, u64::MAX, 0).iter().map(|r| r.size_bytes).sum();
     (candidates.len(), ranked, full)
 }
@@ -240,8 +240,7 @@ fn fleet_section(out: &mut String) {
             return common::uniform_split(&base, budget, &mut tenants);
         }
         FleetConfig::builder()
-            .base(base.clone())
-            .fleet_budget(budget)
+            .base(common::with_budget(&base, budget))
             .fleet_workers(2)
             .session()
             .run(&mut tenants)
@@ -364,7 +363,6 @@ fn lp_selection_replaces_greedy_where_greedy_strands_the_budget() {
         &ranked,
         &greedy,
         budget,
-        &CostModel::default(),
         &RunCtl::none(),
     )
     .expect("nothing interrupts or fails the refinement");

@@ -101,12 +101,12 @@ fn ranking_counts_on_product_b() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let b = product_b();
     let candidates = generate(b);
-    let cm = CostModel::default();
 
     let cache = whatif::global();
     cache.clear();
     let mut ranked = Vec::new();
-    let allocations = count(|| ranked = rank_candidates_with(&b.db, &b.workload, &candidates, &cm, 1));
+    let allocations =
+        count(|| ranked = rank_candidates_with(&b.db, &b.workload, &candidates, &CostModel, 1));
     let stats = cache.stats();
     let benefiting = ranked.iter().filter(|r| r.benefit > 0.0).count();
 

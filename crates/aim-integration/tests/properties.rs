@@ -831,7 +831,6 @@ fn batched_ranking_matches_per_config_on_random_workloads() {
     let cols = ["a", "b", "c"];
     let ops = ["=", ">", "<", ">="];
     let mut rng = StdRng::seed_from_u64(0xBA7C);
-    let cm = CostModel::default();
     for case in 0..8 {
         let mut db = int_table(&mut rng, &cols, 150, 25);
         let n_stmts = rng.gen_range(3..=6usize);
@@ -875,14 +874,14 @@ fn batched_ranking_matches_per_config_on_random_workloads() {
         // come from the costing itself, not shared memoization.
         let cache = aim_exec::whatif::global();
         cache.clear();
-        let batched = rank_candidates_with(&db, &w, &cands, &cm, 1);
+        let batched = rank_candidates_with(&db, &w, &cands, &CostModel, 1);
         cache.clear();
-        let sequential = rank_candidates_unbatched(&db, &w, &cands, &cm, 1);
+        let sequential = rank_candidates_unbatched(&db, &w, &cands, 1);
         assert_ranked_bit_identical(&sequential, &batched);
         // Same property under the parallel ranking path.
         for workers in [2, 4] {
             cache.clear();
-            let parallel = rank_candidates_with(&db, &w, &cands, &cm, workers);
+            let parallel = rank_candidates_with(&db, &w, &cands, &CostModel, workers);
             assert_ranked_bit_identical(&sequential, &parallel);
         }
         assert!(!batched.is_empty() || case > 0, "degenerate sweep");
@@ -1015,7 +1014,7 @@ fn validation_verdicts_hold_under_a_full_replay() {
         }
         let w = observe_workload(&mut db, &runs);
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        let ranked = rank_candidates_with(&db, &w, &cands, &CostModel::default(), 0);
+        let ranked = rank_candidates_with(&db, &w, &cands, &CostModel, 0);
         let mut chosen = knapsack_select(&ranked, u64::MAX, 0);
         for extra in [
             injected_candidate(&["d"], 1.0),
@@ -1085,7 +1084,6 @@ fn validation_verdicts_hold_under_a_full_replay() {
 fn lp_selection_agrees_with_greedy_on_optimal_instances() {
     let cols = ["a", "b", "c"];
     let mut rng = StdRng::seed_from_u64(0x1B07);
-    let cm = CostModel::default();
     for _ in 0..5 {
         let domain = rng.gen_range(20..60i64);
         let mut db = Database::new();
@@ -1121,14 +1119,14 @@ fn lp_selection_agrees_with_greedy_on_optimal_instances() {
             &[(format!("SELECT id FROM t WHERE {hot} = {v}"), 25)],
         );
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        let ranked = rank_candidates_with(&db, &w, &cands, &cm, 0);
+        let ranked = rank_candidates_with(&db, &w, &cands, &CostModel, 0);
         assert!(!ranked.is_empty(), "hot query produced no candidates");
 
         // Unlimited budget: the single useful index is provably optimal,
         // so LP refinement must return exactly the greedy selection.
         let greedy = knapsack_select(&ranked, u64::MAX, 0);
         let out =
-            refine_selection(&db, &w, &ranked, &greedy, u64::MAX, &cm, &RunCtl::none()).unwrap();
+            refine_selection(&db, &w, &ranked, &greedy, u64::MAX, &RunCtl::none()).unwrap();
         assert_eq!(
             out.chosen
                 .iter()
@@ -1151,7 +1149,7 @@ fn lp_selection_agrees_with_greedy_on_optimal_instances() {
         let budget = rng.gen_range(1..=total.max(2));
         let greedy = knapsack_select(&ranked, budget, 0);
         let out =
-            refine_selection(&db, &w, &ranked, &greedy, budget, &cm, &RunCtl::none()).unwrap();
+            refine_selection(&db, &w, &ranked, &greedy, budget, &RunCtl::none()).unwrap();
         if out.used_lp {
             assert!(out.lp_cost < out.greedy_cost, "LP kept without improvement");
         } else {

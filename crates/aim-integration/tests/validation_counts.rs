@@ -58,7 +58,7 @@ fn observed(mut db: Database) -> (Database, WorkloadMonitor) {
 fn chosen(db: &Database, monitor: &WorkloadMonitor) -> (Vec<WorkloadQuery>, Vec<RankedCandidate>) {
     let workload = select_workload(monitor, &selection());
     let candidates = generate_candidates(db, &workload, &CandidateGenConfig::default());
-    let ranked = rank_candidates_with(db, &workload, &candidates, &CostModel::default(), 0);
+    let ranked = rank_candidates_with(db, &workload, &candidates, &CostModel, 0);
     let chosen = knapsack_select(&ranked, u64::MAX, 0);
     (workload, chosen)
 }

@@ -36,9 +36,8 @@ fn repeated_ranking_is_answered_from_the_cache_until_the_epoch_moves() {
         },
     );
     let candidates = generate_candidates(&db, &workload, &CandidateGenConfig::default());
-    let cm = CostModel::default();
     let bits = |db: &Database| -> Vec<(String, u64, u64)> {
-        rank_candidates_with(db, &workload, &candidates, &cm, 1)
+        rank_candidates_with(db, &workload, &candidates, &CostModel, 1)
             .iter()
             .map(|r| (r.candidate.name(), r.benefit.to_bits(), r.maintenance.to_bits()))
             .collect()
@@ -77,7 +76,7 @@ fn repeated_ranking_is_answered_from_the_cache_until_the_epoch_moves() {
         .cloned()
         .collect();
     cache.clear();
-    rank_candidates_with(&db, &binds_orders, &candidates, &cm, 1);
+    rank_candidates_with(&db, &binds_orders, &candidates, &CostModel, 1);
     assert_eq!((binds_orders.len(), workload.len()), (10, 22));
     assert_eq!(cache.stats().misses, moved.misses - warm.misses);
 }
@@ -152,7 +151,7 @@ fn a_batch_plans_once_per_distinct_projection() {
     let cache = WhatIfCache::new();
     aim_telemetry::enable();
     aim_telemetry::reset();
-    let results = cache.eval_select_batch(&db, &select, &refs, &CostModel::default());
+    let results = cache.eval_select_batch(&db, &select, &refs);
     let (plans, reused) = (WHATIF_CALLS.get(), SELECTION_BATCH_PLAN_REUSE.get());
     aim_telemetry::disable();
     aim_telemetry::reset();

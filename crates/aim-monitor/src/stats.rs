@@ -411,7 +411,7 @@ mod tests {
         m.record(&stmt, &second);
         let q = m.queries().next().unwrap();
         assert_eq!(q.exemplar_cost, Some((second.cost, second.stamp)));
-        assert_eq!(q.exemplar_cost.unwrap().1, CostStamp::of(&db, ["t"], &engine.cost_model));
+        assert_eq!(q.exemplar_cost.unwrap().1, CostStamp::of(&db, ["t"]));
         assert_eq!(QueryStats::synthetic(&stmt, 1, 1.0).exemplar_cost, None);
     }
 

@@ -26,7 +26,7 @@ use std::sync::Arc;
 /// process-wide counter, and only a memory-backed clone shares its
 /// source's. So a statement over tables whose newest version is the same
 /// in two states, in any two instances, runs with the same plan and the
-/// same cost bits under one cost model (DESIGN.md §18).
+/// same cost bits (DESIGN.md §18).
 #[derive(Debug)]
 pub struct Database {
     tables: BTreeMap<String, Table>,

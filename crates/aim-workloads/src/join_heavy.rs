@@ -327,15 +327,13 @@ mod tests {
             1.0,
         )];
         use aim_core::{defs_to_config, workload_cost};
-        use aim_exec::{CostModel, HypoConfig};
+        use aim_exec::HypoConfig;
         use aim_storage::IndexDef;
-        let cm = CostModel::default();
-        let base = workload_cost(&db, &w, &HypoConfig::none(), &cm);
+        let base = workload_cost(&db, &w, &HypoConfig::none());
         let single = workload_cost(
             &db,
             &w,
             &defs_to_config(&db, &[IndexDef::new("s", "child", vec!["a".into()])]),
-            &cm,
         );
         let triple = workload_cost(
             &db,
@@ -348,7 +346,6 @@ mod tests {
                     vec!["a".into(), "b".into(), "cc".into()],
                 )],
             ),
-            &cm,
         );
         assert!(single >= base * 0.999, "single must not help: {single} vs {base}");
         // Non-covering (val is fetched), so lookups dominate: a ~40%
@@ -365,7 +362,6 @@ mod tests {
                     vec!["a".into(), "b".into(), "cc".into(), "val".into()],
                 )],
             ),
-            &cm,
         );
         assert!(covering < base * 0.1, "covering: {covering} vs {base}");
     }

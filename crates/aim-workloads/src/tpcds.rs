@@ -333,19 +333,18 @@ mod tests {
     #[test]
     fn aim_advisor_improves_tpcds() {
         use aim_core::{defs_to_config, workload_cost, AimAdvisor, IndexAdvisor};
-        use aim_exec::{CostModel, HypoConfig};
+        use aim_exec::HypoConfig;
         let cfg = TpcdsConfig {
             sales_rows: 2_000,
             seed: 9,
         };
         let db = build_database(&cfg);
         let w = weighted_workload(9);
-        let cm = CostModel::default();
-        let base = workload_cost(&db, &w, &HypoConfig::none(), &cm);
+        let base = workload_cost(&db, &w, &HypoConfig::none());
         let mut advisor = AimAdvisor::new(3, 3);
         let defs = advisor.recommend(&db, &w, u64::MAX);
         assert!(!defs.is_empty());
-        let with = workload_cost(&db, &w, &defs_to_config(&db, &defs), &cm);
+        let with = workload_cost(&db, &w, &defs_to_config(&db, &defs));
         assert!(with < base * 0.8, "base {base}, with {with}");
     }
 }
