@@ -544,14 +544,15 @@ impl TuningSession {
             return Ok(());
         }
 
-        // 4. Clone validation ("no regression" guarantee).
-        let accepted: Vec<RankedCandidate> = if cfg.skip_validation {
+        // 4. Clone validation ("no regression" guarantee). It hands back
+        //    its test bed, whose builds production adopts.
+        let (accepted, bed): (Vec<RankedCandidate>, Option<Database>) = if cfg.skip_validation {
             for r in &chosen {
                 decisions.note(&r.candidate, "validation_skipped", || {
                     "skip_validation set: estimate-only mode".to_string()
                 });
             }
-            chosen
+            (chosen, None)
         } else {
             let _s = tel::span("validation");
             let mut vcfg = cfg.validation.clone();
@@ -571,18 +572,23 @@ impl TuningSession {
                     "clone replay confirmed improvement with no regression".to_string()
                 });
             }
-            result.accepted
+            (result.accepted, Some(result.bed))
         };
 
-        // 5. Materialize on production. An injected build fault aborts the
-        //    pass (and the caller rolls back `created_defs`) rather than
-        //    shipping a partial change set.
+        // 5. Materialize on production, adopting the bed's build of an
+        //    index where the bed still shares the table's rows. An injected
+        //    build fault aborts the pass (and the caller rolls back
+        //    `created_defs`) rather than shipping a partial change set.
         let _s = tel::span("materialize");
         let mut io = IoStats::new();
         for r in accepted {
             ctl.check("materialize")?;
             let def = r.candidate.def();
-            match db.create_index(def.clone(), &mut io) {
+            let built = match &bed {
+                Some(bed) => db.create_index_from(bed, def.clone(), &mut io),
+                None => db.create_index(def.clone(), &mut io),
+            };
+            match built {
                 Err(e) if e.is_injected() => {
                     return Err(AimError::from_exec("materialize", ExecError::Storage(e)));
                 }

@@ -269,6 +269,12 @@ pub enum RejectReason {
 pub struct ValidationOutcome {
     pub accepted: Vec<RankedCandidate>,
     pub rejected: Vec<(RankedCandidate, RejectReason)>,
+    /// The test bed, as the last round left it. On a read-only workload it
+    /// holds every accepted index, built over rows it still shares with
+    /// the source, for [`Database::create_index_from`] to adopt; a workload
+    /// containing DML builds its candidates on copies, so its bed holds
+    /// none of them.
+    pub bed: Database,
 }
 
 /// Builds the `accepted` candidates on the test database `db`; those that
@@ -536,7 +542,11 @@ pub fn try_validate_on_clone(
             ),
         );
     }
-    Ok(ValidationOutcome { accepted, rejected })
+    Ok(ValidationOutcome {
+        accepted,
+        rejected,
+        bed,
+    })
 }
 
 #[cfg(test)]

@@ -1059,7 +1059,7 @@ impl<'r> Join<'r> {
                 let sec = secondary_index(table, name)?;
                 let mut pk: Key = Vec::new();
                 for prefix in &prefixes {
-                    let entries = sec.scan_prefix_range(prefix, bounds, &mut self.io);
+                    let entries = sec.scan_prefix_range(table, prefix, bounds, &mut self.io);
                     if ix.covering {
                         rows.extend(entries);
                     } else {

@@ -110,12 +110,18 @@ fn a_clone_and_the_first_writes_to_it() {
         bed.table_mut("lineitem").unwrap().delete(&pk3, &mut io).unwrap();
     });
 
-    // A table in debug builds carries one more field.
-    assert_eq!(clone, (82_222, profile(7_338_047, 7_337_959)), "try_clone");
-    assert_eq!(create, (13_099, 1_757_124), "create_index");
-    assert_eq!((insert, insert_again), ((2, 568), (1, 24)), "INSERT");
-    assert_eq!((update, update_again), ((23, 2_601), (20, 1_565)), "UPDATE");
-    assert_eq!(delete, (11, 751), "DELETE");
+    // Before tables were copied on write, a clone copied every row and
+    // index entry, (82 222, 7 338 047 | 7 337 959 release), and no write
+    // copied anything: INSERT (2, 568) then (1, 24), UPDATE (23, 2 601)
+    // then (20, 1 565), DELETE (11, 751), create_index (13 099, 1 757 124).
+    // Now the first write to a table copies its rows (`nation`'s 25, then
+    // `lineitem`'s), and an UPDATE or DELETE computes each index entry
+    // once and copies no row.
+    assert_eq!(clone, (88, profile(4_496, 4_408)), "try_clone");
+    assert_eq!(create, (13_100, 1_755_452), "create_index");
+    assert_eq!((insert, insert_again), ((82, 5_480), (1, 24)), "INSERT");
+    assert_eq!((update, update_again), ((62_013, 5_800_624), (9, 744)), "UPDATE");
+    assert_eq!(delete, (5, 265), "DELETE");
     // The source is untouched by every write to the clone.
     assert_eq!(db.table("nation").unwrap().row_count(), 25);
     let lineitem = |db: &Database| db.table("lineitem").unwrap().row_count();
@@ -136,7 +142,9 @@ fn try_clone_at_two_scales() {
             (rows, allocations)
         })
         .collect();
-    assert_eq!(counts, [(8_700, 41_380), (17_350, 82_222)]);
+    // A clone allocates per table, not per row: the same count at both
+    // scales. It was one per row and value, 41 380 and 82 222.
+    assert_eq!(counts, [(8_700, 88), (17_350, 88)]);
 }
 
 /// One validated pass on the fixture: selection, candidates, ranking, the
@@ -160,6 +168,9 @@ fn a_validated_pass() {
         created = session.run(&mut db, &monitor).unwrap().created.len()
     });
     assert_eq!(created, 6);
-    let expected = profile((415_672, 51_976_995), (231_719, 25_182_700));
+    // Was (415 672, 51 976 995), release (231 719, 25 182 700): the bed
+    // copied every row and production built each accepted index again.
+    // Now the bed shares the rows and production adopts its builds.
+    let expected = profile((301_802, 39_873_291), (117_813, 13_076_740));
     assert_eq!(pass, expected, "validated pass");
 }

@@ -86,6 +86,52 @@ fn a_memory_clone_executes_every_corpus_select_alike() {
     assert_eq!(clone_executes_alike(common::product_b_fixture()), 17_616);
 }
 
+/// An UPDATE on a clone copies the rows of the table it writes and nothing
+/// else: every other table keeps the source's version and rows, and every
+/// TPC-H SELECT that does not bind the written table carries the same
+/// stamp and runs the same plan at the same cost bits on both; one that
+/// binds it carries another stamp.
+#[test]
+fn an_update_on_a_clone_leaves_every_unwritten_table_as_the_source_has_it() {
+    let common::Fixture {
+        texts,
+        mut db,
+        indexes,
+        ..
+    } = common::tpch_fixture();
+    production::apply_indexes(&mut db, &indexes);
+    let mut clone = db.clone();
+    run(&mut clone, "UPDATE orders SET o_totalprice = 0.0 WHERE o_orderkey = 1");
+    let (mut ours, mut theirs) = (versions(&db), versions(&clone));
+    assert_ne!(ours.remove("orders"), theirs.remove("orders"));
+    assert_eq!(ours, theirs, "an unwritten table drew a version");
+    for table in db.tables() {
+        let name = &table.schema().name;
+        let shared = table.shares_rows_with(clone.table(name).unwrap());
+        assert_eq!(shared, name != "orders", "{name}: rows shared {shared}");
+    }
+
+    let engine = Engine::new();
+    let (mut alike, mut moved) = (0, 0);
+    for sql in &texts {
+        let stmt = parse_statement(sql).unwrap();
+        let Statement::Select(sel) = &stmt else { continue };
+        let a = engine.execute(&mut db, &stmt).unwrap();
+        let b = engine.execute(&mut clone, &stmt).unwrap();
+        if sel.from.iter().any(|t| t.name == "orders") {
+            assert_ne!(a.stamp, b.stamp, "{stmt}");
+            moved += 1;
+        } else {
+            let same = a.stamp == b.stamp
+                && a.plan.same_execution(&b.plan)
+                && a.cost.to_bits() == b.cost.to_bits();
+            assert!(same, "{stmt}\n  source {a:?}\n  clone {b:?}");
+            alike += 1;
+        }
+    }
+    assert!(alike > 0 && moved > 0, "{alike} alike, {moved} moved");
+}
+
 fn table(name: &str) -> TableSchema {
     TableSchema::new(
         name,

@@ -727,12 +727,12 @@ fn random_ops_are_identical_on_disk_and_memory_backends() {
         assert_eq!(m, d, "round {round}: pk_range [{lo:?},{hi:?}) diverged");
 
         let probe = Value::Int(rng.gen_range(0..40i64));
-        let m: Vec<_> = mem
-            .table("t")
-            .unwrap()
+        let table = mem.table("t").unwrap();
+        let m: Vec<_> = table
             .index("ix_a")
             .unwrap()
             .scan_prefix_range(
+                table,
                 std::slice::from_ref(&probe),
                 (Bound::Unbounded, Bound::Unbounded),
                 &mut mio,
@@ -740,12 +740,12 @@ fn random_ops_are_identical_on_disk_and_memory_backends() {
             .into_iter()
             .cloned()
             .collect();
-        let d: Vec<_> = disk
-            .table("t")
-            .unwrap()
+        let table = disk.table("t").unwrap();
+        let d: Vec<_> = table
             .index("ix_a")
             .unwrap()
             .scan_prefix_range(
+                table,
                 std::slice::from_ref(&probe),
                 (Bound::Unbounded, Bound::Unbounded),
                 &mut mio,

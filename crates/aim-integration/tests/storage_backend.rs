@@ -1,12 +1,16 @@
 //! Disk-backend integration: the full advisor stack running on the paged
 //! storage engine, and the durability contract across kills and reopens.
 
-use aim_core::{AimConfig, BackendSpec};
-use aim_exec::{Engine, IoAccuracy};
-use aim_monitor::{SelectionConfig, WorkloadMonitor};
+use aim_core::{
+    generate_candidates, knapsack_select, rank_candidates_with, validate_on_clone, AimConfig,
+    BackendSpec, CandidateGenConfig, ValidationConfig,
+};
+use aim_exec::{CostModel, Engine, IoAccuracy};
+use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor};
 use aim_sql::parse_statement;
 use aim_storage::{
-    BackendKind, ColumnDef, ColumnType, Database, IoStats, TableSchema, Value,
+    BackendKind, ColumnDef, ColumnType, Database, IndexDef, IoStats, SecondaryIndex, TableSchema,
+    Value,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -202,6 +206,68 @@ fn clones_of_disk_database_are_memory_backed() {
     let db = spec.provision().unwrap();
     assert_eq!(db.table("orders").unwrap().row_count(), 500);
     assert!(db.all_indexes().is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A read-only pass on a disk-backed production adopts the test bed's
+/// builds: validation hands its bed back, and every accepted index
+/// production installs is the bed's own, persisted to the tree a build
+/// would write. After a kill and a reopen, WAL redo gives every index
+/// entry for entry as a fresh build over the reopened rows gives it, and
+/// the reopened trees pass `btree_page::check` (debug builds audit every
+/// tree they open).
+#[test]
+fn a_read_only_pass_on_disk_adopts_the_beds_builds_and_they_survive_a_kill() {
+    let dir = temp_dir("adopt");
+    let spec = BackendSpec::disk(&dir);
+    let mut db = spec.provision().unwrap();
+    populate(&mut db, 3_000);
+    let mut monitor = WorkloadMonitor::new();
+    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 20);
+    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE region = 3 AND id < 90", 20);
+    let selection = SelectionConfig {
+        min_executions: 1,
+        min_benefit: 0.0,
+        ..Default::default()
+    };
+    let workload = select_workload(&monitor, &selection);
+    let candidates = generate_candidates(&db, &workload, &CandidateGenConfig::default());
+    let ranked = rank_candidates_with(&db, &workload, &candidates, &CostModel, 0);
+    let chosen = knapsack_select(&ranked, u64::MAX, 0);
+    let outcome =
+        validate_on_clone(&db, &workload, &chosen, &Engine::new(), &ValidationConfig::default())
+            .unwrap();
+    assert!(!outcome.accepted.is_empty(), "rejected: {:?}", outcome.rejected);
+    let ix = |db: &Database, def: &IndexDef| {
+        db.table(&def.table).unwrap().index(&def.name).unwrap() as *const SecondaryIndex
+    };
+    let wal_before = db.storage_counters().wal_bytes;
+    for r in &outcome.accepted {
+        let def = r.candidate.def();
+        db.create_index_from(&outcome.bed, def.clone(), &mut IoStats::new())
+            .unwrap();
+        assert!(std::ptr::eq(ix(&db, &def), ix(&outcome.bed, &def)), "{} built again", def.name);
+    }
+    assert!(db.storage_counters().wal_bytes > wal_before, "adopted trees are persisted");
+    let defs = db.all_indexes();
+    db.simulate_crash();
+    drop(db);
+
+    let db = spec.provision().unwrap();
+    assert_eq!(db.all_indexes(), defs);
+    db.check_consistency().unwrap();
+    let entries = |db: &Database, def: &IndexDef| -> Vec<Vec<Value>> {
+        let table = db.table(&def.table).unwrap();
+        let ix = table.index(&def.name).unwrap();
+        ix.scan_all(table, &mut IoStats::new()).into_iter().cloned().collect()
+    };
+    for def in &defs {
+        let mut fresh = db.clone();
+        fresh.drop_index(&def.table, &def.name).unwrap();
+        fresh.create_index(def.clone(), &mut IoStats::new()).unwrap();
+        assert_eq!(entries(&db, def), entries(&fresh, def), "{}", def.name);
+    }
+    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

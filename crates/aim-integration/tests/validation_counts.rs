@@ -127,7 +127,8 @@ fn a_validated_pass_pays_for_what_its_candidates_change() {
     assert_eq!(
         consulted("storage.create_index"),
         picked.len() + created,
-        "each chosen candidate built once on the bed, each accepted one once on production"
+        "each chosen candidate built once on the bed, each accepted one consulted once on \
+         production; adopted, not rebuilt"
     );
     assert_eq!(consulted("storage.analyze"), 0, "an index build leaves statistics current");
     assert_eq!(
@@ -183,6 +184,32 @@ fn a_write_after_observing_executes_the_exemplars_that_bind_the_table() {
     let nation = "INSERT INTO nation (n_nationkey, n_name, n_regionkey) VALUES (99, 'NATION99', 0)";
     write(&mut db, nation);
     assert_eq!(validated(&db, &workload, &picked, 0), (0, 9, 13));
+}
+
+/// A workload containing DML replays its writes on copies of the test bed,
+/// so its candidates are built on those copies and the bed validation hands
+/// back holds none of them: production builds every accepted index.
+#[test]
+fn a_workload_with_dml_builds_on_production() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut db = tpch::build_database(&tpch::TpchConfig::default());
+    let update = "UPDATE orders SET o_totalprice = 1.0 WHERE o_orderkey = 7".to_string();
+    let texts = [0xA1, 0xA2].into_iter().flat_map(tpch::query_texts).map(|(_, sql)| sql);
+    let monitor = common::observe(&mut db, texts.chain([update]));
+    let (workload, picked) = chosen(&db, &monitor);
+    assert!(workload.iter().any(|wq| wq.stats.exemplar.written_table() == Some("orders")));
+    let cfg = ValidationConfig::default();
+    let outcome = validate_on_clone(&db, &workload, &picked, &Engine::new(), &cfg).unwrap();
+    assert!(!outcome.accepted.is_empty(), "{:?}", outcome.rejected);
+    let mut io = IoStats::new();
+    for r in &outcome.accepted {
+        let def = r.candidate.def();
+        let on_bed = outcome.bed.table(&def.table).unwrap().index(&def.name);
+        assert!(on_bed.is_none(), "{} is on the bed", def.name);
+        db.create_index_from(&outcome.bed, def, &mut io).unwrap();
+    }
+    assert_eq!(db.all_indexes().len(), outcome.accepted.len());
+    db.check_consistency().unwrap();
 }
 
 /// Every exemplar of the baseline runs when the source is disk-backed: the

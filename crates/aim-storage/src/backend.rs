@@ -277,6 +277,10 @@ impl DiskBackend {
             // Recovery invariant: the PK tree and the heap must agree on
             // cardinality; a mismatch means a torn mutation survived.
             let pk_count = btree_page::count(&mut pager, cat.pk_root)?;
+            // Debug builds audit every tree they open, as every tree they
+            // split, merge or build.
+            #[cfg(debug_assertions)]
+            btree_page::check(&mut pager, cat.pk_root, false)?;
             if pk_count != rows.len() as u64 {
                 return Err(StorageError::Corrupt {
                     detail: format!(
@@ -299,6 +303,8 @@ impl DiskBackend {
                     &mut io,
                     |k, _| decoded(k, &mut entries),
                 )?;
+                #[cfg(debug_assertions)]
+                btree_page::check(&mut pager, ci.root, false)?;
                 indexes.push((ci.def.clone(), entries));
                 index_meta.insert(ci.def.name.clone(), (ci.def.clone(), ci.root));
             }

@@ -702,7 +702,8 @@ fn keys_ascend(a: &[u8], b: &[u8]) -> Result<bool, StorageError> {
 /// bound it (`tight`: each separator *equal* to its child's largest key,
 /// which holds until a remove), and the leaf chain running through every
 /// leaf once, in key order. Called after every split, merge and bulk
-/// build in builds with debug assertions — the test profile — through
+/// build, and on every tree [`crate::DiskBackend::open`] loads, in builds
+/// with debug assertions — the test profile — through
 /// [`Pager::audit_page`], which leaves the pool and its counters alone.
 #[cfg(debug_assertions)]
 pub fn check(p: &mut Pager, root: u32, tight: bool) -> Result<(), StorageError> {

@@ -18,7 +18,9 @@ use std::sync::Arc;
 /// `Database` is `Clone`: cloning produces the logical copy that the paper's
 /// MyShadow framework provides (§VII-B) — a test instance on which candidate
 /// indexes are materialized and traffic replayed without touching
-/// "production".
+/// "production". A clone allocates per table, not per row: it shares every
+/// table's rows, indexes and statistics with its source until one side
+/// writes them ([`Table`]).
 ///
 /// What a state is, as the executor prices it, is kept per table: every
 /// [`Table::version`] names that table's rows, schema, index set and
@@ -30,7 +32,9 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
-    stats: BTreeMap<String, TableStats>,
+    /// Installed statistics, shared with clones: an install replaces the
+    /// `Arc`, it never writes through it.
+    stats: BTreeMap<String, Arc<TableStats>>,
     /// Durability backend shared by every table. [`memory_backend`] for
     /// pure in-memory instances; a [`DiskBackend`] for pager-backed ones.
     backend: Arc<dyn StorageBackend>,
@@ -53,7 +57,8 @@ impl Clone for Database {
     /// that experimentation may reach the production WAL or data files.
     /// A clone of a memory-backed source keeps its tables' versions; a
     /// clone of a disk-backed one draws new ones, since its costs come
-    /// from the model where the source's came from page walks.
+    /// from the model where the source's came from page walks. Rows,
+    /// indexes and statistics are shared, not copied ([`Table`]).
     fn clone(&self) -> Self {
         let disk = self.backend_kind() == BackendKind::Disk;
         let mut tables = self.tables.clone();
@@ -187,17 +192,53 @@ impl Database {
         self.tables.values()
     }
 
-    /// Creates and populates a secondary index. The build is atomic: it
-    /// either installs a fully populated index or fails before any table
-    /// state changes (the fault-injection gate sits before the build, so
-    /// an injected failure can never leave a half-built index).
-    pub fn create_index(&mut self, def: IndexDef, io: &mut IoStats) -> Result<(), StorageError> {
+    /// The fault gate of index creation (`storage.create_index`),
+    /// consulted once per index, before any table state changes.
+    fn create_index_gate() -> Result<(), StorageError> {
         if let Some(crate::fault::FaultKind::Fail) = crate::fault::hit("storage.create_index") {
             return Err(StorageError::FaultInjected {
                 site: "storage.create_index".to_string(),
             });
         }
+        Ok(())
+    }
+
+    /// Creates and populates a secondary index. The build is atomic: it
+    /// either installs a fully populated index or fails before any table
+    /// state changes (the fault-injection gate sits before the build, so
+    /// an injected failure can never leave a half-built index).
+    pub fn create_index(&mut self, def: IndexDef, io: &mut IoStats) -> Result<(), StorageError> {
+        Self::create_index_gate()?;
         self.index_set_mut(&def.table)?.create_index(def, io)
+    }
+
+    /// [`Database::create_index`], taking the index `bed` built instead of
+    /// building it again when `bed` — a clone of this database — holds
+    /// exactly that index over the rows this database's table still
+    /// shares with it ([`Table::shares_rows_with`]). Both sides were alive
+    /// since the clone and a write to shared rows copies them first, so
+    /// neither has changed a row since, and the bed's entries are the ones
+    /// a build here would give (DESIGN.md §9). Otherwise, or when the
+    /// table is unknown to `bed`, it builds. Either way it passes the same
+    /// fault gate once and draws the table a new version.
+    pub fn create_index_from(
+        &mut self,
+        bed: &Database,
+        def: IndexDef,
+        io: &mut IoStats,
+    ) -> Result<(), StorageError> {
+        Self::create_index_gate()?;
+        let table = self.index_set_mut(&def.table)?;
+        let built = bed
+            .tables
+            .get(&def.table)
+            .filter(|theirs| theirs.shares_rows_with(table))
+            .and_then(|theirs| theirs.index_arc(&def.name))
+            .filter(|ix| *ix.def() == def);
+        match built {
+            Some(ix) => table.adopt_index(Arc::clone(ix), io),
+            None => table.create_index(def, io),
+        }
     }
 
     /// Clones the database, modelling the paper's MyShadow test-environment
@@ -254,12 +295,12 @@ impl Database {
     /// it. Draws the table a new version only when the statistics actually
     /// differ, so re-analysis of unchanged data keeps what-if cost caches
     /// warm.
-    fn refresh(table: &mut Table, installed: &mut BTreeMap<String, TableStats>) {
+    fn refresh(table: &mut Table, installed: &mut BTreeMap<String, Arc<TableStats>>) {
         let mut stats = analyze(table, DEFAULT_BUCKETS);
         table.stats_stale = Self::maybe_corrupt(&mut stats);
         let name = &table.schema().name;
-        if installed.get(name) != Some(&stats) {
-            installed.insert(name.clone(), stats);
+        if installed.get(name).map(Arc::as_ref) != Some(&stats) {
+            installed.insert(name.clone(), Arc::new(stats));
             table.version = next_version();
         }
         #[cfg(debug_assertions)]
@@ -296,7 +337,7 @@ impl Database {
             }
             let name = &table.schema().name;
             assert!(
-                self.stats.get(name) == Some(&analyze(table, DEFAULT_BUCKETS)),
+                self.stats.get(name).map(Arc::as_ref) == Some(&analyze(table, DEFAULT_BUCKETS)),
                 "{name}: ANALYZE skips the table, but its rows give other statistics"
             );
             table.audited = table.version;
@@ -332,7 +373,7 @@ impl Database {
 
     /// Statistics for a table; empty default if never analyzed.
     pub fn stats(&self, table: &str) -> Option<&TableStats> {
-        self.stats.get(table)
+        self.stats.get(table).map(Arc::as_ref)
     }
 }
 
@@ -400,6 +441,131 @@ mod tests {
             .unwrap();
         assert_eq!(db.table("t").unwrap().row_count(), 1);
         assert_eq!(clone.table("t").unwrap().row_count(), 2);
+
+        // An indexed table, shared by both sides until each writes it:
+        // neither sees the other's rows or index entries.
+        db.create_index(IndexDef::new("ix_a", "t", vec!["a".into()]), &mut io)
+            .unwrap();
+        let mut clone = db.clone();
+        assert!(clone.table("t").unwrap().shares_rows_with(db.table("t").unwrap()));
+        db.table_mut("t")
+            .unwrap()
+            .insert(vec![Value::Int(3), Value::Int(30)], &mut io)
+            .unwrap();
+        let t = clone.table_mut("t").unwrap();
+        t.insert(vec![Value::Int(4), Value::Int(40)], &mut io).unwrap();
+        t.update(&vec![Value::Int(1)], vec![Value::Int(1), Value::Int(11)], &mut io)
+            .unwrap();
+        let contents = |db: &Database| {
+            let t = db.table("t").unwrap();
+            let rows: Vec<Vec<Value>> = t.scan_all(&mut IoStats::new()).cloned().collect();
+            let ix = t.index("ix_a").unwrap();
+            let entries: Vec<Vec<Value>> =
+                ix.scan_all(t, &mut IoStats::new()).into_iter().cloned().collect();
+            (rows, entries)
+        };
+        let int = |pairs: &[(i64, i64)]| -> Vec<Vec<Value>> {
+            pairs.iter().map(|&(x, y)| vec![Value::Int(x), Value::Int(y)]).collect()
+        };
+        assert_eq!(contents(&db), (int(&[(1, 10), (3, 30)]), int(&[(10, 1), (30, 3)])));
+        assert_eq!(contents(&clone), (int(&[(1, 11), (4, 40)]), int(&[(11, 1), (40, 4)])));
+        assert!(!clone.table("t").unwrap().shares_rows_with(db.table("t").unwrap()));
+        db.check_consistency().unwrap();
+        clone.check_consistency().unwrap();
+    }
+
+    /// `db` with `n` rows in `t`.
+    fn filled(n: i64) -> Database {
+        let mut db = db();
+        let mut io = IoStats::new();
+        for i in 0..n {
+            db.table_mut("t")
+                .unwrap()
+                .insert(vec![Value::Int(i), Value::Int(i % 7)], &mut io)
+                .unwrap();
+        }
+        db
+    }
+
+    fn ix_a() -> IndexDef {
+        IndexDef::new("ix_a", "t", vec!["a".into()])
+    }
+
+    /// Whether `db`'s `ix_a` is the very index `bed` holds.
+    fn adopted(db: &Database, bed: &Database) -> bool {
+        let ix = |db: &Database| db.table("t").unwrap().index("ix_a").unwrap() as *const _;
+        std::ptr::eq(ix(db), ix(bed))
+    }
+
+    #[test]
+    fn production_adopts_the_index_a_bed_built_over_shared_rows() {
+        let mut db = filled(50);
+        let mut io = IoStats::new();
+        let mut bed = db.clone();
+        bed.create_index(ix_a(), &mut io).unwrap();
+        let before = version(&db);
+        db.create_index_from(&bed, ix_a(), &mut io).unwrap();
+        assert!(adopted(&db, &bed));
+        assert!(version(&db) > before, "adoption draws a version like a build");
+        db.check_consistency().unwrap();
+        // Production writes the adopted index: it copies it first.
+        db.table_mut("t")
+            .unwrap()
+            .insert(vec![Value::Int(50), Value::Int(3)], &mut io)
+            .unwrap();
+        assert!(!adopted(&db, &bed));
+        assert_eq!(bed.table("t").unwrap().index("ix_a").unwrap().len(), 50);
+        db.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn production_builds_when_either_side_wrote_the_rows_or_the_index_differs() {
+        let mut io = IoStats::new();
+        let row = vec![Value::Int(50), Value::Int(3)];
+        // Production wrote after the clone.
+        let mut db = filled(50);
+        let mut bed = db.clone();
+        bed.create_index(ix_a(), &mut io).unwrap();
+        db.table_mut("t").unwrap().insert(row.clone(), &mut io).unwrap();
+        db.create_index_from(&bed, ix_a(), &mut io).unwrap();
+        assert!(!adopted(&db, &bed));
+        assert_eq!(db.table("t").unwrap().index("ix_a").unwrap().len(), 51);
+        db.check_consistency().unwrap();
+        // The bed wrote after building.
+        let mut db = filled(50);
+        let mut bed = db.clone();
+        bed.create_index(ix_a(), &mut io).unwrap();
+        bed.table_mut("t").unwrap().insert(row, &mut io).unwrap();
+        db.create_index_from(&bed, ix_a(), &mut io).unwrap();
+        assert!(!adopted(&db, &bed));
+        assert_eq!(db.table("t").unwrap().index("ix_a").unwrap().len(), 50);
+        // Same name, other columns.
+        let mut db = filled(50);
+        let mut bed = db.clone();
+        bed.create_index(IndexDef::new("ix_a", "t", vec!["id".into()]), &mut io)
+            .unwrap();
+        db.create_index_from(&bed, ix_a(), &mut io).unwrap();
+        assert!(!adopted(&db, &bed));
+        assert_eq!(db.table("t").unwrap().index("ix_a").unwrap().def(), &ix_a());
+        db.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn adoption_passes_the_create_index_fault_gate() {
+        let _g = crate::fault::tests::lock();
+        crate::fault::disarm();
+        let mut db = filled(50);
+        let mut io = IoStats::new();
+        let mut bed = db.clone();
+        bed.create_index(ix_a(), &mut io).unwrap();
+        crate::fault::arm(crate::fault::FaultPlan::new(7).fail("storage.create_index", 0, 1));
+        let err = db.create_index_from(&bed, ix_a(), &mut io).unwrap_err();
+        assert!(err.is_injected(), "{err}");
+        assert!(db.all_indexes().is_empty());
+        db.create_index_from(&bed, ix_a(), &mut io).unwrap();
+        let log = crate::fault::disarm();
+        assert_eq!(log.len(), 1, "{log:?}");
+        assert!(adopted(&db, &bed));
     }
 
     #[test]

@@ -4,17 +4,20 @@
 //! `key columns ++ primary key columns` (InnoDB layout): the PK suffix both
 //! disambiguates duplicate key prefixes and lets covering scans avoid the
 //! base table entirely.
+//!
+//! An index holds no backend: its owning [`Table`] keeps it behind an
+//! `Arc`, shared with every clone of the table until one side writes it,
+//! and the scans account their I/O through the owner's backend.
 
-use crate::backend::{memory_backend, StorageBackend};
 use crate::io::IoStats;
 use crate::schema::IndexDef;
+use crate::table::Table;
 use crate::value::{Key, Row, Value};
 use std::collections::BTreeSet;
 use std::ops::Bound;
-use std::sync::Arc;
 
 /// A materialized composite secondary index.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SecondaryIndex {
     def: IndexDef,
     /// Positions of the key columns within the table's row layout.
@@ -24,16 +27,12 @@ pub struct SecondaryIndex {
     entries: BTreeSet<Key>,
     /// Running total of entry bytes, for size accounting.
     total_bytes: u64,
-    /// Decides whether scans charge measured page I/O (disk backend) or
-    /// the simulated model. Entries themselves always live in `entries`.
-    backend: Arc<dyn StorageBackend>,
 }
 
 impl SecondaryIndex {
-    /// Creates an empty index on the in-memory backend.
-    /// `key_positions`/`pk_positions` must match the owning table's row
-    /// layout; the table is responsible for resolving them from
-    /// `def.columns`.
+    /// Creates an empty index. `key_positions`/`pk_positions` must match
+    /// the owning table's row layout; the table is responsible for
+    /// resolving them from `def.columns`.
     pub fn new(def: IndexDef, key_positions: Vec<usize>, pk_positions: Vec<usize>) -> Self {
         Self {
             def,
@@ -41,13 +40,7 @@ impl SecondaryIndex {
             pk_positions,
             entries: BTreeSet::new(),
             total_bytes: 0,
-            backend: memory_backend(),
         }
-    }
-
-    /// Re-points scan accounting at `backend` (set by the owning table).
-    pub(crate) fn set_backend(&mut self, backend: Arc<dyn StorageBackend>) {
-        self.backend = backend;
     }
 
     /// Replaces the entries with pre-built ones — a build's, or the
@@ -113,32 +106,37 @@ impl SecondaryIndex {
         &entry[self.key_positions.len()..]
     }
 
-    /// Inserts the entry for `row`.
-    pub fn insert_row(&mut self, row: &Row) {
-        let entry = self.entry_for_row(row);
+    /// The entries in key order.
+    pub(crate) fn entries(&self) -> impl ExactSizeIterator<Item = &Key> {
+        self.entries.iter()
+    }
+
+    /// Inserts `entry`, built by [`SecondaryIndex::entry_for_row`].
+    pub(crate) fn insert_entry(&mut self, entry: Key) {
         let bytes: u64 = entry.iter().map(Value::storage_size).sum();
         if self.entries.insert(entry) {
             self.total_bytes += bytes;
         }
     }
 
-    /// Removes the entry for `row`.
-    pub fn remove_row(&mut self, row: &Row) {
-        let entry = self.entry_for_row(row);
-        let bytes: u64 = entry.iter().map(Value::storage_size).sum();
-        if self.entries.remove(&entry) {
-            self.total_bytes -= bytes;
+    /// Removes `entry`, built by [`SecondaryIndex::entry_for_row`].
+    pub(crate) fn remove_entry(&mut self, entry: &Key) {
+        if self.entries.remove(entry) {
+            self.total_bytes -= entry.iter().map(Value::storage_size).sum::<u64>();
         }
     }
 
     /// Scans all entries whose first `prefix.len()` key columns equal
     /// `prefix`, optionally refined by a range on the next key column.
+    /// `owner` is the table holding this index: its backend accounts the
+    /// scan.
     ///
     /// Charges one seek (tree descent) plus sequential reads proportional to
     /// the entries touched. Returns references to the matching entries in
     /// key order.
     pub fn scan_prefix_range(
         &self,
+        owner: &Table,
         prefix: &[Value],
         next_col_range: (Bound<&Value>, Bound<&Value>),
         io: &mut IoStats,
@@ -149,7 +147,7 @@ impl SecondaryIndex {
         );
         let (lower, upper) = crate::value::prefix_range_bounds(prefix, next_col_range);
 
-        let measured = self.backend.account_index_range(
+        let measured = owner.backend().account_index_range(
             &self.def.table,
             &self.def.name,
             lower.as_ref(),
@@ -186,9 +184,10 @@ impl SecondaryIndex {
     }
 
     /// Scans the entire index in key order (used for index-ordered GROUP BY
-    /// / ORDER BY without a usable predicate).
-    pub fn scan_all(&self, io: &mut IoStats) -> Vec<&Key> {
-        let measured = self.backend.account_index_range(
+    /// / ORDER BY without a usable predicate), accounted through the
+    /// backend of `owner`, the table holding this index.
+    pub fn scan_all(&self, owner: &Table, io: &mut IoStats) -> Vec<&Key> {
+        let measured = owner.backend().account_index_range(
             &self.def.table,
             &self.def.name,
             Bound::Unbounded,
@@ -222,15 +221,26 @@ mod tests {
         vec![Value::Int(pk), Value::Int(a), Value::Str(b.into())]
     }
 
+    fn insert(ix: &mut SecondaryIndex, row: &Row) {
+        ix.insert_entry(ix.entry_for_row(row));
+    }
+
+    /// A table for the index to account its scans through.
+    fn owner() -> Table {
+        use crate::schema::{ColumnDef, ColumnType, TableSchema};
+        let columns = ["pk", "a", "b"].map(|c| ColumnDef::new(c, ColumnType::Int));
+        Table::new(TableSchema::new("t", columns.into(), &["pk"]).unwrap())
+    }
+
     #[test]
     fn insert_and_remove_maintain_len_and_bytes() {
         let mut ix = index();
-        ix.insert_row(&row(1, 10, "x"));
-        ix.insert_row(&row(2, 20, "y"));
+        insert(&mut ix, &row(1, 10, "x"));
+        insert(&mut ix, &row(2, 20, "y"));
         assert_eq!(ix.len(), 2);
         let size = ix.size_bytes();
         assert!(size > 0);
-        ix.remove_row(&row(1, 10, "x"));
+        ix.remove_entry(&ix.entry_for_row(&row(1, 10, "x")));
         assert_eq!(ix.len(), 1);
         assert!(ix.size_bytes() < size);
     }
@@ -250,10 +260,11 @@ mod tests {
     fn prefix_scan_finds_exact_matches() {
         let mut ix = index();
         for (pk, a, b) in [(1, 10, "x"), (2, 10, "y"), (3, 20, "z")] {
-            ix.insert_row(&row(pk, a, b));
+            insert(&mut ix, &row(pk, a, b));
         }
         let mut io = IoStats::new();
         let hits = ix.scan_prefix_range(
+            &owner(),
             &[Value::Int(10)],
             (Bound::Unbounded, Bound::Unbounded),
             &mut io,
@@ -267,12 +278,13 @@ mod tests {
     fn prefix_plus_range_scan() {
         let mut ix = index();
         for (pk, a, b) in [(1, 10, "a"), (2, 10, "m"), (3, 10, "z"), (4, 20, "m")] {
-            ix.insert_row(&row(pk, a, b));
+            insert(&mut ix, &row(pk, a, b));
         }
         let mut io = IoStats::new();
         let lo = Value::Str("b".into());
         let hi = Value::Str("y".into());
         let hits = ix.scan_prefix_range(
+            &owner(),
             &[Value::Int(10)],
             (Bound::Included(&lo), Bound::Included(&hi)),
             &mut io,
@@ -285,12 +297,12 @@ mod tests {
     fn open_range_on_first_column() {
         let mut ix = index();
         for (pk, a) in [(1, 5), (2, 10), (3, 15)] {
-            ix.insert_row(&row(pk, a, "c"));
+            insert(&mut ix, &row(pk, a, "c"));
         }
         let mut io = IoStats::new();
         let lo = Value::Int(6);
         let hits =
-            ix.scan_prefix_range(&[], (Bound::Excluded(&lo), Bound::Unbounded), &mut io);
+            ix.scan_prefix_range(&owner(), &[], (Bound::Excluded(&lo), Bound::Unbounded), &mut io);
         assert_eq!(hits.len(), 2);
     }
 
@@ -298,13 +310,13 @@ mod tests {
     fn excluded_lower_bound_skips_all_equal_keys() {
         let mut ix = index();
         // Two rows share a=10 with different PKs; Excluded(10) must skip both.
-        ix.insert_row(&row(1, 10, "x"));
-        ix.insert_row(&row(2, 10, "y"));
-        ix.insert_row(&row(3, 11, "z"));
+        insert(&mut ix, &row(1, 10, "x"));
+        insert(&mut ix, &row(2, 10, "y"));
+        insert(&mut ix, &row(3, 11, "z"));
         let mut io = IoStats::new();
         let lo = Value::Int(10);
         let hits =
-            ix.scan_prefix_range(&[], (Bound::Excluded(&lo), Bound::Unbounded), &mut io);
+            ix.scan_prefix_range(&owner(), &[], (Bound::Excluded(&lo), Bound::Unbounded), &mut io);
         assert_eq!(hits.len(), 1);
         assert_eq!(ix.pk_of_entry(hits[0]), &[Value::Int(3)]);
     }
@@ -312,11 +324,11 @@ mod tests {
     #[test]
     fn full_scan_returns_sorted_entries() {
         let mut ix = index();
-        ix.insert_row(&row(1, 30, "c"));
-        ix.insert_row(&row(2, 10, "a"));
-        ix.insert_row(&row(3, 20, "b"));
+        insert(&mut ix, &row(1, 30, "c"));
+        insert(&mut ix, &row(2, 10, "a"));
+        insert(&mut ix, &row(3, 20, "b"));
         let mut io = IoStats::new();
-        let all = ix.scan_all(&mut io);
+        let all = ix.scan_all(&owner(), &mut io);
         let firsts: Vec<_> = all.iter().map(|e| e[0].clone()).collect();
         assert_eq!(firsts, vec![Value::Int(10), Value::Int(20), Value::Int(30)]);
     }
@@ -324,8 +336,8 @@ mod tests {
     #[test]
     fn duplicate_row_insert_is_idempotent() {
         let mut ix = index();
-        ix.insert_row(&row(1, 10, "x"));
-        ix.insert_row(&row(1, 10, "x"));
+        insert(&mut ix, &row(1, 10, "x"));
+        insert(&mut ix, &row(1, 10, "x"));
         assert_eq!(ix.len(), 1);
     }
 }

@@ -6,7 +6,7 @@
 //! charge write I/O, which is what the paper's index-maintenance overhead
 //! term `cost_u(q, i)` (Eq. 8) is computed from.
 
-use crate::backend::{memory_backend, StorageBackend, TaggedEntry};
+use crate::backend::{memory_backend, BackendKind, StorageBackend, TaggedEntry};
 use crate::error::StorageError;
 use crate::index::SecondaryIndex;
 use crate::io::IoStats;
@@ -33,11 +33,19 @@ pub(crate) fn next_version() -> u64 {
 /// write through to paged durable storage (disk backend) and whether scan
 /// costs are measured from real page walks or charged from the simulated
 /// model (memory backend).
+///
+/// A clone shares the rows and every index with its source (each behind
+/// an `Arc`) and copies only the schema and the index map. A write goes
+/// through `Arc::make_mut`: unshared, that is one reference-count check;
+/// shared, it first copies the rows, or the one index it writes, for this
+/// side alone (DESIGN.md §9). So two tables whose rows are the same `Arc`
+/// ([`Table::shares_rows_with`]) have written none of them since one was
+/// cloned from the other.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: TableSchema,
-    rows: BTreeMap<Key, Row>,
-    indexes: BTreeMap<String, SecondaryIndex>,
+    rows: Arc<BTreeMap<Key, Row>>,
+    indexes: BTreeMap<String, Arc<SecondaryIndex>>,
     /// Running total of row bytes, for page-count estimation.
     total_row_bytes: u64,
     /// Content version of (rows, schema, index set, installed statistics);
@@ -59,7 +67,7 @@ impl Table {
     pub fn new(schema: TableSchema) -> Self {
         Self {
             schema,
-            rows: BTreeMap::new(),
+            rows: Arc::default(),
             indexes: BTreeMap::new(),
             total_row_bytes: 0,
             version: next_version(),
@@ -87,14 +95,25 @@ impl Table {
         self
     }
 
-    /// Re-points this table (and its indexes) at the in-memory backend.
-    /// Used when cloning a database: clones are volatile test substrates
-    /// and must not write through to the source's disk files.
+    /// Re-points this table, and so the scans of its indexes, at the
+    /// in-memory backend. Used when cloning a database: clones are volatile
+    /// test substrates and must not write through to the source's disk
+    /// files.
     pub(crate) fn detach_to_memory(&mut self) {
         self.backend = memory_backend();
-        for ix in self.indexes.values_mut() {
-            ix.set_backend(memory_backend());
-        }
+    }
+
+    /// The backend this table's mutations persist through and its scans,
+    /// and those of its indexes, are accounted by.
+    pub(crate) fn backend(&self) -> &dyn StorageBackend {
+        &*self.backend
+    }
+
+    /// True when this table and `other` hold the same rows object: one is
+    /// a clone of the other, or of a common source, and neither has
+    /// written a row since.
+    pub fn shares_rows_with(&self, other: &Table) -> bool {
+        Arc::ptr_eq(&self.rows, &other.rows)
     }
 
     /// Rebuilds a table from backend-recovered state. Rows come from the
@@ -107,7 +126,8 @@ impl Table {
         indexes: Vec<(IndexDef, Vec<Key>)>,
         backend: Arc<dyn StorageBackend>,
     ) -> Result<Self, StorageError> {
-        let mut t = Table::new(schema).with_backend(backend.clone());
+        let mut t = Table::new(schema).with_backend(backend);
+        let mut map = BTreeMap::new();
         for row in rows {
             if row.len() != t.schema.columns.len() {
                 return Err(StorageError::Corrupt {
@@ -121,20 +141,20 @@ impl Table {
             }
             let pk = t.pk_of(&row);
             let bytes: u64 = row.iter().map(Value::storage_size).sum();
-            if t.rows.insert(pk, row).is_some() {
+            if map.insert(pk, row).is_some() {
                 return Err(StorageError::Corrupt {
                     detail: format!("table {}: duplicate recovered PK", t.schema.name),
                 });
             }
             t.total_row_bytes += bytes;
         }
+        t.rows = Arc::new(map);
         for (def, entries) in indexes {
             let key_positions = t.resolve_key_positions(&def)?;
             let mut ix =
                 SecondaryIndex::new(def, key_positions, t.schema.primary_key.clone());
-            ix.set_backend(backend.clone());
             ix.load(entries);
-            t.indexes.insert(ix.def().name.clone(), ix);
+            t.indexes.insert(ix.def().name.clone(), Arc::new(ix));
         }
         Ok(t)
     }
@@ -190,16 +210,18 @@ impl Table {
                 key: format!("{pk:?}"),
             });
         }
+        let entries = self.tagged_entries(&row);
         self.backend
-            .persist_insert(&self.schema.name, &pk, &row, &self.tagged_entries(&row))?;
+            .persist_insert(&self.schema.name, &pk, &row, &entries)?;
         let bytes: u64 = row.iter().map(Value::storage_size).sum();
         io.charge_writes(1, bytes);
-        for ix in self.indexes.values_mut() {
-            ix.insert_row(&row);
+        // `entries` is in the index map's order.
+        for (ix, (_, entry)) in self.indexes.values_mut().zip(entries) {
+            Arc::make_mut(ix).insert_entry(entry);
             io.charge_writes(1, 64);
         }
         self.total_row_bytes += bytes;
-        self.rows.insert(pk, row);
+        Arc::make_mut(&mut self.rows).insert(pk, row);
         Ok(())
     }
 
@@ -211,17 +233,20 @@ impl Table {
         pk: &Key,
         io: &mut IoStats,
     ) -> Result<Option<Row>, StorageError> {
-        let Some(row) = self.rows.get(pk).cloned() else {
+        let Some(row) = self.rows.get(pk) else {
             return Ok(None);
         };
+        let entries = self.tagged_entries(row);
         self.backend
-            .persist_delete(&self.schema.name, pk, &self.tagged_entries(&row))?;
-        self.rows.remove(pk);
+            .persist_delete(&self.schema.name, pk, &entries)?;
+        let row = Arc::make_mut(&mut self.rows)
+            .remove(pk)
+            .expect("looked up above");
         let bytes: u64 = row.iter().map(Value::storage_size).sum();
         self.total_row_bytes -= bytes;
         io.charge_writes(1, bytes);
-        for ix in self.indexes.values_mut() {
-            ix.remove_row(&row);
+        for (ix, (_, entry)) in self.indexes.values_mut().zip(&entries) {
+            Arc::make_mut(ix).remove_entry(entry);
             io.charge_writes(1, 64);
         }
         Ok(Some(row))
@@ -233,7 +258,6 @@ impl Table {
         let old = self
             .rows
             .get(pk)
-            .cloned()
             .ok_or_else(|| StorageError::RowMismatch("update of missing row".into()))?;
         if self.pk_of(&new_row) != *pk {
             return Err(StorageError::RowMismatch(
@@ -243,29 +267,30 @@ impl Table {
         let mut removed = Vec::new();
         let mut added = Vec::new();
         for ix in self.indexes.values() {
-            let before = ix.entry_for_row(&old);
+            let before = ix.entry_for_row(old);
             let after = ix.entry_for_row(&new_row);
             if before != after {
                 removed.push((ix.def().name.clone(), before));
                 added.push((ix.def().name.clone(), after));
             }
         }
+        let old_bytes: u64 = old.iter().map(Value::storage_size).sum();
         self.backend
             .persist_update(&self.schema.name, pk, &new_row, &removed, &added)?;
-        let old_bytes: u64 = old.iter().map(Value::storage_size).sum();
         let new_bytes: u64 = new_row.iter().map(Value::storage_size).sum();
         io.charge_writes(1, new_bytes);
-        for ix in self.indexes.values_mut() {
-            let before = ix.entry_for_row(&old);
-            let after = ix.entry_for_row(&new_row);
-            if before != after {
-                ix.remove_row(&old);
-                ix.insert_row(&new_row);
-                io.charge_writes(2, 128);
-            }
+        for ((name, before), (_, after)) in removed.iter().zip(added) {
+            let ix = self.indexes.get_mut(name).expect("named by the loop above");
+            let ix = Arc::make_mut(ix);
+            ix.remove_entry(before);
+            ix.insert_entry(after);
+            io.charge_writes(2, 128);
         }
         self.total_row_bytes = self.total_row_bytes - old_bytes + new_bytes;
-        self.rows.insert(pk.clone(), new_row);
+        let slot = Arc::make_mut(&mut self.rows)
+            .get_mut(pk)
+            .expect("looked up above");
+        *slot = new_row;
         Ok(())
     }
 
@@ -292,6 +317,17 @@ impl Table {
         Ok(key_positions)
     }
 
+    /// `def`'s index over this table's rows, not installed and without
+    /// its entries, and those entries in key order.
+    fn build_index(&self, def: IndexDef) -> Result<(SecondaryIndex, Vec<Key>), StorageError> {
+        let key_positions = self.resolve_key_positions(&def)?;
+        let ix = SecondaryIndex::new(def, key_positions, self.schema.primary_key.clone());
+        let mut entries: Vec<Key> = self.rows.values().map(|row| ix.entry_for_row(row)).collect();
+        entries.sort_unstable();
+        entries.dedup();
+        Ok((ix, entries))
+    }
+
     /// Creates and populates a secondary index. The build is staged in
     /// memory, persisted as one backend transaction, and only then
     /// installed — a persist failure leaves no trace of the index.
@@ -302,19 +338,67 @@ impl Table {
                 index: def.name,
             });
         }
-        let key_positions = self.resolve_key_positions(&def)?;
-        let mut ix = SecondaryIndex::new(def, key_positions, self.schema.primary_key.clone());
-        ix.set_backend(self.backend.clone());
-        let mut entries: Vec<Key> = self.rows.values().map(|row| ix.entry_for_row(row)).collect();
-        entries.sort_unstable();
-        entries.dedup();
+        let (mut ix, entries) = self.build_index(def)?;
         self.backend.persist_create_index(ix.def(), &entries)?;
         ix.load(entries);
         // Building an index reads the whole table and writes the new tree.
         io.charge_sequential(self.total_row_bytes);
         io.charge_writes(self.rows.len() as u64, ix.size_bytes());
-        self.indexes.insert(ix.def().name.clone(), ix);
+        self.indexes.insert(ix.def().name.clone(), Arc::new(ix));
         Ok(())
+    }
+
+    /// Installs `ix`, an index a clone of this table built over the rows
+    /// the two still share ([`Table::shares_rows_with`]), instead of
+    /// building it again: no row has changed on either side since, so a
+    /// build here would give the same entries. A disk backend persists it
+    /// from those entries, already in key order. Debug builds build it
+    /// anyway and hold `ix` to the build.
+    pub(crate) fn adopt_index(
+        &mut self,
+        ix: Arc<SecondaryIndex>,
+        io: &mut IoStats,
+    ) -> Result<(), StorageError> {
+        let name = &ix.def().name;
+        if self.indexes.contains_key(name) {
+            return Err(StorageError::DuplicateIndex {
+                table: self.schema.name.clone(),
+                index: name.clone(),
+            });
+        }
+        #[cfg(debug_assertions)]
+        self.audit_adopted(&ix);
+        if self.backend.kind() == BackendKind::Disk {
+            let entries: Vec<Key> = ix.entries().cloned().collect();
+            self.backend.persist_create_index(ix.def(), &entries)?;
+        }
+        // Adopting reads nothing and writes the new tree.
+        io.charge_writes(self.rows.len() as u64, ix.size_bytes());
+        self.indexes.insert(name.clone(), ix);
+        Ok(())
+    }
+
+    /// Builds with debug assertions — the test profile — build an adopted
+    /// index over this table's rows and assert the build equals it, entry
+    /// for entry: adoption is sound only while a write to shared rows
+    /// copies them first (DESIGN.md §9). The build runs on a thread of its
+    /// own, so that allocation counts stay the adoption's.
+    #[cfg(debug_assertions)]
+    fn audit_adopted(&self, adopted: &SecondaryIndex) {
+        let built = std::thread::scope(|s| {
+            s.spawn(|| {
+                let (mut ix, entries) = self.build_index(adopted.def().clone()).expect("adoptable");
+                ix.load(entries);
+                ix
+            })
+            .join()
+            .expect("the audit's build")
+        });
+        assert!(
+            built == *adopted && built.size_bytes() == adopted.size_bytes(),
+            "{}: the adopted index is not what a build over this table's rows gives",
+            adopted.def().name
+        );
     }
 
     /// Drops a secondary index.
@@ -336,12 +420,18 @@ impl Table {
 
     /// Looks up an index by name.
     pub fn index(&self, name: &str) -> Option<&SecondaryIndex> {
+        self.indexes.get(name).map(Arc::as_ref)
+    }
+
+    /// The shared handle of an index, for a table to adopt
+    /// ([`Table::adopt_index`]).
+    pub(crate) fn index_arc(&self, name: &str) -> Option<&Arc<SecondaryIndex>> {
         self.indexes.get(name)
     }
 
     /// All secondary indexes on this table.
     pub fn indexes(&self) -> impl Iterator<Item = &SecondaryIndex> {
-        self.indexes.values()
+        self.indexes.values().map(Arc::as_ref)
     }
 
     /// True if an index with exactly these key columns already exists.
@@ -424,7 +514,7 @@ impl Table {
 
     /// Total bytes of all secondary indexes on this table.
     pub fn secondary_index_bytes(&self) -> u64 {
-        self.indexes.values().map(SecondaryIndex::size_bytes).sum()
+        self.indexes.values().map(|ix| ix.size_bytes()).sum()
     }
 }
 
@@ -527,6 +617,7 @@ mod tests {
         assert_eq!(io2.rows_written, 3);
         let mut io3 = IoStats::new();
         let hits = t.index("ix_a").unwrap().scan_prefix_range(
+            &t,
             &[Value::Int(99)],
             (Bound::Unbounded, Bound::Unbounded),
             &mut io3,
