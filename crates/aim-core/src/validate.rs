@@ -342,7 +342,8 @@ pub fn try_validate_on_clone(
     let mut accepted: Vec<RankedCandidate> = chosen.to_vec();
     let mut rejected: Vec<(RankedCandidate, RejectReason)> = Vec::new();
 
-    // The test bed: a full logical copy.
+    // The test bed: a full logical copy, sharing every table with `db`
+    // until one side writes it.
     let mut bed: Database = {
         let _s = aim_telemetry::span("clone_test_bed");
         clone_db(db)?
