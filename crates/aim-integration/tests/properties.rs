@@ -367,6 +367,17 @@ fn histogram_eq_estimate_bounded() {
 // ------------------------------------- executor: index/scan equivalence
 
 fn int_table(rng: &mut StdRng, columns: &[&str], max_rows: usize, domain: i64) -> Database {
+    table_of(rng, columns, max_rows, |rng| Value::Int(rng.gen_range(0..domain)))
+}
+
+/// A table `t(id, columns..)` of 1..=`max_rows` rows whose cells `cell`
+/// draws, analyzed.
+fn table_of(
+    rng: &mut StdRng,
+    columns: &[&str],
+    max_rows: usize,
+    mut cell: impl FnMut(&mut StdRng) -> Value,
+) -> Database {
     let mut defs = vec![ColumnDef::new("id", ColumnType::Int)];
     defs.extend(columns.iter().map(|c| ColumnDef::new(*c, ColumnType::Int)));
     let mut db = Database::new();
@@ -376,7 +387,9 @@ fn int_table(rng: &mut StdRng, columns: &[&str], max_rows: usize, domain: i64) -
     let n = rng.gen_range(1..=max_rows);
     for i in 0..n {
         let mut row = vec![Value::Int(i as i64)];
-        row.extend((0..columns.len()).map(|_| Value::Int(rng.gen_range(0..domain))));
+        for _ in columns {
+            row.push(cell(rng));
+        }
         db.table_mut("t")
             .expect("exists")
             .insert(row, &mut io)
@@ -410,6 +423,55 @@ fn indexed_execution_equals_scan() {
 
         let mut base = engine.execute(&mut db, &stmt).expect("executes").rows;
         base.sort();
+
+        let index_cols: BTreeSet<&str> = (0..rng.gen_range(1..=2usize))
+            .map(|_| cols[rng.gen_range(0..cols.len())])
+            .collect();
+        let cols_v: Vec<String> = index_cols.iter().map(|s| s.to_string()).collect();
+        let mut io = IoStats::new();
+        db.create_index(IndexDef::new("ix", "t", cols_v), &mut io)
+            .expect("valid index");
+        db.analyze_all();
+        let mut indexed = engine.execute(&mut db, &stmt).expect("executes").rows;
+        indexed.sort();
+
+        assert_eq!(base, indexed, "index changed results for {sql}");
+    }
+
+    // NULL cells under the NULL-aware operators: `IS NULL`, `<=> NULL`
+    // and `<=> v` select by an index probe, `= NULL` selects nothing with
+    // or without an index, `IS NOT NULL` is left to the residual filter.
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    for _ in 0..64 {
+        let mut db = table_of(&mut rng, &cols, 120, |rng| {
+            if rng.gen_range(0..4u32) == 0 {
+                Value::Null
+            } else {
+                Value::Int(rng.gen_range(0..10i64))
+            }
+        });
+        let n_preds = rng.gen_range(1..=2usize);
+        let where_clause: Vec<String> = (0..n_preds)
+            .map(|_| {
+                let col = cols[rng.gen_range(0..cols.len())];
+                match rng.gen_range(0..6u32) {
+                    0 => format!("{col} IS NULL"),
+                    1 => format!("{col} IS NOT NULL"),
+                    2 => format!("{col} <=> NULL"),
+                    3 => format!("{col} = NULL"),
+                    4 => format!("{col} <=> {}", rng.gen_range(0..10i64)),
+                    _ => format!("{col} > {}", rng.gen_range(0..10i64)),
+                }
+            })
+            .collect();
+        let sql = format!("SELECT id, a, b, c FROM t WHERE {}", where_clause.join(" AND "));
+        let stmt = parse_statement(&sql).expect("valid");
+
+        let mut base = engine.execute(&mut db, &stmt).expect("executes").rows;
+        base.sort();
+        if where_clause.iter().any(|p| p.contains(" = NULL")) {
+            assert!(base.is_empty(), "`= NULL` selected rows: {sql}");
+        }
 
         let index_cols: BTreeSet<&str> = (0..rng.gen_range(1..=2usize))
             .map(|_| cols[rng.gen_range(0..cols.len())])
