@@ -105,7 +105,7 @@ pub use fleet::{
     FleetConfig, FleetConfigBuilder, FleetOutcome, FleetSession, Tenant, TenantOutcome,
 };
 pub use ledger::{CandidateRecord, DecisionLedger, LedgerEvent};
-pub use metadata::{analyze_structure, FactorGroup, OpClass, QueryStructure, TableInfo};
+pub use metadata::{analyze_structure, FactorGroup, QueryStructure, TableInfo};
 pub use partial_order::{merge_partial_orders, PartialOrder};
 pub use ranking::{
     knapsack, knapsack_select, rank_candidates_unbatched,

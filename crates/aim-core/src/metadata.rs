@@ -8,29 +8,22 @@
 //! selection predicates are factorized into disjunctive normal form
 //! (`FactorizeIndexPredicates` — the paper notes plain DNF "works well with
 //! MySQL").
+//!
+//! Atoms, join edges and referenced columns are read with the planner's
+//! own functions (`aim_exec::predicate::{as_sarg, as_join}`,
+//! [`Binder::referenced`]), so a column offered as a key is one an access
+//! path can serve. What is this module's own is the factorization, the
+//! GROUP BY / ORDER BY sequences and the columns a write assigns.
 
-use aim_exec::{Binder, ExecError};
-use aim_sql::ast::{BinOp, Expr, OrderByItem, Select, SelectItem, Statement};
+use aim_exec::predicate::{as_join, as_sarg, conjuncts};
+use aim_exec::{Binder, BoundColumn, ExecError, JoinPred, Sarg};
+use aim_sql::ast::{Expr, OrderByItem, Select, Statement};
 use aim_storage::Database;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Cap on the number of DNF factors; beyond this the predicate collapses to
 /// its conjunctive approximation (all atoms in one factor).
 pub const MAX_DNF_FACTORS: usize = 64;
-
-/// Operator class of a filter atom, per §IV-B2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpClass {
-    /// Index prefix predicate: `=`, `<=>`, `IN`, `IS NULL` — matching rows
-    /// share a constant prefix in an index on the column.
-    Ipp,
-    /// Range: `<`, `<=`, `>`, `>=`, `BETWEEN` — usable only as the column
-    /// immediately after the equality prefix.
-    Range,
-    /// Anything else (`<>`, `NOT IN`, `LIKE`, arithmetic, ...): referenced
-    /// but not useful for index construction.
-    Other,
-}
 
 /// One DNF factor restricted to a single table instance: the columns in
 /// index-prefix predicates and those in range predicates.
@@ -70,7 +63,8 @@ pub struct TableInfo {
     pub order_by: Vec<(String, bool)>,
     /// Every column of this table referenced anywhere in the query.
     pub referenced: BTreeSet<String>,
-    /// Columns assigned by an UPDATE (empty otherwise).
+    /// Columns assigned by an UPDATE, every column for an INSERT (empty
+    /// otherwise).
     pub write_columns: BTreeSet<String>,
 }
 
@@ -99,162 +93,105 @@ impl QueryStructure {
 /// Extracts structural metadata from a statement. Parameters (`?`) are fine
 /// — structure is independent of literal values.
 pub fn analyze_structure(db: &Database, stmt: &Statement) -> Result<QueryStructure, ExecError> {
-    match stmt {
-        Statement::Select(s) => analyze_select(db, s),
-        Statement::Update(u) => {
-            let select = Select::star_where(&u.table, u.where_clause.as_ref());
-            let mut st = analyze_select(db, &select)?;
-            if let Some(t) = st.tables.first_mut() {
-                t.write_columns = u.assignments.iter().map(|(c, _)| c.clone()).collect();
-                let writes = t.write_columns.clone();
-                t.referenced.extend(writes);
-            }
-            st.is_dml = true;
-            Ok(st)
-        }
-        Statement::Delete(d) => {
-            let select = Select::star_where(&d.table, d.where_clause.as_ref());
-            let mut st = analyze_select(db, &select)?;
-            st.is_dml = true;
-            Ok(st)
-        }
-        Statement::Insert(i) => {
-            let table = db.table(&i.table)?;
-            Ok(QueryStructure {
-                tables: vec![TableInfo {
-                    binding: i.table.clone(),
-                    table: i.table.clone(),
-                    filter_groups: Vec::new(),
-                    join_edges: BTreeMap::new(),
-                    group_by: Vec::new(),
-                    order_by: Vec::new(),
-                    referenced: table
-                        .schema()
-                        .columns
-                        .iter()
-                        .map(|c| c.name.clone())
-                        .collect(),
-                    write_columns: table
-                        .schema()
-                        .columns
-                        .iter()
-                        .map(|c| c.name.clone())
-                        .collect(),
-                }],
-                is_dml: true,
-            })
-        }
+    let (table, where_clause) = match stmt {
+        Statement::Select(s) => return analyze_select(db, s),
+        Statement::Update(u) => (&u.table, u.where_clause.as_ref()),
+        Statement::Delete(d) => (&d.table, d.where_clause.as_ref()),
+        Statement::Insert(i) => (&i.table, None),
         Statement::CreateTable(_) | Statement::CreateIndex(_) | Statement::DropIndex { .. } => {
-            Ok(QueryStructure {
+            return Ok(QueryStructure {
                 tables: Vec::new(),
                 is_dml: false,
             })
         }
-    }
+    };
+    // A write reads as its row location, `SELECT * FROM table WHERE ..`,
+    // plus the columns it assigns: every column for an INSERT.
+    let mut st = analyze_select(db, &Select::star_where(table, where_clause))?;
+    st.is_dml = true;
+    let t = &mut st.tables[0];
+    t.write_columns = match stmt {
+        Statement::Update(u) => u.assignments.iter().map(|(c, _)| c.clone()).collect(),
+        Statement::Insert(_) => t.referenced.clone(),
+        _ => BTreeSet::new(),
+    };
+    Ok(st)
 }
 
 fn analyze_select(db: &Database, select: &Select) -> Result<QueryStructure, ExecError> {
     let binder = Binder::for_select(db, select)?;
-    let n = binder.len();
+    let name = |bc: BoundColumn| binder.column_name(bc).to_string();
     let mut tables: Vec<TableInfo> = binder
         .tables()
         .iter()
-        .map(|b| TableInfo {
+        .zip(binder.referenced(select))
+        .enumerate()
+        .map(|(table_idx, (b, cols))| TableInfo {
             binding: b.binding.clone(),
             table: b.table.clone(),
             filter_groups: Vec::new(),
             join_edges: BTreeMap::new(),
             group_by: Vec::new(),
             order_by: Vec::new(),
-            referenced: BTreeSet::new(),
+            referenced: cols
+                .into_iter()
+                .map(|col_idx| name(BoundColumn { table_idx, col_idx }))
+                .collect(),
             write_columns: BTreeSet::new(),
         })
         .collect();
 
-    // Referenced columns (wildcard = every column of every table).
-    let mut refs: Vec<aim_sql::ast::ColumnRef> = Vec::new();
-    let mut wildcard = false;
-    for item in &select.items {
-        match item {
-            SelectItem::Wildcard => wildcard = true,
-            SelectItem::Expr { expr, .. } => expr.referenced_columns(&mut refs),
-        }
-    }
-    if let Some(w) = &select.where_clause {
-        w.referenced_columns(&mut refs);
-    }
-    for g in &select.group_by {
-        g.referenced_columns(&mut refs);
-    }
-    if let Some(h) = &select.having {
-        h.referenced_columns(&mut refs);
-    }
-    for o in &select.order_by {
-        o.expr.referenced_columns(&mut refs);
-    }
-    for c in &refs {
-        if let Ok(bc) = binder.resolve(c) {
-            let name = column_name(db, &binder, bc)?;
-            tables[bc.table_idx].referenced.insert(name);
-        }
-    }
-    if wildcard {
-        for (i, info) in tables.iter_mut().enumerate().take(n) {
-            let table = db.table(&binder.tables()[i].table)?;
-            for c in &table.schema().columns {
-                info.referenced.insert(c.name.clone());
-            }
-        }
-    }
-
     // GROUP BY / ORDER BY sequences.
-    for g in &select.group_by {
-        if let Expr::Column(c) = g {
-            if let Ok(bc) = binder.resolve(c) {
-                let name = column_name(db, &binder, bc)?;
-                tables[bc.table_idx].group_by.push(name);
-            }
-        }
+    let column = |e: &Expr| match e {
+        Expr::Column(c) => binder.resolve(c).ok(),
+        _ => None,
+    };
+    for bc in select.group_by.iter().filter_map(column) {
+        tables[bc.table_idx].group_by.push(name(bc));
     }
     for OrderByItem { expr, desc } in &select.order_by {
-        if let Expr::Column(c) = expr {
-            if let Ok(bc) = binder.resolve(c) {
-                let name = column_name(db, &binder, bc)?;
-                tables[bc.table_idx].order_by.push((name, *desc));
-            }
+        if let Some(bc) = column(expr) {
+            tables[bc.table_idx].order_by.push((name(bc), *desc));
         }
     }
 
-    // Join edges + DNF factorization of the filter predicate.
-    if let Some(w) = &select.where_clause {
-        collect_join_edges(w, &binder, db, &mut tables)?;
-        let factors = factorize(w);
-        for factor_exprs in factors {
-            let atoms: Vec<Atom> = factor_exprs
-                .iter()
-                .flat_map(|e| classify_atom(e, &binder))
-                .collect();
-            // Restrict the factor to each table instance.
-            let mut per_table: Vec<FactorGroup> = vec![FactorGroup::default(); n];
-            for (bc, class) in atoms {
-                let name = column_name(db, &binder, bc)?;
-                match class {
-                    OpClass::Ipp => {
-                        per_table[bc.table_idx].ipp.insert(name);
+    let Some(w) = &select.where_clause else {
+        return Ok(QueryStructure {
+            tables,
+            is_dml: false,
+        });
+    };
+    // Join edges: the planner's, from the top-level conjuncts.
+    for JoinPred { left, right } in conjuncts(w).iter().filter_map(|c| as_join(c, &binder)) {
+        for (mine, other) in [(left, right), (right, left)] {
+            let other = binder.tables()[other.table_idx].binding.clone();
+            let edges = &mut tables[mine.table_idx].join_edges;
+            edges.entry(other).or_default().insert(name(mine));
+        }
+    }
+    // DNF factors of the filter predicate, each restricted to each table
+    // instance; an atom is whatever the planner's `as_sarg` makes of it.
+    for factor in factorize(w) {
+        let mut per_table: Vec<FactorGroup> = vec![FactorGroup::default(); binder.len()];
+        for sarg in factor.into_iter().filter_map(|e| as_sarg(e, &binder)) {
+            let bc = sarg.column();
+            let group = &mut per_table[bc.table_idx];
+            match sarg {
+                Sarg::Eq { .. } | Sarg::InList { .. } => {
+                    group.ipp.insert(name(bc));
+                }
+                // A column both IPP and range in one factor stays IPP.
+                Sarg::Range { .. } => {
+                    let col = name(bc);
+                    if !group.ipp.contains(&col) {
+                        group.range.insert(col);
                     }
-                    OpClass::Range => {
-                        // A column both IPP and range in one factor stays IPP.
-                        if !per_table[bc.table_idx].ipp.contains(&name) {
-                            per_table[bc.table_idx].range.insert(name);
-                        }
-                    }
-                    OpClass::Other => {}
                 }
             }
-            for (i, g) in per_table.into_iter().enumerate() {
-                if !g.is_empty() && !tables[i].filter_groups.contains(&g) {
-                    tables[i].filter_groups.push(g);
-                }
+        }
+        for (i, g) in per_table.into_iter().enumerate() {
+            if !g.is_empty() && !tables[i].filter_groups.contains(&g) {
+                tables[i].filter_groups.push(g);
             }
         }
     }
@@ -265,69 +202,10 @@ fn analyze_select(db: &Database, select: &Select) -> Result<QueryStructure, Exec
     })
 }
 
-fn column_name(
-    db: &Database,
-    binder: &Binder,
-    bc: aim_exec::BoundColumn,
-) -> Result<String, ExecError> {
-    let table = db.table(&binder.tables()[bc.table_idx].table)?;
-    Ok(table.schema().columns[bc.col_idx].name.clone())
-}
-
-/// Collects join-graph edges (equality predicates between columns of two
-/// different table instances) from anywhere in the predicate tree.
-fn collect_join_edges(
-    expr: &Expr,
-    binder: &Binder,
-    db: &Database,
-    tables: &mut [TableInfo],
-) -> Result<(), ExecError> {
-    match expr {
-        Expr::Binary {
-            left,
-            op: BinOp::Eq,
-            right,
-        } => {
-            if let (Expr::Column(lc), Expr::Column(rc)) = (left.as_ref(), right.as_ref()) {
-                if let (Ok(l), Ok(r)) = (binder.resolve(lc), binder.resolve(rc)) {
-                    if l.table_idx != r.table_idx {
-                        let lname = column_name(db, binder, l)?;
-                        let rname = column_name(db, binder, r)?;
-                        let rbind = binder.tables()[r.table_idx].binding.clone();
-                        let lbind = binder.tables()[l.table_idx].binding.clone();
-                        tables[l.table_idx]
-                            .join_edges
-                            .entry(rbind)
-                            .or_default()
-                            .insert(lname);
-                        tables[r.table_idx]
-                            .join_edges
-                            .entry(lbind)
-                            .or_default()
-                            .insert(rname);
-                    }
-                }
-            }
-            Ok(())
-        }
-        Expr::And(cs) | Expr::Or(cs) => {
-            for c in cs {
-                collect_join_edges(c, binder, db, tables)?;
-            }
-            Ok(())
-        }
-        Expr::Not(inner) => collect_join_edges(inner, binder, db, tables),
-        _ => Ok(()),
-    }
-}
-
-/// One filter atom: the constrained column and its operator class.
-type Atom = (aim_exec::BoundColumn, OpClass);
-
 /// `FactorizeIndexPredicates`: converts the predicate into DNF over filter
 /// atoms. Returns one factor (conjunction of atoms) per disjunct. Falls
 /// back to the conjunctive approximation past [`MAX_DNF_FACTORS`].
-fn factorize(expr: &Expr) -> Vec<Vec<AtomExpr>> {
+fn factorize(expr: &Expr) -> Vec<Vec<&Expr>> {
     match dnf(expr) {
         Some(factors) if factors.len() <= MAX_DNF_FACTORS => factors,
         _ => {
@@ -339,10 +217,8 @@ fn factorize(expr: &Expr) -> Vec<Vec<AtomExpr>> {
     }
 }
 
-type AtomExpr = Expr;
-
 /// DNF as lists of atomic expressions; `None` signals factor explosion.
-fn dnf(expr: &Expr) -> Option<Vec<Vec<Expr>>> {
+fn dnf(expr: &Expr) -> Option<Vec<Vec<&Expr>>> {
     match expr {
         Expr::Or(children) => {
             let mut out = Vec::new();
@@ -356,15 +232,13 @@ fn dnf(expr: &Expr) -> Option<Vec<Vec<Expr>>> {
         }
         Expr::And(children) => {
             // Cartesian product of child DNFs.
-            let mut acc: Vec<Vec<Expr>> = vec![Vec::new()];
+            let mut acc: Vec<Vec<&Expr>> = vec![Vec::new()];
             for c in children {
                 let child = dnf(c)?;
                 let mut next = Vec::with_capacity(acc.len() * child.len());
                 for a in &acc {
                     for b in &child {
-                        let mut f = a.clone();
-                        f.extend(b.iter().cloned());
-                        next.push(f);
+                        next.push(a.iter().chain(b).copied().collect());
                     }
                 }
                 if next.len() > MAX_DNF_FACTORS {
@@ -374,71 +248,15 @@ fn dnf(expr: &Expr) -> Option<Vec<Vec<Expr>>> {
             }
             Some(acc)
         }
-        atom => Some(vec![vec![atom.clone()]]),
+        atom => Some(vec![vec![atom]]),
     }
 }
 
-fn collect_atoms(expr: &Expr, out: &mut Vec<Expr>) {
+fn collect_atoms<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
     match expr {
         Expr::And(cs) | Expr::Or(cs) => cs.iter().for_each(|c| collect_atoms(c, out)),
-        atom => out.push(atom.clone()),
+        atom => out.push(atom),
     }
-}
-
-/// Classifies one atomic predicate; the classification logic used when
-/// restricting factors to tables.
-fn classify_atom(atom: &Expr, binder: &Binder) -> Vec<Atom> {
-    match atom {
-        Expr::Binary { left, op, right } if op.is_comparison() => {
-            // Column-to-column across tables is a join edge, not a filter.
-            if let (Expr::Column(lc), Expr::Column(rc)) = (left.as_ref(), right.as_ref()) {
-                if let (Ok(l), Ok(r)) = (binder.resolve(lc), binder.resolve(rc)) {
-                    if l.table_idx != r.table_idx {
-                        return Vec::new();
-                    }
-                }
-            }
-            let col = match (left.as_ref(), right.as_ref()) {
-                (Expr::Column(c), _) | (_, Expr::Column(c)) => c,
-                _ => return Vec::new(),
-            };
-            let Ok(bc) = binder.resolve(col) else {
-                return Vec::new();
-            };
-            let class = if op.is_prefix_compatible() {
-                OpClass::Ipp
-            } else if matches!(op, BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq) {
-                OpClass::Range
-            } else {
-                OpClass::Other
-            };
-            vec![(bc, class)]
-        }
-        Expr::InList {
-            expr,
-            negated: false,
-            ..
-        } => column_atom(expr, binder, OpClass::Ipp),
-        Expr::Between {
-            expr,
-            negated: false,
-            ..
-        } => column_atom(expr, binder, OpClass::Range),
-        Expr::IsNull {
-            expr,
-            negated: false,
-        } => column_atom(expr, binder, OpClass::Ipp),
-        _ => Vec::new(),
-    }
-}
-
-fn column_atom(expr: &Expr, binder: &Binder, class: OpClass) -> Vec<Atom> {
-    if let Expr::Column(c) = expr {
-        if let Ok(bc) = binder.resolve(c) {
-            return vec![(bc, class)];
-        }
-    }
-    Vec::new()
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@
 //! slot that [`crate::eval::BoundExpr`] reads per row.
 
 use crate::error::ExecError;
-use aim_sql::ast::{ColumnRef, Select, TableRef};
+use aim_sql::ast::{ColumnRef, Select, SelectItem, TableRef};
 use aim_storage::{Database, TableSchema};
+use std::collections::BTreeSet;
 
 /// A table instance bound within a query: the binding name (alias or table
 /// name) plus the underlying table name.
@@ -93,6 +94,36 @@ impl Binder {
     /// Schema of the `idx`-th bound table.
     pub fn schema<'a>(&self, db: &'a Database, idx: usize) -> Result<&'a TableSchema, ExecError> {
         Ok(db.table(&self.tables[idx].table)?.schema())
+    }
+
+    /// Name of a resolved column.
+    pub fn column_name(&self, col: BoundColumn) -> &str {
+        &self.columns[col.table_idx][col.col_idx]
+    }
+
+    /// The column positions `select` references anywhere (projection,
+    /// WHERE, GROUP BY, HAVING, ORDER BY), per table instance; a wildcard
+    /// references every column of every table. References that do not
+    /// resolve are skipped.
+    pub fn referenced(&self, select: &Select) -> Vec<BTreeSet<usize>> {
+        if select.items.iter().any(|i| matches!(i, SelectItem::Wildcard)) {
+            return self.columns.iter().map(|c| (0..c.len()).collect()).collect();
+        }
+        let mut cols: Vec<ColumnRef> = Vec::new();
+        for item in &select.items {
+            if let SelectItem::Expr { expr, .. } = item {
+                expr.referenced_columns(&mut cols);
+            }
+        }
+        let clauses = select.where_clause.iter().chain(&select.group_by).chain(&select.having);
+        for e in clauses.chain(select.order_by.iter().map(|o| &o.expr)) {
+            e.referenced_columns(&mut cols);
+        }
+        let mut referenced = vec![BTreeSet::new(); self.len()];
+        for bc in cols.iter().filter_map(|c| self.resolve(c).ok()) {
+            referenced[bc.table_idx].insert(bc.col_idx);
+        }
+        referenced
     }
 
     /// Resolves a column reference. Qualified references resolve through

@@ -23,7 +23,7 @@ use crate::cost::{
 use crate::error::ExecError;
 use crate::hypothetical::{HypoConfig, HypotheticalIndex};
 use crate::predicate::{PredicateAnalysis, Sarg, SargValue};
-use aim_sql::ast::{Expr, Select, SelectItem, Statement};
+use aim_sql::ast::{Expr, Select, Statement};
 use aim_storage::{
     ColumnStats, Database, IndexDef, SecondaryIndex, Table, TableSchema, TableStats, Value,
 };
@@ -390,7 +390,7 @@ impl<'a> Planner<'a> {
             .iter()
             .map(|b| Ok((db.table(&b.table)?, db.stats(&b.table))))
             .collect::<Result<Vec<_>, ExecError>>()?;
-        let referenced = collect_referenced(select, &binder, &tables);
+        let referenced = binder.referenced(select);
         Ok(Self {
             config,
             binder,
@@ -1170,45 +1170,6 @@ fn range_selectivity(
         (Some(cs), Some(l), Some(h)) => cs.range_selectivity(l, h),
         (Some(cs), ..) => cs.range_selectivity_unknown(),
     }
-}
-
-/// Collects the referenced column positions per bound table.
-fn collect_referenced(
-    select: &Select,
-    binder: &Binder,
-    tables: &[(&Table, Option<&TableStats>)],
-) -> Vec<BTreeSet<usize>> {
-    let mut cols: Vec<aim_sql::ast::ColumnRef> = Vec::new();
-    let mut wildcard = false;
-    for item in &select.items {
-        match item {
-            SelectItem::Wildcard => wildcard = true,
-            SelectItem::Expr { expr, .. } => expr.referenced_columns(&mut cols),
-        }
-    }
-    if wildcard {
-        return tables
-            .iter()
-            .map(|(table, _)| (0..table.schema().columns.len()).collect())
-            .collect();
-    }
-    if let Some(w) = &select.where_clause {
-        w.referenced_columns(&mut cols);
-    }
-    for g in &select.group_by {
-        g.referenced_columns(&mut cols);
-    }
-    if let Some(h) = &select.having {
-        h.referenced_columns(&mut cols);
-    }
-    for o in &select.order_by {
-        o.expr.referenced_columns(&mut cols);
-    }
-    let mut referenced = vec![BTreeSet::new(); tables.len()];
-    for bc in cols.iter().filter_map(|c| binder.resolve(c).ok()) {
-        referenced[bc.table_idx].insert(bc.col_idx);
-    }
-    referenced
 }
 
 /// Estimated cost of any statement under a what-if configuration: the

@@ -7,6 +7,10 @@
 //! * *join* predicates (`t1.a = t2.b`) forming the join graph, and
 //! * a single-table *disjunction* shape usable by an index-merge union.
 //!
+//! The advisor reads a query through the same functions ([`as_sarg`],
+//! [`as_join`]), so a column it builds a candidate from is one an access
+//! path can serve.
+//!
 //! The executor always re-applies the full WHERE clause as a residual
 //! filter, so the analysis here only has to be sound for narrowing, never
 //! for final correctness.
@@ -39,7 +43,8 @@ impl SargValue {
 /// A sargable atomic predicate on one column.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Sarg {
-    /// `col = v` or `col <=> v`: an *index prefix predicate* (§IV-B2).
+    /// `col = v`, `col <=> v` or `col IS NULL`: an *index prefix predicate*
+    /// (§IV-B2).
     Eq { col: BoundColumn, value: SargValue },
     /// `col IN (v1, .., vn)`: prefix-compatible, fans out to n probes.
     InList {
@@ -113,19 +118,13 @@ impl PredicateAnalysis {
             return Ok(a);
         };
 
-        let conjuncts: Vec<&Expr> = match pred {
-            Expr::And(children) => children.iter().collect(),
-            other => vec![other],
-        };
-        for c in &conjuncts {
+        for c in conjuncts(pred) {
             a.classify_conjunct(c, binder);
         }
 
         // Top-level OR over one table: collect per-branch sargs.
-        if conjuncts.len() == 1 {
-            if let Expr::Or(branches) = conjuncts[0] {
-                a.or_branches = Self::analyze_or(branches, binder);
-            }
+        if let [Expr::Or(branches)] = conjuncts(pred) {
+            a.or_branches = Self::analyze_or(branches, binder);
         }
         Ok(a)
     }
@@ -134,12 +133,8 @@ impl PredicateAnalysis {
         let mut result = Vec::with_capacity(branches.len());
         let mut table: Option<usize> = None;
         for branch in branches {
-            let parts: Vec<&Expr> = match branch {
-                Expr::And(children) => children.iter().collect(),
-                other => vec![other],
-            };
             let mut branch_sargs = Vec::new();
-            for p in parts {
+            for p in conjuncts(branch) {
                 let sarg = as_sarg(p, binder)?;
                 match table {
                     None => table = Some(sarg.column().table_idx),
@@ -157,27 +152,41 @@ impl PredicateAnalysis {
     }
 
     fn classify_conjunct(&mut self, conjunct: &Expr, binder: &Binder) {
-        // Join edge: col = col across different table instances.
-        if let Expr::Binary {
-            left,
-            op: BinOp::Eq,
-            right,
-        } = conjunct
-        {
-            if let (Expr::Column(lc), Expr::Column(rc)) = (left.as_ref(), right.as_ref()) {
-                if let (Ok(l), Ok(r)) = (binder.resolve(lc), binder.resolve(rc)) {
-                    if l.table_idx != r.table_idx {
-                        self.joins.push(JoinPred { left: l, right: r });
-                    }
-                    return;
-                }
-            }
-        }
-        if let Some(sarg) = as_sarg(conjunct, binder) {
+        if let Some(join) = as_join(conjunct, binder) {
+            self.joins.push(join);
+        } else if let Some(sarg) = as_sarg(conjunct, binder) {
             self.sargs[sarg.column().table_idx].push(sarg);
         }
         // Non-sargable conjuncts are handled by the residual filter.
     }
+}
+
+/// The top-level conjuncts of a predicate: an AND's children, or the
+/// predicate itself.
+pub fn conjuncts(e: &Expr) -> &[Expr] {
+    match e {
+        Expr::And(children) => children,
+        other => std::slice::from_ref(other),
+    }
+}
+
+/// Views a top-level conjunct as an equality join edge: `col = col` across
+/// two different table instances. Below an OR or a NOT an equality is not
+/// an edge, so callers pass conjuncts only.
+pub fn as_join(e: &Expr, binder: &Binder) -> Option<JoinPred> {
+    let Expr::Binary {
+        left,
+        op: BinOp::Eq,
+        right,
+    } = e
+    else {
+        return None;
+    };
+    let (Expr::Column(lc), Expr::Column(rc)) = (left.as_ref(), right.as_ref()) else {
+        return None;
+    };
+    let (left, right) = (binder.resolve(lc).ok()?, binder.resolve(rc).ok()?);
+    (left.table_idx != right.table_idx).then_some(JoinPred { left, right })
 }
 
 fn to_sarg_value(e: &Expr) -> Option<SargValue> {
@@ -193,9 +202,23 @@ fn to_sarg_value(e: &Expr) -> Option<SargValue> {
     }
 }
 
-/// Attempts to view an expression as a sargable predicate.
+/// Attempts to view an expression as a sargable predicate. `IS NULL` is an
+/// equality on NULL, planned as `<=> NULL` is; `= NULL` plans the same
+/// probe and the residual filter then keeps no row.
 pub fn as_sarg(e: &Expr, binder: &Binder) -> Option<Sarg> {
     match e {
+        Expr::IsNull {
+            expr,
+            negated: false,
+        } => {
+            let Expr::Column(c) = expr.as_ref() else {
+                return None;
+            };
+            Some(Sarg::Eq {
+                col: binder.resolve(c).ok()?,
+                value: SargValue::Const(Value::Null),
+            })
+        }
         Expr::Binary { left, op, right } if op.is_comparison() => {
             // Normalise to column-on-the-left.
             let (col_expr, val_expr, op) = match (left.as_ref(), right.as_ref()) {
@@ -209,7 +232,7 @@ pub fn as_sarg(e: &Expr, binder: &Binder) -> Option<Sarg> {
             let col = binder.resolve(c).ok()?;
             let value = to_sarg_value(val_expr)?;
             match op {
-                BinOp::Eq | BinOp::NullSafeEq => Some(Sarg::Eq { col, value }),
+                op if op.is_prefix_compatible() => Some(Sarg::Eq { col, value }),
                 BinOp::Gt => Some(Sarg::Range {
                     col,
                     lo: Bound::Excluded(value),
@@ -377,6 +400,16 @@ mod tests {
     fn or_with_unsargable_branch_not_mergeable() {
         let (a, _) = analyze("SELECT a FROM t1 WHERE a = 1 OR b + 1 = 2");
         assert!(a.or_branches.is_none());
+    }
+
+    #[test]
+    fn is_null_is_an_equality_on_null() {
+        let (a, _) = analyze("SELECT a FROM t1 WHERE a IS NULL AND b <=> NULL AND c IS NOT NULL");
+        let null = SargValue::Const(Value::Null);
+        assert_eq!(a.sargs[0].len(), 2);
+        for sarg in &a.sargs[0] {
+            assert!(matches!(sarg, Sarg::Eq { value, .. } if *value == null), "{sarg:?}");
+        }
     }
 
     #[test]

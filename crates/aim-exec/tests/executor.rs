@@ -1,6 +1,6 @@
 //! End-to-end executor tests: SQL in, rows out, with physical accounting.
 
-use aim_exec::{AccessPath, Engine, ExecError};
+use aim_exec::{AccessPath, Engine, ExecError, IndexChoice};
 use aim_sql::parse_statement;
 use aim_storage::{ColumnDef, ColumnType, Database, IndexDef, IoStats, TableSchema, Value};
 
@@ -122,6 +122,39 @@ fn index_chosen_plan_reported() {
     assert!(matches!(out.plan.steps[0].path, AccessPath::IndexScan(_)));
     let used = out.plan.used_indexes();
     assert_eq!(used.len(), 1);
+}
+
+#[test]
+fn is_null_plans_through_an_index_and_equals_null_selects_nothing() {
+    let mut db = orders_db(3000);
+    // A tenth of the rows, 300, lose their region.
+    run(&mut db, "UPDATE orders SET region = NULL WHERE customer_id < 5");
+    db.analyze_all();
+    let sorted = |mut rows: Vec<Vec<Value>>| {
+        rows.sort();
+        rows
+    };
+    let scanned = sorted(run(&mut db, "SELECT id FROM orders WHERE region IS NULL").rows);
+    assert_eq!(scanned.len(), 300);
+    assert!(run(&mut db, "SELECT id FROM orders WHERE region = NULL").rows.is_empty());
+
+    let mut io = IoStats::new();
+    db.create_index(IndexDef::new("ix_region", "orders", vec!["region".into()]), &mut io)
+        .unwrap();
+    for sql in [
+        "SELECT id FROM orders WHERE region IS NULL",
+        "SELECT id FROM orders WHERE region <=> NULL",
+    ] {
+        let out = run(&mut db, sql);
+        let used = out.plan.used_indexes();
+        assert!(
+            matches!(&used[..], [(0, IndexChoice::Secondary(n))] if n == "ix_region"),
+            "{sql}: {used:?}"
+        );
+        assert!(out.io.rows_read < 3000 / 5, "{sql}: {} rows read", out.io.rows_read);
+        assert_eq!(sorted(out.rows), scanned, "{sql}");
+    }
+    assert!(run(&mut db, "SELECT id FROM orders WHERE region = NULL").rows.is_empty());
 }
 
 #[test]

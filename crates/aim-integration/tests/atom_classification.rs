@@ -1,11 +1,10 @@
-//! The advisor and the planner classify predicate atoms independently:
-//! `aim_core::metadata` (`classify_atom`, `collect_join_edges`) decides
-//! which columns a candidate index is built from, `aim_exec::predicate`
-//! (`as_sarg`, `classify_conjunct`) decides which predicates an index can
-//! serve. One table over every atom shape of the SQL subset (DESIGN.md §2)
-//! states where they agree and pins, by name, where they do not — the
-//! baseline ROADMAP item 13(c) and the later fix start from. No behaviour
-//! is changed here: a row that moves is a decision that moved.
+//! The advisor and the planner read a predicate with the same functions:
+//! `aim_core::metadata` builds candidate key columns from what
+//! `aim_exec::predicate` (`as_sarg`, `as_join`) makes of each atom, and the
+//! planner serves exactly those atoms with an access path. One table over
+//! every atom shape of the SQL subset (DESIGN.md §2) states that they
+//! agree, and pins by name the one shape where they still do not. A row
+//! that moves is a decision that moved.
 
 use aim_core::analyze_structure;
 use aim_exec::{Binder, PredicateAnalysis, Sarg};
@@ -15,7 +14,7 @@ use std::collections::BTreeSet;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Class {
-    /// Index-prefix predicate: equality, `<=>`, `IN`.
+    /// Index-prefix predicate: equality, `<=>`, `IN`, `IS NULL`.
     Ipp,
     Range,
     /// Equality join edge to another table instance.
@@ -75,9 +74,8 @@ fn planner(db: &Database, stmt: &Statement) -> View {
     let binder = Binder::for_select(db, select).expect("binds");
     let analysis = PredicateAnalysis::analyze(select.where_clause.as_ref(), &binder).unwrap();
     let name = |col: aim_exec::BoundColumn| {
-        let t = &binder.tables()[col.table_idx];
-        let schema = db.table(&t.table).unwrap().schema();
-        format!("{}.{}", t.binding, schema.columns[col.col_idx].name)
+        let binding = &binder.tables()[col.table_idx].binding;
+        format!("{binding}.{}", binder.column_name(col))
     };
     let mut view = View::new();
     let branches = analysis.or_branches.iter().flatten().flatten();
@@ -109,6 +107,8 @@ fn the_advisor_and_the_planner_classify_atoms_in_one_table() {
         ("a = -5", &[("t1.a", Ipp)]),
         ("a = ?", &[("t1.a", Ipp)]),
         ("a <=> 5", &[("t1.a", Ipp)]),
+        ("a <=> NULL", &[("t1.a", Ipp)]),
+        ("a IS NULL", &[("t1.a", Ipp)]),
         ("a IN (1, 2, 3)", &[("t1.a", Ipp)]),
         ("a < 5", &[("t1.a", Range)]),
         ("a <= 5", &[("t1.a", Range)]),
@@ -125,6 +125,17 @@ fn the_advisor_and_the_planner_classify_atoms_in_one_table() {
         ("a + 1 = 5", &[]),
         ("NOT (a = 5)", &[]),
         ("t1.a < t2.x", &[]),
+        // Column vs column of one table (TPC-H Q21's `l_receiptdate >
+        // l_commitdate`), and column vs an expression that is not a
+        // literal, a negated literal or a parameter: residual filters.
+        ("b > c", &[]),
+        ("b = c", &[]),
+        ("a = b + 1", &[]),
+        ("a > 1 + 2", &[]),
+        ("a IN (1, b)", &[]),
+        ("a BETWEEN 1 AND c", &[]),
+        // An equality under NOT is not an edge.
+        ("NOT (t1.a = t2.x)", &[]),
         // Trees.
         ("a = 1 AND b > 2", &[("t1.a", Ipp), ("t1.b", Range)]),
         ("a = 1 OR b > 2", &[("t1.a", Ipp), ("t1.b", Range)]),
@@ -143,51 +154,17 @@ fn the_advisor_and_the_planner_classify_atoms_in_one_table() {
             ],
         ),
     ];
-    // (name, predicate, advisor, planner) — today's disagreements. In each
-    // the advisor offers a column the planner will not use that way.
+    // (name, predicate, advisor, planner) — the remaining disagreement.
     type Entries = &'static [(&'static str, Class)];
     let disagreed: &[(&str, &str, Entries, Entries)] = &[
-        // IPP for the advisor; the planner has no access path for IS NULL.
-        ("is_null", "a IS NULL", &[("t1.a", Ipp)], &[]),
-        // Same-table column vs column (TPC-H Q21's `l_receiptdate >
-        // l_commitdate`): a range / prefix column for the advisor, a
-        // residual filter for the planner.
-        ("same_table_columns_range", "b > c", &[("t1.b", Range)], &[]),
-        ("same_table_columns_eq", "b = c", &[("t1.b", Ipp)], &[]),
-        // Column vs an expression that is not a literal, a negated literal
-        // or a parameter.
-        ("column_vs_expression", "a = b + 1", &[("t1.a", Ipp)], &[]),
-        (
-            "column_vs_constant_expression",
-            "a > 1 + 2",
-            &[("t1.a", Range)],
-            &[],
-        ),
-        (
-            "in_list_with_expression",
-            "a IN (1, b)",
-            &[("t1.a", Ipp)],
-            &[],
-        ),
-        (
-            "between_with_expression",
-            "a BETWEEN 1 AND c",
-            &[("t1.a", Range)],
-            &[],
-        ),
-        // A join edge below OR or NOT: the advisor walks the whole tree
-        // for edges, the planner takes them from top-level conjuncts only
-        // (under NOT the predicate is not even an equality any more).
+        // Algorithm 2's DNF crosses table instances, so `b = 1` is a
+        // factor of its own for the advisor; index-merge serves only an OR
+        // whose every branch is sargable on one table, and a join edge is
+        // one only as a top-level conjunct, so the planner sees nothing.
         (
             "join_edge_under_or",
             "t1.a = t2.x OR b = 1",
-            &[("t1.a", Join), ("t2.x", Join), ("t1.b", Ipp)],
-            &[],
-        ),
-        (
-            "join_edge_under_not",
-            "NOT (t1.a = t2.x)",
-            &[("t1.a", Join), ("t2.x", Join)],
+            &[("t1.b", Ipp)],
             &[],
         ),
     ];
