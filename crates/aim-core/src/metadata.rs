@@ -155,43 +155,40 @@ fn analyze_select(db: &Database, select: &Select) -> Result<QueryStructure, Exec
         }
     }
 
-    let Some(w) = &select.where_clause else {
-        return Ok(QueryStructure {
-            tables,
-            is_dml: false,
-        });
-    };
-    // Join edges: the planner's, from the top-level conjuncts.
-    for JoinPred { left, right } in conjuncts(w).iter().filter_map(|c| as_join(c, &binder)) {
-        for (mine, other) in [(left, right), (right, left)] {
-            let other = binder.tables()[other.table_idx].binding.clone();
-            let edges = &mut tables[mine.table_idx].join_edges;
-            edges.entry(other).or_default().insert(name(mine));
+    if let Some(w) = &select.where_clause {
+        // Join edges: the planner's, from the top-level conjuncts.
+        for JoinPred { left, right } in conjuncts(w).iter().filter_map(|c| as_join(c, &binder)) {
+            for (mine, other) in [(left, right), (right, left)] {
+                let other = binder.tables()[other.table_idx].binding.clone();
+                let edges = &mut tables[mine.table_idx].join_edges;
+                edges.entry(other).or_default().insert(name(mine));
+            }
         }
-    }
-    // DNF factors of the filter predicate, each restricted to each table
-    // instance; an atom is whatever the planner's `as_sarg` makes of it.
-    for factor in factorize(w) {
-        let mut per_table: Vec<FactorGroup> = vec![FactorGroup::default(); binder.len()];
-        for sarg in factor.into_iter().filter_map(|e| as_sarg(e, &binder)) {
-            let bc = sarg.column();
-            let group = &mut per_table[bc.table_idx];
-            match sarg {
-                Sarg::Eq { .. } | Sarg::InList { .. } => {
-                    group.ipp.insert(name(bc));
-                }
-                // A column both IPP and range in one factor stays IPP.
-                Sarg::Range { .. } => {
-                    let col = name(bc);
-                    if !group.ipp.contains(&col) {
-                        group.range.insert(col);
+        // DNF factors of the filter predicate, each restricted to each
+        // table instance; an atom is whatever the planner's `as_sarg`
+        // makes of it.
+        for factor in factorize(w) {
+            let mut per_table = vec![FactorGroup::default(); binder.len()];
+            for sarg in factor.into_iter().filter_map(|e| as_sarg(e, &binder)) {
+                let bc = sarg.column();
+                let group = &mut per_table[bc.table_idx];
+                match sarg {
+                    Sarg::Eq { .. } | Sarg::InList { .. } => {
+                        group.ipp.insert(name(bc));
+                    }
+                    // A column both IPP and range in one factor stays IPP.
+                    Sarg::Range { .. } => {
+                        let col = name(bc);
+                        if !group.ipp.contains(&col) {
+                            group.range.insert(col);
+                        }
                     }
                 }
             }
-        }
-        for (i, g) in per_table.into_iter().enumerate() {
-            if !g.is_empty() && !tables[i].filter_groups.contains(&g) {
-                tables[i].filter_groups.push(g);
+            for (i, g) in per_table.into_iter().enumerate() {
+                if !g.is_empty() && !tables[i].filter_groups.contains(&g) {
+                    tables[i].filter_groups.push(g);
+                }
             }
         }
     }
