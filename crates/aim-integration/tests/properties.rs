@@ -18,7 +18,7 @@ use aim_sql::lexer::{lex, Token};
 use aim_sql::normalize::normalize_statement;
 use aim_sql::parse_statement;
 use aim_storage::{
-    ColumnDef, ColumnType, Database, Histogram, IndexDef, IoStats, TableSchema, Value,
+    ColumnDef, ColumnType, Database, Histogram, IndexDef, IoStats, Row, TableSchema, Value,
 };
 use aim_workloads::rng::{Rng, SeedableRng, StdRng};
 use std::collections::BTreeSet;
@@ -399,14 +399,44 @@ fn table_of(
     db
 }
 
+/// Runs `SELECT id, a, b, c FROM t WHERE <predicates>` on `db`, builds an
+/// index on one or two columns drawn from `cols`, runs it again and asserts
+/// equal rows. Returns the scan's rows, sorted.
+fn index_equals_scan(
+    rng: &mut StdRng,
+    mut db: Database,
+    cols: &[&str],
+    predicates: &[String],
+) -> Vec<Row> {
+    let engine = Engine::new();
+    let sql = format!("SELECT id, a, b, c FROM t WHERE {}", predicates.join(" AND "));
+    let stmt = parse_statement(&sql).expect("valid");
+
+    let mut base = engine.execute(&mut db, &stmt).expect("executes").rows;
+    base.sort();
+
+    let index_cols: BTreeSet<&str> = (0..rng.gen_range(1..=2usize))
+        .map(|_| cols[rng.gen_range(0..cols.len())])
+        .collect();
+    let cols_v: Vec<String> = index_cols.iter().map(|s| s.to_string()).collect();
+    let mut io = IoStats::new();
+    db.create_index(IndexDef::new("ix", "t", cols_v), &mut io)
+        .expect("valid index");
+    db.analyze_all();
+    let mut indexed = engine.execute(&mut db, &stmt).expect("executes").rows;
+    indexed.sort();
+
+    assert_eq!(base, indexed, "index changed results for {sql}");
+    base
+}
+
 #[test]
 fn indexed_execution_equals_scan() {
     let cols = ["a", "b", "c"];
     let ops = ["=", ">", "<", ">=", "<="];
     let mut rng = StdRng::seed_from_u64(0x5EEC);
-    let engine = Engine::new();
     for _ in 0..64 {
-        let mut db = int_table(&mut rng, &cols, 120, 30);
+        let db = int_table(&mut rng, &cols, 120, 30);
         let n_preds = rng.gen_range(1..=2usize);
         let where_clause: Vec<String> = (0..n_preds)
             .map(|_| {
@@ -418,24 +448,7 @@ fn indexed_execution_equals_scan() {
                 )
             })
             .collect();
-        let sql = format!("SELECT id, a, b, c FROM t WHERE {}", where_clause.join(" AND "));
-        let stmt = parse_statement(&sql).expect("valid");
-
-        let mut base = engine.execute(&mut db, &stmt).expect("executes").rows;
-        base.sort();
-
-        let index_cols: BTreeSet<&str> = (0..rng.gen_range(1..=2usize))
-            .map(|_| cols[rng.gen_range(0..cols.len())])
-            .collect();
-        let cols_v: Vec<String> = index_cols.iter().map(|s| s.to_string()).collect();
-        let mut io = IoStats::new();
-        db.create_index(IndexDef::new("ix", "t", cols_v), &mut io)
-            .expect("valid index");
-        db.analyze_all();
-        let mut indexed = engine.execute(&mut db, &stmt).expect("executes").rows;
-        indexed.sort();
-
-        assert_eq!(base, indexed, "index changed results for {sql}");
+        index_equals_scan(&mut rng, db, &cols, &where_clause);
     }
 
     // NULL cells under the NULL-aware operators: `IS NULL`, `<=> NULL`
@@ -443,7 +456,7 @@ fn indexed_execution_equals_scan() {
     // or without an index, `IS NOT NULL` is left to the residual filter.
     let mut rng = StdRng::seed_from_u64(0x5EED);
     for _ in 0..64 {
-        let mut db = table_of(&mut rng, &cols, 120, |rng| {
+        let db = table_of(&mut rng, &cols, 120, |rng| {
             if rng.gen_range(0..4u32) == 0 {
                 Value::Null
             } else {
@@ -464,27 +477,10 @@ fn indexed_execution_equals_scan() {
                 }
             })
             .collect();
-        let sql = format!("SELECT id, a, b, c FROM t WHERE {}", where_clause.join(" AND "));
-        let stmt = parse_statement(&sql).expect("valid");
-
-        let mut base = engine.execute(&mut db, &stmt).expect("executes").rows;
-        base.sort();
+        let rows = index_equals_scan(&mut rng, db, &cols, &where_clause);
         if where_clause.iter().any(|p| p.contains(" = NULL")) {
-            assert!(base.is_empty(), "`= NULL` selected rows: {sql}");
+            assert!(rows.is_empty(), "`= NULL` selected rows: {where_clause:?}");
         }
-
-        let index_cols: BTreeSet<&str> = (0..rng.gen_range(1..=2usize))
-            .map(|_| cols[rng.gen_range(0..cols.len())])
-            .collect();
-        let cols_v: Vec<String> = index_cols.iter().map(|s| s.to_string()).collect();
-        let mut io = IoStats::new();
-        db.create_index(IndexDef::new("ix", "t", cols_v), &mut io)
-            .expect("valid index");
-        db.analyze_all();
-        let mut indexed = engine.execute(&mut db, &stmt).expect("executes").rows;
-        indexed.sort();
-
-        assert_eq!(base, indexed, "index changed results for {sql}");
     }
 }
 
