@@ -1004,7 +1004,12 @@ impl<'r> Join<'r> {
                 EqSource::InList(vs) => {
                     let mut next = Vec::with_capacity(prefixes.len() * vs.len());
                     for p in prefixes {
-                        for v in vs {
+                        // A value listed twice is probed once: its rows
+                        // match the predicate once.
+                        for (i, v) in vs.iter().enumerate() {
+                            if vs[..i].contains(v) {
+                                continue;
+                            }
                             let mut q = p.clone();
                             q.push(v.clone());
                             next.push(q);

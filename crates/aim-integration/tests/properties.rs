@@ -484,6 +484,125 @@ fn indexed_execution_equals_scan() {
     }
 }
 
+/// A table `name(id, columns..)` of `rows` rows; a fifth of the cells are
+/// NULL, the rest `Int` or `Float` below the column's bound, a quarter of
+/// the floats off the integers. A 200-byte `pad` column makes the rows wide
+/// enough for an index probe to beat a scan.
+fn mixed_table(
+    db: &mut Database,
+    rng: &mut StdRng,
+    name: &str,
+    columns: &[(&str, i64)],
+    rows: std::ops::RangeInclusive<usize>,
+) {
+    let mut defs = vec![ColumnDef::new("id", ColumnType::Int)];
+    defs.extend(columns.iter().map(|(c, _)| ColumnDef::new(*c, ColumnType::Int)));
+    defs.push(ColumnDef::new("pad", ColumnType::Str));
+    db.create_table(TableSchema::new(name, defs, &["id"]).expect("valid"))
+        .expect("fresh");
+    let mut io = IoStats::new();
+    for i in 0..rng.gen_range(rows) {
+        let mut row = vec![Value::Int(i as i64)];
+        for (_, bound) in columns {
+            let v = rng.gen_range(0..*bound);
+            row.push(match rng.gen_range(0..10u32) {
+                0 | 1 => Value::Null,
+                2 | 3 => Value::Float(v as f64),
+                4 => Value::Float(v as f64 + 0.5),
+                _ => Value::Int(v),
+            });
+        }
+        row.push(Value::Str("p".repeat(200)));
+        db.table_mut(name)
+            .expect("exists")
+            .insert(row, &mut io)
+            .expect("unique");
+    }
+}
+
+/// Two tables joined on `o.k = i.k`, run without indexes and then with one
+/// on each join column, so that the table bound second is probed through
+/// an index per row of the first (an index join, `EqSource::Outer`): on
+/// the join column alone, behind an IN-list and before a range on a
+/// composite index, under column-vs-column comparisons, over NULL cells
+/// and mixed `Int`/`Float` values. The result multiset is the scan's.
+#[test]
+fn index_join_equals_nested_scan() {
+    use aim_exec::{AccessPath, EqSource};
+    let inner_indexes: [&[&str]; 5] =
+        [&["k"], &["k", "a"], &["k", "b"], &["a", "k", "b"], &["k", "a", "b"]];
+    let engine = Engine::new();
+    // Join keys selective enough for a probe to pay; a few values for the
+    // IN-lists, ranges and comparisons to hit.
+    const KEYS: i64 = 120;
+    const VALUES: i64 = 12;
+    let mut rng = StdRng::seed_from_u64(0x101E);
+    let mut probed = 0;
+    let cases = 96;
+    for _ in 0..cases {
+        let mut db = Database::new();
+        mixed_table(&mut db, &mut rng, "o", &[("k", KEYS), ("x", VALUES)], 150..=300);
+        let inner = [("k", KEYS), ("a", VALUES), ("b", VALUES)];
+        mixed_table(&mut db, &mut rng, "i", &inner, 200..=400);
+        db.analyze_all();
+
+        let mut predicates = vec!["o.k = i.k".to_string()];
+        let v = |rng: &mut StdRng| rng.gen_range(0..VALUES);
+        if rng.gen_range(0..2u32) == 0 {
+            let mut list: Vec<String> =
+                (0..rng.gen_range(1..=3usize)).map(|_| v(&mut rng).to_string()).collect();
+            if rng.gen_range(0..4u32) == 0 {
+                list.push("NULL".into());
+            }
+            predicates.push(format!("i.a IN ({})", list.join(", ")));
+        }
+        match rng.gen_range(0..3u32) {
+            0 => predicates.push(format!("i.b > {}", v(&mut rng))),
+            1 => {
+                let lo = v(&mut rng);
+                let hi = lo + rng.gen_range(0..4i64);
+                predicates.push(format!("i.b BETWEEN {lo} AND {hi}"));
+            }
+            _ => {}
+        }
+        let comparisons = ["o.x < i.a", "i.a <> i.b", "o.x <= i.b", "o.x = i.a"];
+        for _ in 0..rng.gen_range(0..=2usize) {
+            predicates.push(comparisons[rng.gen_range(0..comparisons.len())].to_string());
+        }
+        let sql = format!(
+            "SELECT o.id, i.id, o.x, i.k, i.a, i.b FROM o, i WHERE {}",
+            predicates.join(" AND ")
+        );
+        let stmt = parse_statement(&sql).expect("valid");
+        let mut base = engine.execute(&mut db, &stmt).expect("executes").rows;
+        base.sort();
+
+        let mut io = IoStats::new();
+        let columns = inner_indexes[rng.gen_range(0..inner_indexes.len())];
+        let def = IndexDef::new("ix_i", "i", columns.iter().map(|c| c.to_string()).collect());
+        db.create_index(def, &mut io).expect("valid index");
+        let outer_columns = [&["k"][..], &["k", "x"]][rng.gen_range(0..2usize)];
+        let def =
+            IndexDef::new("ix_o", "o", outer_columns.iter().map(|c| c.to_string()).collect());
+        db.create_index(def, &mut io).expect("valid index");
+        db.analyze_all();
+        let outcome = engine.execute(&mut db, &stmt).expect("executes");
+        let outer_probe = outcome.plan.steps.iter().any(|step| {
+            matches!(&step.path, AccessPath::IndexScan(ix)
+                if ix.eq.iter().any(|e| matches!(e, EqSource::Outer(_))))
+        });
+        probed += usize::from(outer_probe);
+        let mut indexed = outcome.rows;
+        indexed.sort();
+        assert_eq!(base, indexed, "indexes changed results for {sql} on {columns:?}");
+    }
+    // The oracle is about index joins: most cases must run one.
+    assert!(
+        probed * 2 > cases,
+        "only {probed} of {cases} cases probed an index per outer row"
+    );
+}
+
 #[test]
 fn or_predicates_unchanged_by_indexes() {
     // Single-table OR: with per-branch indexes the planner may pick an
