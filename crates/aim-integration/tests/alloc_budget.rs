@@ -1,9 +1,11 @@
-//! Heap-allocation budget of the ingest path, counted exactly by a
-//! counting global allocator over the Product B + TPC-H statement texts
+//! Heap-allocation budgets, counted exactly by a counting global
+//! allocator. The ingest path over the Product B + TPC-H statement texts
 //! (the `ingest_stream` corpus: 9 588 texts here, 76 bytes and 29 tokens on
-//! average). Counts repeat exactly, unlike timings, so a regression shows
-//! as a number, and the numbers before the borrowed-token lexer, the
-//! streamed fingerprint and in-place exemplars are kept beside each bound.
+//! average), and the executor over the TPC-H texts on a tuned database and
+//! per outer row of an index join. Counts repeat exactly, unlike timings,
+//! so a regression shows as a number, and the numbers before the
+//! borrowed-token lexer, the streamed fingerprint and in-place exemplars
+//! are kept beside each bound.
 //!
 //! This is its own test binary because of the `#[global_allocator]` in
 //! `common/counting.rs`; the counter is thread-local, so the harness's
@@ -13,11 +15,21 @@ mod common;
 #[path = "common/counting.rs"]
 mod counting;
 
+use aim_exec::{AccessPath, EqSource, Engine, IndexChoice};
 use aim_monitor::WorkloadMonitor;
 use aim_sql::lexer::lex;
 use aim_sql::normalize::{fingerprint, normalize_statement};
-use aim_sql::parse_statement;
+use aim_sql::{parse_statement, Select, Statement};
+use aim_storage::{IndexDef, IoStats};
+use aim_workloads::{production, tpch};
 use counting::count;
+
+fn select(sql: &str) -> Select {
+    match parse_statement(sql) {
+        Ok(Statement::Select(s)) => s,
+        other => panic!("{sql}: {other:?}"),
+    }
+}
 
 #[test]
 fn ingest_path_stays_within_its_allocation_budget() {
@@ -72,4 +84,65 @@ fn ingest_path_stays_within_its_allocation_budget() {
     // Was 48.63: the 24.85 above, `exemplar = stmt.clone()` at about 20
     // and a fresh `indexes_used` vector with two `String`s per index.
     assert_eq!(known, 0, "record of a known template allocates");
+}
+
+/// The executor's allocations: every TPC-H text of `common::tpch_fixture`
+/// (22 templates, two parameter seeds) run on the fixture once its index
+/// set exists, and the Q19 join probed per `part` row through a composite
+/// `lineitem(l_partkey, l_quantity)` index. Each statement runs once
+/// before it is counted, so one-time work is not in the count; the count
+/// includes the result rows.
+#[test]
+fn executor_stays_within_its_allocation_budget() {
+    let fixture = common::tpch_fixture();
+    let mut db = fixture.db;
+    production::apply_indexes(&mut db, &fixture.indexes);
+    let engine = Engine::new();
+    let selects: Vec<(String, Select)> = fixture
+        .texts
+        .iter()
+        .map(|sql| (sql.clone(), select(sql)))
+        .collect();
+    let mut total = 0u64;
+    for (i, (sql, select)) in selects.iter().enumerate() {
+        engine.execute_select(&db, select).unwrap_or_else(|e| panic!("{e}\n{sql}"));
+        let n = count(|| engine.execute_select(&db, select).expect("ran once"));
+        eprintln!("  Q{:<2} seed {} {n:>7} allocations", i % 22 + 1, i / 22 + 1);
+        total += n;
+    }
+    eprintln!("TPC-H 22x2 on the tuned fixture: {total} allocations");
+
+    let composite = IndexDef::new(
+        "aim_lineitem_l_partkey_l_quantity",
+        "lineitem",
+        vec!["l_partkey".into(), "l_quantity".into()],
+    );
+    db.create_index(composite.clone(), &mut IoStats::new()).expect("valid");
+    db.analyze_all();
+    let q19 = &selects[18].1;
+    let plan = engine.open_select(&db, q19).expect("plans").into_plan();
+    let [outer, inner] = plan.steps.as_slice() else {
+        panic!("Q19 is a two-table join: {plan:?}")
+    };
+    assert_eq!(outer.path, AccessPath::FullScan, "{plan:?}");
+    let AccessPath::IndexScan(probe) = &inner.path else {
+        panic!("Q19 probes lineitem: {plan:?}")
+    };
+    assert_eq!(probe.index, IndexChoice::Secondary(composite.name.clone()));
+    assert!(matches!(probe.eq.as_slice(), [EqSource::Outer(_)]), "{probe:?}");
+    let outer_rows = db.table("part").expect("exists").row_count() as u64;
+    engine.execute_select(&db, q19).expect("runs");
+    let join = count(|| engine.execute_select(&db, q19).expect("runs"));
+    eprintln!(
+        "Q19 as part(full) -> lineitem({}): {join} allocations over {outer_rows} outer rows, \
+         {:.2} per outer row",
+        composite.name,
+        join as f64 / outer_rows as f64
+    );
+
+    // Both profiles count the same.
+    assert_eq!(total, 48_388, "TPC-H 22x2");
+    // About 15 per outer row: the probe's prefix, its two range keys and
+    // its candidate vectors are built afresh for every `part` row.
+    assert_eq!((join, outer_rows), (3_066, 200), "Q19 index join");
 }
