@@ -18,6 +18,12 @@ echo "== cargo test -q --no-fail-fast"
 # --no-fail-fast: one red test binary must not hide the ones after it.
 cargo test -q --no-fail-fast
 
+echo "== release-profile count pins"
+# The count tests pin a release build's numbers beside the test profile's,
+# and the run above checks only the test profile's. `alloc_budget` holds
+# the same numbers in both.
+cargo test --release -q -p aim-integration --test clone_counts --test storage_counts --test alloc_budget
+
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
