@@ -84,17 +84,17 @@ impl Histogram {
         if v < lower {
             return 0.0;
         }
-        let mut prev_upper = lower.clone();
+        let mut prev_upper = lower;
         for (i, b) in self.buckets.iter().enumerate() {
             let in_bucket = if i == 0 {
-                *v >= prev_upper && *v <= b.upper
+                v >= prev_upper && *v <= b.upper
             } else {
-                *v > prev_upper && *v <= b.upper
+                v > prev_upper && *v <= b.upper
             };
             if in_bucket {
                 return b.count as f64 / b.distinct.max(1) as f64;
             }
-            prev_upper = b.upper.clone();
+            prev_upper = &b.upper;
         }
         0.0
     }
@@ -103,9 +103,10 @@ impl Histogram {
     pub fn estimate_range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> f64 {
         let Some(lower) = &self.lower else { return 0.0 };
         let mut est = 0.0;
-        let mut prev_upper: Value = lower.clone();
-        for (i, b) in self.buckets.iter().enumerate() {
-            let b_lo = if i == 0 { lower } else { &prev_upper };
+        // A bucket spans from the one before's upper bound, the first from
+        // the histogram's lower bound.
+        let mut b_lo = lower;
+        for b in &self.buckets {
             // Fraction of this bucket below the range's lower bound.
             let cut_low = match lo {
                 Bound::Unbounded => 0.0,
@@ -119,7 +120,7 @@ impl Histogram {
             };
             let keep = (1.0 - cut_low - cut_high).max(0.0);
             est += keep * b.count as f64;
-            prev_upper = b.upper.clone();
+            b_lo = &b.upper;
         }
         est
     }
