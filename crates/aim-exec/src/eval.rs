@@ -227,7 +227,8 @@ impl BoundExpr {
     }
 
     /// Three-valued truth of a predicate (`None` is NULL), computed without
-    /// building a [`Value`]. A non-boolean value is an error named after
+    /// building a [`Value`]: its operands are read where they lie
+    /// ([`BoundExpr::read`]). A non-boolean value is an error named after
     /// the `operator` (AND, OR, NOT) consuming it; at the top of a filter
     /// it is merely not true.
     fn truth(
@@ -262,23 +263,27 @@ impl BoundExpr {
                 (!saw_null).then_some(false)
             }
             BoundExpr::Binary { left, op, right } if op.is_comparison() => {
-                compare(&*left.eval(tuple, aggs)?, *op, &*right.eval(tuple, aggs)?)
+                let (mut l_held, mut r_held) = (None, None);
+                let l = left.read(tuple, aggs, &mut l_held)?;
+                compare(l, *op, right.read(tuple, aggs, &mut r_held)?)
             }
             BoundExpr::InList {
                 expr,
                 list,
                 negated,
             } => {
-                let v = expr.eval(tuple, aggs)?;
+                let mut v_held = None;
+                let v = expr.read(tuple, aggs, &mut v_held)?;
                 if v.is_null() {
                     return Ok(None);
                 }
                 let mut saw_null = false;
                 for item in list {
-                    let iv = item.eval(tuple, aggs)?;
+                    let mut iv_held = None;
+                    let iv = item.read(tuple, aggs, &mut iv_held)?;
                     if iv.is_null() {
                         saw_null = true;
-                    } else if *iv == *v {
+                    } else if iv == v {
                         return Ok(Some(!negated));
                     }
                 }
@@ -290,26 +295,27 @@ impl BoundExpr {
                 high,
                 negated,
             } => {
-                let v = expr.eval(tuple, aggs)?;
-                let lo = low.eval(tuple, aggs)?;
-                let hi = high.eval(tuple, aggs)?;
+                let (mut v_held, mut lo_held, mut hi_held) = (None, None, None);
+                let v = expr.read(tuple, aggs, &mut v_held)?;
+                let lo = low.read(tuple, aggs, &mut lo_held)?;
+                let hi = high.read(tuple, aggs, &mut hi_held)?;
                 if v.is_null() || lo.is_null() || hi.is_null() {
                     return Ok(None);
                 }
-                let inside = *v >= *lo && *v <= *hi;
+                let inside = v >= lo && v <= hi;
                 Some(inside != *negated)
             }
             BoundExpr::IsNull { expr, negated } => {
-                Some(expr.eval(tuple, aggs)?.is_null() != *negated)
+                Some(expr.read(tuple, aggs, &mut None)?.is_null() != *negated)
             }
             BoundExpr::Like {
                 expr,
                 pattern,
                 negated,
             } => {
-                let v = expr.eval(tuple, aggs)?;
-                let p = pattern.eval(tuple, aggs)?;
-                match (&*v, &*p) {
+                let (mut v_held, mut p_held) = (None, None);
+                let v = expr.read(tuple, aggs, &mut v_held)?;
+                match (v, pattern.read(tuple, aggs, &mut p_held)?) {
                     (Value::Null, _) | (_, Value::Null) => None,
                     (Value::Str(s), Value::Str(pat)) => Some(like_match(s, pat) != *negated),
                     (a, b) => {
@@ -326,6 +332,28 @@ impl BoundExpr {
                 }
             },
         })
+    }
+
+    /// An operand of a predicate: a constant, a column of a bound slot or
+    /// an aggregate's value, read in place; anything else
+    /// [`BoundExpr::eval`] computes into `held`. An unbound slot is left to
+    /// `eval`, whose error it is.
+    #[inline]
+    fn read<'v>(
+        &'v self,
+        tuple: &[Option<&'v Row>],
+        aggs: &'v [Value],
+        held: &'v mut Option<Cow<'v, Value>>,
+    ) -> Result<&'v Value, ExecError> {
+        match self {
+            BoundExpr::Const(v) => Ok(v),
+            BoundExpr::Column(bc) => match tuple.get(bc.table_idx) {
+                Some(Some(row)) => Ok(&row[bc.col_idx]),
+                _ => Ok(held.insert(self.eval(tuple, aggs)?)),
+            },
+            BoundExpr::Agg(slot) => Ok(&aggs[*slot]),
+            _ => Ok(held.insert(self.eval(tuple, aggs)?)),
+        }
     }
 
     /// Evaluates against `tuple` (one slot per bound table instance) and

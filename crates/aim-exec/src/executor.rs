@@ -9,19 +9,17 @@
 //! the executor re-applies every predicate that is fully bound at each join
 //! level, so a mis-narrowed path can cost performance but never correctness.
 
-use crate::bind::{Binder, Scope, SlotLayout};
+use crate::bind::{Binder, BoundColumn, Scope, SlotLayout};
 use crate::cost::{io_cost, sort_cost, CostModel, OUTPUT_ROW_COST};
 use crate::error::ExecError;
 use crate::eval::{literal_value, AggregateSlots, BoundAggregate, BoundExpr};
 use crate::hypothetical::HypoConfig;
-use crate::planner::{
-    AccessPath, EqSource, IndexChoice, IndexScan, Plan, Planner, RangeInfo,
-};
+use crate::planner::{AccessPath, EqSource, IndexChoice, IndexScan, Plan, Planner};
 use crate::predicate::SargValue;
 use aim_sql::ast::{
     AggFunc, Delete, Expr, Insert, Literal, Select, SelectItem, Statement, Update,
 };
-use aim_storage::{Database, IoStats, Key, Row, Table, Value};
+use aim_storage::{Database, IoStats, Key, RangeKeys, Row, Table, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -242,10 +240,14 @@ impl Engine {
             _ => false,
         };
         if !streamed {
-            join.cap = if streaming_limit { limit } else { None };
+            join.tuple.cap = if streaming_limit { limit } else { None };
             join.level(0)?;
         }
-        let Join { sink, io, .. } = join;
+        let Join {
+            tuple: Tuple { sink, .. },
+            io,
+            ..
+        } = join;
 
         // One source per candidate output row: a joined tuple, or a
         // group's representative tuple plus its finished aggregates.
@@ -501,7 +503,11 @@ impl Engine {
             Sink::Tuples(Vec::new()),
         )?;
         join.level(0)?;
-        let Join { sink, io, .. } = join;
+        let Join {
+            tuple: Tuple { sink, .. },
+            io,
+            ..
+        } = join;
         let Sink::Tuples(tuples) = sink else {
             unreachable!("locate_rows joins into a tuple sink")
         };
@@ -787,51 +793,37 @@ impl<'r> Sink<'r> {
 }
 
 /// Nested-loop join over the plan steps. Rows are borrowed from the
-/// database for the whole statement (`'r`); nothing scanned is copied.
+/// database for the whole statement (`'r`); nothing scanned is copied, and
+/// what a probe builds lives in buffers the join keeps from probe to probe.
 struct Join<'r> {
-    plan: &'r Plan,
     /// The table of each plan step.
     tables: Vec<&'r Table>,
     layouts: &'r [SlotLayout],
+    /// The access path of each plan step, resolved once.
+    access: Vec<Access<'r>>,
+    /// Each level's candidate rows, refilled on every probe of the level.
+    candidates: Vec<Vec<&'r Row>>,
+    buffers: ProbeBuffers<'r>,
+    tuple: Tuple<'r>,
+    io: IoStats,
+}
+
+/// The tuple under construction, the conjuncts it must pass and where it
+/// goes when it does.
+struct Tuple<'r> {
+    plan: &'r Plan,
     /// WHERE conjuncts by the join level that binds their last table.
     conjuncts: &'r [Vec<BoundExpr>],
-    /// The tuple under construction: one slot per table instance.
+    /// One slot per table instance.
     current: Vec<Option<&'r Row>>,
     sink: Sink<'r>,
     /// Tuples sent to the sink so far.
     produced: usize,
     /// Stop producing at this many tuples (index-ordered LIMIT).
     cap: Option<usize>,
-    io: IoStats,
 }
 
-impl<'r> Join<'r> {
-    fn new(
-        db: &'r Database,
-        binder: &Binder,
-        plan: &'r Plan,
-        layouts: &'r [SlotLayout],
-        conjuncts: &'r [Vec<BoundExpr>],
-        sink: Sink<'r>,
-    ) -> Result<Self, ExecError> {
-        let tables = plan
-            .steps
-            .iter()
-            .map(|step| db.table(&binder.tables()[step.table_idx].table))
-            .collect::<Result<_, _>>()?;
-        Ok(Self {
-            plan,
-            tables,
-            layouts,
-            conjuncts,
-            current: vec![None; binder.len()],
-            sink,
-            produced: 0,
-            cap: None,
-            io: IoStats::new(),
-        })
-    }
-
+impl<'r> Tuple<'r> {
     /// Binds `row` at `level` and applies every conjunct that became fully
     /// bound there.
     fn accepts(&mut self, level: usize, row: &'r Row) -> Result<bool, ExecError> {
@@ -850,6 +842,10 @@ impl<'r> Join<'r> {
         Ok(())
     }
 
+    fn capped(&self) -> bool {
+        self.cap.is_some_and(|k| self.produced >= k)
+    }
+
     /// Offers a row of a single-table plan to the sink; true when that
     /// filled the `limit`.
     fn offer(&mut self, row: &'r Row, limit: usize) -> Result<bool, ExecError> {
@@ -859,25 +855,281 @@ impl<'r> Join<'r> {
         self.emit()?;
         Ok(self.produced >= limit)
     }
+}
+
+/// A plan step's access path with everything that is the same on every
+/// probe resolved: the index, the IN-lists' distinct values, the range.
+enum Access<'r> {
+    FullScan,
+    Index(Probe<'r>),
+    /// The branches of an index-merge union, each with the layout of what
+    /// it yields.
+    OrUnion(Vec<(Probe<'r>, SlotLayout)>),
+}
+
+/// One index scan of a plan, resolved for execution.
+struct Probe<'r> {
+    scan: &'r IndexScan,
+    /// `None` for the clustered primary key.
+    index: Option<&'r aim_storage::SecondaryIndex>,
+    /// The source of each column of the equality prefix.
+    sources: Vec<Source<'r>>,
+    /// The range on the column after the prefix.
+    range: (Bound<&'r Value>, Bound<&'r Value>),
+}
+
+/// Where a column of a probe prefix takes its value from.
+enum Source<'r> {
+    /// A constant, or the distinct values of an IN-list: one probe each.
+    Values(Vec<&'r Value>),
+    /// A column of an outer slot (an index join).
+    Outer(BoundColumn),
+}
+
+/// What probes build, kept from one probe to the next.
+#[derive(Default)]
+struct ProbeBuffers<'r> {
+    /// The probe prefixes, one after another.
+    prefixes: Vec<Value>,
+    /// The keys of the range each prefix scans.
+    keys: RangeKeys,
+    /// The entries a secondary-index scan found.
+    entries: Vec<&'r Key>,
+    /// The candidates of one branch of an index-merge union.
+    branch: Vec<&'r Row>,
+}
+
+impl<'r> Access<'r> {
+    fn resolve(table: &'r Table, path: &'r AccessPath) -> Result<Self, ExecError> {
+        Ok(match path {
+            AccessPath::FullScan => Access::FullScan,
+            AccessPath::IndexScan(ix) => Access::Index(Probe::resolve(table, ix)?),
+            AccessPath::OrUnion(branches) => Access::OrUnion(
+                branches
+                    .iter()
+                    .map(|b| Ok((Probe::resolve(table, b)?, index_scan_layout(table, b)?)))
+                    .collect::<Result<_, ExecError>>()?,
+            ),
+        })
+    }
+}
+
+impl<'r> Probe<'r> {
+    /// Resolves `scan`, rejecting what only an estimate can price: unknown
+    /// parameters and hypothetical indexes.
+    fn resolve(table: &'r Table, scan: &'r IndexScan) -> Result<Self, ExecError> {
+        let sources = scan
+            .eq
+            .iter()
+            .map(|src| match src {
+                EqSource::Const(v) => Ok(Source::Values(vec![v])),
+                // A value listed twice is probed once: its rows match the
+                // predicate once.
+                EqSource::InList(vs) => {
+                    let mut distinct: Vec<&Value> = Vec::with_capacity(vs.len());
+                    for v in vs {
+                        if !distinct.contains(&v) {
+                            distinct.push(v);
+                        }
+                    }
+                    Ok(Source::Values(distinct))
+                }
+                EqSource::Outer(bc) => Ok(Source::Outer(*bc)),
+                EqSource::Unknown => Err(ExecError::Eval(
+                    "cannot execute plan with unknown parameters".into(),
+                )),
+            })
+            .collect::<Result<_, _>>()?;
+        let range = match &scan.range {
+            None => (Bound::Unbounded, Bound::Unbounded),
+            Some(r) => (static_bound(&r.lo)?, static_bound(&r.hi)?),
+        };
+        let index = match &scan.index {
+            IndexChoice::Primary => None,
+            IndexChoice::Secondary(name) => {
+                let sec = secondary_index(table, name)?;
+                assert!(
+                    scan.eq.len() < sec.width()
+                        || matches!(range, (Bound::Unbounded, Bound::Unbounded)),
+                    "range column must exist beyond the equality prefix"
+                );
+                Some(sec)
+            }
+            IndexChoice::Hypothetical(_) => {
+                return Err(ExecError::Eval(
+                    "hypothetical index in an executable plan".into(),
+                ))
+            }
+        };
+        Ok(Self {
+            scan,
+            index,
+            sources,
+            range,
+        })
+    }
+
+    /// Writes the probe prefixes under the outer slots of `current` into
+    /// `out`, one after another, and returns how many: the product of the
+    /// IN-lists, the first list's value varying slowest.
+    fn prefixes(
+        &self,
+        current: &[Option<&Row>],
+        layouts: &[SlotLayout],
+        out: &mut Vec<Value>,
+    ) -> Result<usize, ExecError> {
+        out.clear();
+        let count = self
+            .sources
+            .iter()
+            .map(|s| match s {
+                Source::Values(vs) => vs.len(),
+                Source::Outer(_) => 1,
+            })
+            .product();
+        for n in 0..count {
+            // The number of prefixes each value of the current list spans.
+            let mut stride = count;
+            for source in &self.sources {
+                out.push(match source {
+                    Source::Values(vs) => {
+                        stride /= vs.len();
+                        vs[n / stride % vs.len()].clone()
+                    }
+                    Source::Outer(bc) => {
+                        let slot = current.get(bc.table_idx).copied().flatten();
+                        let slot = slot.ok_or_else(|| {
+                            ExecError::Eval("outer row not bound for index join".into())
+                        })?;
+                        match layouts[bc.table_idx].position(bc.col_idx) {
+                            Some(p) => slot[p].clone(),
+                            None => Value::Null,
+                        }
+                    }
+                });
+            }
+        }
+        Ok(count)
+    }
+
+    /// Appends the candidates of this scan under the outer slots of
+    /// `current` to `out`: clustered rows, or the index entries themselves
+    /// when the scan is covering. All I/O of the access is charged here.
+    fn fetch(
+        &self,
+        table: &'r Table,
+        current: &[Option<&Row>],
+        layouts: &[SlotLayout],
+        buffers: &mut ProbeBuffers<'r>,
+        io: &mut IoStats,
+        out: &mut Vec<&'r Row>,
+    ) -> Result<(), ExecError> {
+        let ProbeBuffers {
+            prefixes,
+            keys,
+            entries,
+            ..
+        } = buffers;
+        let count = self.prefixes(current, layouts, prefixes)?;
+        let width = self.sources.len();
+        let unbounded = matches!(self.range, (Bound::Unbounded, Bound::Unbounded));
+        for n in 0..count {
+            let prefix = &prefixes[n * width..(n + 1) * width];
+            match self.index {
+                // Full-PK point lookup fast path.
+                None if width == table.schema().primary_key.len() && unbounded => {
+                    out.extend(table.pk_lookup(prefix, io));
+                }
+                None => table.pk_range(keys.prefix_range(prefix, self.range), io, out),
+                Some(sec) if self.scan.covering => {
+                    let range = keys.prefix_range(prefix, self.range);
+                    sec.scan_prefix_range(table, range, io, out);
+                }
+                Some(sec) => {
+                    entries.clear();
+                    let range = keys.prefix_range(prefix, self.range);
+                    sec.scan_prefix_range(table, range, io, entries);
+                    for e in entries.iter() {
+                        out.extend(table.pk_lookup(sec.pk_of_entry(e), io));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A range bound of a plan, as execution reads it.
+fn static_bound(b: &Bound<SargValue>) -> Result<Bound<&Value>, ExecError> {
+    match b {
+        Bound::Unbounded => Ok(Bound::Unbounded),
+        Bound::Included(SargValue::Const(v)) => Ok(Bound::Included(v)),
+        Bound::Excluded(SargValue::Const(v)) => Ok(Bound::Excluded(v)),
+        _ => Err(ExecError::Eval(
+            "cannot execute range with unknown parameter".into(),
+        )),
+    }
+}
+
+impl<'r> Join<'r> {
+    fn new(
+        db: &'r Database,
+        binder: &Binder,
+        plan: &'r Plan,
+        layouts: &'r [SlotLayout],
+        conjuncts: &'r [Vec<BoundExpr>],
+        sink: Sink<'r>,
+    ) -> Result<Self, ExecError> {
+        let tables: Vec<&'r Table> = plan
+            .steps
+            .iter()
+            .map(|step| db.table(&binder.tables()[step.table_idx].table))
+            .collect::<Result<_, _>>()?;
+        let access = plan
+            .steps
+            .iter()
+            .zip(&tables)
+            .map(|(step, table)| Access::resolve(table, &step.path))
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
+            candidates: vec![Vec::new(); tables.len()],
+            tables,
+            layouts,
+            access,
+            buffers: ProbeBuffers::default(),
+            tuple: Tuple {
+                plan,
+                conjuncts,
+                current: vec![None; binder.len()],
+                sink,
+                produced: 0,
+                cap: None,
+            },
+            io: IoStats::new(),
+        })
+    }
 
     /// One level of the recursive nested loop.
     fn level(&mut self, level: usize) -> Result<(), ExecError> {
-        let plan = self.plan;
-        let step = &plan.steps[level];
-        let candidates = self.fetch_rows(self.tables[level], &step.path)?;
-        for row in candidates {
-            if self.cap.is_some_and(|k| self.produced >= k) {
-                return Ok(());
+        let mut candidates = std::mem::take(&mut self.candidates[level]);
+        candidates.clear();
+        self.fetch_rows(level, &mut candidates)?;
+        let table_idx = self.tuple.plan.steps[level].table_idx;
+        let last = level + 1 == self.tables.len();
+        for &row in &candidates {
+            if self.tuple.capped() {
+                break;
             }
-            if self.accepts(level, row)? {
-                if level + 1 == plan.steps.len() {
-                    self.emit()?;
+            if self.tuple.accepts(level, row)? {
+                if last {
+                    self.tuple.emit()?;
                 } else {
                     self.level(level + 1)?;
                 }
             }
-            self.current[step.table_idx] = None;
+            self.tuple.current[table_idx] = None;
         }
+        self.candidates[level] = candidates;
         Ok(())
     }
 
@@ -890,199 +1142,99 @@ impl<'r> Join<'r> {
     /// qualify (multi-table, non-constant probes, OR-union), in which case
     /// the caller falls back to the eager path.
     fn stream_limited(&mut self, limit: usize) -> Result<bool, ExecError> {
-        let plan = self.plan;
-        if plan.steps.len() != 1 {
-            return Ok(false);
-        }
-        let AccessPath::IndexScan(ix) = &plan.steps[0].path else {
+        let Join {
+            tables,
+            layouts,
+            access,
+            buffers,
+            tuple,
+            io,
+            ..
+        } = self;
+        let [Access::Index(probe)] = access.as_slice() else {
             return Ok(false);
         };
         // Single constant probe prefix only.
-        let mut prefix: Vec<Value> = Vec::with_capacity(ix.eq.len());
-        for src in &ix.eq {
-            match src {
-                EqSource::Const(v) => prefix.push(v.clone()),
-                _ => return Ok(false),
-            }
-        }
-        let Ok((lo, hi, lo_inc, hi_inc)) = static_range(&ix.range) else {
+        let constant = |src: &EqSource| matches!(src, EqSource::Const(_));
+        if !probe.scan.eq.iter().all(constant) {
             return Ok(false);
-        };
-        let bounds = bounds_from_parts(&lo, &hi, lo_inc, hi_inc);
-        let table = self.tables[0];
-        let sec = match &ix.index {
-            IndexChoice::Primary => None,
-            IndexChoice::Secondary(name) => Some(secondary_index(table, name)?),
-            IndexChoice::Hypothetical(_) => return Ok(false),
-        };
+        }
+        probe.prefixes(&tuple.current, layouts, &mut buffers.prefixes)?;
+        let range = buffers.keys.prefix_range(&buffers.prefixes, probe.range);
+        let table = tables[0];
 
         let mut bytes = 0u64;
-        self.io.charge_seek();
-        match sec {
+        io.charge_seek();
+        match probe.index {
             None => {
-                for row in table.iter_pk_range(&prefix, bounds) {
-                    self.io.charge_rows(1);
+                for row in table.iter_pk_range(range) {
+                    io.charge_rows(1);
                     bytes += row.iter().map(Value::storage_size).sum::<u64>();
-                    if self.offer(row, limit)? {
+                    if tuple.offer(row, limit)? {
                         break;
                     }
                 }
             }
             Some(sec) => {
-                let mut pk: Key = Vec::new();
-                for e in sec.iter_prefix_range(&prefix, bounds) {
-                    self.io.charge_rows(1);
+                for e in sec.iter_prefix_range(range) {
+                    io.charge_rows(1);
                     bytes += e.iter().map(Value::storage_size).sum::<u64>();
-                    let row = if ix.covering {
+                    let row = if probe.scan.covering {
                         e
                     } else {
-                        pk.clear();
-                        pk.extend_from_slice(sec.pk_of_entry(e));
-                        match table.pk_lookup(&pk, &mut self.io) {
+                        match table.pk_lookup(sec.pk_of_entry(e), io) {
                             Some(r) => r,
                             None => continue,
                         }
                     };
-                    if self.offer(row, limit)? {
+                    if tuple.offer(row, limit)? {
                         break;
                     }
                 }
             }
         }
         if bytes > 0 {
-            self.io.charge_sequential(bytes);
+            io.charge_sequential(bytes);
         }
         Ok(true)
     }
 
-    /// Fetches the candidate rows of one access path, given the outer
-    /// slots of the current tuple. All I/O of the access is charged here,
-    /// up front, whether or not the join consumes every candidate.
-    fn fetch_rows(
-        &mut self,
-        table: &'r Table,
-        path: &AccessPath,
-    ) -> Result<Vec<&'r Row>, ExecError> {
-        match path {
-            AccessPath::FullScan => Ok(table.scan_all(&mut self.io).collect()),
-            AccessPath::IndexScan(ix) => self.fetch_index_scan(table, ix),
-            AccessPath::OrUnion(branches) => {
+    /// Fetches the candidate rows of level `level` into `out`, given the
+    /// outer slots of the current tuple. All I/O of the access is charged
+    /// here, up front, whether or not the join consumes every candidate.
+    fn fetch_rows(&mut self, level: usize, out: &mut Vec<&'r Row>) -> Result<(), ExecError> {
+        let Join {
+            tables,
+            layouts,
+            access,
+            buffers,
+            tuple,
+            io,
+            ..
+        } = self;
+        let table = tables[level];
+        match &access[level] {
+            Access::FullScan => out.extend(table.scan_all(io)),
+            Access::Index(probe) => {
+                probe.fetch(table, &tuple.current, layouts, buffers, io, out)?
+            }
+            Access::OrUnion(branches) => {
                 let mut pks: std::collections::BTreeSet<Key> = std::collections::BTreeSet::new();
-                for b in branches {
-                    let layout = index_scan_layout(table, b)?;
-                    for slot in self.fetch_index_scan(table, b)? {
-                        pks.insert(slot_pk(table, &layout, slot));
+                let mut branch = std::mem::take(&mut buffers.branch);
+                for (probe, layout) in branches {
+                    branch.clear();
+                    probe.fetch(table, &tuple.current, layouts, buffers, io, &mut branch)?;
+                    for slot in &branch {
+                        pks.insert(slot_pk(table, layout, slot));
                     }
                 }
-                let mut rows = Vec::with_capacity(pks.len());
+                buffers.branch = branch;
                 for pk in pks {
-                    if let Some(r) = table.pk_lookup(&pk, &mut self.io) {
-                        rows.push(r);
-                    }
-                }
-                Ok(rows)
-            }
-        }
-    }
-
-    /// One index scan: clustered rows, or the index entries themselves
-    /// when the scan is covering.
-    fn fetch_index_scan(
-        &mut self,
-        table: &'r Table,
-        ix: &IndexScan,
-    ) -> Result<Vec<&'r Row>, ExecError> {
-        // Expand equality sources into concrete probe prefixes.
-        let mut prefixes: Vec<Vec<Value>> = vec![Vec::with_capacity(ix.eq.len())];
-        for src in &ix.eq {
-            match src {
-                EqSource::Const(v) => {
-                    for p in &mut prefixes {
-                        p.push(v.clone());
-                    }
-                }
-                EqSource::InList(vs) => {
-                    let mut next = Vec::with_capacity(prefixes.len() * vs.len());
-                    for p in prefixes {
-                        // A value listed twice is probed once: its rows
-                        // match the predicate once.
-                        for (i, v) in vs.iter().enumerate() {
-                            if vs[..i].contains(v) {
-                                continue;
-                            }
-                            let mut q = p.clone();
-                            q.push(v.clone());
-                            next.push(q);
-                        }
-                    }
-                    prefixes = next;
-                }
-                EqSource::Outer(bc) => {
-                    let slot = self
-                        .current
-                        .get(bc.table_idx)
-                        .copied()
-                        .flatten()
-                        .ok_or_else(|| {
-                            ExecError::Eval("outer row not bound for index join".into())
-                        })?;
-                    let v = match self.layouts[bc.table_idx].position(bc.col_idx) {
-                        Some(p) => slot[p].clone(),
-                        None => Value::Null,
-                    };
-                    for p in &mut prefixes {
-                        p.push(v.clone());
-                    }
-                }
-                EqSource::Unknown => {
-                    return Err(ExecError::Eval(
-                        "cannot execute plan with unknown parameters".into(),
-                    ))
+                    out.extend(table.pk_lookup(&pk, io));
                 }
             }
         }
-
-        let (lo, hi, lo_inc, hi_inc) = static_range(&ix.range)?;
-        let bounds = bounds_from_parts(&lo, &hi, lo_inc, hi_inc);
-
-        let mut rows = Vec::new();
-        match &ix.index {
-            IndexChoice::Primary => {
-                for prefix in &prefixes {
-                    // Full-PK point lookup fast path.
-                    if prefix.len() == table.schema().primary_key.len()
-                        && lo.is_none()
-                        && hi.is_none()
-                    {
-                        rows.extend(table.pk_lookup(prefix, &mut self.io));
-                    } else {
-                        rows.extend(table.pk_range(prefix, bounds, &mut self.io));
-                    }
-                }
-            }
-            IndexChoice::Secondary(name) => {
-                let sec = secondary_index(table, name)?;
-                let mut pk: Key = Vec::new();
-                for prefix in &prefixes {
-                    let entries = sec.scan_prefix_range(table, prefix, bounds, &mut self.io);
-                    if ix.covering {
-                        rows.extend(entries);
-                    } else {
-                        for e in entries {
-                            pk.clear();
-                            pk.extend_from_slice(sec.pk_of_entry(e));
-                            rows.extend(table.pk_lookup(&pk, &mut self.io));
-                        }
-                    }
-                }
-            }
-            IndexChoice::Hypothetical(_) => {
-                return Err(ExecError::Eval(
-                    "hypothetical index in an executable plan".into(),
-                ))
-            }
-        }
-        Ok(rows)
+        Ok(())
     }
 }
 
@@ -1264,60 +1416,6 @@ impl<'r> Accumulator<'r> {
             AggFunc::Min | AggFunc::Max => self.extreme.map_or(Value::Null, Cow::into_owned),
         }
     }
-}
-
-/// `(lo, hi, lo_inclusive, hi_inclusive)` with `None` meaning unbounded.
-type RangeParts = (Option<Value>, Option<Value>, bool, bool);
-
-/// Resolves a plan's range constraint to concrete values, rejecting
-/// unknown-parameter bounds (estimate-only plans cannot execute).
-fn static_range(r: &Option<RangeInfo>) -> Result<RangeParts, ExecError> {
-    let Some(r) = r else {
-        return Ok((None, None, true, true));
-    };
-    let conv = |b: &Bound<SargValue>| -> Result<(Option<Value>, bool), ExecError> {
-        match b {
-            Bound::Unbounded => Ok((None, true)),
-            Bound::Included(SargValue::Const(v)) => Ok((Some(v.clone()), true)),
-            Bound::Excluded(SargValue::Const(v)) => Ok((Some(v.clone()), false)),
-            _ => Err(ExecError::Eval(
-                "cannot execute range with unknown parameter".into(),
-            )),
-        }
-    };
-    let (lo, lo_inc) = conv(&r.lo)?;
-    let (hi, hi_inc) = conv(&r.hi)?;
-    Ok((lo, hi, lo_inc, hi_inc))
-}
-
-/// Converts resolved range parts into `Bound` references for scan calls.
-fn bounds_from_parts<'v>(
-    lo: &'v Option<Value>,
-    hi: &'v Option<Value>,
-    lo_inc: bool,
-    hi_inc: bool,
-) -> (Bound<&'v Value>, Bound<&'v Value>) {
-    let l = match lo {
-        None => Bound::Unbounded,
-        Some(v) => {
-            if lo_inc {
-                Bound::Included(v)
-            } else {
-                Bound::Excluded(v)
-            }
-        }
-    };
-    let h = match hi {
-        None => Bound::Unbounded,
-        Some(v) => {
-            if hi_inc {
-                Bound::Included(v)
-            } else {
-                Bound::Excluded(v)
-            }
-        }
-    };
-    (l, h)
 }
 
 fn empty_plan() -> Plan {

@@ -180,7 +180,9 @@ fn a_validated_pass() {
     // Now the bed shares the rows and production adopts its builds. Then
     // (301 802, 39 873 291), release (117 813, 13 076 740), until the
     // advisor read predicates with the planner's functions instead of
-    // cloning every DNF atom and re-walking the AST.
-    let expected = profile((299_582, 39_693_832), (115_593, 12_897_281));
+    // cloning every DNF atom and re-walking the AST. Then (299 582,
+    // 39 693 832), release (115 593, 12 897 281), until the join read its
+    // operands in place and kept its probe buffers from probe to probe.
+    let expected = profile((136_458, 24_471_048), (79_953, 10_871_297));
     assert_eq!(pass, expected, "validated pass");
 }

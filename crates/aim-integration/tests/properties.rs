@@ -18,7 +18,8 @@ use aim_sql::lexer::{lex, Token};
 use aim_sql::normalize::normalize_statement;
 use aim_sql::parse_statement;
 use aim_storage::{
-    ColumnDef, ColumnType, Database, Histogram, IndexDef, IoStats, Row, TableSchema, Value,
+    ColumnDef, ColumnType, Database, Histogram, IndexDef, IoStats, RangeKeys, Row, TableSchema,
+    Value,
 };
 use aim_workloads::rng::{Rng, SeedableRng, StdRng};
 use std::collections::BTreeSet;
@@ -883,53 +884,32 @@ fn random_ops_are_identical_on_disk_and_memory_backends() {
         }
         // Range scan over a random PK window plus a secondary-index
         // prefix scan: both backends must produce identical sequences.
-        let lo = Value::Int(rng.gen_range(0..400i64));
-        let hi = Value::Int(rng.gen_range(400..800i64));
-        let mut mio = IoStats::new();
-        let mut dio = IoStats::new();
-        let m: Vec<_> = mem
-            .table("t")
-            .unwrap()
-            .pk_range(&[], (Bound::Included(&lo), Bound::Excluded(&hi)), &mut mio)
-            .into_iter()
-            .cloned()
-            .collect();
-        let d: Vec<_> = disk
-            .table("t")
-            .unwrap()
-            .pk_range(&[], (Bound::Included(&lo), Bound::Excluded(&hi)), &mut dio)
-            .into_iter()
-            .cloned()
-            .collect();
+        let lo = [Value::Int(rng.gen_range(0..400i64))];
+        let hi = [Value::Int(rng.gen_range(400..800i64))];
+        let window = (Bound::Included(&lo[..]), Bound::Excluded(&hi[..]));
+        let pk_range = |db: &Database, io: &mut IoStats| {
+            let mut rows = Vec::new();
+            db.table("t").unwrap().pk_range(window, io, &mut rows);
+            rows.into_iter().cloned().collect::<Vec<_>>()
+        };
+        let m = pk_range(&mem, &mut IoStats::new());
+        let d = pk_range(&disk, &mut IoStats::new());
         assert_eq!(m, d, "round {round}: pk_range [{lo:?},{hi:?}) diverged");
 
         let probe = Value::Int(rng.gen_range(0..40i64));
-        let table = mem.table("t").unwrap();
-        let m: Vec<_> = table
-            .index("ix_a")
-            .unwrap()
-            .scan_prefix_range(
-                table,
+        let index_scan = |db: &Database| {
+            let table = db.table("t").unwrap();
+            let mut keys = RangeKeys::default();
+            let range = keys.prefix_range(
                 std::slice::from_ref(&probe),
                 (Bound::Unbounded, Bound::Unbounded),
-                &mut mio,
-            )
-            .into_iter()
-            .cloned()
-            .collect();
-        let table = disk.table("t").unwrap();
-        let d: Vec<_> = table
-            .index("ix_a")
-            .unwrap()
-            .scan_prefix_range(
-                table,
-                std::slice::from_ref(&probe),
-                (Bound::Unbounded, Bound::Unbounded),
-                &mut mio,
-            )
-            .into_iter()
-            .cloned()
-            .collect();
+            );
+            let mut entries = Vec::new();
+            let ix = table.index("ix_a").unwrap();
+            ix.scan_prefix_range(table, range, &mut IoStats::new(), &mut entries);
+            entries.into_iter().cloned().collect::<Vec<_>>()
+        };
+        let (m, d) = (index_scan(&mem), index_scan(&disk));
         assert_eq!(m, d, "round {round}: index scan a={probe:?} diverged");
     }
 

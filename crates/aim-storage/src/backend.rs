@@ -33,7 +33,7 @@ use crate::io::IoStats;
 use crate::pager::page::PageType;
 use crate::pager::{Pager, PagerOptions};
 use crate::schema::{IndexDef, TableSchema};
-use crate::value::{Key, Row};
+use crate::value::{Key, Row, Value};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::path::Path;
@@ -146,7 +146,7 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
         false
     }
 
-    fn account_pk_lookup(&self, table: &str, pk: &Key, io: &mut IoStats) -> bool {
+    fn account_pk_lookup(&self, table: &str, pk: &[Value], io: &mut IoStats) -> bool {
         let _ = (table, pk, io);
         false
     }
@@ -154,8 +154,8 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     fn account_pk_range(
         &self,
         table: &str,
-        lower: Bound<&Key>,
-        upper: Bound<&Key>,
+        lower: Bound<&[Value]>,
+        upper: Bound<&[Value]>,
         io: &mut IoStats,
     ) -> bool {
         let _ = (table, lower, upper, io);
@@ -166,8 +166,8 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
         &self,
         table: &str,
         index: &str,
-        lower: Bound<&Key>,
-        upper: Bound<&Key>,
+        lower: Bound<&[Value]>,
+        upper: Bound<&[Value]>,
         io: &mut IoStats,
     ) -> bool {
         let _ = (table, index, lower, upper, io);
@@ -584,7 +584,7 @@ impl StorageBackend for DiskBackend {
         }
     }
 
-    fn account_pk_lookup(&self, table: &str, pk: &Key, io: &mut IoStats) -> bool {
+    fn account_pk_lookup(&self, table: &str, pk: &[Value], io: &mut IoStats) -> bool {
         let mut inner = self.lock();
         let inner = &mut *inner;
         let Some(tm) = inner.tables.get(table) else {
@@ -613,8 +613,8 @@ impl StorageBackend for DiskBackend {
     fn account_pk_range(
         &self,
         table: &str,
-        lower: Bound<&Key>,
-        upper: Bound<&Key>,
+        lower: Bound<&[Value]>,
+        upper: Bound<&[Value]>,
         io: &mut IoStats,
     ) -> bool {
         let mut inner = self.lock();
@@ -657,8 +657,8 @@ impl StorageBackend for DiskBackend {
         &self,
         table: &str,
         index: &str,
-        lower: Bound<&Key>,
-        upper: Bound<&Key>,
+        lower: Bound<&[Value]>,
+        upper: Bound<&[Value]>,
         io: &mut IoStats,
     ) -> bool {
         let mut inner = self.lock();
@@ -970,7 +970,7 @@ mod tests {
         assert_eq!(io.rows_read, 2000);
         assert!(io.pages_read >= 2, "multi-page heap: {}", io.pages_read);
         let mut io2 = IoStats::new();
-        assert!(be.account_pk_lookup("t", &vec![Value::Int(777)], &mut io2));
+        assert!(be.account_pk_lookup("t", &[Value::Int(777)], &mut io2));
         assert_eq!(io2.rows_read, 1);
         assert!(io2.pages_read >= 2, "tree descent + heap page");
         assert!(

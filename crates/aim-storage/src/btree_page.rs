@@ -1,6 +1,6 @@
 //! Paged B+-tree over the [`Pager`].
 //!
-//! Keys are [`codec`]-encoded [`Key`] tuples; because the encoding is not
+//! Keys are [`codec`]-encoded [`Key`](crate::Key) tuples; because the encoding is not
 //! order-preserving, every comparison goes through
 //! [`codec::compare_keys`], which walks the encoded key against the probe
 //! in the engine's total [`Value`] order — disk and memory collate
@@ -25,7 +25,7 @@ use crate::error::StorageError;
 use crate::io::IoStats;
 use crate::pager::page::{Page, PageType, DISK_PAGE_SIZE, MAX_CELL, PAGE_HEADER, SLOT_SIZE};
 use crate::pager::Pager;
-use crate::value::{Key, Value};
+use crate::value::Value;
 use std::cmp::Ordering;
 use std::ops::Bound;
 
@@ -478,7 +478,7 @@ pub fn lookup<T>(
 }
 
 /// The first slot of a leaf that `lower` admits.
-fn first_slot(page: &Page, lower: &Bound<&Key>) -> Result<usize, StorageError> {
+fn first_slot(page: &Page, lower: &Bound<&[Value]>) -> Result<usize, StorageError> {
     Ok(match lower {
         Bound::Included(k) => {
             let (Ok(i) | Err(i)) = search(page, k, true)?;
@@ -492,7 +492,7 @@ fn first_slot(page: &Page, lower: &Bound<&Key>) -> Result<usize, StorageError> {
     })
 }
 
-fn within_upper(key: &[u8], upper: &Bound<&Key>) -> Result<bool, StorageError> {
+fn within_upper(key: &[u8], upper: &Bound<&[Value]>) -> Result<bool, StorageError> {
     Ok(match upper {
         Bound::Included(u) => codec::compare_keys(key, u)? != Ordering::Greater,
         Bound::Excluded(u) => codec::compare_keys(key, u)? == Ordering::Less,
@@ -506,12 +506,12 @@ fn within_upper(key: &[u8], upper: &Bound<&Key>) -> Result<bool, StorageError> {
 pub fn range<F: FnMut(&[u8], &[u8])>(
     p: &mut Pager,
     root: u32,
-    lower: Bound<&Key>,
-    upper: Bound<&Key>,
+    lower: Bound<&[Value]>,
+    upper: Bound<&[Value]>,
     io: &mut IoStats,
     mut visit: F,
 ) -> Result<u64, StorageError> {
-    let probe: Option<&Key> = match &lower {
+    let probe: Option<&[Value]> = match &lower {
         Bound::Included(k) | Bound::Excluded(k) => Some(k),
         Bound::Unbounded => None,
     };
@@ -778,7 +778,7 @@ fn check_node(
 mod tests {
     use super::*;
     use crate::pager::PagerOptions;
-    use crate::value::Value;
+    use crate::value::{Key, Value};
     use std::collections::BTreeMap;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};

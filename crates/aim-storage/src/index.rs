@@ -12,7 +12,7 @@
 use crate::io::IoStats;
 use crate::schema::IndexDef;
 use crate::table::Table;
-use crate::value::{Key, Row, Value};
+use crate::value::{Key, KeyRange, Row, Value};
 use std::collections::BTreeSet;
 use std::ops::Bound;
 
@@ -126,61 +126,48 @@ impl SecondaryIndex {
         }
     }
 
-    /// Scans all entries whose first `prefix.len()` key columns equal
-    /// `prefix`, optionally refined by a range on the next key column.
-    /// `owner` is the table holding this index: its backend accounts the
-    /// scan.
+    /// Scans the entries within `range` (built by
+    /// [`crate::RangeKeys::prefix_range`]) and appends them, in key order,
+    /// to `out`. `owner` is the table holding this index: its backend
+    /// accounts the scan.
     ///
     /// Charges one seek (tree descent) plus sequential reads proportional to
-    /// the entries touched. Returns references to the matching entries in
-    /// key order.
-    pub fn scan_prefix_range(
-        &self,
+    /// the entries touched.
+    pub fn scan_prefix_range<'a>(
+        &'a self,
         owner: &Table,
-        prefix: &[Value],
-        next_col_range: (Bound<&Value>, Bound<&Value>),
+        range: KeyRange<'_>,
         io: &mut IoStats,
-    ) -> Vec<&Key> {
-        assert!(
-            prefix.len() < self.key_positions.len() || matches!(next_col_range, (Bound::Unbounded, Bound::Unbounded)),
-            "range column must exist beyond the equality prefix"
-        );
-        let (lower, upper) = crate::value::prefix_range_bounds(prefix, next_col_range);
-
+        out: &mut Vec<&'a Key>,
+    ) {
         let measured = owner.backend().account_index_range(
             &self.def.table,
             &self.def.name,
-            lower.as_ref(),
-            upper.as_ref(),
+            range.0,
+            range.1,
             io,
         );
+        let start = out.len();
         let mut bytes = 0u64;
-        let mut out = Vec::new();
-        for entry in self.entries.range((lower, upper)) {
+        for entry in self.entries.range::<[Value], _>(range) {
             bytes += entry.iter().map(Value::storage_size).sum::<u64>();
             out.push(entry);
         }
         if !measured {
             io.charge_seek();
-            io.charge_rows(out.len() as u64);
+            io.charge_rows((out.len() - start) as u64);
             if bytes > 0 {
                 io.charge_sequential(bytes);
             }
         }
-        out
     }
 
     /// Lazy variant of [`SecondaryIndex::scan_prefix_range`]: returns the
-    /// matching entries in key order *without* charging I/O. Callers that
-    /// stop early (ORDER BY ... LIMIT served from index order, §IV-E of the
-    /// paper) must charge [`IoStats`] per entry actually consumed.
-    pub fn iter_prefix_range(
-        &self,
-        prefix: &[Value],
-        next_col_range: (Bound<&Value>, Bound<&Value>),
-    ) -> impl Iterator<Item = &Key> {
-        let (lower, upper) = crate::value::prefix_range_bounds(prefix, next_col_range);
-        self.entries.range((lower, upper))
+    /// entries within `range` in key order *without* charging I/O. Callers
+    /// that stop early (ORDER BY ... LIMIT served from index order, §IV-E
+    /// of the paper) must charge [`IoStats`] per entry actually consumed.
+    pub fn iter_prefix_range(&self, range: KeyRange<'_>) -> impl Iterator<Item = &Key> {
+        self.entries.range::<[Value], _>(range)
     }
 
     /// Scans the entire index in key order (used for index-ordered GROUP BY
@@ -225,6 +212,20 @@ mod tests {
         ix.insert_entry(ix.entry_for_row(row));
     }
 
+    /// The entries `ix` scans for `prefix` and `next_col_range`.
+    fn scan<'a>(
+        ix: &'a SecondaryIndex,
+        prefix: &[Value],
+        next_col_range: (Bound<&Value>, Bound<&Value>),
+        io: &mut IoStats,
+    ) -> Vec<&'a Key> {
+        let mut keys = crate::RangeKeys::default();
+        let mut out = Vec::new();
+        let range = keys.prefix_range(prefix, next_col_range);
+        ix.scan_prefix_range(&owner(), range, io, &mut out);
+        out
+    }
+
     /// A table for the index to account its scans through.
     fn owner() -> Table {
         use crate::schema::{ColumnDef, ColumnType, TableSchema};
@@ -263,12 +264,8 @@ mod tests {
             insert(&mut ix, &row(pk, a, b));
         }
         let mut io = IoStats::new();
-        let hits = ix.scan_prefix_range(
-            &owner(),
-            &[Value::Int(10)],
-            (Bound::Unbounded, Bound::Unbounded),
-            &mut io,
-        );
+        let all = (Bound::Unbounded, Bound::Unbounded);
+        let hits = scan(&ix, &[Value::Int(10)], all, &mut io);
         assert_eq!(hits.len(), 2);
         assert_eq!(io.seeks, 1);
         assert_eq!(io.rows_read, 2);
@@ -283,12 +280,8 @@ mod tests {
         let mut io = IoStats::new();
         let lo = Value::Str("b".into());
         let hi = Value::Str("y".into());
-        let hits = ix.scan_prefix_range(
-            &owner(),
-            &[Value::Int(10)],
-            (Bound::Included(&lo), Bound::Included(&hi)),
-            &mut io,
-        );
+        let range = (Bound::Included(&lo), Bound::Included(&hi));
+        let hits = scan(&ix, &[Value::Int(10)], range, &mut io);
         assert_eq!(hits.len(), 1);
         assert_eq!(ix.pk_of_entry(hits[0]), &[Value::Int(2)]);
     }
@@ -301,8 +294,7 @@ mod tests {
         }
         let mut io = IoStats::new();
         let lo = Value::Int(6);
-        let hits =
-            ix.scan_prefix_range(&owner(), &[], (Bound::Excluded(&lo), Bound::Unbounded), &mut io);
+        let hits = scan(&ix, &[], (Bound::Excluded(&lo), Bound::Unbounded), &mut io);
         assert_eq!(hits.len(), 2);
     }
 
@@ -315,8 +307,7 @@ mod tests {
         insert(&mut ix, &row(3, 11, "z"));
         let mut io = IoStats::new();
         let lo = Value::Int(10);
-        let hits =
-            ix.scan_prefix_range(&owner(), &[], (Bound::Excluded(&lo), Bound::Unbounded), &mut io);
+        let hits = scan(&ix, &[], (Bound::Excluded(&lo), Bound::Unbounded), &mut io);
         assert_eq!(hits.len(), 1);
         assert_eq!(ix.pk_of_entry(hits[0]), &[Value::Int(3)]);
     }

@@ -69,4 +69,4 @@ pub use io::{pages_for, IoStats, PAGE_SIZE};
 pub use schema::{ColumnDef, ColumnType, IndexDef, TableSchema};
 pub use stats::{analyze, ColumnStats, Histogram, TableStats};
 pub use table::Table;
-pub use value::{prefix_upper_bound, Key, Row, Value};
+pub use value::{Key, KeyRange, RangeKeys, Row, Value};

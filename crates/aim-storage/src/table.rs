@@ -11,9 +11,8 @@ use crate::error::StorageError;
 use crate::index::SecondaryIndex;
 use crate::io::IoStats;
 use crate::schema::{IndexDef, TableSchema};
-use crate::value::{Key, Row, Value};
+use crate::value::{Key, KeyRange, Row, Value};
 use std::collections::BTreeMap;
-use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -457,7 +456,7 @@ impl Table {
 
     /// Point lookup by full primary key. Charges one seek (simulated) or
     /// the measured PK-tree descent plus heap fetch (disk backend).
-    pub fn pk_lookup(&self, pk: &Key, io: &mut IoStats) -> Option<&Row> {
+    pub fn pk_lookup(&self, pk: &[Value], io: &mut IoStats) -> Option<&Row> {
         if !self.backend.account_pk_lookup(&self.schema.name, pk, io) {
             io.charge_seek();
             let row = self.rows.get(pk);
@@ -469,47 +468,33 @@ impl Table {
         self.rows.get(pk)
     }
 
-    /// Range scan on a PK *prefix*: all rows whose leading PK columns equal
-    /// `prefix`, refined by an optional range on the next PK column.
-    pub fn pk_range(
-        &self,
-        prefix: &[Value],
-        next_col_range: (Bound<&Value>, Bound<&Value>),
-        io: &mut IoStats,
-    ) -> Vec<&Row> {
-        let (lower, upper) = crate::value::prefix_range_bounds(prefix, next_col_range);
-        let measured = self.backend.account_pk_range(
-            &self.schema.name,
-            lower.as_ref(),
-            upper.as_ref(),
-            io,
-        );
-        let mut out = Vec::new();
+    /// Range scan over primary keys: appends the rows whose keys lie
+    /// within `range` (a PK prefix and a range on the next PK column, built
+    /// by [`crate::RangeKeys::prefix_range`]) to `out`, in PK order.
+    pub fn pk_range<'a>(&'a self, range: KeyRange<'_>, io: &mut IoStats, out: &mut Vec<&'a Row>) {
+        let measured = self
+            .backend
+            .account_pk_range(&self.schema.name, range.0, range.1, io);
+        let start = out.len();
         let mut bytes = 0u64;
-        for row in self.rows.range((lower, upper)).map(|(_, r)| r) {
+        for row in self.rows.range::<[Value], _>(range).map(|(_, r)| r) {
             bytes += row.iter().map(Value::storage_size).sum::<u64>();
             out.push(row);
         }
         if !measured {
             io.charge_seek();
-            io.charge_rows(out.len() as u64);
+            io.charge_rows((out.len() - start) as u64);
             if bytes > 0 {
                 io.charge_sequential(bytes);
             }
         }
-        out
     }
 
-    /// Lazy variant of [`Table::pk_range`]: iterates matching rows in PK
-    /// order without charging I/O. Early-terminating callers must charge
-    /// per row consumed.
-    pub fn iter_pk_range(
-        &self,
-        prefix: &[Value],
-        next_col_range: (Bound<&Value>, Bound<&Value>),
-    ) -> impl Iterator<Item = &Row> {
-        let (lower, upper) = crate::value::prefix_range_bounds(prefix, next_col_range);
-        self.rows.range((lower, upper)).map(|(_, r)| r)
+    /// Lazy variant of [`Table::pk_range`]: iterates the rows within
+    /// `range` in PK order without charging I/O. Early-terminating callers
+    /// must charge per row consumed.
+    pub fn iter_pk_range(&self, range: KeyRange<'_>) -> impl Iterator<Item = &Row> {
+        self.rows.range::<[Value], _>(range).map(|(_, r)| r)
     }
 
     /// Total bytes of all secondary indexes on this table.
@@ -522,6 +507,7 @@ impl Table {
 mod tests {
     use super::*;
     use crate::schema::{ColumnDef, ColumnType};
+    use std::ops::Bound;
 
     fn table() -> Table {
         let schema = TableSchema::new(
@@ -548,10 +534,10 @@ mod tests {
         t.insert(row(1, 10, "x"), &mut io).unwrap();
         t.insert(row(2, 20, "y"), &mut io).unwrap();
         assert_eq!(t.row_count(), 2);
-        assert!(t.pk_lookup(&vec![Value::Int(1)], &mut io).is_some());
+        assert!(t.pk_lookup(&[Value::Int(1)], &mut io).is_some());
         assert!(t.delete(&vec![Value::Int(1)], &mut io).unwrap().is_some());
         assert_eq!(t.row_count(), 1);
-        assert!(t.pk_lookup(&vec![Value::Int(1)], &mut io).is_none());
+        assert!(t.pk_lookup(&[Value::Int(1)], &mut io).is_none());
     }
 
     #[test]
@@ -615,13 +601,12 @@ mod tests {
             .unwrap();
         // 1 row write + 2 entry writes for ix_a only.
         assert_eq!(io2.rows_written, 3);
-        let mut io3 = IoStats::new();
-        let hits = t.index("ix_a").unwrap().scan_prefix_range(
-            &t,
-            &[Value::Int(99)],
-            (Bound::Unbounded, Bound::Unbounded),
-            &mut io3,
-        );
+        let mut keys = crate::RangeKeys::default();
+        let range = keys.prefix_range(&[Value::Int(99)], (Bound::Unbounded, Bound::Unbounded));
+        let mut hits = Vec::new();
+        t.index("ix_a")
+            .unwrap()
+            .scan_prefix_range(&t, range, &mut IoStats::new(), &mut hits);
         assert_eq!(hits.len(), 1);
     }
 
@@ -642,12 +627,12 @@ mod tests {
         for i in 1..=10 {
             t.insert(row(i, i * 10, "r"), &mut io).unwrap();
         }
-        let lo = Value::Int(3);
-        let hi = Value::Int(6);
-        let rows = t.pk_range(
-            &[],
-            (Bound::Included(&lo), Bound::Excluded(&hi)),
+        let (lo, hi) = ([Value::Int(3)], [Value::Int(6)]);
+        let mut rows = Vec::new();
+        t.pk_range(
+            (Bound::Included(&lo[..]), Bound::Excluded(&hi[..])),
             &mut IoStats::new(),
+            &mut rows,
         );
         assert_eq!(rows.len(), 3);
     }

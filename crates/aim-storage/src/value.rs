@@ -9,6 +9,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Bound;
 
 /// A single SQL value.
 #[derive(Debug, Clone)]
@@ -67,6 +68,7 @@ impl Value {
 }
 
 impl PartialEq for Value {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
@@ -75,12 +77,14 @@ impl PartialEq for Value {
 impl Eq for Value {}
 
 impl PartialOrd for Value {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Value {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         use Value::*;
         match (self, other) {
@@ -144,65 +148,59 @@ pub type Key = Vec<Value>;
 /// A full table row, ordered per the table schema.
 pub type Row = Vec<Value>;
 
-/// Returns the exclusive upper bound for scanning all keys that start with
-/// `prefix`: the prefix with the `MaxKey` sentinel appended.
-pub fn prefix_upper_bound(prefix: &[Value]) -> Key {
-    let mut k = prefix.to_vec();
-    k.push(Value::MaxKey);
-    k
+/// A range of composite keys, its bounds borrowed: what the range scans of
+/// [`crate::Table`], [`crate::SecondaryIndex`] and the backends take.
+pub type KeyRange<'k> = (Bound<&'k [Value]>, Bound<&'k [Value]>);
+
+/// Sorts above every stored key column; see [`Value::MaxKey`].
+static MAX_KEY: Value = Value::MaxKey;
+
+/// Storage for the keys of prefix ranges, reused from one range to the
+/// next ([`RangeKeys::prefix_range`]).
+#[derive(Debug, Default)]
+pub struct RangeKeys {
+    lower: Key,
+    upper: Key,
 }
 
-/// Builds B+-tree key-range bounds for "all keys starting with `prefix`,
-/// with the column right after the prefix constrained to `next_col_range`".
-///
-/// The `MaxKey` sentinel encodes exclusive/inclusive bounds over composite
-/// keys whose stored entries are longer than the constrained prefix.
-pub fn prefix_range_bounds(
-    prefix: &[Value],
-    next_col_range: (std::ops::Bound<&Value>, std::ops::Bound<&Value>),
-) -> (std::ops::Bound<Key>, std::ops::Bound<Key>) {
-    use std::ops::Bound;
-    let lower: Bound<Key> = match next_col_range.0 {
-        Bound::Included(v) => {
-            let mut k = prefix.to_vec();
-            k.push(v.clone());
-            Bound::Included(k)
-        }
-        Bound::Excluded(v) => {
-            let mut k = prefix.to_vec();
-            k.push(v.clone());
-            k.push(Value::MaxKey);
-            Bound::Excluded(k)
-        }
-        Bound::Unbounded => {
-            if prefix.is_empty() {
-                Bound::Unbounded
-            } else {
-                Bound::Included(prefix.to_vec())
-            }
-        }
-    };
-    let upper: Bound<Key> = match next_col_range.1 {
-        Bound::Included(v) => {
-            let mut k = prefix.to_vec();
-            k.push(v.clone());
-            k.push(Value::MaxKey);
-            Bound::Excluded(k)
-        }
-        Bound::Excluded(v) => {
-            let mut k = prefix.to_vec();
-            k.push(v.clone());
-            Bound::Excluded(k)
-        }
-        Bound::Unbounded => {
-            if prefix.is_empty() {
-                Bound::Unbounded
-            } else {
-                Bound::Excluded(prefix_upper_bound(prefix))
-            }
-        }
-    };
-    (lower, upper)
+impl RangeKeys {
+    /// B+-tree key-range bounds for "all keys starting with `prefix`, with
+    /// the column right after the prefix constrained to `next_col_range`".
+    ///
+    /// The `MaxKey` sentinel encodes exclusive/inclusive bounds over
+    /// composite keys whose stored entries are longer than the constrained
+    /// prefix. A bound that is the prefix itself borrows it; one that
+    /// extends it is built in this storage, which keeps its capacity, so
+    /// over keys of integers a range allocates nothing once the storage
+    /// has grown to its widest key.
+    pub fn prefix_range<'k>(
+        &'k mut self,
+        prefix: &'k [Value],
+        next_col_range: (Bound<&Value>, Bound<&Value>),
+    ) -> KeyRange<'k> {
+        let Self { lower, upper } = self;
+        let lower = match next_col_range.0 {
+            Bound::Included(v) => Bound::Included(extended(lower, prefix, &[v])),
+            Bound::Excluded(v) => Bound::Excluded(extended(lower, prefix, &[v, &MAX_KEY])),
+            Bound::Unbounded if prefix.is_empty() => Bound::Unbounded,
+            Bound::Unbounded => Bound::Included(prefix),
+        };
+        let upper = match next_col_range.1 {
+            Bound::Included(v) => Bound::Excluded(extended(upper, prefix, &[v, &MAX_KEY])),
+            Bound::Excluded(v) => Bound::Excluded(extended(upper, prefix, &[v])),
+            Bound::Unbounded if prefix.is_empty() => Bound::Unbounded,
+            Bound::Unbounded => Bound::Excluded(extended(upper, prefix, &[&MAX_KEY])),
+        };
+        (lower, upper)
+    }
+}
+
+/// `prefix ++ tail`, written over `key`.
+fn extended<'k>(key: &'k mut Key, prefix: &[Value], tail: &[&Value]) -> &'k [Value] {
+    key.clear();
+    key.extend_from_slice(prefix);
+    key.extend(tail.iter().map(|v| (*v).clone()));
+    key
 }
 
 #[cfg(test)]
@@ -254,11 +252,16 @@ mod tests {
     #[test]
     fn prefix_upper_bound_covers_all_extensions() {
         let prefix = vec![Value::Int(5)];
-        let hi = prefix_upper_bound(&prefix);
-        let within = vec![Value::Int(5), Value::Str("anything".into())];
-        let beyond = vec![Value::Int(6)];
-        assert!(within < hi);
-        assert!(hi < beyond);
+        let mut keys = RangeKeys::default();
+        let (lower, upper) = keys.prefix_range(&prefix, (Bound::Unbounded, Bound::Unbounded));
+        assert_eq!(lower, Bound::Included(&prefix[..]));
+        let Bound::Excluded(hi) = upper else {
+            panic!("{upper:?}")
+        };
+        let within = [Value::Int(5), Value::Str("anything".into())];
+        let beyond = [Value::Int(6)];
+        assert!(within[..] < *hi);
+        assert!(*hi < beyond[..]);
     }
 
     #[test]
