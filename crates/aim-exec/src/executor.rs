@@ -243,11 +243,7 @@ impl Engine {
             join.tuple.cap = if streaming_limit { limit } else { None };
             join.level(0)?;
         }
-        let Join {
-            tuple: Tuple { sink, .. },
-            io,
-            ..
-        } = join;
+        let (sink, io) = (join.tuple.sink, join.io);
 
         // One source per candidate output row: a joined tuple, or a
         // group's representative tuple plus its finished aggregates.
@@ -503,11 +499,7 @@ impl Engine {
             Sink::Tuples(Vec::new()),
         )?;
         join.level(0)?;
-        let Join {
-            tuple: Tuple { sink, .. },
-            io,
-            ..
-        } = join;
+        let (sink, io) = (join.tuple.sink, join.io);
         let Sink::Tuples(tuples) = sink else {
             unreachable!("locate_rows joins into a tuple sink")
         };
