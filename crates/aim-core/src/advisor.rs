@@ -158,7 +158,6 @@ impl IndexAdvisor for AimAdvisor {
         let planner = PassPlanner {
             candidate_gen: &self.gen,
             sharding: None,
-            workers: 0,
             ctl: &RunCtl::none(),
             decisions: &Decisions::none(),
         };

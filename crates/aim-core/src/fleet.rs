@@ -10,8 +10,8 @@
 //! profile's; the probe and the tenant session both price with it.
 //!
 //! 1. **Probe.** Every tenant's representative workload is selected,
-//!    candidates are generated and ranked (sequentially per tenant; the
-//!    fleet-level worker pool provides the parallelism). The probe yields
+//!    candidates are generated and ranked (one tenant per pool worker; a
+//!    tenant's own pass runs on one thread). The probe yields
 //!    each tenant's ranked candidate economics and its current index
 //!    footprint.
 //! 2. **Allocate.** The storage budget is split *across* tenants by a
@@ -21,12 +21,16 @@
 //!    that cannot use it; each transfer beyond the uniform share is
 //!    counted in [`FleetOutcome::budget_transfers`].
 //! 3. **Tune.** A per-tenant [`TuningSession`] runs under the allocated
-//!    budget on a bounded worker pool, reusing the session's
+//!    budget on the same bounded worker pool, reusing the session's
 //!    `RunCtl`/rollback plumbing: the fleet deadline and a shared
 //!    [`CancelToken`] are threaded into every tenant session. A tenant
 //!    that faults — in its probe or its tune slot — is recorded in its
 //!    [`TenantOutcome`] and does **not** abort the fleet; the next fleet
 //!    pass tunes it again.
+//!
+//! The pool (`run_pool`) is the one place tuning spreads over threads:
+//! tenants are independent, so a fleet pass scales with them, while a
+//! tuning pass itself runs on the thread that calls it.
 //!
 //! A 1-tenant fleet skips the probe/allocate phases entirely and runs the
 //! tenant's [`TuningSession`] directly — it is bit-identical to a bare
@@ -45,7 +49,7 @@
 use crate::error::AimError;
 use crate::ledger::Decisions;
 use crate::plan::PassPlanner;
-use crate::ranking::{effective_workers, RankedCandidate};
+use crate::ranking::RankedCandidate;
 use crate::session::{AimConfig, AimOutcome, CancelToken, RunCtl, TuningSession};
 use crate::sharding::ShardingProfile;
 use aim_monitor::WorkloadMonitor;
@@ -97,9 +101,7 @@ pub struct FleetConfig {
     /// Per-tenant tuning configuration (selection, candidate generation,
     /// validation, ledger, selection strategy…). Its `storage_budget` is
     /// the fleet's: the total in bytes across *all* tenants. Each tenant
-    /// session runs a copy with its allocated share as `storage_budget`
-    /// and, in a multi-tenant fleet, `workers = 1` (the fleet pool
-    /// provides the parallelism).
+    /// session runs a copy with its allocated share as `storage_budget`.
     pub base: AimConfig,
     /// Worker threads tuning tenants concurrently (`0` = one per
     /// available core, clamped to the tenant count).
@@ -258,7 +260,7 @@ impl FleetSession {
             // tenant session *is* the pass, bit-identical to a bare
             // `TuningSession` on the same inputs.
             let t = &mut tenants[0];
-            let out = self.tune_tenant(t, self.cfg.base.storage_budget, fleet_deadline, false);
+            let out = self.tune_tenant(t, self.cfg.base.storage_budget, fleet_deadline);
             outcome.slowest_tenant = Some((out.id.clone(), out.elapsed));
             outcome.tenants.push(out);
             outcome.elapsed = root.elapsed();
@@ -297,7 +299,7 @@ impl FleetSession {
                     let failed = Err(err.clone());
                     return self.tenant_outcome(t, budgets[i], failed, None, Instant::now());
                 }
-                self.tune_tenant(t, budgets[i], fleet_deadline, true)
+                self.tune_tenant(t, budgets[i], fleet_deadline)
             })
         };
         outcome.slowest_tenant = tuned
@@ -324,17 +326,12 @@ impl FleetSession {
     }
 
     /// Runs one tenant's session under `budget`, with the fleet deadline
-    /// and shared cancel token threaded in. `multi` marks a
-    /// multi-tenant pass (per-session worker fan-out is disabled so the
-    /// fleet pool is the only parallelism); the degenerate fleet of one
-    /// passes `false` and leaves the base worker settings untouched — a
-    /// requirement of its bit-identity contract with a bare session.
+    /// and shared cancel token threaded in.
     fn tune_tenant(
         &self,
         tenant: &mut Tenant,
         budget: u64,
         fleet_deadline: Option<Instant>,
-        multi: bool,
     ) -> TenantOutcome {
         // The whole tune slot runs scoped to this tenant: every instrument
         // below (and inside the session, via `tenant_label`) records a
@@ -346,12 +343,6 @@ impl FleetSession {
         cfg.tenant_label = Some(tenant.id.clone());
         if tenant.profile.is_some() {
             cfg.sharding = tenant.profile.clone();
-        }
-        if multi {
-            // The fleet pool is the parallelism; nested per-session worker
-            // fan-out would oversubscribe the host at fleet scale.
-            cfg.workers = 1;
-            cfg.validation.workers = 1;
         }
         let session = TuningSession::new(
             cfg,
@@ -409,7 +400,7 @@ impl FleetSession {
     }
 
     /// Probes one tenant: the session's read-only half (selection →
-    /// candidates → ranking → sharding re-price) with one ranking worker.
+    /// candidates → ranking → sharding re-price).
     /// Materializes nothing, reports to no ledger; a fault fails this
     /// tenant alone.
     fn probe_tenant(&self, tenant: &mut Tenant, ctl: &RunCtl) -> Probe {
@@ -418,7 +409,6 @@ impl FleetSession {
         let planner = PassPlanner {
             candidate_gen: &base.candidate_gen,
             sharding: profile,
-            workers: 1,
             ctl,
             decisions: &Decisions::none(),
         };
@@ -496,6 +486,18 @@ fn allocate_budgets(fleet_budget: u64, probes: &[Probe]) -> (Vec<u64>, u64, u64)
         }
     }
     (budgets, transfers, transferred)
+}
+
+/// Resolves [`FleetConfig::fleet_workers`]: `0` means
+/// [`std::thread::available_parallelism`], and the result is clamped to
+/// `[1, items]` so small fleets never spawn idle threads.
+fn effective_workers(requested: usize, items: usize) -> usize {
+    let w = if requested == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        requested
+    };
+    w.clamp(1, items.max(1))
 }
 
 /// Runs `f` over `items` on `workers` scoped threads, preserving input
@@ -587,6 +589,14 @@ mod tests {
                 include_dml: true,
             })
             .build()
+    }
+
+    #[test]
+    fn workers_zero_resolves_to_available_parallelism() {
+        assert!(effective_workers(0, 100) >= 1);
+        assert_eq!(effective_workers(8, 3), 3);
+        assert_eq!(effective_workers(2, 100), 2);
+        assert_eq!(effective_workers(0, 0), 1);
     }
 
     #[test]

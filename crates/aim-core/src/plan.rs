@@ -31,8 +31,6 @@ pub(crate) struct PassPlanner<'a> {
     pub candidate_gen: &'a CandidateGenConfig,
     /// Sharding economics (§VIII-b) applied to the ranked list.
     pub sharding: Option<&'a ShardingProfile>,
-    /// Ranking workers (`0` = auto).
-    pub workers: usize,
     pub ctl: &'a RunCtl,
     pub decisions: &'a Decisions<'a>,
 }
@@ -112,7 +110,7 @@ impl PassPlanner<'_> {
 
         let mut ranked = {
             let _s = tel::span("ranking");
-            try_rank_candidates_with(db, workload, &candidates, self.workers, self.ctl)?
+            try_rank_candidates_with(db, workload, &candidates, self.ctl)?
         };
         if let Some(profile) = self.sharding {
             profile.apply(&mut ranked);

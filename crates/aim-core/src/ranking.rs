@@ -125,17 +125,15 @@ impl<'a> Hypos<'a> {
     }
 }
 
-/// What one workload query contributes to the ranking: benefit shares and
-/// maintenance overheads per candidate index. Evaluating a query is a pure
-/// function of `(db, query, candidates)`, which is what makes the
-/// per-query fan-out below safe; merging contributions *in workload order*
-/// is what makes it bit-identical to the sequential pass.
-struct QueryContribution {
-    fingerprint: QueryFingerprint,
-    /// `(candidate index, benefit share)` in plan-usage order.
-    benefit: Vec<(usize, f64)>,
-    /// `(candidate index, maintenance overhead)` in candidate order.
-    maintenance: Vec<(usize, f64)>,
+/// What ranking adds up per candidate (its position in the candidate
+/// list): benefit shares (Eq. 7), the queries they came from, and
+/// maintenance overheads (Eq. 8). Queries add to it in workload order, so
+/// every sum is taken in one fixed order.
+#[derive(Default)]
+struct Totals {
+    benefit: BTreeMap<usize, f64>,
+    maintenance: BTreeMap<usize, f64>,
+    attribution: BTreeMap<usize, Vec<(QueryFingerprint, f64)>>,
 }
 
 /// Classifies an error from a what-if / estimate call: an *injected*
@@ -235,10 +233,10 @@ impl Costing {
     }
 }
 
-/// Evaluates one workload query against all candidates (Eqs. 7–8): the
-/// `[empty, relevant]` pair, the marginal "config minus one index" probes,
-/// and the DML maintenance singletons each go through one [`Costing`]
-/// request.
+/// Evaluates one workload query against all candidates (Eqs. 7–8) and adds
+/// what it contributes to `totals`: the `[empty, relevant]` pair, the
+/// marginal "config minus one index" probes, and the DML maintenance
+/// singletons each go through one [`Costing`] request.
 ///
 /// Injected failures propagate; deterministic ones fall back to ∞/0.
 fn eval_query(
@@ -248,13 +246,8 @@ fn eval_query(
     empty_cfg: &HypoConfig,
     costing: Costing,
     ctl: &RunCtl,
-) -> Result<QueryContribution, AimError> {
-    let mut out = QueryContribution {
-        fingerprint: wq.stats.fingerprint,
-        benefit: Vec::new(),
-        maintenance: Vec::new(),
-    };
-
+    totals: &mut Totals,
+) -> Result<(), AimError> {
     // ---------------------------------------------------- benefit (Eq. 7)
     if let Some(select) = benefit_select(&wq.stats.exemplar) {
         // Candidates generated for this query.
@@ -324,7 +317,13 @@ fn eval_query(
                             } else {
                                 1.0 / used.len() as f64
                             };
-                            out.benefit.push((uix, share * u_plus));
+                            let b = share * u_plus;
+                            *totals.benefit.entry(uix).or_default() += b;
+                            totals
+                                .attribution
+                                .entry(uix)
+                                .or_default()
+                                .push((wq.stats.fingerprint, b));
                         }
                     }
                 }
@@ -350,99 +349,30 @@ fn eval_query(
                 for ((i, _), res) in affected.iter().zip(results) {
                     let with = cost_or(res, base)?;
                     let overhead = ((with - base) / base).max(0.0) * wq.stats.total_cpu;
-                    out.maintenance.push((*i, overhead));
+                    *totals.maintenance.entry(*i).or_default() += overhead;
                 }
             }
         }
     }
 
-    Ok(out)
-}
-
-/// Resolves a worker-count knob: `0` means [`std::thread::available_parallelism`],
-/// and the result is clamped to `[1, items]` so small inputs never spawn
-/// idle threads.
-pub(crate) fn effective_workers(requested: usize, items: usize) -> usize {
-    let w = if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
-    };
-    w.clamp(1, items.max(1))
-}
-
-/// Maps `f` over `items` on `workers` (already resolved by
-/// [`effective_workers`]) scoped threads, one contiguous chunk each, and
-/// returns the results in input order: chunks are joined in spawn order,
-/// so the output — and, when several items fail, which error wins — are
-/// those of the sequential loop one worker runs. Every worker checks `ctl`
-/// before each item, attributing an abort to `phase`, and the whole call
-/// fails on the first error (never a partial result).
-///
-/// Workers adopt a trace context so their span subtrees (per-item
-/// `exec.whatif` / `exec.select` timings) stitch back into the caller's
-/// open span instead of dying with the scoped threads.
-pub(crate) fn fan_out<T: Sync, R: Send>(
-    items: &[T],
-    workers: usize,
-    ctl: &RunCtl,
-    phase: &'static str,
-    f: impl Fn(&T) -> Result<R, AimError> + Sync,
-) -> Result<Vec<R>, AimError> {
-    let run = |chunk: &[T]| -> Result<Vec<R>, AimError> {
-        let mut out = Vec::with_capacity(chunk.len());
-        for item in chunk {
-            ctl.check(phase)?;
-            out.push(f(item)?);
-        }
-        Ok(out)
-    };
-    if workers <= 1 {
-        return run(items);
-    }
-    let trace = aim_telemetry::trace::fork();
-    let (run, trace_ref) = (&run, &trace);
-    let scoped = std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(items.len().div_ceil(workers))
-            .map(|chunk| {
-                s.spawn(move || {
-                    let _adopt = trace_ref.adopt();
-                    run(chunk)
-                })
-            })
-            .collect();
-        let mut all = Vec::with_capacity(items.len());
-        for h in handles {
-            all.extend(h.join().expect("fan-out worker panicked")?);
-        }
-        Ok(all)
-    });
-    // Stitch even when the phase aborts: partial worker profiles are real
-    // time spent and must not leak into the pending buffer.
-    trace.stitch();
-    scoped
+    Ok(())
 }
 
 /// Ranks candidates against the workload: returns them with their
 /// benefit/maintenance economics, sorted by descending utility density.
-/// `workers` is the worker count (`0` = one per available core).
-/// `_cm` is ignored, kept only because `bench/` passes it; the next
-/// `benchmark` change deletes it.
+/// `_cm` and `_workers` are ignored, kept only because `bench/` passes
+/// them; the next `benchmark` change deletes them.
 ///
-/// Workload queries are evaluated independently — each produces a
-/// [`QueryContribution`] — through `fan_out`, then merged on the calling
-/// thread *in workload order*. Since f64 accumulation happens in the same
-/// order as the sequential loop, the output is bit-identical for any
-/// worker count.
+/// Workload queries are evaluated one after another, in workload order, on
+/// the calling thread.
 pub fn rank_candidates_with(
     db: &Database,
     workload: &[WorkloadQuery],
     candidates: &[CandidateIndex],
     _cm: &CostModel,
-    workers: usize,
+    _workers: usize,
 ) -> Vec<RankedCandidate> {
-    rank_core(db, workload, candidates, workers, &RunCtl::none(), Costing::Batched)
+    rank_core(db, workload, candidates, &RunCtl::none(), Costing::Batched)
         .expect("ranking without deadline or cancel fails only under an armed fault plan")
 }
 
@@ -453,62 +383,55 @@ pub fn rank_candidates_unbatched(
     db: &Database,
     workload: &[WorkloadQuery],
     candidates: &[CandidateIndex],
-    workers: usize,
 ) -> Vec<RankedCandidate> {
-    rank_core(db, workload, candidates, workers, &RunCtl::none(), Costing::PerConfig)
-        .expect("ranking without deadline or cancel fails only under an armed fault plan")
+    rank_core(
+        db,
+        workload,
+        candidates,
+        &RunCtl::none(),
+        Costing::PerConfig,
+    )
+    .expect("ranking without deadline or cancel fails only under an armed fault plan")
 }
 
-/// [`rank_candidates_with`] under a [`RunCtl`]: workers check the
-/// deadline/cancel token before every what-if call (between queries and
-/// between the slots of a batch), so an abort lands within one call per
-/// worker. Either spelling propagates an injected what-if failure as an
-/// [`AimError::Fault`] instead of silently degrading a candidate's
-/// economics, and ranks bit-identically for any worker count.
+/// [`rank_candidates_with`] under a [`RunCtl`]: the deadline/cancel token
+/// is checked before every what-if call (between queries and between the
+/// slots of a batch), so an abort lands within one call. It propagates an
+/// injected what-if failure as an [`AimError::Fault`] instead of silently
+/// degrading a candidate's economics.
 pub fn try_rank_candidates_with(
     db: &Database,
     workload: &[WorkloadQuery],
     candidates: &[CandidateIndex],
-    workers: usize,
     ctl: &RunCtl,
 ) -> Result<Vec<RankedCandidate>, AimError> {
-    rank_core(db, workload, candidates, workers, ctl, Costing::Batched)
+    rank_core(db, workload, candidates, ctl, Costing::Batched)
 }
 
 fn rank_core(
     db: &Database,
     workload: &[WorkloadQuery],
     candidates: &[CandidateIndex],
-    workers: usize,
     ctl: &RunCtl,
     costing: Costing,
 ) -> Result<Vec<RankedCandidate>, AimError> {
     let hypos = Hypos::build(db, candidates);
     let empty_cfg = HypoConfig::none();
-    // Workers observe aborts between queries and, inside a query, before
-    // every what-if call.
-    let workers = effective_workers(workers, workload.len());
-    let contributions = fan_out(workload, workers, ctl, "ranking", |wq| {
-        eval_query(db, wq, &hypos, &empty_cfg, costing, ctl)
-    })?;
+    let mut totals = Totals::default();
+    for wq in workload {
+        ctl.check("ranking")?;
+        eval_query(db, wq, &hypos, &empty_cfg, costing, ctl, &mut totals)?;
+    }
 
     // An abort that arrived during the last what-if call belongs to this
     // phase, not to whichever phase checks next.
     ctl.check("ranking")?;
 
-    let mut benefit: BTreeMap<usize, f64> = BTreeMap::new();
-    let mut maintenance: BTreeMap<usize, f64> = BTreeMap::new();
-    let mut attribution: BTreeMap<usize, Vec<(QueryFingerprint, f64)>> = BTreeMap::new();
-    for c in contributions {
-        for (i, b) in c.benefit {
-            *benefit.entry(i).or_default() += b;
-            attribution.entry(i).or_default().push((c.fingerprint, b));
-        }
-        for (i, m) in c.maintenance {
-            *maintenance.entry(i).or_default() += m;
-        }
-    }
-
+    let Totals {
+        benefit,
+        maintenance,
+        mut attribution,
+    } = totals;
     let mut ranked: Vec<RankedCandidate> = hypos
         .all
         .into_iter()
@@ -951,17 +874,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ranking_is_bit_identical_to_sequential() {
-        let mut db = db();
-        let w = mixed_workload(&mut db);
-        let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        let sequential = rank_candidates_with(&db, &w, &cands, &CostModel, 1);
-        let parallel = rank_candidates_with(&db, &w, &cands, &CostModel, 4);
-        assert!(!sequential.is_empty());
-        assert_bit_identical(&sequential, &parallel);
-    }
-
-    #[test]
     fn batched_ranking_is_bit_identical_to_unbatched() {
         let mut db = db();
         let w = mixed_workload(&mut db);
@@ -972,7 +884,7 @@ mod tests {
         cache.clear();
         let batched = rank_candidates_with(&db, &w, &cands, &CostModel, 1);
         cache.clear();
-        let sequential = rank_candidates_unbatched(&db, &w, &cands, 1);
+        let sequential = rank_candidates_unbatched(&db, &w, &cands);
         assert!(!batched.is_empty());
         assert_bit_identical(&sequential, &batched);
     }
@@ -1043,14 +955,6 @@ mod tests {
         let b = rank_one(insert, &["b"]);
         let relative = b.maintenance / insert.stats.total_cpu;
         assert!((relative - 1.0 / 3.0).abs() < 1e-12, "{}", b.explanation());
-    }
-
-    #[test]
-    fn workers_zero_resolves_to_available_parallelism() {
-        assert!(effective_workers(0, 100) >= 1);
-        assert_eq!(effective_workers(8, 3), 3);
-        assert_eq!(effective_workers(2, 100), 2);
-        assert_eq!(effective_workers(0, 0), 1);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //!
 //! * **Deadline & cancellation.** A [`RunCtl`] (per-pass deadline plus a
 //!   shareable [`CancelToken`]) is threaded through candidate generation,
-//!   ranking and validation; ranking workers check it before every what-if
-//!   call (also between the slots of a batch), validation workers between
-//!   replayed queries, so an abort lands within one what-if call or one
-//!   replayed query.
+//!   ranking and validation; ranking checks it before every what-if call
+//!   (also between the slots of a batch), validation between replayed
+//!   queries, so an abort lands within one what-if call or one replayed
+//!   query. A pass runs on the thread that calls it.
 //! * **A fault aborts the pass.** An injected fault ([`aim_storage::fault`])
 //!   in any phase propagates as [`AimError::Fault`]; the pass does not
 //!   retry it. The caller's next pass — the next observation window of a
@@ -71,8 +71,7 @@ impl CancelToken {
 }
 
 /// Per-run control: the deadline and cancel token a pass threads through
-/// its phases. Pipeline stages (and their parallel workers) call
-/// [`RunCtl::check`] between queries.
+/// its phases. Pipeline stages call [`RunCtl::check`] between queries.
 #[derive(Debug, Clone, Default)]
 pub struct RunCtl {
     cancel: Option<CancelToken>,
@@ -144,11 +143,9 @@ pub struct AimConfig {
     /// re-priced for a fleet of shards sharing the physical design before
     /// knapsack selection.
     pub sharding: Option<ShardingProfile>,
-    /// Worker threads for ranking and validation replay (`0` = one per
-    /// available core). Any worker count produces bit-identical output —
-    /// contributions merge in workload order — so this knob trades wall
-    /// clock only, never results. [`ValidationConfig::workers`] overrides
-    /// it for the validation phase when non-zero.
+    /// Read by nothing in `crates/`: a pass runs on the thread that calls
+    /// it. Kept only because `bench/` reads it; the next `benchmark`
+    /// change deletes it.
     pub workers: usize,
     /// Record a [`crate::ledger::DecisionLedger`] entry for every
     /// candidate's lifecycle (generation → ranking → knapsack →
@@ -268,12 +265,6 @@ impl AimConfigBuilder {
     /// the call for an unsharded database.
     pub fn sharding(mut self, profile: ShardingProfile) -> Self {
         self.cfg.sharding = Some(profile);
-        self
-    }
-
-    /// Worker threads for ranking and validation replay (`0` = auto).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.cfg.workers = workers;
         self
     }
 
@@ -488,7 +479,6 @@ impl TuningSession {
         let planner = PassPlanner {
             candidate_gen: &cfg.candidate_gen,
             sharding: cfg.sharding.as_ref(),
-            workers: cfg.workers,
             ctl,
             decisions: &decisions,
         };
@@ -555,11 +545,8 @@ impl TuningSession {
             (chosen, None)
         } else {
             let _s = tel::span("validation");
-            let mut vcfg = cfg.validation.clone();
-            if vcfg.workers == 0 {
-                vcfg.workers = cfg.workers;
-            }
-            let result = try_validate_on_clone(db, &workload, &chosen, &self.engine, &vcfg, ctl)?;
+            let result =
+                try_validate_on_clone(db, &workload, &chosen, &self.engine, &cfg.validation, ctl)?;
             for (r, reason) in result.rejected {
                 let reason = reject_text(&reason);
                 tel::metrics::INDEXES_REJECTED.incr();
@@ -731,11 +718,9 @@ mod tests {
         let cfg = AimConfig::builder()
             .storage_budget(1234)
             .skip_validation(true)
-            .workers(2)
             .build();
         assert_eq!(cfg.storage_budget, 1234);
         assert!(cfg.skip_validation);
-        assert_eq!(cfg.workers, 2);
 
         let session = AimConfig::builder()
             .deadline(Duration::from_secs(5))

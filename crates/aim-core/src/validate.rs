@@ -41,11 +41,9 @@ pub struct ValidationConfig {
     pub regression_tolerance: f64,
     /// Maximum reject-and-revalidate rounds.
     pub max_rounds: usize,
-    /// Replay worker threads (`0` = one per available core). Parallel
-    /// replay engages only for pure-SELECT workloads, where the verdict is
-    /// bit-identical for any worker count; workloads containing DML
-    /// always replay sequentially so statements observe each other's
-    /// mutations in workload order.
+    /// Read by nothing in `crates/`: validation replays on the calling
+    /// thread. Kept only because `bench/` reads it; the next `benchmark`
+    /// change deletes it.
     pub workers: usize,
 }
 
@@ -115,16 +113,15 @@ fn tolerate<T>(res: Result<T, ExecError>) -> Result<Option<T>, AimError> {
 struct Replay<'a> {
     workload: &'a [WorkloadQuery],
     engine: &'a Engine,
-    workers: usize,
     ctl: &'a RunCtl,
 }
 
 impl Replay<'_> {
-    /// Replays a pure-SELECT workload against `db`, one observation per
-    /// query, executing only what has not been measured yet.
+    /// Replays a pure-SELECT workload against `db` in workload order, one
+    /// observation per query, executing only what has not been measured
+    /// yet.
     ///
-    /// Every exemplar is opened — fault gate, planning — on `workers`
-    /// scoped threads sharing the database read-only. Execution cost is a
+    /// Every exemplar is opened (fault gate, planning). Execution cost is a
     /// deterministic function of data + plan and nothing here changes the
     /// data, so a statement whose plan is execution-identical
     /// ([`Plan::same_execution`]) to one in `measured[i]` costs what was
@@ -133,89 +130,65 @@ impl Replay<'_> {
     /// since production was observed — which costs what the monitor
     /// recorded. Debug builds audit both ([`audited`]). Any other plan is
     /// executed; either way it joins `measured[i]`. Observations are
-    /// therefore those of a full replay, for any worker count.
+    /// therefore those of a full replay.
     fn read_only(
         &self,
         db: &Database,
         measured: &mut [Vec<Measured>],
         names: &[String],
     ) -> Result<Vec<Observation>, AimError> {
-        enum Replayed {
-            Known(usize),
-            Executed(Measured),
-            /// Measured by the monitor under the stamp it has on `db`.
-            Recorded(Measured),
-        }
-        let items: Vec<(&WorkloadQuery, &[Measured])> = self
-            .workload
-            .iter()
-            .zip(measured.iter().map(Vec::as_slice))
-            .collect();
-        let workers = crate::ranking::effective_workers(self.workers, items.len());
-        let replayed =
-            crate::ranking::fan_out(&items, workers, self.ctl, "validation", |(wq, known)| {
-                let Statement::Select(sel) = &wq.stats.exemplar else {
-                    return Ok(None);
-                };
-                let res = self.engine.open_select(db, sel).and_then(|open| {
-                    if let Some(k) = known
-                        .iter()
-                        .position(|(plan, _)| plan.same_execution(open.plan()))
-                    {
-                        let taken = "where an execution-identical plan was measured";
-                        return audited(open, sel, known[k].1, taken).map(|_| Replayed::Known(k));
-                    }
-                    let tables = sel.from.iter().map(|t| t.name.as_str());
-                    match wq.stats.exemplar_cost {
-                        Some((cost, seen))
-                            if seen == CostStamp::of(db, tables) =>
-                        {
-                            let taken = "where the monitor saw it under the same stamp";
-                            let plan = audited(open, sel, cost, taken)?;
-                            Ok(Replayed::Recorded((plan, cost)))
-                        }
-                        _ => open
-                            .run()
-                            .map(|out| Replayed::Executed((out.plan, out.cost))),
-                    }
-                });
-                tolerate(res)
-            })?;
         let mut executed = 0u64;
         let mut reused = 0u64;
-        let observations = replayed
-            .into_iter()
-            .zip(measured)
-            .map(|(r, known)| {
-                let (plan, cost) = match r? {
-                    Replayed::Known(k) => {
+        let mut observations = Vec::with_capacity(self.workload.len());
+        for (wq, known) in self.workload.iter().zip(measured) {
+            self.ctl.check("validation")?;
+            let Statement::Select(sel) = &wq.stats.exemplar else {
+                observations.push(None);
+                continue;
+            };
+            // The position in `known` of this plan's measurement.
+            let res = self.engine.open_select(db, sel).and_then(|open| {
+                if let Some(k) = known
+                    .iter()
+                    .position(|(plan, _)| plan.same_execution(open.plan()))
+                {
+                    let taken = "where an execution-identical plan was measured";
+                    audited(open, sel, known[k].1, taken)?;
+                    reused += 1;
+                    return Ok(k);
+                }
+                let tables = sel.from.iter().map(|t| t.name.as_str());
+                let m = match wq.stats.exemplar_cost {
+                    Some((cost, seen)) if seen == CostStamp::of(db, tables) => {
+                        let taken = "where the monitor saw it under the same stamp";
+                        let plan = audited(open, sel, cost, taken)?;
                         reused += 1;
-                        &known[k]
+                        (plan, cost)
                     }
-                    Replayed::Recorded(m) => {
-                        reused += 1;
-                        known.push(m);
-                        known.last().expect("just pushed")
-                    }
-                    Replayed::Executed(m) => {
+                    _ => {
+                        let out = open.run()?;
                         executed += 1;
-                        known.push(m);
-                        known.last().expect("just pushed")
+                        (out.plan, out.cost)
                     }
                 };
+                known.push(m);
+                Ok(known.len() - 1)
+            });
+            observations.push(tolerate(res)?.and_then(|k| {
+                let (plan, cost) = &known[k];
                 observe(plan, *cost, names)
-            })
-            .collect();
+            }));
+        }
         aim_telemetry::metrics::VALIDATION_EXECUTED.add(executed);
         aim_telemetry::metrics::VALIDATION_REUSED.add(reused);
         Ok(observations)
     }
 
-    /// Replays a workload containing DML against `db`, in workload order
-    /// on the calling thread: DML must see prior statements' mutations. The
-    /// replay changes the data, so every statement is executed and nothing
-    /// measured on another copy applies. SELECTs take the direct path,
-    /// which leaves the live-traffic signal (`exec.select_cost`) alone.
+    /// Replays a workload containing DML against `db`, in workload order:
+    /// DML must see prior statements' mutations. The replay changes the
+    /// data, so every statement is executed and nothing measured on another
+    /// copy applies. SELECTs take the direct path, which leaves the
+    /// live-traffic signal (`exec.select_cost`) alone.
     fn sequential(
         &self,
         db: &mut Database,
@@ -327,7 +300,7 @@ pub fn validate_on_clone(
         .map_err(AimError::into_exec)
 }
 
-/// [`validate_on_clone`] under a [`RunCtl`]: replay workers observe the
+/// [`validate_on_clone`] under a [`RunCtl`]: the replay observes the
 /// deadline/cancel token between queries. Clone operations are fault-gated
 /// (`storage.clone`), and injected failures propagate as
 /// [`AimError::Fault`]s instead of silently dropping observations.
@@ -363,7 +336,6 @@ pub fn try_validate_on_clone(
     let replayer = Replay {
         workload,
         engine,
-        workers: cfg.workers,
         ctl,
     };
     let mut replay = |db: &mut Database, names: &[String]| {
@@ -842,44 +814,5 @@ mod tests {
             .rejected
             .iter()
             .all(|(_, reason)| *reason == RejectReason::RoundsExhausted));
-    }
-
-    #[test]
-    fn parallel_validation_matches_sequential_for_read_only_workload() {
-        let mut db = db();
-        let (w, chosen) = pipeline(
-            &mut db,
-            &[
-                ("SELECT id FROM t WHERE a = 5", 10),
-                ("SELECT id FROM t WHERE b = 2", 10),
-                ("SELECT id FROM t WHERE a = 9 AND b = 1", 5),
-            ],
-        );
-        assert!(!chosen.is_empty());
-        let run = |workers: usize| {
-            validate_on_clone(
-                &db,
-                &w,
-                &chosen,
-                &Engine::new(),
-                &ValidationConfig {
-                    workers,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        };
-        let seq = run(1);
-        let par = run(4);
-        let names = |o: &ValidationOutcome| {
-            (
-                o.accepted.iter().map(|r| r.candidate.name()).collect::<Vec<_>>(),
-                o.rejected
-                    .iter()
-                    .map(|(r, why)| (r.candidate.name(), why.clone()))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        assert_eq!(names(&seq), names(&par));
     }
 }

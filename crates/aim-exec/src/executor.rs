@@ -107,7 +107,7 @@ impl Engine {
     ) -> Result<ExecOutcome, ExecError> {
         let _span = aim_telemetry::span("exec.execute");
         // SELECTs consult the fault gate inside `execute_select` (their
-        // only gate, so direct parallel-replay calls are also covered).
+        // only gate, so validation's direct replay calls are also covered).
         if !matches!(stmt, Statement::Select(_)) {
             if let Some(aim_storage::fault::FaultKind::Fail) =
                 aim_storage::fault::hit("exec.execute")
@@ -349,9 +349,8 @@ impl Engine {
                 site: "exec.execute".to_string(),
             });
         }
-        // Spanned here (not in `execute`) so parallel validation replays,
-        // which open SELECTs directly from worker threads, still time
-        // their per-query work for profile stitching.
+        // Spanned here (not in `execute`) so validation replays, which
+        // open SELECTs directly, still time their per-query work.
         let span = aim_telemetry::span("exec.select");
         let config = HypoConfig::none();
         let planner = Planner::new(db, select, &config)?;

@@ -78,17 +78,6 @@ impl IoAccuracy {
             1.0
         }
     }
-
-    /// Folds another accumulator in (parallel replay workers each keep
-    /// their own and merge at the end).
-    pub fn merge(&mut self, other: &IoAccuracy) {
-        self.samples += other.samples;
-        self.est_total += other.est_total;
-        self.actual_total += other.actual_total;
-        self.sum_rel_err += other.sum_rel_err;
-        self.err_samples += other.err_samples;
-        self.pages_touched += other.pages_touched;
-    }
 }
 
 #[cfg(test)]
@@ -127,22 +116,5 @@ mod tests {
         acc.record_raw(3.0, 0.0, &io(0));
         assert_eq!(acc.samples, 1);
         assert_eq!(acc.mean_relative_error(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential_recording() {
-        let mut a = IoAccuracy::new();
-        let mut b = IoAccuracy::new();
-        let mut whole = IoAccuracy::new();
-        for (i, (est, act)) in [(10.0, 8.0), (3.0, 3.0), (7.0, 14.0), (1.0, 2.0)]
-            .iter()
-            .enumerate()
-        {
-            let half = if i % 2 == 0 { &mut a } else { &mut b };
-            half.record_raw(*est, *act, &io(i as u64));
-            whole.record_raw(*est, *act, &io(i as u64));
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
     }
 }

@@ -19,8 +19,9 @@
 //!   different selectivities must not share a cost), and
 //! * the [`HypoConfig::canonical_key`] (order-insensitive).
 //!
-//! The cache is sharded (`Mutex<HashMap>` per shard) so parallel ranking
-//! workers contend only on colliding shards, and it is safe to share one
+//! The cache is sharded (`Mutex<HashMap>` per shard) so the fleet pool's
+//! threads, each ranking its own tenant, contend only on colliding shards,
+//! and it is safe to share one
 //! process-global instance ([`global`]) across advisors and databases:
 //! versions are process-unique, so a stale or foreign hit is impossible
 //! (a memory clone shares its source's entries because it shares its

@@ -357,7 +357,6 @@ fn cancel_to_abort_is_at_most_one_whatif_call() {
             fault::arm(FaultPlan::new(11).delay_ms("exec.whatif", 2, 0, u64::MAX));
             let session = AimConfig::builder()
                 .selection(selection())
-                .workers(1)
                 .session();
             let (result, calls_at_cancel) = run_cancelling_at(&session, &mut db, &monitor, k);
             let calls_at_end = fault::disarm().len();
@@ -488,7 +487,6 @@ impl LpInstance {
             .storage_budget(self.budget)
             .skip_validation(true)
             .selection_strategy(strategy)
-            .workers(1)
             .session()
     }
 

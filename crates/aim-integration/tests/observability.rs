@@ -1,7 +1,7 @@
 //! What the telemetry serves, end to end: curated HELP text for every
 //! instrument a fleet pass records, the label-cardinality cap, the
-//! cross-thread trace stitching that keeps worker-side span subtrees in
-//! the session profile, and the artifact's JSON.
+//! ranking's what-if spans in the caller's profile, and the artifact's
+//! JSON.
 
 use aim_core::fleet::{FleetConfig, Tenant};
 use aim_core::{
@@ -243,12 +243,10 @@ fn cardinality_cap_folds_deterministically_and_conserves_totals() {
     aim_telemetry::disable();
 }
 
-/// Worker threads spawned by the parallel ranking path must not lose their
-/// span subtrees: the fork/adopt/stitch hand-off grafts them back into the
-/// parent's profile, so a parallel run shows the same `exec.whatif` count
-/// under the same parent as a sequential one.
+/// Ranking runs on the calling thread, so its what-if calls are recorded in
+/// the caller's profile: `exec.whatif` under the open `ranking` span.
 #[test]
-fn parallel_ranking_profile_matches_sequential_shape() {
+fn ranking_profile_records_whatif_under_ranking() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
 
     let db = build_db(4000);
@@ -264,43 +262,24 @@ fn parallel_ranking_profile_matches_sequential_shape() {
         .collect();
     let workload = synthetic_workload(&db, &weighted);
     let candidates = generate_candidates(&db, &workload, &CandidateGenConfig::default());
-    assert!(candidates.len() >= 2, "need enough candidates to parallelize");
+    assert!(!candidates.is_empty(), "need candidates to rank");
 
-    // The what-if cache would let the second run skip costing (and its
-    // spans) entirely; each run starts cold so both do identical work.
-    let whatif_count = |workers: usize| -> u64 {
-        aim_exec::whatif::global().clear();
-        aim_telemetry::enable();
-        aim_telemetry::reset();
-        let count = {
-            let _s = aim_telemetry::span("ranking");
-            let _ = rank_candidates_with(&db, &workload, &candidates, &CostModel, workers);
-            drop(_s);
-            let profile = aim_telemetry::take_profile();
-            let ranking = profile.child("ranking").expect("ranking span recorded");
-            ranking
-                .child("exec.whatif")
-                .unwrap_or_else(|| {
-                    panic!("exec.whatif missing under ranking (workers={workers}): {ranking:?}")
-                })
-                .count
-        };
-        aim_telemetry::disable();
-        count
-    };
-
-    let sequential = whatif_count(1);
-    assert!(sequential > 0);
-    let parallel = whatif_count(4);
-    assert_eq!(
-        parallel, sequential,
-        "worker span subtrees lost or duplicated in the parallel profile"
-    );
-    assert_eq!(
-        aim_telemetry::trace::pending_len(),
-        0,
-        "stitch left orphaned worker profiles pending"
-    );
+    // A cold cache, so the ranking plans (and records its spans) rather
+    // than answering from an earlier test's entries.
+    aim_exec::whatif::global().clear();
+    aim_telemetry::enable();
+    aim_telemetry::reset();
+    {
+        let _s = aim_telemetry::span("ranking");
+        let _ = rank_candidates_with(&db, &workload, &candidates, &CostModel, 1);
+    }
+    let profile = aim_telemetry::take_profile();
+    aim_telemetry::disable();
+    let ranking = profile.child("ranking").expect("ranking span recorded");
+    let whatif = ranking
+        .child("exec.whatif")
+        .unwrap_or_else(|| panic!("exec.whatif missing under ranking: {ranking:?}"));
+    assert!(whatif.count > 0);
 }
 
 /// The hand-rolled artifact emitter and the strict `jsonv` reader agree:

@@ -27,7 +27,7 @@ fn disabled_hooks_allocate_nothing_and_record_nothing() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     tel::reset();
     tel::disable();
-    let hooks: [(&str, u64); 9] = [
+    let hooks: [(&str, u64); 8] = [
         ("span", count(|| drop(tel::span("off.span")))),
         ("Counter::add", count(|| STATEMENTS_EXECUTED.add(1))),
         ("counter_add", count(|| counter_add("off.hits", 1))),
@@ -40,14 +40,6 @@ fn disabled_hooks_allocate_nothing_and_record_nothing() {
         (
             "scope_phase enter + drop",
             count(|| drop(tel::scope_phase("acme", "probe"))),
-        ),
-        (
-            "trace fork/adopt/stitch",
-            count(|| {
-                let ctx = tel::fork();
-                drop(ctx.adopt());
-                ctx.stitch()
-            }),
         ),
         (
             "event",

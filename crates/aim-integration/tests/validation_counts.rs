@@ -372,11 +372,9 @@ fn validation_replays_do_not_feed_the_live_traffic_signal() {
     };
     let before = live();
     assert_eq!(before, (Some(1), Some(1)));
-    for workers in [1, 4] {
-        let cfg = ValidationConfig { workers, ..Default::default() };
-        let outcome = validate_on_clone(&db, &workload, &picked, &Engine::new(), &cfg).unwrap();
-        assert!(!outcome.accepted.is_empty());
-        assert_eq!(live(), before, "workers: {workers}");
-    }
+    let cfg = ValidationConfig::default();
+    let outcome = validate_on_clone(&db, &workload, &picked, &Engine::new(), &cfg).unwrap();
+    assert!(!outcome.accepted.is_empty());
+    assert_eq!(live(), before);
     tel::disable();
 }

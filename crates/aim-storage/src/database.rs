@@ -587,10 +587,12 @@ mod tests {
         assert_eq!(db.total_secondary_index_bytes(), 0);
     }
 
-    /// Compile-time guard: the advisor fans what-if evaluation out over
-    /// `std::thread::scope` workers sharing `&Database`; losing `Send +
-    /// Sync` (e.g. by introducing `Rc`/`RefCell` into a table) must fail
-    /// this test at compile time, not at the first parallel tuning pass.
+    /// Compile-time guard: the fleet's tenant pool moves each tenant's
+    /// `Database` to a pool thread, and the debug audits
+    /// (`Table::audit_adopted`, the what-if audit) share `&Table` /
+    /// `&Database` with a scoped thread. Losing `Send + Sync` (e.g. by
+    /// introducing `Rc`/`RefCell` into a table) must fail this test at
+    /// compile time, not at the first fleet pass.
     #[test]
     fn database_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}

@@ -70,7 +70,6 @@ pub use span::{
     profile_snapshot, publish_profile, published_profile, span, take_profile, ProfileNode,
     SpanGuard,
 };
-pub use trace::{fork, AdoptGuard, TraceContext};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -149,10 +149,6 @@ builtin_counters! {
         "Simplex iterations performed by the LP selector.";
     JOURNAL_DROPPED = "telemetry.journal_dropped",
         "Events evicted from the journal ring before being read.";
-    /// Worker span roots stitched into a parent profile by
-    /// [`crate::trace::TraceContext::stitch`].
-    TRACE_SPANS_STITCHED = "trace.spans_stitched",
-        "Worker span roots stitched into a parent profile.";
     FLEET_SHARDS_TUNED = "fleet.shards_tuned", "Tenant tuning passes completed inside fleet runs.";
     /// Tenants granted more than the uniform per-shard budget share by the
     /// fleet-level knapsack allocation.

@@ -191,13 +191,9 @@ pub fn render_profile(profile: &ProfileNode) -> String {
 
 /// Tabulates the non-zero instruments of a snapshot. Telemetry health
 /// meters are rendered even at zero: a report must show that the journal
-/// lost nothing and how much stitching happened, not silently omit them.
+/// and the series store lost nothing, not silently omit them.
 pub fn render_counters(s: &Snapshot) -> String {
-    const ALWAYS: &[&str] = &[
-        "telemetry.journal_dropped",
-        "telemetry.series_dropped",
-        "trace.spans_stitched",
-    ];
+    const ALWAYS: &[&str] = &["telemetry.journal_dropped", "telemetry.series_dropped"];
     let mut out = String::new();
     for (series, v) in &s.counters {
         if *v > 0 || ALWAYS.iter().any(|name| series.is_bare(name)) {

@@ -653,7 +653,6 @@ mod tests {
         );
         // The new counters are part of the fixed taxonomy and always appear.
         for family in [
-            "aim_trace_spans_stitched",
             "aim_telemetry_journal_dropped",
             "aim_telemetry_series_dropped",
         ] {

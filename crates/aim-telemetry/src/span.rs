@@ -8,9 +8,8 @@
 //! [`take_profile`] (drains) or [`profile_snapshot`] (clones).
 //!
 //! The tree is thread-local: concurrent profiled regions never interleave,
-//! and no span pays for a lock. Ranking and validation fan out over worker
-//! threads; [`crate::trace`] stitches their subtrees back into the
-//! caller's open span.
+//! and no span pays for a lock. A tuning pass runs on the thread that
+//! calls it, so its whole tree is that thread's.
 
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
@@ -94,19 +93,6 @@ fn close_top(state: &mut SpanState) {
         Some(parent) => merge_node(&mut parent.children, node),
         None => merge_node(&mut state.finished, node),
     }
-}
-
-/// Merges an externally produced subtree — a worker profile stitched back
-/// by [`crate::trace::TraceContext::stitch`] — into this thread's currently
-/// open span frame, or into the finished roots when no span is open.
-pub(crate) fn graft(node: ProfileNode) {
-    let _ = STATE.try_with(|s| {
-        let mut s = s.borrow_mut();
-        match s.stack.last_mut() {
-            Some(frame) => merge_node(&mut frame.children, node),
-            None => merge_node(&mut s.finished, node),
-        }
-    });
 }
 
 /// A live span. Dropping it records the elapsed time into the phase tree.

@@ -1,134 +1,17 @@
-//! Cross-thread trace context and Chrome trace-event export.
+//! Chrome trace-event export.
 //!
-//! Span trees are thread-local ([`crate::span`]), so a scoped worker
-//! thread's spans used to vanish when the thread joined: the parallel
-//! ranking and validation paths showed an empty gap where the workers'
-//! time went. This module fixes that with an explicit hand-off:
-//!
-//! 1. the spawning thread calls [`fork`] to mint a [`TraceContext`];
-//! 2. each worker calls [`TraceContext::adopt`] as its *first* action —
-//!    the returned guard, on drop (worker exit), drains the worker's
-//!    finished span roots into a pending buffer keyed by the context;
-//! 3. after joining, the parent calls [`TraceContext::stitch`], which
-//!    merges the pending roots — sorted by span name, so the stitched
-//!    shape is deterministic regardless of worker timing — into its own
-//!    currently open span frame, exactly as if the work had run inline.
-//!
-//! Independently, [`start_recording`] arms a Chrome `trace_event` recorder:
-//! every span close appends a complete (`"ph":"X"`) event with per-thread
-//! track IDs, and [`chrome_trace_json`] renders the buffer in the format
+//! [`start_recording`] arms a Chrome `trace_event` recorder: every span
+//! close appends a complete (`"ph":"X"`) event with per-thread track IDs,
+//! and [`chrome_trace_json`] renders the buffer in the format
 //! `chrome://tracing` / Perfetto load directly.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::span::ProfileNode;
-
-/// Pending worker profiles kept at most this many roots; beyond it the
-/// oldest are evicted (a stitch that never happens must not leak).
-const PENDING_CAP: usize = 4096;
-
 /// Recorded Chrome events are capped; past the cap new events are counted
 /// as dropped rather than growing without bound.
 const EVENT_CAP: usize = 200_000;
-
-static NEXT_CTX: AtomicU64 = AtomicU64::new(1);
-static PENDING: Mutex<Vec<(u64, ProfileNode)>> = Mutex::new(Vec::new());
-
-/// A fork point: identifies the spawning thread's position so worker span
-/// subtrees can be stitched back in. Cheap to create and `Copy`-free on
-/// purpose (stitch once).
-#[derive(Debug)]
-pub struct TraceContext {
-    id: u64,
-}
-
-/// Minted by [`TraceContext::adopt`]; its drop ships the worker thread's
-/// finished span roots to the fork point.
-#[must_use = "hold the adopt guard for the worker's whole body"]
-pub struct AdoptGuard {
-    ctx_id: u64,
-    active: bool,
-}
-
-/// Mints a context for a batch of scoped worker threads. Call on the
-/// spawning thread before `std::thread::scope`.
-pub fn fork() -> TraceContext {
-    TraceContext {
-        id: NEXT_CTX.fetch_add(1, Ordering::Relaxed),
-    }
-}
-
-impl TraceContext {
-    /// Adopts the context on a worker thread. Must be the worker's first
-    /// action: the guard's drop drains *all* finished span roots of the
-    /// thread, which is exactly the worker's own work only if the thread
-    /// started clean (scoped threads always do).
-    pub fn adopt(&self) -> AdoptGuard {
-        AdoptGuard {
-            ctx_id: self.id,
-            active: crate::is_enabled(),
-        }
-    }
-
-    /// Merges every pending worker profile for this context into the
-    /// calling thread's current span frame (or its finished roots when no
-    /// span is open). Roots merge in span-name order, so profiles stitched
-    /// from racing workers are deterministic. Returns the number of roots
-    /// stitched.
-    pub fn stitch(&self) -> usize {
-        let mut roots: Vec<ProfileNode> = {
-            let mut pending = PENDING.lock().unwrap_or_else(|e| e.into_inner());
-            let mut mine = Vec::new();
-            pending.retain_mut(|(id, node)| {
-                if *id == self.id {
-                    mine.push(std::mem::take(node));
-                    false
-                } else {
-                    true
-                }
-            });
-            mine
-        };
-        if roots.is_empty() {
-            return 0;
-        }
-        roots.sort_by(|a, b| a.name.cmp(&b.name));
-        let n = roots.len();
-        for root in roots {
-            crate::span::graft(root);
-        }
-        crate::metrics::TRACE_SPANS_STITCHED.add(n as u64);
-        n
-    }
-}
-
-impl Drop for AdoptGuard {
-    fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        let profile = crate::span::take_profile();
-        if profile.children.is_empty() {
-            return;
-        }
-        let mut pending = PENDING.lock().unwrap_or_else(|e| e.into_inner());
-        for root in profile.children {
-            if pending.len() >= PENDING_CAP {
-                pending.remove(0);
-            }
-            pending.push((self.ctx_id, root));
-        }
-    }
-}
-
-/// Number of worker profiles waiting to be stitched (diagnostics/tests).
-pub fn pending_len() -> usize {
-    PENDING.lock().unwrap_or_else(|e| e.into_inner()).len()
-}
-
-// ------------------------------------------------------- chrome recorder
 
 static RECORDING: AtomicBool = AtomicBool::new(false);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
@@ -250,109 +133,15 @@ pub fn write_chrome_trace(path: impl AsRef<std::path::Path>) -> std::io::Result<
     std::fs::write(path, chrome_trace_json())
 }
 
-/// Disarms the recorder and clears the event buffer and pending worker
-/// profiles.
+/// Disarms the recorder and clears the event buffer.
 pub fn reset() {
     RECORDING.store(false, Ordering::Relaxed);
     *RECORDER.lock().unwrap_or_else(|e| e.into_inner()) = None;
-    PENDING.lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span;
-
-    #[test]
-    fn worker_spans_stitch_into_parent_tree() {
-        let _g = crate::tests::lock();
-        crate::reset();
-        crate::enable();
-        {
-            let _outer = crate::span("parent_phase");
-            let ctx = fork();
-            std::thread::scope(|scope| {
-                for i in 0..3 {
-                    let ctx = &ctx;
-                    scope.spawn(move || {
-                        let _adopt = ctx.adopt();
-                        let _w = crate::span("worker_unit");
-                        if i == 0 {
-                            let _n = crate::span("nested");
-                        }
-                    });
-                }
-            });
-            let stitched = ctx.stitch();
-            assert_eq!(stitched, 3, "one root per worker before merging");
-        }
-        crate::disable();
-        let p = span::take_profile();
-        let unit = p
-            .descendant("parent_phase/worker_unit")
-            .expect("worker spans merged under the open parent span");
-        assert_eq!(unit.count, 3);
-        assert_eq!(unit.child("nested").map(|n| n.count), Some(1));
-        assert_eq!(pending_len(), 0);
-        assert_eq!(crate::metrics::TRACE_SPANS_STITCHED.get(), 3);
-        crate::reset();
-    }
-
-    #[test]
-    fn stitch_without_open_span_lands_in_finished_roots() {
-        let _g = crate::tests::lock();
-        crate::reset();
-        crate::enable();
-        let ctx = fork();
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let _adopt = ctx.adopt();
-                let _w = crate::span("orphan_work");
-            });
-        });
-        assert_eq!(ctx.stitch(), 1);
-        crate::disable();
-        let p = span::take_profile();
-        assert_eq!(p.child("orphan_work").map(|n| n.count), Some(1));
-        crate::reset();
-    }
-
-    #[test]
-    fn adopt_is_inert_while_disabled_and_contexts_do_not_cross() {
-        let _g = crate::tests::lock();
-        crate::reset();
-        crate::disable();
-        let ctx = fork();
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let _adopt = ctx.adopt();
-                let _w = crate::span("invisible");
-            });
-        });
-        assert_eq!(ctx.stitch(), 0);
-        assert_eq!(pending_len(), 0);
-
-        // Two contexts: each stitch only claims its own workers.
-        crate::enable();
-        let (a, b) = (fork(), fork());
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let _adopt = a.adopt();
-                let _w = crate::span("a_work");
-            });
-            scope.spawn(|| {
-                let _adopt = b.adopt();
-                let _w = crate::span("b_work");
-            });
-        });
-        assert_eq!(a.stitch(), 1);
-        assert_eq!(pending_len(), 1, "b's profile still pending");
-        assert_eq!(b.stitch(), 1);
-        crate::disable();
-        let p = span::take_profile();
-        assert!(p.child("a_work").is_some() && p.child("b_work").is_some());
-        crate::reset();
-    }
 
     #[test]
     fn chrome_recording_captures_span_closes() {

@@ -14,6 +14,14 @@ tree_before=$(git status --porcelain)
 echo "== cargo build --release"
 cargo build --release
 
+echo "== cargo build --release --offline --manifest-path bench/Cargo.toml"
+# The frozen end-to-end harness (bench/, its own package outside the
+# workspace) calls the public API of aim-core and its neighbours. Building
+# it here, before the tests, makes a change that breaks an API it uses fail
+# first instead of after the whole suite and clippy.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
+    cargo build --release --offline --manifest-path bench/Cargo.toml
+
 echo "== cargo test -q --no-fail-fast"
 # --no-fail-fast: one red test binary must not hide the ones after it.
 cargo test -q --no-fail-fast
