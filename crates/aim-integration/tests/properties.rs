@@ -931,6 +931,135 @@ fn random_ops_are_identical_on_disk_and_memory_backends() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+// ------------------------------------------------- ANALYZE after writes
+
+/// One cell of [`analyze_installs_a_full_recomputation`]'s table: column
+/// 1 is indexed alone and column 2 with it, columns 3 and 4 are not
+/// indexed; 2 mixes `Int` and `Float`, 3 and 4 hold NULLs.
+fn stats_cell(rng: &mut StdRng, column: usize) -> Value {
+    match (column, rng.gen_range(0..6u32)) {
+        (1, _) => Value::Int(rng.gen_range(0..12i64)),
+        (2, 0..=2) => Value::Int(rng.gen_range(0..20i64)),
+        (2, _) => Value::Float(rng.gen_range(0..40i64) as f64 / 2.0),
+        (3, 0) | (4, 0) => Value::Null,
+        (3, _) => Value::Str(format!("s{}", rng.gen_range(0..15u32))),
+        _ => Value::Int(rng.gen_range(-5..5i64)),
+    }
+}
+
+/// `v` with its other numeric variant where that keeps the value (`Int(3)`
+/// ↔ `Float(3.0)`), NULL for a value and a drawn value for NULL.
+fn flip_variant(rng: &mut StdRng, column: usize, v: &Value) -> Value {
+    match v {
+        Value::Int(i) => Value::Float(*i as f64),
+        Value::Float(f) if f.fract() == 0.0 => Value::Int(*f as i64),
+        Value::Null => stats_cell(rng, column),
+        _ if column >= 3 => Value::Null,
+        _ => v.clone(),
+    }
+}
+
+/// Whatever the writes since the last ANALYZE, `analyze_all` installs
+/// what a full recomputation of each table gives: the statistics a write
+/// changed are recomputed and no others are left stale. Random INSERT /
+/// UPDATE / DELETE sequences on a five-column table, on the memory and on
+/// the disk backend, with same-value UPDATEs, `Int` ↔ numerically equal
+/// `Float` UPDATEs (equal under `Value`'s `==`), NULL ↔ value UPDATEs,
+/// UPDATEs of indexed and of unindexed columns, and `table_mut` handles
+/// that write nothing. Compared variant by variant: the `Debug` text
+/// tells `Int(3)` from `Float(3.0)` and prints every `f64` exactly.
+#[test]
+fn analyze_installs_a_full_recomputation() {
+    let dir = std::env::temp_dir().join(format!("aim-prop-analyze-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let schema = TableSchema::new(
+        "t",
+        vec![
+            ColumnDef::new("id", ColumnType::Int),
+            ColumnDef::new("a", ColumnType::Int),
+            ColumnDef::new("x", ColumnType::Float),
+            ColumnDef::new("s", ColumnType::Str),
+            ColumnDef::new("d", ColumnType::Int),
+        ],
+        &["id"],
+    )
+    .unwrap();
+    let dbs = [
+        Database::new(),
+        Database::open_disk(&dir, aim_storage::PagerOptions::default()).unwrap(),
+    ];
+    for (backend, mut db) in ["memory", "disk"].into_iter().zip(dbs) {
+        let mut rng = StdRng::seed_from_u64(0xA7A1);
+        let mut io = IoStats::new();
+        db.create_table(schema.clone()).unwrap();
+        db.create_index(IndexDef::new("ix_a", "t", vec!["a".into()]), &mut io).unwrap();
+        db.create_index(IndexDef::new("ix_xa", "t", vec!["x".into(), "a".into()]), &mut io)
+            .unwrap();
+        let mut row = |pk: i64, rng: &mut StdRng| -> Row {
+            let mut row = vec![Value::Int(pk)];
+            row.extend((1..5).map(|c| stats_cell(rng, c)));
+            row
+        };
+        for pk in 0..60 {
+            let r = row(pk, &mut rng);
+            db.table_mut("t").unwrap().insert(r, &mut io).unwrap();
+        }
+        let (mut analyzes, mut kinds) = (0, [0u32; 7]);
+        for step in 0..400 {
+            let pk = rng.gen_range(0..80i64);
+            let current = db.table("t").unwrap().pk_lookup(&[Value::Int(pk)], &mut io).cloned();
+            let column = rng.gen_range(1..5usize);
+            let kind = rng.gen_range(0..14u32);
+            let new_row = match (kind, &current) {
+                (0, _) => {
+                    let _ = db.table_mut("t").unwrap();
+                    None
+                }
+                (1, None) => {
+                    let r = row(pk, &mut rng);
+                    db.table_mut("t").unwrap().insert(r, &mut io).unwrap();
+                    None
+                }
+                (1, Some(_)) => {
+                    db.table_mut("t").unwrap().delete(&vec![Value::Int(pk)], &mut io).unwrap();
+                    None
+                }
+                (_, None) => None,
+                (2..=3, Some(old)) => Some(old.clone()),
+                (4..=8, Some(old)) => {
+                    let mut r = old.clone();
+                    r[column] = flip_variant(&mut rng, column, &old[column]);
+                    Some(r)
+                }
+                (_, Some(old)) => {
+                    let mut r = old.clone();
+                    r[column] = stats_cell(&mut rng, column);
+                    Some(r)
+                }
+            };
+            kinds[kind.min(6) as usize] += 1;
+            if let Some(r) = new_row {
+                db.table_mut("t").unwrap().update(&vec![Value::Int(pk)], r, &mut io).unwrap();
+            }
+            if rng.gen_range(0..3u32) == 0 {
+                db.analyze_all();
+                analyzes += 1;
+                let table = db.table("t").unwrap();
+                let full = aim_storage::analyze(table, aim_storage::stats::DEFAULT_BUCKETS);
+                let installed = db.stats("t").unwrap();
+                assert_eq!(
+                    format!("{installed:?}"),
+                    format!("{full:?}"),
+                    "{backend}, step {step}: the installed statistics are not a full ANALYZE's"
+                );
+            }
+        }
+        db.check_consistency().unwrap();
+        assert!(analyzes > 100 && kinds.iter().all(|&k| k > 10), "{analyzes} {kinds:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ------------------------------------ batched costing & LP selection
 
 fn assert_ranked_bit_identical(a: &[RankedCandidate], b: &[RankedCandidate]) {

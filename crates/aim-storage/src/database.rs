@@ -299,7 +299,7 @@ impl Database {
         let mut stats = analyze(table, DEFAULT_BUCKETS);
         table.stats_stale = Self::maybe_corrupt(&mut stats);
         let name = &table.schema().name;
-        if installed.get(name).map(Arc::as_ref) != Some(&stats) {
+        if !installed.get(name).is_some_and(|current| current.identical(&stats)) {
             installed.insert(name.clone(), Arc::new(stats));
             table.version = next_version();
         }
@@ -337,7 +337,9 @@ impl Database {
             }
             let name = &table.schema().name;
             assert!(
-                self.stats.get(name).map(Arc::as_ref) == Some(&analyze(table, DEFAULT_BUCKETS)),
+                self.stats
+                    .get(name)
+                    .is_some_and(|current| current.identical(&analyze(table, DEFAULT_BUCKETS))),
                 "{name}: ANALYZE skips the table, but its rows give other statistics"
             );
             table.audited = table.version;

@@ -177,6 +177,20 @@ impl ColumnStats {
         }
     }
 
+    /// True when `other` holds the very same statistics: equal, and every
+    /// bound the same [`Value`] variant ([`Value::identical`]).
+    pub fn identical(&self, other: &ColumnStats) -> bool {
+        self == other && self.bounds().zip(other.bounds()).all(|(a, b)| a.identical(b))
+    }
+
+    /// The values these statistics hold: min, max and the histogram's
+    /// bounds.
+    fn bounds(&self) -> impl Iterator<Item = &Value> {
+        let h = &self.histogram;
+        let uppers = h.buckets.iter().map(|b| &b.upper);
+        self.min.iter().chain(&self.max).chain(&h.lower).chain(uppers)
+    }
+
     /// Selectivity of an equality with an *unknown* parameter (`col = ?`):
     /// the classic 1/NDV estimate.
     pub fn eq_selectivity_unknown(&self) -> f64 {
@@ -214,6 +228,19 @@ impl TableStats {
     /// Column stats lookup.
     pub fn column(&self, name: &str) -> Option<&ColumnStats> {
         self.columns.get(name)
+    }
+
+    /// True when `other` holds the very same statistics, column by column
+    /// ([`ColumnStats::identical`]). `==` compares their bounds by the
+    /// value order, under which `Int(1)` equals `Float(1.0)`.
+    pub fn identical(&self, other: &TableStats) -> bool {
+        self.row_count == other.row_count
+            && self.columns.len() == other.columns.len()
+            && self
+                .columns
+                .iter()
+                .zip(&other.columns)
+                .all(|((a, x), (b, y))| a == b && x.identical(y))
     }
 }
 

@@ -54,6 +54,14 @@ impl Value {
         }
     }
 
+    /// True when `other` is this very value: the same variant, and equal.
+    /// `==` is the order's equality, under which `Int(1)` equals
+    /// `Float(1.0)`; statistics, and the marks that say which of them a
+    /// write made stale, tell the two apart.
+    pub fn identical(&self, other: &Value) -> bool {
+        std::mem::discriminant(self) == std::mem::discriminant(other) && self == other
+    }
+
     /// Rank used to order values of different variants.
     fn type_rank(&self) -> u8 {
         match self {
