@@ -29,13 +29,13 @@
 //!
 //! ## One rule, over column bitsets
 //!
-//! The rule is written once, in [`merge_into`], over a compact per-table
-//! form: [`ColumnIds`] interns a table's column names to small ids **in
-//! name order**, and a [`CompactOrder`] holds each partition as a bitset
+//! The rule is written once, in `merge_into`, over a compact per-table
+//! form: `ColumnIds` interns a table's column names to small ids **in
+//! name order**, and a `CompactOrder` holds each partition as a bitset
 //! over those ids with the order's column mask and each column's partition
 //! rank beside it, so the subset test is an AND and the conflict tests walk
 //! each order once. Because ids ascend with names, a bitset iterates as the
-//! `BTreeSet<String>` it stands for and [`CompactOrder`]'s `Ord` is
+//! `BTreeSet<String>` it stands for and `CompactOrder`'s `Ord` is
 //! [`PartialOrder`]'s — which of two orders a candidate key keeps does not
 //! depend on the form. The name-typed entry points
 //! ([`PartialOrder::merge_pairwise`], [`merge_partial_orders`]) intern,

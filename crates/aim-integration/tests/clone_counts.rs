@@ -8,7 +8,9 @@
 //! clone, one INSERT into `nation`, one UPDATE and one DELETE of `lineitem`
 //! on the clone (which then holds two indexes), and a whole validated
 //! `TuningSession::run`. A write is counted twice in a row: the first is
-//! the first write to its table since the clone was taken.
+//! the first write to its table since the clone was taken. Last, what the
+//! next `analyze_all` pays after a write: it recomputes the columns the
+//! write changed (DESIGN.md §18).
 //!
 //! Tables are copy-on-write: a clone shares every table's rows, indexes
 //! and statistics, so it allocates per table, the same at any scale, and
@@ -69,6 +71,7 @@ fn what_a_clone_costs() {
     a_clone_and_the_first_writes_to_it();
     try_clone_at_two_scales();
     a_validated_pass();
+    analyze_after_a_write();
 }
 
 fn a_clone_and_the_first_writes_to_it() {
@@ -123,11 +126,14 @@ fn a_clone_and_the_first_writes_to_it() {
     // then (20, 1 565), DELETE (11, 751), create_index (13 099, 1 757 124).
     // Now the first write to a table copies its rows (`nation`'s 25, then
     // `lineitem`'s), and an UPDATE or DELETE computes each index entry
-    // once and copies no row.
-    assert_eq!(clone, (88, profile(4_496, 4_408)), "try_clone");
+    // once and copies no row. A `Table` grew by its stale-column set: the
+    // clone was (88, 4 496 | 4 408 release). An UPDATE looks only at the
+    // indexes over a column it changed: it was (62 013, 5 800 624) then
+    // (9, 744), building `l_shipdate`'s entry before and after.
+    assert_eq!(clone, (88, profile(4_584, 4_496)), "try_clone");
     assert_eq!(create, (13_100, 1_755_452), "create_index");
     assert_eq!((insert, insert_again), ((82, 5_480), (1, 24)), "INSERT");
-    assert_eq!((update, update_again), ((62_013, 5_800_624), (9, 744)), "UPDATE");
+    assert_eq!((update, update_again), ((62_011, 5_800_480), (7, 600)), "UPDATE");
     assert_eq!(delete, (5, 265), "DELETE");
     // The source is untouched by every write to the clone.
     assert_eq!(db.table("nation").unwrap().row_count(), 25);
@@ -185,7 +191,42 @@ fn a_validated_pass() {
     // operands in place and kept its probe buffers from probe to probe.
     // Then (136 458, 24 471 048), release (79 953, 10 871 297), until
     // ranking and the replay stopped collecting per-query results to
-    // merge and added each query's into the totals instead.
-    let expected = profile((136_439, 24_460_672), (79_934, 10_860_921));
+    // merge and added each query's into the totals instead. Then
+    // (136 439, 24 460 672), release (79 934, 10 860 921), until ANALYZE
+    // sorted references to the values instead of copies (the test
+    // profile's audit of skipped tables runs one here) and a `Table` grew
+    // by its stale-column set.
+    let expected = profile((92_237, 17_914_227), (79_934, 10_861_009));
     assert_eq!(pass, expected, "validated pass");
+}
+
+/// What `analyze_all` recomputes after one write, on the fixture: a
+/// one-column UPDATE of `lineitem` recomputes that column, an INSERT into
+/// `nation` every column of `nation`, and a `table_mut("orders")` handle
+/// that writes nothing no column. The test profile counts a thread more
+/// for each of the first and the last, whose audit recomputes the whole
+/// table on a thread of its own. Runs after the pass: it draws versions.
+fn analyze_after_a_write() {
+    let mut db = fixture(0.002);
+    let mut io = IoStats::new();
+    let pk = lineitem_pk(1, 1);
+    let lineitem = db.table("lineitem").unwrap();
+    let mut row = lineitem.pk_lookup(&pk, &mut io).unwrap().clone();
+    row[lineitem.schema().column_index("l_quantity").unwrap()] = Value::Int(-1);
+    db.table_mut("lineitem").unwrap().update(&pk, row, &mut io).unwrap();
+    let update = cost("analyze_all after UPDATE lineitem", || db.analyze_all());
+    let nation = vec![Value::Int(90), Value::Str("NATION90".into()), Value::Int(0)];
+    db.table_mut("nation").unwrap().insert(nation, &mut io).unwrap();
+    let insert = cost("analyze_all after INSERT nation", || db.analyze_all());
+    db.table_mut("orders").unwrap();
+    let untouched = cost("analyze_all after table_mut orders", || db.analyze_all());
+    assert!(!db.stats_dirty());
+    // When ANALYZE recomputed every column of a table it refreshed, and
+    // scanned the table once per column, these were (36 082, 8 162 689),
+    // (67, 7 202) and (6 043, 1 046 965), in both profiles.
+    assert_eq!(
+        (update, insert, untouched),
+        (profile((10, 193_720), (4, 193_472)), (42, 5_938), profile((6, 248), (0, 0))),
+        "analyze_all after a one-column UPDATE, an INSERT, a handle that writes nothing"
+    );
 }

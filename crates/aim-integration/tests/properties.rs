@@ -995,7 +995,7 @@ fn analyze_installs_a_full_recomputation() {
         db.create_index(IndexDef::new("ix_a", "t", vec!["a".into()]), &mut io).unwrap();
         db.create_index(IndexDef::new("ix_xa", "t", vec!["x".into(), "a".into()]), &mut io)
             .unwrap();
-        let mut row = |pk: i64, rng: &mut StdRng| -> Row {
+        let row = |pk: i64, rng: &mut StdRng| -> Row {
             let mut row = vec![Value::Int(pk)];
             row.extend((1..5).map(|c| stats_cell(rng, c)));
             row

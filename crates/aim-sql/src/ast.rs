@@ -5,7 +5,7 @@
 //! operation each column participates in, with which operator) and the join
 //! graph — the "structural metadata" of Table I in the paper.
 //!
-//! Printing lives in [`crate::render`]: every `Display` impl here is that
+//! Printing lives in `crate::render`: every `Display` impl here is that
 //! renderer's exact mode. The types that make up a DML statement implement
 //! `Clone` by hand so that `clone_from` reuses the target's strings, boxes
 //! and vectors — the workload monitor overwrites a stored exemplar with a

@@ -12,7 +12,7 @@
 //! recorded statement. [`normalize_statement`] also builds the
 //! parameterized AST and the text, for first sight of a template and for
 //! callers that want the tree. Both print through the one renderer of
-//! [`crate::render`], so they cannot disagree on a byte.
+//! `crate::render`, so they cannot disagree on a byte.
 
 use crate::ast::*;
 use crate::render::{is_number, Renderer};

@@ -627,7 +627,7 @@ fn last_key(leaf: &Page) -> Result<Vec<u8>, StorageError> {
 }
 
 /// Builds a tree bottom-up from entries in strictly ascending key order:
-/// leaves packed left to right to [`BUILD_FILL`] and chained, then each
+/// leaves packed left to right to `BUILD_FILL` and chained, then each
 /// internal level over the one below, every page filled in a buffer of its
 /// own and staged once. Returns the root. Nothing is read, and a failure
 /// leaves only pages of the caller's open transaction behind.

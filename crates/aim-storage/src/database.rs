@@ -7,8 +7,8 @@ use crate::error::StorageError;
 use crate::io::IoStats;
 use crate::pager::PagerOptions;
 use crate::schema::{IndexDef, TableSchema};
-use crate::stats::{analyze, TableStats, DEFAULT_BUCKETS};
-use crate::table::{next_version, Table};
+use crate::stats::{analyze, analyze_columns, TableStats, DEFAULT_BUCKETS};
+use crate::table::{next_version, ColumnSet, Table};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -166,9 +166,11 @@ impl Database {
     /// [`Database::analyze_all`].
     ///
     /// Handing out `&mut Table` conservatively draws the table a new
-    /// version and marks its statistics stale: every data mutation flows
+    /// version and marks its statistics due: every data mutation flows
     /// through here, and a spurious draw only costs cache misses on this
-    /// table and its re-ANALYZE, never a stale cost.
+    /// table, never a stale cost. Which columns the next ANALYZE
+    /// recomputes the writes themselves mark ([`Table::update`]), so a
+    /// handle that writes nothing recomputes none.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, StorageError> {
         let table = self.index_set_mut(name)?;
         table.stats_stale = true;
@@ -273,14 +275,15 @@ impl Database {
         self.tables.values().map(Table::secondary_index_bytes).sum()
     }
 
-    /// Applies an armed `storage.analyze` stats-corruption fault: every
-    /// column collapses to NDV 1 over a wildly inflated row count — the
-    /// shape of a catastrophically stale or mangled ANALYZE result.
-    /// Returns whether it fired.
-    fn maybe_corrupt(stats: &mut TableStats) -> bool {
+    /// Applies an armed `storage.analyze` stats-corruption fault to the
+    /// installed statistics: every column collapses to NDV 1 over a wildly
+    /// inflated row count — the shape of a catastrophically stale or
+    /// mangled ANALYZE result. Returns whether it fired.
+    fn maybe_corrupt(installed: &mut Arc<TableStats>) -> bool {
         if crate::fault::hit("storage.analyze") != Some(crate::fault::FaultKind::CorruptStats) {
             return false;
         }
+        let stats = Arc::make_mut(installed);
         stats.row_count = stats.row_count.saturating_mul(1000).max(1_000_000);
         for col in stats.columns.values_mut() {
             col.ndv = 1;
@@ -289,18 +292,52 @@ impl Database {
         true
     }
 
-    /// ANALYZE of one table: installs its recomputed statistics and clears
-    /// its stale mark — unless the install was corrupted by an injected
-    /// fault, which leaves the table stale so the next clean ANALYZE heals
-    /// it. Draws the table a new version only when the statistics actually
-    /// differ, so re-analysis of unchanged data keeps what-if cost caches
-    /// warm.
+    /// ANALYZE of one table. Recomputes, in one scan, the statistics of
+    /// the columns a write changed since the last install
+    /// ([`Table::update`] marks them) and keeps the installed statistics of
+    /// the others; recomputes every column when none are installed or the
+    /// writes reached every column. Then clears the table's marks — unless
+    /// the install was corrupted by an injected fault, which leaves the
+    /// whole table marked so the next clean ANALYZE heals it. Draws the
+    /// table a new version only when the statistics are not identical to
+    /// the installed ones, so re-analysis of unchanged data keeps what-if
+    /// cost caches warm.
     fn refresh(table: &mut Table, installed: &mut BTreeMap<String, Arc<TableStats>>) {
-        let mut stats = analyze(table, DEFAULT_BUCKETS);
-        table.stats_stale = Self::maybe_corrupt(&mut stats);
+        let stale = std::mem::take(&mut table.stale_columns);
         let name = &table.schema().name;
-        if !installed.get(name).is_some_and(|current| current.identical(&stats)) {
-            installed.insert(name.clone(), Arc::new(stats));
+        let partial = !stale.covers(table.schema().columns.len());
+        let mut changed = false;
+        match installed.get_mut(name) {
+            Some(current) if partial => {
+                debug_assert_eq!(current.row_count, table.row_count() as u64);
+                analyze_columns(table, stale, DEFAULT_BUCKETS, |column, fresh| {
+                    let kept = &current.columns[column];
+                    if !kept.identical(&fresh) {
+                        let columns = &mut Arc::make_mut(current).columns;
+                        *columns.get_mut(column).expect("looked up above") = fresh;
+                        changed = true;
+                    }
+                });
+            }
+            current => {
+                let fresh = analyze(table, DEFAULT_BUCKETS);
+                if !current.is_some_and(|current| current.identical(&fresh)) {
+                    installed.insert(name.clone(), Arc::new(fresh));
+                    changed = true;
+                }
+            }
+        }
+        let stats = installed.get_mut(name).expect("installed above");
+        let corrupted = Self::maybe_corrupt(stats);
+        #[cfg(debug_assertions)]
+        if partial && !corrupted {
+            Self::audit_partial(table, stats);
+        }
+        table.stats_stale = corrupted;
+        if corrupted {
+            table.stale_columns = ColumnSet::ALL;
+        }
+        if changed || corrupted {
             table.version = next_version();
         }
         #[cfg(debug_assertions)]
@@ -309,10 +346,30 @@ impl Database {
         }
     }
 
-    /// Brings statistics in sync with the data: recomputes them for every
-    /// table whose rows or schema may have changed since it was last
-    /// analyzed, and for no other — an index build or drop leaves nothing
-    /// to do. Taking a [`Database::table_mut`] handle first forces a table.
+    /// Builds with debug assertions — the test profile — recompute every
+    /// column of a table after [`Database::refresh`] recomputed only some
+    /// and assert the result is identical to what it installed: that is
+    /// exact only while a column's statistics depend on nothing but its
+    /// values and the row count, and every write marks each column whose
+    /// values it changed (DESIGN.md §18). The recomputation runs on a
+    /// thread of its own, so that allocation counts stay the refresh's.
+    #[cfg(debug_assertions)]
+    fn audit_partial(table: &Table, installed: &TableStats) {
+        let full = std::thread::scope(|s| {
+            s.spawn(|| analyze(table, DEFAULT_BUCKETS)).join().expect("the audit's ANALYZE")
+        });
+        assert!(
+            full.identical(installed),
+            "{}: a partial ANALYZE installed other statistics than a full one",
+            table.schema().name
+        );
+    }
+
+    /// Brings statistics in sync with the data: refreshes every table a
+    /// [`Database::table_mut`] handle was taken to since it was last
+    /// analyzed, recomputing the statistics of the columns its writes
+    /// changed, and no other — an index build or drop leaves nothing to
+    /// do.
     pub fn analyze_all(&mut self) {
         #[cfg(debug_assertions)]
         self.audit_skipped_statistics();

@@ -8,8 +8,10 @@
 //!    computed from the base table without materializing entries, exactly
 //!    the role HypoPG / "what-if" indexes play for the paper.
 
-use crate::table::Table;
+use crate::io::IoStats;
+use crate::table::{ColumnSet, Table};
 use crate::value::Value;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -37,8 +39,8 @@ pub struct Histogram {
 
 impl Histogram {
     /// Builds an equi-depth histogram from a *sorted* slice of non-null
-    /// values.
-    pub fn build(sorted: &[Value], bucket_count: usize) -> Self {
+    /// values, or of references to them.
+    pub fn build<V: Borrow<Value>>(sorted: &[V], bucket_count: usize) -> Self {
         if sorted.is_empty() {
             return Self::default();
         }
@@ -50,18 +52,18 @@ impl Histogram {
             let mut end = (start + per_bucket).min(sorted.len());
             // Extend the bucket so equal values never straddle a boundary;
             // otherwise equality estimates would split a heavy value.
-            while end < sorted.len() && sorted[end] == sorted[end - 1] {
+            while end < sorted.len() && sorted[end].borrow() == sorted[end - 1].borrow() {
                 end += 1;
             }
             let slice = &sorted[start..end];
             let mut distinct = 1u64;
             for w in slice.windows(2) {
-                if w[0] != w[1] {
+                if w[0].borrow() != w[1].borrow() {
                     distinct += 1;
                 }
             }
             buckets.push(Bucket {
-                upper: slice[slice.len() - 1].clone(),
+                upper: slice[slice.len() - 1].borrow().clone(),
                 count: slice.len() as u64,
                 distinct,
             });
@@ -69,7 +71,7 @@ impl Histogram {
         }
         Self {
             buckets,
-            lower: Some(sorted[0].clone()),
+            lower: Some(sorted[0].borrow().clone()),
         }
     }
 
@@ -246,40 +248,74 @@ impl TableStats {
 
 /// Computes fresh statistics for every column of `table` (ANALYZE).
 pub fn analyze(table: &Table, bucket_count: usize) -> TableStats {
-    let schema = table.schema();
-    let row_count = table.row_count() as u64;
     let mut columns = BTreeMap::new();
+    analyze_columns(table, ColumnSet::ALL, bucket_count, |name, stats| {
+        columns.insert(name.to_string(), stats);
+    });
+    TableStats {
+        row_count: table.row_count() as u64,
+        columns,
+    }
+}
 
-    for (pos, col) in schema.columns.iter().enumerate() {
-        let mut values: Vec<Value> = Vec::with_capacity(table.row_count());
-        let mut null_count = 0u64;
-        let mut width_sum = 0u64;
-        let mut io = crate::io::IoStats::new();
-        for row in table.scan_all(&mut io) {
-            let v = &row[pos];
-            width_sum += v.storage_size();
+/// Computes fresh statistics for the columns of `table` that `which`
+/// holds, in one scan of the table, and hands each to `install` with its
+/// column's name, in schema order. [`analyze`] is the case of every
+/// column; [`crate::Database`] recomputes the columns a write changed.
+/// A column's statistics depend on nothing but its values, in primary-key
+/// order, and the table's row count.
+pub(crate) fn analyze_columns(
+    table: &Table,
+    which: ColumnSet,
+    bucket_count: usize,
+    mut install: impl FnMut(&str, ColumnStats),
+) {
+    /// One column's scan: its position, its non-null values, its NULLs
+    /// and the sum of its value widths.
+    struct Scan<'a> {
+        pos: usize,
+        values: Vec<&'a Value>,
+        nulls: u64,
+        width_sum: u64,
+    }
+    let columns = &table.schema().columns;
+    let mut scans: Vec<Scan> = (0..columns.len())
+        .filter(|&pos| which.contains(pos))
+        .map(|pos| Scan {
+            pos,
+            values: Vec::with_capacity(table.row_count()),
+            nulls: 0,
+            width_sum: 0,
+        })
+        .collect();
+    if scans.is_empty() {
+        return;
+    }
+    for row in table.scan_all(&mut IoStats::new()) {
+        for scan in &mut scans {
+            let v = &row[scan.pos];
+            scan.width_sum += v.storage_size();
             if v.is_null() {
-                null_count += 1;
+                scan.nulls += 1;
             } else {
-                values.push(v.clone());
+                scan.values.push(v);
             }
         }
+    }
+    let row_count = table.row_count() as u64;
+    for Scan { pos, mut values, nulls, width_sum } in scans {
         values.sort();
-        let mut ndv = 0u64;
-        if !values.is_empty() {
-            ndv = 1;
-            for w in values.windows(2) {
-                if w[0] != w[1] {
-                    ndv += 1;
-                }
-            }
-        }
+        let ndv = match values.len() {
+            0 => 0,
+            _ => 1 + values.windows(2).filter(|w| w[0] != w[1]).count() as u64,
+        };
+        let col = &columns[pos];
         let stats = ColumnStats {
             row_count,
-            null_count,
+            null_count: nulls,
             ndv,
-            min: values.first().cloned(),
-            max: values.last().cloned(),
+            min: values.first().map(|v| (*v).clone()),
+            max: values.last().map(|v| (*v).clone()),
             histogram: Histogram::build(&values, bucket_count),
             avg_width: if row_count > 0 {
                 width_sum as f64 / row_count as f64
@@ -287,16 +323,13 @@ pub fn analyze(table: &Table, bucket_count: usize) -> TableStats {
                 col.avg_width as f64
             },
         };
-        columns.insert(col.name.clone(), stats);
+        install(&col.name, stats);
     }
-
-    TableStats { row_count, columns }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::IoStats;
     use crate::schema::{ColumnDef, ColumnType, TableSchema};
 
     fn table_with(values: &[i64]) -> Table {

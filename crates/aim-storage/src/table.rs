@@ -25,6 +25,49 @@ pub(crate) fn next_version() -> u64 {
     NEXT_VERSION.fetch_add(1, Ordering::Relaxed)
 }
 
+/// A set of a table's columns by position, one bit each, in one word: it
+/// allocates nothing and copies with the table. A position past the last
+/// bit stands for every column, and a table wider than the word counts
+/// as whole when any of its columns is in the set.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ColumnSet(u64);
+
+impl ColumnSet {
+    /// Every column, of any table.
+    pub(crate) const ALL: ColumnSet = ColumnSet(u64::MAX);
+    const BITS: usize = u64::BITS as usize;
+
+    /// The set of the column at `pos` alone.
+    fn of(pos: usize) -> ColumnSet {
+        ColumnSet(if pos < Self::BITS { 1 << pos } else { u64::MAX })
+    }
+
+    pub(crate) fn insert(&mut self, pos: usize) {
+        self.0 |= Self::of(pos).0;
+    }
+
+    pub(crate) fn union(&mut self, other: ColumnSet) {
+        self.0 |= other.0;
+    }
+
+    pub(crate) fn contains(self, pos: usize) -> bool {
+        self.0 & Self::of(pos).0 != 0
+    }
+
+    pub(crate) fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// True when the set holds every column of a `width`-column table, or
+    /// any column of a table wider than the word.
+    pub(crate) fn covers(self, width: usize) -> bool {
+        if width > Self::BITS {
+            return !self.is_empty();
+        }
+        (0..width).all(|pos| self.contains(pos))
+    }
+}
+
 /// A table: clustered rows plus secondary indexes.
 ///
 /// Rows always live in the in-memory `BTreeMap` — that is what queries
@@ -50,9 +93,17 @@ pub struct Table {
     /// Content version of (rows, schema, index set, installed statistics);
     /// kept by [`crate::Database`], see [`Table::version`].
     pub(crate) version: u64,
-    /// Rows or schema may have changed since the owning database last
-    /// installed statistics for this table; kept by [`crate::Database`].
+    /// A mutable handle was taken since the owning database last installed
+    /// statistics for this table, so they are due; kept by
+    /// [`crate::Database`].
     pub(crate) stats_stale: bool,
+    /// The columns whose statistics a write may have changed since the
+    /// owning database last installed them: those an UPDATE changed a
+    /// value of, and every column after an INSERT or a DELETE, since each
+    /// column's statistics count the rows. A new or recovered table has
+    /// every column marked. Kept here by the writes, cleared by
+    /// [`crate::Database`].
+    pub(crate) stale_columns: ColumnSet,
     /// Debug builds: the version at which the installed statistics were
     /// last computed or audited ([`crate::Database::analyze_all`]).
     #[cfg(debug_assertions)]
@@ -71,6 +122,7 @@ impl Table {
             total_row_bytes: 0,
             version: next_version(),
             stats_stale: true,
+            stale_columns: ColumnSet::ALL,
             #[cfg(debug_assertions)]
             audited: 0,
             backend: memory_backend(),
@@ -221,6 +273,7 @@ impl Table {
         }
         self.total_row_bytes += bytes;
         Arc::make_mut(&mut self.rows).insert(pk, row);
+        self.stale_columns = ColumnSet::ALL;
         Ok(())
     }
 
@@ -248,11 +301,16 @@ impl Table {
             Arc::make_mut(ix).remove_entry(entry);
             io.charge_writes(1, 64);
         }
+        self.stale_columns = ColumnSet::ALL;
         Ok(Some(row))
     }
 
-    /// Replaces the row with primary key `pk` by `new_row` (same PK).
-    /// Secondary index entries are only rewritten when their key changed.
+    /// Replaces the row with primary key `pk` by `new_row` (same PK), and
+    /// marks the statistics of each column whose value changed stale: a
+    /// value changes when it is unequal or another variant
+    /// ([`Value::identical`]). Secondary index entries are only rewritten
+    /// when their key changed, and an index none of whose key columns
+    /// changed is not looked at.
     pub fn update(&mut self, pk: &Key, new_row: Row, io: &mut IoStats) -> Result<(), StorageError> {
         let old = self
             .rows
@@ -263,9 +321,18 @@ impl Table {
                 "update must not change the primary key".into(),
             ));
         }
+        let mut changed = ColumnSet::default();
+        for (pos, (before, after)) in old.iter().zip(&new_row).enumerate() {
+            if !before.identical(after) {
+                changed.insert(pos);
+            }
+        }
         let mut removed = Vec::new();
         let mut added = Vec::new();
         for ix in self.indexes.values() {
+            if !ix.key_positions().iter().any(|&pos| changed.contains(pos)) {
+                continue;
+            }
             let before = ix.entry_for_row(old);
             let after = ix.entry_for_row(&new_row);
             if before != after {
@@ -290,6 +357,7 @@ impl Table {
             .get_mut(pk)
             .expect("looked up above");
         *slot = new_row;
+        self.stale_columns.union(changed);
         Ok(())
     }
 
@@ -323,7 +391,8 @@ impl Table {
         let ix = SecondaryIndex::new(def, key_positions, self.schema.primary_key.clone());
         let mut entries: Vec<Key> = self.rows.values().map(|row| ix.entry_for_row(row)).collect();
         entries.sort_unstable();
-        entries.dedup();
+        // Every entry ends in its row's primary key, so none repeats.
+        debug_assert!(entries.windows(2).all(|w| w[0] < w[1]), "{}: a repeated entry", ix.def().name);
         Ok((ix, entries))
     }
 

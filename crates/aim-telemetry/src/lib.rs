@@ -5,7 +5,7 @@
 //! first-class instrumentation layer. It is std-only and provides three
 //! primitives, wired through every crate of the workspace:
 //!
-//! * **Spans** ([`span`]) — RAII timers forming a phase tree. Nested spans
+//! * **Spans** ([`span`](mod@span)) — RAII timers forming a phase tree. Nested spans
 //!   aggregate by name into a per-thread [`ProfileNode`] tree, the single
 //!   timing source of truth for "algorithm runtime" reporting.
 //! * **Counters / gauges / histograms** ([`metrics`]) — one lock-sharded

@@ -884,7 +884,7 @@ fn histogram_to_snapshot(h: &Histogram) -> HistogramSnapshot {
 }
 
 /// Zeroes the taxonomy, drops every series and restores the default
-/// cardinality cap. Interned label values stay (see [`Interner`]): a
+/// cardinality cap. Interned label values stay (see `Interner`): a
 /// [`TelemetryScope`] alive across the reset keeps its own tenant.
 pub fn reset() {
     for c in BUILTIN {

@@ -35,6 +35,11 @@ cargo test --release -q -p aim-integration --test clone_counts --test storage_co
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace --offline"
+# A doc link to a private item, or one that names two items, is a warning
+# rustdoc prints and no other stage fails on; here it fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== code lines per crate (report, not a gate)"
 scripts/loc.sh
 
