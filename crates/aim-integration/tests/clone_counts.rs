@@ -133,7 +133,11 @@ fn a_clone_and_the_first_writes_to_it() {
     assert_eq!(clone, (88, profile(4_584, 4_496)), "try_clone");
     assert_eq!(create, (13_100, 1_755_452), "create_index");
     assert_eq!((insert, insert_again), ((82, 5_480), (1, 24)), "INSERT");
-    assert_eq!((update, update_again), ((62_011, 5_800_480), (7, 600)), "UPDATE");
+    assert_eq!(
+        (update, update_again),
+        ((62_011, 5_800_480), (7, 600)),
+        "UPDATE"
+    );
     assert_eq!(delete, (5, 265), "DELETE");
     // The source is untouched by every write to the clone.
     assert_eq!(db.table("nation").unwrap().row_count(), 25);
@@ -213,10 +217,16 @@ fn analyze_after_a_write() {
     let lineitem = db.table("lineitem").unwrap();
     let mut row = lineitem.pk_lookup(&pk, &mut io).unwrap().clone();
     row[lineitem.schema().column_index("l_quantity").unwrap()] = Value::Int(-1);
-    db.table_mut("lineitem").unwrap().update(&pk, row, &mut io).unwrap();
+    db.table_mut("lineitem")
+        .unwrap()
+        .update(&pk, row, &mut io)
+        .unwrap();
     let update = cost("analyze_all after UPDATE lineitem", || db.analyze_all());
     let nation = vec![Value::Int(90), Value::Str("NATION90".into()), Value::Int(0)];
-    db.table_mut("nation").unwrap().insert(nation, &mut io).unwrap();
+    db.table_mut("nation")
+        .unwrap()
+        .insert(nation, &mut io)
+        .unwrap();
     let insert = cost("analyze_all after INSERT nation", || db.analyze_all());
     db.table_mut("orders").unwrap();
     let untouched = cost("analyze_all after table_mut orders", || db.analyze_all());
@@ -226,7 +236,11 @@ fn analyze_after_a_write() {
     // (67, 7 202) and (6 043, 1 046 965), in both profiles.
     assert_eq!(
         (update, insert, untouched),
-        (profile((10, 193_720), (4, 193_472)), (42, 5_938), profile((6, 248), (0, 0))),
+        (
+            profile((11, 193_730), (5, 193_482)),
+            (39, 4_196),
+            profile((6, 248), (0, 0))
+        ),
         "analyze_all after a one-column UPDATE, an INSERT, a handle that writes nothing"
     );
 }

@@ -32,8 +32,8 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
-    /// Installed statistics, shared with clones: an install replaces the
-    /// `Arc`, it never writes through it.
+    /// Installed statistics, shared with clones: an install writes through
+    /// `Arc::make_mut`, so a clone sharing them keeps its own.
     stats: BTreeMap<String, Arc<TableStats>>,
     /// Durability backend shared by every table. [`memory_backend`] for
     /// pure in-memory instances; a [`DiskBackend`] for pager-backed ones.
@@ -294,43 +294,42 @@ impl Database {
 
     /// ANALYZE of one table. Recomputes, in one scan, the statistics of
     /// the columns a write changed since the last install
-    /// ([`Table::update`] marks them) and keeps the installed statistics of
-    /// the others; recomputes every column when none are installed or the
-    /// writes reached every column. Then clears the table's marks — unless
+    /// ([`Table::update`] marks them; an INSERT or a DELETE marks all) and
+    /// keeps the installed statistics of the others; recomputes every
+    /// column when none are installed. Then clears the table's marks — unless
     /// the install was corrupted by an injected fault, which leaves the
     /// whole table marked so the next clean ANALYZE heals it. Draws the
-    /// table a new version only when the statistics are not identical to
+    /// table a new version only when some statistics are not identical to
     /// the installed ones, so re-analysis of unchanged data keeps what-if
     /// cost caches warm.
     fn refresh(table: &mut Table, installed: &mut BTreeMap<String, Arc<TableStats>>) {
-        let stale = std::mem::take(&mut table.stale_columns);
+        let mut stale = std::mem::take(&mut table.stale_columns);
         let name = &table.schema().name;
-        let partial = !stale.covers(table.schema().columns.len());
-        let mut changed = false;
-        match installed.get_mut(name) {
-            Some(current) if partial => {
-                debug_assert_eq!(current.row_count, table.row_count() as u64);
-                analyze_columns(table, stale, DEFAULT_BUCKETS, |column, fresh| {
-                    let kept = &current.columns[column];
-                    if !kept.identical(&fresh) {
-                        let columns = &mut Arc::make_mut(current).columns;
-                        *columns.get_mut(column).expect("looked up above") = fresh;
-                        changed = true;
-                    }
-                });
-            }
-            current => {
-                let fresh = analyze(table, DEFAULT_BUCKETS);
-                if !current.is_some_and(|current| current.identical(&fresh)) {
-                    installed.insert(name.clone(), Arc::new(fresh));
-                    changed = true;
-                }
-            }
+        if !installed.contains_key(name) {
+            installed.insert(name.clone(), Arc::default());
+            stale = ColumnSet::ALL;
         }
         let stats = installed.get_mut(name).expect("installed above");
+        let row_count = table.row_count() as u64;
+        let mut changed = stats.row_count != row_count;
+        if changed {
+            Arc::make_mut(stats).row_count = row_count;
+        }
+        analyze_columns(table, stale, DEFAULT_BUCKETS, |column, fresh| {
+            if !stats
+                .columns
+                .get(column)
+                .is_some_and(|kept| kept.identical(&fresh))
+            {
+                Arc::make_mut(stats)
+                    .columns
+                    .insert(column.to_string(), fresh);
+                changed = true;
+            }
+        });
         let corrupted = Self::maybe_corrupt(stats);
         #[cfg(debug_assertions)]
-        if partial && !corrupted {
+        if stale != ColumnSet::ALL && !corrupted {
             Self::audit_partial(table, stats);
         }
         table.stats_stale = corrupted;
@@ -356,7 +355,9 @@ impl Database {
     #[cfg(debug_assertions)]
     fn audit_partial(table: &Table, installed: &TableStats) {
         let full = std::thread::scope(|s| {
-            s.spawn(|| analyze(table, DEFAULT_BUCKETS)).join().expect("the audit's ANALYZE")
+            s.spawn(|| analyze(table, DEFAULT_BUCKETS))
+                .join()
+                .expect("the audit's ANALYZE")
         });
         assert!(
             full.identical(installed),
@@ -790,6 +791,38 @@ mod tests {
         assert_eq!(log.len(), 1, "one stale table, one ANALYZE: {log:?}");
         assert_eq!(db.stats("u").unwrap().row_count, 1);
         assert!(!db.stats_dirty());
+    }
+
+    /// Columns past the 64th have no bit of their own in a table's
+    /// stale-column set: marking one marks every column, and every
+    /// refresh recomputes them. Either way a refresh installs what a full
+    /// ANALYZE gives (the test profile's audit checks that too).
+    #[test]
+    fn a_table_wider_than_the_column_set_refreshes_exactly() {
+        let columns = (0..70).map(|c| ColumnDef::new(format!("c{c}"), ColumnType::Int));
+        let mut db = Database::new();
+        db.create_table(TableSchema::new("w", columns.collect(), &["c0"]).unwrap())
+            .unwrap();
+        let row = |id: i64| -> Vec<Value> {
+            (0..70)
+                .map(|c| Value::Int(if c == 0 { id } else { id % 4 * c }))
+                .collect()
+        };
+        let mut io = IoStats::new();
+        for id in 0..20 {
+            db.table_mut("w").unwrap().insert(row(id), &mut io).unwrap();
+        }
+        db.analyze_all();
+        for column in [3, 66] {
+            let mut r = row(5);
+            r[column] = Value::Int(-7);
+            let w = db.table_mut("w").unwrap();
+            w.update(&vec![Value::Int(5)], r, &mut io).unwrap();
+            assert_eq!(w.stale_columns == ColumnSet::ALL, column == 66);
+            db.analyze_all();
+            let full = analyze(db.table("w").unwrap(), DEFAULT_BUCKETS);
+            assert!(db.stats("w").unwrap().identical(&full), "column {column}");
+        }
     }
 
     #[test]

@@ -49,7 +49,10 @@ impl SecondaryIndex {
     /// the loaded set again only when it dropped a repeated entry, which a
     /// build never holds.
     pub(crate) fn load(&mut self, entries: Vec<Key>) {
-        let (count, bytes) = (entries.len(), entries.iter().flatten().map(Value::storage_size).sum());
+        let (count, bytes) = (
+            entries.len(),
+            entries.iter().flatten().map(Value::storage_size).sum(),
+        );
         self.entries = entries.into_iter().collect();
         self.total_bytes = if self.entries.len() == count {
             bytes

@@ -182,7 +182,11 @@ impl ColumnStats {
     /// True when `other` holds the very same statistics: equal, and every
     /// bound the same [`Value`] variant ([`Value::identical`]).
     pub fn identical(&self, other: &ColumnStats) -> bool {
-        self == other && self.bounds().zip(other.bounds()).all(|(a, b)| a.identical(b))
+        self == other
+            && self
+                .bounds()
+                .zip(other.bounds())
+                .all(|(a, b)| a.identical(b))
     }
 
     /// The values these statistics hold: min, max and the histogram's
@@ -190,7 +194,11 @@ impl ColumnStats {
     fn bounds(&self) -> impl Iterator<Item = &Value> {
         let h = &self.histogram;
         let uppers = h.buckets.iter().map(|b| &b.upper);
-        self.min.iter().chain(&self.max).chain(&h.lower).chain(uppers)
+        self.min
+            .iter()
+            .chain(&self.max)
+            .chain(&h.lower)
+            .chain(uppers)
     }
 
     /// Selectivity of an equality with an *unknown* parameter (`col = ?`):
@@ -303,7 +311,13 @@ pub(crate) fn analyze_columns(
         }
     }
     let row_count = table.row_count() as u64;
-    for Scan { pos, mut values, nulls, width_sum } in scans {
+    for Scan {
+        pos,
+        mut values,
+        nulls,
+        width_sum,
+    } in scans
+    {
         values.sort();
         let ndv = match values.len() {
             0 => 0,

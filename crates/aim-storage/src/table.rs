@@ -26,20 +26,23 @@ pub(crate) fn next_version() -> u64 {
 }
 
 /// A set of a table's columns by position, one bit each, in one word: it
-/// allocates nothing and copies with the table. A position past the last
-/// bit stands for every column, and a table wider than the word counts
-/// as whole when any of its columns is in the set.
+/// allocates nothing and copies with the table. A column past the last
+/// bit has no bit of its own: marking it marks every column, and every
+/// set that is not empty holds it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ColumnSet(u64);
 
 impl ColumnSet {
     /// Every column, of any table.
     pub(crate) const ALL: ColumnSet = ColumnSet(u64::MAX);
-    const BITS: usize = u64::BITS as usize;
 
     /// The set of the column at `pos` alone.
     fn of(pos: usize) -> ColumnSet {
-        ColumnSet(if pos < Self::BITS { 1 << pos } else { u64::MAX })
+        ColumnSet(if pos < u64::BITS as usize {
+            1 << pos
+        } else {
+            u64::MAX
+        })
     }
 
     pub(crate) fn insert(&mut self, pos: usize) {
@@ -52,19 +55,6 @@ impl ColumnSet {
 
     pub(crate) fn contains(self, pos: usize) -> bool {
         self.0 & Self::of(pos).0 != 0
-    }
-
-    pub(crate) fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// True when the set holds every column of a `width`-column table, or
-    /// any column of a table wider than the word.
-    pub(crate) fn covers(self, width: usize) -> bool {
-        if width > Self::BITS {
-            return !self.is_empty();
-        }
-        (0..width).all(|pos| self.contains(pos))
     }
 }
 
@@ -392,7 +382,11 @@ impl Table {
         let mut entries: Vec<Key> = self.rows.values().map(|row| ix.entry_for_row(row)).collect();
         entries.sort_unstable();
         // Every entry ends in its row's primary key, so none repeats.
-        debug_assert!(entries.windows(2).all(|w| w[0] < w[1]), "{}: a repeated entry", ix.def().name);
+        debug_assert!(
+            entries.windows(2).all(|w| w[0] < w[1]),
+            "{}: a repeated entry",
+            ix.def().name
+        );
         Ok((ix, entries))
     }
 
