@@ -19,10 +19,11 @@
 //! again. Beside each number stands what the deep-copying clone paid.
 //!
 //! `cargo test --release -p aim-integration --test clone_counts --
-//! --nocapture` prints the table. In a debug build the pass's count holds
-//! under the harness's output capture only: its audits run on threads of
-//! their own, and a captured test harness allocates more for each thread
-//! spawned (68 allocations in this pass, 56 before production adopted).
+//! --nocapture` prints the table. In a debug build the pass's count, and
+//! the ANALYZE step's, hold under the harness's output capture only: their
+//! audits run on threads of their own, and a captured test harness
+//! allocates more for each thread spawned (68 allocations in this pass, 56
+//! before production adopted).
 //! This is its own test binary because of the `#[global_allocator]` in
 //! `common/counting.rs`. It holds one test, which measures in a fixed
 //! order: a pass's count depends on the versions drawn before it (they key

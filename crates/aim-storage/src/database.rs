@@ -7,7 +7,7 @@ use crate::error::StorageError;
 use crate::io::IoStats;
 use crate::pager::PagerOptions;
 use crate::schema::{IndexDef, TableSchema};
-use crate::stats::{analyze, analyze_columns, TableStats, DEFAULT_BUCKETS};
+use crate::stats::{analyze_columns, TableStats, DEFAULT_BUCKETS};
 use crate::table::{next_version, ColumnSet, Table};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -137,7 +137,7 @@ impl Database {
     /// it was last analyzed. Tuning passes use this to skip redundant
     /// ANALYZE work (and the what-if cache churn it can cause). Index DDL
     /// never sets it: statistics are a function of rows and schema alone
-    /// ([`analyze`] does not look at a table's indexes).
+    /// ([`crate::stats::analyze`] does not look at a table's indexes).
     pub fn stats_dirty(&self) -> bool {
         self.tables.values().any(|t| t.stats_stale)
     }
@@ -355,7 +355,7 @@ impl Database {
     #[cfg(debug_assertions)]
     fn audit_partial(table: &Table, installed: &TableStats) {
         let full = std::thread::scope(|s| {
-            s.spawn(|| analyze(table, DEFAULT_BUCKETS))
+            s.spawn(|| crate::stats::analyze(table, DEFAULT_BUCKETS))
                 .join()
                 .expect("the audit's ANALYZE")
         });
@@ -394,10 +394,11 @@ impl Database {
                 continue;
             }
             let name = &table.schema().name;
+            let full = crate::stats::analyze(table, DEFAULT_BUCKETS);
             assert!(
                 self.stats
                     .get(name)
-                    .is_some_and(|current| current.identical(&analyze(table, DEFAULT_BUCKETS))),
+                    .is_some_and(|current| current.identical(&full)),
                 "{name}: ANALYZE skips the table, but its rows give other statistics"
             );
             table.audited = table.version;
@@ -820,7 +821,7 @@ mod tests {
             w.update(&vec![Value::Int(5)], r, &mut io).unwrap();
             assert_eq!(w.stale_columns == ColumnSet::ALL, column == 66);
             db.analyze_all();
-            let full = analyze(db.table("w").unwrap(), DEFAULT_BUCKETS);
+            let full = crate::stats::analyze(db.table("w").unwrap(), DEFAULT_BUCKETS);
             assert!(db.stats("w").unwrap().identical(&full), "column {column}");
         }
     }
