@@ -45,20 +45,10 @@ impl SecondaryIndex {
 
     /// Replaces the entries with pre-built ones — a build's, or the
     /// on-disk tree's on recovery. Ascending input is bulk-loaded without
-    /// a descent per entry. The bytes are summed over `entries`, and over
-    /// the loaded set again only when it dropped a repeated entry, which a
-    /// build never holds.
+    /// a descent per entry.
     pub(crate) fn load(&mut self, entries: Vec<Key>) {
-        let (count, bytes) = (
-            entries.len(),
-            entries.iter().flatten().map(Value::storage_size).sum(),
-        );
         self.entries = entries.into_iter().collect();
-        self.total_bytes = if self.entries.len() == count {
-            bytes
-        } else {
-            self.entries.iter().flatten().map(Value::storage_size).sum()
-        };
+        self.total_bytes = self.entries.iter().flatten().map(Value::storage_size).sum();
     }
 
     /// The index definition (name, table, key columns).
