@@ -201,7 +201,7 @@ fn a_validated_pass() {
     // sorted references to the values instead of copies (the test
     // profile's audit of skipped tables runs one here) and a `Table` grew
     // by its stale-column set.
-    let expected = profile((92_237, 17_914_227), (79_934, 10_861_009));
+    let expected = profile((92_195, 16_451_763), (79_934, 10_861_009));
     assert_eq!(pass, expected, "validated pass");
 }
 
@@ -238,8 +238,8 @@ fn analyze_after_a_write() {
     assert_eq!(
         (update, insert, untouched),
         (
-            profile((11, 193_730), (5, 193_482)),
-            (39, 4_196),
+            profile((10, 193_538), (4, 193_290)),
+            (36, 3_588),
             profile((6, 248), (0, 0))
         ),
         "analyze_all after a one-column UPDATE, an INSERT, a handle that writes nothing"

@@ -272,52 +272,38 @@ pub fn analyze(table: &Table, bucket_count: usize) -> TableStats {
 /// column; [`crate::Database`] recomputes the columns a write changed.
 /// A column's statistics depend on nothing but its values, in primary-key
 /// order, and the table's row count.
+///
+/// The scan is charged once; each column then walks the scanned rows in
+/// memory into one reused vector of references, so the peak holds one
+/// column's references and its sort buffer at any table width.
 pub(crate) fn analyze_columns(
     table: &Table,
     which: ColumnSet,
     bucket_count: usize,
     mut install: impl FnMut(&str, ColumnStats),
 ) {
-    /// One column's scan: its position, its non-null values, its NULLs
-    /// and the sum of its value widths.
-    struct Scan<'a> {
-        pos: usize,
-        values: Vec<&'a Value>,
-        nulls: u64,
-        width_sum: u64,
-    }
     let columns = &table.schema().columns;
-    let mut scans: Vec<Scan> = (0..columns.len())
+    let mut stale = (0..columns.len())
         .filter(|&pos| which.contains(pos))
-        .map(|pos| Scan {
-            pos,
-            values: Vec::with_capacity(table.row_count()),
-            nulls: 0,
-            width_sum: 0,
-        })
-        .collect();
-    if scans.is_empty() {
+        .peekable();
+    if stale.peek().is_none() {
         return;
     }
-    for row in table.scan_all(&mut IoStats::new()) {
-        for scan in &mut scans {
-            let v = &row[scan.pos];
-            scan.width_sum += v.storage_size();
+    let rows = table.scan_all(&mut IoStats::new());
+    let row_count = table.row_count() as u64;
+    let mut values: Vec<&Value> = Vec::with_capacity(table.row_count());
+    for pos in stale {
+        values.clear();
+        let (mut nulls, mut width_sum) = (0u64, 0u64);
+        for row in rows.clone() {
+            let v = &row[pos];
+            width_sum += v.storage_size();
             if v.is_null() {
-                scan.nulls += 1;
+                nulls += 1;
             } else {
-                scan.values.push(v);
+                values.push(v);
             }
         }
-    }
-    let row_count = table.row_count() as u64;
-    for Scan {
-        pos,
-        mut values,
-        nulls,
-        width_sum,
-    } in scans
-    {
         values.sort();
         let ndv = match values.len() {
             0 => 0,

@@ -507,8 +507,9 @@ impl Table {
 
     /// Full clustered scan in PK order. On a disk backend the cost is
     /// measured from the real heap-chain walk; otherwise the simulated
-    /// model is charged.
-    pub fn scan_all(&self, io: &mut IoStats) -> impl Iterator<Item = &Row> {
+    /// model is charged. A clone of the iterator walks the rows again in
+    /// memory and charges nothing.
+    pub fn scan_all(&self, io: &mut IoStats) -> impl Iterator<Item = &Row> + Clone {
         if !self.backend.account_full_scan(&self.schema.name, io) {
             io.charge_seek();
             io.charge_sequential(self.total_row_bytes);
