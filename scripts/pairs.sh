@@ -24,7 +24,9 @@
 #
 # The scratch directory is $PAIRS_DIR (default ${TMPDIR:-/tmp}/aim-pairs):
 # parent/, target-parent/, target-change/ and one .jsonl per side, workload
-# and seed.
+# and seed. The parent is extracted with fresh modification times: the
+# commit's own times can be older than a build left in target-parent/ by
+# another parent, which cargo would then reuse.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,7 +54,7 @@ fi
 mkdir -p "$scratch"
 rm -rf "$scratch/parent"
 mkdir "$scratch/parent"
-git archive "$parent_ref" | tar -x -C "$scratch/parent"
+git archive "$parent_ref" | tar -x -m -C "$scratch/parent"
 
 declare -A root=([parent]="$scratch/parent" [change]="$PWD")
 for side in parent change; do
