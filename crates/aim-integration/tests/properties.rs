@@ -959,6 +959,22 @@ fn flip_variant(rng: &mut StdRng, column: usize, v: &Value) -> Value {
     }
 }
 
+/// `Ok` when every index of `table` holds exactly the entries its rows
+/// give, in key order and variant by variant: `Int(3)` and `Float(3.0)`
+/// collate together, but a covering scan returns what the entry holds.
+fn indexes_match_rows(table: &aim_storage::Table) -> Result<(), String> {
+    let mut io = IoStats::new();
+    for ix in table.indexes() {
+        let mut rows: Vec<_> = table.scan_all(&mut io).map(|r| ix.entry_for_row(r)).collect();
+        rows.sort();
+        let (held, rows) = (format!("{:?}", ix.scan_all(table, &mut io)), format!("{rows:?}"));
+        if held != rows {
+            return Err(format!("index {} holds {held}, its rows give {rows}", ix.def().name));
+        }
+    }
+    Ok(())
+}
+
 /// Whatever the writes since the last ANALYZE, `analyze_all` installs
 /// what a full recomputation of each table gives: the statistics a write
 /// changed are recomputed and no others are left stale. Random INSERT /
@@ -967,7 +983,9 @@ fn flip_variant(rng: &mut StdRng, column: usize, v: &Value) -> Value {
 /// `Float` UPDATEs (equal under `Value`'s `==`), NULL ↔ value UPDATEs,
 /// UPDATEs of indexed and of unindexed columns, and `table_mut` handles
 /// that write nothing. Compared variant by variant: the `Debug` text
-/// tells `Int(3)` from `Float(3.0)` and prints every `f64` exactly.
+/// tells `Int(3)` from `Float(3.0)` and prints every `f64` exactly. After
+/// every step, and on the disk backend once more after a reopen, each
+/// index holds the entries its rows give, variant by variant.
 #[test]
 fn analyze_installs_a_full_recomputation() {
     let dir = std::env::temp_dir().join(format!("aim-prop-analyze-{}", std::process::id()));
@@ -1065,6 +1083,9 @@ fn analyze_installs_a_full_recomputation() {
                     .update(&vec![Value::Int(pk)], r, &mut io)
                     .unwrap();
             }
+            if let Err(e) = indexes_match_rows(db.table("t").unwrap()) {
+                panic!("{backend}, step {step}: {e}");
+            }
             if rng.gen_range(0..3u32) == 0 {
                 db.analyze_all();
                 analyzes += 1;
@@ -1084,6 +1105,11 @@ fn analyze_installs_a_full_recomputation() {
             "{analyzes} {ran:?}"
         );
     }
+    let db = Database::open_disk(&dir, aim_storage::PagerOptions::default()).unwrap();
+    if let Err(e) = indexes_match_rows(db.table("t").unwrap()) {
+        panic!("disk, reopened: {e}");
+    }
+    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
