@@ -298,9 +298,10 @@ impl Table {
     /// Replaces the row with primary key `pk` by `new_row` (same PK), and
     /// marks the statistics of each column whose value changed stale: a
     /// value changes when it is unequal or another variant
-    /// ([`Value::identical`]). Secondary index entries are only rewritten
-    /// when their key changed, and an index none of whose key columns
-    /// changed is not looked at.
+    /// ([`Value::identical`]). A secondary index entry is rewritten when
+    /// one of its values changed by the same rule, so that it holds the
+    /// row's variant (`==` would keep `Int(5)` for `Float(5.0)`); an index
+    /// none of whose key columns changed is not looked at.
     pub fn update(&mut self, pk: &Key, new_row: Row, io: &mut IoStats) -> Result<(), StorageError> {
         let old = self
             .rows
@@ -325,7 +326,7 @@ impl Table {
             }
             let before = ix.entry_for_row(old);
             let after = ix.entry_for_row(&new_row);
-            if before != after {
+            if !before.iter().zip(&after).all(|(b, a)| b.identical(a)) {
                 removed.push((ix.def().name.clone(), before));
                 added.push((ix.def().name.clone(), after));
             }
