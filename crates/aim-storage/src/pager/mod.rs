@@ -52,9 +52,10 @@ pub const SITE_PAGER_WRITE: &str = "storage.pager.write";
 pub const SITE_PAGER_READ: &str = "storage.pager.read";
 
 const MAGIC: u64 = 0x4149_4d5f_5041_4745; // "AIM_PAGE"
-/// File format. 2: pages and WAL records carry the word-wise
-/// [`page::checksum32`]; version 1 stored byte-wise FNV-1a.
-const VERSION: u32 = 2;
+/// File format. 3: pages and WAL records carry the eight-lane
+/// [`page::checksum32`]; version 2 summed in two lanes, version 1 stored
+/// byte-wise FNV-1a.
+const VERSION: u32 = 3;
 /// The meta page's one cell: magic, version, page count, freelist head,
 /// catalog root. It is the first cell of a fresh page, so it ends the page.
 const META_CELL: usize = 24;
@@ -167,6 +168,12 @@ impl Pager {
         let mut counters = PagerCounters::default();
         let mut next_lsn = 1;
 
+        // Which format the directory claims comes before recovery: another
+        // version sums pages and WAL records differently, and must neither
+        // read as a torn write nor have its log replayed or truncated.
+        if let Some(version) = claimed_version(&db_path(dir))?.filter(|&v| v != VERSION) {
+            return Err(unsupported(version));
+        }
         let replayed = wal::replay(&wal_path(dir))?;
         let mut file = OpenOptions::new()
             .read(true)
@@ -212,12 +219,6 @@ impl Pager {
             let mut p = Page::new(PageType::Meta);
             read_at(&mut file, 0, p.bytes_mut())?;
             counters.pages_read += 1;
-            // Which format the file claims comes before whether its
-            // checksum holds: another version sums differently, and must
-            // not read as a torn write.
-            if let Some(version) = claimed_version(&p).filter(|&v| v != VERSION) {
-                return Err(unsupported(version));
-            }
             p.verify(0)?;
             parse_meta(&p)?
         };
@@ -630,12 +631,25 @@ fn meta_page(meta: &Meta, mut p: Page) -> Page {
     p
 }
 
-/// The version an unverified page-0 image claims, if it carries the magic
-/// where every version has put it.
-fn claimed_version(p: &Page) -> Option<u32> {
-    let cell = &p.bytes()[DISK_PAGE_SIZE - META_CELL..];
+/// The version the database file at `path` claims, if it has a page 0
+/// carrying the magic where every version has put it: the meta cell at
+/// the end of the page, read unverified and on its own.
+fn claimed_version(path: &Path) -> Result<Option<u32>, StorageError> {
+    let mut file = match File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(io_err("open", e)),
+    };
+    let len = file.metadata().map_err(|e| io_err("stat", e))?.len();
+    if len < DISK_PAGE_SIZE as u64 {
+        return Ok(None);
+    }
+    let mut cell = [0u8; META_CELL];
+    file.seek(SeekFrom::Start((DISK_PAGE_SIZE - META_CELL) as u64))
+        .map_err(|e| io_err("seek", e))?;
+    file.read_exact(&mut cell).map_err(|e| io_err("read", e))?;
     let magic = u64::from_le_bytes(cell[..8].try_into().unwrap());
-    (magic == MAGIC).then(|| u32::from_le_bytes(cell[8..12].try_into().unwrap()))
+    Ok((magic == MAGIC).then(|| u32::from_le_bytes(cell[8..12].try_into().unwrap())))
 }
 
 fn unsupported(version: u32) -> StorageError {
@@ -956,29 +970,81 @@ mod tests {
         })
     }
 
+    /// The page checksum of format version 2: two lanes over the low and
+    /// the high half of each eight-byte word, the length closing the first.
+    fn two_lane(bytes: &[u8]) -> u32 {
+        let step = |lane: u32, w: &[u8]| {
+            (lane ^ u32::from_le_bytes(w.try_into().unwrap()))
+                .wrapping_mul(0x0100_0193)
+                .rotate_left(13)
+        };
+        let (mut a, mut b) = (0x811c_9dc5_u32, 0x9e37_79b9_u32);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            (a, b) = (step(a, &w[..4]), step(b, &w[4..]));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        (a, b) = (step(a, &tail[..4]), step(b, &tail[4..]));
+        a = step(a, &(bytes.len() as u32).to_le_bytes());
+        a ^ b.rotate_left(16)
+    }
+
+    /// `page`'s image sealed with `sum`.
+    fn sealed_with(page: &Page, sum: fn(&[u8]) -> u32) -> Vec<u8> {
+        let mut img = page.bytes().to_vec();
+        let s = sum(&img[4..]);
+        img[..4].copy_from_slice(&s.to_le_bytes());
+        img
+    }
+
+    /// One WAL record as every version has framed it, summed with `sum`.
+    fn record_as(kind: u8, lsn: u64, payload: &[u8], sum: fn(&[u8]) -> u32) -> Vec<u8> {
+        let mut body = vec![kind];
+        body.extend_from_slice(&lsn.to_le_bytes());
+        body.extend_from_slice(payload);
+        let mut record = (body.len() as u32).to_le_bytes().to_vec();
+        record.extend_from_slice(&sum(&body).to_le_bytes());
+        record.extend_from_slice(&body);
+        record
+    }
+
     #[test]
-    fn version_1_file_is_refused_by_version_not_as_torn() {
-        let dir = tmp("version-1");
-        std::fs::create_dir_all(&dir).unwrap();
-        // A version-1 meta page, sealed the way version 1 sealed it.
+    fn older_versions_are_refused_by_version_not_as_torn() {
         let meta = Meta {
-            page_count: 1,
+            page_count: 2,
             freelist: 0,
             catalog_root: 0,
         };
-        let mut img = meta_page(&meta, Page::new(PageType::Meta)).bytes().to_vec();
-        let version_at = DISK_PAGE_SIZE - META_CELL + 8;
-        img[version_at..version_at + 4].copy_from_slice(&1u32.to_le_bytes());
-        let sum = fnv1a(&img[4..]);
-        img[..4].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(db_path(&dir), &img).unwrap();
-        match Pager::open(&dir, PagerOptions::default()) {
-            Err(StorageError::Corrupt { detail }) => {
-                assert_eq!(detail, "unsupported file version 1")
+        let older: [(u32, fn(&[u8]) -> u32); 2] = [(1, fnv1a), (2, two_lane)];
+        for (version, sum) in older {
+            // A directory of that version: its meta page, and a log holding
+            // one committed batch (a page image, then the commit record).
+            let dir = tmp(&format!("version-{version}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut page0 = meta_page(&meta, Page::new(PageType::Meta));
+            let version_at = DISK_PAGE_SIZE - META_CELL + 8;
+            page0.bytes_mut()[version_at..version_at + 4].copy_from_slice(&version.to_le_bytes());
+            let db = sealed_with(&page0, sum);
+            let mut image = 1u32.to_le_bytes().to_vec();
+            image.extend_from_slice(&sealed_with(&data_page(7), sum));
+            let mut log = record_as(1, 1, &image, sum);
+            log.extend_from_slice(&record_as(2, 1, &[], sum));
+            std::fs::write(db_path(&dir), &db).unwrap();
+            std::fs::write(wal_path(&dir), &log).unwrap();
+            match Pager::open(&dir, PagerOptions::default()) {
+                Err(StorageError::Corrupt { detail }) => {
+                    assert_eq!(detail, format!("unsupported file version {version}"))
+                }
+                other => panic!("expected a version refusal, got {other:?}"),
             }
-            other => panic!("expected a version refusal, got {other:?}"),
+            assert_eq!(std::fs::read(db_path(&dir)).unwrap(), db, "version {version}");
+            assert_eq!(std::fs::read(wal_path(&dir)).unwrap(), log, "version {version}");
+            let _ = std::fs::remove_dir_all(&dir);
         }
         // Its own version with a damaged page 0 is still a torn write.
+        let dir = tmp("version-torn");
+        std::fs::create_dir_all(&dir).unwrap();
         let mut img = meta_page(&meta, Page::new(PageType::Meta));
         img.seal();
         let mut img = img.bytes().to_vec();

@@ -78,6 +78,25 @@ impl PageType {
 
 const LANE_PRIME: u32 = 0x0100_0193;
 
+/// Independent lanes of [`checksum32`]: lane `k` takes the `k`-th
+/// little-endian word of every step. Eight lanes have no dependency on
+/// one another, so their multiplies overlap where one chain waits.
+const LANES: usize = 8;
+/// Bytes one step of [`checksum32`] consumes: a word per lane.
+const STEP: usize = 4 * LANES;
+
+/// Distinct lane seeds, the FNV offset basis plus multiples of the
+/// golden ratio.
+const SEEDS: [u32; LANES] = {
+    let mut seeds = [0; LANES];
+    let mut k = 0;
+    while k < LANES {
+        seeds[k] = 0x811c_9dc5_u32.wrapping_add((k as u32).wrapping_mul(0x9e37_79b9));
+        k += 1;
+    }
+    seeds
+};
+
 /// One checksum step of one lane. For a fixed `word` it is a bijection of
 /// the lane, and for a fixed lane a bijection of `word`: two inputs that
 /// differ in one word leave the lane different whatever follows.
@@ -85,28 +104,45 @@ fn lane_step(lane: u32, word: u32) -> u32 {
     (lane ^ word).wrapping_mul(LANE_PRIME).rotate_left(13)
 }
 
-/// The page and WAL checksum: eight bytes a step, as two 32-bit FNV-1a
-/// style lanes over the low and the high half of each little-endian word
-/// (a tail shorter than eight bytes is zero-padded, and the length closes
-/// the first lane). Each lane multiplies by the FNV prime and rotates, so
-/// a flipped high bit reaches the low bits on the next step. Any change
-/// confined to one four-byte half-word — every single-bit flip among them
-/// — changes exactly one lane and therefore the sum; anything wider is
-/// caught with the odds of any 32-bit sum.
-pub fn checksum32(bytes: &[u8]) -> u32 {
-    let (mut a, mut b) = (0x811c_9dc5_u32, 0x9e37_79b9_u32);
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        a = lane_step(a, u32::from_le_bytes([w[0], w[1], w[2], w[3]]));
-        b = lane_step(b, u32::from_le_bytes([w[4], w[5], w[6], w[7]]));
+/// Feeds one [`STEP`]-byte step to the lanes, a word each.
+#[inline(always)]
+fn absorb(lanes: &mut [u32; LANES], step: &[u8; STEP]) {
+    for (k, lane) in lanes.iter_mut().enumerate() {
+        let word = [step[4 * k], step[4 * k + 1], step[4 * k + 2], step[4 * k + 3]];
+        *lane = lane_step(*lane, u32::from_le_bytes(word));
     }
-    let mut tail = [0u8; 8];
-    let rest = words.remainder();
+}
+
+/// The lanes of [`checksum32`] before they are folded into one sum.
+fn lanes(bytes: &[u8]) -> [u32; LANES] {
+    let mut lanes = SEEDS;
+    let mut steps = bytes.chunks_exact(STEP);
+    for step in &mut steps {
+        absorb(&mut lanes, step.try_into().expect("a whole step"));
+    }
+    let mut tail = [0u8; STEP];
+    let rest = steps.remainder();
     tail[..rest.len()].copy_from_slice(rest);
-    a = lane_step(a, u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]));
-    b = lane_step(b, u32::from_le_bytes([tail[4], tail[5], tail[6], tail[7]]));
-    a = lane_step(a, bytes.len() as u32);
-    a ^ b.rotate_left(16)
+    absorb(&mut lanes, &tail);
+    lanes[0] = lane_step(lanes[0], bytes.len() as u32);
+    lanes
+}
+
+/// The page and WAL checksum: 32 bytes a step, as eight independent
+/// 32-bit FNV-1a style lanes, lane `k` over the `k`-th little-endian word
+/// of each step (the layout of PostgreSQL's page checksum, with fewer
+/// lanes). A tail shorter than a step is zero-padded, the length closes
+/// lane 0, and the sum is the XOR of lane `k` rotated left by `4k`. Each
+/// lane multiplies by the FNV prime and rotates, so a flipped high bit
+/// reaches the low bits on the next step. Any change confined to one
+/// four-byte word — every single-bit flip among them — changes exactly
+/// one lane and therefore the sum; anything wider is caught with the odds
+/// of any 32-bit sum.
+pub fn checksum32(bytes: &[u8]) -> u32 {
+    lanes(bytes)
+        .iter()
+        .enumerate()
+        .fold(0, |sum, (k, lane)| sum ^ lane.rotate_left(4 * k as u32))
 }
 
 /// One slotted page, held in memory as its full byte image. The buffer
@@ -747,14 +783,38 @@ mod tests {
             checksum32(&swapped),
             "two bytes exchanged across words"
         );
-        let mut high = bytes.clone();
-        high[3] ^= 0x80;
-        high[11] ^= 0x80;
-        assert_ne!(
-            sum,
-            checksum32(&high),
-            "the same high bit in two words of a lane"
-        );
+        // Bytes 3 and 35 are the top bytes of lane 0's words in the first
+        // step and in the tail; bytes 3 and 11 are in lanes 0 and 2.
+        for (at, what) in [
+            (35, "the same high bit in two words of a lane"),
+            (11, "the same high bit in two lanes"),
+        ] {
+            let mut high = bytes.clone();
+            high[3] ^= 0x80;
+            high[at] ^= 0x80;
+            assert_ne!(sum, checksum32(&high), "{what}");
+        }
         assert_eq!(sum, checksum32(&bytes));
+    }
+
+    /// The proof obligation of [`checksum32`], lane by lane: a bit flipped
+    /// anywhere in three whole steps and a part-filled tail changes the
+    /// lane that takes its word and no other.
+    #[test]
+    fn a_flipped_bit_changes_exactly_its_lane() {
+        let bytes: Vec<u8> = (0..3 * STEP as u32 + 13).map(|i| (i * 37) as u8).collect();
+        let good = lanes(&bytes);
+        assert!(
+            (1..LANES).all(|k| !SEEDS[..k].contains(&SEEDS[k])),
+            "the seeds are distinct"
+        );
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let lanes = lanes(&flipped);
+            let changed: Vec<usize> = (0..LANES).filter(|&k| lanes[k] != good[k]).collect();
+            assert_eq!(changed, [bit / 32 % LANES], "bit {bit}");
+            assert_ne!(checksum32(&flipped), checksum32(&bytes), "bit {bit}");
+        }
     }
 }
