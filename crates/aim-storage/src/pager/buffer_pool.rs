@@ -45,6 +45,12 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
+/// Where a resident frame lies, from [`BufferPool::get`] or
+/// [`BufferPool::fill`]: valid until the pool next installs, removes or
+/// evicts a frame.
+#[derive(Debug, Clone, Copy)]
+pub struct Slot(usize);
+
 /// The buffer pool.
 #[derive(Debug)]
 pub struct BufferPool {
@@ -92,20 +98,26 @@ impl BufferPool {
         Some(self.frames[idx].as_mut().expect("mapped frame"))
     }
 
-    /// Looks a page up, counting a hit or a miss.
-    pub fn get(&mut self, page_no: u32) -> Option<&Page> {
+    /// Looks a page up, counting a hit or a miss: one probe of the map,
+    /// whose answer [`BufferPool::page`] then reads.
+    pub fn get(&mut self, page_no: u32) -> Option<Slot> {
         match self.map.get(&page_no) {
             Some(&idx) => {
                 self.counters.hits += 1;
-                let f = self.frames[idx].as_mut().expect("mapped frame");
-                f.referenced = true;
-                Some(&f.page)
+                self.frames[idx].as_mut().expect("mapped frame").referenced = true;
+                Some(Slot(idx))
             }
             None => {
                 self.counters.misses += 1;
                 None
             }
         }
+    }
+
+    /// The page in a slot [`BufferPool::get`] or [`BufferPool::fill`] just
+    /// returned.
+    pub fn page(&self, slot: Slot) -> &Page {
+        &self.frames[slot.0].as_ref().expect("a live slot").page
     }
 
     /// Looks a page up without touching the counters or the clock (pager
@@ -160,13 +172,33 @@ impl BufferPool {
             f.referenced = true;
             return Some(std::mem::replace(&mut f.page, page));
         }
-        let frame = Frame {
+        self.place(Frame {
             page_no,
             page,
             dirty,
             uncommitted,
             referenced: true,
-        };
+        });
+        None
+    }
+
+    /// Installs a clean frame for a page [`BufferPool::get`] just missed
+    /// (a fault-in, after [`BufferPool::make_room`]).
+    pub fn fill(&mut self, page_no: u32, page: Page) -> Slot {
+        debug_assert!(!self.map.contains_key(&page_no), "page {page_no} resident");
+        Slot(self.place(Frame {
+            page_no,
+            page,
+            dirty: false,
+            uncommitted: false,
+            referenced: true,
+        }))
+    }
+
+    /// Puts a frame for a page no frame holds into a free slot, growing
+    /// the pool if there is none; returns the slot.
+    fn place(&mut self, frame: Frame) -> usize {
+        let page_no = frame.page_no;
         let idx = match self.free_slots.pop() {
             Some(i) => {
                 self.frames[i] = Some(frame);
@@ -178,7 +210,7 @@ impl BufferPool {
             }
         };
         self.map.insert(page_no, idx);
-        None
+        idx
     }
 
     /// Evicts one frame if the pool has no room for another.
@@ -294,7 +326,8 @@ mod tests {
         let mut bp = BufferPool::new(4);
         assert!(bp.get(1).is_none());
         bp.install(1, img(1), false, false);
-        assert_eq!(bp.get(1).unwrap(), &img(1));
+        let slot = bp.get(1).unwrap();
+        assert_eq!(bp.page(slot), &img(1));
         let c = bp.counters();
         assert_eq!((c.hits, c.misses), (1, 1));
     }

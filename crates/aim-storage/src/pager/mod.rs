@@ -39,7 +39,7 @@ pub mod wal;
 use crate::error::StorageError;
 use crate::fault::{self, FaultKind};
 use crate::io::IoStats;
-use buffer_pool::{BufferPool, Evicted, PoolCounters};
+use buffer_pool::{BufferPool, Evicted, PoolCounters, Slot};
 use page::{Page, PageType, DISK_PAGE_SIZE};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -314,16 +314,19 @@ impl Pager {
     /// image comes from the database file (with checksum verification).
     pub fn read_page(&mut self, no: u32, io: &mut IoStats) -> Result<&Page, StorageError> {
         io.pages_read += 1;
-        if self.pool.get(no).is_none() {
-            io.pages_faulted += 1;
-            self.fault_in(no)?;
-        }
-        Ok(self.pool.peek(no).expect("page resident after fault-in"))
+        let slot = match self.pool.get(no) {
+            Some(slot) => slot,
+            None => {
+                io.pages_faulted += 1;
+                self.fault_in(no)?
+            }
+        };
+        Ok(self.pool.page(slot))
     }
 
     /// Reads page `no` from the database file into a frame: the victim's
     /// buffer or a spare one, allocated only while the pool still grows.
-    fn fault_in(&mut self, no: u32) -> Result<(), StorageError> {
+    fn fault_in(&mut self, no: u32) -> Result<Slot, StorageError> {
         if let Some(FaultKind::Fail) = fault::hit(SITE_PAGER_READ) {
             return Err(StorageError::FaultInjected {
                 site: SITE_PAGER_READ.to_string(),
@@ -345,8 +348,7 @@ impl Pager {
             self.recycle(page);
             return Err(e);
         }
-        self.pool.install(no, page, false, false);
-        Ok(())
+        Ok(self.pool.fill(no, page))
     }
 
     // --------------------------------------------------------------- writes
