@@ -32,6 +32,12 @@ echo "== release-profile count pins"
 # the same numbers in both.
 cargo test --release -q -p aim-integration --test clone_counts --test storage_counts --test alloc_budget
 
+echo "== pager proofs at stride 1 (release)"
+# The test profile flips every 61st bit of a sealed page and of a WAL
+# record; a release build flips every bit (DESIGN.md §9, the checksum's
+# proof obligation). About 2 s.
+cargo test --release -q -p aim-storage --lib pager
+
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
