@@ -965,11 +965,18 @@ fn flip_variant(rng: &mut StdRng, column: usize, v: &Value) -> Value {
 fn indexes_match_rows(table: &aim_storage::Table) -> Result<(), String> {
     let mut io = IoStats::new();
     for ix in table.indexes() {
-        let mut rows: Vec<_> = table.scan_all(&mut io).map(|r| ix.entry_for_row(r)).collect();
+        let mut rows: Vec<_> = table
+            .scan_all(&mut io)
+            .map(|r| ix.entry_for_row(r))
+            .collect();
         rows.sort();
-        let (held, rows) = (format!("{:?}", ix.scan_all(table, &mut io)), format!("{rows:?}"));
+        let held = format!("{:?}", ix.scan_all(table, &mut io));
+        let rows = format!("{rows:?}");
         if held != rows {
-            return Err(format!("index {} holds {held}, its rows give {rows}", ix.def().name));
+            return Err(format!(
+                "index {} holds {held}, its rows give {rows}",
+                ix.def().name
+            ));
         }
     }
     Ok(())

@@ -965,6 +965,9 @@ mod tests {
         assert!(!pg.spare.is_empty(), "the commit's shed frames were kept");
     }
 
+    /// A checksum over a page's bytes 4.. or a WAL record's body.
+    type Sum = fn(&[u8]) -> u32;
+
     /// Byte-wise FNV-1a, the page checksum of format version 1.
     fn fnv1a(bytes: &[u8]) -> u32 {
         bytes.iter().fold(0x811c_9dc5, |h, &b| {
@@ -993,7 +996,7 @@ mod tests {
     }
 
     /// `page`'s image sealed with `sum`.
-    fn sealed_with(page: &Page, sum: fn(&[u8]) -> u32) -> Vec<u8> {
+    fn sealed_with(page: &Page, sum: Sum) -> Vec<u8> {
         let mut img = page.bytes().to_vec();
         let s = sum(&img[4..]);
         img[..4].copy_from_slice(&s.to_le_bytes());
@@ -1001,7 +1004,7 @@ mod tests {
     }
 
     /// One WAL record as every version has framed it, summed with `sum`.
-    fn record_as(kind: u8, lsn: u64, payload: &[u8], sum: fn(&[u8]) -> u32) -> Vec<u8> {
+    fn record_as(kind: u8, lsn: u64, payload: &[u8], sum: Sum) -> Vec<u8> {
         let mut body = vec![kind];
         body.extend_from_slice(&lsn.to_le_bytes());
         body.extend_from_slice(payload);
@@ -1018,8 +1021,7 @@ mod tests {
             freelist: 0,
             catalog_root: 0,
         };
-        let older: [(u32, fn(&[u8]) -> u32); 2] = [(1, fnv1a), (2, two_lane)];
-        for (version, sum) in older {
+        for (version, sum) in [(1u32, fnv1a as Sum), (2, two_lane)] {
             // A directory of that version: its meta page, and a log holding
             // one committed batch (a page image, then the commit record).
             let dir = tmp(&format!("version-{version}"));
@@ -1040,8 +1042,10 @@ mod tests {
                 }
                 other => panic!("expected a version refusal, got {other:?}"),
             }
-            assert_eq!(std::fs::read(db_path(&dir)).unwrap(), db, "version {version}");
-            assert_eq!(std::fs::read(wal_path(&dir)).unwrap(), log, "version {version}");
+            for (path, bytes) in [(db_path(&dir), &db), (wal_path(&dir), &log)] {
+                let now = std::fs::read(&path).unwrap();
+                assert_eq!(&now, bytes, "version {version}: {path:?} changed");
+            }
             let _ = std::fs::remove_dir_all(&dir);
         }
         // Its own version with a damaged page 0 is still a torn write.

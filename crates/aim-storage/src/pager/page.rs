@@ -108,7 +108,12 @@ fn lane_step(lane: u32, word: u32) -> u32 {
 #[inline(always)]
 fn absorb(lanes: &mut [u32; LANES], step: &[u8; STEP]) {
     for (k, lane) in lanes.iter_mut().enumerate() {
-        let word = [step[4 * k], step[4 * k + 1], step[4 * k + 2], step[4 * k + 3]];
+        let word = [
+            step[4 * k],
+            step[4 * k + 1],
+            step[4 * k + 2],
+            step[4 * k + 3],
+        ];
         *lane = lane_step(*lane, u32::from_le_bytes(word));
     }
 }
