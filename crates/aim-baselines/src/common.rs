@@ -107,11 +107,8 @@ impl<'a> CostEvaluator<'a> {
         let cfg = HypoConfig::overlay(hypos);
         let wq = &self.workload[query_idx];
         let cost = wq.weight
-            * estimate_statement_cost(self.db, &wq.statement, &cfg)
-                .unwrap_or(f64::INFINITY);
-        self.cache
-            .borrow_mut()
-            .insert((query_idx, keys), cost);
+            * estimate_statement_cost(self.db, &wq.statement, &cfg).unwrap_or(f64::INFINITY);
+        self.cache.borrow_mut().insert((query_idx, keys), cost);
         cost
     }
 }
@@ -145,10 +142,7 @@ pub struct IndexableColumns {
 /// Extracts per-table indexable attributes using `aim-core`'s structural
 /// metadata (the baselines share the syntactic front-end; they differ in
 /// the search they run on top).
-pub fn indexable_columns(
-    db: &Database,
-    stmt: &Statement,
-) -> BTreeMap<String, IndexableColumns> {
+pub fn indexable_columns(db: &Database, stmt: &Statement) -> BTreeMap<String, IndexableColumns> {
     let mut out: BTreeMap<String, IndexableColumns> = BTreeMap::new();
     let Ok(structure) = aim_core::analyze_structure(db, stmt) else {
         return out;
@@ -178,7 +172,10 @@ pub fn indexable_columns(
         e.range = merge_unique(&e.range, &range);
         e.order = merge_unique(
             &e.order,
-            &t.order_by.iter().map(|(c, _)| c.clone()).collect::<Vec<_>>(),
+            &t.order_by
+                .iter()
+                .map(|(c, _)| c.clone())
+                .collect::<Vec<_>>(),
         );
         e.group = merge_unique(&e.group, &t.group_by);
         e.referenced.extend(t.referenced.iter().cloned());
@@ -393,7 +390,10 @@ mod tests {
         db.create_table(
             TableSchema::new(
                 "other",
-                vec![ColumnDef::new("id", ColumnType::Int), ColumnDef::new("z", ColumnType::Int)],
+                vec![
+                    ColumnDef::new("id", ColumnType::Int),
+                    ColumnDef::new("z", ColumnType::Int),
+                ],
                 &["id"],
             )
             .unwrap(),
@@ -420,10 +420,8 @@ mod tests {
     #[test]
     fn indexable_columns_classified_and_sorted() {
         let db = db();
-        let stmt = parse_statement(
-            "SELECT id FROM t WHERE b = 1 AND a = 2 AND c > 3 ORDER BY c",
-        )
-        .unwrap();
+        let stmt =
+            parse_statement("SELECT id FROM t WHERE b = 1 AND a = 2 AND c > 3 ORDER BY c").unwrap();
         let cols = indexable_columns(&db, &stmt);
         let t = &cols["t"];
         // a (ndv 500) before b (ndv 10).

@@ -129,11 +129,8 @@ impl IndexAdvisor for Extend {
                     }
                     let mut extended = chosen[i].clone();
                     extended.columns.push(col.clone());
-                    extended.name = format!(
-                        "ext_{}_{}",
-                        extended.table,
-                        extended.columns.join("_")
-                    );
+                    extended.name =
+                        format!("ext_{}_{}", extended.table, extended.columns.join("_"));
                     let delta_size = eval
                         .index_size(&extended)
                         .saturating_sub(eval.index_size(&chosen[i]));

@@ -113,9 +113,7 @@ fn main() {
         std::process::exit(1);
     });
 
-    println!(
-        "AIM shell ({backend} backend) — type SQL, or \\help for commands."
-    );
+    println!("AIM shell ({backend} backend) — type SQL, or \\help for commands.");
     let stdin = std::io::stdin();
     let mut out = std::io::stdout();
     loop {
@@ -161,10 +159,12 @@ fn take_path_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
 /// missing or malformed.
 fn flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize, what: &str) -> T {
     *i += 1;
-    args.get(*i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-        eprintln!("{} needs {what}", args[*i - 1]);
-        std::process::exit(2);
-    })
+    args.get(*i)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| {
+            eprintln!("{} needs {what}", args[*i - 1]);
+            std::process::exit(2);
+        })
 }
 
 /// The configuration every mode of the shell tunes with: any query seen
@@ -356,10 +356,8 @@ fn workload_fixture(
                 .iter()
                 .map(|v| {
                     aim_core::WeightedQuery::new(
-                        parse_statement(&format!(
-                            "SELECT id FROM orders WHERE customer_id = {v}"
-                        ))
-                        .expect("valid"),
+                        parse_statement(&format!("SELECT id FROM orders WHERE customer_id = {v}"))
+                            .expect("valid"),
                         3.0,
                     )
                 })
@@ -452,7 +450,11 @@ fn run_explain(args: &[String], strategy: SelectionStrategy) {
     if tune {
         let session = shell_config(strategy).session();
         match session.run(&mut db, &monitor) {
-            Ok(o) => eprintln!("tuned: {} indexes created, {} rejected", o.created.len(), o.rejected.len()),
+            Ok(o) => eprintln!(
+                "tuned: {} indexes created, {} rejected",
+                o.created.len(),
+                o.rejected.len()
+            ),
             Err(e) => eprintln!("tuning failed: {e}"),
         }
     }
@@ -537,8 +539,7 @@ fn run_continuous(args: &[String], strategy: SelectionStrategy, trace_out: Optio
     // share one ledger.
     let ledger_handle = session.clone();
     aim_telemetry::set_ledger_source(Box::new(move || ledger_handle.ledger_json()));
-    let server = serve_on
-        .map(|port| serve(port, "/metrics /journal /profile /trace /ledger"));
+    let server = serve_on.map(|port| serve(port, "/metrics /journal /profile /trace /ledger"));
 
     let mut tuner = aim_core::ContinuousTuner::with_session(session.clone(), 0.5);
     for w in 1..=windows {
@@ -558,7 +559,11 @@ fn run_continuous(args: &[String], strategy: SelectionStrategy, trace_out: Optio
     }
 
     let ledger = session.ledger();
-    println!("decision ledger: {} records over {} passes", ledger.len(), ledger.passes);
+    println!(
+        "decision ledger: {} records over {} passes",
+        ledger.len(),
+        ledger.passes
+    );
     if let Some(path) = &ledger_out {
         match ledger.write_json(path) {
             Ok(()) => println!("decision ledger -> {path}"),
@@ -624,8 +629,7 @@ fn run_fleet(args: &[String], strategy: SelectionStrategy) {
         ..Default::default()
     };
     let workloads = aim_workloads::fleet::generate_fleet(&spec);
-    let mut fleet: Vec<aim_core::fleet::Tenant> =
-        workloads.into_iter().map(|w| w.tenant).collect();
+    let mut fleet: Vec<aim_core::fleet::Tenant> = workloads.into_iter().map(|w| w.tenant).collect();
 
     let base = AimConfig::builder()
         .selection(SelectionConfig {
@@ -766,9 +770,8 @@ fn load_demo(db: &mut Database, engine: &Engine, monitor: &mut WorkloadMonitor) 
     db.analyze_all();
     // Seed the monitor with a few executions so \tune has signal.
     for v in [7, 13, 99] {
-        let stmt =
-            parse_statement(&format!("SELECT id FROM orders WHERE customer_id = {v}"))
-                .expect("valid");
+        let stmt = parse_statement(&format!("SELECT id FROM orders WHERE customer_id = {v}"))
+            .expect("valid");
         for _ in 0..3 {
             if let Ok(out) = engine.execute(db, &stmt) {
                 monitor.record(&stmt, &out);

@@ -96,17 +96,32 @@ fn continuous_writes_artifacts_only_where_a_path_is_given() {
             .args(extra)
             .output()
             .expect("aim_cli starts");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         String::from_utf8(out.stdout).expect("UTF-8")
     };
     let files = || std::fs::read_dir(&dir).expect("readable").count();
 
     let text = run(&[]);
-    assert!(text.contains("window 1: created 1, rejected 0, reverted 0, dropped 0\n"), "{text}");
-    assert!(text.contains("decision ledger: 1 records over 2 passes"), "{text}");
+    assert!(
+        text.contains("window 1: created 1, rejected 0, reverted 0, dropped 0\n"),
+        "{text}"
+    );
+    assert!(
+        text.contains("decision ledger: 1 records over 2 passes"),
+        "{text}"
+    );
     assert_eq!(files(), 0, "a run without a path wrote a file");
 
-    run(&["--ledger-out", "ledger.json", "--telemetry-out", "telemetry.json"]);
+    run(&[
+        "--ledger-out",
+        "ledger.json",
+        "--telemetry-out",
+        "telemetry.json",
+    ]);
     assert_eq!(files(), 2);
     let ledger = std::fs::read_to_string(dir.join("ledger.json")).expect("ledger written");
     jsonv::parse(&ledger).unwrap_or_else(|e| panic!("{e}:\n{ledger}"));
@@ -138,7 +153,11 @@ fn fleet_serves_a_rollup_of_every_tenant_it_tuned() {
     // Each tenant's outcome line: `  ID: budget …`.
     let generated: Vec<&str> = seen
         .lines()
-        .filter_map(|l| l.strip_prefix("  ")?.split_once(": budget").map(|(id, _)| id))
+        .filter_map(|l| {
+            l.strip_prefix("  ")?
+                .split_once(": budget")
+                .map(|(id, _)| id)
+        })
         .collect();
     assert_eq!(generated.len(), 2, "{seen}");
 
@@ -150,7 +169,10 @@ fn fleet_serves_a_rollup_of_every_tenant_it_tuned() {
     let (head, body) = response.split_once("\r\n\r\n").expect("HTTP response");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
     let doc = jsonv::parse(body).unwrap_or_else(|e| panic!("{e}:\n{body}"));
-    let rows = doc.path("tenants").and_then(Json::as_arr).expect("tenants array");
+    let rows = doc
+        .path("tenants")
+        .and_then(Json::as_arr)
+        .expect("tenants array");
     for id in generated {
         let row = rows
             .iter()

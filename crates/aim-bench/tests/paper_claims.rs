@@ -227,10 +227,17 @@ fn fig6_j2_is_where_the_join_parameter_pays_and_aim_beats_gia() {
     );
     assert!(j1 < 0.5 * j0, "j=1 does not help");
     assert!(j2 <= 0.7 * j1, "j=2 is not materially better than j=1");
-    assert!((0.6..=0.8).contains(&(j3 / j2)), "j=3 moved off its measured step: {}", j3 / j2);
+    assert!(
+        (0.6..=0.8).contains(&(j3 / j2)),
+        "j=3 moved off its measured step: {}",
+        j3 / j2
+    );
     assert!(aim("j=3").throughput >= aim("j=2").throughput);
     let fk_d_first = |p: &fig6::Phase| p.created.iter().any(|c| c.starts_with("child(fk_d"));
-    assert!(!fk_d_first(aim("j=2")) && fk_d_first(aim("j=3")), "the 4-way star's index moved");
+    assert!(
+        !fk_d_first(aim("j=2")) && fk_d_first(aim("j=3")),
+        "the 4-way star's index moved"
+    );
     assert!(j3 <= 0.9 * gia.cost_per_statement, "AIM does not beat GIA");
     assert!(aim("j=3").cpu_pct < gia.cpu_pct && aim("j=3").throughput >= gia.throughput);
     assert!(aim("j=2").throughput >= aim("j=1").throughput);
@@ -296,7 +303,11 @@ fn table2_parity_with_the_dba_on_fewer_indexes_and_bytes() {
 fn continuous_the_post_shift_pass_creates_indexes_and_lowers_window_cost() {
     let _turn = shared();
     let shift = continuous::run(Scale::Quick);
-    let created: Vec<usize> = shift.bootstrap.iter().map(|w| w.tuning.created.len()).collect();
+    let created: Vec<usize> = shift
+        .bootstrap
+        .iter()
+        .map(|w| w.tuning.created.len())
+        .collect();
     let post = &shift.post_shift;
     println!(
         "continuous: bootstrap {created:?}, post-shift {}, {} of {} improved ({} by 10x), saving {:.1}%",
@@ -308,7 +319,10 @@ fn continuous_the_post_shift_pass_creates_indexes_and_lowers_window_cost() {
     );
     assert!(created[0] > 0);
     assert_eq!(created.last(), Some(&0), "the bootstrap has not converged");
-    assert!(!post.tuning.created.is_empty(), "the new queries got no index");
+    assert!(
+        !post.tuning.created.is_empty(),
+        "the new queries got no index"
+    );
     assert!(post.reverted.is_empty());
     assert!(shift.window_cost_after < 0.9 * shift.window_cost_before);
     assert!(shift.queries_improved > 0 && shift.improved_10x <= shift.queries_improved);

@@ -120,22 +120,15 @@ mod tests {
     #[test]
     fn disk_provision_round_trips() {
         use aim_storage::{ColumnDef, ColumnType, IoStats, TableSchema, Value};
-        let dir = std::env::temp_dir().join(format!(
-            "aim-backendspec-test-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("aim-backendspec-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let spec = BackendSpec::disk(&dir);
         {
             let mut db = spec.provision().unwrap();
             assert_eq!(db.backend_kind(), aim_storage::BackendKind::Disk);
             db.create_table(
-                TableSchema::new(
-                    "t",
-                    vec![ColumnDef::new("id", ColumnType::Int)],
-                    &["id"],
-                )
-                .unwrap(),
+                TableSchema::new("t", vec![ColumnDef::new("id", ColumnType::Int)], &["id"])
+                    .unwrap(),
             )
             .unwrap();
             let mut io = IoStats::new();

@@ -247,9 +247,7 @@ fn candidates_for_group_relaxed(
         match (prefix.is_empty(), last_col.clone()) {
             (true, None) => None,
             (true, Some(c)) => PartialOrder::new([vec![c]]),
-            (false, None) => {
-                PartialOrder::new([prefix.iter().cloned().collect::<Vec<_>>()])
-            }
+            (false, None) => PartialOrder::new([prefix.iter().cloned().collect::<Vec<_>>()]),
             (false, Some(c)) => {
                 PartialOrder::new([prefix.iter().cloned().collect::<Vec<_>>(), vec![c]])
             }
@@ -315,7 +313,8 @@ fn candidates_for_selection(
         for subset in joined_tables_powerset(info, j) {
             let cj = join_columns(info, &subset);
             for group in groups_or_empty(info) {
-                for mut po in candidates_for_group_relaxed(db, &info.table, &group, &cj, use_stats) {
+                for mut po in candidates_for_group_relaxed(db, &info.table, &group, &cj, use_stats)
+                {
                     if mode == CoveringMode::Covering {
                         // Append every referenced column not already present.
                         po = po.append(info.referenced.iter().cloned());
@@ -353,11 +352,8 @@ pub fn candidates_for_group_by(
                 ipp.extend(cj.iter().cloned());
                 // Grouping columns come right after the prefix; prefix
                 // columns that are also group columns stay in the prefix.
-                let group_part: Vec<String> = cg
-                    .iter()
-                    .filter(|c| !ipp.contains(*c))
-                    .cloned()
-                    .collect();
+                let group_part: Vec<String> =
+                    cg.iter().filter(|c| !ipp.contains(*c)).cloned().collect();
                 let base = if ipp.is_empty() {
                     PartialOrder::new([group_part])
                 } else {
@@ -485,14 +481,25 @@ pub fn try_generate_candidates(
                 mode,
                 cfg.use_stats,
             ));
-            query_pos.extend(candidates_for_group_by(&structure, cfg.join_parameter, mode));
-            query_pos.extend(candidates_for_order_by(&structure, cfg.join_parameter, mode));
+            query_pos.extend(candidates_for_group_by(
+                &structure,
+                cfg.join_parameter,
+                mode,
+            ));
+            query_pos.extend(candidates_for_order_by(
+                &structure,
+                cfg.join_parameter,
+                mode,
+            ));
         }
         for (table, po) in query_pos {
             if po.is_empty() {
                 continue;
             }
-            by_table.entry(table).or_default().push((po, wq.stats.fingerprint));
+            by_table
+                .entry(table)
+                .or_default()
+                .push((po, wq.stats.fingerprint));
         }
     }
 
@@ -533,7 +540,10 @@ fn table_candidates(
                 sources.insert(*source);
             }
             None => {
-                inputs.insert(CompactOrder::new(scratch.clone(), ids.len()), [*source].into());
+                inputs.insert(
+                    CompactOrder::new(scratch.clone(), ids.len()),
+                    [*source].into(),
+                );
             }
         }
     }
@@ -544,7 +554,11 @@ fn table_candidates(
             aim_telemetry::event(
                 aim_telemetry::EventKind::CandidateMerged,
                 table,
-                format!("{} partial orders -> {} after closure", derived.len(), merged.len()),
+                format!(
+                    "{} partial orders -> {} after closure",
+                    derived.len(),
+                    merged.len()
+                ),
             );
         }
         merged
@@ -561,7 +575,11 @@ fn table_candidates(
     });
     let stats = if cfg.use_stats { db.stats(table) } else { None };
     let ndv: Vec<u64> = (0..ids.len())
-        .map(|id| stats.and_then(|s| s.column(ids.name(id))).map_or(0, |cs| cs.ndv))
+        .map(|id| {
+            stats
+                .and_then(|s| s.column(ids.name(id)))
+                .map_or(0, |cs| cs.ndv)
+        })
         .collect();
     let mut out: BTreeMap<Vec<String>, CandidateIndex> = BTreeMap::new();
     let mut order: Vec<usize> = Vec::new();
@@ -639,7 +657,10 @@ mod tests {
     fn db() -> Database {
         let mut db = Database::new();
         for (name, cols) in [
-            ("t1", vec!["id", "col1", "col2", "col3", "col4", "col5", "col6"]),
+            (
+                "t1",
+                vec!["id", "col1", "col2", "col3", "col4", "col5", "col6"],
+            ),
             ("t2", vec!["id", "col4", "col7"]),
             ("t3", vec!["id", "col2", "col7"]),
         ] {
@@ -676,11 +697,17 @@ mod tests {
         for i in 0..200i64 {
             db.table_mut("t2")
                 .unwrap()
-                .insert(vec![Value::Int(i), Value::Int(i % 5), Value::Int(i % 20)], &mut io)
+                .insert(
+                    vec![Value::Int(i), Value::Int(i % 5), Value::Int(i % 20)],
+                    &mut io,
+                )
                 .unwrap();
             db.table_mut("t3")
                 .unwrap()
-                .insert(vec![Value::Int(i), Value::Int(i % 100), Value::Int(i % 20)], &mut io)
+                .insert(
+                    vec![Value::Int(i), Value::Int(i % 100), Value::Int(i % 20)],
+                    &mut io,
+                )
                 .unwrap();
         }
         db.analyze_all();
@@ -716,12 +743,10 @@ mod tests {
             &[("SELECT id FROM t1 WHERE col1 = 1 AND col2 = 2", 3)],
         );
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        assert!(cands
-            .iter()
-            .any(|c| c.table == "t1"
-                && c.columns.len() == 2
-                && c.columns.contains(&"col1".to_string())
-                && c.columns.contains(&"col2".to_string())));
+        assert!(cands.iter().any(|c| c.table == "t1"
+            && c.columns.len() == 2
+            && c.columns.contains(&"col1".to_string())
+            && c.columns.contains(&"col2".to_string())));
     }
 
     #[test]
@@ -763,8 +788,7 @@ mod tests {
             .iter()
             .find(|c| c.columns.len() == 3 && c.sources.len() == 2)
             .expect("merged 3-wide candidate serving both queries");
-        let first_two: BTreeSet<&str> =
-            merged.columns[..2].iter().map(String::as_str).collect();
+        let first_two: BTreeSet<&str> = merged.columns[..2].iter().map(String::as_str).collect();
         assert_eq!(first_two, ["col2", "col3"].into());
         assert_eq!(merged.columns[2], "col1");
     }
@@ -853,10 +877,7 @@ mod tests {
         let mut db = db();
         let w = workload(
             &mut db,
-            &[(
-                "INSERT INTO t2 (id, col4, col7) VALUES (9999, 1, 2)",
-                1,
-            )],
+            &[("INSERT INTO t2 (id, col4, col7) VALUES (9999, 1, 2)", 1)],
         );
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
         assert!(cands.is_empty());
@@ -922,7 +943,10 @@ mod tests {
         // (ndv 10) are dropped from a reduced variant.
         let w = workload(
             &mut db,
-            &[("SELECT id FROM t1 WHERE col6 = 7 AND col4 = 1 AND col1 = 2", 3)],
+            &[(
+                "SELECT id FROM t1 WHERE col6 = 7 AND col4 = 1 AND col1 = 2",
+                3,
+            )],
         );
         let relaxed = generate_candidates(&db, &w, &CandidateGenConfig::default());
         assert!(
@@ -935,7 +959,10 @@ mod tests {
         // threshold: its reduced variant keeps col1 as well.
         let w = workload(
             &mut db,
-            &[("SELECT id FROM t1 WHERE col3 = 7 AND col4 = 1 AND col1 = 2", 3)],
+            &[(
+                "SELECT id FROM t1 WHERE col3 = 7 AND col4 = 1 AND col1 = 2",
+                3,
+            )],
         );
         let strict = generate_candidates(&db, &w, &CandidateGenConfig::default());
         assert!(!strict
@@ -946,7 +973,10 @@ mod tests {
     #[test]
     fn relaxation_keeps_full_candidate_too() {
         let mut db = db();
-        let w = workload(&mut db, &[("SELECT id FROM t1 WHERE col6 = 7 AND col4 = 1", 3)]);
+        let w = workload(
+            &mut db,
+            &[("SELECT id FROM t1 WHERE col6 = 7 AND col4 = 1", 3)],
+        );
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
         assert!(cands.iter().any(|c| c.columns == vec!["col6".to_string()]));
         assert!(cands.iter().any(|c| c.columns.len() == 2

@@ -281,7 +281,8 @@ impl ContinuousTuner {
                 .filter(|d| !outcome.tuning.created.iter().any(|c| c.def.name == d.name))
                 .map(|d| d.name)
                 .collect();
-            self.unused_streak.retain(|name, _| unused_now.contains(name));
+            self.unused_streak
+                .retain(|name, _| unused_now.contains(name));
             for name in &unused_now {
                 *self.unused_streak.entry(name.clone()).or_insert(0) += 1;
             }
@@ -480,7 +481,9 @@ mod tests {
         // The ledger closes the loop: the created index's record ends in
         // the GC drop, with the full creation chain before it.
         let ledger = tuner.session.ledger();
-        let rec = ledger.find(&created).expect("GC'd index has a ledger record");
+        let rec = ledger
+            .find(&created)
+            .expect("GC'd index has a ledger record");
         assert_eq!(rec.outcome(), "dropped_unused");
         assert!(rec.stages().contains(&"materialized"), "{:?}", rec.stages());
     }
@@ -495,7 +498,12 @@ mod tests {
         let before = db.all_indexes().len();
 
         let mut w2 = WorkloadMonitor::new();
-        observe(&mut db, &mut w2, "SELECT id FROM t WHERE b = 2 AND a > 50", 10);
+        observe(
+            &mut db,
+            &mut w2,
+            "SELECT id FROM t WHERE b = 2 AND a > 50",
+            10,
+        );
         let out = tuner.step(&mut db, &w2).unwrap();
         assert!(!out.tuning.created.is_empty());
         assert!(db.all_indexes().len() > before - 1);

@@ -71,14 +71,23 @@ fn quick_session() -> TuningSession {
 fn session_creates_useful_index_and_improves_query() {
     let mut db = db();
     let mut monitor = WorkloadMonitor::new();
-    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 20);
+    observe(
+        &mut db,
+        &mut monitor,
+        "SELECT id FROM orders WHERE customer = 42",
+        20,
+    );
 
     let engine = Engine::new();
     let stmt = parse_statement("SELECT id FROM orders WHERE customer = 42").unwrap();
     let before = engine.execute(&mut db, &stmt).unwrap();
 
     let outcome = quick_session().run(&mut db, &monitor).unwrap();
-    assert!(!outcome.created.is_empty(), "rejected: {:?}", outcome.rejected);
+    assert!(
+        !outcome.created.is_empty(),
+        "rejected: {:?}",
+        outcome.rejected
+    );
     assert!(outcome.created[0].explanation.contains("orders"));
 
     let after = engine.execute(&mut db, &stmt).unwrap();
@@ -104,8 +113,18 @@ fn session_with_no_workload_is_a_noop() {
 fn storage_budget_limits_creation() {
     let mut db = db();
     let mut monitor = WorkloadMonitor::new();
-    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 10);
-    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE amount = 5", 10);
+    observe(
+        &mut db,
+        &mut monitor,
+        "SELECT id FROM orders WHERE customer = 42",
+        10,
+    );
+    observe(
+        &mut db,
+        &mut monitor,
+        "SELECT id FROM orders WHERE amount = 5",
+        10,
+    );
 
     let session = AimConfig::builder()
         .selection(quick_selection())
@@ -119,7 +138,12 @@ fn storage_budget_limits_creation() {
 fn rerun_does_not_duplicate_indexes() {
     let mut db = db();
     let mut monitor = WorkloadMonitor::new();
-    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 20);
+    observe(
+        &mut db,
+        &mut monitor,
+        "SELECT id FROM orders WHERE customer = 42",
+        20,
+    );
     let session = quick_session();
     let first = session.run(&mut db, &monitor).unwrap();
     assert!(!first.created.is_empty());
@@ -135,7 +159,12 @@ fn rerun_does_not_duplicate_indexes() {
 fn outcome_reports_runtime_and_counts() {
     let mut db = db();
     let mut monitor = WorkloadMonitor::new();
-    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 1", 5);
+    observe(
+        &mut db,
+        &mut monitor,
+        "SELECT id FROM orders WHERE customer = 1",
+        5,
+    );
     let outcome = quick_session().run(&mut db, &monitor).unwrap();
     assert!(outcome.workload_size >= 1);
     assert!(outcome.candidates_generated >= 1);
@@ -146,21 +175,31 @@ fn outcome_reports_runtime_and_counts() {
 fn sharding_profile_suppresses_narrow_benefit_indexes() {
     let mut db = db();
     let mut monitor = WorkloadMonitor::new();
-    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 20);
+    observe(
+        &mut db,
+        &mut monitor,
+        "SELECT id FROM orders WHERE customer = 42",
+        20,
+    );
     // Write traffic that every shard pays index maintenance for.
-    observe(&mut db, &mut monitor, "UPDATE orders SET customer = 7 WHERE id = 3", 20);
+    observe(
+        &mut db,
+        &mut monitor,
+        "UPDATE orders SET customer = 7 WHERE id = 3",
+        20,
+    );
 
     // Unsharded: the index is created (benefit outweighs maintenance).
     let mut unsharded_db = db.clone();
-    assert!(!quick_session().run(&mut unsharded_db, &monitor).unwrap().created.is_empty());
+    assert!(!quick_session()
+        .run(&mut unsharded_db, &monitor)
+        .unwrap()
+        .created
+        .is_empty());
 
     // 1000 shards, the read hits 0.1% of them while maintenance is paid
     // everywhere: fleet economics reject the index.
-    let fp = monitor
-        .queries()
-        .find(|q| !q.is_dml())
-        .unwrap()
-        .fingerprint;
+    let fp = monitor.queries().find(|q| !q.is_dml()).unwrap().fingerprint;
     let mut profile = crate::sharding::ShardingProfile::new(1000);
     profile.set_hit_fraction(fp, 0.001);
     let sharded_session = AimConfig::builder()
@@ -179,7 +218,12 @@ fn sharding_profile_suppresses_narrow_benefit_indexes() {
 fn ledger_records_full_lifecycle_when_enabled() {
     let mut db = db();
     let mut monitor = WorkloadMonitor::new();
-    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 20);
+    observe(
+        &mut db,
+        &mut monitor,
+        "SELECT id FROM orders WHERE customer = 42",
+        20,
+    );
     let session = AimConfig::builder()
         .selection(quick_selection())
         .ledger(true)
@@ -190,7 +234,9 @@ fn ledger_records_full_lifecycle_when_enabled() {
     let ledger = session.ledger();
     assert_eq!(ledger.passes, 1);
     for c in &outcome.created {
-        let rec = ledger.find(&c.def.name).expect("created index has a record");
+        let rec = ledger
+            .find(&c.def.name)
+            .expect("created index has a record");
         let stages = rec.stages();
         for want in [
             "generated",
@@ -221,7 +267,12 @@ fn ledger_records_full_lifecycle_when_enabled() {
 fn ledger_is_off_by_default() {
     let mut db = db();
     let mut monitor = WorkloadMonitor::new();
-    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 20);
+    observe(
+        &mut db,
+        &mut monitor,
+        "SELECT id FROM orders WHERE customer = 42",
+        20,
+    );
     let session = quick_session();
     assert!(!session.run(&mut db, &monitor).unwrap().created.is_empty());
     assert!(session.ledger().is_empty());
@@ -232,7 +283,12 @@ fn ledger_is_off_by_default() {
 fn skip_validation_mode_creates_without_replay() {
     let mut db = db();
     let mut monitor = WorkloadMonitor::new();
-    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE region = 3", 20);
+    observe(
+        &mut db,
+        &mut monitor,
+        "SELECT id FROM orders WHERE region = 3",
+        20,
+    );
     let session = AimConfig::builder()
         .selection(quick_selection())
         .skip_validation(true)

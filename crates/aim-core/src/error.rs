@@ -111,13 +111,17 @@ mod tests {
     fn injected_errors_classify_as_retryable_fault() {
         let e = AimError::from_exec(
             "ranking",
-            ExecError::FaultInjected { site: "exec.whatif".into() },
+            ExecError::FaultInjected {
+                site: "exec.whatif".into(),
+            },
         );
         assert!(matches!(e, AimError::Fault { .. }));
         assert_eq!(e.phase(), "ranking");
         let e = AimError::from_exec(
             "validation",
-            ExecError::Storage(StorageError::FaultInjected { site: "storage.clone".into() }),
+            ExecError::Storage(StorageError::FaultInjected {
+                site: "storage.clone".into(),
+            }),
         );
         assert!(matches!(&e, AimError::Fault { site, .. } if site == "storage.clone"));
     }
@@ -133,7 +137,9 @@ mod tests {
     #[test]
     fn aborts_are_not_retryable() {
         let d = AimError::DeadlineExceeded { phase: "ranking" };
-        let c = AimError::Cancelled { phase: "materialize" };
+        let c = AimError::Cancelled {
+            phase: "materialize",
+        };
         assert!(!matches!(d, AimError::Fault { .. }) && !matches!(c, AimError::Fault { .. }));
         assert!(d.to_string().contains("deadline"));
         assert!(matches!(c.into_exec(), ExecError::Eval(_)));

@@ -350,7 +350,10 @@ impl FleetSession {
             self.cancel.clone(),
         );
         let result = session.run(&mut tenant.db, &tenant.monitor);
-        let ledger_json = session.config().record_ledger.then(|| session.ledger_json());
+        let ledger_json = session
+            .config()
+            .record_ledger
+            .then(|| session.ledger_json());
         self.tenant_outcome(tenant, budget, result, ledger_json, slot_started)
     }
 
@@ -429,7 +432,10 @@ impl FleetSession {
     fn used_bytes(&self, tenant: &Tenant) -> u64 {
         let profile = tenant.profile.as_ref().or(self.cfg.base.sharding.as_ref());
         let shards = profile.map_or(1, |p| p.shard_count);
-        tenant.db.total_secondary_index_bytes().saturating_mul(shards)
+        tenant
+            .db
+            .total_secondary_index_bytes()
+            .saturating_mul(shards)
     }
 }
 
@@ -510,11 +516,9 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let queue: Mutex<VecDeque<(usize, T)>> =
-        Mutex::new(items.into_iter().enumerate().collect());
+    let queue: Mutex<VecDeque<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
     let n = queue.lock().unwrap_or_else(|e| e.into_inner()).len();
-    let slots: Mutex<Vec<Option<R>>> =
-        Mutex::new((0..n).map(|_| None).collect());
+    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
     let workers = workers.clamp(1, n.max(1));
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -614,8 +618,16 @@ mod tests {
             Tenant::new("a", tenant_db(3000)),
             Tenant::new("b", tenant_db(2000)),
         ];
-        observe(&mut tenants[0], "SELECT id FROM events WHERE user_id = 3", 20);
-        observe(&mut tenants[1], "SELECT id FROM events WHERE user_id = 9", 20);
+        observe(
+            &mut tenants[0],
+            "SELECT id FROM events WHERE user_id = 3",
+            20,
+        );
+        observe(
+            &mut tenants[1],
+            "SELECT id FROM events WHERE user_id = 9",
+            20,
+        );
         let fleet = FleetConfig::builder()
             .base(quick_base())
             .fleet_workers(2)
@@ -657,11 +669,20 @@ mod tests {
         }
         // Tenant 0's candidate is 10× denser; budget only fits one.
         let probes = vec![
-            Probe { ranked: Ok(vec![cand(1000.0, 400)]), used: 0 },
-            Probe { ranked: Ok(vec![cand(100.0, 400)]), used: 0 },
+            Probe {
+                ranked: Ok(vec![cand(1000.0, 400)]),
+                used: 0,
+            },
+            Probe {
+                ranked: Ok(vec![cand(100.0, 400)]),
+                used: 0,
+            },
         ];
         let (budgets, transfers, moved) = allocate_budgets(600, &probes);
-        assert_eq!(budgets[0], 400, "dense tenant funded past its 300-byte share");
+        assert_eq!(
+            budgets[0], 400,
+            "dense tenant funded past its 300-byte share"
+        );
         assert_eq!(budgets[1], 0);
         assert_eq!(transfers, 1);
         assert_eq!(moved, 100);

@@ -132,7 +132,11 @@ impl CandidateRecord {
             }
             None => out.push_str("\"size_bytes\":null,"),
         }
-        let _ = write!(out, "\"outcome\":\"{}\",\"events\":[", json_escape(self.outcome()));
+        let _ = write!(
+            out,
+            "\"outcome\":\"{}\",\"events\":[",
+            json_escape(self.outcome())
+        );
         for (i, e) in self.events.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -285,9 +289,17 @@ impl DecisionLedger {
             rec.events.push(ev);
         } else {
             let pass = self.passes;
+            self.records.push(CandidateRecord::new(
+                pass,
+                name.to_string(),
+                table.to_string(),
+                Vec::new(),
+            ));
             self.records
-                .push(CandidateRecord::new(pass, name.to_string(), table.to_string(), Vec::new()));
-            self.records.last_mut().expect("just pushed").events.push(ev);
+                .last_mut()
+                .expect("just pushed")
+                .events
+                .push(ev);
         }
     }
 
@@ -334,8 +346,13 @@ impl<'a> Decisions<'a> {
 
     /// Opens the next pass of `ledger`.
     pub(crate) fn begin(ledger: &'a Mutex<DecisionLedger>) -> Self {
-        let pass = ledger.lock().unwrap_or_else(|e| e.into_inner()).begin_pass();
-        Self { sink: Some((ledger, pass)) }
+        let pass = ledger
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .begin_pass();
+        Self {
+            sink: Some((ledger, pass)),
+        }
     }
 
     pub(crate) fn recording(&self) -> bool {
@@ -357,7 +374,14 @@ impl<'a> Decisions<'a> {
         detail: impl FnOnce() -> String,
     ) {
         self.record(|l, pass| {
-            l.note(pass, &candidate.name(), &candidate.table, &candidate.columns, stage, detail())
+            l.note(
+                pass,
+                &candidate.name(),
+                &candidate.table,
+                &candidate.columns,
+                stage,
+                detail(),
+            )
         });
     }
 }
@@ -375,28 +399,64 @@ mod tests {
         let mut l = DecisionLedger::default();
         let p = l.begin_pass();
         assert_eq!(p, 1);
-        l.observe(p, "aim_t_a", "t", &cols(&["a"]), vec!["q1".into(), "q2".into()],
-                  "merged from 2 queries".into());
+        l.observe(
+            p,
+            "aim_t_a",
+            "t",
+            &cols(&["a"]),
+            vec!["q1".into(), "q2".into()],
+            "merged from 2 queries".into(),
+        );
         l.note_ranked(p, "aim_t_a", "t", &cols(&["a"]), (100.0, 10.0, 4096));
-        l.note(p, "aim_t_a", "t", &cols(&["a"]), "knapsack_accepted",
-               "fits: 4096 <= 8192 remaining".into());
-        l.note(p, "aim_t_a", "t", &cols(&["a"]), "materialized", "built".into());
+        l.note(
+            p,
+            "aim_t_a",
+            "t",
+            &cols(&["a"]),
+            "knapsack_accepted",
+            "fits: 4096 <= 8192 remaining".into(),
+        );
+        l.note(
+            p,
+            "aim_t_a",
+            "t",
+            &cols(&["a"]),
+            "materialized",
+            "built".into(),
+        );
 
         assert_eq!(l.len(), 1);
         let rec = l.find("aim_t_a").unwrap();
         assert_eq!(rec.sources, vec!["q1", "q2"]);
         assert_eq!(rec.utility(), Some(90.0));
         assert_eq!(rec.outcome(), "materialized");
-        assert_eq!(rec.stages(), vec!["generated", "ranked", "knapsack_accepted", "materialized"]);
+        assert_eq!(
+            rec.stages(),
+            vec!["generated", "ranked", "knapsack_accepted", "materialized"]
+        );
     }
 
     #[test]
     fn annotate_latest_attaches_to_newest_record() {
         let mut l = DecisionLedger::default();
         let p1 = l.begin_pass();
-        l.note(p1, "aim_t_a", "t", &cols(&["a"]), "materialized", "built".into());
+        l.note(
+            p1,
+            "aim_t_a",
+            "t",
+            &cols(&["a"]),
+            "materialized",
+            "built".into(),
+        );
         let p2 = l.begin_pass();
-        l.note(p2, "aim_t_a", "t", &cols(&["a"]), "materialized", "rebuilt".into());
+        l.note(
+            p2,
+            "aim_t_a",
+            "t",
+            &cols(&["a"]),
+            "materialized",
+            "rebuilt".into(),
+        );
         l.annotate_latest("aim_t_a", "t", "reverted", "regression".into());
         assert_eq!(l.len(), 2);
         assert_eq!(l.records()[0].outcome(), "materialized");
@@ -411,11 +471,23 @@ mod tests {
     fn json_is_parseable_and_complete() {
         let mut l = DecisionLedger::default();
         let p = l.begin_pass();
-        l.observe(p, "aim_t_a", "t", &cols(&["a", "b"]), vec!["q\"1".into()],
-                  "merged".into());
+        l.observe(
+            p,
+            "aim_t_a",
+            "t",
+            &cols(&["a", "b"]),
+            vec!["q\"1".into()],
+            "merged".into(),
+        );
         l.note_ranked(p, "aim_t_a", "t", &cols(&["a", "b"]), (50.0, 5.0, 1024));
-        l.note(p, "aim_t_a", "t", &cols(&["a", "b"]), "knapsack_rejected",
-               "does not fit: needs 1024, 100 remaining".into());
+        l.note(
+            p,
+            "aim_t_a",
+            "t",
+            &cols(&["a", "b"]),
+            "knapsack_rejected",
+            "does not fit: needs 1024, 100 remaining".into(),
+        );
 
         let doc = aim_telemetry::jsonv::parse(&l.to_json()).expect("ledger JSON parses");
         assert_eq!(doc.path("passes").and_then(|v| v.as_f64()), Some(1.0));
@@ -425,7 +497,10 @@ mod tests {
         assert_eq!(r.path("name").and_then(|v| v.as_str()), Some("aim_t_a"));
         assert_eq!(r.path("utility").and_then(|v| v.as_f64()), Some(45.0));
         assert_eq!(r.path("size_bytes").and_then(|v| v.as_f64()), Some(1024.0));
-        assert_eq!(r.path("outcome").and_then(|v| v.as_str()), Some("knapsack_rejected"));
+        assert_eq!(
+            r.path("outcome").and_then(|v| v.as_str()),
+            Some("knapsack_rejected")
+        );
         assert_eq!(r.path("sources").and_then(|v| v.as_arr()).unwrap().len(), 1);
         assert_eq!(r.path("events").and_then(|v| v.as_arr()).unwrap().len(), 3);
     }
@@ -434,11 +509,23 @@ mod tests {
     fn unranked_record_serializes_nulls() {
         let mut l = DecisionLedger::default();
         let p = l.begin_pass();
-        l.note(p, "aim_t_a", "t", &cols(&["a"]), "already_served",
-               "existing index ix covers it".into());
+        l.note(
+            p,
+            "aim_t_a",
+            "t",
+            &cols(&["a"]),
+            "already_served",
+            "existing index ix covers it".into(),
+        );
         let doc = aim_telemetry::jsonv::parse(&l.to_json()).unwrap();
         let r = &doc.path("records").and_then(|v| v.as_arr()).unwrap()[0];
-        assert!(matches!(r.path("utility"), Some(aim_telemetry::jsonv::Json::Null)));
-        assert!(matches!(r.path("size_bytes"), Some(aim_telemetry::jsonv::Json::Null)));
+        assert!(matches!(
+            r.path("utility"),
+            Some(aim_telemetry::jsonv::Json::Null)
+        ));
+        assert!(matches!(
+            r.path("size_bytes"),
+            Some(aim_telemetry::jsonv::Json::Null)
+        ));
     }
 }

@@ -92,14 +92,14 @@ pub use advisor::{
     config_size, defs_to_config, synthetic_workload, workload_cost, workload_cost_batch,
     AimAdvisor, IndexAdvisor, WeightedQuery,
 };
+pub use backend::BackendSpec;
 pub use candidates::{
-    generate_candidates, try_generate_candidates, CandidateGenConfig, CandidateIndex,
-    CoveringMode, CoveringPolicy,
+    generate_candidates, try_generate_candidates, CandidateGenConfig, CandidateIndex, CoveringMode,
+    CoveringPolicy,
 };
 pub use continuous::{
     find_unused_indexes, ContinuousOutcome, ContinuousTuner, RegressionDetector, AIM_INDEX_PREFIX,
 };
-pub use backend::BackendSpec;
 pub use error::AimError;
 pub use fleet::{
     FleetConfig, FleetConfigBuilder, FleetOutcome, FleetSession, Tenant, TenantOutcome,
@@ -108,8 +108,8 @@ pub use ledger::{CandidateRecord, DecisionLedger, LedgerEvent};
 pub use metadata::{analyze_structure, FactorGroup, QueryStructure, TableInfo};
 pub use partial_order::{merge_partial_orders, PartialOrder};
 pub use ranking::{
-    knapsack, knapsack_select, rank_candidates_unbatched,
-    rank_candidates_with, try_rank_candidates_with, KnapsackDecision, RankedCandidate,
+    knapsack, knapsack_select, rank_candidates_unbatched, rank_candidates_with,
+    try_rank_candidates_with, KnapsackDecision, RankedCandidate,
 };
 pub use selection_lp::{refine_selection, LpDecision, LpOutcome};
 pub use session::{

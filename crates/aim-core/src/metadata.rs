@@ -321,15 +321,17 @@ mod tests {
     #[test]
     fn distributed_and_over_or() {
         // a = 1 AND (b = 2 OR c = 3) -> two factors {a,b}, {a,c}.
-        let st = structure(
-            "SELECT col1 FROM t1 WHERE col1 = 1 AND (col2 = 2 OR col3 = 3)",
-        );
+        let st = structure("SELECT col1 FROM t1 WHERE col1 = 1 AND (col2 = 2 OR col3 = 3)");
         let t = st.table("t1").unwrap();
         assert_eq!(t.filter_groups.len(), 2);
-        assert!(t.filter_groups.iter().any(|g| g.ipp
-            == ["col1".to_string(), "col2".to_string()].into()));
-        assert!(t.filter_groups.iter().any(|g| g.ipp
-            == ["col1".to_string(), "col3".to_string()].into()));
+        assert!(t
+            .filter_groups
+            .iter()
+            .any(|g| g.ipp == ["col1".to_string(), "col2".to_string()].into()));
+        assert!(t
+            .filter_groups
+            .iter()
+            .any(|g| g.ipp == ["col1".to_string(), "col3".to_string()].into()));
     }
 
     #[test]
@@ -429,9 +431,7 @@ mod tests {
 
     #[test]
     fn join_atoms_not_in_filter_groups() {
-        let st = structure(
-            "SELECT t1.col1 FROM t1, t2 WHERE t1.col2 = t2.col2 AND t1.col1 = 5",
-        );
+        let st = structure("SELECT t1.col1 FROM t1, t2 WHERE t1.col2 = t2.col2 AND t1.col1 = 5");
         let t1 = st.table("t1").unwrap();
         assert_eq!(t1.filter_groups.len(), 1);
         assert_eq!(t1.filter_groups[0].ipp, ["col1".to_string()].into());

@@ -257,7 +257,10 @@ impl<'a> ColumnIds<'a> {
     /// An empty partition list to [`ColumnIds::compact_into`] or
     /// [`merge_into`] into.
     pub(crate) fn scratch(&self) -> Partitions {
-        Partitions { words: self.words(), bits: Vec::new() }
+        Partitions {
+            words: self.words(),
+            bits: Vec::new(),
+        }
     }
 
     /// Writes `po`'s partitions into `out`. Every column must be interned.
@@ -267,7 +270,10 @@ impl<'a> ColumnIds<'a> {
             let at = out.bits.len();
             out.bits.resize(at + out.words, 0);
             for c in part {
-                let id = self.names.binary_search(&c.as_str()).expect("column interned by `of`");
+                let id = self
+                    .names
+                    .binary_search(&c.as_str())
+                    .expect("column interned by `of`");
                 out.bits[at + id / 64] |= 1 << (id % 64);
             }
         }
@@ -314,7 +320,11 @@ fn cmp_sets(a: &[u64], b: &[u64]) -> Ordering {
     // The lowest id only one side holds: that side continues with it, the
     // other with something larger, or not at all (a proper prefix).
     let id = (a[w] ^ b[w]).trailing_zeros();
-    let (holder_is_a, other) = if a[w] >> id & 1 == 1 { (true, b) } else { (false, a) };
+    let (holder_is_a, other) = if a[w] >> id & 1 == 1 {
+        (true, b)
+    } else {
+        (false, a)
+    };
     let other_continues = other[w] >> id > 1 || other[w + 1..].iter().any(|&x| x != 0);
     if holder_is_a == other_continues {
         Ordering::Less
@@ -478,7 +488,8 @@ pub(crate) fn merge_into(p: &CompactOrder, q: &CompactOrder, out: &mut Partition
     // partition before `floor`, the last q-partition that holds one.
     for (k, q_part) in q.parts.iter().enumerate() {
         let at = out.bits.len();
-        out.bits.extend(q_part.iter().zip(&p.mask).map(|(y, m)| y & !m));
+        out.bits
+            .extend(q_part.iter().zip(&p.mask).map(|(y, m)| y & !m));
         if out.bits[at..].iter().all(|&x| x == 0) {
             out.bits.truncate(at);
         } else if k < floor {

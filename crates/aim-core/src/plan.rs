@@ -96,7 +96,10 @@ impl PassPlanner<'_> {
             let Ok(table) = db.table(&c.table) else {
                 return false;
             };
-            match table.indexes().find(|ix| is_key_prefix(&c.columns, &ix.def().columns)) {
+            match table
+                .indexes()
+                .find(|ix| is_key_prefix(&c.columns, &ix.def().columns))
+            {
                 Some(ix) => {
                     self.decisions.note(c, "already_served", || {
                         format!("existing index {} covers this key prefix", ix.def().name)

@@ -253,10 +253,11 @@ fn eval_query(
         // Candidates generated for this query.
         let relevant = hypos.listed(hypos.by_source.get(&wq.stats.fingerprint));
         if !relevant.is_empty() {
-            let cfg =
-                HypoConfig::shared(relevant.iter().map(|(_, h)| Arc::clone(h)).collect());
+            let cfg = HypoConfig::shared(relevant.iter().map(|(_, h)| Arc::clone(h)).collect());
             // The database as it stands, then the full relevant config.
-            let mut pair = costing.selects(db, &select, &[empty_cfg, &cfg], ctl)?.into_iter();
+            let mut pair = costing
+                .selects(db, &select, &[empty_cfg, &cfg], ctl)?
+                .into_iter();
             let cost_empty = cost_or(
                 pair.next().expect("one result per config").map(|e| e.cost),
                 f64::INFINITY,
@@ -491,18 +492,19 @@ pub fn knapsack(
     let mut chosen: Vec<RankedCandidate> = Vec::new();
     for r in ranked {
         let before = remaining;
-        let mut verdict = |accepted: bool, reclaimed: u64, after: u64, reason: &dyn Fn() -> String| {
-            if let Some(decisions) = explain.as_deref_mut() {
-                decisions.push(KnapsackDecision {
-                    name: r.candidate.name(),
-                    accepted,
-                    remaining_before: before,
-                    reclaimed,
-                    remaining_after: after,
-                    reason: reason(),
-                });
-            }
-        };
+        let mut verdict =
+            |accepted: bool, reclaimed: u64, after: u64, reason: &dyn Fn() -> String| {
+                if let Some(decisions) = explain.as_deref_mut() {
+                    decisions.push(KnapsackDecision {
+                        name: r.candidate.name(),
+                        accepted,
+                        remaining_before: before,
+                        reclaimed,
+                        remaining_after: after,
+                        reason: reason(),
+                    });
+                }
+            };
         if r.utility() <= 0.0 {
             verdict(false, 0, before, &|| {
                 format!(
@@ -541,7 +543,11 @@ pub fn knapsack(
                 && c.candidate.columns.len() < r.candidate.columns.len()
                 && is_key_prefix(&c.candidate.columns, &r.candidate.columns)
         };
-        let reclaimable: u64 = chosen.iter().filter(|c| absorbs(c)).map(|c| c.size_bytes).sum();
+        let reclaimable: u64 = chosen
+            .iter()
+            .filter(|c| absorbs(c))
+            .map(|c| c.size_bytes)
+            .sum();
         if r.size_bytes <= remaining + reclaimable {
             remaining = remaining + reclaimable - r.size_bytes;
             verdict(true, reclaimable, remaining, &|| {
@@ -553,7 +559,11 @@ pub fn knapsack(
                 let absorbed_note = if absorbed.is_empty() {
                     String::new()
                 } else {
-                    format!(", absorbing {} ({} bytes reclaimed)", absorbed.join(", "), reclaimable)
+                    format!(
+                        ", absorbing {} ({} bytes reclaimed)",
+                        absorbed.join(", "),
+                        reclaimable
+                    )
                 };
                 format!(
                     "fits: {} bytes <= {} remaining{absorbed_note}; {} bytes left",
@@ -725,10 +735,7 @@ mod tests {
     fn knapsack_skips_negative_utility() {
         let mut db = db();
         // Pure write workload: every index has negative or zero utility.
-        let ranked = rank_for(
-            &mut db,
-            &[("UPDATE t SET a = 3 WHERE id = 17", 100)],
-        );
+        let ranked = rank_for(&mut db, &[("UPDATE t SET a = 3 WHERE id = 17", 100)]);
         let chosen = knapsack_select(&ranked, u64::MAX, 0);
         assert!(chosen.iter().all(|c| c.utility() > 0.0));
     }
@@ -839,7 +846,11 @@ mod tests {
         assert!(decisions[0].accepted);
         assert!(decisions[1].accepted);
         assert_eq!(decisions[1].reclaimed, 100);
-        assert!(decisions[1].reason.contains("absorbing aim_t_a"), "{}", decisions[1].reason);
+        assert!(
+            decisions[1].reason.contains("absorbing aim_t_a"),
+            "{}",
+            decisions[1].reason
+        );
     }
 
     fn assert_bit_identical(a: &[RankedCandidate], b: &[RankedCandidate]) {
@@ -847,12 +858,15 @@ mod tests {
         for (x, y) in a.iter().zip(b) {
             assert_eq!(x.candidate.name(), y.candidate.name());
             assert_eq!(x.size_bytes, y.size_bytes);
-            assert_eq!(x.benefit.to_bits(), y.benefit.to_bits(), "{}", x.explanation());
+            assert_eq!(
+                x.benefit.to_bits(),
+                y.benefit.to_bits(),
+                "{}",
+                x.explanation()
+            );
             assert_eq!(x.maintenance.to_bits(), y.maintenance.to_bits());
             assert_eq!(x.benefiting_queries.len(), y.benefiting_queries.len());
-            for ((fa, ba), (fb, bb)) in
-                x.benefiting_queries.iter().zip(&y.benefiting_queries)
-            {
+            for ((fa, ba), (fb, bb)) in x.benefiting_queries.iter().zip(&y.benefiting_queries) {
                 assert_eq!(fa, fb);
                 assert_eq!(ba.to_bits(), bb.to_bits());
             }
@@ -934,13 +948,8 @@ mod tests {
                 po: PartialOrder::chain(columns.iter().map(|c| c.to_string())).expect("valid"),
                 sources: BTreeSet::from([wq.stats.fingerprint]),
             };
-            let ranked = rank_candidates_with(
-                &db,
-                std::slice::from_ref(wq),
-                &[candidate],
-                &CostModel,
-                1,
-            );
+            let ranked =
+                rank_candidates_with(&db, std::slice::from_ref(wq), &[candidate], &CostModel, 1);
             assert_eq!(ranked.len(), 1);
             ranked.into_iter().next().unwrap()
         };

@@ -88,7 +88,10 @@ fn price(
     let costs = under_ctl(ctl, "selection_lp", |stop| {
         estimate_statement_cost_batch_until(db, stmt, configs, stop)
     })?;
-    match costs.iter().find_map(|c| c.as_ref().err().filter(|e| e.is_injected())) {
+    match costs
+        .iter()
+        .find_map(|c| c.as_ref().err().filter(|e| e.is_injected()))
+    {
         Some(e) => Err(AimError::from_exec("selection_lp", e.clone())),
         None => Ok(costs),
     }
@@ -156,9 +159,7 @@ pub fn refine_selection(
             .iter()
             .enumerate()
             .filter_map(|(j, res)| match res {
-                Ok(c) if *c < base => {
-                    Some((j, (base - c) / base * wq.stats.total_cpu))
-                }
+                Ok(c) if *c < base => Some((j, (base - c) / base * wq.stats.total_cpu)),
                 _ => None,
             })
             .collect();
@@ -169,7 +170,10 @@ pub fn refine_selection(
         }
     }
     if atoms.is_empty() {
-        return Ok(fallback(greedy, "no statement benefits from any shortlisted candidate"));
+        return Ok(fallback(
+            greedy,
+            "no statement benefits from any shortlisted candidate",
+        ));
     }
 
     // -------------------------------------------------------- LP set-up
@@ -271,7 +275,11 @@ pub fn refine_selection(
                 name,
                 table: r.candidate.table.clone(),
                 columns: r.candidate.columns.clone(),
-                stage: if accepted { "lp_accepted" } else { "lp_rejected" },
+                stage: if accepted {
+                    "lp_accepted"
+                } else {
+                    "lp_rejected"
+                },
                 detail: format!("x = {:.3}; {verdict}", solution[j]),
             }
         })
@@ -510,8 +518,7 @@ mod tests {
         let all: u64 = ranked.iter().map(|r| r.size_bytes).sum();
         for budget in [u64::MAX, all, all / 2, all / 4, 1] {
             let greedy = knapsack_select(&ranked, budget, 0);
-            let out =
-                refine_selection(&db, &w, &ranked, &greedy, budget, &RunCtl::none()).unwrap();
+            let out = refine_selection(&db, &w, &ranked, &greedy, budget, &RunCtl::none()).unwrap();
             // The guard guarantees matches-or-beats on actual cost.
             if out.used_lp {
                 assert!(out.lp_cost < out.greedy_cost);
@@ -539,12 +546,20 @@ mod tests {
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
         let ranked = rank_candidates_with(&db, &w, &cands, &CostModel, 0);
         let greedy = knapsack_select(&ranked, u64::MAX, 0);
-        let out =
-            refine_selection(&db, &w, &ranked, &greedy, u64::MAX, &RunCtl::none()).unwrap();
+        let out = refine_selection(&db, &w, &ranked, &greedy, u64::MAX, &RunCtl::none()).unwrap();
         assert_eq!(
-            out.chosen.iter().map(|r| r.candidate.name()).collect::<Vec<_>>(),
-            greedy.iter().map(|r| r.candidate.name()).collect::<Vec<_>>(),
+            out.chosen
+                .iter()
+                .map(|r| r.candidate.name())
+                .collect::<Vec<_>>(),
+            greedy
+                .iter()
+                .map(|r| r.candidate.name())
+                .collect::<Vec<_>>(),
         );
-        assert!(out.chosen.iter().any(|r| r.candidate.columns == vec!["a".to_string()]));
+        assert!(out
+            .chosen
+            .iter()
+            .any(|r| r.candidate.columns == vec!["a".to_string()]));
     }
 }

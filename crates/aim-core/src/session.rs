@@ -391,7 +391,8 @@ impl TuningSession {
     /// most recent ledger record, when the session records one.
     pub(crate) fn ledger_annotate(&self, name: &str, table: &str, stage: &str, detail: String) {
         if self.config.record_ledger {
-            self.lock_ledger().annotate_latest(name, table, stage, detail);
+            self.lock_ledger()
+                .annotate_latest(name, table, stage, detail);
         }
     }
 
@@ -514,16 +515,18 @@ impl TuningSession {
             let _s = tel::span("selection_lp");
             let remaining = cfg.storage_budget.saturating_sub(used);
             let lp = crate::selection_lp::refine_selection(
-                db,
-                &workload,
-                &ranked,
-                &chosen,
-                remaining,
-                ctl,
+                db, &workload, &ranked, &chosen, remaining, ctl,
             )?;
             decisions.record(|l, pass| {
                 for d in &lp.decisions {
-                    l.note(pass, &d.name, &d.table, &d.columns, d.stage, d.detail.clone());
+                    l.note(
+                        pass,
+                        &d.name,
+                        &d.table,
+                        &d.columns,
+                        d.stage,
+                        d.detail.clone(),
+                    );
                 }
             });
             lp.chosen
@@ -550,7 +553,11 @@ impl TuningSession {
             for (r, reason) in result.rejected {
                 let reason = reject_text(&reason);
                 tel::metrics::INDEXES_REJECTED.incr();
-                tel::event(tel::EventKind::IndexRejected, r.candidate.name(), reason.clone());
+                tel::event(
+                    tel::EventKind::IndexRejected,
+                    r.candidate.name(),
+                    reason.clone(),
+                );
                 decisions.note(&r.candidate, "validation_rejected", || reason.clone());
                 outcome.rejected.push((r.candidate.name(), reason));
             }
@@ -692,7 +699,9 @@ mod tests {
         // `share_cancel` is how a clone gets a flag of its own.
         let mut independent = session.clone();
         independent.share_cancel(CancelToken::new());
-        assert!(independent.run(&mut Database::new(), &WorkloadMonitor::new()).is_ok());
+        assert!(independent
+            .run(&mut Database::new(), &WorkloadMonitor::new())
+            .is_ok());
     }
 
     #[test]
@@ -710,7 +719,10 @@ mod tests {
         let ctl = RunCtl::new(Some(token.clone()), None);
         assert!(ctl.check("x").is_ok());
         token.cancel();
-        assert!(matches!(ctl.check("v"), Err(AimError::Cancelled { phase: "v" })));
+        assert!(matches!(
+            ctl.check("v"),
+            Err(AimError::Cancelled { phase: "v" })
+        ));
     }
 
     #[test]

@@ -172,7 +172,7 @@ mod tests {
         let fp_local = QueryFingerprint(4);
         let fp_global = QueryFingerprint(5);
         let mut rs = vec![
-            ranked(1000.0, 0.0, 100, fp_local),  // denser unsharded
+            ranked(1000.0, 0.0, 100, fp_local), // denser unsharded
             ranked(500.0, 0.0, 100, fp_global),
         ];
         let mut profile = ShardingProfile::new(10);

@@ -462,13 +462,11 @@ pub fn try_validate_on_clone(
                 .min_by(|a, b| a.utility().total_cmp(&b.utility()))
                 .map(|r| r.candidate.name());
             if let Some(name) = victim {
-                to_reject
-                    .entry(name)
-                    .or_insert(RejectReason::Regression {
-                        query: fp,
-                        before,
-                        after,
-                    });
+                to_reject.entry(name).or_insert(RejectReason::Regression {
+                    query: fp,
+                    before,
+                    after,
+                });
             }
         }
 
@@ -610,9 +608,14 @@ mod tests {
         let mut db = db();
         let (w, chosen) = pipeline(&mut db, &[("SELECT id FROM t WHERE a = 5", 10)]);
         assert!(!chosen.is_empty());
-        let outcome =
-            validate_on_clone(&db, &w, &chosen, &Engine::new(), &ValidationConfig::default())
-                .unwrap();
+        let outcome = validate_on_clone(
+            &db,
+            &w,
+            &chosen,
+            &Engine::new(),
+            &ValidationConfig::default(),
+        )
+        .unwrap();
         assert!(!outcome.accepted.is_empty());
         assert!(outcome
             .accepted
@@ -625,8 +628,14 @@ mod tests {
         let mut db = db();
         let (w, chosen) = pipeline(&mut db, &[("SELECT id FROM t WHERE a = 5", 10)]);
         let before = db.all_indexes().len();
-        validate_on_clone(&db, &w, &chosen, &Engine::new(), &ValidationConfig::default())
-            .unwrap();
+        validate_on_clone(
+            &db,
+            &w,
+            &chosen,
+            &Engine::new(),
+            &ValidationConfig::default(),
+        )
+        .unwrap();
         assert_eq!(db.all_indexes().len(), before);
     }
 
@@ -637,9 +646,14 @@ mod tests {
         // Inject a candidate the optimizer will never use: index on b for a
         // workload that only filters a.
         chosen.push(on_t(&["b"], 1.0, 0.0));
-        let outcome =
-            validate_on_clone(&db, &w, &chosen, &Engine::new(), &ValidationConfig::default())
-                .unwrap();
+        let outcome = validate_on_clone(
+            &db,
+            &w,
+            &chosen,
+            &Engine::new(),
+            &ValidationConfig::default(),
+        )
+        .unwrap();
         assert!(outcome
             .rejected
             .iter()
@@ -655,9 +669,14 @@ mod tests {
         let mut io = IoStats::new();
         db.create_index(IndexDef::new("existing_a", "t", vec!["a".into()]), &mut io)
             .unwrap();
-        let outcome =
-            validate_on_clone(&db, &w, &chosen, &Engine::new(), &ValidationConfig::default())
-                .unwrap();
+        let outcome = validate_on_clone(
+            &db,
+            &w,
+            &chosen,
+            &Engine::new(),
+            &ValidationConfig::default(),
+        )
+        .unwrap();
         assert!(outcome
             .rejected
             .iter()
@@ -674,9 +693,14 @@ mod tests {
             .unwrap();
         let (w, _) = pipeline(&mut db, &[("SELECT id FROM t WHERE a = 5", 10)]);
         let chosen = [on_t(&["b"], 1.0, 0.0), on_t(&["b", "a"], 2.0, 0.0)];
-        let outcome =
-            validate_on_clone(&db, &w, &chosen, &Engine::new(), &ValidationConfig::default())
-                .unwrap();
+        let outcome = validate_on_clone(
+            &db,
+            &w,
+            &chosen,
+            &Engine::new(),
+            &ValidationConfig::default(),
+        )
+        .unwrap();
         // Neither is used either, but Eq. 3 judges first and rejects the
         // whole change set.
         assert!(outcome.accepted.is_empty());
@@ -734,9 +758,16 @@ mod tests {
         );
         assert!(replayed_total(&db, &w, &chosen) > before * (1.0 + lambda));
         assert!(
-            outcome.rejected.iter().any(|(r, _)| r.candidate.name() == "aim_t_b"),
+            outcome
+                .rejected
+                .iter()
+                .any(|(r, _)| r.candidate.name() == "aim_t_b"),
             "rejected: {:?}",
-            outcome.rejected.iter().map(|(r, why)| (r.candidate.name(), why.clone())).collect::<Vec<_>>()
+            outcome
+                .rejected
+                .iter()
+                .map(|(r, why)| (r.candidate.name(), why.clone()))
+                .collect::<Vec<_>>()
         );
     }
 
@@ -779,10 +810,19 @@ mod tests {
         // index rather than the one the regressed write maintains would
         // shed `u(x)`, which no regressed statement touches.
         chosen.push(on_t(&["b"], 1.0e9, 0.0));
-        let outcome =
-            validate_on_clone(&db, &w, &chosen, &Engine::new(), &ValidationConfig::default())
-                .unwrap();
-        let accepted: Vec<String> = outcome.accepted.iter().map(|r| r.candidate.name()).collect();
+        let outcome = validate_on_clone(
+            &db,
+            &w,
+            &chosen,
+            &Engine::new(),
+            &ValidationConfig::default(),
+        )
+        .unwrap();
+        let accepted: Vec<String> = outcome
+            .accepted
+            .iter()
+            .map(|r| r.candidate.name())
+            .collect();
         let rejected: Vec<(String, RejectReason)> = outcome
             .rejected
             .iter()

@@ -106,8 +106,16 @@ impl Binder {
     /// references every column of every table. References that do not
     /// resolve are skipped.
     pub fn referenced(&self, select: &Select) -> Vec<BTreeSet<usize>> {
-        if select.items.iter().any(|i| matches!(i, SelectItem::Wildcard)) {
-            return self.columns.iter().map(|c| (0..c.len()).collect()).collect();
+        if select
+            .items
+            .iter()
+            .any(|i| matches!(i, SelectItem::Wildcard))
+        {
+            return self
+                .columns
+                .iter()
+                .map(|c| (0..c.len()).collect())
+                .collect();
         }
         let mut cols: Vec<ColumnRef> = Vec::new();
         for item in &select.items {
@@ -115,7 +123,11 @@ impl Binder {
                 expr.referenced_columns(&mut cols);
             }
         }
-        let clauses = select.where_clause.iter().chain(&select.group_by).chain(&select.having);
+        let clauses = select
+            .where_clause
+            .iter()
+            .chain(&select.group_by)
+            .chain(&select.having);
         for e in clauses.chain(select.order_by.iter().map(|o| &o.expr)) {
             e.referenced_columns(&mut cols);
         }
@@ -156,9 +168,7 @@ impl Binder {
                         found = Some(BoundColumn { table_idx, col_idx });
                     }
                 }
-                found.ok_or_else(|| {
-                    ExecError::Binding(format!("unknown column {}", col.column))
-                })
+                found.ok_or_else(|| ExecError::Binding(format!("unknown column {}", col.column)))
             }
         }
     }
@@ -263,9 +273,21 @@ mod tests {
     fn resolves_qualified_columns() {
         let b = binder("SELECT a.x FROM a, b").unwrap();
         let r = b.resolve(&ColumnRef::qualified("a", "x")).unwrap();
-        assert_eq!(r, BoundColumn { table_idx: 0, col_idx: 1 });
+        assert_eq!(
+            r,
+            BoundColumn {
+                table_idx: 0,
+                col_idx: 1
+            }
+        );
         let r = b.resolve(&ColumnRef::qualified("b", "y")).unwrap();
-        assert_eq!(r, BoundColumn { table_idx: 1, col_idx: 1 });
+        assert_eq!(
+            r,
+            BoundColumn {
+                table_idx: 1,
+                col_idx: 1
+            }
+        );
     }
 
     #[test]
@@ -295,7 +317,10 @@ mod tests {
 
     #[test]
     fn duplicate_binding_rejected() {
-        assert!(matches!(binder("SELECT 1 FROM a, a"), Err(ExecError::Binding(_))));
+        assert!(matches!(
+            binder("SELECT 1 FROM a, a"),
+            Err(ExecError::Binding(_))
+        ));
     }
 
     #[test]

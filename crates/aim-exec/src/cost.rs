@@ -56,7 +56,9 @@ pub fn full_scan_cost(bytes: u64, rows: f64) -> f64 {
 /// `entry_width` bytes, plus `lookups` base-table point lookups
 /// (zero when the index covers the query).
 pub fn index_scan_cost(entries: f64, entry_width: f64, lookups: f64) -> f64 {
-    let pages = (entries * entry_width / aim_storage::PAGE_SIZE as f64).ceil().max(1.0);
+    let pages = (entries * entry_width / aim_storage::PAGE_SIZE as f64)
+        .ceil()
+        .max(1.0);
     RAND_PAGE_COST + pages * SEQ_PAGE_COST + entries * ROW_COST + lookups * RAND_PAGE_COST
 }
 

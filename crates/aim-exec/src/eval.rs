@@ -318,9 +318,7 @@ impl BoundExpr {
                 match (v, pattern.read(tuple, aggs, &mut p_held)?) {
                     (Value::Null, _) | (_, Value::Null) => None,
                     (Value::Str(s), Value::Str(pat)) => Some(like_match(s, pat) != *negated),
-                    (a, b) => {
-                        return Err(ExecError::Eval(format!("LIKE on non-strings {a}, {b}")))
-                    }
+                    (a, b) => return Err(ExecError::Eval(format!("LIKE on non-strings {a}, {b}"))),
                 }
             }
             value => match (&*value.eval(tuple, aggs)?, operator) {
@@ -328,7 +326,9 @@ impl BoundExpr {
                 (Value::Null, _) => None,
                 (_, None) => Some(false),
                 (other, Some(operator)) => {
-                    return Err(ExecError::Eval(format!("{operator} of non-boolean {other}")))
+                    return Err(ExecError::Eval(format!(
+                        "{operator} of non-boolean {other}"
+                    )))
                 }
             },
         })

@@ -16,9 +16,7 @@ use crate::eval::{literal_value, AggregateSlots, BoundAggregate, BoundExpr};
 use crate::hypothetical::HypoConfig;
 use crate::planner::{AccessPath, EqSource, IndexChoice, IndexScan, Plan, Planner};
 use crate::predicate::SargValue;
-use aim_sql::ast::{
-    AggFunc, Delete, Expr, Insert, Literal, Select, SelectItem, Statement, Update,
-};
+use aim_sql::ast::{AggFunc, Delete, Expr, Insert, Literal, Select, SelectItem, Statement, Update};
 use aim_storage::{Database, IoStats, Key, RangeKeys, Row, Table, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -100,11 +98,7 @@ impl Engine {
     }
 
     /// Executes any statement.
-    pub fn execute(
-        &self,
-        db: &mut Database,
-        stmt: &Statement,
-    ) -> Result<ExecOutcome, ExecError> {
+    pub fn execute(&self, db: &mut Database, stmt: &Statement) -> Result<ExecOutcome, ExecError> {
         let _span = aim_telemetry::span("exec.execute");
         // SELECTs consult the fault gate inside `execute_select` (their
         // only gate, so validation's direct replay calls are also covered).
@@ -175,11 +169,7 @@ impl Engine {
     }
 
     /// Executes a SELECT.
-    pub fn execute_select(
-        &self,
-        db: &Database,
-        select: &Select,
-    ) -> Result<ExecOutcome, ExecError> {
+    pub fn execute_select(&self, db: &Database, select: &Select) -> Result<ExecOutcome, ExecError> {
         self.open_select(db, select)?.run()
     }
 
@@ -342,9 +332,7 @@ impl Engine {
         db: &'a Database,
         select: &'a Select,
     ) -> Result<OpenSelect<'a>, ExecError> {
-        if let Some(aim_storage::fault::FaultKind::Fail) =
-            aim_storage::fault::hit("exec.execute")
-        {
+        if let Some(aim_storage::fault::FaultKind::Fail) = aim_storage::fault::hit("exec.execute") {
             return Err(ExecError::FaultInjected {
                 site: "exec.execute".to_string(),
             });
@@ -397,9 +385,9 @@ impl Engine {
                     return Err(ExecError::Eval("INSERT arity mismatch".into()));
                 }
                 for (col, e) in ins.columns.iter().zip(value_row) {
-                    let pos = schema.column_index(col).ok_or_else(|| {
-                        ExecError::Binding(format!("unknown column {col}"))
-                    })?;
+                    let pos = schema
+                        .column_index(col)
+                        .ok_or_else(|| ExecError::Binding(format!("unknown column {col}")))?;
                     row[pos] = const_eval(e)?;
                 }
             }
@@ -425,8 +413,7 @@ impl Engine {
             }
             assignments
         };
-        let (pks, mut io, plan) =
-            self.locate_rows(db, &upd.table, upd.where_clause.as_ref())?;
+        let (pks, mut io, plan) = self.locate_rows(db, &upd.table, upd.where_clause.as_ref())?;
         let mut affected = 0u64;
         for pk in pks {
             let new_row = {
@@ -447,8 +434,7 @@ impl Engine {
 
     fn execute_delete(&self, db: &mut Database, del: &Delete) -> Result<ExecOutcome, ExecError> {
         let stamp = CostStamp::of(db, [del.table.as_str()]);
-        let (pks, mut io, plan) =
-            self.locate_rows(db, &del.table, del.where_clause.as_ref())?;
+        let (pks, mut io, plan) = self.locate_rows(db, &del.table, del.where_clause.as_ref())?;
         let mut affected = 0u64;
         for pk in pks {
             if db.table_mut(&del.table)?.delete(&pk, &mut io)?.is_some() {
@@ -570,11 +556,7 @@ fn limit_of(select: &Select) -> Result<Option<usize>, ExecError> {
 /// Where each table instance's columns sit in its tuple slot under `plan`:
 /// a covering secondary-index scan binds the index entry itself, every
 /// other access path a full clustered row.
-fn slot_layouts(
-    db: &Database,
-    binder: &Binder,
-    plan: &Plan,
-) -> Result<Vec<SlotLayout>, ExecError> {
+fn slot_layouts(db: &Database, binder: &Binder, plan: &Plan) -> Result<Vec<SlotLayout>, ExecError> {
     let mut layouts = vec![SlotLayout::Row; binder.len()];
     for step in &plan.steps {
         if let AccessPath::IndexScan(ix) = &step.path {
@@ -1278,7 +1260,8 @@ impl<'r> Aggregator<'r> {
         if keys.is_empty() {
             // Single implicit group (aggregate query without GROUP BY):
             // produced even over zero input rows, per SQL semantics.
-            this.groups.insert(Vec::new(), Group::new(width, aggregates));
+            this.groups
+                .insert(Vec::new(), Group::new(width, aggregates));
         }
         this
     }

@@ -151,11 +151,7 @@ impl ExplainPlan {
                         );
                     }
                     None => {
-                        let _ = writeln!(
-                            out,
-                            "     {tag} {:<52} ({})",
-                            alt.access, alt.reason
-                        );
+                        let _ = writeln!(out, "     {tag} {:<52} ({})", alt.access, alt.reason);
                     }
                 }
             }
@@ -275,13 +271,7 @@ pub fn hypo_legend(config: &HypoConfig) -> Vec<String> {
         .indexes()
         .iter()
         .enumerate()
-        .map(|(i, h)| {
-            format!(
-                "<hypo#{i}> = {}({})",
-                h.def.table,
-                h.def.columns.join(", ")
-            )
-        })
+        .map(|(i, h)| format!("<hypo#{i}> = {}({})", h.def.table, h.def.columns.join(", ")))
         .collect()
 }
 
@@ -320,9 +310,7 @@ mod tests {
     fn explain_sql(db: &Database, sql: &str, config: &HypoConfig) -> ExplainPlan {
         let stmt = parse_statement(sql).unwrap();
         let Statement::Select(s) = stmt else { panic!() };
-        explain_select(db, &s, config)
-            .unwrap()
-            .1
+        explain_select(db, &s, config).unwrap().1
     }
 
     #[test]
@@ -357,8 +345,7 @@ mod tests {
     #[test]
     fn hypothetical_alternative_carries_legend() {
         let db = db();
-        let h =
-            HypotheticalIndex::build(&db, IndexDef::new("h", "t", vec!["a".into()])).unwrap();
+        let h = HypotheticalIndex::build(&db, IndexDef::new("h", "t", vec!["a".into()])).unwrap();
         let cfg = HypoConfig::overlay(vec![h]);
         let ex = explain_sql(&db, "SELECT a, id FROM t WHERE a = 5", &cfg);
         let chosen = ex.nodes[0].chosen();
@@ -386,7 +373,10 @@ mod tests {
         let parsed = aim_telemetry::jsonv::parse(&json).expect("valid JSON");
         let nodes = parsed.path("nodes").and_then(|n| n.as_arr()).unwrap();
         assert_eq!(nodes.len(), 1);
-        let alts = nodes[0].path("alternatives").and_then(|a| a.as_arr()).unwrap();
+        let alts = nodes[0]
+            .path("alternatives")
+            .and_then(|a| a.as_arr())
+            .unwrap();
         assert!(alts.iter().any(|a| {
             a.path("chosen").and_then(|c| c.as_bool()) == Some(true)
                 && a.path("index").and_then(|i| i.as_str()) == Some("PRIMARY")

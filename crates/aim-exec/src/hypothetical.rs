@@ -136,7 +136,10 @@ impl HypoConfig {
     }
 
     /// Hypothetical indexes on a given table.
-    pub fn for_table<'a>(&'a self, table: &'a str) -> impl Iterator<Item = (usize, &'a HypotheticalIndex)> {
+    pub fn for_table<'a>(
+        &'a self,
+        table: &'a str,
+    ) -> impl Iterator<Item = (usize, &'a HypotheticalIndex)> {
         self.indexes
             .iter()
             .enumerate()
@@ -208,11 +211,9 @@ mod tests {
         let db = db_with_rows(1000);
         let narrow =
             HypotheticalIndex::build(&db, IndexDef::new("h1", "t", vec!["a".into()])).unwrap();
-        let wide = HypotheticalIndex::build(
-            &db,
-            IndexDef::new("h2", "t", vec!["a".into(), "s".into()]),
-        )
-        .unwrap();
+        let wide =
+            HypotheticalIndex::build(&db, IndexDef::new("h2", "t", vec!["a".into(), "s".into()]))
+                .unwrap();
         assert!(wide.size_bytes > narrow.size_bytes);
         assert_eq!(wide.width(), 2);
     }
@@ -233,8 +234,9 @@ mod tests {
     #[test]
     fn unknown_column_rejected() {
         let db = db_with_rows(10);
-        assert!(HypotheticalIndex::build(&db, IndexDef::new("h", "t", vec!["nope".into()]))
-            .is_none());
+        assert!(
+            HypotheticalIndex::build(&db, IndexDef::new("h", "t", vec!["nope".into()])).is_none()
+        );
         assert!(
             HypotheticalIndex::build(&db, IndexDef::new("h", "missing", vec!["a".into()]))
                 .is_none()

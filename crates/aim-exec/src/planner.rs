@@ -173,9 +173,11 @@ impl Plan {
         self.order_via_index == other.order_via_index
             && self.group_via_index == other.group_via_index
             && self.steps.len() == other.steps.len()
-            && self.steps.iter().zip(&other.steps).all(|(a, b)| {
-                a.table_idx == b.table_idx && a.table == b.table && a.path == b.path
-            })
+            && self
+                .steps
+                .iter()
+                .zip(&other.steps)
+                .all(|(a, b)| a.table_idx == b.table_idx && a.table == b.table && a.path == b.path)
     }
 
     /// Compact one-line access-path summary, e.g.
@@ -245,7 +247,11 @@ impl<'a> IndexRef<'a> {
     fn key_columns(self, schema: &TableSchema) -> Vec<String> {
         match self.def() {
             Some(def) => def.columns.clone(),
-            None => schema.primary_key_names().iter().map(|s| s.to_string()).collect(),
+            None => schema
+                .primary_key_names()
+                .iter()
+                .map(|s| s.to_string())
+                .collect(),
         }
     }
 }
@@ -321,7 +327,9 @@ impl Candidate<'_> {
 /// The search's choice among `candidates` (position and cost): a strict-`<`
 /// fold in enumeration order, so the earliest of equally cheap paths wins.
 fn cheapest(candidates: &[Candidate<'_>]) -> (usize, f64) {
-    let full_scan = candidates[0].cost().expect("the full scan comes first and is always usable");
+    let full_scan = candidates[0]
+        .cost()
+        .expect("the full scan comes first and is always usable");
     let mut best = (0, full_scan);
     for (i, candidate) in candidates.iter().enumerate().skip(1) {
         if let Some(cost) = candidate.cost().filter(|c| *c < best.1) {
@@ -418,7 +426,11 @@ impl<'a> Planner<'a> {
         let mut defs: Vec<u64> = config
             .indexes()
             .iter()
-            .filter(|h| self.tables.iter().any(|(t, _)| t.schema().name == h.def.table))
+            .filter(|h| {
+                self.tables
+                    .iter()
+                    .any(|(t, _)| t.schema().name == h.def.table)
+            })
             .map(|h| h.def_key())
             .collect();
         defs.sort_unstable();
@@ -532,7 +544,12 @@ impl<'a> Planner<'a> {
         let exhaustive = n <= DP_TABLE_LIMIT;
         let full = if exhaustive { (1usize << n) - 1 } else { n };
         let mut best: Vec<Option<Partial>> = (0..=full).map(|_| None).collect();
-        best[0] = Some(Partial { bound: Vec::new(), cost: 0.0, rows: 1.0, last: None });
+        best[0] = Some(Partial {
+            bound: Vec::new(),
+            cost: 0.0,
+            rows: 1.0,
+            last: None,
+        });
         for from in 0..full {
             let (settled, open) = best.split_at_mut(from + 1);
             let Some(base) = &settled[from] else { continue };
@@ -544,7 +561,12 @@ impl<'a> Planner<'a> {
                 let kept = &mut open[key - from - 1];
                 if kept.as_ref().is_none_or(|k| cost < k.cost) {
                     let bound = base.bound.iter().copied().chain([t]).collect();
-                    *kept = Some(Partial { bound, cost, rows, last: Some((from, step)) });
+                    *kept = Some(Partial {
+                        bound,
+                        cost,
+                        rows,
+                        last: Some((from, step)),
+                    });
                 }
             }
         }
@@ -574,7 +596,8 @@ impl<'a> Planner<'a> {
         let connected: Vec<usize> = unbound()
             .filter(|&t| {
                 self.analysis.joins.iter().any(|j| {
-                    j.side_for(t).is_some_and(|(_, other)| is_bound[other.table_idx])
+                    j.side_for(t)
+                        .is_some_and(|(_, other)| is_bound[other.table_idx])
                 })
             })
             .collect();
@@ -633,10 +656,14 @@ impl<'a> Planner<'a> {
     /// [`Planner::best_access`] takes the [`cheapest`]; EXPLAIN lists all.
     fn candidates(&self, t: usize, ctx: &ProbeContext) -> Vec<Candidate<'a>> {
         let table = self.table(t);
-        let mut out = vec![Candidate::FullScan(
-            full_scan_cost(table.data_bytes(), table.row_count() as f64),
-        )];
-        out.extend(self.indexes(table).map(|ix| Candidate::Index(ix, self.price(t, ix, ctx))));
+        let mut out = vec![Candidate::FullScan(full_scan_cost(
+            table.data_bytes(),
+            table.row_count() as f64,
+        ))];
+        out.extend(
+            self.indexes(table)
+                .map(|ix| Candidate::Index(ix, self.price(t, ix, ctx))),
+        );
         if ctx.outermost && self.binder.len() == 1 {
             out.extend(self.or_union(t));
         }
@@ -666,15 +693,27 @@ impl<'a> Planner<'a> {
 
     /// Context of table instance `t` after the tables in `bound`.
     fn table_context(&self, t: usize, bound: &[usize], outermost: bool) -> Rc<ProbeContext> {
-        let key = self.bound_mask(bound).map(|mask| ContextKey::Bound(mask, outermost));
+        let key = self
+            .bound_mask(bound)
+            .map(|mask| ContextKey::Bound(mask, outermost));
         self.context(t, key, &self.analysis.sargs[t], bound, outermost)
     }
 
     /// Context of OR branch `branch` on table instance `t`: the branch's
     /// predicates alone, and no early-termination credit.
     fn or_context(&self, t: usize, branch: usize) -> Rc<ProbeContext> {
-        let branches = self.analysis.or_branches.as_ref().expect("an OR branch was asked for");
-        self.context(t, Some(ContextKey::OrBranch(branch)), &branches[branch], &[], false)
+        let branches = self
+            .analysis
+            .or_branches
+            .as_ref()
+            .expect("an OR branch was asked for");
+        self.context(
+            t,
+            Some(ContextKey::OrBranch(branch)),
+            &branches[branch],
+            &[],
+            false,
+        )
     }
 
     /// The memoized context under `key` (`None`: built afresh), derived
@@ -733,7 +772,9 @@ impl<'a> Planner<'a> {
                     let my_ndv = self
                         .column_stats(mine)
                         .map_or(table.row_count() as f64, |c| c.ndv.max(1) as f64);
-                    let other_ndv = self.column_stats(other).map_or(1.0, |c| c.ndv.max(1) as f64);
+                    let other_ndv = self
+                        .column_stats(other)
+                        .map_or(1.0, |c| c.ndv.max(1) as f64);
                     sel *= 1.0 / my_ndv.max(other_ndv).max(1.0);
                 }
             }
@@ -766,10 +807,13 @@ impl<'a> Planner<'a> {
     /// on first request and remembered under (index identity, context).
     fn price(&self, t: usize, ix: IndexRef<'a>, ctx: &ProbeContext) -> Option<Priced> {
         let mut memo = self.memo.borrow_mut();
-        let IndexEntry { meta, prices } = memo
-            .indexes
-            .entry((t, ix.id()))
-            .or_insert_with(|| IndexEntry { meta: self.resolve(t, ix), prices: HashMap::new() });
+        let IndexEntry { meta, prices } =
+            memo.indexes
+                .entry((t, ix.id()))
+                .or_insert_with(|| IndexEntry {
+                    meta: self.resolve(t, ix),
+                    prices: HashMap::new(),
+                });
         *prices
             .entry(ctx.id)
             .or_insert_with(|| self.price_index(t, ix, meta, ctx))
@@ -785,7 +829,11 @@ impl<'a> Planner<'a> {
             ),
             IndexRef::Secondary(ix) => (
                 Cow::Borrowed(ix.key_positions()),
-                if ix.is_empty() { 32.0 } else { ix.size_bytes() as f64 / ix.len() as f64 },
+                if ix.is_empty() {
+                    32.0
+                } else {
+                    ix.size_bytes() as f64 / ix.len() as f64
+                },
             ),
             IndexRef::Hypothetical(_, h) => (
                 h.def
@@ -801,7 +849,12 @@ impl<'a> Planner<'a> {
             || self.referenced[t]
                 .iter()
                 .all(|c| key.contains(c) || schema.primary_key.contains(c));
-        IndexMeta { key, entry_width, clustered, covering }
+        IndexMeta {
+            key,
+            entry_width,
+            clustered,
+            covering,
+        }
     }
 
     /// Costs one index of table instance `t` in `ctx`; `None` if the index
@@ -814,7 +867,12 @@ impl<'a> Planner<'a> {
         ctx: &ProbeContext,
     ) -> Option<Priced> {
         let table_rows = self.table(t).row_count() as f64;
-        let stats_of = |col_idx| self.column_stats(BoundColumn { table_idx: t, col_idx });
+        let stats_of = |col_idx| {
+            self.column_stats(BoundColumn {
+                table_idx: t,
+                col_idx,
+            })
+        };
 
         // Match the equality prefix.
         let mut eq_len = 0;
@@ -863,7 +921,9 @@ impl<'a> Planner<'a> {
             // An outermost context has no bound table, so its selectivity
             // is that of the table's own predicates.
             if ctx.outermost
-                && ix.def().is_some_and(|def| self.key_provides_order(&def.columns, &[]))
+                && ix
+                    .def()
+                    .is_some_and(|def| self.key_provides_order(&def.columns, &[]))
             {
                 if let Some(limit) = self.limit_value() {
                     entries = (limit as f64 / ctx.selectivity.max(1e-9)).min(table_rows);
@@ -891,9 +951,16 @@ impl<'a> Planner<'a> {
             key_columns: ix.key_columns(self.table(t).schema()),
             eq: key[..priced.eq_len]
                 .iter()
-                .map(|&col| ctx.eq[col].clone().expect("a matched prefix column has a source"))
+                .map(|&col| {
+                    ctx.eq[col]
+                        .clone()
+                        .expect("a matched prefix column has a source")
+                })
                 .collect(),
-            range: priced.range.then(|| ctx.ranges[key[priced.eq_len]].clone()).flatten(),
+            range: priced
+                .range
+                .then(|| ctx.ranges[key[priced.eq_len]].clone())
+                .flatten(),
             covering: priced.covering,
         }
     }
@@ -1045,7 +1112,9 @@ impl<'a> Planner<'a> {
                 let key = |x: &ExplainAlternative| {
                     (!x.chosen, x.est_cost.is_none(), x.est_cost.unwrap_or(0.0))
                 };
-                key(a).partial_cmp(&key(b)).unwrap_or(std::cmp::Ordering::Equal)
+                key(a)
+                    .partial_cmp(&key(b))
+                    .unwrap_or(std::cmp::Ordering::Equal)
             });
 
             let binding = &self.binder.tables()[t];
@@ -1253,16 +1322,24 @@ fn write_cost(
             // count it so advisor accounting matches the Select/DML paths
             // (which go through `Planner::plan`).
             aim_telemetry::metrics::WHATIF_CALLS.incr();
-            (i.rows.len().max(1) as f64, index_count(db, &i.table, config)?)
+            (
+                i.rows.len().max(1) as f64,
+                index_count(db, &i.table, config)?,
+            )
         }
         Statement::Update(u) => {
-            let assigned: BTreeSet<&str> =
-                u.assignments.iter().map(|(c, _)| c.as_str()).collect();
-            let rewritten = |columns: &[String]| columns.iter().any(|c| assigned.contains(c.as_str()));
+            let assigned: BTreeSet<&str> = u.assignments.iter().map(|(c, _)| c.as_str()).collect();
+            let rewritten =
+                |columns: &[String]| columns.iter().any(|c| assigned.contains(c.as_str()));
             let table = db.table(&u.table)?;
-            let materialized = table.indexes().filter(|ix| rewritten(&ix.def().columns)).count();
-            let hypothetical =
-                config.for_table(&u.table).filter(|(_, h)| rewritten(&h.def.columns)).count();
+            let materialized = table
+                .indexes()
+                .filter(|ix| rewritten(&ix.def().columns))
+                .count();
+            let hypothetical = config
+                .for_table(&u.table)
+                .filter(|(_, h)| rewritten(&h.def.columns))
+                .count();
             (located_rows, 2.0 * (materialized + hypothetical) as f64)
         }
         Statement::Delete(d) => (located_rows, index_count(db, &d.table, config)?),
@@ -1353,8 +1430,7 @@ mod tests {
     #[test]
     fn hypothetical_index_behaves_like_real_one() {
         let db = db();
-        let h =
-            HypotheticalIndex::build(&db, IndexDef::new("h", "t", vec!["a".into()])).unwrap();
+        let h = HypotheticalIndex::build(&db, IndexDef::new("h", "t", vec!["a".into()])).unwrap();
         let cfg = HypoConfig::overlay(vec![h]);
         let p = plan_sql(&db, "SELECT a, id FROM t WHERE a = 5", &cfg);
         match &p.steps[0].path {
@@ -1369,8 +1445,7 @@ mod tests {
     fn index_reduces_estimated_cost() {
         let db = db();
         let base = plan_sql(&db, "SELECT a, id FROM t WHERE a = 5", &HypoConfig::none());
-        let h =
-            HypotheticalIndex::build(&db, IndexDef::new("h", "t", vec!["a".into()])).unwrap();
+        let h = HypotheticalIndex::build(&db, IndexDef::new("h", "t", vec!["a".into()])).unwrap();
         let cfg = HypoConfig::overlay(vec![h]);
         let with_ix = plan_sql(&db, "SELECT a, id FROM t WHERE a = 5", &cfg);
         assert!(
@@ -1541,8 +1616,11 @@ mod tests {
         let mut db = db();
         let mut io = IoStats::new();
         for col in ["a", "c"] {
-            db.create_index(IndexDef::new(format!("ix_{col}"), "t", vec![col.into()]), &mut io)
-                .unwrap();
+            db.create_index(
+                IndexDef::new(format!("ix_{col}"), "t", vec![col.into()]),
+                &mut io,
+            )
+            .unwrap();
         }
         let none = HypoConfig::none();
         let eq = plan_sql(&db, "SELECT id FROM t WHERE a = ? OR c = ?", &none);
@@ -1561,8 +1639,11 @@ mod tests {
         let stmt = parse_statement("SELECT id FROM t WHERE a IN (?, ?) OR c = ?").unwrap();
         let hypos = ["a", "c"]
             .map(|col| {
-                HypotheticalIndex::build(&db, IndexDef::new(format!("h_{col}"), "t", vec![col.into()]))
-                    .unwrap()
+                HypotheticalIndex::build(
+                    &db,
+                    IndexDef::new(format!("h_{col}"), "t", vec![col.into()]),
+                )
+                .unwrap()
             })
             .to_vec();
         let bare = estimate_statement_cost(&db, &stmt, &HypoConfig::none()).unwrap();
@@ -1570,8 +1651,13 @@ mod tests {
         assert!(indexed < bare, "indexed {indexed} vs index-free {bare}");
 
         // Costing tolerates the parameters; executing them does not.
-        let err = crate::Engine::default().execute(&mut db, &stmt).unwrap_err();
-        assert!(matches!(&err, ExecError::Eval(m) if m.contains("unbound ?")), "{err}");
+        let err = crate::Engine::default()
+            .execute(&mut db, &stmt)
+            .unwrap_err();
+        assert!(
+            matches!(&err, ExecError::Eval(m) if m.contains("unbound ?")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1590,8 +1676,7 @@ mod tests {
         let db = db();
         let ins = parse_statement("INSERT INTO t (id, a, b, c) VALUES (99999, 1, 2, 3)").unwrap();
         let bare = estimate_statement_cost(&db, &ins, &HypoConfig::none()).unwrap();
-        let h = HypotheticalIndex::build(&db, IndexDef::new("h", "t", vec!["a".into()]))
-            .unwrap();
+        let h = HypotheticalIndex::build(&db, IndexDef::new("h", "t", vec!["a".into()])).unwrap();
         let cfg = HypoConfig::overlay(vec![h]);
         let with_ix = estimate_statement_cost(&db, &ins, &cfg).unwrap();
         assert!(with_ix > bare);
@@ -1601,22 +1686,14 @@ mod tests {
     fn update_only_charges_touched_indexes() {
         let db = db();
         let upd = parse_statement("UPDATE t SET b = 1 WHERE id = 5").unwrap();
-        let h_b = HypotheticalIndex::build(&db, IndexDef::new("hb", "t", vec!["b".into()]))
-            .unwrap();
-        let h_a = HypotheticalIndex::build(&db, IndexDef::new("ha", "t", vec!["a".into()]))
-            .unwrap();
-        let cost_touching = estimate_statement_cost(
-            &db,
-            &upd,
-            &HypoConfig::overlay(vec![h_b]),
-        )
-        .unwrap();
-        let cost_untouched = estimate_statement_cost(
-            &db,
-            &upd,
-            &HypoConfig::overlay(vec![h_a]),
-        )
-        .unwrap();
+        let h_b =
+            HypotheticalIndex::build(&db, IndexDef::new("hb", "t", vec!["b".into()])).unwrap();
+        let h_a =
+            HypotheticalIndex::build(&db, IndexDef::new("ha", "t", vec!["a".into()])).unwrap();
+        let cost_touching =
+            estimate_statement_cost(&db, &upd, &HypoConfig::overlay(vec![h_b])).unwrap();
+        let cost_untouched =
+            estimate_statement_cost(&db, &upd, &HypoConfig::overlay(vec![h_a])).unwrap();
         assert!(cost_touching > cost_untouched);
     }
 

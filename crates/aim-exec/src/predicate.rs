@@ -105,10 +105,7 @@ pub struct PredicateAnalysis {
 
 impl PredicateAnalysis {
     /// Analyzes an optional WHERE clause.
-    pub fn analyze(
-        where_clause: Option<&Expr>,
-        binder: &Binder,
-    ) -> Result<Self, ExecError> {
+    pub fn analyze(where_clause: Option<&Expr>, binder: &Binder) -> Result<Self, ExecError> {
         let mut a = PredicateAnalysis {
             sargs: vec![Vec::new(); binder.len()],
             joins: Vec::new(),
@@ -338,7 +335,13 @@ mod tests {
     fn equality_and_range_classified() {
         let (a, _) = analyze("SELECT a FROM t1 WHERE a = 5 AND b > 3 AND c BETWEEN 1 AND 9");
         assert_eq!(a.sargs[0].len(), 3);
-        assert_eq!(a.sargs[0].iter().filter(|s| matches!(s, Sarg::Range { .. })).count(), 2);
+        assert_eq!(
+            a.sargs[0]
+                .iter()
+                .filter(|s| matches!(s, Sarg::Range { .. }))
+                .count(),
+            2
+        );
     }
 
     #[test]
@@ -365,7 +368,10 @@ mod tests {
         let (a, _) = analyze("SELECT a FROM t1 WHERE 5 < a");
         match &a.sargs[0][0] {
             Sarg::Range { lo, hi, .. } => {
-                assert!(matches!(lo, Bound::Excluded(SargValue::Const(Value::Int(5)))));
+                assert!(matches!(
+                    lo,
+                    Bound::Excluded(SargValue::Const(Value::Int(5)))
+                ));
                 assert!(matches!(hi, Bound::Unbounded));
             }
             other => panic!("{other:?}"),
@@ -408,7 +414,10 @@ mod tests {
         let null = SargValue::Const(Value::Null);
         assert_eq!(a.sargs[0].len(), 2);
         for sarg in &a.sargs[0] {
-            assert!(matches!(sarg, Sarg::Eq { value, .. } if *value == null), "{sarg:?}");
+            assert!(
+                matches!(sarg, Sarg::Eq { value, .. } if *value == null),
+                "{sarg:?}"
+            );
         }
     }
 

@@ -327,10 +327,7 @@ impl WhatIfCache {
                                 }
                             }
                         };
-                        aim_telemetry::metrics::histogram_record(
-                            "exec.whatif_cost",
-                            plan.est_cost,
-                        );
+                        aim_telemetry::metrics::histogram_record("exec.whatif_cost", plan.est_cost);
                         let entry = entry_from_plan(&plan, cfg);
                         shared.insert(projection, entry.clone());
                         entry
@@ -380,12 +377,7 @@ fn entry_from_plan(plan: &Plan, config: &HypoConfig) -> WhatIfEntry {
 /// stays off the caller's thread-local allocation counts
 /// (`planning_counts.rs` bounds the path it audits, not the audit).
 #[cfg(debug_assertions)]
-fn audit_hit(
-    db: &Database,
-    select: &Select,
-    config: &HypoConfig,
-    hit: &WhatIfEntry,
-) {
+fn audit_hit(db: &Database, select: &Select, config: &HypoConfig, hit: &WhatIfEntry) {
     let audit = || {
         let plan = Planner::new(db, select, config)
             .and_then(|planner| planner.plan())
@@ -484,10 +476,9 @@ mod tests {
     #[test]
     fn config_key_is_order_insensitive() {
         let db = db();
-        let ha = HypotheticalIndex::build(&db, IndexDef::new("ha", "t", vec!["a".into()]))
-            .unwrap();
-        let hid = HypotheticalIndex::build(&db, IndexDef::new("hid", "t", vec!["id".into()]))
-            .unwrap();
+        let ha = HypotheticalIndex::build(&db, IndexDef::new("ha", "t", vec!["a".into()])).unwrap();
+        let hid =
+            HypotheticalIndex::build(&db, IndexDef::new("hid", "t", vec!["id".into()])).unwrap();
         let fwd = HypoConfig::overlay(vec![ha.clone(), hid.clone()]);
         let rev = HypoConfig::overlay(vec![hid, ha]);
         assert_eq!(fwd.canonical_key(), rev.canonical_key());
@@ -503,17 +494,12 @@ mod tests {
     #[test]
     fn cached_entry_reports_used_hypotheticals() {
         let db = db();
-        let h = HypotheticalIndex::build(&db, IndexDef::new("h", "t", vec!["a".into()]))
-            .unwrap();
+        let h = HypotheticalIndex::build(&db, IndexDef::new("h", "t", vec!["a".into()])).unwrap();
         let def_key = h.def_key();
         let cfg = HypoConfig::overlay(vec![h]);
         let cache = WhatIfCache::new();
         let entry = cache
-            .eval_select(
-                &db,
-                &select("SELECT id FROM t WHERE a = 7"),
-                &cfg,
-            )
+            .eval_select(&db, &select("SELECT id FROM t WHERE a = 7"), &cfg)
             .unwrap();
         assert_eq!(entry.used_hypos, vec![def_key]);
     }
@@ -532,7 +518,10 @@ mod tests {
 
         // A write to a table the statement does not bind keeps the entry.
         let mut io = IoStats::new();
-        db.table_mut("u").unwrap().insert(vec![Value::Int(1)], &mut io).unwrap();
+        db.table_mut("u")
+            .unwrap()
+            .insert(vec![Value::Int(1)], &mut io)
+            .unwrap();
         db.analyze_all();
         assert_eq!(cache.eval_select(&db, &s, &cfg).unwrap(), before);
         assert_eq!(cache.stats().hits, 1);
@@ -564,10 +553,9 @@ mod tests {
     fn batched_evaluation_is_bit_identical_to_sequential() {
         let db = db();
         let s = select("SELECT id FROM t WHERE a = 7");
-        let ha = HypotheticalIndex::build(&db, IndexDef::new("ha", "t", vec!["a".into()]))
-            .unwrap();
-        let hid = HypotheticalIndex::build(&db, IndexDef::new("hid", "t", vec!["id".into()]))
-            .unwrap();
+        let ha = HypotheticalIndex::build(&db, IndexDef::new("ha", "t", vec!["a".into()])).unwrap();
+        let hid =
+            HypotheticalIndex::build(&db, IndexDef::new("hid", "t", vec!["id".into()])).unwrap();
         let cfgs = [
             HypoConfig::none(),
             HypoConfig::overlay(vec![ha.clone()]),

@@ -128,7 +128,10 @@ fn index_chosen_plan_reported() {
 fn is_null_plans_through_an_index_and_equals_null_selects_nothing() {
     let mut db = orders_db(3000);
     // A tenth of the rows, 300, lose their region.
-    run(&mut db, "UPDATE orders SET region = NULL WHERE customer_id < 5");
+    run(
+        &mut db,
+        "UPDATE orders SET region = NULL WHERE customer_id < 5",
+    );
     db.analyze_all();
     let sorted = |mut rows: Vec<Vec<Value>>| {
         rows.sort();
@@ -136,11 +139,16 @@ fn is_null_plans_through_an_index_and_equals_null_selects_nothing() {
     };
     let scanned = sorted(run(&mut db, "SELECT id FROM orders WHERE region IS NULL").rows);
     assert_eq!(scanned.len(), 300);
-    assert!(run(&mut db, "SELECT id FROM orders WHERE region = NULL").rows.is_empty());
+    assert!(run(&mut db, "SELECT id FROM orders WHERE region = NULL")
+        .rows
+        .is_empty());
 
     let mut io = IoStats::new();
-    db.create_index(IndexDef::new("ix_region", "orders", vec!["region".into()]), &mut io)
-        .unwrap();
+    db.create_index(
+        IndexDef::new("ix_region", "orders", vec!["region".into()]),
+        &mut io,
+    )
+    .unwrap();
     for sql in [
         "SELECT id FROM orders WHERE region IS NULL",
         "SELECT id FROM orders WHERE region <=> NULL",
@@ -151,10 +159,16 @@ fn is_null_plans_through_an_index_and_equals_null_selects_nothing() {
             matches!(&used[..], [(0, IndexChoice::Secondary(n))] if n == "ix_region"),
             "{sql}: {used:?}"
         );
-        assert!(out.io.rows_read < 3000 / 5, "{sql}: {} rows read", out.io.rows_read);
+        assert!(
+            out.io.rows_read < 3000 / 5,
+            "{sql}: {} rows read",
+            out.io.rows_read
+        );
         assert_eq!(sorted(out.rows), scanned, "{sql}");
     }
-    assert!(run(&mut db, "SELECT id FROM orders WHERE region = NULL").rows.is_empty());
+    assert!(run(&mut db, "SELECT id FROM orders WHERE region = NULL")
+        .rows
+        .is_empty());
 }
 
 #[test]
@@ -174,9 +188,7 @@ fn range_and_prefix_composite_index() {
         &mut db,
         "SELECT id FROM orders WHERE customer_id = 7 AND region > 2",
     );
-    let expected: Vec<i64> = (0..3000)
-        .filter(|i| i % 50 == 7 && i % 7 > 2)
-        .collect();
+    let expected: Vec<i64> = (0..3000).filter(|i| i % 50 == 7 && i % 7 > 2).collect();
     assert_eq!(out.rows.len(), expected.len());
 }
 
@@ -193,7 +205,9 @@ fn in_list_probes() {
         &mut db,
         "SELECT id FROM orders WHERE customer_id IN (3, 17, 31)",
     );
-    let expected = (0..2000).filter(|i| [3, 17, 31].contains(&(i % 50))).count();
+    let expected = (0..2000)
+        .filter(|i| [3, 17, 31].contains(&(i % 50)))
+        .count();
     assert_eq!(out.rows.len(), expected);
 }
 
@@ -462,7 +476,10 @@ fn insert_update_delete_roundtrip() {
 #[test]
 fn update_with_expression_rhs() {
     let mut db = orders_db(10);
-    run(&mut db, "UPDATE orders SET region = region + 10 WHERE id = 3");
+    run(
+        &mut db,
+        "UPDATE orders SET region = region + 10 WHERE id = 3",
+    );
     let check = run(&mut db, "SELECT region FROM orders WHERE id = 3");
     assert_eq!(check.rows[0][0], Value::Int(3 + 10));
 }
@@ -494,7 +511,10 @@ fn ddl_via_sql() {
         &mut db,
         "CREATE TABLE items (id BIGINT, name VARCHAR(32), price DOUBLE, PRIMARY KEY (id))",
     );
-    run(&mut db, "INSERT INTO items (id, name, price) VALUES (1, 'a', 2.5)");
+    run(
+        &mut db,
+        "INSERT INTO items (id, name, price) VALUES (1, 'a', 2.5)",
+    );
     run(&mut db, "CREATE INDEX ix_name ON items (name)");
     assert!(db.table("items").unwrap().index("ix_name").is_some());
     run(&mut db, "DROP INDEX ix_name ON items");
@@ -598,7 +618,10 @@ fn count_distinct() {
 fn avg_handles_nulls_and_empty_groups() {
     let mut db = orders_db(10);
     // No rows match: aggregate over an empty set.
-    let out = run(&mut db, "SELECT COUNT(*), SUM(amount), AVG(amount) FROM orders WHERE id > 9999");
+    let out = run(
+        &mut db,
+        "SELECT COUNT(*), SUM(amount), AVG(amount) FROM orders WHERE id > 9999",
+    );
     assert_eq!(out.rows.len(), 1);
     assert_eq!(out.rows[0][0], Value::Int(0));
     assert_eq!(out.rows[0][1], Value::Null);
@@ -634,19 +657,29 @@ fn composite_pk_point_and_prefix() {
         for l in 0..3 {
             run(
                 &mut db,
-                &format!("INSERT INTO items (order_id, line, qty) VALUES ({o}, {l}, {})", o + l),
+                &format!(
+                    "INSERT INTO items (order_id, line, qty) VALUES ({o}, {l}, {})",
+                    o + l
+                ),
             );
         }
     }
     db.analyze_all();
     // Full composite key: point lookup.
-    let out = run(&mut db, "SELECT qty FROM items WHERE order_id = 7 AND line = 2");
+    let out = run(
+        &mut db,
+        "SELECT qty FROM items WHERE order_id = 7 AND line = 2",
+    );
     assert_eq!(out.rows, vec![vec![Value::Int(9)]]);
     assert!(out.io.rows_read <= 2);
     // PK prefix: range over one order.
     let out = run(&mut db, "SELECT line FROM items WHERE order_id = 7");
     assert_eq!(out.rows.len(), 3);
-    assert!(out.io.rows_read <= 6, "prefix scan read {}", out.io.rows_read);
+    assert!(
+        out.io.rows_read <= 6,
+        "prefix scan read {}",
+        out.io.rows_read
+    );
 }
 
 #[test]
@@ -674,7 +707,10 @@ fn where_on_aggregult_free_expression_arithmetic() {
     let mut db = orders_db(100);
     let a = run(&mut db, "SELECT id FROM orders WHERE id + 1 = 50");
     assert_eq!(a.rows, vec![vec![Value::Int(49)]]);
-    let b = run(&mut db, "SELECT id FROM orders WHERE id % 10 = 3 AND id < 50");
+    let b = run(
+        &mut db,
+        "SELECT id FROM orders WHERE id % 10 = 3 AND id < 50",
+    );
     assert_eq!(b.rows.len(), 5);
 }
 
@@ -712,11 +748,17 @@ fn nine_table_join_uses_greedy_order() {
         );
     }
     for i in 0..30 {
-        run(&mut db, &format!("INSERT INTO hub (id, v) VALUES ({i}, {})", i % 5));
+        run(
+            &mut db,
+            &format!("INSERT INTO hub (id, v) VALUES ({i}, {})", i % 5),
+        );
         for t in 0..8 {
             run(
                 &mut db,
-                &format!("INSERT INTO s{t} (id, hub_id, w) VALUES ({i}, {i}, {})", (i + t) % 3),
+                &format!(
+                    "INSERT INTO s{t} (id, hub_id, w) VALUES ({i}, {i}, {})",
+                    (i + t) % 3
+                ),
             );
         }
     }
@@ -755,13 +797,22 @@ fn unknown_and_ambiguous_columns_fail_at_bind_time() {
     let mut db = empty_orders_and_customers();
     for (sql, message) in [
         ("SELECT nosuch FROM orders", "unknown column nosuch"),
-        ("SELECT id FROM orders WHERE nosuch = 1", "unknown column nosuch"),
-        ("SELECT region FROM orders GROUP BY nosuch", "unknown column nosuch"),
+        (
+            "SELECT id FROM orders WHERE nosuch = 1",
+            "unknown column nosuch",
+        ),
+        (
+            "SELECT region FROM orders GROUP BY nosuch",
+            "unknown column nosuch",
+        ),
         (
             "SELECT region, COUNT(*) FROM orders GROUP BY region HAVING SUM(nosuch) > 1",
             "unknown column nosuch",
         ),
-        ("SELECT id FROM orders ORDER BY nosuch", "unknown column nosuch"),
+        (
+            "SELECT id FROM orders ORDER BY nosuch",
+            "unknown column nosuch",
+        ),
         ("SELECT o.nosuch FROM orders o", "unknown column o.nosuch"),
         ("SELECT x.id FROM orders o", "unknown table binding x"),
         ("SELECT id FROM orders, customers", "ambiguous column id"),
@@ -770,7 +821,11 @@ fn unknown_and_ambiguous_columns_fail_at_bind_time() {
             "ambiguous column id",
         ),
     ] {
-        assert_eq!(run_err(&mut db, sql), ExecError::Binding(message.into()), "{sql}");
+        assert_eq!(
+            run_err(&mut db, sql),
+            ExecError::Binding(message.into()),
+            "{sql}"
+        );
     }
 }
 
@@ -805,7 +860,10 @@ fn aggregate_in_where_and_unbound_parameter_fail_at_bind_time() {
 #[test]
 fn non_constant_limit_is_unsupported() {
     let mut db = orders_db(10);
-    for sql in ["SELECT id FROM orders LIMIT 1 + 1", "SELECT id FROM orders LIMIT ?"] {
+    for sql in [
+        "SELECT id FROM orders LIMIT 1 + 1",
+        "SELECT id FROM orders LIMIT ?",
+    ] {
         assert!(
             matches!(run_err(&mut db, sql), ExecError::Unsupported(m) if m.starts_with("non-constant LIMIT")),
             "{sql}"
@@ -818,12 +876,18 @@ fn update_with_unbindable_rhs_writes_nothing() {
     let mut db = orders_db(20);
     let before = run(&mut db, "SELECT id, amount, region FROM orders ORDER BY id").rows;
     assert_eq!(
-        run_err(&mut db, "UPDATE orders SET amount = nosuch + 1 WHERE id < 10"),
+        run_err(
+            &mut db,
+            "UPDATE orders SET amount = nosuch + 1 WHERE id < 10"
+        ),
         ExecError::Binding("unknown column nosuch".into())
     );
     // Raised at bind time even when no row matches.
     assert_eq!(
-        run_err(&mut db, "UPDATE orders SET amount = nosuch + 1 WHERE id < 0"),
+        run_err(
+            &mut db,
+            "UPDATE orders SET amount = nosuch + 1 WHERE id < 0"
+        ),
         ExecError::Binding("unknown column nosuch".into())
     );
     assert_eq!(
@@ -840,7 +904,10 @@ fn update_with_unbindable_rhs_writes_nothing() {
 fn non_boolean_operands_and_like_on_non_strings_are_value_errors() {
     let mut db = orders_db(10);
     for (sql, message) in [
-        ("SELECT id FROM orders WHERE NOT region", "NOT of non-boolean 0"),
+        (
+            "SELECT id FROM orders WHERE NOT region",
+            "NOT of non-boolean 0",
+        ),
         (
             "SELECT id FROM orders WHERE NOT (region AND id = 1)",
             "AND of non-boolean 0",
@@ -858,10 +925,16 @@ fn non_boolean_operands_and_like_on_non_strings_are_value_errors() {
             "LIKE on non-strings 'open', 5",
         ),
     ] {
-        assert_eq!(run_err(&mut db, sql), ExecError::Eval(message.into()), "{sql}");
+        assert_eq!(
+            run_err(&mut db, sql),
+            ExecError::Eval(message.into()),
+            "{sql}"
+        );
     }
     let mut empty = orders_db(0);
-    assert!(run(&mut empty, "SELECT id FROM orders WHERE NOT region").rows.is_empty());
+    assert!(run(&mut empty, "SELECT id FROM orders WHERE NOT region")
+        .rows
+        .is_empty());
 }
 
 /// t(id, a, b) with NULLs in `a` and `b`:
@@ -901,14 +974,17 @@ fn nullable_db() -> Database {
 }
 
 fn ids(db: &mut Database, predicate: &str) -> Vec<i64> {
-    run(db, &format!("SELECT id FROM t WHERE {predicate} ORDER BY id"))
-        .rows
-        .iter()
-        .map(|r| match r[0] {
-            Value::Int(id) => id,
-            ref other => panic!("id column holds {other:?}"),
-        })
-        .collect()
+    run(
+        db,
+        &format!("SELECT id FROM t WHERE {predicate} ORDER BY id"),
+    )
+    .rows
+    .iter()
+    .map(|r| match r[0] {
+        Value::Int(id) => id,
+        ref other => panic!("id column holds {other:?}"),
+    })
+    .collect()
 }
 
 #[test]
@@ -974,10 +1050,19 @@ fn aggregate_only_query_over_zero_rows_yields_one_row() {
     );
     assert_eq!(
         out.rows,
-        [vec![Value::Int(0), Value::Null, Value::Null, Value::Null, Value::Null]]
+        [vec![
+            Value::Int(0),
+            Value::Null,
+            Value::Null,
+            Value::Null,
+            Value::Null
+        ]]
     );
     // A grouped query over zero rows has no groups.
-    let out = run(&mut db, "SELECT region, COUNT(*) FROM orders WHERE id < 0 GROUP BY region");
+    let out = run(
+        &mut db,
+        "SELECT region, COUNT(*) FROM orders WHERE id < 0 GROUP BY region",
+    );
     assert!(out.rows.is_empty());
     // A bare column beside the aggregate has no row to read.
     assert_eq!(
@@ -991,7 +1076,10 @@ fn having_without_group_by() {
     let mut db = orders_db(100);
     let out = run(&mut db, "SELECT COUNT(*) FROM orders HAVING COUNT(*) > 5");
     assert_eq!(out.rows, [vec![Value::Int(100)]]);
-    let out = run(&mut db, "SELECT COUNT(*) FROM orders HAVING SUM(region) > 1000000");
+    let out = run(
+        &mut db,
+        "SELECT COUNT(*) FROM orders HAVING SUM(region) > 1000000",
+    );
     assert!(out.rows.is_empty());
     // HAVING alone makes the query an aggregate query.
     let out = run(&mut db, "SELECT 1 FROM orders HAVING MAX(id) = 99");
@@ -1001,10 +1089,17 @@ fn having_without_group_by() {
 #[test]
 fn distinct_order_by_limit() {
     let mut db = orders_db(100);
-    let out = run(&mut db, "SELECT DISTINCT region FROM orders ORDER BY region DESC LIMIT 3");
+    let out = run(
+        &mut db,
+        "SELECT DISTINCT region FROM orders ORDER BY region DESC LIMIT 3",
+    );
     assert_eq!(
         out.rows,
-        [vec![Value::Int(6)], vec![Value::Int(5)], vec![Value::Int(4)]]
+        [
+            vec![Value::Int(6)],
+            vec![Value::Int(5)],
+            vec![Value::Int(4)]
+        ]
     );
     // DISTINCT keeps each row's first occurrence; the sort is stable.
     let out = run(
@@ -1051,7 +1146,11 @@ fn covering_index_scan_feeds_a_join() {
     customers_db(&mut db, 50);
     let mut io = IoStats::new();
     db.create_index(
-        IndexDef::new("ix_cust_region", "orders", vec!["customer_id".into(), "region".into()]),
+        IndexDef::new(
+            "ix_cust_region",
+            "orders",
+            vec!["customer_id".into(), "region".into()],
+        ),
         &mut io,
     )
     .unwrap();
@@ -1077,7 +1176,10 @@ fn covering_index_scan_feeds_a_join() {
     assert_eq!(rows, expected);
 
     // `*` over a covering scan still yields full-width rows in table order.
-    let out = run(&mut db, "SELECT customer_id, region, id FROM orders WHERE customer_id = 7 AND region = 0");
+    let out = run(
+        &mut db,
+        "SELECT customer_id, region, id FROM orders WHERE customer_id = 7 AND region = 0",
+    );
     assert!(matches!(&out.plan.steps[0].path, AccessPath::IndexScan(ix) if ix.covering));
     assert_eq!(out.rows[0], [Value::Int(7), Value::Int(0), Value::Int(7)]);
 }
@@ -1137,7 +1239,10 @@ fn integer_sum_overflow_is_an_error() {
 fn sum_switches_to_float_when_a_float_arrives() {
     let mut db = orders_db(4);
     // amount is Float, region Int: region + 0 stays Int, amount is Float.
-    let out = run(&mut db, "SELECT SUM(region), SUM(amount), SUM(region + amount) FROM orders");
+    let out = run(
+        &mut db,
+        "SELECT SUM(region), SUM(amount), SUM(region + amount) FROM orders",
+    );
     assert_eq!(
         out.rows,
         [vec![Value::Int(6), Value::Float(9.0), Value::Float(15.0)]]
@@ -1164,11 +1269,17 @@ fn an_open_select_runs_the_plan_it_shows_and_identity_ignores_estimates() {
     let scanned = open.run().unwrap();
     assert!(shown.same_execution(&scanned.plan));
     let direct = engine.execute_select(&db, &sel).unwrap();
-    assert_eq!((direct.rows, direct.cost.to_bits()), (scanned.rows.clone(), scanned.cost.to_bits()));
+    assert_eq!(
+        (direct.rows, direct.cost.to_bits()),
+        (scanned.rows.clone(), scanned.cost.to_bits())
+    );
 
     let mut io = IoStats::new();
-    db.create_index(IndexDef::new("ix_status", "orders", vec!["status".into()]), &mut io)
-        .unwrap();
+    db.create_index(
+        IndexDef::new("ix_status", "orders", vec!["status".into()]),
+        &mut io,
+    )
+    .unwrap();
     let unaffected = engine.execute_select(&db, &sel).unwrap();
     assert!(unaffected.plan.same_execution(&scanned.plan));
     assert_eq!(unaffected.cost.to_bits(), scanned.cost.to_bits());
@@ -1177,10 +1288,16 @@ fn an_open_select_runs_the_plan_it_shows_and_identity_ignores_estimates() {
     cheaper_on_paper.steps[0].rows_each += 1.0;
     assert!(cheaper_on_paper.same_execution(&scanned.plan));
 
-    db.create_index(IndexDef::new("ix_cust", "orders", vec!["customer_id".into()]), &mut io)
-        .unwrap();
+    db.create_index(
+        IndexDef::new("ix_cust", "orders", vec!["customer_id".into()]),
+        &mut io,
+    )
+    .unwrap();
     let seeking = engine.execute_select(&db, &sel).unwrap();
-    assert!(matches!(seeking.plan.steps[0].path, AccessPath::IndexScan(_)));
+    assert!(matches!(
+        seeking.plan.steps[0].path,
+        AccessPath::IndexScan(_)
+    ));
     assert!(!seeking.plan.same_execution(&scanned.plan));
     assert!(seeking.cost < scanned.cost);
     assert_eq!(seeking.rows.len(), scanned.rows.len());

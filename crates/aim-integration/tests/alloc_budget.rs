@@ -105,9 +105,15 @@ fn executor_stays_within_its_allocation_budget() {
         .collect();
     let mut total = 0u64;
     for (i, (sql, select)) in selects.iter().enumerate() {
-        engine.execute_select(&db, select).unwrap_or_else(|e| panic!("{e}\n{sql}"));
+        engine
+            .execute_select(&db, select)
+            .unwrap_or_else(|e| panic!("{e}\n{sql}"));
         let n = count(|| engine.execute_select(&db, select).expect("ran once"));
-        eprintln!("  Q{:<2} seed {} {n:>7} allocations", i % 22 + 1, i / 22 + 1);
+        eprintln!(
+            "  Q{:<2} seed {} {n:>7} allocations",
+            i % 22 + 1,
+            i / 22 + 1
+        );
         total += n;
     }
     eprintln!("TPC-H 22x2 on the tuned fixture: {total} allocations");
@@ -117,7 +123,8 @@ fn executor_stays_within_its_allocation_budget() {
         "lineitem",
         vec!["l_partkey".into(), "l_quantity".into()],
     );
-    db.create_index(composite.clone(), &mut IoStats::new()).expect("valid");
+    db.create_index(composite.clone(), &mut IoStats::new())
+        .expect("valid");
     db.analyze_all();
     let q19 = &selects[18].1;
     let plan = engine.open_select(&db, q19).expect("plans").into_plan();
@@ -129,7 +136,10 @@ fn executor_stays_within_its_allocation_budget() {
         panic!("Q19 probes lineitem: {plan:?}")
     };
     assert_eq!(probe.index, IndexChoice::Secondary(composite.name.clone()));
-    assert!(matches!(probe.eq.as_slice(), [EqSource::Outer(_)]), "{probe:?}");
+    assert!(
+        matches!(probe.eq.as_slice(), [EqSource::Outer(_)]),
+        "{probe:?}"
+    );
     let outer_rows = db.table("part").expect("exists").row_count() as u64;
     engine.execute_select(&db, q19).expect("runs");
     let join = count(|| engine.execute_select(&db, q19).expect("runs"));

@@ -182,7 +182,12 @@ fn identical_schedules_replay_identically() {
     let run = || {
         let mut db = db();
         let mut monitor = WorkloadMonitor::new();
-        observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 10);
+        observe(
+            &mut db,
+            &mut monitor,
+            "SELECT id FROM orders WHERE customer = 42",
+            10,
+        );
         fault::arm(
             FaultPlan::new(777)
                 .fail_with_probability("exec.whatif", 0.3, 10)
@@ -198,8 +203,14 @@ fn identical_schedules_replay_identically() {
     let (first_outcome, first_log) = run();
     let (second_outcome, second_log) = run();
     assert!(!first_log.is_empty(), "schedule never fired");
-    assert_eq!(first_log, second_log, "injection sequence must be deterministic");
-    assert_eq!(first_outcome, second_outcome, "outcome must be deterministic");
+    assert_eq!(
+        first_log, second_log,
+        "injection sequence must be deterministic"
+    );
+    assert_eq!(
+        first_outcome, second_outcome,
+        "outcome must be deterministic"
+    );
 }
 
 /// (b) of the chaos contract, half two: an armed-but-never-matching plan
@@ -211,7 +222,12 @@ fn disarmed_and_nonmatching_runs_are_bit_identical_to_baseline() {
     let run = |plan: Option<FaultPlan>| {
         let mut db = db();
         let mut monitor = WorkloadMonitor::new();
-        observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 10);
+        observe(
+            &mut db,
+            &mut monitor,
+            "SELECT id FROM orders WHERE customer = 42",
+            10,
+        );
         if let Some(p) = plan {
             fault::arm(p);
         }
@@ -234,8 +250,18 @@ fn deadline_is_respected_and_aborted_pass_rolls_back() {
     let _g = FaultGuard::acquire();
     let mut db = db();
     let mut monitor = WorkloadMonitor::new();
-    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 10);
-    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE region = 3", 10);
+    observe(
+        &mut db,
+        &mut monitor,
+        "SELECT id FROM orders WHERE customer = 42",
+        10,
+    );
+    observe(
+        &mut db,
+        &mut monitor,
+        "SELECT id FROM orders WHERE region = 3",
+        10,
+    );
     let before = db.all_indexes().len();
 
     fault::arm(FaultPlan::new(9).delay_ms("exec.whatif", 20, 0, u64::MAX));
@@ -260,7 +286,11 @@ fn deadline_is_respected_and_aborted_pass_rolls_back() {
         elapsed < deadline + Duration::from_secs(2),
         "deadline overshot unreasonably: {elapsed:?}"
     );
-    assert_eq!(db.all_indexes().len(), before, "aborted pass must roll back");
+    assert_eq!(
+        db.all_indexes().len(),
+        before,
+        "aborted pass must roll back"
+    );
     assert!(db.check_consistency().is_ok());
 }
 
@@ -273,8 +303,18 @@ fn cancellation_mid_ranking_aborts_and_rolls_back() {
     let _g = FaultGuard::acquire();
     let mut db = db();
     let mut monitor = WorkloadMonitor::new();
-    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 10);
-    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE region = 3", 10);
+    observe(
+        &mut db,
+        &mut monitor,
+        "SELECT id FROM orders WHERE customer = 42",
+        10,
+    );
+    observe(
+        &mut db,
+        &mut monitor,
+        "SELECT id FROM orders WHERE region = 3",
+        10,
+    );
     let before = db.all_indexes().len();
 
     fault::arm(FaultPlan::new(11).delay_ms("exec.whatif", 10, 0, u64::MAX));
@@ -286,7 +326,11 @@ fn cancellation_mid_ranking_aborts_and_rolls_back() {
     // The slow phase the cancel landed in is ranking (every what-if call
     // sleeps 10ms; selection and candidate generation do none).
     assert_eq!(err.phase(), "ranking");
-    assert_eq!(db.all_indexes().len(), before, "cancelled pass must roll back");
+    assert_eq!(
+        db.all_indexes().len(),
+        before,
+        "cancelled pass must roll back"
+    );
     assert!(db.check_consistency().is_ok());
 }
 
@@ -355,9 +399,7 @@ fn cancel_to_abort_is_at_most_one_whatif_call() {
             // gate either way, but the plans behind it should be real.
             aim_exec::whatif::global().clear();
             fault::arm(FaultPlan::new(11).delay_ms("exec.whatif", 2, 0, u64::MAX));
-            let session = AimConfig::builder()
-                .selection(selection())
-                .session();
+            let session = AimConfig::builder().selection(selection()).session();
             let (result, calls_at_cancel) = run_cancelling_at(&session, &mut db, &monitor, k);
             let calls_at_end = fault::disarm().len();
             let Some(calls_at_cancel) = calls_at_cancel else {
@@ -375,7 +417,11 @@ fn cancel_to_abort_is_at_most_one_whatif_call() {
                         calls_at_end - calls_at_cancel
                     );
                 }
-                assert_eq!(db.all_indexes().len(), before, "cancelled pass must roll back");
+                assert_eq!(
+                    db.all_indexes().len(),
+                    before,
+                    "cancelled pass must roll back"
+                );
             } else {
                 // The cancel landed after the last check of the pass;
                 // undo what it built so the next cut starts equal.
@@ -411,21 +457,31 @@ fn deadline_after_derivation_aborts_candidate_generation_between_tables() {
     let mut db = Database::new();
     let mut monitor = WorkloadMonitor::new();
     for t in 0..32 {
-        let columns = ["id"].iter().chain(&COLUMNS).map(|c| ColumnDef::new(*c, ColumnType::Int));
+        let columns = ["id"]
+            .iter()
+            .chain(&COLUMNS)
+            .map(|c| ColumnDef::new(*c, ColumnType::Int));
         db.create_table(TableSchema::new(format!("t{t}"), columns.collect(), &["id"]).unwrap())
             .unwrap();
         for from in 0..COLUMNS.len() {
             for to in from + 1..=COLUMNS.len() {
-                let filter: Vec<String> =
-                    COLUMNS[from..to].iter().map(|c| format!("{c} = {t}")).collect();
+                let filter: Vec<String> = COLUMNS[from..to]
+                    .iter()
+                    .map(|c| format!("{c} = {t}"))
+                    .collect();
                 let sql = format!("SELECT id FROM t{t} WHERE {}", filter.join(" AND "));
                 observe(&mut db, &mut monitor, &sql, 1);
             }
         }
     }
     db.analyze_all();
-    let workload =
-        select_workload(&monitor, &SelectionConfig { max_queries: usize::MAX, ..selection() });
+    let workload = select_workload(
+        &monitor,
+        &SelectionConfig {
+            max_queries: usize::MAX,
+            ..selection()
+        },
+    );
     let cfg = CandidateGenConfig::default();
 
     aim_telemetry::enable();
@@ -434,21 +490,31 @@ fn deadline_after_derivation_aborts_candidate_generation_between_tables() {
     let full = generate_candidates(&db, &workload, &cfg);
     let undisturbed = started.elapsed();
     let all_merges = aim_telemetry::metrics::PO_MERGES.get();
-    assert!(all_merges >= 32, "every table should merge something: {all_merges}");
+    assert!(
+        all_merges >= 32,
+        "every table should merge something: {all_merges}"
+    );
 
     const CUTS: u32 = 200;
     let mut stopped_between_tables = None;
     for cut in 0..CUTS {
         aim_telemetry::reset();
         let deadline = Instant::now() + undisturbed * 3 / 2 * cut / CUTS;
-        let result = try_generate_candidates(&db, &workload, &cfg, &RunCtl::new(None, Some(deadline)));
+        let result =
+            try_generate_candidates(&db, &workload, &cfg, &RunCtl::new(None, Some(deadline)));
         let merges = aim_telemetry::metrics::PO_MERGES.get();
         match result {
             Ok(candidates) => assert_eq!(candidates, full, "cut {cut}: a partial list escaped"),
             Err(err) => {
-                assert!(matches!(err, AimError::DeadlineExceeded { .. }), "cut {cut}: {err}");
+                assert!(
+                    matches!(err, AimError::DeadlineExceeded { .. }),
+                    "cut {cut}: {err}"
+                );
                 assert_eq!(err.phase(), "candidate_generation");
-                assert!(merges < all_merges, "cut {cut}: aborted after the last table");
+                assert!(
+                    merges < all_merges,
+                    "cut {cut}: aborted after the last table"
+                );
                 if merges > 0 {
                     stopped_between_tables = Some((cut, merges));
                     break;
@@ -458,7 +524,9 @@ fn deadline_after_derivation_aborts_candidate_generation_between_tables() {
     }
     aim_telemetry::disable();
     aim_telemetry::reset();
-    eprintln!("undisturbed {undisturbed:?}, {all_merges} merges; stopped at {stopped_between_tables:?}");
+    eprintln!(
+        "undisturbed {undisturbed:?}, {all_merges} merges; stopped at {stopped_between_tables:?}"
+    );
     assert!(
         stopped_between_tables.is_some(),
         "no deadline of {CUTS} across {undisturbed:?} stopped the merge phase between tables"
@@ -482,8 +550,14 @@ struct LpInstance {
 impl LpInstance {
     fn session(&self, strategy: SelectionStrategy) -> TuningSession {
         AimConfig::builder()
-            .selection(SelectionConfig { max_queries: usize::MAX, ..selection() })
-            .candidate_gen(CandidateGenConfig { join_parameter: 3, ..Default::default() })
+            .selection(SelectionConfig {
+                max_queries: usize::MAX,
+                ..selection()
+            })
+            .candidate_gen(CandidateGenConfig {
+                join_parameter: 3,
+                ..Default::default()
+            })
             .storage_budget(self.budget)
             .skip_validation(true)
             .selection_strategy(strategy)
@@ -493,7 +567,9 @@ impl LpInstance {
     /// One undisturbed pass on a clone, every what-if hit logged.
     fn pass(&self, strategy: SelectionStrategy) -> (u64, Vec<(String, u64, u64, u64)>) {
         fault::arm(FaultPlan::new(1).delay_ms("exec.whatif", 0, 0, u64::MAX));
-        let outcome = self.session(strategy).run(&mut self.db.clone(), &self.monitor);
+        let outcome = self
+            .session(strategy)
+            .run(&mut self.db.clone(), &self.monitor);
         let hits = fault::disarm().len() as u64;
         (hits, shape(&outcome.expect("undisturbed pass")))
     }
@@ -503,19 +579,35 @@ impl LpInstance {
         static INSTANCE: std::sync::OnceLock<LpInstance> = std::sync::OnceLock::new();
         INSTANCE.get_or_init(|| {
             let mut db = tpch::build_database(&tpch::TpchConfig::default());
-            let texts = [0xA1, 0xA2].into_iter().flat_map(tpch::query_texts).map(|(_, sql)| sql);
+            let texts = [0xA1, 0xA2]
+                .into_iter()
+                .flat_map(tpch::query_texts)
+                .map(|(_, sql)| sql);
             let monitor = common::observe(&mut db, texts);
-            let mut instance =
-                LpInstance { db, monitor, budget: u64::MAX, hits_before_lp: 0, hits: 0, created: Vec::new() };
+            let mut instance = LpInstance {
+                db,
+                monitor,
+                budget: u64::MAX,
+                hits_before_lp: 0,
+                hits: 0,
+                created: Vec::new(),
+            };
             // Greedy under an unbounded budget builds the full configuration;
             // under the real one it makes every what-if call of the LP pass
             // up to the selector.
-            let full: u64 =
-                instance.pass(SelectionStrategy::Greedy).1.iter().map(|c| c.3).sum();
+            let full: u64 = instance
+                .pass(SelectionStrategy::Greedy)
+                .1
+                .iter()
+                .map(|c| c.3)
+                .sum();
             instance.budget = full * 2 / 5;
             instance.hits_before_lp = instance.pass(SelectionStrategy::Greedy).0;
             (instance.hits, instance.created) = instance.pass(SelectionStrategy::Lp);
-            assert!(instance.hits > instance.hits_before_lp + 100, "the LP prices nothing");
+            assert!(
+                instance.hits > instance.hits_before_lp + 100,
+                "the LP prices nothing"
+            );
             instance
         })
     }
@@ -541,7 +633,12 @@ fn cancel_inside_lp_selection_aborts_within_one_whatif_call() {
         let calls_at_cancel = calls_at_cancel.expect("the selector makes k calls");
         let err = result.expect_err("cancelled pass must not complete");
         assert!(
-            matches!(err, AimError::Cancelled { phase: "selection_lp" }),
+            matches!(
+                err,
+                AimError::Cancelled {
+                    phase: "selection_lp"
+                }
+            ),
             "cancel after call {k} of {lp_hits}: {err}"
         );
         assert!(
@@ -549,7 +646,10 @@ fn cancel_inside_lp_selection_aborts_within_one_whatif_call() {
             "cancel after call {k}: {} more what-if calls began",
             calls_at_end - calls_at_cancel
         );
-        assert!(db.all_indexes().is_empty(), "cancelled pass must leave the database untouched");
+        assert!(
+            db.all_indexes().is_empty(),
+            "cancelled pass must leave the database untouched"
+        );
     }
 }
 
@@ -573,13 +673,29 @@ fn transient_fault_inside_lp_selection_is_retried() {
 
     let err = faulted.expect_err("an injected fault aborts the pass");
     assert_eq!(log.len(), 1, "exactly the planned fault fires: {log:?}");
-    assert!(matches!(err, AimError::Fault { phase: "selection_lp", .. }), "{err}");
+    assert!(
+        matches!(
+            err,
+            AimError::Fault {
+                phase: "selection_lp",
+                ..
+            }
+        ),
+        "{err}"
+    );
     assert_eq!(aborted, 1, "the abort is counted");
-    assert!(db.all_indexes().is_empty(), "the aborted pass built nothing");
+    assert!(
+        db.all_indexes().is_empty(),
+        "the aborted pass built nothing"
+    );
 
     let retried = lp.session(SelectionStrategy::Lp).run(&mut db, &lp.monitor);
     let retried = retried.expect("the next pass runs undisturbed");
-    assert_eq!(shape(&retried), lp.created, "the next pass builds the undisturbed set");
+    assert_eq!(
+        shape(&retried),
+        lp.created,
+        "the next pass builds the undisturbed set"
+    );
 }
 
 /// Satellite: a fault during validation (the test-bed clone fails once)
@@ -592,7 +708,12 @@ fn fault_during_validation_retries_to_bit_identical_outcome() {
     let setup = || {
         let mut db = db();
         let mut monitor = WorkloadMonitor::new();
-        observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 10);
+        observe(
+            &mut db,
+            &mut monitor,
+            "SELECT id FROM orders WHERE customer = 42",
+            10,
+        );
         (db, monitor)
     };
 
@@ -609,10 +730,16 @@ fn fault_during_validation_retries_to_bit_identical_outcome() {
     let err = faulted.expect_err("a clone fault must abort validation");
     assert!(matches!(err, AimError::Fault { .. }), "{err}");
     assert_eq!(err.phase(), "validation");
-    assert_eq!(db.all_indexes().len(), before, "aborted pass must roll back");
+    assert_eq!(
+        db.all_indexes().len(),
+        before,
+        "aborted pass must roll back"
+    );
     assert!(db.check_consistency().is_ok());
 
-    let retried = session().run(&mut db, &monitor).expect("the next pass runs");
+    let retried = session()
+        .run(&mut db, &monitor)
+        .expect("the next pass runs");
     assert_eq!(
         clean,
         shape(&retried),
@@ -628,7 +755,12 @@ fn exhausted_retries_abort_with_fault_error() {
     let _g = FaultGuard::acquire();
     let mut db = db();
     let mut monitor = WorkloadMonitor::new();
-    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 10);
+    observe(
+        &mut db,
+        &mut monitor,
+        "SELECT id FROM orders WHERE customer = 42",
+        10,
+    );
     let before = db.all_indexes().len();
 
     fault::arm(FaultPlan::new(55).fail("storage.clone", 0, u64::MAX));
@@ -662,15 +794,27 @@ fn next_window_retries_a_faulted_pass() {
     let _g = FaultGuard::acquire();
     let window = |db: &mut Database| {
         let mut monitor = WorkloadMonitor::new();
-        observe(db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 10);
-        observe(db, &mut monitor, "SELECT id FROM orders WHERE region = 3", 10);
+        observe(
+            db,
+            &mut monitor,
+            "SELECT id FROM orders WHERE customer = 42",
+            10,
+        );
+        observe(
+            db,
+            &mut monitor,
+            "SELECT id FROM orders WHERE region = 3",
+            10,
+        );
         monitor
     };
     let tuner = || ContinuousTuner::with_session(session(), 0.5);
 
     let mut clean_db = db();
     let monitor = window(&mut clean_db);
-    let clean = tuner().step(&mut clean_db, &monitor).expect("fault-free window");
+    let clean = tuner()
+        .step(&mut clean_db, &monitor)
+        .expect("fault-free window");
     let clean = shape(&clean.tuning);
     assert!(!clean.is_empty(), "fixture must create an index");
 
@@ -687,17 +831,29 @@ fn next_window_retries_a_faulted_pass() {
         let result = tuner.step(&mut db, &monitor);
         let log = fault::disarm();
         let err = result.expect_err("window 1 must fail");
-        assert_eq!(log.len(), 1, "[{site}] exactly the planned fault fires: {log:?}");
+        assert_eq!(
+            log.len(),
+            1,
+            "[{site}] exactly the planned fault fires: {log:?}"
+        );
         assert!(
             matches!(&err, AimError::Fault { phase: p, site: s } if *p == phase && s == site),
             "[{site}] {err}"
         );
-        assert_eq!(db.all_indexes(), before, "[{site}] window 1 must leave the indexes as they were");
+        assert_eq!(
+            db.all_indexes(),
+            before,
+            "[{site}] window 1 must leave the indexes as they were"
+        );
         db.check_consistency().unwrap();
 
         let monitor = window(&mut db);
         let retried = tuner.step(&mut db, &monitor).expect("window 2 tunes");
-        assert_eq!(shape(&retried.tuning), clean, "[{site}] window 2 must build what window 1 would have");
+        assert_eq!(
+            shape(&retried.tuning),
+            clean,
+            "[{site}] window 2 must build what window 1 would have"
+        );
     }
 }
 
@@ -708,14 +864,17 @@ fn next_window_retries_a_faulted_pass() {
 fn corrupted_statistics_do_not_break_consistency() {
     let _g = FaultGuard::acquire();
     let mut db = db();
-    let mut tuner = ContinuousTuner::with_session(
-        AimConfig::builder().selection(selection()).session(),
-        0.5,
-    );
+    let mut tuner =
+        ContinuousTuner::with_session(AimConfig::builder().selection(selection()).session(), 0.5);
     fault::arm(FaultPlan::new(66).corrupt_stats("storage.analyze", 0, u64::MAX));
     for window in 0..2 {
         let mut monitor = WorkloadMonitor::new();
-        observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 10);
+        observe(
+            &mut db,
+            &mut monitor,
+            "SELECT id FROM orders WHERE customer = 42",
+            10,
+        );
         let _ = tuner.step(&mut db, &monitor);
         assert!(
             db.check_consistency().is_ok(),
@@ -832,7 +991,12 @@ fn wal_fsync_fault_aborts_the_pass_and_the_next_pass_completes() {
     let dir = disk_dir("fsync");
     let mut db = disk_db(&dir, 3_000);
     let mut monitor = WorkloadMonitor::new();
-    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 10);
+    observe(
+        &mut db,
+        &mut monitor,
+        "SELECT id FROM orders WHERE customer = 42",
+        10,
+    );
     let before = db.all_indexes().len();
 
     fault::arm(FaultPlan::new(21).fail("storage.wal.fsync", 0, 1));
@@ -840,12 +1004,23 @@ fn wal_fsync_fault_aborts_the_pass_and_the_next_pass_completes() {
     let log = fault::disarm();
     assert_eq!(log.len(), 1, "exactly the planned fault fires: {log:?}");
     let err = faulted.expect_err("an fsync fault must abort the pass");
-    assert!(matches!(err, AimError::Fault { .. }), "fsync fault must classify as a fault: {err}");
-    assert_eq!(db.all_indexes().len(), before, "aborted pass must roll back");
+    assert!(
+        matches!(err, AimError::Fault { .. }),
+        "fsync fault must classify as a fault: {err}"
+    );
+    assert_eq!(
+        db.all_indexes().len(),
+        before,
+        "aborted pass must roll back"
+    );
     db.check_consistency().unwrap();
 
     let outcome = session().run(&mut db, &monitor).unwrap();
-    assert!(!outcome.created.is_empty(), "rejected: {:?}", outcome.rejected);
+    assert!(
+        !outcome.created.is_empty(),
+        "rejected: {:?}",
+        outcome.rejected
+    );
     db.check_consistency().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -863,7 +1038,9 @@ fn torn_page_write_fault_classifies_as_fault_and_recovers() {
     let mut db = disk_db(&dir, 3_000);
 
     fault::arm(FaultPlan::new(33).fail("storage.pager.write", 0, u64::MAX));
-    let err = db.checkpoint().expect_err("torn write must fail the checkpoint");
+    let err = db
+        .checkpoint()
+        .expect_err("torn write must fail the checkpoint");
     fault::disarm();
     assert!(err.is_injected(), "{err}");
     let classified = AimError::from_exec("checkpoint", aim_exec::ExecError::Storage(err));

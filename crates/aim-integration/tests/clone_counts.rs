@@ -43,7 +43,10 @@ use counting::measure;
 
 /// The fixture at `scale` (the default is `pass_golden.rs`'s 0.002).
 fn fixture(scale: f64) -> Database {
-    tpch::build_database(&tpch::TpchConfig { scale, ..Default::default() })
+    tpch::build_database(&tpch::TpchConfig {
+        scale,
+        ..Default::default()
+    })
 }
 
 /// Allocations and bytes of one operation, printed under its name.
@@ -91,13 +94,25 @@ fn a_clone_and_the_first_writes_to_it() {
     let shipdate = IndexDef::new("ix_l_shipdate", "lineitem", vec!["l_shipdate".into()]);
     bed.create_index(shipdate, &mut io).unwrap();
 
-    let nation = |key: i64| vec![Value::Int(key), Value::Str(format!("NATION{key}")), Value::Int(0)];
+    let nation = |key: i64| {
+        vec![
+            Value::Int(key),
+            Value::Str(format!("NATION{key}")),
+            Value::Int(0),
+        ]
+    };
     let (n1, n2) = (nation(90), nation(91));
     let insert = cost("INSERT nation, first write", || {
-        bed.table_mut("nation").unwrap().insert(n1, &mut io).unwrap()
+        bed.table_mut("nation")
+            .unwrap()
+            .insert(n1, &mut io)
+            .unwrap()
     });
     let insert_again = cost("INSERT nation, again", || {
-        bed.table_mut("nation").unwrap().insert(n2, &mut io).unwrap()
+        bed.table_mut("nation")
+            .unwrap()
+            .insert(n2, &mut io)
+            .unwrap()
     });
 
     // An UPDATE that moves one of the two index entries (l_partkey), not
@@ -112,13 +127,22 @@ fn a_clone_and_the_first_writes_to_it() {
     let (pk1, pk2, pk3) = (lineitem_pk(1, 1), lineitem_pk(1, 2), lineitem_pk(1, 3));
     let (r1, r2) = (updated(&pk1), updated(&pk2));
     let update = cost("UPDATE lineitem, first write", || {
-        bed.table_mut("lineitem").unwrap().update(&pk1, r1, &mut io).unwrap()
+        bed.table_mut("lineitem")
+            .unwrap()
+            .update(&pk1, r1, &mut io)
+            .unwrap()
     });
     let update_again = cost("UPDATE lineitem, again", || {
-        bed.table_mut("lineitem").unwrap().update(&pk2, r2, &mut io).unwrap()
+        bed.table_mut("lineitem")
+            .unwrap()
+            .update(&pk2, r2, &mut io)
+            .unwrap()
     });
     let delete = cost("DELETE lineitem", || {
-        bed.table_mut("lineitem").unwrap().delete(&pk3, &mut io).unwrap();
+        bed.table_mut("lineitem")
+            .unwrap()
+            .delete(&pk3, &mut io)
+            .unwrap();
     });
 
     // Before tables were copied on write, a clone copied every row and
@@ -171,7 +195,10 @@ fn try_clone_at_two_scales() {
 /// what-if cache starts empty.
 fn a_validated_pass() {
     let mut db = fixture(0.002);
-    let texts = [0xA1, 0xA2].into_iter().flat_map(tpch::query_texts).map(|(_, sql)| sql);
+    let texts = [0xA1, 0xA2]
+        .into_iter()
+        .flat_map(tpch::query_texts)
+        .map(|(_, sql)| sql);
     let monitor: WorkloadMonitor = common::observe(&mut db, texts);
     let selection = SelectionConfig {
         min_executions: 1,

@@ -152,7 +152,12 @@ pub fn product_b_fixture() -> Fixture {
         .iter()
         .flat_map(|s| s.variants.iter().map(|v| v.to_string()))
         .collect();
-    Fixture { name: "prodb", texts, db: w.db, indexes: w.dba_indexes }
+    Fixture {
+        name: "prodb",
+        texts,
+        db: w.db,
+        indexes: w.dba_indexes,
+    }
 }
 
 pub fn product_b() -> Corpus {
@@ -177,7 +182,12 @@ pub fn tpch_fixture() -> Fixture {
         index("ix_l_shipdate", "lineitem", "l_shipdate"),
         index("ix_c_nationkey", "customer", "c_nationkey"),
     ];
-    Fixture { name: "tpch", texts, db, indexes }
+    Fixture {
+        name: "tpch",
+        texts,
+        db,
+        indexes,
+    }
 }
 
 pub fn tpch() -> Corpus {
@@ -201,7 +211,12 @@ pub fn job_fixture() -> Fixture {
         index("ix_mk_movie", "movie_keyword", "movie_id"),
         index("ix_t_year", "title", "production_year"),
     ];
-    Fixture { name: "job", texts, db, indexes }
+    Fixture {
+        name: "job",
+        texts,
+        db,
+        indexes,
+    }
 }
 
 pub fn job() -> Corpus {
@@ -305,8 +320,12 @@ pub fn uniform_split(base: &AimConfig, fleet_budget: u64, tenants: &mut [Tenant]
     let share = fleet_budget / (tenants.len() as u64).max(1);
     let mut outcome = FleetOutcome::default();
     for t in tenants {
-        let session = FleetConfig::builder().base(with_budget(base, share)).session();
-        outcome.tenants.extend(session.run(std::slice::from_mut(t)).tenants);
+        let session = FleetConfig::builder()
+            .base(with_budget(base, share))
+            .session();
+        outcome
+            .tenants
+            .extend(session.run(std::slice::from_mut(t)).tenants);
     }
     outcome
 }

@@ -32,7 +32,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Every table's version, by name.
 fn versions(db: &Database) -> BTreeMap<String, u64> {
-    db.tables().map(|t| (t.schema().name.clone(), t.version())).collect()
+    db.tables()
+        .map(|t| (t.schema().name.clone(), t.version()))
+        .collect()
 }
 
 /// Executes every SELECT of `fixture` on its database and on a memory
@@ -101,7 +103,10 @@ fn an_update_on_a_clone_leaves_every_unwritten_table_as_the_source_has_it() {
     } = common::tpch_fixture();
     production::apply_indexes(&mut db, &indexes);
     let mut clone = db.clone();
-    run(&mut clone, "UPDATE orders SET o_totalprice = 0.0 WHERE o_orderkey = 1");
+    run(
+        &mut clone,
+        "UPDATE orders SET o_totalprice = 0.0 WHERE o_orderkey = 1",
+    );
     let (mut ours, mut theirs) = (versions(&db), versions(&clone));
     assert_ne!(ours.remove("orders"), theirs.remove("orders"));
     assert_eq!(ours, theirs, "an unwritten table drew a version");
@@ -115,7 +120,9 @@ fn an_update_on_a_clone_leaves_every_unwritten_table_as_the_source_has_it() {
     let (mut alike, mut moved) = (0, 0);
     for sql in &texts {
         let stmt = parse_statement(sql).unwrap();
-        let Statement::Select(sel) = &stmt else { continue };
+        let Statement::Select(sel) = &stmt else {
+            continue;
+        };
         let a = engine.execute(&mut db, &stmt).unwrap();
         let b = engine.execute(&mut clone, &stmt).unwrap();
         if sel.from.iter().any(|t| t.name == "orders") {
@@ -160,7 +167,10 @@ impl Seen {
     /// Asserts that every table of `db` holds a version never seen before.
     fn all_fresh(&mut self, db: &Database, what: &str) {
         for (name, version) in versions(db) {
-            assert!(self.0.insert(version), "{what}: version {version} of {name} seen before");
+            assert!(
+                self.0.insert(version),
+                "{what}: version {version} of {name} seen before"
+            );
         }
     }
 
@@ -181,7 +191,10 @@ impl Seen {
         let version = after.remove(table).unwrap();
         let was = before.remove(table);
         if fresh {
-            assert!(self.0.insert(version), "{what}: version {version} of {table} seen before");
+            assert!(
+                self.0.insert(version),
+                "{what}: version {version} of {table} seen before"
+            );
         } else {
             assert_eq!(Some(version), was, "{what}: {table} drew a version");
         }
@@ -193,14 +206,21 @@ impl Seen {
 fn every_change_draws_a_version_never_seen() {
     let mut seen = Seen::default();
     let mut db = Database::new();
-    seen.change(&mut db, "t", true, "create_table", |db| db.create_table(table("t")).unwrap());
-    seen.change(&mut db, "u", true, "create_table", |db| db.create_table(table("u")).unwrap());
+    seen.change(&mut db, "t", true, "create_table", |db| {
+        db.create_table(table("t")).unwrap()
+    });
+    seen.change(&mut db, "u", true, "create_table", |db| {
+        db.create_table(table("u")).unwrap()
+    });
     run(&mut db, "INSERT INTO u (id, a, b) VALUES (1, 1, 1)");
     db.analyze_all();
     seen.all_fresh(&db, "ANALYZE of both");
 
     for (what, sql) in [
-        ("INSERT", "INSERT INTO t (id, a, b) VALUES (1, 10, 0), (2, 20, 0), (3, 30, 0)"),
+        (
+            "INSERT",
+            "INSERT INTO t (id, a, b) VALUES (1, 10, 0), (2, 20, 0), (3, 30, 0)",
+        ),
         ("UPDATE", "UPDATE t SET a = 11 WHERE id = 1"),
         ("DELETE", "DELETE FROM t WHERE id = 3"),
     ] {
@@ -209,10 +229,24 @@ fn every_change_draws_a_version_never_seen() {
     seen.change(&mut db, "t", true, "table_mut", |db| {
         db.table_mut("t").unwrap();
     });
-    seen.change(&mut db, "t", true, "ANALYZE that changed statistics", Database::analyze_all);
-    seen.change(&mut db, "u", true, "DELETE", |db| run(db, "DELETE FROM u WHERE id = 1"));
+    seen.change(
+        &mut db,
+        "t",
+        true,
+        "ANALYZE that changed statistics",
+        Database::analyze_all,
+    );
+    seen.change(&mut db, "u", true, "DELETE", |db| {
+        run(db, "DELETE FROM u WHERE id = 1")
+    });
     db.analyze_all();
-    seen.change(&mut db, "t", false, "ANALYZE that changed nothing", Database::analyze_all);
+    seen.change(
+        &mut db,
+        "t",
+        false,
+        "ANALYZE that changed nothing",
+        Database::analyze_all,
+    );
     let ix_a = IndexDef::new("ix_a", "t", vec!["a".into()]);
     seen.change(&mut db, "t", true, "create_index", |db| {
         db.create_index(ix_a, &mut IoStats::new()).unwrap()
@@ -243,12 +277,18 @@ fn every_change_draws_a_version_never_seen() {
     });
     seen.change(&mut disk, "t", true, "insert on disk", |db| {
         let row = vec![Value::Int(1), Value::Int(10), Value::Int(0)];
-        db.table_mut("t").unwrap().insert(row, &mut IoStats::new()).unwrap()
+        db.table_mut("t")
+            .unwrap()
+            .insert(row, &mut IoStats::new())
+            .unwrap()
     });
     seen.all_fresh(&disk.clone(), "a clone of a disk-backed database");
     seen.all_fresh(&disk.try_clone().unwrap(), "another");
     drop(disk);
-    seen.all_fresh(&Database::open_disk(&dir, PagerOptions::default()).unwrap(), "reopening");
+    seen.all_fresh(
+        &Database::open_disk(&dir, PagerOptions::default()).unwrap(),
+        "reopening",
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -257,9 +297,14 @@ const TABLES: [&str; 3] = ["t0", "t1", "t2"];
 /// One SELECT over the tables of `set` (a bitmask over [`TABLES`]): an
 /// equi-join chain on `a` with a filter on the first table's `b`.
 fn select_over(set: usize) -> Select {
-    let names: Vec<&str> =
-        (0..TABLES.len()).filter(|i| set & (1 << i) != 0).map(|i| TABLES[i]).collect();
-    let joins: String = names.windows(2).map(|w| format!(" AND {}.a = {}.a", w[0], w[1])).collect();
+    let names: Vec<&str> = (0..TABLES.len())
+        .filter(|i| set & (1 << i) != 0)
+        .map(|i| TABLES[i])
+        .collect();
+    let joins: String = names
+        .windows(2)
+        .map(|w| format!(" AND {}.a = {}.a", w[0], w[1]))
+        .collect();
     let sql = format!(
         "SELECT {first}.id, {last}.b FROM {from} WHERE {first}.b < 6{joins} ORDER BY {first}.id",
         first = names[0],
@@ -289,7 +334,9 @@ fn observe(
     for (set, select) in selects {
         let names = select.from.iter().map(|t| t.name.as_str());
         let stamp = CostStamp::of(db, names.clone());
-        let versions = names.map(|name| db.table(name).unwrap().version()).collect();
+        let versions = names
+            .map(|name| db.table(name).unwrap().version())
+            .collect();
         let out = engine.execute_select(db, select).unwrap();
         assert_eq!(out.stamp, stamp, "{select}");
         let costs = [out.cost, out.plan.est_cost, out.plan.result_rows].map(f64::to_bits);
@@ -318,8 +365,9 @@ fn observe(
 fn equal_stamps_over_a_set_of_tables_mean_equal_tables_and_equal_executions() {
     let dir = std::env::temp_dir().join(format!("aim-content-stamps-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let selects: Vec<(usize, Select)> =
-        (1..1 << TABLES.len()).map(|set| (set, select_over(set))).collect();
+    let selects: Vec<(usize, Select)> = (1..1 << TABLES.len())
+        .map(|set| (set, select_over(set)))
+        .collect();
     let mut rng = StdRng::seed_from_u64(0x57a3);
     let disk = Database::open_disk(&dir, PagerOptions::default()).unwrap();
     let mut instances = vec![Database::new(), disk];
@@ -330,7 +378,10 @@ fn equal_stamps_over_a_set_of_tables_mean_equal_tables_and_equal_executions() {
             for _ in 0..12 {
                 next_id += 1;
                 let (a, b) = (next_id % 5, next_id % 11);
-                run(db, &format!("INSERT INTO {name} (id, a, b) VALUES ({next_id}, {a}, {b})"));
+                run(
+                    db,
+                    &format!("INSERT INTO {name} (id, a, b) VALUES ({next_id}, {a}, {b})"),
+                );
             }
         }
         db.analyze_all();
@@ -345,7 +396,10 @@ fn equal_stamps_over_a_set_of_tables_mean_equal_tables_and_equal_executions() {
         match rng.gen_range(0..8usize) {
             0 | 1 => {
                 next_id += 1;
-                run(db, &format!("INSERT INTO {name} (id, a, b) VALUES ({next_id}, {a}, {b})"));
+                run(
+                    db,
+                    &format!("INSERT INTO {name} (id, a, b) VALUES ({next_id}, {a}, {b})"),
+                );
             }
             2 => run(db, &format!("UPDATE {name} SET b = {b} WHERE a = {a}")),
             3 => run(db, &format!("DELETE FROM {name} WHERE a = {a} AND b = {b}")),

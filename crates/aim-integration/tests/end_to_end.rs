@@ -166,9 +166,7 @@ fn dba_and_aim_configurations_perform_comparably() {
         "AIM config much worse than DBA: {aim_cost:.1} vs {dba_cost:.1}"
     );
     // And with no more storage (the paper: usually fewer/smaller indexes).
-    assert!(
-        aim_db.total_secondary_index_bytes() <= dba_db.total_secondary_index_bytes() * 3 / 2
-    );
+    assert!(aim_db.total_secondary_index_bytes() <= dba_db.total_secondary_index_bytes() * 3 / 2);
 }
 
 fn aim_bench_bootstrap(

@@ -224,9 +224,19 @@ fn dml_statements() -> Vec<(String, Statement)> {
                 round % 5,
                 round + 3
             ),
-            format!("UPDATE orders SET note = 'touched' WHERE id = {}", round * 11),
-            format!("DELETE FROM orders WHERE id >= {} AND id < {}", 300 + round * 10, 305 + round * 10),
-            format!("DELETE FROM orders WHERE customer_id = {} AND region = 1", round + 20),
+            format!(
+                "UPDATE orders SET note = 'touched' WHERE id = {}",
+                round * 11
+            ),
+            format!(
+                "DELETE FROM orders WHERE id >= {} AND id < {}",
+                300 + round * 10,
+                305 + round * 10
+            ),
+            format!(
+                "DELETE FROM orders WHERE customer_id = {} AND region = 1",
+                round + 20
+            ),
             format!(
                 "INSERT INTO orders (id, customer_id, region, amount, note) \
                  VALUES ({}, 7, 3, 9.25, 'late')",

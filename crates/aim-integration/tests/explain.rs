@@ -12,9 +12,7 @@ use aim_core::AimConfig;
 use aim_exec::{explain_select, AccessPath, Engine, HypoConfig, HypotheticalIndex};
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_sql::{parse_statement, Statement};
-use aim_storage::{
-    ColumnDef, ColumnType, Database, IndexDef, IoStats, TableSchema, Value,
-};
+use aim_storage::{ColumnDef, ColumnType, Database, IndexDef, IoStats, TableSchema, Value};
 use aim_telemetry::jsonv::{self, Json};
 use aim_workloads::rng::{Rng, SeedableRng, StdRng};
 use std::path::PathBuf;
@@ -71,10 +69,11 @@ fn db() -> Database {
             .unwrap();
     }
     db.create_index(
-        IndexDef::new("ix_orders_customer_region", "orders", vec![
-            "customer".into(),
-            "region".into(),
-        ]),
+        IndexDef::new(
+            "ix_orders_customer_region",
+            "orders",
+            vec!["customer".into(), "region".into()],
+        ),
         &mut io,
     )
     .unwrap();
@@ -102,7 +101,10 @@ fn assert_golden(name: &str, actual: &str) {
         return;
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden file {} ({e}); regenerate with BLESS=1", path.display())
+        panic!(
+            "missing golden file {} ({e}); regenerate with BLESS=1",
+            path.display()
+        )
     });
     assert_eq!(
         actual,
@@ -164,21 +166,34 @@ fn assert_explain_is_the_search(db: &Database, sql: &str, config: &HypoConfig) {
             AccessPath::FullScan => assert_eq!(chosen.access, "full scan", "{sql}"),
             AccessPath::IndexScan(ix) => {
                 assert_eq!(chosen.index.as_deref(), Some(&*ix.index.label()), "{sql}");
-                assert_eq!((chosen.eq_prefix, chosen.range), (ix.eq.len(), ix.range.is_some()));
+                assert_eq!(
+                    (chosen.eq_prefix, chosen.range),
+                    (ix.eq.len(), ix.range.is_some())
+                );
             }
             AccessPath::OrUnion(_) => assert!(chosen.access.starts_with("index-merge"), "{sql}"),
         }
         for alt in node.rejected() {
-            assert!(alt.est_cost.unwrap() >= cost, "{sql}: cheaper than chosen: {alt:?}");
+            assert!(
+                alt.est_cost.unwrap() >= cost,
+                "{sql}: cheaper than chosen: {alt:?}"
+            );
         }
 
         let table = db.table(&node.table).unwrap();
         let mut visible = vec!["PRIMARY".to_string()];
         visible.extend(table.indexes().map(|ix| ix.def().name.clone()));
-        visible.extend(config.for_table(&node.table).map(|(i, _)| format!("<hypo#{i}>")));
+        visible.extend(
+            config
+                .for_table(&node.table)
+                .map(|(i, _)| format!("<hypo#{i}>")),
+        );
         visible.sort();
-        let mut listed: Vec<String> =
-            node.alternatives.iter().filter_map(|a| a.index.clone()).collect();
+        let mut listed: Vec<String> = node
+            .alternatives
+            .iter()
+            .filter_map(|a| a.index.clone())
+            .collect();
         listed.sort();
         assert_eq!(listed, visible, "{sql}");
     }
@@ -189,14 +204,28 @@ fn assert_explain_is_the_search(db: &Database, sql: &str, config: &HypoConfig) {
 /// overlaid as hypotheticals, and with it built.
 #[test]
 fn explain_is_the_search() {
-    for fixture in [common::tpch_fixture(), common::job_fixture(), common::product_b_fixture()] {
-        let common::Fixture { mut texts, mut db, indexes, .. } = fixture;
+    for fixture in [
+        common::tpch_fixture(),
+        common::job_fixture(),
+        common::product_b_fixture(),
+    ] {
+        let common::Fixture {
+            mut texts,
+            mut db,
+            indexes,
+            ..
+        } = fixture;
         if texts.len() > 500 {
             let mut rng = StdRng::seed_from_u64(0xe5a1);
-            texts = (0..500).map(|_| texts[rng.gen_range(0..texts.len())].clone()).collect();
+            texts = (0..500)
+                .map(|_| texts[rng.gen_range(0..texts.len())].clone())
+                .collect();
         }
         let overlay = HypoConfig::overlay(
-            indexes.iter().filter_map(|def| HypotheticalIndex::build(&db, def.clone())).collect(),
+            indexes
+                .iter()
+                .filter_map(|def| HypotheticalIndex::build(&db, def.clone()))
+                .collect(),
         );
         assert!(!overlay.indexes().is_empty());
         for sql in &texts {
@@ -301,16 +330,26 @@ fn ledger_round_trip_explains_every_selected_index() {
                 .iter()
                 .position(|s| s == want)
                 .unwrap_or_else(|| panic!("{}: missing stage {want} in {stages:?}", c.def.name));
-            assert!(pos >= last, "{}: stage {want} out of order in {stages:?}", c.def.name);
+            assert!(
+                pos >= last,
+                "{}: stage {want} out of order in {stages:?}",
+                c.def.name
+            );
             last = pos;
         }
-        assert_eq!(rec.path("outcome").and_then(Json::as_str), Some("materialized"));
+        assert_eq!(
+            rec.path("outcome").and_then(Json::as_str),
+            Some("materialized")
+        );
         assert_eq!(
             rec.path("size_bytes").and_then(Json::as_f64),
             Some(c.size_bytes as f64)
         );
         assert!(
-            !rec.path("sources").and_then(Json::as_arr).unwrap().is_empty(),
+            !rec.path("sources")
+                .and_then(Json::as_arr)
+                .unwrap()
+                .is_empty(),
             "{}: no generation provenance",
             c.def.name
         );
@@ -335,7 +374,12 @@ fn ledger_round_trip_explains_every_selected_index() {
             "unexpected terminal stage {outcome_stage}"
         );
         let events = r.path("events").and_then(Json::as_arr).unwrap();
-        let detail = events.last().unwrap().path("detail").and_then(Json::as_str).unwrap();
+        let detail = events
+            .last()
+            .unwrap()
+            .path("detail")
+            .and_then(Json::as_str)
+            .unwrap();
         assert!(!detail.is_empty(), "rejection without a reason");
     }
 }

@@ -114,8 +114,10 @@ fn single_tenant_fleet_bit_identical_to_tuning_session() {
     let mut bare_db = orders_db(6000);
     let mut bare_monitor = WorkloadMonitor::new();
     populate(&mut bare_db, &mut bare_monitor);
-    let bare_session: TuningSession =
-        AimConfig::builder().selection(selection()).ledger(true).session();
+    let bare_session: TuningSession = AimConfig::builder()
+        .selection(selection())
+        .ledger(true)
+        .session();
     let bare = bare_session
         .run(&mut bare_db, &bare_monitor)
         .expect("bare pass converges");
@@ -133,14 +135,20 @@ fn single_tenant_fleet_bit_identical_to_tuning_session() {
         .run(&mut tenants);
 
     assert_eq!(fleet.tenants.len(), 1);
-    assert_eq!(fleet.budget_transfers, 0, "no allocation phase for one tenant");
+    assert_eq!(
+        fleet.budget_transfers, 0,
+        "no allocation phase for one tenant"
+    );
     let t = &fleet.tenants[0];
     let fleet_outcome = t.result.as_ref().expect("degenerate pass converges");
 
     assert_eq!(shape(&bare), shape(fleet_outcome));
     assert_eq!(bare.rejected, fleet_outcome.rejected);
     assert_eq!(bare.workload_size, fleet_outcome.workload_size);
-    assert_eq!(bare.candidates_generated, fleet_outcome.candidates_generated);
+    assert_eq!(
+        bare.candidates_generated,
+        fleet_outcome.candidates_generated
+    );
     assert_eq!(
         Some(bare_session.ledger_json()),
         t.ledger_json,
@@ -200,7 +208,8 @@ fn one_tenant_faulting_does_not_abort_the_fleet() {
         let o = out.result.as_ref().expect("unfaulted tenant converges");
         assert!(!o.created.is_empty(), "{} tunes normally", out.id);
         assert!(!t.db.all_indexes().is_empty());
-        t.db.check_consistency().expect("consistent after fleet pass");
+        t.db.check_consistency()
+            .expect("consistent after fleet pass");
     }
     tenants[0]
         .db
@@ -215,7 +224,12 @@ fn fleet_with_one_probe_fault() -> (FleetOutcome, Vec<Tenant>, Vec<aim_telemetry
     let mut tenants: Vec<Tenant> = (0..4)
         .map(|i| {
             let mut t = Tenant::new(format!("tenant-{i}"), orders_db(3000 + 500 * i));
-            observe(&mut t.db, &mut t.monitor, "SELECT id FROM orders WHERE customer = 42", 6);
+            observe(
+                &mut t.db,
+                &mut t.monitor,
+                "SELECT id FROM orders WHERE customer = 42",
+                6,
+            );
             t
         })
         .collect();
@@ -243,7 +257,10 @@ fn probe_failure_is_counted_and_journaled_like_a_tune_failure() {
     let _g = FaultGuard::acquire();
     let (outcome, tenants, events) = fleet_with_one_probe_fault();
     assert_eq!(outcome.failed(), 1);
-    assert!(outcome.tenants[0].result.is_err(), "the first what-if call is tenant-0's");
+    assert!(
+        outcome.tenants[0].result.is_err(),
+        "the first what-if call is tenant-0's"
+    );
     for (t, out) in tenants.iter().zip(&outcome.tenants).skip(1) {
         let o = out.result.as_ref().expect("unfaulted tenant converges");
         assert!(!o.created.is_empty(), "{} tunes normally", out.id);
@@ -258,7 +275,11 @@ fn probe_failure_is_counted_and_journaled_like_a_tune_failure() {
         .filter(|e| e.kind == aim_telemetry::EventKind::PassAborted && e.target == "tenant-0")
         .collect();
     assert_eq!(aborted.len(), 1, "{events:?}");
-    assert!(aborted[0].detail.contains("exec.whatif"), "{}", aborted[0].detail);
+    assert!(
+        aborted[0].detail.contains("exec.whatif"),
+        "{}",
+        aborted[0].detail
+    );
 }
 
 /// The `fleet.budget_used_bytes` gauge counts what a tenant's budget is
@@ -267,11 +288,17 @@ fn probe_failure_is_counted_and_journaled_like_a_tune_failure() {
 #[test]
 fn budget_used_gauge_counts_every_shard() {
     let _g = FaultGuard::acquire();
-    let mut tenants: Vec<Tenant> = generate_fleet(&FleetSpec { tenants: 8, ..FleetSpec::default() })
-        .into_iter()
-        .map(|w| w.tenant)
-        .collect();
-    assert!(tenants.iter().any(|t| t.profile.is_some()), "the fleet has a sharded tenant");
+    let mut tenants: Vec<Tenant> = generate_fleet(&FleetSpec {
+        tenants: 8,
+        ..FleetSpec::default()
+    })
+    .into_iter()
+    .map(|w| w.tenant)
+    .collect();
+    assert!(
+        tenants.iter().any(|t| t.profile.is_some()),
+        "the fleet has a sharded tenant"
+    );
     aim_telemetry::enable();
     aim_telemetry::reset();
     let outcome = FleetConfig::builder()
@@ -282,7 +309,14 @@ fn budget_used_gauge_counts_every_shard() {
     aim_telemetry::disable();
     assert_eq!(outcome.failed(), 0);
     for t in &outcome.tenants {
-        let created: u64 = t.result.as_ref().unwrap().created.iter().map(|c| c.size_bytes).sum();
+        let created: u64 = t
+            .result
+            .as_ref()
+            .unwrap()
+            .created
+            .iter()
+            .map(|c| c.size_bytes)
+            .sum();
         let used: Vec<i64> = snap
             .gauges
             .iter()
@@ -317,11 +351,15 @@ fn knapsack_allocation_beats_uniform_split_on_workload_cost() {
     let mut ratios = Vec::new();
     for tenants in [6, 10, 16] {
         for seed in [42, 1, 2] {
-            let spec = FleetSpec { tenants, seed, base_rows: 1200, ..FleetSpec::default() };
+            let spec = FleetSpec {
+                tenants,
+                seed,
+                base_rows: 1200,
+                ..FleetSpec::default()
+            };
             let workloads = generate_fleet(&spec);
             let run = |budget: u64, uniform: bool| -> (f64, FleetOutcome) {
-                let mut tenants: Vec<Tenant> =
-                    workloads.iter().map(|w| w.tenant.clone()).collect();
+                let mut tenants: Vec<Tenant> = workloads.iter().map(|w| w.tenant.clone()).collect();
                 let outcome = if uniform {
                     common::uniform_split(&base, budget, &mut tenants)
                 } else {
@@ -343,7 +381,10 @@ fn knapsack_allocation_beats_uniform_split_on_workload_cost() {
                 .flat_map(|o| o.created.iter())
                 .map(|c| c.size_bytes)
                 .sum();
-            assert!(full_build > 0, "the fleet must build something unconstrained");
+            assert!(
+                full_build > 0,
+                "the fleet must build something unconstrained"
+            );
             let budget = (full_build as f64 * 0.35) as u64;
 
             let (uniform_cost, _) = run(budget, true);
@@ -357,11 +398,17 @@ fn knapsack_allocation_beats_uniform_split_on_workload_cost() {
                 knapsack_cost < uniform_cost,
                 "{at}: knapsack split must beat uniform: {knapsack_cost:.1} vs {uniform_cost:.1}"
             );
-            println!("{at}: knapsack / uniform = {:.3}", knapsack_cost / uniform_cost);
+            println!(
+                "{at}: knapsack / uniform = {:.3}",
+                knapsack_cost / uniform_cost
+            );
             ratios.push(knapsack_cost / uniform_cost);
         }
     }
     let min = ratios.iter().copied().fold(f64::INFINITY, f64::min);
     let max = ratios.iter().copied().fold(0.0, f64::max);
-    println!("knapsack / uniform at 35 %: {min:.3}..{max:.3} over {} fleets", ratios.len());
+    println!(
+        "knapsack / uniform at 35 %: {min:.3}..{max:.3} over {} fleets",
+        ratios.len()
+    );
 }

@@ -80,7 +80,12 @@ fn every_served_metric_has_curated_help() {
     ];
     for t in tenants.iter_mut() {
         let _scope = aim_telemetry::scope(&t.id);
-        run_queries(&mut t.db, &mut t.monitor, "SELECT id FROM t WHERE a = 5", 10);
+        run_queries(
+            &mut t.db,
+            &mut t.monitor,
+            "SELECT id FROM t WHERE a = 5",
+            10,
+        );
     }
     let fleet = FleetConfig::builder()
         .base(
@@ -236,7 +241,11 @@ fn cardinality_cap_folds_deterministically_and_conserves_totals() {
             .sum();
         assert_eq!(series, total, "case {case}");
         assert_eq!(snap.counter("monitor.records"), Some(total), "case {case}");
-        assert_eq!(aim_telemetry::metrics::MONITOR_RECORDS.get(), total, "case {case}");
+        assert_eq!(
+            aim_telemetry::metrics::MONITOR_RECORDS.get(),
+            total,
+            "case {case}"
+        );
     }
 
     aim_telemetry::reset();
@@ -312,7 +321,10 @@ fn artifact_json_roundtrips_through_jsonv() {
         .iter()
         .find(|e| e.get("kind").and_then(Json::as_str) == Some("index_accepted"))
         .expect("recorded event present in artifact");
-    assert_eq!(event.get("target").and_then(Json::as_str), Some("aim_\"t\"_a"));
+    assert_eq!(
+        event.get("target").and_then(Json::as_str),
+        Some("aim_\"t\"_a")
+    );
     assert_eq!(event.get("detail").and_then(Json::as_str), Some(nasty));
     // The structural sections all materialized through the parser too.
     assert!(parsed.get("profile").and_then(Json::as_arr).is_some());

@@ -19,9 +19,9 @@ mod common;
 
 use aim_core::fleet::{FleetConfig, FleetOutcome, Tenant};
 use aim_core::{
-    config_size, generate_candidates, knapsack, knapsack_select,
-    rank_candidates_with, refine_selection, AimAdvisor, AimConfig, AimConfigBuilder, AimOutcome,
-    CandidateGenConfig, IndexAdvisor, RankedCandidate, RunCtl, SelectionStrategy, WeightedQuery,
+    config_size, generate_candidates, knapsack, knapsack_select, rank_candidates_with,
+    refine_selection, AimAdvisor, AimConfig, AimConfigBuilder, AimOutcome, CandidateGenConfig,
+    IndexAdvisor, RankedCandidate, RunCtl, SelectionStrategy, WeightedQuery,
 };
 use aim_exec::{CostModel, Engine};
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor};
@@ -39,7 +39,12 @@ const FOLD_HEAD: usize = 20;
 fn section(out: &mut String, title: &str, lines: Vec<String>) {
     if lines.len() > FOLD_OVER {
         let digest = fnv1a(lines.join("\n").as_bytes());
-        writeln!(out, "{title}: {} lines, fnv {digest:016x}, first {FOLD_HEAD}", lines.len()).unwrap();
+        writeln!(
+            out,
+            "{title}: {} lines, fnv {digest:016x}, first {FOLD_HEAD}",
+            lines.len()
+        )
+        .unwrap();
         for line in &lines[..FOLD_HEAD] {
             writeln!(out, "  {line}").unwrap();
         }
@@ -121,7 +126,11 @@ fn outcome_lines(out: &mut String, title: &str, outcome: &AimOutcome) {
     section(
         out,
         &format!("{title} rejected"),
-        outcome.rejected.iter().map(|(n, why)| format!("{n}: {why}")).collect(),
+        outcome
+            .rejected
+            .iter()
+            .map(|(n, why)| format!("{n}: {why}"))
+            .collect(),
     );
 }
 
@@ -136,7 +145,10 @@ fn rank(
     let workload = select_workload(monitor, &selection());
     let candidates = generate_candidates(db, &workload, gen);
     let ranked = rank_candidates_with(db, &workload, &candidates, &CostModel, 0);
-    let full = knapsack_select(&ranked, u64::MAX, 0).iter().map(|r| r.size_bytes).sum();
+    let full = knapsack_select(&ranked, u64::MAX, 0)
+        .iter()
+        .map(|r| r.size_bytes)
+        .sum();
     (candidates.len(), ranked, full)
 }
 
@@ -160,12 +172,24 @@ impl Case {
 fn pass_case(out: &mut String, case: &Case) {
     let name = case.name;
     let (generated, ranked, full) = rank(&case.db, &case.monitor, &CandidateGenConfig::default());
-    writeln!(out, "[{name}] generated={generated} full_configuration={full}").unwrap();
-    section(out, &format!("[{name}] ranked"), ranked.iter().map(ranked_line).collect());
+    writeln!(
+        out,
+        "[{name}] generated={generated} full_configuration={full}"
+    )
+    .unwrap();
+    section(
+        out,
+        &format!("[{name}] ranked"),
+        ranked.iter().map(ranked_line).collect(),
+    );
     for (label, budget) in [("inf", u64::MAX), ("40%", full * 2 / 5), ("10%", full / 10)] {
         let mut decisions = Vec::new();
         let chosen = knapsack(&ranked, budget, 0, Some(&mut decisions));
-        section(out, &format!("[{name}] knapsack {label} chosen"), names(&chosen));
+        section(
+            out,
+            &format!("[{name}] knapsack {label} chosen"),
+            names(&chosen),
+        );
         section(
             out,
             &format!("[{name}] knapsack {label} decisions"),
@@ -183,35 +207,81 @@ fn pass_case(out: &mut String, case: &Case) {
 
     let with_ledger = case.builder().ledger(true).session();
     let mut db = case.db.clone();
-    let first = with_ledger.run(&mut db, &case.monitor).expect("pass with ledger");
+    let first = with_ledger
+        .run(&mut db, &case.monitor)
+        .expect("pass with ledger");
     outcome_lines(out, &format!("[{name}] pass1"), &first);
     let ledger = with_ledger.ledger_json();
-    writeln!(out, "[{name}] pass1 ledger fnv {:016x}", fnv1a(ledger.as_bytes())).unwrap();
+    writeln!(
+        out,
+        "[{name}] pass1 ledger fnv {:016x}",
+        fnv1a(ledger.as_bytes())
+    )
+    .unwrap();
 
     let mut plain_db = case.db.clone();
-    let plain = case.builder().session().run(&mut plain_db, &case.monitor).expect("pass");
-    assert_eq!(created(&first), created(&plain), "{name}: the ledger changed the pass");
-    assert_eq!(first.rejected, plain.rejected, "{name}: the ledger changed the pass");
+    let plain = case
+        .builder()
+        .session()
+        .run(&mut plain_db, &case.monitor)
+        .expect("pass");
+    assert_eq!(
+        created(&first),
+        created(&plain),
+        "{name}: the ledger changed the pass"
+    );
+    assert_eq!(
+        first.rejected, plain.rejected,
+        "{name}: the ledger changed the pass"
+    );
 
     // The same window again on the tuned database: candidates an index now
     // serves are filtered before ranking.
-    let second = with_ledger.run(&mut db, &case.monitor).expect("second pass");
+    let second = with_ledger
+        .run(&mut db, &case.monitor)
+        .expect("second pass");
     outcome_lines(out, &format!("[{name}] pass2"), &second);
     let ledger = with_ledger.ledger_json();
-    writeln!(out, "[{name}] pass2 ledger fnv {:016x}", fnv1a(ledger.as_bytes())).unwrap();
+    writeln!(
+        out,
+        "[{name}] pass2 ledger fnv {:016x}",
+        fnv1a(ledger.as_bytes())
+    )
+    .unwrap();
 }
 
 fn tpch_case() -> Case {
     let mut db = tpch::build_database(&tpch::TpchConfig::default());
-    let texts = [0xA1, 0xA2].into_iter().flat_map(tpch::query_texts).map(|(_, sql)| sql);
+    let texts = [0xA1, 0xA2]
+        .into_iter()
+        .flat_map(tpch::query_texts)
+        .map(|(_, sql)| sql);
     let monitor = observe(&mut db, parsed(texts));
-    Case { name: "tpch", db, monitor, budget: u64::MAX, skip_validation: false }
+    Case {
+        name: "tpch",
+        db,
+        monitor,
+        budget: u64::MAX,
+        skip_validation: false,
+    }
 }
 
 fn job_case() -> Case {
-    let mut db = job::build_database(&job::JobConfig { titles: 1500, ..Default::default() });
-    let monitor = observe(&mut db, parsed(job::query_texts(0x10B).into_iter().map(|(_, sql)| sql)));
-    Case { name: "job", db, monitor, budget: u64::MAX, skip_validation: false }
+    let mut db = job::build_database(&job::JobConfig {
+        titles: 1500,
+        ..Default::default()
+    });
+    let monitor = observe(
+        &mut db,
+        parsed(job::query_texts(0x10B).into_iter().map(|(_, sql)| sql)),
+    );
+    Case {
+        name: "job",
+        db,
+        monitor,
+        budget: u64::MAX,
+        skip_validation: false,
+    }
 }
 
 /// Product B as the benchmark's `prod_advise` runs it: estimate-only,
@@ -219,20 +289,42 @@ fn job_case() -> Case {
 fn product_b_case() -> Case {
     let w = production::build(&production::profiles()[1]);
     let mut db = w.db;
-    let monitor = observe(&mut db, w.specs.iter().flat_map(|s| s.variants.iter().cloned()));
-    Case { name: "prodb", db, monitor, budget: 12 << 20, skip_validation: true }
+    let monitor = observe(
+        &mut db,
+        w.specs.iter().flat_map(|s| s.variants.iter().cloned()),
+    );
+    Case {
+        name: "prodb",
+        db,
+        monitor,
+        budget: 12 << 20,
+        skip_validation: true,
+    }
 }
 
 fn oltp_case() -> Case {
     let mut db = common::oltp_db();
     let monitor = observe(&mut db, parsed(common::oltp_texts()));
     db.analyze_all();
-    Case { name: "oltp", db, monitor, budget: u64::MAX, skip_validation: false }
+    Case {
+        name: "oltp",
+        db,
+        monitor,
+        budget: u64::MAX,
+        skip_validation: false,
+    }
 }
 
 fn fleet_section(out: &mut String) {
-    let workloads = generate_fleet(&FleetSpec { tenants: 6, base_rows: 1200, ..FleetSpec::default() });
-    let base = AimConfig::builder().selection(selection()).ledger(true).build();
+    let workloads = generate_fleet(&FleetSpec {
+        tenants: 6,
+        base_rows: 1200,
+        ..FleetSpec::default()
+    });
+    let base = AimConfig::builder()
+        .selection(selection())
+        .ledger(true)
+        .build();
     // The uniform split is every tenant tuned alone under `budget / n`.
     let run = |budget: u64, uniform: bool| -> FleetOutcome {
         let mut tenants: Vec<Tenant> = workloads.iter().map(|w| w.tenant.clone()).collect();
@@ -265,7 +357,12 @@ fn fleet_section(out: &mut String) {
         .unwrap();
         for t in &outcome.tenants {
             let result = match &t.result {
-                Ok(o) => o.created.iter().map(|c| c.def.name.clone()).collect::<Vec<_>>().join(","),
+                Ok(o) => o
+                    .created
+                    .iter()
+                    .map(|c| c.def.name.clone())
+                    .collect::<Vec<_>>()
+                    .join(","),
                 Err(e) => format!("error {e}"),
             };
             let ledger = t.ledger_json.as_deref().map_or(0, |j| fnv1a(j.as_bytes()));
@@ -287,7 +384,9 @@ fn advisor_section(out: &mut String, name: &str, db: &Database, workload: &[Weig
         section(
             out,
             &format!("[advisor {name}] {label} size={}", config_size(db, &defs)),
-            defs.iter().map(|d| format!("{}({})", d.name, d.columns.join(","))).collect(),
+            defs.iter()
+                .map(|d| format!("{}({})", d.name, d.columns.join(",")))
+                .collect(),
         );
     }
 }
@@ -296,10 +395,16 @@ fn advisor_section(out: &mut String, name: &str, db: &Database, workload: &[Weig
 /// estimate-only: greedy fills up with small dense indexes and can no longer
 /// fit the one large index the LP relaxation starts from.
 fn lp_section(out: &mut String, tpch: &Case) {
-    let gen = CandidateGenConfig { join_parameter: 3, ..Default::default() };
+    let gen = CandidateGenConfig {
+        join_parameter: 3,
+        ..Default::default()
+    };
     let (_, _, full) = rank(&tpch.db, &tpch.monitor, &gen);
     let budget = full * 2 / 5;
-    for (label, strategy) in [("greedy", SelectionStrategy::Greedy), ("lp", SelectionStrategy::Lp)] {
+    for (label, strategy) in [
+        ("greedy", SelectionStrategy::Greedy),
+        ("lp", SelectionStrategy::Lp),
+    ] {
         let session = tpch
             .builder()
             .candidate_gen(gen.clone())
@@ -310,10 +415,18 @@ fn lp_section(out: &mut String, tpch: &Case) {
             .session();
         let mut db = tpch.db.clone();
         let outcome = session.run(&mut db, &tpch.monitor).expect("pass");
-        outcome_lines(out, &format!("[lp tpch j=3 40% {label}] budget={budget}"), &outcome);
+        outcome_lines(
+            out,
+            &format!("[lp tpch j=3 40% {label}] budget={budget}"),
+            &outcome,
+        );
         let ledger = session.ledger();
         let count = |stage: &str| {
-            ledger.records().iter().filter(|r| r.stages().contains(&stage)).count()
+            ledger
+                .records()
+                .iter()
+                .filter(|r| r.stages().contains(&stage))
+                .count()
         };
         writeln!(
             out,
@@ -336,9 +449,19 @@ fn pass_decisions_match_golden() {
     pass_case(&mut actual, &product_b_case());
     pass_case(&mut actual, &oltp_case());
     fleet_section(&mut actual);
-    advisor_section(&mut actual, "tpch", &tpch.db, &tpch::weighted_workload(0xA1));
+    advisor_section(
+        &mut actual,
+        "tpch",
+        &tpch.db,
+        &tpch::weighted_workload(0xA1),
+    );
     let tpcds_db = tpcds::build_database(&tpcds::TpcdsConfig::default());
-    advisor_section(&mut actual, "tpcds", &tpcds_db, &tpcds::weighted_workload(0xD5));
+    advisor_section(
+        &mut actual,
+        "tpcds",
+        &tpcds_db,
+        &tpcds::weighted_workload(0xD5),
+    );
     advisor_section(&mut actual, "job", &job.db, &job::weighted_workload(0x10B));
     lp_section(&mut actual, &tpch);
 
@@ -352,7 +475,10 @@ fn pass_decisions_match_golden() {
 #[test]
 fn lp_selection_replaces_greedy_where_greedy_strands_the_budget() {
     let tpch = tpch_case();
-    let gen = CandidateGenConfig { join_parameter: 3, ..Default::default() };
+    let gen = CandidateGenConfig {
+        join_parameter: 3,
+        ..Default::default()
+    };
     let (_, ranked, full) = rank(&tpch.db, &tpch.monitor, &gen);
     let budget = full * 2 / 5;
     let workload = select_workload(&tpch.monitor, &selection());
@@ -366,7 +492,11 @@ fn lp_selection_replaces_greedy_where_greedy_strands_the_budget() {
         &RunCtl::none(),
     )
     .expect("nothing interrupts or fails the refinement");
-    assert!(lp.used_lp, "greedy kept: lp {} vs greedy {}", lp.lp_cost, lp.greedy_cost);
+    assert!(
+        lp.used_lp,
+        "greedy kept: lp {} vs greedy {}",
+        lp.lp_cost, lp.greedy_cost
+    );
     assert!(lp.lp_cost < lp.greedy_cost);
     assert!(lp.chosen.iter().map(|r| r.size_bytes).sum::<u64>() <= budget);
     assert_ne!(names(&lp.chosen), names(&greedy));
@@ -380,19 +510,34 @@ fn lp_selection_replaces_greedy_where_greedy_strands_the_budget() {
             .selection_strategy(strategy)
             .ledger(true)
             .session();
-        let outcome = session.run(&mut tpch.db.clone(), &tpch.monitor).expect("pass");
+        let outcome = session
+            .run(&mut tpch.db.clone(), &tpch.monitor)
+            .expect("pass");
         let built: Vec<String> = outcome.created.iter().map(|c| c.def.name.clone()).collect();
         (built, session.ledger())
     };
     let (built, ledger) = session(SelectionStrategy::Lp);
-    assert_eq!(built, names(&lp.chosen), "the session materializes the LP's choice");
+    assert_eq!(
+        built,
+        names(&lp.chosen),
+        "the session materializes the LP's choice"
+    );
     for d in &lp.decisions {
-        let stages = ledger.find(&d.name).expect("shortlisted candidate has a record").stages();
+        let stages = ledger
+            .find(&d.name)
+            .expect("shortlisted candidate has a record")
+            .stages();
         assert!(stages.contains(&d.stage), "{}: {stages:?}", d.name);
     }
-    assert!(lp.decisions.len() > lp.chosen.len(), "the shortlist holds rejected candidates too");
+    assert!(
+        lp.decisions.len() > lp.chosen.len(),
+        "the shortlist holds rejected candidates too"
+    );
 
     let (built, ledger) = session(SelectionStrategy::Greedy);
     assert_eq!(built, names(&greedy), "greedy sessions never see the LP");
-    assert!(ledger.records().iter().all(|r| !r.stages().iter().any(|s| s.starts_with("lp_"))));
+    assert!(ledger
+        .records()
+        .iter()
+        .all(|r| !r.stages().iter().any(|s| s.starts_with("lp_"))));
 }

@@ -82,7 +82,10 @@ fn candidate_generation_counts_on_product_b() {
     assert_eq!((sources, widths), (SOURCES, WIDTHS));
     assert_eq!(again, candidates);
     assert_eq!(merges, MERGES, "aim.partial_order_merges");
-    assert!(allocations <= GENERATE_ALLOCATIONS, "generate_candidates: {allocations} allocations");
+    assert!(
+        allocations <= GENERATE_ALLOCATIONS,
+        "generate_candidates: {allocations} allocations"
+    );
 }
 
 /// Source fingerprints over all candidates, and key columns over all
@@ -121,8 +124,15 @@ fn ranking_counts_on_product_b() {
     );
     assert_eq!(ranked.len(), 2_613);
     assert_eq!(benefiting, BENEFITING);
-    assert_eq!((stats.misses, stats.hits), (WHATIF_MISSES, WHATIF_HITS), "what-if misses, hits");
-    assert!(allocations <= RANK_ALLOCATIONS, "rank_candidates_with: {allocations} allocations");
+    assert_eq!(
+        (stats.misses, stats.hits),
+        (WHATIF_MISSES, WHATIF_HITS),
+        "what-if misses, hits"
+    );
+    assert!(
+        allocations <= RANK_ALLOCATIONS,
+        "rank_candidates_with: {allocations} allocations"
+    );
 }
 
 const WHATIF_MISSES: u64 = 4_270;

@@ -8,9 +8,9 @@ mod common;
 
 use aim_core::partial_order::{merge_partial_orders, PartialOrder};
 use aim_core::{
-    generate_candidates, knapsack_select, rank_candidates_unbatched,
-    rank_candidates_with, refine_selection, validate_on_clone, CandidateGenConfig, CandidateIndex,
-    RankedCandidate, RejectReason, RunCtl, ValidationConfig,
+    generate_candidates, knapsack_select, rank_candidates_unbatched, rank_candidates_with,
+    refine_selection, validate_on_clone, CandidateGenConfig, CandidateIndex, RankedCandidate,
+    RejectReason, RunCtl, ValidationConfig,
 };
 use aim_exec::{CostModel, Engine};
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor, WorkloadQuery};
@@ -52,7 +52,10 @@ fn random_partial_order_over(rng: &mut StdRng, columns: &[usize]) -> PartialOrde
         }
     }
     if parts.is_empty() {
-        parts.push(vec![format!("col{:03}", columns[rng.gen_range(0..columns.len())])]);
+        parts.push(vec![format!(
+            "col{:03}",
+            columns[rng.gen_range(0..columns.len())]
+        )]);
     }
     PartialOrder::new(parts).expect("disjoint by construction")
 }
@@ -69,12 +72,18 @@ fn random_order_set(rng: &mut StdRng, width: usize, orders: usize) -> Vec<Partia
     while pool.len() < 7.min(width) {
         pool.insert(rng.gen_range(0..width));
     }
-    let rest: Vec<String> =
-        (0..width).filter(|c| !pool.contains(c)).map(|c| format!("col{c:03}")).collect();
+    let rest: Vec<String> = (0..width)
+        .filter(|c| !pool.contains(c))
+        .map(|c| format!("col{c:03}"))
+        .collect();
     let pool: Vec<usize> = pool.into_iter().collect();
-    let mut set: Vec<PartialOrder> =
-        (0..orders).map(|_| random_partial_order_over(rng, &pool)).collect();
-    set.extend(rest.chunks(16).map(|run| PartialOrder::new([run.to_vec()]).expect("distinct")));
+    let mut set: Vec<PartialOrder> = (0..orders)
+        .map(|_| random_partial_order_over(rng, &pool))
+        .collect();
+    set.extend(
+        rest.chunks(16)
+            .map(|run| PartialOrder::new([run.to_vec()]).expect("distinct")),
+    );
     set
 }
 
@@ -103,7 +112,8 @@ fn reference_merge_pairwise(p: &PartialOrder, q: &PartialOrder) -> Option<Partia
     let q_rank = |c: &String| q.partitions().iter().position(|part| part.contains(c));
     let mut partitions: Vec<BTreeSet<String>> = Vec::new();
     for part in p.partitions() {
-        let mut keyed: Vec<(Option<usize>, &String)> = part.iter().map(|c| (q_rank(c), c)).collect();
+        let mut keyed: Vec<(Option<usize>, &String)> =
+            part.iter().map(|c| (q_rank(c), c)).collect();
         keyed.sort();
         let mut current = None;
         for (rank, c) in keyed {
@@ -111,7 +121,10 @@ fn reference_merge_pairwise(p: &PartialOrder, q: &PartialOrder) -> Option<Partia
                 partitions.push(BTreeSet::new());
                 current = Some(rank);
             }
-            partitions.last_mut().expect("pushed above").insert(c.clone());
+            partitions
+                .last_mut()
+                .expect("pushed above")
+                .insert(c.clone());
         }
     }
     for part in q.partitions() {
@@ -173,7 +186,11 @@ fn compact_merge_rule_equals_the_string_set_reference() {
         "the paper's example"
     );
     for (p, q) in &cases {
-        assert_eq!(p.merge_pairwise(q), reference_merge_pairwise(p, q), "{p} into {q}");
+        assert_eq!(
+            p.merge_pairwise(q),
+            reference_merge_pairwise(p, q),
+            "{p} into {q}"
+        );
     }
 
     let mut rng = StdRng::seed_from_u64(0xB175);
@@ -189,7 +206,10 @@ fn compact_merge_rule_equals_the_string_set_reference() {
             }
         }
     }
-    assert!(merged > 200, "degenerate sweep: {merged} merges of distinct orders");
+    assert!(
+        merged > 200,
+        "degenerate sweep: {merged} merges of distinct orders"
+    );
 }
 
 /// The semi-naive closure over column bitsets reaches the reference's fixed
@@ -204,8 +224,15 @@ fn compact_closure_equals_the_naive_reference() {
         let n = rng.gen_range(3..=10usize);
         let orders = random_order_set(&mut rng, width, n);
         let closed = merge_partial_orders(&orders);
-        assert_eq!(closed, reference_closure(&orders), "width {width}: {orders:?}");
-        assert!(closed.windows(2).all(|w| w[0] < w[1]), "ascending and distinct");
+        assert_eq!(
+            closed,
+            reference_closure(&orders),
+            "width {width}: {orders:?}"
+        );
+        assert!(
+            closed.windows(2).all(|w| w[0] < w[1]),
+            "ascending and distinct"
+        );
         let distinct: BTreeSet<&PartialOrder> = orders.iter().collect();
         grown += closed.len() - distinct.len();
     }
@@ -368,7 +395,9 @@ fn histogram_eq_estimate_bounded() {
 // ------------------------------------- executor: index/scan equivalence
 
 fn int_table(rng: &mut StdRng, columns: &[&str], max_rows: usize, domain: i64) -> Database {
-    table_of(rng, columns, max_rows, |rng| Value::Int(rng.gen_range(0..domain)))
+    table_of(rng, columns, max_rows, |rng| {
+        Value::Int(rng.gen_range(0..domain))
+    })
 }
 
 /// A table `t(id, columns..)` of 1..=`max_rows` rows whose cells `cell`
@@ -410,7 +439,10 @@ fn index_equals_scan(
     predicates: &[String],
 ) -> Vec<Row> {
     let engine = Engine::new();
-    let sql = format!("SELECT id, a, b, c FROM t WHERE {}", predicates.join(" AND "));
+    let sql = format!(
+        "SELECT id, a, b, c FROM t WHERE {}",
+        predicates.join(" AND ")
+    );
     let stmt = parse_statement(&sql).expect("valid");
 
     let mut base = engine.execute(&mut db, &stmt).expect("executes").rows;
@@ -497,7 +529,11 @@ fn mixed_table(
     rows: std::ops::RangeInclusive<usize>,
 ) {
     let mut defs = vec![ColumnDef::new("id", ColumnType::Int)];
-    defs.extend(columns.iter().map(|(c, _)| ColumnDef::new(*c, ColumnType::Int)));
+    defs.extend(
+        columns
+            .iter()
+            .map(|(c, _)| ColumnDef::new(*c, ColumnType::Int)),
+    );
     defs.push(ColumnDef::new("pad", ColumnType::Str));
     db.create_table(TableSchema::new(name, defs, &["id"]).expect("valid"))
         .expect("fresh");
@@ -530,8 +566,13 @@ fn mixed_table(
 #[test]
 fn index_join_equals_nested_scan() {
     use aim_exec::{AccessPath, EqSource};
-    let inner_indexes: [&[&str]; 5] =
-        [&["k"], &["k", "a"], &["k", "b"], &["a", "k", "b"], &["k", "a", "b"]];
+    let inner_indexes: [&[&str]; 5] = [
+        &["k"],
+        &["k", "a"],
+        &["k", "b"],
+        &["a", "k", "b"],
+        &["k", "a", "b"],
+    ];
     let engine = Engine::new();
     // Join keys selective enough for a probe to pay; a few values for the
     // IN-lists, ranges and comparisons to hit.
@@ -542,7 +583,13 @@ fn index_join_equals_nested_scan() {
     let cases = 96;
     for _ in 0..cases {
         let mut db = Database::new();
-        mixed_table(&mut db, &mut rng, "o", &[("k", KEYS), ("x", VALUES)], 150..=300);
+        mixed_table(
+            &mut db,
+            &mut rng,
+            "o",
+            &[("k", KEYS), ("x", VALUES)],
+            150..=300,
+        );
         let inner = [("k", KEYS), ("a", VALUES), ("b", VALUES)];
         mixed_table(&mut db, &mut rng, "i", &inner, 200..=400);
         db.analyze_all();
@@ -550,8 +597,9 @@ fn index_join_equals_nested_scan() {
         let mut predicates = vec!["o.k = i.k".to_string()];
         let v = |rng: &mut StdRng| rng.gen_range(0..VALUES);
         if rng.gen_range(0..2u32) == 0 {
-            let mut list: Vec<String> =
-                (0..rng.gen_range(1..=3usize)).map(|_| v(&mut rng).to_string()).collect();
+            let mut list: Vec<String> = (0..rng.gen_range(1..=3usize))
+                .map(|_| v(&mut rng).to_string())
+                .collect();
             if rng.gen_range(0..4u32) == 0 {
                 list.push("NULL".into());
             }
@@ -583,8 +631,11 @@ fn index_join_equals_nested_scan() {
         let def = IndexDef::new("ix_i", "i", columns.iter().map(|c| c.to_string()).collect());
         db.create_index(def, &mut io).expect("valid index");
         let outer_columns = [&["k"][..], &["k", "x"]][rng.gen_range(0..2usize)];
-        let def =
-            IndexDef::new("ix_o", "o", outer_columns.iter().map(|c| c.to_string()).collect());
+        let def = IndexDef::new(
+            "ix_o",
+            "o",
+            outer_columns.iter().map(|c| c.to_string()).collect(),
+        );
         db.create_index(def, &mut io).expect("valid index");
         db.analyze_all();
         let outcome = engine.execute(&mut db, &stmt).expect("executes");
@@ -595,7 +646,10 @@ fn index_join_equals_nested_scan() {
         probed += usize::from(outer_probe);
         let mut indexed = outcome.rows;
         indexed.sort();
-        assert_eq!(base, indexed, "indexes changed results for {sql} on {columns:?}");
+        assert_eq!(
+            base, indexed,
+            "indexes changed results for {sql} on {columns:?}"
+        );
     }
     // The oracle is about index joins: most cases must run one.
     assert!(
@@ -747,11 +801,71 @@ fn parser_never_panics_on_sql_like_soup() {
 #[test]
 fn lexer_and_parser_hold_on_multibyte_soup() {
     const PIECES: &[&str] = &[
-        "SELECT", "select", "FROM", "WHERE", "AND", "OR", "NOT", "IN", "BETWEEN", "LIKE", "INSERT",
-        "INTO", "VALUES", "UPDATE", "SET", "t", "x", "col_1", "é", "日本", "ß", "𝄞", "\u{301}", "'",
-        "''", "'é", "'it''s'", "'日本", "`", "`naïve`", "\"", "\"ü\"", "(", ")", ",", ".", ";", "*",
-        "+", "-", "--", "-- é\n", "/", "%", "=", "!", "!=", "<", "<=", "<=>", "<>", ">", ">=",
-        "?", "0", "17", "1.", "1.5", "1e", "1e+", "2.5e-3", "99999999999999999999", " ", "\n", "\t",
+        "SELECT",
+        "select",
+        "FROM",
+        "WHERE",
+        "AND",
+        "OR",
+        "NOT",
+        "IN",
+        "BETWEEN",
+        "LIKE",
+        "INSERT",
+        "INTO",
+        "VALUES",
+        "UPDATE",
+        "SET",
+        "t",
+        "x",
+        "col_1",
+        "é",
+        "日本",
+        "ß",
+        "𝄞",
+        "\u{301}",
+        "'",
+        "''",
+        "'é",
+        "'it''s'",
+        "'日本",
+        "`",
+        "`naïve`",
+        "\"",
+        "\"ü\"",
+        "(",
+        ")",
+        ",",
+        ".",
+        ";",
+        "*",
+        "+",
+        "-",
+        "--",
+        "-- é\n",
+        "/",
+        "%",
+        "=",
+        "!",
+        "!=",
+        "<",
+        "<=",
+        "<=>",
+        "<>",
+        ">",
+        ">=",
+        "?",
+        "0",
+        "17",
+        "1.",
+        "1.5",
+        "1e",
+        "1e+",
+        "2.5e-3",
+        "99999999999999999999",
+        " ",
+        "\n",
+        "\t",
     ];
     let within = |input: &str, slice: &str| {
         let start = (slice.as_ptr() as usize).wrapping_sub(input.as_ptr() as usize);
@@ -808,10 +922,7 @@ fn lexer_and_parser_hold_on_multibyte_soup() {
 /// instance still matches after a close-and-reopen cycle.
 #[test]
 fn random_ops_are_identical_on_disk_and_memory_backends() {
-    let dir = std::env::temp_dir().join(format!(
-        "aim-prop-backend-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("aim-prop-backend-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
     let schema = || {
@@ -919,8 +1030,18 @@ fn random_ops_are_identical_on_disk_and_memory_backends() {
     let disk = aim_core::BackendSpec::disk(&dir).provision().unwrap();
     let mut mio = IoStats::new();
     let mut dio = IoStats::new();
-    let m: Vec<_> = mem.table("t").unwrap().scan_all(&mut mio).cloned().collect();
-    let d: Vec<_> = disk.table("t").unwrap().scan_all(&mut dio).cloned().collect();
+    let m: Vec<_> = mem
+        .table("t")
+        .unwrap()
+        .scan_all(&mut mio)
+        .cloned()
+        .collect();
+    let d: Vec<_> = disk
+        .table("t")
+        .unwrap()
+        .scan_all(&mut dio)
+        .cloned()
+        .collect();
     assert_eq!(m, d, "reopened disk table diverged from memory reference");
     assert_eq!(
         mem.table("t").unwrap().index("ix_a").unwrap().len(),
@@ -1140,9 +1261,17 @@ fn assert_ranked_bit_identical(a: &[RankedCandidate], b: &[RankedCandidate]) {
             x.candidate.name()
         );
         let attribution = |r: &RankedCandidate| -> Vec<_> {
-            r.benefiting_queries.iter().map(|(q, b)| (*q, b.to_bits())).collect()
+            r.benefiting_queries
+                .iter()
+                .map(|(q, b)| (*q, b.to_bits()))
+                .collect()
         };
-        assert_eq!(attribution(x), attribution(y), "attribution drifted for {}", x.candidate.name());
+        assert_eq!(
+            attribution(x),
+            attribution(y),
+            "attribution drifted for {}",
+            x.candidate.name()
+        );
     }
 }
 
@@ -1240,18 +1369,25 @@ fn candidate_generation_is_invariant_under_workload_order() {
         let mut db = int_table(&mut rng, &cols, 150, 25);
         let runs: Vec<(String, usize)> = (0..rng.gen_range(6..=12usize))
             .map(|_| {
-                let mut picked: Vec<&str> = cols.iter().copied().filter(|_| rng.gen_bool(0.4)).collect();
+                let mut picked: Vec<&str> =
+                    cols.iter().copied().filter(|_| rng.gen_bool(0.4)).collect();
                 if picked.is_empty() {
                     picked.push(cols[rng.gen_range(0..cols.len())]);
                 }
                 let (last, firsts) = picked.split_last().expect("non-empty");
                 let mut filter: Vec<String> = firsts.iter().map(|c| format!("{c} = 3")).collect();
-                filter.push(format!("{last} {} 7", if rng.gen_bool(0.5) { "=" } else { ">" }));
+                filter.push(format!(
+                    "{last} {} 7",
+                    if rng.gen_bool(0.5) { "=" } else { ">" }
+                ));
                 let tail = match rng.gen_range(0..4usize) {
                     0 => format!(" ORDER BY {}", cols[rng.gen_range(0..cols.len())]),
                     _ => String::new(),
                 };
-                (format!("SELECT id FROM t WHERE {}{tail}", filter.join(" AND ")), 1)
+                (
+                    format!("SELECT id FROM t WHERE {}{tail}", filter.join(" AND ")),
+                    1,
+                )
             })
             .collect();
         let workload = observe_workload(&mut db, &runs);
@@ -1261,14 +1397,22 @@ fn candidate_generation_is_invariant_under_workload_order() {
     let tpch = common::tpch_fixture();
     let mut db = tpch.db;
     let monitor = common::observe(&mut db, tpch.texts);
-    let all = SelectionConfig { min_executions: 1, min_benefit: 0.0, max_queries: usize::MAX, include_dml: true };
+    let all = SelectionConfig {
+        min_executions: 1,
+        min_benefit: 0.0,
+        max_queries: usize::MAX,
+        include_dml: true,
+    };
     inputs.push((db, select_workload(&monitor, &all)));
 
     let mut merged = 0;
     for (db, workload) in &mut inputs {
         for cfg in [
             CandidateGenConfig::default(),
-            CandidateGenConfig { covering: aim_core::CoveringPolicy::Both, ..Default::default() },
+            CandidateGenConfig {
+                covering: aim_core::CoveringPolicy::Both,
+                ..Default::default()
+            },
         ] {
             let expected = generate_candidates(db, workload, &cfg);
             merged += expected.iter().filter(|c| c.sources.len() > 1).count();
@@ -1280,7 +1424,10 @@ fn candidate_generation_is_invariant_under_workload_order() {
             }
         }
     }
-    assert!(merged > 20, "degenerate sweep: {merged} candidates serve several queries");
+    assert!(
+        merged > 20,
+        "degenerate sweep: {merged} candidates serve several queries"
+    );
 }
 
 /// A candidate ranking did not propose, on `t(columns)`.
@@ -1316,12 +1463,21 @@ fn validation_verdicts_hold_under_a_full_replay() {
         let mut db = int_table(&mut rng, &cols, 600, 30);
         // Queries read a, b and c only: nothing can use an index on d.
         let pred = |rng: &mut StdRng| {
-            format!("{} {} {}", cols[rng.gen_range(0..3usize)], ops[rng.gen_range(0..4usize)], rng.gen_range(0..30i64))
+            format!(
+                "{} {} {}",
+                cols[rng.gen_range(0..3usize)],
+                ops[rng.gen_range(0..4usize)],
+                rng.gen_range(0..30i64)
+            )
         };
         // With (a) and (a, b) both built, this one reads through (a, b)
         // and leaves (a) to whoever else wants it.
         let mut runs = vec![(
-            format!("SELECT id FROM t WHERE a = {} AND b = {}", rng.gen_range(0..30i64), rng.gen_range(0..30i64)),
+            format!(
+                "SELECT id FROM t WHERE a = {} AND b = {}",
+                rng.gen_range(0..30i64),
+                rng.gen_range(0..30i64)
+            ),
             3,
         )];
         for _ in 0..rng.gen_range(2..=5usize) {
@@ -1344,7 +1500,10 @@ fn validation_verdicts_hold_under_a_full_replay() {
             injected_candidate(&["a"], 2.0),
             injected_candidate(&["a", "b"], 3.0),
         ] {
-            if chosen.iter().all(|r| r.candidate.name() != extra.candidate.name()) {
+            if chosen
+                .iter()
+                .all(|r| r.candidate.name() != extra.candidate.name())
+            {
                 chosen.push(extra);
             }
         }
@@ -1352,20 +1511,32 @@ fn validation_verdicts_hold_under_a_full_replay() {
         let cfg = ValidationConfig::default();
         let outcome = validate_on_clone(&db, &w, &chosen, &engine, &cfg).expect("validates");
 
-        let accepted: Vec<String> = outcome.accepted.iter().map(|r| r.candidate.name()).collect();
+        let accepted: Vec<String> = outcome
+            .accepted
+            .iter()
+            .map(|r| r.candidate.name())
+            .collect();
         let mut judged = accepted.clone();
         judged.extend(outcome.rejected.iter().map(|(r, _)| r.candidate.name()));
         judged.sort();
         let mut proposed: Vec<String> = chosen.iter().map(|r| r.candidate.name()).collect();
         proposed.sort();
-        assert_eq!(judged, proposed, "case {case}: accepted ∪ rejected = chosen");
-        assert!(!accepted.contains(&"aim_t_d".to_string()), "case {case}: an index nothing reads");
+        assert_eq!(
+            judged, proposed,
+            "case {case}: accepted ∪ rejected = chosen"
+        );
+        assert!(
+            !accepted.contains(&"aim_t_d".to_string()),
+            "case {case}: an index nothing reads"
+        );
 
         let bare = db.clone();
         let mut tuned = db.clone();
         let mut io = IoStats::new();
         for r in &outcome.accepted {
-            tuned.create_index(r.candidate.def(), &mut io).expect("builds");
+            tuned
+                .create_index(r.candidate.def(), &mut io)
+                .expect("builds");
         }
         let mut used: BTreeSet<String> = BTreeSet::new();
         for wq in &w {
@@ -1380,10 +1551,19 @@ fn validation_verdicts_hold_under_a_full_replay() {
                 wq.stats.exemplar,
                 after.cost
             );
-            used.extend(after.plan.used_indexes().into_iter().map(|(_, ix)| ix.label().into_owned()));
+            used.extend(
+                after
+                    .plan
+                    .used_indexes()
+                    .into_iter()
+                    .map(|(_, ix)| ix.label().into_owned()),
+            );
         }
         for name in &accepted {
-            assert!(used.contains(name), "case {case}: accepted {name} is read by no plan");
+            assert!(
+                used.contains(name),
+                "case {case}: accepted {name} is read by no plan"
+            );
         }
         accepted_somewhere |= !accepted.is_empty();
         unused_somewhere |= outcome
@@ -1391,8 +1571,14 @@ fn validation_verdicts_hold_under_a_full_replay() {
             .iter()
             .any(|(r, why)| r.candidate.name() == "aim_t_a" && *why == RejectReason::Unused);
     }
-    assert!(accepted_somewhere, "degenerate sweep: nothing was ever accepted");
-    assert!(unused_somewhere, "degenerate sweep: (a, b) never made (a) unused");
+    assert!(
+        accepted_somewhere,
+        "degenerate sweep: nothing was ever accepted"
+    );
+    assert!(
+        unused_somewhere,
+        "degenerate sweep: (a, b) never made (a) unused"
+    );
 }
 
 /// On small instances whose optimum is obvious — one hot equality query,
@@ -1444,8 +1630,7 @@ fn lp_selection_agrees_with_greedy_on_optimal_instances() {
         // Unlimited budget: the single useful index is provably optimal,
         // so LP refinement must return exactly the greedy selection.
         let greedy = knapsack_select(&ranked, u64::MAX, 0);
-        let out =
-            refine_selection(&db, &w, &ranked, &greedy, u64::MAX, &RunCtl::none()).unwrap();
+        let out = refine_selection(&db, &w, &ranked, &greedy, u64::MAX, &RunCtl::none()).unwrap();
         assert_eq!(
             out.chosen
                 .iter()
@@ -1467,8 +1652,7 @@ fn lp_selection_agrees_with_greedy_on_optimal_instances() {
         let total: u64 = ranked.iter().map(|r| r.size_bytes).sum();
         let budget = rng.gen_range(1..=total.max(2));
         let greedy = knapsack_select(&ranked, budget, 0);
-        let out =
-            refine_selection(&db, &w, &ranked, &greedy, budget, &RunCtl::none()).unwrap();
+        let out = refine_selection(&db, &w, &ranked, &greedy, budget, &RunCtl::none()).unwrap();
         if out.used_lp {
             assert!(out.lp_cost < out.greedy_cost, "LP kept without improvement");
         } else {
@@ -1539,8 +1723,24 @@ fn emit_json(v: &Json, out: &mut String) {
 /// multi-byte UTF-8, and the solidus.
 fn random_string(rng: &mut StdRng) -> String {
     const PALETTE: &[&str] = &[
-        "a", "Z", "0", " ", "\"", "\\", "\n", "\r", "\t", "\u{0001}", "\u{001f}", "/", "é", "λ",
-        "漢", "🦀", "\\n", "\"quoted\"",
+        "a",
+        "Z",
+        "0",
+        " ",
+        "\"",
+        "\\",
+        "\n",
+        "\r",
+        "\t",
+        "\u{0001}",
+        "\u{001f}",
+        "/",
+        "é",
+        "λ",
+        "漢",
+        "🦀",
+        "\\n",
+        "\"quoted\"",
     ];
     let len = rng.gen_range(0..8usize);
     (0..len)

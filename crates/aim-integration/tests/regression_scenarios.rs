@@ -253,7 +253,12 @@ fn transcript(scenario: &Scenario, telemetry: bool) -> Vec<Step> {
         let detected = aim_telemetry::metrics::REGRESSIONS_DETECTED.get();
         let journaled = regression_events();
         let out = tuner.step(&mut db, &monitor).unwrap();
-        let created: Vec<&str> = out.tuning.created.iter().map(|c| c.def.name.as_str()).collect();
+        let created: Vec<&str> = out
+            .tuning
+            .created
+            .iter()
+            .map(|c| c.def.name.as_str())
+            .collect();
 
         for name in &out.reverted {
             assert!(
@@ -270,14 +275,22 @@ fn transcript(scenario: &Scenario, telemetry: bool) -> Vec<Step> {
                 "w{w}: {name} reverted, but no regressed template used it"
             );
             let ledger = tuner.session.ledger();
-            let record = ledger.find(name).expect("reverted index has a ledger record");
+            let record = ledger
+                .find(name)
+                .expect("reverted index has a ledger record");
             assert_eq!(record.outcome(), "reverted");
-            assert!(record.stages().contains(&"materialized"), "{:?}", record.stages());
+            assert!(
+                record.stages().contains(&"materialized"),
+                "{:?}",
+                record.stages()
+            );
         }
         assert!(out.dropped_unused.is_empty(), "the GC is off");
         for q in monitor.queries() {
             let avg = q.cpu_avg();
-            best.entry(q.fingerprint).and_modify(|b| *b = b.min(avg)).or_insert(avg);
+            best.entry(q.fingerprint)
+                .and_modify(|b| *b = b.min(avg))
+                .or_insert(avg);
         }
 
         steps.push(Step {
@@ -314,7 +327,10 @@ fn check(name: &str, scenario: &Scenario, pinned: &[&str]) {
 
     let uncounted: Vec<Step> = on
         .into_iter()
-        .map(|s| Step { counted: "detected +0 journaled +0".into(), ..s })
+        .map(|s| Step {
+            counted: "detected +0 journaled +0".into(),
+            ..s
+        })
         .collect();
     assert_eq!(
         transcript(scenario, false),
@@ -407,7 +423,13 @@ fn a_tenants_regression_reverts_only_that_tenants_index() {
 
     let mut tenants: Vec<(&str, Database, ContinuousTuner)> = ["alpha", "beta", "gamma"]
         .into_iter()
-        .map(|id| (id, build_db(4000), ContinuousTuner::with_session(session(), TOLERANCE)))
+        .map(|id| {
+            (
+                id,
+                build_db(4000),
+                ContinuousTuner::with_session(session(), TOLERANCE),
+            )
+        })
         .collect();
     let mut reverted: Vec<(&str, Vec<String>)> = Vec::new();
     for w in 1..=2 {

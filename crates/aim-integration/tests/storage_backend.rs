@@ -92,14 +92,22 @@ fn full_tuning_pass_on_disk_backend_survives_reopen() {
         let mut monitor = WorkloadMonitor::new();
         observe(&mut db, &mut monitor, sql, 20);
         let outcome = quick_session().run(&mut db, &monitor).unwrap();
-        assert!(!outcome.created.is_empty(), "rejected: {:?}", outcome.rejected);
+        assert!(
+            !outcome.created.is_empty(),
+            "rejected: {:?}",
+            outcome.rejected
+        );
         db.check_consistency().unwrap();
         (outcome.created.len(), before.io.rows_read)
     }; // drop checkpoints and closes the files
 
     let mut db = spec.provision().unwrap();
     assert_eq!(db.table("orders").unwrap().row_count(), 6_000);
-    assert_eq!(db.all_indexes().len(), created, "indexes must survive reopen");
+    assert_eq!(
+        db.all_indexes().len(),
+        created,
+        "indexes must survive reopen"
+    );
     db.check_consistency().unwrap();
     let after = engine.execute(&mut db, &stmt).unwrap();
     assert!(
@@ -158,10 +166,19 @@ fn kill_and_reopen_recovers_committed_state() {
         .scan_all(&mut scan_io)
         .cloned()
         .collect();
-    assert_eq!(recovered, expected, "recovery must replay every committed batch");
+    assert_eq!(
+        recovered, expected,
+        "recovery must replay every committed batch"
+    );
     let counters = db.storage_counters();
-    assert!(counters.recovered_batches > 0, "reopen must have replayed the WAL");
-    assert_eq!(counters.checksum_failures, 0, "no page may fail its checksum");
+    assert!(
+        counters.recovered_batches > 0,
+        "reopen must have replayed the WAL"
+    );
+    assert_eq!(
+        counters.checksum_failures, 0,
+        "no page may fail its checksum"
+    );
     db.check_consistency().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -183,10 +200,7 @@ fn clones_of_disk_database_are_memory_backed() {
         clone
             .table_mut("orders")
             .unwrap()
-            .insert(
-                vec![Value::Int(i), Value::Int(0), Value::Int(0)],
-                &mut io,
-            )
+            .insert(vec![Value::Int(i), Value::Int(0), Value::Int(0)], &mut io)
             .unwrap();
     }
     clone
@@ -223,8 +237,18 @@ fn a_read_only_pass_on_disk_adopts_the_beds_builds_and_they_survive_a_kill() {
     let mut db = spec.provision().unwrap();
     populate(&mut db, 3_000);
     let mut monitor = WorkloadMonitor::new();
-    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE customer = 42", 20);
-    observe(&mut db, &mut monitor, "SELECT id FROM orders WHERE region = 3 AND id < 90", 20);
+    observe(
+        &mut db,
+        &mut monitor,
+        "SELECT id FROM orders WHERE customer = 42",
+        20,
+    );
+    observe(
+        &mut db,
+        &mut monitor,
+        "SELECT id FROM orders WHERE region = 3 AND id < 90",
+        20,
+    );
     let selection = SelectionConfig {
         min_executions: 1,
         min_benefit: 0.0,
@@ -234,10 +258,19 @@ fn a_read_only_pass_on_disk_adopts_the_beds_builds_and_they_survive_a_kill() {
     let candidates = generate_candidates(&db, &workload, &CandidateGenConfig::default());
     let ranked = rank_candidates_with(&db, &workload, &candidates, &CostModel, 0);
     let chosen = knapsack_select(&ranked, u64::MAX, 0);
-    let outcome =
-        validate_on_clone(&db, &workload, &chosen, &Engine::new(), &ValidationConfig::default())
-            .unwrap();
-    assert!(!outcome.accepted.is_empty(), "rejected: {:?}", outcome.rejected);
+    let outcome = validate_on_clone(
+        &db,
+        &workload,
+        &chosen,
+        &Engine::new(),
+        &ValidationConfig::default(),
+    )
+    .unwrap();
+    assert!(
+        !outcome.accepted.is_empty(),
+        "rejected: {:?}",
+        outcome.rejected
+    );
     let ix = |db: &Database, def: &IndexDef| {
         db.table(&def.table).unwrap().index(&def.name).unwrap() as *const SecondaryIndex
     };
@@ -246,9 +279,16 @@ fn a_read_only_pass_on_disk_adopts_the_beds_builds_and_they_survive_a_kill() {
         let def = r.candidate.def();
         db.create_index_from(&outcome.bed, def.clone(), &mut IoStats::new())
             .unwrap();
-        assert!(std::ptr::eq(ix(&db, &def), ix(&outcome.bed, &def)), "{} built again", def.name);
+        assert!(
+            std::ptr::eq(ix(&db, &def), ix(&outcome.bed, &def)),
+            "{} built again",
+            def.name
+        );
     }
-    assert!(db.storage_counters().wal_bytes > wal_before, "adopted trees are persisted");
+    assert!(
+        db.storage_counters().wal_bytes > wal_before,
+        "adopted trees are persisted"
+    );
     let defs = db.all_indexes();
     db.simulate_crash();
     drop(db);
@@ -259,12 +299,17 @@ fn a_read_only_pass_on_disk_adopts_the_beds_builds_and_they_survive_a_kill() {
     let entries = |db: &Database, def: &IndexDef| -> Vec<Vec<Value>> {
         let table = db.table(&def.table).unwrap();
         let ix = table.index(&def.name).unwrap();
-        ix.scan_all(table, &mut IoStats::new()).into_iter().cloned().collect()
+        ix.scan_all(table, &mut IoStats::new())
+            .into_iter()
+            .cloned()
+            .collect()
     };
     for def in &defs {
         let mut fresh = db.clone();
         fresh.drop_index(&def.table, &def.name).unwrap();
-        fresh.create_index(def.clone(), &mut IoStats::new()).unwrap();
+        fresh
+            .create_index(def.clone(), &mut IoStats::new())
+            .unwrap();
         assert_eq!(entries(&db, def), entries(&fresh, def), "{}", def.name);
     }
     drop(db);
@@ -329,7 +374,10 @@ fn estimated_pages_track_measured_pages() {
                 Value::Int(i % 9),
                 Value::Float((i % 130) as f64),
             ];
-            db.table_mut("orders").unwrap().insert(row, &mut io).unwrap();
+            db.table_mut("orders")
+                .unwrap()
+                .insert(row, &mut io)
+                .unwrap();
         }
         db.analyze_all();
 
@@ -370,7 +418,10 @@ fn estimated_pages_track_measured_pages() {
     drop(disk);
     let _ = std::fs::remove_dir_all(&dir);
 
-    assert_eq!(disk_results, mem_results, "the sweep must read the same rows on both backends");
+    assert_eq!(
+        disk_results, mem_results,
+        "the sweep must read the same rows on both backends"
+    );
     for (backend, acc) in [("memory", &mem_acc), ("disk", &disk_acc)] {
         eprintln!(
             "{backend}: mean relative error {:.4}, bias {:.4}, {} pages touched",
@@ -390,7 +441,10 @@ fn estimated_pages_track_measured_pages() {
             acc.bias()
         );
     }
-    assert!(disk_acc.pages_touched > 0, "disk charges must come from page walks");
+    assert!(
+        disk_acc.pages_touched > 0,
+        "disk charges must come from page walks"
+    );
     assert!(
         counters.wal_fsyncs > 0 && counters.pages_written > 0,
         "load and checkpoint must reach the WAL and the data file: {counters:?}"

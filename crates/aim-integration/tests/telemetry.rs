@@ -87,7 +87,11 @@ fn traced_tune() -> (ProfileNode, Vec<aim_telemetry::Event>) {
 
     // The default journal capacity must hold a full pass's event stream:
     // a dropped event here would mean the artifact silently lies.
-    assert_eq!(aim_telemetry::journal::dropped(), 0, "journal evicted events");
+    assert_eq!(
+        aim_telemetry::journal::dropped(),
+        0,
+        "journal evicted events"
+    );
     assert_eq!(
         aim_telemetry::snapshot().counter("telemetry.journal_dropped"),
         Some(0),
@@ -193,10 +197,7 @@ fn storage_counters_surface_in_metrics_and_profile_report() {
     aim_telemetry::reset();
     aim_telemetry::enable();
 
-    let dir = std::env::temp_dir().join(format!(
-        "aim-telemetry-storage-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("aim-telemetry-storage-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     {
         let mut db = aim_core::BackendSpec::disk(&dir).provision().unwrap();
@@ -227,8 +228,14 @@ fn storage_counters_surface_in_metrics_and_profile_report() {
     let snap = aim_telemetry::snapshot();
     let get = |name: &str| snap.counter(name).unwrap_or(0);
     assert!(get("storage.bp.hit") > 0, "buffer-pool hits not exported");
-    assert!(get("storage.wal.bytes") > 0, "WAL byte counter not exported");
-    assert!(get("storage.wal.fsyncs") > 0, "WAL fsync counter not exported");
+    assert!(
+        get("storage.wal.bytes") > 0,
+        "WAL byte counter not exported"
+    );
+    assert!(
+        get("storage.wal.fsyncs") > 0,
+        "WAL fsync counter not exported"
+    );
     assert!(
         snap.counter("storage.bp.miss").is_some(),
         "miss counter must exist even when zero"

@@ -20,8 +20,8 @@ mod common;
 use aim_telemetry as tel;
 use std::io::{Read, Write};
 use tel::metrics::{
-    counter_add, counter_add_labeled, gauge_set, histogram_record,
-    histogram_record_labeled, set_series_cap, FLEET_SHARDS_TUNED, WHATIF_CALLS,
+    counter_add, counter_add_labeled, gauge_set, histogram_record, histogram_record_labeled,
+    set_series_cap, FLEET_SHARDS_TUNED, WHATIF_CALLS,
 };
 
 /// One observation through each of the four scoped entry points, plus the
@@ -105,7 +105,11 @@ fn served_telemetry_matches_golden() {
         fleet_observe(3);
     }
 
-    counter_add_labeled("gold.explicit", &[("tenant", "acme"), ("backend", "disk")], 6);
+    counter_add_labeled(
+        "gold.explicit",
+        &[("tenant", "acme"), ("backend", "disk")],
+        6,
+    );
     histogram_record_labeled("gold.latency", &[("tenant", "globex")], 256.0);
     counter_add_labeled("gold.hostile", &[("tenant", "a\\b\"c\nd")], 7);
 

@@ -48,7 +48,10 @@ fn tpch_case() -> (Database, WorkloadMonitor) {
 
 /// `db` with the fixture's 44 statements executed and recorded.
 fn observed(mut db: Database) -> (Database, WorkloadMonitor) {
-    let texts = [0xA1, 0xA2].into_iter().flat_map(tpch::query_texts).map(|(_, sql)| sql);
+    let texts = [0xA1, 0xA2]
+        .into_iter()
+        .flat_map(tpch::query_texts)
+        .map(|(_, sql)| sql);
     let monitor = common::observe(&mut db, texts);
     (db, monitor)
 }
@@ -84,7 +87,10 @@ fn validated(
 ) -> (u64, u64, u64) {
     tel::enable();
     tel::reset();
-    let cfg = ValidationConfig { max_rounds, ..Default::default() };
+    let cfg = ValidationConfig {
+        max_rounds,
+        ..Default::default()
+    };
     validate_on_clone(db, workload, picked, &Engine::new(), &cfg).unwrap();
     let counts = validation_counters();
     tel::disable();
@@ -102,10 +108,15 @@ fn a_validated_pass_pays_for_what_its_candidates_change() {
 
     // A zero-millisecond stall that never runs out logs every consultation
     // of its site and changes nothing.
-    let sites = ["storage.clone", "storage.create_index", "storage.analyze", "exec.execute"];
-    let observer = sites
-        .iter()
-        .fold(FaultPlan::new(1), |plan, site| plan.delay_ms(site, 0, 0, u64::MAX));
+    let sites = [
+        "storage.clone",
+        "storage.create_index",
+        "storage.analyze",
+        "exec.execute",
+    ];
+    let observer = sites.iter().fold(FaultPlan::new(1), |plan, site| {
+        plan.delay_ms(site, 0, 0, u64::MAX)
+    });
     tel::enable();
     tel::reset();
     fault::arm(observer);
@@ -130,7 +141,11 @@ fn a_validated_pass_pays_for_what_its_candidates_change() {
         "each chosen candidate built once on the bed, each accepted one consulted once on \
          production; adopted, not rebuilt"
     );
-    assert_eq!(consulted("storage.analyze"), 0, "an index build leaves statistics current");
+    assert_eq!(
+        consulted("storage.analyze"),
+        0,
+        "an index build leaves statistics current"
+    );
     assert_eq!(
         consulted("exec.execute") as u64,
         exemplars * (1 + rounds),
@@ -147,7 +162,10 @@ fn a_validated_pass_pays_for_what_its_candidates_change() {
 
     // The baseline alone reuses every exemplar the monitor measured on
     // these contents (was (22, 0)). A memory clone keeps the version.
-    assert_eq!(validated(&untuned, &workload, &picked, 0), (0, 0, exemplars));
+    assert_eq!(
+        validated(&untuned, &workload, &picked, 0),
+        (0, 0, exemplars)
+    );
     // Round 2 executes nothing: its plans are those of the baseline or of
     // round 1. Cut off after round 1, validation has executed as much.
     let (one_round, executed_in_one, _) = validated(&untuned, &workload, &picked, 1);
@@ -165,12 +183,18 @@ fn a_validated_pass_pays_for_what_its_candidates_change() {
 fn a_write_after_observing_executes_the_exemplars_that_bind_the_table() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut db = tpch::build_database(&tpch::TpchConfig::default());
-    let audit = TableSchema::new("audit", vec![ColumnDef::new("id", ColumnType::Int)], &["id"]);
+    let audit = TableSchema::new(
+        "audit",
+        vec![ColumnDef::new("id", ColumnType::Int)],
+        &["id"],
+    );
     db.create_table(audit.unwrap()).unwrap();
     let (mut db, monitor) = observed(db);
     let (workload, picked) = chosen(&db, &monitor);
     let write = |db: &mut Database, sql: &str| {
-        Engine::new().execute(db, &parse_statement(sql).unwrap()).unwrap();
+        Engine::new()
+            .execute(db, &parse_statement(sql).unwrap())
+            .unwrap();
     };
     write(&mut db, "INSERT INTO audit (id) VALUES (1)");
     // Both were (0, 22, 0) while the version covered the whole database.
@@ -194,10 +218,15 @@ fn a_workload_with_dml_builds_on_production() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut db = tpch::build_database(&tpch::TpchConfig::default());
     let update = "UPDATE orders SET o_totalprice = 1.0 WHERE o_orderkey = 7".to_string();
-    let texts = [0xA1, 0xA2].into_iter().flat_map(tpch::query_texts).map(|(_, sql)| sql);
+    let texts = [0xA1, 0xA2]
+        .into_iter()
+        .flat_map(tpch::query_texts)
+        .map(|(_, sql)| sql);
     let monitor = common::observe(&mut db, texts.chain([update]));
     let (workload, picked) = chosen(&db, &monitor);
-    assert!(workload.iter().any(|wq| wq.stats.exemplar.written_table() == Some("orders")));
+    assert!(workload
+        .iter()
+        .any(|wq| wq.stats.exemplar.written_table() == Some("orders")));
     let cfg = ValidationConfig::default();
     let outcome = validate_on_clone(&db, &workload, &picked, &Engine::new(), &cfg).unwrap();
     assert!(!outcome.accepted.is_empty(), "{:?}", outcome.rejected);
@@ -222,13 +251,19 @@ fn a_disk_backed_source_runs_the_whole_baseline() {
     let mut disk = Database::open_disk(&dir, PagerOptions::default()).unwrap();
     // The fixture's schema at the smallest scale: a few thousand rows, each
     // its own transaction.
-    let source = tpch::build_database(&tpch::TpchConfig { scale: 0.0, ..Default::default() });
+    let source = tpch::build_database(&tpch::TpchConfig {
+        scale: 0.0,
+        ..Default::default()
+    });
     let mut io = IoStats::new();
     for table in source.tables() {
         let name = &table.schema().name;
         disk.create_table(table.schema().clone()).unwrap();
         for row in table.scan_all(&mut IoStats::new()) {
-            disk.table_mut(name).unwrap().insert(row.clone(), &mut io).unwrap();
+            disk.table_mut(name)
+                .unwrap()
+                .insert(row.clone(), &mut io)
+                .unwrap();
         }
     }
     disk.analyze_all();
@@ -271,12 +306,18 @@ fn refutation(text: &str) -> &'static str {
     ]
     .into_iter()
     .find(|(needle, _)| text.contains(needle))
-    .map_or_else(|| panic!("unknown reject reason: {text}"), |(_, short)| short)
+    .map_or_else(
+        || panic!("unknown reject reason: {text}"),
+        |(_, short)| short,
+    )
 }
 
 /// Runs the same window twice on `db` and counts what the second pass does.
 fn second_pass(mut db: Database, monitor: &WorkloadMonitor) -> SecondPass {
-    let session = AimConfig::builder().selection(selection()).ledger(true).session();
+    let session = AimConfig::builder()
+        .selection(selection())
+        .ledger(true)
+        .session();
     session.run(&mut db, monitor).unwrap();
     fault::arm(FaultPlan::new(1).delay_ms("storage.create_index", 0, 0, u64::MAX));
     let outcome = session.run(&mut db, monitor);
@@ -289,9 +330,16 @@ fn second_pass(mut db: Database, monitor: &WorkloadMonitor) -> SecondPass {
         *refuted.entry(refutation(why)).or_default() += 1;
     }
     SecondPass {
-        benefiting: pass2().filter(|r| r.benefit.is_some_and(|b| b > 0.0)).count(),
-        chosen: pass2().filter(|r| r.stages().iter().any(|s| s.starts_with("validation_"))).count(),
-        create_index: log.iter().filter(|i| i.site == "storage.create_index").count(),
+        benefiting: pass2()
+            .filter(|r| r.benefit.is_some_and(|b| b > 0.0))
+            .count(),
+        chosen: pass2()
+            .filter(|r| r.stages().iter().any(|s| s.starts_with("validation_")))
+            .count(),
+        create_index: log
+            .iter()
+            .filter(|i| i.site == "storage.create_index")
+            .count(),
         refuted: refuted.into_iter().collect(),
         created: outcome.created.len(),
         least_created_benefit: outcome
@@ -327,7 +375,10 @@ fn a_second_pass_on_the_tuned_database() {
         "tpch"
     );
 
-    let mut db = job::build_database(&job::JobConfig { titles: 1500, ..Default::default() });
+    let mut db = job::build_database(&job::JobConfig {
+        titles: 1500,
+        ..Default::default()
+    });
     let texts = job::query_texts(0x10B).into_iter().map(|(_, sql)| sql);
     let monitor = common::observe(&mut db, texts);
     // Was 4, 4, 4, [no improvement 4], 0, none: four column permutations of

@@ -39,7 +39,13 @@ fn repeated_ranking_is_answered_from_the_cache_until_the_epoch_moves() {
     let bits = |db: &Database| -> Vec<(String, u64, u64)> {
         rank_candidates_with(db, &workload, &candidates, &CostModel, 1)
             .iter()
-            .map(|r| (r.candidate.name(), r.benefit.to_bits(), r.maintenance.to_bits()))
+            .map(|r| {
+                (
+                    r.candidate.name(),
+                    r.benefit.to_bits(),
+                    r.maintenance.to_bits(),
+                )
+            })
             .collect()
     };
 
@@ -47,13 +53,23 @@ fn repeated_ranking_is_answered_from_the_cache_until_the_epoch_moves() {
     cache.clear();
     let first = bits(&db);
     let cold = cache.stats();
-    assert!(!first.is_empty() && cold.misses > 0, "the fixture ranks nothing: {cold:?}");
+    assert!(
+        !first.is_empty() && cold.misses > 0,
+        "the fixture ranks nothing: {cold:?}"
+    );
 
     let second = bits(&db);
     let warm = cache.stats();
     assert_eq!(second, first);
-    assert_eq!(warm.misses, cold.misses, "an unchanged database must not be planned again");
-    assert_eq!(warm.hits - cold.hits, cold.hits + cold.misses, "every slot is a hit");
+    assert_eq!(
+        warm.misses, cold.misses,
+        "an unchanged database must not be planned again"
+    );
+    assert_eq!(
+        warm.hits - cold.hits,
+        cold.hits + cold.misses,
+        "every slot is a hit"
+    );
 
     // Handing out `&mut Table` draws `orders` a new version: same data, new
     // keys for the statements that bind it, and only for those.
@@ -82,7 +98,10 @@ fn repeated_ranking_is_answered_from_the_cache_until_the_epoch_moves() {
 }
 
 fn table(name: &str, columns: &[&str]) -> TableSchema {
-    let columns = columns.iter().map(|c| ColumnDef::new(*c, ColumnType::Int)).collect();
+    let columns = columns
+        .iter()
+        .map(|c| ColumnDef::new(*c, ColumnType::Int))
+        .collect();
     TableSchema::new(name, columns, &["id"]).unwrap()
 }
 
@@ -125,7 +144,11 @@ fn a_batch_plans_once_per_distinct_projection() {
     let mut rng = StdRng::seed_from_u64(0xba7c4);
     let configs: Vec<HypoConfig> = (0..320)
         .map(|_| {
-            let picked = hypos.iter().filter(|_| rng.gen_range(0..6usize) == 0).cloned().collect();
+            let picked = hypos
+                .iter()
+                .filter(|_| rng.gen_range(0..6usize) == 0)
+                .cloned()
+                .collect();
             HypoConfig::shared(picked)
         })
         .collect();
@@ -133,14 +156,19 @@ fn a_batch_plans_once_per_distinct_projection() {
         .iter()
         .map(|cfg| {
             let on_statement = cfg.indexes().iter().filter(|h| h.def.table != "v");
-            let mut defs: Vec<_> =
-                on_statement.map(|h| (h.def.table.as_str(), &h.def.columns[..])).collect();
+            let mut defs: Vec<_> = on_statement
+                .map(|h| (h.def.table.as_str(), &h.def.columns[..]))
+                .collect();
             defs.sort_unstable();
             defs.dedup();
             defs
         })
         .collect();
-    assert!((17..configs.len()).contains(&projections.len()), "{} projections", projections.len());
+    assert!(
+        (17..configs.len()).contains(&projections.len()),
+        "{} projections",
+        projections.len()
+    );
 
     let Statement::Select(select) =
         parse_statement("SELECT t.id FROM t, u WHERE t.a = u.x AND t.b = 5 AND u.y > 3").unwrap()
@@ -159,6 +187,14 @@ fn a_batch_plans_once_per_distinct_projection() {
     assert!(results.iter().all(Result::is_ok));
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses), (0, configs.len() as u64));
-    assert_eq!(plans, projections.len() as u64, "one real plan per distinct projection");
-    assert_eq!(plans + reused, stats.misses, "every other miss reuses a plan of the batch");
+    assert_eq!(
+        plans,
+        projections.len() as u64,
+        "one real plan per distinct projection"
+    );
+    assert_eq!(
+        plans + reused,
+        stats.misses,
+        "every other miss reuses a plan of the batch"
+    );
 }

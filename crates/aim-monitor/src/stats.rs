@@ -385,7 +385,10 @@ mod tests {
         // The same plan again leaves the stored usage as it is.
         record(&mut m, &mut db, "SELECT id, a FROM t WHERE a IN (5, 6)");
         let q = m.queries().next().unwrap();
-        assert_eq!(q.exemplar.to_string(), "SELECT id, a FROM t WHERE a IN (5, 6)");
+        assert_eq!(
+            q.exemplar.to_string(),
+            "SELECT id, a FROM t WHERE a IN (5, 6)"
+        );
         assert_eq!(q.indexes_used.len(), 1);
         assert_eq!(q.indexes_used[0].index, "ix_a");
         // And the index going away is seen too.

@@ -556,13 +556,7 @@ impl Clone for SelectItem {
 
     fn clone_from(&mut self, source: &Self) {
         match (self, source) {
-            (
-                SelectItem::Expr { expr, alias },
-                SelectItem::Expr {
-                    expr: e,
-                    alias: a,
-                },
-            ) => {
+            (SelectItem::Expr { expr, alias }, SelectItem::Expr { expr: e, alias: a }) => {
                 expr.clone_from(e);
                 alias.clone_from(a);
             }

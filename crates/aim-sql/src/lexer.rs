@@ -229,10 +229,7 @@ pub fn lex(input: &str) -> Result<Vec<SpannedToken<'_>>, ParseError> {
                         // `i` is on a character boundary: every arm above
                         // consumes whole ASCII bytes or whole slices.
                         let ch = input[i..].chars().next().expect("i < len");
-                        return Err(ParseError::new(
-                            format!("unexpected character {ch:?}"),
-                            i,
-                        ));
+                        return Err(ParseError::new(format!("unexpected character {ch:?}"), i));
                     }
                 };
                 i += len;
@@ -448,7 +445,10 @@ mod tests {
         let err = lex("SELECT é").unwrap_err();
         assert_eq!(err.message, "unexpected character 'é'");
         assert_eq!(err.offset, 7);
-        assert_eq!(lex("a ! b").unwrap_err().message, "unexpected character '!'");
+        assert_eq!(
+            lex("a ! b").unwrap_err().message,
+            "unexpected character '!'"
+        );
     }
 
     #[test]

@@ -37,8 +37,8 @@ pub mod parser;
 mod render;
 
 pub use ast::{
-    BinOp, ColumnRef, CreateIndex, CreateTable, Delete, Expr, Insert, Literal, OrderByItem,
-    Select, SelectItem, Statement, TableRef, Update,
+    BinOp, ColumnRef, CreateIndex, CreateTable, Delete, Expr, Insert, Literal, OrderByItem, Select,
+    SelectItem, Statement, TableRef, Update,
 };
 pub use error::ParseError;
 pub use normalize::{NormalizedQuery, QueryFingerprint};

@@ -105,9 +105,10 @@ pub fn normalize_statement(stmt: &Statement) -> NormalizedQuery {
             columns: i.columns.clone(),
             // All VALUES rows collapse to one row of placeholders: batch
             // size should not change the query's identity.
-            rows: vec![vec![Expr::Literal(Literal::Param); i.columns.len().max(
-                i.rows.first().map_or(0, Vec::len),
-            )]],
+            rows: vec![vec![
+                Expr::Literal(Literal::Param);
+                i.columns.len().max(i.rows.first().map_or(0, Vec::len),)
+            ]],
         }),
         Statement::Update(u) => Statement::Update(Update {
             table: u.table.clone(),
@@ -303,20 +304,32 @@ mod tests {
     #[test]
     fn signed_literals_share_the_unsigned_template() {
         for (signed, unsigned) in [
-            ("SELECT x FROM t WHERE a = -5", "SELECT x FROM t WHERE a = 5"),
+            (
+                "SELECT x FROM t WHERE a = -5",
+                "SELECT x FROM t WHERE a = 5",
+            ),
             (
                 "SELECT x FROM t WHERE a BETWEEN -1 AND 3",
                 "SELECT x FROM t WHERE a BETWEEN 1 AND 3",
             ),
-            ("SELECT x FROM t WHERE a IN (-1, 2)", "SELECT x FROM t WHERE a IN (1, 2)"),
-            ("UPDATE t SET a = -1.5 WHERE id = 2", "UPDATE t SET a = 1.5 WHERE id = 2"),
+            (
+                "SELECT x FROM t WHERE a IN (-1, 2)",
+                "SELECT x FROM t WHERE a IN (1, 2)",
+            ),
+            (
+                "UPDATE t SET a = -1.5 WHERE id = 2",
+                "UPDATE t SET a = 1.5 WHERE id = 2",
+            ),
         ] {
             let (s, u) = (norm(signed), norm(unsigned));
             assert_eq!(s.text, u.text, "{signed}");
             assert_eq!(s.fingerprint, u.fingerprint, "{signed}");
             assert_eq!(s.statement, u.statement, "{signed}");
         }
-        assert_eq!(norm("SELECT x FROM t WHERE a = -5").text, "SELECT x FROM t WHERE a = ?");
+        assert_eq!(
+            norm("SELECT x FROM t WHERE a = -5").text,
+            "SELECT x FROM t WHERE a = ?"
+        );
         // Negating anything but a number stays an expression.
         assert_eq!(
             norm("SELECT x FROM t WHERE a = -b AND c = -(1 + 2)").text,

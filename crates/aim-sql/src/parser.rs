@@ -556,9 +556,7 @@ impl<'a> Parser<'a> {
                     Keyword::Min => return self.parse_aggregate(AggFunc::Min),
                     Keyword::Max => return self.parse_aggregate(AggFunc::Max),
                     other => {
-                        return Err(
-                            self.error(format!("unexpected keyword {other} in expression"))
-                        )
+                        return Err(self.error(format!("unexpected keyword {other} in expression")))
                     }
                 };
                 self.pos += 1;
@@ -661,10 +659,7 @@ impl<'a> Parser<'a> {
         if self.peek() == &Token::Eof {
             Ok(())
         } else {
-            Err(self.error(format!(
-                "unexpected trailing input: {:?}",
-                self.peek()
-            )))
+            Err(self.error(format!("unexpected trailing input: {:?}", self.peek())))
         }
     }
 
@@ -704,7 +699,8 @@ mod tests {
 
     #[test]
     fn comma_join_and_qualified_columns() {
-        let s = select("SELECT t1.col1 FROM t1, t2, t3 WHERE t1.col2 = t3.col2 AND t2.col4 = t3.col7");
+        let s =
+            select("SELECT t1.col1 FROM t1, t2, t3 WHERE t1.col2 = t3.col2 AND t2.col4 = t3.col7");
         assert_eq!(s.from.len(), 3);
         match s.where_clause.unwrap() {
             Expr::And(parts) => assert_eq!(parts.len(), 2),
@@ -907,10 +903,8 @@ mod tests {
 
     #[test]
     fn decimal_type_with_precision() {
-        match parse_statement(
-            "CREATE TABLE m (id BIGINT, price DECIMAL(10, 2), PRIMARY KEY (id))",
-        )
-        .unwrap()
+        match parse_statement("CREATE TABLE m (id BIGINT, price DECIMAL(10, 2), PRIMARY KEY (id))")
+            .unwrap()
         {
             Statement::CreateTable(c) => assert_eq!(c.columns[1].1, SqlType::Double),
             other => panic!("{other:?}"),
@@ -919,10 +913,8 @@ mod tests {
 
     #[test]
     fn composite_primary_key() {
-        match parse_statement(
-            "CREATE TABLE e (a BIGINT, b BIGINT, v BIGINT, PRIMARY KEY (a, b))",
-        )
-        .unwrap()
+        match parse_statement("CREATE TABLE e (a BIGINT, b BIGINT, v BIGINT, PRIMARY KEY (a, b))")
+            .unwrap()
         {
             Statement::CreateTable(c) => assert_eq!(c.primary_key, vec!["a", "b"]),
             other => panic!("{other:?}"),
@@ -937,9 +929,8 @@ mod tests {
 
     #[test]
     fn chained_joins_fold_all_on_clauses() {
-        let s = select(
-            "SELECT a.x FROM a JOIN b ON a.id = b.id JOIN c ON b.id = c.id WHERE a.x = 1",
-        );
+        let s =
+            select("SELECT a.x FROM a JOIN b ON a.id = b.id JOIN c ON b.id = c.id WHERE a.x = 1");
         assert_eq!(s.from.len(), 3);
         match s.where_clause.unwrap() {
             Expr::And(parts) => assert_eq!(parts.len(), 3),

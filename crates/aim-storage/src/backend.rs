@@ -127,11 +127,7 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     }
 
     /// Persists a fully built index. `entries` are in key order.
-    fn persist_create_index(
-        &self,
-        def: &IndexDef,
-        entries: &[Key],
-    ) -> Result<(), StorageError> {
+    fn persist_create_index(&self, def: &IndexDef, entries: &[Key]) -> Result<(), StorageError> {
         let _ = (def, entries);
         Ok(())
     }
@@ -372,10 +368,7 @@ impl DiskBackend {
         }
     }
 
-    fn table_meta(
-        inner: &DiskInner,
-        table: &str,
-    ) -> Result<TableMeta, StorageError> {
+    fn table_meta(inner: &DiskInner, table: &str) -> Result<TableMeta, StorageError> {
         inner
             .tables
             .get(table)
@@ -394,16 +387,18 @@ impl DiskBackend {
     }
 
     /// Resolves a PK to its heap location via the PK tree.
-    fn locate(
-        inner: &mut DiskInner,
-        pk_root: u32,
-        pk: &Key,
-    ) -> Result<heap::RowLoc, StorageError> {
+    fn locate(inner: &mut DiskInner, pk_root: u32, pk: &Key) -> Result<heap::RowLoc, StorageError> {
         let mut scratch = IoStats::new();
-        btree_page::lookup(&mut inner.pager, pk_root, pk, &mut scratch, codec::decode_rowid)?
-            .ok_or_else(|| StorageError::Corrupt {
-                detail: format!("primary key {pk:?} missing from PK tree"),
-            })?
+        btree_page::lookup(
+            &mut inner.pager,
+            pk_root,
+            pk,
+            &mut scratch,
+            codec::decode_rowid,
+        )?
+        .ok_or_else(|| StorageError::Corrupt {
+            detail: format!("primary key {pk:?} missing from PK tree"),
+        })?
     }
 }
 
@@ -448,12 +443,13 @@ impl StorageBackend for DiskBackend {
             let rid = codec::encode_rowid(pg, slot);
             tm.pk_root = btree_page::insert(&mut inner.pager, tm.pk_root, pk, &rid)?;
             for (name, entry) in entries {
-                let (_, root) = tm.indexes.get_mut(name).ok_or_else(|| {
-                    StorageError::UnknownIndex {
-                        table: table.to_string(),
-                        index: name.clone(),
-                    }
-                })?;
+                let (_, root) =
+                    tm.indexes
+                        .get_mut(name)
+                        .ok_or_else(|| StorageError::UnknownIndex {
+                            table: table.to_string(),
+                            index: name.clone(),
+                        })?;
                 *root = btree_page::insert(&mut inner.pager, *root, entry, &[])?;
             }
             Self::store_meta(inner, tm)
@@ -474,12 +470,13 @@ impl StorageBackend for DiskBackend {
             debug_assert!(removed, "locate() found the key");
             tm.pk_root = root;
             for (name, entry) in entries {
-                let (_, root) = tm.indexes.get_mut(name).ok_or_else(|| {
-                    StorageError::UnknownIndex {
-                        table: table.to_string(),
-                        index: name.clone(),
-                    }
-                })?;
+                let (_, root) =
+                    tm.indexes
+                        .get_mut(name)
+                        .ok_or_else(|| StorageError::UnknownIndex {
+                            table: table.to_string(),
+                            index: name.clone(),
+                        })?;
                 let (r, _) = btree_page::remove(&mut inner.pager, *root, entry)?;
                 *root = r;
             }
@@ -499,41 +496,38 @@ impl StorageBackend for DiskBackend {
             let mut tm = Self::table_meta(inner, table)?;
             let loc = Self::locate(inner, tm.pk_root, pk)?;
             let row_bytes = codec::encode_tuple(new_row);
-            let (new_loc, last) =
-                heap::update(&mut inner.pager, loc, tm.heap_last, &row_bytes)?;
+            let (new_loc, last) = heap::update(&mut inner.pager, loc, tm.heap_last, &row_bytes)?;
             tm.heap_last = last;
             if new_loc != loc {
                 let rid = codec::encode_rowid(new_loc.0, new_loc.1);
                 tm.pk_root = btree_page::insert(&mut inner.pager, tm.pk_root, pk, &rid)?;
             }
             for (name, entry) in removed {
-                let (_, root) = tm.indexes.get_mut(name).ok_or_else(|| {
-                    StorageError::UnknownIndex {
-                        table: table.to_string(),
-                        index: name.clone(),
-                    }
-                })?;
+                let (_, root) =
+                    tm.indexes
+                        .get_mut(name)
+                        .ok_or_else(|| StorageError::UnknownIndex {
+                            table: table.to_string(),
+                            index: name.clone(),
+                        })?;
                 let (r, _) = btree_page::remove(&mut inner.pager, *root, entry)?;
                 *root = r;
             }
             for (name, entry) in added {
-                let (_, root) = tm.indexes.get_mut(name).ok_or_else(|| {
-                    StorageError::UnknownIndex {
-                        table: table.to_string(),
-                        index: name.clone(),
-                    }
-                })?;
+                let (_, root) =
+                    tm.indexes
+                        .get_mut(name)
+                        .ok_or_else(|| StorageError::UnknownIndex {
+                            table: table.to_string(),
+                            index: name.clone(),
+                        })?;
                 *root = btree_page::insert(&mut inner.pager, *root, entry, &[])?;
             }
             Self::store_meta(inner, tm)
         })
     }
 
-    fn persist_create_index(
-        &self,
-        def: &IndexDef,
-        entries: &[Key],
-    ) -> Result<(), StorageError> {
+    fn persist_create_index(&self, def: &IndexDef, entries: &[Key]) -> Result<(), StorageError> {
         self.with_tx(|inner| {
             let mut tm = Self::table_meta(inner, &def.table)?;
             if tm.indexes.contains_key(&def.name) {
@@ -544,8 +538,7 @@ impl StorageBackend for DiskBackend {
             }
             let keyed = entries.iter().map(|entry| (entry.as_slice(), &[][..]));
             let root = btree_page::build(&mut inner.pager, keyed)?;
-            tm.indexes
-                .insert(def.name.clone(), (def.clone(), root));
+            tm.indexes.insert(def.name.clone(), (def.clone(), root));
             Self::store_meta(inner, tm)
         })
     }
@@ -553,12 +546,13 @@ impl StorageBackend for DiskBackend {
     fn persist_drop_index(&self, table: &str, index: &str) -> Result<(), StorageError> {
         self.with_tx(|inner| {
             let mut tm = Self::table_meta(inner, table)?;
-            let (_, root) = tm.indexes.remove(index).ok_or_else(|| {
-                StorageError::UnknownIndex {
+            let (_, root) = tm
+                .indexes
+                .remove(index)
+                .ok_or_else(|| StorageError::UnknownIndex {
                     table: table.to_string(),
                     index: index.to_string(),
-                }
-            })?;
+                })?;
             btree_page::free(&mut inner.pager, root)?;
             Self::store_meta(inner, tm)
         })
@@ -874,7 +868,8 @@ mod tests {
             be.persist_create_table(&schema()).unwrap();
             for i in 0..500 {
                 let r = row(i);
-                be.persist_insert("t", &vec![Value::Int(i)], &r, &[]).unwrap();
+                be.persist_insert("t", &vec![Value::Int(i)], &r, &[])
+                    .unwrap();
             }
             be.persist_delete("t", &vec![Value::Int(3)], &[]).unwrap();
         }
@@ -905,7 +900,8 @@ mod tests {
             }
             // Proper order: rows first without entries, then build.
             for i in 0..50 {
-                be.persist_insert("t", &vec![Value::Int(i)], &row(i), &[]).unwrap();
+                be.persist_insert("t", &vec![Value::Int(i)], &row(i), &[])
+                    .unwrap();
             }
             entries.sort();
             be.persist_create_index(&def, &entries).unwrap();
@@ -925,17 +921,21 @@ mod tests {
         let dir = tmp("rollback");
         let (be, _) = DiskBackend::open(&dir, PagerOptions::default()).unwrap();
         be.persist_create_table(&schema()).unwrap();
-        be.persist_insert("t", &vec![Value::Int(1)], &row(1), &[]).unwrap();
-        crate::fault::arm(
-            crate::fault::FaultPlan::new(5).fail(crate::pager::wal::SITE_WAL_FSYNC, 0, 1),
-        );
+        be.persist_insert("t", &vec![Value::Int(1)], &row(1), &[])
+            .unwrap();
+        crate::fault::arm(crate::fault::FaultPlan::new(5).fail(
+            crate::pager::wal::SITE_WAL_FSYNC,
+            0,
+            1,
+        ));
         let err = be
             .persist_insert("t", &vec![Value::Int(2)], &row(2), &[])
             .unwrap_err();
         crate::fault::disarm();
         assert!(err.is_injected(), "{err}");
         // Retry succeeds; state holds exactly rows 1 and 2.
-        be.persist_insert("t", &vec![Value::Int(2)], &row(2), &[]).unwrap();
+        be.persist_insert("t", &vec![Value::Int(2)], &row(2), &[])
+            .unwrap();
         drop(be);
         let (_, loaded) = DiskBackend::open(&dir, PagerOptions::default()).unwrap();
         assert_eq!(loaded[0].rows.len(), 2);
@@ -948,7 +948,8 @@ mod tests {
             let (be, _) = DiskBackend::open(&dir, PagerOptions::default()).unwrap();
             be.persist_create_table(&schema()).unwrap();
             for i in 0..100 {
-                be.persist_insert("t", &vec![Value::Int(i)], &row(i), &[]).unwrap();
+                be.persist_insert("t", &vec![Value::Int(i)], &row(i), &[])
+                    .unwrap();
             }
             be.simulate_crash();
         }
@@ -963,7 +964,8 @@ mod tests {
         let (be, _) = DiskBackend::open(&dir, PagerOptions::default()).unwrap();
         be.persist_create_table(&schema()).unwrap();
         for i in 0..2000 {
-            be.persist_insert("t", &vec![Value::Int(i)], &row(i), &[]).unwrap();
+            be.persist_insert("t", &vec![Value::Int(i)], &row(i), &[])
+                .unwrap();
         }
         let mut io = IoStats::new();
         assert!(be.account_full_scan("t", &mut io));
@@ -980,12 +982,7 @@ mod tests {
         let lo = vec![Value::Int(100)];
         let hi = vec![Value::Int(200)];
         let mut io3 = IoStats::new();
-        assert!(be.account_pk_range(
-            "t",
-            Bound::Included(&lo),
-            Bound::Excluded(&hi),
-            &mut io3
-        ));
+        assert!(be.account_pk_range("t", Bound::Included(&lo), Bound::Excluded(&hi), &mut io3));
         assert_eq!(io3.rows_read, 100);
         assert!(io3.pages_read < io.pages_read);
         // Unknown tables fall back to the simulated model.
@@ -999,15 +996,13 @@ mod tests {
             let (be, _) = DiskBackend::open(&dir, PagerOptions::default()).unwrap();
             be.persist_create_table(&schema()).unwrap();
             for i in 0..200 {
-                be.persist_insert("t", &vec![Value::Int(i)], &row(i), &[]).unwrap();
+                be.persist_insert("t", &vec![Value::Int(i)], &row(i), &[])
+                    .unwrap();
             }
             // Grow row 0 enough that it must relocate eventually.
-            let fat = vec![
-                Value::Int(0),
-                Value::Int(0),
-                Value::Str("x".repeat(9000)),
-            ];
-            be.persist_update("t", &vec![Value::Int(0)], &fat, &[], &[]).unwrap();
+            let fat = vec![Value::Int(0), Value::Int(0), Value::Str("x".repeat(9000))];
+            be.persist_update("t", &vec![Value::Int(0)], &fat, &[], &[])
+                .unwrap();
         }
         let (_, loaded) = DiskBackend::open(&dir, PagerOptions::default()).unwrap();
         assert_eq!(loaded[0].rows.len(), 200);
@@ -1027,7 +1022,8 @@ mod tests {
             let (be, _) = DiskBackend::open(&dir, PagerOptions::default()).unwrap();
             be.persist_create_table(&schema()).unwrap();
             for i in 0..50 {
-                be.persist_insert("t", &vec![Value::Int(i)], &row(i), &[]).unwrap();
+                be.persist_insert("t", &vec![Value::Int(i)], &row(i), &[])
+                    .unwrap();
             }
             be.persist_create_index(&def, &[]).unwrap();
             be.persist_drop_index("t", "ix_a").unwrap();

@@ -483,7 +483,11 @@ mod tests {
             let enc = encode_tuple(a);
             assert_eq!(decode_tuple(&enc).unwrap().cmp(a), Ordering::Equal);
             for b in &tuples {
-                assert_eq!(compare_keys(&enc, b).unwrap(), a.cmp(b), "{a:?} against {b:?}");
+                assert_eq!(
+                    compare_keys(&enc, b).unwrap(),
+                    a.cmp(b),
+                    "{a:?} against {b:?}"
+                );
             }
         }
         assert_eq!(
@@ -501,7 +505,10 @@ mod tests {
             "orders",
             vec![
                 ColumnDef::new("id", ColumnType::Int),
-                ColumnDef { avg_width: 40, ..ColumnDef::new("who", ColumnType::Str) },
+                ColumnDef {
+                    avg_width: 40,
+                    ..ColumnDef::new("who", ColumnType::Str)
+                },
                 ColumnDef::new("paid", ColumnType::Bool),
                 ColumnDef::new("amt", ColumnType::Float),
             ],

@@ -1,8 +1,6 @@
 //! The database: a catalog of tables with their indexes and statistics.
 
-use crate::backend::{
-    memory_backend, BackendKind, DiskBackend, StorageBackend, StorageCounters,
-};
+use crate::backend::{memory_backend, BackendKind, DiskBackend, StorageBackend, StorageCounters};
 use crate::error::StorageError;
 use crate::io::IoStats;
 use crate::pager::PagerOptions;
@@ -474,12 +472,8 @@ mod tests {
     #[test]
     fn duplicate_table_rejected() {
         let mut db = db();
-        let schema = TableSchema::new(
-            "t",
-            vec![ColumnDef::new("id", ColumnType::Int)],
-            &["id"],
-        )
-        .unwrap();
+        let schema =
+            TableSchema::new("t", vec![ColumnDef::new("id", ColumnType::Int)], &["id"]).unwrap();
         assert!(matches!(
             db.create_table(schema),
             Err(StorageError::DuplicateTable(_))
@@ -508,29 +502,52 @@ mod tests {
         db.create_index(IndexDef::new("ix_a", "t", vec!["a".into()]), &mut io)
             .unwrap();
         let mut clone = db.clone();
-        assert!(clone.table("t").unwrap().shares_rows_with(db.table("t").unwrap()));
+        assert!(clone
+            .table("t")
+            .unwrap()
+            .shares_rows_with(db.table("t").unwrap()));
         db.table_mut("t")
             .unwrap()
             .insert(vec![Value::Int(3), Value::Int(30)], &mut io)
             .unwrap();
         let t = clone.table_mut("t").unwrap();
-        t.insert(vec![Value::Int(4), Value::Int(40)], &mut io).unwrap();
-        t.update(&vec![Value::Int(1)], vec![Value::Int(1), Value::Int(11)], &mut io)
+        t.insert(vec![Value::Int(4), Value::Int(40)], &mut io)
             .unwrap();
+        t.update(
+            &vec![Value::Int(1)],
+            vec![Value::Int(1), Value::Int(11)],
+            &mut io,
+        )
+        .unwrap();
         let contents = |db: &Database| {
             let t = db.table("t").unwrap();
             let rows: Vec<Vec<Value>> = t.scan_all(&mut IoStats::new()).cloned().collect();
             let ix = t.index("ix_a").unwrap();
-            let entries: Vec<Vec<Value>> =
-                ix.scan_all(t, &mut IoStats::new()).into_iter().cloned().collect();
+            let entries: Vec<Vec<Value>> = ix
+                .scan_all(t, &mut IoStats::new())
+                .into_iter()
+                .cloned()
+                .collect();
             (rows, entries)
         };
         let int = |pairs: &[(i64, i64)]| -> Vec<Vec<Value>> {
-            pairs.iter().map(|&(x, y)| vec![Value::Int(x), Value::Int(y)]).collect()
+            pairs
+                .iter()
+                .map(|&(x, y)| vec![Value::Int(x), Value::Int(y)])
+                .collect()
         };
-        assert_eq!(contents(&db), (int(&[(1, 10), (3, 30)]), int(&[(10, 1), (30, 3)])));
-        assert_eq!(contents(&clone), (int(&[(1, 11), (4, 40)]), int(&[(11, 1), (40, 4)])));
-        assert!(!clone.table("t").unwrap().shares_rows_with(db.table("t").unwrap()));
+        assert_eq!(
+            contents(&db),
+            (int(&[(1, 10), (3, 30)]), int(&[(10, 1), (30, 3)]))
+        );
+        assert_eq!(
+            contents(&clone),
+            (int(&[(1, 11), (4, 40)]), int(&[(11, 1), (40, 4)]))
+        );
+        assert!(!clone
+            .table("t")
+            .unwrap()
+            .shares_rows_with(db.table("t").unwrap()));
         db.check_consistency().unwrap();
         clone.check_consistency().unwrap();
     }
@@ -567,7 +584,10 @@ mod tests {
         let before = version(&db);
         db.create_index_from(&bed, ix_a(), &mut io).unwrap();
         assert!(adopted(&db, &bed));
-        assert!(version(&db) > before, "adoption draws a version like a build");
+        assert!(
+            version(&db) > before,
+            "adoption draws a version like a build"
+        );
         db.check_consistency().unwrap();
         // Production writes the adopted index: it copies it first.
         db.table_mut("t")
@@ -587,7 +607,10 @@ mod tests {
         let mut db = filled(50);
         let mut bed = db.clone();
         bed.create_index(ix_a(), &mut io).unwrap();
-        db.table_mut("t").unwrap().insert(row.clone(), &mut io).unwrap();
+        db.table_mut("t")
+            .unwrap()
+            .insert(row.clone(), &mut io)
+            .unwrap();
         db.create_index_from(&bed, ix_a(), &mut io).unwrap();
         assert!(!adopted(&db, &bed));
         assert_eq!(db.table("t").unwrap().index("ix_a").unwrap().len(), 51);
@@ -785,7 +808,12 @@ mod tests {
             .unwrap();
         // A rule that only observes: every consultation of the site is
         // logged and nothing is changed.
-        crate::fault::arm(crate::fault::FaultPlan::new(1).delay_ms("storage.analyze", 0, 0, u64::MAX));
+        crate::fault::arm(crate::fault::FaultPlan::new(1).delay_ms(
+            "storage.analyze",
+            0,
+            0,
+            u64::MAX,
+        ));
         db.analyze_all();
         db.analyze_all();
         let log = crate::fault::disarm();
@@ -853,9 +881,13 @@ mod tests {
         }
         crate::fault::arm(crate::fault::FaultPlan::new(7).fail("storage.create_index", 0, 1));
         let def = IndexDef::new("ix_a", "t", vec!["a".into()]);
-        assert!(db.create_index(def.clone(), &mut io).unwrap_err().is_injected());
+        assert!(db
+            .create_index(def.clone(), &mut io)
+            .unwrap_err()
+            .is_injected());
         assert!(db.all_indexes().is_empty(), "failed build must not install");
-        db.check_consistency().expect("consistent after injected failure");
+        db.check_consistency()
+            .expect("consistent after injected failure");
         // Retry (fault budget exhausted) succeeds and is fully populated.
         db.create_index(def, &mut io).unwrap();
         crate::fault::disarm();
@@ -883,7 +915,8 @@ mod tests {
         assert!(corrupted.row_count >= 1_000_000);
         // Data itself is untouched; the corrupted install left the table
         // stale, so a clean ANALYZE restores truth.
-        db.check_consistency().expect("corruption affects stats only");
+        db.check_consistency()
+            .expect("corruption affects stats only");
         assert!(db.stats_dirty());
         db.analyze_all();
         assert!(!db.stats_dirty());
@@ -905,7 +938,11 @@ mod tests {
             ..Default::default()
         };
         let rows = |db: &Database| -> Vec<crate::value::Row> {
-            db.table("t").unwrap().scan_all(&mut IoStats::new()).cloned().collect()
+            db.table("t")
+                .unwrap()
+                .scan_all(&mut IoStats::new())
+                .cloned()
+                .collect()
         };
         let mut db = Database::open_disk(&dir, opts).unwrap();
         db.create_table(

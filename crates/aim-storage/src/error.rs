@@ -8,17 +8,31 @@ pub enum StorageError {
     /// Schema construction failed (empty PK, duplicate columns, ...).
     InvalidSchema(String),
     UnknownTable(String),
-    UnknownColumn { table: String, column: String },
-    UnknownIndex { table: String, index: String },
+    UnknownColumn {
+        table: String,
+        column: String,
+    },
+    UnknownIndex {
+        table: String,
+        index: String,
+    },
     DuplicateTable(String),
-    DuplicateIndex { table: String, index: String },
+    DuplicateIndex {
+        table: String,
+        index: String,
+    },
     /// Primary-key or unique-index violation.
-    DuplicateKey { table: String, key: String },
+    DuplicateKey {
+        table: String,
+        key: String,
+    },
     /// Row arity or value type does not match the schema.
     RowMismatch(String),
     /// A fault injected by an armed [`crate::fault::FaultPlan`] (chaos
     /// testing); `site` names the instrumented operation that failed.
-    FaultInjected { site: String },
+    FaultInjected {
+        site: String,
+    },
     /// An operating-system I/O failure from the disk backend (open, read,
     /// write, fsync). Not retryable: the pager cannot know whether the
     /// kernel persisted anything.
@@ -26,7 +40,9 @@ pub enum StorageError {
     /// On-disk corruption detected by the disk backend: a page whose
     /// checksum does not match its payload (torn write), a malformed WAL
     /// record, or an undecodable catalog. Never retryable.
-    Corrupt { detail: String },
+    Corrupt {
+        detail: String,
+    },
 }
 
 impl StorageError {

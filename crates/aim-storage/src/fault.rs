@@ -330,7 +330,14 @@ pub(crate) mod tests {
         assert_eq!(hit("other"), None); // site mismatch
         let log = disarm();
         assert_eq!(log.len(), 2);
-        assert_eq!(log[0], Injection { site: "s".into(), call: 3, kind: FaultKind::Fail });
+        assert_eq!(
+            log[0],
+            Injection {
+                site: "s".into(),
+                call: 3,
+                kind: FaultKind::Fail
+            }
+        );
     }
 
     #[test]

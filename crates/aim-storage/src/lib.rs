@@ -62,10 +62,10 @@ pub use backend::{
 };
 pub use database::Database;
 pub use error::StorageError;
-pub use pager::{Pager, PagerOptions};
 pub use fault::{FaultKind, FaultPlan, FaultRule, Injection};
 pub use index::SecondaryIndex;
 pub use io::{pages_for, IoStats, PAGE_SIZE};
+pub use pager::{Pager, PagerOptions};
 pub use schema::{ColumnDef, ColumnType, IndexDef, TableSchema};
 pub use stats::{analyze, ColumnStats, Histogram, TableStats};
 pub use table::Table;

@@ -368,7 +368,8 @@ impl Pager {
             let mut copy = self.buffer();
             copy.copy_from(self.pool.peek(no).expect("page resident"));
             let dirty = self.pool.is_dirty(no);
-            self.touched.push((no, Before::Resident { page: copy, dirty }));
+            self.touched
+                .push((no, Before::Resident { page: copy, dirty }));
         }
         Ok(self.pool.stage(no).expect("page resident"))
     }
@@ -574,7 +575,11 @@ impl Pager {
     /// file first, and on failure back into the pool (growing it) so no
     /// committed data is lost. The buffer is kept for the next fault-in.
     fn write_back(&mut self, evicted: Evicted) -> Result<(), StorageError> {
-        let Evicted { page_no, page, dirty } = evicted;
+        let Evicted {
+            page_no,
+            page,
+            dirty,
+        } = evicted;
         if dirty {
             if let Err(e) = write_file(&mut self.file, &mut self.counters, page_no, page.bytes()) {
                 self.pool.install(page_no, page, true, false);
@@ -611,13 +616,15 @@ fn write_file(
 fn write_at(file: &mut File, no: u32, data: &[u8]) -> Result<(), StorageError> {
     debug_assert_eq!(data.len(), DISK_PAGE_SIZE);
     let off = u64::from(no) * DISK_PAGE_SIZE as u64;
-    file.seek(SeekFrom::Start(off)).map_err(|e| io_err("seek", e))?;
+    file.seek(SeekFrom::Start(off))
+        .map_err(|e| io_err("seek", e))?;
     file.write_all(data).map_err(|e| io_err("write", e))
 }
 
 fn read_at(file: &mut File, no: u32, into: &mut [u8]) -> Result<(), StorageError> {
     let off = u64::from(no) * DISK_PAGE_SIZE as u64;
-    file.seek(SeekFrom::Start(off)).map_err(|e| io_err("seek", e))?;
+    file.seek(SeekFrom::Start(off))
+        .map_err(|e| io_err("seek", e))?;
     file.read_exact(into).map_err(|e| io_err("read", e))
 }
 
@@ -629,7 +636,8 @@ fn meta_page(meta: &Meta, mut p: Page) -> Page {
     cell[12..16].copy_from_slice(&meta.page_count.to_le_bytes());
     cell[16..20].copy_from_slice(&meta.freelist.to_le_bytes());
     cell[20..24].copy_from_slice(&meta.catalog_root.to_le_bytes());
-    p.add_cell(&cell).expect("an empty page holds the meta cell");
+    p.add_cell(&cell)
+        .expect("an empty page holds the meta cell");
     p
 }
 
@@ -707,7 +715,10 @@ mod tests {
     }
 
     fn first_cell(pg: &mut Pager, no: u32) -> Vec<u8> {
-        pg.read_page(no, &mut IoStats::new()).unwrap().cell(0).to_vec()
+        pg.read_page(no, &mut IoStats::new())
+            .unwrap()
+            .cell(0)
+            .to_vec()
     }
 
     #[test]
@@ -918,7 +929,11 @@ mod tests {
         pg.page_mut(no).unwrap().replace_cell(0, &[2; 64]);
         pg.page_mut(no).unwrap().add_cell(&[3; 8]).unwrap();
         assert_eq!(pg.touched.len(), 1, "one before-image however many edits");
-        assert_eq!(first_cell(&mut pg, no), vec![2u8; 64], "a reader sees the edit");
+        assert_eq!(
+            first_cell(&mut pg, no),
+            vec![2u8; 64],
+            "a reader sees the edit"
+        );
         pg.rollback();
         let page = pg.read_page(no, &mut IoStats::new()).unwrap();
         assert_eq!((page.cell(0), page.nslots()), (&[1u8; 64][..], 1));
@@ -931,9 +946,19 @@ mod tests {
         let image = (17 + 4 + DISK_PAGE_SIZE) as u64;
         assert_eq!(pg.wal_counters().bytes_written - logged, image + 17);
         let now = pg.pool_counters();
-        assert_eq!((now.hits - lookups.hits, now.misses - lookups.misses), (2, 0));
-        let sealed = pg.read_page(no, &mut IoStats::new()).unwrap().bytes().to_vec();
-        assert!(Page::from_bytes(sealed, no).is_ok(), "the frame is the logged image");
+        assert_eq!(
+            (now.hits - lookups.hits, now.misses - lookups.misses),
+            (2, 0)
+        );
+        let sealed = pg
+            .read_page(no, &mut IoStats::new())
+            .unwrap()
+            .bytes()
+            .to_vec();
+        assert!(
+            Page::from_bytes(sealed, no).is_ok(),
+            "the frame is the logged image"
+        );
         pg.simulate_crash();
         drop(pg);
         let mut pg = Pager::open(&dir, PagerOptions::default()).unwrap();

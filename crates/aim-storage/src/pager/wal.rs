@@ -87,9 +87,7 @@ impl Wal {
             .truncate(false)
             .open(path)
             .map_err(|e| io_err("open", e))?;
-        let size = file
-            .seek(SeekFrom::End(0))
-            .map_err(|e| io_err("seek", e))?;
+        let size = file.seek(SeekFrom::End(0)).map_err(|e| io_err("seek", e))?;
         Ok(Self {
             file,
             path: path.to_path_buf(),
@@ -126,7 +124,12 @@ impl Wal {
         buf.reserve(images.size_hint().0 * (DISK_PAGE_SIZE + 32) + 32);
         for (page_no, data) in images {
             debug_assert_eq!(data.len(), DISK_PAGE_SIZE);
-            frame_record(KIND_PAGE_IMAGE, lsn, &[&page_no.to_le_bytes(), data], &mut buf);
+            frame_record(
+                KIND_PAGE_IMAGE,
+                lsn,
+                &[&page_no.to_le_bytes(), data],
+                &mut buf,
+            );
         }
         frame_record(KIND_COMMIT, lsn, &[], &mut buf);
         let appended = self.append(&buf);
@@ -263,10 +266,7 @@ mod tests {
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "aim-wal-test-{}-{name}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("aim-wal-test-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir.join("test.wal")
@@ -361,13 +361,19 @@ mod tests {
     fn every_bit_flip_of_a_record_is_rejected() {
         let good = framed(0x5eed_0300);
         let (kind, lsn, payload, next) = read_record(&good, 0).expect("a whole record");
-        assert_eq!((kind, lsn, payload.len(), next), (KIND_PAGE_IMAGE, 7, 4 + DISK_PAGE_SIZE, good.len()));
+        assert_eq!(
+            (kind, lsn, payload.len(), next),
+            (KIND_PAGE_IMAGE, 7, 4 + DISK_PAGE_SIZE, good.len())
+        );
         let stride = if cfg!(debug_assertions) { 61 } else { 1 };
         let header = 17 * 8;
         for bit in (0..header).chain((header..good.len() * 8).step_by(stride)) {
             let mut bytes = good.clone();
             bytes[bit / 8] ^= 1 << (bit % 8);
-            assert!(read_record(&bytes, 0).is_none(), "bit {bit} flipped and the record still reads");
+            assert!(
+                read_record(&bytes, 0).is_none(),
+                "bit {bit} flipped and the record still reads"
+            );
         }
     }
 
@@ -406,9 +412,7 @@ mod tests {
         let mut wal = Wal::open(&path).unwrap();
         wal.append_commit(1, [(3, &page_img(1)[..])]).unwrap();
         crate::fault::arm(crate::fault::FaultPlan::new(5).fail(SITE_WAL_FSYNC, 0, 1));
-        let err = wal
-            .append_commit(2, [(4, &page_img(2)[..])])
-            .unwrap_err();
+        let err = wal.append_commit(2, [(4, &page_img(2)[..])]).unwrap_err();
         crate::fault::disarm();
         assert!(err.is_injected(), "{err}");
         let r = replay(&path).unwrap();

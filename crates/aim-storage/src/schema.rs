@@ -77,11 +77,9 @@ impl TableSchema {
             let pos = columns
                 .iter()
                 .position(|c| c.name == *pk_col)
-                .ok_or_else(|| {
-                    StorageError::UnknownColumn {
-                        table: name.clone(),
-                        column: (*pk_col).to_string(),
-                    }
+                .ok_or_else(|| StorageError::UnknownColumn {
+                    table: name.clone(),
+                    column: (*pk_col).to_string(),
                 })?;
             if pk.contains(&pos) {
                 return Err(StorageError::InvalidSchema(format!(
@@ -127,7 +125,12 @@ impl TableSchema {
     /// Average full row width in bytes (sum of column widths + row header).
     pub fn avg_row_width(&self) -> u64 {
         const ROW_HEADER: u64 = 16;
-        ROW_HEADER + self.columns.iter().map(|c| u64::from(c.avg_width)).sum::<u64>()
+        ROW_HEADER
+            + self
+                .columns
+                .iter()
+                .map(|c| u64::from(c.avg_width))
+                .sum::<u64>()
     }
 }
 
@@ -146,11 +149,7 @@ pub struct IndexDef {
 }
 
 impl IndexDef {
-    pub fn new(
-        name: impl Into<String>,
-        table: impl Into<String>,
-        columns: Vec<String>,
-    ) -> Self {
+    pub fn new(name: impl Into<String>, table: impl Into<String>, columns: Vec<String>) -> Self {
         Self {
             name: name.into(),
             table: table.into(),
@@ -162,12 +161,7 @@ impl IndexDef {
 
 impl fmt::Display for IndexDef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}({})",
-            self.table,
-            self.columns.join(", ")
-        )
+        write!(f, "{}({})", self.table, self.columns.join(", "))
     }
 }
 
@@ -197,12 +191,8 @@ mod tests {
 
     #[test]
     fn rejects_unknown_pk_column() {
-        let err = TableSchema::new(
-            "t",
-            vec![ColumnDef::new("id", ColumnType::Int)],
-            &["nope"],
-        )
-        .unwrap_err();
+        let err = TableSchema::new("t", vec![ColumnDef::new("id", ColumnType::Int)], &["nope"])
+            .unwrap_err();
         assert!(matches!(err, StorageError::UnknownColumn { .. }));
     }
 

@@ -116,9 +116,7 @@ impl Histogram {
             };
             let cut_high = match hi {
                 Bound::Unbounded => 0.0,
-                Bound::Included(v) | Bound::Excluded(v) => {
-                    1.0 - fraction_below(b_lo, &b.upper, v)
-                }
+                Bound::Included(v) | Bound::Excluded(v) => 1.0 - fraction_below(b_lo, &b.upper, v),
             };
             let keep = (1.0 - cut_low - cut_high).max(0.0);
             est += keep * b.count as f64;
@@ -465,7 +463,10 @@ mod tests {
         let est_cold = c.eq_selectivity(&Value::Int(400)) * c.row_count as f64;
         // The bucket-boundary extension keeps all copies of the heavy value
         // in one bucket, so its estimate must dominate a cold value's.
-        assert!(est_hot > 10.0 * est_cold, "hot = {est_hot}, cold = {est_cold}");
+        assert!(
+            est_hot > 10.0 * est_cold,
+            "hot = {est_hot}, cold = {est_cold}"
+        );
         assert!(est_hot > 20.0, "hot = {est_hot}");
     }
 }

@@ -192,8 +192,7 @@ impl Table {
         t.rows = Arc::new(map);
         for (def, entries) in indexes {
             let key_positions = t.resolve_key_positions(&def)?;
-            let mut ix =
-                SecondaryIndex::new(def, key_positions, t.schema.primary_key.clone());
+            let mut ix = SecondaryIndex::new(def, key_positions, t.schema.primary_key.clone());
             ix.load(entries);
             t.indexes.insert(ix.def().name.clone(), Arc::new(ix));
         }
@@ -270,11 +269,7 @@ impl Table {
     /// Deletes the row with primary key `pk`; returns it if present.
     /// Fails (leaving the row in place, memory and disk agreeing) when the
     /// backend cannot persist the delete.
-    pub fn delete(
-        &mut self,
-        pk: &Key,
-        io: &mut IoStats,
-    ) -> Result<Option<Row>, StorageError> {
+    pub fn delete(&mut self, pk: &Key, io: &mut IoStats) -> Result<Option<Row>, StorageError> {
         let Some(row) = self.rows.get(pk) else {
             return Ok(None);
         };
@@ -358,12 +353,13 @@ impl Table {
     fn resolve_key_positions(&self, def: &IndexDef) -> Result<Vec<usize>, StorageError> {
         let mut key_positions = Vec::with_capacity(def.columns.len());
         for col in &def.columns {
-            let pos = self.schema.column_index(col).ok_or_else(|| {
-                StorageError::UnknownColumn {
+            let pos = self
+                .schema
+                .column_index(col)
+                .ok_or_else(|| StorageError::UnknownColumn {
                     table: self.schema.name.clone(),
                     column: col.clone(),
-                }
-            })?;
+                })?;
             if key_positions.contains(&pos) {
                 return Err(StorageError::InvalidSchema(format!(
                     "index {}: duplicate key column {col}",
@@ -380,7 +376,11 @@ impl Table {
     fn build_index(&self, def: IndexDef) -> Result<(SecondaryIndex, Vec<Key>), StorageError> {
         let key_positions = self.resolve_key_positions(&def)?;
         let ix = SecondaryIndex::new(def, key_positions, self.schema.primary_key.clone());
-        let mut entries: Vec<Key> = self.rows.values().map(|row| ix.entry_for_row(row)).collect();
+        let mut entries: Vec<Key> = self
+            .rows
+            .values()
+            .map(|row| ix.entry_for_row(row))
+            .collect();
         entries.sort_unstable();
         // Every entry ends in its row's primary key, so none repeats.
         debug_assert!(
@@ -499,9 +499,7 @@ impl Table {
 
     /// True if an index with exactly these key columns already exists.
     pub fn has_index_on(&self, columns: &[String]) -> bool {
-        self.indexes
-            .values()
-            .any(|ix| ix.def().columns == columns)
+        self.indexes.values().any(|ix| ix.def().columns == columns)
     }
 
     // ---------------------------------------------------------------- scans

@@ -244,9 +244,7 @@ impl Parser<'_> {
                             // emitter never produces them); replace.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
-                        other => {
-                            return Err(self.err(format!("bad escape '\\{}'", other as char)))
-                        }
+                        other => return Err(self.err(format!("bad escape '\\{}'", other as char))),
                     }
                 }
                 Some(b) => {
@@ -311,7 +309,10 @@ mod tests {
         assert_eq!(v.path("n").and_then(Json::as_f64), Some(-150.0));
         assert_eq!(v.path("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(v.path("none"), Some(&Json::Null));
-        assert_eq!(v.path("arr").and_then(Json::as_arr).map(<[Json]>::len), Some(3));
+        assert_eq!(
+            v.path("arr").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(3)
+        );
         assert_eq!(
             v.path("obj/a").and_then(Json::as_str),
             Some("b \"quoted\"\n")

@@ -152,7 +152,11 @@ fn render_node(node: &ProfileNode, parent_total: f64, prefix: &str, last: bool, 
         format!("{prefix}{}", if last { "└─ " } else { "├─ " })
     };
     let label = format!("{branch}{}", node.name);
-    let _ = writeln!(out, "{label:<44} {ms:>10.3} ms  ×{:<6} {pct:>5.1}%", node.count);
+    let _ = writeln!(
+        out,
+        "{label:<44} {ms:>10.3} ms  ×{:<6} {pct:>5.1}%",
+        node.count
+    );
     let child_prefix = if prefix.is_empty() {
         "  ".to_string()
     } else {
@@ -162,7 +166,11 @@ fn render_node(node: &ProfileNode, parent_total: f64, prefix: &str, last: bool, 
         render_node(c, ms, &child_prefix, i + 1 == node.children.len(), out);
     }
     // Wall time not covered by child spans, when material.
-    let covered: f64 = node.children.iter().map(|c| c.total.as_secs_f64() * 1e3).sum();
+    let covered: f64 = node
+        .children
+        .iter()
+        .map(|c| c.total.as_secs_f64() * 1e3)
+        .sum();
     if !node.children.is_empty() && ms - covered > ms * 0.01 {
         let _ = writeln!(
             out,
@@ -210,7 +218,11 @@ pub fn render_counters(s: &Snapshot) -> String {
              p99 {:.1}, min {:.1}, max {:.1})",
             series.to_string(),
             h.count,
-            if h.count > 0 { h.sum / h.count as f64 } else { 0.0 },
+            if h.count > 0 {
+                h.sum / h.count as f64
+            } else {
+                0.0
+            },
             h.p50,
             h.p90,
             h.p99,
@@ -243,7 +255,14 @@ mod tests {
         // Structural sanity: balanced braces/brackets, expected keys.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        for key in ["\"label\":\"test\"", "\"counters\"", "\"profile\"", "\"events\"", "\"root\"", "\"tuning_pass\""] {
+        for key in [
+            "\"label\":\"test\"",
+            "\"counters\"",
+            "\"profile\"",
+            "\"events\"",
+            "\"root\"",
+            "\"tuning_pass\"",
+        ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         crate::reset();

@@ -615,9 +615,9 @@ mod tests {
                 // contain spaces, the value never does.
                 let (name_with_labels, value) =
                     line.rsplit_once(' ').expect("sample carries a value");
-                value.parse::<f64>().unwrap_or_else(|_| {
-                    panic!("non-numeric sample value in {line:?}")
-                });
+                value
+                    .parse::<f64>()
+                    .unwrap_or_else(|_| panic!("non-numeric sample value in {line:?}"));
                 let name = name_with_labels.split('{').next().unwrap();
                 let family = name
                     .strip_suffix("_sum")
@@ -679,8 +679,7 @@ mod tests {
             .find(|l| l.starts_with("aim_hostile_hits{"))
             .expect("labeled sample rendered");
         assert_eq!(
-            line,
-            "aim_hostile_hits{tenant=\"a\\\\b\\\"c\\nd\"} 7",
+            line, "aim_hostile_hits{tenant=\"a\\\\b\\\"c\\nd\"} 7",
             "escaping mismatch"
         );
         // No raw newline survived into the sample (it would split the line).

@@ -234,7 +234,13 @@ mod tests {
         assert_eq!(outer.count, 1);
         let inner = outer.child("inner").expect("inner recorded");
         assert_eq!(inner.count, 3);
-        assert_eq!(outer.child("other").and_then(|o| o.child("inner")).map(|n| n.count), Some(1));
+        assert_eq!(
+            outer
+                .child("other")
+                .and_then(|o| o.child("inner"))
+                .map(|n| n.count),
+            Some(1)
+        );
         assert!(outer.total >= outer.children_total());
         // Drained.
         assert!(take_profile().children.is_empty());

@@ -161,7 +161,10 @@ mod tests {
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         assert_eq!(events.len(), 2);
         // Inner closes first; complete events carry phase X and a tid.
-        assert_eq!(events[0].get("name").unwrap().as_str(), Some("traced_inner"));
+        assert_eq!(
+            events[0].get("name").unwrap().as_str(),
+            Some("traced_inner")
+        );
         assert_eq!(events[0].get("ph").unwrap().as_str(), Some("X"));
         assert!(events[0].get("tid").unwrap().as_f64().unwrap() >= 1.0);
         // Disarmed: further closes are not recorded.

@@ -9,10 +9,10 @@
 //! advisors.
 
 use crate::datagen::{Distribution, RowGenerator};
+use crate::rng::{Rng, SeedableRng, StdRng};
 use aim_core::WeightedQuery;
 use aim_sql::parse_statement;
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema};
-use crate::rng::{Rng, SeedableRng, StdRng};
 
 /// JOB generator configuration.
 #[derive(Debug, Clone)]
@@ -31,7 +31,9 @@ impl Default for JobConfig {
     }
 }
 
-const COUNTRY_CODES: &[&str] = &["[us]", "[gb]", "[de]", "[fr]", "[jp]", "[in]", "[it]", "[ca]"];
+const COUNTRY_CODES: &[&str] = &[
+    "[us]", "[gb]", "[de]", "[fr]", "[jp]", "[in]", "[it]", "[ca]",
+];
 const COMPANY_TYPES: i64 = 4;
 const INFO_TYPES: i64 = 40;
 const KINDS: i64 = 7;
@@ -261,74 +263,92 @@ pub fn query_texts(seed: u64) -> Vec<(String, String)> {
     // 1a-style: production company by country, recent titles.
     for (i, cc) in COUNTRY_CODES.iter().take(5).enumerate() {
         let y = rng.gen_range(80..125i64);
-        out.push((format!("1{}", (b'a' + i as u8) as char), format!(
-            "SELECT t.title FROM title t, movie_companies mc, company_name cn \
+        out.push((
+            format!("1{}", (b'a' + i as u8) as char),
+            format!(
+                "SELECT t.title FROM title t, movie_companies mc, company_name cn \
              WHERE t.id = mc.movie_id AND mc.company_id = cn.id \
              AND cn.country_code = '{cc}' AND t.production_year > {y} \
              AND mc.company_type_id = {ct} ORDER BY t.title LIMIT 25",
-            ct = i as i64 % COMPANY_TYPES
-        )));
+                ct = i as i64 % COMPANY_TYPES
+            ),
+        ));
     }
     // 2a-style: keyword-driven.
     for i in 0..5 {
         let kw = rng.gen_range(0..30); // hot keywords (zipf head)
         let y = rng.gen_range(60..105i64);
-        out.push((format!("2{}", (b'a' + i as u8) as char), format!(
-            "SELECT t.title FROM title t, movie_keyword mk, keyword k \
+        out.push((
+            format!("2{}", (b'a' + i as u8) as char),
+            format!(
+                "SELECT t.title FROM title t, movie_keyword mk, keyword k \
              WHERE t.id = mk.movie_id AND mk.keyword_id = k.id AND k.id = {kw} \
              AND t.production_year BETWEEN {y} AND {e} ORDER BY t.title LIMIT 25",
-            e = y + 20
-        )));
+                e = y + 20
+            ),
+        ));
     }
     // 3a-style: info + kind filters, 4-way.
     for i in 0..5 {
         let it = rng.gen_range(0..INFO_TYPES);
         let kind = rng.gen_range(0..KINDS);
-        out.push((format!("3{}", (b'a' + i as u8) as char), format!(
-            "SELECT t.title, mi.info FROM title t, movie_info mi, info_type it, kind_type kt \
+        out.push((
+            format!("3{}", (b'a' + i as u8) as char),
+            format!(
+                "SELECT t.title, mi.info FROM title t, movie_info mi, info_type it, kind_type kt \
              WHERE t.id = mi.movie_id AND mi.info_type_id = it.id AND t.kind_id = kt.id \
              AND it.id = {it} AND kt.id = {kind} ORDER BY t.title LIMIT 25"
-        )));
+            ),
+        ));
     }
     // 4a-style: cast + role + gender, 5-way.
     for i in 0..5 {
         let role = rng.gen_range(0..ROLES);
         let y = rng.gen_range(70..125i64);
         let g = if i % 2 == 0 { "f" } else { "m" };
-        out.push((format!("4{}", (b'a' + i as u8) as char), format!(
-            "SELECT n.name, t.title FROM title t, cast_info ci, name n, role_type rt \
+        out.push((
+            format!("4{}", (b'a' + i as u8) as char),
+            format!(
+                "SELECT n.name, t.title FROM title t, cast_info ci, name n, role_type rt \
              WHERE t.id = ci.movie_id AND ci.person_id = n.id AND ci.role_id = rt.id \
              AND rt.id = {role} AND n.gender = '{g}' AND t.production_year > {y} \
              ORDER BY n.name LIMIT 25"
-        )));
+            ),
+        ));
     }
     // 5a-style: company + keyword + info, 6-way.
     for i in 0..5 {
         let cc = COUNTRY_CODES[rng.gen_range(0..COUNTRY_CODES.len())];
         let it = rng.gen_range(0..INFO_TYPES);
         let kw = rng.gen_range(0..50);
-        out.push((format!("5{}", (b'a' + i as u8) as char), format!(
-            "SELECT t.title FROM title t, movie_companies mc, company_name cn, \
+        out.push((
+            format!("5{}", (b'a' + i as u8) as char),
+            format!(
+                "SELECT t.title FROM title t, movie_companies mc, company_name cn, \
              movie_info mi, info_type it, movie_keyword mk \
              WHERE t.id = mc.movie_id AND mc.company_id = cn.id AND t.id = mi.movie_id \
              AND mi.info_type_id = it.id AND t.id = mk.movie_id \
              AND cn.country_code = '{cc}' AND it.id = {it} AND mk.keyword_id = {kw} \
              ORDER BY t.title LIMIT 25"
-        )));
+            ),
+        ));
     }
     // 6a-style: full 7-way.
     for i in 0..5 {
         let role = rng.gen_range(0..ROLES);
         let kw = rng.gen_range(0..50);
         let y = rng.gen_range(50..125i64);
-        out.push((format!("6{}", (b'a' + i as u8) as char), format!(
-            "SELECT n.name, t.title FROM title t, cast_info ci, name n, role_type rt, \
+        out.push((
+            format!("6{}", (b'a' + i as u8) as char),
+            format!(
+                "SELECT n.name, t.title FROM title t, cast_info ci, name n, role_type rt, \
              movie_keyword mk, keyword k, kind_type kt \
              WHERE t.id = ci.movie_id AND ci.person_id = n.id AND ci.role_id = rt.id \
              AND t.id = mk.movie_id AND mk.keyword_id = k.id AND t.kind_id = kt.id \
              AND rt.id = {role} AND k.id = {kw} AND t.production_year > {y} \
              ORDER BY n.name LIMIT 25"
-        )));
+            ),
+        ));
     }
     out
 }

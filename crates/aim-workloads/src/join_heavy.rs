@@ -19,10 +19,10 @@
 
 use crate::datagen::{Distribution, RowGenerator};
 use crate::replay::QuerySpec;
+use crate::rng::{Rng, SeedableRng, StdRng};
 use aim_core::WeightedQuery;
 use aim_sql::parse_statement;
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema};
-use crate::rng::{Rng, SeedableRng, StdRng};
 
 /// Generator configuration.
 #[derive(Debug, Clone)]
@@ -63,11 +63,8 @@ pub fn build_database(cfg: &JoinHeavyConfig) -> Database {
         )
         .expect("valid schema")
     };
-    db.create_table(mk(
-        "grand",
-        vec![("id", Int), ("g1", Int), ("gval", Float)],
-    ))
-    .expect("fresh db");
+    db.create_table(mk("grand", vec![("id", Int), ("g1", Int), ("gval", Float)]))
+        .expect("fresh db");
     db.create_table(mk(
         "parent",
         vec![
@@ -79,16 +76,10 @@ pub fn build_database(cfg: &JoinHeavyConfig) -> Database {
         ],
     ))
     .expect("fresh db");
-    db.create_table(mk(
-        "dim_d",
-        vec![("id", Int), ("d1", Int), ("dval", Float)],
-    ))
-    .expect("fresh db");
-    db.create_table(mk(
-        "dim_e",
-        vec![("id", Int), ("e1", Int), ("eval", Float)],
-    ))
-    .expect("fresh db");
+    db.create_table(mk("dim_d", vec![("id", Int), ("d1", Int), ("dval", Float)]))
+        .expect("fresh db");
+    db.create_table(mk("dim_e", vec![("id", Int), ("e1", Int), ("eval", Float)]))
+        .expect("fresh db");
     db.create_table(mk(
         "child",
         vec![
@@ -322,8 +313,7 @@ mod tests {
         let cfg = JoinHeavyConfig::default();
         let db = build_database(&cfg);
         let w = vec![WeightedQuery::new(
-            parse_statement("SELECT id, val FROM child WHERE a = 1 AND b = 2 AND cc = 3")
-                .unwrap(),
+            parse_statement("SELECT id, val FROM child WHERE a = 1 AND b = 2 AND cc = 3").unwrap(),
             1.0,
         )];
         use aim_core::{defs_to_config, workload_cost};
@@ -347,7 +337,10 @@ mod tests {
                 )],
             ),
         );
-        assert!(single >= base * 0.999, "single must not help: {single} vs {base}");
+        assert!(
+            single >= base * 0.999,
+            "single must not help: {single} vs {base}"
+        );
         // Non-covering (val is fetched), so lookups dominate: a ~40%
         // cut; the covering variant does far better still.
         assert!(triple < base * 0.7, "triple must help: {triple} vs {base}");

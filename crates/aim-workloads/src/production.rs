@@ -14,9 +14,9 @@
 
 use crate::datagen::{Distribution, RowGenerator};
 use crate::replay::QuerySpec;
+use crate::rng::{Rng, SeedableRng, StdRng};
 use aim_sql::parse_statement;
 use aim_storage::{ColumnDef, ColumnType, Database, IndexDef, IoStats, TableSchema};
-use crate::rng::{Rng, SeedableRng, StdRng};
 use std::collections::BTreeSet;
 
 /// Read/write mix of a profile.
@@ -190,8 +190,7 @@ pub fn build(profile: &ProductionProfile) -> ProductionWorkload {
             let mut by_ndv = meta.int_cols.clone();
             by_ndv.sort_by_key(|(_, ndv)| std::cmp::Reverse(*ndv));
             let n_eq = rng.gen_range(1..=2.min(by_ndv.len()));
-            let eq_cols: Vec<String> =
-                by_ndv.iter().take(n_eq).map(|(c, _)| c.clone()).collect();
+            let eq_cols: Vec<String> = by_ndv.iter().take(n_eq).map(|(c, _)| c.clone()).collect();
             let range_col = by_ndv.get(n_eq).map(|(c, _)| c.clone());
             let order = qi == 1 && rng.gen_bool(0.4);
 
@@ -227,9 +226,7 @@ pub fn build(profile: &ProductionProfile) -> ProductionWorkload {
             // the same measured-NDV convention AIM uses) plus the range
             // column.
             let mut cols = eq_cols.clone();
-            cols.sort_by_key(|c| {
-                (std::cmp::Reverse(measured_ndv(&meta.name, c)), c.clone())
-            });
+            cols.sort_by_key(|c| (std::cmp::Reverse(measured_ndv(&meta.name, c)), c.clone()));
             if let Some(rc) = range_col {
                 cols.push(rc);
             }

@@ -9,11 +9,11 @@
 //! * `throughput` — completed queries per tick; when offered load exceeds
 //!   capacity, completion degrades proportionally (a saturated machine).
 
+use crate::rng::{Rng, SeedableRng, StdRng};
 use aim_exec::Engine;
 use aim_monitor::WorkloadMonitor;
 use aim_sql::ast::Statement;
 use aim_storage::Database;
-use crate::rng::{Rng, SeedableRng, StdRng};
 
 /// One workload query shape with pre-instantiated parameter variants.
 #[derive(Debug, Clone)]

@@ -10,10 +10,10 @@
 //! engine's SQL subset.
 
 use crate::datagen::{Distribution, RowGenerator};
+use crate::rng::{Rng, SeedableRng, StdRng};
 use aim_core::WeightedQuery;
 use aim_sql::parse_statement;
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema};
-use crate::rng::{Rng, SeedableRng, StdRng};
 
 /// TPC-DS generator configuration.
 #[derive(Debug, Clone)]
@@ -219,70 +219,88 @@ pub fn query_texts(seed: u64) -> Vec<(String, String)> {
     // Family 1: date-sliced store sales rollup (fact + date_dim).
     for v in 0..4 {
         let year = 1998 + rng.gen_range(0..YEARS);
-        out.push((format!("ds1{}", (b'a' + v) as char), format!(
-            "SELECT d.month, SUM(ss.sales_price), COUNT(*) \
+        out.push((
+            format!("ds1{}", (b'a' + v) as char),
+            format!(
+                "SELECT d.month, SUM(ss.sales_price), COUNT(*) \
              FROM store_sales ss, date_dim d \
              WHERE ss.date_id = d.id AND d.year = {year} AND d.day_of_week = {dow} \
              GROUP BY d.month ORDER BY d.month",
-            dow = rng.gen_range(0..7)
-        )));
+                dow = rng.gen_range(0..7)
+            ),
+        ));
     }
     // Family 2: category revenue (fact + item + date).
     for v in 0..4 {
         let cat = CATEGORIES[rng.gen_range(0..CATEGORIES.len())];
         let year = 1998 + rng.gen_range(0..YEARS);
-        out.push((format!("ds2{}", (b'a' + v) as char), format!(
-            "SELECT i.brand_id, SUM(ss.net_profit) \
+        out.push((
+            format!("ds2{}", (b'a' + v) as char),
+            format!(
+                "SELECT i.brand_id, SUM(ss.net_profit) \
              FROM store_sales ss, item i, date_dim d \
              WHERE ss.item_id = i.id AND ss.date_id = d.id \
              AND i.category = '{cat}' AND d.year = {year} \
              GROUP BY i.brand_id ORDER BY i.brand_id LIMIT 20"
-        )));
+            ),
+        ));
     }
     // Family 3: customer-demographic slice (fact + customer + store).
     for v in 0..4 {
         let state = rng.gen_range(0..50);
         let rating = rng.gen_range(0..4);
-        out.push((format!("ds3{}", (b'a' + v) as char), format!(
-            "SELECT s.id, COUNT(*) FROM store_sales ss, customer c, store s \
+        out.push((
+            format!("ds3{}", (b'a' + v) as char),
+            format!(
+                "SELECT s.id, COUNT(*) FROM store_sales ss, customer c, store s \
              WHERE ss.customer_id = c.id AND ss.store_id = s.id \
              AND c.state = {state} AND c.credit_rating = {rating} \
              GROUP BY s.id ORDER BY s.id"
-        )));
+            ),
+        ));
     }
     // Family 4: promotion effectiveness (fact + promotion + item).
     for v in 0..4 {
         let channel = rng.gen_range(0..3);
         let cat = CATEGORIES[rng.gen_range(0..CATEGORIES.len())];
-        out.push((format!("ds4{}", (b'a' + v) as char), format!(
-            "SELECT p.id, SUM(ss.quantity) FROM store_sales ss, promotion p, item i \
+        out.push((
+            format!("ds4{}", (b'a' + v) as char),
+            format!(
+                "SELECT p.id, SUM(ss.quantity) FROM store_sales ss, promotion p, item i \
              WHERE ss.promo_id = p.id AND ss.item_id = i.id \
              AND p.channel = {channel} AND i.category = '{cat}' \
              GROUP BY p.id ORDER BY p.id LIMIT 10"
-        )));
+            ),
+        ));
     }
     // Family 5: web channel, price-band scan (fact + item).
     for v in 0..4 {
         let lo = rng.gen_range(0..40);
-        out.push((format!("ds5{}", (b'a' + v) as char), format!(
-            "SELECT ws.id, ws.sales_price FROM web_sales ws, item i \
+        out.push((
+            format!("ds5{}", (b'a' + v) as char),
+            format!(
+                "SELECT ws.id, ws.sales_price FROM web_sales ws, item i \
              WHERE ws.item_id = i.id AND i.current_price BETWEEN {lo}.0 AND {hi}.0 \
              AND ws.quantity > 80 ORDER BY ws.sales_price DESC LIMIT 50",
-            hi = lo + 15
-        )));
+                hi = lo + 15
+            ),
+        ));
     }
     // Family 6: five-way star (fact + date + item + customer + store).
     for v in 0..4 {
         let year = 1998 + rng.gen_range(0..YEARS);
         let cat = CATEGORIES[rng.gen_range(0..CATEGORIES.len())];
         let state = rng.gen_range(0..50);
-        out.push((format!("ds6{}", (b'a' + v) as char), format!(
-            "SELECT c.state, SUM(ss.net_profit) \
+        out.push((
+            format!("ds6{}", (b'a' + v) as char),
+            format!(
+                "SELECT c.state, SUM(ss.net_profit) \
              FROM store_sales ss, date_dim d, item i, customer c, store s \
              WHERE ss.date_id = d.id AND ss.item_id = i.id AND ss.customer_id = c.id \
              AND ss.store_id = s.id AND d.year = {year} AND i.category = '{cat}' \
              AND s.state = {state} GROUP BY c.state ORDER BY c.state"
-        )));
+            ),
+        ));
     }
     out
 }
@@ -317,7 +335,10 @@ mod tests {
         };
         let mut db = build_database(&cfg);
         assert_eq!(db.table("store_sales").unwrap().row_count(), 800);
-        assert_eq!(db.table("date_dim").unwrap().row_count() as i64, YEARS * 365);
+        assert_eq!(
+            db.table("date_dim").unwrap().row_count() as i64,
+            YEARS * 365
+        );
         let engine = Engine::new();
         for (label, sql) in query_texts(9) {
             let stmt = parse_statement(&sql).unwrap();

@@ -13,10 +13,10 @@
 //! range 0..=2556 covering 1992–1998, as in TPC-H).
 
 use crate::datagen::{Distribution, RowGenerator};
+use crate::rng::{Rng, SeedableRng, StdRng};
 use aim_core::WeightedQuery;
 use aim_sql::parse_statement;
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema};
-use crate::rng::{Rng, SeedableRng, StdRng};
 
 /// TPC-H generator configuration.
 #[derive(Debug, Clone)]
@@ -37,7 +37,13 @@ impl Default for TpchConfig {
     }
 }
 
-const SEGMENTS: &[&str] = &["AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD", "MACHINERY"];
+const SEGMENTS: &[&str] = &[
+    "AUTOMOBILE",
+    "BUILDING",
+    "FURNITURE",
+    "HOUSEHOLD",
+    "MACHINERY",
+];
 const PRIORITIES: &[&str] = &["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"];
 const SHIPMODES: &[&str] = &["AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP", "TRUCK"];
 const RETURNFLAGS: &[&str] = &["A", "N", "R"];
