@@ -8,11 +8,12 @@
 //! the counter exposes.
 
 use aim_core::WeightedQuery;
-use aim_exec::{estimate_statement_cost, HypoConfig, HypotheticalIndex};
+use aim_exec::{estimate_statement_cost, HypoConfig, HypotheticalIndex, WhatIfCache};
 use aim_sql::ast::Statement;
 use aim_storage::{Database, IndexDef};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Canonical key of an index definition (table + ordered columns).
 pub type DefKey = (String, Vec<String>);
@@ -22,16 +23,15 @@ pub fn def_key(def: &IndexDef) -> DefKey {
     (def.table.clone(), def.columns.clone())
 }
 
-/// Memoizing what-if cost oracle over a fixed database + workload.
+/// What-if cost oracle over a fixed database + workload, memoized by a
+/// [`WhatIfCache`] of its own: its misses are the optimizer calls the run
+/// made.
 pub struct CostEvaluator<'a> {
     pub db: &'a Database,
     pub workload: &'a [WeightedQuery],
-    /// Total number of optimizer (what-if) invocations performed.
-    calls: Cell<u64>,
-    /// Per-(query, config) cost cache.
-    cache: RefCell<BTreeMap<(usize, Vec<DefKey>), f64>>,
+    cache: WhatIfCache,
     /// Hypothetical-index construction cache.
-    hypo_cache: RefCell<BTreeMap<DefKey, Option<HypotheticalIndex>>>,
+    hypo_cache: RefCell<BTreeMap<DefKey, Option<Arc<HypotheticalIndex>>>>,
 }
 
 impl<'a> CostEvaluator<'a> {
@@ -40,23 +40,23 @@ impl<'a> CostEvaluator<'a> {
         Self {
             db,
             workload,
-            calls: Cell::new(0),
-            cache: RefCell::new(BTreeMap::new()),
+            cache: WhatIfCache::new(),
             hypo_cache: RefCell::new(BTreeMap::new()),
         }
     }
 
-    /// Number of optimizer invocations so far.
+    /// Number of optimizer invocations so far: the questions the cache
+    /// could not answer.
     pub fn whatif_calls(&self) -> u64 {
-        self.calls.get()
+        self.cache.stats().misses
     }
 
-    fn hypo(&self, def: &IndexDef) -> Option<HypotheticalIndex> {
+    fn hypo(&self, def: &IndexDef) -> Option<Arc<HypotheticalIndex>> {
         let key = def_key(def);
         self.hypo_cache
             .borrow_mut()
             .entry(key)
-            .or_insert_with(|| HypotheticalIndex::build(self.db, def.clone()))
+            .or_insert_with(|| HypotheticalIndex::build(self.db, def.clone()).map(Arc::new))
             .clone()
     }
 
@@ -79,8 +79,8 @@ impl<'a> CostEvaluator<'a> {
 
     /// Weighted cost of one workload query under a configuration.
     pub fn query_cost(&self, query_idx: usize, defs: &[IndexDef]) -> f64 {
-        // Only indexes on tables the query touches matter; normalizing the
-        // key this way raises the cache hit rate without changing results.
+        // Only indexes on tables the query touches matter; keeping only
+        // those raises the cache hit rate without changing results.
         let tables = statement_tables(&self.workload[query_idx].statement);
         let mut keys: Vec<DefKey> = defs
             .iter()
@@ -89,27 +89,19 @@ impl<'a> CostEvaluator<'a> {
             .collect();
         keys.sort();
         keys.dedup();
-        if let Some(&c) = self.cache.borrow().get(&(query_idx, keys.clone())) {
-            aim_telemetry::metrics::counter_add("baselines.cost_cache_hits", 1);
-            return c;
-        }
-        self.calls.set(self.calls.get() + 1);
-        let hypos: Vec<HypotheticalIndex> = keys
-            .iter()
+        let hypos = keys
+            .into_iter()
             .filter_map(|(t, cols)| {
                 self.hypo(&IndexDef::new(
                     format!("h_{}_{}", t, cols.join("_")),
-                    t.clone(),
-                    cols.clone(),
+                    t,
+                    cols,
                 ))
             })
             .collect();
-        let cfg = HypoConfig::overlay(hypos);
-        let wq = &self.workload[query_idx];
-        let cost = wq.weight
-            * estimate_statement_cost(self.db, &wq.statement, &cfg).unwrap_or(f64::INFINITY);
-        self.cache.borrow_mut().insert((query_idx, keys), cost);
-        cost
+        let (cfg, wq) = (HypoConfig::shared(hypos), &self.workload[query_idx]);
+        let cost = estimate_statement_cost(self.db, &wq.statement, &cfg, &self.cache);
+        wq.weight * cost.unwrap_or(f64::INFINITY)
     }
 }
 

@@ -142,7 +142,7 @@ mod tests {
     use super::*;
     use crate::common::tests_support::{test_db, wq};
     use aim_core::{defs_to_config, workload_cost};
-    use aim_exec::HypoConfig;
+    use aim_exec::{HypoConfig, WhatIfCache};
 
     #[test]
     fn dta_improves_workload() {
@@ -154,8 +154,9 @@ mod tests {
         let mut dta = Dta::new(0);
         let defs = dta.recommend(&db, &workload, u64::MAX);
         assert!(!defs.is_empty());
-        let base = workload_cost(&db, &workload, &HypoConfig::none());
-        let with = workload_cost(&db, &workload, &defs_to_config(&db, &defs));
+        let cache = WhatIfCache::new();
+        let base = workload_cost(&db, &workload, &HypoConfig::none(), &cache);
+        let with = workload_cost(&db, &workload, &defs_to_config(&db, &defs), &cache);
         assert!(with < base);
     }
 

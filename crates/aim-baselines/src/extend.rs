@@ -173,7 +173,7 @@ mod tests {
     use super::*;
     use crate::common::tests_support::{test_db, wq};
     use aim_core::{defs_to_config, workload_cost};
-    use aim_exec::HypoConfig;
+    use aim_exec::{HypoConfig, WhatIfCache};
 
     #[test]
     fn extend_builds_useful_indexes() {
@@ -186,8 +186,9 @@ mod tests {
         let defs = ext.recommend(&db, &workload, u64::MAX);
         assert!(!defs.is_empty());
         assert!(ext.last_whatif_calls > 0);
-        let base = workload_cost(&db, &workload, &HypoConfig::none());
-        let with = workload_cost(&db, &workload, &defs_to_config(&db, &defs));
+        let cache = WhatIfCache::new();
+        let base = workload_cost(&db, &workload, &HypoConfig::none(), &cache);
+        let with = workload_cost(&db, &workload, &defs_to_config(&db, &defs), &cache);
         assert!(with < base, "base {base}, with {with}");
     }
 

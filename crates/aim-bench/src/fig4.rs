@@ -12,7 +12,7 @@ use aim_baselines::{Dta, Extend};
 use aim_core::{
     config_size, defs_to_config, workload_cost, AimAdvisor, IndexAdvisor, WeightedQuery,
 };
-use aim_exec::{whatif, HypoConfig};
+use aim_exec::{HypoConfig, WhatIfCache};
 use aim_storage::{Database, IndexDef};
 use std::time::Instant;
 
@@ -136,7 +136,9 @@ const FULL_FRACTIONS: &[f64] = &[0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.25];
 pub fn run(benchmark: Benchmark, scale: Scale) -> Sweep {
     let bed = Bed::build(benchmark, scale);
     let (db, workload) = (&bed.db, &bed.workload);
-    let base_cost = workload_cost(db, workload, &HypoConfig::none());
+    // Every recommendation is judged from one cache of the sweep's own.
+    let judge = WhatIfCache::new();
+    let base_cost = workload_cost(db, workload, &HypoConfig::none(), &judge);
     let full_size = bed.full_configuration_bytes();
 
     let mut rows = Vec::new();
@@ -144,7 +146,7 @@ pub fn run(benchmark: Benchmark, scale: Scale) -> Sweep {
         let budget = (full_size as f64 * frac) as u64;
         let mut row = |advisor, defs: Vec<IndexDef>, started: Instant, whatif_calls| {
             let runtime_s = started.elapsed().as_secs_f64();
-            let cost = workload_cost(db, workload, &defs_to_config(db, &defs));
+            let cost = workload_cost(db, workload, &defs_to_config(db, &defs), &judge);
             rows.push(Row {
                 advisor,
                 budget_bytes: budget,
@@ -155,19 +157,14 @@ pub fn run(benchmark: Benchmark, scale: Scale) -> Sweep {
             });
         };
 
-        // AIM's memo is the process-wide what-if cache, so the questions
-        // it answered during the run (hits and misses alike, whatever
-        // earlier budgets left in it) are the what-if calls AIM made; the
-        // baselines count the calls their per-run `CostEvaluator` memo
-        // could not answer.
-        let asked = || {
-            let s = whatif::global().stats();
-            s.hits + s.misses
-        };
-        let before = asked();
+        // Each advisor counts the what-if calls of its run from a cache of
+        // the run's own: AIM every question it asked (hits and misses; a
+        // hit is a question its memo answered), DTA and Extend the questions
+        // their evaluator's cache could not answer.
+        let mut aim = bed.aim();
         let started = Instant::now();
-        let defs = bed.aim().recommend(db, workload, budget);
-        row("AIM", defs, started, asked() - before);
+        let defs = aim.recommend(db, workload, budget);
+        row("AIM", defs, started, aim.last_whatif_calls);
 
         let mut dta = Dta::new(bed.max_width);
         let started = Instant::now();

@@ -12,7 +12,7 @@ use crate::fig4::{Bed, Benchmark};
 use crate::Scale;
 use aim_baselines::{Dta, Extend};
 use aim_core::{defs_to_config, IndexAdvisor};
-use aim_exec::{estimate_statement_cost, Engine};
+use aim_exec::{estimate_statement_cost, Engine, WhatIfCache};
 use aim_storage::IoStats;
 
 /// The advisors compared, `none` being the unindexed database.
@@ -68,6 +68,7 @@ pub fn run(scale: Scale) -> PerQuery {
         Extend::new(bed.max_width).recommend(db, workload, budget_bytes),
     ];
     let engine = Engine::new();
+    let cache = WhatIfCache::new();
     let mut rows = Vec::new();
     for (advisor, defs) in ADVISORS.into_iter().zip(configurations) {
         let hypo = defs_to_config(db, &defs);
@@ -81,7 +82,7 @@ pub fn run(scale: Scale) -> PerQuery {
             rows.push(Row {
                 query,
                 advisor,
-                estimated_cost: estimate_statement_cost(db, &wq.statement, &hypo)
+                estimated_cost: estimate_statement_cost(db, &wq.statement, &hypo, &cache)
                     .unwrap_or(f64::NAN),
                 measured_cost: engine
                     .execute(&mut materialized, &wq.statement)

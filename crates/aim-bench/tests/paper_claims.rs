@@ -9,23 +9,9 @@
 //! (62 s if the seven ran one by one: `table2` 22 s, `fig3` 11 s, `fig4` on
 //! TPC-H 9 s, `fig6` 9 s, `fig4` on JOB and TPC-DS 5 s, `fig5` 5 s,
 //! `continuous` under 1 s).
-//!
-//! `fig4` reads the process-wide what-if cache's counters, which every
-//! tuning pass moves: the `fig4_*` tests run alone, the others share.
 
 use aim_bench::fig4::{Benchmark, Sweep};
 use aim_bench::{continuous, fig3, fig4, fig5, fig6, table2, Scale};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-static WHATIF_COUNTERS: RwLock<()> = RwLock::new(());
-
-fn alone() -> RwLockWriteGuard<'static, ()> {
-    WHATIF_COUNTERS.write().unwrap_or_else(|e| e.into_inner())
-}
-
-fn shared() -> RwLockReadGuard<'static, ()> {
-    WHATIF_COUNTERS.read().unwrap_or_else(|e| e.into_inner())
-}
 
 fn mean(xs: impl IntoIterator<Item = f64>) -> f64 {
     let (sum, n) = xs
@@ -68,7 +54,6 @@ fn whatif_calls_claim(sweep: &Sweep, factor: u64) {
 /// Fig. 4a/4b on TPC-H, width ≤ 4.
 #[test]
 fn fig4_tpch_aim_is_cheap_at_every_budget_and_best_once_the_budget_relaxes() {
-    let _turn = alone();
     let sweep = fig4::run(Benchmark::Tpch, Scale::Quick);
     whatif_calls_claim(&sweep, 10);
 
@@ -110,7 +95,6 @@ fn fig4_tpch_aim_is_cheap_at_every_budget_and_best_once_the_budget_relaxes() {
 /// so no quality claim is made here.
 #[test]
 fn fig4_job_and_tpcds_show_the_same_call_counts_shape() {
-    let _turn = alone();
     // JOB: DTA ends at 6.5x AIM's calls at this scale (Extend at 13x), under
     // the 10x of the other two benchmarks; pinned at 5x rather than tuned.
     whatif_calls_claim(&fig4::run(Benchmark::Job, Scale::Quick), 5);
@@ -122,7 +106,6 @@ fn fig4_job_and_tpcds_show_the_same_call_counts_shape() {
 /// none more than a third off another, estimated or measured.
 #[test]
 fn fig5_the_three_advisors_track_each_other_per_query() {
-    let _turn = shared();
     let fig = fig5::run(Scale::Quick);
     let none = fig.totals("none");
     let totals: Vec<(f64, f64)> = ["AIM", "DTA", "Extend"]
@@ -153,7 +136,6 @@ fn fig5_the_three_advisors_track_each_other_per_query() {
 /// it, and the control's level again once AIM's indexes have landed.
 #[test]
 fn fig3_the_test_machine_spikes_at_the_drop_and_recovers() {
-    let _turn = shared();
     let rows = fig3::run(Scale::Quick);
     let products: std::collections::BTreeSet<&str> =
         rows.iter().map(|r| r.product.as_str()).collect();
@@ -209,7 +191,6 @@ fn fig3_the_test_machine_spikes_at_the_drop_and_recovers() {
 /// prices an index on it (EXPERIMENTS.md, Figure 6).
 #[test]
 fn fig6_j2_is_where_the_join_parameter_pays_and_aim_beats_gia() {
-    let _turn = shared();
     let fig = fig6::run(Scale::Quick);
     let aim = |phase| fig.phase("AIM", phase);
     let gia = fig.phase("GIA", "tuned");
@@ -255,7 +236,6 @@ fn fig6_j2_is_where_the_join_parameter_pays_and_aim_beats_gia() {
 /// AIM's conventions.
 #[test]
 fn table2_parity_with_the_dba_on_fewer_indexes_and_bytes() {
-    let _turn = shared();
     let rows = table2::run(Scale::Quick);
     assert_eq!(
         rows.iter().map(|r| r.product.as_str()).collect::<String>(),
@@ -301,7 +281,6 @@ fn table2_parity_with_the_dba_on_fewer_indexes_and_bytes() {
 /// cheaper.
 #[test]
 fn continuous_the_post_shift_pass_creates_indexes_and_lowers_window_cost() {
-    let _turn = shared();
     let shift = continuous::run(Scale::Quick);
     let created: Vec<usize> = shift
         .bootstrap

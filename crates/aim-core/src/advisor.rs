@@ -12,9 +12,7 @@ use crate::ledger::Decisions;
 use crate::plan::PassPlanner;
 use crate::ranking::knapsack_select;
 use crate::session::{AimOutcome, RunCtl};
-use aim_exec::{
-    estimate_statement_cost, estimate_statement_cost_batch, HypoConfig, HypotheticalIndex,
-};
+use aim_exec::{estimate_statement_cost, HypoConfig, HypotheticalIndex, WhatIfCache};
 use aim_monitor::{QueryStats, WorkloadQuery};
 use aim_sql::ast::Statement;
 use aim_storage::{Database, IndexDef};
@@ -57,30 +55,18 @@ pub fn defs_to_config(db: &Database, defs: &[IndexDef]) -> HypoConfig {
 }
 
 /// Total estimated workload cost `Σ w_q · cost(q, X)` under a what-if
-/// configuration — the y-axis of Figure 4a/4c. The one-config
-/// [`workload_cost_batch`].
-pub fn workload_cost(db: &Database, workload: &[WeightedQuery], config: &HypoConfig) -> f64 {
-    workload_cost_batch(db, workload, &[config])[0]
-}
-
-/// Workload cost under several configurations at once: every statement is
-/// costed for all configs in a single batched planner pass
-/// ([`estimate_statement_cost_batch`]), so parsing/binding/selectivity work
-/// is shared. Returns one total per config, in config order; each total is
-/// bit-identical to costing that config alone.
-pub fn workload_cost_batch(
+/// configuration — the y-axis of Figure 4a/4c — asking `cache`, summed in
+/// workload order.
+pub fn workload_cost(
     db: &Database,
     workload: &[WeightedQuery],
-    configs: &[&HypoConfig],
-) -> Vec<f64> {
-    let mut totals = vec![0.0; configs.len()];
-    for wq in workload {
-        let results = estimate_statement_cost_batch(db, &wq.statement, configs);
-        for (t, res) in totals.iter_mut().zip(results) {
-            *t += wq.weight * res.unwrap_or(f64::INFINITY);
-        }
-    }
-    totals
+    config: &HypoConfig,
+    cache: &WhatIfCache,
+) -> f64 {
+    workload.iter().fold(0.0, |total, wq| {
+        let cost = estimate_statement_cost(db, &wq.statement, config, cache);
+        total + wq.weight * cost.unwrap_or(f64::INFINITY)
+    })
 }
 
 /// Estimated total size of a configuration in bytes.
@@ -96,13 +82,17 @@ pub fn config_size(db: &Database, defs: &[IndexDef]) -> u64 {
 /// CPU, which is what Eq. 7 scales by. This is how every benchmark-style
 /// caller — the advisor, the paper-figure bins, the micro-benchmarks —
 /// turns weighted statements into the [`WorkloadQuery`]s the pipeline
-/// consumes.
-pub fn synthetic_workload(db: &Database, workload: &[WeightedQuery]) -> Vec<WorkloadQuery> {
+/// consumes. The estimates ask `cache`.
+pub fn synthetic_workload(
+    db: &Database,
+    workload: &[WeightedQuery],
+    cache: &WhatIfCache,
+) -> Vec<WorkloadQuery> {
     let empty = HypoConfig::none();
     workload
         .iter()
         .map(|wq| {
-            let base = estimate_statement_cost(db, &wq.statement, &empty).unwrap_or(0.0);
+            let base = estimate_statement_cost(db, &wq.statement, &empty, cache).unwrap_or(0.0);
             WorkloadQuery {
                 stats: QueryStats::synthetic(
                     &wq.statement,
@@ -122,6 +112,9 @@ pub fn synthetic_workload(db: &Database, workload: &[WeightedQuery]) -> Vec<Work
 #[derive(Debug, Clone)]
 pub struct AimAdvisor {
     pub gen: CandidateGenConfig,
+    /// What-if lookups (hits and misses) of the last
+    /// [`IndexAdvisor::recommend`], each run from a cache of its own.
+    pub last_whatif_calls: u64,
 }
 
 impl AimAdvisor {
@@ -134,6 +127,7 @@ impl AimAdvisor {
                 covering: CoveringPolicy::Both,
                 ..Default::default()
             },
+            last_whatif_calls: 0,
         }
     }
 }
@@ -150,7 +144,8 @@ impl IndexAdvisor for AimAdvisor {
         budget_bytes: u64,
     ) -> Vec<IndexDef> {
         let _span = aim_telemetry::span("aim.recommend");
-        let synthetic = synthetic_workload(db, workload);
+        let cache = WhatIfCache::new();
+        let synthetic = synthetic_workload(db, workload, &cache);
         // The session's planning code under benchmark conditions: no
         // deadline, nobody listening to the decisions. An injected what-if
         // fault therefore recommends nothing rather than failing — the
@@ -160,10 +155,13 @@ impl IndexAdvisor for AimAdvisor {
             sharding: None,
             ctl: &RunCtl::none(),
             decisions: &Decisions::none(),
+            cache: &cache,
         };
         let ranked = planner
             .plan(db, &synthetic, &mut AimOutcome::default())
             .unwrap_or_default();
+        let asked = cache.stats();
+        self.last_whatif_calls = asked.hits + asked.misses;
         // Existing indexes do not count against the benchmark's budget.
         knapsack_select(&ranked, budget_bytes, 0)
             .into_iter()
@@ -221,8 +219,9 @@ mod tests {
         let mut advisor = AimAdvisor::new(2, 0);
         let defs = advisor.recommend(&db, &workload, u64::MAX);
         assert!(!defs.is_empty());
-        let base = workload_cost(&db, &workload, &HypoConfig::none());
-        let with = workload_cost(&db, &workload, &defs_to_config(&db, &defs));
+        let cache = WhatIfCache::new();
+        let base = workload_cost(&db, &workload, &HypoConfig::none(), &cache);
+        let with = workload_cost(&db, &workload, &defs_to_config(&db, &defs), &cache);
         assert!(
             with < base / 2.0,
             "expected large improvement: base {base}, with {with}"
@@ -244,13 +243,19 @@ mod tests {
             wq("SELECT id FROM t WHERE a = 17", 100.0),
             wq("SELECT id FROM t WHERE b = 2 AND a > 5", 100.0),
         ];
-        let base = workload_cost(&db, &workload, &HypoConfig::none());
+        let cache = WhatIfCache::new();
+        let base = workload_cost(&db, &workload, &HypoConfig::none(), &cache);
         let mut costs = Vec::new();
         for budget in [64 * 1024, 1 << 20, u64::MAX] {
             let mut advisor = AimAdvisor::new(2, 0);
             let defs = advisor.recommend(&db, &workload, budget);
             assert!(config_size(&db, &defs) <= budget);
-            costs.push(workload_cost(&db, &workload, &defs_to_config(&db, &defs)));
+            costs.push(workload_cost(
+                &db,
+                &workload,
+                &defs_to_config(&db, &defs),
+                &cache,
+            ));
         }
         // Larger budgets never hurt.
         assert!(costs[0] >= costs[1] - 1e-9);

@@ -41,6 +41,7 @@
 
 use crate::error::AimError;
 use crate::session::{AimOutcome, TuningSession};
+use aim_exec::WhatIfCache;
 use aim_monitor::WorkloadMonitor;
 use aim_sql::normalize::QueryFingerprint;
 use aim_storage::{Database, IndexDef};
@@ -160,7 +161,7 @@ pub struct ContinuousOutcome {
 
 /// Periodic tuner: regression-revert, tune, optionally garbage-collect
 /// unused automation indexes, then refresh regression baselines.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ContinuousTuner {
     /// The resilient session driving each pass; its deadline and cancel
     /// token apply to every [`ContinuousTuner::step`]. A step whose pass
@@ -180,6 +181,10 @@ pub struct ContinuousTuner {
     /// appears and not again while it lasts; a template leaves the set when
     /// it stops regressing.
     unattributed: BTreeSet<QueryFingerprint>,
+    /// The what-if cache every step's pass asks: an entry a window leaves
+    /// answers the next window's question while its tables' versions
+    /// stand.
+    cache: WhatIfCache,
 }
 
 impl ContinuousTuner {
@@ -193,6 +198,7 @@ impl ContinuousTuner {
             unused_streak: BTreeMap::new(),
             recently_created: BTreeSet::new(),
             unattributed: BTreeSet::new(),
+            cache: WhatIfCache::new(),
         }
     }
 
@@ -264,7 +270,7 @@ impl ContinuousTuner {
         drop(scan_span);
 
         // 2. Tune.
-        outcome.tuning = self.session.run(db, monitor)?;
+        outcome.tuning = self.session.run_with(db, monitor, &self.cache)?;
         self.recently_created = outcome
             .tuning
             .created

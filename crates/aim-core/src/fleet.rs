@@ -52,6 +52,7 @@ use crate::plan::PassPlanner;
 use crate::ranking::RankedCandidate;
 use crate::session::{AimConfig, AimOutcome, CancelToken, RunCtl, TuningSession};
 use crate::sharding::ShardingProfile;
+use aim_exec::WhatIfCache;
 use aim_monitor::WorkloadMonitor;
 use aim_storage::Database;
 use aim_telemetry as tel;
@@ -260,7 +261,8 @@ impl FleetSession {
             // tenant session *is* the pass, bit-identical to a bare
             // `TuningSession` on the same inputs.
             let t = &mut tenants[0];
-            let out = self.tune_tenant(t, self.cfg.base.storage_budget, fleet_deadline);
+            let budget = self.cfg.base.storage_budget;
+            let out = self.tune_tenant(t, budget, fleet_deadline, &WhatIfCache::new());
             outcome.slowest_tenant = Some((out.id.clone(), out.elapsed));
             outcome.tenants.push(out);
             outcome.elapsed = root.elapsed();
@@ -270,12 +272,14 @@ impl FleetSession {
         let workers = effective_workers(self.cfg.fleet_workers, tenants.len());
         let ctl = RunCtl::new(Some(self.cancel.clone()), fleet_deadline);
 
-        // Phase 1: probe every tenant's candidate economics.
+        // Phase 1: probe every tenant's candidate economics. Each tenant
+        // has one what-if cache, which its tune asks again.
+        let caches: Vec<WhatIfCache> = tenants.iter().map(|_| WhatIfCache::new()).collect();
         let probes: Vec<Probe> = {
             let _s = tel::span("fleet.probe");
-            run_pool(workers, &mut *tenants, |t| {
+            run_pool(workers, tenants.iter_mut().zip(&caches), |(t, cache)| {
                 let _scope = tel::scope_phase(&t.id, "probe");
-                self.probe_tenant(t, &ctl)
+                self.probe_tenant(t, &ctl, cache)
             })
         };
 
@@ -291,7 +295,8 @@ impl FleetSession {
         // Phase 3: tune every tenant under its allocation, on the pool.
         let tuned: Vec<TenantOutcome> = {
             let _s = tel::span("fleet.tune");
-            run_pool(workers, tenants.iter_mut().enumerate(), |(i, t)| {
+            let tenants = tenants.iter_mut().zip(&caches).enumerate();
+            run_pool(workers, tenants, |(i, (t, cache))| {
                 if let Err(err) = &probes[i].ranked {
                     // The probe already failed this tenant; don't spend
                     // budgeted tune time re-failing it — account for it.
@@ -299,7 +304,7 @@ impl FleetSession {
                     let failed = Err(err.clone());
                     return self.tenant_outcome(t, budgets[i], failed, None, Instant::now());
                 }
-                self.tune_tenant(t, budgets[i], fleet_deadline)
+                self.tune_tenant(t, budgets[i], fleet_deadline, cache)
             })
         };
         outcome.slowest_tenant = tuned
@@ -326,12 +331,13 @@ impl FleetSession {
     }
 
     /// Runs one tenant's session under `budget`, with the fleet deadline
-    /// and shared cancel token threaded in.
+    /// and shared cancel token threaded in, asking the tenant's `cache`.
     fn tune_tenant(
         &self,
         tenant: &mut Tenant,
         budget: u64,
         fleet_deadline: Option<Instant>,
+        cache: &WhatIfCache,
     ) -> TenantOutcome {
         // The whole tune slot runs scoped to this tenant: every instrument
         // below (and inside the session, via `tenant_label`) records a
@@ -349,7 +355,7 @@ impl FleetSession {
             fleet_deadline.map(|d| d.saturating_duration_since(Instant::now())),
             self.cancel.clone(),
         );
-        let result = session.run(&mut tenant.db, &tenant.monitor);
+        let result = session.run_with(&mut tenant.db, &tenant.monitor, cache);
         let ledger_json = session
             .config()
             .record_ledger
@@ -406,7 +412,7 @@ impl FleetSession {
     /// candidates → ranking → sharding re-price).
     /// Materializes nothing, reports to no ledger; a fault fails this
     /// tenant alone.
-    fn probe_tenant(&self, tenant: &mut Tenant, ctl: &RunCtl) -> Probe {
+    fn probe_tenant(&self, tenant: &mut Tenant, ctl: &RunCtl, cache: &WhatIfCache) -> Probe {
         let base = &self.cfg.base;
         let profile = tenant.profile.as_ref().or(base.sharding.as_ref());
         let planner = PassPlanner {
@@ -414,6 +420,7 @@ impl FleetSession {
             sharding: profile,
             ctl,
             decisions: &Decisions::none(),
+            cache,
         };
         let planned = planner.plan_observed(
             &mut tenant.db,

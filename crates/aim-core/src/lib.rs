@@ -89,8 +89,8 @@ pub mod sharding;
 pub mod validate;
 
 pub use advisor::{
-    config_size, defs_to_config, synthetic_workload, workload_cost, workload_cost_batch,
-    AimAdvisor, IndexAdvisor, WeightedQuery,
+    config_size, defs_to_config, synthetic_workload, workload_cost, AimAdvisor, IndexAdvisor,
+    WeightedQuery,
 };
 pub use backend::BackendSpec;
 pub use candidates::{

@@ -22,6 +22,7 @@ use crate::ledger::Decisions;
 use crate::ranking::{try_rank_candidates_with, RankedCandidate};
 use crate::session::{AimOutcome, RunCtl};
 use crate::sharding::ShardingProfile;
+use aim_exec::WhatIfCache;
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor, WorkloadQuery};
 use aim_storage::Database;
 use aim_telemetry as tel;
@@ -33,6 +34,8 @@ pub(crate) struct PassPlanner<'a> {
     pub sharding: Option<&'a ShardingProfile>,
     pub ctl: &'a RunCtl,
     pub decisions: &'a Decisions<'a>,
+    /// The what-if cache ranking asks: its owner's (DESIGN.md §6).
+    pub cache: &'a WhatIfCache,
 }
 
 impl PassPlanner<'_> {
@@ -113,7 +116,7 @@ impl PassPlanner<'_> {
 
         let mut ranked = {
             let _s = tel::span("ranking");
-            try_rank_candidates_with(db, workload, &candidates, self.ctl)?
+            try_rank_candidates_with(db, workload, &candidates, self.ctl, self.cache)?
         };
         if let Some(profile) = self.sharding {
             profile.apply(&mut ranked);

@@ -16,7 +16,7 @@
 use crate::candidates::{is_key_prefix, CandidateIndex};
 use crate::error::AimError;
 use crate::session::RunCtl;
-use aim_exec::whatif::WhatIfEntry;
+use aim_exec::whatif::{self, WhatIfCache, WhatIfEntry};
 use aim_exec::{
     estimate_statement_cost, estimate_statement_cost_batch_until, CostModel, ExecError, HypoConfig,
     HypotheticalIndex,
@@ -213,8 +213,8 @@ impl Costing {
         select: &Select,
         configs: &[&HypoConfig],
         ctl: &RunCtl,
+        cache: &WhatIfCache,
     ) -> Result<Vec<Result<WhatIfEntry, ExecError>>, AimError> {
-        let cache = aim_exec::whatif::global();
         self.price(configs, ctl, |slice, stop| {
             cache.eval_select_batch_until(db, select, slice, stop)
         })
@@ -226,9 +226,10 @@ impl Costing {
         stmt: &Statement,
         configs: &[&HypoConfig],
         ctl: &RunCtl,
+        cache: &WhatIfCache,
     ) -> Result<Vec<Result<f64, ExecError>>, AimError> {
         self.price(configs, ctl, |slice, stop| {
-            estimate_statement_cost_batch_until(db, stmt, slice, stop)
+            estimate_statement_cost_batch_until(db, stmt, slice, stop, cache)
         })
     }
 }
@@ -243,11 +244,13 @@ fn eval_query(
     db: &Database,
     wq: &WorkloadQuery,
     hypos: &Hypos,
-    empty_cfg: &HypoConfig,
     costing: Costing,
     ctl: &RunCtl,
+    cache: &WhatIfCache,
     totals: &mut Totals,
 ) -> Result<(), AimError> {
+    // The database as it stands.
+    let empty_cfg = &HypoConfig::none();
     // ---------------------------------------------------- benefit (Eq. 7)
     if let Some(select) = benefit_select(&wq.stats.exemplar) {
         // Candidates generated for this query.
@@ -256,7 +259,7 @@ fn eval_query(
             let cfg = HypoConfig::shared(relevant.iter().map(|(_, h)| Arc::clone(h)).collect());
             // The database as it stands, then the full relevant config.
             let mut pair = costing
-                .selects(db, &select, &[empty_cfg, &cfg], ctl)?
+                .selects(db, &select, &[empty_cfg, &cfg], ctl, cache)?
                 .into_iter();
             let cost_empty = cost_or(
                 pair.next().expect("one result per config").map(|e| e.cost),
@@ -307,7 +310,7 @@ fn eval_query(
                             .collect();
                         let without_refs: Vec<&HypoConfig> = withouts.iter().collect();
                         let mut marginals: Vec<f64> = Vec::with_capacity(used.len());
-                        for res in costing.selects(db, &select, &without_refs, ctl)? {
+                        for res in costing.selects(db, &select, &without_refs, ctl, cache)? {
                             let c_without = cost_or(res.map(|e| e.cost), cost_empty)?;
                             marginals.push((c_without - cost_with).max(0.0));
                         }
@@ -336,7 +339,7 @@ fn eval_query(
     if wq.stats.is_dml() {
         let stmt = &wq.stats.exemplar;
         ctl.check("ranking")?;
-        let base = cost_or(estimate_statement_cost(db, stmt, empty_cfg), 0.0)?;
+        let base = cost_or(estimate_statement_cost(db, stmt, empty_cfg, cache), 0.0)?;
         if base > 0.0 {
             // Only indexes on the written table can be affected.
             let affected = hypos.listed(stmt.written_table().and_then(|t| hypos.by_table.get(t)));
@@ -346,7 +349,7 @@ fn eval_query(
                     .map(|(_, h)| HypoConfig::shared(vec![Arc::clone(h)]))
                     .collect();
                 let one_refs: Vec<&HypoConfig> = ones.iter().collect();
-                let results = costing.statements(db, stmt, &one_refs, ctl)?;
+                let results = costing.statements(db, stmt, &one_refs, ctl, cache)?;
                 for ((i, _), res) in affected.iter().zip(results) {
                     let with = cost_or(res, base)?;
                     let overhead = ((with - base) / base).max(0.0) * wq.stats.total_cpu;
@@ -361,11 +364,14 @@ fn eval_query(
 
 /// Ranks candidates against the workload: returns them with their
 /// benefit/maintenance economics, sorted by descending utility density.
-/// `_cm` and `_workers` are ignored, kept only because `bench/` passes
-/// them; the next `benchmark` change deletes them.
-///
 /// Workload queries are evaluated one after another, in workload order, on
 /// the calling thread.
+///
+/// Kept only for the frozen `bench/`, which calls it: it asks the
+/// process-wide [`whatif::global`] cache, which `bench/` clears and reads
+/// around it, and ignores `_cm` and `_workers`. The `benchmark` change of
+/// ROADMAP item 7-i deletes all three; everything else ranks through
+/// [`try_rank_candidates_with`] with a cache of its own.
 pub fn rank_candidates_with(
     db: &Database,
     workload: &[WorkloadQuery],
@@ -373,30 +379,26 @@ pub fn rank_candidates_with(
     _cm: &CostModel,
     _workers: usize,
 ) -> Vec<RankedCandidate> {
-    rank_core(db, workload, candidates, &RunCtl::none(), Costing::Batched)
+    try_rank_candidates_with(db, workload, candidates, &RunCtl::none(), whatif::global())
         .expect("ranking without deadline or cancel fails only under an armed fault plan")
 }
 
-/// [`rank_candidates_with`] costed one config per what-if call — the
+/// [`try_rank_candidates_with`] costed one config per what-if call — the
 /// reference the batched hot path must match bit for bit (unit and
 /// property tests compare the two).
 pub fn rank_candidates_unbatched(
     db: &Database,
     workload: &[WorkloadQuery],
     candidates: &[CandidateIndex],
+    cache: &WhatIfCache,
 ) -> Vec<RankedCandidate> {
-    rank_core(
-        db,
-        workload,
-        candidates,
-        &RunCtl::none(),
-        Costing::PerConfig,
-    )
-    .expect("ranking without deadline or cancel fails only under an armed fault plan")
+    let ctl = RunCtl::none();
+    rank_core(db, workload, candidates, &ctl, Costing::PerConfig, cache)
+        .expect("ranking without deadline or cancel fails only under an armed fault plan")
 }
 
-/// [`rank_candidates_with`] under a [`RunCtl`]: the deadline/cancel token
-/// is checked before every what-if call (between queries and between the
+/// Ranks under a [`RunCtl`], asking `cache`: the deadline/cancel token is
+/// checked before every what-if call (between queries and between the
 /// slots of a batch), so an abort lands within one call. It propagates an
 /// injected what-if failure as an [`AimError::Fault`] instead of silently
 /// degrading a candidate's economics.
@@ -405,8 +407,9 @@ pub fn try_rank_candidates_with(
     workload: &[WorkloadQuery],
     candidates: &[CandidateIndex],
     ctl: &RunCtl,
+    cache: &WhatIfCache,
 ) -> Result<Vec<RankedCandidate>, AimError> {
-    rank_core(db, workload, candidates, ctl, Costing::Batched)
+    rank_core(db, workload, candidates, ctl, Costing::Batched, cache)
 }
 
 fn rank_core(
@@ -415,13 +418,13 @@ fn rank_core(
     candidates: &[CandidateIndex],
     ctl: &RunCtl,
     costing: Costing,
+    cache: &WhatIfCache,
 ) -> Result<Vec<RankedCandidate>, AimError> {
     let hypos = Hypos::build(db, candidates);
-    let empty_cfg = HypoConfig::none();
     let mut totals = Totals::default();
     for wq in workload {
         ctl.check("ranking")?;
-        eval_query(db, wq, &hypos, &empty_cfg, costing, ctl, &mut totals)?;
+        eval_query(db, wq, &hypos, costing, ctl, cache, &mut totals)?;
     }
 
     // An abort that arrived during the last what-if call belongs to this
@@ -656,10 +659,20 @@ mod tests {
         )
     }
 
+    /// Batched ranking asking `cache`.
+    fn rank(
+        db: &Database,
+        w: &[WorkloadQuery],
+        cands: &[CandidateIndex],
+        cache: &WhatIfCache,
+    ) -> Vec<RankedCandidate> {
+        try_rank_candidates_with(db, w, cands, &RunCtl::none(), cache).unwrap()
+    }
+
     fn rank_for(db: &mut Database, sqls: &[(&str, usize)]) -> Vec<RankedCandidate> {
         let w = workload(db, sqls);
         let cands = generate_candidates(db, &w, &CandidateGenConfig::default());
-        rank_candidates_with(db, &w, &cands, &CostModel, 0)
+        rank(db, &w, &cands, &WhatIfCache::new())
     }
 
     #[test]
@@ -892,13 +905,10 @@ mod tests {
         let mut db = db();
         let w = mixed_workload(&mut db);
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        let cache = aim_exec::whatif::global();
         // A cold cache each so both paths genuinely plan (no cross-path
         // leakage).
-        cache.clear();
-        let batched = rank_candidates_with(&db, &w, &cands, &CostModel, 1);
-        cache.clear();
-        let sequential = rank_candidates_unbatched(&db, &w, &cands);
+        let batched = rank(&db, &w, &cands, &WhatIfCache::new());
+        let sequential = rank_candidates_unbatched(&db, &w, &cands, &WhatIfCache::new());
         assert!(!batched.is_empty());
         assert_bit_identical(&sequential, &batched);
     }
@@ -908,12 +918,12 @@ mod tests {
         let mut db = db();
         let w = mixed_workload(&mut db);
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        aim_exec::whatif::global().clear();
-        let cold = rank_candidates_with(&db, &w, &cands, &CostModel, 1);
+        let cache = WhatIfCache::new();
+        let cold = rank(&db, &w, &cands, &cache);
         // Twice more: the last pass runs almost entirely off memoized
         // entries and must still match the cold one.
-        let warm = rank_candidates_with(&db, &w, &cands, &CostModel, 1);
-        let hot = rank_candidates_with(&db, &w, &cands, &CostModel, 1);
+        let warm = rank(&db, &w, &cands, &cache);
+        let hot = rank(&db, &w, &cands, &cache);
         assert_bit_identical(&cold, &warm);
         assert_bit_identical(&cold, &hot);
     }
@@ -948,8 +958,12 @@ mod tests {
                 po: PartialOrder::chain(columns.iter().map(|c| c.to_string())).expect("valid"),
                 sources: BTreeSet::from([wq.stats.fingerprint]),
             };
-            let ranked =
-                rank_candidates_with(&db, std::slice::from_ref(wq), &[candidate], &CostModel, 1);
+            let ranked = rank(
+                &db,
+                std::slice::from_ref(wq),
+                &[candidate],
+                &WhatIfCache::new(),
+            );
             assert_eq!(ranked.len(), 1);
             ranked.into_iter().next().unwrap()
         };

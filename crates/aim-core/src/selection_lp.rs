@@ -32,7 +32,9 @@
 use crate::error::AimError;
 use crate::ranking::{under_ctl, RankedCandidate};
 use crate::session::RunCtl;
-use aim_exec::{estimate_statement_cost_batch_until, ExecError, HypoConfig, HypotheticalIndex};
+use aim_exec::{
+    estimate_statement_cost_batch_until, ExecError, HypoConfig, HypotheticalIndex, WhatIfCache,
+};
 use aim_monitor::WorkloadQuery;
 use aim_sql::ast::Statement;
 use aim_storage::Database;
@@ -84,9 +86,10 @@ fn price(
     stmt: &Statement,
     configs: &[&HypoConfig],
     ctl: &RunCtl,
+    cache: &WhatIfCache,
 ) -> Result<Vec<Result<f64, ExecError>>, AimError> {
     let costs = under_ctl(ctl, "selection_lp", |stop| {
-        estimate_statement_cost_batch_until(db, stmt, configs, stop)
+        estimate_statement_cost_batch_until(db, stmt, configs, stop, cache)
     })?;
     match costs
         .iter()
@@ -100,9 +103,9 @@ fn price(
 /// Solves the reduced LP relaxation, rounds it, and returns whichever of
 /// {LP-rounded, `greedy`} has the lower actual workload cost within the
 /// `remaining` bytes of budget. `ranked` must be in utility-density order
-/// (the output of [`crate::ranking::rank_candidates_with`]); `greedy` is the
-/// knapsack selection to fall back on. Fails only by abort (`ctl`) or with
-/// an injected fault.
+/// (the output of [`crate::ranking::try_rank_candidates_with`]); `greedy` is the
+/// knapsack selection to fall back on. Every what-if question goes to
+/// `cache`. Fails only by abort (`ctl`) or with an injected fault.
 pub fn refine_selection(
     db: &Database,
     workload: &[WorkloadQuery],
@@ -110,6 +113,7 @@ pub fn refine_selection(
     greedy: &[RankedCandidate],
     remaining: u64,
     ctl: &RunCtl,
+    cache: &WhatIfCache,
 ) -> Result<LpOutcome, AimError> {
     // ------------------------------------------------- reduced instance
     // Shortlist: positive-utility candidates in ranked (density) order.
@@ -148,7 +152,7 @@ pub fn refine_selection(
     let mut atoms: Vec<(usize, Vec<(usize, f64)>)> = Vec::with_capacity(q_order.len());
     for &qi in &q_order {
         let wq = &workload[qi];
-        let costs = price(db, &wq.stats.exemplar, &batch_cfgs, ctl)?;
+        let costs = price(db, &wq.stats.exemplar, &batch_cfgs, ctl, cache)?;
         let Some(Ok(base)) = costs.first().cloned() else {
             continue;
         };
@@ -248,7 +252,7 @@ pub fn refine_selection(
     let lp_cfg = selection_config(db, &lp_chosen);
     let mut totals = [0.0f64; 2];
     for wq in workload {
-        let costs = price(db, &wq.stats.exemplar, &[&greedy_cfg, &lp_cfg], ctl)?;
+        let costs = price(db, &wq.stats.exemplar, &[&greedy_cfg, &lp_cfg], ctl, cache)?;
         for (t, res) in totals.iter_mut().zip(costs) {
             *t += wq.weight * res.unwrap_or(f64::INFINITY);
         }
@@ -413,8 +417,8 @@ fn simplex_max(c: &[f64], a: &[Vec<f64>], b: &[f64], max_iter: usize) -> (Vec<f6
 mod tests {
     use super::*;
     use crate::candidates::{generate_candidates, CandidateGenConfig};
-    use crate::ranking::{knapsack_select, rank_candidates_with};
-    use aim_exec::{CostModel, Engine};
+    use crate::ranking::{knapsack_select, try_rank_candidates_with};
+    use aim_exec::Engine;
     use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor};
     use aim_sql::parse_statement;
     use aim_storage::{ColumnDef, ColumnType, IoStats, TableSchema, Value};
@@ -513,12 +517,14 @@ mod tests {
             ],
         );
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        let ranked = rank_candidates_with(&db, &w, &cands, &CostModel, 0);
+        let cache = WhatIfCache::new();
+        let ranked = try_rank_candidates_with(&db, &w, &cands, &RunCtl::none(), &cache).unwrap();
         assert!(!ranked.is_empty());
         let all: u64 = ranked.iter().map(|r| r.size_bytes).sum();
         for budget in [u64::MAX, all, all / 2, all / 4, 1] {
             let greedy = knapsack_select(&ranked, budget, 0);
-            let out = refine_selection(&db, &w, &ranked, &greedy, budget, &RunCtl::none()).unwrap();
+            let out = refine_selection(&db, &w, &ranked, &greedy, budget, &RunCtl::none(), &cache)
+                .unwrap();
             // The guard guarantees matches-or-beats on actual cost.
             if out.used_lp {
                 assert!(out.lp_cost < out.greedy_cost);
@@ -544,9 +550,11 @@ mod tests {
         let mut db = db();
         let w = workload(&mut db, &[("SELECT id FROM t WHERE a = 5", 30)]);
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        let ranked = rank_candidates_with(&db, &w, &cands, &CostModel, 0);
+        let cache = WhatIfCache::new();
+        let ranked = try_rank_candidates_with(&db, &w, &cands, &RunCtl::none(), &cache).unwrap();
         let greedy = knapsack_select(&ranked, u64::MAX, 0);
-        let out = refine_selection(&db, &w, &ranked, &greedy, u64::MAX, &RunCtl::none()).unwrap();
+        let out =
+            refine_selection(&db, &w, &ranked, &greedy, u64::MAX, &RunCtl::none(), &cache).unwrap();
         assert_eq!(
             out.chosen
                 .iter()

@@ -39,7 +39,7 @@ use crate::plan::PassPlanner;
 use crate::ranking::{knapsack, RankedCandidate};
 use crate::sharding::ShardingProfile;
 use crate::validate::{try_validate_on_clone, RejectReason, ValidationConfig};
-use aim_exec::{Engine, ExecError};
+use aim_exec::{Engine, ExecError, WhatIfCache, WhatIfCacheStats};
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_storage::{Database, IndexDef, IoStats};
 use aim_telemetry as tel;
@@ -217,6 +217,8 @@ pub struct AimOutcome {
     pub candidates_generated: usize,
     /// Wall-clock time of the pass (the paper's "algorithm runtime").
     pub elapsed: Duration,
+    /// The pass's what-if lookups: hits and misses of the cache it asked.
+    pub whatif: WhatIfCacheStats,
 }
 
 /// Builder for [`AimConfig`] (which is `#[non_exhaustive]` and cannot be
@@ -397,13 +399,26 @@ impl TuningSession {
     }
 
     /// Runs one resilient tuning pass against `db`, consuming the
-    /// monitor's current observation window. On success, created indexes
-    /// are materialized on `db`; on *any* error the pass's own indexes
-    /// have been rolled back and `db` is exactly as consistent as before.
+    /// monitor's current observation window, from a what-if cache of its
+    /// own. On success, created indexes are materialized on `db`; on *any*
+    /// error the pass's own indexes have been rolled back and `db` is
+    /// exactly as consistent as before.
     pub fn run(
         &self,
         db: &mut Database,
         monitor: &WorkloadMonitor,
+    ) -> Result<AimOutcome, AimError> {
+        self.run_with(db, monitor, &WhatIfCache::new())
+    }
+
+    /// [`TuningSession::run`] asking `cache`, which the caller keeps: a
+    /// continuous tuner's across its windows, a fleet tenant's from its
+    /// probe.
+    pub(crate) fn run_with(
+        &self,
+        db: &mut Database,
+        monitor: &WorkloadMonitor,
+        cache: &WhatIfCache,
     ) -> Result<AimOutcome, AimError> {
         let ctl = RunCtl::new(
             Some(self.cancel.clone()),
@@ -425,9 +440,15 @@ impl TuningSession {
         let root = tel::span("aim.tune");
         let mut outcome = AimOutcome::default();
         let mut created_defs: Vec<IndexDef> = Vec::new();
+        let before = cache.stats();
 
-        match self.run_pass(db, monitor, &ctl, &mut outcome, &mut created_defs) {
+        match self.run_pass(db, monitor, &ctl, cache, &mut outcome, &mut created_defs) {
             Ok(()) => {
+                let after = cache.stats();
+                outcome.whatif = WhatIfCacheStats {
+                    hits: after.hits - before.hits,
+                    misses: after.misses - before.misses,
+                };
                 self.finish_pass(db, &mut outcome, &root);
                 Ok(outcome)
             }
@@ -465,6 +486,7 @@ impl TuningSession {
         db: &mut Database,
         monitor: &WorkloadMonitor,
         ctl: &RunCtl,
+        cache: &WhatIfCache,
         outcome: &mut AimOutcome,
         created_defs: &mut Vec<IndexDef>,
     ) -> Result<(), AimError> {
@@ -482,6 +504,7 @@ impl TuningSession {
             sharding: cfg.sharding.as_ref(),
             ctl,
             decisions: &decisions,
+            cache,
         };
         let (workload, ranked) = planner.plan_observed(db, monitor, &cfg.selection, outcome)?;
         if workload.is_empty() {
@@ -515,7 +538,7 @@ impl TuningSession {
             let _s = tel::span("selection_lp");
             let remaining = cfg.storage_budget.saturating_sub(used);
             let lp = crate::selection_lp::refine_selection(
-                db, &workload, &ranked, &chosen, remaining, ctl,
+                db, &workload, &ranked, &chosen, remaining, ctl, cache,
             )?;
             decisions.record(|l, pass| {
                 for d in &lp.decisions {

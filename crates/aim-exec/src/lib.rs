@@ -61,8 +61,8 @@ pub use explain::{explain_select, ExplainAlternative, ExplainNode, ExplainPlan};
 pub use hypothetical::{HypoConfig, HypotheticalIndex};
 pub use iocheck::IoAccuracy;
 pub use planner::{
-    estimate_statement_cost, estimate_statement_cost_batch, estimate_statement_cost_batch_until,
-    AccessPath, EqSource, IndexChoice, IndexScan, Plan, Planner, TableStep,
+    estimate_statement_cost, estimate_statement_cost_batch_until, AccessPath, EqSource,
+    IndexChoice, IndexScan, Plan, Planner, TableStep,
 };
 pub use predicate::{JoinPred, PredicateAnalysis, Sarg, SargValue};
 pub use whatif::{WhatIfCache, WhatIfCacheStats, WhatIfEntry};

@@ -23,6 +23,7 @@ use crate::cost::{
 use crate::error::ExecError;
 use crate::hypothetical::{HypoConfig, HypotheticalIndex};
 use crate::predicate::{PredicateAnalysis, Sarg, SargValue};
+use crate::whatif::WhatIfCache;
 use aim_sql::ast::{Expr, Select, Statement};
 use aim_storage::{
     ColumnStats, Database, IndexDef, SecondaryIndex, Table, TableSchema, TableStats, Value,
@@ -1241,8 +1242,9 @@ fn range_selectivity(
     }
 }
 
-/// Estimated cost of any statement under a what-if configuration: the
-/// one-slot [`estimate_statement_cost_batch`].
+/// Estimated cost of any statement under a what-if configuration, asking
+/// `cache`: the one-slot, uninterrupted
+/// [`estimate_statement_cost_batch_until`].
 ///
 /// DML statements are priced as their embedded SELECT (row location) plus
 /// index-maintenance writes against every index — materialized *and*
@@ -1252,37 +1254,29 @@ pub fn estimate_statement_cost(
     db: &Database,
     stmt: &Statement,
     config: &HypoConfig,
+    cache: &WhatIfCache,
 ) -> Result<f64, ExecError> {
-    estimate_statement_cost_batch(db, stmt, &[config])
+    estimate_statement_cost_batch_until(db, stmt, &[config], &|| false, cache)
+        .expect("a batch nobody interrupts runs to completion")
         .pop()
         .expect("one result per config")
 }
 
-/// Prices one statement under every configuration in `configs`, sharing
-/// parsing, binding, predicate and selectivity derivation across the whole
-/// batch (SELECTs and DML WHERE clauses go through
-/// [`crate::whatif::WhatIfCache::eval_select_batch_until`]; the maintenance
-/// arithmetic stays per config). Results are returned in `configs` order
-/// and are bit-identical to one call per config.
-pub fn estimate_statement_cost_batch(
-    db: &Database,
-    stmt: &Statement,
-    configs: &[&HypoConfig],
-) -> Vec<Result<f64, ExecError>> {
-    estimate_statement_cost_batch_until(db, stmt, configs, &|| false)
-        .expect("a batch nobody interrupts runs to completion")
-}
-
-/// [`estimate_statement_cost_batch`] under an abort signal, with the
-/// contract of [`crate::whatif::WhatIfCache::eval_select_batch_until`]:
-/// `None` once `interrupted` turns true, at most one what-if call later.
+/// Prices one statement under every configuration in `configs`, asking
+/// `cache`, and sharing parsing, binding, predicate and selectivity
+/// derivation across the whole batch (SELECTs and DML WHERE clauses go
+/// through [`crate::whatif::WhatIfCache::eval_select_batch_until`]; the
+/// maintenance arithmetic stays per config). Results are returned in
+/// `configs` order and are bit-identical to one call per config. Its
+/// abort contract is `eval_select_batch_until`'s: `None` once
+/// `interrupted` turns true, at most one what-if call later.
 pub fn estimate_statement_cost_batch_until(
     db: &Database,
     stmt: &Statement,
     configs: &[&HypoConfig],
     interrupted: &dyn Fn() -> bool,
+    cache: &WhatIfCache,
 ) -> Option<Vec<Result<f64, ExecError>>> {
-    let cache = crate::whatif::global();
     Some(match (stmt, stmt.row_location()) {
         (Statement::Select(s), _) => cache
             .eval_select_batch_until(db, s, configs, interrupted)?
@@ -1646,8 +1640,11 @@ mod tests {
                 .unwrap()
             })
             .to_vec();
-        let bare = estimate_statement_cost(&db, &stmt, &HypoConfig::none()).unwrap();
-        let indexed = estimate_statement_cost(&db, &stmt, &HypoConfig::overlay(hypos)).unwrap();
+        let bare =
+            estimate_statement_cost(&db, &stmt, &HypoConfig::none(), &WhatIfCache::new()).unwrap();
+        let indexed =
+            estimate_statement_cost(&db, &stmt, &HypoConfig::overlay(hypos), &WhatIfCache::new())
+                .unwrap();
         assert!(indexed < bare, "indexed {indexed} vs index-free {bare}");
 
         // Costing tolerates the parameters; executing them does not.
@@ -1675,10 +1672,11 @@ mod tests {
     fn dml_cost_includes_index_maintenance() {
         let db = db();
         let ins = parse_statement("INSERT INTO t (id, a, b, c) VALUES (99999, 1, 2, 3)").unwrap();
-        let bare = estimate_statement_cost(&db, &ins, &HypoConfig::none()).unwrap();
+        let bare =
+            estimate_statement_cost(&db, &ins, &HypoConfig::none(), &WhatIfCache::new()).unwrap();
         let h = HypotheticalIndex::build(&db, IndexDef::new("h", "t", vec!["a".into()])).unwrap();
         let cfg = HypoConfig::overlay(vec![h]);
-        let with_ix = estimate_statement_cost(&db, &ins, &cfg).unwrap();
+        let with_ix = estimate_statement_cost(&db, &ins, &cfg, &WhatIfCache::new()).unwrap();
         assert!(with_ix > bare);
     }
 
@@ -1690,10 +1688,20 @@ mod tests {
             HypotheticalIndex::build(&db, IndexDef::new("hb", "t", vec!["b".into()])).unwrap();
         let h_a =
             HypotheticalIndex::build(&db, IndexDef::new("ha", "t", vec!["a".into()])).unwrap();
-        let cost_touching =
-            estimate_statement_cost(&db, &upd, &HypoConfig::overlay(vec![h_b])).unwrap();
-        let cost_untouched =
-            estimate_statement_cost(&db, &upd, &HypoConfig::overlay(vec![h_a])).unwrap();
+        let cost_touching = estimate_statement_cost(
+            &db,
+            &upd,
+            &HypoConfig::overlay(vec![h_b]),
+            &WhatIfCache::new(),
+        )
+        .unwrap();
+        let cost_untouched = estimate_statement_cost(
+            &db,
+            &upd,
+            &HypoConfig::overlay(vec![h_a]),
+            &WhatIfCache::new(),
+        )
+        .unwrap();
         assert!(cost_touching > cost_untouched);
     }
 

@@ -19,14 +19,17 @@
 //!   different selectivities must not share a cost), and
 //! * the [`HypoConfig::canonical_key`] (order-insensitive).
 //!
-//! The cache is sharded (`Mutex<HashMap>` per shard) so the fleet pool's
-//! threads, each ranking its own tenant, contend only on colliding shards,
-//! and it is safe to share one
-//! process-global instance ([`global`]) across advisors and databases:
-//! versions are process-unique, so a stale or foreign hit is impossible
-//! (a memory clone shares its source's entries because it shares its
-//! contents), and a capacity bound keeps long-lived processes from
-//! accumulating dead versions.
+//! A cache is a value its caller owns and hands down to every costing
+//! call it makes: one per tuning pass, one across a continuous tuner's
+//! windows, one per fleet tenant for its probe and its tune, one per
+//! advisor run (DESIGN.md §6 has the table). Its hits and misses are
+//! therefore that owner's what-if lookups and nobody else's. Sharing a
+//! cache is safe whatever it is shared across: versions are
+//! process-unique, so a stale or foreign hit is impossible (a memory clone
+//! shares its source's entries because it shares its contents), and a
+//! capacity bound keeps a long-lived owner from accumulating dead
+//! versions. An owner asks from one thread at a time, so the cache is one
+//! map behind one lock.
 
 use crate::error::ExecError;
 use crate::executor::CostStamp;
@@ -37,13 +40,11 @@ use aim_sql::normalize::Fnv1a;
 use aim_storage::Database;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
-const SHARDS: usize = 16;
-/// Per-shard entry bound; a full shard is cleared wholesale (entries are
-/// cheap to recompute and version churn retires them anyway).
-const SHARD_CAPACITY: usize = 1 << 16;
+/// Entry bound; a full cache is cleared wholesale (entries are cheap to
+/// recompute and version churn retires them anyway).
+const CAPACITY: usize = 1 << 20;
 
 /// Fingerprint of a SELECT's printed form (literals included), hashed as
 /// it prints — no intermediate `String`.
@@ -58,15 +59,6 @@ struct Key {
     stamp: CostStamp,
     stmt: u64,
     config: u64,
-}
-
-impl Key {
-    fn shard(&self) -> usize {
-        // Mix so sequential statement hashes spread across shards.
-        let mut x = self.stmt ^ self.config.rotate_left(32) ^ self.stamp.version;
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        (x >> 59) as usize % SHARDS
-    }
 }
 
 /// What a memoized what-if call remembers: everything the advisor pipeline
@@ -87,7 +79,6 @@ pub struct WhatIfEntry {
 pub struct WhatIfCacheStats {
     pub hits: u64,
     pub misses: u64,
-    pub entries: usize,
 }
 
 impl WhatIfCacheStats {
@@ -102,64 +93,50 @@ impl WhatIfCacheStats {
     }
 }
 
-/// Sharded memo table for what-if optimizer calls.
+/// Memo table for what-if optimizer calls, with its lookup counts.
+#[derive(Debug, Default)]
 pub struct WhatIfCache {
-    shards: Vec<Mutex<HashMap<Key, WhatIfEntry>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    state: Mutex<State>,
 }
 
-impl Default for WhatIfCache {
-    fn default() -> Self {
-        Self::new()
-    }
+#[derive(Debug, Default)]
+struct State {
+    entries: HashMap<Key, WhatIfEntry>,
+    stats: WhatIfCacheStats,
 }
 
 impl WhatIfCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
-        Self {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+        Self::default()
+    }
+
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Drops every entry and zeroes the hit/miss counters.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
+        let mut state = self.state();
+        state.entries.clear();
+        state.stats = WhatIfCacheStats::default();
     }
 
-    /// Current effectiveness numbers.
+    /// Hits and misses so far.
     pub fn stats(&self) -> WhatIfCacheStats {
-        WhatIfCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
-                .sum(),
-        }
+        self.state().stats
     }
 
     fn lookup(&self, key: &Key) -> Option<WhatIfEntry> {
-        let found = self.shards[key.shard()]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(key)
-            .cloned();
+        let mut state = self.state();
+        let found = state.entries.get(key).cloned();
         match &found {
             Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                state.stats.hits += 1;
                 aim_telemetry::metrics::WHATIF_CACHE_HITS.incr();
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                state.stats.misses += 1;
                 aim_telemetry::metrics::WHATIF_CACHE_MISSES.incr();
             }
         }
@@ -167,13 +144,11 @@ impl WhatIfCache {
     }
 
     fn insert(&self, key: Key, entry: WhatIfEntry) {
-        let mut shard = self.shards[key.shard()]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if shard.len() >= SHARD_CAPACITY {
-            shard.clear();
+        let mut state = self.state();
+        if state.entries.len() >= CAPACITY {
+            state.entries.clear();
         }
-        shard.insert(key, entry);
+        state.entries.insert(key, entry);
     }
 
     /// What-if evaluation of a SELECT under one configuration: the one-slot
@@ -395,9 +370,11 @@ fn audit_hit(db: &Database, select: &Select, config: &HypoConfig, hit: &WhatIfEn
     }
 }
 
-/// The process-global cache every advisor path shares by default. Stamp
-/// keying makes sharing safe; [`WhatIfCache::clear`] gives a measurement or
-/// a test a cold start.
+/// The process-wide cache behind `aim_core::rank_candidates_with`, and
+/// nothing else: the frozen end-to-end harness ranks through that function
+/// and clears and reads this cache around it. The `benchmark` change of
+/// ROADMAP item 7-i deletes it with that function's two ignored
+/// parameters.
 pub fn global() -> &'static WhatIfCache {
     static GLOBAL: OnceLock<WhatIfCache> = OnceLock::new();
     GLOBAL.get_or_init(WhatIfCache::new)
@@ -454,7 +431,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
-        assert_eq!(stats.entries, 1);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 

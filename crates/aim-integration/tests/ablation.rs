@@ -8,7 +8,7 @@ use aim_core::{
     defs_to_config, generate_candidates, knapsack_select, rank_candidates_with, synthetic_workload,
     workload_cost, CandidateGenConfig, CoveringPolicy,
 };
-use aim_exec::{CostModel, HypoConfig};
+use aim_exec::{CostModel, HypoConfig, WhatIfCache};
 use aim_storage::IndexDef;
 use aim_workloads::join_heavy::{self, JoinHeavyConfig};
 
@@ -22,8 +22,9 @@ fn every_candidate_generation_mechanism_lowers_estimated_cost() {
         seed: 0xF16,
     });
     let weighted = join_heavy::weighted(17);
-    let synthetic = synthetic_workload(&db, &weighted);
-    let base_cost = workload_cost(&db, &weighted, &HypoConfig::none());
+    let cache = WhatIfCache::new();
+    let synthetic = synthetic_workload(&db, &weighted, &cache);
+    let base_cost = workload_cost(&db, &weighted, &HypoConfig::none(), &cache);
 
     let rel_cost = |name: &str, cfg: CandidateGenConfig| -> f64 {
         let candidates = generate_candidates(&db, &synthetic, &cfg);
@@ -32,7 +33,7 @@ fn every_candidate_generation_mechanism_lowers_estimated_cost() {
             .into_iter()
             .map(|r| r.candidate.def())
             .collect();
-        let rel = workload_cost(&db, &weighted, &defs_to_config(&db, &defs)) / base_cost;
+        let rel = workload_cost(&db, &weighted, &defs_to_config(&db, &defs), &cache) / base_cost;
         eprintln!("{name:<12} rel_cost {rel:.3}  ({} indexes)", defs.len());
         rel
     };

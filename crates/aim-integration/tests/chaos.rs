@@ -395,9 +395,9 @@ fn cancel_to_abort_is_at_most_one_whatif_call() {
         let before = db.all_indexes().len();
         let mut cancelled_runs = 0;
         for k in 1.. {
-            // A fresh cache per run: every call goes through its slot's
-            // gate either way, but the plans behind it should be real.
-            aim_exec::whatif::global().clear();
+            // Each run asks a fresh cache of its own: every call goes
+            // through its slot's gate either way, and the plans behind it
+            // are real.
             fault::arm(FaultPlan::new(11).delay_ms("exec.whatif", 2, 0, u64::MAX));
             let session = AimConfig::builder().selection(selection()).session();
             let (result, calls_at_cancel) = run_cancelling_at(&session, &mut db, &monitor, k);

@@ -17,7 +17,7 @@ mod common;
 
 use aim_core::fleet::{FleetConfig, FleetOutcome, Tenant};
 use aim_core::{workload_cost, AimConfig, TuningSession};
-use aim_exec::{Engine, HypoConfig};
+use aim_exec::{Engine, HypoConfig, WhatIfCache};
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_sql::parse_statement;
 use aim_storage::fault::{self, FaultGuard, FaultPlan};
@@ -233,7 +233,6 @@ fn fleet_with_one_probe_fault() -> (FleetOutcome, Vec<Tenant>, Vec<aim_telemetry
             t
         })
         .collect();
-    aim_exec::whatif::global().clear();
     aim_telemetry::enable();
     aim_telemetry::reset();
     fault::arm(FaultPlan::new(7).fail("exec.whatif", 0, 1));
@@ -333,10 +332,11 @@ fn budget_used_gauge_counts_every_shard() {
 /// visible to the planner).
 fn fleet_cost(tenants: &[Tenant], workloads: &[TenantWorkload]) -> f64 {
     let none = HypoConfig::none();
+    let cache = WhatIfCache::new();
     tenants
         .iter()
         .zip(workloads)
-        .map(|(t, w)| workload_cost(&t.db, &w.weighted, &none))
+        .map(|(t, w)| workload_cost(&t.db, &w.weighted, &none, &cache))
         .sum()
 }
 

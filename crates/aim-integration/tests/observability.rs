@@ -5,10 +5,10 @@
 
 use aim_core::fleet::{FleetConfig, Tenant};
 use aim_core::{
-    generate_candidates, rank_candidates_with, synthetic_workload, AimConfig, CandidateGenConfig,
-    WeightedQuery,
+    generate_candidates, synthetic_workload, try_rank_candidates_with, AimConfig,
+    CandidateGenConfig, RunCtl, WeightedQuery,
 };
-use aim_exec::{CostModel, Engine};
+use aim_exec::{Engine, WhatIfCache};
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_sql::parse_statement;
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema, Value};
@@ -269,18 +269,18 @@ fn ranking_profile_records_whatif_under_ranking() {
         .iter()
         .map(|sql| WeightedQuery::new(parse_statement(sql).unwrap(), 10.0))
         .collect();
-    let workload = synthetic_workload(&db, &weighted);
+    let workload = synthetic_workload(&db, &weighted, &WhatIfCache::new());
     let candidates = generate_candidates(&db, &workload, &CandidateGenConfig::default());
     assert!(!candidates.is_empty(), "need candidates to rank");
 
     // A cold cache, so the ranking plans (and records its spans) rather
-    // than answering from an earlier test's entries.
-    aim_exec::whatif::global().clear();
+    // than answering from the synthetic workload's entries.
+    let cache = WhatIfCache::new();
     aim_telemetry::enable();
     aim_telemetry::reset();
     {
         let _s = aim_telemetry::span("ranking");
-        let _ = rank_candidates_with(&db, &workload, &candidates, &CostModel, 1);
+        let _ = try_rank_candidates_with(&db, &workload, &candidates, &RunCtl::none(), &cache);
     }
     let profile = aim_telemetry::take_profile();
     aim_telemetry::disable();

@@ -23,7 +23,7 @@ use aim_core::{
     refine_selection, AimAdvisor, AimConfig, AimConfigBuilder, AimOutcome, CandidateGenConfig,
     IndexAdvisor, RankedCandidate, RunCtl, SelectionStrategy, WeightedQuery,
 };
-use aim_exec::{CostModel, Engine};
+use aim_exec::{CostModel, Engine, WhatIfCache};
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor};
 use aim_sql::normalize::fnv1a;
 use aim_sql::{parse_statement, Statement};
@@ -490,6 +490,7 @@ fn lp_selection_replaces_greedy_where_greedy_strands_the_budget() {
         &greedy,
         budget,
         &RunCtl::none(),
+        &WhatIfCache::new(),
     )
     .expect("nothing interrupts or fails the refinement");
     assert!(

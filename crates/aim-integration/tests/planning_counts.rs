@@ -1,6 +1,6 @@
 //! What the read-only half of a pass produces and pays on Product B, as
 //! counts — no wall clock: the candidates `generate_candidates` emits, the
-//! partial-order merges behind them, what `rank_candidates_with` ranks and
+//! partial-order merges behind them, what `try_rank_candidates_with` ranks and
 //! the what-if slots it misses and hits, and the heap allocations of both
 //! stages, counted exactly by a counting global allocator on one worker.
 //!
@@ -9,15 +9,17 @@
 //! index-free database (184 tables, 1 058 templates).
 //!
 //! This is its own test binary because of the `#[global_allocator]` in
-//! `common/counting.rs`; the tests read process-wide state (the global
-//! what-if cache, telemetry), so they take turns.
+//! `common/counting.rs`; the tests read process-wide telemetry, so they
+//! take turns.
 
 mod common;
 #[path = "common/counting.rs"]
 mod counting;
 
-use aim_core::{generate_candidates, rank_candidates_with, CandidateGenConfig, CandidateIndex};
-use aim_exec::{whatif, CostModel};
+use aim_core::{
+    generate_candidates, try_rank_candidates_with, CandidateGenConfig, CandidateIndex, RunCtl,
+};
+use aim_exec::WhatIfCache;
 use aim_monitor::{select_workload, SelectionConfig, WorkloadQuery};
 use aim_storage::Database;
 use aim_telemetry::metrics::PO_MERGES;
@@ -107,16 +109,17 @@ fn ranking_counts_on_product_b() {
     let b = product_b();
     let candidates = generate(b);
 
-    let cache = whatif::global();
-    cache.clear();
+    let cache = WhatIfCache::new();
+    let ctl = RunCtl::none();
     let mut ranked = Vec::new();
-    let allocations =
-        count(|| ranked = rank_candidates_with(&b.db, &b.workload, &candidates, &CostModel, 1));
+    let allocations = count(|| {
+        ranked = try_rank_candidates_with(&b.db, &b.workload, &candidates, &ctl, &cache).unwrap()
+    });
     let stats = cache.stats();
     let benefiting = ranked.iter().filter(|r| r.benefit > 0.0).count();
 
     eprintln!(
-        "rank_candidates_with: {} ranked, {benefiting} with a benefit, {} what-if misses, \
+        "try_rank_candidates_with: {} ranked, {benefiting} with a benefit, {} what-if misses, \
          {} hits, {allocations} allocations",
         ranked.len(),
         stats.misses,
@@ -131,7 +134,7 @@ fn ranking_counts_on_product_b() {
     );
     assert!(
         allocations <= RANK_ALLOCATIONS,
-        "rank_candidates_with: {allocations} allocations"
+        "try_rank_candidates_with: {allocations} allocations"
     );
 }
 

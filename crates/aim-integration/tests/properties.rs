@@ -9,10 +9,10 @@ mod common;
 use aim_core::partial_order::{merge_partial_orders, PartialOrder};
 use aim_core::{
     generate_candidates, knapsack_select, rank_candidates_unbatched, rank_candidates_with,
-    refine_selection, validate_on_clone, CandidateGenConfig, CandidateIndex, RankedCandidate,
-    RejectReason, RunCtl, ValidationConfig,
+    refine_selection, try_rank_candidates_with, validate_on_clone, CandidateGenConfig,
+    CandidateIndex, RankedCandidate, RejectReason, RunCtl, ValidationConfig,
 };
-use aim_exec::{CostModel, Engine};
+use aim_exec::{CostModel, Engine, WhatIfCache};
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor, WorkloadQuery};
 use aim_sql::lexer::{lex, Token};
 use aim_sql::normalize::normalize_statement;
@@ -1347,11 +1347,10 @@ fn batched_ranking_matches_per_config_on_random_workloads() {
         }
         // A cold cache each so both paths genuinely plan; equality must
         // come from the costing itself, not shared memoization.
-        let cache = aim_exec::whatif::global();
-        cache.clear();
-        let batched = rank_candidates_with(&db, &w, &cands, &CostModel, 1);
-        cache.clear();
-        let sequential = rank_candidates_unbatched(&db, &w, &cands);
+        let batched =
+            try_rank_candidates_with(&db, &w, &cands, &RunCtl::none(), &WhatIfCache::new())
+                .unwrap();
+        let sequential = rank_candidates_unbatched(&db, &w, &cands, &WhatIfCache::new());
         assert_ranked_bit_identical(&sequential, &batched);
         assert!(!batched.is_empty() || case > 0, "degenerate sweep");
     }
@@ -1624,13 +1623,15 @@ fn lp_selection_agrees_with_greedy_on_optimal_instances() {
             &[(format!("SELECT id FROM t WHERE {hot} = {v}"), 25)],
         );
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        let ranked = rank_candidates_with(&db, &w, &cands, &CostModel, 0);
+        let cache = WhatIfCache::new();
+        let ranked = try_rank_candidates_with(&db, &w, &cands, &RunCtl::none(), &cache).unwrap();
         assert!(!ranked.is_empty(), "hot query produced no candidates");
 
         // Unlimited budget: the single useful index is provably optimal,
         // so LP refinement must return exactly the greedy selection.
         let greedy = knapsack_select(&ranked, u64::MAX, 0);
-        let out = refine_selection(&db, &w, &ranked, &greedy, u64::MAX, &RunCtl::none()).unwrap();
+        let out =
+            refine_selection(&db, &w, &ranked, &greedy, u64::MAX, &RunCtl::none(), &cache).unwrap();
         assert_eq!(
             out.chosen
                 .iter()
@@ -1652,7 +1653,8 @@ fn lp_selection_agrees_with_greedy_on_optimal_instances() {
         let total: u64 = ranked.iter().map(|r| r.size_bytes).sum();
         let budget = rng.gen_range(1..=total.max(2));
         let greedy = knapsack_select(&ranked, budget, 0);
-        let out = refine_selection(&db, &w, &ranked, &greedy, budget, &RunCtl::none()).unwrap();
+        let out =
+            refine_selection(&db, &w, &ranked, &greedy, budget, &RunCtl::none(), &cache).unwrap();
         if out.used_lp {
             assert!(out.lp_cost < out.greedy_cost, "LP kept without improvement");
         } else {

@@ -1,12 +1,12 @@
 //! What the what-if cache and a batch save, as counts — no wall clock.
 //!
-//! Both tests read process-wide counters (the global cache's hit/miss
-//! statistics, telemetry), so they live in their own binary and take turns.
+//! The second test reads process-wide telemetry counters, so the two live
+//! in their own binary and take turns.
 
 mod common;
 
-use aim_core::{generate_candidates, rank_candidates_with, CandidateGenConfig};
-use aim_exec::{whatif, CostModel, HypoConfig, HypotheticalIndex, WhatIfCache};
+use aim_core::{generate_candidates, try_rank_candidates_with, CandidateGenConfig, RunCtl};
+use aim_exec::{HypoConfig, HypotheticalIndex, WhatIfCache};
 use aim_monitor::{select_workload, SelectionConfig};
 use aim_sql::{parse_statement, Statement};
 use aim_storage::{ColumnDef, ColumnType, Database, IndexDef, TableSchema};
@@ -36,8 +36,10 @@ fn repeated_ranking_is_answered_from_the_cache_until_the_epoch_moves() {
         },
     );
     let candidates = generate_candidates(&db, &workload, &CandidateGenConfig::default());
+    let cache = WhatIfCache::new();
     let bits = |db: &Database| -> Vec<(String, u64, u64)> {
-        rank_candidates_with(db, &workload, &candidates, &CostModel, 1)
+        try_rank_candidates_with(db, &workload, &candidates, &RunCtl::none(), &cache)
+            .unwrap()
             .iter()
             .map(|r| {
                 (
@@ -49,8 +51,6 @@ fn repeated_ranking_is_answered_from_the_cache_until_the_epoch_moves() {
             .collect()
     };
 
-    let cache = whatif::global();
-    cache.clear();
     let first = bits(&db);
     let cold = cache.stats();
     assert!(
@@ -91,10 +91,10 @@ fn repeated_ranking_is_answered_from_the_cache_until_the_epoch_moves() {
         })
         .cloned()
         .collect();
-    cache.clear();
-    rank_candidates_with(&db, &binds_orders, &candidates, &CostModel, 1);
+    let alone = WhatIfCache::new();
+    try_rank_candidates_with(&db, &binds_orders, &candidates, &RunCtl::none(), &alone).unwrap();
     assert_eq!((binds_orders.len(), workload.len()), (10, 22));
-    assert_eq!(cache.stats().misses, moved.misses - warm.misses);
+    assert_eq!(alone.stats().misses, moved.misses - warm.misses);
 }
 
 fn table(name: &str, columns: &[&str]) -> TableSchema {

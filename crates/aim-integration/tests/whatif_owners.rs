@@ -1,7 +1,8 @@
 //! Whose what-if questions a pass asks, as counts: the hits and misses
 //! each pass's costing makes, read as deltas of telemetry's
 //! `exec.whatif_cache_hits` and `exec.whatif_cache_misses`, which every
-//! lookup moves whatever cache answers it.
+//! lookup moves whatever cache answers it, and held equal to the counts
+//! the pass reports in [`AimOutcome::whatif`](aim_core::AimOutcome).
 //!
 //! * A [`ContinuousTuner`] over three windows, with writes to one of its
 //!   two tables between them.
@@ -9,7 +10,8 @@
 //!   `{phase, tenant}` series.
 //! * Two [`TuningSession::run`]s on fresh clones of one database, each
 //!   from a cold cache: the end-to-end benchmark's passes.
-//! * Two runs on the same database, the second right after the first.
+//! * Two runs on the same database, the second right after the first: it
+//!   asks a cache of its own, not the first pass's.
 //!
 //! Telemetry is process-wide, so this binary holds one test, which runs
 //! the cases in a fixed order with nothing beside it.
@@ -19,7 +21,7 @@ mod common;
 use aim_core::continuous::ContinuousTuner;
 use aim_core::fleet::{FleetConfig, Tenant};
 use aim_core::{AimConfig, TuningSession};
-use aim_exec::{whatif, Engine};
+use aim_exec::{Engine, WhatIfCacheStats};
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_sql::parse_statement;
 use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema, Value};
@@ -33,6 +35,10 @@ fn lookups() -> (u64, u64) {
     let snap = snapshot();
     let read = |name| snap.counter(name).unwrap_or(0);
     (read(HITS), read(MISSES))
+}
+
+fn pair(stats: WhatIfCacheStats) -> (u64, u64) {
+    (stats.hits, stats.misses)
 }
 
 /// (hits, misses) of `f`.
@@ -128,6 +134,7 @@ fn continuous_windows() -> Vec<(u64, u64)> {
         .map(|w| {
             let monitor = window(&mut db, w);
             let (step, counts) = delta(|| tuner.step(&mut db, &monitor).unwrap());
+            assert_eq!(pair(step.tuning.whatif), counts, "window {w}");
             eprintln!(
                 "continuous window {w}: {counts:?}, created {}",
                 step.tuning.created.len()
@@ -162,12 +169,16 @@ fn fleet_by_tenant_and_phase() -> Vec<(&'static str, &'static str, (u64, u64))> 
     assert_eq!(outcome.tuned(), 2);
     let snap = snapshot();
     let mut rows = Vec::new();
-    for tenant in ["t0", "t1"] {
+    for (tenant, tuned) in ["t0", "t1"].into_iter().zip(&outcome.tenants) {
         for phase in ["probe", "tune"] {
             let labels = [("phase", phase), ("tenant", tenant)];
             let read = |name| snap.counter_labeled(name, &labels).unwrap_or(0);
             let counts = (read(HITS), read(MISSES));
             eprintln!("fleet {tenant} {phase}: {counts:?}");
+            if phase == "tune" {
+                let reported = tuned.result.as_ref().unwrap().whatif;
+                assert_eq!(pair(reported), counts, "{tenant}");
+            }
             rows.push((tenant, phase, counts));
         }
     }
@@ -195,15 +206,15 @@ fn session() -> TuningSession {
         .session()
 }
 
-/// Each pass on a fresh clone of `source`, from a cold cache.
+/// Each pass on a fresh clone of `source`, from the cold cache it makes.
 fn runs_on_fresh_clones() -> Vec<(u64, u64)> {
     let (source, monitor) = tpch();
     let session = session();
     (0..2)
         .map(|pass| {
             let mut db = source.try_clone().unwrap();
-            whatif::global().clear();
             let (out, counts) = delta(|| session.run(&mut db, &monitor).unwrap());
+            assert_eq!(pair(out.whatif), counts, "pass {pass}");
             eprintln!(
                 "fresh clone, pass {pass}: {counts:?}, created {}",
                 out.created.len()
@@ -220,6 +231,7 @@ fn runs_on_one_database() -> Vec<(u64, u64)> {
     (0..2)
         .map(|pass| {
             let (out, counts) = delta(|| session.run(&mut db, &monitor).unwrap());
+            assert_eq!(pair(out.whatif), counts, "pass {pass}");
             eprintln!(
                 "one database, pass {pass}: {counts:?}, created {}",
                 out.created.len()
@@ -248,9 +260,11 @@ fn whose_lookups_a_pass_makes() {
         ]
     );
     assert_eq!(runs_on_fresh_clones(), [(0, 60), (0, 60)]);
-    // The second pass hits 2 entries the first left on tables it built
-    // no index on.
-    assert_eq!(runs_on_one_database(), [(0, 60), (2, 47)]);
+    // Each pass asks a cache of its own, so the second asks all 49 of its
+    // questions again. It was (2, 47) while every pass asked one
+    // process-wide cache: the second hit 2 entries the first left on
+    // tables it built no index on.
+    assert_eq!(runs_on_one_database(), [(0, 60), (0, 49)]);
 
     aim_telemetry::disable();
 }

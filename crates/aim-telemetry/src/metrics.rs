@@ -192,7 +192,6 @@ pub fn help_for(name: &str) -> &'static str {
         "selection.batch.size" => {
             "Hypothetical index configurations costed per batched what-if call."
         }
-        "baselines.cost_cache_hits" => "Baseline-advisor cost evaluations served from cache.",
         "db.index_bytes" => "Estimated bytes across all indexes on the tuned database.",
         "db.secondary_index_bytes" => "Estimated bytes across secondary indexes (budget basis).",
         "exec.whatif_cost" => "Estimated cost of what-if-priced statements.",

@@ -317,13 +317,15 @@ mod tests {
             1.0,
         )];
         use aim_core::{defs_to_config, workload_cost};
-        use aim_exec::HypoConfig;
+        use aim_exec::{HypoConfig, WhatIfCache};
         use aim_storage::IndexDef;
-        let base = workload_cost(&db, &w, &HypoConfig::none());
+        let cache = WhatIfCache::new();
+        let base = workload_cost(&db, &w, &HypoConfig::none(), &cache);
         let single = workload_cost(
             &db,
             &w,
             &defs_to_config(&db, &[IndexDef::new("s", "child", vec!["a".into()])]),
+            &cache,
         );
         let triple = workload_cost(
             &db,
@@ -336,6 +338,7 @@ mod tests {
                     vec!["a".into(), "b".into(), "cc".into()],
                 )],
             ),
+            &cache,
         );
         assert!(
             single >= base * 0.999,
@@ -355,6 +358,7 @@ mod tests {
                     vec!["a".into(), "b".into(), "cc".into(), "val".into()],
                 )],
             ),
+            &cache,
         );
         assert!(covering < base * 0.1, "covering: {covering} vs {base}");
     }

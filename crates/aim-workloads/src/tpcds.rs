@@ -354,18 +354,19 @@ mod tests {
     #[test]
     fn aim_advisor_improves_tpcds() {
         use aim_core::{defs_to_config, workload_cost, AimAdvisor, IndexAdvisor};
-        use aim_exec::HypoConfig;
+        use aim_exec::{HypoConfig, WhatIfCache};
         let cfg = TpcdsConfig {
             sales_rows: 2_000,
             seed: 9,
         };
         let db = build_database(&cfg);
         let w = weighted_workload(9);
-        let base = workload_cost(&db, &w, &HypoConfig::none());
+        let cache = WhatIfCache::new();
+        let base = workload_cost(&db, &w, &HypoConfig::none(), &cache);
         let mut advisor = AimAdvisor::new(3, 3);
         let defs = advisor.recommend(&db, &w, u64::MAX);
         assert!(!defs.is_empty());
-        let with = workload_cost(&db, &w, &defs_to_config(&db, &defs));
+        let with = workload_cost(&db, &w, &defs_to_config(&db, &defs), &cache);
         assert!(with < base * 0.8, "base {base}, with {with}");
     }
 }
