@@ -11,6 +11,11 @@ cd "$(dirname "$0")/.."
 # scripts/figures.sh, and it is not part of this gate.
 tree_before=$(git status --porcelain)
 
+echo "== cargo fmt --all --check"
+# The tree is rustfmt-clean; a diff here is formatting drift. bench/ is its
+# own package outside the workspace and is not formatted by this stage.
+cargo fmt --all --check
+
 echo "== cargo build --release"
 cargo build --release
 
