@@ -5,10 +5,13 @@
 //! reproduction does not show a claim, the test pins what it shows and says
 //! so by name (EXPERIMENTS.md carries the same sentence).
 //!
-//! Measured on the 2-vCPU box, default test profile: 50 s for the binary
-//! (62 s if the seven ran one by one: `table2` 22 s, `fig3` 11 s, `fig4` on
-//! TPC-H 9 s, `fig6` 9 s, `fig4` on JOB and TPC-DS 5 s, `fig5` 5 s,
-//! `continuous` under 1 s).
+//! Measured on the 2-vCPU box, default test profile: 66 s for the binary,
+//! the seven side by side (99 s if they ran one by one: `fig4` on TPC-H
+//! 30 s, `table2` 22 s, `fig4` on JOB and TPC-DS 17 s, `fig3` 11 s, `fig5`
+//! 9 s, `fig6` 8 s, `continuous` 1 s). Every advisor run counts its own
+//! what-if calls, so nothing here shares state. The baselines of `fig4`
+//! and `fig5` ask a what-if cache for every repeated question, and the
+//! test profile re-plans every hit (DESIGN.md §6).
 
 use aim_bench::fig4::{Benchmark, Sweep};
 use aim_bench::{continuous, fig3, fig4, fig5, fig6, table2, Scale};
