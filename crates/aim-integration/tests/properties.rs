@@ -12,7 +12,7 @@ use aim_core::{
     refine_selection, try_rank_candidates_with, validate_on_clone, CandidateGenConfig,
     CandidateIndex, RankedCandidate, RejectReason, RunCtl, ValidationConfig,
 };
-use aim_exec::{CostModel, Engine, WhatIfCache};
+use aim_exec::{AccessPath, CostModel, Engine, WhatIfCache};
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor, WorkloadQuery};
 use aim_sql::lexer::{lex, Token};
 use aim_sql::normalize::normalize_statement;
@@ -515,6 +515,93 @@ fn indexed_execution_equals_scan() {
             assert!(rows.is_empty(), "`= NULL` selected rows: {where_clause:?}");
         }
     }
+
+    // Two range conjuncts on one column: every pair of `>`, `>=`, `<`,
+    // `<=` in both orders, with bounds that cross, touch and nest, `Int`
+    // and `Float` literals over `Int`, `Float` and NULL cells; on the
+    // primary key, on an index's first key column and on its second after
+    // an equality; on both backends. The reference is the same query with
+    // each column behind `+ 0`, which no index serves.
+    let dir = std::env::temp_dir().join(format!("aim-prop-ranges-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dbs = [
+        Database::new(),
+        Database::open_disk(&dir, aim_storage::PagerOptions::default()).unwrap(),
+    ];
+    let ops = [">", ">=", "<", "<="];
+    let engine = Engine::new();
+    for (backend, mut db) in ["memory", "disk"].into_iter().zip(dbs) {
+        let mut rng = StdRng::seed_from_u64(0x2A2A);
+        mixed_table(&mut db, &mut rng, "t", &[("a", 24), ("b", 4)], 600..=600);
+        let mut io = IoStats::new();
+        for (name, columns) in [("ix_a", &["a"][..]), ("ix_ba", &["b", "a"])] {
+            let columns = columns.iter().map(|c| c.to_string()).collect();
+            db.create_index(IndexDef::new(name, "t", columns), &mut io)
+                .expect("valid index");
+        }
+        db.analyze_all();
+        // (projection, equality prefix, column, bounds, index the range
+        // is meant to run on)
+        let targets = [
+            (
+                "id, a, b",
+                "",
+                "id",
+                ["120", "120.0", "131.5", "160"],
+                "PRIMARY",
+            ),
+            ("id, a", "", "a", ["6", "6.0", "9.5", "14"], "ix_a"),
+            (
+                "id, a, b",
+                "b = 2 AND ",
+                "a",
+                ["6", "6.0", "9.5", "14"],
+                "ix_ba",
+            ),
+        ];
+        for (projection, prefix, col, bounds, index) in targets {
+            let (mut cases, mut probed) = (0, 0);
+            for (op1, op2) in ops.iter().flat_map(|x| ops.iter().map(move |y| (x, y))) {
+                for (x, y) in bounds
+                    .iter()
+                    .flat_map(|x| bounds.iter().map(move |y| (x, y)))
+                {
+                    let sql = |col: &str, prefix: &str| {
+                        format!(
+                            "SELECT {projection} FROM t WHERE {prefix}{col} {op1} {x} \
+                             AND {col} {op2} {y}"
+                        )
+                    };
+                    let sql = sql(col, prefix);
+                    let hidden = format!("{col} + 0");
+                    let reference = format!(
+                        "SELECT {projection} FROM t WHERE {}{hidden} {op1} {x} AND {hidden} {op2} {y}",
+                        prefix.replace("b =", "b + 0 =")
+                    );
+                    let mut run = |sql: &str| {
+                        let stmt = parse_statement(sql).expect("valid");
+                        engine.execute(&mut db, &stmt).expect("executes")
+                    };
+                    let mut expected = run(&reference).rows;
+                    expected.sort();
+                    let outcome = run(&sql);
+                    probed += usize::from(matches!(&outcome.plan.steps[0].path,
+                        AccessPath::IndexScan(ix)
+                            if ix.range.is_some() && ix.index.label() == index));
+                    cases += 1;
+                    let mut rows = outcome.rows;
+                    rows.sort();
+                    assert_eq!(expected, rows, "{backend}: {sql}");
+                }
+            }
+            // The oracle is about range scans: most cases must run one.
+            assert!(
+                probed * 2 > cases,
+                "{backend}: only {probed} of {cases} cases ranged over {index}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A table `name(id, columns..)` of `rows` rows; a fifth of the cells are
@@ -565,7 +652,7 @@ fn mixed_table(
 /// and mixed `Int`/`Float` values. The result multiset is the scan's.
 #[test]
 fn index_join_equals_nested_scan() {
-    use aim_exec::{AccessPath, EqSource};
+    use aim_exec::EqSource;
     let inner_indexes: [&[&str]; 5] = [
         &["k"],
         &["k", "a"],
