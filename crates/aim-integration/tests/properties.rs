@@ -540,44 +540,38 @@ fn indexed_execution_equals_scan() {
                 .expect("valid index");
         }
         db.analyze_all();
-        // (projection, equality prefix, column, bounds, index the range
-        // is meant to run on)
+        // (projection, equality on `b` first, column, bounds, index the
+        // range is meant to run on)
         let targets = [
             (
                 "id, a, b",
-                "",
+                false,
                 "id",
                 ["120", "120.0", "131.5", "160"],
                 "PRIMARY",
             ),
-            ("id, a", "", "a", ["6", "6.0", "9.5", "14"], "ix_a"),
-            (
-                "id, a, b",
-                "b = 2 AND ",
-                "a",
-                ["6", "6.0", "9.5", "14"],
-                "ix_ba",
-            ),
+            ("id, a", false, "a", ["6", "6.0", "9.5", "14"], "ix_a"),
+            ("id, a, b", true, "a", ["6", "6.0", "9.5", "14"], "ix_ba"),
         ];
-        for (projection, prefix, col, bounds, index) in targets {
+        for (projection, on_b, col, bounds, index) in targets {
             let (mut cases, mut probed) = (0, 0);
             for (op1, op2) in ops.iter().flat_map(|x| ops.iter().map(move |y| (x, y))) {
                 for (x, y) in bounds
                     .iter()
                     .flat_map(|x| bounds.iter().map(move |y| (x, y)))
                 {
-                    let sql = |col: &str, prefix: &str| {
+                    let query = |hide: &str| {
+                        let eq = if on_b {
+                            format!("b{hide} = 2 AND ")
+                        } else {
+                            String::new()
+                        };
                         format!(
-                            "SELECT {projection} FROM t WHERE {prefix}{col} {op1} {x} \
-                             AND {col} {op2} {y}"
+                            "SELECT {projection} FROM t WHERE {eq}{col}{hide} {op1} {x} \
+                             AND {col}{hide} {op2} {y}"
                         )
                     };
-                    let sql = sql(col, prefix);
-                    let hidden = format!("{col} + 0");
-                    let reference = format!(
-                        "SELECT {projection} FROM t WHERE {}{hidden} {op1} {x} AND {hidden} {op2} {y}",
-                        prefix.replace("b =", "b + 0 =")
-                    );
+                    let (sql, reference) = (query(""), query(" + 0"));
                     let mut run = |sql: &str| {
                         let stmt = parse_statement(sql).expect("valid");
                         engine.execute(&mut db, &stmt).expect("executes")
@@ -599,6 +593,72 @@ fn indexed_execution_equals_scan() {
                 probed * 2 > cases,
                 "{backend}: only {probed} of {cases} cases ranged over {index}"
             );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A range whose bounds cross (`BETWEEN 10 AND 5`) scans nothing: through
+/// the primary key, an index's first key column and its second after an
+/// equality, on both backends, and it charges what a probe between two
+/// stored keys charges, which finds nothing either.
+#[test]
+fn an_empty_interval_scans_nothing() {
+    let dir = std::env::temp_dir().join(format!("aim-prop-empty-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dbs = [
+        Database::new(),
+        Database::open_disk(&dir, aim_storage::PagerOptions::default()).unwrap(),
+    ];
+    let engine = Engine::new();
+    for (backend, mut db) in ["memory", "disk"].into_iter().zip(dbs) {
+        let defs = ["id", "a", "b"].map(|c| ColumnDef::new(c, ColumnType::Int));
+        db.create_table(TableSchema::new("t", defs.to_vec(), &["id"]).expect("valid"))
+            .expect("fresh");
+        let mut io = IoStats::new();
+        for i in 0..2_000i64 {
+            let row = vec![Value::Int(i), Value::Int(i % 50), Value::Int(i % 20)];
+            db.table_mut("t")
+                .expect("exists")
+                .insert(row, &mut io)
+                .expect("unique");
+        }
+        let columns = vec!["a".to_string(), "b".to_string()];
+        db.create_index(IndexDef::new("ix_ab", "t", columns), &mut io)
+            .expect("valid index");
+        db.analyze_all();
+        // (empty interval, an interval between stored keys, its index)
+        let cases = [
+            (
+                "id BETWEEN 10 AND 5",
+                "id BETWEEN 10.25 AND 10.5",
+                "PRIMARY",
+            ),
+            ("a BETWEEN 10 AND 5", "a BETWEEN 10.25 AND 10.5", "ix_ab"),
+            (
+                "a = 1 AND b BETWEEN 10 AND 5",
+                "a = 1 AND b BETWEEN 10.25 AND 10.5",
+                "ix_ab",
+            ),
+        ];
+        for (empty, between, index) in cases {
+            // Twice each, so that both read a warm buffer pool.
+            let mut run = |filter: &str| {
+                let stmt = parse_statement(&format!("SELECT id, a, b FROM t WHERE {filter}"))
+                    .expect("valid");
+                engine.execute(&mut db, &stmt).expect("executes");
+                engine.execute(&mut db, &stmt).expect("executes")
+            };
+            let (empty_run, between_run) = (run(empty), run(between));
+            for (filter, outcome) in [(empty, &empty_run), (between, &between_run)] {
+                assert!(
+                    matches!(&outcome.plan.steps[0].path, AccessPath::IndexScan(ix)
+                        if ix.range.is_some() && ix.index.label() == index),
+                    "{backend}: {filter} ranges over {index}"
+                );
+                assert!(outcome.rows.is_empty(), "{backend}: {filter}");
+            }
+            assert_eq!(empty_run.io, between_run.io, "{backend}: {empty}");
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -181,6 +181,11 @@ impl RangeKeys {
     /// extends it is built in this storage, which keeps its capacity, so
     /// over keys of integers a range allocates nothing once the storage
     /// has grown to its widest key.
+    ///
+    /// An empty interval (bounds that cross, as `BETWEEN 10 AND 5` gives,
+    /// or meet where one excludes the value) is the empty range
+    /// `[lower, lower)`: a scan descends to where it would start and reads
+    /// nothing, as a probe between two stored keys does.
     pub fn prefix_range<'k>(
         &'k mut self,
         prefix: &'k [Value],
@@ -199,7 +204,14 @@ impl RangeKeys {
             Bound::Unbounded if prefix.is_empty() => Bound::Unbounded,
             Bound::Unbounded => Bound::Excluded(extended(upper, prefix, &[&MAX_KEY])),
         };
-        (lower, upper)
+        // Every upper bound is exclusive (or unbounded), so the range is
+        // empty exactly when its lower key reaches the upper one.
+        match (lower, upper) {
+            (Bound::Included(l) | Bound::Excluded(l), Bound::Excluded(u)) if l >= u => {
+                (Bound::Included(l), Bound::Excluded(l))
+            }
+            range => range,
+        }
     }
 }
 
@@ -270,6 +282,63 @@ mod tests {
         let beyond = [Value::Int(6)];
         assert!(within[..] < *hi);
         assert!(*hi < beyond[..]);
+    }
+
+    #[test]
+    fn an_empty_interval_is_an_empty_range() {
+        use std::collections::BTreeSet;
+        let set: BTreeSet<Key> = (0..20)
+            .map(|i| vec![Value::Int(i % 4), Value::Int(i)])
+            .collect();
+        let (five, ten) = (Value::Int(5), Value::Int(10));
+        let count = |prefix: &[Value], range: (Bound<&Value>, Bound<&Value>)| {
+            let mut keys = RangeKeys::default();
+            set.range::<[Value], _>(keys.prefix_range(prefix, range))
+                .count()
+        };
+        for prefix in [&[][..], &[Value::Int(1)]] {
+            // Bounds that cross, and bounds that meet with one excluded.
+            assert_eq!(
+                count(prefix, (Bound::Included(&ten), Bound::Included(&five))),
+                0
+            );
+            assert_eq!(
+                count(prefix, (Bound::Excluded(&ten), Bound::Excluded(&five))),
+                0
+            );
+            assert_eq!(
+                count(prefix, (Bound::Excluded(&five), Bound::Excluded(&five))),
+                0
+            );
+            assert_eq!(
+                count(prefix, (Bound::Included(&five), Bound::Excluded(&five))),
+                0
+            );
+            assert_eq!(
+                count(prefix, (Bound::Excluded(&five), Bound::Included(&five))),
+                0
+            );
+        }
+        // Bounds that meet, both included, keep the value.
+        let one = [Value::Int(1)];
+        assert_eq!(
+            count(&one, (Bound::Included(&five), Bound::Included(&five))),
+            1
+        );
+        assert_eq!(
+            count(&[], (Bound::Included(&five), Bound::Included(&five))),
+            0
+        );
+        assert_eq!(
+            count(
+                &[],
+                (
+                    Bound::Included(&Value::Int(1)),
+                    Bound::Included(&Value::Int(1))
+                )
+            ),
+            5
+        );
     }
 
     #[test]
