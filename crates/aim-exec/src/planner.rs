@@ -30,6 +30,7 @@ use aim_storage::{
 };
 use std::borrow::Cow;
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
 use std::rc::Rc;
@@ -278,7 +279,8 @@ struct ProbeContext {
     id: usize,
     /// Equality source per column; the first predicate on a column wins.
     eq: Vec<Option<EqSource>>,
-    /// Range constraint per column.
+    /// Range constraint per column: the intersection of the column's range
+    /// predicates.
     ranges: Vec<Option<RangeInfo>>,
     /// Product selectivity of everything the context was built from.
     selectivity: f64,
@@ -737,17 +739,19 @@ impl<'a> Planner<'a> {
         let mut eq: Vec<Option<EqSource>> = vec![None; columns];
         let mut ranges: Vec<Option<RangeInfo>> = vec![None; columns];
         let mut sel = 1.0f64;
-        for sarg in sargs {
+        for (i, sarg) in sargs.iter().enumerate() {
             let col = sarg.column().col_idx;
-            sel *= sarg_selectivity(sarg, self.column_stats(sarg.column()));
+            let cs = self.column_stats(sarg.column());
             match sarg {
                 Sarg::Eq { value, .. } => {
+                    sel *= eq_selectivity(cs, value.value());
                     eq[col].get_or_insert_with(|| match value {
                         SargValue::Const(v) => EqSource::Const(v.clone()),
                         SargValue::Unknown => EqSource::Unknown,
                     });
                 }
                 Sarg::InList { values, .. } => {
+                    sel *= in_list_selectivity(cs, values.iter().map(SargValue::value));
                     eq[col].get_or_insert_with(|| {
                         let consts: Option<Vec<Value>> =
                             values.iter().map(|v| v.value().cloned()).collect();
@@ -757,8 +761,26 @@ impl<'a> Planner<'a> {
                         }
                     });
                 }
+                // A column's range conjuncts intersect into one interval,
+                // built at the first of them and priced once.
+                Sarg::Range { .. } if ranges[col].is_some() => {}
                 Sarg::Range { lo, hi, .. } => {
-                    ranges[col].get_or_insert_with(|| RangeInfo {
+                    let (mut lo, mut hi) = (lo, hi);
+                    for later in &sargs[i + 1..] {
+                        match later {
+                            Sarg::Range {
+                                col: c,
+                                lo: l,
+                                hi: h,
+                            } if c.col_idx == col => {
+                                lo = tighter(lo, l, Ordering::Greater);
+                                hi = tighter(hi, h, Ordering::Less);
+                            }
+                            _ => {}
+                        }
+                    }
+                    sel *= range_selectivity(cs, lo, hi);
+                    ranges[col] = Some(RangeInfo {
                         lo: lo.clone(),
                         hi: hi.clone(),
                     });
@@ -1113,9 +1135,7 @@ impl<'a> Planner<'a> {
                 let key = |x: &ExplainAlternative| {
                     (!x.chosen, x.est_cost.is_none(), x.est_cost.unwrap_or(0.0))
                 };
-                key(a)
-                    .partial_cmp(&key(b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
+                key(a).partial_cmp(&key(b)).unwrap_or(Ordering::Equal)
             });
 
             let binding = &self.binder.tables()[t];
@@ -1187,12 +1207,30 @@ impl<'a> Planner<'a> {
     }
 }
 
-/// Selectivity of one sargable predicate given its column's statistics.
-fn sarg_selectivity(sarg: &Sarg, cs: Option<&ColumnStats>) -> f64 {
-    match sarg {
-        Sarg::Eq { value, .. } => eq_selectivity(cs, value.value()),
-        Sarg::InList { values, .. } => in_list_selectivity(cs, values.iter().map(SargValue::value)),
-        Sarg::Range { lo, hi, .. } => range_selectivity(cs, lo, hi),
+/// The tighter of two bounds on one side of an interval: `narrows` is how
+/// a tighter bound's value compares to the other's (`Greater` on the lower
+/// side, `Less` on the upper). Between two constants the tighter value
+/// wins, and on equal values the exclusive bound; a constant wins over a
+/// `?`; between two `?`s, and on a tie, `first` stays.
+fn tighter<'s>(
+    first: &'s Bound<SargValue>,
+    second: &'s Bound<SargValue>,
+    narrows: Ordering,
+) -> &'s Bound<SargValue> {
+    let value = |b: &'s Bound<SargValue>| match b {
+        Bound::Included(v) | Bound::Excluded(v) => Some(v),
+        Bound::Unbounded => None,
+    };
+    match (value(first), value(second)) {
+        (_, None) => first,
+        (None, Some(_)) => second,
+        (Some(SargValue::Const(a)), Some(SargValue::Const(b))) => match b.cmp(a) {
+            Ordering::Equal if matches!(second, Bound::Excluded(_)) => second,
+            order if order == narrows => second,
+            _ => first,
+        },
+        (Some(SargValue::Unknown), Some(SargValue::Const(_))) => second,
+        (Some(_), Some(SargValue::Unknown)) => first,
     }
 }
 
@@ -1471,6 +1509,104 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn a_columns_ranges_are_one_interval() {
+        let db = db();
+        // Either order of the conjuncts, another column between them, a
+        // looser third bound.
+        for sql in [
+            "SELECT id FROM t WHERE id >= 100 AND id < 140",
+            "SELECT id FROM t WHERE id < 140 AND a > 0 AND id >= 100",
+            "SELECT id FROM t WHERE id >= 100 AND id < 140 AND id < 900",
+        ] {
+            let p = plan_sql(&db, sql, &HypoConfig::none());
+            let AccessPath::IndexScan(ix) = &p.steps[0].path else {
+                panic!("{sql}: {:?}", p.steps[0].path)
+            };
+            let expected = RangeInfo {
+                lo: Bound::Included(SargValue::Const(Value::Int(100))),
+                hi: Bound::Excluded(SargValue::Const(Value::Int(140))),
+            };
+            assert_eq!(ix.range.as_ref(), Some(&expected), "{sql}");
+        }
+        let p = plan_sql(
+            &db,
+            "SELECT id FROM t WHERE id >= 100 AND id < 140",
+            &HypoConfig::none(),
+        );
+        // One interval's selectivity, not the product of two half-lines'.
+        assert!((30.0..50.0).contains(&p.steps[0].rows_each), "{p:?}");
+        // An OR branch's context intersects its conjuncts alike.
+        let p = plan_sql(
+            &db,
+            "SELECT id FROM t WHERE (id >= 100 AND id < 140) OR (id > 7000 AND id <= 7010)",
+            &HypoConfig::none(),
+        );
+        let AccessPath::OrUnion(branches) = &p.steps[0].path else {
+            panic!("{:?}", p.steps[0].path)
+        };
+        let ranges: Vec<_> = branches.iter().map(|b| b.range.clone().unwrap()).collect();
+        let int = |v| SargValue::Const(Value::Int(v));
+        assert_eq!(
+            (&ranges[1].lo, &ranges[1].hi),
+            (&Bound::Excluded(int(7000)), &Bound::Included(int(7010)))
+        );
+        assert_eq!(ranges[0].hi, Bound::Excluded(int(140)));
+    }
+
+    #[test]
+    fn the_tighter_bound_wins() {
+        let (c, q) = (
+            |v: f64| SargValue::Const(Value::Float(v)),
+            SargValue::Unknown,
+        );
+        let (lower, upper) = (Ordering::Greater, Ordering::Less);
+        // (first, second, side, the index of the winner)
+        let cases = [
+            (Bound::Excluded(c(3.0)), Bound::Excluded(c(9.0)), lower, 1),
+            (Bound::Excluded(c(9.0)), Bound::Included(c(3.0)), lower, 0),
+            (Bound::Excluded(c(3.0)), Bound::Excluded(c(9.0)), upper, 0),
+            (Bound::Included(c(9.0)), Bound::Included(c(3.0)), upper, 1),
+            // Equal values: the exclusive bound, else the first.
+            (Bound::Included(c(5.0)), Bound::Excluded(c(5.0)), lower, 1),
+            (Bound::Excluded(c(5.0)), Bound::Included(c(5.0)), upper, 0),
+            (Bound::Included(c(5.0)), Bound::Included(c(5.0)), lower, 0),
+            // A constant over a `?`, the first of two `?`s, any bound
+            // over none.
+            (
+                Bound::Included(q.clone()),
+                Bound::Excluded(c(5.0)),
+                lower,
+                1,
+            ),
+            (
+                Bound::Excluded(c(5.0)),
+                Bound::Included(q.clone()),
+                upper,
+                0,
+            ),
+            (
+                Bound::Included(q.clone()),
+                Bound::Excluded(q.clone()),
+                lower,
+                0,
+            ),
+            (Bound::Unbounded, Bound::Excluded(q.clone()), upper, 1),
+            (Bound::Included(c(5.0)), Bound::Unbounded, lower, 0),
+        ];
+        for (first, second, side, winner) in &cases {
+            let got = tighter(first, second, *side);
+            let want = [first, second][*winner];
+            assert!(std::ptr::eq(got, want), "{first:?} vs {second:?}");
+        }
+        // `Int` and `Float` compare numerically.
+        let (int, float) = (
+            Bound::Included(SargValue::Const(Value::Int(5))),
+            Bound::Excluded(SargValue::Const(Value::Float(5.0))),
+        );
+        assert!(std::ptr::eq(tighter(&int, &float, lower), &float));
     }
 
     #[test]

@@ -391,16 +391,24 @@ fn advisor_section(out: &mut String, name: &str, db: &Database, workload: &[Weig
     }
 }
 
-/// TPC-H with join parameter 3 at 40 % of the full configuration,
-/// estimate-only: greedy fills up with small dense indexes and can no longer
-/// fit the one large index the LP relaxation starts from.
+/// The LP instance's budget: 5 % of the full configuration. It was 40 %
+/// until a column's range conjuncts became one interval; under the prices
+/// that followed, greedy at 40 % costs less than the LP's selection
+/// (9 479.9 M against 9 481.9 M) and the LP is not used.
+fn lp_budget(full: u64) -> u64 {
+    full / 20
+}
+
+/// TPC-H with join parameter 3 at [`lp_budget`], estimate-only: greedy
+/// fills up with small dense indexes and can no longer fit the one large
+/// index the LP relaxation starts from.
 fn lp_section(out: &mut String, tpch: &Case) {
     let gen = CandidateGenConfig {
         join_parameter: 3,
         ..Default::default()
     };
     let (_, _, full) = rank(&tpch.db, &tpch.monitor, &gen);
-    let budget = full * 2 / 5;
+    let budget = lp_budget(full);
     for (label, strategy) in [
         ("greedy", SelectionStrategy::Greedy),
         ("lp", SelectionStrategy::Lp),
@@ -417,7 +425,7 @@ fn lp_section(out: &mut String, tpch: &Case) {
         let outcome = session.run(&mut db, &tpch.monitor).expect("pass");
         outcome_lines(
             out,
-            &format!("[lp tpch j=3 40% {label}] budget={budget}"),
+            &format!("[lp tpch j=3 5% {label}] budget={budget}"),
             &outcome,
         );
         let ledger = session.ledger();
@@ -430,7 +438,7 @@ fn lp_section(out: &mut String, tpch: &Case) {
         };
         writeln!(
             out,
-            "[lp tpch j=3 40% {label}] lp_accepted={} lp_rejected={} ledger fnv {:016x}",
+            "[lp tpch j=3 5% {label}] lp_accepted={} lp_rejected={} ledger fnv {:016x}",
             count("lp_accepted"),
             count("lp_rejected"),
             fnv1a(session.ledger_json().as_bytes())
@@ -480,7 +488,7 @@ fn lp_selection_replaces_greedy_where_greedy_strands_the_budget() {
         ..Default::default()
     };
     let (_, ranked, full) = rank(&tpch.db, &tpch.monitor, &gen);
-    let budget = full * 2 / 5;
+    let budget = lp_budget(full);
     let workload = select_workload(&tpch.monitor, &selection());
     let greedy = knapsack_select(&ranked, budget, 0);
     let lp = refine_selection(

@@ -594,6 +594,26 @@ fn indexed_execution_equals_scan() {
                 "{backend}: only {probed} of {cases} cases ranged over {index}"
             );
         }
+        // Over integers, a half-open pair is the closed interval it names:
+        // the same rows read and the same I/O charged, in either order.
+        for (lo, hi) in [(120, 160), (0, 40), (580, 600), (300, 301)] {
+            let mut run = |filter: String| {
+                let stmt = parse_statement(&format!("SELECT id, a, b FROM t WHERE {filter}"))
+                    .expect("valid");
+                // The second run reads a warm buffer pool.
+                engine.execute(&mut db, &stmt).expect("executes");
+                engine.execute(&mut db, &stmt).expect("executes")
+            };
+            let closed = run(format!("id BETWEEN {lo} AND {}", hi - 1));
+            for filter in [
+                format!("id >= {lo} AND id < {hi}"),
+                format!("id < {hi} AND id >= {lo}"),
+            ] {
+                let half_open = run(filter.clone());
+                assert_eq!(half_open.io, closed.io, "{backend}: {filter}");
+                assert_eq!(half_open.rows, closed.rows, "{backend}: {filter}");
+            }
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
