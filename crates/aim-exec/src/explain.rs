@@ -31,7 +31,8 @@ use std::fmt::Write as _;
 /// considered-but-rejected alternative.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainAlternative {
-    /// Human description, e.g. `full scan`, `index ix_cust (eq 1, covering)`.
+    /// Human description, e.g. `full scan`, `index ix_cust (eq 1, covering)`,
+    /// `index PRIMARY (eq 0, range [100, 140), covering)`.
     pub access: String,
     /// Index label when index-driven (`PRIMARY`, a secondary name, or
     /// `<hypo#i>`); `None` for full scans.
@@ -355,6 +356,33 @@ mod tests {
         let text = ex.render_text();
         assert!(text.contains("<hypo#0>"));
         assert!(text.contains("hypothetical: <hypo#0> = t(a)"));
+    }
+
+    #[test]
+    fn a_range_access_names_its_interval() {
+        let db = db();
+        let cases = [
+            ("id >= 100 AND id < 140", "range [100, 140)"),
+            ("id < 140 AND id > 100.5", "range (100.5, 140)"),
+            ("id <= 20", "range (-inf, 20]"),
+            ("id > ? AND id > 9990", "range (9990, +inf)"),
+        ];
+        for (filter, interval) in cases {
+            let sql = format!("SELECT id FROM t WHERE {filter}");
+            let ex = explain_sql(&db, &sql, &HypoConfig::none());
+            let access = format!("index PRIMARY (eq 0, {interval}, covering)");
+            assert_eq!(ex.nodes[0].chosen().access, access, "{filter}");
+            assert!(ex.render_text().contains(&access), "{filter}");
+            let json = aim_telemetry::jsonv::parse(&ex.render_json()).expect("valid JSON");
+            let chosen = json
+                .path("nodes")
+                .and_then(|n| n.as_arr())
+                .and_then(|n| n[0].path("alternatives"))
+                .and_then(|a| a.as_arr())
+                .and_then(|a| a[0].path("access"))
+                .and_then(|a| a.as_str().map(str::to_string));
+            assert_eq!(chosen.as_deref(), Some(access.as_str()), "{filter}");
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
+use std::fmt;
 use std::ops::Bound;
 use std::rc::Rc;
 
@@ -79,6 +80,26 @@ pub enum EqSource {
 pub struct RangeInfo {
     pub lo: Bound<SargValue>,
     pub hi: Bound<SargValue>,
+}
+
+/// Interval notation, as EXPLAIN prints it: `[100, 140)`, `(?, +inf)`.
+impl fmt::Display for RangeInfo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let value = |v: &SargValue| match v {
+            SargValue::Const(v) => v.to_string(),
+            SargValue::Unknown => "?".to_string(),
+        };
+        match &self.lo {
+            Bound::Included(v) => write!(f, "[{}, ", value(v))?,
+            Bound::Excluded(v) => write!(f, "({}, ", value(v))?,
+            Bound::Unbounded => write!(f, "(-inf, ")?,
+        }
+        match &self.hi {
+            Bound::Included(v) => write!(f, "{}]", value(v)),
+            Bound::Excluded(v) => write!(f, "{})", value(v)),
+            Bound::Unbounded => write!(f, "+inf)"),
+        }
+    }
 }
 
 /// An index-driven access path.
@@ -1120,7 +1141,7 @@ impl<'a> Planner<'a> {
                 .iter()
                 .enumerate()
                 .map(|(k, candidate)| {
-                    let mut alt = self.describe(t, candidate);
+                    let mut alt = self.describe(t, candidate, &ctx);
                     alt.chosen = k == chosen;
                     alt.reason = match alt.est_cost {
                         _ if alt.chosen => "chosen".to_string(),
@@ -1135,7 +1156,9 @@ impl<'a> Planner<'a> {
                 let key = |x: &ExplainAlternative| {
                     (!x.chosen, x.est_cost.is_none(), x.est_cost.unwrap_or(0.0))
                 };
-                key(a).partial_cmp(&key(b)).unwrap_or(Ordering::Equal)
+                key(a)
+                    .partial_cmp(&key(b))
+                    .unwrap_or(std::cmp::Ordering::Equal)
             });
 
             let binding = &self.binder.tables()[t];
@@ -1162,15 +1185,24 @@ impl<'a> Planner<'a> {
         })
     }
 
-    /// One candidate of table instance `t` as EXPLAIN shows it, not yet
-    /// marked chosen or rejected.
-    fn describe(&self, t: usize, candidate: &Candidate<'a>) -> crate::explain::ExplainAlternative {
+    /// One candidate of table instance `t` in `ctx` as EXPLAIN shows it,
+    /// not yet marked chosen or rejected.
+    fn describe(
+        &self,
+        t: usize,
+        candidate: &Candidate<'a>,
+        ctx: &ProbeContext,
+    ) -> crate::explain::ExplainAlternative {
         let (access, index, eq_prefix, range, covering) = match candidate {
             Candidate::FullScan(_) => ("full scan".to_string(), None, 0, false, true),
             Candidate::Index(ix, Some(p)) => {
                 let mut traits = vec![format!("eq {}", p.eq_len)];
                 if p.range {
-                    traits.push("range".to_string());
+                    let col = self.memo.borrow().indexes[&(t, ix.id())].meta.key[p.eq_len];
+                    let r = ctx.ranges[col]
+                        .as_ref()
+                        .expect("a priced range has a source");
+                    traits.push(format!("range {r}"));
                 }
                 if p.covering {
                     traits.push("covering".to_string());
