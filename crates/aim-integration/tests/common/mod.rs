@@ -16,7 +16,7 @@ use aim_exec::{Engine, ExecOutcome};
 use aim_monitor::WorkloadMonitor;
 use aim_sql::normalize::{fingerprint, fnv1a, normalize_statement, NormalizedQuery};
 use aim_sql::{parse_statement, Statement};
-use aim_storage::{ColumnDef, ColumnType, Database, IndexDef, IoStats, TableSchema};
+use aim_storage::{ColumnDef, ColumnType, Database, IndexDef, IoStats, PagerOptions, TableSchema};
 use aim_workloads::rng::{Rng, SeedableRng, StdRng};
 use aim_workloads::{job, production, tpch};
 
@@ -73,6 +73,42 @@ pub fn observe(db: &mut Database, texts: impl IntoIterator<Item = String>) -> Wo
         }
     }
     monitor
+}
+
+/// A disk-backed database in `dir` (emptied first) holding `source`'s
+/// tables and rows, each row its own transaction, analysed.
+pub fn on_disk(source: &Database, dir: &std::path::Path) -> Database {
+    let _ = std::fs::remove_dir_all(dir);
+    let mut disk = Database::open_disk(dir, PagerOptions::default()).unwrap();
+    let mut io = IoStats::new();
+    for table in source.tables() {
+        let name = &table.schema().name;
+        disk.create_table(table.schema().clone()).unwrap();
+        for row in table.scan_all(&mut IoStats::new()) {
+            disk.table_mut(name)
+                .unwrap()
+                .insert(row.clone(), &mut io)
+                .unwrap();
+        }
+    }
+    disk.analyze_all();
+    disk
+}
+
+/// The TPC-H fixture's 44 SELECTs (22 templates, two parameter seeds) and
+/// three writes after them: an UPDATE of `orders`, an INSERT into `nation`
+/// and a DELETE from `lineitem`.
+pub fn tpch_texts_with_writes() -> impl Iterator<Item = String> {
+    let writes = [
+        "UPDATE orders SET o_totalprice = o_totalprice + 1.0 WHERE o_custkey = 7",
+        "INSERT INTO nation (n_nationkey, n_name, n_regionkey) VALUES (99, 'NATION99', 0)",
+        "DELETE FROM lineitem WHERE l_orderkey = 3",
+    ];
+    [0xA1, 0xA2]
+        .into_iter()
+        .flat_map(tpch::query_texts)
+        .map(|(_, sql)| sql)
+        .chain(writes.map(String::from))
 }
 
 /// Distinct statements of one workload and what executing them produced.

@@ -1,6 +1,7 @@
 //! Differential oracle for a tuning pass: what Algorithm 1 decides on five
-//! corpora, a fleet, the advisor interface and the LP selector, compared
-//! against a committed file instead of against a second implementation.
+//! corpora, a validated workload with writes, a fleet, the advisor
+//! interface and the LP selector, compared against a committed file
+//! instead of against a second implementation.
 //!
 //! Per corpus the file holds the workload size, every ranked candidate with
 //! its exact benefit and maintenance bits, the knapsack's verdict and budget
@@ -315,6 +316,32 @@ fn oltp_case() -> Case {
     }
 }
 
+/// A validated pass over the TPC-H fixture's SELECTs and three writes
+/// (`common::tpch_texts_with_writes`), on a memory source and on a
+/// disk-backed one at the smallest scale: what it created, and what it
+/// rejected, why, and at what cost before and after.
+fn tpch_writes_section(out: &mut String) {
+    let dir = std::env::temp_dir().join(format!("aim-pass-golden-{}", std::process::id()));
+    let smallest = tpch::build_database(&tpch::TpchConfig {
+        scale: 0.0,
+        ..Default::default()
+    });
+    let sources = [
+        ("mem", tpch::build_database(&tpch::TpchConfig::default())),
+        ("disk", common::on_disk(&smallest, &dir)),
+    ];
+    for (backend, mut db) in sources {
+        let monitor = observe(&mut db, parsed(common::tpch_texts_with_writes()));
+        let outcome = AimConfig::builder()
+            .selection(selection())
+            .session()
+            .run(&mut db, &monitor)
+            .expect("pass");
+        outcome_lines(out, &format!("[tpch writes {backend}] pass1"), &outcome);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn fleet_section(out: &mut String) {
     let workloads = generate_fleet(&FleetSpec {
         tenants: 6,
@@ -456,6 +483,7 @@ fn pass_decisions_match_golden() {
     pass_case(&mut actual, &job);
     pass_case(&mut actual, &product_b_case());
     pass_case(&mut actual, &oltp_case());
+    tpch_writes_section(&mut actual);
     fleet_section(&mut actual);
     advisor_section(
         &mut actual,

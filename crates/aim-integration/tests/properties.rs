@@ -12,8 +12,8 @@ use aim_core::{
     refine_selection, try_rank_candidates_with, validate_on_clone, CandidateGenConfig,
     CandidateIndex, RankedCandidate, RejectReason, RunCtl, ValidationConfig,
 };
-use aim_exec::{AccessPath, CostModel, Engine, WhatIfCache};
-use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor, WorkloadQuery};
+use aim_exec::{AccessPath, CostModel, Engine, ExecOutcome, WhatIfCache};
+use aim_monitor::{select_workload, QueryStats, SelectionConfig, WorkloadMonitor, WorkloadQuery};
 use aim_sql::lexer::{lex, Token};
 use aim_sql::normalize::normalize_statement;
 use aim_sql::parse_statement;
@@ -1612,12 +1612,39 @@ fn injected_candidate(columns: &[&str], benefit: f64) -> RankedCandidate {
     }
 }
 
+/// Executes `w` in order on a copy of `db` with `built` materialized,
+/// writes included: each exemplar's outcome, `None` where it failed.
+fn replayed_in_full(
+    engine: &Engine,
+    db: &Database,
+    w: &[WorkloadQuery],
+    built: &[RankedCandidate],
+) -> Vec<Option<ExecOutcome>> {
+    let mut copy = db.clone();
+    let mut io = IoStats::new();
+    for r in built {
+        copy.create_index(r.candidate.def(), &mut io)
+            .expect("builds");
+    }
+    w.iter()
+        .map(|wq| engine.execute(&mut copy, &wq.stats.exemplar).ok())
+        .collect()
+}
+
 /// The "no regression" guarantee, checked by an oracle that shares none of
 /// validation's shortcuts: whatever `validate_on_clone` accepts is built on
-/// a fresh copy of the source and every exemplar is executed in full there
-/// and on an index-free copy. No exemplar may cost more than `(1 + λ₃)` ×
-/// its index-free cost, every accepted index must be used by some executed
-/// plan, and accepted and rejected must partition the chosen set.
+/// a fresh copy of the source, and the whole workload, writes included, is
+/// executed in order there and on an index-free copy. No exemplar may cost
+/// more than `(1 + λ₃)` × its index-free cost, every accepted index must be
+/// used by some executed plan, and accepted and rejected must partition the
+/// chosen set. Twelve cases read only; eight more put writes between the
+/// SELECTs: an UPDATE, a DELETE and an INSERT the monitor saw succeed (the
+/// INSERT's key exists by the time it is replayed), and an UPDATE that
+/// overflows part-way through the rows it locates, followed by a scan of
+/// the column it writes. Where the rows that UPDATE leaves depended on the
+/// plan that located them, the scan after it would cost what the memo
+/// holds in one round and something else in another, and
+/// `validate::audited` would fire.
 #[test]
 fn validation_verdicts_hold_under_a_full_replay() {
     let cols = ["a", "b", "c", "d"];
@@ -1625,8 +1652,11 @@ fn validation_verdicts_hold_under_a_full_replay() {
     let mut rng = StdRng::seed_from_u64(0x0AC1E);
     let engine = Engine::new();
     let (mut accepted_somewhere, mut unused_somewhere) = (false, false);
-    for case in 0..12 {
-        let mut db = int_table(&mut rng, &cols, 600, 30);
+    for case in 0..20 {
+        let writes = case >= 12;
+        // With writes, large enough that the index on (b, c) locates the
+        // overflowing UPDATE's rows.
+        let mut db = int_table(&mut rng, &cols, if writes { 6000 } else { 600 }, 30);
         // Queries read a, b and c only: nothing can use an index on d.
         let pred = |rng: &mut StdRng| {
             format!(
@@ -1657,15 +1687,71 @@ fn validation_verdicts_hold_under_a_full_replay() {
             };
             runs.push((sql, rng.gen_range(1..=4usize)));
         }
-        let w = observe_workload(&mut db, &runs);
+        let scan_of_d = "SELECT id FROM t WHERE d + 0 > 100";
+        if writes {
+            runs.extend([
+                (
+                    format!("UPDATE t SET c = c + 1 WHERE {}", pred(&mut rng)),
+                    rng.gen_range(1..=3usize),
+                ),
+                (
+                    format!(
+                        "DELETE FROM t WHERE {} AND {}",
+                        pred(&mut rng),
+                        pred(&mut rng)
+                    ),
+                    1,
+                ),
+                (
+                    "INSERT INTO t (id, a, b, c, d) VALUES (100000, 1, 2, 3, 4)".to_string(),
+                    1,
+                ),
+                (scan_of_d.to_string(), 1),
+            ]);
+        }
+        let mut w = observe_workload(&mut db, &runs);
+        if writes {
+            db.analyze_all();
+            // Writes between the SELECTs, in a random order.
+            for i in (1..w.len()).rev() {
+                w.swap(i, rng.gen_range(0..=i));
+            }
+            // Never observed (it fails wherever it runs): it overflows at
+            // the first row with d >= 15 it locates, having written the
+            // ones before, if any.
+            let overflow = parse_statement(&format!(
+                "UPDATE t SET d = d * 614891469123651721 WHERE b = {} AND c >= {}",
+                rng.gen_range(0..30i64),
+                rng.gen_range(20..30i64)
+            ))
+            .expect("valid");
+            let scan = w
+                .iter()
+                .position(|wq| wq.stats.exemplar.to_string() == scan_of_d)
+                .expect("observed");
+            w.insert(
+                scan,
+                WorkloadQuery {
+                    stats: QueryStats::synthetic(&overflow, 1, 0.0),
+                    benefit: 0.0,
+                    weight: 0.0,
+                },
+            );
+        }
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
         let ranked = rank_candidates_with(&db, &w, &cands, &CostModel, 0);
         let mut chosen = knapsack_select(&ranked, u64::MAX, 0);
-        for extra in [
+        let mut extras = vec![
             injected_candidate(&["d"], 1.0),
             injected_candidate(&["a"], 2.0),
             injected_candidate(&["a", "b"], 3.0),
-        ] {
+        ];
+        if writes {
+            // Locates the overflowing UPDATE's rows in (c, id) order, not
+            // in the primary key's.
+            extras.push(injected_candidate(&["b", "c"], 4.0));
+        }
+        for extra in extras {
             if chosen
                 .iter()
                 .all(|r| r.candidate.name() != extra.candidate.name())
@@ -1696,25 +1782,24 @@ fn validation_verdicts_hold_under_a_full_replay() {
             "case {case}: an index nothing reads"
         );
 
-        let bare = db.clone();
-        let mut tuned = db.clone();
-        let mut io = IoStats::new();
-        for r in &outcome.accepted {
-            tuned
-                .create_index(r.candidate.def(), &mut io)
-                .expect("builds");
-        }
+        let bare = replayed_in_full(&engine, &db, &w, &[]);
+        let tuned = replayed_in_full(&engine, &db, &w, &outcome.accepted);
         let mut used: BTreeSet<String> = BTreeSet::new();
-        for wq in &w {
-            let aim_sql::Statement::Select(sel) = &wq.stats.exemplar else {
-                unreachable!("read-only workload");
+        for ((wq, before), after) in w.iter().zip(&bare).zip(&tuned) {
+            let (Some(before), Some(after)) = (before, after) else {
+                assert_eq!(
+                    before.is_some(),
+                    after.is_some(),
+                    "case {case}: {} fails on one copy only",
+                    wq.stats.exemplar
+                );
+                continue;
             };
-            let before = engine.execute_select(&bare, sel).expect("executes").cost;
-            let after = engine.execute_select(&tuned, sel).expect("executes");
             assert!(
-                after.cost <= before * (1.0 + cfg.regression_tolerance),
-                "case {case}: {} regressed {before} -> {} under {accepted:?}",
+                after.cost <= before.cost * (1.0 + cfg.regression_tolerance),
+                "case {case}: {} regressed {} -> {} under {accepted:?}",
                 wq.stats.exemplar,
+                before.cost,
                 after.cost
             );
             used.extend(
