@@ -400,7 +400,8 @@ impl Engine {
     fn execute_update(&self, db: &mut Database, upd: &Update) -> Result<ExecOutcome, ExecError> {
         let stamp = CostStamp::of(db, [upd.table.as_str()]);
         // Bind the right-hand sides (`b + 1`) over the single target table
-        // before any row is located or written.
+        // before any row is located or written. A primary-key column is
+        // refused here: a new key could collide part-way through the rows.
         let assignments = {
             let schema = db.table(&upd.table)?.schema();
             let binder = Binder::for_tables(db, &[aim_sql::ast::TableRef::new(&upd.table)])?;
@@ -409,25 +410,34 @@ impl Engine {
                 let pos = schema
                     .column_index(col)
                     .ok_or_else(|| ExecError::Binding(format!("unknown column {col}")))?;
+                if schema.primary_key.contains(&pos) {
+                    return Err(ExecError::Binding(format!(
+                        "UPDATE of primary-key column {col}"
+                    )));
+                }
                 assignments.push((pos, BoundExpr::bind(e, &binder)?));
             }
             assignments
         };
         let (pks, mut io, plan) = self.locate_rows(db, &upd.table, upd.where_clause.as_ref())?;
-        let mut affected = 0u64;
+        // Every new row is evaluated before any is written, so a statement
+        // that fails on one row writes none: what it leaves does not depend
+        // on the order the plan located the rows in (DESIGN.md §18).
+        let table = db.table(&upd.table)?;
+        let mut new_rows = Vec::with_capacity(pks.len());
         for pk in pks {
-            let new_row = {
-                let Some(old) = db.table(&upd.table)?.pk_lookup(&pk, &mut io) else {
-                    continue;
-                };
-                let mut new_row = old.clone();
-                for (pos, e) in &assignments {
-                    new_row[*pos] = e.eval(&[Some(old)], &[])?.into_owned();
-                }
-                new_row
+            let Some(old) = table.pk_lookup(&pk, &mut io) else {
+                continue;
             };
+            let mut new_row = old.clone();
+            for (pos, e) in &assignments {
+                new_row[*pos] = e.eval(&[Some(old)], &[])?.into_owned();
+            }
+            new_rows.push((pk, new_row));
+        }
+        let affected = new_rows.len() as u64;
+        for (pk, new_row) in new_rows {
             db.table_mut(&upd.table)?.update(&pk, new_row, &mut io)?;
-            affected += 1;
         }
         Ok(self.written(io, plan, affected, stamp))
     }

@@ -484,6 +484,45 @@ fn update_with_expression_rhs() {
     assert_eq!(check.rows[0][0], Value::Int(3 + 10));
 }
 
+/// An UPDATE that fails on one of its rows writes none of them, so what it
+/// leaves behind does not depend on the order its plan located the rows in:
+/// here an index on `amount` hands them over in another order than the
+/// primary key does, and `region * 1844674407370955162` overflows from
+/// `region = 5` on.
+#[test]
+fn a_failed_update_writes_no_row_whichever_plan_located_them() {
+    let mut plain = orders_db(20_000);
+    let mut indexed = plain.clone();
+    indexed
+        .create_index(
+            IndexDef::new("ix_amount", "orders", vec!["amount".into()]),
+            &mut IoStats::new(),
+        )
+        .unwrap();
+    let update = parse_statement(
+        "UPDATE orders SET region = region * 1844674407370955162 WHERE amount >= 142.5",
+    )
+    .unwrap();
+    for db in [&mut plain, &mut indexed] {
+        let err = Engine::new().execute(db, &update).unwrap_err();
+        assert!(matches!(err, ExecError::Eval(_)), "{err}");
+        let out = run(db, "SELECT id FROM orders WHERE region > 100");
+        assert!(out.rows.is_empty(), "{} rows written", out.rows.len());
+    }
+}
+
+/// An UPDATE may not assign a primary-key column: refused when the
+/// statement binds, before any row is located or written.
+#[test]
+fn an_update_of_the_primary_key_is_refused_when_it_binds() {
+    let mut db = orders_db(10);
+    let update = parse_statement("UPDATE orders SET id = id + 100 WHERE id >= 5").unwrap();
+    let err = Engine::new().execute(&mut db, &update).unwrap_err();
+    assert!(matches!(err, ExecError::Binding(_)), "{err}");
+    let out = run(&mut db, "SELECT id FROM orders WHERE id >= 5");
+    assert_eq!(out.rows.len(), 5);
+}
+
 #[test]
 fn dml_maintains_indexes() {
     let mut db = orders_db(100);
