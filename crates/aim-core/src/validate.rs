@@ -117,23 +117,25 @@ struct Replay<'a> {
 }
 
 impl Replay<'_> {
-    /// Replays a pure-SELECT workload against `db` in workload order, one
-    /// observation per query, executing only what has not been measured
-    /// yet.
+    /// Replays the workload against `db` in workload order, one
+    /// observation per exemplar, executing every write and only the SELECTs
+    /// not measured yet.
     ///
-    /// Every exemplar is opened (fault gate, planning). Execution cost is a
-    /// deterministic function of data + plan and nothing here changes the
-    /// data, so a statement whose plan is execution-identical
-    /// ([`Plan::same_execution`]) to one in `measured[i]` costs what was
-    /// measured then and is not run again. Nor is one the monitor measured
-    /// under the stamp it has on `db` — none of its tables has changed
-    /// since production was observed — which costs what the monitor
-    /// recorded. Debug builds audit both ([`audited`]). Any other plan is
-    /// executed; either way it joins `measured[i]`. Observations are
-    /// therefore those of a full replay.
-    fn read_only(
+    /// Every SELECT is opened (fault gate, planning). Execution cost is a
+    /// deterministic function of data + plan, and every replay of one
+    /// validation starts from the bed's rows and applies the same writes in
+    /// the same order, so exemplar `i` sees the same rows in each
+    /// (DESIGN.md §18). A SELECT whose plan is execution-identical
+    /// ([`Plan::same_execution`]) to one in `measured[i]` therefore costs
+    /// what was measured then and is not run again. Nor is one the monitor
+    /// measured under the stamp it has on `db` — none of its tables has
+    /// changed since production was observed — which costs what the
+    /// monitor recorded. Debug builds audit both ([`audited`]). Any other
+    /// plan is executed; either way it joins `measured[i]`. Observations
+    /// are therefore those of a full replay.
+    fn run(
         &self,
-        db: &Database,
+        db: &mut Database,
         measured: &mut [Vec<Measured>],
         names: &[String],
     ) -> Result<Vec<Observation>, AimError> {
@@ -143,9 +145,12 @@ impl Replay<'_> {
         for (wq, known) in self.workload.iter().zip(measured) {
             self.ctl.check("validation")?;
             let Statement::Select(sel) = &wq.stats.exemplar else {
-                observations.push(None);
+                let res = self.engine.execute_direct(db, &wq.stats.exemplar);
+                executed += 1;
+                observations.push(tolerate(res)?.and_then(|o| observe(&o.plan, o.cost, names)));
                 continue;
             };
+            let db = &*db;
             // The position in `known` of this plan's measurement.
             let res = self.engine.open_select(db, sel).and_then(|open| {
                 if let Some(k) = known
@@ -183,29 +188,6 @@ impl Replay<'_> {
         aim_telemetry::metrics::VALIDATION_REUSED.add(reused);
         Ok(observations)
     }
-
-    /// Replays a workload containing DML against `db`, in workload order:
-    /// DML must see prior statements' mutations. The replay changes the
-    /// data, so every statement is executed and nothing measured on another
-    /// copy applies. SELECTs take the direct path, which leaves the
-    /// live-traffic signal (`exec.select_cost`) alone.
-    fn sequential(
-        &self,
-        db: &mut Database,
-        names: &[String],
-    ) -> Result<Vec<Observation>, AimError> {
-        let mut out = Vec::with_capacity(self.workload.len());
-        for wq in self.workload {
-            self.ctl.check("validation")?;
-            let res = match &wq.stats.exemplar {
-                Statement::Select(sel) => self.engine.execute_select(db, sel),
-                stmt => self.engine.execute(db, stmt),
-            };
-            out.push(tolerate(res)?.and_then(|o| observe(&o.plan, o.cost, names)));
-        }
-        aim_telemetry::metrics::VALIDATION_EXECUTED.add(out.len() as u64);
-        Ok(out)
-    }
 }
 
 /// Clones the test bed through the fault gate (`storage.clone`): an
@@ -242,11 +224,10 @@ pub enum RejectReason {
 pub struct ValidationOutcome {
     pub accepted: Vec<RankedCandidate>,
     pub rejected: Vec<(RankedCandidate, RejectReason)>,
-    /// The test bed, as the last round left it. On a read-only workload it
-    /// holds every accepted index, built over rows it still shares with
-    /// the source, for [`Database::create_index_from`] to adopt; a workload
-    /// containing DML builds its candidates on copies, so its bed holds
-    /// none of them.
+    /// The test bed, as the last round left it: it holds every accepted
+    /// index, built over rows it still shares with the source (a replay
+    /// that writes runs on a copy), for [`Database::create_index_from`] to
+    /// adopt.
     pub bed: Database,
 }
 
@@ -322,37 +303,33 @@ pub fn try_validate_on_clone(
         clone_db(db)?
     };
 
-    // A pure-SELECT replay cannot mutate the database it runs on, so the
-    // baseline and every round share the bed: candidates are built on it
-    // once, a round drops what the round before rejected, and an exemplar
-    // is executed only under a plan not yet measured in this validation
-    // (`measured` never outlives this call — another pass has other data).
-    // A workload containing DML changes what it replays on, so its baseline
-    // and each of its rounds get a fresh copy of the bed and a full replay.
-    let read_only = workload
+    // The baseline and every round replay from the bed: candidates are
+    // built on it once, a round drops what the round before rejected, and
+    // a SELECT is executed only under a plan not yet measured at its
+    // position in this validation (`measured` never outlives this call —
+    // another pass has other data). A workload without writes replays on
+    // the bed itself; one with writes replays on a copy of it, which
+    // copies only the tables the writes touch.
+    let writes = workload
         .iter()
-        .all(|wq| matches!(wq.stats.exemplar, Statement::Select(_)));
+        .any(|wq| !matches!(wq.stats.exemplar, Statement::Select(_)));
     let mut measured: Vec<Vec<Measured>> = vec![Vec::new(); workload.len()];
     let replayer = Replay {
         workload,
         engine,
         ctl,
     };
-    let mut replay = |db: &mut Database, names: &[String]| {
-        if read_only {
-            replayer.read_only(db, &mut measured, names)
+    let mut replay = |bed: &mut Database, names: &[String]| {
+        if writes {
+            replayer.run(&mut clone_db(bed)?, &mut measured, names)
         } else {
-            replayer.sequential(db, names)
+            replayer.run(bed, &mut measured, names)
         }
     };
 
     // Baseline measured costs, before any index is materialized.
     let _baseline_span = aim_telemetry::span("baseline_replay");
-    let baseline_obs = if read_only {
-        replay(&mut bed, &[])?
-    } else {
-        replay(&mut clone_db(&bed)?, &[])?
-    };
+    let baseline_obs = replay(&mut bed, &[])?;
     let mut baseline: BTreeMap<QueryFingerprint, f64> = BTreeMap::new();
     for (wq, ob) in workload.iter().zip(&baseline_obs) {
         if let Some((cost, _)) = ob {
@@ -375,24 +352,17 @@ pub fn try_validate_on_clone(
         ctl.check("validation")?;
         let _round_span = aim_telemetry::span("validation_round");
         aim_telemetry::metrics::VALIDATION_ROUNDS.incr();
-        let mut round_clone;
-        let db = if read_only {
-            &mut bed
-        } else {
-            round_clone = clone_db(&bed)?;
-            &mut round_clone
-        };
-        if read_only && round > 0 {
-            // The survivors are built already.
-            for (r, _) in &rejected[shed_from..] {
-                db.drop_index(&r.candidate.table, &r.candidate.name())
-                    .map_err(|e| AimError::from_exec("validation", ExecError::Storage(e)))?;
-            }
-        } else {
-            materialize(db, &mut accepted, &mut rejected)?;
+        if round == 0 {
+            materialize(&mut bed, &mut accepted, &mut rejected)?;
             // Nothing to do unless the source came with stale statistics:
             // an index build leaves them current.
-            db.analyze_all();
+            bed.analyze_all();
+        } else {
+            // The survivors are built already.
+            for (r, _) in &rejected[shed_from..] {
+                bed.drop_index(&r.candidate.table, &r.candidate.name())
+                    .map_err(|e| AimError::from_exec("validation", ExecError::Storage(e)))?;
+            }
         }
         shed_from = rejected.len();
 
@@ -405,7 +375,7 @@ pub fn try_validate_on_clone(
         // that Eq. 4 implies it in floating point too (DESIGN.md §2).
         let mut total_after = 0.0f64;
         let mut total_bound = 0.0f64;
-        let observations = replay(db, &names)?;
+        let observations = replay(&mut bed, &names)?;
         for (wq, ob) in workload.iter().zip(observations) {
             let Some((after, used_here)) = ob else {
                 continue;

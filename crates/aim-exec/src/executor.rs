@@ -97,12 +97,37 @@ impl Engine {
         Self::default()
     }
 
-    /// Executes any statement.
+    /// Executes any statement as live traffic: [`Engine::execute_direct`],
+    /// then the counters `/metrics` and `/fleet` serve.
     pub fn execute(&self, db: &mut Database, stmt: &Statement) -> Result<ExecOutcome, ExecError> {
+        let outcome = self.execute_direct(db, stmt)?;
+        aim_telemetry::metrics::STATEMENTS_EXECUTED.incr();
+        aim_telemetry::metrics::ROWS_READ.add(outcome.io.rows_read);
+        aim_telemetry::metrics::PAGES_READ.add(outcome.io.pages_read);
+        aim_telemetry::metrics::INDEX_SEEKS.add(outcome.io.seeks);
+        // Select latency proxy for `/metrics` and `/fleet`'s p50/p99.
+        if matches!(stmt, Statement::Select(_)) {
+            aim_telemetry::metrics::histogram_record("exec.select_cost", outcome.cost);
+        }
+        Ok(outcome)
+    }
+
+    /// Executes any statement without feeding the live-traffic signal
+    /// (`exec.statements`, `exec.rows_read`, `exec.select_cost`, ...):
+    /// validation's replays of writes come here, its SELECTs through
+    /// [`Engine::open_select`].
+    pub fn execute_direct(
+        &self,
+        db: &mut Database,
+        stmt: &Statement,
+    ) -> Result<ExecOutcome, ExecError> {
         let _span = aim_telemetry::span("exec.execute");
-        // SELECTs consult the fault gate inside `execute_select` (their
-        // only gate, so validation's direct replay calls are also covered).
-        if !matches!(stmt, Statement::Select(_)) {
+        // Every statement consults the fault gate once: a SELECT, UPDATE or
+        // DELETE where it opens its SELECT (`open_select`), any other here.
+        if !matches!(
+            stmt,
+            Statement::Select(_) | Statement::Update(_) | Statement::Delete(_)
+        ) {
             if let Some(aim_storage::fault::FaultKind::Fail) =
                 aim_storage::fault::hit("exec.execute")
             {
@@ -111,7 +136,7 @@ impl Engine {
                 });
             }
         }
-        let outcome = match stmt {
+        match stmt {
             Statement::Select(s) => self.execute_select(db, s),
             Statement::Insert(i) => self.execute_insert(db, i),
             Statement::Update(u) => self.execute_update(db, u),
@@ -153,19 +178,7 @@ impl Engine {
                 db.drop_index(table, name)?;
                 Ok(self.written(IoStats::new(), empty_plan(), 0, stamp))
             }
-        }?;
-        aim_telemetry::metrics::STATEMENTS_EXECUTED.incr();
-        aim_telemetry::metrics::ROWS_READ.add(outcome.io.rows_read);
-        aim_telemetry::metrics::PAGES_READ.add(outcome.io.pages_read);
-        aim_telemetry::metrics::INDEX_SEEKS.add(outcome.io.seeks);
-        // Select latency proxy for `/metrics` and `/fleet`'s p50/p99.
-        // Only production executes feed it — advisory
-        // what-ifs and validation replays call `execute_select` directly
-        // and must not pollute the live-traffic signal.
-        if matches!(stmt, Statement::Select(_)) {
-            aim_telemetry::metrics::histogram_record("exec.select_cost", outcome.cost);
         }
-        Ok(outcome)
     }
 
     /// Executes a SELECT.

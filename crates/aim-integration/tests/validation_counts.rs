@@ -24,7 +24,7 @@ use aim_exec::{CostModel, Engine};
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor, WorkloadQuery};
 use aim_sql::{parse_statement, Statement};
 use aim_storage::fault::{self, FaultPlan};
-use aim_storage::{ColumnDef, ColumnType, Database, IoStats, PagerOptions, TableSchema};
+use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema};
 use aim_telemetry as tel;
 use aim_workloads::{job, tpch};
 use std::sync::Mutex;
@@ -227,12 +227,9 @@ fn a_write_after_observing_executes_the_exemplars_that_bind_the_table() {
     assert_eq!(validated(&db, &workload, &picked, 0), (0, 9, 13));
 }
 
-/// A workload containing DML replays its writes on copies of the test bed,
-/// so its candidates are built on those copies and the bed validation hands
-/// back holds none of them: production builds every accepted index.
-#[test]
-fn a_workload_with_dml_builds_on_production() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+/// The TPC-H fixture with one UPDATE of `orders` observed after its 44
+/// SELECTs.
+fn tpch_with_an_update() -> (Database, WorkloadMonitor) {
     let mut db = tpch::build_database(&tpch::TpchConfig::default());
     let update = "UPDATE orders SET o_totalprice = 1.0 WHERE o_orderkey = 7".to_string();
     let texts = [0xA1, 0xA2]
@@ -240,20 +237,77 @@ fn a_workload_with_dml_builds_on_production() {
         .flat_map(tpch::query_texts)
         .map(|(_, sql)| sql);
     let monitor = common::observe(&mut db, texts.chain([update]));
+    (db, monitor)
+}
+
+/// A workload with writes replays on copies of the test bed, each copying
+/// only the table the UPDATE writes: the bed builds each candidate once,
+/// a SELECT runs only under a plan its position has not measured yet, and
+/// the bed hands back every accepted index over the rows it still shares
+/// with production, which adopts it.
+#[test]
+fn a_workload_with_writes_builds_on_the_bed_and_production_adopts() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut db, monitor) = tpch_with_an_update();
     let (workload, picked) = chosen(&db, &monitor);
-    assert!(workload
+    let writes = workload
         .iter()
-        .any(|wq| wq.stats.exemplar.written_table() == Some("orders")));
+        .filter(|wq| wq.stats.exemplar.written_table().is_some())
+        .count();
+    assert_eq!((workload.len(), writes, picked.len()), (23, 1, 9));
+    let exemplars = workload.len() as u64;
+
+    let sites = ["storage.clone", "storage.create_index", "exec.execute"];
+    let observer = sites.iter().fold(FaultPlan::new(1), |plan, site| {
+        plan.delay_ms(site, 0, 0, u64::MAX)
+    });
+    tel::enable();
+    tel::reset();
+    fault::arm(observer);
     let cfg = ValidationConfig::default();
     let outcome = validate_on_clone(&db, &workload, &picked, &Engine::new(), &cfg).unwrap();
-    assert!(!outcome.accepted.is_empty(), "{:?}", outcome.rejected);
     let mut io = IoStats::new();
     for r in &outcome.accepted {
         let def = r.candidate.def();
-        let on_bed = outcome.bed.table(&def.table).unwrap().index(&def.name);
-        assert!(on_bed.is_none(), "{} is on the bed", def.name);
-        db.create_index_from(&outcome.bed, def, &mut io).unwrap();
+        let bed = outcome.bed.table(&def.table).unwrap();
+        assert!(bed.shares_rows_with(db.table(&def.table).unwrap()));
+        db.create_index_from(&outcome.bed, def.clone(), &mut io)
+            .unwrap();
+        let adopted = db.table(&def.table).unwrap().index(&def.name).unwrap();
+        assert!(
+            std::ptr::eq(adopted, bed.index(&def.name).unwrap()),
+            "{} is built again on production",
+            def.name
+        );
     }
+    let log = fault::disarm();
+    let (rounds, executed, reused) = validation_counters();
+    tel::disable();
+
+    let consulted = |site: &str| log.iter().filter(|i| i.site == site).count() as u64;
+    let accepted = outcome.accepted.len() as u64;
+    assert_eq!((accepted, outcome.rejected.len()), (7, 2));
+    assert_eq!(
+        consulted("storage.clone"),
+        2 + rounds,
+        "the bed, and a copy of it for the baseline and for each round"
+    );
+    assert_eq!(
+        consulted("storage.create_index"),
+        picked.len() as u64 + accepted,
+        "each chosen candidate built once on the bed, each accepted one adopted"
+    );
+    assert_eq!(
+        consulted("exec.execute"),
+        exemplars * (1 + rounds),
+        "every replay opens every exemplar once"
+    );
+    // Was (3, 92, 0): every round copied the bed, built the survivors on
+    // the copy and executed all 23 exemplars. Now the UPDATE runs in each
+    // of the four replays and 23 SELECTs run once: the 10 binding `orders`,
+    // whose monitor stamps the observed UPDATE made stale, in the baseline
+    // and the 13 whose plan moved in a round.
+    assert_eq!((rounds, executed, reused), (3, 27, 65));
     assert_eq!(db.all_indexes().len(), outcome.accepted.len());
     db.check_consistency().unwrap();
 }
@@ -264,26 +318,13 @@ fn a_workload_with_dml_builds_on_production() {
 fn a_disk_backed_source_runs_the_whole_baseline() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("aim-validation-counts-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut disk = Database::open_disk(&dir, PagerOptions::default()).unwrap();
     // The fixture's schema at the smallest scale: a few thousand rows, each
     // its own transaction.
     let source = tpch::build_database(&tpch::TpchConfig {
         scale: 0.0,
         ..Default::default()
     });
-    let mut io = IoStats::new();
-    for table in source.tables() {
-        let name = &table.schema().name;
-        disk.create_table(table.schema().clone()).unwrap();
-        for row in table.scan_all(&mut IoStats::new()) {
-            disk.table_mut(name)
-                .unwrap()
-                .insert(row.clone(), &mut io)
-                .unwrap();
-        }
-    }
-    disk.analyze_all();
+    let disk = common::on_disk(&source, &dir);
     let (disk, monitor) = observed(disk);
     let (workload, picked) = chosen(&disk, &monitor);
     assert_eq!(workload.len(), 22);
@@ -414,19 +455,22 @@ fn a_second_pass_on_the_tuned_database() {
     );
 }
 
-/// `executor.rs`: "validation replays ... must not pollute the live-traffic
-/// signal" — whatever the worker count. (With one worker they used to go
-/// through `Engine::execute`.)
+/// `executor.rs`: only `Engine::execute` feeds the live-traffic signal;
+/// validation replays its SELECTs through `open_select` and its writes
+/// through `execute_direct`. (With one worker the SELECTs used to go
+/// through `Engine::execute`, and until writes took `execute_direct` one
+/// validation of the workload with an UPDATE moved `exec.statements` 1 → 5
+/// and `exec.rows_read` 5 → 13.)
 #[test]
 fn validation_replays_do_not_feed_the_live_traffic_signal() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (mut db, monitor) = tpch_case();
-    let (workload, picked) = chosen(&db, &monitor);
-    assert!(!picked.is_empty());
+    let (with_writes, writes_monitor) = tpch_with_an_update();
+    let cases = [chosen(&db, &monitor), chosen(&with_writes, &writes_monitor)];
 
     tel::enable();
     tel::reset();
-    // One production SELECT, so that both series exist.
+    // One production SELECT, so that every series exists.
     let stmt = parse_statement("SELECT r_name FROM region WHERE r_regionkey = 1").unwrap();
     Engine::new().execute(&mut db, &stmt).unwrap();
     let live = || {
@@ -436,13 +480,22 @@ fn validation_replays_do_not_feed_the_live_traffic_signal() {
             .iter()
             .find(|(series, _)| series.is_bare("exec.select_cost"))
             .map(|(_, h)| h.count);
-        (select_cost, snap.counter("exec.statements"))
+        let counters = [
+            "exec.statements",
+            "exec.rows_read",
+            "exec.pages_read",
+            "exec.seeks",
+        ];
+        (select_cost, counters.map(|name| snap.counter(name)))
     };
     let before = live();
-    assert_eq!(before, (Some(1), Some(1)));
+    assert_eq!((before.0, before.1[0]), (Some(1), Some(1)));
     let cfg = ValidationConfig::default();
-    let outcome = validate_on_clone(&db, &workload, &picked, &Engine::new(), &cfg).unwrap();
-    assert!(!outcome.accepted.is_empty());
-    assert_eq!(live(), before);
+    for ((workload, picked), source) in cases.iter().zip([&db, &with_writes]) {
+        assert!(!picked.is_empty());
+        let outcome = validate_on_clone(source, workload, picked, &Engine::new(), &cfg).unwrap();
+        assert!(!outcome.accepted.is_empty());
+        assert_eq!(live(), before);
+    }
     tel::disable();
 }

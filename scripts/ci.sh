@@ -34,8 +34,12 @@ cargo test -q --no-fail-fast
 echo "== release-profile count pins"
 # The count tests pin a release build's numbers beside the test profile's,
 # and the run above checks only the test profile's. `alloc_budget` holds
-# the same numbers in both.
-cargo test --release -q -p aim-integration --test clone_counts --test storage_counts --test alloc_budget
+# the same numbers in both. `validation_counts` pins the same numbers in
+# both too; a release build answers reused statements without executing
+# them (`validate::audited` runs only with debug assertions), so this is
+# the run that checks the validation memo as it ships.
+cargo test --release -q -p aim-integration --test clone_counts --test storage_counts \
+    --test alloc_budget --test validation_counts
 
 echo "== pager proofs at stride 1 (release)"
 # The test profile flips every 61st bit of a sealed page and of a WAL
