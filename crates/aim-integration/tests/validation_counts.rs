@@ -287,16 +287,21 @@ fn a_workload_with_writes_builds_on_the_bed_and_production_adopts() {
     let consulted = |site: &str| log.iter().filter(|i| i.site == site).count() as u64;
     let accepted = outcome.accepted.len() as u64;
     assert_eq!((accepted, outcome.rejected.len()), (7, 2));
+    // 5, as before, when each round's copy was fresh.
     assert_eq!(
         consulted("storage.clone"),
         2 + rounds,
         "the bed, and a copy of it for the baseline and for each round"
     );
+    // Was 31: 9 + 8 + 7 survivors built on the round copies, then 7 built
+    // again on production.
     assert_eq!(
         consulted("storage.create_index"),
         picked.len() as u64 + accepted,
         "each chosen candidate built once on the bed, each accepted one adopted"
     );
+    // Was 96: the UPDATE consulted the gate twice, in `Engine::execute` and
+    // in the SELECT that locates its rows.
     assert_eq!(
         consulted("exec.execute"),
         exemplars * (1 + rounds),
