@@ -16,7 +16,10 @@ use aim_exec::{Engine, ExecOutcome};
 use aim_monitor::WorkloadMonitor;
 use aim_sql::normalize::{fingerprint, fnv1a, normalize_statement, NormalizedQuery};
 use aim_sql::{parse_statement, Statement};
-use aim_storage::{ColumnDef, ColumnType, Database, IndexDef, IoStats, PagerOptions, TableSchema};
+use aim_storage::fault::{self, FaultPlan};
+use aim_storage::{
+    ColumnDef, ColumnType, Database, IndexDef, IoStats, PagerOptions, TableSchema, Value,
+};
 use aim_workloads::rng::{Rng, SeedableRng, StdRng};
 use aim_workloads::{job, production, tpch};
 
@@ -364,4 +367,98 @@ pub fn uniform_split(base: &AimConfig, fleet_budget: u64, tenants: &mut [Tenant]
             .extend(session.run(std::slice::from_mut(t)).tenants);
     }
     outcome
+}
+
+/// Table `t(id, a, b)` holding rows `0..rows` with `a = id % 200` and
+/// `b = id % 10`, analyzed: the continuous tuner's fixture.
+pub fn t_db(rows: i64) -> Database {
+    let mut db = Database::new();
+    db.create_table(
+        TableSchema::new(
+            "t",
+            vec![
+                ColumnDef::new("id", ColumnType::Int),
+                ColumnDef::new("a", ColumnType::Int),
+                ColumnDef::new("b", ColumnType::Int),
+            ],
+            &["id"],
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    insert_t_rows(&mut db, 0, rows, |i| i % 200);
+    db.analyze_all();
+    db
+}
+
+/// Rows `from..to` of [`t_db`]'s table with `a` from `a_of` and
+/// `b = id % 10`.
+pub fn insert_t_rows(db: &mut Database, from: i64, to: i64, a_of: impl Fn(i64) -> i64) {
+    let mut io = IoStats::new();
+    for i in from..to {
+        db.table_mut("t")
+            .unwrap()
+            .insert(
+                vec![Value::Int(i), Value::Int(a_of(i)), Value::Int(i % 10)],
+                &mut io,
+            )
+            .unwrap();
+    }
+}
+
+/// Table `orders(id, customer, region)` holding `rows` rows with
+/// `customer = id % 300` and `region = id % 12`, analyzed: the fleet's
+/// tenant fixture.
+pub fn orders_db(rows: i64) -> Database {
+    let mut db = Database::new();
+    db.create_table(
+        TableSchema::new(
+            "orders",
+            vec![
+                ColumnDef::new("id", ColumnType::Int),
+                ColumnDef::new("customer", ColumnType::Int),
+                ColumnDef::new("region", ColumnType::Int),
+            ],
+            &["id"],
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    let mut io = IoStats::new();
+    for i in 0..rows {
+        db.table_mut("orders")
+            .unwrap()
+            .insert(
+                vec![Value::Int(i), Value::Int(i % 300), Value::Int(i % 12)],
+                &mut io,
+            )
+            .unwrap();
+    }
+    db.analyze_all();
+    db
+}
+
+/// Four [`orders_db`] tenants, each observed running `customer = 42` six
+/// times, tuned under `base` as a fleet on one worker with one injected
+/// what-if failure during the probe: the fleet's first what-if call, so
+/// tenant-0's. The caller holds the fault lock. Returns the outcome and
+/// the tenants.
+pub fn fleet_with_one_probe_fault(base: AimConfig) -> (FleetOutcome, Vec<Tenant>) {
+    let mut tenants: Vec<Tenant> = (0..4)
+        .map(|i| {
+            let mut t = Tenant::new(format!("tenant-{i}"), orders_db(3000 + 500 * i));
+            let texts = vec!["SELECT id FROM orders WHERE customer = 42".to_string(); 6];
+            t.monitor = observe(&mut t.db, texts);
+            t
+        })
+        .collect();
+    fault::arm(FaultPlan::new(7).fail("exec.whatif", 0, 1));
+    let outcome = FleetConfig::builder()
+        .base(base)
+        .fleet_workers(1)
+        .session()
+        .run(&mut tenants);
+    let log = fault::disarm();
+    assert_eq!(log.len(), 1, "exactly the planned fault fires: {log:?}");
+    (outcome, tenants)
 }

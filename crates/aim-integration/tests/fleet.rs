@@ -21,7 +21,7 @@ use aim_exec::{Engine, HypoConfig, WhatIfCache};
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_sql::parse_statement;
 use aim_storage::fault::{self, FaultGuard, FaultPlan};
-use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema, Value};
+use aim_storage::Database;
 use aim_workloads::fleet::{generate_fleet, FleetSpec, TenantWorkload};
 
 fn selection() -> SelectionConfig {
@@ -31,35 +31,6 @@ fn selection() -> SelectionConfig {
         max_queries: 50,
         include_dml: true,
     }
-}
-
-fn orders_db(rows: i64) -> Database {
-    let mut db = Database::new();
-    db.create_table(
-        TableSchema::new(
-            "orders",
-            vec![
-                ColumnDef::new("id", ColumnType::Int),
-                ColumnDef::new("customer", ColumnType::Int),
-                ColumnDef::new("region", ColumnType::Int),
-            ],
-            &["id"],
-        )
-        .unwrap(),
-    )
-    .unwrap();
-    let mut io = IoStats::new();
-    for i in 0..rows {
-        db.table_mut("orders")
-            .unwrap()
-            .insert(
-                vec![Value::Int(i), Value::Int(i % 300), Value::Int(i % 12)],
-                &mut io,
-            )
-            .unwrap();
-    }
-    db.analyze_all();
-    db
 }
 
 fn observe(db: &mut Database, monitor: &mut WorkloadMonitor, sql: &str, n: usize) {
@@ -111,7 +82,7 @@ fn single_tenant_fleet_bit_identical_to_tuning_session() {
     };
 
     // Bare session.
-    let mut bare_db = orders_db(6000);
+    let mut bare_db = common::orders_db(6000);
     let mut bare_monitor = WorkloadMonitor::new();
     populate(&mut bare_db, &mut bare_monitor);
     let bare_session: TuningSession = AimConfig::builder()
@@ -124,7 +95,7 @@ fn single_tenant_fleet_bit_identical_to_tuning_session() {
     assert!(!bare.created.is_empty(), "fixture must create an index");
 
     // Fleet of one, same seed inputs.
-    let mut fleet_db = orders_db(6000);
+    let mut fleet_db = common::orders_db(6000);
     let mut fleet_monitor = WorkloadMonitor::new();
     populate(&mut fleet_db, &mut fleet_monitor);
     let mut tenants = vec![Tenant::new("only", fleet_db)];
@@ -169,7 +140,7 @@ fn one_tenant_faulting_does_not_abort_the_fleet() {
     let _g = FaultGuard::acquire();
     let mut tenants: Vec<Tenant> = (0..4)
         .map(|i| {
-            let mut db = orders_db(3000 + 500 * i);
+            let mut db = common::orders_db(3000 + 500 * i);
             let mut monitor = WorkloadMonitor::new();
             observe(
                 &mut db,
@@ -217,44 +188,18 @@ fn one_tenant_faulting_does_not_abort_the_fleet() {
         .expect("consistent after rollback");
 }
 
-/// One injected what-if failure during the probe of a 4-tenant fleet —
-/// the fleet's first what-if call, so tenant-0's — with telemetry on.
-/// Returns the outcome, the tenants and the journal.
-fn fleet_with_one_probe_fault() -> (FleetOutcome, Vec<Tenant>, Vec<aim_telemetry::Event>) {
-    let mut tenants: Vec<Tenant> = (0..4)
-        .map(|i| {
-            let mut t = Tenant::new(format!("tenant-{i}"), orders_db(3000 + 500 * i));
-            observe(
-                &mut t.db,
-                &mut t.monitor,
-                "SELECT id FROM orders WHERE customer = 42",
-                6,
-            );
-            t
-        })
-        .collect();
-    aim_telemetry::enable();
-    aim_telemetry::reset();
-    fault::arm(FaultPlan::new(7).fail("exec.whatif", 0, 1));
-    let outcome = FleetConfig::builder()
-        .base(AimConfig::builder().selection(selection()).build())
-        .fleet_workers(1)
-        .session()
-        .run(&mut tenants);
-    let log = fault::disarm();
-    let events = aim_telemetry::events();
-    aim_telemetry::disable();
-    assert_eq!(log.len(), 1, "exactly the planned fault fires: {log:?}");
-    (outcome, tenants, events)
-}
-
 /// A probe fault fails that tenant — and is accounted for like any other
 /// tenant failure: counted, journaled with the tenant's name, isolated
 /// from the rest of the fleet.
 #[test]
 fn probe_failure_is_counted_and_journaled_like_a_tune_failure() {
     let _g = FaultGuard::acquire();
-    let (outcome, tenants, events) = fleet_with_one_probe_fault();
+    aim_telemetry::enable();
+    aim_telemetry::reset();
+    let base = AimConfig::builder().selection(selection()).build();
+    let (outcome, tenants) = common::fleet_with_one_probe_fault(base);
+    let events = aim_telemetry::events();
+    aim_telemetry::disable();
     assert_eq!(outcome.failed(), 1);
     assert!(
         outcome.tenants[0].result.is_err(),

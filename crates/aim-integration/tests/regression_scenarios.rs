@@ -37,13 +37,15 @@
 //!
 //! [`RegressionDetector`]: aim_core::RegressionDetector
 
+mod common;
+
 use aim_core::continuous::ContinuousTuner;
 use aim_core::AimConfig;
 use aim_exec::Engine;
 use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_sql::normalize::QueryFingerprint;
 use aim_sql::parse_statement;
-use aim_storage::{ColumnDef, ColumnType, Database, IoStats, TableSchema, Value};
+use aim_storage::Database;
 use aim_telemetry::EventKind;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -55,40 +57,6 @@ const BYSTANDER: &str = "SELECT id FROM t WHERE a = 5";
 
 /// The tolerance every tuner in this file runs with.
 const TOLERANCE: f64 = 0.5;
-
-fn build_db(rows: i64) -> Database {
-    let mut db = Database::new();
-    db.create_table(
-        TableSchema::new(
-            "t",
-            vec![
-                ColumnDef::new("id", ColumnType::Int),
-                ColumnDef::new("a", ColumnType::Int),
-                ColumnDef::new("b", ColumnType::Int),
-            ],
-            &["id"],
-        )
-        .unwrap(),
-    )
-    .unwrap();
-    insert_rows(&mut db, 0, rows, |i| i % 200);
-    db.analyze_all();
-    db
-}
-
-/// Rows `from..to` with `a` from `a_of` and `b = id % 10`.
-fn insert_rows(db: &mut Database, from: i64, to: i64, a_of: impl Fn(i64) -> i64) {
-    let mut io = IoStats::new();
-    for i in from..to {
-        db.table_mut("t")
-            .unwrap()
-            .insert(
-                vec![Value::Int(i), Value::Int(a_of(i)), Value::Int(i % 10)],
-                &mut io,
-            )
-            .unwrap();
-    }
-}
 
 fn repeat(sql: &str, n: usize) -> Vec<String> {
     vec![sql.to_string(); n]
@@ -108,7 +76,7 @@ const A: Scenario = Scenario {
             return repeat("SELECT id FROM t WHERE a = 5", 10);
         }
         if w == 2 {
-            insert_rows(db, 4000, 64_000, |i| i % 200);
+            common::insert_t_rows(db, 4000, 64_000, |i| i % 200);
             db.analyze_all();
         }
         repeat("SELECT id FROM t WHERE b = 3", 10)
@@ -131,7 +99,7 @@ const B: Scenario = Scenario {
     window: |w, db| {
         if w == 2 {
             // Skew: sixty thousand rows of the hot value, statistics stale.
-            insert_rows(db, 4000, 64_000, |_| 5);
+            common::insert_t_rows(db, 4000, 64_000, |_| 5);
         }
         repeat("SELECT id, b FROM t WHERE a = 5", 10)
     },
@@ -153,7 +121,7 @@ const D: Scenario = Scenario {
     windows: 4,
     window: |w, db| {
         if w == 3 {
-            insert_rows(db, 4000, 5400, |i| i % 200);
+            common::insert_t_rows(db, 4000, 5400, |i| i % 200);
             db.analyze_all();
         }
         let mut stmts = repeat("SELECT id FROM t WHERE a = 5", 10);
@@ -240,7 +208,7 @@ fn transcript(scenario: &Scenario, telemetry: bool) -> Vec<Step> {
         aim_telemetry::enable();
     }
 
-    let mut db = build_db(4000);
+    let mut db = common::t_db(4000);
     let mut tuner = ContinuousTuner::with_session(session(), TOLERANCE);
     tuner.unused_grace_windows = 0;
 
@@ -426,7 +394,7 @@ fn a_tenants_regression_reverts_only_that_tenants_index() {
         .map(|id| {
             (
                 id,
-                build_db(4000),
+                common::t_db(4000),
                 ContinuousTuner::with_session(session(), TOLERANCE),
             )
         })
@@ -436,7 +404,7 @@ fn a_tenants_regression_reverts_only_that_tenants_index() {
         for (id, db, tuner) in tenants.iter_mut() {
             let _scope = aim_telemetry::scope(id);
             if w == 2 && *id == "alpha" {
-                insert_rows(db, 4000, 10_000, |_| 5);
+                common::insert_t_rows(db, 4000, 10_000, |_| 5);
             }
             let monitor = observe(db, repeat("SELECT id, b FROM t WHERE a = 5", 10));
             let out = tuner.step(db, &monitor).unwrap();
