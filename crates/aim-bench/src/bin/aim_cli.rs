@@ -31,8 +31,8 @@
 //!     explain demo "SELECT id FROM orders WHERE customer_id = 7"
 //!
 //! # continuous tuning over N observation windows, with the live
-//! # introspection endpoint (/metrics, /journal, /profile, /trace,
-//! # /ledger); artifacts are written only where a path is given
+//! # introspection endpoint (/metrics, /profile, /trace, /ledger,
+//! # /fleet); artifacts are written only where a path is given
 //! cargo run -p aim-bench --bin aim_cli --release -- \
 //!     continuous tpch --windows 3 --serve 7800 --trace-out /tmp/trace_tpch.json \
 //!     --ledger-out /tmp/decision_ledger.json --telemetry-out /tmp/telemetry.json
@@ -539,7 +539,7 @@ fn run_continuous(args: &[String], strategy: SelectionStrategy, trace_out: Optio
     // share one ledger.
     let ledger_handle = session.clone();
     aim_telemetry::set_ledger_source(Box::new(move || ledger_handle.ledger_json()));
-    let server = serve_on.map(|port| serve(port, "/metrics /journal /profile /trace /ledger"));
+    let server = serve_on.map(|port| serve(port, "/metrics /profile /trace /ledger /fleet"));
 
     let mut tuner = aim_core::ContinuousTuner::with_session(session.clone(), 0.5);
     for w in 1..=windows {

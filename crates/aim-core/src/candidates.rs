@@ -454,23 +454,7 @@ pub fn try_generate_candidates(
             CoveringPolicy::Both => {
                 vec![CoveringMode::NonCovering, CoveringMode::Covering]
             }
-            _ => {
-                let mode = try_covering_index(&wq.stats, &structure, cfg);
-                // The two-phase flip to covering mode (§III-D) is a
-                // decision worth journaling: it explains sudden wide
-                // candidates in later passes.
-                if mode == CoveringMode::Covering && aim_telemetry::is_enabled() {
-                    aim_telemetry::event(
-                        aim_telemetry::EventKind::CandidateMerged,
-                        wq.stats.normalized_text.clone(),
-                        format!(
-                            "TryCoveringIndex: covering phase ({:.1} seeks/exec)",
-                            wq.stats.seeks_avg()
-                        ),
-                    );
-                }
-                vec![mode]
-            }
+            _ => vec![try_covering_index(&wq.stats, &structure, cfg)],
         };
         let mut query_pos: Vec<(String, PartialOrder)> = Vec::new();
         for mode in modes {
@@ -549,19 +533,7 @@ fn table_candidates(
     }
 
     let merged: Vec<CompactOrder> = if cfg.merge {
-        let merged = close(&ids, inputs.keys().cloned());
-        if aim_telemetry::is_enabled() && merged.len() != derived.len() {
-            aim_telemetry::event(
-                aim_telemetry::EventKind::CandidateMerged,
-                table,
-                format!(
-                    "{} partial orders -> {} after closure",
-                    derived.len(),
-                    merged.len()
-                ),
-            );
-        }
-        merged
+        close(&ids, inputs.keys().cloned())
     } else {
         inputs.keys().cloned().collect()
     };

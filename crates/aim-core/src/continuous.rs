@@ -29,7 +29,8 @@
 //!   regression no recent index explains: DML paying for the maintenance
 //!   of a new index (scenario C — the trade-off ranking already priced,
 //!   Eq. 8) or a query slower because its data grew. Those are counted and
-//!   journaled on the window they first appear, and nothing is dropped.
+//!   returned ([`ContinuousOutcome::regressions`]) on the window they first
+//!   appear, and nothing is dropped.
 //!
 //! Clone validation compares before and after too (Eqs. 2–4,
 //! `validate.rs`), and its rule is deliberately not reused here: it
@@ -157,6 +158,11 @@ pub struct ContinuousOutcome {
     pub reverted: Vec<String>,
     /// Indexes dropped as unused over the window.
     pub dropped_unused: Vec<String>,
+    /// The regressions this step counted into `aim.regressions_detected`,
+    /// attributed to a recent index or not: its `len()` is the counter's
+    /// delta. An unattributed regression is counted on the window it first
+    /// appears and not again while it lasts.
+    pub regressions: Vec<Regression>,
 }
 
 /// Periodic tuner: regression-revert, tune, optionally garbage-collect
@@ -167,7 +173,7 @@ pub struct ContinuousTuner {
     /// token apply to every [`ContinuousTuner::step`]. A step whose pass
     /// faults returns the error, and the next step is the retry.
     pub session: TuningSession,
-    pub detector: RegressionDetector,
+    detector: RegressionDetector,
     /// Drop AIM indexes unused for `unused_grace_windows` consecutive
     /// windows. `0` disables the GC.
     pub unused_grace_windows: usize,
@@ -176,7 +182,7 @@ pub struct ContinuousTuner {
     /// §VII-C flags "a regression ... due to an index added by automation",
     /// i.e. a *recent* change, not any index the plan happens to use.
     recently_created: BTreeSet<String>,
-    /// Templates whose regression was counted and journaled with nothing
+    /// Templates whose regression was counted and returned with nothing
     /// to revert. Such a regression is reported on the window it first
     /// appears and not again while it lasts; a template leaves the set when
     /// it stops regressing.
@@ -235,23 +241,8 @@ impl ContinuousTuner {
                 }
             }
             aim_telemetry::metrics::REGRESSIONS_DETECTED.incr();
-            if aim_telemetry::is_enabled() {
-                aim_telemetry::event(
-                    aim_telemetry::EventKind::RegressionDetected,
-                    regression.query.to_string(),
-                    format!(
-                        "avg cpu {:.1} -> {:.1}, suspects {:?}",
-                        regression.baseline, regression.current, regression.suspect_indexes
-                    ),
-                );
-            }
             for name in implicated {
                 if let Some(def) = drop_index_named(db, name) {
-                    aim_telemetry::event(
-                        aim_telemetry::EventKind::IndexReverted,
-                        &def.name,
-                        "regression implicated a recently-created index",
-                    );
                     self.session.ledger_annotate(
                         &def.name,
                         &def.table,
@@ -265,6 +256,7 @@ impl ContinuousTuner {
                     outcome.reverted.push(def.name);
                 }
             }
+            outcome.regressions.push(regression);
         }
         self.unattributed = unattributed;
         drop(scan_span);
@@ -300,11 +292,6 @@ impl ContinuousTuner {
                 .collect();
             for name in expired {
                 if let Some(def) = drop_index_named(db, &name) {
-                    aim_telemetry::event(
-                        aim_telemetry::EventKind::IndexDropped,
-                        &name,
-                        format!("unused for {} windows", self.unused_grace_windows),
-                    );
                     self.session.ledger_annotate(
                         &def.name,
                         &def.table,

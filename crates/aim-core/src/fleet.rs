@@ -312,20 +312,6 @@ impl FleetSession {
             .max_by_key(|t| t.elapsed)
             .map(|t| (t.id.clone(), t.elapsed));
         outcome.tenants = tuned;
-
-        if tel::is_enabled() {
-            tel::event(
-                tel::EventKind::TuningPass,
-                "fleet",
-                format!(
-                    "{} tenants tuned, {} failed, {} budget transfers ({} bytes)",
-                    outcome.tuned(),
-                    outcome.failed(),
-                    outcome.budget_transfers,
-                    outcome.transferred_bytes,
-                ),
-            );
-        }
         outcome.elapsed = root.elapsed();
         outcome
     }
@@ -364,8 +350,8 @@ impl FleetSession {
     }
 
     /// The one place a tenant's slot is accounted for, whichever phase
-    /// ended it: tuned/failed counters, the isolation event, the per-tenant
-    /// rollups behind `/fleet`. Runs under the tenant's telemetry scope.
+    /// ended it: tuned/failed counters, the per-tenant rollups behind
+    /// `/fleet`. Runs under the tenant's telemetry scope.
     fn tenant_outcome(
         &self,
         tenant: &Tenant,
@@ -376,16 +362,7 @@ impl FleetSession {
     ) -> TenantOutcome {
         match &result {
             Ok(_) => tel::metrics::FLEET_SHARDS_TUNED.incr(),
-            Err(e) => {
-                tel::metrics::FLEET_TENANT_FAILURES.incr();
-                if tel::is_enabled() {
-                    tel::event(
-                        tel::EventKind::PassAborted,
-                        &tenant.id,
-                        format!("tenant isolated from fleet: {e}"),
-                    );
-                }
-            }
+            Err(_) => tel::metrics::FLEET_TENANT_FAILURES.incr(),
         }
         let elapsed = slot_started.elapsed();
         // Wall time as a labeled histogram (straggler skew), granted vs

@@ -449,14 +449,17 @@ impl TuningSession {
                     hits: after.hits - before.hits,
                     misses: after.misses - before.misses,
                 };
-                self.finish_pass(db, &mut outcome, &root);
+                outcome.elapsed = root.elapsed();
+                tel::metrics::gauge_set(
+                    "db.secondary_index_bytes",
+                    db.total_secondary_index_bytes() as i64,
+                );
                 Ok(outcome)
             }
             Err(e) => {
                 // Transactional rollback: whatever this pass materialized
                 // before failing is dropped again, so an aborted pass never
                 // leaves a partial configuration.
-                let rolled_back = created_defs.len();
                 for def in created_defs.drain(..) {
                     self.ledger_annotate(
                         &def.name,
@@ -467,13 +470,6 @@ impl TuningSession {
                     let _ = db.drop_index(&def.table, &def.name);
                 }
                 tel::metrics::PASSES_ABORTED.incr();
-                if tel::is_enabled() {
-                    tel::event(
-                        tel::EventKind::PassAborted,
-                        e.phase(),
-                        format!("{e}; rolled back {rolled_back} indexes"),
-                    );
-                }
                 Err(e)
             }
         }
@@ -576,11 +572,6 @@ impl TuningSession {
             for (r, reason) in result.rejected {
                 let reason = reject_text(&reason);
                 tel::metrics::INDEXES_REJECTED.incr();
-                tel::event(
-                    tel::EventKind::IndexRejected,
-                    r.candidate.name(),
-                    reason.clone(),
-                );
                 decisions.note(&r.candidate, "validation_rejected", || reason.clone());
                 outcome.rejected.push((r.candidate.name(), reason));
             }
@@ -618,14 +609,6 @@ impl TuningSession {
                         )
                     });
                     tel::metrics::INDEXES_CREATED.incr();
-                    tel::event(
-                        tel::EventKind::IndexAccepted,
-                        &def.name,
-                        format!(
-                            "benefit {:.1}, maintenance {:.1}, {} bytes",
-                            r.benefit, r.maintenance, r.size_bytes
-                        ),
-                    );
                     outcome.created.push(CreatedIndex {
                         explanation: r.explanation(),
                         benefit: r.benefit,
@@ -638,7 +621,6 @@ impl TuningSession {
                 // reject the candidate, not the pass.
                 Err(e) => {
                     tel::metrics::INDEXES_REJECTED.incr();
-                    tel::event(tel::EventKind::IndexRejected, &def.name, e.to_string());
                     decisions.note(&r.candidate, "build_rejected", || {
                         format!("index build failed deterministically: {e}")
                     });
@@ -650,30 +632,6 @@ impl TuningSession {
             db.analyze_all();
         }
         Ok(())
-    }
-
-    /// Common pass epilogue: record wall time, the pass-summary event, and
-    /// the post-pass index footprint gauge.
-    fn finish_pass(&self, db: &Database, outcome: &mut AimOutcome, root: &tel::SpanGuard) {
-        outcome.elapsed = root.elapsed();
-        tel::metrics::gauge_set(
-            "db.secondary_index_bytes",
-            db.total_secondary_index_bytes() as i64,
-        );
-        if tel::is_enabled() {
-            tel::event(
-                tel::EventKind::TuningPass,
-                "aim.tune",
-                format!(
-                    "workload {}, candidates {}, created {}, rejected {}, {:.1} ms",
-                    outcome.workload_size,
-                    outcome.candidates_generated,
-                    outcome.created.len(),
-                    outcome.rejected.len(),
-                    outcome.elapsed.as_secs_f64() * 1e3
-                ),
-            );
-        }
     }
 }
 

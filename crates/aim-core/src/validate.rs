@@ -471,18 +471,6 @@ pub fn try_validate_on_clone(
         }
     }
 
-    if aim_telemetry::is_enabled() {
-        aim_telemetry::event(
-            aim_telemetry::EventKind::ValidationVerdict,
-            "validate_on_clone",
-            format!(
-                "accepted {}, rejected {}, clean_round {}",
-                accepted.len(),
-                rejected.len(),
-                clean_round
-            ),
-        );
-    }
     Ok(ValidationOutcome {
         accepted,
         rejected,
@@ -494,8 +482,8 @@ pub fn try_validate_on_clone(
 mod tests {
     use super::*;
     use crate::candidates::{generate_candidates, CandidateGenConfig};
-    use crate::ranking::{knapsack_select, rank_candidates_with};
-    use aim_exec::CostModel;
+    use crate::ranking::{knapsack_select, try_rank_candidates_with};
+    use aim_exec::WhatIfCache;
     use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor};
     use aim_sql::parse_statement;
     use aim_storage::{ColumnDef, ColumnType, IndexDef, TableSchema, Value};
@@ -552,7 +540,8 @@ mod tests {
             },
         );
         let cands = generate_candidates(db, &w, &CandidateGenConfig::default());
-        let ranked = rank_candidates_with(db, &w, &cands, &CostModel, 0);
+        let ranked =
+            try_rank_candidates_with(db, &w, &cands, &RunCtl::none(), &WhatIfCache::new()).unwrap();
         let chosen = knapsack_select(&ranked, u64::MAX, 0);
         (w, chosen)
     }

@@ -356,13 +356,6 @@ impl Engine {
         let config = HypoConfig::none();
         let planner = Planner::new(db, select, &config)?;
         let plan = planner.plan()?;
-        if aim_telemetry::is_enabled() && !plan.steps.is_empty() {
-            aim_telemetry::event(
-                aim_telemetry::EventKind::PlanChosen,
-                plan.access_summary(),
-                format!("est cost {:.1}", plan.est_cost),
-            );
-        }
         Ok(OpenSelect {
             engine: self,
             db,

@@ -204,7 +204,7 @@ impl Plan {
     }
 
     /// Compact one-line access-path summary, e.g.
-    /// `orders(ix_cust) -> lineitem(PRIMARY)` (for telemetry events).
+    /// `orders(ix_cust) -> lineitem(PRIMARY)`.
     pub fn access_summary(&self) -> String {
         self.steps
             .iter()

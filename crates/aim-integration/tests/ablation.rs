@@ -5,10 +5,10 @@
 //! of the variants is the claim.
 
 use aim_core::{
-    defs_to_config, generate_candidates, knapsack_select, rank_candidates_with, synthetic_workload,
-    workload_cost, CandidateGenConfig, CoveringPolicy,
+    defs_to_config, generate_candidates, knapsack_select, synthetic_workload,
+    try_rank_candidates_with, workload_cost, CandidateGenConfig, CoveringPolicy, RunCtl,
 };
-use aim_exec::{CostModel, HypoConfig, WhatIfCache};
+use aim_exec::{HypoConfig, WhatIfCache};
 use aim_storage::IndexDef;
 use aim_workloads::join_heavy::{self, JoinHeavyConfig};
 
@@ -28,7 +28,9 @@ fn every_candidate_generation_mechanism_lowers_estimated_cost() {
 
     let rel_cost = |name: &str, cfg: CandidateGenConfig| -> f64 {
         let candidates = generate_candidates(&db, &synthetic, &cfg);
-        let ranked = rank_candidates_with(&db, &synthetic, &candidates, &CostModel, 0);
+        let ranked =
+            try_rank_candidates_with(&db, &synthetic, &candidates, &RunCtl::none(), &cache)
+                .unwrap();
         let defs: Vec<IndexDef> = knapsack_select(&ranked, u64::MAX, 0)
             .into_iter()
             .map(|r| r.candidate.def())

@@ -20,11 +20,11 @@ mod common;
 
 use aim_core::fleet::{FleetConfig, FleetOutcome, Tenant};
 use aim_core::{
-    config_size, generate_candidates, knapsack, knapsack_select, rank_candidates_with,
-    refine_selection, AimAdvisor, AimConfig, AimConfigBuilder, AimOutcome, CandidateGenConfig,
-    IndexAdvisor, RankedCandidate, RunCtl, SelectionStrategy, WeightedQuery,
+    config_size, generate_candidates, knapsack, knapsack_select, refine_selection,
+    try_rank_candidates_with, AimAdvisor, AimConfig, AimConfigBuilder, AimOutcome,
+    CandidateGenConfig, IndexAdvisor, RankedCandidate, RunCtl, SelectionStrategy, WeightedQuery,
 };
-use aim_exec::{CostModel, Engine, WhatIfCache};
+use aim_exec::{Engine, WhatIfCache};
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor};
 use aim_sql::normalize::fnv1a;
 use aim_sql::{parse_statement, Statement};
@@ -145,7 +145,14 @@ fn rank(
 ) -> (usize, Vec<RankedCandidate>, u64) {
     let workload = select_workload(monitor, &selection());
     let candidates = generate_candidates(db, &workload, gen);
-    let ranked = rank_candidates_with(db, &workload, &candidates, &CostModel, 0);
+    let ranked = try_rank_candidates_with(
+        db,
+        &workload,
+        &candidates,
+        &RunCtl::none(),
+        &WhatIfCache::new(),
+    )
+    .unwrap();
     let full = knapsack_select(&ranked, u64::MAX, 0)
         .iter()
         .map(|r| r.size_bytes)

@@ -8,11 +8,11 @@ mod common;
 
 use aim_core::partial_order::{merge_partial_orders, PartialOrder};
 use aim_core::{
-    generate_candidates, knapsack_select, rank_candidates_unbatched, rank_candidates_with,
-    refine_selection, try_rank_candidates_with, validate_on_clone, CandidateGenConfig,
-    CandidateIndex, RankedCandidate, RejectReason, RunCtl, ValidationConfig,
+    generate_candidates, knapsack_select, rank_candidates_unbatched, refine_selection,
+    try_rank_candidates_with, validate_on_clone, CandidateGenConfig, CandidateIndex,
+    RankedCandidate, RejectReason, RunCtl, ValidationConfig,
 };
-use aim_exec::{AccessPath, CostModel, Engine, ExecOutcome, WhatIfCache};
+use aim_exec::{AccessPath, Engine, ExecOutcome, WhatIfCache};
 use aim_monitor::{select_workload, QueryStats, SelectionConfig, WorkloadMonitor, WorkloadQuery};
 use aim_sql::lexer::{lex, Token};
 use aim_sql::normalize::normalize_statement;
@@ -1739,7 +1739,9 @@ fn validation_verdicts_hold_under_a_full_replay() {
             );
         }
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        let ranked = rank_candidates_with(&db, &w, &cands, &CostModel, 0);
+        let ranked =
+            try_rank_candidates_with(&db, &w, &cands, &RunCtl::none(), &WhatIfCache::new())
+                .unwrap();
         let mut chosen = knapsack_select(&ranked, u64::MAX, 0);
         let mut extras = vec![
             injected_candidate(&["d"], 1.0),

@@ -5,7 +5,7 @@
 //! window's monitor. Every window's outcome is pinned as one line: what the
 //! window observed (each template's average cost and the indexes its plan
 //! used), what the step reverted, what its pass created, how many
-//! regressions were counted and journaled, and what the bystander query
+//! regressions it counted and returned, and what the bystander query
 //! `SELECT id FROM t WHERE a = 5` costs afterwards. The unused-index GC is
 //! off, so every drop in a transcript is the judge's.
 //!
@@ -46,7 +46,6 @@ use aim_monitor::{SelectionConfig, WorkloadMonitor};
 use aim_sql::normalize::QueryFingerprint;
 use aim_sql::parse_statement;
 use aim_storage::Database;
-use aim_telemetry::EventKind;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -138,13 +137,6 @@ fn cost_of(db: &mut Database, sql: &str) -> f64 {
         .cost
 }
 
-fn regression_events() -> usize {
-    aim_telemetry::journal::events()
-        .iter()
-        .filter(|e| e.kind == EventKind::RegressionDetected)
-        .count()
-}
-
 fn session() -> aim_core::TuningSession {
     AimConfig::builder()
         .selection(SelectionConfig {
@@ -192,9 +184,11 @@ fn observed(monitor: &WorkloadMonitor) -> String {
 struct Step {
     /// Observed templates, reverted and created indexes.
     decided: String,
-    /// `aim.regressions_detected` and `RegressionDetected` journal entries
-    /// this step added: the one part that may depend on telemetry.
-    counted: String,
+    /// The regressions the step returned (`ContinuousOutcome::regressions`).
+    returned: usize,
+    /// What the step added to `aim.regressions_detected`: the one part
+    /// that depends on telemetry.
+    detected: u64,
     /// The bystander's cost after the step.
     bystander: String,
 }
@@ -219,7 +213,6 @@ fn transcript(scenario: &Scenario, telemetry: bool) -> Vec<Step> {
         let stmts = (scenario.window)(w, &mut db);
         let monitor = observe(&mut db, stmts);
         let detected = aim_telemetry::metrics::REGRESSIONS_DETECTED.get();
-        let journaled = regression_events();
         let out = tuner.step(&mut db, &monitor).unwrap();
         let created: Vec<&str> = out
             .tuning
@@ -267,11 +260,8 @@ fn transcript(scenario: &Scenario, telemetry: bool) -> Vec<Step> {
                 observed(&monitor),
                 out.reverted
             ),
-            counted: format!(
-                "detected +{} journaled +{}",
-                aim_telemetry::metrics::REGRESSIONS_DETECTED.get() - detected,
-                regression_events() - journaled,
-            ),
+            returned: out.regressions.len(),
+            detected: aim_telemetry::metrics::REGRESSIONS_DETECTED.get() - detected,
             bystander: format!("bystander {:.1}", cost_of(&mut db, BYSTANDER)),
         });
     }
@@ -286,20 +276,22 @@ fn check(name: &str, scenario: &Scenario, pinned: &[&str]) {
     println!("scenario {name}:");
     let lines: Vec<String> = on
         .iter()
-        .map(|s| format!("{} | {} | {}", s.decided, s.counted, s.bystander))
+        .map(|s| {
+            format!(
+                "{} | detected +{} returned +{} | {}",
+                s.decided, s.detected, s.returned, s.bystander
+            )
+        })
         .collect();
     for line in &lines {
         println!("  {line}");
     }
     assert_eq!(lines, pinned, "scenario {name}");
 
-    let uncounted: Vec<Step> = on
-        .into_iter()
-        .map(|s| Step {
-            counted: "detected +0 journaled +0".into(),
-            ..s
-        })
-        .collect();
+    for s in &on {
+        assert_eq!(s.detected, s.returned as u64, "{}", s.decided);
+    }
+    let uncounted: Vec<Step> = on.into_iter().map(|s| Step { detected: 0, ..s }).collect();
     assert_eq!(
         transcript(scenario, false),
         uncounted,
@@ -313,10 +305,10 @@ fn scenario_a_growth_and_a_shift_to_an_unindexed_column() {
         "A",
         &A,
         &[
-            r#"w1: SELECT id FROM t WHERE a = ? 210.4 via [] | reverted [] created ["aim_t_a"] | detected +0 journaled +0 | bystander 6.4"#,
-            r#"w2: SELECT id FROM t WHERE b = ? 3426.0 via [] | reverted [] created ["aim_t_b"] | detected +0 journaled +0 | bystander 27.4"#,
-            r#"w3: SELECT id FROM t WHERE b = ? 459.0 via ["aim_t_b"] | reverted [] created [] | detected +0 journaled +0 | bystander 27.4"#,
-            r#"w4: SELECT id FROM t WHERE b = ? 459.0 via ["aim_t_b"] | reverted [] created [] | detected +0 journaled +0 | bystander 27.4"#,
+            r#"w1: SELECT id FROM t WHERE a = ? 210.4 via [] | reverted [] created ["aim_t_a"] | detected +0 returned +0 | bystander 6.4"#,
+            r#"w2: SELECT id FROM t WHERE b = ? 3426.0 via [] | reverted [] created ["aim_t_b"] | detected +0 returned +0 | bystander 27.4"#,
+            r#"w3: SELECT id FROM t WHERE b = ? 459.0 via ["aim_t_b"] | reverted [] created [] | detected +0 returned +0 | bystander 27.4"#,
+            r#"w4: SELECT id FROM t WHERE b = ? 459.0 via ["aim_t_b"] | reverted [] created [] | detected +0 returned +0 | bystander 27.4"#,
         ],
     );
 }
@@ -327,10 +319,10 @@ fn scenario_a_with_the_bystander_still_in_the_traffic() {
         "A'",
         &A_WITH_BYSTANDER_TRAFFIC,
         &[
-            r#"w1: SELECT id FROM t WHERE a = ? 210.4 via [] | reverted [] created ["aim_t_a"] | detected +0 journaled +0 | bystander 6.4"#,
-            r#"w2: SELECT id FROM t WHERE b = ? 3426.0 via []; SELECT id FROM t WHERE a = ? 27.4 via ["aim_t_a"] | reverted [] created ["aim_t_b"] | detected +0 journaled +0 | bystander 27.4"#,
-            r#"w3: SELECT id FROM t WHERE b = ? 459.0 via ["aim_t_b"]; SELECT id FROM t WHERE a = ? 27.4 via ["aim_t_a"] | reverted [] created [] | detected +0 journaled +0 | bystander 27.4"#,
-            r#"w4: SELECT id FROM t WHERE b = ? 459.0 via ["aim_t_b"]; SELECT id FROM t WHERE a = ? 27.4 via ["aim_t_a"] | reverted [] created [] | detected +0 journaled +0 | bystander 27.4"#,
+            r#"w1: SELECT id FROM t WHERE a = ? 210.4 via [] | reverted [] created ["aim_t_a"] | detected +0 returned +0 | bystander 6.4"#,
+            r#"w2: SELECT id FROM t WHERE b = ? 3426.0 via []; SELECT id FROM t WHERE a = ? 27.4 via ["aim_t_a"] | reverted [] created ["aim_t_b"] | detected +0 returned +0 | bystander 27.4"#,
+            r#"w3: SELECT id FROM t WHERE b = ? 459.0 via ["aim_t_b"]; SELECT id FROM t WHERE a = ? 27.4 via ["aim_t_a"] | reverted [] created [] | detected +0 returned +0 | bystander 27.4"#,
+            r#"w4: SELECT id FROM t WHERE b = ? 459.0 via ["aim_t_b"]; SELECT id FROM t WHERE a = ? 27.4 via ["aim_t_a"] | reverted [] created [] | detected +0 returned +0 | bystander 27.4"#,
         ],
     );
 }
@@ -341,10 +333,10 @@ fn scenario_b_an_index_that_hurts_the_query_using_it() {
         "B",
         &B,
         &[
-            r#"w1: SELECT id, b FROM t WHERE a = ? 210.4 via [] | reverted [] created ["aim_t_a"] | detected +0 journaled +0 | bystander 6.4"#,
-            r#"w2: SELECT id, b FROM t WHERE a = ? 247345.4 via ["aim_t_a"] | reverted ["aim_t_a"] created [] | detected +1 journaled +1 | bystander 4498.4"#,
-            r#"w3: SELECT id, b FROM t WHERE a = ? 4498.4 via [] | reverted [] created [] | detected +1 journaled +1 | bystander 4498.4"#,
-            r#"w4: SELECT id, b FROM t WHERE a = ? 4498.4 via [] | reverted [] created [] | detected +0 journaled +0 | bystander 4498.4"#,
+            r#"w1: SELECT id, b FROM t WHERE a = ? 210.4 via [] | reverted [] created ["aim_t_a"] | detected +0 returned +0 | bystander 6.4"#,
+            r#"w2: SELECT id, b FROM t WHERE a = ? 247345.4 via ["aim_t_a"] | reverted ["aim_t_a"] created [] | detected +1 returned +1 | bystander 4498.4"#,
+            r#"w3: SELECT id, b FROM t WHERE a = ? 4498.4 via [] | reverted [] created [] | detected +1 returned +1 | bystander 4498.4"#,
+            r#"w4: SELECT id, b FROM t WHERE a = ? 4498.4 via [] | reverted [] created [] | detected +0 returned +0 | bystander 4498.4"#,
         ],
     );
 }
@@ -355,12 +347,12 @@ fn scenario_c_write_amplification() {
         "C",
         &C,
         &[
-            r#"w1: SELECT id FROM t WHERE a = ? 210.4 via []; INSERT INTO t VALUES (?, ?, ?) 2.2 via [] | reverted [] created ["aim_t_a"] | detected +0 journaled +0 | bystander 6.4"#,
-            r#"w2: SELECT id FROM t WHERE a = ? 6.4 via ["aim_t_a"]; INSERT INTO t VALUES (?, ?, ?) 4.4 via [] | reverted [] created [] | detected +1 journaled +1 | bystander 6.4"#,
-            r#"w3: SELECT id FROM t WHERE a = ? 6.4 via ["aim_t_a"]; INSERT INTO t VALUES (?, ?, ?) 4.4 via [] | reverted [] created [] | detected +0 journaled +0 | bystander 6.4"#,
-            r#"w4: SELECT id FROM t WHERE a = ? 6.4 via ["aim_t_a"]; INSERT INTO t VALUES (?, ?, ?) 4.4 via [] | reverted [] created [] | detected +0 journaled +0 | bystander 6.4"#,
-            r#"w5: SELECT id FROM t WHERE a = ? 6.4 via ["aim_t_a"] | reverted [] created [] | detected +0 journaled +0 | bystander 6.4"#,
-            r#"w6: SELECT id FROM t WHERE a = ? 6.4 via ["aim_t_a"]; INSERT INTO t VALUES (?, ?, ?) 4.4 via [] | reverted [] created [] | detected +1 journaled +1 | bystander 6.4"#,
+            r#"w1: SELECT id FROM t WHERE a = ? 210.4 via []; INSERT INTO t VALUES (?, ?, ?) 2.2 via [] | reverted [] created ["aim_t_a"] | detected +0 returned +0 | bystander 6.4"#,
+            r#"w2: SELECT id FROM t WHERE a = ? 6.4 via ["aim_t_a"]; INSERT INTO t VALUES (?, ?, ?) 4.4 via [] | reverted [] created [] | detected +1 returned +1 | bystander 6.4"#,
+            r#"w3: SELECT id FROM t WHERE a = ? 6.4 via ["aim_t_a"]; INSERT INTO t VALUES (?, ?, ?) 4.4 via [] | reverted [] created [] | detected +0 returned +0 | bystander 6.4"#,
+            r#"w4: SELECT id FROM t WHERE a = ? 6.4 via ["aim_t_a"]; INSERT INTO t VALUES (?, ?, ?) 4.4 via [] | reverted [] created [] | detected +0 returned +0 | bystander 6.4"#,
+            r#"w5: SELECT id FROM t WHERE a = ? 6.4 via ["aim_t_a"] | reverted [] created [] | detected +0 returned +0 | bystander 6.4"#,
+            r#"w6: SELECT id FROM t WHERE a = ? 6.4 via ["aim_t_a"]; INSERT INTO t VALUES (?, ?, ?) 4.4 via [] | reverted [] created [] | detected +1 returned +1 | bystander 6.4"#,
         ],
     );
 }
@@ -371,10 +363,10 @@ fn scenario_d_every_template_slower_within_the_tolerance() {
         "D",
         &D,
         &[
-            r#"w1: SELECT id FROM t WHERE b = ? 218.0 via []; SELECT id FROM t WHERE a = ? 210.4 via [] | reverted [] created ["aim_t_a", "aim_t_b"] | detected +0 journaled +0 | bystander 6.4"#,
-            r#"w2: SELECT id FROM t WHERE b = ? 33.0 via ["aim_t_b"]; SELECT id FROM t WHERE a = ? 6.4 via ["aim_t_a"] | reverted [] created [] | detected +0 journaled +0 | bystander 6.4"#,
-            r#"w3: SELECT id FROM t WHERE b = ? 42.8 via ["aim_t_b"]; SELECT id FROM t WHERE a = ? 6.9 via ["aim_t_a"] | reverted [] created [] | detected +0 journaled +0 | bystander 6.9"#,
-            r#"w4: SELECT id FROM t WHERE b = ? 42.8 via ["aim_t_b"]; SELECT id FROM t WHERE a = ? 6.9 via ["aim_t_a"] | reverted [] created [] | detected +0 journaled +0 | bystander 6.9"#,
+            r#"w1: SELECT id FROM t WHERE b = ? 218.0 via []; SELECT id FROM t WHERE a = ? 210.4 via [] | reverted [] created ["aim_t_a", "aim_t_b"] | detected +0 returned +0 | bystander 6.4"#,
+            r#"w2: SELECT id FROM t WHERE b = ? 33.0 via ["aim_t_b"]; SELECT id FROM t WHERE a = ? 6.4 via ["aim_t_a"] | reverted [] created [] | detected +0 returned +0 | bystander 6.4"#,
+            r#"w3: SELECT id FROM t WHERE b = ? 42.8 via ["aim_t_b"]; SELECT id FROM t WHERE a = ? 6.9 via ["aim_t_a"] | reverted [] created [] | detected +0 returned +0 | bystander 6.9"#,
+            r#"w4: SELECT id FROM t WHERE b = ? 42.8 via ["aim_t_b"]; SELECT id FROM t WHERE a = ? 6.9 via ["aim_t_a"] | reverted [] created [] | detected +0 returned +0 | bystander 6.9"#,
         ],
     );
 }

@@ -2,10 +2,10 @@
 //! storage engine, and the durability contract across kills and reopens.
 
 use aim_core::{
-    generate_candidates, knapsack_select, rank_candidates_with, validate_on_clone, AimConfig,
-    BackendSpec, CandidateGenConfig, ValidationConfig,
+    generate_candidates, knapsack_select, try_rank_candidates_with, validate_on_clone, AimConfig,
+    BackendSpec, CandidateGenConfig, RunCtl, ValidationConfig,
 };
-use aim_exec::{CostModel, Engine, IoAccuracy};
+use aim_exec::{Engine, IoAccuracy, WhatIfCache};
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor};
 use aim_sql::parse_statement;
 use aim_storage::{
@@ -256,7 +256,14 @@ fn a_read_only_pass_on_disk_adopts_the_beds_builds_and_they_survive_a_kill() {
     };
     let workload = select_workload(&monitor, &selection);
     let candidates = generate_candidates(&db, &workload, &CandidateGenConfig::default());
-    let ranked = rank_candidates_with(&db, &workload, &candidates, &CostModel, 0);
+    let ranked = try_rank_candidates_with(
+        &db,
+        &workload,
+        &candidates,
+        &RunCtl::none(),
+        &WhatIfCache::new(),
+    )
+    .unwrap();
     let chosen = knapsack_select(&ranked, u64::MAX, 0);
     let outcome = validate_on_clone(
         &db,

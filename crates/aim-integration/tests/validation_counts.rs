@@ -17,10 +17,10 @@
 mod common;
 
 use aim_core::{
-    generate_candidates, knapsack_select, rank_candidates_with, validate_on_clone, AimConfig,
-    CandidateGenConfig, RankedCandidate, ValidationConfig,
+    generate_candidates, knapsack_select, try_rank_candidates_with, validate_on_clone, AimConfig,
+    CandidateGenConfig, RankedCandidate, RunCtl, ValidationConfig,
 };
-use aim_exec::{CostModel, Engine};
+use aim_exec::{Engine, WhatIfCache};
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor, WorkloadQuery};
 use aim_sql::{parse_statement, Statement};
 use aim_storage::fault::{self, FaultPlan};
@@ -61,7 +61,14 @@ fn observed(mut db: Database) -> (Database, WorkloadMonitor) {
 fn chosen(db: &Database, monitor: &WorkloadMonitor) -> (Vec<WorkloadQuery>, Vec<RankedCandidate>) {
     let workload = select_workload(monitor, &selection());
     let candidates = generate_candidates(db, &workload, &CandidateGenConfig::default());
-    let ranked = rank_candidates_with(db, &workload, &candidates, &CostModel, 0);
+    let ranked = try_rank_candidates_with(
+        db,
+        &workload,
+        &candidates,
+        &RunCtl::none(),
+        &WhatIfCache::new(),
+    )
+    .unwrap();
     let chosen = knapsack_select(&ranked, u64::MAX, 0);
     (workload, chosen)
 }

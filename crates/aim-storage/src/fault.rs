@@ -218,8 +218,8 @@ fn fnv(s: &str) -> u64 {
 
 /// Consults the armed plan at an operation site. Returns the fault to
 /// apply, if any; [`FaultKind::Latency`] sleeps *here* (outside the state
-/// lock) and is also returned so callers may journal it. Disarmed, this is
-/// one relaxed atomic load.
+/// lock) and is still returned, so the caller knows it fired.
+/// Disarmed, this is one relaxed atomic load.
 #[inline]
 pub fn hit(site: &str) -> Option<FaultKind> {
     if !ARMED.load(Ordering::Relaxed) {

@@ -2,7 +2,7 @@
 //!
 //! The paper's AIM runs continuously against production traffic and must be
 //! debuggable when it mis-tunes (§VII); this crate is the repro's
-//! first-class instrumentation layer. It is std-only and provides three
+//! first-class instrumentation layer. It is std-only and provides two
 //! primitives, wired through every crate of the workspace:
 //!
 //! * **Spans** ([`span`](mod@span)) — RAII timers forming a phase tree. Nested spans
@@ -14,15 +14,14 @@
 //!   evaluated, rows read, ...), ad-hoc counters, gauges and log₂-bucket
 //!   histograms, each observation landing in exactly one series and
 //!   all-tenant totals summed when read.
-//! * **Event journal** ([`journal`]) — a bounded ring buffer of structured
-//!   events (plan chosen, candidate merged, index accepted/rejected,
-//!   regression detected, validation verdict), read back with
-//!   [`journal::events`] and served at `/journal`.
+//!
+//! What the advisor decided is not telemetry: it lives in what a pass
+//! returns and in `aim-core`'s decision ledger.
 //!
 //! Telemetry is **off by default**. When disabled, spans skip all
-//! bookkeeping (one atomic load + one `Instant::now`), counters are no-ops,
-//! and events vanish — the advisor hot path stays within noise of the
-//! uninstrumented build. Enable it around the region you want profiled:
+//! bookkeeping (one atomic load + one `Instant::now`) and counters are
+//! no-ops — the advisor hot path stays within noise of the uninstrumented
+//! build. Enable it around the region you want profiled:
 //!
 //! ```
 //! use aim_telemetry as tel;
@@ -35,11 +34,6 @@
 //!         let _gen = tel::span("candidate_generation");
 //!         tel::metrics::WHATIF_CALLS.add(3);
 //!     }
-//!     tel::journal::event(
-//!         tel::journal::EventKind::IndexAccepted,
-//!         "aim_orders_customer",
-//!         "benefit 812.0",
-//!     );
 //! }
 //! tel::disable();
 //!
@@ -47,10 +41,8 @@
 //! assert_eq!(profile.children[0].name, "tune");
 //! assert_eq!(profile.children[0].children[0].name, "candidate_generation");
 //! assert_eq!(tel::metrics::WHATIF_CALLS.get(), 3);
-//! assert_eq!(tel::journal::events().len(), 1);
 //! ```
 
-pub mod journal;
 pub mod jsonv;
 pub mod metrics;
 pub mod report;
@@ -58,7 +50,6 @@ pub mod serve;
 pub mod span;
 pub mod trace;
 
-pub use journal::{event, events, Event, EventKind};
 pub use metrics::{
     scope, scope_phase, snapshot, Counter, HistogramSnapshot, Series, Snapshot, TelemetryScope,
 };
@@ -79,7 +70,7 @@ pub fn enable() {
 }
 
 /// Turns telemetry collection off (process-wide). Open spans keep timing
-/// but close normally; new spans, counter updates and events are skipped.
+/// but close normally; new spans and counter updates are skipped.
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
@@ -90,11 +81,9 @@ pub fn is_enabled() -> bool {
 }
 
 /// Clears all collected state: counters, gauges, histograms, labeled
-/// series, the event journal, the calling thread's span profile and the
-/// trace recorder.
+/// series, the calling thread's span profile and the trace recorder.
 pub fn reset() {
     metrics::reset();
-    journal::reset();
     span::reset();
     trace::reset();
 }
@@ -125,8 +114,6 @@ mod tests {
             let _s = span("ignored");
         }
         assert!(profile_snapshot().children.is_empty());
-        event(EventKind::PlanChosen, "t", "d");
-        assert!(events().is_empty());
 
         enable();
         assert!(is_enabled());

@@ -147,8 +147,6 @@ builtin_counters! {
         "Batch members served by an identical-projection plan.";
     SELECTION_LP_ITERATIONS = "selection.lp.iterations",
         "Simplex iterations performed by the LP selector.";
-    JOURNAL_DROPPED = "telemetry.journal_dropped",
-        "Events evicted from the journal ring before being read.";
     FLEET_SHARDS_TUNED = "fleet.shards_tuned", "Tenant tuning passes completed inside fleet runs.";
     /// Tenants granted more than the uniform per-shard budget share by the
     /// fleet-level knapsack allocation.

@@ -3,13 +3,12 @@
 //! [`render_profile`] pretty-prints a span tree with per-phase wall time,
 //! call counts and percent-of-parent; [`render_counters`] tabulates a
 //! metrics snapshot; [`write_artifact`] dumps the full telemetry state
-//! (counters, gauges, histograms, profile, journal) as one JSON document —
+//! (counters, gauges, histograms, profile) as one JSON document —
 //! the machine-readable artifact the bench binaries drop into `results/`.
 //!
 //! JSON is emitted by hand (this crate takes no dependencies); the format
 //! is plain nested objects, stable enough to diff across runs.
 
-use crate::journal::Event;
 use crate::metrics::Snapshot;
 use crate::span::ProfileNode;
 use std::fmt::Write as _;
@@ -32,17 +31,6 @@ pub fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// One event as a JSON object (also the JSON-lines sink format).
-pub fn event_json(e: &Event) -> String {
-    format!(
-        "{{\"seq\":{},\"kind\":\"{}\",\"target\":\"{}\",\"detail\":\"{}\"}}",
-        e.seq,
-        e.kind.as_str(),
-        json_escape(&e.target),
-        json_escape(&e.detail)
-    )
 }
 
 pub(crate) fn profile_node_json(node: &ProfileNode, out: &mut String) {
@@ -119,14 +107,7 @@ pub fn artifact_json(label: &str) -> String {
         }
         profile_node_json(c, &mut out);
     }
-    out.push_str("],\"events\":[");
-    for (i, e) in crate::journal::events().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&event_json(e));
-    }
-    let _ = write!(out, "],\"events_dropped\":{}}}", crate::journal::dropped());
+    out.push_str("]}");
     out
 }
 
@@ -197,11 +178,11 @@ pub fn render_profile(profile: &ProfileNode) -> String {
     out
 }
 
-/// Tabulates the non-zero instruments of a snapshot. Telemetry health
-/// meters are rendered even at zero: a report must show that the journal
-/// and the series store lost nothing, not silently omit them.
+/// Tabulates the non-zero instruments of a snapshot. The telemetry health
+/// meter is rendered even at zero: a report must show that the series
+/// store lost nothing, not silently omit it.
 pub fn render_counters(s: &Snapshot) -> String {
-    const ALWAYS: &[&str] = &["telemetry.journal_dropped", "telemetry.series_dropped"];
+    const ALWAYS: &[&str] = &["telemetry.series_dropped"];
     let mut out = String::new();
     for (series, v) in &s.counters {
         if *v > 0 || ALWAYS.iter().any(|name| series.is_bare(name)) {
@@ -249,7 +230,6 @@ mod tests {
             let _s = crate::span("root");
             let _c = crate::span("child");
         }
-        crate::journal::event(crate::EventKind::TuningPass, "pass", "ok");
         crate::disable();
         let json = artifact_json("test");
         // Structural sanity: balanced braces/brackets, expected keys.
@@ -259,9 +239,7 @@ mod tests {
             "\"label\":\"test\"",
             "\"counters\"",
             "\"profile\"",
-            "\"events\"",
             "\"root\"",
-            "\"tuning_pass\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -5,7 +5,7 @@
 //! Security posture: **off by default** — nothing listens unless the host
 //! process calls [`IntrospectionServer::start`] — and the listener binds
 //! `127.0.0.1` only, so the endpoint is never reachable off-box. It serves
-//! read-only GETs, holds no state of its own, and supports exactly six
+//! read-only GETs, holds no state of its own, and supports exactly five
 //! routes:
 //!
 //! * `/metrics` — counters, gauges and histograms in Prometheus text
@@ -13,7 +13,6 @@
 //!   quantile lines); the one live view of "how much lately": two
 //!   scrapes diffed give every rate, and every windowed mean from
 //!   `_sum`/`_count`,
-//! * `/journal` — the event ring buffer as a JSON array,
 //! * `/profile` — the published span tree (see
 //!   [`crate::publish_profile`]) as JSON,
 //! * `/trace` — the Chrome trace-event buffer from [`crate::trace`],
@@ -159,7 +158,7 @@ fn serve_one(mut stream: TcpStream) -> std::io::Result<()> {
                 "200 OK",
                 "text/plain; charset=utf-8",
                 "aim introspection endpoint\n\
-                 routes: /metrics /journal /profile /trace /ledger /fleet\n"
+                 routes: /metrics /profile /trace /ledger /fleet\n"
                     .to_string(),
             ),
             "/metrics" => (
@@ -167,7 +166,6 @@ fn serve_one(mut stream: TcpStream) -> std::io::Result<()> {
                 "text/plain; version=0.0.4; charset=utf-8",
                 render_prometheus(&crate::metrics::snapshot()),
             ),
-            "/journal" => ("200 OK", "application/json", journal_body()),
             "/profile" => ("200 OK", "application/json", profile_body()),
             "/trace" => (
                 "200 OK",
@@ -193,8 +191,7 @@ fn serve_one(mut stream: TcpStream) -> std::io::Result<()> {
             _ => (
                 "404 Not Found",
                 "text/plain; charset=utf-8",
-                "unknown route (try /metrics, /journal, /profile, /trace, /ledger, /fleet)\n"
-                    .to_string(),
+                "unknown route (try /metrics, /profile, /trace, /ledger, /fleet)\n".to_string(),
             ),
         }
     };
@@ -330,21 +327,6 @@ fn fleet_json(sort: &str, top: usize) -> String {
         "],\"series_active\":{},\"series_dropped\":{}}}",
         crate::metrics::series_count(),
         snap.counter("telemetry.series_dropped").unwrap_or(0),
-    ));
-    out
-}
-
-fn journal_body() -> String {
-    let mut out = String::from("{\"events\":[");
-    for (i, e) in crate::journal::events().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&crate::report::event_json(e));
-    }
-    out.push_str(&format!(
-        "],\"events_dropped\":{}}}",
-        crate::journal::dropped()
     ));
     out
 }
@@ -499,7 +481,6 @@ mod tests {
         for v in [1.0, 8.0, 100.0] {
             crate::metrics::histogram_record("exec.whatif_cost", v);
         }
-        crate::journal::event(crate::EventKind::IndexAccepted, "aim_t_a", "why");
         crate::trace::start_recording();
         {
             let _s = crate::span("pass");
@@ -522,17 +503,6 @@ mod tests {
         assert!(body.contains("aim_exec_whatif_cost{quantile=\"0.5\"}"));
         assert!(body.contains("aim_exec_whatif_cost{quantile=\"0.99\"}"));
         assert!(body.contains("aim_exec_whatif_cost_count 3"));
-
-        let (head, body) = get(addr, "/journal");
-        assert!(head.starts_with("HTTP/1.1 200"));
-        let parsed = crate::jsonv::parse(&body).expect("journal is JSON");
-        assert_eq!(
-            parsed
-                .path("events")
-                .and_then(crate::jsonv::Json::as_arr)
-                .map(<[crate::jsonv::Json]>::len),
-            Some(1)
-        );
 
         let (head, body) = get(addr, "/profile");
         assert!(head.starts_with("HTTP/1.1 200"));
@@ -651,13 +621,9 @@ mod tests {
         assert!(
             text.contains("aim_exec_select_cost{tenant=\"tenant with space\",quantile=\"0.5\"}")
         );
-        // The new counters are part of the fixed taxonomy and always appear.
-        for family in [
-            "aim_telemetry_journal_dropped",
-            "aim_telemetry_series_dropped",
-        ] {
-            assert!(text.contains(&format!("# HELP {family} ")), "{family}");
-        }
+        // The health counter is part of the fixed taxonomy and always
+        // appears.
+        assert!(text.contains("# HELP aim_telemetry_series_dropped "));
         crate::reset();
     }
 
