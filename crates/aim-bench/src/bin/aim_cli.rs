@@ -31,15 +31,15 @@
 //!     explain demo "SELECT id FROM orders WHERE customer_id = 7"
 //!
 //! # continuous tuning over N observation windows, with the live
-//! # introspection endpoint (/metrics, /profile, /trace, /ledger,
-//! # /fleet); artifacts are written only where a path is given
+//! # introspection endpoint (every route of `aim_telemetry::ROUTES`);
+//! # artifacts are written only where a path is given
 //! cargo run -p aim-bench --bin aim_cli --release -- \
 //!     continuous tpch --windows 3 --serve 7800 --trace-out /tmp/trace_tpch.json \
 //!     --ledger-out /tmp/decision_ledger.json --telemetry-out /tmp/telemetry.json
 //!
 //! # tune a Zipf-skewed tenant fleet through one FleetSession run
-//! # (fleet-level knapsack budget allocation), optionally serving
-//! # /metrics and /fleet live
+//! # (fleet-level knapsack budget allocation), optionally serving the
+//! # introspection endpoint live (/metrics and /fleet carry the tenants)
 //! cargo run -p aim-bench --bin aim_cli --release -- \
 //!     fleet --tenants 32 --skew 1.2 --selection lp --serve 7800
 //! ```
@@ -180,9 +180,10 @@ fn shell_config(strategy: SelectionStrategy) -> aim_core::AimConfigBuilder {
 }
 
 /// Starts the loopback introspection endpoint and says what it serves.
-fn serve(port: u16, routes: &str) -> aim_telemetry::IntrospectionServer {
+fn serve(port: u16) -> aim_telemetry::IntrospectionServer {
     match aim_telemetry::IntrospectionServer::start(port) {
         Ok(s) => {
+            let routes = aim_telemetry::ROUTES.join(" ");
             println!("introspection endpoint: http://{} ({routes})", s.addr());
             s
         }
@@ -539,7 +540,7 @@ fn run_continuous(args: &[String], strategy: SelectionStrategy, trace_out: Optio
     // share one ledger.
     let ledger_handle = session.clone();
     aim_telemetry::set_ledger_source(Box::new(move || ledger_handle.ledger_json()));
-    let server = serve_on.map(|port| serve(port, "/metrics /profile /trace /ledger /fleet"));
+    let server = serve_on.map(serve);
 
     let mut tuner = aim_core::ContinuousTuner::with_session(session.clone(), 0.5);
     for w in 1..=windows {
@@ -620,7 +621,7 @@ fn run_fleet(args: &[String], strategy: SelectionStrategy) {
 
     aim_telemetry::reset();
     aim_telemetry::enable();
-    let server = serve_on.map(|port| serve(port, "/metrics /fleet"));
+    let server = serve_on.map(serve);
 
     println!("generating fleet: {tenants} tenants, Zipf s = {skew}");
     let spec = aim_workloads::fleet::FleetSpec {

@@ -108,8 +108,8 @@ pub use ledger::{CandidateRecord, DecisionLedger, LedgerEvent};
 pub use metadata::{analyze_structure, FactorGroup, QueryStructure, TableInfo};
 pub use partial_order::{merge_partial_orders, PartialOrder};
 pub use ranking::{
-    knapsack, knapsack_select, rank_candidates_unbatched, rank_candidates_with,
-    try_rank_candidates_with, KnapsackDecision, RankedCandidate,
+    knapsack, knapsack_select, rank_candidates_with, try_rank_candidates_with, KnapsackDecision,
+    RankedCandidate,
 };
 pub use selection_lp::{refine_selection, LpDecision, LpOutcome};
 pub use session::{

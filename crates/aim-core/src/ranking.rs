@@ -16,7 +16,7 @@
 use crate::candidates::{is_key_prefix, CandidateIndex};
 use crate::error::AimError;
 use crate::session::RunCtl;
-use aim_exec::whatif::{self, WhatIfCache, WhatIfEntry};
+use aim_exec::whatif::{self, WhatIfCache};
 use aim_exec::{
     estimate_statement_cost, estimate_statement_cost_batch_until, CostModel, ExecError, HypoConfig,
     HypotheticalIndex,
@@ -172,79 +172,18 @@ pub(crate) fn under_ctl<T>(
     })
 }
 
-/// How [`eval_query`] prices one statement under N configurations: through
-/// the one what-if entry point either way, so both variants make the same
-/// what-if calls in the same order, return their results in `configs`
-/// order, rank bit-identically (unit and property tests enforce this) and
-/// fire fault-injection sites in the same order.
-#[derive(Clone, Copy)]
-enum Costing {
-    /// One N-slot call, so parsing, binding, probe contexts and index
-    /// prices are shared across the configs: the hot path.
-    Batched,
-    /// N one-slot calls: the reference behind
-    /// [`rank_candidates_unbatched`].
-    PerConfig,
-}
-
-impl Costing {
-    /// Prices `configs` through `call`, one what-if call per slice this
-    /// costing cuts them into, each under `ctl`.
-    fn price<T>(
-        self,
-        configs: &[&HypoConfig],
-        ctl: &RunCtl,
-        call: impl Fn(&[&HypoConfig], &dyn Fn() -> bool) -> Option<Vec<T>>,
-    ) -> Result<Vec<T>, AimError> {
-        let slots = match self {
-            Costing::Batched => configs.len().max(1),
-            Costing::PerConfig => 1,
-        };
-        let mut out = Vec::with_capacity(configs.len());
-        for slice in configs.chunks(slots) {
-            out.extend(under_ctl(ctl, "ranking", |stop| call(slice, stop))?);
-        }
-        Ok(out)
-    }
-
-    fn selects(
-        self,
-        db: &Database,
-        select: &Select,
-        configs: &[&HypoConfig],
-        ctl: &RunCtl,
-        cache: &WhatIfCache,
-    ) -> Result<Vec<Result<WhatIfEntry, ExecError>>, AimError> {
-        self.price(configs, ctl, |slice, stop| {
-            cache.eval_select_batch_until(db, select, slice, stop)
-        })
-    }
-
-    fn statements(
-        self,
-        db: &Database,
-        stmt: &Statement,
-        configs: &[&HypoConfig],
-        ctl: &RunCtl,
-        cache: &WhatIfCache,
-    ) -> Result<Vec<Result<f64, ExecError>>, AimError> {
-        self.price(configs, ctl, |slice, stop| {
-            estimate_statement_cost_batch_until(db, stmt, slice, stop, cache)
-        })
-    }
-}
-
 /// Evaluates one workload query against all candidates (Eqs. 7–8) and adds
 /// what it contributes to `totals`: the `[empty, relevant]` pair, the
 /// marginal "config minus one index" probes, and the DML maintenance
-/// singletons each go through one [`Costing`] request.
+/// singletons each go through one batched what-if call under `ctl`, so
+/// parsing, binding, probe contexts and index prices are shared across
+/// the configs of a call.
 ///
 /// Injected failures propagate; deterministic ones fall back to ∞/0.
 fn eval_query(
     db: &Database,
     wq: &WorkloadQuery,
     hypos: &Hypos,
-    costing: Costing,
     ctl: &RunCtl,
     cache: &WhatIfCache,
     totals: &mut Totals,
@@ -258,9 +197,10 @@ fn eval_query(
         if !relevant.is_empty() {
             let cfg = HypoConfig::shared(relevant.iter().map(|(_, h)| Arc::clone(h)).collect());
             // The database as it stands, then the full relevant config.
-            let mut pair = costing
-                .selects(db, &select, &[empty_cfg, &cfg], ctl, cache)?
-                .into_iter();
+            let mut pair = under_ctl(ctl, "ranking", |stop| {
+                cache.eval_select_batch_until(db, &select, &[empty_cfg, &cfg], stop)
+            })?
+            .into_iter();
             let cost_empty = cost_or(
                 pair.next().expect("one result per config").map(|e| e.cost),
                 f64::INFINITY,
@@ -310,7 +250,10 @@ fn eval_query(
                             .collect();
                         let without_refs: Vec<&HypoConfig> = withouts.iter().collect();
                         let mut marginals: Vec<f64> = Vec::with_capacity(used.len());
-                        for res in costing.selects(db, &select, &without_refs, ctl, cache)? {
+                        let priced = under_ctl(ctl, "ranking", |stop| {
+                            cache.eval_select_batch_until(db, &select, &without_refs, stop)
+                        })?;
+                        for res in priced {
                             let c_without = cost_or(res.map(|e| e.cost), cost_empty)?;
                             marginals.push((c_without - cost_with).max(0.0));
                         }
@@ -349,7 +292,9 @@ fn eval_query(
                     .map(|(_, h)| HypoConfig::shared(vec![Arc::clone(h)]))
                     .collect();
                 let one_refs: Vec<&HypoConfig> = ones.iter().collect();
-                let results = costing.statements(db, stmt, &one_refs, ctl, cache)?;
+                let results = under_ctl(ctl, "ranking", |stop| {
+                    estimate_statement_cost_batch_until(db, stmt, &one_refs, stop, cache)
+                })?;
                 for ((i, _), res) in affected.iter().zip(results) {
                     let with = cost_or(res, base)?;
                     let overhead = ((with - base) / base).max(0.0) * wq.stats.total_cpu;
@@ -383,20 +328,6 @@ pub fn rank_candidates_with(
         .expect("ranking without deadline or cancel fails only under an armed fault plan")
 }
 
-/// [`try_rank_candidates_with`] costed one config per what-if call — the
-/// reference the batched hot path must match bit for bit (unit and
-/// property tests compare the two).
-pub fn rank_candidates_unbatched(
-    db: &Database,
-    workload: &[WorkloadQuery],
-    candidates: &[CandidateIndex],
-    cache: &WhatIfCache,
-) -> Vec<RankedCandidate> {
-    let ctl = RunCtl::none();
-    rank_core(db, workload, candidates, &ctl, Costing::PerConfig, cache)
-        .expect("ranking without deadline or cancel fails only under an armed fault plan")
-}
-
 /// Ranks under a [`RunCtl`], asking `cache`: the deadline/cancel token is
 /// checked before every what-if call (between queries and between the
 /// slots of a batch), so an abort lands within one call. It propagates an
@@ -409,22 +340,11 @@ pub fn try_rank_candidates_with(
     ctl: &RunCtl,
     cache: &WhatIfCache,
 ) -> Result<Vec<RankedCandidate>, AimError> {
-    rank_core(db, workload, candidates, ctl, Costing::Batched, cache)
-}
-
-fn rank_core(
-    db: &Database,
-    workload: &[WorkloadQuery],
-    candidates: &[CandidateIndex],
-    ctl: &RunCtl,
-    costing: Costing,
-    cache: &WhatIfCache,
-) -> Result<Vec<RankedCandidate>, AimError> {
     let hypos = Hypos::build(db, candidates);
     let mut totals = Totals::default();
     for wq in workload {
         ctl.check("ranking")?;
-        eval_query(db, wq, &hypos, costing, ctl, cache, &mut totals)?;
+        eval_query(db, wq, &hypos, ctl, cache, &mut totals)?;
     }
 
     // An abort that arrived during the last what-if call belongs to this
@@ -901,25 +821,13 @@ mod tests {
     }
 
     #[test]
-    fn batched_ranking_is_bit_identical_to_unbatched() {
-        let mut db = db();
-        let w = mixed_workload(&mut db);
-        let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        // A cold cache each so both paths genuinely plan (no cross-path
-        // leakage).
-        let batched = rank(&db, &w, &cands, &WhatIfCache::new());
-        let sequential = rank_candidates_unbatched(&db, &w, &cands, &WhatIfCache::new());
-        assert!(!batched.is_empty());
-        assert_bit_identical(&sequential, &batched);
-    }
-
-    #[test]
     fn cached_ranking_matches_uncached() {
         let mut db = db();
         let w = mixed_workload(&mut db);
         let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
         let cache = WhatIfCache::new();
         let cold = rank(&db, &w, &cands, &cache);
+        assert!(!cold.is_empty());
         // Twice more: the last pass runs almost entirely off memoized
         // entries and must still match the cold one.
         let warm = rank(&db, &w, &cands, &cache);

@@ -1815,7 +1815,7 @@ mod tests {
                 .unwrap();
         assert!(indexed < bare, "indexed {indexed} vs index-free {bare}");
 
-        // Costing tolerates the parameters; executing them does not.
+        // Pricing tolerates the parameters; executing them does not.
         let err = crate::Engine::default()
             .execute(&mut db, &stmt)
             .unwrap_err();

@@ -178,7 +178,9 @@ impl WhatIfCache {
     /// The what-if question: prices `select` under every config in
     /// `configs`, returning per-config results in input order. Every other
     /// costing entry point of the crate is a spelling of this one, so N
-    /// one-slot calls and one N-slot call answer bit-identically.
+    /// one-slot calls and one N-slot call answer bit-identically: debug
+    /// builds plan every slot that shared anything afresh and assert its
+    /// bits.
     ///
     /// Per config: the `exec.whatif` fault site fires once, before any
     /// cache interaction (an injected failure neither poisons the memo
@@ -261,11 +263,11 @@ impl WhatIfCache {
             };
             let mut shared: HashMap<Vec<u64>, WhatIfEntry> = HashMap::new();
             let mut planned = 0usize;
-            // The last slot planned on the memo's contexts and prices, and
-            // the last answered by another slot's plan: debug builds audit
-            // both against a fresh planner once the batch is done.
+            // Every slot planned on the memo's contexts and prices, and
+            // every slot answered by another slot's plan: debug builds
+            // audit each against a fresh planner once the batch is done.
             #[cfg(debug_assertions)]
-            let (mut last_memo, mut last_shared) = (None, None);
+            let mut reused = Vec::new();
             for (i, key) in misses {
                 let cfg = configs[i];
                 let projection = planner.projection(cfg);
@@ -273,9 +275,7 @@ impl WhatIfCache {
                     Some(e) => {
                         SELECTION_BATCH_PLAN_REUSE.incr();
                         #[cfg(debug_assertions)]
-                        {
-                            last_shared = Some(i);
-                        }
+                        reused.push(i);
                         e.clone()
                     }
                     None => {
@@ -286,9 +286,7 @@ impl WhatIfCache {
                         if planned > 0 {
                             SELECTION_BATCH_BINDING_REUSE.incr();
                             #[cfg(debug_assertions)]
-                            {
-                                last_memo = Some(i);
-                            }
+                            reused.push(i);
                         }
                         planned += 1;
                         let plan = {
@@ -312,7 +310,7 @@ impl WhatIfCache {
                 out[i] = Some(Ok(entry));
             }
             #[cfg(debug_assertions)]
-            for i in [last_memo, last_shared].into_iter().flatten() {
+            for i in reused {
                 if let Some(Ok(entry)) = &out[i] {
                     audit_hit(db, select, configs[i], entry);
                 }
@@ -345,29 +343,23 @@ fn entry_from_plan(plan: &Plan, config: &HypoConfig) -> WhatIfEntry {
 /// on a fresh [`Planner`], outside the fault gate, the span, the call count
 /// and the cache, and hold the entry to that plan's bits: a key missing
 /// something the plan depends on answers another question, and this is
-/// where it shows (DESIGN.md §6). A batch's last slot planned on the
-/// memo's contexts and prices, and its last slot served by an equal
-/// [`Planner::projection`], are held to the same bits (DESIGN.md §17).
-/// The fresh plan runs on a thread of its own, so that what it allocates
-/// stays off the caller's thread-local allocation counts
-/// (`planning_counts.rs` bounds the path it audits, not the audit).
+/// where it shows (DESIGN.md §6). Every slot of a batch that was planned
+/// on the memo's contexts and prices, or served by an equal
+/// [`Planner::projection`], is held to the same bits, so an N-slot batch
+/// answers what N one-slot calls would (DESIGN.md §17). The fresh plan
+/// runs on the calling thread: debug allocation counts include it.
 #[cfg(debug_assertions)]
 fn audit_hit(db: &Database, select: &Select, config: &HypoConfig, hit: &WhatIfEntry) {
-    let audit = || {
-        let plan = Planner::new(db, select, config)
-            .and_then(|planner| planner.plan())
-            .expect("a cached statement plans");
-        let fresh = entry_from_plan(&plan, config);
-        assert!(
-            fresh.cost.to_bits() == hit.cost.to_bits()
-                && fresh.rows.to_bits() == hit.rows.to_bits()
-                && fresh.used_hypos == hit.used_hypos,
-            "{select}: the cache answered {hit:?}, a fresh plan {fresh:?}"
-        );
-    };
-    if let Err(panic) = std::thread::scope(|s| s.spawn(audit).join()) {
-        std::panic::resume_unwind(panic);
-    }
+    let plan = Planner::new(db, select, config)
+        .and_then(|planner| planner.plan())
+        .expect("a cached statement plans");
+    let fresh = entry_from_plan(&plan, config);
+    assert!(
+        fresh.cost.to_bits() == hit.cost.to_bits()
+            && fresh.rows.to_bits() == hit.rows.to_bits()
+            && fresh.used_hypos == hit.used_hypos,
+        "{select}: the cache answered {hit:?}, a fresh plan {fresh:?}"
+    );
 }
 
 /// The process-wide cache behind `aim_core::rank_candidates_with`, and

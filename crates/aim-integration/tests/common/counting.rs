@@ -56,3 +56,14 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (u64, u64) {
 pub fn count<T>(f: impl FnOnce() -> T) -> u64 {
     measure(f).0
 }
+
+/// The number the test profile (debug assertions, which re-derive what the
+/// engine skips, on the calling thread) or a release build counts.
+#[allow(dead_code)] // not every counting binary pins per profile
+pub fn profile<T>(debug: T, release: T) -> T {
+    if cfg!(debug_assertions) {
+        debug
+    } else {
+        release
+    }
+}

@@ -23,7 +23,7 @@ use aim_exec::WhatIfCache;
 use aim_monitor::{select_workload, SelectionConfig, WorkloadQuery};
 use aim_storage::Database;
 use aim_telemetry::metrics::PO_MERGES;
-use counting::count;
+use counting::{count, profile};
 use std::sync::{Mutex, OnceLock};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -133,7 +133,7 @@ fn ranking_counts_on_product_b() {
         "what-if misses, hits"
     );
     assert!(
-        allocations <= RANK_ALLOCATIONS,
+        allocations <= rank_allocations(),
         "try_rank_candidates_with: {allocations} allocations"
     );
 }
@@ -142,4 +142,12 @@ const WHATIF_MISSES: u64 = 4_270;
 const WHATIF_HITS: u64 = 119;
 /// Ranked candidates some query's plan used.
 const BENEFITING: usize = 782;
-const RANK_ALLOCATIONS: u64 = 370_000;
+/// The release bound holds 336 637 (338 681 while ranking copied the
+/// results of each what-if call into a second vector). The test profile
+/// also counts its audit, which plans every what-if slot that shared a
+/// planner or a plan afresh on the calling thread: 511 290. It counted
+/// 346 775 (344 077 under `--nocapture`) while the audit ran on threads
+/// of its own and re-planned only the last shared slot of each batch.
+fn rank_allocations() -> u64 {
+    profile(511_290, 370_000)
+}

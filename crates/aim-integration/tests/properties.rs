@@ -8,9 +8,9 @@ mod common;
 
 use aim_core::partial_order::{merge_partial_orders, PartialOrder};
 use aim_core::{
-    generate_candidates, knapsack_select, rank_candidates_unbatched, refine_selection,
-    try_rank_candidates_with, validate_on_clone, CandidateGenConfig, CandidateIndex,
-    RankedCandidate, RejectReason, RunCtl, ValidationConfig,
+    generate_candidates, knapsack_select, refine_selection, try_rank_candidates_with,
+    validate_on_clone, CandidateGenConfig, CandidateIndex, RankedCandidate, RejectReason, RunCtl,
+    ValidationConfig,
 };
 use aim_exec::{AccessPath, Engine, ExecOutcome, WhatIfCache};
 use aim_monitor::{select_workload, QueryStats, SelectionConfig, WorkloadMonitor, WorkloadQuery};
@@ -1463,64 +1463,6 @@ fn observe_workload(db: &mut Database, runs: &[(String, usize)]) -> Vec<Workload
             include_dml: true,
         },
     )
-}
-
-/// Batched what-if costing must be bit-identical to the per-config
-/// reference path across randomized mixed (SELECT + DML) workloads —
-/// same candidates, same benefits, same maintenance, to the last bit.
-#[test]
-fn batched_ranking_matches_per_config_on_random_workloads() {
-    let cols = ["a", "b", "c"];
-    let ops = ["=", ">", "<", ">="];
-    let mut rng = StdRng::seed_from_u64(0xBA7C);
-    for case in 0..8 {
-        let mut db = int_table(&mut rng, &cols, 150, 25);
-        let n_stmts = rng.gen_range(3..=6usize);
-        let mut runs: Vec<(String, usize)> = Vec::new();
-        for _ in 0..n_stmts {
-            let sql = if rng.gen_bool(0.7) {
-                let pred = |rng: &mut StdRng| {
-                    format!(
-                        "{} {} {}",
-                        cols[rng.gen_range(0..cols.len())],
-                        ops[rng.gen_range(0..ops.len())],
-                        rng.gen_range(0..25i64)
-                    )
-                };
-                let p1 = pred(&mut rng);
-                if rng.gen_bool(0.5) {
-                    let joiner = if rng.gen_bool(0.5) { "AND" } else { "OR" };
-                    format!("SELECT id FROM t WHERE {p1} {joiner} {}", pred(&mut rng))
-                } else {
-                    format!("SELECT id FROM t WHERE {p1}")
-                }
-            } else {
-                format!(
-                    "UPDATE t SET {} = {} WHERE id = {}",
-                    cols[rng.gen_range(0..cols.len())],
-                    rng.gen_range(0..25i64),
-                    rng.gen_range(0..150i64)
-                )
-            };
-            runs.push((sql, rng.gen_range(1..=4usize)));
-        }
-        let w = observe_workload(&mut db, &runs);
-        if w.is_empty() {
-            continue;
-        }
-        let cands = generate_candidates(&db, &w, &CandidateGenConfig::default());
-        if cands.is_empty() {
-            continue;
-        }
-        // A cold cache each so both paths genuinely plan; equality must
-        // come from the costing itself, not shared memoization.
-        let batched =
-            try_rank_candidates_with(&db, &w, &cands, &RunCtl::none(), &WhatIfCache::new())
-                .unwrap();
-        let sequential = rank_candidates_unbatched(&db, &w, &cands, &WhatIfCache::new());
-        assert_ranked_bit_identical(&sequential, &batched);
-        assert!(!batched.is_empty() || case > 0, "degenerate sweep");
-    }
 }
 
 /// Candidate generation deduplicates each table's partial orders and unions

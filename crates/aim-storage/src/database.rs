@@ -348,15 +348,10 @@ impl Database {
     /// and assert the result is identical to what it installed: that is
     /// exact only while a column's statistics depend on nothing but its
     /// values and the row count, and every write marks each column whose
-    /// values it changed (DESIGN.md §18). The recomputation runs on a
-    /// thread of its own, so that allocation counts stay the refresh's.
+    /// values it changed (DESIGN.md §18).
     #[cfg(debug_assertions)]
     fn audit_partial(table: &Table, installed: &TableStats) {
-        let full = std::thread::scope(|s| {
-            s.spawn(|| crate::stats::analyze(table, DEFAULT_BUCKETS))
-                .join()
-                .expect("the audit's ANALYZE")
-        });
+        let full = crate::stats::analyze(table, DEFAULT_BUCKETS);
         assert!(
             full.identical(installed),
             "{}: a partial ANALYZE installed other statistics than a full one",

@@ -444,19 +444,11 @@ impl Table {
     /// Builds with debug assertions — the test profile — build an adopted
     /// index over this table's rows and assert the build equals it, entry
     /// for entry: adoption is sound only while a write to shared rows
-    /// copies them first (DESIGN.md §9). The build runs on a thread of its
-    /// own, so that allocation counts stay the adoption's.
+    /// copies them first (DESIGN.md §9).
     #[cfg(debug_assertions)]
     fn audit_adopted(&self, adopted: &SecondaryIndex) {
-        let built = std::thread::scope(|s| {
-            s.spawn(|| {
-                let (mut ix, entries) = self.build_index(adopted.def().clone()).expect("adoptable");
-                ix.load(entries);
-                ix
-            })
-            .join()
-            .expect("the audit's build")
-        });
+        let (mut built, entries) = self.build_index(adopted.def().clone()).expect("adoptable");
+        built.load(entries);
         assert!(
             built == *adopted && built.size_bytes() == adopted.size_bytes(),
             "{}: the adopted index is not what a build over this table's rows gives",

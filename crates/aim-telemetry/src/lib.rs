@@ -54,7 +54,9 @@ pub use metrics::{
     scope, scope_phase, snapshot, Counter, HistogramSnapshot, Series, Snapshot, TelemetryScope,
 };
 pub use report::{render_counters, render_profile, write_artifact};
-pub use serve::{clear_ledger_source, render_prometheus, set_ledger_source, IntrospectionServer};
+pub use serve::{
+    clear_ledger_source, render_prometheus, set_ledger_source, IntrospectionServer, ROUTES,
+};
 pub use span::{
     profile_snapshot, publish_profile, published_profile, span, take_profile, ProfileNode,
     SpanGuard,

@@ -5,21 +5,8 @@
 //! Security posture: **off by default** — nothing listens unless the host
 //! process calls [`IntrospectionServer::start`] — and the listener binds
 //! `127.0.0.1` only, so the endpoint is never reachable off-box. It serves
-//! read-only GETs, holds no state of its own, and supports exactly five
-//! routes:
-//!
-//! * `/metrics` — counters, gauges and histograms in Prometheus text
-//!   exposition format (histograms as summaries with `p50/p90/p99`
-//!   quantile lines); the one live view of "how much lately": two
-//!   scrapes diffed give every rate, and every windowed mean from
-//!   `_sum`/`_count`,
-//! * `/profile` — the published span tree (see
-//!   [`crate::publish_profile`]) as JSON,
-//! * `/trace` — the Chrome trace-event buffer from [`crate::trace`],
-//! * `/ledger` — whatever JSON document the host registered via
-//!   [`set_ledger_source`] (404 until a session registers one),
-//! * `/fleet` — per-tenant rollups of the tenant-labeled series
-//!   (`?sort=tenant|shards|granted|used|duration|p99`, `?top=N`).
+//! read-only GETs, holds no state of its own, and supports exactly the
+//! routes of [`ROUTES`].
 
 use crate::metrics::Series;
 use std::collections::BTreeMap;
@@ -29,6 +16,22 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Every route the endpoint serves, in the order `/` lists them:
+///
+/// * `/metrics` — counters, gauges and histograms in Prometheus text
+///   exposition format (histograms as summaries with `p50/p90/p99`
+///   quantile lines); the one live view of "how much lately": two
+///   scrapes diffed give every rate, and every windowed mean from
+///   `_sum`/`_count`,
+/// * `/profile` — the published span tree (see
+///   [`crate::publish_profile`]) as JSON,
+/// * `/trace` — the Chrome trace-event buffer from [`crate::trace`],
+/// * `/ledger` — whatever JSON document the host registered via
+///   [`set_ledger_source`] (404 until a session registers one),
+/// * `/fleet` — per-tenant rollups of the tenant-labeled series
+///   (`?sort=tenant|shards|granted|used|duration|p99`, `?top=N`).
+pub const ROUTES: [&str; 5] = ["/metrics", "/profile", "/trace", "/ledger", "/fleet"];
 
 type LedgerSource = Box<dyn Fn() -> String + Send + Sync>;
 
@@ -157,9 +160,7 @@ fn serve_one(mut stream: TcpStream) -> std::io::Result<()> {
             "/" => (
                 "200 OK",
                 "text/plain; charset=utf-8",
-                "aim introspection endpoint\n\
-                 routes: /metrics /profile /trace /ledger /fleet\n"
-                    .to_string(),
+                format!("aim introspection endpoint\nroutes: {}\n", ROUTES.join(" ")),
             ),
             "/metrics" => (
                 "200 OK",
@@ -191,7 +192,7 @@ fn serve_one(mut stream: TcpStream) -> std::io::Result<()> {
             _ => (
                 "404 Not Found",
                 "text/plain; charset=utf-8",
-                "unknown route (try /metrics, /profile, /trace, /ledger, /fleet)\n".to_string(),
+                format!("unknown route (try {})\n", ROUTES.join(", ")),
             ),
         }
     };
@@ -524,8 +525,18 @@ mod tests {
         assert!(crate::jsonv::parse(&body).is_ok());
         clear_ledger_source();
 
-        let (head, _) = get(addr, "/nope");
+        let (head, index) = get(addr, "/");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        let (head, unknown) = get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"));
+        set_ledger_source(|| "{}".to_string());
+        for route in ROUTES {
+            let (head, _) = get(addr, route);
+            assert!(head.starts_with("HTTP/1.1 200"), "{route}: {head}");
+            assert!(index.contains(route), "`/` names {route}: {index}");
+            assert!(unknown.contains(route), "the 404 names {route}: {unknown}");
+        }
+        clear_ledger_source();
 
         server.shutdown();
         // The port is released: a fresh bind to the same port succeeds.

@@ -37,9 +37,11 @@ echo "== release-profile count pins"
 # the same numbers in both. `validation_counts` pins the same numbers in
 # both too; a release build answers reused statements without executing
 # them (`validate::audited` runs only with debug assertions), so this is
-# the run that checks the validation memo as it ships.
+# the run that checks the validation memo as it ships. The test profile's
+# `planning_counts` bound counts the what-if audit; this run holds
+# ranking's bound to the path as it ships.
 cargo test --release -q -p aim-integration --test clone_counts --test storage_counts \
-    --test alloc_budget --test validation_counts
+    --test alloc_budget --test validation_counts --test planning_counts
 
 echo "== pager proofs at stride 1 (release)"
 # The test profile flips every 61st bit of a sealed page and of a WAL
