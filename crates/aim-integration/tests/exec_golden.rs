@@ -283,6 +283,159 @@ fn dml_section(out: &mut String, name: &str, mut db: Database) {
     run_section(out, name, &mut db, &dml_statements(), None);
 }
 
+/// The join shapes whose inner levels the executor may shortcut: an
+/// unindexed inner table matched on a key column holding NULLs, `Int` and
+/// `Float` that compare equal (`5` / `5.0`, `2^53` / `2^53 + 1`) and
+/// strings; conjuncts that fail (integer overflow, `LIKE` on an integer)
+/// before and after the key conjunct; non-covering probes whose level
+/// conjuncts read the index entry's columns only, others only, and both;
+/// an index-ordered `ORDER BY … LIMIT`; and an UPDATE and a DELETE that
+/// locate their rows through a non-covering probe.
+fn edge_join_section(out: &mut String, name: &str, mut db: Database) {
+    const BIG: i64 = 1 << 62;
+    const P53: i64 = 1 << 53;
+    const NULL: Value = Value::Null;
+    let (int, float, text) = (Value::Int, Value::Float, |s: &str| Value::Str(s.into()));
+    let mut create = |table: &str, columns: &[(&str, ColumnType)]| {
+        let columns = columns
+            .iter()
+            .map(|(c, ty)| ColumnDef::new(*c, *ty))
+            .collect();
+        db.create_table(TableSchema::new(table, columns, &["id"]).unwrap())
+            .unwrap();
+    };
+    use ColumnType::{Float as F, Int as I, Str as S};
+    let wide = [("id", I), ("k", I), ("f", F), ("s", S), ("n", I), ("t", S)];
+    create("a", &wide);
+    create("b", &wide);
+    create("c", &[("id", I), ("x", I), ("y", I), ("z", S)]);
+
+    // Outer rows, in key order: the first one's key columns are all NULL,
+    // and only those whose `k` is 5 have a pattern `t`.
+    let a_rows = [
+        [int(1), NULL, NULL, NULL, int(1), NULL],
+        [int(2), int(5), float(5.0), text("x"), int(2), text("x%")],
+        [
+            int(3),
+            int(P53 + 1),
+            float(P53 as f64),
+            text("ab"),
+            int(3),
+            NULL,
+        ],
+        [int(4), int(P53), float(-0.0), text(""), int(-1), NULL],
+        [int(5), float(5.0), int(7), text("ab"), int(0), text("_b")],
+        [int(6), int(7), float(0.0), text("zz"), int(2), NULL],
+    ];
+    // Inner rows: every kind of key value, a huge `n` only where `k` is
+    // NULL (so `a.n * b.n` overflows only on pairs the key rejects), and a
+    // string `t` only where `k` is 5 (so `b.t LIKE a.t` fails everywhere else).
+    let keys = [
+        NULL,
+        int(5),
+        float(5.0),
+        int(P53),
+        int(P53 + 1),
+        float(P53 as f64),
+        int(7),
+        float(-0.0),
+    ];
+    let strings = [NULL, text("x"), text("ab"), text(""), text("AB")];
+    let mut io = aim_storage::IoStats::new();
+    for row in a_rows {
+        db.table_mut("a")
+            .unwrap()
+            .insert(row.to_vec(), &mut io)
+            .unwrap();
+    }
+    for i in 0..40i64 {
+        let k = keys[i as usize % keys.len()].clone();
+        let n = if k.is_null() { int(BIG) } else { int(i % 9) };
+        let t = if matches!(k, Value::Int(5) | Value::Float(5.0)) {
+            text(["x1", "ab"][i as usize % 2])
+        } else {
+            int(i)
+        };
+        let row = vec![
+            int(i),
+            k,
+            keys[(i as usize * 3 + 1) % keys.len()].clone(),
+            strings[i as usize % strings.len()].clone(),
+            n,
+            t,
+        ];
+        db.table_mut("b").unwrap().insert(row, &mut io).unwrap();
+    }
+    for i in 0..800i64 {
+        let x = match i % 400 {
+            0 => NULL,
+            5 => float(3.0),
+            r => int(r),
+        };
+        let row = vec![int(i), x, int(i * 7 % 50), text(&format!("z{i}"))];
+        db.table_mut("c").unwrap().insert(row, &mut io).unwrap();
+    }
+    db.analyze_all();
+
+    let texts = [
+        // Inner full scans matched on a key column.
+        "SELECT a.id, b.id FROM a, b WHERE a.k = b.k",
+        "SELECT a.id, b.id, b.f FROM a, b WHERE a.f = b.k",
+        "SELECT a.id, b.id FROM a, b WHERE b.s = a.s",
+        "SELECT a.id, b.id FROM a, b WHERE a.k = b.f AND b.n > 3",
+        "SELECT a.id, b.id FROM a, b WHERE b.n > 3 AND a.k = b.k",
+        "SELECT a.id, b.id FROM a, b WHERE b.n IN (1, 2, 3) AND b.s IS NOT NULL \
+         AND b.id BETWEEN 2 AND 30 AND a.s = b.s",
+        "SELECT a.id, b.id FROM a, b WHERE a.k <=> b.k",
+        "SELECT a.id, b.id FROM a, b WHERE a.k = b.k AND b.id = a.n + 1",
+        "SELECT a.s, COUNT(*), SUM(b.n), MIN(b.f) FROM a, b WHERE a.k = b.k GROUP BY a.s",
+        "SELECT b1.id, b2.id FROM b AS b1, b AS b2 WHERE b1.k = b2.k AND b1.id < b2.id",
+        "SELECT a.id, b.id, d.id FROM a, b, b AS d WHERE a.k = b.k AND b.s = d.s AND d.n < 4",
+        "SELECT a.id, b.id FROM a, b WHERE a.k = b.k AND a.id = 2",
+        "SELECT a.id, b.id FROM a, b WHERE a.k = b.k ORDER BY a.id LIMIT 3",
+        "SELECT a.id, b.id FROM a, b WHERE a.k = b.k ORDER BY b.id DESC LIMIT 4",
+        // Conjuncts that fail, before and after the key conjunct.
+        "SELECT a.id, b.id FROM a, b WHERE a.n * b.n > 0 AND a.k = b.k",
+        "SELECT a.id, b.id FROM a, b WHERE a.k = b.k AND a.n * b.n > 0",
+        "SELECT a.id, b.id FROM a, b WHERE b.t LIKE a.t AND a.k = b.k",
+        "SELECT a.id, b.id FROM a, b WHERE a.k = b.k AND b.t LIKE a.t",
+        // Non-covering probes of ix_c_x.
+        "CREATE INDEX ix_c_x ON c (x)",
+        "SELECT id, z FROM c WHERE x = 3",
+        "SELECT id, z FROM c WHERE x = 3 AND id > 400",
+        "SELECT id, z FROM c WHERE x = 3 AND y > 30",
+        "SELECT id, z FROM c WHERE y > 30 AND x = 3",
+        "SELECT id, z FROM c WHERE x = 3 AND id > 100 AND y < 40 AND z LIKE 'z4%'",
+        "SELECT id, z FROM c WHERE x IN (1, 3, 6) AND id BETWEEN 5 AND 400 AND z <> 'z103'",
+        "SELECT id, z FROM c WHERE x = 3 AND id * 4611686018427387904 > 0",
+        "SELECT id, z FROM c WHERE x = 3 AND z LIKE id",
+        "SELECT a.id, c.id, c.z FROM a, c WHERE a.n = c.x AND c.id > 10",
+        "SELECT a.id, c.id, c.z FROM a, c WHERE a.n = c.x AND c.y < 40 AND c.id > 10",
+        "SELECT a.id, c.id FROM a, c WHERE c.y > a.n AND a.n = c.x",
+        "SELECT a.id, c.id, c.z FROM a, c WHERE a.k = c.x AND c.id < a.n + 300",
+        "SELECT COUNT(*), SUM(c.y) FROM a, c WHERE a.n = c.x AND c.id >= 8",
+        // An index-ordered ORDER BY … LIMIT.
+        "SELECT id, z FROM c WHERE x BETWEEN 100 AND 103 ORDER BY x LIMIT 4",
+        "SELECT id, z FROM c WHERE x > 390 AND y > 10 ORDER BY x LIMIT 4",
+        "SELECT a.id, c.id FROM c, a WHERE c.x >= 97 AND c.x = a.n + 95 ORDER BY c.x LIMIT 3",
+        // Writes located through a non-covering probe, and what they leave.
+        "UPDATE c SET z = 'u' WHERE x = 3 AND y > 30",
+        "SELECT id, z FROM c WHERE x = 3",
+        "DELETE FROM c WHERE x = 2 AND id < 400",
+        "SELECT id, x, z FROM c WHERE x >= 1 AND x <= 3",
+        "SELECT a.id, c.id, c.z FROM a, c WHERE a.n = c.x AND c.id > 10",
+    ];
+    let stmts: Vec<(String, Statement)> = texts
+        .iter()
+        .enumerate()
+        .map(|(i, sql)| {
+            let stmt = parse_statement(sql).unwrap_or_else(|e| panic!("{e}\n{sql}"));
+            (format!("{i}"), stmt)
+        })
+        .collect();
+    run_section(out, name, &mut db, &stmts, None);
+}
+
 #[test]
 fn executor_digests_match_golden() {
     let mut actual = String::new();
@@ -295,6 +448,13 @@ fn executor_digests_match_golden() {
     dml_section(
         &mut actual,
         "dml.disk",
+        BackendSpec::disk(&dir).provision().expect("disk backend"),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    edge_join_section(&mut actual, "edge.mem", Database::new());
+    edge_join_section(
+        &mut actual,
+        "edge.disk",
         BackendSpec::disk(&dir).provision().expect("disk backend"),
     );
     let _ = std::fs::remove_dir_all(&dir);
