@@ -183,7 +183,7 @@ fn shell_config(strategy: SelectionStrategy) -> aim_core::AimConfigBuilder {
 fn serve(port: u16) -> aim_telemetry::IntrospectionServer {
     match aim_telemetry::IntrospectionServer::start(port) {
         Ok(s) => {
-            let routes = aim_telemetry::ROUTES.join(" ");
+            let routes = aim_telemetry::route_paths(" ");
             println!("introspection endpoint: http://{} ({routes})", s.addr());
             s
         }

@@ -221,6 +221,58 @@ impl BoundExpr {
         }
     }
 
+    /// Calls `f` for every column slot the expression reads, to rebind it.
+    pub fn for_each_column_mut(&mut self, f: &mut impl FnMut(&mut BoundColumn)) {
+        match self {
+            BoundExpr::Column(bc) => f(bc),
+            BoundExpr::Const(_) | BoundExpr::Agg(_) => {}
+            BoundExpr::Neg(e) | BoundExpr::Not(e) | BoundExpr::IsNull { expr: e, .. } => {
+                e.for_each_column_mut(f)
+            }
+            BoundExpr::And(cs) | BoundExpr::Or(cs) => {
+                cs.iter_mut().for_each(|c| c.for_each_column_mut(f))
+            }
+            BoundExpr::Binary { left, right, .. } => {
+                left.for_each_column_mut(f);
+                right.for_each_column_mut(f);
+            }
+            BoundExpr::InList { expr, list, .. } => {
+                expr.for_each_column_mut(f);
+                list.iter_mut().for_each(|c| c.for_each_column_mut(f));
+            }
+            BoundExpr::Between {
+                expr, low, high, ..
+            } => {
+                expr.for_each_column_mut(f);
+                low.for_each_column_mut(f);
+                high.for_each_column_mut(f);
+            }
+            BoundExpr::Like { expr, pattern, .. } => {
+                expr.for_each_column_mut(f);
+                pattern.for_each_column_mut(f);
+            }
+        }
+    }
+
+    /// True when this predicate cannot fail over a tuple whose slots it
+    /// reads are bound: a comparison, IN, BETWEEN or IS NULL over columns
+    /// and constants, which [`Value`]'s total order answers for any
+    /// operands. Anything else may (overflow, `LIKE` on a number, ...).
+    pub fn cannot_fail(&self) -> bool {
+        let operand = |e: &BoundExpr| matches!(e, BoundExpr::Column(_) | BoundExpr::Const(_));
+        match self {
+            BoundExpr::Binary { left, op, right } => {
+                op.is_comparison() && operand(left) && operand(right)
+            }
+            BoundExpr::InList { expr, list, .. } => operand(expr) && list.iter().all(operand),
+            BoundExpr::Between {
+                expr, low, high, ..
+            } => operand(expr) && operand(low) && operand(high),
+            BoundExpr::IsNull { expr, .. } => operand(expr),
+            _ => false,
+        }
+    }
+
     /// True if this filter predicate accepts the tuple (NULL rejects).
     pub fn accepts(&self, tuple: &[Option<&Row>], aggs: &[Value]) -> Result<bool, ExecError> {
         Ok(self.truth(tuple, aggs, None)? == Some(true))

@@ -16,11 +16,14 @@ use crate::eval::{literal_value, AggregateSlots, BoundAggregate, BoundExpr};
 use crate::hypothetical::HypoConfig;
 use crate::planner::{AccessPath, EqSource, IndexChoice, IndexScan, Plan, Planner};
 use crate::predicate::SargValue;
-use aim_sql::ast::{AggFunc, Delete, Expr, Insert, Literal, Select, SelectItem, Statement, Update};
+use aim_sql::ast::{
+    AggFunc, BinOp, Delete, Expr, Insert, Literal, Select, SelectItem, Statement, Update,
+};
 use aim_storage::{Database, IoStats, Key, RangeKeys, Row, Table, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::hash::{Hash, Hasher};
+use std::ops::{Bound, Range};
 
 /// Result of executing one statement.
 #[derive(Debug, Clone)]
@@ -593,6 +596,12 @@ fn index_scan_layout(table: &Table, ix: &IndexScan) -> Result<SlotLayout, ExecEr
     }
     // Every referenced column is in the entry, by the covering check.
     let sec = secondary_index(table, name)?;
+    Ok(SlotLayout::IndexEntry(entry_positions(table, sec)))
+}
+
+/// Where each column of `table` sits in an entry of `sec`: its key
+/// columns, then the primary-key columns; `None` for a column it lacks.
+fn entry_positions(table: &Table, sec: &aim_storage::SecondaryIndex) -> Vec<Option<usize>> {
     let mut positions = vec![None; table.schema().columns.len()];
     for (i, &p) in sec.key_positions().iter().enumerate() {
         positions[p] = Some(i);
@@ -601,7 +610,7 @@ fn index_scan_layout(table: &Table, ix: &IndexScan) -> Result<SlotLayout, ExecEr
     for (i, &p) in sec.pk_positions().iter().enumerate() {
         positions[p] = Some(off + i);
     }
-    Ok(SlotLayout::IndexEntry(positions))
+    positions
 }
 
 fn secondary_index<'t>(
@@ -790,11 +799,116 @@ struct Join<'r> {
     layouts: &'r [SlotLayout],
     /// The access path of each plan step, resolved once.
     access: Vec<Access<'r>>,
-    /// Each level's candidate rows, refilled on every probe of the level.
-    candidates: Vec<Vec<&'r Row>>,
+    /// What each level keeps from one visit to the next.
+    levels: Vec<Level<'r>>,
     buffers: ProbeBuffers<'r>,
     tuple: Tuple<'r>,
     io: IoStats,
+}
+
+/// One join level's rows across its visits. An index level refills them
+/// on every visit. A full-scan level reads its table on the first visit
+/// and keeps the rows: every later visit charges the scan the plan priced
+/// and reads nothing. From its second visit on, a level with a key
+/// conjunct visits only the kept rows whose key hashes as the outer
+/// value does; a row any other bucket holds, or whose key is NULL, the
+/// key conjunct rejects, and what comes before it cannot fail.
+#[derive(Default)]
+struct Level<'r> {
+    /// The candidate rows, in access order.
+    rows: Vec<&'r Row>,
+    /// Visits so far (full-scan levels).
+    visits: u32,
+    key: Option<KeyConjunct>,
+    /// `(hash of the key, position in rows)` of every kept row whose key
+    /// is not NULL, sorted: a bucket is a run of one hash, in row order.
+    /// Built on the second visit.
+    buckets: Vec<(u64, u32)>,
+}
+
+/// A full-scan level's first `inner = outer` conjunct (`=`, not `<=>`)
+/// between a column of its own table and one of a table bound at an
+/// earlier level, when every conjunct before it cannot fail
+/// ([`BoundExpr::cannot_fail`]): a row it rejects, the level's conjuncts
+/// reject without error.
+#[derive(Debug, Clone, Copy)]
+struct KeyConjunct {
+    /// Its position among the level's conjuncts.
+    index: usize,
+    /// The key column's position in this level's rows.
+    inner: usize,
+    /// The outer column it must equal.
+    outer: BoundColumn,
+}
+
+impl KeyConjunct {
+    /// The key conjunct among `conjuncts`, those of the level binding
+    /// table instance `table_idx`. Every other table they read is bound
+    /// at an earlier level: a conjunct sits at the level binding its last
+    /// table.
+    fn find(conjuncts: &[BoundExpr], table_idx: usize) -> Option<Self> {
+        for (index, c) in conjuncts.iter().enumerate() {
+            if let BoundExpr::Binary {
+                left,
+                op: BinOp::Eq,
+                right,
+            } = c
+            {
+                if let (BoundExpr::Column(l), BoundExpr::Column(r)) = (&**left, &**right) {
+                    let (inner, outer) = if l.table_idx == table_idx {
+                        (l, r)
+                    } else {
+                        (r, l)
+                    };
+                    if inner.table_idx == table_idx && outer.table_idx != table_idx {
+                        return Some(Self {
+                            index,
+                            inner: inner.col_idx,
+                            outer: *outer,
+                        });
+                    }
+                }
+            }
+            if !c.cannot_fail() {
+                return None;
+            }
+        }
+        None
+    }
+}
+
+/// The hash a key is bucketed under: equal values hash equal
+/// ([`Value`]'s `Hash`), `Int(5)` and `Float(5.0)` included.
+fn key_hash(v: &Value) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+impl<'r> Level<'r> {
+    /// The positions of the kept rows this visit offers, `None` for all of
+    /// them: on the first visit, and on every visit of a level without a
+    /// key conjunct. The buckets are built when the second visit asks.
+    fn bucket(&mut self, current: &[Option<&Row>]) -> Option<Range<usize>> {
+        let key = self.key.filter(|_| self.visits >= 2)?;
+        if self.visits == 2 {
+            let keyed = self.rows.iter().enumerate().filter_map(|(p, row)| {
+                let v = &row[key.inner];
+                (!v.is_null()).then(|| (key_hash(v), p as u32))
+            });
+            self.buckets.reserve_exact(self.rows.len());
+            self.buckets.extend(keyed);
+            self.buckets.sort_unstable();
+        }
+        let v = &current[key.outer.table_idx]?[key.outer.col_idx];
+        if v.is_null() {
+            return Some(0..0);
+        }
+        let h = key_hash(v);
+        let start = self.buckets.partition_point(|&(x, _)| x < h);
+        let len = self.buckets[start..].partition_point(|&(x, _)| x == h);
+        Some(start..start + len)
+    }
 }
 
 /// The tuple under construction, the conjuncts it must pass and where it
@@ -865,6 +979,108 @@ struct Probe<'r> {
     sources: Vec<Source<'r>>,
     /// The range on the column after the prefix.
     range: (Bound<&'r Value>, Bound<&'r Value>),
+    /// What a non-covering secondary probe tests each entry with before
+    /// it fetches the entry's row.
+    entry: EntryTest<'r>,
+}
+
+/// A non-covering probe's test of an index entry: the leading conjuncts
+/// of its level whose columns of the probed table all lie in the entry,
+/// bound against the entry. An entry they reject without error names a
+/// row the level rejects without error, so the row is not fetched; its
+/// lookup is still charged. Empty for every other probe.
+#[derive(Default)]
+struct EntryTest<'r> {
+    /// The probed table instance.
+    slot: usize,
+    prefix: Vec<BoundExpr>,
+    /// The same conjuncts bound against the row, which the debug audit
+    /// holds each skipped row to.
+    conjuncts: &'r [BoundExpr],
+}
+
+impl<'r> EntryTest<'r> {
+    /// Binds the test of `probe`, which binds table instance `slot` of
+    /// `table` at a level with `conjuncts`.
+    fn bind(probe: &Probe<'r>, table: &Table, slot: usize, conjuncts: &'r [BoundExpr]) -> Self {
+        let Some(sec) = probe.index.filter(|_| !probe.scan.covering) else {
+            return Self::default();
+        };
+        let positions = entry_positions(table, sec);
+        let in_entry = |c: &&BoundExpr| {
+            let mut all = true;
+            c.for_each_column(&mut |bc| {
+                all &= bc.table_idx != slot || positions[bc.col_idx].is_some()
+            });
+            all
+        };
+        let prefix: Vec<BoundExpr> = conjuncts
+            .iter()
+            .take_while(in_entry)
+            .map(|c| {
+                let mut c = c.clone();
+                c.for_each_column_mut(&mut |bc| {
+                    if bc.table_idx == slot {
+                        bc.col_idx = positions[bc.col_idx].expect("checked: in the entry");
+                    }
+                });
+                c
+            })
+            .collect();
+        Self {
+            slot,
+            conjuncts: &conjuncts[..prefix.len()],
+            prefix,
+        }
+    }
+
+    /// True when the prefix rejects `entry` without error, the outer slots
+    /// bound in `current` (its own slot is unbound and stays so).
+    fn rejects(&self, entry: &'r Row, current: &mut [Option<&'r Row>]) -> bool {
+        if self.prefix.is_empty() {
+            return false;
+        }
+        current[self.slot] = Some(entry);
+        let rejected = first_rejection(&self.prefix, current);
+        current[self.slot] = None;
+        matches!(rejected, Some(Ok(())))
+    }
+
+    /// Debug builds: the row of a skipped entry exists, and the level's
+    /// conjuncts up to the prefix's end reject it without error. Read
+    /// without charging and without touching a buffer pool.
+    fn audit_skip(&self, table: &'r Table, pk: &[Value], current: &mut [Option<&'r Row>]) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let row = table
+            .iter_pk_range((Bound::Included(pk), Bound::Included(pk)))
+            .next();
+        let row = row.unwrap_or_else(|| panic!("an index entry names no row: {pk:?}"));
+        current[self.slot] = Some(row);
+        let verdict = first_rejection(self.conjuncts, current);
+        current[self.slot] = None;
+        assert!(
+            matches!(verdict, Some(Ok(()))),
+            "skipped the row {pk:?}, which its level's conjuncts give {verdict:?}"
+        );
+    }
+}
+
+/// Evaluates `conjuncts` in order over `current` as the join does, up to
+/// the first that does not accept: `Some(Ok(()))` when that one rejects,
+/// `Some(Err)` when it fails, `None` when every one accepts.
+fn first_rejection(
+    conjuncts: &[BoundExpr],
+    current: &[Option<&Row>],
+) -> Option<Result<(), ExecError>> {
+    conjuncts
+        .iter()
+        .find_map(|c| match c.accepts(current, &[]) {
+            Ok(true) => None,
+            Ok(false) => Some(Ok(())),
+            Err(e) => Some(Err(e)),
+        })
 }
 
 /// Where a column of a probe prefix takes its value from.
@@ -955,6 +1171,7 @@ impl<'r> Probe<'r> {
             index,
             sources,
             range,
+            entry: EntryTest::default(),
         })
     }
 
@@ -1007,7 +1224,7 @@ impl<'r> Probe<'r> {
     fn fetch(
         &self,
         table: &'r Table,
-        current: &[Option<&Row>],
+        current: &mut [Option<&'r Row>],
         layouts: &[SlotLayout],
         buffers: &mut ProbeBuffers<'r>,
         io: &mut IoStats,
@@ -1038,8 +1255,14 @@ impl<'r> Probe<'r> {
                     entries.clear();
                     let range = keys.prefix_range(prefix, self.range);
                     sec.scan_prefix_range(table, range, io, entries);
-                    for e in entries.iter() {
-                        out.extend(table.pk_lookup(sec.pk_of_entry(e), io));
+                    for &e in entries.iter() {
+                        let pk = sec.pk_of_entry(e);
+                        if self.entry.rejects(e, current) {
+                            self.entry.audit_skip(table, pk, current);
+                            table.charge_pk_lookup(pk, io);
+                        } else {
+                            out.extend(table.pk_lookup(pk, io));
+                        }
                     }
                 }
             }
@@ -1074,14 +1297,27 @@ impl<'r> Join<'r> {
             .iter()
             .map(|step| db.table(&binder.tables()[step.table_idx].table))
             .collect::<Result<_, _>>()?;
-        let access = plan
+        let mut access: Vec<Access<'r>> = plan
             .steps
             .iter()
             .zip(&tables)
             .map(|(step, table)| Access::resolve(table, &step.path))
             .collect::<Result<_, _>>()?;
+        let mut levels: Vec<Level<'r>> = Vec::with_capacity(tables.len());
+        for (level, (step, access)) in plan.steps.iter().zip(&mut access).enumerate() {
+            let (slot, conjuncts) = (step.table_idx, conjuncts[level].as_slice());
+            let mut state = Level::default();
+            match access {
+                Access::FullScan => state.key = KeyConjunct::find(conjuncts, slot),
+                Access::Index(probe) => {
+                    probe.entry = EntryTest::bind(probe, tables[level], slot, conjuncts)
+                }
+                Access::OrUnion(_) => {}
+            }
+            levels.push(state);
+        }
         Ok(Self {
-            candidates: vec![Vec::new(); tables.len()],
+            levels,
             tables,
             layouts,
             access,
@@ -1100,26 +1336,71 @@ impl<'r> Join<'r> {
 
     /// One level of the recursive nested loop.
     fn level(&mut self, level: usize) -> Result<(), ExecError> {
-        let mut candidates = std::mem::take(&mut self.candidates[level]);
-        candidates.clear();
-        self.fetch_rows(level, &mut candidates)?;
-        let table_idx = self.tuple.plan.steps[level].table_idx;
-        let last = level + 1 == self.tables.len();
-        for &row in &candidates {
-            if self.tuple.capped() {
-                break;
-            }
-            if self.tuple.accepts(level, row)? {
-                if last {
-                    self.tuple.emit()?;
-                } else {
-                    self.level(level + 1)?;
+        let mut state = std::mem::take(&mut self.levels[level]);
+        self.fetch_rows(level, &mut state)?;
+        match state.bucket(&self.tuple.current) {
+            None => {
+                for &row in &state.rows {
+                    if !self.offer(level, row)? {
+                        break;
+                    }
                 }
             }
-            self.tuple.current[table_idx] = None;
+            Some(bucket) => {
+                let members = &state.buckets[bucket];
+                self.audit_skipped(level, &state, members);
+                for &(_, p) in members {
+                    if !self.offer(level, state.rows[p as usize])? {
+                        break;
+                    }
+                }
+            }
         }
-        self.candidates[level] = candidates;
+        self.levels[level] = state;
         Ok(())
+    }
+
+    /// Binds `row` at `level` and, when the level's conjuncts accept it,
+    /// joins the next level or emits the tuple; false once the tuple cap
+    /// is reached, before `row` is looked at.
+    fn offer(&mut self, level: usize, row: &'r Row) -> Result<bool, ExecError> {
+        if self.tuple.capped() {
+            return Ok(false);
+        }
+        if self.tuple.accepts(level, row)? {
+            if level + 1 == self.tables.len() {
+                self.tuple.emit()?;
+            } else {
+                self.level(level + 1)?;
+            }
+        }
+        self.tuple.current[self.tuple.plan.steps[level].table_idx] = None;
+        Ok(true)
+    }
+
+    /// Debug builds: every kept row a keyed visit of `level` skips (not
+    /// among `members`, which are in row order) is one the level's
+    /// conjuncts up to the key conjunct reject without error.
+    fn audit_skipped(&mut self, level: usize, state: &Level<'r>, members: &[(u64, u32)]) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let key = state.key.expect("a keyed visit has a key conjunct");
+        let checked = &self.tuple.conjuncts[level][..=key.index];
+        let slot = self.tuple.plan.steps[level].table_idx;
+        let mut members = members.iter().map(|&(_, p)| p as usize).peekable();
+        for (p, &row) in state.rows.iter().enumerate() {
+            if members.next_if_eq(&p).is_some() {
+                continue;
+            }
+            self.tuple.current[slot] = Some(row);
+            let verdict = first_rejection(checked, &self.tuple.current);
+            self.tuple.current[slot] = None;
+            assert!(
+                matches!(verdict, Some(Ok(()))),
+                "a keyed visit of level {level} skipped row {p}, which its conjuncts give {verdict:?}"
+            );
+        }
     }
 
     /// Early-terminating scan for ORDER BY ... LIMIT served from index
@@ -1188,10 +1469,10 @@ impl<'r> Join<'r> {
         Ok(true)
     }
 
-    /// Fetches the candidate rows of level `level` into `out`, given the
+    /// Fetches the candidate rows of level `level` into `state`, given the
     /// outer slots of the current tuple. All I/O of the access is charged
     /// here, up front, whether or not the join consumes every candidate.
-    fn fetch_rows(&mut self, level: usize, out: &mut Vec<&'r Row>) -> Result<(), ExecError> {
+    fn fetch_rows(&mut self, level: usize, state: &mut Level<'r>) -> Result<(), ExecError> {
         let Join {
             tables,
             layouts,
@@ -1202,17 +1483,28 @@ impl<'r> Join<'r> {
             ..
         } = self;
         let table = tables[level];
+        let out = &mut state.rows;
         match &access[level] {
-            Access::FullScan => out.extend(table.scan_all(io)),
+            Access::FullScan => {
+                // Every visit charges the scan; only the first reads it.
+                let rows = table.scan_all(io);
+                if state.visits == 0 {
+                    out.extend(rows);
+                }
+                state.visits += 1;
+                return Ok(());
+            }
             Access::Index(probe) => {
-                probe.fetch(table, &tuple.current, layouts, buffers, io, out)?
+                out.clear();
+                probe.fetch(table, &mut tuple.current, layouts, buffers, io, out)?
             }
             Access::OrUnion(branches) => {
+                out.clear();
                 let mut pks: std::collections::BTreeSet<Key> = std::collections::BTreeSet::new();
                 let mut branch = std::mem::take(&mut buffers.branch);
                 for (probe, layout) in branches {
                     branch.clear();
-                    probe.fetch(table, &tuple.current, layouts, buffers, io, &mut branch)?;
+                    probe.fetch(table, &mut tuple.current, layouts, buffers, io, &mut branch)?;
                     for slot in &branch {
                         pks.insert(slot_pk(table, layout, slot));
                     }

@@ -225,8 +225,12 @@ fn a_validated_pass() {
     // threads of their own and re-planned only the last shared slot of
     // each what-if batch (the test profile's count depended on the
     // harness's output capture then), and ranking copied the results of
-    // each of its 34 what-if calls into a second vector.
-    let expected = profile((168_261, 27_831_324), (98_267, 13_322_220));
+    // each of its 34 what-if calls into a second vector. Then (168 261,
+    // 27 831 324), release (98 267, 13 322 220), until a full-scan join
+    // level kept its rows and bucketed them by its key conjunct on its
+    // second visit, and a non-covering probe bound its level's entry
+    // prefix once per statement.
+    let expected = profile((168_434, 28_103_044), (98_326, 13_343_356));
     assert_eq!(pass, expected, "validated pass");
 }
 

@@ -523,6 +523,17 @@ impl Table {
         self.rows.get(pk)
     }
 
+    /// Charges what [`Table::pk_lookup`] charges for a row that exists,
+    /// without reading it: one seek and one row, or on a disk backend the
+    /// same measured PK-tree descent and heap fetch. A probe whose index
+    /// entry already rejects its row still pays the lookup its plan priced.
+    pub fn charge_pk_lookup(&self, pk: &[Value], io: &mut IoStats) {
+        if !self.backend.account_pk_lookup(&self.schema.name, pk, io) {
+            io.charge_seek();
+            io.charge_rows(1);
+        }
+    }
+
     /// Range scan over primary keys: appends the rows whose keys lie
     /// within `range` (a PK prefix and a range on the next PK column, built
     /// by [`crate::RangeKeys::prefix_range`]) to `out`, in PK order.

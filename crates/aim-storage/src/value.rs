@@ -260,6 +260,69 @@ mod tests {
         assert_eq!(h(&Value::Int(3)), h(&Value::Float(3.0)));
     }
 
+    /// Values that compare equal hash equal: what a hash join may bucket
+    /// by. A seeded sweep over the edges of the numeric order (±0, 2^53 ±
+    /// 1, `i64::MIN` / `MAX`, NaN payloads), random neighbours of them,
+    /// Bool and strings, every pair tested.
+    #[test]
+    fn equal_values_hash_equal() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let h = |v: &Value| {
+            let mut s = DefaultHasher::new();
+            v.hash(&mut s);
+            s.finish()
+        };
+        let p53 = 1i64 << 53;
+        let mut ints = vec![0, 1, -1, p53 - 1, p53, p53 + 1, -p53 - 1, -p53, -p53 + 1];
+        ints.extend([i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX]);
+        let mut floats = vec![
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+        ];
+        floats.extend([f64::NAN, -f64::NAN, f64::from_bits(0x7ff0_0000_0000_0001)]);
+        // xorshift64: seeded, so a failure replays.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..64 {
+            let base = ints[next() as usize % ints.len()];
+            ints.push(base.wrapping_add((next() % 5) as i64 - 2));
+            let f = base as f64;
+            // The float itself and its neighbours in the bit order.
+            let bits = f.to_bits();
+            floats.extend([
+                f,
+                f64::from_bits(bits.wrapping_add(1)),
+                f64::from_bits(bits.wrapping_sub(1)),
+            ]);
+            floats.push(f64::from_bits(0x7ff8_0000_0000_0000 | (next() >> 13)));
+        }
+        let mut values: Vec<Value> = ints.into_iter().map(Value::Int).collect();
+        values.extend(floats.into_iter().map(Value::Float));
+        values.extend([Value::Null, Value::Bool(false), Value::Bool(true)]);
+        for s in ["", "a", "A", "a\0", "5", "ab"] {
+            values.push(Value::Str(s.into()));
+        }
+        let mut cross = 0;
+        for a in &values {
+            for b in &values {
+                if a.cmp(b) == Ordering::Equal {
+                    assert_eq!(h(a), h(b), "{a:?} == {b:?} but their hashes differ");
+                    cross += usize::from(std::mem::discriminant(a) != std::mem::discriminant(b));
+                }
+            }
+        }
+        assert!(cross > 0, "the sweep never met an Int equal to a Float");
+    }
+
     #[test]
     fn key_tuples_order_lexicographically() {
         let a = vec![Value::Int(1), Value::Str("b".into())];

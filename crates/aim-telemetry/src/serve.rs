@@ -17,7 +17,20 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Every route the endpoint serves, in the order `/` lists them:
+/// One route the endpoint serves: its path and what answers a GET of it.
+pub struct Route {
+    /// The path, `/metrics` for instance.
+    pub path: &'static str,
+    /// The response to a GET of the path, given its raw query string.
+    handler: fn(&str) -> Response,
+}
+
+/// Status line, content type and body.
+type Response = (&'static str, &'static str, String);
+
+/// Every route the endpoint serves, in the order `/` lists them; the
+/// dispatch reads this table and nothing else, so a route it does not
+/// list cannot be served:
 ///
 /// * `/metrics` — counters, gauges and histograms in Prometheus text
 ///   exposition format (histograms as summaries with `p50/p90/p99`
@@ -31,7 +44,56 @@ use std::time::Duration;
 ///   [`set_ledger_source`] (404 until a session registers one),
 /// * `/fleet` — per-tenant rollups of the tenant-labeled series
 ///   (`?sort=tenant|shards|granted|used|duration|p99`, `?top=N`).
-pub const ROUTES: [&str; 5] = ["/metrics", "/profile", "/trace", "/ledger", "/fleet"];
+pub const ROUTES: [Route; 5] = [
+    Route {
+        path: "/metrics",
+        handler: |_| {
+            (
+                "200 OK",
+                "text/plain; version=0.0.4; charset=utf-8",
+                render_prometheus(&crate::metrics::snapshot()),
+            )
+        },
+    },
+    Route {
+        path: "/profile",
+        handler: |_| ("200 OK", "application/json", profile_body()),
+    },
+    Route {
+        path: "/trace",
+        handler: |_| {
+            (
+                "200 OK",
+                "application/json",
+                crate::trace::chrome_trace_json(),
+            )
+        },
+    },
+    Route {
+        path: "/ledger",
+        handler: |_| match ledger_json() {
+            Some(json) => ("200 OK", "application/json", json),
+            None => (
+                "404 Not Found",
+                "text/plain; charset=utf-8",
+                "no ledger registered (see aim_telemetry::set_ledger_source)\n".to_string(),
+            ),
+        },
+    },
+    Route {
+        path: "/fleet",
+        handler: |query| {
+            let sort = query_param_str(query, "sort").unwrap_or("tenant");
+            let top = query_param(query, "top").unwrap_or(usize::MAX);
+            ("200 OK", "application/json", fleet_json(sort, top))
+        },
+    },
+];
+
+/// The paths of [`ROUTES`], joined by `sep`.
+pub fn route_paths(sep: &str) -> String {
+    ROUTES.map(|r| r.path).join(sep)
+}
 
 type LedgerSource = Box<dyn Fn() -> String + Send + Sync>;
 
@@ -156,43 +218,17 @@ fn serve_one(mut stream: TcpStream) -> std::io::Result<()> {
             "read-only endpoint: use GET\n".to_string(),
         )
     } else {
-        match path {
-            "/" => (
+        match ROUTES.iter().find(|r| r.path == path) {
+            Some(route) => (route.handler)(query),
+            None if path == "/" => (
                 "200 OK",
                 "text/plain; charset=utf-8",
-                format!("aim introspection endpoint\nroutes: {}\n", ROUTES.join(" ")),
+                format!("aim introspection endpoint\nroutes: {}\n", route_paths(" ")),
             ),
-            "/metrics" => (
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                render_prometheus(&crate::metrics::snapshot()),
-            ),
-            "/profile" => ("200 OK", "application/json", profile_body()),
-            "/trace" => (
-                "200 OK",
-                "application/json",
-                crate::trace::chrome_trace_json(),
-            ),
-            "/ledger" => match ledger_json() {
-                Some(json) => ("200 OK", "application/json", json),
-                None => (
-                    "404 Not Found",
-                    "text/plain; charset=utf-8",
-                    "no ledger registered (see aim_telemetry::set_ledger_source)\n".to_string(),
-                ),
-            },
-            "/fleet" => (
-                "200 OK",
-                "application/json",
-                fleet_json(
-                    query_param_str(query, "sort").unwrap_or("tenant"),
-                    query_param(query, "top").unwrap_or(usize::MAX),
-                ),
-            ),
-            _ => (
+            None => (
                 "404 Not Found",
                 "text/plain; charset=utf-8",
-                format!("unknown route (try {})\n", ROUTES.join(", ")),
+                format!("unknown route (try {})\n", route_paths(", ")),
             ),
         }
     };
@@ -530,7 +566,7 @@ mod tests {
         let (head, unknown) = get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"));
         set_ledger_source(|| "{}".to_string());
-        for route in ROUTES {
+        for Route { path: route, .. } in ROUTES {
             let (head, _) = get(addr, route);
             assert!(head.starts_with("HTTP/1.1 200"), "{route}: {head}");
             assert!(index.contains(route), "`/` names {route}: {index}");

@@ -39,9 +39,12 @@ echo "== release-profile count pins"
 # them (`validate::audited` runs only with debug assertions), so this is
 # the run that checks the validation memo as it ships. The test profile's
 # `planning_counts` bound counts the what-if audit; this run holds
-# ranking's bound to the path as it ships.
+# ranking's bound to the path as it ships. `exec_golden` holds the join's
+# shortcuts (a kept full scan probed by its key, an index entry tested
+# before its row is fetched) to the executor golden as they ship, without
+# the debug audits that re-derive what each skipped.
 cargo test --release -q -p aim-integration --test clone_counts --test storage_counts \
-    --test alloc_budget --test validation_counts --test planning_counts
+    --test alloc_budget --test validation_counts --test planning_counts --test exec_golden
 
 echo "== pager proofs at stride 1 (release)"
 # The test profile flips every 61st bit of a sealed page and of a WAL
