@@ -230,7 +230,7 @@ fn a_validated_pass() {
     // level kept its rows and bucketed them by its key conjunct on its
     // second visit, and a non-covering probe bound its level's entry
     // prefix once per statement.
-    let expected = profile((168_434, 28_103_044), (98_326, 13_343_356));
+    let expected = profile((168_439, 28_314_244), (98_328, 13_352_956));
     assert_eq!(pass, expected, "validated pass");
 }
 
