@@ -596,21 +596,20 @@ fn index_scan_layout(table: &Table, ix: &IndexScan) -> Result<SlotLayout, ExecEr
     }
     // Every referenced column is in the entry, by the covering check.
     let sec = secondary_index(table, name)?;
-    Ok(SlotLayout::IndexEntry(entry_positions(table, sec)))
+    let columns = table.schema().columns.len();
+    Ok(SlotLayout::IndexEntry(
+        (0..columns).map(|c| entry_position(sec, c)).collect(),
+    ))
 }
 
-/// Where each column of `table` sits in an entry of `sec`: its key
-/// columns, then the primary-key columns; `None` for a column it lacks.
-fn entry_positions(table: &Table, sec: &aim_storage::SecondaryIndex) -> Vec<Option<usize>> {
-    let mut positions = vec![None; table.schema().columns.len()];
-    for (i, &p) in sec.key_positions().iter().enumerate() {
-        positions[p] = Some(i);
-    }
-    let off = sec.key_positions().len();
-    for (i, &p) in sec.pk_positions().iter().enumerate() {
-        positions[p] = Some(off + i);
-    }
-    positions
+/// Where table column `col` sits in an entry of `sec` (its key columns,
+/// then the primary-key columns, whose copy of a column wins); `None` for
+/// a column the entry lacks.
+fn entry_position(sec: &aim_storage::SecondaryIndex, col: usize) -> Option<usize> {
+    let keys = sec.key_positions();
+    let pk = sec.pk_positions().iter().position(|&p| p == col);
+    pk.map(|i| keys.len() + i)
+        .or_else(|| keys.iter().position(|&p| p == col))
 }
 
 fn secondary_index<'t>(
@@ -923,14 +922,14 @@ impl<'r> Level<'r> {
     /// The positions of the kept rows this visit offers, `None` for all of
     /// them: on the first visit, and on every visit of a level without a
     /// key conjunct. The buckets are built when the second visit asks.
-    fn bucket(&mut self, current: &[Option<&Row>]) -> Option<Range<usize>> {
+    fn bucket(&mut self, rows: &[&Row], current: &[Option<&Row>]) -> Option<Range<usize>> {
         let key = self.key.filter(|_| self.visits >= 2)?;
         if self.visits == 2 {
-            let keyed = self.rows.iter().enumerate().filter_map(|(p, row)| {
+            let keyed = rows.iter().enumerate().filter_map(|(p, row)| {
                 let v = &row[key.inner];
                 (!v.is_null()).then(|| (key_hash(v), p as u32))
             });
-            self.buckets.reserve_exact(self.rows.len());
+            self.buckets.reserve_exact(rows.len());
             self.buckets.extend(keyed);
             // Pushed in row order, so a stable sort by hash is the order
             // of (hash, position).
@@ -1022,42 +1021,54 @@ struct Probe<'r> {
 
 /// A non-covering probe's test of an index entry: the leading conjuncts
 /// of its level whose columns of the probed table all lie in the entry,
-/// bound against the entry. An entry they reject without error names a
-/// row the level rejects without error, so the row is not fetched; its
-/// lookup is still charged. Empty for every other probe.
+/// bound against the entry, less those that cannot fail and read no
+/// column but the ones the probe seeks on (the entries it reads pass
+/// them, or are rejected once fetched, as before). An entry the test
+/// rejects without error names a row the level rejects without error, so
+/// the row is not fetched; its lookup is still charged. Empty for every
+/// other probe, and for one whose leading conjuncts all go.
 #[derive(Default)]
 struct EntryTest<'r> {
     /// The probed table instance.
     slot: usize,
     prefix: Vec<BoundExpr>,
-    /// The same conjuncts bound against the row, which the debug audit
+    /// The leading conjuncts bound against the row, which the debug audit
     /// holds each skipped row to.
     conjuncts: &'r [BoundExpr],
 }
 
 impl<'r> EntryTest<'r> {
-    /// Binds the test of `probe`, which binds table instance `slot` of
-    /// `table` at a level with `conjuncts`.
-    fn bind(probe: &Probe<'r>, table: &Table, slot: usize, conjuncts: &'r [BoundExpr]) -> Self {
+    /// Binds the test of `probe`, which binds table instance `slot` at a
+    /// level with `conjuncts`.
+    fn bind(probe: &Probe<'r>, slot: usize, conjuncts: &'r [BoundExpr]) -> Self {
         let Some(sec) = probe.index.filter(|_| !probe.scan.covering) else {
             return Self::default();
         };
-        let positions = entry_positions(table, sec);
-        let in_entry = |c: &&BoundExpr| {
+        let reads_only = |c: &BoundExpr, columns: &dyn Fn(usize) -> bool| {
             let mut all = true;
-            c.for_each_column(&mut |bc| {
-                all &= bc.table_idx != slot || positions[bc.col_idx].is_some()
-            });
+            c.for_each_column(&mut |bc| all &= bc.table_idx != slot || columns(bc.col_idx));
             all
         };
-        let prefix: Vec<BoundExpr> = conjuncts
+        let in_entry = |col| entry_position(sec, col).is_some();
+        // The equality prefix's columns, and the range's after them.
+        let ranged = !matches!(probe.range, (Bound::Unbounded, Bound::Unbounded));
+        let sought = sec
+            .key_positions()
             .iter()
-            .take_while(in_entry)
+            .take(probe.sources.len() + usize::from(ranged));
+        let seek = |col| sought.clone().any(|&p| p == col);
+        let leading = conjuncts
+            .iter()
+            .take_while(|c| reads_only(c, &in_entry))
+            .count();
+        let prefix: Vec<BoundExpr> = conjuncts[..leading]
+            .iter()
+            .filter(|c| !(c.cannot_fail() && reads_only(c, &seek)))
             .map(|c| {
                 let mut c = c.clone();
                 c.for_each_column_mut(&mut |bc| {
                     if bc.table_idx == slot {
-                        bc.col_idx = positions[bc.col_idx].expect("checked: in the entry");
+                        bc.col_idx = entry_position(sec, bc.col_idx).expect("in the entry");
                     }
                 });
                 c
@@ -1065,17 +1076,14 @@ impl<'r> EntryTest<'r> {
             .collect();
         Self {
             slot,
-            conjuncts: &conjuncts[..prefix.len()],
             prefix,
+            conjuncts: &conjuncts[..leading],
         }
     }
 
-    /// True when the prefix rejects `entry` without error, the outer slots
-    /// bound in `current` (its own slot is unbound and stays so).
+    /// True when the (non-empty) prefix rejects `entry` without error, the
+    /// outer slots bound in `current` (its own slot is unbound and stays so).
     fn rejects(&self, entry: &'r Row, current: &mut [Option<&'r Row>]) -> bool {
-        if self.prefix.is_empty() {
-            return false;
-        }
         current[self.slot] = Some(entry);
         let rejected = first_rejection(&self.prefix, current);
         current[self.slot] = None;
@@ -1291,6 +1299,12 @@ impl<'r> Probe<'r> {
                     entries.clear();
                     let range = keys.prefix_range(prefix, self.range);
                     sec.scan_prefix_range(table, range, io, entries);
+                    if self.entry.prefix.is_empty() {
+                        for e in entries.iter() {
+                            out.extend(table.pk_lookup(sec.pk_of_entry(e), io));
+                        }
+                        continue;
+                    }
                     for &e in entries.iter() {
                         let pk = sec.pk_of_entry(e);
                         if self.entry.rejects(e, current) {
@@ -1345,9 +1359,7 @@ impl<'r> Join<'r> {
             let mut state = Level::default();
             match access {
                 Access::FullScan => state.key = KeyConjunct::find(conjuncts, slot),
-                Access::Index(probe) => {
-                    probe.entry = EntryTest::bind(probe, tables[level], slot, conjuncts)
-                }
+                Access::Index(probe) => probe.entry = EntryTest::bind(probe, slot, conjuncts),
                 Access::OrUnion(_) => {}
             }
             levels.push(state);
@@ -1372,60 +1384,74 @@ impl<'r> Join<'r> {
 
     /// One level of the recursive nested loop.
     fn level(&mut self, level: usize) -> Result<(), ExecError> {
-        let mut state = std::mem::take(&mut self.levels[level]);
-        self.fetch_rows(level, &mut state)?;
-        match state.bucket(&self.tuple.current) {
+        let mut rows = std::mem::take(&mut self.levels[level].rows);
+        self.fetch_rows(level, &mut rows)?;
+        let slot = self.tuple.plan.steps[level].table_idx;
+        let last = level + 1 == self.tables.len();
+        match self.levels[level].bucket(&rows, &self.tuple.current) {
             None => {
-                for &row in &state.rows {
-                    if !self.offer(level, row)? {
+                for &row in &rows {
+                    if !self.offer(level, slot, last, row)? {
                         break;
                     }
                 }
             }
             Some(bucket) => {
-                let members = &state.buckets[bucket];
-                self.audit_skipped(level, &state, members);
+                let buckets = std::mem::take(&mut self.levels[level].buckets);
+                let members = &buckets[bucket];
+                self.audit_skipped(level, &rows, members);
                 for &(_, p) in members {
-                    if !self.offer(level, state.rows[p as usize])? {
+                    if !self.offer(level, slot, last, rows[p as usize])? {
                         break;
                     }
                 }
+                self.levels[level].buckets = buckets;
             }
         }
-        self.levels[level] = state;
+        self.levels[level].rows = rows;
         Ok(())
     }
 
-    /// Binds `row` at `level` and, when the level's conjuncts accept it,
-    /// joins the next level or emits the tuple; false once the tuple cap
-    /// is reached, before `row` is looked at.
-    fn offer(&mut self, level: usize, row: &'r Row) -> Result<bool, ExecError> {
+    /// Binds `row` at `level`, whose table instance is `slot`, and, when
+    /// the level's conjuncts accept it, joins the next level or emits the
+    /// tuple (`last`); false once the tuple cap is reached, before `row` is
+    /// looked at. Inlined: it is the body of the join's innermost loops.
+    #[inline(always)]
+    fn offer(
+        &mut self,
+        level: usize,
+        slot: usize,
+        last: bool,
+        row: &'r Row,
+    ) -> Result<bool, ExecError> {
         if self.tuple.capped() {
             return Ok(false);
         }
         if self.tuple.accepts(level, row)? {
-            if level + 1 == self.tables.len() {
+            if last {
                 self.tuple.emit()?;
             } else {
                 self.level(level + 1)?;
             }
         }
-        self.tuple.current[self.tuple.plan.steps[level].table_idx] = None;
+        self.tuple.current[slot] = None;
         Ok(true)
     }
 
     /// Debug builds: every kept row a keyed visit of `level` skips (not
     /// among `members`, which are in row order) is one the level's
     /// conjuncts up to the key conjunct reject without error.
-    fn audit_skipped(&mut self, level: usize, state: &Level<'r>, members: &[(u64, u32)]) {
+    fn audit_skipped(&mut self, level: usize, rows: &[&'r Row], members: &[(u64, u32)]) {
         if !cfg!(debug_assertions) {
             return;
         }
-        let key = state.key.expect("a keyed visit has a key conjunct");
+        let key = self.levels[level]
+            .key
+            .expect("a keyed visit has a key conjunct");
         let checked = &self.tuple.conjuncts[level][..=key.index];
         let slot = self.tuple.plan.steps[level].table_idx;
         let mut members = members.iter().map(|&(_, p)| p as usize).peekable();
-        for (p, &row) in state.rows.iter().enumerate() {
+        for (p, &row) in rows.iter().enumerate() {
             if members.next_if_eq(&p).is_some() {
                 continue;
             }
@@ -1505,29 +1531,29 @@ impl<'r> Join<'r> {
         Ok(true)
     }
 
-    /// Fetches the candidate rows of level `level` into `state`, given the
+    /// Fetches the candidate rows of level `level` into `out`, given the
     /// outer slots of the current tuple. All I/O of the access is charged
     /// here, up front, whether or not the join consumes every candidate.
-    fn fetch_rows(&mut self, level: usize, state: &mut Level<'r>) -> Result<(), ExecError> {
+    fn fetch_rows(&mut self, level: usize, out: &mut Vec<&'r Row>) -> Result<(), ExecError> {
         let Join {
             tables,
             layouts,
             access,
+            levels,
             buffers,
             tuple,
             io,
-            ..
         } = self;
         let table = tables[level];
-        let out = &mut state.rows;
         match &access[level] {
             Access::FullScan => {
                 // Every visit charges the scan; only the first reads it.
                 let rows = table.scan_all(io);
-                if state.visits == 0 {
+                let visits = &mut levels[level].visits;
+                if *visits == 0 {
                     out.extend(rows);
                 }
-                state.visits += 1;
+                *visits += 1;
                 return Ok(());
             }
             Access::Index(probe) => {

@@ -228,9 +228,9 @@ fn a_validated_pass() {
     // each of its 34 what-if calls into a second vector. Then (168 261,
     // 27 831 324), release (98 267, 13 322 220), until a full-scan join
     // level kept its rows and bucketed them by its key conjunct on its
-    // second visit, and a non-covering probe bound its level's entry
-    // prefix once per statement.
-    let expected = profile((168_439, 28_314_244), (98_328, 13_352_956));
+    // second visit, and a non-covering probe bound the entry test of its
+    // level once per statement.
+    let expected = profile((168_362, 28_307_108), (98_295, 13_349_964));
     assert_eq!(pass, expected, "validated pass");
 }
 
