@@ -31,7 +31,7 @@
 //!     explain demo "SELECT id FROM orders WHERE customer_id = 7"
 //!
 //! # continuous tuning over N observation windows, with the live
-//! # introspection endpoint (every route of `aim_telemetry::ROUTES`);
+//! # introspection endpoint (every route `aim_telemetry::route_paths` names);
 //! # artifacts are written only where a path is given
 //! cargo run -p aim-bench --bin aim_cli --release -- \
 //!     continuous tpch --windows 3 --serve 7800 --trace-out /tmp/trace_tpch.json \

@@ -922,8 +922,21 @@ impl<'r> Level<'r> {
     /// The positions of the kept rows this visit offers, `None` for all of
     /// them: on the first visit, and on every visit of a level without a
     /// key conjunct. The buckets are built when the second visit asks.
+    #[inline]
     fn bucket(&mut self, rows: &[&Row], current: &[Option<&Row>]) -> Option<Range<usize>> {
         let key = self.key.filter(|_| self.visits >= 2)?;
+        self.keyed_bucket(key, rows, current)
+    }
+
+    /// [`Level::bucket`] of a keyed visit. Out of line, so that the visits
+    /// of every other level, most of them, stay small.
+    #[inline(never)]
+    fn keyed_bucket(
+        &mut self,
+        key: KeyConjunct,
+        rows: &[&Row],
+        current: &[Option<&Row>],
+    ) -> Option<Range<usize>> {
         if self.visits == 2 {
             let keyed = rows.iter().enumerate().filter_map(|(p, row)| {
                 let v = &row[key.inner];
@@ -1015,8 +1028,8 @@ struct Probe<'r> {
     /// The range on the column after the prefix.
     range: (Bound<&'r Value>, Bound<&'r Value>),
     /// What a non-covering secondary probe tests each entry with before
-    /// it fetches the entry's row.
-    entry: EntryTest<'r>,
+    /// it fetches the entry's row; `None` when nothing is tested.
+    entry: Option<EntryTest<'r>>,
 }
 
 /// A non-covering probe's test of an index entry: the leading conjuncts
@@ -1025,9 +1038,7 @@ struct Probe<'r> {
 /// column but the ones the probe seeks on (the entries it reads pass
 /// them, or are rejected once fetched, as before). An entry the test
 /// rejects without error names a row the level rejects without error, so
-/// the row is not fetched; its lookup is still charged. Empty for every
-/// other probe, and for one whose leading conjuncts all go.
-#[derive(Default)]
+/// the row is not fetched; its lookup is still charged.
 struct EntryTest<'r> {
     /// The probed table instance.
     slot: usize,
@@ -1039,11 +1050,10 @@ struct EntryTest<'r> {
 
 impl<'r> EntryTest<'r> {
     /// Binds the test of `probe`, which binds table instance `slot` at a
-    /// level with `conjuncts`.
-    fn bind(probe: &Probe<'r>, slot: usize, conjuncts: &'r [BoundExpr]) -> Self {
-        let Some(sec) = probe.index.filter(|_| !probe.scan.covering) else {
-            return Self::default();
-        };
+    /// level with `conjuncts`: `None` unless the probe is a non-covering
+    /// secondary one with a conjunct to test.
+    fn bind(probe: &Probe<'r>, slot: usize, conjuncts: &'r [BoundExpr]) -> Option<Self> {
+        let sec = probe.index.filter(|_| !probe.scan.covering)?;
         let reads_only = |c: &BoundExpr, columns: &dyn Fn(usize) -> bool| {
             let mut all = true;
             c.for_each_column(&mut |bc| all &= bc.table_idx != slot || columns(bc.col_idx));
@@ -1074,14 +1084,14 @@ impl<'r> EntryTest<'r> {
                 c
             })
             .collect();
-        Self {
+        (!prefix.is_empty()).then_some(Self {
             slot,
             prefix,
             conjuncts: &conjuncts[..leading],
-        }
+        })
     }
 
-    /// True when the (non-empty) prefix rejects `entry` without error, the
+    /// True when the prefix rejects `entry` without error, the
     /// outer slots bound in `current` (its own slot is unbound and stays so).
     fn rejects(&self, entry: &'r Row, current: &mut [Option<&'r Row>]) -> bool {
         current[self.slot] = Some(entry);
@@ -1215,7 +1225,7 @@ impl<'r> Probe<'r> {
             index,
             sources,
             range,
-            entry: EntryTest::default(),
+            entry: None,
         })
     }
 
@@ -1299,16 +1309,10 @@ impl<'r> Probe<'r> {
                     entries.clear();
                     let range = keys.prefix_range(prefix, self.range);
                     sec.scan_prefix_range(table, range, io, entries);
-                    if self.entry.prefix.is_empty() {
-                        for e in entries.iter() {
-                            out.extend(table.pk_lookup(sec.pk_of_entry(e), io));
-                        }
-                        continue;
-                    }
                     for &e in entries.iter() {
                         let pk = sec.pk_of_entry(e);
-                        if self.entry.rejects(e, current) {
-                            self.entry.audit_skip(table, pk, current);
+                        if let Some(test) = self.entry.as_ref().filter(|t| t.rejects(e, current)) {
+                            test.audit_skip(table, pk, current);
                             table.charge_pk_lookup(pk, io);
                         } else {
                             out.extend(table.pk_lookup(pk, io));
@@ -1388,54 +1392,31 @@ impl<'r> Join<'r> {
         self.fetch_rows(level, &mut rows)?;
         let slot = self.tuple.plan.steps[level].table_idx;
         let last = level + 1 == self.tables.len();
-        match self.levels[level].bucket(&rows, &self.tuple.current) {
-            None => {
-                for &row in &rows {
-                    if !self.offer(level, slot, last, row)? {
-                        break;
-                    }
-                }
-            }
-            Some(bucket) => {
-                let buckets = std::mem::take(&mut self.levels[level].buckets);
-                let members = &buckets[bucket];
-                self.audit_skipped(level, &rows, members);
-                for &(_, p) in members {
-                    if !self.offer(level, slot, last, rows[p as usize])? {
-                        break;
-                    }
-                }
-                self.levels[level].buckets = buckets;
-            }
+        let bucket = self.levels[level].bucket(&rows, &self.tuple.current);
+        let buckets = std::mem::take(&mut self.levels[level].buckets);
+        let members = bucket.map(|b| &buckets[b]);
+        if let Some(members) = members {
+            self.audit_skipped(level, &rows, members);
         }
+        // One loop, keyed or not: the join's innermost body is compiled
+        // once, and an unkeyed visit runs as tight a loop as before.
+        for i in 0..members.map_or(rows.len(), <[_]>::len) {
+            if self.tuple.capped() {
+                break;
+            }
+            let p = members.map_or(i, |m| m[i].1 as usize);
+            if self.tuple.accepts(level, rows[p])? {
+                if last {
+                    self.tuple.emit()?;
+                } else {
+                    self.level(level + 1)?;
+                }
+            }
+            self.tuple.current[slot] = None;
+        }
+        self.levels[level].buckets = buckets;
         self.levels[level].rows = rows;
         Ok(())
-    }
-
-    /// Binds `row` at `level`, whose table instance is `slot`, and, when
-    /// the level's conjuncts accept it, joins the next level or emits the
-    /// tuple (`last`); false once the tuple cap is reached, before `row` is
-    /// looked at. Inlined: it is the body of the join's innermost loops.
-    #[inline(always)]
-    fn offer(
-        &mut self,
-        level: usize,
-        slot: usize,
-        last: bool,
-        row: &'r Row,
-    ) -> Result<bool, ExecError> {
-        if self.tuple.capped() {
-            return Ok(false);
-        }
-        if self.tuple.accepts(level, row)? {
-            if last {
-                self.tuple.emit()?;
-            } else {
-                self.level(level + 1)?;
-            }
-        }
-        self.tuple.current[slot] = None;
-        Ok(true)
     }
 
     /// Debug builds: every kept row a keyed visit of `level` skips (not

@@ -56,7 +56,6 @@ pub use metrics::{
 pub use report::{render_counters, render_profile, write_artifact};
 pub use serve::{
     clear_ledger_source, render_prometheus, route_paths, set_ledger_source, IntrospectionServer,
-    Route, ROUTES,
 };
 pub use span::{
     profile_snapshot, publish_profile, published_profile, span, take_profile, ProfileNode,

@@ -6,7 +6,7 @@
 //! process calls [`IntrospectionServer::start`] — and the listener binds
 //! `127.0.0.1` only, so the endpoint is never reachable off-box. It serves
 //! read-only GETs, holds no state of its own, and supports exactly the
-//! routes of [`ROUTES`].
+//! routes [`route_paths`] names.
 
 use crate::metrics::Series;
 use std::collections::BTreeMap;
@@ -18,9 +18,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// One route the endpoint serves: its path and what answers a GET of it.
-pub struct Route {
+struct Route {
     /// The path, `/metrics` for instance.
-    pub path: &'static str,
+    path: &'static str,
     /// The response to a GET of the path, given its raw query string.
     handler: fn(&str) -> Response,
 }
@@ -44,7 +44,7 @@ type Response = (&'static str, &'static str, String);
 ///   [`set_ledger_source`] (404 until a session registers one),
 /// * `/fleet` — per-tenant rollups of the tenant-labeled series
 ///   (`?sort=tenant|shards|granted|used|duration|p99`, `?top=N`).
-pub const ROUTES: [Route; 5] = [
+const ROUTES: [Route; 5] = [
     Route {
         path: "/metrics",
         handler: |_| {
@@ -90,7 +90,7 @@ pub const ROUTES: [Route; 5] = [
     },
 ];
 
-/// The paths of [`ROUTES`], joined by `sep`.
+/// The path of every route the endpoint serves, joined by `sep`.
 pub fn route_paths(sep: &str) -> String {
     ROUTES.map(|r| r.path).join(sep)
 }
