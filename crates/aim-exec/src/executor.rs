@@ -1398,8 +1398,9 @@ impl<'r> Join<'r> {
         if let Some(members) = members {
             self.audit_skipped(level, &rows, members);
         }
-        // One loop, keyed or not: the join's innermost body is compiled
-        // once, and an unkeyed visit runs as tight a loop as before.
+        // One loop, keyed or not, so that the join's innermost body is
+        // compiled once and the unkeyed visit, by far the commonest, stays
+        // a tight loop.
         for i in 0..members.map_or(rows.len(), <[_]>::len) {
             if self.tuple.capped() {
                 break;
