@@ -289,8 +289,12 @@ fn dml_section(out: &mut String, name: &str, mut db: Database) {
 /// strings; conjuncts that fail (integer overflow, `LIKE` on an integer)
 /// before and after the key conjunct; non-covering probes whose level
 /// conjuncts read the index entry's columns only, others only, and both;
-/// an index-ordered `ORDER BY … LIMIT`; and an UPDATE and a DELETE that
-/// locate their rows through a non-covering probe.
+/// index-ordered `ORDER BY … LIMIT`s; an UPDATE and a DELETE that locate
+/// their rows through a non-covering probe; and single-table LIMITs read
+/// in index order and stopped early: through a non-covering probe whose
+/// entry answers a conjunct (rejecting some entries, all, none, or
+/// failing), stopped before, on and without reaching the end of its
+/// range, and through a covering index and the primary key.
 fn edge_join_section(out: &mut String, name: &str, mut db: Database) {
     const BIG: i64 = 1 << 62;
     const P53: i64 = 1 << 53;
@@ -424,6 +428,23 @@ fn edge_join_section(out: &mut String, name: &str, mut db: Database) {
         "DELETE FROM c WHERE x = 2 AND id < 400",
         "SELECT id, x, z FROM c WHERE x >= 1 AND x <= 3",
         "SELECT a.id, c.id, c.z FROM a, c WHERE a.n = c.x AND c.id > 10",
+        // Streamed index-ordered LIMITs: through the non-covering ix_c_x
+        // with a conjunct its entry answers (rejecting some entries, all
+        // of them, none, and failing on one), stopped early or read to the
+        // end; and through a covering index and the primary key.
+        "SELECT id, z FROM c WHERE x BETWEEN 391 AND 394 AND id + 0 > 100 ORDER BY x LIMIT 3",
+        "SELECT id, z FROM c WHERE x BETWEEN 391 AND 394 AND id + 0 > 400 ORDER BY x LIMIT 3",
+        "SELECT id, y FROM c WHERE x BETWEEN 394 AND 397 AND id + 0 > 795 ORDER BY x LIMIT 2",
+        "SELECT id, z FROM c WHERE x > 395 AND id + 0 < 5 ORDER BY x LIMIT 3",
+        "SELECT id, z FROM c WHERE x BETWEEN 200 AND 203 AND id * 4611686018427387904 > 0 \
+         ORDER BY x LIMIT 2",
+        "SELECT id, z FROM c WHERE x BETWEEN 391 AND 394 AND id + 0 > 400 AND y < 30 \
+         ORDER BY x LIMIT 2",
+        "SELECT id, z FROM c WHERE x BETWEEN 391 AND 394 AND id + 0 > 400 ORDER BY x LIMIT 0",
+        "SELECT id, y FROM c WHERE x BETWEEN 100 AND 101 ORDER BY x LIMIT 3",
+        "SELECT id FROM c WHERE x BETWEEN 100 AND 400 ORDER BY x LIMIT 4",
+        "SELECT id FROM c WHERE x BETWEEN 100 AND 400 ORDER BY x",
+        "SELECT id, x FROM c WHERE id BETWEEN 100 AND 700 ORDER BY id LIMIT 5",
     ];
     let stmts: Vec<(String, Statement)> = texts
         .iter()
