@@ -878,6 +878,126 @@ fn order_by_limit_agrees_with_full_sort() {
     }
 }
 
+/// Single-table `ORDER BY x LIMIT k` over random ranges of a secondary
+/// index `(x)` and of the primary key, on the memory and the disk backend:
+/// covering, non-covering, and non-covering with a conjunct the index
+/// entry answers (`id + 0 > t`). Both backends return the rows a sort of
+/// the matching rows by `(x, id)` gives, cut at `k`. A plan that reads
+/// the index in order and stops examines each entry it consumed once (and
+/// looks up its row when the index does not cover the query): its entries
+/// run up to the one that produced the `k`-th row, all of them when fewer
+/// match, and to the first match under `LIMIT 0`.
+#[test]
+fn streamed_limits_read_the_same_rows_on_both_backends() {
+    let dir = std::env::temp_dir().join(format!("aim-prop-stream-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut mem = Database::new();
+    let mut disk = aim_core::BackendSpec::disk(&dir).provision().unwrap();
+    let mut rng = StdRng::seed_from_u64(0x5713);
+    let schema = TableSchema::new(
+        "c",
+        ["id", "x", "y"]
+            .map(|c| ColumnDef::new(c, ColumnType::Int))
+            .into(),
+        &["id"],
+    )
+    .unwrap();
+    let mut rows: Vec<[i64; 3]> = (0..1_500)
+        .map(|id| [id, rng.gen_range(0..300i64), rng.gen_range(0..50i64)])
+        .collect();
+    let mut io = IoStats::new();
+    for db in [&mut mem, &mut disk] {
+        db.create_table(schema.clone()).unwrap();
+        for r in &rows {
+            let row = r.iter().map(|&v| Value::Int(v)).collect();
+            db.table_mut("c").unwrap().insert(row, &mut io).unwrap();
+        }
+        db.create_index(IndexDef::new("ix_x", "c", vec!["x".into()]), &mut io)
+            .unwrap();
+        db.analyze_all();
+    }
+    // Index order: by `x`, ties by the primary key.
+    rows.sort_by_key(|r| (r[1], r[0]));
+    let engine = Engine::new();
+    // Plans that read in index order, by kind.
+    let mut streamed = [0; 4];
+    for case in 0..160 {
+        let kind = case % 4;
+        let lo = rng.gen_range(0..300i64);
+        let width = rng.gen_range(0..12i64);
+        let k = rng.gen_range(0..8usize);
+        let t = rng.gen_range(0..1_500i64);
+        // Kind 3 reads the primary key, over a range five times as wide.
+        let (lo, hi) = match kind {
+            3 => (lo * 5, lo * 5 + 5 * width),
+            _ => (lo, lo + width),
+        };
+        let sql = match kind {
+            0 => format!("SELECT id FROM c WHERE x BETWEEN {lo} AND {hi} ORDER BY x"),
+            1 => format!("SELECT id, y FROM c WHERE x BETWEEN {lo} AND {hi} ORDER BY x"),
+            2 => format!(
+                "SELECT id, y FROM c WHERE x BETWEEN {lo} AND {hi} AND id + 0 > {t} ORDER BY x"
+            ),
+            _ => format!("SELECT id, x FROM c WHERE id BETWEEN {lo} AND {hi} ORDER BY id"),
+        };
+        let sql = format!("{sql} LIMIT {k}");
+        let stmt = parse_statement(&sql).unwrap();
+        let (m, d) = (
+            engine.execute(&mut mem, &stmt).unwrap(),
+            engine.execute(&mut disk, &stmt).unwrap(),
+        );
+        // The rows of the range in the order of the read, and those the
+        // query keeps.
+        let order = usize::from(kind != 3);
+        let mut range: Vec<&[i64; 3]> = rows
+            .iter()
+            .filter(|r| (lo..=hi).contains(&r[order]))
+            .collect();
+        range.sort_by_key(|r| (r[order], r[0]));
+        let keep = |r: &[i64; 3]| kind != 2 || r[0] > t;
+        let want: Vec<Row> = range
+            .iter()
+            .filter(|r| keep(r))
+            .take(k)
+            .map(|r| match kind {
+                0 => vec![Value::Int(r[0])],
+                3 => vec![Value::Int(r[0]), Value::Int(r[1])],
+                _ => vec![Value::Int(r[0]), Value::Int(r[2])],
+            })
+            .collect();
+        assert_eq!(m.rows, want, "memory: {sql}");
+        assert_eq!(d.rows, want, "disk: {sql}");
+
+        let AccessPath::IndexScan(scan) = &m.plan.steps[0].path else {
+            continue;
+        };
+        if !m.plan.order_via_index {
+            continue;
+        }
+        streamed[kind] += 1;
+        let mut matched = 0;
+        let consumed = range
+            .iter()
+            .position(|r| {
+                matched += usize::from(keep(r));
+                matched > 0 && matched >= k
+            })
+            .map_or(range.len(), |p| p + 1);
+        let per_entry = if scan.covering { 1 } else { 2 };
+        for (backend, out) in [("memory", &m), ("disk", &d)] {
+            assert_eq!(
+                out.io.rows_read,
+                (consumed * per_entry) as u64,
+                "{backend}: {sql}"
+            );
+        }
+    }
+    eprintln!("plans read in index order, by kind: {streamed:?} of 40 each");
+    assert!(streamed.iter().all(|&n| n >= 10), "{streamed:?}");
+    drop(disk);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // --------------------------------------------------------------- storage
 
 #[test]
