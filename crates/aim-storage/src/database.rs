@@ -786,6 +786,47 @@ mod tests {
         assert_eq!(db.stats("t"), Some(&stats));
     }
 
+    /// ANALYZE reads rows no statement asked for: on disk it touches no
+    /// page, so the pool a statement finds does not depend on when
+    /// statistics were last refreshed, nor on the build profile (whose
+    /// audits recompute statistics too).
+    #[test]
+    fn analyze_on_disk_leaves_the_pool_untouched() {
+        let _g = crate::fault::tests::lock();
+        crate::fault::disarm();
+        let dir = std::env::temp_dir().join(format!("aim-db-analyze-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = PagerOptions {
+            pool_frames: 8,
+            ..Default::default()
+        };
+        let mut db = Database::open_disk(&dir, opts).unwrap();
+        db.create_table(
+            TableSchema::new(
+                "t",
+                vec![
+                    ColumnDef::new("id", ColumnType::Int),
+                    ColumnDef::new("s", ColumnType::Str),
+                ],
+                &["id"],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let mut io = IoStats::new();
+        let t = db.table_mut("t").unwrap();
+        for i in 0..3_000 {
+            let row = vec![Value::Int(i), Value::Str(format!("row {i:>40}"))];
+            t.insert(row, &mut io).unwrap();
+        }
+        let before = db.storage_counters();
+        db.analyze_all();
+        assert_eq!(db.stats("t").unwrap().row_count, 3_000);
+        assert_eq!(db.storage_counters(), before);
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn analyze_all_recomputes_only_stale_tables() {
         let _g = crate::fault::tests::lock();

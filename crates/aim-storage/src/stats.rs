@@ -8,7 +8,6 @@
 //!    computed from the base table without materializing entries, exactly
 //!    the role HypoPG / "what-if" indexes play for the paper.
 
-use crate::io::IoStats;
 use crate::table::{ColumnSet, Table};
 use crate::value::Value;
 use std::borrow::Borrow;
@@ -265,15 +264,17 @@ pub fn analyze(table: &Table, bucket_count: usize) -> TableStats {
 }
 
 /// Computes fresh statistics for the columns of `table` that `which`
-/// holds, in one scan of the table, and hands each to `install` with its
-/// column's name, in schema order. [`analyze`] is the case of every
-/// column; [`crate::Database`] recomputes the columns a write changed.
-/// A column's statistics depend on nothing but its values, in primary-key
-/// order, and the table's row count.
+/// holds, and hands each to `install` with its column's name, in schema
+/// order. [`analyze`] is the case of every column; [`crate::Database`]
+/// recomputes the columns a write changed. A column's statistics depend
+/// on nothing but its values, in primary-key order, and the table's row
+/// count.
 ///
-/// The scan is charged once; each column then walks the scanned rows in
-/// memory into one reused vector of references, so the peak holds one
-/// column's references and its sort buffer at any table width.
+/// No statement asked for these rows, so they are read uncharged and, on
+/// disk, without touching the buffer pool ([`Table::uncharged_rows`]).
+/// Each column walks them into one reused vector of references, so the
+/// peak holds one column's references and its sort buffer at any table
+/// width.
 pub(crate) fn analyze_columns(
     table: &Table,
     which: ColumnSet,
@@ -287,7 +288,7 @@ pub(crate) fn analyze_columns(
     if stale.peek().is_none() {
         return;
     }
-    let rows = table.scan_all(&mut IoStats::new());
+    let rows = table.uncharged_rows();
     let row_count = table.row_count() as u64;
     let mut values: Vec<&Value> = Vec::with_capacity(table.row_count());
     for pos in stale {
@@ -328,6 +329,7 @@ pub(crate) fn analyze_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::IoStats;
     use crate::schema::{ColumnDef, ColumnType, TableSchema};
 
     fn table_with(values: &[i64]) -> Table {

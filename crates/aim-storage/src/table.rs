@@ -509,6 +509,14 @@ impl Table {
         self.rows.values()
     }
 
+    /// The rows in primary-key order, uncharged and, on disk, without
+    /// touching the buffer pool: for the readers of rows no statement
+    /// asked for, ANALYZE and the debug audits. A clone of the iterator
+    /// walks them again.
+    pub(crate) fn uncharged_rows(&self) -> impl Iterator<Item = &Row> + Clone {
+        self.rows.values()
+    }
+
     /// Point lookup by full primary key. Charges one seek (simulated) or
     /// the measured PK-tree descent plus heap fetch (disk backend).
     pub fn pk_lookup(&self, pk: &[Value], io: &mut IoStats) -> Option<&Row> {
