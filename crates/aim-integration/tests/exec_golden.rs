@@ -479,6 +479,19 @@ fn executor_digests_match_golden() {
         BackendSpec::disk(&dir).provision().expect("disk backend"),
     );
     let _ = std::fs::remove_dir_all(&dir);
+    // A pool of four frames, fewer than the section's pages: each line's
+    // `pages_faulted` depends on every page touched before it, in order.
+    let small_pool = BackendSpec::Disk {
+        dir: dir.clone(),
+        pool_frames: 4,
+        wal_autocheckpoint_bytes: 0,
+    };
+    edge_join_section(
+        &mut actual,
+        "edge.pool4",
+        small_pool.provision().expect("disk backend"),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 
     common::assert_matches_golden("exec_digest.txt", &actual);
 }
