@@ -43,8 +43,17 @@ impl Binder {
         Self::for_tables(db, &select.from)
     }
 
-    /// Builds a binder for an explicit table list.
+    /// Builds a binder for an explicit table list. A list of more than 64
+    /// table instances is refused: the planner keys a join's sets of bound
+    /// instances by one bit each in a `u64`.
     pub fn for_tables(db: &Database, from: &[TableRef]) -> Result<Self, ExecError> {
+        if from.len() > u64::BITS as usize {
+            return Err(ExecError::Binding(format!(
+                "{} table instances in one FROM list, more than {}",
+                from.len(),
+                u64::BITS
+            )));
+        }
         let mut tables = Vec::with_capacity(from.len());
         let mut columns = Vec::with_capacity(from.len());
         for tr in from {

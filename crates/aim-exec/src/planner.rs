@@ -706,20 +706,15 @@ impl<'a> Planner<'a> {
             )
     }
 
-    /// Bound-table set as a bitmask cache key; `None` disables memoization
-    /// for the (absurd) case of more than 64 bound tables.
-    fn bound_mask(&self, bound: &[usize]) -> Option<u64> {
-        if self.binder.len() > 64 {
-            return None;
-        }
-        Some(bound.iter().fold(0u64, |m, &i| m | (1u64 << i)))
+    /// Bound-table set as a bitmask cache key: a binder holds at most 64
+    /// table instances ([`Binder::for_tables`]).
+    fn bound_mask(bound: &[usize]) -> u64 {
+        bound.iter().fold(0u64, |m, &i| m | (1u64 << i))
     }
 
     /// Context of table instance `t` after the tables in `bound`.
     fn table_context(&self, t: usize, bound: &[usize], outermost: bool) -> Rc<ProbeContext> {
-        let key = self
-            .bound_mask(bound)
-            .map(|mask| ContextKey::Bound(mask, outermost));
+        let key = ContextKey::Bound(Self::bound_mask(bound), outermost);
         self.context(t, key, &self.analysis.sargs[t], bound, outermost)
     }
 
@@ -733,26 +728,26 @@ impl<'a> Planner<'a> {
             .expect("an OR branch was asked for");
         self.context(
             t,
-            Some(ContextKey::OrBranch(branch)),
+            ContextKey::OrBranch(branch),
             &branches[branch],
             &[],
             false,
         )
     }
 
-    /// The memoized context under `key` (`None`: built afresh), derived
+    /// The memoized context under `key`, derived
     /// from `sargs` and the join edges of `t` into `bound`. This is the one
     /// place a predicate becomes a probe source.
     fn context(
         &self,
         t: usize,
-        key: Option<ContextKey>,
+        key: ContextKey,
         sargs: &[Sarg],
         bound: &[usize],
         outermost: bool,
     ) -> Rc<ProbeContext> {
-        let key = key.map(|k| (t, k));
-        if let Some(hit) = key.and_then(|k| self.memo.borrow().contexts.get(&k).cloned()) {
+        let key = (t, key);
+        if let Some(hit) = self.memo.borrow().contexts.get(&key).cloned() {
             return hit;
         }
         let table = self.table(t);
@@ -832,9 +827,7 @@ impl<'a> Planner<'a> {
             outermost,
         });
         memo.issued += 1;
-        if let Some(k) = key {
-            memo.contexts.insert(k, Rc::clone(&ctx));
-        }
+        memo.contexts.insert(key, Rc::clone(&ctx));
         ctx
     }
 

@@ -1341,3 +1341,25 @@ fn an_open_select_runs_the_plan_it_shows_and_identity_ignores_estimates() {
     assert!(seeking.cost < scanned.cost);
     assert_eq!(seeking.rows.len(), scanned.rows.len());
 }
+
+/// A FROM list names at most 64 table instances: a join plans over sets
+/// of them held in one word, and a 65th is refused when the list binds,
+/// before anything is planned or read.
+#[test]
+fn a_from_list_of_more_than_64_instances_is_refused() {
+    // One row: the 64-way join is one tuple.
+    let mut db = orders_db(1);
+    let from = |n: usize| {
+        (0..n)
+            .map(|i| format!("orders AS o{i}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    let sql = format!("SELECT o0.id FROM {} WHERE o0.id = 0", from(64));
+    let stmt = parse_statement(&sql).unwrap();
+    assert_eq!(Engine::new().execute(&mut db, &stmt).unwrap().rows.len(), 1);
+    let sql = format!("SELECT o0.id FROM {} WHERE o0.id = 0", from(65));
+    let stmt = parse_statement(&sql).unwrap();
+    let err = Engine::new().execute(&mut db, &stmt).unwrap_err();
+    assert!(matches!(err, ExecError::Binding(_)), "{err}");
+}
