@@ -77,9 +77,12 @@ mod tests {
 
     #[test]
     fn io_cost_separates_random_and_sequential() {
-        let mut io = IoStats::new();
-        io.charge_seek(); // 1 seek + 1 page
-        io.charge_sequential(PAGE_SIZE * 4); // 4 seq pages
+        // One seek (and its page), then four sequential pages.
+        let io = IoStats {
+            seeks: 1,
+            pages_read: 5,
+            ..IoStats::new()
+        };
         let c = io_cost(&io);
         assert!((c - (4.0 + 4.0)).abs() < 1e-9, "c = {c}");
     }

@@ -19,7 +19,7 @@ use crate::predicate::SargValue;
 use aim_sql::ast::{
     AggFunc, BinOp, Delete, Expr, Insert, Literal, Select, SelectItem, Statement, Update,
 };
-use aim_storage::{Database, IoStats, Key, RangeKeys, Row, Table, Value};
+use aim_storage::{Database, IndexEntry, IoStats, Key, RangeKeys, Row, Table, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -1101,22 +1101,22 @@ impl<'r> EntryTest<'r> {
     }
 
     /// Debug builds: the row of a skipped entry exists, and the level's
-    /// conjuncts up to the prefix's end reject it without error. Read
-    /// without charging and without touching a buffer pool.
-    fn audit_skip(&self, table: &'r Table, pk: &[Value], current: &mut [Option<&'r Row>]) {
+    /// conjuncts up to the prefix's end reject it without error. The row
+    /// is the one the read hands out with the entry, whose lookup it has
+    /// charged: reading it charges nothing more and touches no buffer pool.
+    fn audit_skip(&self, entry: IndexEntry<'r>, current: &mut [Option<&'r Row>]) {
         if !cfg!(debug_assertions) {
             return;
         }
-        let row = table
-            .iter_pk_range((Bound::Included(pk), Bound::Included(pk)))
-            .next();
-        let row = row.unwrap_or_else(|| panic!("an index entry names no row: {pk:?}"));
+        let key = entry.key();
+        let row = entry.row();
+        let row = row.unwrap_or_else(|| panic!("an index entry names no row: {key:?}"));
         current[self.slot] = Some(row);
         let verdict = first_rejection(self.conjuncts, current);
         current[self.slot] = None;
         assert!(
             matches!(verdict, Some(Ok(()))),
-            "skipped the row {pk:?}, which its level's conjuncts give {verdict:?}"
+            "skipped the row of {key:?}, which its level's conjuncts give {verdict:?}"
         );
     }
 }
@@ -1152,8 +1152,6 @@ struct ProbeBuffers<'r> {
     prefixes: Vec<Value>,
     /// The keys of the range each prefix scans.
     keys: RangeKeys,
-    /// The entries a secondary-index scan found.
-    entries: Vec<&'r Key>,
     /// The candidates of one branch of an index-merge union.
     branch: Vec<&'r Row>,
 }
@@ -1272,56 +1270,86 @@ impl<'r> Probe<'r> {
         Ok(count)
     }
 
-    /// Appends the candidates of this scan under the outer slots of
-    /// `current` to `out`: clustered rows, or the index entries themselves
-    /// when the scan is covering. All I/O of the access is charged here.
+    /// Reads the candidates of this scan under the outer slots of the
+    /// tuple and sends each to `dest`: clustered rows, or the index entries
+    /// themselves when the scan is covering. The table's reads charge all
+    /// I/O of the access, each what it handed out: a read `dest` stops is
+    /// charged up to the row it stopped at.
     fn fetch(
         &self,
         table: &'r Table,
-        current: &mut [Option<&'r Row>],
         layouts: &[SlotLayout],
         buffers: &mut ProbeBuffers<'r>,
+        tuple: &mut Tuple<'r>,
         io: &mut IoStats,
-        out: &mut Vec<&'r Row>,
+        mut dest: Dest<'_, 'r>,
     ) -> Result<(), ExecError> {
-        let ProbeBuffers {
-            prefixes,
-            keys,
-            entries,
-            ..
-        } = buffers;
-        let count = self.prefixes(current, layouts, prefixes)?;
+        let ProbeBuffers { prefixes, keys, .. } = buffers;
+        let count = self.prefixes(&tuple.current, layouts, prefixes)?;
         let width = self.sources.len();
         let unbounded = matches!(self.range, (Bound::Unbounded, Bound::Unbounded));
+        let mut stopped = false;
         for n in 0..count {
+            if stopped {
+                break;
+            }
             let prefix = &prefixes[n * width..(n + 1) * width];
+            let mut send = |tuple: &mut Tuple<'r>, row: &'r Row| {
+                stopped = dest.send(tuple, row)?;
+                Ok::<_, ExecError>(stopped)
+            };
+            let range = keys.prefix_range(prefix, self.range);
             match self.index {
                 // Full-PK point lookup fast path.
                 None if width == table.schema().primary_key.len() && unbounded => {
-                    out.extend(table.pk_lookup(prefix, io));
-                }
-                None => table.pk_range(keys.prefix_range(prefix, self.range), io, out),
-                Some(sec) if self.scan.covering => {
-                    let range = keys.prefix_range(prefix, self.range);
-                    sec.scan_prefix_range(table, range, io, out);
-                }
-                Some(sec) => {
-                    entries.clear();
-                    let range = keys.prefix_range(prefix, self.range);
-                    sec.scan_prefix_range(table, range, io, entries);
-                    for &e in entries.iter() {
-                        let pk = sec.pk_of_entry(e);
-                        if let Some(test) = self.entry.as_ref().filter(|t| t.rejects(e, current)) {
-                            test.audit_skip(table, pk, current);
-                            table.charge_pk_lookup(pk, io);
-                        } else {
-                            out.extend(table.pk_lookup(pk, io));
-                        }
+                    if let Some(row) = table.pk_lookup(prefix, io) {
+                        send(tuple, row)?;
                     }
+                }
+                None => table.pk_range(range, io, |row| send(tuple, row))?,
+                Some(sec) => {
+                    let lookups = !self.scan.covering;
+                    table.index_range(sec, range, lookups, io, |entry| {
+                        if !lookups {
+                            return send(tuple, entry.key());
+                        }
+                        let rejects =
+                            |t: &&EntryTest<'r>| t.rejects(entry.key(), &mut tuple.current);
+                        if let Some(test) = self.entry.as_ref().filter(rejects) {
+                            test.audit_skip(entry, &mut tuple.current);
+                            return Ok(false);
+                        }
+                        match entry.row() {
+                            Some(row) => send(tuple, row),
+                            None => Ok(false),
+                        }
+                    })?
                 }
             }
         }
         Ok(())
+    }
+}
+
+/// Where a probe sends the rows it reads.
+enum Dest<'o, 'r> {
+    /// Every row, into a join level's candidates.
+    Candidates(&'o mut Vec<&'r Row>),
+    /// Each row to the tuple of a single-table plan, up to the one that
+    /// makes `limit` tuples (an index-ordered LIMIT).
+    Limit(usize),
+}
+
+impl<'r> Dest<'_, 'r> {
+    /// Sends `row`; true when the read stops there.
+    fn send(&mut self, tuple: &mut Tuple<'r>, row: &'r Row) -> Result<bool, ExecError> {
+        match self {
+            Dest::Candidates(out) => {
+                out.push(row);
+                Ok(false)
+            }
+            Dest::Limit(limit) => tuple.offer(row, *limit),
+        }
     }
 }
 
@@ -1447,10 +1475,10 @@ impl<'r> Join<'r> {
         }
     }
 
-    /// Early-terminating scan for ORDER BY ... LIMIT served from index
-    /// order (§IV-E of the paper): rows are read lazily in index order,
-    /// filtered, and the scan stops after `limit` matches — charging I/O
-    /// only for entries actually consumed.
+    /// ORDER BY … LIMIT served from index order (§IV-E of the paper): the
+    /// probe of a single-table plan reads its index in order and stops at
+    /// the row that makes `limit` tuples, charged for what it read
+    /// ([`Probe::fetch`]).
     ///
     /// Returns `false`, having read nothing, when the plan shape does not
     /// qualify (multi-table, non-constant probes, OR-union), in which case
@@ -1473,43 +1501,8 @@ impl<'r> Join<'r> {
         if !probe.scan.eq.iter().all(constant) {
             return Ok(false);
         }
-        probe.prefixes(&tuple.current, layouts, &mut buffers.prefixes)?;
-        let range = buffers.keys.prefix_range(&buffers.prefixes, probe.range);
-        let table = tables[0];
-
-        let mut bytes = 0u64;
-        io.charge_seek();
-        match probe.index {
-            None => {
-                for row in table.iter_pk_range(range) {
-                    io.charge_rows(1);
-                    bytes += row.iter().map(Value::storage_size).sum::<u64>();
-                    if tuple.offer(row, limit)? {
-                        break;
-                    }
-                }
-            }
-            Some(sec) => {
-                for e in sec.iter_prefix_range(range) {
-                    io.charge_rows(1);
-                    bytes += e.iter().map(Value::storage_size).sum::<u64>();
-                    let row = if probe.scan.covering {
-                        e
-                    } else {
-                        match table.pk_lookup(sec.pk_of_entry(e), io) {
-                            Some(r) => r,
-                            None => continue,
-                        }
-                    };
-                    if tuple.offer(row, limit)? {
-                        break;
-                    }
-                }
-            }
-        }
-        if bytes > 0 {
-            io.charge_sequential(bytes);
-        }
+        let dest = Dest::Limit(limit);
+        probe.fetch(tables[0], layouts, buffers, tuple, io, dest)?;
         Ok(true)
     }
 
@@ -1540,7 +1533,8 @@ impl<'r> Join<'r> {
             }
             Access::Index(probe) => {
                 out.clear();
-                probe.fetch(table, &mut tuple.current, layouts, buffers, io, out)?
+                let dest = Dest::Candidates(out);
+                probe.fetch(table, layouts, buffers, tuple, io, dest)?
             }
             Access::OrUnion(branches) => {
                 out.clear();
@@ -1548,7 +1542,8 @@ impl<'r> Join<'r> {
                 let mut branch = std::mem::take(&mut buffers.branch);
                 for (probe, layout) in branches {
                     branch.clear();
-                    probe.fetch(table, &mut tuple.current, layouts, buffers, io, &mut branch)?;
+                    let dest = Dest::Candidates(&mut branch);
+                    probe.fetch(table, layouts, buffers, tuple, io, dest)?;
                     for slot in &branch {
                         pks.insert(slot_pk(table, layout, slot));
                     }

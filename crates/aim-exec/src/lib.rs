@@ -48,7 +48,6 @@ pub mod eval;
 pub mod executor;
 pub mod explain;
 pub mod hypothetical;
-pub mod iocheck;
 pub mod planner;
 pub mod predicate;
 pub mod whatif;
@@ -59,7 +58,6 @@ pub use error::ExecError;
 pub use executor::{CostStamp, Engine, ExecOutcome, OpenSelect};
 pub use explain::{explain_select, ExplainAlternative, ExplainNode, ExplainPlan};
 pub use hypothetical::{HypoConfig, HypotheticalIndex};
-pub use iocheck::IoAccuracy;
 pub use planner::{
     estimate_statement_cost, estimate_statement_cost_batch_until, AccessPath, EqSource,
     IndexChoice, IndexScan, Plan, Planner, TableStep,

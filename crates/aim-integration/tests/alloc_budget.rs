@@ -157,13 +157,17 @@ fn executor_stays_within_its_allocation_budget() {
     // fixture's `ix_l_shipdate`, and Q5 allocates one less
     // (825 -> 824 a seed). Then 15 179, until a full-scan level visited
     // twice or more bucketed its kept rows by its key conjunct (Q5, Q7
-    // and Q10 one more a seed, Q9 two).
-    assert_eq!(total, 15_189, "TPC-H 22x2");
+    // and Q10 one more a seed, Q9 two). Then 15 189, while a
+    // non-covering probe collected its entries into a buffer of its own
+    // before it fetched their rows; the table's index read hands them to
+    // the probe one by one.
+    assert_eq!(total, 15_123, "TPC-H 22x2");
     // Was 3 066, about 15 per outer row: every probe built its prefix,
     // its two range keys, its candidate vectors and a primary key per
     // entry afresh. Now a probe reuses the join's buffers. Then 161,
     // until the probe bound, once, the three-branch OR it tests each
-    // `lineitem` entry with before fetching the row.
-    assert_eq!((join, outer_rows), (182, 200), "Q19 index join");
+    // `lineitem` entry with before fetching the row. Then 182, while the
+    // probe collected its entries into a buffer before testing them.
+    assert_eq!((join, outer_rows), (177, 200), "Q19 index join");
     assert!(join <= outer_rows, "more than one allocation per outer row");
 }

@@ -78,6 +78,21 @@ pub fn observe(db: &mut Database, texts: impl IntoIterator<Item = String>) -> Wo
     monitor
 }
 
+/// Every entry of `table`'s index `name`, in key order, as one read of
+/// the whole index hands them out.
+pub fn index_entries(table: &aim_storage::Table, name: &str) -> Vec<aim_storage::Key> {
+    let ix = table.index(name).unwrap();
+    let all = (std::ops::Bound::Unbounded, std::ops::Bound::Unbounded);
+    let mut entries = Vec::with_capacity(ix.len());
+    table
+        .index_range(ix, all, false, &mut IoStats::new(), |e| {
+            entries.push(e.key().clone());
+            Ok::<_, ()>(false)
+        })
+        .unwrap();
+    entries
+}
+
 /// A disk-backed database in `dir` (emptied first) holding `source`'s
 /// tables and rows, each row its own transaction, analysed.
 pub fn on_disk(source: &Database, dir: &std::path::Path) -> Database {

@@ -998,6 +998,143 @@ fn streamed_limits_read_the_same_rows_on_both_backends() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One read of a primary-key range or of a secondary-index range, with
+/// and without row lookups, over random ranges of a table whose trees
+/// span several pages, stopped at a random row or read to the end, on
+/// the memory and the disk backend. Both hand out the same rows in the
+/// same order. Memory charges the model over what was handed out: one
+/// seek, each row or entry, the pages their bytes fill, and a seek, a
+/// page and a row per lookup. On disk the seeks and rows are the same,
+/// and a stopped read is charged exactly the walk of what it handed out:
+/// a stopped read of the range cut at its last entry charges the same,
+/// reading that cut range to its end costs at most the one page more that
+/// finding its end takes, and the whole range costs no less.
+#[test]
+fn a_stopped_read_is_charged_for_what_it_handed_out() {
+    let dir = std::env::temp_dir().join(format!("aim-prop-stop-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut mem = Database::new();
+    let mut disk = aim_core::BackendSpec::disk(&dir).provision().unwrap();
+    let mut rng = StdRng::seed_from_u64(0x570B);
+    let schema = TableSchema::new(
+        "t",
+        vec![
+            ColumnDef::new("id", ColumnType::Int),
+            ColumnDef::new("x", ColumnType::Int),
+            ColumnDef::new("pad", ColumnType::Str),
+        ],
+        &["id"],
+    )
+    .unwrap();
+    let mut io = IoStats::new();
+    let rows: Vec<Row> = (0..3_000i64)
+        .map(|id| {
+            let pad = Value::Str(format!("{id:>60}"));
+            vec![Value::Int(id), Value::Int(rng.gen_range(0..500i64)), pad]
+        })
+        .collect();
+    for db in [&mut mem, &mut disk] {
+        db.create_table(schema.clone()).unwrap();
+        for row in &rows {
+            db.table_mut("t")
+                .unwrap()
+                .insert(row.clone(), &mut io)
+                .unwrap();
+        }
+        db.create_index(IndexDef::new("ix_x", "t", vec!["x".into()]), &mut io)
+            .unwrap();
+    }
+    // The rows or entries one read hands out, stopped at the `stop`-th,
+    // and what it was charged.
+    let read = |db: &Database, kind: usize, range: (Bound<&[Value]>, Bound<&[Value]>), stop| {
+        let t = db.table("t").unwrap();
+        let (mut got, mut io) = (Vec::new(), IoStats::new());
+        let mut take = |item: &Row| {
+            got.push(item.clone());
+            Ok::<_, ()>(got.len() == stop)
+        };
+        match kind {
+            0 => t.pk_range(range, &mut io, take),
+            _ => {
+                let ix = t.index("ix_x").unwrap();
+                t.index_range(ix, range, kind == 2, &mut io, |e| {
+                    if kind == 2 {
+                        // The row the entry names: (id, x) for (x, id).
+                        let (row, key) = (e.row().unwrap(), e.key());
+                        assert_eq!((&row[0], &row[1]), (&key[1], &key[0]));
+                    }
+                    take(e.key())
+                })
+            }
+        }
+        .unwrap();
+        (got, io)
+    };
+    let charged = |io: &IoStats| (io.pages_read, io.seeks, io.rows_read);
+    let mut keys = RangeKeys::default();
+    let mut widest = 0;
+    for case in 0..240 {
+        // 0: the primary key; 1: the index, covering; 2: with lookups.
+        let kind = case % 3;
+        let (lo, hi) = match kind {
+            0 => {
+                let lo = rng.gen_range(0..3_000i64);
+                (lo, lo + rng.gen_range(0..600i64))
+            }
+            _ => {
+                let lo = rng.gen_range(0..500i64);
+                (lo, lo + rng.gen_range(0..80i64))
+            }
+        };
+        let (lo, hi) = (Value::Int(lo), Value::Int(hi));
+        let range = keys.prefix_range(&[], (Bound::Included(&lo), Bound::Included(&hi)));
+        let (all, whole) = read(&disk, kind, range, usize::MAX);
+        widest = widest.max(whole.pages_read);
+        let stop = rng.gen_range(1..=all.len() + 1);
+        let (m, m_io) = read(&mem, kind, range, stop);
+        let (d, d_io) = read(&disk, kind, range, stop);
+        assert_eq!(m, d, "case {case}");
+        assert_eq!(d[..], all[..d.len()], "case {case}");
+
+        let handed = m.len() as u64;
+        let lookups = u64::from(kind == 2) * handed;
+        let bytes: u64 = m.iter().flatten().map(Value::storage_size).sum();
+        let pages = if bytes > 0 {
+            bytes.div_ceil(aim_storage::PAGE_SIZE)
+        } else {
+            0
+        };
+        let model = (1 + lookups + pages, 1 + lookups, handed + lookups);
+        assert_eq!(charged(&m_io), model, "case {case}: memory");
+        assert_eq!(
+            (d_io.seeks, d_io.rows_read),
+            (model.1, model.2),
+            "case {case}"
+        );
+        assert!(d_io.pages_read <= whole.pages_read, "case {case}");
+        if stop > all.len() {
+            assert_eq!(charged(&d_io), charged(&whole), "case {case}");
+            continue;
+        }
+        // The range cut at the last row handed out.
+        let last = d.last().unwrap();
+        let last: &[Value] = if kind == 0 { &last[..1] } else { last };
+        let cut = (range.0, Bound::Included(last));
+        let (cut_rows, cut_io) = read(&disk, kind, cut, stop);
+        assert_eq!(cut_rows, d, "case {case}");
+        assert_eq!(charged(&cut_io), charged(&d_io), "case {case}");
+        let (_, to_end) = read(&disk, kind, cut, usize::MAX);
+        let more = to_end.pages_read - d_io.pages_read;
+        assert!(
+            more <= 1,
+            "case {case}: the cut range read to its end costs {more} pages more"
+        );
+    }
+    assert!(widest >= 4, "every read fit in {widest} pages");
+    drop(disk);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // --------------------------------------------------------------- storage
 
 #[test]
@@ -1287,8 +1424,11 @@ fn random_ops_are_identical_on_disk_and_memory_backends() {
         let window = (Bound::Included(&lo[..]), Bound::Excluded(&hi[..]));
         let pk_range = |db: &Database, io: &mut IoStats| {
             let mut rows = Vec::new();
-            db.table("t").unwrap().pk_range(window, io, &mut rows);
-            rows.into_iter().cloned().collect::<Vec<_>>()
+            let read = db.table("t").unwrap().pk_range(window, io, |row| {
+                rows.push(row.clone());
+                Ok::<_, ()>(false)
+            });
+            read.map(|()| rows).unwrap()
         };
         let m = pk_range(&mem, &mut IoStats::new());
         let d = pk_range(&disk, &mut IoStats::new());
@@ -1304,8 +1444,11 @@ fn random_ops_are_identical_on_disk_and_memory_backends() {
             );
             let mut entries = Vec::new();
             let ix = table.index("ix_a").unwrap();
-            ix.scan_prefix_range(table, range, &mut IoStats::new(), &mut entries);
-            entries.into_iter().cloned().collect::<Vec<_>>()
+            let read = table.index_range(ix, range, false, &mut IoStats::new(), |e| {
+                entries.push(e.key().clone());
+                Ok::<_, ()>(false)
+            });
+            read.map(|()| entries).unwrap()
         };
         let (m, d) = (index_scan(&mem), index_scan(&disk));
         assert_eq!(m, d, "round {round}: index scan a={probe:?} diverged");
@@ -1378,7 +1521,7 @@ fn indexes_match_rows(table: &aim_storage::Table) -> Result<(), String> {
             .map(|r| ix.entry_for_row(r))
             .collect();
         rows.sort();
-        let held = format!("{:?}", ix.scan_all(table, &mut io));
+        let held = format!("{:?}", common::index_entries(table, &ix.def().name));
         let rows = format!("{rows:?}");
         if held != rows {
             return Err(format!(

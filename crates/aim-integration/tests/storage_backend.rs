@@ -5,7 +5,7 @@ use aim_core::{
     generate_candidates, knapsack_select, try_rank_candidates_with, validate_on_clone, AimConfig,
     BackendSpec, CandidateGenConfig, RunCtl, ValidationConfig,
 };
-use aim_exec::{Engine, IoAccuracy, WhatIfCache};
+use aim_exec::{Engine, ExecOutcome, WhatIfCache};
 use aim_monitor::{select_workload, SelectionConfig, WorkloadMonitor};
 use aim_sql::parse_statement;
 use aim_storage::{
@@ -303,13 +303,18 @@ fn a_read_only_pass_on_disk_adopts_the_beds_builds_and_they_survive_a_kill() {
     let db = spec.provision().unwrap();
     assert_eq!(db.all_indexes(), defs);
     db.check_consistency().unwrap();
-    let entries = |db: &Database, def: &IndexDef| -> Vec<Vec<Value>> {
+    let entries = |db: &Database, def: &IndexDef| {
         let table = db.table(&def.table).unwrap();
+        let all = (std::ops::Bound::Unbounded, std::ops::Bound::Unbounded);
+        let mut entries = Vec::new();
         let ix = table.index(&def.name).unwrap();
-        ix.scan_all(table, &mut IoStats::new())
-            .into_iter()
-            .cloned()
-            .collect()
+        table
+            .index_range(ix, all, false, &mut IoStats::new(), |e| {
+                entries.push(e.key().clone());
+                Ok::<_, ()>(false)
+            })
+            .unwrap();
+        entries
     };
     for def in &defs {
         let mut fresh = db.clone();
@@ -347,6 +352,101 @@ fn disk_queries_charge_real_pages_and_update_pool_counters() {
         "buffer pool saw no traffic"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Estimated against measured cost over executed statements: every
+/// statement carries the planner's estimate (`Plan::est_cost`) and the
+/// cost of the I/O the storage engine charged (`ExecOutcome::cost`: page
+/// walks on disk, the model's charges in memory).
+#[derive(Debug, Default)]
+struct IoAccuracy {
+    /// Statements recorded.
+    samples: u64,
+    est_total: f64,
+    actual_total: f64,
+    /// Sum of per-statement relative errors `|est - actual| / actual`
+    /// over the statements with a measured cost.
+    sum_rel_err: f64,
+    /// Statements that contributed a relative-error term.
+    err_samples: u64,
+    /// Pages read and written by the measured executions.
+    pages_touched: u64,
+}
+
+impl IoAccuracy {
+    fn record(&mut self, out: &ExecOutcome) {
+        self.record_raw(out.plan.est_cost, out.cost, &out.io);
+    }
+
+    fn record_raw(&mut self, est: f64, actual: f64, io: &IoStats) {
+        self.samples += 1;
+        self.est_total += est;
+        self.actual_total += actual;
+        self.pages_touched += io.pages_read + io.pages_written;
+        if actual > 0.0 {
+            self.sum_rel_err += (est - actual).abs() / actual;
+            self.err_samples += 1;
+        }
+    }
+
+    /// Mean relative error across recorded statements (`0.0` when nothing
+    /// measurable was recorded): `0.15` is off by 15 % on an average
+    /// statement.
+    fn mean_relative_error(&self) -> f64 {
+        if self.err_samples == 0 {
+            0.0
+        } else {
+            self.sum_rel_err / self.err_samples as f64
+        }
+    }
+
+    /// Total estimated over total measured cost: `> 1` over-estimates.
+    fn bias(&self) -> f64 {
+        if self.actual_total > 0.0 {
+            self.est_total / self.actual_total
+        } else {
+            1.0
+        }
+    }
+}
+
+mod io_accuracy {
+    use super::*;
+
+    fn io(pages: u64) -> IoStats {
+        IoStats {
+            pages_read: pages,
+            ..IoStats::new()
+        }
+    }
+
+    #[test]
+    fn perfect_estimates_have_zero_error_and_unit_bias() {
+        let mut acc = IoAccuracy::default();
+        acc.record_raw(10.0, 10.0, &io(3));
+        acc.record_raw(4.0, 4.0, &io(1));
+        assert_eq!(acc.samples, 2);
+        assert_eq!(acc.mean_relative_error(), 0.0);
+        assert_eq!(acc.bias(), 1.0);
+        assert_eq!(acc.pages_touched, 4);
+    }
+
+    #[test]
+    fn relative_error_averages_per_statement() {
+        let mut acc = IoAccuracy::default();
+        acc.record_raw(15.0, 10.0, &io(0)); // 50% over
+        acc.record_raw(5.0, 10.0, &io(0)); // 50% under
+        assert!((acc.mean_relative_error() - 0.5).abs() < 1e-12);
+        assert!((acc.bias() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn zero_actual_contributes_no_error_term() {
+        let mut acc = IoAccuracy::default();
+        acc.record_raw(3.0, 0.0, &io(0));
+        assert_eq!(acc.samples, 1);
+        assert_eq!(acc.mean_relative_error(), 0.0);
+    }
 }
 
 /// The planner's page arithmetic against what execution charges, on both
@@ -401,14 +501,14 @@ fn estimated_pages_track_measured_pages() {
         queries.push("SELECT id FROM orders WHERE amount = 64.0".into());
 
         let engine = Engine::new();
-        let mut acc = IoAccuracy::new();
+        let mut acc = IoAccuracy::default();
         let mut results = Vec::new();
         for sql in &queries {
             let stmt = parse_statement(sql).unwrap();
             let mut rows = Vec::new();
             for _ in 0..3 {
                 let out = engine.execute(db, &stmt).unwrap();
-                acc.record(&out.plan, &out);
+                acc.record(&out);
                 rows = out.rows;
             }
             results.push(rows);

@@ -156,6 +156,7 @@ fn paged_operations_cost_what_they_touch() {
             "orders",
             Bound::Included(&lo),
             Bound::Excluded(&hi),
+            None,
             &mut io
         ));
         assert_eq!(io.rows_read, 40);
@@ -179,6 +180,7 @@ fn paged_operations_cost_what_they_touch() {
             "ix_customer",
             Bound::Included(&lo),
             Bound::Excluded(&hi),
+            None,
             &mut io
         ));
         assert_eq!(io.rows_read, 20);

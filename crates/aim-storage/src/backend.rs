@@ -147,26 +147,32 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
         false
     }
 
+    /// The walk of a primary-key range, to its `limit`-th row when the
+    /// read stopped there, and the heap pages of the rows it passed.
     fn account_pk_range(
         &self,
         table: &str,
         lower: Bound<&[Value]>,
         upper: Bound<&[Value]>,
+        limit: Option<u64>,
         io: &mut IoStats,
     ) -> bool {
-        let _ = (table, lower, upper, io);
+        let _ = (table, lower, upper, limit, io);
         false
     }
 
+    /// The walk of a secondary-index range, to its `limit`-th entry when
+    /// the read stopped there.
     fn account_index_range(
         &self,
         table: &str,
         index: &str,
         lower: Bound<&[Value]>,
         upper: Bound<&[Value]>,
+        limit: Option<u64>,
         io: &mut IoStats,
     ) -> bool {
-        let _ = (table, index, lower, upper, io);
+        let _ = (table, index, lower, upper, limit, io);
         false
     }
 
@@ -296,6 +302,7 @@ impl DiskBackend {
                     ci.root,
                     Bound::Unbounded,
                     Bound::Unbounded,
+                    None,
                     &mut io,
                     |k, _| decoded(k, &mut entries),
                 )?;
@@ -609,6 +616,7 @@ impl StorageBackend for DiskBackend {
         table: &str,
         lower: Bound<&[Value]>,
         upper: Bound<&[Value]>,
+        limit: Option<u64>,
         io: &mut IoStats,
     ) -> bool {
         let mut inner = self.lock();
@@ -623,13 +631,21 @@ impl StorageBackend for DiskBackend {
         // insertion order, so locality is high, as in a real heap scan).
         let heap_pages = &mut inner.heap_pages;
         heap_pages.clear();
-        let walk = btree_page::range(&mut inner.pager, pk_root, lower, upper, io, |_, rid| {
-            if let Ok((pg, _)) = codec::decode_rowid(rid) {
-                if heap_pages.last() != Some(&pg) {
-                    heap_pages.push(pg);
+        let walk = btree_page::range(
+            &mut inner.pager,
+            pk_root,
+            lower,
+            upper,
+            limit,
+            io,
+            |_, rid| {
+                if let Ok((pg, _)) = codec::decode_rowid(rid) {
+                    if heap_pages.last() != Some(&pg) {
+                        heap_pages.push(pg);
+                    }
                 }
-            }
-        });
+            },
+        );
         let rows = match walk {
             Ok(rows) => rows,
             Err(_) => {
@@ -653,6 +669,7 @@ impl StorageBackend for DiskBackend {
         index: &str,
         lower: Bound<&[Value]>,
         upper: Bound<&[Value]>,
+        limit: Option<u64>,
         io: &mut IoStats,
     ) -> bool {
         let mut inner = self.lock();
@@ -666,7 +683,7 @@ impl StorageBackend for DiskBackend {
             return false;
         };
         io.seeks += 1;
-        match btree_page::range(&mut inner.pager, root, lower, upper, io, |_, _| {}) {
+        match btree_page::range(&mut inner.pager, root, lower, upper, limit, io, |_, _| {}) {
             Ok(rows) => {
                 io.rows_read += rows;
                 true
@@ -982,7 +999,8 @@ mod tests {
         let lo = vec![Value::Int(100)];
         let hi = vec![Value::Int(200)];
         let mut io3 = IoStats::new();
-        assert!(be.account_pk_range("t", Bound::Included(&lo), Bound::Excluded(&hi), &mut io3));
+        let (lo, hi) = (Bound::Included(&lo[..]), Bound::Excluded(&hi[..]));
+        assert!(be.account_pk_range("t", lo, hi, None, &mut io3));
         assert_eq!(io3.rows_read, 100);
         assert!(io3.pages_read < io.pages_read);
         // Unknown tables fall back to the simulated model.

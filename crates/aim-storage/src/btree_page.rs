@@ -502,12 +502,16 @@ fn within_upper(key: &[u8], upper: &Bound<&[Value]>) -> Result<bool, StorageErro
 
 /// Ordered range scan: calls `visit(encoded key, value)` for every entry
 /// within the bounds, where it lies, charging `io` one page per node
-/// touched — each node once. Returns the number of entries visited.
+/// touched — each node once. With a `limit` the walk ends at its
+/// `limit`-th entry, reading no node after the one that holds it: the
+/// walk of a read its caller stopped there. Returns the number of
+/// entries visited.
 pub fn range<F: FnMut(&[u8], &[u8])>(
     p: &mut Pager,
     root: u32,
     lower: Bound<&[Value]>,
     upper: Bound<&[Value]>,
+    limit: Option<u64>,
     io: &mut IoStats,
     mut visit: F,
 ) -> Result<u64, StorageError> {
@@ -544,6 +548,9 @@ pub fn range<F: FnMut(&[u8], &[u8])>(
             }
             visit(key, val);
             visited += 1;
+            if limit == Some(visited) {
+                return Ok(visited);
+            }
         }
         no = page.next_page();
         if no == 0 {
@@ -589,6 +596,7 @@ pub fn count(p: &mut Pager, root: u32) -> Result<u64, StorageError> {
         root,
         Bound::Unbounded,
         Bound::Unbounded,
+        None,
         &mut io,
         |_, _| {},
     )
@@ -810,6 +818,7 @@ mod tests {
             root,
             Bound::Unbounded,
             Bound::Unbounded,
+            None,
             &mut io,
             |k, v| out.push((codec::decode_tuple(k).unwrap(), v.to_vec())),
         )
@@ -893,6 +902,7 @@ mod tests {
             root,
             Bound::Included(&lo),
             Bound::Excluded(&hi),
+            None,
             &mut io,
             |key, _| got.push(codec::decode_tuple(key).unwrap()),
         )
@@ -1033,6 +1043,7 @@ mod tests {
                         root,
                         Bound::Excluded(&lo),
                         Bound::Included(&hi),
+                        None,
                         &mut IoStats::new(),
                         |key, _| got.push(codec::decode_tuple(key).unwrap()),
                     )
@@ -1088,6 +1099,7 @@ mod tests {
             root,
             Bound::Included(&lo),
             Bound::Excluded(&hi),
+            None,
             &mut io,
             |_, _| {},
         )
@@ -1125,6 +1137,7 @@ mod tests {
             root,
             Bound::Excluded(&last_of_first),
             Bound::Included(&hi),
+            None,
             &mut io,
             |key, _| got.push(codec::decode_tuple(key).unwrap()),
         )

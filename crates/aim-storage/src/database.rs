@@ -516,13 +516,9 @@ mod tests {
         .unwrap();
         let contents = |db: &Database| {
             let t = db.table("t").unwrap();
-            let rows: Vec<Vec<Value>> = t.scan_all(&mut IoStats::new()).cloned().collect();
-            let ix = t.index("ix_a").unwrap();
-            let entries: Vec<Vec<Value>> = ix
-                .scan_all(t, &mut IoStats::new())
-                .into_iter()
-                .cloned()
-                .collect();
+            let rows: Vec<Vec<Value>> = t.uncharged_rows().cloned().collect();
+            let all = (std::ops::Bound::Unbounded, std::ops::Bound::Unbounded);
+            let entries: Vec<Vec<Value>> = t.index("ix_a").unwrap().range(all).cloned().collect();
             (rows, entries)
         };
         let int = |pairs: &[(i64, i64)]| -> Vec<Vec<Value>> {

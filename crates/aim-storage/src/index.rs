@@ -5,16 +5,14 @@
 //! disambiguates duplicate key prefixes and lets covering scans avoid the
 //! base table entirely.
 //!
-//! An index holds no backend: its owning [`Table`] keeps it behind an
-//! `Arc`, shared with every clone of the table until one side writes it,
-//! and the scans account their I/O through the owner's backend.
+//! An index holds no backend: its owning [`crate::Table`] keeps it behind
+//! an `Arc`, shared with every clone of the table until one side writes
+//! it, and reads it ([`crate::Table::index_range`]), charged through the
+//! table's backend.
 
-use crate::io::IoStats;
 use crate::schema::IndexDef;
-use crate::table::Table;
 use crate::value::{Key, KeyRange, Row, Value};
 use std::collections::BTreeSet;
-use std::ops::Bound;
 
 /// A materialized composite secondary index.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,74 +124,21 @@ impl SecondaryIndex {
         }
     }
 
-    /// Scans the entries within `range` (built by
-    /// [`crate::RangeKeys::prefix_range`]) and appends them, in key order,
-    /// to `out`. `owner` is the table holding this index: its backend
-    /// accounts the scan.
-    ///
-    /// Charges one seek (tree descent) plus sequential reads proportional to
-    /// the entries touched.
-    pub fn scan_prefix_range<'a>(
-        &'a self,
-        owner: &Table,
-        range: KeyRange<'_>,
-        io: &mut IoStats,
-        out: &mut Vec<&'a Key>,
-    ) {
-        let measured = owner.backend().account_index_range(
-            &self.def.table,
-            &self.def.name,
-            range.0,
-            range.1,
-            io,
-        );
-        let start = out.len();
-        let mut bytes = 0u64;
-        for entry in self.entries.range::<[Value], _>(range) {
-            bytes += entry.iter().map(Value::storage_size).sum::<u64>();
-            out.push(entry);
-        }
-        if !measured {
-            io.charge_seek();
-            io.charge_rows((out.len() - start) as u64);
-            if bytes > 0 {
-                io.charge_sequential(bytes);
-            }
-        }
-    }
-
-    /// Lazy variant of [`SecondaryIndex::scan_prefix_range`]: returns the
-    /// entries within `range` in key order *without* charging I/O. Callers
-    /// that stop early (ORDER BY ... LIMIT served from index order, §IV-E
-    /// of the paper) must charge [`IoStats`] per entry actually consumed.
-    pub fn iter_prefix_range(&self, range: KeyRange<'_>) -> impl Iterator<Item = &Key> {
+    /// The entries within `range` (built by
+    /// [`crate::RangeKeys::prefix_range`]) in key order, uncharged: what
+    /// [`crate::Table::index_range`] hands out and charges.
+    pub(crate) fn range(&self, range: KeyRange<'_>) -> impl Iterator<Item = &Key> {
         self.entries.range::<[Value], _>(range)
-    }
-
-    /// Scans the entire index in key order (used for index-ordered GROUP BY
-    /// / ORDER BY without a usable predicate), accounted through the
-    /// backend of `owner`, the table holding this index.
-    pub fn scan_all(&self, owner: &Table, io: &mut IoStats) -> Vec<&Key> {
-        let measured = owner.backend().account_index_range(
-            &self.def.table,
-            &self.def.name,
-            Bound::Unbounded,
-            Bound::Unbounded,
-            io,
-        );
-        if !measured {
-            io.charge_seek();
-            io.charge_rows(self.entries.len() as u64);
-            io.charge_sequential(self.total_bytes);
-        }
-        self.entries.iter().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::IoStats;
     use crate::schema::IndexDef;
+    use crate::table::Table;
+    use std::ops::Bound;
 
     /// Index on (col a at pos 1, col b at pos 2) with PK at pos 0.
     fn index() -> SecondaryIndex {
@@ -212,25 +157,42 @@ mod tests {
         ix.insert_entry(ix.entry_for_row(row));
     }
 
-    /// The entries `ix` scans for `prefix` and `next_col_range`.
-    fn scan<'a>(
-        ix: &'a SecondaryIndex,
+    /// A table of `rows` with the index of [`index`], `ix` on (a, b).
+    fn table(rows: &[(i64, i64, &str)]) -> Table {
+        use crate::schema::{ColumnDef, ColumnType, TableSchema};
+        let columns = [
+            ("pk", ColumnType::Int),
+            ("a", ColumnType::Int),
+            ("b", ColumnType::Str),
+        ]
+        .map(|(c, ty)| ColumnDef::new(c, ty));
+        let mut t = Table::new(TableSchema::new("t", columns.into(), &["pk"]).unwrap());
+        let mut io = IoStats::new();
+        for &(pk, a, b) in rows {
+            t.insert(row(pk, a, b), &mut io).unwrap();
+        }
+        t.create_index(index().def().clone(), &mut io).unwrap();
+        t
+    }
+
+    /// The entries a read of `t`'s index hands out for `prefix` and
+    /// `next_col_range`.
+    fn scan(
+        t: &Table,
         prefix: &[Value],
         next_col_range: (Bound<&Value>, Bound<&Value>),
         io: &mut IoStats,
-    ) -> Vec<&'a Key> {
+    ) -> Vec<Key> {
         let mut keys = crate::RangeKeys::default();
-        let mut out = Vec::new();
         let range = keys.prefix_range(prefix, next_col_range);
-        ix.scan_prefix_range(&owner(), range, io, &mut out);
+        let mut out = Vec::new();
+        let ix = t.index("ix").unwrap();
+        t.index_range(ix, range, false, io, |e| {
+            out.push(e.key().clone());
+            Ok::<_, ()>(false)
+        })
+        .unwrap();
         out
-    }
-
-    /// A table for the index to account its scans through.
-    fn owner() -> Table {
-        use crate::schema::{ColumnDef, ColumnType, TableSchema};
-        let columns = ["pk", "a", "b"].map(|c| ColumnDef::new(c, ColumnType::Int));
-        Table::new(TableSchema::new("t", columns.into(), &["pk"]).unwrap())
     }
 
     #[test]
@@ -259,13 +221,10 @@ mod tests {
 
     #[test]
     fn prefix_scan_finds_exact_matches() {
-        let mut ix = index();
-        for (pk, a, b) in [(1, 10, "x"), (2, 10, "y"), (3, 20, "z")] {
-            insert(&mut ix, &row(pk, a, b));
-        }
+        let t = table(&[(1, 10, "x"), (2, 10, "y"), (3, 20, "z")]);
         let mut io = IoStats::new();
         let all = (Bound::Unbounded, Bound::Unbounded);
-        let hits = scan(&ix, &[Value::Int(10)], all, &mut io);
+        let hits = scan(&t, &[Value::Int(10)], all, &mut io);
         assert_eq!(hits.len(), 2);
         assert_eq!(io.seeks, 1);
         assert_eq!(io.rows_read, 2);
@@ -273,53 +232,41 @@ mod tests {
 
     #[test]
     fn prefix_plus_range_scan() {
-        let mut ix = index();
-        for (pk, a, b) in [(1, 10, "a"), (2, 10, "m"), (3, 10, "z"), (4, 20, "m")] {
-            insert(&mut ix, &row(pk, a, b));
-        }
+        let t = table(&[(1, 10, "a"), (2, 10, "m"), (3, 10, "z"), (4, 20, "m")]);
         let mut io = IoStats::new();
         let lo = Value::Str("b".into());
         let hi = Value::Str("y".into());
         let range = (Bound::Included(&lo), Bound::Included(&hi));
-        let hits = scan(&ix, &[Value::Int(10)], range, &mut io);
+        let hits = scan(&t, &[Value::Int(10)], range, &mut io);
         assert_eq!(hits.len(), 1);
-        assert_eq!(ix.pk_of_entry(hits[0]), &[Value::Int(2)]);
+        assert_eq!(index().pk_of_entry(&hits[0]), &[Value::Int(2)]);
     }
 
     #[test]
     fn open_range_on_first_column() {
-        let mut ix = index();
-        for (pk, a) in [(1, 5), (2, 10), (3, 15)] {
-            insert(&mut ix, &row(pk, a, "c"));
-        }
+        let t = table(&[(1, 5, "c"), (2, 10, "c"), (3, 15, "c")]);
         let mut io = IoStats::new();
         let lo = Value::Int(6);
-        let hits = scan(&ix, &[], (Bound::Excluded(&lo), Bound::Unbounded), &mut io);
+        let hits = scan(&t, &[], (Bound::Excluded(&lo), Bound::Unbounded), &mut io);
         assert_eq!(hits.len(), 2);
     }
 
     #[test]
     fn excluded_lower_bound_skips_all_equal_keys() {
-        let mut ix = index();
         // Two rows share a=10 with different PKs; Excluded(10) must skip both.
-        insert(&mut ix, &row(1, 10, "x"));
-        insert(&mut ix, &row(2, 10, "y"));
-        insert(&mut ix, &row(3, 11, "z"));
+        let t = table(&[(1, 10, "x"), (2, 10, "y"), (3, 11, "z")]);
         let mut io = IoStats::new();
         let lo = Value::Int(10);
-        let hits = scan(&ix, &[], (Bound::Excluded(&lo), Bound::Unbounded), &mut io);
+        let hits = scan(&t, &[], (Bound::Excluded(&lo), Bound::Unbounded), &mut io);
         assert_eq!(hits.len(), 1);
-        assert_eq!(ix.pk_of_entry(hits[0]), &[Value::Int(3)]);
+        assert_eq!(index().pk_of_entry(&hits[0]), &[Value::Int(3)]);
     }
 
     #[test]
     fn full_scan_returns_sorted_entries() {
-        let mut ix = index();
-        insert(&mut ix, &row(1, 30, "c"));
-        insert(&mut ix, &row(2, 10, "a"));
-        insert(&mut ix, &row(3, 20, "b"));
-        let mut io = IoStats::new();
-        let all = ix.scan_all(&owner(), &mut io);
+        let t = table(&[(1, 30, "c"), (2, 10, "a"), (3, 20, "b")]);
+        let all = (Bound::Unbounded, Bound::Unbounded);
+        let all = scan(&t, &[], all, &mut IoStats::new());
         let firsts: Vec<_> = all.iter().map(|e| e[0].clone()).collect();
         assert_eq!(firsts, vec![Value::Int(10), Value::Int(20), Value::Int(30)]);
     }

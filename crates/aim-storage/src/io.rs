@@ -2,10 +2,11 @@
 //!
 //! The engine simulates a disk-backed B+-tree storage layout: data lives in
 //! fixed-size pages, point lookups cost a *seek* plus a page read, and range
-//! scans cost one seek plus sequential page reads. Every scan primitive in
-//! the engine charges its work to an [`IoStats`], and the executor converts
-//! the totals into the simulated-CPU metric that AIM's formulas consume
-//! (the paper's `cpu_avg` includes `CPU_IOWAIT`, i.e. I/O shows up as CPU).
+//! scans cost one seek plus sequential page reads. Only the reads and
+//! writes of this crate charge an [`IoStats`] (the `charge_*` methods are
+//! crate-private); the executor converts the totals into the
+//! simulated-CPU metric that AIM's formulas consume (the paper's `cpu_avg`
+//! includes `CPU_IOWAIT`, i.e. I/O shows up as CPU).
 
 /// Fixed page size of the simulated storage engine (InnoDB default: 16 KiB).
 pub const PAGE_SIZE: u64 = 16 * 1024;
@@ -45,23 +46,23 @@ impl IoStats {
     }
 
     /// Charges a B+-tree point lookup: one seek plus one leaf page.
-    pub fn charge_seek(&mut self) {
+    pub(crate) fn charge_seek(&mut self) {
         self.seeks += 1;
         self.pages_read += 1;
     }
 
     /// Charges a sequential scan over `bytes` of data (at least one page).
-    pub fn charge_sequential(&mut self, bytes: u64) {
+    pub(crate) fn charge_sequential(&mut self, bytes: u64) {
         self.pages_read += bytes.div_ceil(PAGE_SIZE).max(1);
     }
 
     /// Charges examination of `n` rows/entries.
-    pub fn charge_rows(&mut self, n: u64) {
+    pub(crate) fn charge_rows(&mut self, n: u64) {
         self.rows_read += n;
     }
 
     /// Charges `n` row writes over `bytes` of data.
-    pub fn charge_writes(&mut self, n: u64, bytes: u64) {
+    pub(crate) fn charge_writes(&mut self, n: u64, bytes: u64) {
         self.rows_written += n;
         self.pages_written += bytes.div_ceil(PAGE_SIZE).max(1);
     }

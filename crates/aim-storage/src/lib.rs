@@ -68,5 +68,5 @@ pub use io::{pages_for, IoStats, PAGE_SIZE};
 pub use pager::{Pager, PagerOptions};
 pub use schema::{ColumnDef, ColumnType, IndexDef, TableSchema};
 pub use stats::{analyze, ColumnStats, Histogram, TableStats};
-pub use table::Table;
+pub use table::{IndexEntry, Table};
 pub use value::{Key, KeyRange, RangeKeys, Row, Value};

@@ -62,9 +62,12 @@ impl ColumnSet {
 ///
 /// Rows always live in the in-memory `BTreeMap` — that is what queries
 /// read. The attached [`StorageBackend`] decides whether mutations also
-/// write through to paged durable storage (disk backend) and whether scan
+/// write through to paged durable storage (disk backend) and whether read
 /// costs are measured from real page walks or charged from the simulated
-/// model (memory backend).
+/// model (memory backend). A table's reads — [`Table::scan_all`],
+/// [`Table::pk_lookup`], [`Table::pk_range`] and [`Table::index_range`] —
+/// are the only code that charges one: a caller gets rows borrowed for as
+/// long as it holds the table, and the read charges what it handed out.
 ///
 /// A clone shares the rows and every index with its source (each behind
 /// an `Arc`) and copies only the schema and the index map. A write goes
@@ -136,18 +139,12 @@ impl Table {
         self
     }
 
-    /// Re-points this table, and so the scans of its indexes, at the
-    /// in-memory backend. Used when cloning a database: clones are volatile
+    /// Re-points this table, and so the reads of it and of its indexes,
+    /// at the in-memory backend. Used when cloning a database: clones are volatile
     /// test substrates and must not write through to the source's disk
     /// files.
     pub(crate) fn detach_to_memory(&mut self) {
         self.backend = memory_backend();
-    }
-
-    /// The backend this table's mutations persist through and its scans,
-    /// and those of its indexes, are accounted by.
-    pub(crate) fn backend(&self) -> &dyn StorageBackend {
-        &*self.backend
     }
 
     /// True when this table and `other` hold the same rows object: one is
@@ -531,49 +528,166 @@ impl Table {
         self.rows.get(pk)
     }
 
-    /// Charges what [`Table::pk_lookup`] charges for a row that exists,
-    /// without reading it: one seek and one row, or on a disk backend the
-    /// same measured PK-tree descent and heap fetch. A probe whose index
-    /// entry already rejects its row still pays the lookup its plan priced.
-    pub fn charge_pk_lookup(&self, pk: &[Value], io: &mut IoStats) {
-        if !self.backend.account_pk_lookup(&self.schema.name, pk, io) {
-            io.charge_seek();
-            io.charge_rows(1);
+    /// One charged read of the rows whose keys lie within `range` (a PK
+    /// prefix and a range on the next PK column, built by
+    /// [`crate::RangeKeys::prefix_range`]): hands each to `visit` in PK
+    /// order, statement-lived, until `visit` returns `true` (stop) or
+    /// fails, and charges the rows it handed out. On a disk backend that
+    /// is the measured walk of the primary-key tree over them, to the last
+    /// one handed out when the caller stopped, and their heap pages.
+    pub fn pk_range<'a, E>(
+        &'a self,
+        range: KeyRange<'_>,
+        io: &mut IoStats,
+        visit: impl FnMut(&'a Row) -> Result<bool, E>,
+    ) -> Result<(), E> {
+        let rows = self.rows.range::<[Value], _>(range).map(|(_, row)| row);
+        let (read, result) = Handed::out(rows, visit);
+        let (table, limit) = (&self.schema.name, read.limit());
+        if !self
+            .backend
+            .account_pk_range(table, range.0, range.1, limit, io)
+        {
+            read.charge(io);
         }
+        result
     }
 
-    /// Range scan over primary keys: appends the rows whose keys lie
-    /// within `range` (a PK prefix and a range on the next PK column, built
-    /// by [`crate::RangeKeys::prefix_range`]) to `out`, in PK order.
-    pub fn pk_range<'a>(&'a self, range: KeyRange<'_>, io: &mut IoStats, out: &mut Vec<&'a Row>) {
-        let measured = self
+    /// One charged read of the entries of `index`, one of this table's,
+    /// within `range` (built by [`crate::RangeKeys::prefix_range`]):
+    /// hands each to `visit` in key order, statement-lived, until `visit`
+    /// returns `true` (stop) or fails, and charges the entries it handed
+    /// out. With `lookups` (a scan the index does not cover) each entry
+    /// handed out also carries its row ([`IndexEntry::row`]), and the read
+    /// charges the row's primary-key lookup whether the caller reads the
+    /// row or not. On a disk backend the charge is the measured walk of
+    /// the index tree over the entries, to the last one handed out when
+    /// the caller stopped, then each lookup's measured descent and heap
+    /// page, in entry order.
+    pub fn index_range<'a, E>(
+        &'a self,
+        index: &'a SecondaryIndex,
+        range: KeyRange<'_>,
+        lookups: bool,
+        io: &mut IoStats,
+        mut visit: impl FnMut(IndexEntry<'a>) -> Result<bool, E>,
+    ) -> Result<(), E> {
+        debug_assert!(
+            self.index(&index.def().name)
+                .is_some_and(|own| std::ptr::eq(own, index)),
+            "{}: not an index of {}",
+            index.def().name,
+            self.schema.name
+        );
+        let rows = lookups.then_some(&*self.rows);
+        let (read, result) = Handed::out(index.range(range), |key| {
+            visit(IndexEntry { key, index, rows })
+        });
+        let (table, name) = (&self.schema.name, &index.def().name);
+        let limit = read.limit();
+        if !self
             .backend
-            .account_pk_range(&self.schema.name, range.0, range.1, io);
-        let start = out.len();
-        let mut bytes = 0u64;
-        for row in self.rows.range::<[Value], _>(range).map(|(_, r)| r) {
-            bytes += row.iter().map(Value::storage_size).sum::<u64>();
-            out.push(row);
+            .account_index_range(table, name, range.0, range.1, limit, io)
+        {
+            read.charge(io);
         }
-        if !measured {
-            io.charge_seek();
-            io.charge_rows((out.len() - start) as u64);
-            if bytes > 0 {
-                io.charge_sequential(bytes);
+        if lookups {
+            if self.backend.kind() == BackendKind::Memory {
+                io.seeks += read.count;
+                io.pages_read += read.count;
+                io.rows_read += read.count;
+            } else {
+                for key in index.range(range).take(read.count as usize) {
+                    if !self
+                        .backend
+                        .account_pk_lookup(table, index.pk_of_entry(key), io)
+                    {
+                        io.charge_seek();
+                        io.charge_rows(1);
+                    }
+                }
             }
         }
-    }
-
-    /// Lazy variant of [`Table::pk_range`]: iterates the rows within
-    /// `range` in PK order without charging I/O. Early-terminating callers
-    /// must charge per row consumed.
-    pub fn iter_pk_range(&self, range: KeyRange<'_>) -> impl Iterator<Item = &Row> {
-        self.rows.range::<[Value], _>(range).map(|(_, r)| r)
+        result
     }
 
     /// Total bytes of all secondary indexes on this table.
     pub fn secondary_index_bytes(&self) -> u64 {
         self.indexes.values().map(|ix| ix.size_bytes()).sum()
+    }
+}
+
+/// An entry a read of a secondary index hands out
+/// ([`Table::index_range`]).
+#[derive(Debug, Clone, Copy)]
+pub struct IndexEntry<'a> {
+    key: &'a Key,
+    index: &'a SecondaryIndex,
+    /// The table's rows, on a read that looks rows up.
+    rows: Option<&'a BTreeMap<Key, Row>>,
+}
+
+impl<'a> IndexEntry<'a> {
+    /// The entry: its key columns, then its row's primary key.
+    pub fn key(&self) -> &'a Key {
+        self.key
+    }
+
+    /// The entry's row, on a read that looks rows up (the read charged its
+    /// lookup); `None` on one that does not.
+    pub fn row(&self) -> Option<&'a Row> {
+        self.rows?.get(self.index.pk_of_entry(self.key))
+    }
+}
+
+/// What one range read handed out.
+#[derive(Default)]
+struct Handed {
+    /// Rows or entries.
+    count: u64,
+    /// Their bytes.
+    bytes: u64,
+    /// The caller stopped the read, or failed, before its range ended.
+    stopped: bool,
+}
+
+impl Handed {
+    /// Hands `items` to `visit` in order until it stops or fails.
+    fn out<'a, E>(
+        items: impl Iterator<Item = &'a Vec<Value>>,
+        mut visit: impl FnMut(&'a Vec<Value>) -> Result<bool, E>,
+    ) -> (Self, Result<(), E>) {
+        let mut read = Handed::default();
+        for item in items {
+            read.count += 1;
+            read.bytes += item.iter().map(Value::storage_size).sum::<u64>();
+            match visit(item) {
+                Ok(false) => continue,
+                Ok(true) => read.stopped = true,
+                Err(e) => {
+                    read.stopped = true;
+                    return (read, Err(e));
+                }
+            }
+            break;
+        }
+        (read, Ok(()))
+    }
+
+    /// Where a measured walk ends: after the last item handed out when the
+    /// caller stopped, at the end of the range otherwise.
+    fn limit(&self) -> Option<u64> {
+        self.stopped.then_some(self.count)
+    }
+
+    /// The simulated charge: one seek, each item examined, and the pages
+    /// their bytes fill, read sequentially.
+    fn charge(&self, io: &mut IoStats) {
+        io.charge_seek();
+        io.charge_rows(self.count);
+        if self.bytes > 0 {
+            io.charge_sequential(self.bytes);
+        }
     }
 }
 
@@ -677,11 +791,15 @@ mod tests {
         assert_eq!(io2.rows_written, 3);
         let mut keys = crate::RangeKeys::default();
         let range = keys.prefix_range(&[Value::Int(99)], (Bound::Unbounded, Bound::Unbounded));
-        let mut hits = Vec::new();
-        t.index("ix_a")
-            .unwrap()
-            .scan_prefix_range(&t, range, &mut IoStats::new(), &mut hits);
-        assert_eq!(hits.len(), 1);
+        let mut hits = 0;
+        let ix = t.index("ix_a").unwrap();
+        t.index_range(ix, range, true, &mut IoStats::new(), |e| {
+            hits += 1;
+            assert_eq!(e.row(), Some(&row(1, 99, "x")));
+            Ok::<_, ()>(false)
+        })
+        .unwrap();
+        assert_eq!(hits, 1);
     }
 
     #[test]
@@ -702,13 +820,24 @@ mod tests {
             t.insert(row(i, i * 10, "r"), &mut io).unwrap();
         }
         let (lo, hi) = ([Value::Int(3)], [Value::Int(6)]);
-        let mut rows = Vec::new();
-        t.pk_range(
-            (Bound::Included(&lo[..]), Bound::Excluded(&hi[..])),
-            &mut IoStats::new(),
-            &mut rows,
-        );
-        assert_eq!(rows.len(), 3);
+        let range = (Bound::Included(&lo[..]), Bound::Excluded(&hi[..]));
+        let mut ids = Vec::new();
+        let mut read = |io: &mut IoStats, stop_at: usize| {
+            ids.clear();
+            t.pk_range(range, io, |row| {
+                ids.push(row[0].clone());
+                Ok::<_, ()>(ids.len() == stop_at)
+            })
+            .unwrap();
+            ids.clone()
+        };
+        let mut io = IoStats::new();
+        assert_eq!(read(&mut io, 0), [3, 4, 5].map(Value::Int));
+        assert_eq!((io.seeks, io.rows_read), (1, 3));
+        // A read stopped at its second row is charged for two.
+        let mut io = IoStats::new();
+        assert_eq!(read(&mut io, 2), [3, 4].map(Value::Int));
+        assert_eq!((io.seeks, io.rows_read), (1, 2));
     }
 
     #[test]

@@ -41,8 +41,10 @@ echo "== release-profile count pins"
 # `planning_counts` bound counts the what-if audit; this run holds
 # ranking's bound to the path as it ships. `exec_golden` holds the join's
 # shortcuts (a kept full scan probed by its key, an index entry tested
-# before its row is fetched) to the executor golden as they ship, without
-# the debug audits that re-derive what each skipped.
+# before its row is fetched) and the streamed index-ordered LIMIT (a probe
+# read stopped at the limit, charged for what it read, its page touches
+# pinned by the four-frame pool's faults) to the executor golden as they
+# ship, without the debug audits that re-derive what each skipped.
 cargo test --release -q -p aim-integration --test clone_counts --test storage_counts \
     --test alloc_budget --test validation_counts --test planning_counts --test exec_golden
 
