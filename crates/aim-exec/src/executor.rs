@@ -996,16 +996,6 @@ impl<'r> Tuple<'r> {
     fn capped(&self) -> bool {
         self.cap.is_some_and(|k| self.produced >= k)
     }
-
-    /// Offers a row of a single-table plan to the sink; true when that
-    /// filled the `limit`.
-    fn offer(&mut self, row: &'r Row, limit: usize) -> Result<bool, ExecError> {
-        if !self.accepts(0, row)? {
-            return Ok(false);
-        }
-        self.emit()?;
-        Ok(self.produced >= limit)
-    }
 }
 
 /// A plan step's access path with everything that is the same on every
@@ -1348,7 +1338,12 @@ impl<'r> Dest<'_, 'r> {
                 out.push(row);
                 Ok(false)
             }
-            Dest::Limit(limit) => tuple.offer(row, *limit),
+            Dest::Limit(limit) => {
+                if tuple.accepts(0, row)? {
+                    tuple.emit()?;
+                }
+                Ok(tuple.produced >= *limit)
+            }
         }
     }
 }
@@ -1484,16 +1479,7 @@ impl<'r> Join<'r> {
     /// qualify (multi-table, non-constant probes, OR-union), in which case
     /// the caller falls back to the eager path.
     fn stream_limited(&mut self, limit: usize) -> Result<bool, ExecError> {
-        let Join {
-            tables,
-            layouts,
-            access,
-            buffers,
-            tuple,
-            io,
-            ..
-        } = self;
-        let [Access::Index(probe)] = access.as_slice() else {
+        let [Access::Index(probe)] = self.access.as_slice() else {
             return Ok(false);
         };
         // Single constant probe prefix only.
@@ -1501,8 +1487,15 @@ impl<'r> Join<'r> {
         if !probe.scan.eq.iter().all(constant) {
             return Ok(false);
         }
-        let dest = Dest::Limit(limit);
-        probe.fetch(tables[0], layouts, buffers, tuple, io, dest)?;
+        let (buffers, tuple, dest) = (&mut self.buffers, &mut self.tuple, Dest::Limit(limit));
+        probe.fetch(
+            self.tables[0],
+            self.layouts,
+            buffers,
+            tuple,
+            &mut self.io,
+            dest,
+        )?;
         Ok(true)
     }
 

@@ -996,8 +996,8 @@ mod tests {
             io2.pages_read < io.pages_read,
             "a point lookup touches far fewer pages than a scan"
         );
-        let lo = vec![Value::Int(100)];
-        let hi = vec![Value::Int(200)];
+        let lo = [Value::Int(100)];
+        let hi = [Value::Int(200)];
         let mut io3 = IoStats::new();
         let (lo, hi) = (Bound::Included(&lo[..]), Bound::Excluded(&hi[..]));
         assert!(be.account_pk_range("t", lo, hi, None, &mut io3));

@@ -517,15 +517,12 @@ impl Table {
     /// Point lookup by full primary key. Charges one seek (simulated) or
     /// the measured PK-tree descent plus heap fetch (disk backend).
     pub fn pk_lookup(&self, pk: &[Value], io: &mut IoStats) -> Option<&Row> {
+        let row = self.rows.get(pk);
         if !self.backend.account_pk_lookup(&self.schema.name, pk, io) {
             io.charge_seek();
-            let row = self.rows.get(pk);
-            if row.is_some() {
-                io.charge_rows(1);
-            }
-            return row;
+            io.charge_rows(u64::from(row.is_some()));
         }
-        self.rows.get(pk)
+        row
     }
 
     /// One charged read of the rows whose keys lie within `range` (a PK
@@ -572,13 +569,9 @@ impl Table {
         io: &mut IoStats,
         mut visit: impl FnMut(IndexEntry<'a>) -> Result<bool, E>,
     ) -> Result<(), E> {
-        debug_assert!(
-            self.index(&index.def().name)
-                .is_some_and(|own| std::ptr::eq(own, index)),
-            "{}: not an index of {}",
-            index.def().name,
-            self.schema.name
-        );
+        debug_assert!(self
+            .index(&index.def().name)
+            .is_some_and(|own| std::ptr::eq(own, index)));
         let rows = lookups.then_some(&*self.rows);
         let (read, result) = Handed::out(index.range(range), |key| {
             visit(IndexEntry { key, index, rows })
@@ -591,21 +584,14 @@ impl Table {
         {
             read.charge(io);
         }
-        if lookups {
-            if self.backend.kind() == BackendKind::Memory {
-                io.seeks += read.count;
-                io.pages_read += read.count;
-                io.rows_read += read.count;
-            } else {
-                for key in index.range(range).take(read.count as usize) {
-                    if !self
-                        .backend
-                        .account_pk_lookup(table, index.pk_of_entry(key), io)
-                    {
-                        io.charge_seek();
-                        io.charge_rows(1);
-                    }
-                }
+        if lookups && self.backend.kind() == BackendKind::Memory {
+            // What `pk_lookup` charges for each, a row that exists.
+            io.seeks += read.count;
+            io.pages_read += read.count;
+            io.rows_read += read.count;
+        } else if lookups {
+            for key in index.range(range).take(read.count as usize) {
+                self.pk_lookup(index.pk_of_entry(key), io);
             }
         }
         result
@@ -661,15 +647,11 @@ impl Handed {
         for item in items {
             read.count += 1;
             read.bytes += item.iter().map(Value::storage_size).sum::<u64>();
-            match visit(item) {
-                Ok(false) => continue,
-                Ok(true) => read.stopped = true,
-                Err(e) => {
-                    read.stopped = true;
-                    return (read, Err(e));
-                }
+            let step = visit(item);
+            if !matches!(step, Ok(false)) {
+                read.stopped = true;
+                return (read, step.map(drop));
             }
-            break;
         }
         (read, Ok(()))
     }
