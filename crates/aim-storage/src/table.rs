@@ -140,9 +140,9 @@ impl Table {
     }
 
     /// Re-points this table, and so the reads of it and of its indexes,
-    /// at the in-memory backend. Used when cloning a database: clones are volatile
-    /// test substrates and must not write through to the source's disk
-    /// files.
+    /// at the in-memory backend. Used when cloning a database: clones are
+    /// volatile test substrates and must not write through to the source's
+    /// disk files.
     pub(crate) fn detach_to_memory(&mut self) {
         self.backend = memory_backend();
     }
