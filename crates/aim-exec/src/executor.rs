@@ -1261,10 +1261,11 @@ impl<'r> Probe<'r> {
     }
 
     /// Reads the candidates of this scan under the outer slots of the
-    /// tuple and sends each to `dest`: clustered rows, or the index entries
-    /// themselves when the scan is covering. The table's reads charge all
-    /// I/O of the access, each what it handed out: a read `dest` stops is
-    /// charged up to the row it stopped at.
+    /// tuple and hands each to `take`: clustered rows, or the index entries
+    /// themselves when the scan is covering. `take` returns `true` to stop
+    /// the read there. The table's reads charge all I/O of the access, each
+    /// what it handed out: a read `take` stops, or fails on, is charged up
+    /// to that row.
     fn fetch(
         &self,
         table: &'r Table,
@@ -1272,31 +1273,37 @@ impl<'r> Probe<'r> {
         buffers: &mut ProbeBuffers<'r>,
         tuple: &mut Tuple<'r>,
         io: &mut IoStats,
-        mut dest: Dest<'_, 'r>,
+        mut take: impl FnMut(&mut Tuple<'r>, &'r Row) -> Result<bool, ExecError>,
     ) -> Result<(), ExecError> {
         let ProbeBuffers { prefixes, keys, .. } = buffers;
         let count = self.prefixes(&tuple.current, layouts, prefixes)?;
         let width = self.sources.len();
         let unbounded = matches!(self.range, (Bound::Unbounded, Bound::Unbounded));
-        let mut stopped = false;
+        // Full-PK point lookup fast path: no range keys to build.
+        let point = self.index.is_none() && width == table.schema().primary_key.len() && unbounded;
+        // What stops the reads: `take`, or an error it returned.
+        let (mut stopped, mut failed) = (false, None);
         for n in 0..count {
             if stopped {
                 break;
             }
             let prefix = &prefixes[n * width..(n + 1) * width];
             let mut send = |tuple: &mut Tuple<'r>, row: &'r Row| {
-                stopped = dest.send(tuple, row)?;
-                Ok::<_, ExecError>(stopped)
+                match take(tuple, row) {
+                    Ok(stop) => stopped = stop,
+                    Err(e) => (stopped, failed) = (true, Some(e)),
+                }
+                stopped
             };
+            if point {
+                if let Some(row) = table.pk_lookup(prefix, io) {
+                    send(tuple, row);
+                }
+                continue;
+            }
             let range = keys.prefix_range(prefix, self.range);
             match self.index {
-                // Full-PK point lookup fast path.
-                None if width == table.schema().primary_key.len() && unbounded => {
-                    if let Some(row) = table.pk_lookup(prefix, io) {
-                        send(tuple, row)?;
-                    }
-                }
-                None => table.pk_range(range, io, |row| send(tuple, row))?,
+                None => table.pk_range(range, io, |row| send(tuple, row)),
                 Some(sec) => {
                     let lookups = !self.scan.covering;
                     table.index_range(sec, range, lookups, io, |entry| {
@@ -1307,44 +1314,24 @@ impl<'r> Probe<'r> {
                             |t: &&EntryTest<'r>| t.rejects(entry.key(), &mut tuple.current);
                         if let Some(test) = self.entry.as_ref().filter(rejects) {
                             test.audit_skip(entry, &mut tuple.current);
-                            return Ok(false);
+                            return false;
                         }
-                        match entry.row() {
-                            Some(row) => send(tuple, row),
-                            None => Ok(false),
-                        }
-                    })?
+                        entry.row().is_some_and(|row| send(tuple, row))
+                    })
                 }
             }
         }
-        Ok(())
+        failed.map_or(Ok(()), Err)
     }
 }
 
-/// Where a probe sends the rows it reads.
-enum Dest<'o, 'r> {
-    /// Every row, into a join level's candidates.
-    Candidates(&'o mut Vec<&'r Row>),
-    /// Each row to the tuple of a single-table plan, up to the one that
-    /// makes `limit` tuples (an index-ordered LIMIT).
-    Limit(usize),
-}
-
-impl<'r> Dest<'_, 'r> {
-    /// Sends `row`; true when the read stops there.
-    fn send(&mut self, tuple: &mut Tuple<'r>, row: &'r Row) -> Result<bool, ExecError> {
-        match self {
-            Dest::Candidates(out) => {
-                out.push(row);
-                Ok(false)
-            }
-            Dest::Limit(limit) => {
-                if tuple.accepts(0, row)? {
-                    tuple.emit()?;
-                }
-                Ok(tuple.produced >= *limit)
-            }
-        }
+/// What a join level takes from its probe: every row, into `out`.
+fn candidates<'o, 'r>(
+    out: &'o mut Vec<&'r Row>,
+) -> impl FnMut(&mut Tuple<'r>, &'r Row) -> Result<bool, ExecError> + 'o {
+    |_, row| {
+        out.push(row);
+        Ok(false)
     }
 }
 
@@ -1487,14 +1474,21 @@ impl<'r> Join<'r> {
         if !probe.scan.eq.iter().all(constant) {
             return Ok(false);
         }
-        let (buffers, tuple, dest) = (&mut self.buffers, &mut self.tuple, Dest::Limit(limit));
+        // Each row to the tuple, up to the one that makes `limit` tuples.
+        let offer = |tuple: &mut Tuple<'r>, row: &'r Row| {
+            if tuple.accepts(0, row)? {
+                tuple.emit()?;
+            }
+            Ok(tuple.produced >= limit)
+        };
+        let (buffers, tuple) = (&mut self.buffers, &mut self.tuple);
         probe.fetch(
             self.tables[0],
             self.layouts,
             buffers,
             tuple,
             &mut self.io,
-            dest,
+            offer,
         )?;
         Ok(true)
     }
@@ -1526,8 +1520,7 @@ impl<'r> Join<'r> {
             }
             Access::Index(probe) => {
                 out.clear();
-                let dest = Dest::Candidates(out);
-                probe.fetch(table, layouts, buffers, tuple, io, dest)?
+                probe.fetch(table, layouts, buffers, tuple, io, candidates(out))?
             }
             Access::OrUnion(branches) => {
                 out.clear();
@@ -1535,8 +1528,8 @@ impl<'r> Join<'r> {
                 let mut branch = std::mem::take(&mut buffers.branch);
                 for (probe, layout) in branches {
                     branch.clear();
-                    let dest = Dest::Candidates(&mut branch);
-                    probe.fetch(table, layouts, buffers, tuple, io, dest)?;
+                    let take = candidates(&mut branch);
+                    probe.fetch(table, layouts, buffers, tuple, io, take)?;
                     for slot in &branch {
                         pks.insert(slot_pk(table, layout, slot));
                     }

@@ -84,12 +84,10 @@ pub fn index_entries(table: &aim_storage::Table, name: &str) -> Vec<aim_storage:
     let ix = table.index(name).unwrap();
     let all = (std::ops::Bound::Unbounded, std::ops::Bound::Unbounded);
     let mut entries = Vec::with_capacity(ix.len());
-    table
-        .index_range(ix, all, false, &mut IoStats::new(), |e| {
-            entries.push(e.key().clone());
-            Ok::<_, ()>(false)
-        })
-        .unwrap();
+    table.index_range(ix, all, false, &mut IoStats::new(), |e| {
+        entries.push(e.key().clone());
+        false
+    });
     entries
 }
 

@@ -1051,7 +1051,7 @@ fn a_stopped_read_is_charged_for_what_it_handed_out() {
         let (mut got, mut io) = (Vec::new(), IoStats::new());
         let mut take = |item: &Row| {
             got.push(item.clone());
-            Ok::<_, ()>(got.len() == stop)
+            got.len() == stop
         };
         match kind {
             0 => t.pk_range(range, &mut io, take),
@@ -1067,7 +1067,6 @@ fn a_stopped_read_is_charged_for_what_it_handed_out() {
                 })
             }
         }
-        .unwrap();
         (got, io)
     };
     let charged = |io: &IoStats| (io.pages_read, io.seeks, io.rows_read);
@@ -1424,11 +1423,11 @@ fn random_ops_are_identical_on_disk_and_memory_backends() {
         let window = (Bound::Included(&lo[..]), Bound::Excluded(&hi[..]));
         let pk_range = |db: &Database, io: &mut IoStats| {
             let mut rows = Vec::new();
-            let read = db.table("t").unwrap().pk_range(window, io, |row| {
+            db.table("t").unwrap().pk_range(window, io, |row| {
                 rows.push(row.clone());
-                Ok::<_, ()>(false)
+                false
             });
-            read.map(|()| rows).unwrap()
+            rows
         };
         let m = pk_range(&mem, &mut IoStats::new());
         let d = pk_range(&disk, &mut IoStats::new());
@@ -1444,11 +1443,11 @@ fn random_ops_are_identical_on_disk_and_memory_backends() {
             );
             let mut entries = Vec::new();
             let ix = table.index("ix_a").unwrap();
-            let read = table.index_range(ix, range, false, &mut IoStats::new(), |e| {
+            table.index_range(ix, range, false, &mut IoStats::new(), |e| {
                 entries.push(e.key().clone());
-                Ok::<_, ()>(false)
+                false
             });
-            read.map(|()| entries).unwrap()
+            entries
         };
         let (m, d) = (index_scan(&mem), index_scan(&disk));
         assert_eq!(m, d, "round {round}: index scan a={probe:?} diverged");

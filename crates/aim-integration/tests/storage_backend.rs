@@ -308,12 +308,10 @@ fn a_read_only_pass_on_disk_adopts_the_beds_builds_and_they_survive_a_kill() {
         let all = (std::ops::Bound::Unbounded, std::ops::Bound::Unbounded);
         let mut entries = Vec::new();
         let ix = table.index(&def.name).unwrap();
-        table
-            .index_range(ix, all, false, &mut IoStats::new(), |e| {
-                entries.push(e.key().clone());
-                Ok::<_, ()>(false)
-            })
-            .unwrap();
+        table.index_range(ix, all, false, &mut IoStats::new(), |e| {
+            entries.push(e.key().clone());
+            false
+        });
         entries
     };
     for def in &defs {

@@ -189,9 +189,8 @@ mod tests {
         let ix = t.index("ix").unwrap();
         t.index_range(ix, range, false, io, |e| {
             out.push(e.key().clone());
-            Ok::<_, ()>(false)
-        })
-        .unwrap();
+            false
+        });
         out
     }
 

@@ -528,18 +528,18 @@ impl Table {
     /// One charged read of the rows whose keys lie within `range` (a PK
     /// prefix and a range on the next PK column, built by
     /// [`crate::RangeKeys::prefix_range`]): hands each to `visit` in PK
-    /// order, statement-lived, until `visit` returns `true` (stop) or
-    /// fails, and charges the rows it handed out. On a disk backend that
-    /// is the measured walk of the primary-key tree over them, to the last
-    /// one handed out when the caller stopped, and their heap pages.
-    pub fn pk_range<'a, E>(
+    /// order, statement-lived, until `visit` returns `true` (stop), and
+    /// charges the rows it handed out. On a disk backend that is the
+    /// measured walk of the primary-key tree over them, to the last one
+    /// handed out when the caller stopped, and their heap pages.
+    pub fn pk_range<'a>(
         &'a self,
         range: KeyRange<'_>,
         io: &mut IoStats,
-        visit: impl FnMut(&'a Row) -> Result<bool, E>,
-    ) -> Result<(), E> {
+        visit: impl FnMut(&'a Row) -> bool,
+    ) {
         let rows = self.rows.range::<[Value], _>(range).map(|(_, row)| row);
-        let (read, result) = Handed::out(rows, visit);
+        let read = Handed::out(rows, visit);
         let (table, limit) = (&self.schema.name, read.limit());
         if !self
             .backend
@@ -547,33 +547,31 @@ impl Table {
         {
             read.charge(io);
         }
-        result
     }
 
     /// One charged read of the entries of `index`, one of this table's,
     /// within `range` (built by [`crate::RangeKeys::prefix_range`]):
     /// hands each to `visit` in key order, statement-lived, until `visit`
-    /// returns `true` (stop) or fails, and charges the entries it handed
-    /// out. With `lookups` (a scan the index does not cover) each entry
+    /// returns `true` (stop), and charges the entries it handed out. With `lookups` (a scan the index does not cover) each entry
     /// handed out also carries its row ([`IndexEntry::row`]), and the read
     /// charges the row's primary-key lookup whether the caller reads the
     /// row or not. On a disk backend the charge is the measured walk of
     /// the index tree over the entries, to the last one handed out when
     /// the caller stopped, then each lookup's measured descent and heap
     /// page, in entry order.
-    pub fn index_range<'a, E>(
+    pub fn index_range<'a>(
         &'a self,
         index: &'a SecondaryIndex,
         range: KeyRange<'_>,
         lookups: bool,
         io: &mut IoStats,
-        mut visit: impl FnMut(IndexEntry<'a>) -> Result<bool, E>,
-    ) -> Result<(), E> {
+        mut visit: impl FnMut(IndexEntry<'a>) -> bool,
+    ) {
         debug_assert!(self
             .index(&index.def().name)
             .is_some_and(|own| std::ptr::eq(own, index)));
         let rows = lookups.then_some(&*self.rows);
-        let (read, result) = Handed::out(index.range(range), |key| {
+        let read = Handed::out(index.range(range), |key| {
             visit(IndexEntry { key, index, rows })
         });
         let (table, name) = (&self.schema.name, &index.def().name);
@@ -594,7 +592,6 @@ impl Table {
                 self.pk_lookup(index.pk_of_entry(key), io);
             }
         }
-        result
     }
 
     /// Total bytes of all secondary indexes on this table.
@@ -633,27 +630,26 @@ struct Handed {
     count: u64,
     /// Their bytes.
     bytes: u64,
-    /// The caller stopped the read, or failed, before its range ended.
+    /// The caller stopped the read before its range ended.
     stopped: bool,
 }
 
 impl Handed {
-    /// Hands `items` to `visit` in order until it stops or fails.
-    fn out<'a, E>(
+    /// Hands `items` to `visit` in order until it stops.
+    fn out<'a>(
         items: impl Iterator<Item = &'a Vec<Value>>,
-        mut visit: impl FnMut(&'a Vec<Value>) -> Result<bool, E>,
-    ) -> (Self, Result<(), E>) {
+        mut visit: impl FnMut(&'a Vec<Value>) -> bool,
+    ) -> Self {
         let mut read = Handed::default();
         for item in items {
             read.count += 1;
             read.bytes += item.iter().map(Value::storage_size).sum::<u64>();
-            let step = visit(item);
-            if !matches!(step, Ok(false)) {
+            if visit(item) {
                 read.stopped = true;
-                return (read, step.map(drop));
+                break;
             }
         }
-        (read, Ok(()))
+        read
     }
 
     /// Where a measured walk ends: after the last item handed out when the
@@ -778,9 +774,8 @@ mod tests {
         t.index_range(ix, range, true, &mut IoStats::new(), |e| {
             hits += 1;
             assert_eq!(e.row(), Some(&row(1, 99, "x")));
-            Ok::<_, ()>(false)
-        })
-        .unwrap();
+            false
+        });
         assert_eq!(hits, 1);
     }
 
@@ -808,9 +803,8 @@ mod tests {
             ids.clear();
             t.pk_range(range, io, |row| {
                 ids.push(row[0].clone());
-                Ok::<_, ()>(ids.len() == stop_at)
-            })
-            .unwrap();
+                ids.len() == stop_at
+            });
             ids.clone()
         };
         let mut io = IoStats::new();
