@@ -552,10 +552,11 @@ impl Table {
     /// One charged read of the entries of `index`, one of this table's,
     /// within `range` (built by [`crate::RangeKeys::prefix_range`]):
     /// hands each to `visit` in key order, statement-lived, until `visit`
-    /// returns `true` (stop), and charges the entries it handed out. With `lookups` (a scan the index does not cover) each entry
-    /// handed out also carries its row ([`IndexEntry::row`]), and the read
-    /// charges the row's primary-key lookup whether the caller reads the
-    /// row or not. On a disk backend the charge is the measured walk of
+    /// returns `true` (stop), and charges the entries it handed out. With
+    /// `lookups` (a scan the index does not cover) each entry handed out
+    /// also carries its row ([`IndexEntry::row`]), and the read charges
+    /// the row's primary-key lookup whether the caller reads the row or
+    /// not. On a disk backend the charge is the measured walk of
     /// the index tree over the entries, to the last one handed out when
     /// the caller stopped, then each lookup's measured descent and heap
     /// page, in entry order.
