@@ -735,9 +735,9 @@ impl<'a> Planner<'a> {
         )
     }
 
-    /// The memoized context under `key`, derived
-    /// from `sargs` and the join edges of `t` into `bound`. This is the one
-    /// place a predicate becomes a probe source.
+    /// The memoized context under `key`, derived from `sargs` and the join
+    /// edges of `t` into `bound`. This is the one place a predicate becomes
+    /// a probe source.
     fn context(
         &self,
         t: usize,
